@@ -19,7 +19,7 @@ from .rootsys import (AlgElement, RootSystem, bracket, build_root_system,
                       matrix_rep, negate, parse_root_label, root_label,
                       root_system_summary, torus_adjoint)
 from .rmatrix import (LaurentElement, RMatrixSpec, R_apply, TensorValue,
-                      casimir_tensor, elliptic_r_matrix, r_eval,
+                      casimir_tensor, elliptic_r_matrix, r_tensor,
                       rational_r_matrix, trigonometric_r_matrix,
                       verify_axioms, verify_cdybe, verify_mdybe)
 from .phase import (PhaseFunction, PhasePoint, ReducedFunction, ReducedPoint,
@@ -87,7 +87,7 @@ __all__ = [
     "parse_root_label",
     "project_pi",
     "quasi_lax_residual",
-    "r_eval",
+    "r_tensor",
     "rational_r_matrix",
     "reduced_lax_residual",
     "root_label",

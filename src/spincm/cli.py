@@ -101,13 +101,6 @@ def _as_complex(value, where: str) -> complex:
                       f"got {value!r}")
 
 
-def _complex_out(v: complex):
-    v = complex(v)
-    if v.imag == 0.0:
-        return v.real
-    return [v.real, v.imag]
-
-
 @dataclass
 class RunConfig:
     """Validated run configuration.  See the module docstring for the JSON

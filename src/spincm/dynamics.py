@@ -39,11 +39,12 @@ from .elliptic import Lattice
 from .errors import ConstraintError, PoleError, StructuralError
 from .phase import (PhaseFunction, PhaseGradient, PhasePoint, ReducedFunction,
                     ReducedGradient, ReducedPoint, bracket_reduced,
-                    lift_reduced, momentum_J, reduced_roots, spin_tensor)
+                    lift_reduced, lift_tangent, momentum_J, reduce_gradient,
+                    reduced_roots, spin_tensor)
 from .rmatrix import (LaurentElement, RMatrixSpec, R_apply, R_directional,
-                      cartan_coeff, elliptic_r_matrix, pair_weight,
-                      r_tensor, r_tensor_dq, r_tensor_dq_dir, rational_r_matrix,
-                      root_coeff, root_coeff_reg0, trigonometric_r_matrix)
+                      cartan_coeff, elliptic_r_matrix, pair_weight, r_tensor,
+                      rational_r_matrix, root_coeff, root_coeff_reg0,
+                      trigonometric_r_matrix)
 from .rootsys import (AlgElement, RootSystem, bracket, build_root_system,
                       coadjoint_action, form, matrix_rep, negate, root_label)
 
@@ -150,10 +151,6 @@ class Trajectory:
 # Hamiltonians and vector fields
 
 
-def _pair_values(sys: SystemSpec, q) -> np.ndarray:
-    return sys.rs.alpha_h @ np.asarray(q, dtype=complex)
-
-
 def _all_weights(sys: SystemSpec, u: np.ndarray, du: int = 0) -> np.ndarray:
     spec = sys.lax_rmatrix
     return np.array([pair_weight(spec, k, u[k], du)
@@ -168,7 +165,7 @@ def _spin_products(rs: RootSystem, root_block: np.ndarray) -> np.ndarray:
 
 def hamiltonian(sys: SystemSpec, x: PhasePoint) -> complex:
     """H = (1/2)|p|^2 - (1/2) sum_alpha w_alpha xi_alpha xi_{-alpha}."""
-    u = _pair_values(sys, x.q)
+    u = sys.rs.root_values(x.q)
     w = _all_weights(sys, u)
     prod = _spin_products(sys.rs, x.xi.vec[sys.rs.rank:])
     return complex(0.5 * (x.p @ x.p) - 0.5 * (w @ prod))
@@ -176,7 +173,7 @@ def hamiltonian(sys: SystemSpec, x: PhasePoint) -> complex:
 
 def hamiltonian_gradient(sys: SystemSpec, x: PhasePoint) -> PhaseGradient:
     rs = sys.rs
-    u = _pair_values(sys, x.q)
+    u = rs.root_values(x.q)
     w = _all_weights(sys, u)
     w_du = _all_weights(sys, u, du=1)
     root_block = x.xi.vec[rs.rank:]
@@ -210,31 +207,11 @@ def hamiltonian_reduced(sys: SystemSpec, x_red: ReducedPoint) -> complex:
     return hamiltonian(sys, lift_reduced(x_red))
 
 
-def hamiltonian_reduced_gradient(sys: SystemSpec,
-                                 x_red: ReducedPoint) -> ReducedGradient:
-    rs = sys.rs
-    lift = lift_reduced(x_red)
-    u = _pair_values(sys, x_red.q)
-    w = _all_weights(sys, u)
-    w_du = _all_weights(sys, u, du=1)
-    root_block = lift.xi.vec[rs.rank:]
-    prod = _spin_products(rs, root_block)
-    dq = -0.5 * (rs.alpha_h.T @ (w_du * prod))
-    neg = rs.dual_index[rs.rank:] - rs.rank
-    ds = (-w * root_block[neg])[rs.rank:]
-    return ReducedGradient(dq, x_red.p.copy(), ds)
-
-
-def hamiltonian_reduced_function(sys: SystemSpec) -> ReducedFunction:
-    return ReducedFunction(lambda x: hamiltonian_reduced(sys, x),
-                           lambda x: hamiltonian_reduced_gradient(sys, x))
-
-
 def vector_field_reduced(sys: SystemSpec, x_red: ReducedPoint) -> ReducedPoint:
     """Reduced flow in (q, p, s): canonical part plus s_dot = -P dH_0/ds
     with P the reduced spin tensor, mirroring the coadjoint orientation of
     the unreduced flow."""
-    g = hamiltonian_reduced_gradient(sys, x_red)
+    g = reduce_gradient(hamiltonian_gradient(sys, lift_reduced(x_red)))
     p_tensor = spin_tensor(x_red)
     return ReducedPoint(sys.rs, g.dp, -g.dq, -(p_tensor @ g.ds))
 
@@ -248,7 +225,7 @@ def collision_margin(sys: SystemSpec, x) -> float:
     |(alpha,q)| (rational), min |sin (alpha,q)| (trigonometric span), min
     lattice distance (elliptic).  inf when the case has no singular roots."""
     spec = sys.rmatrix
-    u = _pair_values(sys, x.q)
+    u = sys.rs.root_values(x.q)
     fam = sys.family
     if fam == "rational":
         vals = [abs(u[k]) for k in range(sys.rs.n_roots) if spec.dp_mask[k]]
@@ -367,7 +344,7 @@ def lax_L(sys: SystemSpec, x: PhasePoint, z: complex) -> AlgElement:
     e_alpha."""
     rs = sys.rs
     spec = sys.lax_rmatrix
-    u = _pair_values(sys, x.q)
+    u = rs.root_values(x.q)
     vec = np.zeros(rs.dim, dtype=complex)
     vec[:rs.rank] = x.p + cartan_coeff(spec, z) * x.xi.vec[:rs.rank]
     for k in range(rs.n_roots):
@@ -379,7 +356,7 @@ def lax_L_reg0(sys: SystemSpec, x: PhasePoint) -> AlgElement:
     """Regular part of L at z = 0, i.e. lim_{z->0} (L(z) - I xi / z)."""
     rs = sys.rs
     spec = sys.lax_rmatrix
-    u = _pair_values(sys, x.q)
+    u = rs.root_values(x.q)
     vec = np.zeros(rs.dim, dtype=complex)
     vec[:rs.rank] = x.p
     for k in range(rs.n_roots):
@@ -408,7 +385,7 @@ def sigma_residual(sys: SystemSpec, x: PhasePoint) -> float:
     j = momentum_J(x)
     if sys.family == "rational":
         mask = sys.rmatrix.dp_mask
-        vals = np.abs(sys.rs.alpha_h @ j)[mask]
+        vals = np.abs(sys.rs.root_values(j))[mask]
         return float(vals.max()) if vals.size else 0.0
     return float(np.max(np.abs(j)))
 
@@ -438,15 +415,23 @@ def default_z_samples(n: int = 8, radius: float = 0.55) -> list[complex]:
     return [radius * np.exp(2j * math.pi * (k + 0.37) / n) for k in range(n)]
 
 
-def lax_time_derivative(sys: SystemSpec, x: PhasePoint,
-                        z: complex) -> AlgElement:
-    """dL/dt along the flow at x, assembled from the chain rule: L is
-    linear in (p, xi) with q-dependent coefficients."""
+def _moving_point(sys: SystemSpec, x) -> tuple[PhasePoint, PhasePoint]:
+    """The point at which L is evaluated and its velocity along the flow.
+    A reduced point is taken at its slice lift, moving with the lifted
+    reduced velocity."""
+    if isinstance(x, ReducedPoint):
+        return lift_reduced(x), lift_tangent(vector_field_reduced(sys, x))
+    return x, vector_field(sys, x)
+
+
+def _lax_derivative(sys: SystemSpec, x: PhasePoint, v: PhasePoint,
+                    z: complex) -> AlgElement:
+    """dL/dt at x for the velocity v, by the chain rule: L is linear in
+    (p, xi) with q-dependent coefficients."""
     rs = sys.rs
     spec = sys.lax_rmatrix
-    v = vector_field(sys, x)
-    u = _pair_values(sys, x.q)
-    udot = rs.alpha_h @ v.q
+    u = rs.root_values(x.q)
+    udot = rs.root_values(v.q)
     vec = np.zeros(rs.dim, dtype=complex)
     vec[:rs.rank] = v.p + cartan_coeff(spec, z) * v.xi.vec[:rs.rank]
     for k in range(rs.n_roots):
@@ -457,36 +442,45 @@ def lax_time_derivative(sys: SystemSpec, x: PhasePoint,
     return AlgElement(rs, vec)
 
 
+def lax_time_derivative(sys: SystemSpec, x, z: complex) -> AlgElement:
+    """dL/dt along the flow at x; for a ReducedPoint, dL_0/dt along the
+    reduced flow."""
+    return _lax_derivative(sys, *_moving_point(sys, x), z)
+
+
+def _lax_residual(sys: SystemSpec, x, b: LaurentElement,
+                  z_samples: Sequence[complex] | None,
+                  anomaly: Callable[[complex], AlgElement] | None = None
+                  ) -> float:
+    """max_z ||dL/dt - [B, L] (+ anomaly)|| at x."""
+    if z_samples is None:
+        z_samples = default_z_samples()
+    pt, v = _moving_point(sys, x)
+    worst = 0.0
+    for z in z_samples:
+        res = _lax_derivative(sys, pt, v, z) - bracket(b.eval(z),
+                                                        lax_L(sys, pt, z))
+        if anomaly is not None:
+            res = res + anomaly(z)
+        worst = max(worst, res.max_abs())
+    return worst
+
+
 def lax_pair_residual(sys: SystemSpec, x: PhasePoint,
                       z_samples: Sequence[complex] | None = None, *,
                       sigma_tol: float = 1e-8) -> float:
     """max_z ||dL/dt - [B, L]||; the point must lie on Sigma."""
-    if z_samples is None:
-        z_samples = default_z_samples()
-    b = lax_B(sys, x, sigma_tol=sigma_tol)
-    worst = 0.0
-    for z in z_samples:
-        dl = lax_time_derivative(sys, x, z)
-        res = dl - bracket(b.eval(z), lax_L(sys, x, z))
-        worst = max(worst, res.max_abs())
-    return worst
+    return _lax_residual(sys, x, lax_B(sys, x, sigma_tol=sigma_tol),
+                         z_samples)
 
 
 def quasi_lax_residual(sys: SystemSpec, x: PhasePoint,
                        z_samples: Sequence[complex] | None = None) -> float:
     """max_z ||dL/dt - [B, L] + (X_J R)(L/z)||: the Lax equation with the
     momentum anomaly, valid off Sigma as well (rational family)."""
-    if z_samples is None:
-        z_samples = default_z_samples()
-    b = _b_operator(sys, x)
     anomaly = R_directional(sys.lax_rmatrix, x.q, momentum_J(x),
                             lax_M(sys, x))
-    worst = 0.0
-    for z in z_samples:
-        dl = lax_time_derivative(sys, x, z)
-        res = dl - bracket(b.eval(z), lax_L(sys, x, z)) + anomaly(z)
-        worst = max(worst, res.max_abs())
-    return worst
+    return _lax_residual(sys, x, _b_operator(sys, x), z_samples, anomaly)
 
 
 # ---------------------------------------------------------------------------
@@ -588,40 +582,10 @@ def lax_B0(sys: SystemSpec, x_red: ReducedPoint) -> LaurentElement:
                           lambda z: b.tail(z) - d)
 
 
-def reduced_lax_time_derivative(sys: SystemSpec, x_red: ReducedPoint,
-                                z: complex) -> AlgElement:
-    """dL_0/dt along the reduced flow, by the chain rule through the lift:
-    the Cartan spin block stays zero and the simple components stay pinned,
-    so only (q, p) motion and the free spin coordinates contribute."""
-    rs = sys.rs
-    spec = sys.lax_rmatrix
-    v = vector_field_reduced(sys, x_red)
-    lift = lift_reduced(x_red)
-    u = _pair_values(sys, x_red.q)
-    udot = rs.alpha_h @ v.q
-    vec = np.zeros(rs.dim, dtype=complex)
-    vec[:rs.rank] = v.p
-    for k in range(rs.n_roots):
-        vec[rs.rank + k] = (root_coeff(spec, k, u[k], z, du=1) * udot[k]
-                            * lift.xi.vec[rs.rank + k])
-        if k >= rs.rank:
-            vec[rs.rank + k] += (root_coeff(spec, k, u[k], z)
-                                 * v.s[k - rs.rank])
-    return AlgElement(rs, vec)
-
-
 def reduced_lax_residual(sys: SystemSpec, x_red: ReducedPoint,
                          z_samples: Sequence[complex] | None = None) -> float:
     """max_z ||dL_0/dt - [B_0, L_0]|| at one reduced point."""
-    if z_samples is None:
-        z_samples = default_z_samples()
-    b0 = lax_B0(sys, x_red)
-    worst = 0.0
-    for z in z_samples:
-        dl = reduced_lax_time_derivative(sys, x_red, z)
-        res = dl - bracket(b0.eval(z), lax_L0(sys, x_red, z))
-        worst = max(worst, res.max_abs())
-    return worst
+    return _lax_residual(sys, x_red, lax_B0(sys, x_red), z_samples)
 
 
 def lax_pair_reduced(sys: SystemSpec, traj: Trajectory,
@@ -674,7 +638,7 @@ def spectral_function(sys: SystemSpec, k: int, z: complex) -> ReducedFunction:
 
     def grad(x_red: ReducedPoint) -> ReducedGradient:
         lift = lift_reduced(x_red)
-        u = _pair_values(sys, x_red.q)
+        u = rs.root_values(x_red.q)
         mat = matrix_rep(lax_L(sys, lift, z))
         pk = np.linalg.matrix_power(mat, k - 1)
         # tr(L^{k-1} rho_a) for every basis element a
@@ -736,9 +700,11 @@ def fpbr_residual(sys: SystemSpec, x: PhasePoint, z: complex,
 
     dq_z = np.zeros((rs.dim, rs.rank), dtype=complex)
     dq_w = np.zeros((rs.dim, rs.rank), dtype=complex)
-    for i in range(rs.rank):
-        dq_z[:, i] = r_tensor_dq(spec_l, q, z, i).pair_second(x.xi).vec
-        dq_w[:, i] = r_tensor_dq(spec_l, q, w, i).pair_second(x.xi).vec
+    for i, e_i in enumerate(np.eye(rs.rank)):
+        dq_z[:, i] = r_tensor(spec_l, q, z,
+                              direction=e_i).pair_second(x.xi).vec
+        dq_w[:, i] = r_tensor(spec_l, q, w,
+                              direction=e_i).pair_second(x.xi).vec
 
     lhs = np.zeros((rs.dim, rs.dim), dtype=complex)
     # canonical part with the bracket_full orientation {p_i, q_j} = +delta:
@@ -751,7 +717,7 @@ def fpbr_residual(sys: SystemSpec, x: PhasePoint, z: complex,
     r12 = r_tensor(sys.rmatrix, q, z - w).mat
     com = np.einsum("cb,f,cfa->ab", r12, lz, f)
     com += np.einsum("ad,f,dfb->ab", r12, lw, f)
-    xterm = r_tensor_dq_dir(sys.rmatrix, q, z - w, momentum_J(x)).mat
+    xterm = r_tensor(sys.rmatrix, q, z - w, direction=momentum_J(x)).mat
     return float(np.max(np.abs(lhs + com + xterm)))
 
 

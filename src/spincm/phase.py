@@ -280,6 +280,24 @@ def lift_reduced(x_red: ReducedPoint) -> PhasePoint:
     return PhasePoint.make(rs, x_red.q, x_red.p, xi_components=components)
 
 
+def lift_tangent(v_red: ReducedPoint) -> PhasePoint:
+    """Push a reduced tangent vector (q, p, s)-dot forward along
+    lift_reduced: the Cartan spin block and the simple components of the
+    lift are constant, so only the reduced roots move."""
+    rs = v_red.rs
+    vec = np.zeros(rs.dim, dtype=complex)
+    vec[2 * rs.rank:] = v_red.s
+    return PhasePoint(v_red.q, v_red.p, AlgElement(rs, vec))
+
+
+def reduce_gradient(g: PhaseGradient) -> ReducedGradient:
+    """Pull a gradient taken at a slice lift back to (q, p, s).  The lift
+    sets xi_gamma = s_gamma and a unit change of xi_gamma pairs with the
+    e_{-gamma} coefficient of dxi, so ds_gamma is that coefficient."""
+    rs = g.dxi.rs
+    return ReducedGradient(g.dq, g.dp, g.dxi.vec[rs.dual_index[2 * rs.rank:]])
+
+
 def reduction_chain_vectors(x_red: ReducedPoint) -> list[AlgElement]:
     """Differentials d s_gamma at the slice lift, one per reduced root:
     d s_gamma = e_{-gamma} - s_gamma sum_j m_gamma^j e_{-alpha_j}."""
@@ -350,57 +368,3 @@ def spin_coordinate_function(rs: RootSystem, root: Root) -> ReducedFunction:
         return ReducedGradient(zero_c, zero_c, ds)
 
     return ReducedFunction(val, grad)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def _complex_pair(c: complex) -> list[float]:
-    c = complex(c)
-    return [c.real, c.imag]
-
-
-def _from_pair(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    return complex(v[0], v[1])
-
-
-def phase_point_to_dict(x: PhasePoint) -> dict:
-    rs = x.rs
-    return {
-        "q": [_complex_pair(c) for c in x.q],
-        "p": [_complex_pair(c) for c in x.p],
-        "xi_cartan": [_complex_pair(c) for c in x.xi.cartan_coords],
-        "xi": {root_label(r): _complex_pair(x.xi.coeff(r)) for r in rs.roots},
-    }
-
-
-def phase_point_from_dict(rs: RootSystem, data: dict) -> PhasePoint:
-    from .rootsys import parse_root_label
-    q = np.array([_from_pair(v) for v in data["q"]])
-    p = np.array([_from_pair(v) for v in data["p"]])
-    comps = {parse_root_label(label, rs.rank): _from_pair(v)
-             for label, v in data.get("xi", {}).items()}
-    cartan = [_from_pair(v) for v in data.get("xi_cartan", [0.0] * rs.rank)]
-    xi = AlgElement.from_root_dict(rs, comps, cartan=cartan)
-    return PhasePoint(q, p, xi)
-
-
-def reduced_point_to_dict(x: ReducedPoint) -> dict:
-    return {
-        "q": [_complex_pair(c) for c in x.q],
-        "p": [_complex_pair(c) for c in x.p],
-        "s": {root_label(r): _complex_pair(x.s[k])
-              for k, r in enumerate(reduced_roots(x.rs))},
-    }
-
-
-def reduced_point_from_dict(rs: RootSystem, data: dict) -> ReducedPoint:
-    from .rootsys import parse_root_label
-    q = np.array([_from_pair(v) for v in data["q"]])
-    p = np.array([_from_pair(v) for v in data["p"]])
-    comps = {parse_root_label(label, rs.rank): _from_pair(v)
-             for label, v in data.get("s", {}).items()}
-    return ReducedPoint.make(rs, q, p, comps)

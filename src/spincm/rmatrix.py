@@ -365,11 +365,6 @@ def root_coeff(spec: RMatrixSpec, root_idx: int, u: complex, z: complex,
     return _elliptic_root_coeff(spec.lattice, u, z, kz, du)
 
 
-def cartan_coeff_reg0(spec: RMatrixSpec) -> complex:
-    """lim_{z->0} (f(z) - 1/z); zero in every family."""
-    return 0j
-
-
 def root_coeff_reg0(spec: RMatrixSpec, root_idx: int, u: complex) -> complex:
     """lim_{z->0} (c_alpha(u, z) - 1/z), the regular part at the pole."""
     fam = spec.family
@@ -479,67 +474,31 @@ def casimir_tensor(rs: RootSystem) -> TensorValue:
     return TensorValue(rs, mat)
 
 
-def _root_pairing_values(spec: RMatrixSpec, q: np.ndarray) -> np.ndarray:
-    return spec.rs.alpha_h @ np.asarray(q, dtype=complex)
+def r_tensor(spec: RMatrixSpec, q, z: complex, kz: int = 0,
+             direction=None) -> TensorValue:
+    """r(q, z), or its kz-th z-derivative, as a tensor in g (x) g.
 
-
-def r_tensor(spec: RMatrixSpec, q, z: complex, kz: int = 0) -> TensorValue:
-    """r(q, z) (or its kz-th z-derivative) as a tensor in g (x) g."""
+    With a Cartan ``direction`` v the result is the directional q-derivative
+    sum_i v_i d/dq_i of that tensor instead (v = e_i gives the partial
+    derivative in q_i).  Only root terms survive it: the Cartan coefficient
+    is q-independent in every family.  This is the one place where root
+    coefficients enter a tensor, so ``fault_scale`` is applied here.
+    """
     rs = spec.rs
-    u_all = _root_pairing_values(spec, q)
+    u = rs.root_values(q)
     mat = np.zeros((rs.dim, rs.dim), dtype=complex)
-    f = cartan_coeff(spec, z, kz)
-    for i in range(rs.rank):
-        mat[i, i] = f
-    for k in range(rs.n_roots):
-        c = root_coeff(spec, k, u_all[k], z, kz)
+    if direction is None:
+        du, weights = 0, np.ones(rs.n_roots)
+        f = cartan_coeff(spec, z, kz)
+        for i in range(rs.rank):
+            mat[i, i] = f
+    else:
+        du, weights = 1, rs.root_values(direction)
+    for k in np.flatnonzero(weights):
+        c = root_coeff(spec, k, u[k], z, kz, du)
         if spec.fault_scale != 1.0 and k in spec.fault_root_indices:
             c *= spec.fault_scale
-        kn = rs.root_index[negate(rs.roots[k])]
-        mat[rs.rank + k, rs.rank + kn] = c
-    return TensorValue(rs, mat)
-
-
-def r_eval(spec: RMatrixSpec, q, z: complex) -> TensorValue:
-    """The r-matrix r(q, z)."""
-    return r_tensor(spec, q, z, 0)
-
-
-def r_tensor_dq(spec: RMatrixSpec, q, z: complex, i: int,
-                kz: int = 0) -> TensorValue:
-    """Partial derivative of the (kz-th z-derivative of the) r-matrix with
-    respect to the Cartan coordinate q_i.  Only root terms survive: the
-    Cartan coefficient is q-independent in every family."""
-    rs = spec.rs
-    u_all = _root_pairing_values(spec, q)
-    mat = np.zeros((rs.dim, rs.dim), dtype=complex)
-    for k in range(rs.n_roots):
-        w = rs.alpha_h[k, i]
-        if w == 0.0:
-            continue
-        c = root_coeff(spec, k, u_all[k], z, kz, du=1)
-        if spec.fault_scale != 1.0 and k in spec.fault_root_indices:
-            c *= spec.fault_scale
-        kn = rs.root_index[negate(rs.roots[k])]
-        mat[rs.rank + k, rs.rank + kn] = w * c
-    return TensorValue(rs, mat)
-
-
-def r_tensor_dq_dir(spec: RMatrixSpec, q, z: complex, v,
-                    kz: int = 0) -> TensorValue:
-    """Directional q-derivative sum_i v_i dr/dq_i (kz-th z-derivative)."""
-    rs = spec.rs
-    u_all = _root_pairing_values(spec, q)
-    weights = rs.alpha_h @ np.asarray(v, dtype=complex)
-    mat = np.zeros((rs.dim, rs.dim), dtype=complex)
-    for k in range(rs.n_roots):
-        if weights[k] == 0.0:
-            continue
-        c = root_coeff(spec, k, u_all[k], z, kz, du=1)
-        if spec.fault_scale != 1.0 and k in spec.fault_root_indices:
-            c *= spec.fault_scale
-        kn = rs.root_index[negate(rs.roots[k])]
-        mat[rs.rank + k, rs.rank + kn] = weights[k] * c
+        mat[rs.rank + k, rs.dual_index[rs.rank + k]] = weights[k] * c
     return TensorValue(rs, mat)
 
 
@@ -612,10 +571,10 @@ def verify_cdybe(spec: RMatrixSpec, q, z1: complex, z2: complex,
 
     cube = np.zeros((rs.dim, rs.dim, rs.dim), dtype=complex)
     # Alt(d_h r): h_i in slot 1, 2, 3 against dr/dq_i at z23, z31, z12
-    for i in range(rs.rank):
-        cube[i, :, :] += r_tensor_dq(spec, q, z23, i).mat
-        cube[:, i, :] += r_tensor_dq(spec, q, -z13, i).mat.T
-        cube[:, :, i] += r_tensor_dq(spec, q, z12, i).mat
+    for i, e_i in enumerate(np.eye(rs.rank)):
+        cube[i, :, :] += r_tensor(spec, q, z23, direction=e_i).mat
+        cube[:, i, :] += r_tensor(spec, q, -z13, direction=e_i).mat.T
+        cube[:, :, i] += r_tensor(spec, q, z12, direction=e_i).mat
     cube += np.einsum("ab,cd,ace->ebd", r12, r13, f)
     cube += np.einsum("ab,cd,bce->aed", r12, r23, f)
     cube += np.einsum("ab,cd,bde->ace", r13, r23, f)
@@ -727,7 +686,7 @@ def R_directional(spec: RMatrixSpec, q, v, xi: LaurentElement
     def deriv(z: complex) -> AlgElement:
         out = AlgElement.zero(spec.rs)
         for k in range(order):
-            tens = r_tensor_dq_dir(spec, q, -z, v, kz=k)
+            tens = r_tensor(spec, q, -z, kz=k, direction=v)
             out = out + (1.0 / math.factorial(k)) * tens.pair_first(
                 xi.principal_coeff(k + 1))
         return out
@@ -780,15 +739,11 @@ def verify_mdybe(spec: RMatrixSpec, q, xi: LaurentElement, eta: LaurentElement,
     # d<R xi, eta>: Cartan vector of q_i-derivatives of the residue pairing
     zs = _circle(quad_radius, quad_nodes)
     d_coords = np.zeros(rs.rank, dtype=complex)
-    for i in range(rs.rank):
+    for i, e_i in enumerate(np.eye(rs.rank)):
+        d_rxi = R_directional(spec, q, e_i, xi)
         acc = 0j
         for z in zs:
-            d_rxi = AlgElement.zero(rs)
-            for k in range(xi.pole_order):
-                tens = r_tensor_dq(spec, q, -z, i, kz=k)
-                d_rxi = d_rxi + (1.0 / math.factorial(k)) * tens.pair_first(
-                    xi.principal_coeff(k + 1))
-            acc += form(eta.eval(z), d_rxi) * z
+            acc += form(eta.eval(z), d_rxi(z)) * z
         d_coords[i] = acc / quad_nodes
     d_term = AlgElement.cartan(rs, d_coords)
 

@@ -227,8 +227,9 @@ class RootSystem:
         except KeyError:
             raise StructuralError(f"{root} is not a root of A_{self.rank}") from None
 
-    def root_height(self, root: Root) -> int:
-        return sum(root)
+    def root_values(self, q) -> np.ndarray:
+        """(alpha, q) for every root, in root order."""
+        return self.alpha_h @ np.asarray(q, dtype=complex)
 
     def pairing_with_cartan(self, root: Root, q: np.ndarray) -> complex:
         """(alpha, q) for q given in orthonormal Cartan coordinates."""

@@ -250,6 +250,19 @@ def test_verify_unknown_suite_is_usage_error(tmp_path):
     assert err.value.code == 2
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "isospectral_drift 1.23e-6 over the 1e-6 threshold: the drift is "
+    "1.6e-7 at the RK45 step endpoints and comes from the dense-output "
+    "interpolant between steps; the collision margin is 0.256"))
+def test_verify_spectral_trig_a3_seed_1252344730(tmp_path):
+    cfg = write_config(tmp_path, "ver.json",
+                       {"family": "trigonometric", "rank": 3,
+                        "integration": {"t_final": 0.1}})
+    assert main(["verify", "--config", cfg, "--suite", "spectral",
+                 "--seed", "1252344730", "--out", str(tmp_path)]) \
+        == EXIT_PASS
+
+
 # -- reduce -------------------------------------------------------------------
 
 

@@ -12,9 +12,7 @@ from spincm.phase import (PhaseFunction, PhaseGradient, PhasePoint,
                           ReducedFunction, ReducedGradient, ReducedPoint,
                           bracket_full, bracket_reduced, gauge_g,
                           lift_reduced, linear_spin_function, momentum_J,
-                          normalize_to_slice, phase_point_from_dict,
-                          phase_point_to_dict, project_pi, reduced_point_from_dict,
-                          reduced_point_to_dict, reduced_roots,
+                          normalize_to_slice, project_pi, reduced_roots,
                           spin_coordinate_function, spin_invariant,
                           spin_invariant_gradient, spin_tensor, torus_action)
 from spincm.rootsys import AlgElement, build_root_system, bracket, form
@@ -440,28 +438,6 @@ def test_reduced_jacobi_identity_via_finite_differences():
 
     total = nested(f, g, h) + nested(g, h, f) + nested(h, f, g)
     assert abs(total) < 1e-6
-
-
-# -- serialization -------------------------------------------------------------
-
-
-def test_phase_point_round_trip():
-    rng = np.random.default_rng(17)
-    pt = random_point(RS2, rng)
-    data = phase_point_to_dict(pt)
-    back = phase_point_from_dict(RS2, data)
-    assert np.max(np.abs(back.q - pt.q)) < 1e-15
-    assert (back.xi - pt.xi).max_abs() < 1e-15
-    assert "[1,1]" in data["xi"]
-
-
-def test_reduced_point_round_trip():
-    rng = np.random.default_rng(18)
-    rs = RS2
-    s = rng.normal(size=rs.n_roots - 2) + 1j * rng.normal(size=rs.n_roots - 2)
-    red = ReducedPoint(rs, rng.normal(size=2) + 0j, rng.normal(size=2) + 0j, s)
-    back = reduced_point_from_dict(rs, reduced_point_to_dict(red))
-    assert np.max(np.abs(back.s - red.s)) < 1e-15
 
 
 def test_make_rejects_pinned_coordinates():

@@ -24,8 +24,7 @@ from spincm.rootsys import AlgElement, build_root_system, form, negate
 from spincm.rmatrix import (LaurentElement, R_apply, casimir_tensor,
                             cartan_coeff, contour_coefficients,
                             elliptic_r_matrix, equivariance_residual,
-                            pair_weight, r_eval, r_tensor, r_tensor_dq,
-                            rational_r_matrix, root_coeff, root_coeff_reg0,
+                            pair_weight, r_tensor, rational_r_matrix, root_coeff, root_coeff_reg0,
                             trigonometric_r_matrix, verify_axioms,
                             verify_cdybe, verify_mdybe)
 
@@ -91,7 +90,7 @@ def test_rational_r_empty_subset_is_casimir_over_z():
     q = np.array([0.4, -0.7])
     z = 0.3 + 0.2j
     expected = casimir_tensor(rs).mat / z
-    assert np.max(np.abs(r_eval(spec, q, z).mat - expected)) < 1e-14
+    assert np.max(np.abs(r_tensor(spec, q, z).mat - expected)) < 1e-14
 
 
 def test_rational_r_frozen_rank_one():
@@ -100,7 +99,7 @@ def test_rational_r_frozen_rank_one():
     alpha = rs.roots[0]
     # (alpha, q) = sqrt(2) * q_1, so q_1 = sqrt(2) makes (alpha, q) = 2
     q = np.array([math.sqrt(2.0)])
-    r = r_eval(spec, q, 1.0)
+    r = r_tensor(spec, q, 1.0)
     expected = casimir_tensor(rs).mat.astype(complex)
     ip, im = rs.basis_index(alpha), rs.basis_index(negate(alpha))
     expected[ip, im] += 0.5
@@ -182,30 +181,40 @@ def test_regular_part_at_the_pole(family):
 def test_q_derivative_tensor_against_finite_differences():
     rng = np.random.default_rng(13)
     h = 1e-6
+    q = np.array([0.45, -0.3])
+    z = 0.35 + 0.15j
+    unit = [v / np.linalg.norm(v) for v in rng.normal(size=(2, 2))]
+    directions = list(np.eye(2)) + unit
     for family, spec in all_specs(2).items():
-        q = np.array([0.45, -0.3])
-        z = 0.35 + 0.15j
-        for i in range(2):
-            qp, qm = q.copy(), q.copy()
-            qp[i] += h
-            qm[i] -= h
-            fd = (r_tensor(spec, qp, z).mat - r_tensor(spec, qm, z).mat) / (2 * h)
-            val = r_tensor_dq(spec, q, z, i).mat
-            assert np.max(np.abs(val - fd)) < 1e-6
+        for kz in (0, 1):
+            for v in directions:
+                fd = (r_tensor(spec, q + h * v, z, kz).mat
+                      - r_tensor(spec, q - h * v, z, kz).mat) / (2 * h)
+                val = r_tensor(spec, q, z, kz, direction=v).mat
+                assert np.max(np.abs(val - fd)) < 1e-6, (family, kz, v)
+        # the fault knob scales exactly the (roots[0], -roots[0]) entries
+        rs = spec.rs
+        k0, kn = rs.rank, rs.dual_index[rs.rank]
+        scale = np.ones((rs.dim, rs.dim), dtype=complex)
+        scale[k0, kn] = scale[kn, k0] = 4.0
+        for v in (None, directions[-1]):
+            clean = r_tensor(spec, q, z, direction=v).mat
+            faulty = r_tensor(spec.with_fault(4.0), q, z, direction=v).mat
+            assert np.array_equal(faulty, clean * scale), (family, v)
 
 
 def test_pole_guards():
     specs = all_specs(1, UNIT)
     q = np.array([0.5])
     with pytest.raises(PoleError):
-        r_eval(specs["rational"], q, 0.0)
+        r_tensor(specs["rational"], q, 0.0)
     with pytest.raises(PoleError):
-        r_eval(specs["trigonometric"], q, math.pi)
+        r_tensor(specs["trigonometric"], q, math.pi)
     with pytest.raises(PoleError):
-        r_eval(specs["elliptic"], q, 2.0)          # lattice point
+        r_tensor(specs["elliptic"], q, 2.0)          # lattice point
     with pytest.raises(PoleError):
         # (alpha, q) = 0 with alpha in Delta'
-        r_eval(specs["rational"], np.array([0.0]), 0.3)
+        r_tensor(specs["rational"], np.array([0.0]), 0.3)
 
 
 # -- axioms ------------------------------------------------------------------
@@ -235,8 +244,8 @@ def test_unitarity_rank_one_rational(re, im):
     spec = rational_r_matrix(rs)
     q = np.array([0.7])
     z = complex(re, im)
-    r = r_eval(spec, q, z)
-    rback = r_eval(spec, q, -z)
+    r = r_tensor(spec, q, z)
+    rback = r_tensor(spec, q, -z)
     assert np.max(np.abs(r.mat + rback.mat.T)) < 1e-12
 
 

@@ -26,7 +26,6 @@ rather than asserted twice.
 
 from __future__ import annotations
 
-import cmath
 import csv
 import math
 from dataclasses import dataclass
@@ -151,12 +150,6 @@ class Trajectory:
 # Hamiltonians and vector fields
 
 
-def _all_weights(sys: SystemSpec, u: np.ndarray, du: int = 0) -> np.ndarray:
-    spec = sys.lax_rmatrix
-    return np.array([pair_weight(spec, k, u[k], du)
-                     for k in range(sys.rs.n_roots)])
-
-
 def _spin_products(rs: RootSystem, root_block: np.ndarray) -> np.ndarray:
     """xi_alpha xi_{-alpha} for every root, from the root block of xi."""
     neg = rs.dual_index[rs.rank:] - rs.rank
@@ -165,8 +158,7 @@ def _spin_products(rs: RootSystem, root_block: np.ndarray) -> np.ndarray:
 
 def hamiltonian(sys: SystemSpec, x: PhasePoint) -> complex:
     """H = (1/2)|p|^2 - (1/2) sum_alpha w_alpha xi_alpha xi_{-alpha}."""
-    u = sys.rs.root_values(x.q)
-    w = _all_weights(sys, u)
+    w = pair_weight(sys.lax_rmatrix, sys.rs.root_values(x.q))
     prod = _spin_products(sys.rs, x.xi.vec[sys.rs.rank:])
     return complex(0.5 * (x.p @ x.p) - 0.5 * (w @ prod))
 
@@ -174,8 +166,8 @@ def hamiltonian(sys: SystemSpec, x: PhasePoint) -> complex:
 def hamiltonian_gradient(sys: SystemSpec, x: PhasePoint) -> PhaseGradient:
     rs = sys.rs
     u = rs.root_values(x.q)
-    w = _all_weights(sys, u)
-    w_du = _all_weights(sys, u, du=1)
+    w = pair_weight(sys.lax_rmatrix, u)
+    w_du = pair_weight(sys.lax_rmatrix, u, du=1)
     root_block = x.xi.vec[rs.rank:]
     prod = _spin_products(rs, root_block)
     dq = -0.5 * (rs.alpha_h.T @ (w_du * prod))
@@ -228,14 +220,12 @@ def collision_margin(sys: SystemSpec, x) -> float:
     u = sys.rs.root_values(x.q)
     fam = sys.family
     if fam == "rational":
-        vals = [abs(u[k]) for k in range(sys.rs.n_roots) if spec.dp_mask[k]]
+        vals = np.abs(u[spec.dp_mask])
     elif fam == "trigonometric":
-        vals = [abs(cmath.sin(u[k])) for k in range(sys.rs.n_roots)
-                if spec.span_mask[k]]
+        vals = np.abs(np.sin(u[spec.span_mask]))
     else:
-        vals = [spec.lattice.lattice_distance(u[k])
-                for k in range(sys.rs.n_roots)]
-    return float(min(vals)) if vals else math.inf
+        vals = spec.lattice.lattice_distance(u)
+    return float(vals.min()) if vals.size else math.inf
 
 
 def _pack_point(x) -> np.ndarray:
@@ -347,8 +337,7 @@ def lax_L(sys: SystemSpec, x: PhasePoint, z: complex) -> AlgElement:
     u = rs.root_values(x.q)
     vec = np.zeros(rs.dim, dtype=complex)
     vec[:rs.rank] = x.p + cartan_coeff(spec, z) * x.xi.vec[:rs.rank]
-    for k in range(rs.n_roots):
-        vec[rs.rank + k] = root_coeff(spec, k, u[k], z) * x.xi.vec[rs.rank + k]
+    vec[rs.rank:] = root_coeff(spec, u, z) * x.xi.vec[rs.rank:]
     return AlgElement(rs, vec)
 
 
@@ -359,8 +348,7 @@ def lax_L_reg0(sys: SystemSpec, x: PhasePoint) -> AlgElement:
     u = rs.root_values(x.q)
     vec = np.zeros(rs.dim, dtype=complex)
     vec[:rs.rank] = x.p
-    for k in range(rs.n_roots):
-        vec[rs.rank + k] = root_coeff_reg0(spec, k, u[k]) * x.xi.vec[rs.rank + k]
+    vec[rs.rank:] = root_coeff_reg0(spec, u) * x.xi.vec[rs.rank:]
     return AlgElement(rs, vec)
 
 
@@ -434,11 +422,8 @@ def _lax_derivative(sys: SystemSpec, x: PhasePoint, v: PhasePoint,
     udot = rs.root_values(v.q)
     vec = np.zeros(rs.dim, dtype=complex)
     vec[:rs.rank] = v.p + cartan_coeff(spec, z) * v.xi.vec[:rs.rank]
-    for k in range(rs.n_roots):
-        vec[rs.rank + k] = (
-            root_coeff(spec, k, u[k], z, du=1) * udot[k]
-            * x.xi.vec[rs.rank + k]
-            + root_coeff(spec, k, u[k], z) * v.xi.vec[rs.rank + k])
+    vec[rs.rank:] = (root_coeff(spec, u, z, du=1) * udot * x.xi.vec[rs.rank:]
+                     + root_coeff(spec, u, z) * v.xi.vec[rs.rank:])
     return AlgElement(rs, vec)
 
 
@@ -644,15 +629,10 @@ def spectral_function(sys: SystemSpec, k: int, z: complex) -> ReducedFunction:
         # tr(L^{k-1} rho_a) for every basis element a
         traces = np.einsum("ij,aji->a", pk, rs.basis_matrices)
         dp = traces[:rs.rank].copy()
-        c_du = np.array([root_coeff(spec, kr, u[kr], z, du=1)
-                         for kr in range(rs.n_roots)])
+        c_du = root_coeff(spec, u, z, du=1)
         root_block = lift.xi.vec[rs.rank:]
         dq = rs.alpha_h.T @ (c_du * root_block * traces[rs.rank:])
-        n_s = rs.n_roots - rs.rank
-        ds = np.zeros(n_s, dtype=complex)
-        for m in range(n_s):
-            kr = rs.rank + m
-            ds[m] = root_coeff(spec, kr, u[kr], z) * traces[rs.rank + kr]
+        ds = root_coeff(spec, u, z)[rs.rank:] * traces[2 * rs.rank:]
         return ReducedGradient(dq, dp, ds)
 
     return ReducedFunction(val, grad)

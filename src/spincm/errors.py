@@ -1,5 +1,11 @@
 """Exception types shared across the package."""
 
+import numpy as np
+
+# Decorator: a numpy divide-by-zero, overflow or invalid result inside the
+# call raises FloatingPointError instead of leaving an inf or nan behind.
+raise_on_fp_fault = np.errstate(divide="raise", invalid="raise", over="raise")
+
 
 class SpincmError(Exception):
     """Base class for all package-specific errors."""

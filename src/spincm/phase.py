@@ -274,10 +274,11 @@ def lift_reduced(x_red: ReducedPoint) -> PhasePoint:
     """The canonical section of project_pi: xi_i = 0, xi_{alpha_i} = 1,
     xi_alpha = s_alpha for the remaining roots."""
     rs = x_red.rs
-    components: dict[Root, complex] = {r: 1.0 for r in rs.simple_roots}
-    for k, root in enumerate(reduced_roots(rs)):
-        components[root] = complex(x_red.s[k])
-    return PhasePoint.make(rs, x_red.q, x_red.p, xi_components=components)
+    vec = np.zeros(rs.dim, dtype=complex)
+    vec[rs.rank:2 * rs.rank] = 1.0     # the simple roots are roots[:rank]
+    vec[2 * rs.rank:] = x_red.s
+    return PhasePoint(np.asarray(x_red.q, dtype=complex),
+                      np.asarray(x_red.p, dtype=complex), AlgElement(rs, vec))
 
 
 def lift_tangent(v_red: ReducedPoint) -> PhasePoint:

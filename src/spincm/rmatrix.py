@@ -19,20 +19,29 @@ closed-form recursions (polynomial ladders in cot, Leibniz ladders for the
 elliptic kernel), never by finite differences.  The same coefficient
 functions feed the Lax operators in :mod:`spincm.dynamics`, which is what
 ties the r-matrix to the mechanics.
+
+The coefficient functions are one array kernel per family: they take the
+whole root-value array u = rs.root_values(q) (roots on the last axis, z
+broadcasting against it) and return one value per root.  The pole guard
+runs once per call on the whole array and names the first offending root;
+a numpy floating-point fault raises FloatingPointError, so no table ever
+holds inf or nan.  The pair weights are even in u, so they are evaluated
+on the positive roots and mirrored.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
-from .elliptic import Lattice, l_kernel
-from .errors import PoleError, StructuralError
+from .elliptic import POLE_TOL, Lattice, _value, l_kernel
+from .errors import PoleError, StructuralError, raise_on_fp_fault
 from .rootsys import (AlgElement, Root, RootSystem, bracket, form, negate,
                       root_label, torus_adjoint)
 
@@ -42,64 +51,36 @@ FAMILIES = ("rational", "trigonometric", "elliptic")
 
 
 # ---------------------------------------------------------------------------
-# polynomial ladders for trigonometric derivatives
+# polynomial ladders for trigonometric derivatives (coefficients low to high)
 #
 # d^k/dz^k cot z = P_k(cot z) with P_0 = c and P_{k+1} = P_k'(c) * (-1 - c^2);
 # d^j/dz^j csc z = csc z * Q_j(cot z) with Q_0 = 1 and
 # Q_{j+1} = Q_j'(c) * (-1 - c^2) - c * Q_j.
 
-def _poly_deriv(p: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(k * p[k] for k in range(1, len(p)))
-
-
-def _poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return tuple(out)
-
-
-def _poly_sub(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    n = max(len(a), len(b))
-    return tuple((a[k] if k < len(a) else 0) - (b[k] if k < len(b) else 0)
-                 for k in range(n))
-
-
 _MINUS_ONE_MINUS_C2 = (-1, 0, -1)
 
 
 @lru_cache(maxsize=None)
-def _cot_poly(k: int) -> tuple[int, ...]:
+def _cot_poly(k: int) -> tuple[float, ...]:
     if k == 0:
         return (0, 1)
-    return _poly_mul(_poly_deriv(_cot_poly(k - 1)), _MINUS_ONE_MINUS_C2)
+    return tuple(P.polymul(P.polyder(_cot_poly(k - 1)), _MINUS_ONE_MINUS_C2))
 
 
 @lru_cache(maxsize=None)
-def _csc_poly(j: int) -> tuple[int, ...]:
+def _csc_poly(j: int) -> tuple[float, ...]:
     if j == 0:
         return (1,)
     prev = _csc_poly(j - 1)
-    return _poly_sub(_poly_mul(_poly_deriv(prev), _MINUS_ONE_MINUS_C2),
-                     _poly_mul((0, 1), prev))
+    return tuple(P.polysub(P.polymul(P.polyder(prev), _MINUS_ONE_MINUS_C2),
+                           P.polymul((0, 1), prev)))
 
 
-def _poly_eval(p: tuple[int, ...], c: complex) -> complex:
+def _poly_eval(p: tuple[float, ...], c):
     out = 0j
     for coeff in reversed(p):
         out = out * c + coeff
     return out
-
-
-def _cot_deriv(z: complex, k: int) -> complex:
-    return _poly_eval(_cot_poly(k), 1.0 / cmath.tan(z))
-
-
-def _csc_derivs(z: complex, kmax: int) -> list[complex]:
-    c = 1.0 / cmath.tan(z)
-    s = 1.0 / cmath.sin(z)
-    return [s * _poly_eval(_csc_poly(j), c) for j in range(kmax + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +114,11 @@ class RMatrixSpec:
         self.pi_prime = pi_prime
         self.span_mask = span_mask
         self.plus_mask = plus_mask
+        if span_mask is not None:
+            # b - u/3 of the trigonometric root coefficient e^{b z} g(z):
+            # 0 on the span of Pi', -i (Delta_+) or +i (Delta_-) off it
+            self.trig_shift = np.where(span_mask, 0j,
+                                       np.where(plus_mask, -1j, 1j))
         self.lattice = lattice
         self.fault_scale = complex(fault_scale)
         neg0 = rs.root_index[negate(rs.roots[0])]
@@ -245,171 +231,183 @@ def elliptic_r_matrix(rs: RootSystem, lattice: Lattice) -> RMatrixSpec:
 # coefficient functions (shared with the Lax operators in dynamics)
 
 
-def _dk_inv(z: complex, k: int) -> complex:
+def _dk_inv(z, k: int):
     """k-th derivative of 1/z."""
     return (-1) ** k * math.factorial(k) * z ** (-(k + 1))
 
 
-def cartan_coeff(spec: RMatrixSpec, z: complex, kz: int = 0) -> complex:
+def _root_guard(spec: RMatrixSpec, bad: np.ndarray, what: str) -> None:
+    """PoleError naming the first root (last axis) flagged in ``bad``."""
+    if bad.any():
+        k = np.argwhere(bad)[0, -1]
+        raise PoleError(f"{what} at the root {root_label(spec.rs.roots[k])}")
+
+
+def _on_lattice(spec: RMatrixSpec, evaluate: Callable[[], np.ndarray],
+                *root_args: np.ndarray) -> np.ndarray:
+    """evaluate(), whose Lattice calls carry the elliptic pole guards; when
+    one fires, name the first root with an argument in ``root_args`` on the
+    lattice (a pole in z alone names no root)."""
+    try:
+        return evaluate()
+    except PoleError as exc:
+        bad = False
+        for arg in root_args:
+            bad = bad | (spec.lattice.lattice_distance(arg) < POLE_TOL)
+        _root_guard(spec, bad, f"elliptic coefficient ({exc})")
+        raise
+
+
+def _trig_shift_cot(spec: RMatrixSpec, u: np.ndarray):
+    """(b, cot u) of the root coefficient c = e^{b z} g(z), after the span
+    pole guard: b = u/3 + trig_shift; cot u on the span of Pi', 0 off it."""
+    span = spec.span_mask
+    _root_guard(spec, span & (np.abs(np.sin(u)) < _ZTOL),
+                "trigonometric coefficient: pole of cot (alpha, q)")
+    cu = np.divide(1.0, np.tan(u), out=np.zeros(u.shape, dtype=complex),
+                   where=span)
+    return u / 3.0 + spec.trig_shift, cu
+
+
+@raise_on_fp_fault
+def cartan_coeff(spec: RMatrixSpec, z, kz: int = 0):
     """k-th z-derivative of the Cartan coefficient f(z)."""
     fam = spec.family
     if fam == "rational":
-        if abs(z) < _ZTOL:
+        if (np.abs(z) < _ZTOL).any():
             raise PoleError("rational r-matrix evaluated at the z = 0 pole")
-        return _dk_inv(z, kz)
+        return _value(_dk_inv(z, kz))
     if fam == "trigonometric":
-        if abs(cmath.sin(z)) < _ZTOL:
+        if (np.abs(np.sin(z)) < _ZTOL).any():
             raise PoleError("trigonometric r-matrix evaluated at a pole of cot z")
         extra = z / 3.0 if kz == 0 else (1.0 / 3.0 if kz == 1 else 0.0)
-        return _cot_deriv(z, kz) + extra
+        return _value(_poly_eval(_cot_poly(kz), 1.0 / np.tan(z)) + extra)
     return spec.lattice.zeta_derivative(z, kz)
 
 
-def _trig_span_coeff(u: complex, z: complex, kz: int, du: int) -> complex:
-    if abs(cmath.sin(u)) < _ZTOL:
-        raise PoleError("trigonometric root coefficient evaluated at a pole "
-                        "of cot (alpha, q)")
-    cu = 1.0 / cmath.tan(u)
-    ez = cmath.exp(u * z / 3.0)
-    if du == 0:
-        total = 0j
-        for j in range(kz + 1):
-            g = _cot_deriv(z, j) + (cu if j == 0 else 0.0)
-            total += math.comb(kz, j) * (u / 3.0) ** (kz - j) * g
-        return ez * total
-    dcu = -1.0 - cu * cu
+def _trig_root_coeff(spec: RMatrixSpec, u: np.ndarray, z, kz: int,
+                     du: int) -> np.ndarray:
+    # c = e^{b z} g(z) with g = cot z + cot u on the span of Pi' and
+    # g = csc z off it; z-derivatives by Leibniz over the cot / csc ladders,
+    # and d/du acts through db/du = 1/3 and d(cot u)/du = -1 - cot^2 u
+    if (np.abs(np.sin(z)) < _ZTOL).any():
+        raise PoleError("trigonometric root coefficient at a pole of csc z")
+    b, cu = _trig_shift_cot(spec, u)
+    span = spec.span_mask
+    cz = 1.0 / np.tan(z)
+    csc = 1.0 / np.sin(z)
     total = 0j
     for j in range(kz + 1):
-        g = _cot_deriv(z, j) + (cu if j == 0 else 0.0)
-        a = math.comb(kz, j) * (u / 3.0) ** (kz - j)
-        if kz > j:
-            total += math.comb(kz, j) * (kz - j) / 3.0 * (u / 3.0) ** (kz - j - 1) * g
-        total += a * (z / 3.0) * g
-        if j == 0:
-            total += a * dcu
-    return ez * total
-
-
-def _trig_offspan_coeff(u: complex, z: complex, kz: int, du: int,
-                        sign: float) -> complex:
-    # c = e^{b z} csc z with b = u/3 + sign * i  (sign = -1 on Delta_+)
-    b = u / 3.0 + sign * 1j
-    csc = _csc_derivs(z, kz)
-    eb = cmath.exp(b * z)
-    total = 0j
-    for j in range(kz + 1):
+        cot_j = _poly_eval(_cot_poly(j), cz) + (cu if j == 0 else 0.0)
+        g = np.where(span, cot_j, csc * _poly_eval(_csc_poly(j), cz))
+        power = math.comb(kz, j) * b ** (kz - j) if kz > j else 1.0
         if du == 0:
-            total += math.comb(kz, j) * b ** (kz - j) * csc[j]
-        else:
-            t = b ** (kz - j) * (z / 3.0)
-            if kz > j:
-                t += (kz - j) / 3.0 * b ** (kz - j - 1)
-            total += math.comb(kz, j) * csc[j] * t
-    return eb * total
+            total = total + power * g
+            continue
+        t = power * (z / 3.0)
+        if kz > j:
+            t = t + math.comb(kz, j) * (kz - j) / 3.0 * b ** (kz - j - 1)
+        total = total + g * t
+    if du:
+        total = total + b ** kz * np.where(span, -1.0 - cu * cu, 0.0)
+    return np.exp(b * z) * total
 
 
-def _elliptic_root_coeff(lat: Lattice, u: complex, z: complex, kz: int,
-                         du: int) -> complex:
-    if lat.lattice_distance(u) < _ZTOL:
-        raise PoleError("elliptic root coefficient: (alpha, q) on the lattice")
-    if lat.lattice_distance(z) < _ZTOL:
-        raise PoleError("elliptic root coefficient: z on the lattice")
+def _elliptic_root_coeff(lat: Lattice, u: np.ndarray, z, kz: int,
+                         du: int) -> np.ndarray:
     l0 = l_kernel(lat, u, z)
     if kz == 0 and du == 0:
         return -l0
-    if lat.lattice_distance(u + z) < _ZTOL:
-        raise PoleError("elliptic root coefficient derivative: (alpha,q) + z "
-                        "on the lattice")
     # z-derivative ladder from l' = l * (zeta(u+z) - zeta(z))
-    d = [lat.zeta_derivative(u + z, m) - lat.zeta_derivative(z, m)
-         for m in range(max(kz, 1))]
+    zeta_uz = [lat.zeta_derivative(u + z, m) for m in range(kz + du)]
+    d = [zeta_uz[m] - lat.zeta_derivative(z, m) for m in range(kz)]
     l_list = [l0]
     for k in range(kz):
-        val = sum(math.comb(k, j) * l_list[j] * d[k - j] for j in range(k + 1))
-        l_list.append(val)
+        l_list.append(sum(math.comb(k, j) * l_list[j] * d[k - j]
+                          for j in range(k + 1)))
     if du == 0:
         return -l_list[kz]
     # mixed derivative from d_u l = l * (zeta(u+z) - zeta(u))
-    e = [lat.zeta_derivative(u + z, 0) - lat.zeta_derivative(u, 0)]
-    e += [lat.zeta_derivative(u + z, m) for m in range(1, kz + 1)]
+    e = [zeta_uz[0] - lat.zeta(u)] + zeta_uz[1:]
     return -sum(math.comb(kz, j) * l_list[j] * e[kz - j] for j in range(kz + 1))
 
 
-def root_coeff(spec: RMatrixSpec, root_idx: int, u: complex, z: complex,
-               kz: int = 0, du: int = 0) -> complex:
-    """Root coefficient c_alpha(u, z), its z-derivatives (kz up to 3) and the
-    mixed u,z-derivative (du = 1)."""
+@raise_on_fp_fault
+def root_coeff(spec: RMatrixSpec, u, z, kz: int = 0,
+               du: int = 0) -> np.ndarray:
+    """c_alpha(u_alpha, z) for every root, its z-derivatives (kz up to 3)
+    and the mixed u,z-derivative (du = 1).  ``u`` = rs.root_values(q), the
+    roots on its last axis; ``z`` broadcasts against it."""
+    u = np.asarray(u, dtype=complex)
     fam = spec.family
     if fam == "rational":
-        if abs(z) < _ZTOL:
+        if (np.abs(z) < _ZTOL).any():
             raise PoleError("rational root coefficient evaluated at z = 0")
-        in_dp = bool(spec.dp_mask[root_idx])
-        if in_dp and abs(u) < _ZTOL:
-            raise PoleError(
-                f"rational root coefficient: (alpha, q) = 0 for "
-                f"{root_label(spec.rs.roots[root_idx])}")
+        dp = spec.dp_mask
+        _root_guard(spec, dp & (np.abs(u) < _ZTOL),
+                    "rational root coefficient: (alpha, q) = 0")
+        zeros = np.zeros(np.broadcast(u, z).shape, dtype=complex)
         if du:
-            return -1.0 / (u * u) if (kz == 0 and in_dp) else 0j
-        base = _dk_inv(z, kz)
-        if kz == 0 and in_dp:
-            base += 1.0 / u
-        return base
+            return np.divide(-1.0, u * u, out=zeros, where=dp & (kz == 0))
+        return _dk_inv(z, kz) + (
+            zeros if kz else np.divide(1.0, u, out=zeros, where=dp))
     if fam == "trigonometric":
-        if abs(cmath.sin(z)) < _ZTOL:
-            raise PoleError("trigonometric root coefficient evaluated at a "
-                            "pole of csc z")
-        if spec.span_mask[root_idx]:
-            return _trig_span_coeff(u, z, kz, du)
-        sign = -1.0 if spec.plus_mask[root_idx] else 1.0
-        return _trig_offspan_coeff(u, z, kz, du, sign)
-    return _elliptic_root_coeff(spec.lattice, u, z, kz, du)
+        return _trig_root_coeff(spec, u, z, kz, du)
+    root_args = (u,) if kz == du == 0 else (u, u + z)
+    return _on_lattice(
+        spec, lambda: _elliptic_root_coeff(spec.lattice, u, z, kz, du),
+        *root_args)
 
 
-def root_coeff_reg0(spec: RMatrixSpec, root_idx: int, u: complex) -> complex:
-    """lim_{z->0} (c_alpha(u, z) - 1/z), the regular part at the pole."""
+@raise_on_fp_fault
+def root_coeff_reg0(spec: RMatrixSpec, u) -> np.ndarray:
+    """lim_{z->0} (c_alpha(u_alpha, z) - 1/z) for every root, the regular
+    part at the pole."""
+    u = np.asarray(u, dtype=complex)
     fam = spec.family
     if fam == "rational":
-        if spec.dp_mask[root_idx]:
-            if abs(u) < _ZTOL:
-                raise PoleError("rational regular part: (alpha, q) = 0")
-            return 1.0 / u
-        return 0j
+        dp = spec.dp_mask
+        _root_guard(spec, dp & (np.abs(u) < _ZTOL),
+                    "rational regular part: (alpha, q) = 0")
+        return np.divide(1.0, u, out=np.zeros(u.shape, dtype=complex),
+                         where=dp)
     if fam == "trigonometric":
-        if spec.span_mask[root_idx]:
-            if abs(cmath.sin(u)) < _ZTOL:
-                raise PoleError("trigonometric regular part: cot (alpha,q) pole")
-            return 1.0 / cmath.tan(u) + u / 3.0
-        sign = -1.0 if spec.plus_mask[root_idx] else 1.0
-        return u / 3.0 + sign * 1j
-    if spec.lattice.lattice_distance(u) < _ZTOL:
-        raise PoleError("elliptic regular part: (alpha, q) on the lattice")
-    return spec.lattice.zeta(u)
+        b, cu = _trig_shift_cot(spec, u)
+        return b + cu
+    return _on_lattice(spec, lambda: spec.lattice.zeta(u), u)
 
 
-def pair_weight(spec: RMatrixSpec, root_idx: int, u: complex,
-                du: int = 0) -> complex:
-    """Weight w_alpha(u) of xi_alpha xi_{-alpha} in the spin Hamiltonian
-    H = |p|^2/2 - (1/2) sum_alpha w_alpha xi_alpha xi_{-alpha},
-    and its u-derivative (du = 1).  Even in u, so w_{-alpha} = w_alpha."""
+@raise_on_fp_fault
+def pair_weight(spec: RMatrixSpec, u, du: int = 0) -> np.ndarray:
+    """w_alpha(u_alpha) for every root, the weight of xi_alpha xi_{-alpha}
+    in H = |p|^2/2 - (1/2) sum_alpha w_alpha xi_alpha xi_{-alpha}, or its
+    u-derivative (du = 1).  w is even, so it is evaluated on the positive
+    roots and mirrored (w_{-alpha} = w_alpha, w'_{-alpha} = -w'_alpha)."""
+    rs = spec.rs
+    up = np.asarray(u, dtype=complex)[..., :rs.n_pos]
     fam = spec.family
     if fam == "rational":
-        if not spec.dp_mask[root_idx]:
-            return 0j
-        if abs(u) < _ZTOL:
-            raise PoleError("rational pair weight: (alpha, q) = 0")
-        return -2.0 / u ** 3 if du else 1.0 / (u * u)
-    if fam == "trigonometric":
-        if spec.span_mask[root_idx]:
-            s = cmath.sin(u)
-            if abs(s) < _ZTOL:
-                raise PoleError("trigonometric pair weight: sin (alpha,q) = 0")
-            if du:
-                return -2.0 * cmath.cos(u) / s ** 3
-            return 1.0 / (s * s) - 1.0 / 3.0
-        return 0j if du else complex(5.0 / 3.0)
-    if spec.lattice.lattice_distance(u) < _ZTOL:
-        raise PoleError("elliptic pair weight: (alpha, q) on the lattice")
-    return spec.lattice.wp_prime(u) if du else spec.lattice.wp(u)
+        dp = spec.dp_mask[:rs.n_pos]
+        _root_guard(spec, dp & (np.abs(up) < _ZTOL),
+                    "rational pair weight: (alpha, q) = 0")
+        w = np.divide(-2.0 if du else 1.0, up ** 3 if du else up * up,
+                      out=np.zeros(up.shape, dtype=complex), where=dp)
+    elif fam == "trigonometric":
+        span = spec.span_mask[:rs.n_pos]
+        s = np.sin(up)
+        _root_guard(spec, span & (np.abs(s) < _ZTOL),
+                    "trigonometric pair weight: sin (alpha, q) = 0")
+        zeros = np.zeros(up.shape, dtype=complex)
+        if du:
+            w = np.divide(-2.0 * np.cos(up), s ** 3, out=zeros, where=span)
+        else:
+            w = np.where(span, np.divide(1.0, s * s, out=zeros, where=span)
+                         - 1.0 / 3.0, 5.0 / 3.0)
+    else:
+        lat = spec.lattice
+        w = _on_lattice(spec, lambda: lat.wp_prime(up) if du else lat.wp(up),
+                        up)
+    return np.concatenate([w, -w if du else w], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -488,17 +486,14 @@ def r_tensor(spec: RMatrixSpec, q, z: complex, kz: int = 0,
     u = rs.root_values(q)
     mat = np.zeros((rs.dim, rs.dim), dtype=complex)
     if direction is None:
-        du, weights = 0, np.ones(rs.n_roots)
-        f = cartan_coeff(spec, z, kz)
-        for i in range(rs.rank):
-            mat[i, i] = f
-    else:
-        du, weights = 1, rs.root_values(direction)
-    for k in np.flatnonzero(weights):
-        c = root_coeff(spec, k, u[k], z, kz, du)
-        if spec.fault_scale != 1.0 and k in spec.fault_root_indices:
-            c *= spec.fault_scale
-        mat[rs.rank + k, rs.dual_index[rs.rank + k]] = weights[k] * c
+        np.fill_diagonal(mat[:rs.rank, :rs.rank], cartan_coeff(spec, z, kz))
+    c = root_coeff(spec, u, z, kz, du=int(direction is not None))
+    if spec.fault_scale != 1.0:
+        c[list(spec.fault_root_indices)] *= spec.fault_scale
+    if direction is not None:
+        c = rs.root_values(direction) * c
+    slots = np.arange(rs.rank, rs.dim)
+    mat[slots, rs.dual_index[slots]] = c
     return TensorValue(rs, mat)
 
 

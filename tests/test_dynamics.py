@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spincm.elliptic import Lattice
@@ -32,7 +32,8 @@ from spincm.phase import (PhaseFunction, PhaseGradient, PhasePoint,
 from spincm.phase import bracket_full
 from spincm.rootsys import (AlgElement, build_root_system, form, matrix_rep,
                             negate, torus_adjoint)
-from spincm.dynamics import (SystemSpec, _b_operator, conserved_spectrum,
+from spincm.dynamics import (SystemSpec, _b_operator, collision_margin,
+                             conserved_spectrum,
                              default_z_samples, format_complex, fpbr_residual,
                              hamiltonian, hamiltonian_function,
                              hamiltonian_gradient,
@@ -79,6 +80,11 @@ def random_reduced(sys, rng):
                         rng.normal(size=rs.rank).astype(complex), s)
 
 
+def central_difference(f, h):
+    """f'(0) by the fourth-order five-point central stencil."""
+    return (f(-2 * h) - 8 * f(-h) + 8 * f(h) - f(2 * h)) / (12 * h)
+
+
 # -- Hamiltonians ------------------------------------------------------------
 
 
@@ -120,6 +126,9 @@ def test_trig_proper_subset_quadrature_offset():
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
+@example(1099)
+@example(4837)
+@example(9317)     # min |(alpha, q)| down to 2.7e-4 on these three seeds
 def test_hamiltonian_gradient_is_derivative(seed):
     sys = make_system("rational", 2)
     rng = np.random.default_rng(seed)
@@ -129,14 +138,16 @@ def test_hamiltonian_gradient_is_derivative(seed):
     dq = rng.normal(size=rs.rank)
     dp = rng.normal(size=rs.rank)
     dxi = rng.normal(size=rs.dim) + 1j * rng.normal(size=rs.dim)
-    eps = 1e-6
+    # generic_point lets min |(alpha, q)| get as small as ~3e-4, so the step
+    # scales with that distance and a fourth-order stencil keeps the
+    # truncation error small at a step large enough for the rounding error
+    eps = 1e-3 * min(1.0, collision_margin(sys, x))
 
     def shifted(t):
         return PhasePoint(x.q + t * dq, x.p + t * dp,
                           AlgElement(rs, x.xi.vec + t * dxi))
 
-    fd = (hamiltonian(sys, shifted(eps)) - hamiltonian(sys, shifted(-eps))) \
-        / (2 * eps)
+    fd = central_difference(lambda t: hamiltonian(sys, shifted(t)), eps)
     # dxi pairs with the gradient through the form: <delta xi, dH_xi>
     analytic = g.dq @ dq + g.dp @ dp + form(AlgElement(rs, dxi), g.dxi)
     assert abs(fd - analytic) < 1e-7 * max(1.0, abs(analytic))
@@ -151,13 +162,14 @@ def test_hamiltonian_gradient_is_derivative(seed):
         x_red = ReducedPoint(rs, x.q, x.p, s)
         g_red = reduce_gradient(hamiltonian_gradient(red_sys,
                                                      lift_reduced(x_red)))
+        eps = 1e-3 * min(1.0, collision_margin(red_sys, x_red))
 
         def shifted_red(t):
             return ReducedPoint(rs, x_red.q + t * dq, x_red.p + t * dp,
                                 x_red.s + t * ds)
 
-        fd = (hamiltonian_reduced(red_sys, shifted_red(eps))
-              - hamiltonian_reduced(red_sys, shifted_red(-eps))) / (2 * eps)
+        fd = central_difference(
+            lambda t: hamiltonian_reduced(red_sys, shifted_red(t)), eps)
         analytic = g_red.dq @ dq + g_red.dp @ dp + g_red.ds @ ds
         assert abs(fd - analytic) < 1e-7 * max(1.0, abs(analytic)), \
             red_sys.family

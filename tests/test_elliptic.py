@@ -238,3 +238,86 @@ def test_module_level_wrappers():
     assert zeta(SQUARE, z) == SQUARE.zeta(z)
     assert wp(SQUARE, z) == SQUARE.wp(z)
     assert wp_prime(SQUARE, z) == SQUARE.wp_prime(z)
+
+
+# -- mpmath oracle ------------------------------------------------------------
+
+
+def mp_weierstrass(omega1: complex, omega2: complex):
+    """sigma, zeta, wp, wp' at 30 digits, from mpmath's Jacobi theta
+    functions at the unreduced argument: sigma by DLMF 23.6.9, zeta as
+    sigma'/sigma and wp' as wp' by mpmath differentiation, and wp by
+    DLMF 23.6.2 through theta_2, so wp shares no formula with the package."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 30
+    w1, w2 = mp.mpc(omega1), mp.mpc(omega2)
+    q = mp.exp(1j * mp.pi * w2 / w1)
+    scale = mp.pi / (2 * w1)
+    t1p = mp.jtheta(1, 0, q, 1)
+    eta1 = -mp.pi ** 2 * mp.jtheta(1, 0, q, 3) / (12 * w1 * t1p)
+    th3, th4 = mp.jtheta(3, 0, q), mp.jtheta(4, 0, q)
+    e1 = scale ** 2 / 3 * (th3 ** 4 + th4 ** 4)
+
+    def sigma_mp(z):
+        return (1 / scale) * mp.exp(eta1 * z * z / (2 * w1)) \
+            * mp.jtheta(1, scale * z, q) / t1p
+
+    def wp_mp(z):
+        v = scale * z
+        return e1 + (scale * th3 * th4 * mp.jtheta(2, v, q)
+                     / mp.jtheta(1, v, q)) ** 2
+
+    return {
+        "sigma": sigma_mp,
+        "zeta": lambda z: mp.diff(sigma_mp, z) / sigma_mp(z),
+        "wp": wp_mp,
+        "wp_prime": lambda z: mp.diff(wp_mp, z),
+    }
+
+
+@pytest.mark.parametrize("omega", [(2.0, 2.2j), (1.0, 0.3 + 0.8j)])
+def test_against_mpmath_theta_functions(omega):
+    """Array evaluations against 30-digit mpmath values, inside the centred
+    cell and in cells (m, n) != (0, 0), where sigma's quasi-periodicity
+    factor is used; agreement to 1e-12 relative."""
+    lat = Lattice(*omega)
+    oracle = mp_weierstrass(*omega)
+    base = np.array([0.31 + 0.17j, -0.45 + 0.52j, 0.8 - 0.3j])
+    cells = [(0, 0), (1, 0), (0, 1), (-1, 2), (2, -1), (-2, -1)]
+    z = np.array([b + 2 * m * lat.omega1 + 2 * n * lat.omega2
+                  for m, n in cells for b in base])
+    for name in ("sigma", "zeta", "wp", "wp_prime"):
+        got = getattr(lat, name)(z)
+        assert got.shape == z.shape
+        want = np.array([complex(oracle[name](complex(zz))) for zz in z])
+        rel = np.abs(got - want) / np.abs(want)
+        assert np.max(rel) < 1e-12, (name, z[np.argmax(rel)], np.max(rel))
+
+
+def test_array_and_scalar_inputs_share_one_path():
+    """Each Lattice function maps an array elementwise to the values it
+    gives for the entries one at a time (to rounding: the theta sum is a
+    matrix product whose summation order may depend on the shape), and a
+    scalar in gives a Python scalar out."""
+    z = np.array([[0.31 + 0.17j, -2.6 + 0.5j], [1.4 - 3.1j, 0.02 + 0.9j]])
+    w = np.array([0.4 - 0.2j, 1.1 + 0.3j])
+    close = lambda a, b: np.allclose(a, b, rtol=1e-14, atol=0.0)
+    for lat in LATTICES:
+        for name in ("sigma", "zeta", "wp", "wp_prime", "lattice_distance"):
+            fn = getattr(lat, name)
+            arr = fn(z)
+            assert arr.shape == z.shape
+            for idx in np.ndindex(z.shape):
+                val = fn(complex(z[idx]))
+                assert type(val) is (float if name == "lattice_distance"
+                                     else complex)
+                assert close(arr[idx], val), (name, z[idx])
+        for k in range(5):
+            assert close(lat.zeta_derivative(z, k), [
+                [lat.zeta_derivative(complex(v), k) for v in row] for row in z])
+        z0, m, n = lat.reduce(z)
+        for idx in np.ndindex(z.shape):
+            assert lat.reduce(complex(z[idx])) == (z0[idx], m[idx], n[idx])
+        assert close(l_kernel(lat, w, z), [
+            [l_kernel(lat, complex(a), complex(b)) for a, b in zip(w, row)]
+            for row in z])

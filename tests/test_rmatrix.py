@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from hypothesis import strategies as st
 
 from spincm.elliptic import Lattice, l_kernel
 from spincm.errors import PoleError, StructuralError
-from spincm.rootsys import AlgElement, build_root_system, form, negate
+from spincm.rootsys import (AlgElement, build_root_system, form, negate,
+                            root_label)
 from spincm.rmatrix import (LaurentElement, R_apply, casimir_tensor,
                             cartan_coeff, contour_coefficients,
                             elliptic_r_matrix, equivariance_residual,
@@ -39,6 +41,12 @@ def all_specs(rank, lattice=WIDE):
         "trigonometric": trigonometric_r_matrix(rs),
         "elliptic": elliptic_r_matrix(rs, lattice),
     }
+
+
+def values_at(rs, k, u):
+    """Root values rs.root_values(q) at the q on the line of alpha_k with
+    (alpha_k, q) = u (to rounding)."""
+    return rs.root_values(0.5 * u * rs.alpha_h[k])
 
 
 def random_laurent(rs, order, rng):
@@ -112,16 +120,16 @@ def test_trigonometric_coefficients_by_formula():
     spec = trigonometric_r_matrix(rs)
     z, u = 0.37 + 0.11j, 0.52
     k = 0    # a simple root, inside the span of Pi' = Pi
-    val = root_coeff(spec, k, u, z)
+    val = root_coeff(spec, values_at(rs, k, u), z)[k]
     direct = cmath.sin(u + z) / (cmath.sin(u) * cmath.sin(z)) * cmath.exp(u * z / 3)
     assert abs(val - direct) < 1e-13
     # off the span: restrict Pi' and retest the same root
     spec2 = trigonometric_r_matrix(rs, [1])
-    val2 = root_coeff(spec2, 0, u, z)                # alpha_1 is now off-span
+    val2 = root_coeff(spec2, values_at(rs, 0, u), z)[0]  # alpha_1 is now off-span
     direct2 = cmath.exp(-1j * z) / cmath.sin(z) * cmath.exp(u * z / 3)
     assert abs(val2 - direct2) < 1e-13
     k_neg = rs.root_index[negate(rs.roots[0])]
-    val3 = root_coeff(spec2, k_neg, -u, z)
+    val3 = root_coeff(spec2, values_at(rs, 0, u), z)[k_neg]
     direct3 = cmath.exp(1j * z) / cmath.sin(z) * cmath.exp(-u * z / 3)
     assert abs(val3 - direct3) < 1e-13
 
@@ -130,7 +138,8 @@ def test_elliptic_coefficient_is_minus_kernel():
     rs = build_root_system("A", 1)
     spec = elliptic_r_matrix(rs, UNIT)
     z, u = 0.23 + 0.31j, 0.4
-    assert abs(root_coeff(spec, 0, u, z) + l_kernel(UNIT, u, z)) < 1e-13
+    assert abs(root_coeff(spec, values_at(rs, 0, u), z)[0]
+               + l_kernel(UNIT, u, z)) < 1e-13
 
 
 @pytest.mark.parametrize("family", ["rational", "trigonometric", "elliptic"])
@@ -140,11 +149,11 @@ def test_z_derivative_ladders_against_finite_differences(family):
     h = 1e-5
     for _ in range(6):
         z = complex(rng.uniform(0.2, 0.5), rng.uniform(0.1, 0.4))
-        u = rng.uniform(0.3, 0.8)
+        u = values_at(spec.rs, 0, rng.uniform(0.3, 0.8))
         for k in (1, 2, 3):
-            fd = (root_coeff(spec, 0, u, z + h, k - 1)
-                  - root_coeff(spec, 0, u, z - h, k - 1)) / (2 * h)
-            val = root_coeff(spec, 0, u, z, k)
+            fd = (root_coeff(spec, u, z + h, k - 1)[0]
+                  - root_coeff(spec, u, z - h, k - 1)[0]) / (2 * h)
+            val = root_coeff(spec, u, z, k)[0]
             assert abs(val - fd) / max(1.0, abs(fd)) < 1e-7
             fdc = (cartan_coeff(spec, z + h, k - 1)
                    - cartan_coeff(spec, z - h, k - 1)) / (2 * h)
@@ -159,13 +168,16 @@ def test_u_derivatives_against_finite_differences(family):
     for _ in range(6):
         z = complex(rng.uniform(0.2, 0.5), rng.uniform(0.1, 0.4))
         u = rng.uniform(0.3, 0.8)
+        at = lambda v: values_at(spec.rs, 0, v)
         for k in (0, 1, 2):
-            fd = (root_coeff(spec, 0, u + h, z, k)
-                  - root_coeff(spec, 0, u - h, z, k)) / (2 * h)
-            val = root_coeff(spec, 0, u, z, k, du=1)
+            fd = (root_coeff(spec, at(u + h), z, k)[0]
+                  - root_coeff(spec, at(u - h), z, k)[0]) / (2 * h)
+            val = root_coeff(spec, at(u), z, k, du=1)[0]
             assert abs(val - fd) / max(1.0, abs(fd)) < 1e-6
-        fdw = (pair_weight(spec, 0, u + h) - pair_weight(spec, 0, u - h)) / (2 * h)
-        assert abs(pair_weight(spec, 0, u, du=1) - fdw) / max(1.0, abs(fdw)) < 1e-6
+        fdw = (pair_weight(spec, at(u + h))[0]
+               - pair_weight(spec, at(u - h))[0]) / (2 * h)
+        assert abs(pair_weight(spec, at(u), du=1)[0] - fdw) \
+            / max(1.0, abs(fdw)) < 1e-6
 
 
 @pytest.mark.parametrize("family", ["rational", "trigonometric", "elliptic"])
@@ -174,8 +186,9 @@ def test_regular_part_at_the_pole(family):
     u = 0.63
     z = 1e-6
     for k in (0, 1, 4):       # simple root, another simple, one negative
-        lim = root_coeff(spec, k, u, z) - 1.0 / z
-        assert abs(root_coeff_reg0(spec, k, u) - lim) < 1e-4
+        vals = values_at(spec.rs, k, u)
+        lim = root_coeff(spec, vals, z)[k] - 1.0 / z
+        assert abs(root_coeff_reg0(spec, vals)[k] - lim) < 1e-4
 
 
 def test_q_derivative_tensor_against_finite_differences():
@@ -215,6 +228,49 @@ def test_pole_guards():
     with pytest.raises(PoleError):
         # (alpha, q) = 0 with alpha in Delta'
         r_tensor(specs["rational"], np.array([0.0]), 0.3)
+
+
+# a pole of each family's root coefficients and pair weights in u = (alpha, q)
+# (WIDE has 2 omega1 = 4)
+U_POLES = {"rational": 0.0, "trigonometric": math.pi, "elliptic": 4.0}
+
+
+@pytest.mark.parametrize("family", ["rational", "trigonometric", "elliptic"])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_pole_guard_names_the_root(family, k):
+    """One positive root of A_2 within 5e-14 of its pole (its negative with
+    it, every other root value at distance >= 0.7): every table refuses and
+    names that root; at distance 1e-6 every table is finite."""
+    spec = all_specs(2)[family]
+    rs = spec.rs
+    other = (k + 1) % rs.n_pos
+    z = 0.35 + 0.15j
+    for offset in (5e-14, 1e-6):
+        q = np.linalg.solve(rs.alpha_h[[k, other]],
+                            [U_POLES[family] + offset, 0.7])
+        u = rs.root_values(q)
+        tables = (lambda: root_coeff(spec, u, z),
+                  lambda: root_coeff(spec, u, z, 2, du=1),
+                  lambda: pair_weight(spec, u),
+                  lambda: pair_weight(spec, u, du=1),
+                  lambda: r_tensor(spec, q, z).mat)
+        for table in tables:
+            if offset < 1e-13:
+                with pytest.raises(PoleError,
+                                   match=re.escape(root_label(rs.roots[k]))):
+                    table()
+            else:
+                assert np.all(np.isfinite(table()))
+
+
+def test_overflowing_coefficients_raise():
+    """A coefficient that overflows raises instead of coming back inf/nan."""
+    specs = all_specs(2)
+    trig, ell = specs["trigonometric"], specs["elliptic"]
+    with pytest.raises(FloatingPointError):
+        pair_weight(trig, trig.rs.root_values(np.array([800j, 0.0])))
+    with pytest.raises(FloatingPointError):
+        root_coeff(ell, ell.rs.root_values(np.array([300.0, 0.0])), 0.3)
 
 
 # -- axioms ------------------------------------------------------------------

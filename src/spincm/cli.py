@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass, field
@@ -36,10 +37,9 @@ from .elliptic import Lattice
 from .errors import (ConfigError, ConstraintError, GaugeDomainError,
                      PoleError, SpincmError, StructuralError)
 from .phase import PhasePoint, ReducedPoint, gauge_g, project_pi
-from .rmatrix import (LaurentElement, verify_axioms, verify_cdybe,
-                      verify_mdybe)
-from .rootsys import (AlgElement, build_root_system, parse_root_label,
-                      root_label, root_system_summary, torus_adjoint)
+from .rmatrix import verify_axioms, verify_cdybe, verify_mdybe
+from .rootsys import (AlgElement, parse_root_label, root_label,
+                      root_system_summary, torus_adjoint)
 from .dynamics import (SystemSpec, collision_margin, default_z_samples,
                        hamiltonian_reduced, integrate, involution_check,
                        lax_L, lax_L0, lax_pair_reduced, lax_pair_residual,
@@ -101,6 +101,35 @@ def _as_complex(value, where: str) -> complex:
                       f"got {value!r}")
 
 
+def _real(value, where: str, ok, rule: str) -> None:
+    """Reject anything but a finite JSON number v with ok(v)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value) or not ok(value):
+        raise ConfigError(f"{where}: expected a finite number {rule}, "
+                          f"got {value!r}")
+
+
+def _count(value, where: str, low: int) -> None:
+    """Reject anything but a JSON integer >= low."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ConfigError(f"{where}: expected an integer >= {low}, "
+                          f"got {value!r}")
+
+
+def _check_values(integration: dict, outputs: dict, thresholds: dict) -> None:
+    """ConfigError unless every numeric setting lies in its range."""
+    _real(integration["t_final"], "integration.t_final", lambda v: v != 0,
+          "other than 0")
+    _real(integration["tol"], "integration.tol", lambda v: v > 0, "> 0")
+    _real(integration["collision_tol"], "integration.collision_tol",
+          lambda v: v >= 0, ">= 0")
+    _count(integration["n_points"], "integration.n_points", 2)
+    if outputs["kmax"] is not None:
+        _count(outputs["kmax"], "outputs.kmax", 1)
+    for name, value in thresholds.items():
+        _real(value, f"thresholds.{name}", lambda v: v > 0, "> 0")
+
+
 @dataclass
 class RunConfig:
     """Validated run configuration.  See the module docstring for the JSON
@@ -129,9 +158,13 @@ class RunConfig:
                 kwargs["delta_plus"] = _root_list(self.delta_plus,
                                                   "delta_plus")
         elif self.family == "elliptic":
-            if self.lattice is None:
-                raise ConfigError("elliptic family needs a 'lattice' entry")
+            if not isinstance(self.lattice, dict):
+                raise ConfigError("elliptic family needs a 'lattice' object "
+                                  "with omega1 and omega2")
             _reject_unknown(self.lattice, _LATTICE_KEYS, "lattice")
+            missing = sorted(_LATTICE_KEYS - set(self.lattice))
+            if missing:
+                raise ConfigError(f"lattice is missing {missing}")
             kwargs["lattice"] = Lattice(
                 _as_complex(self.lattice["omega1"], "lattice.omega1"),
                 _as_complex(self.lattice["omega2"], "lattice.omega2"))
@@ -201,6 +234,7 @@ def parse_config(data: dict) -> RunConfig:
     user_thresholds = data.get("thresholds", {})
     _reject_unknown(user_thresholds, set(thresholds), "thresholds")
     thresholds.update(user_thresholds)
+    _check_values(integration, outputs, thresholds)
     seed = data.get("seed", 0)
     if not isinstance(seed, int):
         raise ConfigError(f"seed must be an integer, got {seed!r}")
@@ -385,9 +419,11 @@ def _random_z_triple(rng) -> tuple[complex, complex, complex]:
     raise StructuralError("could not sample a z-triple away from the poles")
 
 
-def _random_covector(rs, rng) -> AlgElement:
-    return AlgElement(rs, rng.normal(size=rs.dim)
-                      + 1j * rng.normal(size=rs.dim))
+def _random_principal(rs, rng, order: int) -> np.ndarray:
+    """Principal coefficients (order, dim) of a random pole-only Laurent
+    covector."""
+    return np.array([rng.normal(size=rs.dim) + 1j * rng.normal(size=rs.dim)
+                     for _ in range(order)])
 
 
 def _random_sigma_point(system: SystemSpec, rng) -> PhasePoint:
@@ -445,10 +481,8 @@ def _suite_mdybe(system, config, rng) -> list[dict]:
     n = 10
     for _ in range(n):
         q = _random_q(rng, system)
-        xi = LaurentElement(rs, [_random_covector(rs, rng),
-                                 _random_covector(rs, rng)])
-        eta = LaurentElement(rs, [_random_covector(rs, rng),
-                                  _random_covector(rs, rng)])
+        xi = _random_principal(rs, rng, 2)
+        eta = _random_principal(rs, rng, 2)
         worst = max(worst, verify_mdybe(spec, q, xi, eta))
     return [{"name": "mdybe", "samples": n, "max_residual": worst}]
 
@@ -604,13 +638,10 @@ def gauge_residual(system: SystemSpec, x: PhasePoint,
     of the reduced Lax operator with the gauge normalization."""
     if z_samples is None:
         z_samples = default_z_samples(4)
-    x_red = project_pi(x)
     c = gauge_g(x.xi)
-    worst = 0.0
-    for z in z_samples:
-        diff = lax_L0(system, x_red, z) - torus_adjoint(-c, lax_L(system, x, z))
-        worst = max(worst, diff.max_abs())
-    return worst
+    diff = lax_L0(system, project_pi(x), z_samples) - torus_adjoint(
+        -c, lax_L(system, x, z_samples))
+    return diff.max_abs()
 
 
 def cmd_reduce(config: RunConfig, traj_path, out_dir: Path) -> int:

@@ -29,7 +29,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.integrate import RK45
@@ -42,10 +42,10 @@ from .phase import (PhaseFunction, PhaseGradient, PhasePoint, ReducedFunction,
                     reduced_roots, spin_tensor)
 from .rmatrix import (LaurentElement, RMatrixSpec, R_apply, R_directional,
                       cartan_coeff, elliptic_r_matrix, pair_weight, r_tensor,
-                      rational_r_matrix, root_coeff, root_coeff_reg0,
-                      trigonometric_r_matrix)
+                      rational_r_matrix, ring_nodes, root_coeff,
+                      root_coeff_reg0, trigonometric_r_matrix)
 from .rootsys import (AlgElement, RootSystem, bracket, build_root_system,
-                      coadjoint_action, form, matrix_rep, negate, root_label)
+                      coadjoint_action, form, matrix_rep, root_label)
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +252,11 @@ def integrate(sys: SystemSpec, x0, t_final: float, tol: float = 1e-10, *,
     negative (backward flow).  Close approaches to the singular set truncate
     the trajectory instead of raising.
     """
-    if t_final == 0.0:
-        raise StructuralError("t_final must be nonzero")
-    if tol <= 0.0:
-        raise StructuralError("tol must be positive")
+    if not math.isfinite(t_final) or t_final == 0.0:
+        raise StructuralError(f"t_final must be finite and nonzero, got "
+                              f"{t_final}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise StructuralError(f"tol must be finite and positive, got {tol}")
     rs = sys.rs
     reduced = isinstance(x0, ReducedPoint)
     field = vector_field_reduced if reduced else vector_field
@@ -329,15 +330,17 @@ def integrate(sys: SystemSpec, x0, t_final: float, tol: float = 1e-10, *,
 # Lax operators
 
 
-def lax_L(sys: SystemSpec, x: PhasePoint, z: complex) -> AlgElement:
+def lax_L(sys: SystemSpec, x: PhasePoint, z) -> AlgElement:
     """L(q,p,xi)(z) = p + f(z) (I xi)_h + sum c_alpha((alpha,q), z) xi_alpha
-    e_alpha."""
+    e_alpha; an array of z gives one element per z (batch axes first)."""
     rs = sys.rs
     spec = sys.lax_rmatrix
     u = rs.root_values(x.q)
-    vec = np.zeros(rs.dim, dtype=complex)
-    vec[:rs.rank] = x.p + cartan_coeff(spec, z) * x.xi.vec[:rs.rank]
-    vec[rs.rank:] = root_coeff(spec, u, z) * x.xi.vec[rs.rank:]
+    z = np.asarray(z, dtype=complex)
+    vec = np.zeros(z.shape + (rs.dim,), dtype=complex)
+    vec[..., :rs.rank] = (x.p + np.expand_dims(cartan_coeff(spec, z), -1)
+                          * x.xi.vec[:rs.rank])
+    vec[..., rs.rank:] = root_coeff(spec, u, z[..., None]) * x.xi.vec[rs.rank:]
     return AlgElement(rs, vec)
 
 
@@ -352,18 +355,14 @@ def lax_L_reg0(sys: SystemSpec, x: PhasePoint) -> AlgElement:
     return AlgElement(rs, vec)
 
 
-def lax_M(sys: SystemSpec, x: PhasePoint) -> LaurentElement:
-    """M(z) = L(z)/z as a Laurent covector (pole order 2): the argument of
-    R_q in the Lax pair."""
-    rs = sys.rs
-    x_m1 = lax_L_reg0(sys, x)
-    x_m2 = AlgElement(rs, x.xi.vec.copy())
-
-    def tail(z: complex) -> AlgElement:
-        full = (1.0 / z) * lax_L(sys, x, z)
-        return full - (1.0 / z) * x_m1 - (1.0 / (z * z)) * x_m2
-
-    return LaurentElement(rs, [x_m1, x_m2], tail)
+def lax_M(sys: SystemSpec, x: PhasePoint, nodes) -> LaurentElement:
+    """M(z) = L(z)/z as a Laurent covector on ``nodes`` (pole order 2, with
+    principal coefficients the regular part of L at 0 and I xi): the
+    argument of R_q in the Lax pair."""
+    nodes = np.asarray(nodes, dtype=complex)
+    values = lax_L(sys, x, nodes).vec / nodes[:, None]
+    return LaurentElement(sys.rs, [lax_L_reg0(sys, x).vec, x.xi.vec], nodes,
+                          values)
 
 
 def sigma_residual(sys: SystemSpec, x: PhasePoint) -> float:
@@ -378,23 +377,24 @@ def sigma_residual(sys: SystemSpec, x: PhasePoint) -> float:
     return float(np.max(np.abs(j)))
 
 
-def _b_operator(sys: SystemSpec, x: PhasePoint) -> LaurentElement:
+def _b_operator(sys: SystemSpec, x: PhasePoint, nodes) -> LaurentElement:
     # The flow satisfies dL/dt = -[R_q(L/z), L]; shipping B = -R_q(L/z)
     # keeps the residual functions in the plain dL/dt - [B, L] form.
-    return R_apply(sys.lax_rmatrix, x.q, lax_M(sys, x)).map_coeffs(
-        lambda el: -el)
+    b = R_apply(sys.lax_rmatrix, x.q, lax_M(sys, x, nodes))
+    return LaurentElement(sys.rs, -b.principal, b.nodes, -b.values.vec)
 
 
-def lax_B(sys: SystemSpec, x: PhasePoint, *,
+def lax_B(sys: SystemSpec, x: PhasePoint, nodes, *,
           sigma_tol: float = 1e-8) -> LaurentElement:
-    """B = -R_q(L/z), defined on the constraint set Sigma where the flow is
-    of Lax form; off Sigma a constraint error carries the residual."""
+    """B = -R_q(L/z) on ``nodes``, defined on the constraint set Sigma where
+    the flow is of Lax form; off Sigma a constraint error carries the
+    residual."""
     res = sigma_residual(sys, x)
     if res > sigma_tol:
         raise ConstraintError(
             f"point is off the constraint set Sigma: residual {res:.3e} "
             f"exceeds {sigma_tol:.1e}", residual=res)
-    return _b_operator(sys, x)
+    return _b_operator(sys, x, nodes)
 
 
 def default_z_samples(n: int = 8, radius: float = 0.55) -> list[complex]:
@@ -413,59 +413,54 @@ def _moving_point(sys: SystemSpec, x) -> tuple[PhasePoint, PhasePoint]:
 
 
 def _lax_derivative(sys: SystemSpec, x: PhasePoint, v: PhasePoint,
-                    z: complex) -> AlgElement:
+                    z) -> AlgElement:
     """dL/dt at x for the velocity v, by the chain rule: L is linear in
-    (p, xi) with q-dependent coefficients."""
+    (p, xi) with q-dependent coefficients, so dL/dt is L at (q, p_dot,
+    xi_dot) plus the q-derivative of the root coefficients along q_dot."""
     rs = sys.rs
-    spec = sys.lax_rmatrix
-    u = rs.root_values(x.q)
-    udot = rs.root_values(v.q)
-    vec = np.zeros(rs.dim, dtype=complex)
-    vec[:rs.rank] = v.p + cartan_coeff(spec, z) * v.xi.vec[:rs.rank]
-    vec[rs.rank:] = (root_coeff(spec, u, z, du=1) * udot * x.xi.vec[rs.rank:]
-                     + root_coeff(spec, u, z) * v.xi.vec[rs.rank:])
+    vec = lax_L(sys, PhasePoint(x.q, v.p, v.xi), z).vec
+    c_du = root_coeff(sys.lax_rmatrix, rs.root_values(x.q),
+                      np.expand_dims(z, -1), du=1)
+    vec[..., rs.rank:] += c_du * rs.root_values(v.q) * x.xi.vec[rs.rank:]
     return AlgElement(rs, vec)
 
 
-def lax_time_derivative(sys: SystemSpec, x, z: complex) -> AlgElement:
+def lax_time_derivative(sys: SystemSpec, x, z) -> AlgElement:
     """dL/dt along the flow at x; for a ReducedPoint, dL_0/dt along the
     reduced flow."""
     return _lax_derivative(sys, *_moving_point(sys, x), z)
 
 
 def _lax_residual(sys: SystemSpec, x, b: LaurentElement,
-                  z_samples: Sequence[complex] | None,
-                  anomaly: Callable[[complex], AlgElement] | None = None
-                  ) -> float:
-    """max_z ||dL/dt - [B, L] (+ anomaly)|| at x."""
-    if z_samples is None:
-        z_samples = default_z_samples()
+                  anomaly: LaurentElement | None = None) -> float:
+    """max ||dL/dt - [B, L] (+ anomaly)|| at x over the nodes of B."""
     pt, v = _moving_point(sys, x)
-    worst = 0.0
-    for z in z_samples:
-        res = _lax_derivative(sys, pt, v, z) - bracket(b.eval(z),
-                                                        lax_L(sys, pt, z))
-        if anomaly is not None:
-            res = res + anomaly(z)
-        worst = max(worst, res.max_abs())
-    return worst
+    res = _lax_derivative(sys, pt, v, b.nodes) - bracket(
+        b.values, lax_L(sys, pt, b.nodes))
+    if anomaly is not None:
+        res = res + anomaly.values
+    return res.max_abs()
 
 
 def lax_pair_residual(sys: SystemSpec, x: PhasePoint,
                       z_samples: Sequence[complex] | None = None, *,
                       sigma_tol: float = 1e-8) -> float:
     """max_z ||dL/dt - [B, L]||; the point must lie on Sigma."""
-    return _lax_residual(sys, x, lax_B(sys, x, sigma_tol=sigma_tol),
-                         z_samples)
+    if z_samples is None:
+        z_samples = default_z_samples()
+    return _lax_residual(sys, x, lax_B(sys, x, z_samples,
+                                       sigma_tol=sigma_tol))
 
 
 def quasi_lax_residual(sys: SystemSpec, x: PhasePoint,
                        z_samples: Sequence[complex] | None = None) -> float:
     """max_z ||dL/dt - [B, L] + (X_J R)(L/z)||: the Lax equation with the
     momentum anomaly, valid off Sigma as well (rational family)."""
-    anomaly = R_directional(sys.lax_rmatrix, x.q, momentum_J(x),
-                            lax_M(sys, x))
-    return _lax_residual(sys, x, _b_operator(sys, x), z_samples, anomaly)
+    if z_samples is None:
+        z_samples = default_z_samples()
+    m = lax_M(sys, x, z_samples)
+    anomaly = R_directional(sys.lax_rmatrix, x.q, momentum_J(x), m)
+    return _lax_residual(sys, x, _b_operator(sys, x, z_samples), anomaly)
 
 
 # ---------------------------------------------------------------------------
@@ -480,15 +475,13 @@ def conserved_spectrum(sys: SystemSpec, x, z_samples: Sequence[complex],
     """
     if kmax is None:
         kmax = sys.kmax
-    reduced = isinstance(x, ReducedPoint)
+    lax = lax_L0 if isinstance(x, ReducedPoint) else lax_L
+    mat = matrix_rep(lax(sys, x, z_samples))
     out = np.zeros((len(z_samples), kmax), dtype=complex)
-    for j, z in enumerate(z_samples):
-        elem = lax_L0(sys, x, z) if reduced else lax_L(sys, x, z)
-        mat = matrix_rep(elem)
-        acc = mat
-        for k in range(1, kmax + 1):
-            out[j, k - 1] = np.trace(acc) / k
-            acc = acc @ mat
+    acc = mat
+    for k in range(1, kmax + 1):
+        out[:, k - 1] = np.trace(acc, axis1=-2, axis2=-1) / k
+        acc = acc @ mat
     return out
 
 
@@ -510,13 +503,15 @@ def spectrum_drift(sys: SystemSpec, traj: Trajectory,
 
 def spectral_curve(sys: SystemSpec, x, z_grid: Sequence[complex]) -> np.ndarray:
     """Coefficients of det(w Id - rho(L(z))) in w, one row per grid z, highest
-    power first (monic).  Reduced points use L_0."""
-    reduced = isinstance(x, ReducedPoint)
-    out = []
-    for z in z_grid:
-        elem = lax_L0(sys, x, z) if reduced else lax_L(sys, x, z)
-        out.append(np.poly(matrix_rep(elem)))
-    return np.asarray(out, dtype=complex)
+    power first (monic).  Reduced points use L_0.  The product of the
+    factors (w - lambda) over the eigenvalues, as in numpy.poly."""
+    lax = lax_L0 if isinstance(x, ReducedPoint) else lax_L
+    eig = np.linalg.eigvals(matrix_rep(lax(sys, x, z_grid)))
+    coeffs = np.ones((len(z_grid), 1), dtype=complex)
+    for lam in eig.T:
+        coeffs = (np.pad(coeffs, ((0, 0), (0, 1)))
+                  - lam[:, None] * np.pad(coeffs, ((0, 0), (1, 0))))
+    return coeffs
 
 
 def hamiltonian_quadrature(sys: SystemSpec, x: PhasePoint, *,
@@ -524,19 +519,15 @@ def hamiltonian_quadrature(sys: SystemSpec, x: PhasePoint, *,
     """H recovered from the Lax operator: (1/2) (1/2 pi i) oint (L, L) dz/z,
     by the trapezoidal rule on |z| = radius (the z^0 Laurent coefficient of
     (1/2)(L, L))."""
-    acc = 0j
-    for j in range(nodes):
-        z = radius * np.exp(2j * math.pi * j / nodes)
-        val = lax_L(sys, x, z)
-        acc += form(val, val)
-    return 0.5 * acc / nodes
+    val = lax_L(sys, x, ring_nodes(radius, nodes))
+    return 0.5 * complex(np.mean(form(val, val)))
 
 
 # ---------------------------------------------------------------------------
 # reduced Lax pair
 
 
-def lax_L0(sys: SystemSpec, x_red: ReducedPoint, z: complex) -> AlgElement:
+def lax_L0(sys: SystemSpec, x_red: ReducedPoint, z) -> AlgElement:
     """Reduced Lax operator: L at the slice lift of x_red."""
     return lax_L(sys, lift_reduced(x_red), z)
 
@@ -556,21 +547,21 @@ def _gauge_compensator(sys: SystemSpec, x_red: ReducedPoint) -> AlgElement:
     return AlgElement.cartan(rs, coords)
 
 
-def lax_B0(sys: SystemSpec, x_red: ReducedPoint) -> LaurentElement:
-    """Reduced B through the gauge identity: B at the slice lift minus the
-    Cartan compensator of the gauge drift.  Slice lifts carry J = 0, so the
-    lift is always on Sigma."""
-    lift = lift_reduced(x_red)
-    b = _b_operator(sys, lift)
+def lax_B0(sys: SystemSpec, x_red: ReducedPoint, nodes) -> LaurentElement:
+    """Reduced B on ``nodes`` through the gauge identity: B at the slice
+    lift minus the Cartan compensator of the gauge drift.  Slice lifts carry
+    J = 0, so the lift is always on Sigma."""
+    b = _b_operator(sys, lift_reduced(x_red), nodes)
     d = _gauge_compensator(sys, x_red)
-    return LaurentElement(sys.rs, list(b.principal),
-                          lambda z: b.tail(z) - d)
+    return LaurentElement(sys.rs, b.principal, b.nodes, b.values.vec - d.vec)
 
 
 def reduced_lax_residual(sys: SystemSpec, x_red: ReducedPoint,
                          z_samples: Sequence[complex] | None = None) -> float:
     """max_z ||dL_0/dt - [B_0, L_0]|| at one reduced point."""
-    return _lax_residual(sys, x_red, lax_B0(sys, x_red), z_samples)
+    if z_samples is None:
+        z_samples = default_z_samples()
+    return _lax_residual(sys, x_red, lax_B0(sys, x_red, z_samples))
 
 
 def lax_pair_reduced(sys: SystemSpec, traj: Trajectory,
@@ -618,8 +609,7 @@ def spectral_function(sys: SystemSpec, k: int, z: complex) -> ReducedFunction:
     spec = sys.lax_rmatrix
 
     def val(x_red: ReducedPoint) -> complex:
-        mat = matrix_rep(lax_L0(sys, x_red, z))
-        return complex(np.trace(np.linalg.matrix_power(mat, k)) / k)
+        return complex(conserved_spectrum(sys, x_red, [z], k)[0, k - 1])
 
     def grad(x_red: ReducedPoint) -> ReducedGradient:
         lift = lift_reduced(x_red)

@@ -27,6 +27,13 @@ runs once per call on the whole array and names the first offending root;
 a numpy floating-point fault raises FloatingPointError, so no table ever
 holds inf or nan.  The pair weights are even in u, so they are evaluated
 on the positive roots and mirrored.
+
+The tensor builder r_tensor and the operator R_q act on arrays of z.  A
+Laurent covector (:class:`LaurentElement`) is data, not a function: its
+principal coefficients plus its values on a node array fixed when it is
+built.  R_q, its q-derivative, the MDYBE and equivariance checks and the
+residue quadrature are node-wise array expressions, and every principal
+part or residue comes from one ring helper (:func:`ring_coefficients`).
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from numpy.polynomial import polynomial as P
 
 from .elliptic import POLE_TOL, Lattice, _value, l_kernel
 from .errors import PoleError, StructuralError, raise_on_fp_fault
-from .rootsys import (AlgElement, Root, RootSystem, bracket, form, negate,
+from .rootsys import (AlgElement, RootSystem, bracket, form, negate,
                       root_label, torus_adjoint)
 
 _ZTOL = 1e-13
@@ -416,65 +423,47 @@ def pair_weight(spec: RMatrixSpec, u, du: int = 0) -> np.ndarray:
 
 @dataclass
 class TensorValue:
-    """Element of g (x) g in coordinates over the product basis."""
+    """Element of g (x) g in coordinates over the product basis; ``mat``
+    may carry leading batch axes, the two slots are its last two axes."""
 
     rs: RootSystem
     mat: np.ndarray
 
     def __post_init__(self):
-        if self.mat.shape != (self.rs.dim, self.rs.dim):
+        if self.mat.shape[-2:] != (self.rs.dim, self.rs.dim):
             raise StructuralError(
                 f"tensor has shape {self.mat.shape}, expected square of dim "
                 f"{self.rs.dim}")
 
-    def __add__(self, other: "TensorValue") -> "TensorValue":
-        return TensorValue(self.rs, self.mat + other.mat)
-
-    def __sub__(self, other: "TensorValue") -> "TensorValue":
-        return TensorValue(self.rs, self.mat - other.mat)
-
-    def __neg__(self) -> "TensorValue":
-        return TensorValue(self.rs, -self.mat)
-
-    def __mul__(self, scalar) -> "TensorValue":
-        return TensorValue(self.rs, self.mat * scalar)
-
-    __rmul__ = __mul__
-
     def swap_slots(self) -> "TensorValue":
         """r^{21} from r^{12}."""
-        return TensorValue(self.rs, self.mat.T.copy())
+        return TensorValue(self.rs, np.swapaxes(self.mat, -1, -2).copy())
 
     def pair_first(self, xi: AlgElement) -> AlgElement:
         """<r, xi (x) 1>: pair a covector into the first slot."""
-        return AlgElement(self.rs, self.mat.T @ (self.rs.gram @ xi.vec))
+        return AlgElement(self.rs, np.einsum("...ab,...a->...b", self.mat,
+                                             xi.vec @ self.rs.gram))
 
     def pair_second(self, xi: AlgElement) -> AlgElement:
         """<r, 1 (x) xi>: pair a covector into the second slot."""
-        return AlgElement(self.rs, self.mat @ (self.rs.gram @ xi.vec))
+        return AlgElement(self.rs, np.einsum("...ab,...b->...a", self.mat,
+                                             xi.vec @ self.rs.gram))
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.mat)))
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.mat))
-
 
 def casimir_tensor(rs: RootSystem) -> TensorValue:
     """The invariant element Omega = sum_i h_i (x) h_i + sum_alpha
-    e_alpha (x) e_{-alpha}, dual to the bilinear form."""
-    mat = np.zeros((rs.dim, rs.dim), dtype=complex)
-    for i in range(rs.rank):
-        mat[i, i] = 1.0
-    for k, root in enumerate(rs.roots):
-        kn = rs.root_index[negate(root)]
-        mat[rs.rank + k, rs.rank + kn] = 1.0
-    return TensorValue(rs, mat)
+    e_alpha (x) e_{-alpha}, dual to the bilinear form: its coordinates are
+    the Gram matrix of the basis."""
+    return TensorValue(rs, rs.gram.astype(complex))
 
 
-def r_tensor(spec: RMatrixSpec, q, z: complex, kz: int = 0,
+def r_tensor(spec: RMatrixSpec, q, z, kz: int = 0,
              direction=None) -> TensorValue:
-    """r(q, z), or its kz-th z-derivative, as a tensor in g (x) g.
+    """r(q, z), or its kz-th z-derivative, as a tensor in g (x) g; an array
+    of z gives one tensor per z (``mat`` of shape z.shape + (dim, dim)).
 
     With a Cartan ``direction`` v the result is the directional q-derivative
     sum_i v_i d/dq_i of that tensor instead (v = e_i gives the partial
@@ -484,36 +473,46 @@ def r_tensor(spec: RMatrixSpec, q, z: complex, kz: int = 0,
     """
     rs = spec.rs
     u = rs.root_values(q)
-    mat = np.zeros((rs.dim, rs.dim), dtype=complex)
+    z = np.asarray(z, dtype=complex)
+    mat = np.zeros(z.shape + (rs.dim, rs.dim), dtype=complex)
     if direction is None:
-        np.fill_diagonal(mat[:rs.rank, :rs.rank], cartan_coeff(spec, z, kz))
-    c = root_coeff(spec, u, z, kz, du=int(direction is not None))
+        cartan = np.arange(rs.rank)
+        f = cartan_coeff(spec, z, kz)
+        mat[..., cartan, cartan] = np.expand_dims(f, -1)
+    c = root_coeff(spec, u, z[..., None], kz, du=int(direction is not None))
     if spec.fault_scale != 1.0:
-        c[list(spec.fault_root_indices)] *= spec.fault_scale
+        c[..., list(spec.fault_root_indices)] *= spec.fault_scale
     if direction is not None:
         c = rs.root_values(direction) * c
     slots = np.arange(rs.rank, rs.dim)
-    mat[slots, rs.dual_index[slots]] = c
+    mat[..., slots, rs.dual_index[slots]] = c
     return TensorValue(rs, mat)
 
 
 # ---------------------------------------------------------------------------
-# axiom verification
+# contour quadrature
 
 
-def _circle(radius: float, nodes: int) -> np.ndarray:
-    angles = 2.0 * math.pi * np.arange(nodes) / nodes
+def ring_nodes(radius: float, n: int) -> np.ndarray:
+    """n equispaced nodes on the circle |z| = radius."""
+    angles = 2.0 * math.pi * np.arange(n) / n
     return radius * np.exp(1j * angles)
 
 
-def contour_tensor_residue(fn: Callable[[complex], TensorValue], rs: RootSystem,
-                           radius: float = 0.1, nodes: int = 256) -> TensorValue:
-    """(1/2 pi i) contour integral of a tensor-valued function around 0,
-    by the trapezoidal rule (spectrally accurate for analytic integrands)."""
-    acc = np.zeros((rs.dim, rs.dim), dtype=complex)
-    for z in _circle(radius, nodes):
-        acc += fn(z).mat * z
-    return TensorValue(rs, acc / nodes)
+def ring_coefficients(values: np.ndarray, nodes: np.ndarray,
+                      order: int) -> np.ndarray:
+    """Principal-part coefficients (of z^-1..z^-order) at 0 of a function
+    analytic on 0 < |z| <= radius, from its ``values`` at the equispaced
+    ``nodes`` on |z| = radius (nodes on the first axis).  The z^-j
+    coefficient is mean(values * z^j), the trapezoidal rule for the contour
+    integral, which converges exponentially (Trefethen & Weideman, SIAM
+    Rev. 56, 2014).  Shape (order,) + values.shape[1:]."""
+    powers = np.power.outer(nodes, np.arange(1, order + 1))
+    return np.tensordot(powers, values, axes=(0, 0)) / len(nodes)
+
+
+# ---------------------------------------------------------------------------
+# axiom verification
 
 
 def verify_axioms(spec: RMatrixSpec, samples: Sequence[tuple[np.ndarray, complex]],
@@ -526,19 +525,18 @@ def verify_axioms(spec: RMatrixSpec, samples: Sequence[tuple[np.ndarray, complex
     """
     rs = spec.rs
     f = rs.structure
-    omega = casimir_tensor(rs)
+    omega = casimir_tensor(rs).mat
+    ring = ring_nodes(quad_radius, quad_nodes)
     zero_weight = unitarity = residue = 0.0
     for q, z in samples:
-        r = r_tensor(spec, q, z)
+        r, rminus = r_tensor(spec, q, [z, -z]).mat
         for i in range(rs.rank):
-            t1 = np.einsum("ac,ab->cb", f[i], r.mat)
-            t2 = np.einsum("bc,ab->ac", f[i], r.mat)
+            t1 = np.einsum("ac,ab->cb", f[i], r)
+            t2 = np.einsum("bc,ab->ac", f[i], r)
             zero_weight = max(zero_weight, float(np.max(np.abs(t1 + t2))))
-        rminus = r_tensor(spec, q, -z)
-        unitarity = max(unitarity, float(np.max(np.abs(r.mat + rminus.mat.T))))
-        res = contour_tensor_residue(lambda w: r_tensor(spec, q, w), rs,
-                                     quad_radius, quad_nodes)
-        residue = max(residue, (res - omega).max_abs())
+        unitarity = max(unitarity, float(np.max(np.abs(r + rminus.T))))
+        res = ring_coefficients(r_tensor(spec, q, ring).mat, ring, 1)[0]
+        residue = max(residue, float(np.max(np.abs(res - omega))))
     return {
         "n_samples": len(samples),
         "zero_weight": zero_weight,
@@ -560,16 +558,16 @@ def verify_cdybe(spec: RMatrixSpec, q, z1: complex, z2: complex,
     rs = spec.rs
     f = rs.structure
     z12, z13, z23 = z1 - z2, z1 - z3, z2 - z3
-    r12 = r_tensor(spec, q, z12).mat
-    r13 = r_tensor(spec, q, z13).mat
-    r23 = r_tensor(spec, q, z23).mat
+    r12, r13, r23 = r_tensor(spec, q, [z12, z13, z23]).mat
 
     cube = np.zeros((rs.dim, rs.dim, rs.dim), dtype=complex)
     # Alt(d_h r): h_i in slot 1, 2, 3 against dr/dq_i at z23, z31, z12
     for i, e_i in enumerate(np.eye(rs.rank)):
-        cube[i, :, :] += r_tensor(spec, q, z23, direction=e_i).mat
-        cube[:, i, :] += r_tensor(spec, q, -z13, direction=e_i).mat.T
-        cube[:, :, i] += r_tensor(spec, q, z12, direction=e_i).mat
+        d23, d31, d12 = r_tensor(spec, q, [z23, -z13, z12],
+                                 direction=e_i).mat
+        cube[i, :, :] += d23
+        cube[:, i, :] += d31.T
+        cube[:, :, i] += d12
     cube += np.einsum("ab,cd,ace->ebd", r12, r13, f)
     cube += np.einsum("ab,cd,bce->aed", r12, r23, f)
     cube += np.einsum("ab,cd,bde->ace", r13, r23, f)
@@ -581,17 +579,35 @@ def verify_cdybe(spec: RMatrixSpec, q, z1: complex, z2: complex,
 
 
 class LaurentElement:
-    """g-valued (or, via I, g*-valued) function of z with a finite pole at 0:
-    sum_{j=1..T} X_{-j} z^{-j} + tail(z) with the tail analytic near 0."""
+    """g-valued (or, via I, g*-valued) function of z with a finite pole at 0,
+    sum_{j=1..T} X_{-j} z^{-j} + (a part analytic near 0), held as data:
 
-    def __init__(self, rs: RootSystem, principal: Sequence[AlgElement],
-                 tail: Callable[[complex], AlgElement] | None = None):
+    * ``principal``, shape (T, dim): X_{-j} in row j - 1, with zero top
+      coefficients trimmed, so T is the pole order;
+    * ``nodes``, the z array fixed when the element is built (any nonzero
+      points; only quadrature needs them on a ring);
+    * ``values``, the function at the nodes as an AlgElement of shape
+      (N, dim).  Omitted, they are the values of the principal part alone.
+
+    There are no values off the nodes: a caller builds each element on the
+    z where it needs values.
+    """
+
+    def __init__(self, rs: RootSystem, principal, nodes, values=None):
         self.rs = rs
-        coeffs = list(principal)
-        while coeffs and coeffs[-1].max_abs() == 0.0:
-            coeffs.pop()
-        self.principal = tuple(coeffs)
-        self.tail = tail
+        coeffs = np.asarray(principal, dtype=complex).reshape(-1, rs.dim)
+        while len(coeffs) and not coeffs[-1].any():
+            coeffs = coeffs[:-1]
+        self.principal = coeffs
+        self.nodes = np.asarray(nodes, dtype=complex)
+        if values is None:
+            values = np.power.outer(self.nodes,
+                                    -np.arange(1, len(coeffs) + 1)) @ coeffs
+        self.values = AlgElement(rs, np.asarray(values, dtype=complex))
+        if self.values.vec.shape != self.nodes.shape + (rs.dim,):
+            raise StructuralError(
+                f"values of shape {self.values.vec.shape} do not match "
+                f"{self.nodes.shape} nodes of dim {rs.dim}")
 
     @property
     def pole_order(self) -> int:
@@ -599,48 +615,22 @@ class LaurentElement:
 
     def principal_coeff(self, j: int) -> AlgElement:
         """Coefficient X_{-j}; zero above the pole order."""
-        if 1 <= j <= len(self.principal):
-            return self.principal[j - 1]
+        if 1 <= j <= self.pole_order:
+            return AlgElement(self.rs, self.principal[j - 1])
         return AlgElement.zero(self.rs)
 
-    def principal_eval(self, z: complex) -> AlgElement:
-        vec = np.zeros(self.rs.dim, dtype=complex)
-        for j, x in enumerate(self.principal, start=1):
-            vec += x.vec * z ** (-j)
-        return AlgElement(self.rs, vec)
 
-    def eval(self, z: complex) -> AlgElement:
-        out = self.principal_eval(z)
-        if self.tail is not None:
-            out = out + self.tail(z)
-        return out
-
-    def map_coeffs(self, fn: Callable[[AlgElement], AlgElement]) -> "LaurentElement":
-        tail = None if self.tail is None else (lambda z: fn(self.tail(z)))
-        return LaurentElement(self.rs, [fn(x) for x in self.principal], tail)
-
-    @staticmethod
-    def from_constant(x: AlgElement) -> "LaurentElement":
-        return LaurentElement(x.rs, [], lambda z: x)
-
-    @staticmethod
-    def simple_pole(x: AlgElement) -> "LaurentElement":
-        return LaurentElement(x.rs, [x])
-
-
-def contour_coefficients(rs: RootSystem, fn: Callable[[complex], AlgElement],
-                         order: int, *, radius: float = 0.35,
-                         nodes: int = 256) -> list[AlgElement]:
-    """Principal-part coefficients X_{-1}..X_{-order} of an analytic-away-
-    from-0 function by contour quadrature on |z| = radius."""
-    zs = _circle(radius, nodes)
-    values = [fn(z) for z in zs]
-    out = []
-    for j in range(1, order + 1):
-        acc = np.zeros(rs.dim, dtype=complex)
-        for z, val in zip(zs, values):
-            acc += val.vec * z ** j
-        out.append(AlgElement(rs, acc / nodes))
+def _r_pairing(spec: RMatrixSpec, q, xi: LaurentElement,
+               direction=None) -> np.ndarray:
+    """sum_{k < T} (1/k!) < d^k r / d z^k (q, -z), X_{-(k+1)} (x) 1 > on the
+    nodes of xi (T its pole order), or its q-derivative along a Cartan
+    ``direction``: one batched tensor per k."""
+    z = xi.nodes
+    out = np.zeros(z.shape + (spec.rs.dim,), dtype=complex)
+    for k in range(xi.pole_order):
+        tens = r_tensor(spec, q, -z, kz=k, direction=direction)
+        pair = tens.pair_first(xi.principal_coeff(k + 1)).vec
+        out += pair / math.factorial(k)
     return out
 
 
@@ -651,42 +641,20 @@ def R_apply(spec: RMatrixSpec, q, xi: LaurentElement) -> LaurentElement:
                       + sum_{k >= 0} (1/k!) < d^k r / d z^k (q, -z),
                                               xi_{-(k+1)} (x) 1 >
 
-    The sum is finite (k below the pole order).  The principal part of the
-    result is exactly -(1/2) of xi's principal part, because r - Omega/z is
-    analytic at z = 0 in every family; the tail callable evaluates the full
-    closed form and subtracts that principal part."""
-    rs = spec.rs
-    order = xi.pole_order
-    principal = [(-0.5) * xi.principal_coeff(j) for j in range(1, order + 1)]
-
-    def full(z: complex) -> AlgElement:
-        out = 0.5 * xi.eval(z)
-        for k in range(order):
-            tens = r_tensor(spec, q, -z, kz=k)
-            out = out + (1.0 / math.factorial(k)) * tens.pair_first(
-                xi.principal_coeff(k + 1))
-        return out
-
-    prin = LaurentElement(rs, principal)
-    tail = lambda z: full(z) - prin.principal_eval(z)
-    return LaurentElement(rs, principal, tail)
+    The sum is finite (k below the pole order).  The result lives on the
+    nodes of xi.  Its principal part is exactly -(1/2) of xi's, because
+    r - Omega/z is analytic at z = 0 in every family; its values are the
+    closed form above evaluated at all nodes at once."""
+    values = 0.5 * xi.values.vec + _r_pairing(spec, q, xi)
+    return LaurentElement(spec.rs, -0.5 * xi.principal, xi.nodes, values)
 
 
 def R_directional(spec: RMatrixSpec, q, v, xi: LaurentElement
-                  ) -> Callable[[complex], AlgElement]:
-    """The q-directional derivative (X_v R_q)(xi) as a function of z; only
-    the r-dependent part of R_q varies with q."""
-    order = xi.pole_order
-
-    def deriv(z: complex) -> AlgElement:
-        out = AlgElement.zero(spec.rs)
-        for k in range(order):
-            tens = r_tensor(spec, q, -z, kz=k, direction=v)
-            out = out + (1.0 / math.factorial(k)) * tens.pair_first(
-                xi.principal_coeff(k + 1))
-        return out
-
-    return deriv
+                  ) -> LaurentElement:
+    """The q-directional derivative (X_v R_q)(xi) on the nodes of xi.  Only
+    the r-dependent part of R_q varies with q, and its residue Omega does
+    not, so the result has no principal part."""
+    return LaurentElement(spec.rs, [], xi.nodes, _r_pairing(spec, q, xi, v))
 
 
 def default_mdybe_samples() -> list[complex]:
@@ -694,8 +662,8 @@ def default_mdybe_samples() -> list[complex]:
            [0.85 * cmath.exp(2j * math.pi * (k + 0.5) / 5) for k in range(5)]
 
 
-def verify_mdybe(spec: RMatrixSpec, q, xi: LaurentElement, eta: LaurentElement,
-                 *, z_samples: Sequence[complex] | None = None,
+def verify_mdybe(spec: RMatrixSpec, q, xi, eta, *,
+                 z_samples: Sequence[complex] | None = None,
                  quad_radius: float = 0.35, quad_nodes: int = 256) -> float:
     """Residual of the modified dynamical Yang-Baxter equation with
     c = -1/4 for the operator R = R_q:
@@ -704,68 +672,56 @@ def verify_mdybe(spec: RMatrixSpec, q, xi: LaurentElement, eta: LaurentElement,
         + X_{j* xi}(R eta) - X_{j* eta}(R xi) + d<R xi, eta>
         = c [I xi, I eta]
 
-    j* takes the Cartan block of the residue coefficient; the inner Laurent
-    covector's principal part is extracted by contour quadrature; the
-    differential d<R xi, eta> is the Cartan vector of q-derivatives of the
-    residue pairing Res_z <eta(z), (R xi)(z)>."""
+    ``xi`` and ``eta`` are pole-only Laurent covectors given by their
+    principal coefficients, shape (T, dim).  Every Laurent element here is
+    built on one node array: the quadrature ring |z| = quad_radius followed
+    by ``z_samples``.  The ring values give the principal part of the inner
+    covector and the residue pairing Res_z <eta(z), (R xi)(z)> whose
+    q-derivatives form the Cartan vector d<R xi, eta>; j* takes the Cartan
+    block of the residue coefficient.  The residual is the max over the
+    samples."""
     rs = spec.rs
     if z_samples is None:
         z_samples = default_mdybe_samples()
+    ring = ring_nodes(quad_radius, quad_nodes)
+    nodes = np.concatenate([ring, np.asarray(z_samples, dtype=complex)])
+    xi = LaurentElement(rs, xi, nodes)
+    eta = LaurentElement(rs, eta, nodes)
     r_xi = R_apply(spec, q, xi)
     r_eta = R_apply(spec, q, eta)
 
-    def w_eval(z: complex) -> AlgElement:
-        return bracket(r_xi.eval(z), eta.eval(z)) + bracket(xi.eval(z),
-                                                            r_eta.eval(z))
+    w = bracket(r_xi.values, eta.values) + bracket(xi.values, r_eta.values)
+    w_prin = ring_coefficients(w.vec[:quad_nodes], ring,
+                               xi.pole_order + eta.pole_order)
+    r_inner = R_apply(spec, q, LaurentElement(rs, w_prin, nodes, w.vec))
 
-    order = xi.pole_order + eta.pole_order
-    w_prin = contour_coefficients(rs, w_eval, order, radius=quad_radius,
-                                  nodes=quad_nodes)
-    prin_only = LaurentElement(rs, w_prin)
-    inner = LaurentElement(rs, w_prin,
-                           lambda z: w_eval(z) - prin_only.principal_eval(z))
-    r_inner = R_apply(spec, q, inner)
-
-    v_xi = xi.principal_coeff(1).cartan_coords
-    v_eta = eta.principal_coeff(1).cartan_coords
-    x_xi_reta = R_directional(spec, q, v_xi, eta)
-    x_eta_rxi = R_directional(spec, q, v_eta, xi)
+    x_xi_reta = R_directional(spec, q, xi.principal_coeff(1).cartan_coords,
+                              eta)
+    x_eta_rxi = R_directional(spec, q, eta.principal_coeff(1).cartan_coords,
+                              xi)
 
     # d<R xi, eta>: Cartan vector of q_i-derivatives of the residue pairing
-    zs = _circle(quad_radius, quad_nodes)
     d_coords = np.zeros(rs.rank, dtype=complex)
     for i, e_i in enumerate(np.eye(rs.rank)):
-        d_rxi = R_directional(spec, q, e_i, xi)
-        acc = 0j
-        for z in zs:
-            acc += form(eta.eval(z), d_rxi(z)) * z
-        d_coords[i] = acc / quad_nodes
+        pairing = form(eta.values, R_directional(spec, q, e_i, xi).values)
+        d_coords[i] = ring_coefficients(pairing[:quad_nodes], ring, 1)[0]
     d_term = AlgElement.cartan(rs, d_coords)
 
-    worst = 0.0
-    for z in z_samples:
-        res = bracket(r_xi.eval(z), r_eta.eval(z))
-        res = res - r_inner.eval(z)
-        res = res + x_xi_reta(z) - x_eta_rxi(z)
-        res = res + d_term
-        res = res - (-0.25) * bracket(xi.eval(z), eta.eval(z))
-        worst = max(worst, res.max_abs())
-    return worst
+    res = (bracket(r_xi.values, r_eta.values) - r_inner.values
+           + x_xi_reta.values - x_eta_rxi.values + d_term
+           + 0.25 * bracket(xi.values, eta.values))
+    return float(np.max(np.abs(res.vec[quad_nodes:])))
 
 
-def coadjoint_transform_laurent(c_coords, xi: LaurentElement) -> LaurentElement:
-    """Torus coadjoint action applied coefficient-wise to a Laurent covector."""
-    return xi.map_coeffs(lambda x: torus_adjoint(c_coords, x))
-
-
-def equivariance_residual(spec: RMatrixSpec, q, xi: LaurentElement, c_coords,
+def equivariance_residual(spec: RMatrixSpec, q, xi, c_coords,
                           z_samples: Sequence[complex]) -> float:
     """Residual of R_q(Ad*_{h^-1} xi) = Ad_h R_q(xi) for the torus element
-    with coroot-basis logarithm c_coords."""
-    lhs = R_apply(spec, q, coadjoint_transform_laurent(c_coords, xi))
-    rhs = R_apply(spec, q, xi)
-    worst = 0.0
-    for z in z_samples:
-        diff = lhs.eval(z) - torus_adjoint(c_coords, rhs.eval(z))
-        worst = max(worst, diff.max_abs())
-    return worst
+    with coroot-basis logarithm c_coords, at ``z_samples``; ``xi`` is a
+    pole-only Laurent covector given by its principal coefficients, shape
+    (T, dim)."""
+    rs = spec.rs
+    xi = np.asarray(xi, dtype=complex)
+    moved = torus_adjoint(c_coords, AlgElement(rs, xi)).vec
+    lhs = R_apply(spec, q, LaurentElement(rs, moved, z_samples))
+    rhs = R_apply(spec, q, LaurentElement(rs, xi, z_samples))
+    return (lhs.values - torus_adjoint(c_coords, rhs.values)).max_abs()

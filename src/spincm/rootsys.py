@@ -262,16 +262,19 @@ class AlgElement:
     """Element of sl(n+1) in coordinates over [h_1..h_n, e_alpha...].
 
     Also used for covectors via the form isomorphism; see the module
-    docstring for the convention.
+    docstring for the convention.  ``vec`` may carry leading batch axes
+    (one element per z node, say); the coordinates are the last axis and
+    every operation below acts on it.
     """
 
     rs: RootSystem
     vec: np.ndarray
 
     def __post_init__(self):
-        if self.vec.shape != (self.rs.dim,):
+        if self.vec.shape[-1:] != (self.rs.dim,):
             raise StructuralError(
-                f"coefficient vector has shape {self.vec.shape}, expected ({self.rs.dim},)")
+                f"coefficient vector has shape {self.vec.shape}, expected "
+                f"(..., {self.rs.dim})")
 
     @staticmethod
     def zero(rs: RootSystem) -> "AlgElement":
@@ -324,15 +327,14 @@ class AlgElement:
 
     @property
     def cartan_coords(self) -> np.ndarray:
-        return self.vec[: self.rs.rank]
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.vec))
+        return self.vec[..., : self.rs.rank]
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.vec))) if self.vec.size else 0.0
 
     def __repr__(self) -> str:
+        if self.vec.ndim > 1:
+            return f"AlgElement(batch of shape {self.vec.shape[:-1]})"
         terms = []
         for i in range(self.rs.rank):
             if abs(self.vec[i]) > 1e-14:
@@ -347,20 +349,22 @@ class AlgElement:
 def bracket(x: AlgElement, y: AlgElement) -> AlgElement:
     """Lie bracket [x, y]."""
     x._check(y)
-    vec = np.einsum("a,b,abc->c", x.vec, y.vec, x.rs.structure)
+    vec = np.einsum("...a,...b,abc->...c", x.vec, y.vec, x.rs.structure)
     return AlgElement(x.rs, vec)
 
 
-def form(x: AlgElement, y: AlgElement) -> complex:
+def form(x: AlgElement, y: AlgElement):
     """Invariant bilinear form (x, y); also the g*-g pairing <xi, y> when x
-    stores a covector."""
+    stores a covector.  A complex for single elements, an array over the
+    batch axes otherwise."""
     x._check(y)
-    return complex(x.vec @ (x.rs.gram @ y.vec))
+    val = np.einsum("...a,...a->...", x.vec, y.vec @ x.rs.gram)
+    return complex(val) if val.ndim == 0 else val
 
 
 def matrix_rep(x: AlgElement) -> np.ndarray:
     """Defining (n+1)-dimensional representation of x."""
-    return np.tensordot(x.vec, x.rs.basis_matrices, axes=(0, 0))
+    return np.tensordot(x.vec, x.rs.basis_matrices, axes=(-1, 0))
 
 
 def element_from_matrix(rs: RootSystem, mat: np.ndarray) -> AlgElement:
@@ -396,7 +400,7 @@ def torus_adjoint(c_coords, x: AlgElement) -> AlgElement:
     m = np.array(rs.roots, dtype=float)
     exponents = (m @ a_np) @ c          # alpha(log h) per root
     vec = x.vec.copy()
-    vec[rs.rank:] = vec[rs.rank:] * np.exp(exponents)
+    vec[..., rs.rank:] = vec[..., rs.rank:] * np.exp(exponents)
     return AlgElement(rs, vec)
 
 

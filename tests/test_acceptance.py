@@ -29,8 +29,7 @@ from spincm.elliptic import Lattice, l_kernel
 from spincm.rootsys import AlgElement, build_root_system, torus_adjoint
 from spincm.phase import (PhasePoint, ReducedPoint, bracket_reduced, gauge_g,
                           project_pi, spin_coordinate_function, torus_action)
-from spincm.rmatrix import LaurentElement, verify_axioms, verify_cdybe, \
-    verify_mdybe
+from spincm.rmatrix import verify_axioms, verify_cdybe, verify_mdybe
 from spincm.dynamics import (Trajectory, collision_margin, fpbr_residual,
                              hamiltonian, integrate, involution_check,
                              lax_pair_reduced, lax_pair_residual, make_system,
@@ -125,9 +124,10 @@ def ring_z_tuple(rng, n, sep=0.1):
 
 
 def random_laurent(rs, order, rng):
-    return LaurentElement(rs, [
-        AlgElement(rs, rng.normal(size=rs.dim) + 1j * rng.normal(size=rs.dim))
-        for _ in range(order)])
+    """Principal coefficients (order, dim) of a random pole-only Laurent
+    covector."""
+    return np.array([rng.normal(size=rs.dim) + 1j * rng.normal(size=rs.dim)
+                     for _ in range(order)])
 
 
 def conserved_trajectory(family, rank):

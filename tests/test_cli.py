@@ -358,3 +358,39 @@ def test_info_prints_system(tmp_path, capsys):
     assert payload["kmax"] == 4
     assert payload["root_system"]["rank"] == 3
     assert payload["thresholds"]["cdybe"] == 1e-10
+
+
+_BASE = {"family": "rational", "rank": 1,
+         "initial": {"preset": "free", "q": [0.7], "p": [0.3]},
+         "integration": {"t_final": 0.5, "n_points": 5}}
+
+
+@pytest.mark.parametrize("patch", [
+    {"integration": {"n_points": "abc"}},
+    {"integration": {"n_points": 0}},
+    {"integration": {"n_points": 2.5}},
+    {"integration": {"t_final": None}},
+    {"integration": {"t_final": float("nan")}},
+    {"integration": {"tol": float("inf")}},
+    {"integration": {"collision_tol": "x"}},
+    {"outputs": {"kmax": "3"}},
+    {"outputs": {"kmax": -1}},
+    {"outputs": {"kmax": 0}},
+    {"thresholds": {"lax": "x"}},
+    {"family": "elliptic", "lattice": {"omega1": [2.0, 0.0]}},
+], ids=lambda patch: json.dumps(patch))
+def test_bad_config_values_exit_with_config_error(tmp_path, capsys, patch):
+    cfg = write_config(tmp_path, "bad.json", {**_BASE, **patch})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) \
+        == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("spincm: ")
+
+
+def test_verify_mdybe_elliptic_a2_passes(tmp_path):
+    cfg = write_config(tmp_path, "ver.json", {
+        "family": "elliptic", "rank": 2, "seed": 3,
+        "lattice": {"omega1": [2.0, 0.0], "omega2": [0.0, 2.2]}})
+    assert main(["verify", "--config", cfg, "--suite", "mdybe",
+                 "--out", str(tmp_path)]) == EXIT_PASS
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["checks"][0]["max_residual"] < 1e-8

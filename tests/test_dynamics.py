@@ -261,6 +261,15 @@ def test_integrate_input_validation():
         integrate(sys, x0, 1.0, tol=-1e-10)
 
 
+@pytest.mark.parametrize("t_final,tol", [(math.nan, 1e-10), (math.inf, 1e-10),
+                                         (1.0, math.nan), (1.0, math.inf)])
+def test_integrate_rejects_non_finite_inputs(t_final, tol):
+    sys = make_system("rational", 1)
+    x0 = spinless_state(sys.rs, [1.0], [0.0], 1.0)
+    with pytest.raises(StructuralError):
+        integrate(sys, x0, t_final, tol)
+
+
 # -- Lax operators and the Lax equation --------------------------------------
 
 
@@ -305,7 +314,7 @@ def test_lax_B_off_sigma_raises():
     x = generic_point(sys, rng)
     assert sigma_residual(sys, x) > 0.1
     with pytest.raises(ConstraintError) as err:
-        lax_B(sys, x)
+        lax_B(sys, x, default_z_samples())
     assert err.value.residual > 0.1
 
 
@@ -317,12 +326,13 @@ def test_quasi_lax_off_sigma_rational():
     x = generic_point(sys, rng)
     assert sigma_residual(sys, x) > 0.1
     assert quasi_lax_residual(sys, x) < 1e-10
-    b = _b_operator(sys, x)
+    zs = default_z_samples()
+    b = _b_operator(sys, x, zs)
     plain = 0.0
     from spincm.rootsys import bracket
-    for z in default_z_samples():
-        res = lax_time_derivative(sys, x, z) - bracket(b.eval(z),
-                                                       lax_L(sys, x, z))
+    for k, z in enumerate(zs):
+        res = lax_time_derivative(sys, x, z) - bracket(
+            AlgElement(sys.rs, b.values.vec[k]), lax_L(sys, x, z))
         plain = max(plain, res.max_abs())
     assert plain > 1e-3
 

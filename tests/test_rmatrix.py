@@ -24,9 +24,10 @@ from spincm.errors import PoleError, StructuralError
 from spincm.rootsys import (AlgElement, build_root_system, form, negate,
                             root_label)
 from spincm.rmatrix import (LaurentElement, R_apply, casimir_tensor,
-                            cartan_coeff, contour_coefficients,
+                            cartan_coeff, default_mdybe_samples,
                             elliptic_r_matrix, equivariance_residual,
                             pair_weight, r_tensor, rational_r_matrix, root_coeff, root_coeff_reg0,
+                            ring_coefficients, ring_nodes,
                             trigonometric_r_matrix, verify_axioms,
                             verify_cdybe, verify_mdybe)
 
@@ -50,9 +51,10 @@ def values_at(rs, k, u):
 
 
 def random_laurent(rs, order, rng):
-    return LaurentElement(rs, [
-        AlgElement(rs, rng.normal(size=rs.dim) + 1j * rng.normal(size=rs.dim))
-        for _ in range(order)])
+    """Principal coefficients (order, dim) of a random pole-only Laurent
+    covector."""
+    return np.array([rng.normal(size=rs.dim) + 1j * rng.normal(size=rs.dim)
+                     for _ in range(order)])
 
 
 # -- constructors -----------------------------------------------------------
@@ -349,7 +351,8 @@ def test_r_apply_halves_the_principal_part():
     rs = build_root_system("A", 2)
     spec = rational_r_matrix(rs)
     rng = np.random.default_rng(14)
-    xi = random_laurent(rs, 2, rng)
+    xi = LaurentElement(rs, random_laurent(rs, 2, rng),
+                        default_mdybe_samples())
     out = R_apply(spec, np.array([0.6, -0.45]), xi)
     assert out.pole_order == 2
     for j in (1, 2):
@@ -362,12 +365,13 @@ def test_r_apply_frozen_rank_one():
     spec = rational_r_matrix(rs)
     alpha = rs.roots[0]
     e_plus = AlgElement.basis(rs, rs.basis_index(alpha))
-    xi = LaurentElement.simple_pole(e_plus)
+    zs = (0.3, 0.2 - 0.5j, 1.7)
+    xi = LaurentElement(rs, [e_plus.vec], zs)
     q = np.array([1.0 / math.sqrt(2.0)])           # (alpha, q) = 1
     out = R_apply(spec, q, xi)
-    for z in (0.3, 0.2 - 0.5j, 1.7):
+    for k, z in enumerate(zs):
         expected = -(1.0 / (2.0 * z) + 1.0) * e_plus
-        assert (out.eval(z) - expected).max_abs() < 1e-12
+        assert (AlgElement(rs, out.values.vec[k]) - expected).max_abs() < 1e-12
 
 
 def test_r_apply_on_pole_free_input_is_half():
@@ -375,10 +379,10 @@ def test_r_apply_on_pole_free_input_is_half():
     spec = rational_r_matrix(rs)
     rng = np.random.default_rng(15)
     const = AlgElement(rs, rng.normal(size=rs.dim) + 0j)
-    xi = LaurentElement.from_constant(const)
+    xi = LaurentElement(rs, [], [0.9], [const.vec])
     out = R_apply(spec, np.array([0.4]), xi)
     assert out.pole_order == 0
-    assert (out.eval(0.9) - 0.5 * const).max_abs() < 1e-14
+    assert (out.values - 0.5 * const).max_abs() < 1e-14
 
 
 @pytest.mark.parametrize("family", ["rational", "trigonometric"])
@@ -387,37 +391,47 @@ def test_r_apply_skew_under_residue_pairing(family):
     spec = all_specs(2)[family]
     rng = np.random.default_rng(16)
     q = np.array([0.5, -0.35])
-    xi, eta = random_laurent(rs, 2, rng), random_laurent(rs, 2, rng)
-    rxi, reta = R_apply(spec, q, xi), R_apply(spec, q, eta)
     nodes = 256
     zs = 0.3 * np.exp(2j * np.pi * np.arange(nodes) / nodes)
-    acc = sum((form(eta.eval(z), rxi.eval(z)) + form(xi.eval(z), reta.eval(z))) * z
-              for z in zs) / nodes
+    xi = LaurentElement(rs, random_laurent(rs, 2, rng), zs)
+    eta = LaurentElement(rs, random_laurent(rs, 2, rng), zs)
+    rxi, reta = R_apply(spec, q, xi), R_apply(spec, q, eta)
+    acc = sum((form(eta.values, rxi.values) + form(xi.values, reta.values)) * zs
+              ) / nodes
     assert abs(acc) < 1e-9
 
 
 def test_contour_coefficients_recover_principal_part():
     rs = build_root_system("A", 1)
     rng = np.random.default_rng(17)
-    xi = random_laurent(rs, 3, rng)
-    got = contour_coefficients(rs, xi.eval, 3, radius=0.4)
+    zs = ring_nodes(0.4, 256)
+    xi = LaurentElement(rs, random_laurent(rs, 3, rng), zs)
+    got = ring_coefficients(xi.values.vec, zs, 3)
     for j, x in enumerate(got, start=1):
-        assert (x - xi.principal_coeff(j)).max_abs() < 1e-12
+        assert (AlgElement(rs, x) - xi.principal_coeff(j)).max_abs() < 1e-12
 
 
 def test_laurent_trimming_and_eval():
     rs = build_root_system("A", 1)
     zero = AlgElement.zero(rs)
     x = AlgElement.basis(rs, 0)
-    le = LaurentElement(rs, [x, zero, zero])
+    le = LaurentElement(rs, [x.vec, zero.vec, zero.vec], [0.5])
     assert le.pole_order == 1
-    assert (le.eval(0.5) - 2.0 * x).max_abs() < 1e-14
+    assert (le.values - 2.0 * x).max_abs() < 1e-14
+
+
+def test_laurent_values_must_match_nodes():
+    rs = build_root_system("A", 1)
+    x = AlgElement.basis(rs, 0)
+    with pytest.raises(StructuralError):
+        LaurentElement(rs, [x.vec], [0.5, 0.6], [x.vec])
 
 
 @pytest.mark.parametrize("rank,family", [(1, "rational"), (2, "rational"),
                                          (1, "trigonometric"),
                                          (2, "trigonometric"),
-                                         (1, "elliptic")])
+                                         (1, "elliptic"), (2, "elliptic"),
+                                         (3, "elliptic")])
 def test_mdybe(rank, family):
     spec = all_specs(rank)[family]
     rng = np.random.default_rng(300 + rank)

@@ -85,8 +85,17 @@ def default_thresholds(family: str) -> dict:
     }
 
 
+def _require(value, kind: type, where: str):
+    """Reject a config value that is not a JSON object (kind dict) or list."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"{where} must be "
+                          f"{'an object' if kind is dict else 'a list'}, "
+                          f"got {value!r}")
+    return value
+
+
 def _reject_unknown(data: dict, allowed: set, where: str) -> None:
-    for key in data:
+    for key in _require(data, dict, where):
         if key not in allowed:
             raise ConfigError(f"unknown key {key!r} in {where}")
 
@@ -152,8 +161,7 @@ class RunConfig:
         if self.family == "rational":
             kwargs["delta_prime"] = _root_list(self.delta_prime, "delta_prime")
         elif self.family == "trigonometric":
-            kwargs["pi_prime"] = self.pi_prime if self.pi_prime == "full" \
-                else list(self.pi_prime)
+            kwargs["pi_prime"] = self.pi_prime
             if self.delta_plus is not None:
                 kwargs["delta_plus"] = _root_list(self.delta_plus,
                                                   "delta_plus")
@@ -223,6 +231,14 @@ def parse_config(data: dict) -> RunConfig:
     initial = data.get("initial")
     if initial is not None:
         _reject_unknown(initial, _INITIAL_KEYS, "initial")
+        for key in ("xi", "s"):
+            if key in initial:
+                _require(initial[key], dict, f"initial.{key}")
+    pi_prime = data.get("pi_prime", "full")
+    if pi_prime not in ("full", "empty") and any(
+            type(i) is not int for i in _require(pi_prime, list, "pi_prime")):
+        raise ConfigError(f"pi_prime: expected 'full', 'empty' or a list of "
+                          f"simple-root indices, got {pi_prime!r}")
     integration = dict(_INTEGRATION_DEFAULTS)
     _reject_unknown(data.get("integration", {}), _INTEGRATION_KEYS,
                     "integration")
@@ -230,6 +246,8 @@ def parse_config(data: dict) -> RunConfig:
     outputs = dict(_OUTPUT_DEFAULTS)
     _reject_unknown(data.get("outputs", {}), _OUTPUT_KEYS, "outputs")
     outputs.update(data.get("outputs", {}))
+    if outputs["z_samples"] is not None:
+        _require(outputs["z_samples"], list, "outputs.z_samples")
     thresholds = default_thresholds(data["family"])
     user_thresholds = data.get("thresholds", {})
     _reject_unknown(user_thresholds, set(thresholds), "thresholds")
@@ -240,7 +258,7 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError(f"seed must be an integer, got {seed!r}")
     return RunConfig(family=data["family"], rank=data["rank"],
                      delta_prime=data.get("delta_prime", "full"),
-                     pi_prime=data.get("pi_prime", "full"),
+                     pi_prime=pi_prime,
                      delta_plus=data.get("delta_plus"),
                      lattice=data.get("lattice"), seed=seed,
                      initial=initial, integration=integration,

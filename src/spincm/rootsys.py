@@ -199,25 +199,17 @@ class RootSystem:
         self.dual_index = dual
 
     def _build_structure(self) -> None:
-        dim = self.dim
-        f = np.zeros((dim, dim, dim))
-        for a in range(dim):
-            ma = self.basis_matrices[a]
-            for b in range(a + 1, dim):
-                mb = self.basis_matrices[b]
-                comm = ma @ mb - mb @ ma
-                coeffs = self._matrix_coefficients(comm)
-                f[a, b] = coeffs
-                f[b, a] = -coeffs
-        self.structure = f
+        m = self.basis_matrices
+        prod = np.einsum("aij,bjk->abik", m, m)
+        self.structure = self._matrix_coefficients(
+            prod - prod.transpose(1, 0, 2, 3))
 
     def _matrix_coefficients(self, mat: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.dim, dtype=mat.dtype)
-        diag = np.diagonal(mat)
-        out[: self.rank] = self.h_diag @ diag
-        for k, (a, b) in enumerate(self.eps_pairs):
-            out[self.rank + k] = mat[a, b]
-        return out
+        """Coordinates of traceless matrices (last two axes) over the basis."""
+        rows, cols = np.array(self.eps_pairs).T
+        diag = np.diagonal(mat, axis1=-2, axis2=-1)[..., None]
+        return np.concatenate([(self.h_diag @ diag)[..., 0],
+                               mat[..., rows, cols]], axis=-1)
 
     # -- basic queries -------------------------------------------------
 
@@ -347,10 +339,13 @@ class AlgElement:
 
 
 def bracket(x: AlgElement, y: AlgElement) -> AlgElement:
-    """Lie bracket [x, y]."""
+    """Lie bracket [x, y], contracted in two steps: t[b, c] = sum_a x_a
+    f[a, b, c], then [x, y]_c = sum_b y_b t[b, c] (batched matmuls)."""
     x._check(y)
-    vec = np.einsum("...a,...b,abc->...c", x.vec, y.vec, x.rs.structure)
-    return AlgElement(x.rs, vec)
+    dim = x.rs.dim
+    t = (x.vec @ x.rs.structure.reshape(dim, dim * dim)).reshape(
+        x.vec.shape[:-1] + (dim, dim))
+    return AlgElement(x.rs, (y.vec[..., None, :] @ t)[..., 0, :])
 
 
 def form(x: AlgElement, y: AlgElement):
@@ -375,12 +370,7 @@ def element_from_matrix(rs: RootSystem, mat: np.ndarray) -> AlgElement:
             f"matrix shape {mat.shape} does not fit sl({rs.matrix_size})")
     if abs(np.trace(mat)) > 1e-10 * max(1.0, float(np.abs(mat).max())):
         raise StructuralError("matrix has a nonzero trace")
-    out = np.zeros(rs.dim, dtype=complex)
-    diag = np.diagonal(mat)
-    out[: rs.rank] = rs.h_diag @ diag
-    for k, (a, b) in enumerate(rs.eps_pairs):
-        out[rs.rank + k] = mat[a, b]
-    return AlgElement(rs, out)
+    return AlgElement(rs, rs._matrix_coefficients(mat))
 
 
 def torus_adjoint(c_coords, x: AlgElement) -> AlgElement:

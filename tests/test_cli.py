@@ -360,6 +360,13 @@ def test_info_prints_system(tmp_path, capsys):
     assert payload["thresholds"]["cdybe"] == 1e-10
 
 
+def test_info_accepts_empty_pi_prime(tmp_path, capsys):
+    cfg = write_config(tmp_path, "info.json", {
+        "family": "trigonometric", "rank": 2, "pi_prime": "empty"})
+    assert main(["info", "--config", cfg]) == EXIT_PASS
+    assert json.loads(capsys.readouterr().out)["system"]["pi_prime"] == []
+
+
 _BASE = {"family": "rational", "rank": 1,
          "initial": {"preset": "free", "q": [0.7], "p": [0.3]},
          "integration": {"t_final": 0.5, "n_points": 5}}
@@ -378,6 +385,15 @@ _BASE = {"family": "rational", "rank": 1,
     {"outputs": {"kmax": 0}},
     {"thresholds": {"lax": "x"}},
     {"family": "elliptic", "lattice": {"omega1": [2.0, 0.0]}},
+    {"initial": 5},
+    {"integration": 5},
+    {"outputs": 5},
+    {"thresholds": 5},
+    {"outputs": {"z_samples": 5}},
+    {"initial": {"q": [0.7], "p": [0.3], "s": 5}},
+    {"initial": {"q": [0.7], "p": [0.3], "xi": 5}},
+    {"family": "trigonometric", "pi_prime": 5},
+    {"family": "trigonometric", "pi_prime": ["a"]},
 ], ids=lambda patch: json.dumps(patch))
 def test_bad_config_values_exit_with_config_error(tmp_path, capsys, patch):
     cfg = write_config(tmp_path, "bad.json", {**_BASE, **patch})

@@ -28,7 +28,8 @@ from spincm.errors import ConstraintError, StructuralError
 from spincm.phase import (PhaseFunction, PhaseGradient, PhasePoint,
                           ReducedPoint, gauge_g, lift_reduced,
                           linear_spin_function, momentum_J, project_pi,
-                          reduce_gradient, torus_action)
+                          reduce_gradient, reduced_roots,
+                          spin_invariant_gradient, torus_action)
 from spincm.phase import bracket_full
 from spincm.rootsys import (AlgElement, build_root_system, form, matrix_rep,
                             negate, torus_adjoint)
@@ -454,6 +455,32 @@ def test_reduced_flow_matches_projected_unreduced_flow():
         assert np.max(np.abs(proj.q - pt_d.q)) < 1e-8
         assert np.max(np.abs(proj.p - pt_d.p)) < 1e-8
         assert np.max(np.abs(proj.s - pt_d.s)) < 1e-7
+
+
+@pytest.mark.parametrize("family", ["rational", "trigonometric", "elliptic"])
+def test_reduced_field_is_pushforward_of_unreduced_field(family):
+    # s_dot = d s_gamma (unreduced field at the slice lift), pointwise on
+    # A_4 with every root value kept 0.5 clear of the walls
+    sys = make_system(family, 4, lattice=WIDE if family == "elliptic"
+                      else None)
+    rs = sys.rs
+    rng = np.random.default_rng(71)
+    n_s = rs.n_roots - rs.rank
+    for _ in range(3):
+        x = ReducedPoint(rs, np.zeros(4, dtype=complex),
+                         0.3 * rng.normal(size=4) + 0j,
+                         np.exp(2j * np.pi * rng.uniform(size=n_s)))
+        while collision_margin(sys, x) < 0.5:
+            x = ReducedPoint(rs, rng.uniform(-2, 2, size=4) + 0j, x.p, x.s)
+        lift = lift_reduced(x)
+        up = vector_field(sys, lift)
+        down = vector_field_reduced(sys, x)
+        pushed = np.array([form(up.xi, spin_invariant_gradient(lift.xi, g))
+                           for g in reduced_roots(rs)])
+        scale = np.max(np.abs(pushed))
+        assert np.max(np.abs(down.s - pushed)) < 1e-13 * scale
+        assert np.max(np.abs(down.q - up.q)) < 1e-14
+        assert np.max(np.abs(down.p - up.p)) < 1e-14
 
 
 def test_lax_pair_reduced_along_trajectory():

@@ -413,6 +413,28 @@ def test_spin_tensor_matches_pairwise_brackets():
             assert abs(p[a, b] - bracket_reduced(fa, fb, red)) < 1e-13
 
 
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_spin_tensor_is_the_lie_poisson_bracket_of_the_invariants(rank):
+    # P[a, b] = <xi, [d s_a, d s_b]> at the slice lift, with the
+    # differentials from spin_invariant_gradient instead of bracket_reduced
+    rs = build_root_system("A", rank)
+    rng = np.random.default_rng(17 + rank)
+    n_s = rs.n_roots - rs.rank
+    for _ in range(5):
+        s = rng.normal(size=n_s) + 1j * rng.normal(size=n_s)
+        red = ReducedPoint(rs, np.zeros(rank, dtype=complex),
+                           np.zeros(rank, dtype=complex), s)
+        xi = lift_reduced(red).xi
+        grads = [spin_invariant_gradient(xi, root)
+                 for root in reduced_roots(rs)]
+        ref = np.array([[form(xi, bracket(ga, gb)) for gb in grads]
+                        for ga in grads])
+        p = spin_tensor(red)
+        scale = max(np.max(np.abs(ref)), 1.0)
+        assert np.max(np.abs(p - ref)) < 1e-13 * scale
+        assert np.max(np.abs(p + p.T)) < 1e-13 * scale
+
+
 def test_reduced_jacobi_identity_via_finite_differences():
     rng = np.random.default_rng(16)
     rs = RS2

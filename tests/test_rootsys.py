@@ -88,6 +88,26 @@ def test_bracket_matches_matrix_commutator(rank):
 
 
 @pytest.mark.parametrize("rank", RANKS)
+@pytest.mark.parametrize("shape", [(), (3, 5)])
+def test_bracket_is_the_commutator_of_matrix_reps(rank, shape):
+    # single elements and batches, also a single element against a batch
+    rs = build_root_system("A", rank)
+    rng = np.random.default_rng(30 + rank)
+    x, y = (AlgElement(rs, rng.normal(size=shape + (rs.dim,))
+                       + 1j * rng.normal(size=shape + (rs.dim,)))
+            for _ in range(2))
+    single = AlgElement(rs, x.vec[(0,) * len(shape)])
+    for a, b in ((x, y), (single, y), (y, single)):
+        got = bracket(a, b).vec
+        assert got.shape == shape + (rs.dim,)
+        ma, mb = np.broadcast_arrays(matrix_rep(a), matrix_rep(b))
+        for idx in np.ndindex(shape):
+            comm = ma[idx] @ mb[idx] - mb[idx] @ ma[idx]
+            want = element_from_matrix(rs, comm).vec
+            assert np.max(np.abs(got[idx] - want)) < 1e-13
+
+
+@pytest.mark.parametrize("rank", RANKS)
 def test_form_is_trace_form_and_invariant(rank):
     rs = build_root_system("A", rank)
     rng = np.random.default_rng(30 + rank)

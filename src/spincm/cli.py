@@ -385,6 +385,7 @@ def cmd_simulate(config: RunConfig, out_dir: Path) -> int:
         "energy_drift": float(np.max(np.abs(traj.energy - traj.energy[0]))),
         "momentum_drift": float(np.max(traj.constraint)),
         "spectrum_drift": drift,
+        "solver": traj.stats,
         "trajectory_csv": str(csv_path),
     }
     diag_path = out_dir / config.outputs["diagnostics_json"]

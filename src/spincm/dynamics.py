@@ -32,10 +32,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import RK45
 
 from .elliptic import Lattice
 from .errors import ConstraintError, PoleError, StructuralError
+from .ode import DormandPrince
 from .phase import (PhaseFunction, PhaseGradient, PhasePoint, ReducedFunction,
                     ReducedGradient, ReducedPoint, bracket_reduced,
                     lift_reduced, lift_tangent, momentum_J, reduce_gradient,
@@ -125,6 +125,8 @@ class Trajectory:
     is the momentum drift max|J(t) - J(0)| for unreduced runs, identically 0
     for reduced ones).  A run stopped by the collision guard or a pole is
     returned truncated with ``completed`` False and a reason, not raised.
+    ``stats`` holds the solver's counts (``DormandPrince.stats``: nfev,
+    accepted, rejected, h_min, h_max); None when no solver ran.
     """
 
     times: np.ndarray
@@ -133,6 +135,7 @@ class Trajectory:
     constraint: np.ndarray
     completed: bool
     abort_reason: str | None = None
+    stats: dict | None = None
 
     @property
     def n_points(self) -> int:
@@ -158,7 +161,7 @@ def _spin_products(rs: RootSystem, root_block: np.ndarray) -> np.ndarray:
 
 def hamiltonian(sys: SystemSpec, x: PhasePoint) -> complex:
     """H = (1/2)|p|^2 - (1/2) sum_alpha w_alpha xi_alpha xi_{-alpha}."""
-    w = pair_weight(sys.lax_rmatrix, sys.rs.root_values(x.q))
+    w = pair_weight(sys.lax_rmatrix, sys.rs.root_values(x.q))[0]
     prod = _spin_products(sys.rs, x.xi.vec[sys.rs.rank:])
     return complex(0.5 * (x.p @ x.p) - 0.5 * (w @ prod))
 
@@ -166,8 +169,7 @@ def hamiltonian(sys: SystemSpec, x: PhasePoint) -> complex:
 def hamiltonian_gradient(sys: SystemSpec, x: PhasePoint) -> PhaseGradient:
     rs = sys.rs
     u = rs.root_values(x.q)
-    w = pair_weight(sys.lax_rmatrix, u)
-    w_du = pair_weight(sys.lax_rmatrix, u, du=1)
+    w, w_du = pair_weight(sys.lax_rmatrix, u)
     root_block = x.xi.vec[rs.rank:]
     prod = _spin_products(rs, root_block)
     dq = -0.5 * (rs.alpha_h.T @ (w_du * prod))
@@ -247,10 +249,12 @@ def integrate(sys: SystemSpec, x0, t_final: float, tol: float = 1e-10, *,
               max_steps: int = 200_000) -> Trajectory:
     """Integrate the (reduced or unreduced) flow from t = 0 to t_final.
 
-    Adaptive embedded Runge-Kutta 5(4) on the complex state vector; the
-    returned grid is uniform with ``n_points`` entries.  t_final may be
-    negative (backward flow).  Close approaches to the singular set truncate
-    the trajectory instead of raising.
+    Adaptive Dormand-Prince 5(4) (:class:`spincm.ode.DormandPrince`) on
+    the complex state vector; the returned grid is uniform with
+    ``n_points`` entries, filled from the dense output.  t_final may be
+    negative (backward flow).  Close approaches to the singular set, poles
+    and floating-point faults (also in the first evaluation) truncate the
+    trajectory instead of raising.
     """
     if not math.isfinite(t_final) or t_final == 0.0:
         raise StructuralError(f"t_final must be finite and nonzero, got "
@@ -268,6 +272,7 @@ def integrate(sys: SystemSpec, x0, t_final: float, tol: float = 1e-10, *,
     points = [x0]
     completed = True
     reason = None
+    solver = DormandPrince(rhs, 0.0, _pack_point(x0), t_final, tol, tol * 1e-2)
 
     margin = collision_margin(sys, x0)
     if margin < collision_tol:
@@ -275,34 +280,29 @@ def integrate(sys: SystemSpec, x0, t_final: float, tol: float = 1e-10, *,
         reason = (f"collision guard at t = 0: singular-set distance "
                   f"{margin:.3e} below {collision_tol:.1e}")
     else:
-        solver = RK45(rhs, 0.0, _pack_point(x0), t_final,
-                      rtol=tol, atol=tol * 1e-2)
         t_grid = np.linspace(0.0, t_final, n_points)
-        direction = 1.0 if t_final > 0 else -1.0
         idx = 1
-        steps = 0
-        while solver.status == "running":
-            steps += 1
-            if steps > max_steps:
+        while not solver.finished:
+            if solver.accepted >= max_steps:
                 completed = False
                 reason = f"step budget {max_steps} exhausted at t = {solver.t:.6g}"
                 break
             try:
-                solver.step()
+                stepped = solver.step()
             except (PoleError, ZeroDivisionError, FloatingPointError,
                     OverflowError) as exc:
                 completed = False
                 reason = f"integration aborted at t = {solver.t:.6g}: {exc}"
                 break
-            if solver.status == "failed":
+            if not stepped:
                 completed = False
                 reason = f"step-size control failed at t = {solver.t:.6g}"
                 break
-            dense = solver.dense_output()
             slack = 1e-12 * max(1.0, abs(solver.t))
             while idx < n_points and \
-                    (t_grid[idx] - solver.t) * direction <= slack:
-                points.append(_unpack_point(rs, dense(t_grid[idx]), reduced))
+                    (t_grid[idx] - solver.t) * solver.direction <= slack:
+                points.append(_unpack_point(rs, solver.dense(t_grid[idx]),
+                                            reduced))
                 times.append(float(t_grid[idx]))
                 idx += 1
             margin = collision_margin(
@@ -323,7 +323,7 @@ def integrate(sys: SystemSpec, x0, t_final: float, tol: float = 1e-10, *,
         constraint = np.array([
             float(np.max(np.abs(momentum_J(pt) - j0))) for pt in points])
     return Trajectory(np.array(times), points, energy, constraint,
-                      completed, reason)
+                      completed, reason, solver.stats)
 
 
 # ---------------------------------------------------------------------------

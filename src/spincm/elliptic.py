@@ -169,20 +169,22 @@ class Lattice:
         return _value(val + 2 * m * self.eta1 + 2 * n * self.eta2)
 
     @raise_on_fp_fault
-    def wp(self, z):
-        z0, _, _ = self._regular(z, "wp")
-        th, d1, d2, _ = self._theta1(z0)
-        lg2 = d2 / th - (d1 / th) ** 2
-        return _value(-self.eta1 / self.omega1
-                      - (math.pi / (2.0 * self.omega1)) ** 2 * lg2)
-
-    @raise_on_fp_fault
-    def wp_prime(self, z):
-        z0, _, _ = self._regular(z, "wp_prime")
+    def wp_pair(self, z):
+        """(wp(z), wp'(z)) from one theta_1 evaluation."""
+        z0 = self._regular(z, "wp")[0]
         th, d1, d2, d3 = self._theta1(z0)
         r1 = d1 / th
-        lg3 = d3 / th - 3.0 * (d2 / th) * r1 + 2.0 * r1 ** 3
-        return _value(-((math.pi / (2.0 * self.omega1)) ** 3) * lg3)
+        r2 = d2 / th
+        scale = math.pi / (2.0 * self.omega1)
+        wp = -self.eta1 / self.omega1 - scale ** 2 * (r2 - r1 ** 2)
+        wp_prime = -(scale ** 3) * (d3 / th - 3.0 * r2 * r1 + 2.0 * r1 ** 3)
+        return _value(wp), _value(wp_prime)
+
+    def wp(self, z):
+        return self.wp_pair(z)[0]
+
+    def wp_prime(self, z):
+        return self.wp_pair(z)[1]
 
     @raise_on_fp_fault
     def zeta_derivative(self, z, k: int):

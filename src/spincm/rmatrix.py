@@ -385,11 +385,12 @@ def root_coeff_reg0(spec: RMatrixSpec, u) -> np.ndarray:
 
 
 @raise_on_fp_fault
-def pair_weight(spec: RMatrixSpec, u, du: int = 0) -> np.ndarray:
-    """w_alpha(u_alpha) for every root, the weight of xi_alpha xi_{-alpha}
-    in H = |p|^2/2 - (1/2) sum_alpha w_alpha xi_alpha xi_{-alpha}, or its
-    u-derivative (du = 1).  w is even, so it is evaluated on the positive
-    roots and mirrored (w_{-alpha} = w_alpha, w'_{-alpha} = -w'_alpha)."""
+def pair_weight(spec: RMatrixSpec, u) -> tuple[np.ndarray, np.ndarray]:
+    """(w, w'): w_alpha(u_alpha) for every root, the weight of
+    xi_alpha xi_{-alpha} in H = |p|^2/2 - (1/2) sum_alpha w_alpha xi_alpha
+    xi_{-alpha}, and its u-derivative.  w is even, so both are evaluated on
+    the positive roots and mirrored (w_{-alpha} = w_alpha,
+    w'_{-alpha} = -w'_alpha); the elliptic pair comes from one theta pass."""
     rs = spec.rs
     up = np.asarray(u, dtype=complex)[..., :rs.n_pos]
     fam = spec.family
@@ -397,24 +398,23 @@ def pair_weight(spec: RMatrixSpec, u, du: int = 0) -> np.ndarray:
         dp = spec.dp_mask[:rs.n_pos]
         _root_guard(spec, dp & (np.abs(up) < _ZTOL),
                     "rational pair weight: (alpha, q) = 0")
-        w = np.divide(-2.0 if du else 1.0, up ** 3 if du else up * up,
-                      out=np.zeros(up.shape, dtype=complex), where=dp)
+        w = np.divide(1.0, up * up, out=np.zeros(up.shape, dtype=complex),
+                      where=dp)
+        w_du = np.divide(-2.0, up ** 3, out=np.zeros(up.shape, dtype=complex),
+                         where=dp)
     elif fam == "trigonometric":
         span = spec.span_mask[:rs.n_pos]
         s = np.sin(up)
         _root_guard(spec, span & (np.abs(s) < _ZTOL),
                     "trigonometric pair weight: sin (alpha, q) = 0")
-        zeros = np.zeros(up.shape, dtype=complex)
-        if du:
-            w = np.divide(-2.0 * np.cos(up), s ** 3, out=zeros, where=span)
-        else:
-            w = np.where(span, np.divide(1.0, s * s, out=zeros, where=span)
-                         - 1.0 / 3.0, 5.0 / 3.0)
+        w = np.where(span, np.divide(1.0, s * s, out=np.zeros(
+            up.shape, dtype=complex), where=span) - 1.0 / 3.0, 5.0 / 3.0)
+        w_du = np.divide(-2.0 * np.cos(up), s ** 3,
+                         out=np.zeros(up.shape, dtype=complex), where=span)
     else:
-        lat = spec.lattice
-        w = _on_lattice(spec, lambda: lat.wp_prime(up) if du else lat.wp(up),
-                        up)
-    return np.concatenate([w, -w if du else w], axis=-1)
+        w, w_du = _on_lattice(spec, lambda: spec.lattice.wp_pair(up), up)
+    return (np.concatenate([w, w], axis=-1),
+            np.concatenate([w_du, -w_du], axis=-1))
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,17 @@ def test_simulate_spinless_energy_constant(tmp_path):
     assert diag["energy_drift"] < 1e-8
 
 
+def test_simulate_reports_solver_stats(tmp_path):
+    cfg = spinless_sl2_config(tmp_path)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) \
+        == EXIT_PASS
+    solver = json.loads((tmp_path / "diagnostics.json").read_text())["solver"]
+    assert set(solver) == {"nfev", "accepted", "rejected", "h_min", "h_max"}
+    assert solver["accepted"] > 0
+    assert solver["nfev"] == 2 + 6 * (solver["accepted"] + solver["rejected"])
+    assert 0 < solver["h_min"] <= solver["h_max"] <= 1.0
+
+
 def test_simulate_free_preset_straight_line(tmp_path):
     cfg = write_config(tmp_path, "free.json", {
         "family": "rational", "rank": 1,

@@ -29,6 +29,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -373,8 +374,7 @@ def cmd_simulate(config: RunConfig, out_dir: Path) -> int:
     csv_path = out_dir / config.outputs["trajectory_csv"]
     write_trajectory_csv(csv_path, system, traj)
     kmax = config.outputs.get("kmax") or system.kmax
-    drift = spectrum_drift(system, traj, _z_grid(config), kmax) \
-        if traj.n_points > 1 else 0.0
+    drift = spectrum_drift(system, traj, _z_grid(config), kmax)
     diagnostics = {
         "system": system.describe(),
         "reduced": traj.reduced,
@@ -483,38 +483,26 @@ def _suite_axioms(system, config, rng) -> list[dict]:
 
 
 def _suite_cdybe(system, config, rng) -> list[dict]:
-    spec = system.rmatrix
-    worst = 0.0
     n = 10
-    for _ in range(n):
-        q = _random_q(rng, system)
-        z1, z2, z3 = _random_z_triple(rng)
-        worst = max(worst, verify_cdybe(spec, q, z1, z2, z3))
+    worst = max(verify_cdybe(system.rmatrix, _random_q(rng, system),
+                             *_random_z_triple(rng)) for _ in range(n))
     return [{"name": "cdybe", "samples": n, "max_residual": worst}]
 
 
 def _suite_mdybe(system, config, rng) -> list[dict]:
-    spec = system.rmatrix
-    rs = spec.rs
-    worst = 0.0
     n = 10
-    for _ in range(n):
-        q = _random_q(rng, system)
-        xi = _random_principal(rs, rng, 2)
-        eta = _random_principal(rs, rng, 2)
-        worst = max(worst, verify_mdybe(spec, q, xi, eta))
+    worst = max(verify_mdybe(system.rmatrix, _random_q(rng, system),
+                             _random_principal(system.rs, rng, 2),
+                             _random_principal(system.rs, rng, 2))
+                for _ in range(n))
     return [{"name": "mdybe", "samples": n, "max_residual": worst}]
 
 
 def _suite_lax(system, config, rng) -> list[dict]:
-    checks = []
     n = 5
-    worst = 0.0
-    for _ in range(n):
-        worst = max(worst, lax_pair_residual(
-            system, _random_sigma_point(system, rng)))
-    checks.append({"name": "lax_on_sigma", "samples": n,
-                   "max_residual": worst})
+    worst = max(lax_pair_residual(system, _random_sigma_point(system, rng))
+                for _ in range(n))
+    checks = [{"name": "lax_on_sigma", "samples": n, "max_residual": worst}]
     if system.family == "rational":
         worst = 0.0
         for _ in range(n):
@@ -526,22 +514,18 @@ def _suite_lax(system, config, rng) -> list[dict]:
             worst = max(worst, quasi_lax_residual(system, x))
         checks.append({"name": "quasi_lax_off_sigma", "samples": n,
                        "max_residual": worst})
-    worst = 0.0
     n_red = 3
-    for _ in range(n_red):
-        worst = max(worst, reduced_lax_residual(
-            system, _random_reduced_point(system, rng)))
+    worst = max(reduced_lax_residual(system, _random_reduced_point(system, rng))
+                for _ in range(n_red))
     checks.append({"name": "lax_reduced_pointwise", "samples": n_red,
                    "max_residual": worst})
     return checks
 
 
 def _suite_involution(system, config, rng) -> list[dict]:
-    worst = 0.0
     n = 3
-    for _ in range(n):
-        worst = max(worst, involution_check(
-            system, _random_reduced_point(system, rng), _INVOLUTION_BATTERY))
+    worst = max(involution_check(system, _random_reduced_point(system, rng),
+                                 _INVOLUTION_BATTERY) for _ in range(n))
     return [{"name": "involution", "samples": n * len(_INVOLUTION_BATTERY),
              "max_residual": worst}]
 
@@ -711,7 +695,10 @@ def cmd_info(config: RunConfig) -> int:
 # entry point
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; argparse looks up
+    sys.stdout and sys.stderr only when it prints."""
     parser = argparse.ArgumentParser(
         prog="spincm",
         description="spin Calogero-Moser systems: simulation, reduction "
@@ -749,8 +736,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
         if getattr(args, "seed", None) is not None:
@@ -766,18 +752,11 @@ def main(argv=None) -> int:
                               threshold_scale=args.threshold_scale,
                               inject_fault=args.inject_fault,
                               seed=args.seed)
-        if args.command == "reduce":
-            return cmd_reduce(config, args.trajectory, out_dir)
-        raise ConfigError(f"unknown command {args.command!r}")
-    except ConfigError as exc:
-        print(f"spincm: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (PoleError, GaugeDomainError, ConstraintError) as exc:
-        print(f"spincm: {exc}", file=sys.stderr)
-        return EXIT_SINGULARITY
+        return cmd_reduce(config, args.trajectory, out_dir)
     except SpincmError as exc:
         print(f"spincm: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        singular = (PoleError, GaugeDomainError, ConstraintError)
+        return EXIT_SINGULARITY if isinstance(exc, singular) else EXIT_CONFIG
 
 
 if __name__ == "__main__":

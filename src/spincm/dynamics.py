@@ -34,18 +34,19 @@ from typing import Sequence
 import numpy as np
 
 from .elliptic import Lattice
-from .errors import ConstraintError, PoleError, StructuralError
+from .errors import (ConstraintError, PoleError, StructuralError,
+                     raise_on_fp_fault)
 from .ode import DormandPrince
 from .phase import (PhaseFunction, PhaseGradient, PhasePoint, ReducedFunction,
                     ReducedGradient, ReducedPoint, bracket_reduced,
-                    lift_reduced, lift_tangent, momentum_J, reduce_gradient,
-                    reduced_roots, spin_tensor)
+                    lift_reduced, lift_tangent, momentum_J, reduced_roots,
+                    slice_lift, spin_chain)
 from .rmatrix import (LaurentElement, RMatrixSpec, R_apply, R_directional,
-                      cartan_coeff, elliptic_r_matrix, pair_weight, r_tensor,
-                      rational_r_matrix, ring_nodes, root_coeff,
+                      cartan_coeff, elliptic_r_matrix, positive_pair_weight,
+                      r_tensor, rational_r_matrix, ring_nodes, root_coeff,
                       root_coeff_reg0, trigonometric_r_matrix)
 from .rootsys import (AlgElement, RootSystem, bracket, build_root_system,
-                      coadjoint_action, form, matrix_rep, root_label)
+                      form, matrix_rep, root_label)
 
 
 # ---------------------------------------------------------------------------
@@ -151,31 +152,82 @@ class Trajectory:
 
 # ---------------------------------------------------------------------------
 # Hamiltonians and vector fields
+#
+# One flat core serves both flows.  A state is one coordinate array,
+# q | p | xi, or q | p | s for the reduced flow, whose spin is taken at the
+# slice lift; the point classes are wrapped around it only at the edges.
 
 
-def _spin_products(rs: RootSystem, root_block: np.ndarray) -> np.ndarray:
-    """xi_alpha xi_{-alpha} for every root, from the root block of xi."""
-    neg = rs.dual_index[rs.rank:] - rs.rank
-    return root_block * root_block[neg]
+def _pack_point(x) -> np.ndarray:
+    spin = x.s if isinstance(x, ReducedPoint) else x.xi.vec
+    return np.concatenate([x.q, x.p, spin]).astype(complex)
+
+
+def _unpack_point(rs: RootSystem, y: np.ndarray, reduced: bool):
+    q, p, spin = (a.copy() for a in _split(rs, y, False))
+    return ReducedPoint(rs, q, p, spin) if reduced else \
+        PhasePoint(q, p, AlgElement(rs, spin))
+
+
+def _split(rs: RootSystem, y: np.ndarray, reduced: bool) -> tuple:
+    """(q, p, xi) of the states y (leading axes stack states); a reduced
+    state's spin is taken at its slice lift."""
+    n = rs.rank
+    spin = y[..., 2 * n:]
+    return (y[..., :n], y[..., n:2 * n],
+            slice_lift(rs, spin) if reduced else spin)
+
+
+def _gradient(sys: SystemSpec, q, xi) -> tuple[np.ndarray, np.ndarray]:
+    """dH/dq and w xi = -dH/dxi (w_alpha xi_alpha on the roots, 0 on the
+    Cartan block) at the coordinates q, xi (leading axes kept).  w is even,
+    so one weight call on the positive roots serves every root."""
+    rs = sys.rs
+    w, w_du = positive_pair_weight(sys.lax_rmatrix,
+                                   q @ rs.alpha_h[:rs.n_pos].T)
+    roots = xi[..., rs.rank:]
+    prod = roots[..., :rs.n_pos] * roots[..., rs.n_pos:]
+    weights = np.concatenate([np.zeros(w.shape[:-1] + (rs.rank,)), w, w], -1)
+    return -((w_du * prod) @ rs.alpha_h[:rs.n_pos]), weights * xi
+
+
+@raise_on_fp_fault
+def _energy(sys: SystemSpec, q, p, xi) -> np.ndarray:
+    """H = (1/2)|p|^2 - (1/2) <w xi, xi> at the coordinates q, p, xi;
+    leading axes stack points."""
+    wxi = _gradient(sys, q, xi)[1]
+    return 0.5 * (np.sum(p * p, axis=-1)
+                  - np.sum(wxi * xi[..., sys.rs.dual_index], axis=-1))
+
+
+@raise_on_fp_fault
+def _flow(sys: SystemSpec, y: np.ndarray, reduced: bool) -> np.ndarray:
+    """The vector field at the state y: (dq, dp) = (p, -dH/dq) and the
+    coadjoint spin leg d(I xi) = [w xi, I xi]; on a reduced state s_dot =
+    -P dH_0/ds with P = C F C^T (:func:`spincm.phase.spin_tensor`) applied
+    vector-first, F v = I [v, I xi].  One fault guard covers it all."""
+    rs = sys.rs
+    q, p, xi = _split(rs, y, reduced)
+    dq, wxi = _gradient(sys, q, xi)
+    xi = AlgElement(rs, xi)
+    if reduced:
+        chain = spin_chain(rs, y[2 * rs.rank:])
+        v = AlgElement(rs, wxi[rs.dual_index[2 * rs.rank:]] @ chain)
+        dspin = chain @ bracket(v, xi).vec[rs.dual_index]
+    else:
+        dspin = bracket(AlgElement(rs, wxi), xi).vec
+    return np.concatenate([p, -dq, dspin])
 
 
 def hamiltonian(sys: SystemSpec, x: PhasePoint) -> complex:
     """H = (1/2)|p|^2 - (1/2) sum_alpha w_alpha xi_alpha xi_{-alpha}."""
-    w = pair_weight(sys.lax_rmatrix, sys.rs.root_values(x.q))[0]
-    prod = _spin_products(sys.rs, x.xi.vec[sys.rs.rank:])
-    return complex(0.5 * (x.p @ x.p) - 0.5 * (w @ prod))
+    return complex(_energy(sys, x.q, x.p, x.xi.vec))
 
 
+@raise_on_fp_fault
 def hamiltonian_gradient(sys: SystemSpec, x: PhasePoint) -> PhaseGradient:
-    rs = sys.rs
-    u = rs.root_values(x.q)
-    w, w_du = pair_weight(sys.lax_rmatrix, u)
-    root_block = x.xi.vec[rs.rank:]
-    prod = _spin_products(rs, root_block)
-    dq = -0.5 * (rs.alpha_h.T @ (w_du * prod))
-    dxi_vec = np.zeros(rs.dim, dtype=complex)
-    dxi_vec[rs.rank:] = -w * root_block
-    return PhaseGradient(dq, x.p.copy(), AlgElement(rs, dxi_vec))
+    dq, wxi = _gradient(sys, x.q, x.xi.vec)
+    return PhaseGradient(dq, x.p.copy(), AlgElement(sys.rs, -wxi))
 
 
 def hamiltonian_function(sys: SystemSpec) -> PhaseFunction:
@@ -192,8 +244,7 @@ def vector_field(sys: SystemSpec, x: PhasePoint) -> PhasePoint:
     -[X, I xi]; this is the orientation under which the spectral
     invariants of the Lax operator are conserved.
     """
-    g = hamiltonian_gradient(sys, x)
-    return PhasePoint(g.dp, -g.dq, coadjoint_action(g.dxi, x.xi))
+    return _unpack_point(sys.rs, _flow(sys, _pack_point(x), False), False)
 
 
 def hamiltonian_reduced(sys: SystemSpec, x_red: ReducedPoint) -> complex:
@@ -205,43 +256,38 @@ def vector_field_reduced(sys: SystemSpec, x_red: ReducedPoint) -> ReducedPoint:
     """Reduced flow in (q, p, s): canonical part plus s_dot = -P dH_0/ds
     with P the reduced spin tensor, mirroring the coadjoint orientation of
     the unreduced flow."""
-    g = reduce_gradient(hamiltonian_gradient(sys, lift_reduced(x_red)))
-    p_tensor = spin_tensor(x_red)
-    return ReducedPoint(sys.rs, g.dp, -g.dq, -(p_tensor @ g.ds))
+    return _unpack_point(sys.rs, _flow(sys, _pack_point(x_red), True), True)
 
 
 # ---------------------------------------------------------------------------
 # integration
 
 
-def collision_margin(sys: SystemSpec, x) -> float:
-    """Distance of q to the singular set of the active pair weights: min
-    |(alpha,q)| (rational), min |sin (alpha,q)| (trigonometric span), min
-    lattice distance (elliptic).  inf when the case has no singular roots."""
-    spec = sys.rmatrix
-    u = sys.rs.root_values(x.q)
-    fam = sys.family
-    if fam == "rational":
-        vals = np.abs(u[spec.dp_mask])
-    elif fam == "trigonometric":
-        vals = np.abs(np.sin(u[spec.span_mask]))
+def _margin(sys: SystemSpec, q) -> float:
+    """:func:`collision_margin` at q, from the positive roots alone: |u|,
+    |sin u| and the lattice distance are even in u."""
+    spec, n_pos = sys.rmatrix, sys.rs.n_pos
+    u = sys.rs.alpha_h[:n_pos] @ q
+    if sys.family == "rational":
+        vals = np.abs(u[spec.dp_mask[:n_pos]])
+    elif sys.family == "trigonometric":
+        vals = np.abs(np.sin(u[spec.span_mask[:n_pos]]))
     else:
         vals = spec.lattice.lattice_distance(u)
     return float(vals.min()) if vals.size else math.inf
 
 
-def _pack_point(x) -> np.ndarray:
-    if isinstance(x, ReducedPoint):
-        return np.concatenate([x.q, x.p, x.s]).astype(complex)
-    return np.concatenate([x.q, x.p, x.xi.vec]).astype(complex)
+def collision_margin(sys: SystemSpec, x) -> float:
+    """Distance of q to the singular set of the active pair weights: min
+    |(alpha,q)| (rational), min |sin (alpha,q)| (trigonometric span), min
+    lattice distance (elliptic).  inf when the case has no singular roots."""
+    return _margin(sys, np.asarray(x.q, dtype=complex))
 
 
-def _unpack_point(rs: RootSystem, y: np.ndarray, reduced: bool):
-    n = rs.rank
-    q, p = y[:n].copy(), y[n:2 * n].copy()
-    if reduced:
-        return ReducedPoint(rs, q, p, y[2 * n:].copy())
-    return PhasePoint(q, p, AlgElement(rs, y[2 * n:].copy()))
+def _coords(points: list) -> tuple:
+    """(q, p, xi) stacked over points, reduced ones at their slice lift."""
+    return _split(points[0].rs, np.array([_pack_point(pt) for pt in points]),
+                  isinstance(points[0], ReducedPoint))
 
 
 def integrate(sys: SystemSpec, x0, t_final: float, tol: float = 1e-10, *,
@@ -254,94 +300,76 @@ def integrate(sys: SystemSpec, x0, t_final: float, tol: float = 1e-10, *,
     ``n_points`` entries, filled from the dense output.  t_final may be
     negative (backward flow).  Close approaches to the singular set, poles
     and floating-point faults (also in the first evaluation) truncate the
-    trajectory instead of raising.
+    trajectory instead of raising.  The energy and momentum columns are
+    evaluated once over all grid points.
     """
     if not math.isfinite(t_final) or t_final == 0.0:
         raise StructuralError(f"t_final must be finite and nonzero, got "
                               f"{t_final}")
     if not (math.isfinite(tol) and tol > 0.0):
         raise StructuralError(f"tol must be finite and positive, got {tol}")
-    rs = sys.rs
+    n = sys.rs.rank
     reduced = isinstance(x0, ReducedPoint)
-    field = vector_field_reduced if reduced else vector_field
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return _pack_point(field(sys, _unpack_point(rs, y, reduced)))
-
-    times = [0.0]
-    points = [x0]
-    completed = True
+    states = [_pack_point(x0)]
     reason = None
-    solver = DormandPrince(rhs, 0.0, _pack_point(x0), t_final, tol, tol * 1e-2)
-
-    margin = collision_margin(sys, x0)
-    if margin < collision_tol:
-        completed = False
-        reason = (f"collision guard at t = 0: singular-set distance "
-                  f"{margin:.3e} below {collision_tol:.1e}")
-    else:
-        t_grid = np.linspace(0.0, t_final, n_points)
-        idx = 1
-        while not solver.finished:
-            if solver.accepted >= max_steps:
-                completed = False
-                reason = f"step budget {max_steps} exhausted at t = {solver.t:.6g}"
-                break
-            try:
-                stepped = solver.step()
-            except (PoleError, ZeroDivisionError, FloatingPointError,
-                    OverflowError) as exc:
-                completed = False
-                reason = f"integration aborted at t = {solver.t:.6g}: {exc}"
-                break
-            if not stepped:
-                completed = False
+    solver = DormandPrince(lambda t, y: _flow(sys, y, reduced), 0.0,
+                           states[0], t_final, tol, tol * 1e-2)
+    t_grid = np.linspace(0.0, t_final, n_points)
+    while True:
+        margin = _margin(sys, solver.y[:n])
+        if margin < collision_tol:
+            reason = (f"collision guard at t = {solver.t:.6g}: singular-set "
+                      f"distance {margin:.3e} below {collision_tol:.1e}")
+            break
+        if solver.finished:
+            break
+        if solver.accepted >= max_steps:
+            reason = f"step budget {max_steps} exhausted at t = {solver.t:.6g}"
+            break
+        try:
+            if not solver.step():
                 reason = f"step-size control failed at t = {solver.t:.6g}"
                 break
-            slack = 1e-12 * max(1.0, abs(solver.t))
-            while idx < n_points and \
-                    (t_grid[idx] - solver.t) * solver.direction <= slack:
-                points.append(_unpack_point(rs, solver.dense(t_grid[idx]),
-                                            reduced))
-                times.append(float(t_grid[idx]))
-                idx += 1
-            margin = collision_margin(
-                sys, _unpack_point(rs, solver.y, reduced))
-            if margin < collision_tol:
-                completed = False
-                reason = (f"collision guard at t = {solver.t:.6g}: "
-                          f"singular-set distance {margin:.3e} below "
-                          f"{collision_tol:.1e}")
-                break
+        except (PoleError, ZeroDivisionError, FloatingPointError,
+                OverflowError) as exc:
+            reason = f"integration aborted at t = {solver.t:.6g}: {exc}"
+            break
+        slack = 1e-12 * max(1.0, abs(solver.t))
+        while len(states) < n_points and \
+                (t_grid[len(states)] - solver.t) * solver.direction <= slack:
+            states.append(solver.dense(t_grid[len(states)]))
 
-    h_fn = hamiltonian_reduced if reduced else hamiltonian
-    energy = np.array([h_fn(sys, pt) for pt in points])
-    if reduced:
-        constraint = np.zeros(len(points))
-    else:
-        j0 = momentum_J(x0)
-        constraint = np.array([
-            float(np.max(np.abs(momentum_J(pt) - j0))) for pt in points])
-    return Trajectory(np.array(times), points, energy, constraint,
-                      completed, reason, solver.stats)
+    q, p, xi = _split(sys.rs, np.array(states), reduced)
+    points = [x0] + [_unpack_point(sys.rs, y, reduced) for y in states[1:]]
+    return Trajectory(t_grid[:len(states)], points, _energy(sys, q, p, xi),
+                      np.max(np.abs(xi[:, :n] - xi[0, :n]), axis=-1),
+                      reason is None, reason, solver.stats)
 
 
 # ---------------------------------------------------------------------------
 # Lax operators
 
 
+def _lax(sys: SystemSpec, q, p, xi, z) -> AlgElement:
+    """L(z) at the coordinates q, p, xi, whose leading axes stack points:
+    one element per point and z, of batch shape points + z.shape."""
+    rs = sys.rs
+    spec = sys.lax_rmatrix
+    z = np.asarray(z, dtype=complex)
+    u, p, xi = (np.expand_dims(a, tuple(range(a.ndim - 1, a.ndim - 1 + z.ndim)))
+                for a in (q @ rs.alpha_h.T, p, xi))
+    vec = np.zeros(np.broadcast_shapes(xi.shape[:-1], z.shape) + (rs.dim,),
+                   dtype=complex)
+    vec[..., :rs.rank] = (p + np.expand_dims(cartan_coeff(spec, z), -1)
+                          * xi[..., :rs.rank])
+    vec[..., rs.rank:] = root_coeff(spec, u, z[..., None]) * xi[..., rs.rank:]
+    return AlgElement(rs, vec)
+
+
 def lax_L(sys: SystemSpec, x: PhasePoint, z) -> AlgElement:
     """L(q,p,xi)(z) = p + f(z) (I xi)_h + sum c_alpha((alpha,q), z) xi_alpha
     e_alpha; an array of z gives one element per z (batch axes first)."""
-    rs = sys.rs
-    spec = sys.lax_rmatrix
-    u = rs.root_values(x.q)
-    z = np.asarray(z, dtype=complex)
-    vec = np.zeros(z.shape + (rs.dim,), dtype=complex)
-    vec[..., :rs.rank] = (x.p + np.expand_dims(cartan_coeff(spec, z), -1)
-                          * x.xi.vec[:rs.rank])
-    vec[..., rs.rank:] = root_coeff(spec, u, z[..., None]) * x.xi.vec[rs.rank:]
-    return AlgElement(rs, vec)
+    return _lax(sys, x.q, x.p, x.xi.vec, z)
 
 
 def lax_L_reg0(sys: SystemSpec, x: PhasePoint) -> AlgElement:
@@ -467,51 +495,57 @@ def quasi_lax_residual(sys: SystemSpec, x: PhasePoint,
 # conserved quantities and spectral curves
 
 
+def _spectrum_tables(sys: SystemSpec, points: list, z, kmax: int | None
+                     ) -> np.ndarray:
+    """h_k(z) = tr(rho(L(z))^k)/k for every point (L_0 for reduced ones),
+    z and k, of shape (len(points), len(z), kmax): one stacked evaluation."""
+    mat = matrix_rep(_lax(sys, *_coords(points), z))
+    acc, out = mat, []
+    for k in range(1, (kmax or sys.kmax) + 1):
+        out.append(np.trace(acc, axis1=-2, axis2=-1) / k)
+        acc = acc @ mat
+    return np.stack(out, axis=-1)
+
+
 def conserved_spectrum(sys: SystemSpec, x, z_samples: Sequence[complex],
                        kmax: int | None = None) -> np.ndarray:
     """Table h_k(z) = tr(rho(L(z))^k)/k, shape (len(z_samples), kmax).
 
     Accepts PhasePoints (L) and ReducedPoints (L_0).
     """
-    if kmax is None:
-        kmax = sys.kmax
-    lax = lax_L0 if isinstance(x, ReducedPoint) else lax_L
-    mat = matrix_rep(lax(sys, x, z_samples))
-    out = np.zeros((len(z_samples), kmax), dtype=complex)
-    acc = mat
-    for k in range(1, kmax + 1):
-        out[:, k - 1] = np.trace(acc, axis1=-2, axis2=-1) / k
-        acc = acc @ mat
-    return out
+    return _spectrum_tables(sys, [x], z_samples, kmax)[0]
 
 
 def spectrum_drift(sys: SystemSpec, traj: Trajectory,
                    z_samples: Sequence[complex] | None = None,
                    kmax: int | None = None) -> float:
     """Largest relative drift of any h_k(z) along the trajectory, with the
-    per-entry denominator max(1, |h_k(z)(0)|)."""
+    per-entry denominator max(1, |h_k(z)(0)|); all points in one stacked
+    evaluation."""
     if z_samples is None:
         z_samples = default_z_samples()
-    base = conserved_spectrum(sys, traj.points[0], z_samples, kmax)
-    denom = np.maximum(1.0, np.abs(base))
-    worst = 0.0
-    for pt in traj.points[1:]:
-        table = conserved_spectrum(sys, pt, z_samples, kmax)
-        worst = max(worst, float(np.max(np.abs(table - base) / denom)))
-    return worst
+    tables = _spectrum_tables(sys, traj.points, z_samples, kmax)
+    return float(np.max(np.abs(tables - tables[0])
+                        / np.maximum(1.0, np.abs(tables[0]))))
+
+
+def _curves(sys: SystemSpec, points: list, z_grid) -> np.ndarray:
+    """Monic coefficients of det(w Id - rho(L(z))) in w, highest power
+    first, for every point (L_0 for reduced ones) and grid z: the product
+    of the factors (w - lambda) over the eigenvalues, as in numpy.poly."""
+    eig = np.linalg.eigvals(matrix_rep(_lax(sys, *_coords(points), z_grid)))
+    coeffs = np.ones(eig.shape[:-1] + (1,), dtype=complex)
+    for k in range(eig.shape[-1]):
+        zero = np.zeros(eig.shape[:-1] + (1,))
+        coeffs = (np.concatenate([coeffs, zero], -1)
+                  - eig[..., k, None] * np.concatenate([zero, coeffs], -1))
+    return coeffs
 
 
 def spectral_curve(sys: SystemSpec, x, z_grid: Sequence[complex]) -> np.ndarray:
     """Coefficients of det(w Id - rho(L(z))) in w, one row per grid z, highest
-    power first (monic).  Reduced points use L_0.  The product of the
-    factors (w - lambda) over the eigenvalues, as in numpy.poly."""
-    lax = lax_L0 if isinstance(x, ReducedPoint) else lax_L
-    eig = np.linalg.eigvals(matrix_rep(lax(sys, x, z_grid)))
-    coeffs = np.ones((len(z_grid), 1), dtype=complex)
-    for lam in eig.T:
-        coeffs = (np.pad(coeffs, ((0, 0), (0, 1)))
-                  - lam[:, None] * np.pad(coeffs, ((0, 0), (1, 0))))
-    return coeffs
+    power first (monic).  Reduced points use L_0."""
+    return _curves(sys, [x], z_grid)[0]
 
 
 def hamiltonian_quadrature(sys: SystemSpec, x: PhasePoint, *,
@@ -537,14 +571,9 @@ def _gauge_compensator(sys: SystemSpec, x_red: ReducedPoint) -> AlgElement:
     unreduced flow at the slice lift; subtracting it from B keeps the simple
     spin components pinned at 1."""
     rs = sys.rs
-    v = vector_field(sys, lift_reduced(x_red))
-    xdot = np.array([v.xi.coeff(a) for a in rs.simple_roots])
-    c_inv = np.array([[float(c) for c in row] for row in rs.cartan_inverse])
-    c = c_inv @ xdot
-    coords = np.zeros(rs.rank, dtype=complex)
-    for i, simple in enumerate(rs.simple_roots):
-        coords += c[i] * rs.coroot_coordinates(simple)
-    return AlgElement.cartan(rs, coords)
+    xdot = vector_field(sys, lift_reduced(x_red)).xi.vec[rs.rank:2 * rs.rank]
+    c_inv = np.array(rs.cartan_inverse, dtype=float)
+    return AlgElement.cartan(rs, (c_inv @ xdot) @ rs.alpha_h[:rs.rank])
 
 
 def lax_B0(sys: SystemSpec, x_red: ReducedPoint, nodes) -> LaurentElement:
@@ -577,17 +606,12 @@ def lax_pair_reduced(sys: SystemSpec, traj: Trajectory,
         raise StructuralError("lax_pair_reduced expects a reduced trajectory")
     if z_samples is None:
         z_samples = default_z_samples()
-    base = spectral_curve(sys, traj.points[0], z_samples)
-    iso = 0.0
-    for pt in traj.points[1:]:
-        cur = spectral_curve(sys, pt, z_samples)
-        iso = max(iso, float(np.max(np.abs(cur - base))))
+    curves = _curves(sys, traj.points, z_samples)
+    iso = float(np.max(np.abs(curves - curves[0])))
     sel = sorted(set(np.linspace(0, len(traj.points) - 1,
                                  n_residual_points).astype(int)))
-    lax = 0.0
-    for idx in sel:
-        lax = max(lax, reduced_lax_residual(sys, traj.points[idx],
-                                            z_samples))
+    lax = max(reduced_lax_residual(sys, traj.points[idx], z_samples)
+              for idx in sel)
     return {
         "isospectral_drift": iso,
         "lax_residual": lax,
@@ -633,12 +657,9 @@ def involution_check(sys: SystemSpec, x_red: ReducedPoint,
                                            tuple[int, complex]]]) -> float:
     """max |{h_{k1}(z1), h_{k2}(z2)}_red| over the requested pairs of
     (k, z) specs."""
-    worst = 0.0
-    for (k1, z1), (k2, z2) in pairs:
-        f = spectral_function(sys, k1, z1)
-        g = spectral_function(sys, k2, z2)
-        worst = max(worst, abs(bracket_reduced(f, g, x_red)))
-    return worst
+    return max((abs(bracket_reduced(spectral_function(sys, k1, z1),
+                                    spectral_function(sys, k2, z2), x_red))
+                for (k1, z1), (k2, z2) in pairs), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -663,18 +684,11 @@ def fpbr_residual(sys: SystemSpec, x: PhasePoint, z: complex,
     f = rs.structure
     # component differentials of L with respect to xi coincide with the
     # unfaulted r-matrix pattern: L_a(z) = p_a + <r(q,z), 1 (x) xi>_a
-    rz = r_tensor(spec_l, q, z).mat
-    rw = r_tensor(spec_l, q, w).mat
-    lz = lax_L(sys, x, z).vec
-    lw = lax_L(sys, x, w).vec
-
-    dq_z = np.zeros((rs.dim, rs.rank), dtype=complex)
-    dq_w = np.zeros((rs.dim, rs.rank), dtype=complex)
-    for i, e_i in enumerate(np.eye(rs.rank)):
-        dq_z[:, i] = r_tensor(spec_l, q, z,
-                              direction=e_i).pair_second(x.xi).vec
-        dq_w[:, i] = r_tensor(spec_l, q, w,
-                              direction=e_i).pair_second(x.xi).vec
+    rz, rw = r_tensor(spec_l, q, [z, w]).mat
+    lz, lw = lax_L(sys, x, [z, w]).vec
+    dq_z, dq_w = np.moveaxis(np.array([
+        r_tensor(spec_l, q, [z, w], direction=e_i).pair_second(x.xi).vec
+        for e_i in np.eye(rs.rank)]), 0, -1)
 
     lhs = np.zeros((rs.dim, rs.dim), dtype=complex)
     # canonical part with the bracket_full orientation {p_i, q_j} = +delta:
@@ -719,17 +733,12 @@ def trajectory_csv_rows(sys: SystemSpec, traj: Trajectory,
     header += list(extra.keys())
     rows = []
     for idx, pt in enumerate(traj.points):
+        spins = pt.s if reduced else pt.xi.vec[rank:]
         row = [f"{traj.times[idx]:.17g}"]
-        row += [format_complex(v) for v in pt.q]
-        row += [format_complex(v) for v in pt.p]
-        if reduced:
-            row += [format_complex(v) for v in pt.s]
-        else:
-            row += [format_complex(pt.xi.coeff(r)) for r in rs.roots]
-        row.append(format_complex(traj.energy[idx]))
-        row.append(f"{traj.constraint[idx]:.17g}")
-        for col in extra.values():
-            row.append(format_complex(col[idx]))
+        row += [format_complex(v) for v in np.concatenate([pt.q, pt.p, spins])]
+        row += [format_complex(traj.energy[idx]),
+                f"{traj.constraint[idx]:.17g}"]
+        row += [format_complex(col[idx]) for col in extra.values()]
         rows.append(row)
     return header, rows
 

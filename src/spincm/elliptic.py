@@ -168,9 +168,9 @@ class Lattice:
         val = self.eta1 * z0 / self.omega1 + (math.pi / (2.0 * self.omega1)) * d1 / th
         return _value(val + 2 * m * self.eta1 + 2 * n * self.eta2)
 
-    @raise_on_fp_fault
-    def wp_pair(self, z):
-        """(wp(z), wp'(z)) from one theta_1 evaluation."""
+    def wp_pair_kernel(self, z):
+        """(wp(z), wp'(z)) from one theta_1 evaluation, for callers that
+        hold a fault guard; ``wp_pair`` is it under raise_on_fp_fault."""
         z0 = self._regular(z, "wp")[0]
         th, d1, d2, d3 = self._theta1(z0)
         r1 = d1 / th
@@ -179,6 +179,8 @@ class Lattice:
         wp = -self.eta1 / self.omega1 - scale ** 2 * (r2 - r1 ** 2)
         wp_prime = -(scale ** 3) * (d3 / th - 3.0 * r2 * r1 + 2.0 * r1 ** 3)
         return _value(wp), _value(wp_prime)
+
+    wp_pair = raise_on_fp_fault(wp_pair_kernel)
 
     def wp(self, z):
         return self.wp_pair(z)[0]
@@ -234,18 +236,16 @@ def wp_prime(lattice: Lattice, z):
 @raise_on_fp_fault
 def l_kernel(lattice: Lattice, w, z):
     """Two-variable kernel l(w, z) = -sigma(w+z) / (sigma(w) sigma(z)),
-    elementwise over the broadcast of w and z.
+    elementwise over the broadcast of w and z (the pole guards and sigma(w),
+    sigma(z) run on the arguments as given, unbroadcast).
 
     Symmetric in its arguments, with a simple pole of residue -1 in z at the
     lattice.  Poles occur where sigma(w) or sigma(z) vanish, and only there;
     w + z on the lattice gives a regular zero, so it is not guarded.
     """
-    w, z = np.broadcast_arrays(np.asarray(w, dtype=complex),
-                               np.asarray(z, dtype=complex))
-    near = lattice.lattice_distance(np.stack([w, z])) < POLE_TOL
-    for arg, bad in zip(("first", "second"), near):
-        if np.any(bad):
+    w, z = np.asarray(w, dtype=complex), np.asarray(z, dtype=complex)
+    for arg, val in (("first", w), ("second", z)):
+        if np.any(lattice.lattice_distance(val) < POLE_TOL):
             raise PoleError(f"l_kernel: {arg} argument within pole tolerance "
                             "of the lattice")
-    s = lattice.sigma(np.stack([w + z, w, z]))
-    return _value(-s[0] / (s[1] * s[2]))
+    return _value(-lattice.sigma(w + z) / (lattice.sigma(w) * lattice.sigma(z)))

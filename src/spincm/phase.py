@@ -271,15 +271,21 @@ def project_pi(x: PhasePoint) -> ReducedPoint:
     return ReducedPoint(rs, x.q, x.p, s)
 
 
+def slice_lift(rs: RootSystem, s: np.ndarray) -> np.ndarray:
+    """xi coordinates of the canonical section of project_pi: xi_i = 0,
+    xi_{alpha_i} = 1, xi_alpha = s_alpha for the remaining roots (leading
+    axes of s are kept)."""
+    vec = np.zeros(s.shape[:-1] + (rs.dim,), dtype=complex)
+    vec[..., rs.rank:2 * rs.rank] = 1.0  # the simple roots are roots[:rank]
+    vec[..., 2 * rs.rank:] = s
+    return vec
+
+
 def lift_reduced(x_red: ReducedPoint) -> PhasePoint:
-    """The canonical section of project_pi: xi_i = 0, xi_{alpha_i} = 1,
-    xi_alpha = s_alpha for the remaining roots."""
-    rs = x_red.rs
-    vec = np.zeros(rs.dim, dtype=complex)
-    vec[rs.rank:2 * rs.rank] = 1.0     # the simple roots are roots[:rank]
-    vec[2 * rs.rank:] = x_red.s
+    """The point of the canonical section (:func:`slice_lift`) over x_red."""
     return PhasePoint(np.asarray(x_red.q, dtype=complex),
-                      np.asarray(x_red.p, dtype=complex), AlgElement(rs, vec))
+                      np.asarray(x_red.p, dtype=complex),
+                      AlgElement(x_red.rs, slice_lift(x_red.rs, x_red.s)))
 
 
 def lift_tangent(v_red: ReducedPoint) -> PhasePoint:
@@ -292,54 +298,49 @@ def lift_tangent(v_red: ReducedPoint) -> PhasePoint:
     return PhasePoint(v_red.q, v_red.p, AlgElement(rs, vec))
 
 
-def reduce_gradient(g: PhaseGradient) -> ReducedGradient:
-    """Pull a gradient taken at a slice lift back to (q, p, s).  The lift
-    sets xi_gamma = s_gamma and a unit change of xi_gamma pairs with the
-    e_{-gamma} coefficient of dxi, so ds_gamma is that coefficient."""
-    rs = g.dxi.rs
-    return ReducedGradient(g.dq, g.dp, g.dxi.vec[rs.dual_index[2 * rs.rank:]])
-
-
 @lru_cache(maxsize=None)
-def _spin_tensor_data(rs: RootSystem) -> tuple[np.ndarray, ...]:
-    """Constant data of :func:`spin_tensor`, built on first use per root
-    system: E0 and M, one row per reduced root gamma holding e_{-gamma} and
-    sum_j m_gamma^j e_{-alpha_j} over the basis, and the covector structure
-    tensor, (cov @ xi)[a, b] = <xi, [e_a, e_b]>."""
+def _chain_data(rs: RootSystem) -> tuple[np.ndarray, np.ndarray]:
+    """E0 and M of :func:`spin_chain`, built on first use per root system:
+    one row per reduced root gamma holding e_{-gamma} and sum_j m_gamma^j
+    e_{-alpha_j} over the basis."""
     m = np.zeros((rs.n_roots - rs.rank, rs.dim))
     m[:, rs.dual_index[rs.rank:2 * rs.rank]] = reduced_roots(rs)
-    return (np.eye(rs.dim)[rs.dual_index[2 * rs.rank:]], m,
-            (rs.structure @ rs.gram).astype(complex))
+    return np.eye(rs.dim)[rs.dual_index[2 * rs.rank:]], m
 
 
-def _chain_and_form(x_red: ReducedPoint) -> tuple[np.ndarray, np.ndarray]:
-    """C = E0 - s M and F = cov @ xi at the slice lift xi."""
-    e0, m, cov = _spin_tensor_data(x_red.rs)
-    return e0 - x_red.s[:, None] * m, cov @ lift_reduced(x_red).xi.vec
+def spin_chain(rs: RootSystem, s: np.ndarray) -> np.ndarray:
+    """C = E0 - s M: row gamma is the differential d s_gamma = e_{-gamma}
+    - s_gamma sum_j m_gamma^j e_{-alpha_j} at the slice lift of s."""
+    e0, m = _chain_data(rs)
+    return e0 - s[:, None] * m
 
 
 def spin_tensor(x_red: ReducedPoint) -> np.ndarray:
     """Reduced Poisson tensor block P[gamma, delta] = {s_gamma, s_delta} in
-    closed form, P = C F C^T: the rows of C are the differentials d s_gamma
-    = e_{-gamma} - s_gamma sum_j m_gamma^j e_{-alpha_j} and F[a, b] =
-    <xi, [e_a, e_b]>, both at the slice lift xi."""
-    chain, f = _chain_and_form(x_red)
-    return chain @ f @ chain.T
+    closed form, P = C F C^T with C = :func:`spin_chain` and F[a, b] =
+    <xi, [e_a, e_b]> = (e_a, [e_b, I xi]) at the slice lift xi."""
+    rs = x_red.rs
+    chain = spin_chain(rs, x_red.s)
+    f = bracket(AlgElement(rs, np.eye(rs.dim)), lift_reduced(x_red).xi).vec
+    return chain @ f[:, rs.dual_index].T @ chain.T
 
 
 def bracket_reduced(f: ReducedFunction, g: ReducedFunction,
                     x_red: ReducedPoint) -> complex:
     """Reduced Poisson bracket: the pull-back of bracket_full through
-    project_pi, ds_f P ds_g with P = C F C^T the :func:`spin_tensor`.  The
-    gradients meet C first, as in bracket_full; summing P's entries instead
-    loses about 0.1 digit more to cancellation in the involution check.
+    project_pi.  The gradients ds meet C (:func:`spin_chain`) first, giving
+    the spin differentials ds C, then the Lie-Poisson term of bracket_full;
+    summing the entries of P instead loses about 0.1 digit more to
+    cancellation in the involution check.
 
     The canonical orientation matches bracket_full: {p_i, q_j} = +delta_ij.
     """
     gf, gg = f.gradient(x_red), g.gradient(x_red)
     canonical = complex(gf.dp @ gg.dq - gf.dq @ gg.dp)
-    chain, form_xi = _chain_and_form(x_red)
-    return canonical + complex((gf.ds @ chain) @ form_xi @ (chain.T @ gg.ds))
+    rs = x_red.rs
+    chain = spin_chain(rs, x_red.s)
+    return canonical + form(lift_reduced(x_red).xi, bracket(
+        AlgElement(rs, gf.ds @ chain), AlgElement(rs, gg.ds @ chain)))
 
 
 def spin_coordinate_function(rs: RootSystem, root: Root) -> ReducedFunction:

@@ -384,15 +384,14 @@ def root_coeff_reg0(spec: RMatrixSpec, u) -> np.ndarray:
     return _on_lattice(spec, lambda: spec.lattice.zeta(u), u)
 
 
-@raise_on_fp_fault
-def pair_weight(spec: RMatrixSpec, u) -> tuple[np.ndarray, np.ndarray]:
-    """(w, w'): w_alpha(u_alpha) for every root, the weight of
-    xi_alpha xi_{-alpha} in H = |p|^2/2 - (1/2) sum_alpha w_alpha xi_alpha
-    xi_{-alpha}, and its u-derivative.  w is even, so both are evaluated on
-    the positive roots and mirrored (w_{-alpha} = w_alpha,
-    w'_{-alpha} = -w'_alpha); the elliptic pair comes from one theta pass."""
+def positive_pair_weight(spec: RMatrixSpec, up) -> tuple[np.ndarray,
+                                                          np.ndarray]:
+    """(w, w') on the positive roots, whose values ``up`` holds on its last
+    axis: w_alpha weighs xi_alpha xi_{-alpha} in H = |p|^2/2 - (1/2)
+    sum_alpha w_alpha xi_alpha xi_{-alpha}, w' is its u-derivative.  The
+    family's one weight kernel; it runs under the caller's fault guard."""
     rs = spec.rs
-    up = np.asarray(u, dtype=complex)[..., :rs.n_pos]
+    up = np.asarray(up, dtype=complex)
     fam = spec.family
     if fam == "rational":
         dp = spec.dp_mask[:rs.n_pos]
@@ -412,7 +411,17 @@ def pair_weight(spec: RMatrixSpec, u) -> tuple[np.ndarray, np.ndarray]:
         w_du = np.divide(-2.0 * np.cos(up), s ** 3,
                          out=np.zeros(up.shape, dtype=complex), where=span)
     else:
-        w, w_du = _on_lattice(spec, lambda: spec.lattice.wp_pair(up), up)
+        w, w_du = _on_lattice(spec, lambda: spec.lattice.wp_pair_kernel(up),
+                              up)
+    return w, w_du
+
+
+@raise_on_fp_fault
+def pair_weight(spec: RMatrixSpec, u) -> tuple[np.ndarray, np.ndarray]:
+    """(w, w') of :func:`positive_pair_weight` on every root: w is even, so
+    w_{-alpha} = w_alpha and w'_{-alpha} = -w'_alpha; one theta pass."""
+    w, w_du = positive_pair_weight(
+        spec, np.asarray(u, dtype=complex)[..., :spec.rs.n_pos])
     return (np.concatenate([w, w], axis=-1),
             np.concatenate([w_du, -w_du], axis=-1))
 
@@ -434,10 +443,6 @@ class TensorValue:
             raise StructuralError(
                 f"tensor has shape {self.mat.shape}, expected square of dim "
                 f"{self.rs.dim}")
-
-    def swap_slots(self) -> "TensorValue":
-        """r^{21} from r^{12}."""
-        return TensorValue(self.rs, np.swapaxes(self.mat, -1, -2).copy())
 
     def pair_first(self, xi: AlgElement) -> AlgElement:
         """<r, xi (x) 1>: pair a covector into the first slot."""
@@ -530,10 +535,9 @@ def verify_axioms(spec: RMatrixSpec, samples: Sequence[tuple[np.ndarray, complex
     zero_weight = unitarity = residue = 0.0
     for q, z in samples:
         r, rminus = r_tensor(spec, q, [z, -z]).mat
-        for i in range(rs.rank):
-            t1 = np.einsum("ac,ab->cb", f[i], r)
-            t2 = np.einsum("bc,ab->ac", f[i], r)
-            zero_weight = max(zero_weight, float(np.max(np.abs(t1 + t2))))
+        t = (np.einsum("iac,ab->icb", f[:rs.rank], r)
+             + np.einsum("ibc,ab->iac", f[:rs.rank], r))
+        zero_weight = max(zero_weight, float(np.max(np.abs(t))))
         unitarity = max(unitarity, float(np.max(np.abs(r + rminus.T))))
         res = ring_coefficients(r_tensor(spec, q, ring).mat, ring, 1)[0]
         residue = max(residue, float(np.max(np.abs(res - omega))))

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -187,22 +187,29 @@ class RootSystem:
             reps[self.rank + k, a, b] = 1.0
         self.basis_matrices = reps
 
-        gram = np.zeros((self.dim, self.dim))
-        dual = np.arange(self.dim)
-        for i in range(self.rank):
-            gram[i, i] = 1.0
-        for k, r in enumerate(self.roots):
-            kn = self.root_index[negate(r)]
-            gram[self.rank + k, self.rank + kn] = 1.0
-            dual[self.rank + k] = self.rank + kn
-        self.gram = gram
-        self.dual_index = dual
+        # the form pairs h_i with h_i and e_alpha with e_{-alpha}
+        neg = [self.root_index[negate(r)] for r in self.roots]
+        self.dual_index = np.r_[np.arange(self.rank), self.rank + np.array(neg)]
+        self.gram = np.eye(self.dim)[self.dual_index]
 
     def _build_structure(self) -> None:
+        # only the nonzero f[a, b, c] are kept (2% of the entries on A_4):
+        # their index pairs (a, b) and a (nnz, dim) matrix scattering
+        # f x_a y_b to c; the dense tensor is rebuilt on demand
+        f = self.structure
+        del self.structure
+        a, b, c = np.nonzero(f)
+        self.bracket_ab = (a, b)
+        self.bracket_scatter = np.zeros((a.size, self.dim), dtype=complex)
+        self.bracket_scatter[np.arange(a.size), c] = f[a, b, c]
+
+    @cached_property
+    def structure(self) -> np.ndarray:
+        """Dense f[a, b, c] with [e_a, e_b] = sum_c f[a, b, c] e_c, built on
+        first use (`bracket` reads only the sparse form)."""
         m = self.basis_matrices
         prod = np.einsum("aij,bjk->abik", m, m)
-        self.structure = self._matrix_coefficients(
-            prod - prod.transpose(1, 0, 2, 3))
+        return self._matrix_coefficients(prod - prod.transpose(1, 0, 2, 3))
 
     def _matrix_coefficients(self, mat: np.ndarray) -> np.ndarray:
         """Coordinates of traceless matrices (last two axes) over the basis."""
@@ -339,13 +346,13 @@ class AlgElement:
 
 
 def bracket(x: AlgElement, y: AlgElement) -> AlgElement:
-    """Lie bracket [x, y], contracted in two steps: t[b, c] = sum_a x_a
-    f[a, b, c], then [x, y]_c = sum_b y_b t[b, c] (batched matmuls)."""
+    """Lie bracket [x, y]_c = sum_{a,b} f[a, b, c] x_a y_b over the nonzero
+    structure constants only: one gather and multiply x_a y_b per nonzero,
+    then one matmul with the fixed scatter matrix (batch axes broadcast)."""
     x._check(y)
-    dim = x.rs.dim
-    t = (x.vec @ x.rs.structure.reshape(dim, dim * dim)).reshape(
-        x.vec.shape[:-1] + (dim, dim))
-    return AlgElement(x.rs, (y.vec[..., None, :] @ t)[..., 0, :])
+    a, b = x.rs.bracket_ab
+    return AlgElement(x.rs, (x.vec[..., a] * y.vec[..., b])
+                      @ x.rs.bracket_scatter)
 
 
 def form(x: AlgElement, y: AlgElement):

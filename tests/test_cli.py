@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from spincm.cli import (EXIT_CONFIG, EXIT_PASS, EXIT_RESIDUAL,
-                        EXIT_SINGULARITY, RunConfig, default_thresholds,
-                        load_config, main, parse_config)
+                        EXIT_SINGULARITY, RunConfig, _build_parser,
+                        default_thresholds, load_config, main, parse_config)
 from spincm.errors import ConfigError
 
 
@@ -259,6 +259,25 @@ def test_verify_unknown_suite_is_usage_error(tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["verify", "--config", cfg, "--suite", "nonsense"])
     assert err.value.code == 2
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    """Two main calls in one process share one parser: a good call, then a
+    bad-argument call, each with its own exit code and message on the
+    streams of its own call."""
+    cfg = write_config(tmp_path, "info.json", {"family": "rational",
+                                               "rank": 2})
+    assert main(["info", "--config", cfg]) == EXIT_PASS
+    first = capsys.readouterr()
+    assert json.loads(first.out)["root_system"]["rank"] == 2
+    assert first.err == ""
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--config", cfg, "--suite", "nonsense"])
+    assert err.value.code == EXIT_CONFIG
+    second = capsys.readouterr()
+    assert second.out == ""
+    assert "argument --suite: invalid choice: 'nonsense'" in second.err
+    assert _build_parser() is _build_parser()
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -26,9 +26,9 @@ from hypothesis import strategies as st
 from spincm.elliptic import Lattice
 from spincm.errors import ConstraintError, StructuralError
 from spincm.phase import (PhaseFunction, PhaseGradient, PhasePoint,
-                          ReducedPoint, gauge_g, lift_reduced,
-                          linear_spin_function, momentum_J, project_pi,
-                          reduce_gradient, reduced_roots,
+                          ReducedGradient, ReducedPoint, gauge_g,
+                          lift_reduced, linear_spin_function, momentum_J,
+                          project_pi, reduced_roots,
                           spin_invariant_gradient, torus_action)
 from spincm.phase import bracket_full
 from spincm.rootsys import (AlgElement, build_root_system, form, matrix_rep,
@@ -161,8 +161,11 @@ def test_hamiltonian_gradient_is_derivative(seed):
     for red_sys in (sys, make_system("trigonometric", 2),
                     make_system("elliptic", 2, lattice=WIDE)):
         x_red = ReducedPoint(rs, x.q, x.p, s)
-        g_red = reduce_gradient(hamiltonian_gradient(red_sys,
-                                                     lift_reduced(x_red)))
+        g_lift = hamiltonian_gradient(red_sys, lift_reduced(x_red))
+        # a unit change of xi_gamma at the lift pairs with the e_{-gamma}
+        # coefficient of dxi, so ds_gamma is that coefficient
+        g_red = ReducedGradient(g_lift.dq, g_lift.dp,
+                                g_lift.dxi.vec[rs.dual_index[2 * rs.rank:]])
         eps = 1e-3 * min(1.0, collision_margin(red_sys, x_red))
 
         def shifted_red(t):

@@ -1,0 +1,279 @@
+"""The flat flow core behind `vector_field`, `vector_field_reduced` and
+`integrate`: an independent oracle for the field, trajectories pinned to
+their values before the core was flattened, its fault paths, and the
+stacked diagnostics against per-point loops.
+
+The oracle builds the field from `pair_weight` and the dense structure
+tensor; the reduced field is the push-forward of the unreduced one through
+the invariants s_gamma = xi_gamma prod_j xi_{alpha_j}^(-m_gamma^j), whose
+differential at the slice lift is ds_gamma = dxi_gamma - s_gamma sum_j
+m_gamma^j dxi_{alpha_j}.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spincm import dynamics
+from spincm.dynamics import (_pack_point, conserved_spectrum, hamiltonian,
+                             integrate, lax_L, lax_pair_reduced, make_system,
+                             spectrum_drift, spinless_state, vector_field,
+                             vector_field_reduced)
+from spincm.elliptic import Lattice
+from spincm.errors import PoleError
+from spincm.phase import (PhasePoint, ReducedPoint, lift_reduced, momentum_J,
+                          reduced_roots)
+from spincm.rmatrix import pair_weight
+from spincm.rootsys import AlgElement, matrix_rep
+
+FAMILIES = ("rational", "trigonometric", "elliptic")
+
+
+def system(family, rank):
+    lattice = Lattice(2.0, 2.2j) if family == "elliptic" else None
+    return make_system(family, rank, lattice=lattice)
+
+
+def oracle_field(sys_, q, p, xi):
+    """(dq, dp, dxi) of the unreduced flow from pair_weight and a dense
+    einsum over the structure constants."""
+    rs = sys_.rs
+    w, w_du = pair_weight(sys_.rmatrix, rs.root_values(q))
+    roots = xi[rs.rank:]
+    prod = roots * roots[rs.dual_index[rs.rank:] - rs.rank]
+    grad_q = -0.5 * rs.alpha_h.T @ (w_du * prod)
+    grad_xi = np.concatenate([np.zeros(rs.rank), -w * roots])
+    spin = -np.einsum("a,b,abc->c", grad_xi, xi, rs.structure)
+    return p, -grad_q, spin
+
+
+def oracle_reduced(sys_, x_red):
+    rs = sys_.rs
+    xi = lift_reduced(x_red).xi.vec
+    dq, dp, dxi = oracle_field(sys_, x_red.q, x_red.p, xi)
+    ds = []
+    for root, s in zip(reduced_roots(rs), x_red.s):
+        chain = sum(m * dxi[rs.basis_index(simple)]
+                    for m, simple in zip(root, rs.simple_roots))
+        ds.append(dxi[rs.basis_index(root)] - s * chain)
+    return dq, dp, np.array(ds)
+
+
+def random_state(sys_, seed):
+    """q with simple-root values in [0.25, 0.6] (every root value in
+    [0.25, 2.4], clear of every wall), random p and complex spins."""
+    rs = sys_.rs
+    rng = np.random.default_rng(seed)
+    q = np.linalg.solve(rs.alpha_h[:rs.rank],
+                        rng.uniform(0.25, 0.6, size=rs.rank))
+    p = rng.normal(size=rs.rank)
+    xi = rng.normal(size=rs.dim) + 1j * rng.normal(size=rs.dim)
+    return q.astype(complex), p.astype(complex), xi
+
+
+def rel_err(got, want):
+    return np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FAMILIES), st.integers(1, 4),
+       st.integers(0, 2 ** 32 - 1))
+def test_fields_match_the_dense_oracle(family, rank, seed):
+    sys_ = system(family, rank)
+    rs = sys_.rs
+    q, p, xi = random_state(sys_, seed)
+    v = vector_field(sys_, PhasePoint(q, p, AlgElement(rs, xi)))
+    want = np.concatenate(oracle_field(sys_, q, p, xi))
+    assert rel_err(np.concatenate([v.q, v.p, v.xi.vec]), want) < 1e-13
+    x_red = ReducedPoint(rs, q, p, xi[2 * rs.rank:])
+    v_red = vector_field_reduced(sys_, x_red)
+    want = np.concatenate(oracle_reduced(sys_, x_red))
+    assert rel_err(np.concatenate([v_red.q, v_red.p, v_red.s]), want) < 1e-13
+
+
+# Final points and solver counts of three runs, recorded before the flow
+# core was flattened (the per-point vector field, the dense two-step
+# bracket and P = C F C^T): T = 0.5, tol 1e-9, 5 grid points from
+# pin_start.  Final state q | p | xi, or q | p | s.
+PINNED = {
+    ("elliptic", 4, False): ((260, 43, 0), [
+        (0.5983001816165913-6.814289260924383e-19j),
+        (0.7962766335963419-4.1853416356138634e-19j),
+        (1.0756628119239684-5.605650444227369e-19j),
+        (1.5641893222770575+1.3858933727342763e-18j),
+        (0.3852526451980039-3.006906845273884e-18j),
+        (0.5908112058825465+3.2006047124049105e-18j),
+        (0.448600313396301-7.23686875574089e-18j),
+        (1.2328087524646867+5.500425747242073e-18j),
+        (2.1396895729474154e-18-5.646704997889325e-18j),
+        (-1.9455259542129055e-18-4.589136353378268e-19j),
+        (-2.4459151782858862e-18+9.719095459693287e-19j),
+        (-5.395508347340688e-19-1.896281519391508e-18j),
+        (0.2323721731529251+0.3255812849955097j),
+        (0.06267516236430813+0.39505926646760303j),
+        (-0.0417816848410358+0.39781187866808604j),
+        (-0.1887975315707664+0.3526407408002235j),
+        (0.2805166004360718+0.2851498498658853j),
+        (0.02106670580418887+0.3994448571493533j),
+        (-0.2245995625475357+0.33099099157104417j),
+        (0.24919698664385476+0.31289113417828557j),
+        (-0.1699630607254704+0.3620946809661548j),
+        (0.0720098404794202+0.3934648432479131j),
+        (-0.2323721731529251+0.3255812849955097j),
+        (-0.06267516236430813+0.39505926646760303j),
+        (0.04178168484103581+0.39781187866808604j),
+        (0.1887975315707664+0.3526407408002235j),
+        (-0.2805166004360718+0.2851498498658853j),
+        (-0.021066705804188852+0.3994448571493533j),
+        (0.2245995625475357+0.33099099157104417j),
+        (-0.24919698664385476+0.31289113417828557j),
+        (0.1699630607254704+0.3620946809661548j),
+        (-0.0720098404794202+0.3934648432479131j)]),
+    ("rational", 4, True): ((1046, 174, 0), [
+        (0.6814871228922579+0.10720331997442188j),
+        (0.9902838432526899+0.6653975299803134j),
+        (1.3397163214140364+0.9824583909020169j),
+        (0.6627932214902743-1.1699791052569821j),
+        (0.27576150603175875+0.4353165049821263j),
+        (1.435150627447901+1.8313610904271223j),
+        (0.7581620849120522+1.8057571717623588j),
+        (-0.647327907483734-2.9046127025437203j),
+        (0.18668032732549028+0.5575360816573375j),
+        (0.8117410532255561+0.4574383180976098j),
+        (0.6698940520554684-0.6116540494024819j),
+        (-0.1410550238742922+0.9296362131299477j),
+        (-0.24215072522159367-0.6322832353044219j),
+        (-0.2617085084691523+0.03224121265261945j),
+        (-0.025964468940004034-0.2248905706818549j),
+        (-0.19027594126454295-1.1161327814561233j),
+        (-0.5559816984443257-0.3426333323185641j),
+        (0.18383600470339362+0.22411157864242323j),
+        (0.15417509955510555+0.39948372708806296j),
+        (0.6066417465289765-0.47217951600151153j),
+        (0.12729891904207993+0.24207412497186684j),
+        (-0.016310170749806903-0.10907687308069311j),
+        (-0.23546790259362582+1.4032365811873015j),
+        (-0.8422256041220668-1.520012336865988j)]),
+    ("trigonometric", 3, True): ((386, 64, 0), [
+        (0.5669668550093729-0.06581004192494698j),
+        (1.0850343414711212-0.22652127688582446j),
+        (1.5896798705361008+0.024055095996617003j),
+        (0.4613035215346123+0.4678945065540724j),
+        (2.083872039501388-0.48671289118515254j),
+        (2.142007712105851-0.03600737279966739j),
+        (0.05426701077263121+0.15934921764114574j),
+        (0.8936537096199825+0.6358661491105186j),
+        (0.08540008442686767+0.8578805791703599j),
+        (-0.4204706242113448-0.2200581613815616j),
+        (-0.6989925382356235+0.5499203578686253j),
+        (-0.2633848689787565+0.22293844165467036j),
+        (-0.21784940978398712-0.8640668666561333j),
+        (-0.3410330653952713-0.445283623194902j),
+        (0.49209436212474056-0.37595593483043954j)]),
+}
+
+
+def pin_start(family, rank, reduced):
+    sys_ = system(family, rank)
+    rs = sys_.rs
+    q = np.linalg.solve(rs.alpha_h[:rank], [0.5, 0.6, 0.55, 0.45][:rank])
+    p = np.array([0.3, -0.1, 0.2, 0.05][:rank])
+    if not reduced:
+        return sys_, spinless_state(rs, q, p, 0.4j)
+    k = np.arange(rs.n_roots - rank)
+    s = (0.3 + 0.05 * k) * np.exp(0.7j * k)
+    return sys_, ReducedPoint(rs, q.astype(complex), p.astype(complex), s)
+
+
+@pytest.mark.parametrize("key", list(PINNED), ids=lambda key: "-".join(
+    [key[0], f"A{key[1]}", "reduced" if key[2] else "unreduced"]))
+def test_trajectories_match_the_pinned_runs(key):
+    counts, final = PINNED[key]
+    sys_, x0 = pin_start(*key)
+    traj = integrate(sys_, x0, 0.5, 1e-9, n_points=5)
+    assert traj.completed
+    assert (traj.stats["nfev"], traj.stats["accepted"],
+            traj.stats["rejected"]) == counts
+    assert rel_err(_pack_point(traj.final_point()), np.array(final)) < 1e-12
+
+
+# -- fault paths ---------------------------------------------------------------
+
+
+def test_overflow_in_the_field_aborts_with_finite_points():
+    """Spins of 1e160 on the positive roots and 1e-160 on the negative
+    ones: every xi_alpha xi_{-alpha}, and so H, stays of order one, but the
+    coadjoint leg multiplies two positive spins and overflows."""
+    sys_ = system("rational", 2)
+    rs = sys_.rs
+    q, p, _ = random_state(sys_, 5)
+    xi = np.zeros(rs.dim, dtype=complex)
+    xi[rs.rank:rs.rank + rs.n_pos] = 1e160
+    xi[rs.rank + rs.n_pos:] = 1e-160
+    x0 = PhasePoint(q, p, AlgElement(rs, xi))
+    traj = integrate(sys_, x0, 0.5, 1e-9, n_points=5)
+    assert not traj.completed
+    assert traj.abort_reason.startswith("integration aborted at t = 0: ")
+    assert "overflow" in traj.abort_reason
+    assert all(np.all(np.isfinite(_pack_point(pt))) for pt in traj.points)
+    assert np.all(np.isfinite(traj.energy))
+
+
+@pytest.mark.parametrize("reduced", [False, True])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_core_on_a_wall_names_the_root(family, reduced):
+    """Simple-root values (0.7, -0.7, 0.4) put q on the wall of [1,1,0]
+    alone: its root value is 0, a pole of every family's pair weight."""
+    sys_ = system(family, 3)
+    rs = sys_.rs
+    q = np.linalg.solve(rs.alpha_h[:3], [0.7, -0.7, 0.4]).astype(complex)
+    _, p, xi = random_state(sys_, 7)
+    spin = xi[2 * rs.rank:] if reduced else xi
+    y = np.concatenate([q, p, spin])
+    with pytest.raises(PoleError, match=r"at the root \[1,1,0\]"):
+        dynamics._flow(sys_, y, reduced)
+
+
+# -- stacked diagnostics -------------------------------------------------------
+
+
+def loop_table(sys_, pt, z, kmax):
+    """h_k(z) at one point from matrix powers, z by z."""
+    x = lift_reduced(pt) if isinstance(pt, ReducedPoint) else pt
+    table = np.zeros((len(z), kmax), dtype=complex)
+    for i, zi in enumerate(z):
+        mat = matrix_rep(lax_L(sys_, x, zi))
+        for k in range(1, kmax + 1):
+            table[i, k - 1] = np.trace(np.linalg.matrix_power(mat, k)) / k
+    return table
+
+
+@pytest.mark.parametrize("family,rank,reduced", [
+    ("elliptic", 3, False), ("rational", 4, True), ("trigonometric", 2, True)])
+def test_stacked_diagnostics_match_per_point_loops(family, rank, reduced):
+    sys_, x0 = pin_start(family, rank, reduced)
+    traj = integrate(sys_, x0, 0.3, 1e-9, n_points=7)
+    z = [0.41 + 0.22j, -0.33 + 0.47j, 0.29 - 0.44j]
+    kmax = sys_.kmax
+    tables = [loop_table(sys_, pt, z, kmax) for pt in traj.points]
+    for pt, table in zip(traj.points, tables):
+        assert rel_err(conserved_spectrum(sys_, pt, z), table) < 1e-13
+    denom = np.maximum(1.0, np.abs(tables[0]))
+    drift = max(np.max(np.abs(t - tables[0]) / denom) for t in tables[1:])
+    # the drift is already relative to the per-entry denominator (>= 1)
+    assert abs(spectrum_drift(sys_, traj, z) - drift) < 1e-13
+    lifts = [lift_reduced(pt) if reduced else pt for pt in traj.points]
+    energy = np.array([hamiltonian(sys_, x) for x in lifts])
+    assert rel_err(traj.energy, energy) < 1e-13
+    j0 = momentum_J(lifts[0])
+    constraint = [np.max(np.abs(momentum_J(x) - j0)) for x in lifts]
+    assert np.max(np.abs(traj.constraint - constraint)) < 1e-13
+    if reduced:
+        curves = [np.array([np.poly(np.linalg.eigvals(
+            matrix_rep(lax_L(sys_, x, zi)))) for zi in z]) for x in lifts]
+        iso = max(np.max(np.abs(c - curves[0])) for c in curves)
+        got = lax_pair_reduced(sys_, traj, z, n_residual_points=2)
+        assert abs(got["isospectral_drift"] - iso) < 1e-13

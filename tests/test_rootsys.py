@@ -108,6 +108,25 @@ def test_bracket_is_the_commutator_of_matrix_reps(rank, shape):
 
 
 @pytest.mark.parametrize("rank", RANKS)
+@pytest.mark.parametrize("shape", [(), (3, 7)])
+def test_sparse_bracket_matches_dense_einsum(rank, shape):
+    # single elements, batches, and a single element against a batch
+    rs = build_root_system("A", rank)
+    rng = np.random.default_rng(40 + rank)
+    x, y = (rng.normal(size=shape + (rs.dim,))
+            + 1j * rng.normal(size=shape + (rs.dim,)) for _ in range(2))
+    for a, b in ((x, y), (x[(0,) * len(shape)], y)):
+        want = np.einsum("...a,...b,abc->...c", a, b, rs.structure)
+        got = bracket(AlgElement(rs, a), AlgElement(rs, b)).vec
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * max(
+            1.0, np.max(np.abs(want)))
+    # only the nonzero structure constants are kept (276 of 13824 on A_4)
+    assert rs.bracket_scatter.shape == (np.count_nonzero(rs.structure),
+                                        rs.dim)
+
+
+@pytest.mark.parametrize("rank", RANKS)
 def test_form_is_trace_form_and_invariant(rank):
     rs = build_root_system("A", rank)
     rng = np.random.default_rng(30 + rank)

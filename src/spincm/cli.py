@@ -38,7 +38,8 @@ from .elliptic import Lattice
 from .errors import (ConfigError, ConstraintError, GaugeDomainError,
                      PoleError, SpincmError, StructuralError)
 from .phase import PhasePoint, ReducedPoint, gauge_g, project_pi
-from .rmatrix import verify_axioms, verify_cdybe, verify_mdybe
+from .rmatrix import (default_mdybe_samples, verify_axioms, verify_cdybe,
+                      verify_mdybe)
 from .rootsys import (AlgElement, parse_root_label, root_label,
                       root_system_summary, torus_adjoint)
 from .dynamics import (SystemSpec, collision_margin, default_z_samples,
@@ -482,20 +483,31 @@ def _suite_axioms(system, config, rng) -> list[dict]:
             for name in ("zero_weight", "unitarity", "residue")]
 
 
+def _worst(name: str, residuals: list, samples: list[dict]) -> list[dict]:
+    """The check of the largest residual, with the sample that gave it as a
+    replayable ``witness`` (complex values as [re, im] pairs)."""
+    k = int(np.argmax(residuals))
+    witness = {key: np.stack([np.real(v), np.imag(v)], -1).tolist()
+               for key, v in samples[k].items()}
+    return [{"name": name, "samples": len(samples), "max_residual":
+             residuals[k], "witness": {"sample": k, **witness}}]
+
+
 def _suite_cdybe(system, config, rng) -> list[dict]:
-    n = 10
-    worst = max(verify_cdybe(system.rmatrix, _random_q(rng, system),
-                             *_random_z_triple(rng)) for _ in range(n))
-    return [{"name": "cdybe", "samples": n, "max_residual": worst}]
+    samples = [{"q": _random_q(rng, system), "z": _random_z_triple(rng)}
+               for _ in range(10)]
+    return _worst("cdybe", [verify_cdybe(system.rmatrix, s["q"], *s["z"])
+                            for s in samples], samples)
 
 
 def _suite_mdybe(system, config, rng) -> list[dict]:
-    n = 10
-    worst = max(verify_mdybe(system.rmatrix, _random_q(rng, system),
-                             _random_principal(system.rs, rng, 2),
-                             _random_principal(system.rs, rng, 2))
-                for _ in range(n))
-    return [{"name": "mdybe", "samples": n, "max_residual": worst}]
+    samples = [{"q": _random_q(rng, system), "z": default_mdybe_samples(),
+                "xi": _random_principal(system.rs, rng, 2),
+                "eta": _random_principal(system.rs, rng, 2)}
+               for _ in range(10)]
+    return _worst("mdybe", [verify_mdybe(system.rmatrix, s["q"], s["xi"],
+                                         s["eta"], z_samples=s["z"])
+                            for s in samples], samples)
 
 
 def _suite_lax(system, config, rng) -> list[dict]:

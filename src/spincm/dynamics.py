@@ -42,9 +42,9 @@ from .phase import (PhaseFunction, PhaseGradient, PhasePoint, ReducedFunction,
                     lift_reduced, lift_tangent, momentum_J, reduced_roots,
                     slice_lift, spin_chain)
 from .rmatrix import (LaurentElement, RMatrixSpec, R_apply, R_directional,
-                      cartan_coeff, elliptic_r_matrix, positive_pair_weight,
-                      r_tensor, rational_r_matrix, ring_nodes, root_coeff,
-                      root_coeff_reg0, trigonometric_r_matrix)
+                      _r_coeffs, cartan_coeff, elliptic_r_matrix,
+                      positive_pair_weight, rational_r_matrix, ring_nodes,
+                      root_coeff, root_coeff_reg0, trigonometric_r_matrix)
 from .rootsys import (AlgElement, RootSystem, bracket, build_root_system,
                       form, matrix_rep, root_label)
 
@@ -675,34 +675,36 @@ def fpbr_residual(sys: SystemSpec, x: PhasePoint, z: complex,
 
     as the max-abs entry of LHS + RHS-terms.  The left side is assembled from
     the analytic component differentials of L; the right side uses the
-    r-matrix tensor itself (including any injected fault, which makes this a
-    negative control as well).
+    r-matrix itself (including any injected fault, which makes this a
+    negative control as well), each r as its coefficient vector.
     """
     rs = sys.rs
     spec_l = sys.lax_rmatrix
-    q = x.q
-    f = rs.structure
+    q, d, roots = x.q, rs.dual_index, np.arange(rs.rank, rs.dim)
     # component differentials of L with respect to xi coincide with the
-    # unfaulted r-matrix pattern: L_a(z) = p_a + <r(q,z), 1 (x) xi>_a
-    rz, rw = r_tensor(spec_l, q, [z, w]).mat
+    # unfaulted r-matrix pattern: L_a(z) = p_a + c_a(q, z) xi_a
+    cz, cw = _r_coeffs(spec_l, q, [z, w])
+    dq_z, dq_w = (_r_coeffs(spec_l, q, [z, w], du=1)[:, roots, None]
+                  * (x.xi.vec[roots, None] * rs.alpha_h))
     lz, lw = lax_L(sys, x, [z, w]).vec
-    dq_z, dq_w = np.moveaxis(np.array([
-        r_tensor(spec_l, q, [z, w], direction=e_i).pair_second(x.xi).vec
-        for e_i in np.eye(rs.rank)]), 0, -1)
+    # ad[j][b] = [e_{dual(b)}, y_j] for y = xi, L(z), L(w)
+    basis = AlgElement(rs, np.eye(rs.dim)[d, None, :])
+    ad_xi, ad_z, ad_w = np.moveaxis(bracket(basis, AlgElement(
+        rs, np.stack([x.xi.vec, lz, lw]))).vec, 1, 0)
 
     lhs = np.zeros((rs.dim, rs.dim), dtype=complex)
     # canonical part with the bracket_full orientation {p_i, q_j} = +delta:
     # {L_a(z), L_b(w)} picks -dL_a/dq_i dL_b/dp_i + dL_a/dp_i dL_b/dq_i
-    lhs[:, :rs.rank] -= dq_z
-    lhs[:rs.rank, :] += dq_w.T
-    pairing = rs.gram @ x.xi.vec
-    lhs += np.einsum("ac,bd,cde,e->ab", rz, rw, f, pairing)
+    lhs[roots, :rs.rank] -= dq_z
+    lhs[:rs.rank, roots] += dq_w.T
+    # <xi, [e_{dual a}, e_{dual b}]> = [e_{dual b}, xi]_a by invariance
+    lhs += cz[:, None] * cw * ad_xi.T
 
-    r12 = r_tensor(sys.rmatrix, q, z - w).mat
-    com = np.einsum("cb,f,cfa->ab", r12, lz, f)
-    com += np.einsum("ad,f,dfb->ab", r12, lw, f)
-    xterm = r_tensor(sys.rmatrix, q, z - w, direction=momentum_J(x)).mat
-    return float(np.max(np.abs(lhs + com + xterm)))
+    c12 = _r_coeffs(sys.rmatrix, q, z - w)
+    com = c12[d] * ad_z.T + c12[:, None] * ad_w
+    com[roots, d[roots]] += (_r_coeffs(sys.rmatrix, q, z - w, du=1)[roots]
+                             * rs.root_values(momentum_J(x)))
+    return float(np.max(np.abs(lhs + com)))
 
 
 # ---------------------------------------------------------------------------

@@ -28,12 +28,11 @@ a numpy floating-point fault raises FloatingPointError, so no table ever
 holds inf or nan.  The pair weights are even in u, so they are evaluated
 on the positive roots and mirrored.
 
-The tensor builder r_tensor and the operator R_q act on arrays of z.  A
-Laurent covector (:class:`LaurentElement`) is data, not a function: its
-principal coefficients plus its values on a node array fixed when it is
-built.  R_q, its q-derivative, the MDYBE and equivariance checks and the
-residue quadrature are node-wise array expressions, and every principal
-part or residue comes from one ring helper (:func:`ring_coefficients`).
+Every r(q, z) is held as its coefficient vector c on arrays of z, with
+r = sum_a c_a e_a (x) e_{dual(a)}: R_q is an elementwise product with c and
+the CDYBE a scatter over the nonzero structure constants.  A Laurent
+covector (:class:`LaurentElement`) is data, not a function: its principal
+coefficients plus its values on a node array fixed when it is built.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from numpy.polynomial import polynomial as P
 
 from .elliptic import POLE_TOL, Lattice, _value, l_kernel
 from .errors import PoleError, StructuralError, raise_on_fp_fault
-from .rootsys import (AlgElement, RootSystem, bracket, form, negate,
+from .rootsys import (AlgElement, RootSystem, bracket, negate,
                       root_label, torus_adjoint)
 
 _ZTOL = 1e-13
@@ -102,10 +101,10 @@ class RMatrixSpec:
     (closure of Delta', the polarization, the lattice orientation).
 
     ``fault_scale`` is a negative-control knob used by the verification CLI:
-    it multiplies the coefficient of one +/- root pair of the assembled
-    tensors, which preserves the zero-weight and unitarity axioms but breaks
-    the residue normalization and the CDYBE.  It does not touch the Lax
-    coefficient functions.
+    it multiplies the coefficient of one +/- root pair of the r-matrix's
+    coefficient vectors, which preserves the zero-weight and unitarity
+    axioms but breaks the residue normalization and the CDYBE.  It does
+    not touch the Lax coefficient functions.
     """
 
     def __init__(self, rs: RootSystem, family: str, *,
@@ -444,19 +443,6 @@ class TensorValue:
                 f"tensor has shape {self.mat.shape}, expected square of dim "
                 f"{self.rs.dim}")
 
-    def pair_first(self, xi: AlgElement) -> AlgElement:
-        """<r, xi (x) 1>: pair a covector into the first slot."""
-        return AlgElement(self.rs, np.einsum("...ab,...a->...b", self.mat,
-                                             xi.vec @ self.rs.gram))
-
-    def pair_second(self, xi: AlgElement) -> AlgElement:
-        """<r, 1 (x) xi>: pair a covector into the second slot."""
-        return AlgElement(self.rs, np.einsum("...ab,...b->...a", self.mat,
-                                             xi.vec @ self.rs.gram))
-
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.mat)))
-
 
 def casimir_tensor(rs: RootSystem) -> TensorValue:
     """The invariant element Omega = sum_i h_i (x) h_i + sum_alpha
@@ -465,32 +451,45 @@ def casimir_tensor(rs: RootSystem) -> TensorValue:
     return TensorValue(rs, rs.gram.astype(complex))
 
 
+def _r_coeffs(spec: RMatrixSpec, q, z, kz: int = 0, du: int = 0):
+    """Coefficient vector, shape z.shape + (dim,), of the kz-th z-derivative
+    of r(q, z): the Cartan coefficient, then c_alpha.  With du = 1 the root
+    slots hold the mixed u,z-derivatives and the (q-independent) Cartan
+    slots 0.  The one place where ``fault_scale`` is applied."""
+    rs = spec.rs
+    z = np.asarray(z, dtype=complex)
+    c = np.zeros(z.shape + (rs.dim,), dtype=complex)
+    if not du:
+        c[..., :rs.rank] = np.expand_dims(cartan_coeff(spec, z, kz), -1)
+    c[..., rs.rank:] = root_coeff(spec, rs.root_values(q), z[..., None],
+                                  kz, du)
+    c[..., rs.rank + np.array(spec.fault_root_indices)] *= spec.fault_scale
+    return c
+
+
+def _r_table(spec: RMatrixSpec, q, z, kzs: range, du: int = 0):
+    """:func:`_r_coeffs` for each kz in ``kzs``, stacked on a leading axis."""
+    shape = (len(kzs),) + np.shape(z) + (spec.rs.dim,)
+    return np.array([_r_coeffs(spec, q, z, kz, du) for kz in kzs],
+                    dtype=complex).reshape(shape)
+
+
 def r_tensor(spec: RMatrixSpec, q, z, kz: int = 0,
              direction=None) -> TensorValue:
-    """r(q, z), or its kz-th z-derivative, as a tensor in g (x) g; an array
-    of z gives one tensor per z (``mat`` of shape z.shape + (dim, dim)).
+    """r(q, z), or its kz-th z-derivative, as a dense tensor in g (x) g: the
+    coefficient vector c scattered to mat[..., a, dual(a)], one (dim, dim)
+    matrix per z.
 
     With a Cartan ``direction`` v the result is the directional q-derivative
     sum_i v_i d/dq_i of that tensor instead (v = e_i gives the partial
-    derivative in q_i).  Only root terms survive it: the Cartan coefficient
-    is q-independent in every family.  This is the one place where root
-    coefficients enter a tensor, so ``fault_scale`` is applied here.
+    derivative in q_i).  Only root terms survive it.
     """
     rs = spec.rs
-    u = rs.root_values(q)
-    z = np.asarray(z, dtype=complex)
-    mat = np.zeros(z.shape + (rs.dim, rs.dim), dtype=complex)
-    if direction is None:
-        cartan = np.arange(rs.rank)
-        f = cartan_coeff(spec, z, kz)
-        mat[..., cartan, cartan] = np.expand_dims(f, -1)
-    c = root_coeff(spec, u, z[..., None], kz, du=int(direction is not None))
-    if spec.fault_scale != 1.0:
-        c[..., list(spec.fault_root_indices)] *= spec.fault_scale
+    c = _r_coeffs(spec, q, z, kz, du=int(direction is not None))
     if direction is not None:
-        c = rs.root_values(direction) * c
-    slots = np.arange(rs.rank, rs.dim)
-    mat[..., slots, rs.dual_index[slots]] = c
+        c[..., rs.rank:] *= rs.root_values(direction)
+    mat = np.zeros(c.shape + (rs.dim,), dtype=complex)
+    mat[..., np.arange(rs.dim), rs.dual_index] = c
     return TensorValue(rs, mat)
 
 
@@ -560,21 +559,23 @@ def verify_cdybe(spec: RMatrixSpec, q, z1: complex, z2: complex,
 
     with z_ij = z_i - z_j and all q-derivatives analytic."""
     rs = spec.rs
-    f = rs.structure
+    (a, b, c, f), d = rs.structure_nz, rs.dual_index
     z12, z13, z23 = z1 - z2, z1 - z3, z2 - z3
-    r12, r13, r23 = r_tensor(spec, q, [z12, z13, z23]).mat
+    c12, c13, c23 = _r_coeffs(spec, q, [z12, z13, z23])
+    d23, d31, d12 = (_r_coeffs(spec, q, [z23, -z13, z12], du=1)
+                     [:, rs.rank:, None] * rs.alpha_h)
 
     cube = np.zeros((rs.dim, rs.dim, rs.dim), dtype=complex)
-    # Alt(d_h r): h_i in slot 1, 2, 3 against dr/dq_i at z23, z31, z12
-    for i, e_i in enumerate(np.eye(rs.rank)):
-        d23, d31, d12 = r_tensor(spec, q, [z23, -z13, z12],
-                                 direction=e_i).mat
-        cube[i, :, :] += d23
-        cube[:, i, :] += d31.T
-        cube[:, :, i] += d12
-    cube += np.einsum("ab,cd,ace->ebd", r12, r13, f)
-    cube += np.einsum("ab,cd,bce->aed", r12, r23, f)
-    cube += np.einsum("ab,cd,bde->ace", r13, r23, f)
+    # Alt(d_h r): h_i in slot 1, 2, 3 against dr/dq_i at z23, z31, z12,
+    # where dr/dq_i = sum_alpha alpha(h_i) c'_alpha e_alpha (x) e_{-alpha}
+    i, roots = np.arange(rs.rank), np.arange(rs.rank, rs.dim)[:, None]
+    cube[i, roots, d[roots]] += d23
+    cube[d[roots], i, roots] += d31
+    cube[roots, d[roots], i] += d12
+    # [r12, r13] + [r12, r23] + [r13, r23]; no index repeats within a term
+    cube[c, d[a], d[b]] += f * c12[a] * c13[b]
+    cube[d[a], c, d[b]] += f * c12[d[a]] * c23[b]
+    cube[d[a], d[b], c] += f * c13[d[a]] * c23[d[b]]
     return float(np.max(np.abs(cube)))
 
 
@@ -624,18 +625,14 @@ class LaurentElement:
         return AlgElement.zero(self.rs)
 
 
-def _r_pairing(spec: RMatrixSpec, q, xi: LaurentElement,
-               direction=None) -> np.ndarray:
-    """sum_{k < T} (1/k!) < d^k r / d z^k (q, -z), X_{-(k+1)} (x) 1 > on the
-    nodes of xi (T its pole order), or its q-derivative along a Cartan
-    ``direction``: one batched tensor per k."""
-    z = xi.nodes
-    out = np.zeros(z.shape + (spec.rs.dim,), dtype=complex)
-    for k in range(xi.pole_order):
-        tens = r_tensor(spec, q, -z, kz=k, direction=direction)
-        pair = tens.pair_first(xi.principal_coeff(k + 1)).vec
-        out += pair / math.factorial(k)
-    return out
+def _r_pairing(rs: RootSystem, table, principal) -> np.ndarray:
+    """sum_{k < T} (1/k!) < r_k, X_{-(k+1)} (x) 1 > for the T rows X of
+    ``principal``, where table[k] is the coefficient vector of r_k: the
+    pairing <r, X (x) 1> is the elementwise product c[dual] * X."""
+    t = len(principal)
+    inv_fact = [1.0 / math.factorial(k) for k in range(t)]
+    return np.einsum("k...a,ka,k->...a", table[:t][..., rs.dual_index],
+                     principal, inv_fact)
 
 
 def R_apply(spec: RMatrixSpec, q, xi: LaurentElement) -> LaurentElement:
@@ -649,7 +646,8 @@ def R_apply(spec: RMatrixSpec, q, xi: LaurentElement) -> LaurentElement:
     nodes of xi.  Its principal part is exactly -(1/2) of xi's, because
     r - Omega/z is analytic at z = 0 in every family; its values are the
     closed form above evaluated at all nodes at once."""
-    values = 0.5 * xi.values.vec + _r_pairing(spec, q, xi)
+    table = _r_table(spec, q, -xi.nodes, range(xi.pole_order))
+    values = 0.5 * xi.values.vec + _r_pairing(spec.rs, table, xi.principal)
     return LaurentElement(spec.rs, -0.5 * xi.principal, xi.nodes, values)
 
 
@@ -658,7 +656,10 @@ def R_directional(spec: RMatrixSpec, q, v, xi: LaurentElement
     """The q-directional derivative (X_v R_q)(xi) on the nodes of xi.  Only
     the r-dependent part of R_q varies with q, and its residue Omega does
     not, so the result has no principal part."""
-    return LaurentElement(spec.rs, [], xi.nodes, _r_pairing(spec, q, xi, v))
+    table = _r_table(spec, q, -xi.nodes, range(xi.pole_order), du=1)
+    table[..., spec.rs.rank:] *= spec.rs.root_values(v)
+    return LaurentElement(spec.rs, [], xi.nodes,
+                          _r_pairing(spec.rs, table, xi.principal))
 
 
 def default_mdybe_samples() -> list[complex]:
@@ -677,44 +678,46 @@ def verify_mdybe(spec: RMatrixSpec, q, xi, eta, *,
         = c [I xi, I eta]
 
     ``xi`` and ``eta`` are pole-only Laurent covectors given by their
-    principal coefficients, shape (T, dim).  Every Laurent element here is
-    built on one node array: the quadrature ring |z| = quad_radius followed
-    by ``z_samples``.  The ring values give the principal part of the inner
-    covector and the residue pairing Res_z <eta(z), (R xi)(z)> whose
-    q-derivatives form the Cartan vector d<R xi, eta>; j* takes the Cartan
-    block of the residue coefficient.  The residual is the max over the
-    samples."""
-    rs = spec.rs
-    if z_samples is None:
-        z_samples = default_mdybe_samples()
-    ring = ring_nodes(quad_radius, quad_nodes)
-    nodes = np.concatenate([ring, np.asarray(z_samples, dtype=complex)])
-    xi = LaurentElement(rs, xi, nodes)
-    eta = LaurentElement(rs, eta, nodes)
-    r_xi = R_apply(spec, q, xi)
-    r_eta = R_apply(spec, q, eta)
-
-    w = bracket(r_xi.values, eta.values) + bracket(xi.values, r_eta.values)
-    w_prin = ring_coefficients(w.vec[:quad_nodes], ring,
-                               xi.pole_order + eta.pole_order)
-    r_inner = R_apply(spec, q, LaurentElement(rs, w_prin, nodes, w.vec))
-
-    x_xi_reta = R_directional(spec, q, xi.principal_coeff(1).cartan_coords,
-                              eta)
-    x_eta_rxi = R_directional(spec, q, eta.principal_coeff(1).cartan_coords,
-                              xi)
-
-    # d<R xi, eta>: Cartan vector of q_i-derivatives of the residue pairing
-    d_coords = np.zeros(rs.rank, dtype=complex)
-    for i, e_i in enumerate(np.eye(rs.rank)):
-        pairing = form(eta.values, R_directional(spec, q, e_i, xi).values)
-        d_coords[i] = ring_coefficients(pairing[:quad_nodes], ring, 1)[0]
-    d_term = AlgElement.cartan(rs, d_coords)
-
-    res = (bracket(r_xi.values, r_eta.values) - r_inner.values
-           + x_xi_reta.values - x_eta_rxi.values + d_term
-           + 0.25 * bracket(xi.values, eta.values))
-    return float(np.max(np.abs(res.vec[quad_nodes:])))
+    principal coefficients, shape (T, dim).  R xi and R eta are evaluated
+    on the ring |z| = quad_radius, which gives the principal part of the
+    inner covector and the residue pairing Res_z <eta(z), (R xi)(z)> whose
+    q-derivatives form the Cartan vector d<R xi, eta> (j* takes the Cartan
+    block of the residue coefficient), and every term at ``z_samples``,
+    over which the residual is the max."""
+    rs, n = spec.rs, quad_nodes
+    ring = ring_nodes(quad_radius, n)
+    samples = np.asarray(default_mdybe_samples() if z_samples is None
+                         else z_samples, dtype=complex)
+    xi, eta = (LaurentElement(rs, x, np.concatenate([ring, samples]))
+               for x in (xi, eta))
+    order = range(max(xi.pole_order, eta.pole_order))
+    r0, r1 = (_r_table(spec, q, -xi.nodes, order, du) for du in (0, 1))
+    r_xi, r_eta = (AlgElement(rs, 0.5 * x.values.vec + _r_pairing(
+        rs, r0, x.principal)) for x in (xi, eta))
+    # the inner covector [R xi, eta] + [xi, R eta] and R of it at the samples
+    w = (bracket(r_xi, eta.values) + bracket(xi.values, r_eta)).vec
+    inner = LaurentElement(rs, ring_coefficients(
+        w[:n], ring, xi.pole_order + eta.pole_order), samples, w[n:])
+    r0_s = np.concatenate([r0[:, n:], _r_table(
+        spec, q, -samples, range(len(order), inner.pole_order))])
+    s_rxi, s_reta, s_xi, s_eta = (AlgElement(rs, v.vec[n:]) for v in (
+        r_xi, r_eta, xi.values, eta.values))
+    res = ((bracket(s_rxi, s_reta) + 0.25 * bracket(s_xi, s_eta)).vec
+           - 0.5 * w[n:] - _r_pairing(rs, r0_s, inner.principal))
+    # X_{j* xi}(R eta) - X_{j* eta}(R xi): alpha(j* xi) times the du = 1
+    # pairing of eta, and the other way round
+    for x, y, sign in ((xi, eta, 1.0), (eta, xi, -1.0)):
+        table = sign * r1[:, n:]
+        table[..., rs.rank:] *= rs.root_values(
+            x.principal_coeff(1).cartan_coords)
+        res += _r_pairing(rs, table, y.principal)
+    # d<R xi, eta>: q_i-derivatives of the residue pairing for every Cartan
+    # direction at once, <eta, (X_v R) xi> = sum_alpha alpha(v) eta_alpha
+    # p_{-alpha} with p the du = 1 pairing of xi
+    p = _r_pairing(rs, r1[:, :n], xi.principal)[:, rs.dual_index]
+    res[:, :rs.rank] += ring_coefficients(
+        (eta.values.vec[:n] * p)[:, rs.rank:] @ rs.alpha_h, ring, 1)[0]
+    return float(np.max(np.abs(res)))
 
 
 def equivariance_residual(spec: RMatrixSpec, q, xi, c_coords,

@@ -194,12 +194,12 @@ class RootSystem:
 
     def _build_structure(self) -> None:
         # only the nonzero f[a, b, c] are kept (2% of the entries on A_4):
-        # their index pairs (a, b) and a (nnz, dim) matrix scattering
-        # f x_a y_b to c; the dense tensor is rebuilt on demand
+        # as (a, b, c, f) index and value arrays, and as a (nnz, dim) matrix
+        # scattering f x_a y_b to c; the dense tensor is rebuilt on demand
         f = self.structure
         del self.structure
         a, b, c = np.nonzero(f)
-        self.bracket_ab = (a, b)
+        self.structure_nz = (a, b, c, f[a, b, c])
         self.bracket_scatter = np.zeros((a.size, self.dim), dtype=complex)
         self.bracket_scatter[np.arange(a.size), c] = f[a, b, c]
 
@@ -350,7 +350,7 @@ def bracket(x: AlgElement, y: AlgElement) -> AlgElement:
     structure constants only: one gather and multiply x_a y_b per nonzero,
     then one matmul with the fixed scatter matrix (batch axes broadcast)."""
     x._check(y)
-    a, b = x.rs.bracket_ab
+    a, b, _, _ = x.rs.structure_nz
     return AlgElement(x.rs, (x.vec[..., a] * y.vec[..., b])
                       @ x.rs.bracket_scatter)
 

@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 from spincm.cli import (EXIT_CONFIG, EXIT_PASS, EXIT_RESIDUAL,
-                        EXIT_SINGULARITY, RunConfig, _build_parser,
-                        default_thresholds, load_config, main, parse_config)
+                        EXIT_SINGULARITY, FAULT_SCALE, RunConfig,
+                        _build_parser, default_thresholds, load_config, main,
+                        parse_config)
 from spincm.errors import ConfigError
+from spincm.rmatrix import verify_cdybe, verify_mdybe
 
 
 def write_config(tmp_path, name, data):
@@ -219,6 +221,32 @@ def test_verify_fault_injection_fails_cdybe(tmp_path):
     assert report["pass"] is False
     assert report["fault_injected"] is True
     assert report["checks"][0]["max_residual"] > 1e-3
+
+
+def complex_array(pairs):
+    """Inverse of the [re, im] pair encoding, for any nesting depth."""
+    pairs = np.asarray(pairs, dtype=float)
+    return pairs[..., 0] + 1j * pairs[..., 1]
+
+
+@pytest.mark.parametrize("suite", ["cdybe", "mdybe"])
+def test_verify_witness_replays_max_residual(tmp_path, suite):
+    data = {"family": "trigonometric", "rank": 2, "seed": 8}
+    cfg = write_config(tmp_path, "ver.json", data)
+    assert main(["verify", "--config", cfg, "--suite", suite,
+                 "--inject-fault", "--out", str(tmp_path)]) == EXIT_RESIDUAL
+    check = json.loads((tmp_path / "report.json").read_text())["checks"][0]
+    witness = check["witness"]
+    assert 0 <= witness["sample"] < check["samples"]
+    spec = parse_config(data).system().rmatrix.with_fault(FAULT_SCALE)
+    q, z = complex_array(witness["q"]), complex_array(witness["z"])
+    if suite == "cdybe":
+        replay = verify_cdybe(spec, q, *z)
+    else:
+        replay = verify_mdybe(spec, q, complex_array(witness["xi"]),
+                              complex_array(witness["eta"]), z_samples=z)
+    assert replay == pytest.approx(check["max_residual"], rel=1e-12)
+    assert check["max_residual"] > 1e-3
 
 
 def test_verify_threshold_scale(tmp_path):

@@ -19,11 +19,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spincm.dynamics import SystemSpec, fpbr_residual, lax_L
 from spincm.elliptic import Lattice, l_kernel
+from spincm.phase import PhasePoint, momentum_J
 from spincm.errors import PoleError, StructuralError
-from spincm.rootsys import (AlgElement, build_root_system, form, negate,
-                            root_label)
-from spincm.rmatrix import (LaurentElement, R_apply, casimir_tensor,
+from spincm.rootsys import (AlgElement, bracket, build_root_system, form,
+                            negate, root_label)
+from spincm.rmatrix import (LaurentElement, R_apply, R_directional,
+                            casimir_tensor,
                             cartan_coeff, default_mdybe_samples,
                             elliptic_r_matrix, equivariance_residual,
                             pair_weight, r_tensor, rational_r_matrix, root_coeff, root_coeff_reg0,
@@ -458,3 +461,167 @@ def test_equivariance(family):
     c = 0.2 * rng.normal(size=2)
     zs = [0.5 * cmath.exp(2j * math.pi * k / 6) for k in range(6)]
     assert equivariance_residual(spec, q, xi, c, zs) < 1e-10
+
+
+# -- dense references --------------------------------------------------------
+#
+# The package contracts every r through its coefficient vector
+# (r[a, dual(a)] = c_a) and the nonzero structure constants.  These
+# references contract the dense r_tensor(...).mat with the dense
+# rs.structure, as the defining formulas read.  The faulted cases
+# (fault_scale 4) are what make the comparison bite: unfaulted residuals are
+# round-off, so those are compared to 1e-12 absolute.
+
+DENSE_CASES = [(family, rank, fault)
+               for family in ("rational", "trigonometric", "elliptic")
+               for rank in (1, 2, 3) for fault in (1.0, 4.0)]
+
+
+def faulted_spec(family, rank, fault):
+    spec = all_specs(rank)[family]
+    return spec.with_fault(fault) if fault != 1.0 else spec
+
+
+def assert_matches_dense(got, want, fault):
+    assert abs(got - want) <= 1e-12 * max(abs(want), 1.0), (got, want)
+    if fault != 1.0:
+        assert want > 1e-3
+
+
+def dense_pair_first(rs, mat, x):
+    """<r, x (x) 1> for a dense tensor r (batch axes broadcast)."""
+    return np.einsum("...ab,...a->...b", mat, x @ rs.gram)
+
+
+def dense_r_pairing(spec, q, xi, direction=None):
+    out = np.zeros(xi.nodes.shape + (spec.rs.dim,), dtype=complex)
+    for k in range(xi.pole_order):
+        mat = r_tensor(spec, q, -xi.nodes, kz=k, direction=direction).mat
+        out += dense_pair_first(spec.rs, mat, xi.principal[k]) \
+            / math.factorial(k)
+    return out
+
+
+def dense_R_apply(spec, q, xi):
+    return 0.5 * xi.values.vec + dense_r_pairing(spec, q, xi)
+
+
+def dense_cdybe(spec, q, z1, z2, z3):
+    rs = spec.rs
+    f = rs.structure
+    z12, z13, z23 = z1 - z2, z1 - z3, z2 - z3
+    r12, r13, r23 = r_tensor(spec, q, [z12, z13, z23]).mat
+    cube = np.zeros((rs.dim, rs.dim, rs.dim), dtype=complex)
+    for i, e_i in enumerate(np.eye(rs.rank)):
+        d23, d31, d12 = r_tensor(spec, q, [z23, -z13, z12],
+                                 direction=e_i).mat
+        cube[i, :, :] += d23
+        cube[:, i, :] += d31.T
+        cube[:, :, i] += d12
+    cube += np.einsum("ab,cd,ace->ebd", r12, r13, f)
+    cube += np.einsum("ab,cd,bce->aed", r12, r23, f)
+    cube += np.einsum("ab,cd,bde->ace", r13, r23, f)
+    return float(np.max(np.abs(cube)))
+
+
+def dense_mdybe(spec, q, xi, eta, quad_radius=0.35, quad_nodes=256):
+    rs = spec.rs
+    ring = ring_nodes(quad_radius, quad_nodes)
+    nodes = np.concatenate([ring, default_mdybe_samples()])
+    xi = LaurentElement(rs, xi, nodes)
+    eta = LaurentElement(rs, eta, nodes)
+    r_xi = AlgElement(rs, dense_R_apply(spec, q, xi))
+    r_eta = AlgElement(rs, dense_R_apply(spec, q, eta))
+    w = bracket(r_xi, eta.values) + bracket(xi.values, r_eta)
+    w_prin = ring_coefficients(w.vec[:quad_nodes], ring,
+                               xi.pole_order + eta.pole_order)
+    r_inner = dense_R_apply(spec, q, LaurentElement(rs, w_prin, nodes, w.vec))
+    x_xi_reta = dense_r_pairing(spec, q, eta, xi.principal[0, :rs.rank])
+    x_eta_rxi = dense_r_pairing(spec, q, xi, eta.principal[0, :rs.rank])
+    d_coords = np.zeros(rs.rank, dtype=complex)
+    for i, e_i in enumerate(np.eye(rs.rank)):
+        pairing = form(eta.values,
+                       AlgElement(rs, dense_r_pairing(spec, q, xi, e_i)))
+        d_coords[i] = ring_coefficients(pairing[:quad_nodes], ring, 1)[0]
+    res = (bracket(r_xi, r_eta).vec - r_inner + x_xi_reta - x_eta_rxi
+           + AlgElement.cartan(rs, d_coords).vec
+           + 0.25 * bracket(xi.values, eta.values).vec)
+    return float(np.max(np.abs(res[quad_nodes:])))
+
+
+def dense_fpbr(sys, x, z, w):
+    rs = sys.rs
+    spec_l = sys.lax_rmatrix
+    q = x.q
+    f = rs.structure
+    rz, rw = r_tensor(spec_l, q, [z, w]).mat
+    lz, lw = lax_L(sys, x, [z, w]).vec
+    dq_z, dq_w = np.moveaxis(np.array([
+        np.einsum("...ab,b->...a",
+                  r_tensor(spec_l, q, [z, w], direction=e_i).mat,
+                  rs.gram @ x.xi.vec)
+        for e_i in np.eye(rs.rank)]), 0, -1)
+    lhs = np.zeros((rs.dim, rs.dim), dtype=complex)
+    lhs[:, :rs.rank] -= dq_z
+    lhs[:rs.rank, :] += dq_w.T
+    lhs += np.einsum("ac,bd,cde,e->ab", rz, rw, f, rs.gram @ x.xi.vec)
+    r12 = r_tensor(sys.rmatrix, q, z - w).mat
+    com = np.einsum("cb,f,cfa->ab", r12, lz, f)
+    com += np.einsum("ad,f,dfb->ab", r12, lw, f)
+    xterm = r_tensor(sys.rmatrix, q, z - w, direction=momentum_J(x)).mat
+    return float(np.max(np.abs(lhs + com + xterm)))
+
+
+@pytest.mark.parametrize("family", ["rational", "trigonometric", "elliptic"])
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+@pytest.mark.parametrize("fault", [1.0, 4.0])
+def test_cdybe_matches_dense_reference(family, rank, fault):
+    spec = faulted_spec(family, rank, fault)
+    rng = np.random.default_rng(700 + rank)
+    for _ in range(2):
+        q = rng.uniform(0.55, 1.1, size=rank) * rng.choice([-1, 1], size=rank)
+        zs = (0.45 + 0.1j, -0.2 + 0.35j, 0.05 - 0.4j)
+        assert_matches_dense(verify_cdybe(spec, q, *zs),
+                             dense_cdybe(spec, q, *zs), fault)
+
+
+@pytest.mark.parametrize("family,rank,fault", DENSE_CASES)
+def test_mdybe_matches_dense_reference(family, rank, fault):
+    spec = faulted_spec(family, rank, fault)
+    rng = np.random.default_rng(710 + rank)
+    q = rng.uniform(0.55, 1.1, size=rank) * rng.choice([-1, 1], size=rank)
+    xi = random_laurent(spec.rs, 2, rng)
+    eta = random_laurent(spec.rs, 2, rng)
+    assert_matches_dense(verify_mdybe(spec, q, xi, eta),
+                         dense_mdybe(spec, q, xi, eta), fault)
+
+
+@pytest.mark.parametrize("family,rank,fault", DENSE_CASES)
+def test_r_operator_matches_dense_reference(family, rank, fault):
+    spec = faulted_spec(family, rank, fault)
+    rs = spec.rs
+    rng = np.random.default_rng(720 + rank)
+    q = rng.uniform(0.55, 1.1, size=rank) * rng.choice([-1, 1], size=rank)
+    xi = LaurentElement(rs, random_laurent(rs, 3, rng),
+                        default_mdybe_samples())
+    v = rng.normal(size=rank)
+    for got, want in ((R_apply(spec, q, xi).values.vec,
+                       dense_R_apply(spec, q, xi)),
+                      (R_directional(spec, q, v, xi).values.vec,
+                       dense_r_pairing(spec, q, xi, v))):
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("family,rank,fault", DENSE_CASES)
+def test_fpbr_matches_dense_reference(family, rank, fault):
+    sys = SystemSpec(faulted_spec(family, rank, fault))
+    rs = sys.rs
+    rng = np.random.default_rng(730 + rank)
+    q = rng.uniform(0.6, 1.1, size=rank) * rng.choice([-1, 1], size=rank)
+    x = PhasePoint(q.astype(complex), rng.normal(size=rank) + 0j,
+                   AlgElement(rs, rng.normal(size=rs.dim)
+                              + 1j * rng.normal(size=rs.dim)))
+    z, w = 0.31 + 0.12j, -0.22 + 0.4j
+    assert_matches_dense(fpbr_residual(sys, x, z, w),
+                         dense_fpbr(sys, x, z, w), fault)

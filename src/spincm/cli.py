@@ -11,11 +11,11 @@ reduce     apply the reduction projection pointwise to an unreduced
            trajectory CSV, adding a gauge-consistency residual column
 info       print the configured system and root data as JSON
 
-Configuration is a JSON file (``--config``); unknown keys are rejected
-anywhere in the document.  Complex numbers are written as two-element
-arrays [re, im] (plain numbers are accepted where the value is real);
-root labels are the integer coordinate vectors over the simple roots,
-rendered as strings like "[1,0]" when used as JSON object keys.
+Configuration is a JSON file (``--config``) checked against ``SCHEMA``:
+unknown keys are rejected anywhere in the document.  Complex numbers are
+written as [re, im] pairs or plain numbers; root labels are the integer
+coordinate vectors over the simple roots, rendered as strings like "[1,0]"
+when used as JSON object keys.
 
 Exit codes: 0 pass, 1 residual failure, 2 usage/config error,
 3 singularity abort.
@@ -24,11 +24,12 @@ Exit codes: 0 pass, 1 residual failure, 2 usage/config error,
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -37,17 +38,17 @@ import numpy as np
 from .elliptic import Lattice
 from .errors import (ConfigError, ConstraintError, GaugeDomainError,
                      PoleError, SpincmError, StructuralError)
-from .phase import PhasePoint, ReducedPoint, gauge_g, project_pi
+from .phase import PhasePoint, ReducedPoint, project_pi, reduced_roots
 from .rmatrix import (default_mdybe_samples, verify_axioms, verify_cdybe,
                       verify_mdybe)
-from .rootsys import (AlgElement, parse_root_label, root_label,
-                      root_system_summary, torus_adjoint)
+from .rootsys import (AlgElement, build_root_system, parse_root_label,
+                      root_system_summary)
 from .dynamics import (SystemSpec, collision_margin, default_z_samples,
                        hamiltonian_reduced, integrate, involution_check,
-                       lax_L, lax_L0, lax_pair_reduced, lax_pair_residual,
-                       make_system, quasi_lax_residual, reduced_lax_residual,
-                       spectrum_drift, spinless_state, Trajectory,
-                       write_trajectory_csv)
+                       gauge_residual, lax_pair_reduced, lax_pair_residual,
+                       make_system, quasi_lax_residual, read_trajectory_csv,
+                       reduced_lax_residual, spectrum_drift, spinless_state,
+                       Trajectory, write_trajectory_csv)
 from . import __version__
 
 EXIT_PASS = 0
@@ -55,23 +56,8 @@ EXIT_RESIDUAL = 1
 EXIT_CONFIG = 2
 EXIT_SINGULARITY = 3
 
+FAMILIES = ("rational", "trigonometric", "elliptic")
 SUITES = ("axioms", "cdybe", "mdybe", "lax", "involution", "spectral")
-
-_TOP_KEYS = {"family", "rank", "delta_prime", "pi_prime", "delta_plus",
-             "lattice", "seed", "initial", "integration", "outputs",
-             "thresholds"}
-_INITIAL_KEYS = {"preset", "q", "p", "xi", "xi_cartan", "s"}
-_INTEGRATION_KEYS = {"t_final", "tol", "n_points", "collision_tol"}
-_OUTPUT_KEYS = {"trajectory_csv", "diagnostics_json", "report_json",
-                "z_samples", "kmax"}
-_LATTICE_KEYS = {"omega1", "omega2"}
-
-_INTEGRATION_DEFAULTS = {"t_final": 10.0, "tol": 1e-10, "n_points": 201,
-                         "collision_tol": 1e-6}
-_OUTPUT_DEFAULTS = {"trajectory_csv": "trajectory.csv",
-                    "diagnostics_json": "diagnostics.json",
-                    "report_json": "report.json",
-                    "z_samples": None, "kmax": None}
 
 
 def default_thresholds(family: str) -> dict:
@@ -87,190 +73,208 @@ def default_thresholds(family: str) -> dict:
     }
 
 
-def _require(value, kind: type, where: str):
-    """Reject a config value that is not a JSON object (kind dict) or list."""
-    if not isinstance(value, kind):
-        raise ConfigError(f"{where} must be "
-                          f"{'an object' if kind is dict else 'a list'}, "
-                          f"got {value!r}")
-    return value
+# ---------------------------------------------------------------------------
+# configuration schema
 
 
-def _reject_unknown(data: dict, allowed: set, where: str) -> None:
-    for key in _require(data, dict, where):
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key!r} in {where}")
+def _num(v) -> bool:
+    """A finite JSON number; a bool is not one."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) \
+        and abs(v) <= sys.float_info.max
 
 
-def _as_complex(value, where: str) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2 and \
-            all(isinstance(v, (int, float)) for v in value):
-        return complex(value[0], value[1])
-    raise ConfigError(f"{where}: expected a number or an [re, im] pair, "
-                      f"got {value!r}")
+def _int(v, low=-math.inf, high=math.inf) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and low <= v <= high
 
 
-def _real(value, where: str, ok, rule: str) -> None:
-    """Reject anything but a finite JSON number v with ok(v)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or not math.isfinite(value) or not ok(value):
-        raise ConfigError(f"{where}: expected a finite number {rule}, "
-                          f"got {value!r}")
+def _complex(v) -> bool:
+    return _num(v) or isinstance(v, list) and len(v) == 2 \
+        and all(map(_num, v))
 
 
-def _count(value, where: str, low: int) -> None:
-    """Reject anything but a JSON integer >= low."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
-        raise ConfigError(f"{where}: expected an integer >= {low}, "
-                          f"got {value!r}")
+def _root_labels(v, rank) -> bool:
+    return isinstance(v, list) and all(
+        isinstance(r, list) and len(r) == rank and all(map(_int, r))
+        for r in v)
 
 
-def _check_values(integration: dict, outputs: dict, thresholds: dict) -> None:
-    """ConfigError unless every numeric setting lies in its range."""
-    _real(integration["t_final"], "integration.t_final", lambda v: v != 0,
-          "other than 0")
-    _real(integration["tol"], "integration.tol", lambda v: v > 0, "> 0")
-    _real(integration["collision_tol"], "integration.collision_tol",
-          lambda v: v >= 0, ">= 0")
-    _count(integration["n_points"], "integration.n_points", 2)
-    if outputs["kmax"] is not None:
-        _count(outputs["kmax"], "outputs.kmax", 1)
-    for name, value in thresholds.items():
-        _real(value, f"thresholds.{name}", lambda v: v > 0, "> 0")
+def _spins(v, rank, reduced: bool) -> bool:
+    """Root label -> complex number over the roots of A_rank, or over those
+    with a reduced spin coordinate."""
+    rs = build_root_system("A", rank)
+    roots = reduced_roots(rs) if reduced else rs.roots
+    try:
+        return isinstance(v, dict) and all(
+            parse_root_label(label, rank) in roots and _complex(c)
+            for label, c in v.items())
+    except ValueError:
+        return False
+
+
+_PRESET_RE = re.compile(r"spinless\((.+)\)")
+
+
+def _preset(v) -> bool:
+    match = isinstance(v, str) and _PRESET_RE.fullmatch(v)
+    try:
+        return v == "free" or bool(match) \
+            and cmath.isfinite(complex(match.group(1)))
+    except ValueError:
+        return False
+
+
+# A check is (rule, ok): ok(value, rank) tells whether a value is valid, and
+# the rule says what a valid value is, in the ConfigError message.
+def _integer(low: int, high=math.inf):
+    rule = f"in {low}..{high}" if high < math.inf else f">= {low}"
+    return f"an integer {rule}", lambda v, rank: _int(v, low, high)
+
+
+_OBJECT = ("an object", lambda v, rank: isinstance(v, dict))
+_COMPLEX = ("a finite number or an [re, im] pair",
+            lambda v, rank: _complex(v))
+_COORDINATES = ("a list of rank complex numbers", lambda v, rank:
+                isinstance(v, list) and len(v) == rank
+                and all(map(_complex, v)))
+_POSITIVE = ("a finite number > 0", lambda v, rank: _num(v) and v > 0)
+_FILE_NAME = ("a file name without a directory part", lambda v, rank:
+              isinstance(v, str) and bool(re.fullmatch(r"[^/\\\0]+", v))
+              and bool(v.strip(".")))
+_SUBSET = "'full', 'empty' or a list of "
+_REQUIRED = object()
+_BY_FAMILY = object()   # from default_thresholds(family)
+
+# One entry per key path: (path, check, default), each section before its
+# keys.  parse_config walks them in order, so "family" and "rank" are known
+# to every later check.  null counts as "not given" wherever the default is
+# None.
+SCHEMA = (
+    ("family", ("'rational', 'trigonometric' or 'elliptic'",
+                lambda v, rank: v in FAMILIES), _REQUIRED),
+    ("rank", _integer(1, 4), _REQUIRED),
+    ("delta_prime", (_SUBSET + "root labels", lambda v, rank:
+                     v in ("full", "empty") or _root_labels(v, rank)), "full"),
+    ("pi_prime", (_SUBSET + "simple-root indices", lambda v, rank:
+                  v in ("full", "empty") or isinstance(v, list)
+                  and all(_int(i, 0, rank - 1) for i in v)), "full"),
+    ("delta_plus", ("a list of root labels", _root_labels), None),
+    ("lattice", _OBJECT, None),
+    ("lattice.omega1", _COMPLEX, _REQUIRED),
+    ("lattice.omega2", _COMPLEX, _REQUIRED),
+    ("seed", _integer(0), 0),
+    ("initial", ("an object with at most one of 'preset', 's' and "
+                 "'xi'/'xi_cartan'", lambda v, rank: isinstance(v, dict)
+                 and len({"preset", "s", "xi"} & {
+                     key.removesuffix("_cartan") for key in v
+                     if v[key] is not None}) <= 1), None),
+    ("initial.preset", ("'free' or 'spinless(m)' with a finite complex m",
+                        lambda v, rank: _preset(v)), None),
+    ("initial.q", _COORDINATES, _REQUIRED),
+    ("initial.p", _COORDINATES, _REQUIRED),
+    ("initial.xi", ("an object from root labels to complex numbers",
+                    lambda v, rank: _spins(v, rank, False)), None),
+    ("initial.xi_cartan", _COORDINATES, None),
+    ("initial.s", ("an object from the labels of the roots with a reduced "
+                   "spin coordinate to complex numbers",
+                   lambda v, rank: _spins(v, rank, True)), None),
+    ("integration", _OBJECT, {}),
+    ("integration.t_final", ("a finite number other than 0",
+                             lambda v, rank: _num(v) and v != 0), 10.0),
+    ("integration.tol", _POSITIVE, 1e-10),
+    ("integration.n_points", _integer(2), 201),
+    ("integration.collision_tol", ("a finite number >= 0",
+                                   lambda v, rank: _num(v) and v >= 0), 1e-6),
+    ("outputs", _OBJECT, {}),
+    ("outputs.trajectory_csv", _FILE_NAME, "trajectory.csv"),
+    ("outputs.diagnostics_json", _FILE_NAME, "diagnostics.json"),
+    ("outputs.report_json", _FILE_NAME, "report.json"),
+    ("outputs.z_samples", ("a non-empty list of complex numbers",
+                           lambda v, rank: isinstance(v, list) and v != []
+                           and all(map(_complex, v))), None),
+    ("outputs.kmax", _integer(1), None),
+    ("thresholds", _OBJECT, {}),
+    *((f"thresholds.{suite}", _POSITIVE, _BY_FAMILY) for suite in SUITES),
+)
+_SECTIONS: dict[str, dict] = {}   # section path ("" the root) -> {key: entry}
+for _entry in SCHEMA:
+    _parent, _, _key = _entry[0].rpartition(".")
+    _SECTIONS.setdefault(_parent, {})[_key] = _entry
 
 
 @dataclass
 class RunConfig:
-    """Validated run configuration.  See the module docstring for the JSON
-    schema; ``parse`` and ``serialize`` round-trip."""
+    """A validated config document: every key of ``SCHEMA``, defaults
+    filled in.  ``parse_config(config.serialize()) == config``."""
 
     family: str
     rank: int
-    delta_prime: object = "full"
-    pi_prime: object = "full"
-    delta_plus: object = None
-    lattice: object = None
-    seed: int = 0
-    initial: dict | None = None
-    integration: dict = field(default_factory=dict)
-    outputs: dict = field(default_factory=dict)
-    thresholds: dict = field(default_factory=dict)
+    delta_prime: object
+    pi_prime: object
+    delta_plus: list | None
+    lattice: dict | None
+    seed: int
+    initial: dict | None
+    integration: dict
+    outputs: dict
+    thresholds: dict
 
     def system(self) -> SystemSpec:
-        kwargs = {}
-        if self.family == "rational":
-            kwargs["delta_prime"] = _root_list(self.delta_prime, "delta_prime")
-        elif self.family == "trigonometric":
-            kwargs["pi_prime"] = self.pi_prime
-            if self.delta_plus is not None:
-                kwargs["delta_plus"] = _root_list(self.delta_plus,
-                                                  "delta_plus")
-        elif self.family == "elliptic":
-            if not isinstance(self.lattice, dict):
-                raise ConfigError("elliptic family needs a 'lattice' object "
-                                  "with omega1 and omega2")
-            _reject_unknown(self.lattice, _LATTICE_KEYS, "lattice")
-            missing = sorted(_LATTICE_KEYS - set(self.lattice))
-            if missing:
-                raise ConfigError(f"lattice is missing {missing}")
-            kwargs["lattice"] = Lattice(
-                _as_complex(self.lattice["omega1"], "lattice.omega1"),
-                _as_complex(self.lattice["omega2"], "lattice.omega2"))
-        else:
-            raise ConfigError(f"unknown family {self.family!r}; expected "
-                              "rational, trigonometric or elliptic")
         try:
-            return make_system(self.family, self.rank, **kwargs)
+            lattice = self.lattice and Lattice(*_complexes(
+                [self.lattice["omega1"], self.lattice["omega2"]]))
+            return make_system(self.family, self.rank,
+                               delta_prime=self.delta_prime,
+                               pi_prime=self.pi_prime,
+                               delta_plus=self.delta_plus, lattice=lattice)
         except StructuralError as exc:
             raise ConfigError(str(exc)) from exc
 
     def serialize(self) -> dict:
-        out = {"family": self.family, "rank": self.rank, "seed": self.seed}
-        if self.family == "rational":
-            out["delta_prime"] = self.delta_prime
-        if self.family == "trigonometric":
-            out["pi_prime"] = self.pi_prime
-            if self.delta_plus is not None:
-                out["delta_plus"] = self.delta_plus
-        if self.lattice is not None:
-            out["lattice"] = self.lattice
-        if self.initial is not None:
-            out["initial"] = self.initial
-        out["integration"] = self.integration
-        out["outputs"] = self.outputs
-        out["thresholds"] = self.thresholds
-        return out
+        return asdict(self)
 
 
-def _root_list(value, where: str):
-    if value in ("full", "empty"):
-        return value
-    if not isinstance(value, list):
-        raise ConfigError(f"{where}: expected 'full', 'empty' or a list of "
-                          "integer root vectors")
-    out = []
-    for item in value:
-        if not (isinstance(item, list)
-                and all(isinstance(c, int) for c in item)):
-            raise ConfigError(f"{where}: bad root label {item!r}; roots are "
-                              "integer vectors over the simple roots")
-        out.append(tuple(item))
+def _complexes(values) -> np.ndarray:
+    """Checked complex values (numbers or [re, im] pairs) as an array."""
+    return np.array([complex(*v) if isinstance(v, list) else complex(v)
+                     for v in values])
+
+
+def _walk(given: dict, section: str, doc: dict) -> dict:
+    """The keys of ``section`` (a key path, "" for the root) checked and
+    completed with their defaults; ``doc`` is the validated root."""
+    entries = _SECTIONS[section]
+    for key in given:
+        if key not in entries:
+            raise ConfigError(f"unknown key {key!r} in {section or 'config'}")
+    out = doc if not section else {}
+    for key, (path, (rule, ok), default) in entries.items():
+        value = given.get(key)
+        if key not in given or value is None and default is None:
+            if default is _REQUIRED:
+                raise ConfigError(f"{section or 'config'} is missing the "
+                                  f"required key {key!r}")
+            value = default_thresholds(doc["family"])[key] \
+                if default is _BY_FAMILY else default
+        elif not ok(value, doc.get("rank")):
+            raise ConfigError(f"{path}: expected {rule}, got {value!r}")
+        out[key] = _walk(value, path, doc) \
+            if path in _SECTIONS and value is not None else value
     return out
 
 
-def parse_config(data: dict) -> RunConfig:
+def parse_config(data) -> RunConfig:
+    """Check ``data`` against ``SCHEMA`` and fill in the defaults; an
+    unknown key, a missing required key or a bad value raises ConfigError
+    naming its key path."""
     if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
-    _reject_unknown(data, _TOP_KEYS, "config")
-    for key in ("family", "rank"):
-        if key not in data:
-            raise ConfigError(f"config is missing the required key {key!r}")
-    if not isinstance(data["rank"], int) or not 1 <= data["rank"] <= 4:
-        raise ConfigError(f"rank must be an integer in 1..4, got "
-                          f"{data['rank']!r}")
-    initial = data.get("initial")
-    if initial is not None:
-        _reject_unknown(initial, _INITIAL_KEYS, "initial")
-        for key in ("xi", "s"):
-            if key in initial:
-                _require(initial[key], dict, f"initial.{key}")
-    pi_prime = data.get("pi_prime", "full")
-    if pi_prime not in ("full", "empty") and any(
-            type(i) is not int for i in _require(pi_prime, list, "pi_prime")):
-        raise ConfigError(f"pi_prime: expected 'full', 'empty' or a list of "
-                          f"simple-root indices, got {pi_prime!r}")
-    integration = dict(_INTEGRATION_DEFAULTS)
-    _reject_unknown(data.get("integration", {}), _INTEGRATION_KEYS,
-                    "integration")
-    integration.update(data.get("integration", {}))
-    outputs = dict(_OUTPUT_DEFAULTS)
-    _reject_unknown(data.get("outputs", {}), _OUTPUT_KEYS, "outputs")
-    outputs.update(data.get("outputs", {}))
-    if outputs["z_samples"] is not None:
-        _require(outputs["z_samples"], list, "outputs.z_samples")
-    thresholds = default_thresholds(data["family"])
-    user_thresholds = data.get("thresholds", {})
-    _reject_unknown(user_thresholds, set(thresholds), "thresholds")
-    thresholds.update(user_thresholds)
-    _check_values(integration, outputs, thresholds)
-    seed = data.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
-    return RunConfig(family=data["family"], rank=data["rank"],
-                     delta_prime=data.get("delta_prime", "full"),
-                     pi_prime=pi_prime,
-                     delta_plus=data.get("delta_plus"),
-                     lattice=data.get("lattice"), seed=seed,
-                     initial=initial, integration=integration,
-                     outputs=outputs, thresholds=thresholds)
+        raise ConfigError(f"config: expected an object, got {data!r}")
+    return RunConfig(**_walk(data, "", {}))
 
 
 def load_config(path) -> RunConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         data = json.loads(text)
@@ -284,31 +288,9 @@ def load_config(path) -> RunConfig:
 # initial conditions
 
 
-_PRESET_RE = re.compile(r"^spinless\(([^)]+)\)$")
-
-
-def _coordinate_array(init: dict, key: str, rank: int) -> np.ndarray:
-    if key not in init:
-        raise ConfigError(f"initial: missing {key!r}")
-    vals = init[key]
-    if not isinstance(vals, list) or len(vals) != rank:
-        raise ConfigError(f"initial.{key}: expected {rank} coordinates")
-    return np.array([_as_complex(v, f"initial.{key}[{i}]")
-                     for i, v in enumerate(vals)])
-
-
-def _spin_dict(rs, data: dict, where: str) -> dict:
-    out = {}
-    for label, value in data.items():
-        try:
-            root = parse_root_label(label, rs.rank)
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
-        if root not in rs.root_index:
-            raise ConfigError(f"{where}: {label} is not a root of "
-                              f"A_{rs.rank}")
-        out[root] = _as_complex(value, f"{where}[{label}]")
-    return out
+def _spin_values(spins: dict, rank: int) -> dict:
+    return {parse_root_label(label, rank): c
+            for label, c in zip(spins, _complexes(spins.values()))}
 
 
 def build_initial(config: RunConfig, system: SystemSpec):
@@ -317,41 +299,17 @@ def build_initial(config: RunConfig, system: SystemSpec):
     if init is None:
         raise ConfigError("this command needs an 'initial' section")
     rs = system.rs
-    q = _coordinate_array(init, "q", rs.rank)
-    p = _coordinate_array(init, "p", rs.rank)
-    preset = init.get("preset")
-    if preset is not None:
-        if any(k in init for k in ("xi", "xi_cartan", "s")):
-            raise ConfigError("initial: a preset excludes explicit spin data")
-        if preset == "free":
-            return PhasePoint.make(rs, q, p)
-        match = _PRESET_RE.match(preset)
-        if match:
-            try:
-                m = complex(match.group(1))
-            except ValueError as exc:
-                raise ConfigError(
-                    f"initial.preset: bad spinless parameter "
-                    f"{match.group(1)!r}") from exc
-            return spinless_state(rs, q, p, m)
-        raise ConfigError(f"initial.preset: unknown preset {preset!r}; "
-                          "expected 'free' or 'spinless(m)'")
-    if "s" in init:
-        if "xi" in init or "xi_cartan" in init:
-            raise ConfigError("initial: 's' (reduced) excludes 'xi'")
-        try:
-            return ReducedPoint.make(rs, q, p,
-                                     _spin_dict(rs, init["s"], "initial.s"))
-        except StructuralError as exc:
-            raise ConfigError(f"initial.s: {exc}") from exc
-    comps = _spin_dict(rs, init.get("xi", {}), "initial.xi")
-    cartan = None
-    if "xi_cartan" in init:
-        vals = init["xi_cartan"]
-        if not isinstance(vals, list) or len(vals) != rs.rank:
-            raise ConfigError(f"initial.xi_cartan: expected {rs.rank} entries")
-        cartan = [_as_complex(v, "initial.xi_cartan") for v in vals]
-    return PhasePoint.make(rs, q, p, xi_cartan=cartan, xi_components=comps)
+    q, p = _complexes(init["q"]), _complexes(init["p"])
+    if init["preset"] == "free":
+        return PhasePoint.make(rs, q, p)
+    if init["preset"] is not None:
+        m = complex(_PRESET_RE.fullmatch(init["preset"]).group(1))
+        return spinless_state(rs, q, p, m)
+    if init["s"] is not None:
+        return ReducedPoint.make(rs, q, p, _spin_values(init["s"], rs.rank))
+    cartan = init["xi_cartan"] and _complexes(init["xi_cartan"])
+    return PhasePoint.make(rs, q, p, xi_cartan=cartan, xi_components=
+                           _spin_values(init["xi"] or {}, rs.rank))
 
 
 # ---------------------------------------------------------------------------
@@ -359,22 +317,17 @@ def build_initial(config: RunConfig, system: SystemSpec):
 
 
 def _z_grid(config: RunConfig) -> list[complex]:
-    z_conf = config.outputs.get("z_samples")
-    if z_conf is None:
-        return default_z_samples()
-    return [_as_complex(v, "outputs.z_samples") for v in z_conf]
+    z_conf = config.outputs["z_samples"]
+    return default_z_samples() if z_conf is None else list(_complexes(z_conf))
 
 
 def cmd_simulate(config: RunConfig, out_dir: Path) -> int:
     system = config.system()
     x0 = build_initial(config, system)
-    opts = config.integration
-    traj = integrate(system, x0, float(opts["t_final"]), float(opts["tol"]),
-                     n_points=int(opts["n_points"]),
-                     collision_tol=float(opts["collision_tol"]))
+    traj = integrate(system, x0, **config.integration)
     csv_path = out_dir / config.outputs["trajectory_csv"]
     write_trajectory_csv(csv_path, system, traj)
-    kmax = config.outputs.get("kmax") or system.kmax
+    kmax = config.outputs["kmax"] or system.kmax
     drift = spectrum_drift(system, traj, _z_grid(config), kmax)
     diagnostics = {
         "system": system.describe(),
@@ -382,7 +335,7 @@ def cmd_simulate(config: RunConfig, out_dir: Path) -> int:
         "completed": traj.completed,
         "abort_reason": traj.abort_reason,
         "n_points": traj.n_points,
-        "t_final": float(opts["t_final"]),
+        "t_final": float(config.integration["t_final"]),
         "energy_drift": float(np.max(np.abs(traj.energy - traj.energy[0]))),
         "momentum_drift": float(np.max(traj.constraint)),
         "spectrum_drift": drift,
@@ -543,19 +496,18 @@ def _suite_involution(system, config, rng) -> list[dict]:
 
 
 def _suite_spectral(system, config, rng) -> list[dict]:
-    if config.initial is not None and "s" in config.initial:
+    if config.initial is not None and config.initial["s"] is not None:
         x0 = build_initial(config, system)
     else:
         x0 = _random_reduced_point(system, rng)
     opts = config.integration
-    traj = integrate(system, x0, float(opts["t_final"]), float(opts["tol"]),
-                     n_points=min(int(opts["n_points"]), 101),
-                     collision_tol=float(opts["collision_tol"]))
+    traj = integrate(system, x0, **{**opts,
+                                    "n_points": min(opts["n_points"], 101)})
     if not traj.completed:
         raise PoleError(f"spectral suite trajectory aborted: "
                         f"{traj.abort_reason}")
     z_grid = _z_grid(config)
-    kmax = config.outputs.get("kmax") or system.kmax
+    kmax = config.outputs["kmax"] or system.kmax
     report = lax_pair_reduced(system, traj, z_grid, n_residual_points=5)
     return [
         {"name": "spectrum_drift", "samples": traj.n_points,
@@ -578,15 +530,15 @@ FAULT_SCALE = 4.0
 
 
 def cmd_verify(config: RunConfig, suite: str, out_dir: Path, *,
-               threshold_scale: float = 1.0, inject_fault: bool = False,
-               seed: int | None = None) -> int:
+               threshold_scale: float = 1.0,
+               inject_fault: bool = False) -> int:
     if suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}; expected one of "
                           + ", ".join(SUITES))
     system = config.system()
     if inject_fault:
         system = SystemSpec(system.rmatrix.with_fault(FAULT_SCALE))
-    rng = np.random.default_rng(config.seed if seed is None else seed)
+    rng = np.random.default_rng(config.seed)
     checks = _SUITE_RUNNERS[suite](system, config, rng)
     threshold = float(config.thresholds[suite]) * threshold_scale
     for check in checks:
@@ -597,7 +549,7 @@ def cmd_verify(config: RunConfig, suite: str, out_dir: Path, *,
         "suite": suite,
         "family": config.family,
         "rank": config.rank,
-        "seed": config.seed if seed is None else seed,
+        "seed": config.seed,
         "threshold_scale": threshold_scale,
         "fault_injected": inject_fault,
         "checks": checks,
@@ -613,55 +565,9 @@ def cmd_verify(config: RunConfig, suite: str, out_dir: Path, *,
 # reduce
 
 
-def _read_trajectory_csv(path, system: SystemSpec):
-    """Unreduced trajectory points from a simulate CSV (Cartan spin block
-    is not exported and is taken as zero, i.e. J = 0)."""
-    import csv as _csv
-    rs = system.rs
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = _csv.reader(fh)
-            header = next(reader, None)
-            rows = list(reader)
-    except OSError as exc:
-        raise ConfigError(f"cannot read trajectory {path}: {exc}") from exc
-    if header is None:
-        raise ConfigError(f"trajectory {path} is empty")
-    if any(col.startswith("s[") for col in header):
-        raise ConfigError(f"trajectory {path} is already reduced")
-    needed = (["t"] + [f"q{i + 1}" for i in range(rs.rank)]
-              + [f"p{i + 1}" for i in range(rs.rank)]
-              + [f"xi{root_label(r)}" for r in rs.roots])
-    col = {}
-    for name in needed:
-        if name not in header:
-            raise ConfigError(f"trajectory {path} is missing column {name!r}")
-        col[name] = header.index(name)
-    times, points = [], []
-    for row in rows:
-        times.append(float(row[col["t"]]))
-        q = np.array([complex(row[col[f"q{i + 1}"]]) for i in range(rs.rank)])
-        p = np.array([complex(row[col[f"p{i + 1}"]]) for i in range(rs.rank)])
-        comps = {r: complex(row[col[f"xi{root_label(r)}"]]) for r in rs.roots}
-        points.append(PhasePoint.make(rs, q, p, xi_components=comps))
-    return np.array(times), points
-
-
-def gauge_residual(system: SystemSpec, x: PhasePoint,
-                   z_samples=None) -> float:
-    """max_z ||L_0(pi(x))(z) - Ad_{g(xi)^{-1}} L(x)(z)||, the consistency
-    of the reduced Lax operator with the gauge normalization."""
-    if z_samples is None:
-        z_samples = default_z_samples(4)
-    c = gauge_g(x.xi)
-    diff = lax_L0(system, project_pi(x), z_samples) - torus_adjoint(
-        -c, lax_L(system, x, z_samples))
-    return diff.max_abs()
-
-
 def cmd_reduce(config: RunConfig, traj_path, out_dir: Path) -> int:
     system = config.system()
-    times, points = _read_trajectory_csv(traj_path, system)
+    times, points = read_trajectory_csv(traj_path, system.rs)
     reduced_points, residuals = [], []
     for idx, x in enumerate(points):
         try:
@@ -707,6 +613,20 @@ def cmd_info(config: RunConfig) -> int:
 # entry point
 
 
+def _flag(convert, check):
+    """argparse type: the text converted, then checked like a config value;
+    a bad value exits with code 2 and a usage message."""
+    rule, ok = check
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value, None):
+            raise argparse.ArgumentTypeError(f"expected {rule}, got {text!r}")
+        return value
+    parse.__name__ = convert.__name__   # argparse: "invalid int value"
+    return parse
+
+
 @lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; argparse looks up
@@ -722,8 +642,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="path to the JSON run configuration")
         p.add_argument("--out", default=".", metavar="DIR",
                        help="output directory (created if missing)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config RNG seed")
+        p.add_argument("--seed", default=None,
+                       type=_flag(int, _integer(0)),
+                       help="override the config RNG seed (an integer >= 0)")
 
     p_sim = sub.add_parser("simulate", help="integrate the configured flow")
     common(p_sim)
@@ -731,7 +652,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run a verification suite")
     common(p_ver)
     p_ver.add_argument("--suite", required=True, choices=SUITES)
-    p_ver.add_argument("--threshold-scale", type=float, default=1.0,
+    p_ver.add_argument("--threshold-scale", default=1.0,
+                       type=_flag(float, _POSITIVE),
                        help="multiply every suite threshold by this factor")
     p_ver.add_argument("--inject-fault", action="store_true",
                        help="corrupt one root pair of the r-matrix "
@@ -762,10 +684,9 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify(config, args.suite, out_dir,
                               threshold_scale=args.threshold_scale,
-                              inject_fault=args.inject_fault,
-                              seed=args.seed)
+                              inject_fault=args.inject_fault)
         return cmd_reduce(config, args.trajectory, out_dir)
-    except SpincmError as exc:
+    except (SpincmError, OSError) as exc:
         print(f"spincm: {exc}", file=sys.stderr)
         singular = (PoleError, GaugeDomainError, ConstraintError)
         return EXIT_SINGULARITY if isinstance(exc, singular) else EXIT_CONFIG

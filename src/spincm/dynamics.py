@@ -34,19 +34,19 @@ from typing import Sequence
 import numpy as np
 
 from .elliptic import Lattice
-from .errors import (ConstraintError, PoleError, StructuralError,
+from .errors import (ConfigError, ConstraintError, PoleError, StructuralError,
                      raise_on_fp_fault)
 from .ode import DormandPrince
 from .phase import (PhaseFunction, PhaseGradient, PhasePoint, ReducedFunction,
-                    ReducedGradient, ReducedPoint, bracket_reduced,
-                    lift_reduced, lift_tangent, momentum_J, reduced_roots,
-                    slice_lift, spin_chain)
+                    ReducedGradient, ReducedPoint, bracket_reduced, gauge_g,
+                    lift_reduced, lift_tangent, momentum_J, project_pi,
+                    reduced_roots, slice_lift, spin_chain)
 from .rmatrix import (LaurentElement, RMatrixSpec, R_apply, R_directional,
                       _r_coeffs, cartan_coeff, elliptic_r_matrix,
                       positive_pair_weight, rational_r_matrix, ring_nodes,
                       root_coeff, root_coeff_reg0, trigonometric_r_matrix)
 from .rootsys import (AlgElement, RootSystem, bracket, build_root_system,
-                      form, matrix_rep, root_label)
+                      form, matrix_rep, root_label, torus_adjoint)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +298,8 @@ def integrate(sys: SystemSpec, x0, t_final: float, tol: float = 1e-10, *,
     Adaptive Dormand-Prince 5(4) (:class:`spincm.ode.DormandPrince`) on
     the complex state vector; the returned grid is uniform with
     ``n_points`` entries, filled from the dense output.  t_final may be
-    negative (backward flow).  Close approaches to the singular set, poles
+    negative (backward flow).  A non-finite t_final, tol or initial state
+    raises StructuralError.  Close approaches to the singular set, poles
     and floating-point faults (also in the first evaluation) truncate the
     trajectory instead of raising.  The energy and momentum columns are
     evaluated once over all grid points.
@@ -311,6 +312,9 @@ def integrate(sys: SystemSpec, x0, t_final: float, tol: float = 1e-10, *,
     n = sys.rs.rank
     reduced = isinstance(x0, ReducedPoint)
     states = [_pack_point(x0)]
+    if not np.all(np.isfinite(states[0])):
+        raise StructuralError("the initial state (q, p and spin) must be "
+                              "finite")
     reason = None
     solver = DormandPrince(lambda t, y: _flow(sys, y, reduced), 0.0,
                            states[0], t_final, tol, tol * 1e-2)
@@ -593,6 +597,16 @@ def reduced_lax_residual(sys: SystemSpec, x_red: ReducedPoint,
     return _lax_residual(sys, x_red, lax_B0(sys, x_red, z_samples))
 
 
+def gauge_residual(sys: SystemSpec, x: PhasePoint, z_samples=None) -> float:
+    """max_z ||L_0(pi(x))(z) - Ad_{g(xi)^{-1}} L(x)(z)||, the consistency
+    of the reduced Lax operator with the gauge normalization."""
+    if z_samples is None:
+        z_samples = default_z_samples(4)
+    diff = lax_L0(sys, project_pi(x), z_samples) - torus_adjoint(
+        -gauge_g(x.xi), lax_L(sys, x, z_samples))
+    return diff.max_abs()
+
+
 def lax_pair_reduced(sys: SystemSpec, traj: Trajectory,
                      z_samples: Sequence[complex] | None = None, *,
                      n_residual_points: int = 9) -> dict:
@@ -717,22 +731,25 @@ def format_complex(v) -> str:
     return f"{v.real:.17g}{v.imag:+.17g}j"
 
 
+def _state_columns(rs: RootSystem, reduced: bool) -> list[str]:
+    """t, q_i, p_i and the spins by root label: the columns of a trajectory
+    CSV that hold its points."""
+    spin = [f"s{root_label(r)}" for r in reduced_roots(rs)] if reduced \
+        else [f"xi{root_label(r)}" for r in rs.roots]
+    return (["t"] + [f"q{i + 1}" for i in range(rs.rank)]
+            + [f"p{i + 1}" for i in range(rs.rank)] + spin)
+
+
 def trajectory_csv_rows(sys: SystemSpec, traj: Trajectory,
                         extra: dict[str, Sequence] | None = None
                         ) -> tuple[list[str], list[list[str]]]:
     """Header and data rows for the CSV export: t, q_i, p_i, spins by root
     label, then diagnostics."""
-    rs = sys.rs
-    rank = rs.rank
+    rank = sys.rs.rank
     reduced = traj.reduced
-    spin_roots = reduced_roots(rs) if reduced else rs.roots
-    prefix = "s" if reduced else "xi"
-    header = (["t"] + [f"q{i + 1}" for i in range(rank)]
-              + [f"p{i + 1}" for i in range(rank)]
-              + [f"{prefix}{root_label(r)}" for r in spin_roots]
-              + ["energy", "J_residual"])
     extra = extra or {}
-    header += list(extra.keys())
+    header = (_state_columns(sys.rs, reduced) + ["energy", "J_residual"]
+              + list(extra.keys()))
     rows = []
     for idx, pt in enumerate(traj.points):
         spins = pt.s if reduced else pt.xi.vec[rank:]
@@ -752,3 +769,41 @@ def write_trajectory_csv(path, sys: SystemSpec, traj: Trajectory,
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def read_trajectory_csv(path, rs: RootSystem
+                        ) -> tuple[np.ndarray, list[PhasePoint]]:
+    """Times and points of an unreduced trajectory CSV, as
+    :func:`write_trajectory_csv` writes it; the Cartan spin block is not
+    exported and is taken as zero (J = 0).  A file that cannot be read, or
+    a missing column, short row or non-finite or malformed value, raises
+    ConfigError naming the file and line."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ConfigError(f"cannot read trajectory {path}: {exc}") from exc
+    header = rows[0] if rows else []
+    if any(col.startswith("s[") for col in header):
+        raise ConfigError(f"trajectory {path} is already reduced")
+    names = _state_columns(rs, False)
+    missing = [name for name in names if name not in header]
+    if missing:
+        raise ConfigError(f"trajectory {path} is missing column "
+                          f"{missing[0]!r}")
+    cols = [header.index(name) for name in names]
+    times, points = [], []
+    for line, row in enumerate(rows[1:], start=2):
+        try:
+            t = float(row[cols[0]])
+            vals = np.array([complex(row[c]) for c in cols[1:]])
+        except (IndexError, ValueError) as exc:
+            raise ConfigError(f"trajectory {path} line {line}: {exc}") from exc
+        if not (math.isfinite(t) and np.all(np.isfinite(vals))):
+            raise ConfigError(f"trajectory {path} line {line}: a value is "
+                              "not finite")
+        q, p, xi = np.split(vals, [rs.rank, 2 * rs.rank])
+        times.append(t)
+        points.append(PhasePoint.make(rs, q, p,
+                                      xi_components=dict(zip(rs.roots, xi))))
+    return np.array(times), points

@@ -524,22 +524,23 @@ def verify_axioms(spec: RMatrixSpec, samples: Sequence[tuple[np.ndarray, complex
     """Zero-weight, unitarity and residue residuals over (q, z) samples.
 
     Returns the max residual per axiom; thresholds are the caller's business.
-    The residue is computed once per sample by contour quadrature on
-    |z| = quad_radius and compared against the Casimir tensor.
+    On the coefficient vector c: the weights of slots a and dual(a) cancel
+    on c_a, c(z)[a] + c(-z)[dual(a)] = 0, and the residue at z = 0 (contour
+    quadrature on |z| = quad_radius) is the Casimir tensor, c = 1.
     """
     rs = spec.rs
-    f = rs.structure
-    omega = casimir_tensor(rs).mat
+    weights = np.concatenate([np.zeros((rs.rank, rs.rank)), rs.alpha_h])
+    slot_weight = weights + weights[rs.dual_index]
     ring = ring_nodes(quad_radius, quad_nodes)
     zero_weight = unitarity = residue = 0.0
     for q, z in samples:
-        r, rminus = r_tensor(spec, q, [z, -z]).mat
-        t = (np.einsum("iac,ab->icb", f[:rs.rank], r)
-             + np.einsum("ibc,ab->iac", f[:rs.rank], r))
-        zero_weight = max(zero_weight, float(np.max(np.abs(t))))
-        unitarity = max(unitarity, float(np.max(np.abs(r + rminus.T))))
-        res = ring_coefficients(r_tensor(spec, q, ring).mat, ring, 1)[0]
-        residue = max(residue, float(np.max(np.abs(res - omega))))
+        c, cminus = _r_coeffs(spec, q, [z, -z])
+        zero_weight = max(zero_weight,
+                          float(np.max(np.abs(slot_weight * c[:, None]))))
+        unitarity = max(unitarity,
+                        float(np.max(np.abs(c + cminus[rs.dual_index]))))
+        res = ring_coefficients(_r_coeffs(spec, q, ring), ring, 1)[0]
+        residue = max(residue, float(np.max(np.abs(res - 1.0))))
     return {
         "n_samples": len(samples),
         "zero_weight": zero_weight,

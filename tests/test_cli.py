@@ -47,6 +47,7 @@ def test_config_round_trip():
         {"family": "elliptic", "rank": 1,
          "lattice": {"omega1": [2.0, 0.0], "omega2": [0.0, 2.2]},
          "integration": {"t_final": 3.0}},
+        {"family": "rational", "rank": 2, "pi_prime": [0]},
     ]
     for data in fixtures:
         config = parse_config(data)
@@ -281,6 +282,21 @@ def test_verify_seed_flag_overrides(tmp_path):
     assert report["seed"] == 99
 
 
+@pytest.mark.parametrize("flags", [
+    ["--seed", "-1"], ["--seed", "1.5"], ["--seed", "true"],
+    ["--threshold-scale", "nan"], ["--threshold-scale", "inf"],
+    ["--threshold-scale", "0"], ["--threshold-scale", "-2"],
+], ids=" ".join)
+def test_bad_flag_values_are_usage_errors(tmp_path, capsys, flags):
+    cfg = write_config(tmp_path, "ver.json",
+                       {"family": "rational", "rank": 1})
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--config", cfg, "--suite", "cdybe",
+              "--out", str(tmp_path)] + flags)
+    assert err.value.code == EXIT_CONFIG
+    assert f"argument {flags[0]}" in capsys.readouterr().err
+
+
 def test_verify_unknown_suite_is_usage_error(tmp_path):
     cfg = write_config(tmp_path, "ver.json",
                        {"family": "rational", "rank": 1})
@@ -390,6 +406,29 @@ def test_reduce_outside_u_names_step(tmp_path, capsys):
     assert main(["reduce", str(path), "--config", cfg,
                  "--out", str(tmp_path)]) == EXIT_SINGULARITY
     assert "step 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row,line", [
+    (["0", "0.9+0j", "0.1+0j", "1+0j"], 3),
+    (["0", "0.9+0j", "abc", "1+0j", "0.5+0j", "0+0j", "0"], 3),
+    (["0", "0.9+0j", "0.1+0j", "nan+0j", "0.5+0j", "0+0j", "0"], 3),
+    (["inf", "0.9+0j", "0.1+0j", "1+0j", "0.5+0j", "0+0j", "0"], 3),
+])
+def test_reduce_malformed_row_names_its_line(tmp_path, capsys, row, line):
+    path = tmp_path / "traj.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "q1", "p1", "xi[1]", "xi[-1]",
+                         "energy", "J_residual"])
+        writer.writerow(["0", "0.9+0j", "0.1+0j", "1+0j", "0.5+0j",
+                         "0+0j", "0"])
+        writer.writerow(row)
+    cfg = write_config(tmp_path, "red.json",
+                       {"family": "rational", "rank": 1})
+    assert main(["reduce", str(path), "--config", cfg,
+                 "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("spincm: ") and f"line {line}" in err
 
 
 def test_reduce_rejects_reduced_input(tmp_path):

@@ -265,13 +265,21 @@ def test_integrate_input_validation():
         integrate(sys, x0, 1.0, tol=-1e-10)
 
 
-@pytest.mark.parametrize("t_final,tol", [(math.nan, 1e-10), (math.inf, 1e-10),
-                                         (1.0, math.nan), (1.0, math.inf)])
-def test_integrate_rejects_non_finite_inputs(t_final, tol):
+@pytest.mark.parametrize("t_final,tol,q,p,m", [
+    (math.nan, 1e-10, 1.0, 0.0, 1.0), (math.inf, 1e-10, 1.0, 0.0, 1.0),
+    (1.0, math.nan, 1.0, 0.0, 1.0), (1.0, math.inf, 1.0, 0.0, 1.0),
+    (1.0, 1e-10, math.nan, 0.0, 1.0), (1.0, 1e-10, 1.0, -math.inf, 1.0),
+    (1.0, 1e-10, 1.0, 0.0, complex(0.0, math.nan)),
+], ids=["nan-1e-10", "inf-1e-10", "1.0-nan", "1.0-inf", "q-nan", "p-inf",
+        "spin-nan"])
+def test_integrate_rejects_non_finite_inputs(t_final, tol, q, p, m):
     sys = make_system("rational", 1)
-    x0 = spinless_state(sys.rs, [1.0], [0.0], 1.0)
+    x0 = spinless_state(sys.rs, [q], [p], m)
     with pytest.raises(StructuralError):
         integrate(sys, x0, t_final, tol)
+    with pytest.raises(StructuralError):
+        integrate(sys, ReducedPoint.make(sys.rs, [q], [p], {(-1,): m}),
+                  t_final, tol)
 
 
 # -- Lax operators and the Lax equation --------------------------------------

@@ -488,6 +488,25 @@ def assert_matches_dense(got, want, fault):
         assert want > 1e-3
 
 
+def dense_axioms(spec, samples, quad_radius=0.1, quad_nodes=256):
+    """Zero-weight, unitarity and residue residuals of the dense tensors."""
+    rs = spec.rs
+    f = rs.structure
+    omega = casimir_tensor(rs).mat
+    ring = ring_nodes(quad_radius, quad_nodes)
+    zero_weight = unitarity = residue = 0.0
+    for q, z in samples:
+        r, rminus = r_tensor(spec, q, [z, -z]).mat
+        t = (np.einsum("iac,ab->icb", f[:rs.rank], r)
+             + np.einsum("ibc,ab->iac", f[:rs.rank], r))
+        zero_weight = max(zero_weight, float(np.max(np.abs(t))))
+        unitarity = max(unitarity, float(np.max(np.abs(r + rminus.T))))
+        res = ring_coefficients(r_tensor(spec, q, ring).mat, ring, 1)[0]
+        residue = max(residue, float(np.max(np.abs(res - omega))))
+    return {"zero_weight": zero_weight, "unitarity": unitarity,
+            "residue": residue}
+
+
 def dense_pair_first(rs, mat, x):
     """<r, x (x) 1> for a dense tensor r (batch axes broadcast)."""
     return np.einsum("...ab,...a->...b", mat, x @ rs.gram)
@@ -583,6 +602,27 @@ def test_cdybe_matches_dense_reference(family, rank, fault):
         zs = (0.45 + 0.1j, -0.2 + 0.35j, 0.05 - 0.4j)
         assert_matches_dense(verify_cdybe(spec, q, *zs),
                              dense_cdybe(spec, q, *zs), fault)
+
+
+@pytest.mark.parametrize("family,rank,fault", DENSE_CASES)
+def test_axioms_match_dense_reference(family, rank, fault):
+    spec = faulted_spec(family, rank, fault)
+    rng = np.random.default_rng(740 + rank)
+    samples = [(rng.uniform(0.55, 1.1, size=rank)
+                * rng.choice([-1, 1], size=rank),
+                complex(rng.uniform(0.2, 0.6), rng.uniform(-0.3, 0.3)))
+               for _ in range(4)]
+    got = verify_axioms(spec, samples)
+    want = dense_axioms(spec, samples)
+    # unitarity adds the same two numbers; the residue's ring mean may
+    # round in another order, since BLAS can treat a (256, dim) and a
+    # (256, dim * dim) contraction differently
+    assert got["unitarity"] == want["unitarity"]
+    assert got["zero_weight"] == want["zero_weight"] == 0.0
+    assert abs(got["residue"] - want["residue"]) \
+        <= 8 * np.finfo(float).eps * max(want["residue"], 1.0)
+    if fault != 1.0:
+        assert want["residue"] > 1.0
 
 
 @pytest.mark.parametrize("family,rank,fault", DENSE_CASES)

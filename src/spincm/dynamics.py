@@ -122,12 +122,16 @@ class Trajectory:
     """Output of :func:`integrate`.
 
     ``points`` holds PhasePoints or ReducedPoints on a strictly monotone time
-    grid.  ``energy`` and ``constraint`` are per-step diagnostics (constraint
-    is the momentum drift max|J(t) - J(0)| for unreduced runs, identically 0
-    for reduced ones).  A run stopped by the collision guard or a pole is
-    returned truncated with ``completed`` False and a reason, not raised.
+    grid: the solver's own state where a step ends on a grid point, its
+    7th-order dense output inside a step.  ``energy`` and ``constraint``
+    are per-point diagnostics (constraint is the momentum drift
+    max|J(t) - J(0)| for unreduced runs, identically 0 for reduced ones).
+    A run stopped by the collision guard or a pole is returned truncated
+    with ``completed`` False and a reason, not raised.
     ``stats`` holds the solver's counts (``DormandPrince.stats``: nfev,
-    accepted, rejected, h_min, h_max); None when no solver ran.
+    accepted, rejected, dense, h_min, h_max), where ``dense`` counts the
+    steps whose 7th-order interpolant filled a grid point (three RHS
+    evaluations each); None when no solver ran.
     """
 
     times: np.ndarray
@@ -198,6 +202,24 @@ def _energy(sys: SystemSpec, q, p, xi) -> np.ndarray:
     wxi = _gradient(sys, q, xi)[1]
     return 0.5 * (np.sum(p * p, axis=-1)
                   - np.sum(wxi * xi[..., sys.rs.dual_index], axis=-1))
+
+
+def _energy_column(sys: SystemSpec, q, p, xi):
+    """(energy, fault): :func:`_energy` over the stacked points, cut before
+    the first one whose energy faults, and that FloatingPointError (None if
+    none does).  A fault at the first point raises StructuralError."""
+    try:
+        return _energy(sys, q, p, xi), None
+    except FloatingPointError:
+        pass
+    for k in range(len(q)):
+        try:
+            _energy(sys, q[k], p[k], xi[k])
+        except FloatingPointError as exc:
+            if k == 0:
+                raise StructuralError(f"the energy of the initial state is "
+                                      f"out of floating-point range: {exc}")
+            return _energy(sys, q[:k], p[:k], xi[:k]), exc
 
 
 @raise_on_fp_fault
@@ -295,14 +317,17 @@ def integrate(sys: SystemSpec, x0, t_final: float, tol: float = 1e-10, *,
               max_steps: int = 200_000) -> Trajectory:
     """Integrate the (reduced or unreduced) flow from t = 0 to t_final.
 
-    Adaptive Dormand-Prince 5(4) (:class:`spincm.ode.DormandPrince`) on
+    Adaptive Dormand-Prince 8(5,3) (:class:`spincm.ode.DormandPrince`) on
     the complex state vector; the returned grid is uniform with
-    ``n_points`` entries, filled from the dense output.  t_final may be
-    negative (backward flow).  A non-finite t_final, tol or initial state
-    raises StructuralError.  Close approaches to the singular set, poles
-    and floating-point faults (also in the first evaluation) truncate the
-    trajectory instead of raising.  The energy and momentum columns are
-    evaluated once over all grid points.
+    ``n_points`` entries.  A grid point at a step end takes that step's
+    state, one inside a step the 7th-order dense output, which is built
+    only for steps that hold such a point.  t_final may be negative
+    (backward flow).  A non-finite t_final, tol or initial state raises
+    StructuralError, and so does an initial state whose energy overflows.
+    Close approaches to the singular set, poles and floating-point faults
+    (also in the first evaluation, the dense output and the energy of a
+    later grid point) truncate the trajectory instead of raising.  The
+    energy and momentum columns are evaluated once over all grid points.
     """
     if not math.isfinite(t_final) or t_final == 0.0:
         raise StructuralError(f"t_final must be finite and nonzero, got "
@@ -334,18 +359,23 @@ def integrate(sys: SystemSpec, x0, t_final: float, tol: float = 1e-10, *,
             if not solver.step():
                 reason = f"step-size control failed at t = {solver.t:.6g}"
                 break
+            slack = 1e-12 * max(1.0, abs(solver.t))
+            while len(states) < n_points and (t_grid[len(states)] - solver.t) \
+                    * solver.direction <= slack:
+                states.append(solver.dense(t_grid[len(states)]))
         except (PoleError, ZeroDivisionError, FloatingPointError,
                 OverflowError) as exc:
             reason = f"integration aborted at t = {solver.t:.6g}: {exc}"
             break
-        slack = 1e-12 * max(1.0, abs(solver.t))
-        while len(states) < n_points and \
-                (t_grid[len(states)] - solver.t) * solver.direction <= slack:
-            states.append(solver.dense(t_grid[len(states)]))
 
     q, p, xi = _split(sys.rs, np.array(states), reduced)
+    energy, fault = _energy_column(sys, q, p, xi)
+    if fault is not None:
+        k = len(energy)
+        states, q, xi = states[:k], q[:k], xi[:k]
+        reason = f"energy evaluation failed at t = {t_grid[k]:.6g}: {fault}"
     points = [x0] + [_unpack_point(sys.rs, y, reduced) for y in states[1:]]
-    return Trajectory(t_grid[:len(states)], points, _energy(sys, q, p, xi),
+    return Trajectory(t_grid[:len(states)], points, energy,
                       np.max(np.abs(xi[:, :n] - xi[0, :n]), axis=-1),
                       reason is None, reason, solver.stats)
 

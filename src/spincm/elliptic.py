@@ -83,6 +83,10 @@ class Lattice:
             np.stack([terms, zero, -terms * odd ** 2, zero], axis=1),
             np.stack([zero, terms * odd, zero, -terms * odd ** 3], axis=1)])
         self._theta1p0 = complex(terms @ odd)
+        if self._theta1p0 == 0:
+            raise StructuralError(
+                f"Im(omega2/omega1) = {tau.imag:g} is too large: the nome "
+                f"exp(i pi tau) underflows and theta_1'(0) vanishes")
         tppp0 = -complex(terms @ odd ** 3)
         self.eta1 = -(math.pi ** 2) * tppp0 / (12.0 * omega1 * self._theta1p0)
         # Legendre relation eta1*omega2 - eta2*omega1 = i pi / 2

@@ -230,6 +230,10 @@ def test_degenerate_lattice_is_rejected():
         Lattice(1.0, 2.0)        # collinear periods
     with pytest.raises(StructuralError):
         Lattice(0.0, 1j)
+    # the nome exp(i pi tau) underflows to 0, so theta_1'(0) would be 0
+    for omega1, omega2 in [(1e-300, 1j), (1.0, 300j)]:
+        with pytest.raises(StructuralError, match="nome"):
+            Lattice(omega1, omega2)
 
 
 def test_module_level_wrappers():

@@ -1,7 +1,8 @@
 """The flat flow core behind `vector_field`, `vector_field_reduced` and
-`integrate`: an independent oracle for the field, trajectories pinned to
-their values before the core was flattened, its fault paths, and the
-stacked diagnostics against per-point loops.
+`integrate`: an independent oracle for the field, pinned trajectories
+(checked also against their values from the 5(4) pair before the core was
+flattened), its fault paths, and the stacked diagnostics against
+per-point loops.
 
 The oracle builds the field from `pair_weight` and the dense structure
 tensor; the reduced field is the push-forward of the unreduced one through
@@ -23,7 +24,7 @@ from spincm.dynamics import (_pack_point, conserved_spectrum, hamiltonian,
                              spectrum_drift, spinless_state, vector_field,
                              vector_field_reduced)
 from spincm.elliptic import Lattice
-from spincm.errors import PoleError
+from spincm.errors import PoleError, StructuralError
 from spincm.phase import (PhasePoint, ReducedPoint, lift_reduced, momentum_J,
                           reduced_roots)
 from spincm.rmatrix import pair_weight
@@ -94,12 +95,92 @@ def test_fields_match_the_dense_oracle(family, rank, seed):
     assert rel_err(np.concatenate([v_red.q, v_red.p, v_red.s]), want) < 1e-13
 
 
-# Final points and solver counts of three runs, recorded before the flow
-# core was flattened (the per-point vector field, the dense two-step
-# bracket and P = C F C^T): T = 0.5, tol 1e-9, 5 grid points from
-# pin_start.  Final state q | p | xi, or q | p | s.
+# Final points and solver counts (nfev, accepted, rejected, dense) of three
+# runs of the Dormand-Prince 8(5,3) driver: T = 0.5, tol 1e-9, 5 grid points
+# from pin_start.  Final state q | p | xi, or q | p | s.
 PINNED = {
-    ("elliptic", 4, False): ((260, 43, 0), [
+    ("elliptic", 4, False): ((131, 9, 1, 3), [
+        (0.598300181684911-6.853317986320888e-19j),
+        (0.7962766335062629-1.6624499153213315e-17j),
+        (1.07566281190829+1.474038188604688e-17j),
+        (1.5641893222929284-2.2968071901523795e-17j),
+        (0.38525264517810165-8.480161710780525e-18j),
+        (0.5908112060986644-5.300763188037191e-17j),
+        (0.44860031305356207-4.090600463810837e-17j),
+        (1.2328087526815688-3.8987275652303546e-17j),
+        (1.9798737248860943e-17-7.60657717025006e-18j),
+        (-7.354750478473281e-17-8.849334335451281e-18j),
+        (-8.484596183518374e-17-7.239136571399679e-18j),
+        (8.179405225973521e-17+1.5775962418788265e-17j),
+        (0.2323721731665856+0.325581284992564j),
+        (0.0626751623348881+0.39505926647275447j),
+        (-0.04178168482920814+0.39781187867288254j),
+        (-0.18879753153960166+0.3526407408174442j),
+        (0.2805166004258434+0.2851498498783484j),
+        (0.021066705786227474+0.39944485715422096j),
+        (-0.2245995625037543+0.3309909916046988j),
+        (0.24919698664475393+0.31289113417896625j),
+        (-0.16996306070515524+0.3620946809805636j),
+        (0.07200984051520208+0.39346484324373576j),
+        (-0.23237217316658562+0.32558128499256406j),
+        (-0.06267516233488805+0.39505926647275447j),
+        (0.041781684829208215+0.39781187867288254j),
+        (0.18879753153960163+0.35264074081744423j),
+        (-0.2805166004258433+0.28514984987834835j),
+        (-0.021066705786227425+0.39944485715422096j),
+        (0.2245995625037543+0.33099099160469875j),
+        (-0.24919698664475395+0.31289113417896625j),
+        (0.1699630607051552+0.3620946809805636j),
+        (-0.07200984051520205+0.3934648432437357j)]),
+    ("rational", 4, True): ((947, 59, 19, 3), [
+        (0.6814871229230673+0.10720331985228806j),
+        (0.990283843010562+0.6653975291917443j),
+        (1.3397163256185263+0.9824583916111815j),
+        (0.6627932164678184-1.1699791047385975j),
+        (0.27576150521490156+0.43531650440043296j),
+        (1.4351506269561296+1.8313610847672435j),
+        (0.7581620983933234+1.8057571787481237j),
+        (-0.6473279209948446-2.90461270198837j),
+        (0.18668032585982644+0.5575360818534113j),
+        (0.8117410557098296+0.45743831523002026j),
+        (0.6698940555925403-0.6116540448607641j),
+        (-0.14105502181368396+0.9296362142386798j),
+        (-0.24215072460510262-0.6322832360970544j),
+        (-0.26170851169912573+0.03224121366490327j),
+        (-0.025964468882768408-0.2248905706587199j),
+        (-0.19027593777257581-1.1161327811837123j),
+        (-0.5559816968474712-0.3426333332473056j),
+        (0.18383600407474943+0.2241115753454498j),
+        (0.15417510066697312+0.3994837285615944j),
+        (0.6066417491841828-0.47217951419477294j),
+        (0.12729891634963691+0.24207412429335898j),
+        (-0.016310173597066376-0.10907687053038j),
+        (-0.23546790261271025+1.4032365753983493j),
+        (-0.8422256007993744-1.5200123297689567j)]),
+    ("trigonometric", 3, True): ((227, 15, 3, 3), [
+        (0.5669668550037128-0.06581004199235684j),
+        (1.0850343413149857-0.22652127679162493j),
+        (1.5896798705554274+0.024055095975819188j),
+        (0.4613035215277207+0.4678945064292098j),
+        (2.0838720394589467-0.48671289157096087j),
+        (2.142007712938216-0.03600737305209118j),
+        (0.05426701071467211+0.15934921775200822j),
+        (0.893653709688948+0.6358661487816126j),
+        (0.08540008437856411+0.8578805790197382j),
+        (-0.4204706242892567-0.22005816133992268j),
+        (-0.698992538334597+0.5499203577235596j),
+        (-0.2633848689400796+0.22293844163461168j),
+        (-0.21784940960549282-0.8640668667259221j),
+        (-0.341033065244779-0.44528362328272186j),
+        (0.49209436224962094-0.37595593474538513j)]),
+}
+
+# The same final points from the Dormand-Prince 5(4) pair that the driver
+# used before, recorded before the flow core was flattened (the per-point
+# vector field, the dense two-step bracket and P = C F C^T): a cross-method
+# check, to 1e-7 (the two methods differ by 2e-10 to 5e-9 here).
+DP5_FINALS = {
+    ("elliptic", 4, False): [
         (0.5983001816165913-6.814289260924383e-19j),
         (0.7962766335963419-4.1853416356138634e-19j),
         (1.0756628119239684-5.605650444227369e-19j),
@@ -131,8 +212,8 @@ PINNED = {
         (0.2245995625475357+0.33099099157104417j),
         (-0.24919698664385476+0.31289113417828557j),
         (0.1699630607254704+0.3620946809661548j),
-        (-0.0720098404794202+0.3934648432479131j)]),
-    ("rational", 4, True): ((1046, 174, 0), [
+        (-0.0720098404794202+0.3934648432479131j)],
+    ("rational", 4, True): [
         (0.6814871228922579+0.10720331997442188j),
         (0.9902838432526899+0.6653975299803134j),
         (1.3397163214140364+0.9824583909020169j),
@@ -156,8 +237,8 @@ PINNED = {
         (0.12729891904207993+0.24207412497186684j),
         (-0.016310170749806903-0.10907687308069311j),
         (-0.23546790259362582+1.4032365811873015j),
-        (-0.8422256041220668-1.520012336865988j)]),
-    ("trigonometric", 3, True): ((386, 64, 0), [
+        (-0.8422256041220668-1.520012336865988j)],
+    ("trigonometric", 3, True): [
         (0.5669668550093729-0.06581004192494698j),
         (1.0850343414711212-0.22652127688582446j),
         (1.5896798705361008+0.024055095996617003j),
@@ -172,7 +253,7 @@ PINNED = {
         (-0.2633848689787565+0.22293844165467036j),
         (-0.21784940978398712-0.8640668666561333j),
         (-0.3410330653952713-0.445283623194902j),
-        (0.49209436212474056-0.37595593483043954j)]),
+        (0.49209436212474056-0.37595593483043954j)],
 }
 
 
@@ -196,8 +277,10 @@ def test_trajectories_match_the_pinned_runs(key):
     traj = integrate(sys_, x0, 0.5, 1e-9, n_points=5)
     assert traj.completed
     assert (traj.stats["nfev"], traj.stats["accepted"],
-            traj.stats["rejected"]) == counts
-    assert rel_err(_pack_point(traj.final_point()), np.array(final)) < 1e-12
+            traj.stats["rejected"], traj.stats["dense"]) == counts
+    got = _pack_point(traj.final_point())
+    assert rel_err(got, np.array(final)) < 1e-12
+    assert rel_err(got, np.array(DP5_FINALS[key])) < 1e-7
 
 
 # -- fault paths ---------------------------------------------------------------
@@ -220,6 +303,30 @@ def test_overflow_in_the_field_aborts_with_finite_points():
     assert "overflow" in traj.abort_reason
     assert all(np.all(np.isfinite(_pack_point(pt))) for pt in traj.points)
     assert np.all(np.isfinite(traj.energy))
+
+
+def test_energy_fault_cuts_the_trajectory(monkeypatch):
+    """A grid point whose energy faults ends the trajectory before it; a
+    fault at the initial point is a StructuralError."""
+    sys_ = system("rational", 1)
+    x0 = PhasePoint.make(sys_.rs, [0.7], [0.3])
+    energy = dynamics._energy
+
+    def faulty(system_, q, p, xi):
+        if np.any(q.real > limit):
+            raise FloatingPointError("overflow planted in the energy")
+        return energy(system_, q, p, xi)
+
+    monkeypatch.setattr(dynamics, "_energy", faulty)
+    limit = 0.9         # the free flow passes q = 0.85 at t = 0.5
+    traj = integrate(sys_, x0, 1.0, 1e-9, n_points=5)
+    assert not traj.completed and traj.n_points == 3
+    assert traj.abort_reason == ("energy evaluation failed at t = 0.75: "
+                                 "overflow planted in the energy")
+    assert np.allclose(traj.energy, 0.045)
+    limit = 0.0
+    with pytest.raises(StructuralError, match="initial state"):
+        integrate(sys_, x0, 1.0, 1e-9, n_points=5)
 
 
 @pytest.mark.parametrize("reduced", [False, True])

@@ -1,5 +1,6 @@
-"""The Dormand-Prince 5(4) driver behind `integrate`: scipy's RK45 as the
-oracle, edge cases of the step control, and no scipy on the import path."""
+"""The Dormand-Prince 8(5,3) driver behind `integrate`: scipy's DOP853 as
+the oracle, the order of the method and of its dense output, edge cases of
+the step control, and no scipy on the import path."""
 
 from __future__ import annotations
 
@@ -34,8 +35,10 @@ def oracle_point(family):
 
 
 def scipy_reference(sys_, x0, t_final, tol, n_points):
-    """The grid of `integrate` filled from scipy's RK45, step by step."""
-    from scipy.integrate import RK45
+    """The grid of `integrate` filled from scipy's DOP853, step by step: a
+    grid point at a step end takes the step's y, and the dense output (three
+    more RHS calls) is built only for steps with a grid point inside."""
+    from scipy.integrate import DOP853
     rs = sys_.rs
     reduced = isinstance(x0, ReducedPoint)
     field = vector_field_reduced if reduced else vector_field
@@ -43,8 +46,8 @@ def scipy_reference(sys_, x0, t_final, tol, n_points):
     def rhs(t, y):
         return _pack_point(field(sys_, _unpack_point(rs, y, reduced)))
 
-    solver = RK45(rhs, 0.0, _pack_point(x0), t_final, rtol=tol,
-                  atol=tol * 1e-2)
+    solver = DOP853(rhs, 0.0, _pack_point(x0), t_final, rtol=tol,
+                    atol=tol * 1e-2)
     grid = np.linspace(0.0, t_final, n_points)
     direction = 1.0 if t_final > 0 else -1.0
     values = [_pack_point(x0)]
@@ -52,11 +55,16 @@ def scipy_reference(sys_, x0, t_final, tol, n_points):
     while solver.status == "running":
         solver.step()
         steps += 1
-        dense = solver.dense_output()
+        dense = None
         slack = 1e-12 * max(1.0, abs(solver.t))
         while len(values) < n_points and \
                 (grid[len(values)] - solver.t) * direction <= slack:
-            values.append(dense(grid[len(values)]))
+            t = grid[len(values)]
+            if t == solver.t:
+                values.append(solver.y.copy())
+                continue
+            dense = dense or solver.dense_output()
+            values.append(dense(t))
     return np.array(values), steps, solver.nfev
 
 
@@ -64,6 +72,8 @@ def scipy_reference(sys_, x0, t_final, tol, n_points):
 @pytest.mark.parametrize("reduced", [False, True])
 @pytest.mark.parametrize("family", ["rational", "trigonometric", "elliptic"])
 def test_matches_scipy_rk45(family, reduced, t_final):
+    """The oracle is scipy's DOP853; the test keeps the name it had when
+    the driver was the 5(4) pair checked against scipy's RK45."""
     pytest.importorskip("scipy")
     sys_, x0 = oracle_point(family)
     if reduced:
@@ -77,6 +87,33 @@ def test_matches_scipy_rk45(family, reduced, t_final):
                   / np.maximum(1.0, np.abs(expected))) < 1e-12
     assert traj.stats["accepted"] == steps
     assert traj.stats["nfev"] == nfev
+
+
+def test_step_and_dense_output_have_orders_8_and_7():
+    """On y' = iy, halving h divides the local error of a step by about 2^9
+    and that of the interpolant at the step's midpoint by about 2^8."""
+    end, mid = [], []
+    for h in (0.4, 0.2):
+        # the loose tolerance lets the first step cover [0, h] at once
+        solver = DormandPrince(lambda t, y: 1j * y, 0.0, np.ones(1), h,
+                               1.0, 1.0)
+        assert solver.step() and solver.t == h
+        end.append(abs(solver.y[0] - np.exp(1j * h)))
+        mid.append(abs(solver.dense(h / 2)[0] - np.exp(0.5j * h)))
+    assert 2 ** 8.5 < end[0] / end[1] < 2 ** 9.5
+    assert 2 ** 7.5 < mid[0] / mid[1] < 2 ** 8.5
+
+
+def test_step_count_scales_like_tol_to_the_minus_one_eighth():
+    counts = []
+    for tol in (1e-6, 1e-12):
+        solver = DormandPrince(lambda t, y: 1j * y, 0.0, np.ones(1), 20.0,
+                               tol, tol)
+        while not solver.finished:
+            assert solver.step()
+        counts.append(solver.accepted)
+    # (1e6)^(1/8) = 5.6; a 5th-order pair would need (1e6)^(1/5) = 15.8
+    assert counts[1] / counts[0] < 1.3 * 1e6 ** (1 / 8)
 
 
 def test_tiny_tol_is_floored_without_warning():
@@ -123,8 +160,9 @@ def test_negative_t_final_lands_exactly():
         assert solver.step()
     assert solver.t == -0.37
     assert np.allclose(solver.y, np.exp(-0.37j), rtol=1e-7)
-    assert solver.stats["nfev"] == 2 + 6 * (solver.stats["accepted"]
-                                            + solver.stats["rejected"])
+    assert solver.stats["nfev"] == 2 + 12 * (solver.stats["accepted"]
+                                             + solver.stats["rejected"])
+    assert solver.stats["dense"] == 0
 
 
 def test_no_scipy_on_the_import_path(tmp_path):

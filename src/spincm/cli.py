@@ -328,7 +328,11 @@ def cmd_simulate(config: RunConfig, out_dir: Path) -> int:
     csv_path = out_dir / config.outputs["trajectory_csv"]
     write_trajectory_csv(csv_path, system, traj)
     kmax = config.outputs["kmax"] or system.kmax
-    drift = spectrum_drift(system, traj, _z_grid(config), kmax)
+    try:
+        drift = spectrum_drift(system, traj, _z_grid(config), kmax)
+    except FloatingPointError as exc:
+        raise StructuralError(f"spectrum_drift is out of floating-point "
+                              f"range: {exc}") from exc
     diagnostics = {
         "system": system.describe(),
         "reduced": traj.reduced,

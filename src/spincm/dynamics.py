@@ -42,11 +42,11 @@ from .phase import (PhaseFunction, PhaseGradient, PhasePoint, ReducedFunction,
                     lift_reduced, lift_tangent, momentum_J, project_pi,
                     reduced_roots, slice_lift, spin_chain)
 from .rmatrix import (LaurentElement, RMatrixSpec, R_apply, R_directional,
-                      _r_coeffs, cartan_coeff, elliptic_r_matrix,
+                      _ladder, _r_table, elliptic_r_matrix,
                       positive_pair_weight, rational_r_matrix, ring_nodes,
                       root_coeff, root_coeff_reg0, trigonometric_r_matrix)
 from .rootsys import (AlgElement, RootSystem, bracket, build_root_system,
-                      form, matrix_rep, root_label, torus_adjoint)
+                      form, root_label, torus_adjoint)
 
 
 # ---------------------------------------------------------------------------
@@ -231,13 +231,12 @@ def _flow(sys: SystemSpec, y: np.ndarray, reduced: bool) -> np.ndarray:
     rs = sys.rs
     q, p, xi = _split(rs, y, reduced)
     dq, wxi = _gradient(sys, q, xi)
-    xi = AlgElement(rs, xi)
     if reduced:
         chain = spin_chain(rs, y[2 * rs.rank:])
-        v = AlgElement(rs, wxi[rs.dual_index[2 * rs.rank:]] @ chain)
-        dspin = chain @ bracket(v, xi).vec[rs.dual_index]
+        v = wxi[rs.dual_index[2 * rs.rank:]] @ chain
+        dspin = chain @ rs.bracket_coords(v, xi)[rs.dual_index]
     else:
-        dspin = bracket(AlgElement(rs, wxi), xi).vec
+        dspin = rs.bracket_coords(wxi, xi)
     return np.concatenate([p, -dq, dspin])
 
 
@@ -384,20 +383,24 @@ def integrate(sys: SystemSpec, x0, t_final: float, tol: float = 1e-10, *,
 # Lax operators
 
 
-def _lax(sys: SystemSpec, q, p, xi, z) -> AlgElement:
+@raise_on_fp_fault
+def _lax(sys: SystemSpec, q, p, xi, z, matrix: bool = False):
     """L(z) at the coordinates q, p, xi, whose leading axes stack points:
-    one element per point and z, of batch shape points + z.shape."""
+    one value per point and z, of batch shape points + z.shape; with
+    ``matrix`` the defining matrices rho(L(z)) built entrywise, c_alpha
+    xi_alpha at the entry of e_alpha and p + f (I xi)_h on the diagonal."""
     rs = sys.rs
-    spec = sys.lax_rmatrix
     z = np.asarray(z, dtype=complex)
     u, p, xi = (np.expand_dims(a, tuple(range(a.ndim - 1, a.ndim - 1 + z.ndim)))
                 for a in (q @ rs.alpha_h.T, p, xi))
-    vec = np.zeros(np.broadcast_shapes(xi.shape[:-1], z.shape) + (rs.dim,),
-                   dtype=complex)
-    vec[..., :rs.rank] = (p + np.expand_dims(cartan_coeff(spec, z), -1)
-                          * xi[..., :rs.rank])
-    vec[..., rs.rank:] = root_coeff(spec, u, z[..., None]) * xi[..., rs.rank:]
-    return AlgElement(rs, vec)
+    f, c = _ladder(sys.lax_rmatrix, u, z[..., None], 1)
+    cartan = p + f[0] * xi[..., :rs.rank]
+    roots = c[0][0] * xi[..., rs.rank:]
+    if not matrix:
+        return AlgElement(rs, np.concatenate([cartan, roots], -1))
+    mat = (cartan @ rs.h_diag)[..., None] * np.eye(rs.matrix_size)
+    mat[(...,) + rs.root_entries] = roots
+    return mat
 
 
 def lax_L(sys: SystemSpec, x: PhasePoint, z) -> AlgElement:
@@ -533,7 +536,7 @@ def _spectrum_tables(sys: SystemSpec, points: list, z, kmax: int | None
                      ) -> np.ndarray:
     """h_k(z) = tr(rho(L(z))^k)/k for every point (L_0 for reduced ones),
     z and k, of shape (len(points), len(z), kmax): one stacked evaluation."""
-    mat = matrix_rep(_lax(sys, *_coords(points), z))
+    mat = _lax(sys, *_coords(points), z, matrix=True)
     acc, out = mat, []
     for k in range(1, (kmax or sys.kmax) + 1):
         out.append(np.trace(acc, axis1=-2, axis2=-1) / k)
@@ -567,7 +570,7 @@ def _curves(sys: SystemSpec, points: list, z_grid) -> np.ndarray:
     """Monic coefficients of det(w Id - rho(L(z))) in w, highest power
     first, for every point (L_0 for reduced ones) and grid z: the product
     of the factors (w - lambda) over the eigenvalues, as in numpy.poly."""
-    eig = np.linalg.eigvals(matrix_rep(_lax(sys, *_coords(points), z_grid)))
+    eig = np.linalg.eigvals(_lax(sys, *_coords(points), z_grid, matrix=True))
     coeffs = np.ones(eig.shape[:-1] + (1,), dtype=complex)
     for k in range(eig.shape[-1]):
         zero = np.zeros(eig.shape[:-1] + (1,))
@@ -682,10 +685,10 @@ def spectral_function(sys: SystemSpec, k: int, z: complex) -> ReducedFunction:
     def grad(x_red: ReducedPoint) -> ReducedGradient:
         lift = lift_reduced(x_red)
         u = rs.root_values(x_red.q)
-        mat = matrix_rep(lax_L(sys, lift, z))
-        pk = np.linalg.matrix_power(mat, k - 1)
-        # tr(L^{k-1} rho_a) for every basis element a
-        traces = np.einsum("ij,aji->a", pk, rs.basis_matrices)
+        pk = np.linalg.matrix_power(
+            _lax(sys, lift.q, lift.p, lift.xi.vec, z, matrix=True), k - 1)
+        # tr(L^{k-1} rho_a) for every basis element a, a Frobenius product
+        traces = rs.to_coords(pk.T)
         dp = traces[:rs.rank].copy()
         c_du = root_coeff(spec, u, z, du=1)
         root_block = lift.xi.vec[rs.rank:]
@@ -727,9 +730,8 @@ def fpbr_residual(sys: SystemSpec, x: PhasePoint, z: complex,
     q, d, roots = x.q, rs.dual_index, np.arange(rs.rank, rs.dim)
     # component differentials of L with respect to xi coincide with the
     # unfaulted r-matrix pattern: L_a(z) = p_a + c_a(q, z) xi_a
-    cz, cw = _r_coeffs(spec_l, q, [z, w])
-    dq_z, dq_w = (_r_coeffs(spec_l, q, [z, w], du=1)[:, roots, None]
-                  * (x.xi.vec[roots, None] * rs.alpha_h))
+    (cz, cw), d_zw = _r_table(spec_l, q, [z, w], range(1), du=1)[:, 0]
+    dq_z, dq_w = d_zw[:, roots, None] * (x.xi.vec[roots, None] * rs.alpha_h)
     lz, lw = lax_L(sys, x, [z, w]).vec
     # ad[j][b] = [e_{dual(b)}, y_j] for y = xi, L(z), L(w)
     basis = AlgElement(rs, np.eye(rs.dim)[d, None, :])
@@ -744,10 +746,9 @@ def fpbr_residual(sys: SystemSpec, x: PhasePoint, z: complex,
     # <xi, [e_{dual a}, e_{dual b}]> = [e_{dual b}, xi]_a by invariance
     lhs += cz[:, None] * cw * ad_xi.T
 
-    c12 = _r_coeffs(sys.rmatrix, q, z - w)
+    c12, d12 = _r_table(sys.rmatrix, q, z - w, range(1), du=1)[:, 0]
     com = c12[d] * ad_z.T + c12[:, None] * ad_w
-    com[roots, d[roots]] += (_r_coeffs(sys.rmatrix, q, z - w, du=1)[roots]
-                             * rs.root_values(momentum_J(x)))
+    com[roots, d[roots]] += d12[roots] * rs.root_values(momentum_J(x))
     return float(np.max(np.abs(lhs + com)))
 
 

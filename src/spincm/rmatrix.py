@@ -20,19 +20,20 @@ elliptic kernel), never by finite differences.  The same coefficient
 functions feed the Lax operators in :mod:`spincm.dynamics`, which is what
 ties the r-matrix to the mechanics.
 
-The coefficient functions are one array kernel per family: they take the
-whole root-value array u = rs.root_values(q) (roots on the last axis, z
-broadcasting against it) and return one value per root.  The pole guard
-runs once per call on the whole array and names the first offending root;
-a numpy floating-point fault raises FloatingPointError, so no table ever
+Each family has one array kernel (:func:`_ladder`): from the root values
+u = rs.root_values(q) (roots on the last axis, z broadcasting against it)
+it returns every z-derivative up to the order asked for, and the mixed
+u-derivatives, in one pass.  Its pole guards name the first offending
+root; a numpy floating-point fault raises FloatingPointError, so no table
 holds inf or nan.  The pair weights are even in u, so they are evaluated
 on the positive roots and mirrored.
 
 Every r(q, z) is held as its coefficient vector c on arrays of z, with
-r = sum_a c_a e_a (x) e_{dual(a)}: R_q is an elementwise product with c and
-the CDYBE a scatter over the nonzero structure constants.  A Laurent
-covector (:class:`LaurentElement`) is data, not a function: its principal
-coefficients plus its values on a node array fixed when it is built.
+r = sum_a c_a e_a (x) e_{dual(a)}.  R_q is an entrywise product: with c
+itself on coordinates, and on (n+1) x (n+1) matrices with the coefficient
+matrix C[i, j] = c_{e_j - e_i} (f on the diagonal), where the MDYBE check
+brackets by commutators.  A Laurent covector (:class:`LaurentElement`) is
+data: its principal coefficients and its values on fixed nodes.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from numpy.polynomial import polynomial as P
 
 from .elliptic import POLE_TOL, Lattice, _value, l_kernel
 from .errors import PoleError, StructuralError, raise_on_fp_fault
-from .rootsys import (AlgElement, RootSystem, bracket, negate,
+from .rootsys import (AlgElement, RootSystem, bracket, commutator, negate,
                       root_label, torus_adjoint)
 
 _ZTOL = 1e-13
@@ -56,37 +57,18 @@ _ZTOL = 1e-13
 FAMILIES = ("rational", "trigonometric", "elliptic")
 
 
-# ---------------------------------------------------------------------------
-# polynomial ladders for trigonometric derivatives (coefficients low to high)
-#
-# d^k/dz^k cot z = P_k(cot z) with P_0 = c and P_{k+1} = P_k'(c) * (-1 - c^2);
-# d^j/dz^j csc z = csc z * Q_j(cot z) with Q_0 = 1 and
-# Q_{j+1} = Q_j'(c) * (-1 - c^2) - c * Q_j.
-
-_MINUS_ONE_MINUS_C2 = (-1, 0, -1)
-
-
 @lru_cache(maxsize=None)
-def _cot_poly(k: int) -> tuple[float, ...]:
-    if k == 0:
-        return (0, 1)
-    return tuple(P.polymul(P.polyder(_cot_poly(k - 1)), _MINUS_ONE_MINUS_C2))
-
-
-@lru_cache(maxsize=None)
-def _csc_poly(j: int) -> tuple[float, ...]:
-    if j == 0:
-        return (1,)
-    prev = _csc_poly(j - 1)
-    return tuple(P.polysub(P.polymul(P.polyder(prev), _MINUS_ONE_MINUS_C2),
-                           P.polymul((0, 1), prev)))
-
-
-def _poly_eval(p: tuple[float, ...], c):
-    out = 0j
-    for coeff in reversed(p):
-        out = out * c + coeff
-    return out
+def _trig_polys(kmax: int) -> tuple[list, list]:
+    """Coefficients (low to high) of P_k and Q_k for k < kmax, with
+    d^k cot z = P_k(cot z) and d^k csc z = csc z Q_k(cot z): P_0 = c,
+    Q_0 = 1 and, as d(cot z)/dz = -1 - c^2, P_{k+1} = P_k'(c)(-1 - c^2)
+    and Q_{k+1} = Q_k'(c)(-1 - c^2) - c Q_k."""
+    cots, cscs, dc = [(0, 1)], [(1,)], (-1, 0, -1)
+    for _ in range(kmax - 1):
+        cots.append(P.polymul(P.polyder(cots[-1]), dc))
+        cscs.append(P.polysub(P.polymul(P.polyder(cscs[-1]), dc),
+                              P.polymul((0, 1), cscs[-1])))
+    return cots, cscs
 
 
 # ---------------------------------------------------------------------------
@@ -237,14 +219,9 @@ def elliptic_r_matrix(rs: RootSystem, lattice: Lattice) -> RMatrixSpec:
 # coefficient functions (shared with the Lax operators in dynamics)
 
 
-def _dk_inv(z, k: int):
-    """k-th derivative of 1/z."""
-    return (-1) ** k * math.factorial(k) * z ** (-(k + 1))
-
-
 def _root_guard(spec: RMatrixSpec, bad: np.ndarray, what: str) -> None:
     """PoleError naming the first root (last axis) flagged in ``bad``."""
-    if bad.any():
+    if np.any(bad):
         k = np.argwhere(bad)[0, -1]
         raise PoleError(f"{what} at the root {root_label(spec.rs.roots[k])}")
 
@@ -275,67 +252,89 @@ def _trig_shift_cot(spec: RMatrixSpec, u: np.ndarray):
     return u / 3.0 + spec.trig_shift, cu
 
 
+def _trig_ladder(spec: RMatrixSpec, u, z, kmax: int, du: int):
+    # f = cot z + z/3, and c = e^{b z} g(z) with g = cot z + cot u on the
+    # span of Pi' and g = csc z off it.  Leibniz over the cot / csc ladders
+    # gives c_k = e^{b z} sum_j C(k, j) b^(k-j) g_j, and since db/du = 1/3
+    # and d(cot u)/du = -1 - cot^2 u, d_u c_k = (z/3) c_k + (k/3) c_{k-1}
+    # + e^{b z} b^k d_u g
+    if (np.abs(np.sin(z)) < _ZTOL).any():
+        raise PoleError("trigonometric r-matrix evaluated at a pole of cot z")
+    cz = 1.0 / np.tan(z)
+    cot_polys, csc_polys = _trig_polys(kmax)
+    cot = [P.polyval(cz, p) for p in cot_polys]
+    f = [cot[k] + (z / 3.0 if k == 0 else (1.0 / 3.0 if k == 1 else 0.0))
+         for k in range(kmax)]
+    if u is None:
+        return f, None
+    b, cu = _trig_shift_cot(spec, u)
+    span = spec.span_mask
+    csc = 1.0 / np.sin(z)
+    g = [np.where(span, cot[j] + (cu if j == 0 else 0.0),
+                  csc * P.polyval(cz, csc_polys[j])) for j in range(kmax)]
+    bp = [1.0] + [b ** m for m in range(1, kmax)]
+    growth = np.exp(b * z)
+    c = [growth * sum(math.comb(k, j) * bp[k - j] * g[j] for j in range(k + 1))
+         for k in range(kmax)]
+    if not du:
+        return f, [c]
+    dg = growth * np.where(span, -1.0 - cu * cu, 0.0)
+    return f, [c, [z / 3.0 * c[k] + (k / 3.0 * c[k - 1] if k else 0.0)
+                   + bp[k] * dg for k in range(kmax)]]
+
+
+def _elliptic_ladder(spec: RMatrixSpec, u, z, kmax: int, du: int):
+    # f = zeta(z); c = -l(u, z) with the z-ladder from l' = l (zeta(u+z) -
+    # zeta(z)) and the mixed derivative from d_u l = l (zeta(u+z) - zeta(u))
+    lat = spec.lattice
+    zeta_z = [lat.zeta_derivative(z, m) for m in range(kmax)]
+    if u is None:
+        return zeta_z, None
+    c = [-l_kernel(lat, u, z)]
+    zeta_uz = [lat.zeta_derivative(u + z, m) for m in range(kmax - 1 + du)]
+    d = [zeta_uz[m] - zeta_z[m] for m in range(kmax - 1)]
+    for k in range(kmax - 1):
+        c.append(sum(math.comb(k, j) * c[j] * d[k - j] for j in range(k + 1)))
+    if not du:
+        return zeta_z, [c]
+    e = [zeta_uz[0] - lat.zeta(u)] + zeta_uz[1:]
+    return zeta_z, [c, [sum(math.comb(k, j) * c[j] * e[k - j]
+                            for j in range(k + 1)) for k in range(kmax)]]
+
+
+def _ladder(spec: RMatrixSpec, u, z, kmax: int, du: int = 0):
+    """The family kernel in one pass: (f, c), f[k] the k-th z-derivative of
+    the Cartan coefficient and c[d][k] that of the root coefficients (d =
+    0) and of their u-derivatives (d = 1 if du), for k < kmax <= 4; u holds
+    the roots on its last axis, z broadcasts against it, and u None gives f
+    alone.  exp(bz), cot z, csc z, the zeta ladder and the pole guards are
+    shared by every k.  Runs under the caller's fault guard."""
+    fam = spec.family
+    if fam == "trigonometric":
+        return _trig_ladder(spec, u, z, kmax, du)
+    if fam == "elliptic":
+        args = (() if u is None else (u,) if kmax == 1 and not du
+                else (u, u + z))
+        return _on_lattice(
+            spec, lambda: _elliptic_ladder(spec, u, z, kmax, du), *args)
+    if (np.abs(z) < _ZTOL).any():
+        raise PoleError("rational r-matrix evaluated at the z = 0 pole")
+    f = [(-1) ** k * math.factorial(k) * z ** (-(k + 1)) for k in range(kmax)]
+    if u is None:
+        return f, None
+    dp = spec.dp_mask
+    _root_guard(spec, dp & (np.abs(u) < _ZTOL),
+                "rational root coefficient: (alpha, q) = 0")
+    zeros = np.zeros(np.broadcast(u, z).shape, dtype=complex)
+    inv = np.divide(1.0, u, out=zeros.copy(), where=dp)
+    c = [f[k] + (inv if k == 0 else zeros) for k in range(kmax)]
+    return f, [c, [-inv * inv] + [zeros] * (kmax - 1)][:1 + du]
+
+
 @raise_on_fp_fault
 def cartan_coeff(spec: RMatrixSpec, z, kz: int = 0):
     """k-th z-derivative of the Cartan coefficient f(z)."""
-    fam = spec.family
-    if fam == "rational":
-        if (np.abs(z) < _ZTOL).any():
-            raise PoleError("rational r-matrix evaluated at the z = 0 pole")
-        return _value(_dk_inv(z, kz))
-    if fam == "trigonometric":
-        if (np.abs(np.sin(z)) < _ZTOL).any():
-            raise PoleError("trigonometric r-matrix evaluated at a pole of cot z")
-        extra = z / 3.0 if kz == 0 else (1.0 / 3.0 if kz == 1 else 0.0)
-        return _value(_poly_eval(_cot_poly(kz), 1.0 / np.tan(z)) + extra)
-    return spec.lattice.zeta_derivative(z, kz)
-
-
-def _trig_root_coeff(spec: RMatrixSpec, u: np.ndarray, z, kz: int,
-                     du: int) -> np.ndarray:
-    # c = e^{b z} g(z) with g = cot z + cot u on the span of Pi' and
-    # g = csc z off it; z-derivatives by Leibniz over the cot / csc ladders,
-    # and d/du acts through db/du = 1/3 and d(cot u)/du = -1 - cot^2 u
-    if (np.abs(np.sin(z)) < _ZTOL).any():
-        raise PoleError("trigonometric root coefficient at a pole of csc z")
-    b, cu = _trig_shift_cot(spec, u)
-    span = spec.span_mask
-    cz = 1.0 / np.tan(z)
-    csc = 1.0 / np.sin(z)
-    total = 0j
-    for j in range(kz + 1):
-        cot_j = _poly_eval(_cot_poly(j), cz) + (cu if j == 0 else 0.0)
-        g = np.where(span, cot_j, csc * _poly_eval(_csc_poly(j), cz))
-        power = math.comb(kz, j) * b ** (kz - j) if kz > j else 1.0
-        if du == 0:
-            total = total + power * g
-            continue
-        t = power * (z / 3.0)
-        if kz > j:
-            t = t + math.comb(kz, j) * (kz - j) / 3.0 * b ** (kz - j - 1)
-        total = total + g * t
-    if du:
-        total = total + b ** kz * np.where(span, -1.0 - cu * cu, 0.0)
-    return np.exp(b * z) * total
-
-
-def _elliptic_root_coeff(lat: Lattice, u: np.ndarray, z, kz: int,
-                         du: int) -> np.ndarray:
-    l0 = l_kernel(lat, u, z)
-    if kz == 0 and du == 0:
-        return -l0
-    # z-derivative ladder from l' = l * (zeta(u+z) - zeta(z))
-    zeta_uz = [lat.zeta_derivative(u + z, m) for m in range(kz + du)]
-    d = [zeta_uz[m] - lat.zeta_derivative(z, m) for m in range(kz)]
-    l_list = [l0]
-    for k in range(kz):
-        l_list.append(sum(math.comb(k, j) * l_list[j] * d[k - j]
-                          for j in range(k + 1)))
-    if du == 0:
-        return -l_list[kz]
-    # mixed derivative from d_u l = l * (zeta(u+z) - zeta(u))
-    e = [zeta_uz[0] - lat.zeta(u)] + zeta_uz[1:]
-    return -sum(math.comb(kz, j) * l_list[j] * e[kz - j] for j in range(kz + 1))
+    return _value(_ladder(spec, None, z, kz + 1)[0][kz])
 
 
 @raise_on_fp_fault
@@ -344,25 +343,8 @@ def root_coeff(spec: RMatrixSpec, u, z, kz: int = 0,
     """c_alpha(u_alpha, z) for every root, its z-derivatives (kz up to 3)
     and the mixed u,z-derivative (du = 1).  ``u`` = rs.root_values(q), the
     roots on its last axis; ``z`` broadcasts against it."""
-    u = np.asarray(u, dtype=complex)
-    fam = spec.family
-    if fam == "rational":
-        if (np.abs(z) < _ZTOL).any():
-            raise PoleError("rational root coefficient evaluated at z = 0")
-        dp = spec.dp_mask
-        _root_guard(spec, dp & (np.abs(u) < _ZTOL),
-                    "rational root coefficient: (alpha, q) = 0")
-        zeros = np.zeros(np.broadcast(u, z).shape, dtype=complex)
-        if du:
-            return np.divide(-1.0, u * u, out=zeros, where=dp & (kz == 0))
-        return _dk_inv(z, kz) + (
-            zeros if kz else np.divide(1.0, u, out=zeros, where=dp))
-    if fam == "trigonometric":
-        return _trig_root_coeff(spec, u, z, kz, du)
-    root_args = (u,) if kz == du == 0 else (u, u + z)
-    return _on_lattice(
-        spec, lambda: _elliptic_root_coeff(spec.lattice, u, z, kz, du),
-        *root_args)
+    return _ladder(spec, np.asarray(u, dtype=complex), z, kz + 1,
+                   du)[1][du][kz]
 
 
 @raise_on_fp_fault
@@ -451,27 +433,24 @@ def casimir_tensor(rs: RootSystem) -> TensorValue:
     return TensorValue(rs, rs.gram.astype(complex))
 
 
-def _r_coeffs(spec: RMatrixSpec, q, z, kz: int = 0, du: int = 0):
-    """Coefficient vector, shape z.shape + (dim,), of the kz-th z-derivative
-    of r(q, z): the Cartan coefficient, then c_alpha.  With du = 1 the root
-    slots hold the mixed u,z-derivatives and the (q-independent) Cartan
-    slots 0.  The one place where ``fault_scale`` is applied."""
+@raise_on_fp_fault
+def _r_table(spec: RMatrixSpec, q, z, kzs: range, du: int = 0):
+    """Coefficient vectors of the kz-th z-derivatives of r(q, z) for every
+    kz in ``kzs``, from one kernel pass: shape (1 + du, len(kzs)) + z.shape
+    + (dim,), the Cartan coefficient in the first ``rank`` slots, then
+    c_alpha.  Row 1 (du = 1) holds the mixed u,z-derivatives, with the
+    (q-independent) Cartan slots 0.  The one place where ``fault_scale`` is
+    applied."""
     rs = spec.rs
     z = np.asarray(z, dtype=complex)
-    c = np.zeros(z.shape + (rs.dim,), dtype=complex)
-    if not du:
-        c[..., :rs.rank] = np.expand_dims(cartan_coeff(spec, z, kz), -1)
-    c[..., rs.rank:] = root_coeff(spec, rs.root_values(q), z[..., None],
-                                  kz, du)
-    c[..., rs.rank + np.array(spec.fault_root_indices)] *= spec.fault_scale
-    return c
-
-
-def _r_table(spec: RMatrixSpec, q, z, kzs: range, du: int = 0):
-    """:func:`_r_coeffs` for each kz in ``kzs``, stacked on a leading axis."""
-    shape = (len(kzs),) + np.shape(z) + (spec.rs.dim,)
-    return np.array([_r_coeffs(spec, q, z, kz, du) for kz in kzs],
-                    dtype=complex).reshape(shape)
+    table = np.zeros((1 + du, len(kzs)) + z.shape + (rs.dim,), dtype=complex)
+    if not table.size:
+        return table
+    f, c = _ladder(spec, rs.root_values(q), z[..., None], kzs.stop, du)
+    table[0, ..., :rs.rank] = f[kzs.start:]
+    table[..., rs.rank:] = [row[kzs.start:] for row in c]
+    table[..., rs.rank + np.array(spec.fault_root_indices)] *= spec.fault_scale
+    return table
 
 
 def r_tensor(spec: RMatrixSpec, q, z, kz: int = 0,
@@ -485,8 +464,9 @@ def r_tensor(spec: RMatrixSpec, q, z, kz: int = 0,
     derivative in q_i).  Only root terms survive it.
     """
     rs = spec.rs
-    c = _r_coeffs(spec, q, z, kz, du=int(direction is not None))
-    if direction is not None:
+    du = int(direction is not None)
+    c = _r_table(spec, q, z, range(kz, kz + 1), du)[du, 0]
+    if du:
         c[..., rs.rank:] *= rs.root_values(direction)
     mat = np.zeros(c.shape + (rs.dim,), dtype=complex)
     mat[..., np.arange(rs.dim), rs.dual_index] = c
@@ -534,12 +514,12 @@ def verify_axioms(spec: RMatrixSpec, samples: Sequence[tuple[np.ndarray, complex
     ring = ring_nodes(quad_radius, quad_nodes)
     zero_weight = unitarity = residue = 0.0
     for q, z in samples:
-        c, cminus = _r_coeffs(spec, q, [z, -z])
+        c = _r_table(spec, q, np.r_[z, -z, ring], range(1))[0, 0]
         zero_weight = max(zero_weight,
-                          float(np.max(np.abs(slot_weight * c[:, None]))))
+                          float(np.max(np.abs(slot_weight * c[0, :, None]))))
         unitarity = max(unitarity,
-                        float(np.max(np.abs(c + cminus[rs.dual_index]))))
-        res = ring_coefficients(_r_coeffs(spec, q, ring), ring, 1)[0]
+                        float(np.max(np.abs(c[0] + c[1, rs.dual_index]))))
+        res = ring_coefficients(c[2:], ring, 1)[0]
         residue = max(residue, float(np.max(np.abs(res - 1.0))))
     return {
         "n_samples": len(samples),
@@ -547,6 +527,17 @@ def verify_axioms(spec: RMatrixSpec, samples: Sequence[tuple[np.ndarray, complex
         "unitarity": unitarity,
         "residue": residue,
     }
+
+
+@lru_cache(maxsize=None)
+def _structure_nz(rs: RootSystem) -> tuple[np.ndarray, ...]:
+    """(a, b, c, f) index and value arrays of the nonzero structure
+    constants, [e_a, e_b] = sum_c f[a, b, c] e_c (276 on A_4), from the
+    brackets of all basis pairs."""
+    eye = np.eye(rs.dim)
+    f = bracket(AlgElement(rs, eye[:, None]), AlgElement(rs, eye)).vec.real
+    a, b, c = np.nonzero(f)
+    return a, b, c, f[a, b, c]
 
 
 def verify_cdybe(spec: RMatrixSpec, q, z1: complex, z2: complex,
@@ -560,11 +551,12 @@ def verify_cdybe(spec: RMatrixSpec, q, z1: complex, z2: complex,
 
     with z_ij = z_i - z_j and all q-derivatives analytic."""
     rs = spec.rs
-    (a, b, c, f), d = rs.structure_nz, rs.dual_index
+    (a, b, c, f), d = _structure_nz(rs), rs.dual_index
     z12, z13, z23 = z1 - z2, z1 - z3, z2 - z3
-    c12, c13, c23 = _r_coeffs(spec, q, [z12, z13, z23])
-    d23, d31, d12 = (_r_coeffs(spec, q, [z23, -z13, z12], du=1)
-                     [:, rs.rank:, None] * rs.alpha_h)
+    # one kernel pass: r at z12, z13, z23 and dr/dq at z23, z31, z12
+    r, dr = _r_table(spec, q, [z12, z13, z23, -z13], range(1), du=1)[:, 0]
+    c12, c13, c23 = r[:3]
+    d23, d31, d12 = dr[[2, 3, 0], rs.rank:, None] * rs.alpha_h
 
     cube = np.zeros((rs.dim, rs.dim, rs.dim), dtype=complex)
     # Alt(d_h r): h_i in slot 1, 2, 3 against dr/dq_i at z23, z31, z12,
@@ -626,14 +618,22 @@ class LaurentElement:
         return AlgElement.zero(self.rs)
 
 
-def _r_pairing(rs: RootSystem, table, principal) -> np.ndarray:
+def _r_pairing(table, principal) -> np.ndarray:
     """sum_{k < T} (1/k!) < r_k, X_{-(k+1)} (x) 1 > for the T rows X of
-    ``principal``, where table[k] is the coefficient vector of r_k: the
-    pairing <r, X (x) 1> is the elementwise product c[dual] * X."""
+    ``principal``: an entrywise product, table[k] holding r_k's coefficient
+    on each entry of X (c[dual] in coordinates, C in matrices)."""
     t = len(principal)
     inv_fact = [1.0 / math.factorial(k) for k in range(t)]
-    return np.einsum("k...a,ka,k->...a", table[:t][..., rs.dual_index],
-                     principal, inv_fact)
+    return np.einsum("k...,k...,k->...", table[:t], principal, inv_fact)
+
+
+@lru_cache(maxsize=None)
+def _entry_slots(rs: RootSystem) -> np.ndarray:
+    """Slots of c giving the coefficient matrix C = c[..., slots]: the dual
+    of E_ij's slot off the diagonal, Cartan slot 0 (f) on it."""
+    slots = np.zeros((rs.matrix_size,) * 2, dtype=int)
+    slots[rs.root_entries] = rs.dual_index[rs.rank:]
+    return slots
 
 
 def R_apply(spec: RMatrixSpec, q, xi: LaurentElement) -> LaurentElement:
@@ -647,8 +647,9 @@ def R_apply(spec: RMatrixSpec, q, xi: LaurentElement) -> LaurentElement:
     nodes of xi.  Its principal part is exactly -(1/2) of xi's, because
     r - Omega/z is analytic at z = 0 in every family; its values are the
     closed form above evaluated at all nodes at once."""
-    table = _r_table(spec, q, -xi.nodes, range(xi.pole_order))
-    values = 0.5 * xi.values.vec + _r_pairing(spec.rs, table, xi.principal)
+    table = _r_table(spec, q, -xi.nodes, range(xi.pole_order))[0]
+    values = 0.5 * xi.values.vec + _r_pairing(
+        table[..., spec.rs.dual_index], xi.principal)
     return LaurentElement(spec.rs, -0.5 * xi.principal, xi.nodes, values)
 
 
@@ -657,10 +658,11 @@ def R_directional(spec: RMatrixSpec, q, v, xi: LaurentElement
     """The q-directional derivative (X_v R_q)(xi) on the nodes of xi.  Only
     the r-dependent part of R_q varies with q, and its residue Omega does
     not, so the result has no principal part."""
-    table = _r_table(spec, q, -xi.nodes, range(xi.pole_order), du=1)
-    table[..., spec.rs.rank:] *= spec.rs.root_values(v)
-    return LaurentElement(spec.rs, [], xi.nodes,
-                          _r_pairing(spec.rs, table, xi.principal))
+    rs = spec.rs
+    table = _r_table(spec, q, -xi.nodes, range(xi.pole_order), du=1)[1]
+    table[..., rs.rank:] *= rs.root_values(v)
+    return LaurentElement(rs, [], xi.nodes,
+                          _r_pairing(table[..., rs.dual_index], xi.principal))
 
 
 def default_mdybe_samples() -> list[complex]:
@@ -684,41 +686,39 @@ def verify_mdybe(spec: RMatrixSpec, q, xi, eta, *,
     inner covector and the residue pairing Res_z <eta(z), (R xi)(z)> whose
     q-derivatives form the Cartan vector d<R xi, eta> (j* takes the Cartan
     block of the residue coefficient), and every term at ``z_samples``,
-    over which the residual is the max."""
+    over which the residual is the max.  Every term is a (node, n+1, n+1)
+    matrix; only the residual goes back to coordinates, for its max."""
     rs, n = spec.rs, quad_nodes
     ring = ring_nodes(quad_radius, n)
     samples = np.asarray(default_mdybe_samples() if z_samples is None
                          else z_samples, dtype=complex)
     xi, eta = (LaurentElement(rs, x, np.concatenate([ring, samples]))
                for x in (xi, eta))
-    order = range(max(xi.pole_order, eta.pole_order))
-    r0, r1 = (_r_table(spec, q, -xi.nodes, order, du) for du in (0, 1))
-    r_xi, r_eta = (AlgElement(rs, 0.5 * x.values.vec + _r_pairing(
-        rs, r0, x.principal)) for x in (xi, eta))
+    (x, px), (e, pe) = ((rs.to_matrix(v.values.vec), rs.to_matrix(v.principal))
+                        for v in (xi, eta))
+    slots = _entry_slots(rs)
+    r0, r1 = _r_table(spec, q, -xi.nodes,
+                      range(max(len(px), len(pe))), du=1)[..., slots]
+    r_x, r_e = 0.5 * x + _r_pairing(r0, px), 0.5 * e + _r_pairing(r0, pe)
     # the inner covector [R xi, eta] + [xi, R eta] and R of it at the samples
-    w = (bracket(r_xi, eta.values) + bracket(xi.values, r_eta)).vec
-    inner = LaurentElement(rs, ring_coefficients(
-        w[:n], ring, xi.pole_order + eta.pole_order), samples, w[n:])
+    w = commutator(r_x, e) + commutator(x, r_e)
+    inner = ring_coefficients(w[:n], ring, len(px) + len(pe))
     r0_s = np.concatenate([r0[:, n:], _r_table(
-        spec, q, -samples, range(len(order), inner.pole_order))])
-    s_rxi, s_reta, s_xi, s_eta = (AlgElement(rs, v.vec[n:]) for v in (
-        r_xi, r_eta, xi.values, eta.values))
-    res = ((bracket(s_rxi, s_reta) + 0.25 * bracket(s_xi, s_eta)).vec
-           - 0.5 * w[n:] - _r_pairing(rs, r0_s, inner.principal))
-    # X_{j* xi}(R eta) - X_{j* eta}(R xi): alpha(j* xi) times the du = 1
-    # pairing of eta, and the other way round
-    for x, y, sign in ((xi, eta, 1.0), (eta, xi, -1.0)):
-        table = sign * r1[:, n:]
-        table[..., rs.rank:] *= rs.root_values(
-            x.principal_coeff(1).cartan_coords)
-        res += _r_pairing(rs, table, y.principal)
-    # d<R xi, eta>: q_i-derivatives of the residue pairing for every Cartan
-    # direction at once, <eta, (X_v R) xi> = sum_alpha alpha(v) eta_alpha
-    # p_{-alpha} with p the du = 1 pairing of xi
-    p = _r_pairing(rs, r1[:, :n], xi.principal)[:, rs.dual_index]
-    res[:, :rs.rank] += ring_coefficients(
-        (eta.values.vec[:n] * p)[:, rs.rank:] @ rs.alpha_h, ring, 1)[0]
-    return float(np.max(np.abs(res)))
+        spec, q, -samples, range(len(r0), len(inner)))[0][..., slots]])
+    res = (commutator(r_x[n:], r_e[n:]) + 0.25 * commutator(x[n:], e[n:])
+           - 0.5 * w[n:] - _r_pairing(r0_s, inner))
+    # X_{j* xi}(R eta) - X_{j* eta}(R xi): the du = 1 pairing of eta with
+    # C[i, j] scaled by (e_j - e_i)(j* xi), and the other way round; d is
+    # the diagonal of the Cartan element j* xi
+    for v, p, sign in ((xi, pe, 1.0), (eta, px, -1.0)):
+        d = v.principal_coeff(1).cartan_coords @ rs.h_diag
+        res += _r_pairing(sign * r1[:, n:] * (d - d[:, None]), p)
+    # d<R xi, eta>: q-derivatives of the residue pairing for every Cartan
+    # direction at once, sum_alpha eta_alpha p_{-alpha} h_alpha with p the
+    # du = 1 pairing of xi; h_alpha = E_ii - E_jj for alpha = e_i - e_j
+    g = e[:n] * _r_pairing(r1[:, :n], px).swapaxes(-1, -2)
+    res += np.diag(ring_coefficients(g.sum(-1) - g.sum(-2), ring, 1)[0])
+    return float(np.max(np.abs(rs.to_coords(res))))
 
 
 def equivariance_residual(spec: RMatrixSpec, q, xi, c_coords,

@@ -9,6 +9,9 @@ Basis conventions used everywhere in this package:
   exact Gram-Schmidt over the coroots (floats are taken only once, at the
   end), so Cartan coordinates are plain Euclidean coordinates.
 * Roots are stored as integer coefficient tuples over the simple roots.
+* Elements are coordinate vectors over [h_1..h_n, e_alpha...]; arithmetic
+  runs on their (n+1) x (n+1) matrices, one matmul from coordinates and one
+  back, so a bracket is a commutator and no structure tensor is kept.
 * Covectors xi in g* are represented by their image I(xi) in g under the
   isomorphism induced by the form.  With the classical component convention
   xi_alpha = <xi, e_{-alpha}> and xi_i = <xi, h_i>, the stored element is
@@ -22,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -94,7 +97,7 @@ def _orthonormal_cartan(rank: int) -> np.ndarray:
 
 
 class RootSystem:
-    """Immutable container of root data and structure constants for A_n.
+    """Immutable container of root data and the matrix units of A_n.
 
     Attributes
     ----------
@@ -144,13 +147,11 @@ class RootSystem:
         # epsilon-pair (a, b) with alpha = eps_a - eps_b for each root
         pairs = []
         for r in self.roots:
-            if sum(r) > 0:
-                support = [k for k, c in enumerate(r) if c != 0]
-                pairs.append((support[0], support[-1] + 1))
-            else:
-                support = [k for k, c in enumerate(r) if c != 0]
-                pairs.append((support[-1] + 1, support[0]))
+            support = [k for k, c in enumerate(r) if c != 0]
+            pair = (support[0], support[-1] + 1)
+            pairs.append(pair if sum(r) > 0 else pair[::-1])
         self.eps_pairs: tuple[tuple[int, int], ...] = tuple(pairs)
+        self.root_entries = tuple(np.array(pairs).T)    # (rows, cols)
 
         a_exact = [[Fraction(0)] * rank for _ in range(rank)]
         for i in range(rank):
@@ -165,10 +166,8 @@ class RootSystem:
 
         self.h_diag = _orthonormal_cartan(rank)           # (rank, rank+1)
 
-        alpha_h = np.zeros((self.n_roots, rank))
-        for k, (a, b) in enumerate(self.eps_pairs):
-            alpha_h[k] = self.h_diag[:, a] - self.h_diag[:, b]
-        self.alpha_h = alpha_h
+        rows, cols = self.root_entries
+        self.alpha_h = (self.h_diag[:, rows] - self.h_diag[:, cols]).T
 
         # (alpha, beta) over the simple-coefficient tuples: m_a^T A m_b
         a_np = np.array(self.cartan_matrix, dtype=np.int64)
@@ -176,47 +175,39 @@ class RootSystem:
         self.root_pairings = m @ a_np @ m.T               # (n_roots, n_roots) ints
 
         self._build_matrices()
-        self._build_structure()
 
     def _build_matrices(self) -> None:
         size = self.matrix_size
         reps = np.zeros((self.dim, size, size))
         for i in range(self.rank):
             reps[i] = np.diag(self.h_diag[i])
-        for k, (a, b) in enumerate(self.eps_pairs):
-            reps[self.rank + k, a, b] = 1.0
+        reps[(np.arange(self.rank, self.dim),) + self.root_entries] = 1.0
         self.basis_matrices = reps
+        # coordinates <-> flattened matrices, one matmul each way: the basis
+        # is orthonormal for the Frobenius product (complex, to save a cast)
+        self._to_flat = reps.reshape(self.dim, -1).astype(complex)
+        self._from_flat = np.ascontiguousarray(self._to_flat.T)
 
         # the form pairs h_i with h_i and e_alpha with e_{-alpha}
         neg = [self.root_index[negate(r)] for r in self.roots]
         self.dual_index = np.r_[np.arange(self.rank), self.rank + np.array(neg)]
         self.gram = np.eye(self.dim)[self.dual_index]
 
-    def _build_structure(self) -> None:
-        # only the nonzero f[a, b, c] are kept (2% of the entries on A_4):
-        # as (a, b, c, f) index and value arrays, and as a (nnz, dim) matrix
-        # scattering f x_a y_b to c; the dense tensor is rebuilt on demand
-        f = self.structure
-        del self.structure
-        a, b, c = np.nonzero(f)
-        self.structure_nz = (a, b, c, f[a, b, c])
-        self.bracket_scatter = np.zeros((a.size, self.dim), dtype=complex)
-        self.bracket_scatter[np.arange(a.size), c] = f[a, b, c]
+    def to_matrix(self, vec: np.ndarray) -> np.ndarray:
+        """Defining matrices, shape (..., n+1, n+1), of the coordinate
+        vectors ``vec`` (last axis): one matmul."""
+        return (vec @ self._to_flat).reshape(
+            vec.shape[:-1] + (self.matrix_size,) * 2)
 
-    @cached_property
-    def structure(self) -> np.ndarray:
-        """Dense f[a, b, c] with [e_a, e_b] = sum_c f[a, b, c] e_c, built on
-        first use (`bracket` reads only the sparse form)."""
-        m = self.basis_matrices
-        prod = np.einsum("aij,bjk->abik", m, m)
-        return self._matrix_coefficients(prod - prod.transpose(1, 0, 2, 3))
+    def to_coords(self, mat: np.ndarray) -> np.ndarray:
+        """Coordinates of traceless matrices (last two axes) over the basis:
+        the diagonal against h_diag, the root entries read off; one matmul."""
+        return mat.reshape(mat.shape[:-2] + (-1,)) @ self._from_flat
 
-    def _matrix_coefficients(self, mat: np.ndarray) -> np.ndarray:
-        """Coordinates of traceless matrices (last two axes) over the basis."""
-        rows, cols = np.array(self.eps_pairs).T
-        diag = np.diagonal(mat, axis1=-2, axis2=-1)[..., None]
-        return np.concatenate([(self.h_diag @ diag)[..., 0],
-                               mat[..., rows, cols]], axis=-1)
+    def bracket_coords(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """[x, y] of coordinate arrays (batch axes broadcast): the
+        commutator of their defining matrices."""
+        return self.to_coords(commutator(self.to_matrix(x), self.to_matrix(y)))
 
     # -- basic queries -------------------------------------------------
 
@@ -345,14 +336,17 @@ class AlgElement:
         return "AlgElement(" + (" + ".join(terms) if terms else "0") + ")"
 
 
+def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """ab - ba of matrices on the last two axes (batch axes broadcast)."""
+    out = a @ b
+    out -= b @ a
+    return out
+
+
 def bracket(x: AlgElement, y: AlgElement) -> AlgElement:
-    """Lie bracket [x, y]_c = sum_{a,b} f[a, b, c] x_a y_b over the nonzero
-    structure constants only: one gather and multiply x_a y_b per nonzero,
-    then one matmul with the fixed scatter matrix (batch axes broadcast)."""
+    """Lie bracket [x, y] (:meth:`RootSystem.bracket_coords`)."""
     x._check(y)
-    a, b, _, _ = x.rs.structure_nz
-    return AlgElement(x.rs, (x.vec[..., a] * y.vec[..., b])
-                      @ x.rs.bracket_scatter)
+    return AlgElement(x.rs, x.rs.bracket_coords(x.vec, y.vec))
 
 
 def form(x: AlgElement, y: AlgElement):
@@ -366,7 +360,7 @@ def form(x: AlgElement, y: AlgElement):
 
 def matrix_rep(x: AlgElement) -> np.ndarray:
     """Defining (n+1)-dimensional representation of x."""
-    return np.tensordot(x.vec, x.rs.basis_matrices, axes=(-1, 0))
+    return x.rs.to_matrix(x.vec)
 
 
 def element_from_matrix(rs: RootSystem, mat: np.ndarray) -> AlgElement:
@@ -377,7 +371,7 @@ def element_from_matrix(rs: RootSystem, mat: np.ndarray) -> AlgElement:
             f"matrix shape {mat.shape} does not fit sl({rs.matrix_size})")
     if abs(np.trace(mat)) > 1e-10 * max(1.0, float(np.abs(mat).max())):
         raise StructuralError("matrix has a nonzero trace")
-    return AlgElement(rs, rs._matrix_coefficients(mat))
+    return AlgElement(rs, rs.to_coords(mat))
 
 
 def torus_adjoint(c_coords, x: AlgElement) -> AlgElement:

@@ -169,6 +169,29 @@ def test_simulate_huge_initial_values_end_without_traceback(
                                          (EXIT_SINGULARITY, "simulate")}
 
 
+WIDE_LATTICE = {"omega1": [2.0, 0.0], "omega2": [0.0, 2.2]}
+
+
+@pytest.mark.parametrize("family,q", [("trigonometric", 1e15),
+                                      ("trigonometric", 1e200),
+                                      ("elliptic", 1e15)])
+def test_simulate_spectrum_drift_fault_is_a_config_error(
+        tmp_path, capsys, family, q):
+    """The run completes; the post-run spectrum_drift overflows (exp of a
+    huge root value) and exits 2 with a spincm: line naming the
+    diagnostic, not a traceback."""
+    data = {"family": family, "rank": 1,
+            "initial": {"preset": "spinless(0.4j)", "q": [q], "p": [0.1]},
+            "integration": {"t_final": 0.1}}
+    if family == "elliptic":
+        data["lattice"] = WIDE_LATTICE
+    cfg = write_config(tmp_path, "huge.json", data)
+    code = main(["simulate", "--config", cfg, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("spincm: spectrum_drift ")
+
+
 def test_simulate_free_preset_straight_line(tmp_path):
     cfg = write_config(tmp_path, "free.json", {
         "family": "rational", "rank": 1,
@@ -271,6 +294,32 @@ def test_verify_witness_replays_max_residual(tmp_path, suite):
                               complex_array(witness["eta"]), z_samples=z)
     assert replay == pytest.approx(check["max_residual"], rel=1e-12)
     assert check["max_residual"] > 1e-3
+
+
+# max_residual of the fault-injected cdybe and mdybe suites, (family, rank,
+# seed) -> (cdybe, mdybe), as the coordinate implementation (brackets over
+# the structure constants, one kernel call per kz) gave them
+PINNED_FAULT_RESIDUALS = {
+    ("trigonometric", 3, 1): (504.77257496302195, 1600.7699977934815),
+    ("trigonometric", 3, 8): (293.04820261810323, 1445.9349511691294),
+    ("elliptic", 2, 3): (336.29558708607806, 1188.8107035343785),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_FAULT_RESIDUALS))
+@pytest.mark.parametrize("suite", ["cdybe", "mdybe"])
+def test_fault_injected_residuals_are_pinned(tmp_path, case, suite):
+    family, rank, seed = case
+    data = {"family": family, "rank": rank, "seed": seed}
+    if family == "elliptic":
+        data["lattice"] = WIDE_LATTICE
+    cfg = write_config(tmp_path, "ver.json", data)
+    assert main(["verify", "--config", cfg, "--suite", suite,
+                 "--inject-fault", "--out", str(tmp_path)]) == EXIT_RESIDUAL
+    got = json.loads((tmp_path / "report.json").read_text())[
+        "checks"][0]["max_residual"]
+    want = PINNED_FAULT_RESIDUALS[case][suite == "mdybe"]
+    assert abs(got - want) <= 1e-10 * want
 
 
 def test_verify_threshold_scale(tmp_path):

@@ -5,10 +5,10 @@ flattened), its fault paths, and the stacked diagnostics against
 per-point loops.
 
 The oracle builds the field from `pair_weight` and the dense structure
-tensor; the reduced field is the push-forward of the unreduced one through
-the invariants s_gamma = xi_gamma prod_j xi_{alpha_j}^(-m_gamma^j), whose
-differential at the slice lift is ds_gamma = dxi_gamma - s_gamma sum_j
-m_gamma^j dxi_{alpha_j}.
+tensor of the matrix units (`dense_reference`); the reduced field is the
+push-forward of the unreduced one through the invariants s_gamma =
+xi_gamma prod_j xi_{alpha_j}^(-m_gamma^j), whose differential at the slice
+lift is ds_gamma = dxi_gamma - s_gamma sum_j m_gamma^j dxi_{alpha_j}.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_reference import dense_structure
 from spincm import dynamics
 from spincm.dynamics import (_pack_point, conserved_spectrum, hamiltonian,
                              integrate, lax_L, lax_pair_reduced, make_system,
@@ -47,7 +48,7 @@ def oracle_field(sys_, q, p, xi):
     prod = roots * roots[rs.dual_index[rs.rank:] - rs.rank]
     grad_q = -0.5 * rs.alpha_h.T @ (w_du * prod)
     grad_xi = np.concatenate([np.zeros(rs.rank), -w * roots])
-    spin = -np.einsum("a,b,abc->c", grad_xi, xi, rs.structure)
+    spin = -np.einsum("a,b,abc->c", grad_xi, xi, dense_structure(rs))
     return p, -grad_q, spin
 
 

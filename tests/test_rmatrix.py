@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_reference import dense_structure
 from spincm.dynamics import SystemSpec, fpbr_residual, lax_L
 from spincm.elliptic import Lattice, l_kernel
 from spincm.phase import PhasePoint, momentum_J
@@ -26,7 +27,7 @@ from spincm.errors import PoleError, StructuralError
 from spincm.rootsys import (AlgElement, bracket, build_root_system, form,
                             negate, root_label)
 from spincm.rmatrix import (LaurentElement, R_apply, R_directional,
-                            casimir_tensor,
+                            _r_table, casimir_tensor,
                             cartan_coeff, default_mdybe_samples,
                             elliptic_r_matrix, equivariance_residual,
                             pair_weight, r_tensor, rational_r_matrix, root_coeff, root_coeff_reg0,
@@ -183,6 +184,32 @@ def test_u_derivatives_against_finite_differences(family):
                - pair_weight(spec, at(u - h))[0][0]) / (2 * h)
         assert abs(pair_weight(spec, at(u))[1][0] - fdw) \
             / max(1.0, abs(fdw)) < 1e-6
+
+
+@pytest.mark.parametrize("family", ["rational", "trigonometric", "elliptic"])
+def test_one_pass_r_table_matches_per_kz_coefficients(family):
+    """_r_table evaluates the kernel once for kz in range(4) and du 0, 1;
+    every slot matches a per-kz cartan_coeff / root_coeff loop to 1e-14
+    relative, and a table starting at kz = 2 is the tail of the full one."""
+    spec = all_specs(3)[family]
+    rs = spec.rs
+    q = np.array([0.7, -0.45, 0.9])
+    z = -np.concatenate([ring_nodes(0.35, 16), default_mdybe_samples()])
+    table = _r_table(spec, q, z, range(4), du=1)
+    assert table.shape == (2, 4, len(z), rs.dim)
+    u = rs.root_values(q)
+    for kz in range(4):
+        cartan = np.repeat(cartan_coeff(spec, z, kz)[:, None], rs.rank, -1)
+        want = (np.concatenate([cartan, root_coeff(spec, u, z[:, None], kz)],
+                               -1),
+                np.concatenate([np.zeros_like(cartan),
+                                root_coeff(spec, u, z[:, None], kz, du=1)],
+                               -1))
+        for du in (0, 1):
+            assert np.all(np.abs(table[du, kz] - want[du])
+                          <= 1e-14 * np.abs(want[du])), (family, kz, du)
+    assert np.array_equal(_r_table(spec, q, z, range(2, 4), du=1),
+                          table[:, 2:])
 
 
 @pytest.mark.parametrize("family", ["rational", "trigonometric", "elliptic"])
@@ -466,9 +493,10 @@ def test_equivariance(family):
 # -- dense references --------------------------------------------------------
 #
 # The package contracts every r through its coefficient vector
-# (r[a, dual(a)] = c_a) and the nonzero structure constants.  These
-# references contract the dense r_tensor(...).mat with the dense
-# rs.structure, as the defining formulas read.  The faulted cases
+# (r[a, dual(a)] = c_a), the nonzero structure constants and, in the MDYBE,
+# matrix commutators.  These references contract the dense r_tensor(...).mat
+# with the dense structure constants of the matrix units
+# (`dense_reference`), as the defining formulas read.  The faulted cases
 # (fault_scale 4) are what make the comparison bite: unfaulted residuals are
 # round-off, so those are compared to 1e-12 absolute.
 
@@ -491,7 +519,7 @@ def assert_matches_dense(got, want, fault):
 def dense_axioms(spec, samples, quad_radius=0.1, quad_nodes=256):
     """Zero-weight, unitarity and residue residuals of the dense tensors."""
     rs = spec.rs
-    f = rs.structure
+    f = dense_structure(rs)
     omega = casimir_tensor(rs).mat
     ring = ring_nodes(quad_radius, quad_nodes)
     zero_weight = unitarity = residue = 0.0
@@ -527,7 +555,7 @@ def dense_R_apply(spec, q, xi):
 
 def dense_cdybe(spec, q, z1, z2, z3):
     rs = spec.rs
-    f = rs.structure
+    f = dense_structure(rs)
     z12, z13, z23 = z1 - z2, z1 - z3, z2 - z3
     r12, r13, r23 = r_tensor(spec, q, [z12, z13, z23]).mat
     cube = np.zeros((rs.dim, rs.dim, rs.dim), dtype=complex)
@@ -572,7 +600,7 @@ def dense_fpbr(sys, x, z, w):
     rs = sys.rs
     spec_l = sys.lax_rmatrix
     q = x.q
-    f = rs.structure
+    f = dense_structure(rs)
     rz, rw = r_tensor(spec_l, q, [z, w]).mat
     lz, lw = lax_L(sys, x, [z, w]).vec
     dq_z, dq_w = np.moveaxis(np.array([

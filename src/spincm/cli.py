@@ -39,16 +39,15 @@ from .elliptic import Lattice
 from .errors import (ConfigError, ConstraintError, GaugeDomainError,
                      PoleError, SpincmError, StructuralError)
 from .phase import PhasePoint, ReducedPoint, project_pi, reduced_roots
-from .rmatrix import (default_mdybe_samples, verify_axioms, verify_cdybe,
+from .rmatrix import (axiom_residuals, default_mdybe_samples, verify_cdybe,
                       verify_mdybe)
 from .rootsys import (AlgElement, build_root_system, parse_root_label,
                       root_system_summary)
-from .dynamics import (SystemSpec, collision_margin, default_z_samples,
-                       hamiltonian_reduced, integrate, involution_check,
-                       gauge_residual, lax_pair_reduced, lax_pair_residual,
-                       make_system, quasi_lax_residual, read_trajectory_csv,
-                       reduced_lax_residual, spectrum_drift, spinless_state,
-                       Trajectory, write_trajectory_csv)
+from .dynamics import (SystemSpec, _margin, default_z_samples,
+                       gauge_residual, hamiltonian_reduced, integrate,
+                       involution_residuals, lax_pair_reduced, lax_residuals,
+                       make_system, read_trajectory_csv, spectrum_drift,
+                       spinless_state, Trajectory, write_trajectory_csv)
 from . import __version__
 
 EXIT_PASS = 0
@@ -367,14 +366,11 @@ def _random_q(rng, system: SystemSpec) -> np.ndarray:
     """Random Cartan configuration kept clear of the singular set: close
     root hyperplanes amplify the Lax coefficients past the suite
     thresholds without saying anything about the structure."""
-    rs = system.rs
-    probe = PhasePoint(np.zeros(rs.rank, dtype=complex),
-                       np.zeros(rs.rank, dtype=complex), AlgElement.zero(rs))
+    rank = system.rs.rank
     for _ in range(200):
-        signs = rng.choice([-1.0, 1.0], size=rs.rank)
-        q = (rng.uniform(0.55, 1.15, size=rs.rank) * signs).astype(complex)
-        if collision_margin(system, PhasePoint(q, probe.p, probe.xi)) \
-                >= _Q_MARGIN:
+        signs = rng.choice([-1.0, 1.0], size=rank)
+        q = (rng.uniform(0.55, 1.15, size=rank) * signs).astype(complex)
+        if _margin(system, q) >= _Q_MARGIN:
             return q
     raise StructuralError("could not sample a configuration away from the "
                           "singular set")
@@ -430,31 +426,44 @@ _INVOLUTION_BATTERY = [
 ]
 
 
-def _suite_axioms(system, config, rng) -> list[dict]:
-    spec = system.rmatrix
-    samples = [(_random_q(rng, system), _random_z(rng))
-               for _ in range(20)]
-    report = verify_axioms(spec, samples)
-    return [{"name": name, "samples": report["n_samples"],
-             "max_residual": report[name]}
-            for name in ("zero_weight", "unitarity", "residue")]
+def _witness(sample: dict) -> dict:
+    """A sample as JSON, complex values as [re, im] pairs."""
+    return {key: (np.stack([np.real(v), np.imag(v)], -1)
+                  if np.iscomplexobj(v) else np.asarray(v)).tolist()
+            for key, v in sample.items()}
 
 
-def _worst(name: str, residuals: list, samples: list[dict]) -> list[dict]:
+def _worst(name: str, residuals, samples: list[dict]) -> dict:
     """The check of the largest residual, with the sample that gave it as a
-    replayable ``witness`` (complex values as [re, im] pairs)."""
+    replayable ``witness``."""
     k = int(np.argmax(residuals))
-    witness = {key: np.stack([np.real(v), np.imag(v)], -1).tolist()
-               for key, v in samples[k].items()}
-    return [{"name": name, "samples": len(samples), "max_residual":
-             residuals[k], "witness": {"sample": k, **witness}}]
+    return {"name": name, "samples": len(samples),
+            "max_residual": float(residuals[k]),
+            "witness": _witness({"sample": k, **samples[k]})}
+
+
+def _point(x) -> dict:
+    if isinstance(x, ReducedPoint):
+        return {"q": x.q, "p": x.p, "s": x.s}
+    return {"q": x.q, "p": x.p, "xi": x.xi.vec}
+
+
+def _suite_axioms(system, config, rng) -> list[dict]:
+    samples = [{"q": _random_q(rng, system), "z": _random_z(rng)}
+               for _ in range(20)]
+    per_sample = axiom_residuals(system.rmatrix,
+                                 np.array([s["q"] for s in samples]),
+                                 [s["z"] for s in samples])
+    return [_worst(name, per_sample[name], samples)
+            for name in ("zero_weight", "unitarity", "residue")]
 
 
 def _suite_cdybe(system, config, rng) -> list[dict]:
     samples = [{"q": _random_q(rng, system), "z": _random_z_triple(rng)}
                for _ in range(10)]
-    return _worst("cdybe", [verify_cdybe(system.rmatrix, s["q"], *s["z"])
-                            for s in samples], samples)
+    z = np.array([s["z"] for s in samples]).T
+    return [_worst("cdybe", verify_cdybe(
+        system.rmatrix, np.array([s["q"] for s in samples]), *z), samples)]
 
 
 def _suite_mdybe(system, config, rng) -> list[dict]:
@@ -462,41 +471,41 @@ def _suite_mdybe(system, config, rng) -> list[dict]:
                 "xi": _random_principal(system.rs, rng, 2),
                 "eta": _random_principal(system.rs, rng, 2)}
                for _ in range(10)]
-    return _worst("mdybe", [verify_mdybe(system.rmatrix, s["q"], s["xi"],
-                                         s["eta"], z_samples=s["z"])
-                            for s in samples], samples)
+    return [_worst("mdybe", [verify_mdybe(system.rmatrix, s["q"], s["xi"],
+                                          s["eta"], z_samples=s["z"])
+                             for s in samples], samples)]
+
+
+def _lax_check(name: str, system, points: list, **kwargs) -> dict:
+    return _worst(name, lax_residuals(system, points, **kwargs),
+                  [_point(x) for x in points])
 
 
 def _suite_lax(system, config, rng) -> list[dict]:
-    n = 5
-    worst = max(lax_pair_residual(system, _random_sigma_point(system, rng))
-                for _ in range(n))
-    checks = [{"name": "lax_on_sigma", "samples": n, "max_residual": worst}]
+    rs = system.rs
+    checks = [_lax_check("lax_on_sigma", system, [
+        _random_sigma_point(system, rng) for _ in range(5)])]
     if system.family == "rational":
-        worst = 0.0
-        for _ in range(n):
+        off = []
+        for _ in range(5):
             x = _random_sigma_point(system, rng)
             vec = x.xi.vec.copy()
-            vec[:system.rs.rank] = rng.normal(size=system.rs.rank) \
-                + 1j * rng.normal(size=system.rs.rank)
-            x = PhasePoint(x.q, x.p, AlgElement(system.rs, vec))
-            worst = max(worst, quasi_lax_residual(system, x))
-        checks.append({"name": "quasi_lax_off_sigma", "samples": n,
-                       "max_residual": worst})
-    n_red = 3
-    worst = max(reduced_lax_residual(system, _random_reduced_point(system, rng))
-                for _ in range(n_red))
-    checks.append({"name": "lax_reduced_pointwise", "samples": n_red,
-                   "max_residual": worst})
+            vec[:rs.rank] = rng.normal(size=rs.rank) \
+                + 1j * rng.normal(size=rs.rank)
+            off.append(PhasePoint(x.q, x.p, AlgElement(rs, vec)))
+        checks.append(_lax_check("quasi_lax_off_sigma", system, off,
+                                 anomaly=True))
+    checks.append(_lax_check("lax_reduced_pointwise", system, [
+        _random_reduced_point(system, rng) for _ in range(3)]))
     return checks
 
 
 def _suite_involution(system, config, rng) -> list[dict]:
-    n = 3
-    worst = max(involution_check(system, _random_reduced_point(system, rng),
-                                 _INVOLUTION_BATTERY) for _ in range(n))
-    return [{"name": "involution", "samples": n * len(_INVOLUTION_BATTERY),
-             "max_residual": worst}]
+    points = [_random_reduced_point(system, rng) for _ in range(3)]
+    samples = [{**_point(x), "k": [k1, k2], "z": [z1, z2]} for x in points
+               for (k1, z1), (k2, z2) in _INVOLUTION_BATTERY]
+    return [_worst("involution", involution_residuals(
+        system, points, _INVOLUTION_BATTERY).ravel(), samples)]
 
 
 def _suite_spectral(system, config, rng) -> list[dict]:
@@ -511,14 +520,15 @@ def _suite_spectral(system, config, rng) -> list[dict]:
         raise PoleError(f"spectral suite trajectory aborted: "
                         f"{traj.abort_reason}")
     z_grid = _z_grid(config)
-    kmax = config.outputs["kmax"] or system.kmax
-    report = lax_pair_reduced(system, traj, z_grid, n_residual_points=5)
-    return [
-        {"name": "spectrum_drift", "samples": traj.n_points,
-         "max_residual": spectrum_drift(system, traj, z_grid, kmax)},
-        {"name": "isospectral_drift", "samples": traj.n_points,
-         "max_residual": report["isospectral_drift"]},
-    ]
+    report = lax_pair_reduced(system, traj, z_grid, n_residual_points=5,
+                              kmax=config.outputs["kmax"])
+    # the witness: the trajectory point and z of the worst entry, and the
+    # initial point to integrate from
+    return [{"name": name, "samples": traj.n_points,
+             "max_residual": report[name], "witness": _witness({
+                 "sample": report["worst"][name][0],
+                 "z": z_grid[report["worst"][name][1]], **_point(x0)})}
+            for name in ("spectrum_drift", "isospectral_drift")]
 
 
 _SUITE_RUNNERS = {

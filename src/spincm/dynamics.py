@@ -7,7 +7,7 @@ The Hamiltonian of every family has the shape
     H(q, p, xi) = (1/2) sum_i p_i^2 - (1/2) sum_{alpha} w_alpha((alpha, q))
                                                   xi_alpha xi_{-alpha},
 
-with the pair weight w_alpha supplied by :func:`spincm.rmatrix.pair_weight`.
+with the pair weight w_alpha from :func:`spincm.rmatrix.positive_pair_weight`.
 The Lax operator reuses the r-matrix coefficient functions,
 
     L(q, p, xi)(z) = p + f(z) (I xi)_h + sum_alpha c_alpha((alpha, q), z)
@@ -15,8 +15,8 @@ The Lax operator reuses the r-matrix coefficient functions,
 
 and the operator B of the Lax pair is R_q applied to the covector L(z)/z.
 The flow preserves H, the momentum J, the constraint set Sigma, and the full
-spectrum of rho(L(z)); all of that is checkable numerically and the
-verification helpers in this module do exactly that.
+spectrum of rho(L(z)); the checks in this module verify all of that
+numerically, each over a stack of points in one array evaluation.
 
 Sign conventions (plus Lie-Poisson with the plain-dual coadjoint spin flow
 d(I xi)/dt = -[dH_xi, I xi], and B = -R_q(L/z) so that dL/dt = [B, L] on
@@ -37,16 +37,15 @@ from .elliptic import Lattice
 from .errors import (ConfigError, ConstraintError, PoleError, StructuralError,
                      raise_on_fp_fault)
 from .ode import DormandPrince
-from .phase import (PhaseFunction, PhaseGradient, PhasePoint, ReducedFunction,
-                    ReducedGradient, ReducedPoint, bracket_reduced, gauge_g,
-                    lift_reduced, lift_tangent, momentum_J, project_pi,
-                    reduced_roots, slice_lift, spin_chain)
-from .rmatrix import (LaurentElement, RMatrixSpec, R_apply, R_directional,
-                      _ladder, _r_table, elliptic_r_matrix,
-                      positive_pair_weight, rational_r_matrix, ring_nodes,
-                      root_coeff, root_coeff_reg0, trigonometric_r_matrix)
+from .phase import (PhasePoint, ReducedPoint, gauge_g, lift_reduced,
+                    momentum_J, project_pi, reduced_brackets, reduced_roots,
+                    slice_lift, spin_chain)
+from .rmatrix import (LaurentElement, RMatrixSpec, _ladder, _R_values,
+                      _r_pairing, _r_table, elliptic_r_matrix,
+                      positive_pair_weight, rational_r_matrix,
+                      root_coeff_reg0, trigonometric_r_matrix)
 from .rootsys import (AlgElement, RootSystem, bracket, build_root_system,
-                      form, root_label, torus_adjoint)
+                      root_label, torus_adjoint)
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +149,6 @@ class Trajectory:
     def reduced(self) -> bool:
         return isinstance(self.points[0], ReducedPoint)
 
-    def final_point(self):
-        return self.points[-1]
-
 
 # ---------------------------------------------------------------------------
 # Hamiltonians and vector fields
@@ -243,18 +239,6 @@ def _flow(sys: SystemSpec, y: np.ndarray, reduced: bool) -> np.ndarray:
 def hamiltonian(sys: SystemSpec, x: PhasePoint) -> complex:
     """H = (1/2)|p|^2 - (1/2) sum_alpha w_alpha xi_alpha xi_{-alpha}."""
     return complex(_energy(sys, x.q, x.p, x.xi.vec))
-
-
-@raise_on_fp_fault
-def hamiltonian_gradient(sys: SystemSpec, x: PhasePoint) -> PhaseGradient:
-    dq, wxi = _gradient(sys, x.q, x.xi.vec)
-    return PhaseGradient(dq, x.p.copy(), AlgElement(sys.rs, -wxi))
-
-
-def hamiltonian_function(sys: SystemSpec) -> PhaseFunction:
-    """H as a bracket-ready function with its analytic gradient."""
-    return PhaseFunction(lambda x: hamiltonian(sys, x),
-                         lambda x: hamiltonian_gradient(sys, x))
 
 
 def vector_field(sys: SystemSpec, x: PhasePoint) -> PhasePoint:
@@ -384,50 +368,40 @@ def integrate(sys: SystemSpec, x0, t_final: float, tol: float = 1e-10, *,
 
 
 @raise_on_fp_fault
-def _lax(sys: SystemSpec, q, p, xi, z, matrix: bool = False):
+def _lax(sys: SystemSpec, q, p, xi, z, matrix: bool = False,
+         coeffs: bool = False):
     """L(z) at the coordinates q, p, xi, whose leading axes stack points:
     one value per point and z, of batch shape points + z.shape; with
     ``matrix`` the defining matrices rho(L(z)) built entrywise, c_alpha
-    xi_alpha at the entry of e_alpha and p + f (I xi)_h on the diagonal."""
+    xi_alpha at the entry of e_alpha and p + f (I xi)_h on the diagonal.
+    ``coeffs`` adds the root coefficients c and dc/du of the same kernel
+    pass: (L, c, dc/du)."""
     rs = sys.rs
     z = np.asarray(z, dtype=complex)
     u, p, xi = (np.expand_dims(a, tuple(range(a.ndim - 1, a.ndim - 1 + z.ndim)))
                 for a in (q @ rs.alpha_h.T, p, xi))
-    f, c = _ladder(sys.lax_rmatrix, u, z[..., None], 1)
+    f, c = _ladder(sys.lax_rmatrix, u, z[..., None], 1, int(coeffs))
     cartan = p + f[0] * xi[..., :rs.rank]
     roots = c[0][0] * xi[..., rs.rank:]
-    if not matrix:
-        return AlgElement(rs, np.concatenate([cartan, roots], -1))
-    mat = (cartan @ rs.h_diag)[..., None] * np.eye(rs.matrix_size)
-    mat[(...,) + rs.root_entries] = roots
-    return mat
+    if matrix:
+        out = (cartan @ rs.h_diag)[..., None] * np.eye(rs.matrix_size)
+        out[(...,) + rs.root_entries] = roots
+    else:
+        out = np.concatenate([cartan, roots], -1)
+    return (out, c[0][0], c[1][0]) if coeffs else out
 
 
 def lax_L(sys: SystemSpec, x: PhasePoint, z) -> AlgElement:
     """L(q,p,xi)(z) = p + f(z) (I xi)_h + sum c_alpha((alpha,q), z) xi_alpha
     e_alpha; an array of z gives one element per z (batch axes first)."""
-    return _lax(sys, x.q, x.p, x.xi.vec, z)
+    return AlgElement(sys.rs, _lax(sys, x.q, x.p, x.xi.vec, z))
 
 
-def lax_L_reg0(sys: SystemSpec, x: PhasePoint) -> AlgElement:
-    """Regular part of L at z = 0, i.e. lim_{z->0} (L(z) - I xi / z)."""
-    rs = sys.rs
-    spec = sys.lax_rmatrix
-    u = rs.root_values(x.q)
-    vec = np.zeros(rs.dim, dtype=complex)
-    vec[:rs.rank] = x.p
-    vec[rs.rank:] = root_coeff_reg0(spec, u) * x.xi.vec[rs.rank:]
-    return AlgElement(rs, vec)
-
-
-def lax_M(sys: SystemSpec, x: PhasePoint, nodes) -> LaurentElement:
-    """M(z) = L(z)/z as a Laurent covector on ``nodes`` (pole order 2, with
-    principal coefficients the regular part of L at 0 and I xi): the
-    argument of R_q in the Lax pair."""
-    nodes = np.asarray(nodes, dtype=complex)
-    values = lax_L(sys, x, nodes).vec / nodes[:, None]
-    return LaurentElement(sys.rs, [lax_L_reg0(sys, x).vec, x.xi.vec], nodes,
-                          values)
+def _reg0(sys: SystemSpec, q, p, xi) -> np.ndarray:
+    """lim_{z->0} (L(z) - I xi / z) at the coordinates (points stacked)."""
+    u = sys.rs.root_values(q)
+    return np.concatenate([p, root_coeff_reg0(sys.lax_rmatrix, u)
+                           * xi[..., sys.rs.rank:]], -1)
 
 
 def sigma_residual(sys: SystemSpec, x: PhasePoint) -> float:
@@ -442,11 +416,62 @@ def sigma_residual(sys: SystemSpec, x: PhasePoint) -> float:
     return float(np.max(np.abs(j)))
 
 
-def _b_operator(sys: SystemSpec, x: PhasePoint, nodes) -> LaurentElement:
+@raise_on_fp_fault
+def _lax_pair(sys: SystemSpec, points: list, z, anomaly: bool = False):
+    """The Lax pair at the points (all PhasePoints, or all ReducedPoints
+    for L_0 and B_0), stacked: max_z ||dL/dt - [B, L]|| per point (plus
+    (X_J R)(L/z) with ``anomaly``), B = -R_q(L/z) on z and the principal
+    coefficients of L/z.  dL/dt is L at the velocity (p_dot, xi_dot) plus
+    the q-derivative of the root coefficients along q_dot.  A reduced
+    point moves at its slice lift, and B_0 is B less the compensator of the
+    gauge drift.  Velocities come point by point from the flow core; the
+    kernel runs twice: L at each point's own root values (the row products
+    of a single lax_L call), then r at -z and dc/du at z in one table."""
+    rs, spec, n = sys.rs, sys.lax_rmatrix, sys.rs.rank
+    z = np.asarray(z, dtype=complex)
+    reduced = isinstance(points[0], ReducedPoint)
+    ys = [_pack_point(x) for x in points]
+    q, p, xi = _split(rs, np.array(ys), reduced)
+    vel = np.array([_flow(sys, y, reduced) for y in ys])
+    dxi = vel[:, 2 * n:]
+    if reduced:
+        # only the reduced roots of the lift move
+        dxi = np.concatenate([np.zeros((len(ys), 2 * n)), dxi], -1)
+    lax, dlax = np.moveaxis(_lax(sys, q[:, None], np.stack(
+        [p, vel[:, n:2 * n]], 1), np.stack([xi, dxi], 1), z), 1, 0)
+    m = len(z)
+    nodes = np.broadcast_to(z[:, None], (m, len(ys)))
+    r, dr = np.moveaxis(_r_table(spec, q, np.concatenate([nodes, -nodes]),
+                                 range(2), du=1), 2, 3)
+    dlax[..., n:] += dr[0, :, :m, n:] * rs.root_values(vel[:, :n])[:, None] \
+        * xi[:, None, n:]
+    principal = np.stack([_reg0(sys, q, p, xi), xi])
+    b = -_R_values(rs, r[:, :, m:], lax / z[:, None], principal[:, :, None])
+    if reduced:
+        b = b - np.array([_gauge_compensator(sys, x).vec
+                          for x in points])[:, None]
+    res = dlax - rs.bracket_coords(b, lax)
+    if anomaly:
+        # (X_J R)(L/z): the du = 1 table at -z, scaled by alpha(J)
+        dr = dr[:, :, m:].copy()
+        dr[..., n:] *= rs.root_values(xi[:, :n])[:, None]
+        res = res + _r_pairing(dr[..., rs.dual_index], principal[:, :, None])
+    return np.max(np.abs(res), axis=(-2, -1)), b, principal
+
+
+def _b_operator(sys: SystemSpec, x, nodes) -> LaurentElement:
     # The flow satisfies dL/dt = -[R_q(L/z), L]; shipping B = -R_q(L/z)
     # keeps the residual functions in the plain dL/dt - [B, L] form.
-    b = R_apply(sys.lax_rmatrix, x.q, lax_M(sys, x, nodes))
-    return LaurentElement(sys.rs, -b.principal, b.nodes, -b.values.vec)
+    _, b, principal = _lax_pair(sys, [x], nodes)
+    return LaurentElement(sys.rs, 0.5 * principal[:, 0], nodes, b[0])
+
+
+def _check_sigma(sys: SystemSpec, x: PhasePoint, sigma_tol: float) -> None:
+    res = sigma_residual(sys, x)
+    if res > sigma_tol:
+        raise ConstraintError(
+            f"point is off the constraint set Sigma: residual {res:.3e} "
+            f"exceeds {sigma_tol:.1e}", residual=res)
 
 
 def lax_B(sys: SystemSpec, x: PhasePoint, nodes, *,
@@ -454,11 +479,7 @@ def lax_B(sys: SystemSpec, x: PhasePoint, nodes, *,
     """B = -R_q(L/z) on ``nodes``, defined on the constraint set Sigma where
     the flow is of Lax form; off Sigma a constraint error carries the
     residual."""
-    res = sigma_residual(sys, x)
-    if res > sigma_tol:
-        raise ConstraintError(
-            f"point is off the constraint set Sigma: residual {res:.3e} "
-            f"exceeds {sigma_tol:.1e}", residual=res)
+    _check_sigma(sys, x, sigma_tol)
     return _b_operator(sys, x, nodes)
 
 
@@ -468,80 +489,75 @@ def default_z_samples(n: int = 8, radius: float = 0.55) -> list[complex]:
     return [radius * np.exp(2j * math.pi * (k + 0.37) / n) for k in range(n)]
 
 
-def _moving_point(sys: SystemSpec, x) -> tuple[PhasePoint, PhasePoint]:
-    """The point at which L is evaluated and its velocity along the flow.
-    A reduced point is taken at its slice lift, moving with the lifted
-    reduced velocity."""
-    if isinstance(x, ReducedPoint):
-        return lift_reduced(x), lift_tangent(vector_field_reduced(sys, x))
-    return x, vector_field(sys, x)
-
-
-def _lax_derivative(sys: SystemSpec, x: PhasePoint, v: PhasePoint,
-                    z) -> AlgElement:
-    """dL/dt at x for the velocity v, by the chain rule: L is linear in
-    (p, xi) with q-dependent coefficients, so dL/dt is L at (q, p_dot,
-    xi_dot) plus the q-derivative of the root coefficients along q_dot."""
-    rs = sys.rs
-    vec = lax_L(sys, PhasePoint(x.q, v.p, v.xi), z).vec
-    c_du = root_coeff(sys.lax_rmatrix, rs.root_values(x.q),
-                      np.expand_dims(z, -1), du=1)
-    vec[..., rs.rank:] += c_du * rs.root_values(v.q) * x.xi.vec[rs.rank:]
-    return AlgElement(rs, vec)
-
-
-def lax_time_derivative(sys: SystemSpec, x, z) -> AlgElement:
-    """dL/dt along the flow at x; for a ReducedPoint, dL_0/dt along the
-    reduced flow."""
-    return _lax_derivative(sys, *_moving_point(sys, x), z)
-
-
-def _lax_residual(sys: SystemSpec, x, b: LaurentElement,
-                  anomaly: LaurentElement | None = None) -> float:
-    """max ||dL/dt - [B, L] (+ anomaly)|| at x over the nodes of B."""
-    pt, v = _moving_point(sys, x)
-    res = _lax_derivative(sys, pt, v, b.nodes) - bracket(
-        b.values, lax_L(sys, pt, b.nodes))
-    if anomaly is not None:
-        res = res + anomaly.values
-    return res.max_abs()
+def lax_residuals(sys: SystemSpec, points: list,
+                  z_samples: Sequence[complex] | None = None, *,
+                  anomaly: bool = False) -> np.ndarray:
+    """max_z ||dL/dt - [B, L]|| at each of the points (L_0 and B_0 for
+    ReducedPoints) in one stacked evaluation; ``anomaly`` adds (X_J R)(L/z),
+    the Lax equation off Sigma (rational family).  Sigma is not checked."""
+    if z_samples is None:
+        z_samples = default_z_samples()
+    return _lax_pair(sys, points, z_samples, anomaly)[0]
 
 
 def lax_pair_residual(sys: SystemSpec, x: PhasePoint,
                       z_samples: Sequence[complex] | None = None, *,
                       sigma_tol: float = 1e-8) -> float:
     """max_z ||dL/dt - [B, L]||; the point must lie on Sigma."""
-    if z_samples is None:
-        z_samples = default_z_samples()
-    return _lax_residual(sys, x, lax_B(sys, x, z_samples,
-                                       sigma_tol=sigma_tol))
+    _check_sigma(sys, x, sigma_tol)
+    return float(lax_residuals(sys, [x], z_samples)[0])
 
 
 def quasi_lax_residual(sys: SystemSpec, x: PhasePoint,
                        z_samples: Sequence[complex] | None = None) -> float:
     """max_z ||dL/dt - [B, L] + (X_J R)(L/z)||: the Lax equation with the
     momentum anomaly, valid off Sigma as well (rational family)."""
-    if z_samples is None:
-        z_samples = default_z_samples()
-    m = lax_M(sys, x, z_samples)
-    anomaly = R_directional(sys.lax_rmatrix, x.q, momentum_J(x), m)
-    return _lax_residual(sys, x, _b_operator(sys, x, z_samples), anomaly)
+    return float(lax_residuals(sys, [x], z_samples, anomaly=True)[0])
 
 
 # ---------------------------------------------------------------------------
 # conserved quantities and spectral curves
 
 
+def _power_sums(sys: SystemSpec, points: list, z, kmax: int) -> np.ndarray:
+    """tr(rho(L(z))^k) for every point (L_0 for reduced ones), z and k =
+    1..kmax, of shape (len(points), len(z), kmax): one stacked evaluation."""
+    mat = _lax(sys, *_coords(points), z, matrix=True)
+    acc, out = mat, [np.trace(mat, axis1=-2, axis2=-1)]
+    for _ in range(kmax - 1):
+        acc = acc @ mat
+        out.append(np.trace(acc, axis1=-2, axis2=-1))
+    return np.stack(out, axis=-1)
+
+
 def _spectrum_tables(sys: SystemSpec, points: list, z, kmax: int | None
                      ) -> np.ndarray:
-    """h_k(z) = tr(rho(L(z))^k)/k for every point (L_0 for reduced ones),
-    z and k, of shape (len(points), len(z), kmax): one stacked evaluation."""
-    mat = _lax(sys, *_coords(points), z, matrix=True)
-    acc, out = mat, []
-    for k in range(1, (kmax or sys.kmax) + 1):
-        out.append(np.trace(acc, axis1=-2, axis2=-1) / k)
-        acc = acc @ mat
-    return np.stack(out, axis=-1)
+    """h_k(z) = tr(rho(L(z))^k)/k for every point, z and k."""
+    kmax = kmax or sys.kmax
+    return _power_sums(sys, points, z, kmax) / np.arange(1, kmax + 1)
+
+
+def _worst(drift: np.ndarray) -> tuple[float, int, int]:
+    """The largest entry of a (points, z, ...) drift table, with its point
+    and z index."""
+    at = np.unravel_index(np.argmax(drift), drift.shape)
+    return float(drift[at]), int(at[0]), int(at[1])
+
+
+def _relative_drift(tables: np.ndarray) -> np.ndarray:
+    """|h - h(0)| / max(1, |h(0)|) entry by entry against the first point."""
+    return np.abs(tables - tables[0]) / np.maximum(1.0, np.abs(tables[0]))
+
+
+def _char_poly(power_sums: np.ndarray) -> np.ndarray:
+    """Monic coefficients of det(w Id - L) in w, highest power first, from
+    the power sums p_k = tr L^k (last axis, k = 1..n) by Newton's
+    identities, k c_k = -sum_{i=1..k} c_{k-i} p_i: no eigenvalue solve."""
+    coeffs = [np.ones(power_sums.shape[:-1], dtype=complex)]
+    for k in range(1, power_sums.shape[-1] + 1):
+        coeffs.append(-sum(coeffs[k - i] * power_sums[..., i - 1]
+                           for i in range(1, k + 1)) / k)
+    return np.stack(coeffs, axis=-1)
 
 
 def conserved_spectrum(sys: SystemSpec, x, z_samples: Sequence[complex],
@@ -561,37 +577,8 @@ def spectrum_drift(sys: SystemSpec, traj: Trajectory,
     evaluation."""
     if z_samples is None:
         z_samples = default_z_samples()
-    tables = _spectrum_tables(sys, traj.points, z_samples, kmax)
-    return float(np.max(np.abs(tables - tables[0])
-                        / np.maximum(1.0, np.abs(tables[0]))))
-
-
-def _curves(sys: SystemSpec, points: list, z_grid) -> np.ndarray:
-    """Monic coefficients of det(w Id - rho(L(z))) in w, highest power
-    first, for every point (L_0 for reduced ones) and grid z: the product
-    of the factors (w - lambda) over the eigenvalues, as in numpy.poly."""
-    eig = np.linalg.eigvals(_lax(sys, *_coords(points), z_grid, matrix=True))
-    coeffs = np.ones(eig.shape[:-1] + (1,), dtype=complex)
-    for k in range(eig.shape[-1]):
-        zero = np.zeros(eig.shape[:-1] + (1,))
-        coeffs = (np.concatenate([coeffs, zero], -1)
-                  - eig[..., k, None] * np.concatenate([zero, coeffs], -1))
-    return coeffs
-
-
-def spectral_curve(sys: SystemSpec, x, z_grid: Sequence[complex]) -> np.ndarray:
-    """Coefficients of det(w Id - rho(L(z))) in w, one row per grid z, highest
-    power first (monic).  Reduced points use L_0."""
-    return _curves(sys, [x], z_grid)[0]
-
-
-def hamiltonian_quadrature(sys: SystemSpec, x: PhasePoint, *,
-                           radius: float = 0.5, nodes: int = 512) -> complex:
-    """H recovered from the Lax operator: (1/2) (1/2 pi i) oint (L, L) dz/z,
-    by the trapezoidal rule on |z| = radius (the z^0 Laurent coefficient of
-    (1/2)(L, L))."""
-    val = lax_L(sys, x, ring_nodes(radius, nodes))
-    return 0.5 * complex(np.mean(form(val, val)))
+    return _worst(_relative_drift(
+        _spectrum_tables(sys, traj.points, z_samples, kmax)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -617,17 +604,13 @@ def lax_B0(sys: SystemSpec, x_red: ReducedPoint, nodes) -> LaurentElement:
     """Reduced B on ``nodes`` through the gauge identity: B at the slice
     lift minus the Cartan compensator of the gauge drift.  Slice lifts carry
     J = 0, so the lift is always on Sigma."""
-    b = _b_operator(sys, lift_reduced(x_red), nodes)
-    d = _gauge_compensator(sys, x_red)
-    return LaurentElement(sys.rs, b.principal, b.nodes, b.values.vec - d.vec)
+    return _b_operator(sys, x_red, nodes)
 
 
 def reduced_lax_residual(sys: SystemSpec, x_red: ReducedPoint,
                          z_samples: Sequence[complex] | None = None) -> float:
     """max_z ||dL_0/dt - [B_0, L_0]|| at one reduced point."""
-    if z_samples is None:
-        z_samples = default_z_samples()
-    return _lax_residual(sys, x_red, lax_B0(sys, x_red, z_samples))
+    return float(lax_residuals(sys, [x_red], z_samples)[0])
 
 
 def gauge_residual(sys: SystemSpec, x: PhasePoint, z_samples=None) -> float:
@@ -642,26 +625,35 @@ def gauge_residual(sys: SystemSpec, x: PhasePoint, z_samples=None) -> float:
 
 def lax_pair_reduced(sys: SystemSpec, traj: Trajectory,
                      z_samples: Sequence[complex] | None = None, *,
-                     n_residual_points: int = 9) -> dict:
+                     n_residual_points: int = 9,
+                     kmax: int | None = None) -> dict:
     """Verify the reduced Lax pair along a reduced trajectory.
 
-    Returns the isospectral drift (char-poly coefficients of rho(L_0(z))
-    against the initial point, all grid points) and the worst pointwise Lax
-    residual ||dL_0/dt - [B_0, L_0]|| over an evenly spaced subsample.
+    One table of tr(rho(L_0(z))^k) over the points and z gives the
+    isospectral drift (of the char-poly coefficients) and the spectrum
+    drift (as :func:`spectrum_drift` with ``kmax``), with the [point, z]
+    of each worst entry under ``worst``.  ``lax_residual`` is the worst
+    ||dL_0/dt - [B_0, L_0]|| over an evenly spaced subsample.
     """
     if not traj.points or not isinstance(traj.points[0], ReducedPoint):
         raise StructuralError("lax_pair_reduced expects a reduced trajectory")
     if z_samples is None:
         z_samples = default_z_samples()
-    curves = _curves(sys, traj.points, z_samples)
-    iso = float(np.max(np.abs(curves - curves[0])))
+    size, kmax = sys.rs.matrix_size, kmax or sys.kmax
+    sums = _power_sums(sys, traj.points, z_samples, max(kmax, size))
+    drift = _worst(_relative_drift(sums[..., :kmax]
+                                   / np.arange(1, kmax + 1)))
+    curves = _char_poly(sums[..., :size])
+    iso = _worst(np.abs(curves - curves[0]))
     sel = sorted(set(np.linspace(0, len(traj.points) - 1,
                                  n_residual_points).astype(int)))
-    lax = max(reduced_lax_residual(sys, traj.points[idx], z_samples)
-              for idx in sel)
+    lax = lax_residuals(sys, [traj.points[idx] for idx in sel], z_samples)
     return {
-        "isospectral_drift": iso,
-        "lax_residual": lax,
+        "isospectral_drift": iso[0],
+        "spectrum_drift": drift[0],
+        "lax_residual": float(np.max(lax)),
+        "worst": {"isospectral_drift": list(iso[1:]),
+                  "spectrum_drift": list(drift[1:])},
         "n_points": len(traj.points),
         "n_residual_points": len(sel),
     }
@@ -671,32 +663,49 @@ def lax_pair_reduced(sys: SystemSpec, traj: Trajectory,
 # involution of the spectral invariants
 
 
-def spectral_function(sys: SystemSpec, k: int, z: complex) -> ReducedFunction:
-    """h_k(z) = tr(rho(L_0(z))^k)/k as a reduced function with its analytic
-    gradient (chain rule through the L_0 coefficients)."""
-    if k < 1:
+def _spectral_gradients(sys: SystemSpec, points: list,
+                        specs: Sequence[tuple[int, complex]]) -> np.ndarray:
+    """Differentials (dq | dp | ds) of h_k(z) = tr(rho(L_0(z))^k)/k at each
+    reduced point for every (k, z) in ``specs``, (points, specs, 2 rank +
+    n_s), by the chain rule through the L_0 coefficients from one stacked
+    Lax pass; tr(L^{k-1} rho_a) is a Frobenius product."""
+    rs, n = sys.rs, sys.rs.rank
+    ks = np.array([k for k, _ in specs])
+    if (ks < 1).any():
         raise StructuralError("trace power k must be >= 1")
-    rs = sys.rs
-    spec = sys.lax_rmatrix
+    # q[:, None]: each point's root values a row product of its own, so a
+    # point's gradients do not depend on the stack it comes in
+    q, p, xi = (a[:, None] for a in _coords(points))
+    mat, c, c_du = (a[:, 0] for a in _lax(
+        sys, q, p, xi, [z for _, z in specs], matrix=True, coeffs=True))
+    xi = xi[:, 0]
+    # L^(k - 1) for the k of each spec
+    acc = np.broadcast_to(np.eye(rs.matrix_size, dtype=complex), mat.shape)
+    power = np.empty_like(mat)
+    for m in range(ks.max()):
+        power[:, ks == m + 1] = acc[:, ks == m + 1]
+        acc = acc @ mat
+    traces = rs.to_coords(power.swapaxes(-1, -2))
+    dq = (c_du * xi[:, None, n:] * traces[..., n:]) @ rs.alpha_h
+    return np.concatenate([dq, traces[..., :n], c[..., n:]
+                           * traces[..., 2 * n:]], -1)
 
-    def val(x_red: ReducedPoint) -> complex:
-        return complex(conserved_spectrum(sys, x_red, [z], k)[0, k - 1])
 
-    def grad(x_red: ReducedPoint) -> ReducedGradient:
-        lift = lift_reduced(x_red)
-        u = rs.root_values(x_red.q)
-        pk = np.linalg.matrix_power(
-            _lax(sys, lift.q, lift.p, lift.xi.vec, z, matrix=True), k - 1)
-        # tr(L^{k-1} rho_a) for every basis element a, a Frobenius product
-        traces = rs.to_coords(pk.T)
-        dp = traces[:rs.rank].copy()
-        c_du = root_coeff(spec, u, z, du=1)
-        root_block = lift.xi.vec[rs.rank:]
-        dq = rs.alpha_h.T @ (c_du * root_block * traces[rs.rank:])
-        ds = root_coeff(spec, u, z)[rs.rank:] * traces[2 * rs.rank:]
-        return ReducedGradient(dq, dp, ds)
-
-    return ReducedFunction(val, grad)
+def involution_residuals(sys: SystemSpec, points: list,
+                         pairs: Sequence[tuple[tuple[int, complex],
+                                               tuple[int, complex]]]
+                         ) -> np.ndarray:
+    """|{h_{k1}(z1), h_{k2}(z2)}_red| at each reduced point for each pair
+    of (k, z) specs, (points, pairs): the gradients of the distinct specs
+    in one stacked evaluation, every pair read from the reduced Poisson
+    tensor (:func:`spincm.phase.reduced_brackets`)."""
+    specs = list(dict.fromkeys(spec for pair in pairs for spec in pair))
+    grads = _spectral_gradients(sys, points, specs)
+    table = reduced_brackets(sys.rs, np.array([x.s for x in points]), grads,
+                             grads)
+    first, second = ([specs.index(pair[side]) for pair in pairs]
+                     for side in (0, 1))
+    return np.abs(table[:, first, second])
 
 
 def involution_check(sys: SystemSpec, x_red: ReducedPoint,
@@ -704,9 +713,9 @@ def involution_check(sys: SystemSpec, x_red: ReducedPoint,
                                            tuple[int, complex]]]) -> float:
     """max |{h_{k1}(z1), h_{k2}(z2)}_red| over the requested pairs of
     (k, z) specs."""
-    return max((abs(bracket_reduced(spectral_function(sys, k1, z1),
-                                    spectral_function(sys, k2, z2), x_red))
-                for (k1, z1), (k2, z2) in pairs), default=0.0)
+    if not pairs:
+        return 0.0
+    return float(np.max(involution_residuals(sys, [x_red], pairs)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,10 @@ Hamiltonian flow is F |-> {H, F}, so trajectories still satisfy the
 mechanical dq/dt = +dH/dp.
 
 Covectors are stored as algebra elements through the form isomorphism (see
-:mod:`spincm.rootsys`), so the Lie-Poisson term is ``form(xi, bracket(...))``
-verbatim.
+:mod:`spincm.rootsys`), so the Lie-Poisson term is dF_xi F dG_xi^T with
+F[a, b] = <xi, [e_a, e_b]> (:func:`lie_poisson`).  A bracket reads its
+pairs from the Poisson tensor, whose reduced form is Pi = canonical block
++ C F C^T (:func:`reduced_brackets`).
 
 The Cartan torus acts by (q, p, xi) -> (q, p, Ad*_{h^-1} xi), which scales
 each spin component: xi_alpha -> exp(alpha(log h)) xi_alpha.  Its momentum
@@ -32,13 +34,11 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
 from .errors import GaugeDomainError, StructuralError
-from .rootsys import (AlgElement, Root, RootSystem, bracket, form, negate,
-                      root_label, torus_adjoint)
+from .rootsys import AlgElement, Root, RootSystem, root_label, torus_adjoint
 
 OUTSIDE_U_TOL = 1e-13
 
@@ -100,13 +100,6 @@ class ReducedPoint:
             raise StructuralError(
                 f"expected {n_s} reduced spin coordinates, got {self.s.shape}")
 
-    def s_coeff(self, root: Root) -> complex:
-        """Spin coordinate of a root; 1 on the positive simple roots."""
-        k = self.rs.root_index[root]
-        if k < self.rs.rank:
-            return 1.0 + 0j
-        return complex(self.s[k - self.rs.rank])
-
     @staticmethod
     def make(rs: RootSystem, q, p,
              s_components: dict[Root, complex]) -> "ReducedPoint":
@@ -119,66 +112,6 @@ class ReducedPoint:
             s[k - rs.rank] = c
         return ReducedPoint(rs, np.asarray(q, dtype=complex),
                             np.asarray(p, dtype=complex), s)
-
-
-# ---------------------------------------------------------------------------
-# scalar functions with analytic gradients
-
-
-@dataclass
-class PhaseGradient:
-    dq: np.ndarray
-    dp: np.ndarray
-    dxi: AlgElement        # element of g: the differential along g*
-
-
-@dataclass
-class PhaseFunction:
-    """Scalar function on the unreduced space with an analytic gradient."""
-
-    value: Callable[[PhasePoint], complex]
-    gradient: Callable[[PhasePoint], PhaseGradient]
-
-
-@dataclass
-class ReducedGradient:
-    dq: np.ndarray
-    dp: np.ndarray
-    ds: np.ndarray
-
-
-@dataclass
-class ReducedFunction:
-    value: Callable[[ReducedPoint], complex]
-    gradient: Callable[[ReducedPoint], ReducedGradient]
-
-
-def linear_spin_function(rs: RootSystem, y: AlgElement) -> PhaseFunction:
-    """The linear function xi -> <xi, Y> on g*, constant in (q, p)."""
-    zero = np.zeros(rs.rank)
-
-    def val(x: PhasePoint) -> complex:
-        return form(x.xi, y)
-
-    def grad(x: PhasePoint) -> PhaseGradient:
-        return PhaseGradient(zero, zero, y)
-
-    return PhaseFunction(val, grad)
-
-
-def bracket_full(f: PhaseFunction, g: PhaseFunction, x: PhasePoint) -> complex:
-    """Poisson bracket {F, G}(x) on T*h* x g*.
-
-    The canonical part carries the dual-bundle orientation, {p_i, q_j} =
-    +delta_ij, and the spin part is the plus Lie-Poisson bracket.  With
-    this normalization the bracket relation between Lax components and
-    the involution of spectral invariants hold with the signs used
-    throughout the dynamics module; the Hamiltonian flow is F |-> {H, F},
-    which reads dq/dt = +dH/dp in mechanical terms.
-    """
-    gf, gg = f.gradient(x), g.gradient(x)
-    canonical = complex(gf.dp @ gg.dq - gf.dq @ gg.dp)
-    return canonical + form(x.xi, bracket(gf.dxi, gg.dxi))
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +153,6 @@ def gauge_g(xi: AlgElement) -> np.ndarray:
     return c_inv.T @ logs
 
 
-def normalize_to_slice(x: PhasePoint) -> PhasePoint:
-    """Move x along its torus orbit onto the slice xi_{alpha_i} = 1."""
-    return torus_action(-gauge_g(x.xi), x)
-
-
 # ---------------------------------------------------------------------------
 # reduction
 
@@ -238,23 +166,6 @@ def spin_invariant(xi: AlgElement, root: Root) -> complex:
         power = -root[j]
         if power:
             out *= xi.coeff(simple) ** power
-    return out
-
-
-def spin_invariant_gradient(xi: AlgElement, root: Root) -> AlgElement:
-    """Differential of s_alpha at a general point of U, as an element of g."""
-    rs = xi.rs
-    simple_vals = _simple_components(xi)
-    mono = 1.0 + 0j
-    for j in range(rs.rank):
-        if root[j]:
-            mono *= simple_vals[j] ** (-root[j])
-    out = mono * AlgElement.basis(rs, rs.basis_index(negate(root)))
-    xi_root = xi.coeff(root)
-    for j, simple in enumerate(rs.simple_roots):
-        if root[j]:
-            coeff = -root[j] * xi_root * mono / simple_vals[j]
-            out = out + coeff * AlgElement.basis(rs, rs.basis_index(negate(simple)))
     return out
 
 
@@ -288,16 +199,6 @@ def lift_reduced(x_red: ReducedPoint) -> PhasePoint:
                       AlgElement(x_red.rs, slice_lift(x_red.rs, x_red.s)))
 
 
-def lift_tangent(v_red: ReducedPoint) -> PhasePoint:
-    """Push a reduced tangent vector (q, p, s)-dot forward along
-    lift_reduced: the Cartan spin block and the simple components of the
-    lift are constant, so only the reduced roots move."""
-    rs = v_red.rs
-    vec = np.zeros(rs.dim, dtype=complex)
-    vec[2 * rs.rank:] = v_red.s
-    return PhasePoint(v_red.q, v_red.p, AlgElement(rs, vec))
-
-
 @lru_cache(maxsize=None)
 def _chain_data(rs: RootSystem) -> tuple[np.ndarray, np.ndarray]:
     """E0 and M of :func:`spin_chain`, built on first use per root system:
@@ -312,52 +213,71 @@ def spin_chain(rs: RootSystem, s: np.ndarray) -> np.ndarray:
     """C = E0 - s M: row gamma is the differential d s_gamma = e_{-gamma}
     - s_gamma sum_j m_gamma^j e_{-alpha_j} at the slice lift of s."""
     e0, m = _chain_data(rs)
-    return e0 - s[:, None] * m
+    return e0 - s[..., None] * m
+
+
+def lie_poisson(rs: RootSystem, xi: np.ndarray) -> np.ndarray:
+    """F[..., a, b] = <xi, [e_a, e_b]> = (e_a, [e_b, I xi]) for the
+    covector coordinates xi (leading axes stack points)."""
+    f = rs.bracket_coords(np.eye(rs.dim), xi[..., None, :])
+    return f[..., rs.dual_index].swapaxes(-1, -2)
 
 
 def spin_tensor(x_red: ReducedPoint) -> np.ndarray:
     """Reduced Poisson tensor block P[gamma, delta] = {s_gamma, s_delta} in
-    closed form, P = C F C^T with C = :func:`spin_chain` and F[a, b] =
-    <xi, [e_a, e_b]> = (e_a, [e_b, I xi]) at the slice lift xi."""
-    rs = x_red.rs
-    chain = spin_chain(rs, x_red.s)
-    f = bracket(AlgElement(rs, np.eye(rs.dim)), lift_reduced(x_red).xi).vec
-    return chain @ f[:, rs.dual_index].T @ chain.T
+    closed form, P = C F C^T with C = :func:`spin_chain` and F =
+    :func:`lie_poisson` at the slice lift."""
+    chain = spin_chain(x_red.rs, x_red.s)
+    return chain @ lie_poisson(x_red.rs, lift_reduced(x_red).xi.vec) \
+        @ chain.T
 
 
-def bracket_reduced(f: ReducedFunction, g: ReducedFunction,
-                    x_red: ReducedPoint) -> complex:
-    """Reduced Poisson bracket: the pull-back of bracket_full through
-    project_pi.  The gradients ds meet C (:func:`spin_chain`) first, giving
-    the spin differentials ds C, then the Lie-Poisson term of bracket_full;
-    summing the entries of P instead loses about 0.1 digit more to
-    cancellation in the involution check.
+# ---------------------------------------------------------------------------
+# Poisson brackets of differential rows: (dF/dq | dF/dp | dF/dxi) on T*h* x
+# g*, dF/dxi in g, or (dF/dq | dF/dp | dF/ds) on the reduced space.  Rows
+# stacked on the second-to-last axis give the matrix of all pairs; two
+# single rows give a complex.
 
-    The canonical orientation matches bracket_full: {p_i, q_j} = +delta_ij.
+
+def _brackets(df, dg, n: int, spin) -> np.ndarray | complex:
+    """The canonical part, {p_i, q_j} = +delta_ij, plus spin(the spin
+    blocks of df, dg)."""
+    df, dg = np.asarray(df, dtype=complex), np.asarray(dg, dtype=complex)
+    a, b = np.atleast_2d(df), np.atleast_2d(dg).swapaxes(-1, -2)
+    out = (a[..., n:2 * n] @ b[..., :n, :] - a[..., :n] @ b[..., n:2 * n, :]
+           + spin(a[..., 2 * n:], b[..., 2 * n:, :]))
+    return complex(out[0, 0]) if df.ndim == dg.ndim == 1 else out
+
+
+def bracket_full(x: PhasePoint, df, dg):
+    """Poisson bracket {F, G}(x) on T*h* x g* of the differentials df, dg:
+    the canonical part plus the Lie-Poisson term dF_xi F dG_xi^T.
+
+    The canonical part carries the dual-bundle orientation, {p_i, q_j} =
+    +delta_ij, and the spin part is the plus Lie-Poisson bracket.  With
+    this normalization the bracket relation between Lax components and
+    the involution of spectral invariants hold with the signs used
+    throughout the dynamics module; the Hamiltonian flow is F |-> {H, F},
+    which reads dq/dt = +dH/dp in mechanical terms.
     """
-    gf, gg = f.gradient(x_red), g.gradient(x_red)
-    canonical = complex(gf.dp @ gg.dq - gf.dq @ gg.dp)
-    rs = x_red.rs
-    chain = spin_chain(rs, x_red.s)
-    return canonical + form(lift_reduced(x_red).xi, bracket(
-        AlgElement(rs, gf.ds @ chain), AlgElement(rs, gg.ds @ chain)))
+    lp = lie_poisson(x.rs, x.xi.vec)
+    return _brackets(df, dg, x.rs.rank, lambda a, b: a @ lp @ b)
 
 
-def spin_coordinate_function(rs: RootSystem, root: Root) -> ReducedFunction:
-    """The coordinate function s_gamma on the reduced space."""
-    k = rs.root_index[root]
-    if k < rs.rank:
-        raise StructuralError(
-            f"{root} is a positive simple root; its coordinate is pinned to 1")
-    idx = k - rs.rank
-    zero_c = np.zeros(rs.rank)
+def reduced_brackets(rs: RootSystem, s: np.ndarray, df, dg):
+    """Reduced brackets of the differential rows at the points with spin
+    coordinates s (leading axes stack points), from the Poisson tensor Pi
+    = canonical block + C F C^T (:func:`spin_chain`, :func:`lie_poisson`
+    at the slice lift) factor by factor: ds meets C first, then F; summing
+    the entries of P = C F C^T first loses about 0.1 digit more to
+    cancellation in the involution check."""
+    chain, lp = spin_chain(rs, s), lie_poisson(rs, slice_lift(rs, s))
+    return _brackets(df, dg, rs.rank,
+                     lambda a, b: (a @ chain) @ lp @ (chain.swapaxes(-1, -2)
+                                                      @ b))
 
-    def val(x: ReducedPoint) -> complex:
-        return complex(x.s[idx])
 
-    def grad(x: ReducedPoint) -> ReducedGradient:
-        ds = np.zeros(rs.n_roots - rs.rank, dtype=complex)
-        ds[idx] = 1.0
-        return ReducedGradient(zero_c, zero_c, ds)
-
-    return ReducedFunction(val, grad)
+def bracket_reduced(x_red: ReducedPoint, df, dg):
+    """Reduced Poisson bracket at x_red, the pull-back of
+    :func:`bracket_full` through project_pi (:func:`reduced_brackets`)."""
+    return reduced_brackets(x_red.rs, x_red.s, df, dg)

@@ -40,17 +40,16 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .elliptic import POLE_TOL, Lattice, _value, l_kernel
+from .elliptic import POLE_TOL, Lattice, l_kernel
 from .errors import PoleError, StructuralError, raise_on_fp_fault
 from .rootsys import (AlgElement, RootSystem, bracket, commutator, negate,
-                      root_label, torus_adjoint)
+                      root_label)
 
 _ZTOL = 1e-13
 
@@ -274,8 +273,11 @@ def _trig_ladder(spec: RMatrixSpec, u, z, kmax: int, du: int):
                   csc * P.polyval(cz, csc_polys[j])) for j in range(kmax)]
     bp = [1.0] + [b ** m for m in range(1, kmax)]
     growth = np.exp(b * z)
-    c = [growth * sum(math.comb(k, j) * bp[k - j] * g[j] for j in range(k + 1))
-         for k in range(kmax)]
+    # np.multiply, not *: numpy would run * in place on a large temporary
+    # (a stacked table), whose complex loop rounds differently, and a
+    # stacked table would no longer equal its per-sample ones bit for bit
+    c = [np.multiply(growth, sum(math.comb(k, j) * bp[k - j] * g[j]
+                                 for j in range(k + 1))) for k in range(kmax)]
     if not du:
         return f, [c]
     dg = growth * np.where(span, -1.0 - cu * cu, 0.0)
@@ -332,22 +334,6 @@ def _ladder(spec: RMatrixSpec, u, z, kmax: int, du: int = 0):
 
 
 @raise_on_fp_fault
-def cartan_coeff(spec: RMatrixSpec, z, kz: int = 0):
-    """k-th z-derivative of the Cartan coefficient f(z)."""
-    return _value(_ladder(spec, None, z, kz + 1)[0][kz])
-
-
-@raise_on_fp_fault
-def root_coeff(spec: RMatrixSpec, u, z, kz: int = 0,
-               du: int = 0) -> np.ndarray:
-    """c_alpha(u_alpha, z) for every root, its z-derivatives (kz up to 3)
-    and the mixed u,z-derivative (du = 1).  ``u`` = rs.root_values(q), the
-    roots on its last axis; ``z`` broadcasts against it."""
-    return _ladder(spec, np.asarray(u, dtype=complex), z, kz + 1,
-                   du)[1][du][kz]
-
-
-@raise_on_fp_fault
 def root_coeff_reg0(spec: RMatrixSpec, u) -> np.ndarray:
     """lim_{z->0} (c_alpha(u_alpha, z) - 1/z) for every root, the regular
     part at the pole."""
@@ -397,40 +383,8 @@ def positive_pair_weight(spec: RMatrixSpec, up) -> tuple[np.ndarray,
     return w, w_du
 
 
-@raise_on_fp_fault
-def pair_weight(spec: RMatrixSpec, u) -> tuple[np.ndarray, np.ndarray]:
-    """(w, w') of :func:`positive_pair_weight` on every root: w is even, so
-    w_{-alpha} = w_alpha and w'_{-alpha} = -w'_alpha; one theta pass."""
-    w, w_du = positive_pair_weight(
-        spec, np.asarray(u, dtype=complex)[..., :spec.rs.n_pos])
-    return (np.concatenate([w, w], axis=-1),
-            np.concatenate([w_du, -w_du], axis=-1))
-
-
 # ---------------------------------------------------------------------------
-# tensors in g (x) g
-
-
-@dataclass
-class TensorValue:
-    """Element of g (x) g in coordinates over the product basis; ``mat``
-    may carry leading batch axes, the two slots are its last two axes."""
-
-    rs: RootSystem
-    mat: np.ndarray
-
-    def __post_init__(self):
-        if self.mat.shape[-2:] != (self.rs.dim, self.rs.dim):
-            raise StructuralError(
-                f"tensor has shape {self.mat.shape}, expected square of dim "
-                f"{self.rs.dim}")
-
-
-def casimir_tensor(rs: RootSystem) -> TensorValue:
-    """The invariant element Omega = sum_i h_i (x) h_i + sum_alpha
-    e_alpha (x) e_{-alpha}, dual to the bilinear form: its coordinates are
-    the Gram matrix of the basis."""
-    return TensorValue(rs, rs.gram.astype(complex))
+# coefficient tables
 
 
 @raise_on_fp_fault
@@ -438,9 +392,11 @@ def _r_table(spec: RMatrixSpec, q, z, kzs: range, du: int = 0):
     """Coefficient vectors of the kz-th z-derivatives of r(q, z) for every
     kz in ``kzs``, from one kernel pass: shape (1 + du, len(kzs)) + z.shape
     + (dim,), the Cartan coefficient in the first ``rank`` slots, then
-    c_alpha.  Row 1 (du = 1) holds the mixed u,z-derivatives, with the
-    (q-independent) Cartan slots 0.  The one place where ``fault_scale`` is
-    applied."""
+    c_alpha.  Leading axes of q stack samples, and z broadcasts against
+    them from the left, its nodes first (z of shape nodes + samples): each
+    sample then meets the same loops as a single q.  Row 1 (du = 1) holds
+    the mixed u,z-derivatives, with the (q-independent) Cartan slots 0.
+    The one place where ``fault_scale`` is applied."""
     rs = spec.rs
     z = np.asarray(z, dtype=complex)
     table = np.zeros((1 + du, len(kzs)) + z.shape + (rs.dim,), dtype=complex)
@@ -451,26 +407,6 @@ def _r_table(spec: RMatrixSpec, q, z, kzs: range, du: int = 0):
     table[..., rs.rank:] = [row[kzs.start:] for row in c]
     table[..., rs.rank + np.array(spec.fault_root_indices)] *= spec.fault_scale
     return table
-
-
-def r_tensor(spec: RMatrixSpec, q, z, kz: int = 0,
-             direction=None) -> TensorValue:
-    """r(q, z), or its kz-th z-derivative, as a dense tensor in g (x) g: the
-    coefficient vector c scattered to mat[..., a, dual(a)], one (dim, dim)
-    matrix per z.
-
-    With a Cartan ``direction`` v the result is the directional q-derivative
-    sum_i v_i d/dq_i of that tensor instead (v = e_i gives the partial
-    derivative in q_i).  Only root terms survive it.
-    """
-    rs = spec.rs
-    du = int(direction is not None)
-    c = _r_table(spec, q, z, range(kz, kz + 1), du)[du, 0]
-    if du:
-        c[..., rs.rank:] *= rs.root_values(direction)
-    mat = np.zeros(c.shape + (rs.dim,), dtype=complex)
-    mat[..., np.arange(rs.dim), rs.dual_index] = c
-    return TensorValue(rs, mat)
 
 
 # ---------------------------------------------------------------------------
@@ -499,34 +435,48 @@ def ring_coefficients(values: np.ndarray, nodes: np.ndarray,
 # axiom verification
 
 
-def verify_axioms(spec: RMatrixSpec, samples: Sequence[tuple[np.ndarray, complex]],
-                  *, quad_radius: float = 0.1, quad_nodes: int = 256) -> dict:
-    """Zero-weight, unitarity and residue residuals over (q, z) samples.
+# Samples per kernel pass of axiom_residuals: a pass holds (nodes, samples,
+# roots) temporaries; one pass for 20 raised a job's peak memory tenfold.
+_AXIOM_STACK = 5
 
-    Returns the max residual per axiom; thresholds are the caller's business.
-    On the coefficient vector c: the weights of slots a and dual(a) cancel
-    on c_a, c(z)[a] + c(-z)[dual(a)] = 0, and the residue at z = 0 (contour
-    quadrature on |z| = quad_radius) is the Casimir tensor, c = 1.
-    """
+
+def axiom_residuals(spec: RMatrixSpec, q, z, *, quad_radius: float = 0.1,
+                    quad_nodes: int = 256) -> dict:
+    """Zero-weight, unitarity and residue residuals at every (q, z) sample
+    (q of shape (samples, rank)), one array each.  On the coefficient
+    vector c: the weights of slots a and dual(a) cancel on c_a, c(z)[a] +
+    c(-z)[dual(a)] = 0, and the residue at z = 0 (contour quadrature on
+    |z| = quad_radius) is the Casimir tensor, c = 1."""
     rs = spec.rs
     weights = np.concatenate([np.zeros((rs.rank, rs.rank)), rs.alpha_h])
     slot_weight = weights + weights[rs.dual_index]
     ring = ring_nodes(quad_radius, quad_nodes)
-    zero_weight = unitarity = residue = 0.0
-    for q, z in samples:
-        c = _r_table(spec, q, np.r_[z, -z, ring], range(1))[0, 0]
-        zero_weight = max(zero_weight,
-                          float(np.max(np.abs(slot_weight * c[0, :, None]))))
-        unitarity = max(unitarity,
-                        float(np.max(np.abs(c[0] + c[1, rs.dual_index]))))
-        res = ring_coefficients(c[2:], ring, 1)[0]
-        residue = max(residue, float(np.max(np.abs(res - 1.0))))
-    return {
-        "n_samples": len(samples),
-        "zero_weight": zero_weight,
-        "unitarity": unitarity,
-        "residue": residue,
-    }
+    z, parts = np.asarray(z, dtype=complex), []
+    for at in range(0, max(len(z), 1), _AXIOM_STACK):
+        zs = z[at:at + _AXIOM_STACK]
+        c = _r_table(spec, q[at:at + _AXIOM_STACK], np.concatenate(
+            [[zs, -zs], np.broadcast_to(ring[:, None], (quad_nodes, len(zs)))]),
+            range(1))[0, 0]
+        # the z^-1 coefficient of ring_coefficients, one product per sample
+        res = (ring @ np.ascontiguousarray(np.moveaxis(c[2:], 1, 0))) \
+            / quad_nodes
+        parts.append((np.max(np.abs(slot_weight * c[0, ..., None]), (-2, -1)),
+                      np.max(np.abs(c[0] + c[1][..., rs.dual_index]), -1),
+                      np.max(np.abs(res - 1.0), -1)))
+    return dict(zip(("zero_weight", "unitarity", "residue"),
+                    map(np.concatenate, zip(*parts))))
+
+
+def verify_axioms(spec: RMatrixSpec, samples: Sequence[tuple[np.ndarray, complex]],
+                  *, quad_radius: float = 0.1, quad_nodes: int = 256) -> dict:
+    """The max of each :func:`axiom_residuals` residual over (q, z)
+    samples; thresholds are the caller's business."""
+    q = np.array([q for q, _ in samples], dtype=complex)
+    per_sample = axiom_residuals(
+        spec, q.reshape(len(samples), spec.rs.rank), [z for _, z in samples],
+        quad_radius=quad_radius, quad_nodes=quad_nodes)
+    return {"n_samples": len(samples), **{
+        name: float(np.max(v, initial=0.0)) for name, v in per_sample.items()}}
 
 
 @lru_cache(maxsize=None)
@@ -540,36 +490,40 @@ def _structure_nz(rs: RootSystem) -> tuple[np.ndarray, ...]:
     return a, b, c, f[a, b, c]
 
 
-def verify_cdybe(spec: RMatrixSpec, q, z1: complex, z2: complex,
-                 z3: complex) -> float:
-    """Residual of the classical dynamical Yang-Baxter equation at one
-    (q, z1, z2, z3) configuration, as the max-abs coefficient of the
-    g (x) g (x) g tensor
+def verify_cdybe(spec: RMatrixSpec, q, z1, z2, z3):
+    """Residual of the classical dynamical Yang-Baxter equation at (q, z1,
+    z2, z3), as the max-abs coefficient of the g (x) g (x) g tensor
 
         Alt(d_h r) + [r12(z12), r13(z13)] + [r12(z12), r23(z23)]
                    + [r13(z13), r23(z23)]
 
-    with z_ij = z_i - z_j and all q-derivatives analytic."""
+    with z_ij = z_i - z_j and all q-derivatives analytic.  Leading axes of
+    q stack samples, with one z triple per sample: one kernel pass for
+    all, and one residual per sample (a float for a single one)."""
     rs = spec.rs
     (a, b, c, f), d = _structure_nz(rs), rs.dual_index
+    q = np.asarray(q, dtype=complex)
+    z1, z2, z3 = np.broadcast_arrays(*(np.asarray(v, dtype=complex)
+                                       for v in (z1, z2, z3)))
     z12, z13, z23 = z1 - z2, z1 - z3, z2 - z3
     # one kernel pass: r at z12, z13, z23 and dr/dq at z23, z31, z12
     r, dr = _r_table(spec, q, [z12, z13, z23, -z13], range(1), du=1)[:, 0]
     c12, c13, c23 = r[:3]
-    d23, d31, d12 = dr[[2, 3, 0], rs.rank:, None] * rs.alpha_h
+    d23, d31, d12 = dr[[2, 3, 0], ..., rs.rank:, None] * rs.alpha_h
 
-    cube = np.zeros((rs.dim, rs.dim, rs.dim), dtype=complex)
+    cube = np.zeros(q.shape[:-1] + (rs.dim,) * 3, dtype=complex)
     # Alt(d_h r): h_i in slot 1, 2, 3 against dr/dq_i at z23, z31, z12,
     # where dr/dq_i = sum_alpha alpha(h_i) c'_alpha e_alpha (x) e_{-alpha}
     i, roots = np.arange(rs.rank), np.arange(rs.rank, rs.dim)[:, None]
-    cube[i, roots, d[roots]] += d23
-    cube[d[roots], i, roots] += d31
-    cube[roots, d[roots], i] += d12
+    cube[..., i, roots, d[roots]] += d23
+    cube[..., d[roots], i, roots] += d31
+    cube[..., roots, d[roots], i] += d12
     # [r12, r13] + [r12, r23] + [r13, r23]; no index repeats within a term
-    cube[c, d[a], d[b]] += f * c12[a] * c13[b]
-    cube[d[a], c, d[b]] += f * c12[d[a]] * c23[b]
-    cube[d[a], d[b], c] += f * c13[d[a]] * c23[d[b]]
-    return float(np.max(np.abs(cube)))
+    cube[..., c, d[a], d[b]] += f * c12[..., a] * c13[..., b]
+    cube[..., d[a], c, d[b]] += f * c12[..., d[a]] * c23[..., b]
+    cube[..., d[a], d[b], c] += f * c13[..., d[a]] * c23[..., d[b]]
+    worst = np.max(np.abs(cube), axis=(-3, -2, -1))
+    return float(worst) if worst.ndim == 0 else worst
 
 
 # ---------------------------------------------------------------------------
@@ -648,21 +602,14 @@ def R_apply(spec: RMatrixSpec, q, xi: LaurentElement) -> LaurentElement:
     r - Omega/z is analytic at z = 0 in every family; its values are the
     closed form above evaluated at all nodes at once."""
     table = _r_table(spec, q, -xi.nodes, range(xi.pole_order))[0]
-    values = 0.5 * xi.values.vec + _r_pairing(
-        table[..., spec.rs.dual_index], xi.principal)
+    values = _R_values(spec.rs, table, xi.values.vec, xi.principal)
     return LaurentElement(spec.rs, -0.5 * xi.principal, xi.nodes, values)
 
 
-def R_directional(spec: RMatrixSpec, q, v, xi: LaurentElement
-                  ) -> LaurentElement:
-    """The q-directional derivative (X_v R_q)(xi) on the nodes of xi.  Only
-    the r-dependent part of R_q varies with q, and its residue Omega does
-    not, so the result has no principal part."""
-    rs = spec.rs
-    table = _r_table(spec, q, -xi.nodes, range(xi.pole_order), du=1)[1]
-    table[..., rs.rank:] *= rs.root_values(v)
-    return LaurentElement(rs, [], xi.nodes,
-                          _r_pairing(table[..., rs.dual_index], xi.principal))
+def _R_values(rs: RootSystem, table, values, principal) -> np.ndarray:
+    """(R_q xi)(z) = (1/2) xi + sum_k (1/k!) <r_k, xi_{-(k+1)} (x) 1> from
+    the r table at -z, xi's values and principal coefficients."""
+    return 0.5 * values + _r_pairing(table[..., rs.dual_index], principal)
 
 
 def default_mdybe_samples() -> list[complex]:
@@ -719,17 +666,3 @@ def verify_mdybe(spec: RMatrixSpec, q, xi, eta, *,
     g = e[:n] * _r_pairing(r1[:, :n], px).swapaxes(-1, -2)
     res += np.diag(ring_coefficients(g.sum(-1) - g.sum(-2), ring, 1)[0])
     return float(np.max(np.abs(rs.to_coords(res))))
-
-
-def equivariance_residual(spec: RMatrixSpec, q, xi, c_coords,
-                          z_samples: Sequence[complex]) -> float:
-    """Residual of R_q(Ad*_{h^-1} xi) = Ad_h R_q(xi) for the torus element
-    with coroot-basis logarithm c_coords, at ``z_samples``; ``xi`` is a
-    pole-only Laurent covector given by its principal coefficients, shape
-    (T, dim)."""
-    rs = spec.rs
-    xi = np.asarray(xi, dtype=complex)
-    moved = torus_adjoint(c_coords, AlgElement(rs, xi)).vec
-    lhs = R_apply(spec, q, LaurentElement(rs, moved, z_samples))
-    rhs = R_apply(spec, q, LaurentElement(rs, xi, z_samples))
-    return (lhs.values - torus_adjoint(c_coords, rhs.values)).max_abs()

@@ -218,8 +218,10 @@ class RootSystem:
             raise StructuralError(f"{root} is not a root of A_{self.rank}") from None
 
     def root_values(self, q) -> np.ndarray:
-        """(alpha, q) for every root, in root order."""
-        return self.alpha_h @ np.asarray(q, dtype=complex)
+        """(alpha, q) for every root, in root order (leading axes of q
+        kept); a stacked q gives each point the values of its own matrix-
+        vector product, bit for bit."""
+        return (self.alpha_h @ np.asarray(q, dtype=complex)[..., None])[..., 0]
 
     def pairing_with_cartan(self, root: Root, q: np.ndarray) -> complex:
         """(alpha, q) for q given in orthonormal Cartan coordinates."""
@@ -363,17 +365,6 @@ def matrix_rep(x: AlgElement) -> np.ndarray:
     return x.rs.to_matrix(x.vec)
 
 
-def element_from_matrix(rs: RootSystem, mat: np.ndarray) -> AlgElement:
-    """Inverse of :func:`matrix_rep` on traceless matrices."""
-    mat = np.asarray(mat, dtype=complex)
-    if mat.shape != (rs.matrix_size, rs.matrix_size):
-        raise StructuralError(
-            f"matrix shape {mat.shape} does not fit sl({rs.matrix_size})")
-    if abs(np.trace(mat)) > 1e-10 * max(1.0, float(np.abs(mat).max())):
-        raise StructuralError("matrix has a nonzero trace")
-    return AlgElement(rs, rs.to_coords(mat))
-
-
 def torus_adjoint(c_coords, x: AlgElement) -> AlgElement:
     """Adjoint action of the torus element h = exp(sum_i c_i h_{alpha_i}).
 
@@ -393,11 +384,6 @@ def torus_adjoint(c_coords, x: AlgElement) -> AlgElement:
     vec = x.vec.copy()
     vec[..., rs.rank:] = vec[..., rs.rank:] * np.exp(exponents)
     return AlgElement(rs, vec)
-
-
-def coadjoint_action(X: AlgElement, xi: AlgElement) -> AlgElement:
-    """I-image of ad*_X xi, i.e. -[X, I xi]."""
-    return -bracket(X, xi)
 
 
 def root_system_summary(rs: RootSystem) -> dict:

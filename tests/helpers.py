@@ -1,0 +1,276 @@
+"""Test-side helpers: scalar functions with analytic gradients, and
+reference evaluations that the package itself no longer needs.
+
+The package brackets differential rows (:func:`spincm.phase.bracket_full`,
+:func:`spincm.phase.bracket_reduced`) and checks its identities as stacked
+array evaluations.  The tests also want functions as objects (a value and a
+gradient) to state the Poisson axioms, Leibniz and Jacobi rules, and a few
+dense or chain-rule references; they live here.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+from spincm.dynamics import (SystemSpec, _char_poly, _gradient, _power_sums,
+                             _reg0, lax_L, vector_field, vector_field_reduced)
+from spincm.elliptic import _value
+from spincm.errors import StructuralError, raise_on_fp_fault
+from spincm.phase import (PhasePoint, ReducedPoint, bracket_full,
+                          bracket_reduced, gauge_g, lift_reduced,
+                          torus_action)
+from spincm.rmatrix import (LaurentElement, R_apply, RMatrixSpec, _ladder,
+                            _r_pairing, _r_table, positive_pair_weight,
+                            ring_nodes)
+from spincm.rootsys import (AlgElement, Root, RootSystem, bracket, form,
+                            negate, torus_adjoint)
+
+# -- functions with analytic gradients ----------------------------------------
+
+
+@dataclass
+class PhaseGradient:
+    dq: np.ndarray
+    dp: np.ndarray
+    dxi: AlgElement        # element of g: the differential along g*
+
+    def row(self) -> np.ndarray:
+        return np.concatenate([self.dq, self.dp, self.dxi.vec]).astype(complex)
+
+
+@dataclass
+class PhaseFunction:
+    """Scalar function on the unreduced space with an analytic gradient."""
+
+    value: Callable[[PhasePoint], complex]
+    gradient: Callable[[PhasePoint], PhaseGradient]
+
+
+@dataclass
+class ReducedGradient:
+    dq: np.ndarray
+    dp: np.ndarray
+    ds: np.ndarray
+
+    def row(self) -> np.ndarray:
+        return np.concatenate([self.dq, self.dp, self.ds]).astype(complex)
+
+
+@dataclass
+class ReducedFunction:
+    value: Callable[[ReducedPoint], complex]
+    gradient: Callable[[ReducedPoint], ReducedGradient]
+
+
+def poisson_full(f: PhaseFunction, g: PhaseFunction, x: PhasePoint) -> complex:
+    """{F, G}(x) through :func:`spincm.phase.bracket_full`."""
+    return bracket_full(x, f.gradient(x).row(), g.gradient(x).row())
+
+
+def poisson_reduced(f: ReducedFunction, g: ReducedFunction,
+                    x: ReducedPoint) -> complex:
+    """{F, G}_red(x) through :func:`spincm.phase.bracket_reduced`."""
+    return bracket_reduced(x, f.gradient(x).row(), g.gradient(x).row())
+
+
+def linear_spin_function(rs: RootSystem, y: AlgElement) -> PhaseFunction:
+    """The linear function xi -> <xi, Y> on g*, constant in (q, p)."""
+    zero = np.zeros(rs.rank)
+    return PhaseFunction(lambda x: form(x.xi, y),
+                         lambda x: PhaseGradient(zero, zero, y))
+
+
+def spin_coordinate_function(rs: RootSystem, root: Root) -> ReducedFunction:
+    """The coordinate function s_gamma on the reduced space."""
+    k = rs.root_index[root]
+    if k < rs.rank:
+        raise StructuralError(
+            f"{root} is a positive simple root; its coordinate is pinned to 1")
+    idx = k - rs.rank
+    zero = np.zeros(rs.rank)
+
+    def grad(x: ReducedPoint) -> ReducedGradient:
+        ds = np.zeros(rs.n_roots - rs.rank, dtype=complex)
+        ds[idx] = 1.0
+        return ReducedGradient(zero, zero, ds)
+
+    return ReducedFunction(lambda x: complex(x.s[idx]), grad)
+
+
+def spin_invariant_gradient(xi: AlgElement, root: Root) -> AlgElement:
+    """Differential of s_alpha at a general point of U, as an element of g."""
+    rs = xi.rs
+    simple = np.array([xi.coeff(r) for r in rs.simple_roots])
+    mono = np.prod([simple[j] ** (-root[j]) for j in range(rs.rank)])
+    out = mono * AlgElement.basis(rs, rs.basis_index(negate(root)))
+    for j, alpha in enumerate(rs.simple_roots):
+        if root[j]:
+            coeff = -root[j] * xi.coeff(root) * mono / simple[j]
+            out = out + coeff * AlgElement.basis(rs, rs.basis_index(
+                negate(alpha)))
+    return out
+
+
+def normalize_to_slice(x: PhasePoint) -> PhasePoint:
+    """Move x along its torus orbit onto the slice xi_{alpha_i} = 1."""
+    return torus_action(-gauge_g(x.xi), x)
+
+
+def hamiltonian_gradient(sys: SystemSpec, x: PhasePoint) -> PhaseGradient:
+    """(dH/dq, dH/dp, dH/dxi) from the flow core's gradient."""
+    dq, wxi = _gradient(sys, x.q, x.xi.vec)
+    return PhaseGradient(dq, x.p.copy(), AlgElement(sys.rs, -wxi))
+
+
+def hamiltonian_function(sys: SystemSpec) -> PhaseFunction:
+    """H as a bracket-ready function with its analytic gradient."""
+    from spincm.dynamics import hamiltonian
+    return PhaseFunction(lambda x: hamiltonian(sys, x),
+                         lambda x: hamiltonian_gradient(sys, x))
+
+
+# -- coefficient accessors -----------------------------------------------------
+
+
+@raise_on_fp_fault
+def cartan_coeff(spec: RMatrixSpec, z, kz: int = 0):
+    """k-th z-derivative of the Cartan coefficient f(z)."""
+    return _value(_ladder(spec, None, z, kz + 1)[0][kz])
+
+
+@raise_on_fp_fault
+def root_coeff(spec: RMatrixSpec, u, z, kz: int = 0,
+               du: int = 0) -> np.ndarray:
+    """c_alpha(u_alpha, z) for every root, its z-derivatives (kz up to 3)
+    and the mixed u,z-derivative (du = 1): one entry of the family's
+    kernel.  ``u`` = rs.root_values(q), the roots on its last axis; ``z``
+    broadcasts against it."""
+    return _ladder(spec, np.asarray(u, dtype=complex), z, kz + 1,
+                   du)[1][du][kz]
+
+
+@raise_on_fp_fault
+def pair_weight(spec: RMatrixSpec, u) -> tuple[np.ndarray, np.ndarray]:
+    """(w, w') of positive_pair_weight on every root: w is even, so
+    w_{-alpha} = w_alpha and w'_{-alpha} = -w'_alpha."""
+    w, w_du = positive_pair_weight(
+        spec, np.asarray(u, dtype=complex)[..., :spec.rs.n_pos])
+    return (np.concatenate([w, w], axis=-1),
+            np.concatenate([w_du, -w_du], axis=-1))
+
+
+def R_directional(spec: RMatrixSpec, q, v, xi: LaurentElement
+                  ) -> LaurentElement:
+    """The q-directional derivative (X_v R_q)(xi) on the nodes of xi: the
+    mixed (du = 1) table paired like R_apply, no principal part."""
+    rs = spec.rs
+    table = _r_table(spec, q, -xi.nodes, range(xi.pole_order), du=1)[1]
+    table[..., rs.rank:] *= rs.root_values(v)
+    return LaurentElement(rs, [], xi.nodes,
+                          _r_pairing(table[..., rs.dual_index], xi.principal))
+
+
+def lax_L_reg0(sys: SystemSpec, x: PhasePoint) -> AlgElement:
+    """Regular part of L at z = 0, i.e. lim_{z->0} (L(z) - I xi / z)."""
+    return AlgElement(sys.rs, _reg0(sys, x.q, x.p, x.xi.vec))
+
+
+def lax_M(sys: SystemSpec, x: PhasePoint, nodes) -> LaurentElement:
+    """M(z) = L(z)/z as a Laurent covector on ``nodes``, with principal
+    coefficients the regular part of L at 0 and I xi."""
+    nodes = np.asarray(nodes, dtype=complex)
+    values = lax_L(sys, x, nodes).vec / nodes[:, None]
+    return LaurentElement(sys.rs, [lax_L_reg0(sys, x).vec, x.xi.vec], nodes,
+                          values)
+
+
+# -- references ---------------------------------------------------------------
+
+
+def lax_time_derivative(sys: SystemSpec, x, z) -> AlgElement:
+    """dL/dt along the flow at x by the chain rule, point by point: L at
+    (q, p_dot, xi_dot) plus the q-derivative of the root coefficients
+    along q_dot; for a ReducedPoint, dL_0/dt at the slice lift."""
+    rs = sys.rs
+    if isinstance(x, ReducedPoint):
+        v_red = vector_field_reduced(sys, x)
+        xi_dot = np.zeros(rs.dim, dtype=complex)
+        xi_dot[2 * rs.rank:] = v_red.s
+        x, v = lift_reduced(x), PhasePoint(v_red.q, v_red.p,
+                                           AlgElement(rs, xi_dot))
+    else:
+        v = vector_field(sys, x)
+    vec = lax_L(sys, PhasePoint(x.q, v.p, v.xi), z).vec
+    c_du = root_coeff(sys.lax_rmatrix, rs.root_values(x.q),
+                      np.expand_dims(z, -1), du=1)
+    vec[..., rs.rank:] += c_du * rs.root_values(v.q) * x.xi.vec[rs.rank:]
+    return AlgElement(rs, vec)
+
+
+def spectral_curve(sys: SystemSpec, x, z_grid) -> np.ndarray:
+    """Coefficients of det(w Id - rho(L(z))) in w, one row per grid z,
+    highest power first (monic), as the package's Newton's identities give
+    them; reduced points use L_0."""
+    return _char_poly(_power_sums(sys, [x], z_grid, sys.rs.matrix_size))[0]
+
+
+def hamiltonian_quadrature(sys: SystemSpec, x: PhasePoint, *,
+                           radius: float = 0.5, nodes: int = 512) -> complex:
+    """H recovered from the Lax operator: (1/2) (1/2 pi i) oint (L, L) dz/z,
+    by the trapezoidal rule on |z| = radius."""
+    val = lax_L(sys, x, ring_nodes(radius, nodes))
+    return 0.5 * complex(np.mean(form(val, val)))
+
+
+def casimir_tensor(rs: RootSystem) -> np.ndarray:
+    """The invariant element Omega = sum_i h_i (x) h_i + sum_alpha e_alpha
+    (x) e_{-alpha} in coordinates over the product basis: the Gram matrix."""
+    return rs.gram.astype(complex)
+
+
+def r_tensor(spec: RMatrixSpec, q, z, kz: int = 0,
+             direction=None) -> np.ndarray:
+    """r(q, z), or its kz-th z-derivative, as a dense tensor in g (x) g,
+    one (dim, dim) matrix per z: the coefficient vector scattered to
+    [..., a, dual(a)].  With a Cartan ``direction`` v, the directional
+    q-derivative sum_i v_i d/dq_i of that tensor instead."""
+    rs = spec.rs
+    du = int(direction is not None)
+    c = _r_table(spec, q, z, range(kz, kz + 1), du)[du, 0]
+    if du:
+        c[..., rs.rank:] *= rs.root_values(direction)
+    mat = np.zeros(c.shape + (rs.dim,), dtype=complex)
+    mat[..., np.arange(rs.dim), rs.dual_index] = c
+    return mat
+
+
+def equivariance_residual(spec: RMatrixSpec, q, xi, c_coords,
+                          z_samples) -> float:
+    """Residual of R_q(Ad*_{h^-1} xi) = Ad_h R_q(xi) for the torus element
+    with coroot-basis logarithm c_coords, at ``z_samples``; ``xi`` holds
+    the principal coefficients of a pole-only Laurent covector."""
+    rs = spec.rs
+    xi = np.asarray(xi, dtype=complex)
+    moved = torus_adjoint(c_coords, AlgElement(rs, xi)).vec
+    lhs = R_apply(spec, q, LaurentElement(rs, moved, z_samples))
+    rhs = R_apply(spec, q, LaurentElement(rs, xi, z_samples))
+    return (lhs.values - torus_adjoint(c_coords, rhs.values)).max_abs()
+
+
+def element_from_matrix(rs: RootSystem, mat: np.ndarray) -> AlgElement:
+    """Inverse of matrix_rep on traceless matrices."""
+    mat = np.asarray(mat, dtype=complex)
+    if mat.shape != (rs.matrix_size, rs.matrix_size):
+        raise StructuralError(
+            f"matrix shape {mat.shape} does not fit sl({rs.matrix_size})")
+    if abs(np.trace(mat)) > 1e-10 * max(1.0, float(np.abs(mat).max())):
+        raise StructuralError("matrix has a nonzero trace")
+    return AlgElement(rs, rs.to_coords(mat))
+
+
+def coadjoint_action(x: AlgElement, xi: AlgElement) -> AlgElement:
+    """I-image of ad*_X xi, i.e. -[X, I xi]."""
+    return -bracket(x, xi)

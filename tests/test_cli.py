@@ -5,16 +5,23 @@ from __future__ import annotations
 import csv
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from spincm import dynamics, rmatrix
 from spincm.cli import (EXIT_CONFIG, EXIT_PASS, EXIT_RESIDUAL,
-                        EXIT_SINGULARITY, FAULT_SCALE, RunConfig,
-                        _build_parser, default_thresholds, load_config, main,
-                        parse_config)
+                        EXIT_SINGULARITY, FAULT_SCALE, SUITES,
+                        _INVOLUTION_BATTERY, RunConfig, _build_parser,
+                        default_thresholds, load_config, main, parse_config)
+from spincm.dynamics import (integrate, involution_check, lax_pair_reduced,
+                             lax_pair_residual, quasi_lax_residual,
+                             reduced_lax_residual, spectrum_drift)
 from spincm.errors import ConfigError
-from spincm.rmatrix import verify_cdybe, verify_mdybe
+from spincm.phase import PhasePoint, ReducedPoint
+from spincm.rmatrix import verify_axioms, verify_cdybe, verify_mdybe
+from spincm.rootsys import AlgElement
 
 
 def write_config(tmp_path, name, data):
@@ -320,6 +327,160 @@ def test_fault_injected_residuals_are_pinned(tmp_path, case, suite):
         "checks"][0]["max_residual"]
     want = PINNED_FAULT_RESIDUALS[case][suite == "mdybe"]
     assert abs(got - want) <= 1e-10 * want
+
+
+# max_residual of every verify check, (family, rank, seed) -> {check: value},
+# as the suites gave them with one sample per call before they were stacked
+# (config t_final 0.1).  Roundoff-level values: the suites keep each
+# sample's arithmetic, so they repeat to 1e-10, but they rest on numpy's
+# loops for this CPU and may need re-recording on another one.  The
+# involution check and the isospectral drift sum in another order since,
+# and keep only their order of magnitude.
+PINNED_RESIDUALS = {
+    ("trigonometric", 3, 1): {
+        "zero_weight": 0.0, "unitarity": 0.0,
+        "residue": 1.3322676308321562e-15, "cdybe": 3.340498546986209e-14,
+        "mdybe": 1.779685776996327e-13,
+        "lax_on_sigma": 1.6572562045795678e-13,
+        "lax_reduced_pointwise": 1.227101338881947e-13,
+        "involution": 2.892458810919007e-12,
+        "spectrum_drift": 2.2893951537573348e-10,
+        "isospectral_drift": 3.856265086002549e-08,
+    },
+    ("trigonometric", 3, 8): {
+        "zero_weight": 0.0, "unitarity": 0.0,
+        "residue": 8.881786932710875e-16, "cdybe": 1.1374233532693354e-14,
+        "mdybe": 2.3561349626499125e-13,
+        "lax_on_sigma": 4.856703836433968e-13,
+        "lax_reduced_pointwise": 2.034684749684793e-13,
+        "involution": 8.2929073982254e-12,
+        "spectrum_drift": 6.189745479689656e-10,
+        "isospectral_drift": 2.339073007005384e-08,
+    },
+    ("rational", 2, 3): {
+        "zero_weight": 0.0, "unitarity": 0.0, "residue": 4.44146857288414e-16,
+        "cdybe": 7.160723346098895e-15, "mdybe": 1.5748648288877372e-13,
+        "lax_on_sigma": 2.3832327871173822e-14,
+        "quasi_lax_off_sigma": 1.214175959108492e-13,
+        "lax_reduced_pointwise": 1.7495085916501026e-14,
+        "involution": 1.191086668529821e-13,
+        "spectrum_drift": 1.3698500041704835e-10,
+        "isospectral_drift": 2.822529650407306e-09,
+    },
+    ("elliptic", 2, 3): {
+        "zero_weight": 0.0, "unitarity": 0.0, "residue": 6.66368198731669e-16,
+        "cdybe": 2.1610313646285627e-14, "mdybe": 1.999941388239327e-13,
+        "lax_on_sigma": 3.202372833989377e-14,
+        "lax_reduced_pointwise": 2.5644683284337483e-14,
+        "involution": 4.259109565124876e-13,
+        "spectrum_drift": 1.222362651069173e-10,
+        "isospectral_drift": 2.616152522713831e-09,
+    },
+}
+ORDER_OF_MAGNITUDE_ONLY = {"involution", "isospectral_drift"}
+
+
+def verify_report(tmp_path, family, rank, seed, suite):
+    data = {"family": family, "rank": rank, "seed": seed,
+            "integration": {"t_final": 0.1}}
+    if family == "elliptic":
+        data["lattice"] = WIDE_LATTICE
+    cfg = write_config(tmp_path, "ver.json", data)
+    assert main(["verify", "--config", cfg, "--suite", suite,
+                 "--out", str(tmp_path)]) == EXIT_PASS
+    return parse_config(data), json.loads(
+        (tmp_path / "report.json").read_text())
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_RESIDUALS))
+@pytest.mark.parametrize("suite", SUITES)
+def test_verify_residuals_are_pinned(tmp_path, case, suite):
+    _, report = verify_report(tmp_path, *case, suite)
+    for check in report["checks"]:
+        got, want = check["max_residual"], PINNED_RESIDUALS[case][check["name"]]
+        if check["name"] in ORDER_OF_MAGNITUDE_ONLY:
+            assert want / 10 < got < want * 10, check["name"]
+        else:
+            assert abs(got - want) <= 1e-10 * want, check["name"]
+
+
+def replay(config, suite, check):
+    """The residual of a check's witness, evaluated on its own."""
+    system = config.system()
+    rs, w, name = system.rs, check["witness"], check["name"]
+    q = complex_array(w["q"])
+    if suite == "axioms":
+        return verify_axioms(system.rmatrix, [(q, complex_array(w["z"]))])[
+            name]
+    p = complex_array(w["p"])
+    if "xi" in w:
+        x = PhasePoint(q, p, AlgElement(rs, complex_array(w["xi"])))
+        return (quasi_lax_residual if name == "quasi_lax_off_sigma"
+                else lax_pair_residual)(system, x)
+    x = ReducedPoint(rs, q, p, complex_array(w["s"]))
+    if suite == "lax":
+        return reduced_lax_residual(system, x)
+    if suite == "involution":
+        # the worst pair of the battery at the witness point is its own
+        pair = tuple(zip(w["k"], complex_array(w["z"])))
+        assert involution_check(system, x, [pair]) > 0.0
+        return involution_check(system, x, _INVOLUTION_BATTERY)
+    # spectral: integrate from the witness's initial point; its worst entry
+    # lies at the witness's trajectory point and z
+    opts = config.integration
+    traj = integrate(system, x, **{**opts,
+                                   "n_points": min(opts["n_points"], 101)})
+    z_grid = dynamics.default_z_samples()
+    report = lax_pair_reduced(system, traj, z_grid, n_residual_points=1)
+    assert report["worst"][name] == [w["sample"],
+                                     z_grid.index(complex_array(w["z"]))]
+    # and that entry alone, at the first and the witness point, gives the
+    # same drift up to the rounding of the O(1) table entries
+    pair = replace(traj, points=[traj.points[0], traj.points[w["sample"]]])
+    z = [complex_array(w["z"])]
+    alone = spectrum_drift(system, pair, z) if name == "spectrum_drift" \
+        else lax_pair_reduced(system, pair, z, n_residual_points=1)[name]
+    assert alone == pytest.approx(report[name], rel=0, abs=1e-13)
+    return report[name]
+
+
+@pytest.mark.parametrize("family", ["rational", "trigonometric"])
+@pytest.mark.parametrize("suite", ["axioms", "lax", "involution",
+                                   "spectral"])
+def test_verify_witnesses_replay_max_residual(tmp_path, family, suite):
+    config, report = verify_report(tmp_path, family, 2, 8, suite)
+    for check in report["checks"]:
+        assert 0 <= check["witness"]["sample"] < check["samples"]
+        assert replay(config, suite, check) == pytest.approx(
+            check["max_residual"], rel=1e-12, abs=1e-300), check["name"]
+
+
+def test_verify_jobs_make_one_kernel_pass_per_stack(tmp_path, monkeypatch):
+    """The family kernel runs once per stacked table: once per stack of 5
+    axioms samples, once per involution job and twice per group of Lax
+    points (20, 108 and 40 passes with one sample per call), and the
+    spectral suite solves no eigenvalue problem."""
+    calls = []
+    ladder = rmatrix._ladder
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return ladder(*args, **kwargs)
+
+    monkeypatch.setattr(rmatrix, "_ladder", counted)
+    monkeypatch.setattr(dynamics, "_ladder", counted)
+
+    def no_eigvals(*args):
+        raise AssertionError("eigvals called")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
+    for family, suite, passes in (
+            ("trigonometric", "axioms", 4), ("trigonometric", "involution", 1),
+            ("trigonometric", "lax", 4), ("rational", "lax", 6),
+            ("trigonometric", "spectral", None)):
+        calls.clear()
+        verify_report(tmp_path, family, 3, 1, suite)
+        assert passes is None or len(calls) == passes, (family, suite)
 
 
 def test_verify_threshold_scale(tmp_path):

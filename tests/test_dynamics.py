@@ -25,27 +25,25 @@ from hypothesis import strategies as st
 
 from spincm.elliptic import Lattice
 from spincm.errors import ConstraintError, StructuralError
-from spincm.phase import (PhaseFunction, PhaseGradient, PhasePoint,
-                          ReducedGradient, ReducedPoint, gauge_g,
-                          lift_reduced, linear_spin_function, momentum_J,
-                          project_pi, reduced_roots,
-                          spin_invariant_gradient, torus_action)
-from spincm.phase import bracket_full
+from helpers import (PhaseFunction, PhaseGradient, ReducedGradient,
+                     hamiltonian_function, hamiltonian_gradient,
+                     hamiltonian_quadrature, lax_time_derivative,
+                     lax_M, linear_spin_function, poisson_full,
+                     spectral_curve,
+                     spin_invariant_gradient)
+from spincm.phase import (PhasePoint, ReducedPoint, gauge_g, lift_reduced,
+                          momentum_J, project_pi, reduced_roots, torus_action)
 from spincm.rootsys import (AlgElement, build_root_system, form, matrix_rep,
                             negate, torus_adjoint)
-from spincm.dynamics import (SystemSpec, _b_operator, collision_margin,
-                             conserved_spectrum,
+from spincm.dynamics import (SystemSpec, _b_operator, _spectral_gradients,
+                             collision_margin, conserved_spectrum,
                              default_z_samples, format_complex, fpbr_residual,
-                             hamiltonian, hamiltonian_function,
-                             hamiltonian_gradient,
-                             hamiltonian_quadrature, hamiltonian_reduced,
+                             hamiltonian, hamiltonian_reduced,
                              integrate, involution_check, lax_B, lax_B0,
-                             lax_L, lax_L0, lax_M, lax_pair_reduced,
-                             lax_pair_residual, lax_time_derivative,
-                             make_system, quasi_lax_residual,
-                             reduced_lax_residual, sigma_residual,
-                             spectral_curve, spectral_function,
-                             spectrum_drift, spinless_state,
+                             lax_L, lax_L0, lax_pair_reduced,
+                             lax_pair_residual, make_system,
+                             quasi_lax_residual, reduced_lax_residual,
+                             sigma_residual, spectrum_drift, spinless_state,
                              trajectory_csv_rows, vector_field,
                              vector_field_reduced)
 
@@ -200,12 +198,12 @@ def test_flow_is_bracket_with_hamiltonian():
         fp = PhaseFunction(lambda y, i=i: y.p[i],
                            lambda y, eq=eq: PhaseGradient(zero, eq,
                                                           AlgElement.zero(rs)))
-        assert abs(bracket_full(h, fq, x) - v.q[i]) < 1e-12
-        assert abs(bracket_full(h, fp, x) - v.p[i]) < 1e-12
+        assert abs(poisson_full(h, fq, x) - v.q[i]) < 1e-12
+        assert abs(poisson_full(h, fp, x) - v.p[i]) < 1e-12
     for trial in range(4):
         y = AlgElement(rs, rng.normal(size=rs.dim) + 1j * rng.normal(size=rs.dim))
         f_spin = linear_spin_function(rs, y)
-        assert abs(bracket_full(h, f_spin, x) - form(v.xi, y)) < 1e-11
+        assert abs(poisson_full(h, f_spin, x) - form(v.xi, y)) < 1e-11
 
 
 def test_zero_spin_flow_is_free_motion():
@@ -238,9 +236,9 @@ def test_time_reversal():
                          xi_components=comps)
     fwd = integrate(sys, x0, 1.5, tol=1e-12, n_points=31)
     assert fwd.completed
-    back = integrate(sys, fwd.final_point(), -1.5, tol=1e-12, n_points=31)
+    back = integrate(sys, fwd.points[-1], -1.5, tol=1e-12, n_points=31)
     assert back.completed
-    xf = back.final_point()
+    xf = back.points[-1]
     err = max(np.max(np.abs(xf.q - x0.q)), np.max(np.abs(xf.p - x0.p)),
               np.max(np.abs(xf.xi.vec - x0.xi.vec)))
     assert err < 1e-7
@@ -537,11 +535,13 @@ def test_energy_conserved_reduced_all_families():
 
 
 def test_spectral_function_gradient():
+    # the stacked gradient row of h_3(z) against central differences of the
+    # spectral table
     sys = make_system("rational", 2)
     rng = np.random.default_rng(59)
     x = random_reduced(sys, rng)
-    fn = spectral_function(sys, 3, 0.44 + 0.18j)
-    g = fn.gradient(x)
+    z = 0.44 + 0.18j
+    g = _spectral_gradients(sys, [x], [(1, z), (3, z)])[0, 1]
     rs = sys.rs
     n_s = rs.n_roots - rs.rank
     dq = rng.normal(size=rs.rank)
@@ -549,12 +549,15 @@ def test_spectral_function_gradient():
     ds = rng.normal(size=n_s) + 1j * rng.normal(size=n_s)
     eps = 1e-6
 
-    def shifted(t):
-        return ReducedPoint(rs, x.q + t * dq, x.p + t * dp, x.s + t * ds)
+    def h3(t):
+        shifted = ReducedPoint(rs, x.q + t * dq, x.p + t * dp, x.s + t * ds)
+        return conserved_spectrum(sys, shifted, [z], 3)[0, 2]
 
-    fd = (fn.value(shifted(eps)) - fn.value(shifted(-eps))) / (2 * eps)
-    analytic = g.dq @ dq + g.dp @ dp + g.ds @ ds
+    fd = (h3(eps) - h3(-eps)) / (2 * eps)
+    analytic = g @ np.concatenate([dq, dp, ds])
     assert abs(fd - analytic) < 1e-7 * max(1.0, abs(analytic))
+    with pytest.raises(StructuralError, match="trace power"):
+        _spectral_gradients(sys, [x], [(0, z)])
 
 
 INVOLUTION_PAIRS = [

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_reference import dense_structure
+from helpers import pair_weight
 from spincm import dynamics
 from spincm.dynamics import (_pack_point, conserved_spectrum, hamiltonian,
                              integrate, lax_L, lax_pair_reduced, make_system,
@@ -28,7 +29,6 @@ from spincm.elliptic import Lattice
 from spincm.errors import PoleError, StructuralError
 from spincm.phase import (PhasePoint, ReducedPoint, lift_reduced, momentum_J,
                           reduced_roots)
-from spincm.rmatrix import pair_weight
 from spincm.rootsys import AlgElement, matrix_rep
 
 FAMILIES = ("rational", "trigonometric", "elliptic")
@@ -279,7 +279,7 @@ def test_trajectories_match_the_pinned_runs(key):
     assert traj.completed
     assert (traj.stats["nfev"], traj.stats["accepted"],
             traj.stats["rejected"], traj.stats["dense"]) == counts
-    got = _pack_point(traj.final_point())
+    got = _pack_point(traj.points[-1])
     assert rel_err(got, np.array(final)) < 1e-12
     assert rel_err(got, np.array(DP5_FINALS[key])) < 1e-7
 
@@ -359,6 +359,19 @@ def loop_table(sys_, pt, z, kmax):
     return table
 
 
+def mp_char_poly(mp, mat):
+    """Monic coefficients of det(w Id - mat), highest power first, in
+    mpmath at its working precision (Faddeev-LeVerrier)."""
+    n = len(mat)
+    a = mp.matrix([[mp.mpc(complex(v)) for v in row] for row in mat])
+    coeffs, m = [mp.mpc(1)], mp.zeros(n, n)
+    for k in range(1, n + 1):
+        m = a * m + coeffs[-1] * mp.eye(n)
+        am = a * m
+        coeffs.append(-sum(am[i, i] for i in range(n)) / k)
+    return coeffs
+
+
 @pytest.mark.parametrize("family,rank,reduced", [
     ("elliptic", 3, False), ("rational", 4, True), ("trigonometric", 2, True)])
 def test_stacked_diagnostics_match_per_point_loops(family, rank, reduced):
@@ -380,8 +393,14 @@ def test_stacked_diagnostics_match_per_point_loops(family, rank, reduced):
     constraint = [np.max(np.abs(momentum_J(x) - j0)) for x in lifts]
     assert np.max(np.abs(traj.constraint - constraint)) < 1e-13
     if reduced:
-        curves = [np.array([np.poly(np.linalg.eigvals(
-            matrix_rep(lax_L(sys_, x, zi)))) for zi in z]) for x in lifts]
-        iso = max(np.max(np.abs(c - curves[0])) for c in curves)
+        # the isospectral drift against a 40-digit characteristic
+        # polynomial of the same float matrices
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            curves = [[mp_char_poly(mp, matrix_rep(lax_L(sys_, x, zi)))
+                       for zi in z] for x in lifts]
+            iso = float(max(abs(a - b) for c in curves
+                            for row, row0 in zip(c, curves[0])
+                            for a, b in zip(row, row0)))
         got = lax_pair_reduced(sys_, traj, z, n_residual_points=2)
         assert abs(got["isospectral_drift"] - iso) < 1e-13

@@ -26,11 +26,11 @@ from spincm.phase import PhasePoint, momentum_J
 from spincm.errors import PoleError, StructuralError
 from spincm.rootsys import (AlgElement, bracket, build_root_system, form,
                             negate, root_label)
-from spincm.rmatrix import (LaurentElement, R_apply, R_directional,
-                            _r_table, casimir_tensor,
-                            cartan_coeff, default_mdybe_samples,
-                            elliptic_r_matrix, equivariance_residual,
-                            pair_weight, r_tensor, rational_r_matrix, root_coeff, root_coeff_reg0,
+from helpers import (R_directional, cartan_coeff, casimir_tensor,
+                     equivariance_residual, pair_weight, r_tensor, root_coeff)
+from spincm.rmatrix import (LaurentElement, R_apply, _r_table,
+                            default_mdybe_samples, elliptic_r_matrix,
+                            rational_r_matrix, root_coeff_reg0,
                             ring_coefficients, ring_nodes,
                             trigonometric_r_matrix, verify_axioms,
                             verify_cdybe, verify_mdybe)
@@ -103,8 +103,8 @@ def test_rational_r_empty_subset_is_casimir_over_z():
     spec = rational_r_matrix(rs, "empty")
     q = np.array([0.4, -0.7])
     z = 0.3 + 0.2j
-    expected = casimir_tensor(rs).mat / z
-    assert np.max(np.abs(r_tensor(spec, q, z).mat - expected)) < 1e-14
+    expected = casimir_tensor(rs) / z
+    assert np.max(np.abs(r_tensor(spec, q, z) - expected)) < 1e-14
 
 
 def test_rational_r_frozen_rank_one():
@@ -114,11 +114,11 @@ def test_rational_r_frozen_rank_one():
     # (alpha, q) = sqrt(2) * q_1, so q_1 = sqrt(2) makes (alpha, q) = 2
     q = np.array([math.sqrt(2.0)])
     r = r_tensor(spec, q, 1.0)
-    expected = casimir_tensor(rs).mat.astype(complex)
+    expected = casimir_tensor(rs).astype(complex)
     ip, im = rs.basis_index(alpha), rs.basis_index(negate(alpha))
     expected[ip, im] += 0.5
     expected[im, ip] -= 0.5
-    assert np.max(np.abs(r.mat - expected)) < 1e-14
+    assert np.max(np.abs(r - expected)) < 1e-14
 
 
 def test_trigonometric_coefficients_by_formula():
@@ -233,9 +233,9 @@ def test_q_derivative_tensor_against_finite_differences():
     for family, spec in all_specs(2).items():
         for kz in (0, 1):
             for v in directions:
-                fd = (r_tensor(spec, q + h * v, z, kz).mat
-                      - r_tensor(spec, q - h * v, z, kz).mat) / (2 * h)
-                val = r_tensor(spec, q, z, kz, direction=v).mat
+                fd = (r_tensor(spec, q + h * v, z, kz)
+                      - r_tensor(spec, q - h * v, z, kz)) / (2 * h)
+                val = r_tensor(spec, q, z, kz, direction=v)
                 assert np.max(np.abs(val - fd)) < 1e-6, (family, kz, v)
         # the fault knob scales exactly the (roots[0], -roots[0]) entries
         rs = spec.rs
@@ -243,8 +243,8 @@ def test_q_derivative_tensor_against_finite_differences():
         scale = np.ones((rs.dim, rs.dim), dtype=complex)
         scale[k0, kn] = scale[kn, k0] = 4.0
         for v in (None, directions[-1]):
-            clean = r_tensor(spec, q, z, direction=v).mat
-            faulty = r_tensor(spec.with_fault(4.0), q, z, direction=v).mat
+            clean = r_tensor(spec, q, z, direction=v)
+            faulty = r_tensor(spec.with_fault(4.0), q, z, direction=v)
             assert np.array_equal(faulty, clean * scale), (family, v)
 
 
@@ -285,7 +285,7 @@ def test_pole_guard_names_the_root(family, k):
                   lambda: root_coeff(spec, u, z, 2, du=1),
                   lambda: pair_weight(spec, u)[0],
                   lambda: pair_weight(spec, u)[1],
-                  lambda: r_tensor(spec, q, z).mat)
+                  lambda: r_tensor(spec, q, z))
         for table in tables:
             if offset < 1e-13:
                 with pytest.raises(PoleError,
@@ -334,7 +334,7 @@ def test_unitarity_rank_one_rational(re, im):
     z = complex(re, im)
     r = r_tensor(spec, q, z)
     rback = r_tensor(spec, q, -z)
-    assert np.max(np.abs(r.mat + rback.mat.T)) < 1e-12
+    assert np.max(np.abs(r + rback.T)) < 1e-12
 
 
 @pytest.mark.parametrize("family", ["rational", "trigonometric", "elliptic"])
@@ -494,7 +494,7 @@ def test_equivariance(family):
 #
 # The package contracts every r through its coefficient vector
 # (r[a, dual(a)] = c_a), the nonzero structure constants and, in the MDYBE,
-# matrix commutators.  These references contract the dense r_tensor(...).mat
+# matrix commutators.  These references contract the dense r_tensor(...)
 # with the dense structure constants of the matrix units
 # (`dense_reference`), as the defining formulas read.  The faulted cases
 # (fault_scale 4) are what make the comparison bite: unfaulted residuals are
@@ -520,16 +520,16 @@ def dense_axioms(spec, samples, quad_radius=0.1, quad_nodes=256):
     """Zero-weight, unitarity and residue residuals of the dense tensors."""
     rs = spec.rs
     f = dense_structure(rs)
-    omega = casimir_tensor(rs).mat
+    omega = casimir_tensor(rs)
     ring = ring_nodes(quad_radius, quad_nodes)
     zero_weight = unitarity = residue = 0.0
     for q, z in samples:
-        r, rminus = r_tensor(spec, q, [z, -z]).mat
+        r, rminus = r_tensor(spec, q, [z, -z])
         t = (np.einsum("iac,ab->icb", f[:rs.rank], r)
              + np.einsum("ibc,ab->iac", f[:rs.rank], r))
         zero_weight = max(zero_weight, float(np.max(np.abs(t))))
         unitarity = max(unitarity, float(np.max(np.abs(r + rminus.T))))
-        res = ring_coefficients(r_tensor(spec, q, ring).mat, ring, 1)[0]
+        res = ring_coefficients(r_tensor(spec, q, ring), ring, 1)[0]
         residue = max(residue, float(np.max(np.abs(res - omega))))
     return {"zero_weight": zero_weight, "unitarity": unitarity,
             "residue": residue}
@@ -543,7 +543,7 @@ def dense_pair_first(rs, mat, x):
 def dense_r_pairing(spec, q, xi, direction=None):
     out = np.zeros(xi.nodes.shape + (spec.rs.dim,), dtype=complex)
     for k in range(xi.pole_order):
-        mat = r_tensor(spec, q, -xi.nodes, kz=k, direction=direction).mat
+        mat = r_tensor(spec, q, -xi.nodes, kz=k, direction=direction)
         out += dense_pair_first(spec.rs, mat, xi.principal[k]) \
             / math.factorial(k)
     return out
@@ -557,11 +557,11 @@ def dense_cdybe(spec, q, z1, z2, z3):
     rs = spec.rs
     f = dense_structure(rs)
     z12, z13, z23 = z1 - z2, z1 - z3, z2 - z3
-    r12, r13, r23 = r_tensor(spec, q, [z12, z13, z23]).mat
+    r12, r13, r23 = r_tensor(spec, q, [z12, z13, z23])
     cube = np.zeros((rs.dim, rs.dim, rs.dim), dtype=complex)
     for i, e_i in enumerate(np.eye(rs.rank)):
         d23, d31, d12 = r_tensor(spec, q, [z23, -z13, z12],
-                                 direction=e_i).mat
+                                 direction=e_i)
         cube[i, :, :] += d23
         cube[:, i, :] += d31.T
         cube[:, :, i] += d12
@@ -601,21 +601,21 @@ def dense_fpbr(sys, x, z, w):
     spec_l = sys.lax_rmatrix
     q = x.q
     f = dense_structure(rs)
-    rz, rw = r_tensor(spec_l, q, [z, w]).mat
+    rz, rw = r_tensor(spec_l, q, [z, w])
     lz, lw = lax_L(sys, x, [z, w]).vec
     dq_z, dq_w = np.moveaxis(np.array([
         np.einsum("...ab,b->...a",
-                  r_tensor(spec_l, q, [z, w], direction=e_i).mat,
+                  r_tensor(spec_l, q, [z, w], direction=e_i),
                   rs.gram @ x.xi.vec)
         for e_i in np.eye(rs.rank)]), 0, -1)
     lhs = np.zeros((rs.dim, rs.dim), dtype=complex)
     lhs[:, :rs.rank] -= dq_z
     lhs[:rs.rank, :] += dq_w.T
     lhs += np.einsum("ac,bd,cde,e->ab", rz, rw, f, rs.gram @ x.xi.vec)
-    r12 = r_tensor(sys.rmatrix, q, z - w).mat
+    r12 = r_tensor(sys.rmatrix, q, z - w)
     com = np.einsum("cb,f,cfa->ab", r12, lz, f)
     com += np.einsum("ad,f,dfb->ab", r12, lw, f)
-    xterm = r_tensor(sys.rmatrix, q, z - w, direction=momentum_J(x)).mat
+    xterm = r_tensor(sys.rmatrix, q, z - w, direction=momentum_J(x))
     return float(np.max(np.abs(lhs + com + xterm)))
 
 

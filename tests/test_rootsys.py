@@ -10,8 +10,8 @@ import pytest
 
 from dense_reference import dense_structure
 from spincm.errors import StructuralError, UnsupportedAlgebraError
-from spincm.rootsys import (AlgElement, bracket, build_root_system,
-                            coadjoint_action, element_from_matrix, form,
+from helpers import coadjoint_action, element_from_matrix
+from spincm.rootsys import (AlgElement, bracket, build_root_system, form,
                             matrix_rep, negate, parse_root_label, root_label,
                             root_system_summary, torus_adjoint)
 

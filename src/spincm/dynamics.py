@@ -27,8 +27,10 @@ rather than asserted twice.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -120,21 +122,22 @@ def spinless_state(rs: RootSystem, q, p, m: complex) -> PhasePoint:
 class Trajectory:
     """Output of :func:`integrate`.
 
-    ``points`` holds PhasePoints or ReducedPoints on a strictly monotone time
-    grid: the solver's own state where a step ends on a grid point, its
-    7th-order dense output inside a step.  ``energy`` and ``constraint``
-    are per-point diagnostics (constraint is the momentum drift
-    max|J(t) - J(0)| for unreduced runs, identically 0 for reduced ones).
-    A run stopped by the collision guard or a pole is returned truncated
-    with ``completed`` False and a reason, not raised.
-    ``stats`` holds the solver's counts (``DormandPrince.stats``: nfev,
-    accepted, rejected, dense, h_min, h_max), where ``dense`` counts the
-    steps whose 7th-order interpolant filled a grid point (three RHS
-    evaluations each); None when no solver ran.
+    ``states`` holds the flat state q | p | spin (xi, or s if ``reduced``)
+    at each point of the strictly monotone grid ``times``: the solver's own
+    state where a step ends on a grid point, its 7th-order dense output
+    inside a step.  The diagnostics and the CSV export read these rows;
+    ``points`` wraps them as point objects on first access.  ``energy`` and
+    ``constraint`` (the momentum drift max|J(t) - J(0)|, 0 when reduced)
+    are per-point diagnostics.  A run stopped by the collision guard or a
+    pole is returned truncated with ``completed`` False and a reason.
+    ``stats`` holds the solver's counts (``DormandPrince.stats``), None
+    when no solver ran.
     """
 
     times: np.ndarray
-    points: list
+    states: np.ndarray
+    rs: RootSystem
+    reduced: bool
     energy: np.ndarray
     constraint: np.ndarray
     completed: bool
@@ -143,11 +146,11 @@ class Trajectory:
 
     @property
     def n_points(self) -> int:
-        return len(self.points)
+        return len(self.states)
 
-    @property
-    def reduced(self) -> bool:
-        return isinstance(self.points[0], ReducedPoint)
+    @cached_property
+    def points(self) -> list:
+        return [_unpack_point(self.rs, y, self.reduced) for y in self.states]
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +294,7 @@ def collision_margin(sys: SystemSpec, x) -> float:
 
 def _coords(points: list) -> tuple:
     """(q, p, xi) stacked over points, reduced ones at their slice lift."""
-    return _split(points[0].rs, np.array([_pack_point(pt) for pt in points]),
+    return _split(points[0].rs, np.array([_pack_point(x) for x in points]),
                   isinstance(points[0], ReducedPoint))
 
 
@@ -304,13 +307,14 @@ def integrate(sys: SystemSpec, x0, t_final: float, tol: float = 1e-10, *,
     the complex state vector; the returned grid is uniform with
     ``n_points`` entries.  A grid point at a step end takes that step's
     state, one inside a step the 7th-order dense output, which is built
-    only for steps that hold such a point.  t_final may be negative
-    (backward flow).  A non-finite t_final, tol or initial state raises
-    StructuralError, and so does an initial state whose energy overflows.
-    Close approaches to the singular set, poles and floating-point faults
-    (also in the first evaluation, the dense output and the energy of a
-    later grid point) truncate the trajectory instead of raising.  The
-    energy and momentum columns are evaluated once over all grid points.
+    only for steps that hold such a point and fills all of them in one
+    call.  t_final may be negative (backward flow).  A non-finite t_final,
+    tol or initial state raises StructuralError, and so does an initial
+    state whose energy overflows.  Close approaches to the singular set,
+    poles and floating-point faults (also in the first evaluation, the
+    dense output and the energy of a later grid point) truncate the
+    trajectory instead of raising.  The energy and momentum columns are
+    evaluated once over all grid points.
     """
     if not math.isfinite(t_final) or t_final == 0.0:
         raise StructuralError(f"t_final must be finite and nonzero, got "
@@ -319,14 +323,17 @@ def integrate(sys: SystemSpec, x0, t_final: float, tol: float = 1e-10, *,
         raise StructuralError(f"tol must be finite and positive, got {tol}")
     n = sys.rs.rank
     reduced = isinstance(x0, ReducedPoint)
-    states = [_pack_point(x0)]
-    if not np.all(np.isfinite(states[0])):
+    y0 = _pack_point(x0)
+    if not np.all(np.isfinite(y0)):
         raise StructuralError("the initial state (q, p and spin) must be "
                               "finite")
     reason = None
-    solver = DormandPrince(lambda t, y: _flow(sys, y, reduced), 0.0,
-                           states[0], t_final, tol, tol * 1e-2)
+    solver = DormandPrince(lambda t, y: _flow(sys, y, reduced), 0.0, y0,
+                           t_final, tol, tol * 1e-2)
     t_grid = np.linspace(0.0, t_final, n_points)
+    states = np.empty((n_points, y0.size), dtype=complex)
+    states[0] = y0
+    filled = 1
     while True:
         margin = _margin(sys, solver.y[:n])
         if margin < collision_tol:
@@ -342,23 +349,25 @@ def integrate(sys: SystemSpec, x0, t_final: float, tol: float = 1e-10, *,
             if not solver.step():
                 reason = f"step-size control failed at t = {solver.t:.6g}"
                 break
+            # the grid points the step has reached (a prefix of the rest)
             slack = 1e-12 * max(1.0, abs(solver.t))
-            while len(states) < n_points and (t_grid[len(states)] - solver.t) \
-                    * solver.direction <= slack:
-                states.append(solver.dense(t_grid[len(states)]))
+            end = filled + np.count_nonzero(
+                (t_grid[filled:] - solver.t) * solver.direction <= slack)
+            states[filled:end] = solver.dense(t_grid[filled:end])
+            filled = end
         except (PoleError, ZeroDivisionError, FloatingPointError,
                 OverflowError) as exc:
             reason = f"integration aborted at t = {solver.t:.6g}: {exc}"
             break
 
-    q, p, xi = _split(sys.rs, np.array(states), reduced)
+    states = states[:filled]
+    q, p, xi = _split(sys.rs, states, reduced)
     energy, fault = _energy_column(sys, q, p, xi)
     if fault is not None:
         k = len(energy)
-        states, q, xi = states[:k], q[:k], xi[:k]
+        states, xi = states[:k], xi[:k]
         reason = f"energy evaluation failed at t = {t_grid[k]:.6g}: {fault}"
-    points = [x0] + [_unpack_point(sys.rs, y, reduced) for y in states[1:]]
-    return Trajectory(t_grid[:len(states)], points, energy,
+    return Trajectory(t_grid[:len(states)], states, sys.rs, reduced, energy,
                       np.max(np.abs(xi[:, :n] - xi[0, :n]), axis=-1),
                       reason is None, reason, solver.stats)
 
@@ -430,8 +439,8 @@ def _lax_pair(sys: SystemSpec, points: list, z, anomaly: bool = False):
     rs, spec, n = sys.rs, sys.lax_rmatrix, sys.rs.rank
     z = np.asarray(z, dtype=complex)
     reduced = isinstance(points[0], ReducedPoint)
-    ys = [_pack_point(x) for x in points]
-    q, p, xi = _split(rs, np.array(ys), reduced)
+    ys = np.array([_pack_point(x) for x in points])
+    q, p, xi = _split(rs, ys, reduced)
     vel = np.array([_flow(sys, y, reduced) for y in ys])
     dxi = vel[:, 2 * n:]
     if reduced:
@@ -448,8 +457,12 @@ def _lax_pair(sys: SystemSpec, points: list, z, anomaly: bool = False):
     principal = np.stack([_reg0(sys, q, p, xi), xi])
     b = -_R_values(rs, r[:, :, m:], lax / z[:, None], principal[:, :, None])
     if reduced:
-        b = b - np.array([_gauge_compensator(sys, x).vec
-                          for x in points])[:, None]
+        # less the Cartan compensator D of the gauge drift, alpha_j(D) =
+        # d/dt xi_{alpha_j} along the unreduced flow at the slice lift
+        c_inv = np.array(rs.cartan_inverse, dtype=float)
+        for k, y in enumerate(np.concatenate([q, p, xi], -1)):
+            b[k, :, :n] -= (c_inv @ _flow(sys, y, False)[3 * n:4 * n]) \
+                @ rs.alpha_h[:n]
     res = dlax - rs.bracket_coords(b, lax)
     if anomaly:
         # (X_J R)(L/z): the du = 1 table at -z, scaled by alpha(J)
@@ -519,22 +532,16 @@ def quasi_lax_residual(sys: SystemSpec, x: PhasePoint,
 # conserved quantities and spectral curves
 
 
-def _power_sums(sys: SystemSpec, points: list, z, kmax: int) -> np.ndarray:
-    """tr(rho(L(z))^k) for every point (L_0 for reduced ones), z and k =
-    1..kmax, of shape (len(points), len(z), kmax): one stacked evaluation."""
-    mat = _lax(sys, *_coords(points), z, matrix=True)
+def _power_sums(sys: SystemSpec, coords: tuple, z, kmax: int) -> np.ndarray:
+    """tr(rho(L(z))^k) at the stacked coordinates (q, p, xi) of the points
+    (a reduced one at its slice lift: L_0), for every z and k = 1..kmax, of
+    shape (points, len(z), kmax): one stacked evaluation."""
+    mat = _lax(sys, *coords, z, matrix=True)
     acc, out = mat, [np.trace(mat, axis1=-2, axis2=-1)]
     for _ in range(kmax - 1):
         acc = acc @ mat
         out.append(np.trace(acc, axis1=-2, axis2=-1))
     return np.stack(out, axis=-1)
-
-
-def _spectrum_tables(sys: SystemSpec, points: list, z, kmax: int | None
-                     ) -> np.ndarray:
-    """h_k(z) = tr(rho(L(z))^k)/k for every point, z and k."""
-    kmax = kmax or sys.kmax
-    return _power_sums(sys, points, z, kmax) / np.arange(1, kmax + 1)
 
 
 def _worst(drift: np.ndarray) -> tuple[float, int, int]:
@@ -566,7 +573,9 @@ def conserved_spectrum(sys: SystemSpec, x, z_samples: Sequence[complex],
 
     Accepts PhasePoints (L) and ReducedPoints (L_0).
     """
-    return _spectrum_tables(sys, [x], z_samples, kmax)[0]
+    kmax = kmax or sys.kmax
+    return _power_sums(sys, _coords([x]), z_samples, kmax)[0] \
+        / np.arange(1, kmax + 1)
 
 
 def spectrum_drift(sys: SystemSpec, traj: Trajectory,
@@ -574,11 +583,13 @@ def spectrum_drift(sys: SystemSpec, traj: Trajectory,
                    kmax: int | None = None) -> float:
     """Largest relative drift of any h_k(z) along the trajectory, with the
     per-entry denominator max(1, |h_k(z)(0)|); all points in one stacked
-    evaluation."""
+    evaluation over the trajectory's states."""
     if z_samples is None:
         z_samples = default_z_samples()
-    return _worst(_relative_drift(
-        _spectrum_tables(sys, traj.points, z_samples, kmax)))[0]
+    kmax = kmax or sys.kmax
+    sums = _power_sums(sys, _split(traj.rs, traj.states, traj.reduced),
+                       z_samples, kmax)
+    return _worst(_relative_drift(sums / np.arange(1, kmax + 1)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -588,16 +599,6 @@ def spectrum_drift(sys: SystemSpec, traj: Trajectory,
 def lax_L0(sys: SystemSpec, x_red: ReducedPoint, z) -> AlgElement:
     """Reduced Lax operator: L at the slice lift of x_red."""
     return lax_L(sys, lift_reduced(x_red), z)
-
-
-def _gauge_compensator(sys: SystemSpec, x_red: ReducedPoint) -> AlgElement:
-    """Cartan element D with alpha_j(D) = d/dt xi_{alpha_j} along the
-    unreduced flow at the slice lift; subtracting it from B keeps the simple
-    spin components pinned at 1."""
-    rs = sys.rs
-    xdot = vector_field(sys, lift_reduced(x_red)).xi.vec[rs.rank:2 * rs.rank]
-    c_inv = np.array(rs.cartan_inverse, dtype=float)
-    return AlgElement.cartan(rs, (c_inv @ xdot) @ rs.alpha_h[:rs.rank])
 
 
 def lax_B0(sys: SystemSpec, x_red: ReducedPoint, nodes) -> LaurentElement:
@@ -633,28 +634,31 @@ def lax_pair_reduced(sys: SystemSpec, traj: Trajectory,
     isospectral drift (of the char-poly coefficients) and the spectrum
     drift (as :func:`spectrum_drift` with ``kmax``), with the [point, z]
     of each worst entry under ``worst``.  ``lax_residual`` is the worst
-    ||dL_0/dt - [B_0, L_0]|| over an evenly spaced subsample.
+    ||dL_0/dt - [B_0, L_0]|| over ``n_residual_points`` evenly spaced
+    points, None with ``n_residual_points=0`` (nothing is evaluated then).
     """
-    if not traj.points or not isinstance(traj.points[0], ReducedPoint):
+    if not traj.n_points or not traj.reduced:
         raise StructuralError("lax_pair_reduced expects a reduced trajectory")
     if z_samples is None:
         z_samples = default_z_samples()
     size, kmax = sys.rs.matrix_size, kmax or sys.kmax
-    sums = _power_sums(sys, traj.points, z_samples, max(kmax, size))
+    sums = _power_sums(sys, _split(sys.rs, traj.states, True), z_samples,
+                       max(kmax, size))
     drift = _worst(_relative_drift(sums[..., :kmax]
                                    / np.arange(1, kmax + 1)))
     curves = _char_poly(sums[..., :size])
     iso = _worst(np.abs(curves - curves[0]))
-    sel = sorted(set(np.linspace(0, len(traj.points) - 1,
+    sel = sorted(set(np.linspace(0, traj.n_points - 1,
                                  n_residual_points).astype(int)))
-    lax = lax_residuals(sys, [traj.points[idx] for idx in sel], z_samples)
+    lax = lax_residuals(sys, [_unpack_point(sys.rs, traj.states[k], True)
+                              for k in sel], z_samples) if sel else None
     return {
         "isospectral_drift": iso[0],
         "spectrum_drift": drift[0],
-        "lax_residual": float(np.max(lax)),
+        "lax_residual": None if lax is None else float(np.max(lax)),
         "worst": {"isospectral_drift": list(iso[1:]),
                   "spectrum_drift": list(drift[1:])},
-        "n_points": len(traj.points),
+        "n_points": traj.n_points,
         "n_residual_points": len(sel),
     }
 
@@ -765,10 +769,7 @@ def fpbr_residual(sys: SystemSpec, x: PhasePoint, z: complex,
 # trajectory export
 
 
-def format_complex(v) -> str:
-    """Render a complex number as re+imj (CSV field convention)."""
-    v = complex(v)
-    return f"{v.real:.17g}{v.imag:+.17g}j"
+_COMPLEX_FORMAT = "%.17g%+.17gj"     # a complex CSV field, re+imj
 
 
 def _state_columns(rs: RootSystem, reduced: bool) -> list[str]:
@@ -780,35 +781,33 @@ def _state_columns(rs: RootSystem, reduced: bool) -> list[str]:
             + [f"p{i + 1}" for i in range(rs.rank)] + spin)
 
 
-def trajectory_csv_rows(sys: SystemSpec, traj: Trajectory,
-                        extra: dict[str, Sequence] | None = None
-                        ) -> tuple[list[str], list[list[str]]]:
-    """Header and data rows for the CSV export: t, q_i, p_i, spins by root
-    label, then diagnostics."""
-    rank = sys.rs.rank
-    reduced = traj.reduced
-    extra = extra or {}
-    header = (_state_columns(sys.rs, reduced) + ["energy", "J_residual"]
-              + list(extra.keys()))
-    rows = []
-    for idx, pt in enumerate(traj.points):
-        spins = pt.s if reduced else pt.xi.vec[rank:]
-        row = [f"{traj.times[idx]:.17g}"]
-        row += [format_complex(v) for v in np.concatenate([pt.q, pt.p, spins])]
-        row += [format_complex(traj.energy[idx]),
-                f"{traj.constraint[idx]:.17g}"]
-        row += [format_complex(col[idx]) for col in extra.values()]
-        rows.append(row)
-    return header, rows
+def trajectory_csv(sys: SystemSpec, traj: Trajectory,
+                   extra: dict[str, Sequence] | None = None) -> str:
+    """The CSV text: a header of t, q_i, p_i, the root spins by label,
+    energy, J_residual and the ``extra`` columns, then one row per point
+    (complex values as re+imj) formatted from one table of ``traj.states``
+    in one pass."""
+    n, extra = sys.rs.rank, extra or {}
+    header = io.StringIO()
+    csv.writer(header).writerow(_state_columns(sys.rs, traj.reduced)
+                                + ["energy", "J_residual"] + list(extra))
+    # one complex table, t | q, p, spins | energy | J_residual | extra; "%.0s"
+    # drops the zero imaginary part of the two real columns
+    table = np.column_stack([
+        traj.times, traj.states[:, :2 * n],
+        traj.states[:, (2 if traj.reduced else 3) * n:], traj.energy,
+        traj.constraint, *extra.values()]).astype(complex)
+    real, n_extra = "%.17g%.0s", len(extra)
+    row = ",".join([real] + [_COMPLEX_FORMAT] * (table.shape[1] - 2 - n_extra)
+                   + [real] + [_COMPLEX_FORMAT] * n_extra) + "\r\n"
+    return header.getvalue() + row * len(table) % tuple(
+        table.view(float).ravel().tolist())
 
 
 def write_trajectory_csv(path, sys: SystemSpec, traj: Trajectory,
                          extra: dict[str, Sequence] | None = None) -> None:
-    header, rows = trajectory_csv_rows(sys, traj, extra)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(trajectory_csv(sys, traj, extra))
 
 
 def read_trajectory_csv(path, rs: RootSystem
@@ -842,8 +841,7 @@ def read_trajectory_csv(path, rs: RootSystem
         if not (math.isfinite(t) and np.all(np.isfinite(vals))):
             raise ConfigError(f"trajectory {path} line {line}: a value is "
                               "not finite")
-        q, p, xi = np.split(vals, [rs.rank, 2 * rs.rank])
         times.append(t)
-        points.append(PhasePoint.make(rs, q, p,
-                                      xi_components=dict(zip(rs.roots, xi))))
+        points.append(_unpack_point(rs, np.insert(
+            vals, 2 * rs.rank, np.zeros(rs.rank)), False))
     return np.array(times), points

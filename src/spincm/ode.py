@@ -347,18 +347,23 @@ class DormandPrince:
         return F
 
     @raise_on_fp_fault
-    def dense(self, t: float) -> np.ndarray:
-        """The solution at t in the last accepted step: the step's own y at
-        its end, elsewhere the 7th-order interpolant, whose three extra
-        stages are evaluated on the first such call after each step."""
-        if t == self.t:
-            return self.y.copy()
+    def dense(self, t) -> np.ndarray:
+        """The solution at t (a time, or an array of times, one row each) in
+        the last accepted step: the step's own y at its end, elsewhere the
+        7th-order interpolant, whose three extra stages are evaluated on the
+        first such call after each step.  One Horner pass serves all times,
+        each with the operations of a call of its own: the same bits."""
+        t = np.asarray(t, dtype=float)
+        at_end = t == self.t
+        if at_end.all():
+            return np.broadcast_to(self.y, t.shape + self.y.shape).copy()
         if self._F is None:
             self._F = self._interpolant()
-        x = (t - self.t_old) / (self.t - self.t_old)
-        y = np.zeros_like(self.y_old)
+        x = ((t - self.t_old) / (self.t - self.t_old))[..., None]
+        y = np.zeros(t.shape + self.y.shape, dtype=complex)
         for i, f in enumerate(reversed(self._F)):
             y += f
             y *= x if i % 2 == 0 else 1 - x
         y += self.y_old
+        y[at_end] = self.y
         return y

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import KW_ONLY, dataclass, replace
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -48,8 +49,7 @@ from numpy.polynomial import polynomial as P
 
 from .elliptic import POLE_TOL, Lattice, l_kernel
 from .errors import PoleError, StructuralError, raise_on_fp_fault
-from .rootsys import (AlgElement, RootSystem, bracket, commutator, negate,
-                      root_label)
+from .rootsys import AlgElement, RootSystem, bracket, commutator, root_label
 
 _ZTOL = 1e-13
 
@@ -74,6 +74,7 @@ def _trig_polys(kmax: int) -> tuple[list, list]:
 # r-matrix specification
 
 
+@dataclass(eq=False)
 class RMatrixSpec:
     """A dynamical r-matrix family bound to a root system.
 
@@ -88,34 +89,27 @@ class RMatrixSpec:
     not touch the Lax coefficient functions.
     """
 
-    def __init__(self, rs: RootSystem, family: str, *,
-                 dp_mask: np.ndarray | None = None,
-                 pi_prime: frozenset[int] = frozenset(),
-                 span_mask: np.ndarray | None = None,
-                 plus_mask: np.ndarray | None = None,
-                 lattice: Lattice | None = None,
-                 fault_scale: complex = 1.0):
-        self.rs = rs
-        self.family = family
-        self.dp_mask = dp_mask
-        self.pi_prime = pi_prime
-        self.span_mask = span_mask
-        self.plus_mask = plus_mask
-        if span_mask is not None:
+    rs: RootSystem
+    family: str
+    _: KW_ONLY
+    dp_mask: np.ndarray | None = None
+    pi_prime: frozenset[int] = frozenset()
+    span_mask: np.ndarray | None = None
+    plus_mask: np.ndarray | None = None
+    lattice: Lattice | None = None
+    fault_scale: complex = 1.0
+
+    def __post_init__(self):
+        if self.span_mask is not None:
             # b - u/3 of the trigonometric root coefficient e^{b z} g(z):
             # 0 on the span of Pi', -i (Delta_+) or +i (Delta_-) off it
-            self.trig_shift = np.where(span_mask, 0j,
-                                       np.where(plus_mask, -1j, 1j))
-        self.lattice = lattice
-        self.fault_scale = complex(fault_scale)
-        neg0 = rs.root_index[negate(rs.roots[0])]
-        self.fault_root_indices = (0, neg0)
+            self.trig_shift = np.where(self.span_mask, 0j,
+                                       np.where(self.plus_mask, -1j, 1j))
+        self.fault_scale = complex(self.fault_scale)
+        self.fault_root_indices = (0, self.rs.n_pos)    # a +/- root pair
 
     def with_fault(self, scale: complex) -> "RMatrixSpec":
-        return RMatrixSpec(self.rs, self.family, dp_mask=self.dp_mask,
-                           pi_prime=self.pi_prime, span_mask=self.span_mask,
-                           plus_mask=self.plus_mask, lattice=self.lattice,
-                           fault_scale=scale)
+        return replace(self, fault_scale=scale)
 
     def describe(self) -> dict:
         out = {"family": self.family, "rank": self.rs.rank}
@@ -138,34 +132,36 @@ class RMatrixSpec:
 
 
 def _resolve_root_subset(rs: RootSystem, spec_arg) -> np.ndarray:
-    mask = np.zeros(rs.n_roots, dtype=bool)
-    if spec_arg == "full":
-        mask[:] = True
-    elif spec_arg == "empty":
-        pass
-    else:
-        for item in spec_arg:
-            root = tuple(int(c) for c in item)
-            if root not in rs.root_index:
-                raise StructuralError(f"{root} is not a root of A_{rs.rank}")
-            mask[rs.root_index[root]] = True
+    mask = np.full(rs.n_roots, spec_arg == "full")
+    for item in () if spec_arg in ("full", "empty") else spec_arg:
+        root = tuple(int(c) for c in item)
+        if root not in rs.root_index:
+            raise StructuralError(f"{root} is not a root of A_{rs.rank}")
+        mask[rs.root_index[root]] = True
     return mask
 
 
 def rational_r_matrix(rs: RootSystem, delta_prime="full") -> RMatrixSpec:
-    """Rational family over a subset Delta' closed under addition and negation."""
+    """Rational family over a subset Delta' closed under addition and
+    negation, both read off M[a, b] = [e_a - e_b in Delta'] with a unit
+    diagonal: a sum of two roots is a root only as (e_a - e_b) + (e_b -
+    e_c), so Delta' is closed when the support of M M lies inside M.  An
+    error names the first offending root, or pair in double-loop order."""
     mask = _resolve_root_subset(rs, delta_prime)
-    chosen = [rs.roots[k] for k in range(rs.n_roots) if mask[k]]
-    for root in chosen:
-        if not mask[rs.root_index[negate(root)]]:
-            raise StructuralError(
-                f"delta_prime is not symmetric: missing {negate(root)}")
-    for a in chosen:
-        for b in chosen:
-            s = tuple(x + y for x, y in zip(a, b))
-            if s in rs.root_index and not mask[rs.root_index[s]]:
-                raise StructuralError(
-                    f"delta_prime is not closed under addition: {a} + {b}")
+    neg = rs.dual_index[rs.rank:] - rs.rank
+    for k in np.flatnonzero(mask & ~mask[neg])[:1]:
+        raise StructuralError(f"delta_prime is not symmetric: missing "
+                              f"{rs.roots[neg[k]]}")
+    adj = np.eye(rs.matrix_size, dtype=int)
+    adj[rs.root_entries] = mask
+    if ((adj @ adj > 0) > adj).any():
+        index = np.zeros_like(adj)
+        index[rs.root_entries] = np.arange(rs.n_roots)
+        a, b, c = np.nonzero(adj[:, :, None] * adj * (adj == 0)[:, None])
+        ab, bc = list(index[a, b]), list(index[b, c])
+        first, second = min(zip(ab + bc, bc + ab))
+        raise StructuralError(f"delta_prime is not closed under addition: "
+                              f"{rs.roots[first]} + {rs.roots[second]}")
     return RMatrixSpec(rs, "rational", dp_mask=mask)
 
 
@@ -187,22 +183,16 @@ def trigonometric_r_matrix(rs: RootSystem, pi_prime="full",
         if not all(0 <= i < rs.rank for i in chosen):
             raise StructuralError(
                 f"pi_prime indices must lie in 0..{rs.rank - 1}, got {sorted(chosen)}")
-    span = np.zeros(rs.n_roots, dtype=bool)
-    for k, root in enumerate(rs.roots):
-        support = {i for i, c in enumerate(root) if c != 0}
-        span[k] = support <= chosen
-
-    if delta_plus is None:
-        plus = np.zeros(rs.n_roots, dtype=bool)
-        plus[: rs.n_pos] = True
-    else:
+    off = [i for i in range(rs.rank) if i not in chosen]
+    span = ~np.array(rs.roots)[:, off].any(axis=1)
+    plus = np.arange(rs.n_roots) < rs.n_pos
+    if delta_plus is not None:
         plus = _resolve_root_subset(rs, delta_plus)
-        for k, root in enumerate(rs.roots):
-            kn = rs.root_index[negate(root)]
-            if plus[k] == plus[kn]:
-                raise StructuralError(
-                    f"delta_plus is not a polarization: {root} and {negate(root)} "
-                    f"are on the same side")
+        neg = rs.dual_index[rs.rank:] - rs.rank
+        for k in np.flatnonzero(plus == plus[neg])[:1]:
+            raise StructuralError(
+                f"delta_plus is not a polarization: {rs.roots[k]} and "
+                f"{rs.roots[neg[k]]} are on the same side")
     return RMatrixSpec(rs, "trigonometric", pi_prime=chosen,
                        span_mask=span, plus_mask=plus)
 

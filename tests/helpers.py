@@ -10,13 +10,16 @@ dense or chain-rule references; they live here.
 
 from __future__ import annotations
 
+import csv
+import io
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from spincm.dynamics import (SystemSpec, _char_poly, _gradient, _power_sums,
-                             _reg0, lax_L, vector_field, vector_field_reduced)
+from spincm.dynamics import (SystemSpec, Trajectory, _char_poly, _coords,
+                             _gradient, _power_sums, _reg0, _state_columns,
+                             lax_L, vector_field, vector_field_reduced)
 from spincm.elliptic import _value
 from spincm.errors import StructuralError, raise_on_fp_fault
 from spincm.phase import (PhasePoint, ReducedPoint, bracket_full,
@@ -214,7 +217,8 @@ def spectral_curve(sys: SystemSpec, x, z_grid) -> np.ndarray:
     """Coefficients of det(w Id - rho(L(z))) in w, one row per grid z,
     highest power first (monic), as the package's Newton's identities give
     them; reduced points use L_0."""
-    return _char_poly(_power_sums(sys, [x], z_grid, sys.rs.matrix_size))[0]
+    return _char_poly(_power_sums(sys, _coords([x]), z_grid,
+                                  sys.rs.matrix_size))[0]
 
 
 def hamiltonian_quadrature(sys: SystemSpec, x: PhasePoint, *,
@@ -274,3 +278,47 @@ def element_from_matrix(rs: RootSystem, mat: np.ndarray) -> AlgElement:
 def coadjoint_action(x: AlgElement, xi: AlgElement) -> AlgElement:
     """I-image of ad*_X xi, i.e. -[X, I xi]."""
     return -bracket(x, xi)
+
+
+# -- trajectory export ----------------------------------------------------------
+
+
+def format_complex(v) -> str:
+    """A complex CSV field, re+imj with 17 significant digits, one value at
+    a time."""
+    v = complex(v)
+    return f"{v.real:.17g}{v.imag:+.17g}j"
+
+
+def trajectory_csv_rows(sys: SystemSpec, traj: Trajectory,
+                        extra: dict[str, Sequence] | None = None
+                        ) -> tuple[list[str], list[list[str]]]:
+    """Header and data rows of the CSV export, point by point: t, q_i, p_i,
+    spins by root label, then diagnostics; the reference for
+    :func:`spincm.dynamics.trajectory_csv`."""
+    rank = sys.rs.rank
+    reduced = traj.reduced
+    extra = extra or {}
+    header = (_state_columns(sys.rs, reduced) + ["energy", "J_residual"]
+              + list(extra.keys()))
+    rows = []
+    for idx, pt in enumerate(traj.points):
+        spins = pt.s if reduced else pt.xi.vec[rank:]
+        row = [f"{traj.times[idx]:.17g}"]
+        row += [format_complex(v) for v in np.concatenate([pt.q, pt.p, spins])]
+        row += [format_complex(traj.energy[idx]),
+                f"{traj.constraint[idx]:.17g}"]
+        row += [format_complex(col[idx]) for col in extra.values()]
+        rows.append(row)
+    return header, rows
+
+
+def reference_csv(sys: SystemSpec, traj: Trajectory,
+                  extra: dict[str, Sequence] | None = None) -> str:
+    """The CSV text of :func:`trajectory_csv_rows` through ``csv.writer``."""
+    header, rows = trajectory_csv_rows(sys, traj, extra)
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()

@@ -436,7 +436,7 @@ def replay(config, suite, check):
                                      z_grid.index(complex_array(w["z"]))]
     # and that entry alone, at the first and the witness point, gives the
     # same drift up to the rounding of the O(1) table entries
-    pair = replace(traj, points=[traj.points[0], traj.points[w["sample"]]])
+    pair = replace(traj, states=traj.states[[0, w["sample"]]])
     z = [complex_array(w["z"])]
     alone = spectrum_drift(system, pair, z) if name == "spectrum_drift" \
         else lax_pair_reduced(system, pair, z, n_residual_points=1)[name]
@@ -459,7 +459,8 @@ def test_verify_jobs_make_one_kernel_pass_per_stack(tmp_path, monkeypatch):
     """The family kernel runs once per stacked table: once per stack of 5
     axioms samples, once per involution job and twice per group of Lax
     points (20, 108 and 40 passes with one sample per call), and the
-    spectral suite solves no eigenvalue problem."""
+    spectral suite makes one pass, its trace table, and solves no
+    eigenvalue problem."""
     calls = []
     ladder = rmatrix._ladder
 
@@ -477,10 +478,10 @@ def test_verify_jobs_make_one_kernel_pass_per_stack(tmp_path, monkeypatch):
     for family, suite, passes in (
             ("trigonometric", "axioms", 4), ("trigonometric", "involution", 1),
             ("trigonometric", "lax", 4), ("rational", "lax", 6),
-            ("trigonometric", "spectral", None)):
+            ("trigonometric", "spectral", 1)):
         calls.clear()
         verify_report(tmp_path, family, 3, 1, suite)
-        assert passes is None or len(calls) == passes, (family, suite)
+        assert len(calls) == passes, (family, suite)
 
 
 def test_verify_threshold_scale(tmp_path):

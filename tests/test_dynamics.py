@@ -16,6 +16,8 @@ Frozen values used below were computed by hand:
 from __future__ import annotations
 
 import cmath
+import csv
+import io
 import math
 
 import numpy as np
@@ -26,6 +28,7 @@ from hypothesis import strategies as st
 from spincm.elliptic import Lattice
 from spincm.errors import ConstraintError, StructuralError
 from helpers import (PhaseFunction, PhaseGradient, ReducedGradient,
+                     format_complex,
                      hamiltonian_function, hamiltonian_gradient,
                      hamiltonian_quadrature, lax_time_derivative,
                      lax_M, linear_spin_function, poisson_full,
@@ -37,14 +40,14 @@ from spincm.rootsys import (AlgElement, build_root_system, form, matrix_rep,
                             negate, torus_adjoint)
 from spincm.dynamics import (SystemSpec, _b_operator, _spectral_gradients,
                              collision_margin, conserved_spectrum,
-                             default_z_samples, format_complex, fpbr_residual,
+                             Trajectory, default_z_samples, fpbr_residual,
                              hamiltonian, hamiltonian_reduced,
                              integrate, involution_check, lax_B, lax_B0,
                              lax_L, lax_L0, lax_pair_reduced,
                              lax_pair_residual, make_system,
                              quasi_lax_residual, reduced_lax_residual,
                              sigma_residual, spectrum_drift, spinless_state,
-                             trajectory_csv_rows, vector_field,
+                             trajectory_csv, vector_field,
                              vector_field_reduced)
 
 WIDE = Lattice(2.0, 2.2j)
@@ -597,6 +600,12 @@ def test_fpbr_rational():
 def test_format_complex_frozen():
     assert format_complex(1.5 - 2.0j) == "1.5-2j"
     assert format_complex(0.0) == "0+0j"
+    # the CSV writer renders its fields the same way
+    sys = make_system("rational", 1)
+    traj = Trajectory(np.zeros(1), np.array([[1.5 - 2.0j, 0, 0, 0, 0]]),
+                      sys.rs, False, np.zeros(1), np.zeros(1), True)
+    assert trajectory_csv(sys, traj).splitlines()[1] == \
+        "0,1.5-2j,0+0j,0+0j,0+0j,0+0j,0"
 
 
 def test_trajectory_csv_layout():
@@ -604,7 +613,7 @@ def test_trajectory_csv_layout():
     x0 = spinless_state(sys.rs, [1.0, 0.6], [0.5, -0.45], 1j)
     traj = integrate(sys, x0, 0.5, tol=1e-10, n_points=5)
     assert traj.completed
-    header, rows = trajectory_csv_rows(sys, traj)
+    header, *rows = csv.reader(io.StringIO(trajectory_csv(sys, traj)))
     assert header[:5] == ["t", "q1", "q2", "p1", "p2"]
     assert header[5:11] == ["xi[1,0]", "xi[0,1]", "xi[1,1]",
                             "xi[-1,0]", "xi[0,-1]", "xi[-1,-1]"]
@@ -613,5 +622,5 @@ def test_trajectory_csv_layout():
     assert all(len(row) == len(header) for row in rows)
     # reduced layout drops the pinned simple components
     red = integrate(sys, project_pi(x0), 0.5, tol=1e-10, n_points=5)
-    header_r, _ = trajectory_csv_rows(sys, red)
+    header_r = next(csv.reader(io.StringIO(trajectory_csv(sys, red))))
     assert header_r[5:9] == ["s[1,1]", "s[-1,0]", "s[0,-1]", "s[-1,-1]"]

@@ -188,3 +188,75 @@ def test_no_scipy_on_the_import_path(tmp_path):
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _horner_one(solver, t):
+    """The interpolant at one time, one vector at a time (the per-point
+    loop the array pass replaced)."""
+    x = (t - solver.t_old) / (solver.t - solver.t_old)
+    y = np.zeros_like(solver.y_old)
+    for i, f in enumerate(reversed(solver._F)):
+        y += f
+        y *= x if i % 2 == 0 else 1 - x
+    y += solver.y_old
+    return y
+
+
+@pytest.mark.parametrize("t_final", [0.4, -0.3])
+def test_dense_array_equals_scalar_calls_bit_for_bit(t_final):
+    """One Horner pass over an array of times gives, row by row, the bits of
+    one call per time and of the one-vector loop: interior points, a point
+    just past the step end (the grid slack) and the step end itself,
+    forwards and backwards."""
+    sys_, x0 = oracle_point("trigonometric")
+    solver = DormandPrince(lambda t, y: dynamics._flow(sys_, y, False), 0.0,
+                           _pack_point(x0), t_final, 1e-9, 1e-11)
+    steps = 0
+    while not solver.finished:
+        assert solver.step()
+        steps += 1
+        h = solver.t - solver.t_old
+        times = solver.t_old + h * np.array([0.05, 0.37, 0.5, 0.93, 1.0,
+                                             1.0 + 1e-13])
+        times[4] = solver.t
+        batch = solver.dense(times)
+        assert batch.shape == (len(times), solver.y.size)
+        for t, row in zip(times, batch):
+            assert np.array_equal(_bits(solver.dense(t)), _bits(row))
+        for t, row in zip(times[:4], batch):
+            assert np.array_equal(_bits(_horner_one(solver, t)), _bits(row))
+        assert np.array_equal(_bits(batch[4]), _bits(solver.y))
+        # the step end alone builds no interpolant
+        assert np.array_equal(_bits(solver.dense(np.array([solver.t]))[0]),
+                              _bits(solver.y))
+    assert steps > 2 and solver.dense_steps == steps
+
+
+@pytest.mark.parametrize("t_final", [0.4, -0.3])
+@pytest.mark.parametrize("family", ["rational", "elliptic"])
+def test_dense_array_matches_scipy_dense_output(family, t_final):
+    """Several points per step against scipy's DOP853 interpolant, step by
+    step on the same accepted steps."""
+    pytest.importorskip("scipy")
+    from scipy.integrate import DOP853
+    sys_, x0 = oracle_point(family)
+    y0 = _pack_point(x0)
+
+    def rhs(t, y):
+        return dynamics._flow(sys_, y, False)
+
+    ours = DormandPrince(rhs, 0.0, y0, t_final, 1e-9, 1e-11)
+    ref = DOP853(rhs, 0.0, y0, t_final, rtol=1e-9, atol=1e-11)
+    while not ours.finished:
+        assert ours.step()
+        ref.step()
+        assert ours.t == ref.t
+        times = ours.t_old + (ours.t - ours.t_old) * np.linspace(0.1, 0.9, 5)
+        expected = ref.dense_output()(times).T
+        got = ours.dense(times)
+        assert np.max(np.abs(got - expected)
+                      / np.maximum(1.0, np.abs(expected))) < 1e-13

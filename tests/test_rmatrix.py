@@ -77,6 +77,58 @@ def test_rational_subset_validation():
     assert empty.dp_mask.sum() == 0
 
 
+def loop_subset_error(rs, chosen):
+    """The Delta' checks as a double loop over the chosen roots: the
+    message of the first failure, None if there is none."""
+    chosen = [r for r in rs.roots if r in set(chosen)]
+    for root in chosen:
+        if negate(root) not in chosen:
+            return f"delta_prime is not symmetric: missing {negate(root)}"
+    for a in chosen:
+        for b in chosen:
+            s = tuple(x + y for x, y in zip(a, b))
+            if s in rs.root_index and s not in chosen:
+                return f"delta_prime is not closed under addition: {a} + {b}"
+    return None
+
+
+def matrix_subset_error(rs, chosen):
+    try:
+        spec = rational_r_matrix(rs, [list(r) for r in chosen])
+    except StructuralError as exc:
+        return str(exc)
+    assert [rs.roots[k] for k in np.flatnonzero(spec.dp_mask)] == \
+        [r for r in rs.roots if r in set(chosen)]
+    return None
+
+
+def test_rational_subset_checks_match_the_pair_loop():
+    """The adjacency-matrix checks name the same root or pair as the double
+    loop: on every subset of the roots of A_2, and on seeded random subsets
+    of A_3 and A_4, half of them made symmetric so that closure is tested."""
+    rs = build_root_system("A", 2)
+    outcomes = set()
+    for bits in range(2 ** rs.n_roots):
+        chosen = [r for k, r in enumerate(rs.roots) if bits >> k & 1]
+        expected = loop_subset_error(rs, chosen)
+        assert matrix_subset_error(rs, chosen) == expected, chosen
+        outcomes.add(expected is None or expected.split(":")[0])
+    assert len(outcomes) == 3
+    rng = np.random.default_rng(11)
+    for rank in (3, 4):
+        rs = build_root_system("A", rank)
+        outcomes = set()
+        for trial in range(200):
+            keep = rng.random(rs.n_roots) < rng.uniform(0.2, 0.9)
+            if trial % 2:
+                keep[rs.n_pos:] = keep[:rs.n_pos]
+            chosen = [r for k, r in enumerate(rs.roots) if keep[k]]
+            expected = loop_subset_error(rs, chosen)
+            assert matrix_subset_error(rs, chosen) == expected, chosen
+            outcomes.add(expected is None or expected.split(":")[0])
+        assert len(outcomes) == 3
+
+
 def test_trigonometric_subset_validation():
     rs = build_root_system("A", 2)
     with pytest.raises(StructuralError):

@@ -10,7 +10,7 @@ the spectral invariants) numerically.
 
 from __future__ import annotations
 
-from .elliptic import Lattice, l_kernel, sigma, wp, wp_prime, zeta
+from .elliptic import Lattice, l_kernel
 from .errors import (ConfigError, ConstraintError, GaugeDomainError,
                      PoleError, SpincmError, StructuralError,
                      UnsupportedAlgebraError)
@@ -20,15 +20,13 @@ from .rootsys import (AlgElement, RootSystem, bracket, build_root_system,
 from .rmatrix import (LaurentElement, RMatrixSpec, R_apply, elliptic_r_matrix,
                       rational_r_matrix, trigonometric_r_matrix,
                       verify_axioms, verify_cdybe, verify_mdybe)
-from .phase import (PhasePoint, ReducedPoint, bracket_full, bracket_reduced,
-                    lift_reduced, momentum_J, project_pi, torus_action)
+from .phase import (PhasePoint, ReducedPoint, bracket_full, lift_reduced,
+                    momentum_J, project_pi, torus_action)
 from .dynamics import (SystemSpec, Trajectory, conserved_spectrum,
-                       fpbr_residual, hamiltonian, hamiltonian_reduced,
-                       integrate, involution_check, involution_residuals,
-                       lax_B, lax_B0, lax_L, lax_L0, lax_pair_reduced,
-                       lax_pair_residual, lax_residuals, make_system,
-                       quasi_lax_residual, reduced_lax_residual,
-                       sigma_residual, spectrum_drift, spinless_state,
+                       fpbr_residual, hamiltonian, integrate,
+                       involution_residuals, lax_B, lax_L, lax_pair_reduced,
+                       lax_residuals, make_system, sigma_residual,
+                       spectrum_drift, spinless_state, vector_field,
                        write_trajectory_csv)
 
 __version__ = "0.1.0"
@@ -53,24 +51,18 @@ __all__ = [
     "UnsupportedAlgebraError",
     "bracket",
     "bracket_full",
-    "bracket_reduced",
     "build_root_system",
     "conserved_spectrum",
     "elliptic_r_matrix",
     "form",
     "fpbr_residual",
     "hamiltonian",
-    "hamiltonian_reduced",
     "integrate",
-    "involution_check",
     "involution_residuals",
     "l_kernel",
     "lax_B",
-    "lax_B0",
     "lax_L",
-    "lax_L0",
     "lax_pair_reduced",
-    "lax_pair_residual",
     "lax_residuals",
     "lift_reduced",
     "make_system",
@@ -79,22 +71,17 @@ __all__ = [
     "negate",
     "parse_root_label",
     "project_pi",
-    "quasi_lax_residual",
     "rational_r_matrix",
-    "reduced_lax_residual",
     "root_label",
     "root_system_summary",
-    "sigma",
     "sigma_residual",
     "spectrum_drift",
     "spinless_state",
     "torus_action",
     "torus_adjoint",
     "trigonometric_r_matrix",
+    "vector_field",
     "verify_axioms",
     "verify_cdybe",
     "verify_mdybe",
-    "wp",
-    "wp_prime",
-    "zeta",
 ]

@@ -39,15 +39,16 @@ from .elliptic import Lattice
 from .errors import (ConfigError, ConstraintError, GaugeDomainError,
                      PoleError, SpincmError, StructuralError)
 from .phase import PhasePoint, ReducedPoint, project_pi, reduced_roots
-from .rmatrix import (axiom_residuals, default_mdybe_samples, verify_cdybe,
-                      verify_mdybe)
+from .rmatrix import (FAMILIES, default_mdybe_samples, verify_axioms,
+                      verify_cdybe, verify_mdybe)
 from .rootsys import (AlgElement, build_root_system, parse_root_label,
                       root_system_summary)
-from .dynamics import (SystemSpec, _margin, _pack_point, default_z_samples,
-                       gauge_residual, hamiltonian_reduced, integrate,
-                       involution_residuals, lax_pair_reduced, lax_residuals,
-                       make_system, read_trajectory_csv, spectrum_drift,
-                       spinless_state, Trajectory, write_trajectory_csv)
+from .dynamics import (SystemSpec, _pack_point, collision_margin,
+                       default_z_samples, gauge_residual, hamiltonian,
+                       integrate, involution_residuals, lax_pair_reduced,
+                       lax_residuals, make_system, read_trajectory_csv,
+                       spectrum_drift, spinless_state, Trajectory,
+                       write_trajectory_csv)
 from . import __version__
 
 EXIT_PASS = 0
@@ -55,7 +56,6 @@ EXIT_RESIDUAL = 1
 EXIT_CONFIG = 2
 EXIT_SINGULARITY = 3
 
-FAMILIES = ("rational", "trigonometric", "elliptic")
 SUITES = ("axioms", "cdybe", "mdybe", "lax", "involution", "spectral")
 
 
@@ -97,6 +97,13 @@ def _root_labels(v, rank) -> bool:
         for r in v)
 
 
+@lru_cache(maxsize=1024)
+def _root(label: str, rank: int):
+    """parse_root_label, once per label: the schema check and
+    build_initial read the same labels."""
+    return parse_root_label(label, rank)
+
+
 def _spins(v, rank, reduced: bool) -> bool:
     """Root label -> complex number over the roots of A_rank, or over those
     with a reduced spin coordinate."""
@@ -104,7 +111,7 @@ def _spins(v, rank, reduced: bool) -> bool:
     roots = reduced_roots(rs) if reduced else rs.roots
     try:
         return isinstance(v, dict) and all(
-            parse_root_label(label, rank) in roots and _complex(c)
+            _root(label, rank) in roots and _complex(c)
             for label, c in v.items())
     except ValueError:
         return False
@@ -288,7 +295,7 @@ def load_config(path) -> RunConfig:
 
 
 def _spin_values(spins: dict, rank: int) -> dict:
-    return {parse_root_label(label, rank): c
+    return {_root(label, rank): c
             for label, c in zip(spins, _complexes(spins.values()))}
 
 
@@ -375,7 +382,7 @@ def _random_q(rng, system: SystemSpec) -> np.ndarray:
     for _ in range(200):
         signs = rng.choice([-1.0, 1.0], size=rank)
         q = (rng.uniform(0.55, 1.15, size=rank) * signs).astype(complex)
-        if _margin(system, q) >= _Q_MARGIN:
+        if collision_margin(system, q) >= _Q_MARGIN:
             return q
     raise StructuralError("could not sample a configuration away from the "
                           "singular set")
@@ -456,9 +463,9 @@ def _point(x) -> dict:
 def _suite_axioms(system, config, rng) -> list[dict]:
     samples = [{"q": _random_q(rng, system), "z": _random_z(rng)}
                for _ in range(20)]
-    per_sample = axiom_residuals(system.rmatrix,
-                                 np.array([s["q"] for s in samples]),
-                                 [s["z"] for s in samples])
+    per_sample = verify_axioms(system.rmatrix,
+                               np.array([s["q"] for s in samples]),
+                               [s["z"] for s in samples])
     return [_worst(name, per_sample[name], samples)
             for name in ("zero_weight", "unitarity", "residue")]
 
@@ -525,7 +532,7 @@ def _suite_spectral(system, config, rng) -> list[dict]:
         raise PoleError(f"spectral suite trajectory aborted: "
                         f"{traj.abort_reason}")
     z_grid = _z_grid(config)
-    report = lax_pair_reduced(system, traj, z_grid, n_residual_points=0,
+    report = lax_pair_reduced(system, traj, z_grid,
                               kmax=config.outputs["kmax"])
     # the witness: the trajectory point and z of the worst entry, and the
     # initial point to integrate from
@@ -594,7 +601,7 @@ def cmd_reduce(config: RunConfig, traj_path, out_dir: Path) -> int:
         except GaugeDomainError as exc:
             print(f"reduce: step {idx}: {exc}", file=sys.stderr)
             return EXIT_SINGULARITY
-    energy = np.array([hamiltonian_reduced(system, pt)
+    energy = np.array([hamiltonian(system, pt)
                        for pt in reduced_points])
     states = np.array([_pack_point(x) for x in reduced_points]).reshape(
         len(times), rs.rank + rs.n_roots)

@@ -50,6 +50,12 @@ from .rootsys import (AlgElement, RootSystem, bracket, build_root_system,
                       root_label, torus_adjoint)
 
 
+# Largest sigma_residual at which lax_B accepts a point as on Sigma.
+SIGMA_TOL = 1e-8
+# Accepted steps after which integrate stops with a truncated trajectory.
+MAX_STEPS = 200_000
+
+
 # ---------------------------------------------------------------------------
 # system specification and trajectories
 
@@ -225,8 +231,9 @@ def _energy_column(sys: SystemSpec, q, p, xi):
 def _flow(sys: SystemSpec, y: np.ndarray, reduced: bool) -> np.ndarray:
     """The vector field at the state y: (dq, dp) = (p, -dH/dq) and the
     coadjoint spin leg d(I xi) = [w xi, I xi]; on a reduced state s_dot =
-    -P dH_0/ds with P = C F C^T (:func:`spincm.phase.spin_tensor`) applied
-    vector-first, F v = I [v, I xi].  One fault guard covers it all."""
+    -P dH_0/ds with P = C F C^T (C = :func:`spincm.phase.spin_chain`)
+    applied vector-first, F v = I [v, I xi].  One fault guard covers it
+    all."""
     rs = sys.rs
     q, p, xi = _split(rs, y, reduced)
     dq, wxi = _gradient(sys, q, xi)
@@ -239,41 +246,43 @@ def _flow(sys: SystemSpec, y: np.ndarray, reduced: bool) -> np.ndarray:
     return np.concatenate([p, -dq, dspin])
 
 
-def hamiltonian(sys: SystemSpec, x: PhasePoint) -> complex:
-    """H = (1/2)|p|^2 - (1/2) sum_alpha w_alpha xi_alpha xi_{-alpha}."""
-    return complex(_energy(sys, x.q, x.p, x.xi.vec))
+def _point_coords(x) -> tuple:
+    """(q, p, xi) of one point, a ReducedPoint at its slice lift."""
+    if isinstance(x, ReducedPoint):
+        x = lift_reduced(x)
+    return x.q, x.p, x.xi.vec
 
 
-def vector_field(sys: SystemSpec, x: PhasePoint) -> PhasePoint:
+def hamiltonian(sys: SystemSpec, x) -> complex:
+    """H = (1/2)|p|^2 - (1/2) sum_alpha w_alpha xi_alpha xi_{-alpha}; at a
+    ReducedPoint, H_0: H at its slice lift (s_{alpha_i} = 1)."""
+    return complex(_energy(sys, *_point_coords(x)))
+
+
+def vector_field(sys: SystemSpec, x):
     """Hamiltonian vector field of H, returned in point coordinates:
     (dq, dp, d(I xi)) = (dH/dp, -dH/dq, I(ad*_{dH_xi} xi)).
 
     The spin leg is the plain-dual coadjoint action, I(ad*_X xi) =
     -[X, I xi]; this is the orientation under which the spectral
-    invariants of the Lax operator are conserved.
+    invariants of the Lax operator are conserved.  At a ReducedPoint it is
+    the reduced flow, a ReducedPoint (dq, dp, ds) with ds = -P dH_0/ds and
+    P the reduced spin tensor.
     """
-    return _unpack_point(sys.rs, _flow(sys, _pack_point(x), False), False)
-
-
-def hamiltonian_reduced(sys: SystemSpec, x_red: ReducedPoint) -> complex:
-    """H_0: the unreduced H evaluated on the slice lift (s_{alpha_i} = 1)."""
-    return hamiltonian(sys, lift_reduced(x_red))
-
-
-def vector_field_reduced(sys: SystemSpec, x_red: ReducedPoint) -> ReducedPoint:
-    """Reduced flow in (q, p, s): canonical part plus s_dot = -P dH_0/ds
-    with P the reduced spin tensor, mirroring the coadjoint orientation of
-    the unreduced flow."""
-    return _unpack_point(sys.rs, _flow(sys, _pack_point(x_red), True), True)
+    reduced = isinstance(x, ReducedPoint)
+    return _unpack_point(sys.rs, _flow(sys, _pack_point(x), reduced), reduced)
 
 
 # ---------------------------------------------------------------------------
 # integration
 
 
-def _margin(sys: SystemSpec, q) -> float:
-    """:func:`collision_margin` at q, from the positive roots alone: |u|,
-    |sin u| and the lattice distance are even in u."""
+def collision_margin(sys: SystemSpec, q) -> float:
+    """Distance of the Cartan coordinates q to the singular set of the
+    active pair weights: min |(alpha,q)| (rational), min |sin (alpha,q)|
+    (trigonometric span), min lattice distance (elliptic), inf when the
+    case has no singular roots.  The positive roots suffice: |u|, |sin u|
+    and the lattice distance are even in u."""
     spec, n_pos = sys.rmatrix, sys.rs.n_pos
     u = sys.rs.alpha_h[:n_pos] @ q
     if sys.family == "rational":
@@ -285,13 +294,6 @@ def _margin(sys: SystemSpec, q) -> float:
     return float(vals.min()) if vals.size else math.inf
 
 
-def collision_margin(sys: SystemSpec, x) -> float:
-    """Distance of q to the singular set of the active pair weights: min
-    |(alpha,q)| (rational), min |sin (alpha,q)| (trigonometric span), min
-    lattice distance (elliptic).  inf when the case has no singular roots."""
-    return _margin(sys, np.asarray(x.q, dtype=complex))
-
-
 def _coords(points: list) -> tuple:
     """(q, p, xi) stacked over points, reduced ones at their slice lift."""
     return _split(points[0].rs, np.array([_pack_point(x) for x in points]),
@@ -299,8 +301,8 @@ def _coords(points: list) -> tuple:
 
 
 def integrate(sys: SystemSpec, x0, t_final: float, tol: float = 1e-10, *,
-              n_points: int = 201, collision_tol: float = 1e-6,
-              max_steps: int = 200_000) -> Trajectory:
+              n_points: int = 201, collision_tol: float = 1e-6
+              ) -> Trajectory:
     """Integrate the (reduced or unreduced) flow from t = 0 to t_final.
 
     Adaptive Dormand-Prince 8(5,3) (:class:`spincm.ode.DormandPrince`) on
@@ -313,7 +315,8 @@ def integrate(sys: SystemSpec, x0, t_final: float, tol: float = 1e-10, *,
     state whose energy overflows.  Close approaches to the singular set,
     poles and floating-point faults (also in the first evaluation, the
     dense output and the energy of a later grid point) truncate the
-    trajectory instead of raising.  The energy and momentum columns are
+    trajectory instead of raising, and so does a run past MAX_STEPS
+    accepted steps.  The energy and momentum columns are
     evaluated once over all grid points.
     """
     if not math.isfinite(t_final) or t_final == 0.0:
@@ -335,15 +338,15 @@ def integrate(sys: SystemSpec, x0, t_final: float, tol: float = 1e-10, *,
     states[0] = y0
     filled = 1
     while True:
-        margin = _margin(sys, solver.y[:n])
+        margin = collision_margin(sys, solver.y[:n])
         if margin < collision_tol:
             reason = (f"collision guard at t = {solver.t:.6g}: singular-set "
                       f"distance {margin:.3e} below {collision_tol:.1e}")
             break
         if solver.finished:
             break
-        if solver.accepted >= max_steps:
-            reason = f"step budget {max_steps} exhausted at t = {solver.t:.6g}"
+        if solver.accepted >= MAX_STEPS:
+            reason = f"step budget {MAX_STEPS} exhausted at t = {solver.t:.6g}"
             break
         try:
             if not solver.step():
@@ -400,10 +403,11 @@ def _lax(sys: SystemSpec, q, p, xi, z, matrix: bool = False,
     return (out, c[0][0], c[1][0]) if coeffs else out
 
 
-def lax_L(sys: SystemSpec, x: PhasePoint, z) -> AlgElement:
+def lax_L(sys: SystemSpec, x, z) -> AlgElement:
     """L(q,p,xi)(z) = p + f(z) (I xi)_h + sum c_alpha((alpha,q), z) xi_alpha
-    e_alpha; an array of z gives one element per z (batch axes first)."""
-    return AlgElement(sys.rs, _lax(sys, x.q, x.p, x.xi.vec, z))
+    e_alpha; an array of z gives one element per z (batch axes first).  At
+    a ReducedPoint, L_0: L at its slice lift."""
+    return AlgElement(sys.rs, _lax(sys, *_point_coords(x), z))
 
 
 def _reg0(sys: SystemSpec, q, p, xi) -> np.ndarray:
@@ -472,28 +476,22 @@ def _lax_pair(sys: SystemSpec, points: list, z, anomaly: bool = False):
     return np.max(np.abs(res), axis=(-2, -1)), b, principal
 
 
-def _b_operator(sys: SystemSpec, x, nodes) -> LaurentElement:
+def lax_B(sys: SystemSpec, x, nodes) -> LaurentElement:
+    """B = -R_q(L/z) on ``nodes``, defined on the constraint set Sigma where
+    the flow is of Lax form; off Sigma (beyond SIGMA_TOL) a constraint
+    error carries the residual.  At a ReducedPoint, B_0 through the gauge
+    identity: B at the slice lift, which carries J = 0 and so lies on
+    Sigma, minus the Cartan compensator of the gauge drift."""
+    if not isinstance(x, ReducedPoint):
+        res = sigma_residual(sys, x)
+        if res > SIGMA_TOL:
+            raise ConstraintError(
+                f"point is off the constraint set Sigma: residual {res:.3e} "
+                f"exceeds {SIGMA_TOL:.1e}", residual=res)
     # The flow satisfies dL/dt = -[R_q(L/z), L]; shipping B = -R_q(L/z)
     # keeps the residual functions in the plain dL/dt - [B, L] form.
     _, b, principal = _lax_pair(sys, [x], nodes)
     return LaurentElement(sys.rs, 0.5 * principal[:, 0], nodes, b[0])
-
-
-def _check_sigma(sys: SystemSpec, x: PhasePoint, sigma_tol: float) -> None:
-    res = sigma_residual(sys, x)
-    if res > sigma_tol:
-        raise ConstraintError(
-            f"point is off the constraint set Sigma: residual {res:.3e} "
-            f"exceeds {sigma_tol:.1e}", residual=res)
-
-
-def lax_B(sys: SystemSpec, x: PhasePoint, nodes, *,
-          sigma_tol: float = 1e-8) -> LaurentElement:
-    """B = -R_q(L/z) on ``nodes``, defined on the constraint set Sigma where
-    the flow is of Lax form; off Sigma a constraint error carries the
-    residual."""
-    _check_sigma(sys, x, sigma_tol)
-    return _b_operator(sys, x, nodes)
 
 
 def default_z_samples(n: int = 8, radius: float = 0.55) -> list[complex]:
@@ -511,21 +509,6 @@ def lax_residuals(sys: SystemSpec, points: list,
     if z_samples is None:
         z_samples = default_z_samples()
     return _lax_pair(sys, points, z_samples, anomaly)[0]
-
-
-def lax_pair_residual(sys: SystemSpec, x: PhasePoint,
-                      z_samples: Sequence[complex] | None = None, *,
-                      sigma_tol: float = 1e-8) -> float:
-    """max_z ||dL/dt - [B, L]||; the point must lie on Sigma."""
-    _check_sigma(sys, x, sigma_tol)
-    return float(lax_residuals(sys, [x], z_samples)[0])
-
-
-def quasi_lax_residual(sys: SystemSpec, x: PhasePoint,
-                       z_samples: Sequence[complex] | None = None) -> float:
-    """max_z ||dL/dt - [B, L] + (X_J R)(L/z)||: the Lax equation with the
-    momentum anomaly, valid off Sigma as well (rational family)."""
-    return float(lax_residuals(sys, [x], z_samples, anomaly=True)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -596,46 +579,27 @@ def spectrum_drift(sys: SystemSpec, traj: Trajectory,
 # reduced Lax pair
 
 
-def lax_L0(sys: SystemSpec, x_red: ReducedPoint, z) -> AlgElement:
-    """Reduced Lax operator: L at the slice lift of x_red."""
-    return lax_L(sys, lift_reduced(x_red), z)
-
-
-def lax_B0(sys: SystemSpec, x_red: ReducedPoint, nodes) -> LaurentElement:
-    """Reduced B on ``nodes`` through the gauge identity: B at the slice
-    lift minus the Cartan compensator of the gauge drift.  Slice lifts carry
-    J = 0, so the lift is always on Sigma."""
-    return _b_operator(sys, x_red, nodes)
-
-
-def reduced_lax_residual(sys: SystemSpec, x_red: ReducedPoint,
-                         z_samples: Sequence[complex] | None = None) -> float:
-    """max_z ||dL_0/dt - [B_0, L_0]|| at one reduced point."""
-    return float(lax_residuals(sys, [x_red], z_samples)[0])
-
-
 def gauge_residual(sys: SystemSpec, x: PhasePoint, z_samples=None) -> float:
     """max_z ||L_0(pi(x))(z) - Ad_{g(xi)^{-1}} L(x)(z)||, the consistency
     of the reduced Lax operator with the gauge normalization."""
     if z_samples is None:
         z_samples = default_z_samples(4)
-    diff = lax_L0(sys, project_pi(x), z_samples) - torus_adjoint(
+    diff = lax_L(sys, project_pi(x), z_samples) - torus_adjoint(
         -gauge_g(x.xi), lax_L(sys, x, z_samples))
     return diff.max_abs()
 
 
 def lax_pair_reduced(sys: SystemSpec, traj: Trajectory,
                      z_samples: Sequence[complex] | None = None, *,
-                     n_residual_points: int = 9,
                      kmax: int | None = None) -> dict:
-    """Verify the reduced Lax pair along a reduced trajectory.
+    """Verify the isospectrality of the reduced Lax pair along a reduced
+    trajectory.
 
     One table of tr(rho(L_0(z))^k) over the points and z gives the
     isospectral drift (of the char-poly coefficients) and the spectrum
     drift (as :func:`spectrum_drift` with ``kmax``), with the [point, z]
-    of each worst entry under ``worst``.  ``lax_residual`` is the worst
-    ||dL_0/dt - [B_0, L_0]|| over ``n_residual_points`` evenly spaced
-    points, None with ``n_residual_points=0`` (nothing is evaluated then).
+    of each worst entry under ``worst``.  The pointwise Lax equation is
+    :func:`lax_residuals` at the trajectory's points.
     """
     if not traj.n_points or not traj.reduced:
         raise StructuralError("lax_pair_reduced expects a reduced trajectory")
@@ -648,18 +612,12 @@ def lax_pair_reduced(sys: SystemSpec, traj: Trajectory,
                                    / np.arange(1, kmax + 1)))
     curves = _char_poly(sums[..., :size])
     iso = _worst(np.abs(curves - curves[0]))
-    sel = sorted(set(np.linspace(0, traj.n_points - 1,
-                                 n_residual_points).astype(int)))
-    lax = lax_residuals(sys, [_unpack_point(sys.rs, traj.states[k], True)
-                              for k in sel], z_samples) if sel else None
     return {
         "isospectral_drift": iso[0],
         "spectrum_drift": drift[0],
-        "lax_residual": None if lax is None else float(np.max(lax)),
         "worst": {"isospectral_drift": list(iso[1:]),
                   "spectrum_drift": list(drift[1:])},
         "n_points": traj.n_points,
-        "n_residual_points": len(sel),
     }
 
 
@@ -710,16 +668,6 @@ def involution_residuals(sys: SystemSpec, points: list,
     first, second = ([specs.index(pair[side]) for pair in pairs]
                      for side in (0, 1))
     return np.abs(table[:, first, second])
-
-
-def involution_check(sys: SystemSpec, x_red: ReducedPoint,
-                     pairs: Sequence[tuple[tuple[int, complex],
-                                           tuple[int, complex]]]) -> float:
-    """max |{h_{k1}(z1), h_{k2}(z2)}_red| over the requested pairs of
-    (k, z) specs."""
-    if not pairs:
-        return 0.0
-    return float(np.max(involution_residuals(sys, [x_red], pairs)))
 
 
 # ---------------------------------------------------------------------------

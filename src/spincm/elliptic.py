@@ -165,23 +165,23 @@ class Lattice:
         half = m * self.omega1 + n * self.omega2
         return _value(sign * base * np.exp(eta * (z0 + half)))
 
-    @raise_on_fp_fault
     def zeta(self, z):
-        z0, m, n = self._regular(z, "zeta")
-        th, d1, _, _ = self._theta1(z0)
-        val = self.eta1 * z0 / self.omega1 + (math.pi / (2.0 * self.omega1)) * d1 / th
-        return _value(val + 2 * m * self.eta1 + 2 * n * self.eta2)
+        return self.zeta_ladder(z, 1)[0]
 
-    def wp_pair_kernel(self, z):
-        """(wp(z), wp'(z)) from one theta_1 evaluation, for callers that
-        hold a fault guard; ``wp_pair`` is it under raise_on_fp_fault."""
-        z0 = self._regular(z, "wp")[0]
-        th, d1, d2, d3 = self._theta1(z0)
+    def _wp_from_theta(self, th, d1, d2, d3) -> tuple:
+        """(wp, wp') from theta_1 and its first three derivatives."""
         r1 = d1 / th
         r2 = d2 / th
         scale = math.pi / (2.0 * self.omega1)
         wp = -self.eta1 / self.omega1 - scale ** 2 * (r2 - r1 ** 2)
         wp_prime = -(scale ** 3) * (d3 / th - 3.0 * r2 * r1 + 2.0 * r1 ** 3)
+        return wp, wp_prime
+
+    def wp_pair_kernel(self, z):
+        """(wp(z), wp'(z)) from one theta_1 evaluation, for callers that
+        hold a fault guard; ``wp_pair`` is it under raise_on_fp_fault."""
+        wp, wp_prime = self._wp_from_theta(
+            *self._theta1(self._regular(z, "wp")[0]))
         return _value(wp), _value(wp_prime)
 
     wp_pair = raise_on_fp_fault(wp_pair_kernel)
@@ -193,48 +193,31 @@ class Lattice:
         return self.wp_pair(z)[1]
 
     @raise_on_fp_fault
-    def zeta_derivative(self, z, k: int):
-        """k-th z-derivative of zeta for 0 <= k <= 4.
+    def zeta_ladder(self, z, kmax: int) -> list:
+        """The z-derivatives of zeta of orders 0 .. kmax - 1 (kmax <= 5)
+        from one argument reduction and one theta_1 pass.
 
         Uses zeta' = -wp and the Weierstrass differential equation for the
         higher orders (wp'' = 6 wp^2 - g2/2, wp''' = 12 wp wp'), so every
         order is analytic, no finite differences.
         """
-        if k == 0:
-            return self.zeta(z)
-        if k == 1:
-            return -self.wp(z)
-        if k == 2:
-            return -self.wp_prime(z)
-        p = self.wp(z)
-        if k == 3:
-            return -(6.0 * p * p - 0.5 * self.g2)
-        if k == 4:
-            return -12.0 * p * self.wp_prime(z)
-        raise ValueError(f"zeta_derivative supports k <= 4, got {k}")
+        if kmax > 5:
+            raise ValueError(f"zeta_ladder supports kmax <= 5, got {kmax}")
+        z0, m, n = self._regular(z, "zeta")
+        parts = self._theta1(z0)
+        th, d1 = parts[:2]
+        val = self.eta1 * z0 / self.omega1 \
+            + (math.pi / (2.0 * self.omega1)) * d1 / th
+        out = [val + 2 * m * self.eta1 + 2 * n * self.eta2]
+        if kmax > 1:
+            p, dp = self._wp_from_theta(*parts)
+            out += [-p, -dp]
+        if kmax > 3:
+            out += [-(6.0 * p * p - 0.5 * self.g2), -12.0 * p * dp]
+        return [_value(v) for v in out[:kmax]]
 
     def __repr__(self) -> str:
         return f"Lattice(omega1={self.omega1:g}, omega2={self.omega2:g})"
-
-
-def sigma(lattice: Lattice, z):
-    """Weierstrass sigma function (entire, odd, sigma'(0) = 1)."""
-    return lattice.sigma(z)
-
-
-def zeta(lattice: Lattice, z):
-    """Weierstrass zeta function, zeta = sigma'/sigma."""
-    return lattice.zeta(z)
-
-
-def wp(lattice: Lattice, z):
-    """Weierstrass elliptic function, wp = -zeta'."""
-    return lattice.wp(z)
-
-
-def wp_prime(lattice: Lattice, z):
-    """Derivative of wp."""
-    return lattice.wp_prime(z)
 
 
 @raise_on_fp_fault

@@ -223,15 +223,6 @@ def lie_poisson(rs: RootSystem, xi: np.ndarray) -> np.ndarray:
     return f[..., rs.dual_index].swapaxes(-1, -2)
 
 
-def spin_tensor(x_red: ReducedPoint) -> np.ndarray:
-    """Reduced Poisson tensor block P[gamma, delta] = {s_gamma, s_delta} in
-    closed form, P = C F C^T with C = :func:`spin_chain` and F =
-    :func:`lie_poisson` at the slice lift."""
-    chain = spin_chain(x_red.rs, x_red.s)
-    return chain @ lie_poisson(x_red.rs, lift_reduced(x_red).xi.vec) \
-        @ chain.T
-
-
 # ---------------------------------------------------------------------------
 # Poisson brackets of differential rows: (dF/dq | dF/dp | dF/dxi) on T*h* x
 # g*, dF/dxi in g, or (dF/dq | dF/dp | dF/ds) on the reduced space.  Rows
@@ -276,8 +267,3 @@ def reduced_brackets(rs: RootSystem, s: np.ndarray, df, dg):
                      lambda a, b: (a @ chain) @ lp @ (chain.swapaxes(-1, -2)
                                                       @ b))
 
-
-def bracket_reduced(x_red: ReducedPoint, df, dg):
-    """Reduced Poisson bracket at x_red, the pull-back of
-    :func:`bracket_full` through project_pi (:func:`reduced_brackets`)."""
-    return reduced_brackets(x_red.rs, x_red.s, df, dg)

@@ -279,11 +279,11 @@ def _elliptic_ladder(spec: RMatrixSpec, u, z, kmax: int, du: int):
     # f = zeta(z); c = -l(u, z) with the z-ladder from l' = l (zeta(u+z) -
     # zeta(z)) and the mixed derivative from d_u l = l (zeta(u+z) - zeta(u))
     lat = spec.lattice
-    zeta_z = [lat.zeta_derivative(z, m) for m in range(kmax)]
+    zeta_z = lat.zeta_ladder(z, kmax)
     if u is None:
         return zeta_z, None
     c = [-l_kernel(lat, u, z)]
-    zeta_uz = [lat.zeta_derivative(u + z, m) for m in range(kmax - 1 + du)]
+    zeta_uz = lat.zeta_ladder(u + z, kmax - 1 + du) if kmax - 1 + du else []
     d = [zeta_uz[m] - zeta_z[m] for m in range(kmax - 1)]
     for k in range(kmax - 1):
         c.append(sum(math.comb(k, j) * c[j] * d[k - j] for j in range(k + 1)))
@@ -425,48 +425,41 @@ def ring_coefficients(values: np.ndarray, nodes: np.ndarray,
 # axiom verification
 
 
-# Samples per kernel pass of axiom_residuals: a pass holds (nodes, samples,
+# Samples per kernel pass of verify_axioms: a pass holds (nodes, samples,
 # roots) temporaries; one pass for 20 raised a job's peak memory tenfold.
 _AXIOM_STACK = 5
+# The residue quadrature rings |z| = radius of the axiom and MDYBE checks,
+# each of QUAD_NODES nodes.
+AXIOM_QUAD_RADIUS = 0.1
+MDYBE_QUAD_RADIUS = 0.35
+QUAD_NODES = 256
 
 
-def axiom_residuals(spec: RMatrixSpec, q, z, *, quad_radius: float = 0.1,
-                    quad_nodes: int = 256) -> dict:
+def verify_axioms(spec: RMatrixSpec, q, z) -> dict:
     """Zero-weight, unitarity and residue residuals at every (q, z) sample
-    (q of shape (samples, rank)), one array each.  On the coefficient
-    vector c: the weights of slots a and dual(a) cancel on c_a, c(z)[a] +
-    c(-z)[dual(a)] = 0, and the residue at z = 0 (contour quadrature on
-    |z| = quad_radius) is the Casimir tensor, c = 1."""
+    (q of shape (samples, rank)), one array each; thresholds are the
+    caller's business.  On the coefficient vector c: the weights of slots
+    a and dual(a) cancel on c_a, c(z)[a] + c(-z)[dual(a)] = 0, and the
+    residue at z = 0 (contour quadrature on |z| = AXIOM_QUAD_RADIUS) is
+    the Casimir tensor, c = 1."""
     rs = spec.rs
     weights = np.concatenate([np.zeros((rs.rank, rs.rank)), rs.alpha_h])
     slot_weight = weights + weights[rs.dual_index]
-    ring = ring_nodes(quad_radius, quad_nodes)
+    ring = ring_nodes(AXIOM_QUAD_RADIUS, QUAD_NODES)
     z, parts = np.asarray(z, dtype=complex), []
     for at in range(0, max(len(z), 1), _AXIOM_STACK):
         zs = z[at:at + _AXIOM_STACK]
         c = _r_table(spec, q[at:at + _AXIOM_STACK], np.concatenate(
-            [[zs, -zs], np.broadcast_to(ring[:, None], (quad_nodes, len(zs)))]),
+            [[zs, -zs], np.broadcast_to(ring[:, None], (QUAD_NODES, len(zs)))]),
             range(1))[0, 0]
         # the z^-1 coefficient of ring_coefficients, one product per sample
         res = (ring @ np.ascontiguousarray(np.moveaxis(c[2:], 1, 0))) \
-            / quad_nodes
+            / QUAD_NODES
         parts.append((np.max(np.abs(slot_weight * c[0, ..., None]), (-2, -1)),
                       np.max(np.abs(c[0] + c[1][..., rs.dual_index]), -1),
                       np.max(np.abs(res - 1.0), -1)))
     return dict(zip(("zero_weight", "unitarity", "residue"),
                     map(np.concatenate, zip(*parts))))
-
-
-def verify_axioms(spec: RMatrixSpec, samples: Sequence[tuple[np.ndarray, complex]],
-                  *, quad_radius: float = 0.1, quad_nodes: int = 256) -> dict:
-    """The max of each :func:`axiom_residuals` residual over (q, z)
-    samples; thresholds are the caller's business."""
-    q = np.array([q for q, _ in samples], dtype=complex)
-    per_sample = axiom_residuals(
-        spec, q.reshape(len(samples), spec.rs.rank), [z for _, z in samples],
-        quad_radius=quad_radius, quad_nodes=quad_nodes)
-    return {"n_samples": len(samples), **{
-        name: float(np.max(v, initial=0.0)) for name, v in per_sample.items()}}
 
 
 @lru_cache(maxsize=None)
@@ -608,8 +601,7 @@ def default_mdybe_samples() -> list[complex]:
 
 
 def verify_mdybe(spec: RMatrixSpec, q, xi, eta, *,
-                 z_samples: Sequence[complex] | None = None,
-                 quad_radius: float = 0.35, quad_nodes: int = 256) -> float:
+                 z_samples: Sequence[complex] | None = None) -> float:
     """Residual of the modified dynamical Yang-Baxter equation with
     c = -1/4 for the operator R = R_q:
 
@@ -619,14 +611,14 @@ def verify_mdybe(spec: RMatrixSpec, q, xi, eta, *,
 
     ``xi`` and ``eta`` are pole-only Laurent covectors given by their
     principal coefficients, shape (T, dim).  R xi and R eta are evaluated
-    on the ring |z| = quad_radius, which gives the principal part of the
-    inner covector and the residue pairing Res_z <eta(z), (R xi)(z)> whose
-    q-derivatives form the Cartan vector d<R xi, eta> (j* takes the Cartan
-    block of the residue coefficient), and every term at ``z_samples``,
-    over which the residual is the max.  Every term is a (node, n+1, n+1)
+    on the ring |z| = MDYBE_QUAD_RADIUS, which gives the principal part of
+    the inner covector and the residue pairing Res_z <eta(z), (R xi)(z)>
+    whose q-derivatives form the Cartan vector d<R xi, eta> (j* takes the
+    Cartan block of the residue coefficient), and every term at
+    ``z_samples``, over which the residual is the max.  Every term is a (node, n+1, n+1)
     matrix; only the residual goes back to coordinates, for its max."""
-    rs, n = spec.rs, quad_nodes
-    ring = ring_nodes(quad_radius, n)
+    rs, n = spec.rs, QUAD_NODES
+    ring = ring_nodes(MDYBE_QUAD_RADIUS, n)
     samples = np.asarray(default_mdybe_samples() if z_samples is None
                          else z_samples, dtype=complex)
     xi, eta = (LaurentElement(rs, x, np.concatenate([ring, samples]))

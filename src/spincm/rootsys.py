@@ -223,15 +223,6 @@ class RootSystem:
         vector product, bit for bit."""
         return (self.alpha_h @ np.asarray(q, dtype=complex)[..., None])[..., 0]
 
-    def pairing_with_cartan(self, root: Root, q: np.ndarray) -> complex:
-        """(alpha, q) for q given in orthonormal Cartan coordinates."""
-        k = self.root_index[root]
-        return complex(self.alpha_h[k] @ np.asarray(q))
-
-    def coroot_coordinates(self, root: Root) -> np.ndarray:
-        """Coordinates of the coroot h_alpha over the orthonormal basis."""
-        return self.alpha_h[self.root_index[root]].copy()
-
     def __repr__(self) -> str:
         return f"RootSystem(A_{self.rank}, {self.n_roots} roots, dim {self.dim})"
 

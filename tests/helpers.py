@@ -2,7 +2,7 @@
 reference evaluations that the package itself no longer needs.
 
 The package brackets differential rows (:func:`spincm.phase.bracket_full`,
-:func:`spincm.phase.bracket_reduced`) and checks its identities as stacked
+:func:`spincm.phase.reduced_brackets`) and checks its identities as stacked
 array evaluations.  The tests also want functions as objects (a value and a
 gradient) to state the Poisson axioms, Leibniz and Jacobi rules, and a few
 dense or chain-rule references; they live here.
@@ -19,12 +19,11 @@ import numpy as np
 
 from spincm.dynamics import (SystemSpec, Trajectory, _char_poly, _coords,
                              _gradient, _power_sums, _reg0, _state_columns,
-                             lax_L, vector_field, vector_field_reduced)
+                             lax_L, vector_field)
 from spincm.elliptic import _value
 from spincm.errors import StructuralError, raise_on_fp_fault
-from spincm.phase import (PhasePoint, ReducedPoint, bracket_full,
-                          bracket_reduced, gauge_g, lift_reduced,
-                          torus_action)
+from spincm.phase import (PhasePoint, ReducedPoint, bracket_full, gauge_g,
+                          lift_reduced, reduced_brackets, torus_action)
 from spincm.rmatrix import (LaurentElement, R_apply, RMatrixSpec, _ladder,
                             _r_pairing, _r_table, positive_pair_weight,
                             ring_nodes)
@@ -75,8 +74,9 @@ def poisson_full(f: PhaseFunction, g: PhaseFunction, x: PhasePoint) -> complex:
 
 def poisson_reduced(f: ReducedFunction, g: ReducedFunction,
                     x: ReducedPoint) -> complex:
-    """{F, G}_red(x) through :func:`spincm.phase.bracket_reduced`."""
-    return bracket_reduced(x, f.gradient(x).row(), g.gradient(x).row())
+    """{F, G}_red(x) through :func:`spincm.phase.reduced_brackets`."""
+    return reduced_brackets(x.rs, x.s, f.gradient(x).row(),
+                            g.gradient(x).row())
 
 
 def linear_spin_function(rs: RootSystem, y: AlgElement) -> PhaseFunction:
@@ -199,7 +199,7 @@ def lax_time_derivative(sys: SystemSpec, x, z) -> AlgElement:
     along q_dot; for a ReducedPoint, dL_0/dt at the slice lift."""
     rs = sys.rs
     if isinstance(x, ReducedPoint):
-        v_red = vector_field_reduced(sys, x)
+        v_red = vector_field(sys, x)
         xi_dot = np.zeros(rs.dim, dtype=complex)
         xi_dot[2 * rs.rank:] = v_red.s
         x, v = lift_reduced(x), PhasePoint(v_red.q, v_red.p,

@@ -10,18 +10,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from spincm import dynamics, rmatrix
+from spincm import cli, dynamics, rmatrix
 from spincm.cli import (EXIT_CONFIG, EXIT_PASS, EXIT_RESIDUAL,
                         EXIT_SINGULARITY, FAULT_SCALE, SUITES,
                         _INVOLUTION_BATTERY, RunConfig, _build_parser,
-                        default_thresholds, load_config, main, parse_config)
-from spincm.dynamics import (integrate, involution_check, lax_pair_reduced,
-                             lax_pair_residual, quasi_lax_residual,
-                             reduced_lax_residual, spectrum_drift)
+                        build_initial, default_thresholds, load_config, main,
+                        parse_config)
+from spincm.dynamics import (integrate, involution_residuals,
+                             lax_pair_reduced, lax_residuals, spectrum_drift)
 from spincm.errors import ConfigError
-from spincm.phase import PhasePoint, ReducedPoint
+from spincm.phase import PhasePoint, ReducedPoint, reduced_roots
 from spincm.rmatrix import verify_axioms, verify_cdybe, verify_mdybe
-from spincm.rootsys import AlgElement
+from spincm.rootsys import AlgElement, build_root_system, root_label
 
 
 def write_config(tmp_path, name, data):
@@ -410,28 +410,28 @@ def replay(config, suite, check):
     rs, w, name = system.rs, check["witness"], check["name"]
     q = complex_array(w["q"])
     if suite == "axioms":
-        return verify_axioms(system.rmatrix, [(q, complex_array(w["z"]))])[
-            name]
+        return verify_axioms(system.rmatrix, [q],
+                             [complex_array(w["z"])])[name][0]
     p = complex_array(w["p"])
     if "xi" in w:
         x = PhasePoint(q, p, AlgElement(rs, complex_array(w["xi"])))
-        return (quasi_lax_residual if name == "quasi_lax_off_sigma"
-                else lax_pair_residual)(system, x)
+        return lax_residuals(system, [x],
+                             anomaly=name == "quasi_lax_off_sigma")[0]
     x = ReducedPoint(rs, q, p, complex_array(w["s"]))
     if suite == "lax":
-        return reduced_lax_residual(system, x)
+        return lax_residuals(system, [x])[0]
     if suite == "involution":
         # the worst pair of the battery at the witness point is its own
         pair = tuple(zip(w["k"], complex_array(w["z"])))
-        assert involution_check(system, x, [pair]) > 0.0
-        return involution_check(system, x, _INVOLUTION_BATTERY)
+        assert involution_residuals(system, [x], [pair])[0, 0] > 0.0
+        return np.max(involution_residuals(system, [x], _INVOLUTION_BATTERY))
     # spectral: integrate from the witness's initial point; its worst entry
     # lies at the witness's trajectory point and z
     opts = config.integration
     traj = integrate(system, x, **{**opts,
                                    "n_points": min(opts["n_points"], 101)})
     z_grid = dynamics.default_z_samples()
-    report = lax_pair_reduced(system, traj, z_grid, n_residual_points=1)
+    report = lax_pair_reduced(system, traj, z_grid)
     assert report["worst"][name] == [w["sample"],
                                      z_grid.index(complex_array(w["z"]))]
     # and that entry alone, at the first and the witness point, gives the
@@ -439,7 +439,7 @@ def replay(config, suite, check):
     pair = replace(traj, states=traj.states[[0, w["sample"]]])
     z = [complex_array(w["z"])]
     alone = spectrum_drift(system, pair, z) if name == "spectrum_drift" \
-        else lax_pair_reduced(system, pair, z, n_residual_points=1)[name]
+        else lax_pair_reduced(system, pair, z)[name]
     assert alone == pytest.approx(report[name], rel=0, abs=1e-13)
     return report[name]
 
@@ -453,6 +453,30 @@ def test_verify_witnesses_replay_max_residual(tmp_path, family, suite):
         assert 0 <= check["witness"]["sample"] < check["samples"]
         assert replay(config, suite, check) == pytest.approx(
             check["max_residual"], rel=1e-12, abs=1e-300), check["name"]
+
+
+def test_spin_labels_are_parsed_once_per_job(tmp_path, monkeypatch):
+    """The schema check and build_initial share one parse per label: the
+    16 labels of a reduced rational A_4 config cost 16 parse_root_label
+    calls from loading the config to the initial point."""
+    rs = build_root_system("A", 4)
+    cfg = write_config(tmp_path, "red.json", {
+        "family": "rational", "rank": 4,
+        "initial": {"q": [2.0, 1.5, -0.5, 1.0], "p": [0.1, 0.0, -0.2, 0.3],
+                    "s": {root_label(r): [0.6, 0.8]
+                          for r in reduced_roots(rs)}}})
+    labels = []
+    parse = cli.parse_root_label
+
+    def counted(label, rank):
+        labels.append(label)
+        return parse(label, rank)
+    monkeypatch.setattr(cli, "parse_root_label", counted)
+    cli._root.cache_clear()
+    config = load_config(cfg)
+    x0 = build_initial(config, config.system())
+    assert len(labels) == 16 == len(x0.s)
+    assert x0.s.tolist() == [0.6 + 0.8j] * 16
 
 
 def test_verify_jobs_make_one_kernel_pass_per_stack(tmp_path, monkeypatch):

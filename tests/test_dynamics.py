@@ -35,20 +35,17 @@ from helpers import (PhaseFunction, PhaseGradient, ReducedGradient,
                      spectral_curve,
                      spin_invariant_gradient)
 from spincm.phase import (PhasePoint, ReducedPoint, gauge_g, lift_reduced,
-                          momentum_J, project_pi, reduced_roots, torus_action)
+                          momentum_J, project_pi, reduced_roots, spin_chain,
+                          torus_action)
 from spincm.rootsys import (AlgElement, build_root_system, form, matrix_rep,
                             negate, torus_adjoint)
-from spincm.dynamics import (SystemSpec, _b_operator, _spectral_gradients,
+from spincm.dynamics import (SystemSpec, _lax_pair, _spectral_gradients,
                              collision_margin, conserved_spectrum,
                              Trajectory, default_z_samples, fpbr_residual,
-                             hamiltonian, hamiltonian_reduced,
-                             integrate, involution_check, lax_B, lax_B0,
-                             lax_L, lax_L0, lax_pair_reduced,
-                             lax_pair_residual, make_system,
-                             quasi_lax_residual, reduced_lax_residual,
-                             sigma_residual, spectrum_drift, spinless_state,
-                             trajectory_csv, vector_field,
-                             vector_field_reduced)
+                             hamiltonian, integrate, involution_residuals,
+                             lax_B, lax_L, lax_pair_reduced, lax_residuals,
+                             make_system, sigma_residual, spectrum_drift,
+                             spinless_state, trajectory_csv, vector_field)
 
 WIDE = Lattice(2.0, 2.2j)
 
@@ -143,7 +140,7 @@ def test_hamiltonian_gradient_is_derivative(seed):
     # generic_point lets min |(alpha, q)| get as small as ~3e-4, so the step
     # scales with that distance and a fourth-order stencil keeps the
     # truncation error small at a step large enough for the rounding error
-    eps = 1e-3 * min(1.0, collision_margin(sys, x))
+    eps = 1e-3 * min(1.0, collision_margin(sys, x.q))
 
     def shifted(t):
         return PhasePoint(x.q + t * dq, x.p + t * dp,
@@ -167,14 +164,14 @@ def test_hamiltonian_gradient_is_derivative(seed):
         # coefficient of dxi, so ds_gamma is that coefficient
         g_red = ReducedGradient(g_lift.dq, g_lift.dp,
                                 g_lift.dxi.vec[rs.dual_index[2 * rs.rank:]])
-        eps = 1e-3 * min(1.0, collision_margin(red_sys, x_red))
+        eps = 1e-3 * min(1.0, collision_margin(red_sys, x_red.q))
 
         def shifted_red(t):
             return ReducedPoint(rs, x_red.q + t * dq, x_red.p + t * dp,
                                 x_red.s + t * ds)
 
         fd = central_difference(
-            lambda t: hamiltonian_reduced(red_sys, shifted_red(t)), eps)
+            lambda t: hamiltonian(red_sys, shifted_red(t)), eps)
         analytic = g_red.dq @ dq + g_red.dp @ dp + g_red.ds @ ds
         assert abs(fd - analytic) < 1e-7 * max(1.0, abs(analytic)), \
             red_sys.family
@@ -317,7 +314,7 @@ def test_lax_equation_on_sigma():
         for trial in range(2):
             x = sigma_point(sys, rng)
             assert sigma_residual(sys, x) < 1e-12
-            res = lax_pair_residual(sys, x)
+            res = lax_residuals(sys, [x])[0]
             assert res < 1e-9, (sys.family, sys.rs.rank, res)
 
 
@@ -338,14 +335,14 @@ def test_quasi_lax_off_sigma_rational():
     rng = np.random.default_rng(19)
     x = generic_point(sys, rng)
     assert sigma_residual(sys, x) > 0.1
-    assert quasi_lax_residual(sys, x) < 1e-10
+    assert lax_residuals(sys, [x], anomaly=True)[0] < 1e-10
     zs = default_z_samples()
-    b = _b_operator(sys, x, zs)
+    b = _lax_pair(sys, [x], zs)[1][0]
     plain = 0.0
     from spincm.rootsys import bracket
     for k, z in enumerate(zs):
         res = lax_time_derivative(sys, x, z) - bracket(
-            AlgElement(sys.rs, b.values.vec[k]), lax_L(sys, x, z))
+            AlgElement(sys.rs, b[k]), lax_L(sys, x, z))
         plain = max(plain, res.max_abs())
     assert plain > 1e-3
 
@@ -354,7 +351,7 @@ def test_quasi_lax_reduces_to_lax_on_sigma():
     sys = make_system("rational", 2)
     rng = np.random.default_rng(23)
     x = sigma_point(sys, rng)
-    assert quasi_lax_residual(sys, x) < 1e-10
+    assert lax_residuals(sys, [x], anomaly=True)[0] < 1e-10
 
 
 def test_spectrum_constant_along_unreduced_flow():
@@ -407,6 +404,39 @@ def test_spectral_curve_spinless_rank_one():
 # -- reduction and the reduced Lax pair --------------------------------------
 
 
+@pytest.mark.parametrize("family", ["rational", "trigonometric", "elliptic"])
+def test_reduced_points_are_evaluated_at_their_slice_lift(family):
+    # one entry per quantity: H_0, L_0 and the reduced field are H, L and
+    # the field at the slice lift, and B_0 is the B_0 of the Lax pair core
+    sys = make_system(family, 3, lattice=WIDE if family == "elliptic"
+                      else None)
+    rs = sys.rs
+    rng = np.random.default_rng(53)
+    zs = default_z_samples()
+    for _ in range(2):
+        red = random_reduced(sys, rng)
+        lift = lift_reduced(red)
+        assert hamiltonian(sys, red) == hamiltonian(sys, lift)
+        assert np.array_equal(lax_L(sys, red, zs).vec,
+                              lax_L(sys, lift, zs).vec)
+        v, up = vector_field(sys, red), vector_field(sys, lift)
+        assert isinstance(v, ReducedPoint)
+        assert np.array_equal(v.q, up.q) and np.array_equal(v.p, up.p)
+        # s_dot is the unreduced spin velocity through d s_gamma
+        pushed = spin_chain(rs, red.s) @ up.xi.vec[rs.dual_index]
+        assert np.max(np.abs(v.s - pushed)) \
+            < 1e-13 * max(1.0, np.max(np.abs(pushed)))
+        b0 = lax_B(sys, red, zs)
+        _, b, principal = _lax_pair(sys, [red], zs)
+        assert np.array_equal(b0.values.vec, b[0])
+        assert np.array_equal(b0.principal, 0.5 * principal[:, 0])
+        # B_0 is B at the lift less the Cartan compensator: the roots agree
+        b_lift = lax_B(sys, lift, zs).values.vec
+        assert np.array_equal(b0.values.vec[:, rs.rank:],
+                              b_lift[:, rs.rank:])
+        assert np.max(np.abs(b0.values.vec - b_lift)) > 1e-6
+
+
 def test_gauge_consistency_of_reduced_lax():
     # L_0(pi(x)) = Ad_{g(xi)^{-1}} L(x) for J = 0 points of U
     rng = np.random.default_rng(37)
@@ -417,7 +447,7 @@ def test_gauge_consistency_of_reduced_lax():
         c = gauge_g(x.xi)
         worst = 0.0
         for z in default_z_samples(4):
-            lhs = lax_L0(sys, x_red, z)
+            lhs = lax_L(sys, x_red, z)
             rhs = torus_adjoint(-c, lax_L(sys, x, z))
             worst = max(worst, (lhs - rhs).max_abs())
         assert worst < 1e-10, sys.family
@@ -427,7 +457,7 @@ def test_reduced_time_derivative_is_directional_derivative():
     sys = make_system("rational", 2)
     rng = np.random.default_rng(41)
     x = random_reduced(sys, rng)
-    v = vector_field_reduced(sys, x)
+    v = vector_field(sys, x)
     z = 0.38 - 0.21j
     eps = 1e-6
 
@@ -435,8 +465,8 @@ def test_reduced_time_derivative_is_directional_derivative():
         return ReducedPoint(sys.rs, x.q + t * v.q, x.p + t * v.p,
                             x.s + t * v.s)
 
-    fd = (1.0 / (2 * eps)) * (lax_L0(sys, shifted(eps), z)
-                              - lax_L0(sys, shifted(-eps), z))
+    fd = (1.0 / (2 * eps)) * (lax_L(sys, shifted(eps), z)
+                              - lax_L(sys, shifted(-eps), z))
     assert (lax_time_derivative(sys, x, z) - fd).max_abs() < 1e-7
 
 
@@ -448,7 +478,7 @@ def test_reduced_lax_identity_pointwise():
                 make_system("elliptic", 2, lattice=WIDE)):
         for trial in range(2):
             x = random_reduced(sys, rng)
-            assert reduced_lax_residual(sys, x) < 1e-9, sys.family
+            assert lax_residuals(sys, [x])[0] < 1e-9, sys.family
 
 
 def test_reduced_flow_matches_projected_unreduced_flow():
@@ -482,11 +512,11 @@ def test_reduced_field_is_pushforward_of_unreduced_field(family):
         x = ReducedPoint(rs, np.zeros(4, dtype=complex),
                          0.3 * rng.normal(size=4) + 0j,
                          np.exp(2j * np.pi * rng.uniform(size=n_s)))
-        while collision_margin(sys, x) < 0.5:
+        while collision_margin(sys, x.q) < 0.5:
             x = ReducedPoint(rs, rng.uniform(-2, 2, size=4) + 0j, x.p, x.s)
         lift = lift_reduced(x)
         up = vector_field(sys, lift)
-        down = vector_field_reduced(sys, x)
+        down = vector_field(sys, x)
         pushed = np.array([form(up.xi, spin_invariant_gradient(lift.xi, g))
                            for g in reduced_roots(rs)])
         scale = np.max(np.abs(pushed))
@@ -503,9 +533,10 @@ def test_lax_pair_reduced_along_trajectory():
                             (-1, -1): -0.5})
     traj = integrate(sys, x0, 2.0, tol=1e-12, n_points=21)
     assert traj.completed
-    report = lax_pair_reduced(sys, traj, n_residual_points=5)
+    report = lax_pair_reduced(sys, traj)
     assert report["isospectral_drift"] < 1e-7
-    assert report["lax_residual"] < 1e-9
+    at = np.linspace(0, traj.n_points - 1, 5).astype(int)
+    assert np.max(lax_residuals(sys, [traj.points[k] for k in at])) < 1e-9
     assert report["n_points"] == 21
 
 
@@ -579,7 +610,8 @@ def test_involution_of_spectral_invariants():
                      (make_system("trigonometric", 2), 1e-10),
                      (make_system("elliptic", 2, lattice=WIDE), 1e-8)):
         x = random_reduced(sys, rng)
-        assert involution_check(sys, x, INVOLUTION_PAIRS) < tol, sys.family
+        assert np.max(involution_residuals(sys, [x], INVOLUTION_PAIRS)) < tol, \
+            sys.family
 
 
 # -- bracket relation of Lax components ---------------------------------------

@@ -19,7 +19,7 @@ import math
 import numpy as np
 import pytest
 
-from spincm.elliptic import Lattice, l_kernel, sigma, wp, wp_prime, zeta
+from spincm.elliptic import Lattice, l_kernel
 from spincm.errors import PoleError, StructuralError
 
 SQUARE = Lattice(1.0, 1j)
@@ -118,15 +118,41 @@ def test_wp_prime_and_higher_zeta_derivatives():
             fd1 = (lat.wp(z + h) - lat.wp(z - h)) / (2 * h)
             assert abs(lat.wp_prime(z) - fd1) / max(1.0, abs(fd1)) < 1e-7
             for k in (2, 3, 4):
-                fd = (lat.zeta_derivative(z + h, k - 1)
-                      - lat.zeta_derivative(z - h, k - 1)) / (2 * h)
-                val = lat.zeta_derivative(z, k)
+                fd = (lat.zeta_ladder(z + h, k)[k - 1]
+                      - lat.zeta_ladder(z - h, k)[k - 1]) / (2 * h)
+                val = lat.zeta_ladder(z, k + 1)[k]
                 assert abs(val - fd) / max(1.0, abs(fd)) < 1e-6
 
 
 def test_zeta_derivative_rejects_high_order():
     with pytest.raises(ValueError):
-        SQUARE.zeta_derivative(0.3, 5)
+        SQUARE.zeta_ladder(0.3, 6)
+
+
+def test_zeta_ladder_is_one_theta_pass(monkeypatch):
+    """Every order of the ladder is bitwise the value of its own
+    evaluation (zeta, -wp, -wp' and the closed forms of orders 3 and 4 from
+    them), at any kmax, from one theta_1 pass per call."""
+    lat = Lattice(2.0, 2.2j)
+    rng = np.random.default_rng(3)
+    z = rng.uniform(-4, 4, (268, 10)) + 1j * rng.uniform(-4, 4, (268, 10))
+    p, dp = lat.wp(z), lat.wp_prime(z)
+    want = [lat.zeta_ladder(z, 1)[0], -p, -dp,
+            -(6.0 * p * p - 0.5 * lat.g2), -12.0 * p * dp]
+    passes = []
+    theta1 = Lattice._theta1
+
+    def counted(self, z0):
+        passes.append(z0.shape)
+        return theta1(self, z0)
+    monkeypatch.setattr(Lattice, "_theta1", counted)
+    for kmax in range(1, 6):
+        got = lat.zeta_ladder(z, kmax)
+        assert len(got) == kmax
+        for k in range(kmax):
+            assert np.array_equal(got[k], want[k]), (kmax, k)
+    assert passes == [z.shape] * 5
+    assert all(type(v) is complex for v in lat.zeta_ladder(0.3 + 0.1j, 5))
 
 
 def test_differential_equation_of_wp():
@@ -236,14 +262,6 @@ def test_degenerate_lattice_is_rejected():
             Lattice(omega1, omega2)
 
 
-def test_module_level_wrappers():
-    z = 0.31 + 0.17j
-    assert sigma(SQUARE, z) == SQUARE.sigma(z)
-    assert zeta(SQUARE, z) == SQUARE.zeta(z)
-    assert wp(SQUARE, z) == SQUARE.wp(z)
-    assert wp_prime(SQUARE, z) == SQUARE.wp_prime(z)
-
-
 # -- mpmath oracle ------------------------------------------------------------
 
 
@@ -316,9 +334,9 @@ def test_array_and_scalar_inputs_share_one_path():
                 assert type(val) is (float if name == "lattice_distance"
                                      else complex)
                 assert close(arr[idx], val), (name, z[idx])
-        for k in range(5):
-            assert close(lat.zeta_derivative(z, k), [
-                [lat.zeta_derivative(complex(v), k) for v in row] for row in z])
+        rows = [[lat.zeta_ladder(complex(v), 5) for v in row] for row in z]
+        for k, arr in enumerate(lat.zeta_ladder(z, 5)):
+            assert close(arr, [[vals[k] for vals in row] for row in rows])
         z0, m, n = lat.reduce(z)
         for idx in np.ndindex(z.shape):
             assert lat.reduce(complex(z[idx])) == (z0[idx], m[idx], n[idx])

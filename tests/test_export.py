@@ -13,7 +13,7 @@ import pytest
 from helpers import reference_csv
 from spincm.cli import EXIT_PASS, main
 from spincm.dynamics import (Trajectory, _pack_point, gauge_residual,
-                             hamiltonian_reduced, integrate, make_system,
+                             hamiltonian, integrate, make_system,
                              read_trajectory_csv, spinless_state,
                              trajectory_csv, write_trajectory_csv)
 from spincm.elliptic import Lattice
@@ -110,7 +110,7 @@ def test_reduce_csv_matches_point_by_point_writer(tmp_path):
     reduced = [project_pi(x) for x in points]
     traj = Trajectory(times, np.array([_pack_point(x) for x in reduced]),
                       sys_.rs, True,
-                      np.array([hamiltonian_reduced(sys_, x)
+                      np.array([hamiltonian(sys_, x)
                                 for x in reduced]),
                       np.zeros(len(times)), True)
     extra = {"gauge_residual": [gauge_residual(sys_, x) for x in points]}

@@ -1,4 +1,4 @@
-"""The flat flow core behind `vector_field`, `vector_field_reduced` and
+"""The flat flow core behind `vector_field` (at both point kinds) and
 `integrate`: an independent oracle for the field, pinned trajectories
 (checked also against their values from the 5(4) pair before the core was
 flattened), its fault paths, and the stacked diagnostics against
@@ -23,8 +23,7 @@ from helpers import pair_weight
 from spincm import dynamics
 from spincm.dynamics import (_pack_point, conserved_spectrum, hamiltonian,
                              integrate, lax_L, lax_pair_reduced, make_system,
-                             spectrum_drift, spinless_state, vector_field,
-                             vector_field_reduced)
+                             spectrum_drift, spinless_state, vector_field)
 from spincm.elliptic import Lattice
 from spincm.errors import PoleError, StructuralError
 from spincm.phase import (PhasePoint, ReducedPoint, lift_reduced, momentum_J,
@@ -91,7 +90,7 @@ def test_fields_match_the_dense_oracle(family, rank, seed):
     want = np.concatenate(oracle_field(sys_, q, p, xi))
     assert rel_err(np.concatenate([v.q, v.p, v.xi.vec]), want) < 1e-13
     x_red = ReducedPoint(rs, q, p, xi[2 * rs.rank:])
-    v_red = vector_field_reduced(sys_, x_red)
+    v_red = vector_field(sys_, x_red)
     want = np.concatenate(oracle_reduced(sys_, x_red))
     assert rel_err(np.concatenate([v_red.q, v_red.p, v_red.s]), want) < 1e-13
 
@@ -402,5 +401,5 @@ def test_stacked_diagnostics_match_per_point_loops(family, rank, reduced):
             iso = float(max(abs(a - b) for c in curves
                             for row, row0 in zip(c, curves[0])
                             for a, b in zip(row, row0)))
-        got = lax_pair_reduced(sys_, traj, z, n_residual_points=2)
+        got = lax_pair_reduced(sys_, traj, z)
         assert abs(got["isospectral_drift"] - iso) < 1e-13

@@ -17,8 +17,7 @@ import pytest
 import spincm
 from spincm import dynamics
 from spincm.dynamics import (_pack_point, _unpack_point, integrate,
-                             make_system, spinless_state, vector_field,
-                             vector_field_reduced)
+                             make_system, spinless_state, vector_field)
 from spincm.elliptic import Lattice
 from spincm.errors import PoleError
 from spincm.ode import EPS, DormandPrince
@@ -41,10 +40,9 @@ def scipy_reference(sys_, x0, t_final, tol, n_points):
     from scipy.integrate import DOP853
     rs = sys_.rs
     reduced = isinstance(x0, ReducedPoint)
-    field = vector_field_reduced if reduced else vector_field
 
     def rhs(t, y):
-        return _pack_point(field(sys_, _unpack_point(rs, y, reduced)))
+        return _pack_point(vector_field(sys_, _unpack_point(rs, y, reduced)))
 
     solver = DOP853(rhs, 0.0, _pack_point(x0), t_final, rtol=tol,
                     atol=tol * 1e-2)

@@ -13,8 +13,8 @@ from helpers import (PhaseFunction, PhaseGradient, ReducedFunction,
                      normalize_to_slice, poisson_full, poisson_reduced,
                      spin_coordinate_function, spin_invariant_gradient)
 from spincm.phase import (PhasePoint, ReducedPoint, gauge_g, lift_reduced,
-                          momentum_J, project_pi, reduced_roots,
-                          spin_invariant, spin_tensor, torus_action)
+                          momentum_J, project_pi, reduced_brackets,
+                          reduced_roots, spin_invariant, torus_action)
 from spincm.rootsys import AlgElement, build_root_system, bracket, form
 
 RS2 = build_root_system("A", 2)
@@ -200,7 +200,7 @@ def test_momentum_generates_the_action():
     pt = random_point(rs, rng)
     c = rng.normal(size=2)
     h_elem = AlgElement.cartan(
-        rs, sum(c[j] * rs.coroot_coordinates(rs.simple_roots[j])
+        rs, sum(c[j] * rs.alpha_h[rs.root_index[rs.simple_roots[j]]]
                 for j in range(rs.rank)))
     j_func = PhaseFunction(
         lambda x: form(x.xi, h_elem),
@@ -399,6 +399,13 @@ def test_reduced_bracket_antisymmetry_and_q_s_commute():
     assert abs(poisson_reduced(qfun(0), fa, red)) == 0.0
 
 
+def spin_tensor(red):
+    """P[gamma, delta] = {s_gamma, s_delta}: the reduced brackets of the
+    unit ds rows."""
+    rows = np.eye(2 * red.rs.rank + len(red.s))[2 * red.rs.rank:]
+    return reduced_brackets(red.rs, red.s, rows, rows)
+
+
 def test_spin_tensor_matches_pairwise_brackets():
     rng = np.random.default_rng(15)
     rs = RS2
@@ -416,7 +423,7 @@ def test_spin_tensor_matches_pairwise_brackets():
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
 def test_spin_tensor_is_the_lie_poisson_bracket_of_the_invariants(rank):
     # P[a, b] = <xi, [d s_a, d s_b]> at the slice lift, with the
-    # differentials from spin_invariant_gradient instead of bracket_reduced
+    # differentials from spin_invariant_gradient instead of spin_chain
     rs = build_root_system("A", rank)
     rng = np.random.default_rng(17 + rank)
     n_s = rs.n_roots - rs.rank

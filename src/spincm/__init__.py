@@ -22,7 +22,7 @@ from .rmatrix import (LaurentElement, RMatrixSpec, R_apply, elliptic_r_matrix,
                       verify_axioms, verify_cdybe, verify_mdybe)
 from .phase import (PhasePoint, ReducedPoint, bracket_full, lift_reduced,
                     momentum_J, project_pi, torus_action)
-from .dynamics import (SystemSpec, Trajectory, conserved_spectrum,
+from .dynamics import (Trajectory, conserved_spectrum,
                        fpbr_residual, hamiltonian, integrate,
                        involution_residuals, lax_B, lax_L, lax_pair_reduced,
                        lax_residuals, make_system, sigma_residual,
@@ -46,7 +46,6 @@ __all__ = [
     "RootSystem",
     "SpincmError",
     "StructuralError",
-    "SystemSpec",
     "Trajectory",
     "UnsupportedAlgebraError",
     "bracket",

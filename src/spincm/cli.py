@@ -39,16 +39,15 @@ from .elliptic import Lattice
 from .errors import (ConfigError, ConstraintError, GaugeDomainError,
                      PoleError, SpincmError, StructuralError)
 from .phase import PhasePoint, ReducedPoint, project_pi, reduced_roots
-from .rmatrix import (FAMILIES, default_mdybe_samples, verify_axioms,
-                      verify_cdybe, verify_mdybe)
+from .rmatrix import (FAMILIES, RMatrixSpec, default_mdybe_samples,
+                      verify_axioms, verify_cdybe, verify_mdybe)
 from .rootsys import (AlgElement, build_root_system, parse_root_label,
                       root_system_summary)
-from .dynamics import (SystemSpec, _pack_point, collision_margin,
-                       default_z_samples, gauge_residual, hamiltonian,
-                       integrate, involution_residuals, lax_pair_reduced,
-                       lax_residuals, make_system, read_trajectory_csv,
-                       spectrum_drift, spinless_state, Trajectory,
-                       write_trajectory_csv)
+from .dynamics import (_pack_point, collision_margin, default_z_samples,
+                       gauge_residual, hamiltonian, integrate,
+                       involution_residuals, lax_pair_reduced, lax_residuals,
+                       make_system, read_trajectory_csv, spectrum_drift,
+                       spinless_state, Trajectory, write_trajectory_csv)
 from . import __version__
 
 EXIT_PASS = 0
@@ -224,7 +223,7 @@ class RunConfig:
     outputs: dict
     thresholds: dict
 
-    def system(self) -> SystemSpec:
+    def system(self) -> RMatrixSpec:
         try:
             lattice = self.lattice and Lattice(*_complexes(
                 [self.lattice["omega1"], self.lattice["omega2"]]))
@@ -299,7 +298,7 @@ def _spin_values(spins: dict, rank: int) -> dict:
             for label, c in zip(spins, _complexes(spins.values()))}
 
 
-def build_initial(config: RunConfig, system: SystemSpec):
+def build_initial(config: RunConfig, system: RMatrixSpec):
     """Initial point from the config: explicit coordinates or a preset."""
     init = config.initial
     if init is None:
@@ -341,7 +340,7 @@ def cmd_simulate(config: RunConfig, out_dir: Path) -> int:
     traj = integrate(system, x0, **config.integration)
     csv_path = out_dir / config.outputs["trajectory_csv"]
     write_trajectory_csv(csv_path, system, traj)
-    kmax = config.outputs["kmax"] or system.kmax
+    kmax = config.outputs["kmax"] or system.rs.matrix_size
     try:
         drift = spectrum_drift(system, traj, _z_grid(config), kmax)
     except FloatingPointError as exc:
@@ -374,7 +373,7 @@ def cmd_simulate(config: RunConfig, out_dir: Path) -> int:
 _Q_MARGIN = 0.2
 
 
-def _random_q(rng, system: SystemSpec) -> np.ndarray:
+def _random_q(rng, system: RMatrixSpec) -> np.ndarray:
     """Random Cartan configuration kept clear of the singular set: close
     root hyperplanes amplify the Lax coefficients past the suite
     thresholds without saying anything about the structure."""
@@ -411,7 +410,7 @@ def _random_principal(rs, rng, order: int) -> np.ndarray:
                      for _ in range(order)])
 
 
-def _random_sigma_point(system: SystemSpec, rng) -> PhasePoint:
+def _random_sigma_point(system: RMatrixSpec, rng) -> PhasePoint:
     rs = system.rs
     vec = rng.normal(size=rs.dim) + 1j * rng.normal(size=rs.dim)
     vec[:rs.rank] = 0.0
@@ -420,7 +419,7 @@ def _random_sigma_point(system: SystemSpec, rng) -> PhasePoint:
                       AlgElement(rs, vec))
 
 
-def _random_reduced_point(system: SystemSpec, rng) -> ReducedPoint:
+def _random_reduced_point(system: RMatrixSpec, rng) -> ReducedPoint:
     rs = system.rs
     n_s = rs.n_roots - rs.rank
     return ReducedPoint(rs, _random_q(rng, system),
@@ -463,7 +462,7 @@ def _point(x) -> dict:
 def _suite_axioms(system, config, rng) -> list[dict]:
     samples = [{"q": _random_q(rng, system), "z": _random_z(rng)}
                for _ in range(20)]
-    per_sample = verify_axioms(system.rmatrix,
+    per_sample = verify_axioms(system,
                                np.array([s["q"] for s in samples]),
                                [s["z"] for s in samples])
     return [_worst(name, per_sample[name], samples)
@@ -475,7 +474,7 @@ def _suite_cdybe(system, config, rng) -> list[dict]:
                for _ in range(10)]
     z = np.array([s["z"] for s in samples]).T
     return [_worst("cdybe", verify_cdybe(
-        system.rmatrix, np.array([s["q"] for s in samples]), *z), samples)]
+        system, np.array([s["q"] for s in samples]), *z), samples)]
 
 
 def _suite_mdybe(system, config, rng) -> list[dict]:
@@ -483,8 +482,8 @@ def _suite_mdybe(system, config, rng) -> list[dict]:
                 "xi": _random_principal(system.rs, rng, 2),
                 "eta": _random_principal(system.rs, rng, 2)}
                for _ in range(10)]
-    return [_worst("mdybe", [verify_mdybe(system.rmatrix, s["q"], s["xi"],
-                                          s["eta"], z_samples=s["z"])
+    return [_worst("mdybe", [verify_mdybe(system, s["q"], s["xi"], s["eta"],
+                                          z_samples=s["z"])
                              for s in samples], samples)]
 
 
@@ -563,7 +562,7 @@ def cmd_verify(config: RunConfig, suite: str, out_dir: Path, *,
                           + ", ".join(SUITES))
     system = config.system()
     if inject_fault:
-        system = SystemSpec(system.rmatrix.with_fault(FAULT_SCALE))
+        system = system.with_fault(FAULT_SCALE)
     rng = np.random.default_rng(config.seed)
     checks = _SUITE_RUNNERS[suite](system, config, rng)
     threshold = float(config.thresholds[suite]) * threshold_scale
@@ -628,7 +627,7 @@ def cmd_info(config: RunConfig) -> int:
     payload = {
         "version": __version__,
         "system": system.describe(),
-        "kmax": system.kmax,
+        "kmax": system.rs.matrix_size,
         "thresholds": config.thresholds,
         "root_system": root_system_summary(system.rs),
     }
@@ -684,7 +683,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="multiply every suite threshold by this factor")
     p_ver.add_argument("--inject-fault", action="store_true",
                        help="corrupt one root pair of the r-matrix "
-                            "(negative control; the cdybe suite must fail)")
+                            "(negative control: the axioms, cdybe and "
+                            "mdybe suites exit 1; lax, involution and "
+                            "spectral never read the fault and exit 0)")
 
     p_red = sub.add_parser("reduce",
                            help="project an unreduced trajectory CSV")

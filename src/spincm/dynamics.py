@@ -42,8 +42,8 @@ from .ode import DormandPrince
 from .phase import (PhasePoint, ReducedPoint, gauge_g, lift_reduced,
                     momentum_J, project_pi, reduced_brackets, reduced_roots,
                     slice_lift, spin_chain)
-from .rmatrix import (LaurentElement, RMatrixSpec, _ladder, _R_values,
-                      _r_pairing, _r_table, elliptic_r_matrix,
+from .rmatrix import (LaurentElement, RMatrixSpec, _ladder, _pole_distance,
+                      _R_values, _r_pairing, _r_table, elliptic_r_matrix,
                       positive_pair_weight, rational_r_matrix,
                       root_coeff_reg0, trigonometric_r_matrix)
 from .rootsys import (AlgElement, RootSystem, bracket, build_root_system,
@@ -57,52 +57,16 @@ MAX_STEPS = 200_000
 
 
 # ---------------------------------------------------------------------------
-# system specification and trajectories
-
-
-@dataclass(frozen=True)
-class SystemSpec:
-    """A spin Calogero-Moser system: root data plus an r-matrix family.
-
-    The defining (n+1)-dimensional representation is used wherever a matrix
-    of L is needed (conserved traces, spectral curves).
-    """
-
-    rmatrix: RMatrixSpec
-
-    @property
-    def rs(self) -> RootSystem:
-        return self.rmatrix.rs
-
-    @property
-    def family(self) -> str:
-        return self.rmatrix.family
-
-    @property
-    def kmax(self) -> int:
-        """Largest independent trace power: n + 1 for sl(n+1)."""
-        return self.rs.rank + 1
-
-    @property
-    def lax_rmatrix(self) -> RMatrixSpec:
-        """Coefficient source for the Lax operators.
-
-        The fault-injection knob of the r-matrix spec is deliberately not
-        propagated here: a corrupted r-matrix must fail its own axiom checks
-        while leaving the dynamics untouched.
-        """
-        if self.rmatrix.fault_scale == 1.0:
-            return self.rmatrix
-        return self.rmatrix.with_fault(1.0)
-
-    def describe(self) -> dict:
-        return self.rmatrix.describe()
+# systems and trajectories
 
 
 def make_system(family: str, rank: int, *, delta_prime="full",
                 pi_prime="full", delta_plus=None,
-                lattice: Lattice | None = None) -> SystemSpec:
-    """Construct a system of the given family over A_rank."""
+                lattice: Lattice | None = None) -> RMatrixSpec:
+    """Construct a system of the given family over A_rank: its r-matrix
+    spec, from which the Hamiltonian, the flow and the Lax operators are
+    built.  The defining (n+1)-dimensional representation is used wherever
+    a matrix of L is needed (conserved traces, spectral curves)."""
     rs = build_root_system("A", rank)
     if family == "rational":
         spec = rational_r_matrix(rs, delta_prime)
@@ -115,7 +79,7 @@ def make_system(family: str, rank: int, *, delta_prime="full",
     else:
         raise StructuralError(f"unknown family {family!r}; expected one of "
                               "rational, trigonometric, elliptic")
-    return SystemSpec(spec)
+    return spec
 
 
 def spinless_state(rs: RootSystem, q, p, m: complex) -> PhasePoint:
@@ -187,13 +151,12 @@ def _split(rs: RootSystem, y: np.ndarray, reduced: bool) -> tuple:
             slice_lift(rs, spin) if reduced else spin)
 
 
-def _gradient(sys: SystemSpec, q, xi) -> tuple[np.ndarray, np.ndarray]:
+def _gradient(sys: RMatrixSpec, q, xi) -> tuple[np.ndarray, np.ndarray]:
     """dH/dq and w xi = -dH/dxi (w_alpha xi_alpha on the roots, 0 on the
     Cartan block) at the coordinates q, xi (leading axes kept).  w is even,
     so one weight call on the positive roots serves every root."""
     rs = sys.rs
-    w, w_du = positive_pair_weight(sys.lax_rmatrix,
-                                   q @ rs.alpha_h[:rs.n_pos].T)
+    w, w_du = positive_pair_weight(sys, q @ rs.alpha_h[:rs.n_pos].T)
     roots = xi[..., rs.rank:]
     prod = roots[..., :rs.n_pos] * roots[..., rs.n_pos:]
     weights = np.concatenate([np.zeros(w.shape[:-1] + (rs.rank,)), w, w], -1)
@@ -201,7 +164,7 @@ def _gradient(sys: SystemSpec, q, xi) -> tuple[np.ndarray, np.ndarray]:
 
 
 @raise_on_fp_fault
-def _energy(sys: SystemSpec, q, p, xi) -> np.ndarray:
+def _energy(sys: RMatrixSpec, q, p, xi) -> np.ndarray:
     """H = (1/2)|p|^2 - (1/2) <w xi, xi> at the coordinates q, p, xi;
     leading axes stack points."""
     wxi = _gradient(sys, q, xi)[1]
@@ -209,7 +172,7 @@ def _energy(sys: SystemSpec, q, p, xi) -> np.ndarray:
                   - np.sum(wxi * xi[..., sys.rs.dual_index], axis=-1))
 
 
-def _energy_column(sys: SystemSpec, q, p, xi):
+def _energy_column(sys: RMatrixSpec, q, p, xi):
     """(energy, fault): :func:`_energy` over the stacked points, cut before
     the first one whose energy faults, and that FloatingPointError (None if
     none does).  A fault at the first point raises StructuralError."""
@@ -228,7 +191,7 @@ def _energy_column(sys: SystemSpec, q, p, xi):
 
 
 @raise_on_fp_fault
-def _flow(sys: SystemSpec, y: np.ndarray, reduced: bool) -> np.ndarray:
+def _flow(sys: RMatrixSpec, y: np.ndarray, reduced: bool) -> np.ndarray:
     """The vector field at the state y: (dq, dp) = (p, -dH/dq) and the
     coadjoint spin leg d(I xi) = [w xi, I xi]; on a reduced state s_dot =
     -P dH_0/ds with P = C F C^T (C = :func:`spincm.phase.spin_chain`)
@@ -253,13 +216,13 @@ def _point_coords(x) -> tuple:
     return x.q, x.p, x.xi.vec
 
 
-def hamiltonian(sys: SystemSpec, x) -> complex:
+def hamiltonian(sys: RMatrixSpec, x) -> complex:
     """H = (1/2)|p|^2 - (1/2) sum_alpha w_alpha xi_alpha xi_{-alpha}; at a
     ReducedPoint, H_0: H at its slice lift (s_{alpha_i} = 1)."""
     return complex(_energy(sys, *_point_coords(x)))
 
 
-def vector_field(sys: SystemSpec, x):
+def vector_field(sys: RMatrixSpec, x):
     """Hamiltonian vector field of H, returned in point coordinates:
     (dq, dp, d(I xi)) = (dH/dp, -dH/dq, I(ad*_{dH_xi} xi)).
 
@@ -277,21 +240,13 @@ def vector_field(sys: SystemSpec, x):
 # integration
 
 
-def collision_margin(sys: SystemSpec, q) -> float:
-    """Distance of the Cartan coordinates q to the singular set of the
-    active pair weights: min |(alpha,q)| (rational), min |sin (alpha,q)|
-    (trigonometric span), min lattice distance (elliptic), inf when the
-    case has no singular roots.  The positive roots suffice: |u|, |sin u|
-    and the lattice distance are even in u."""
-    spec, n_pos = sys.rmatrix, sys.rs.n_pos
-    u = sys.rs.alpha_h[:n_pos] @ q
-    if sys.family == "rational":
-        vals = np.abs(u[spec.dp_mask[:n_pos]])
-    elif sys.family == "trigonometric":
-        vals = np.abs(np.sin(u[spec.span_mask[:n_pos]]))
-    else:
-        vals = spec.lattice.lattice_distance(u)
-    return float(vals.min()) if vals.size else math.inf
+def collision_margin(sys: RMatrixSpec, q) -> float:
+    """Distance of the Cartan coordinates q to the family's singular set
+    (:func:`spincm.rmatrix._pole_distance`), inf when the case has no
+    singular roots.  The positive roots suffice: the distance is even in
+    u."""
+    return float(np.min(_pole_distance(sys, sys.rs.alpha_h[:sys.rs.n_pos]
+                                       @ q)))
 
 
 def _coords(points: list) -> tuple:
@@ -300,7 +255,7 @@ def _coords(points: list) -> tuple:
                   isinstance(points[0], ReducedPoint))
 
 
-def integrate(sys: SystemSpec, x0, t_final: float, tol: float = 1e-10, *,
+def integrate(sys: RMatrixSpec, x0, t_final: float, tol: float = 1e-10, *,
               n_points: int = 201, collision_tol: float = 1e-6
               ) -> Trajectory:
     """Integrate the (reduced or unreduced) flow from t = 0 to t_final.
@@ -380,7 +335,7 @@ def integrate(sys: SystemSpec, x0, t_final: float, tol: float = 1e-10, *,
 
 
 @raise_on_fp_fault
-def _lax(sys: SystemSpec, q, p, xi, z, matrix: bool = False,
+def _lax(sys: RMatrixSpec, q, p, xi, z, matrix: bool = False,
          coeffs: bool = False):
     """L(z) at the coordinates q, p, xi, whose leading axes stack points:
     one value per point and z, of batch shape points + z.shape; with
@@ -392,7 +347,7 @@ def _lax(sys: SystemSpec, q, p, xi, z, matrix: bool = False,
     z = np.asarray(z, dtype=complex)
     u, p, xi = (np.expand_dims(a, tuple(range(a.ndim - 1, a.ndim - 1 + z.ndim)))
                 for a in (q @ rs.alpha_h.T, p, xi))
-    f, c = _ladder(sys.lax_rmatrix, u, z[..., None], 1, int(coeffs))
+    f, c = _ladder(sys, u, z[..., None], 1, int(coeffs))
     cartan = p + f[0] * xi[..., :rs.rank]
     roots = c[0][0] * xi[..., rs.rank:]
     if matrix:
@@ -403,34 +358,34 @@ def _lax(sys: SystemSpec, q, p, xi, z, matrix: bool = False,
     return (out, c[0][0], c[1][0]) if coeffs else out
 
 
-def lax_L(sys: SystemSpec, x, z) -> AlgElement:
+def lax_L(sys: RMatrixSpec, x, z) -> AlgElement:
     """L(q,p,xi)(z) = p + f(z) (I xi)_h + sum c_alpha((alpha,q), z) xi_alpha
     e_alpha; an array of z gives one element per z (batch axes first).  At
     a ReducedPoint, L_0: L at its slice lift."""
     return AlgElement(sys.rs, _lax(sys, *_point_coords(x), z))
 
 
-def _reg0(sys: SystemSpec, q, p, xi) -> np.ndarray:
+def _reg0(sys: RMatrixSpec, q, p, xi) -> np.ndarray:
     """lim_{z->0} (L(z) - I xi / z) at the coordinates (points stacked)."""
     u = sys.rs.root_values(q)
-    return np.concatenate([p, root_coeff_reg0(sys.lax_rmatrix, u)
+    return np.concatenate([p, root_coeff_reg0(sys, u)
                            * xi[..., sys.rs.rank:]], -1)
 
 
-def sigma_residual(sys: SystemSpec, x: PhasePoint) -> float:
+def sigma_residual(sys: RMatrixSpec, x: PhasePoint) -> float:
     """Distance of x from the constraint set Sigma: ||J||_inf for the
     trigonometric and elliptic families, max_{alpha in Delta'} |(alpha, J)|
     for the rational one."""
     j = momentum_J(x)
     if sys.family == "rational":
-        mask = sys.rmatrix.dp_mask
+        mask = sys.dp_mask
         vals = np.abs(sys.rs.root_values(j))[mask]
         return float(vals.max()) if vals.size else 0.0
     return float(np.max(np.abs(j)))
 
 
 @raise_on_fp_fault
-def _lax_pair(sys: SystemSpec, points: list, z, anomaly: bool = False):
+def _lax_pair(sys: RMatrixSpec, points: list, z, anomaly: bool = False):
     """The Lax pair at the points (all PhasePoints, or all ReducedPoints
     for L_0 and B_0), stacked: max_z ||dL/dt - [B, L]|| per point (plus
     (X_J R)(L/z) with ``anomaly``), B = -R_q(L/z) on z and the principal
@@ -439,8 +394,9 @@ def _lax_pair(sys: SystemSpec, points: list, z, anomaly: bool = False):
     point moves at its slice lift, and B_0 is B less the compensator of the
     gauge drift.  Velocities come point by point from the flow core; the
     kernel runs twice: L at each point's own root values (the row products
-    of a single lax_L call), then r at -z and dc/du at z in one table."""
-    rs, spec, n = sys.rs, sys.lax_rmatrix, sys.rs.rank
+    of a single lax_L call), then r at -z and dc/du at z in one table, from
+    the spec without its fault."""
+    rs, n = sys.rs, sys.rs.rank
     z = np.asarray(z, dtype=complex)
     reduced = isinstance(points[0], ReducedPoint)
     ys = np.array([_pack_point(x) for x in points])
@@ -454,8 +410,8 @@ def _lax_pair(sys: SystemSpec, points: list, z, anomaly: bool = False):
         [p, vel[:, n:2 * n]], 1), np.stack([xi, dxi], 1), z), 1, 0)
     m = len(z)
     nodes = np.broadcast_to(z[:, None], (m, len(ys)))
-    r, dr = np.moveaxis(_r_table(spec, q, np.concatenate([nodes, -nodes]),
-                                 range(2), du=1), 2, 3)
+    r, dr = np.moveaxis(_r_table(sys.with_fault(1.0), q, np.concatenate(
+        [nodes, -nodes]), range(2), du=1), 2, 3)
     dlax[..., n:] += dr[0, :, :m, n:] * rs.root_values(vel[:, :n])[:, None] \
         * xi[:, None, n:]
     principal = np.stack([_reg0(sys, q, p, xi), xi])
@@ -476,7 +432,7 @@ def _lax_pair(sys: SystemSpec, points: list, z, anomaly: bool = False):
     return np.max(np.abs(res), axis=(-2, -1)), b, principal
 
 
-def lax_B(sys: SystemSpec, x, nodes) -> LaurentElement:
+def lax_B(sys: RMatrixSpec, x, nodes) -> LaurentElement:
     """B = -R_q(L/z) on ``nodes``, defined on the constraint set Sigma where
     the flow is of Lax form; off Sigma (beyond SIGMA_TOL) a constraint
     error carries the residual.  At a ReducedPoint, B_0 through the gauge
@@ -494,13 +450,13 @@ def lax_B(sys: SystemSpec, x, nodes) -> LaurentElement:
     return LaurentElement(sys.rs, 0.5 * principal[:, 0], nodes, b[0])
 
 
-def default_z_samples(n: int = 8, radius: float = 0.55) -> list[complex]:
-    """Sample ring for spectral checks; offset angles avoid the real and
-    imaginary axes where trigonometric coefficients degenerate."""
-    return [radius * np.exp(2j * math.pi * (k + 0.37) / n) for k in range(n)]
+def default_z_samples(n: int = 8) -> list[complex]:
+    """Sample ring |z| = 0.55 for spectral checks; offset angles avoid the
+    real and imaginary axes where trigonometric coefficients degenerate."""
+    return [0.55 * np.exp(2j * math.pi * (k + 0.37) / n) for k in range(n)]
 
 
-def lax_residuals(sys: SystemSpec, points: list,
+def lax_residuals(sys: RMatrixSpec, points: list,
                   z_samples: Sequence[complex] | None = None, *,
                   anomaly: bool = False) -> np.ndarray:
     """max_z ||dL/dt - [B, L]|| at each of the points (L_0 and B_0 for
@@ -515,7 +471,7 @@ def lax_residuals(sys: SystemSpec, points: list,
 # conserved quantities and spectral curves
 
 
-def _power_sums(sys: SystemSpec, coords: tuple, z, kmax: int) -> np.ndarray:
+def _power_sums(sys: RMatrixSpec, coords: tuple, z, kmax: int) -> np.ndarray:
     """tr(rho(L(z))^k) at the stacked coordinates (q, p, xi) of the points
     (a reduced one at its slice lift: L_0), for every z and k = 1..kmax, of
     shape (points, len(z), kmax): one stacked evaluation."""
@@ -550,18 +506,18 @@ def _char_poly(power_sums: np.ndarray) -> np.ndarray:
     return np.stack(coeffs, axis=-1)
 
 
-def conserved_spectrum(sys: SystemSpec, x, z_samples: Sequence[complex],
+def conserved_spectrum(sys: RMatrixSpec, x, z_samples: Sequence[complex],
                        kmax: int | None = None) -> np.ndarray:
     """Table h_k(z) = tr(rho(L(z))^k)/k, shape (len(z_samples), kmax).
 
     Accepts PhasePoints (L) and ReducedPoints (L_0).
     """
-    kmax = kmax or sys.kmax
+    kmax = kmax or sys.rs.matrix_size
     return _power_sums(sys, _coords([x]), z_samples, kmax)[0] \
         / np.arange(1, kmax + 1)
 
 
-def spectrum_drift(sys: SystemSpec, traj: Trajectory,
+def spectrum_drift(sys: RMatrixSpec, traj: Trajectory,
                    z_samples: Sequence[complex] | None = None,
                    kmax: int | None = None) -> float:
     """Largest relative drift of any h_k(z) along the trajectory, with the
@@ -569,7 +525,7 @@ def spectrum_drift(sys: SystemSpec, traj: Trajectory,
     evaluation over the trajectory's states."""
     if z_samples is None:
         z_samples = default_z_samples()
-    kmax = kmax or sys.kmax
+    kmax = kmax or sys.rs.matrix_size
     sums = _power_sums(sys, _split(traj.rs, traj.states, traj.reduced),
                        z_samples, kmax)
     return _worst(_relative_drift(sums / np.arange(1, kmax + 1)))[0]
@@ -579,17 +535,17 @@ def spectrum_drift(sys: SystemSpec, traj: Trajectory,
 # reduced Lax pair
 
 
-def gauge_residual(sys: SystemSpec, x: PhasePoint, z_samples=None) -> float:
-    """max_z ||L_0(pi(x))(z) - Ad_{g(xi)^{-1}} L(x)(z)||, the consistency
-    of the reduced Lax operator with the gauge normalization."""
-    if z_samples is None:
-        z_samples = default_z_samples(4)
+def gauge_residual(sys: RMatrixSpec, x: PhasePoint) -> float:
+    """max_z ||L_0(pi(x))(z) - Ad_{g(xi)^{-1}} L(x)(z)|| over the ring
+    default_z_samples(4), the consistency of the reduced Lax operator with
+    the gauge normalization."""
+    z_samples = default_z_samples(4)
     diff = lax_L(sys, project_pi(x), z_samples) - torus_adjoint(
         -gauge_g(x.xi), lax_L(sys, x, z_samples))
     return diff.max_abs()
 
 
-def lax_pair_reduced(sys: SystemSpec, traj: Trajectory,
+def lax_pair_reduced(sys: RMatrixSpec, traj: Trajectory,
                      z_samples: Sequence[complex] | None = None, *,
                      kmax: int | None = None) -> dict:
     """Verify the isospectrality of the reduced Lax pair along a reduced
@@ -605,7 +561,7 @@ def lax_pair_reduced(sys: SystemSpec, traj: Trajectory,
         raise StructuralError("lax_pair_reduced expects a reduced trajectory")
     if z_samples is None:
         z_samples = default_z_samples()
-    size, kmax = sys.rs.matrix_size, kmax or sys.kmax
+    size, kmax = sys.rs.matrix_size, kmax or sys.rs.matrix_size
     sums = _power_sums(sys, _split(sys.rs, traj.states, True), z_samples,
                        max(kmax, size))
     drift = _worst(_relative_drift(sums[..., :kmax]
@@ -625,7 +581,7 @@ def lax_pair_reduced(sys: SystemSpec, traj: Trajectory,
 # involution of the spectral invariants
 
 
-def _spectral_gradients(sys: SystemSpec, points: list,
+def _spectral_gradients(sys: RMatrixSpec, points: list,
                         specs: Sequence[tuple[int, complex]]) -> np.ndarray:
     """Differentials (dq | dp | ds) of h_k(z) = tr(rho(L_0(z))^k)/k at each
     reduced point for every (k, z) in ``specs``, (points, specs, 2 rank +
@@ -653,7 +609,7 @@ def _spectral_gradients(sys: SystemSpec, points: list,
                            * traces[..., 2 * n:]], -1)
 
 
-def involution_residuals(sys: SystemSpec, points: list,
+def involution_residuals(sys: RMatrixSpec, points: list,
                          pairs: Sequence[tuple[tuple[int, complex],
                                                tuple[int, complex]]]
                          ) -> np.ndarray:
@@ -674,7 +630,7 @@ def involution_residuals(sys: SystemSpec, points: list,
 # fundamental Poisson bracket relation
 
 
-def fpbr_residual(sys: SystemSpec, x: PhasePoint, z: complex,
+def fpbr_residual(sys: RMatrixSpec, x: PhasePoint, z: complex,
                   w: complex) -> float:
     """Residual of the bracket relation
 
@@ -687,11 +643,11 @@ def fpbr_residual(sys: SystemSpec, x: PhasePoint, z: complex,
     negative control as well), each r as its coefficient vector.
     """
     rs = sys.rs
-    spec_l = sys.lax_rmatrix
     q, d, roots = x.q, rs.dual_index, np.arange(rs.rank, rs.dim)
     # component differentials of L with respect to xi coincide with the
     # unfaulted r-matrix pattern: L_a(z) = p_a + c_a(q, z) xi_a
-    (cz, cw), d_zw = _r_table(spec_l, q, [z, w], range(1), du=1)[:, 0]
+    (cz, cw), d_zw = _r_table(sys.with_fault(1.0), q, [z, w], range(1),
+                              du=1)[:, 0]
     dq_z, dq_w = d_zw[:, roots, None] * (x.xi.vec[roots, None] * rs.alpha_h)
     lz, lw = lax_L(sys, x, [z, w]).vec
     # ad[j][b] = [e_{dual(b)}, y_j] for y = xi, L(z), L(w)
@@ -707,7 +663,7 @@ def fpbr_residual(sys: SystemSpec, x: PhasePoint, z: complex,
     # <xi, [e_{dual a}, e_{dual b}]> = [e_{dual b}, xi]_a by invariance
     lhs += cz[:, None] * cw * ad_xi.T
 
-    c12, d12 = _r_table(sys.rmatrix, q, z - w, range(1), du=1)[:, 0]
+    c12, d12 = _r_table(sys, q, z - w, range(1), du=1)[:, 0]
     com = c12[d] * ad_z.T + c12[:, None] * ad_w
     com[roots, d[roots]] += d12[roots] * rs.root_values(momentum_J(x))
     return float(np.max(np.abs(lhs + com)))
@@ -729,7 +685,7 @@ def _state_columns(rs: RootSystem, reduced: bool) -> list[str]:
             + [f"p{i + 1}" for i in range(rs.rank)] + spin)
 
 
-def trajectory_csv(sys: SystemSpec, traj: Trajectory,
+def trajectory_csv(sys: RMatrixSpec, traj: Trajectory,
                    extra: dict[str, Sequence] | None = None) -> str:
     """The CSV text: a header of t, q_i, p_i, the root spins by label,
     energy, J_residual and the ``extra`` columns, then one row per point
@@ -752,7 +708,7 @@ def trajectory_csv(sys: SystemSpec, traj: Trajectory,
         table.view(float).ravel().tolist())
 
 
-def write_trajectory_csv(path, sys: SystemSpec, traj: Trajectory,
+def write_trajectory_csv(path, sys: RMatrixSpec, traj: Trajectory,
                          extra: dict[str, Sequence] | None = None) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(trajectory_csv(sys, traj, extra))

@@ -23,7 +23,9 @@ ties the r-matrix to the mechanics.
 Each family has one array kernel (:func:`_ladder`): from the root values
 u = rs.root_values(q) (roots on the last axis, z broadcasting against it)
 it returns every z-derivative up to the order asked for, and the mixed
-u-derivatives, in one pass.  Its pole guards name the first offending
+u-derivatives, in one pass.  Its pole guards read the family's singular
+set from one place (:func:`_pole_distance`, which also gives
+:func:`spincm.dynamics.collision_margin`) and name the first offending
 root; a numpy floating-point fault raises FloatingPointError, so no table
 holds inf or nan.  The pair weights are even in u, so they are evaluated
 on the positive roots and mirrored.
@@ -85,8 +87,9 @@ class RMatrixSpec:
     ``fault_scale`` is a negative-control knob used by the verification CLI:
     it multiplies the coefficient of one +/- root pair of the r-matrix's
     coefficient vectors, which preserves the zero-weight and unitarity
-    axioms but breaks the residue normalization and the CDYBE.  It does
-    not touch the Lax coefficient functions.
+    axioms but breaks the residue normalization and the CDYBE.  The Lax
+    and pair-weight kernels never read it, and the Lax-side tables of
+    ``dynamics`` are taken from ``with_fault(1.0)``.
     """
 
     rs: RootSystem
@@ -94,13 +97,17 @@ class RMatrixSpec:
     _: KW_ONLY
     dp_mask: np.ndarray | None = None
     pi_prime: frozenset[int] = frozenset()
-    span_mask: np.ndarray | None = None
     plus_mask: np.ndarray | None = None
     lattice: Lattice | None = None
     fault_scale: complex = 1.0
 
     def __post_init__(self):
-        if self.span_mask is not None:
+        if self.family == "trigonometric":
+            if self.plus_mask is None:      # the canonical positive system
+                self.plus_mask = np.arange(self.rs.n_roots) < self.rs.n_pos
+            # the roots in the span of Pi' have no simple root outside it
+            off = [i for i in range(self.rs.rank) if i not in self.pi_prime]
+            self.span_mask = ~np.array(self.rs.roots)[:, off].any(axis=1)
             # b - u/3 of the trigonometric root coefficient e^{b z} g(z):
             # 0 on the span of Pi', -i (Delta_+) or +i (Delta_-) off it
             self.trig_shift = np.where(self.span_mask, 0j,
@@ -109,6 +116,9 @@ class RMatrixSpec:
         self.fault_root_indices = (0, self.rs.n_pos)    # a +/- root pair
 
     def with_fault(self, scale: complex) -> "RMatrixSpec":
+        """The spec with ``fault_scale`` = scale; itself if unchanged."""
+        if complex(scale) == self.fault_scale:
+            return self
         return replace(self, fault_scale=scale)
 
     def describe(self) -> dict:
@@ -183,9 +193,7 @@ def trigonometric_r_matrix(rs: RootSystem, pi_prime="full",
         if not all(0 <= i < rs.rank for i in chosen):
             raise StructuralError(
                 f"pi_prime indices must lie in 0..{rs.rank - 1}, got {sorted(chosen)}")
-    off = [i for i in range(rs.rank) if i not in chosen]
-    span = ~np.array(rs.roots)[:, off].any(axis=1)
-    plus = np.arange(rs.n_roots) < rs.n_pos
+    plus = None
     if delta_plus is not None:
         plus = _resolve_root_subset(rs, delta_plus)
         neg = rs.dual_index[rs.rank:] - rs.rank
@@ -193,8 +201,7 @@ def trigonometric_r_matrix(rs: RootSystem, pi_prime="full",
             raise StructuralError(
                 f"delta_plus is not a polarization: {rs.roots[k]} and "
                 f"{rs.roots[neg[k]]} are on the same side")
-    return RMatrixSpec(rs, "trigonometric", pi_prime=chosen,
-                       span_mask=span, plus_mask=plus)
+    return RMatrixSpec(rs, "trigonometric", pi_prime=chosen, plus_mask=plus)
 
 
 def elliptic_r_matrix(rs: RootSystem, lattice: Lattice) -> RMatrixSpec:
@@ -209,10 +216,33 @@ def elliptic_r_matrix(rs: RootSystem, lattice: Lattice) -> RMatrixSpec:
 
 
 def _root_guard(spec: RMatrixSpec, bad: np.ndarray, what: str) -> None:
-    """PoleError naming the first root (last axis) flagged in ``bad``."""
-    if np.any(bad):
+    """PoleError naming the first root (last axis) flagged in the boolean
+    array ``bad``."""
+    if bad.any():
         k = np.argwhere(bad)[0, -1]
         raise PoleError(f"{what} at the root {root_label(spec.rs.roots[k])}")
+
+
+def _pole_distance(spec: RMatrixSpec, u, sin_u=None) -> np.ndarray:
+    """The family's singular set: the distance of each root value in ``u``
+    (the roots, or a prefix of them such as the positive roots, on the last
+    axis) to the poles of that root's coefficients, inf for a root whose
+    coefficients have none.  |u| on Delta' (rational), |sin u| on the span
+    of Pi' (trigonometric; ``sin_u`` is sin u if the caller has it) and
+    the lattice distance (elliptic)."""
+    if spec.family == "elliptic":
+        return spec.lattice.lattice_distance(u)
+    if spec.family == "rational":
+        mask, dist = spec.dp_mask, np.abs(u)
+    else:
+        mask = spec.span_mask
+        dist = np.abs(np.sin(u) if sin_u is None else sin_u)
+    return np.where(mask[:np.shape(u)[-1]], dist, np.inf)
+
+
+def _pole_guard(spec: RMatrixSpec, u, what: str, sin_u=None) -> None:
+    """PoleError naming the first root of ``u`` within _ZTOL of a pole."""
+    _root_guard(spec, _pole_distance(spec, u, sin_u) < _ZTOL, what)
 
 
 def _on_lattice(spec: RMatrixSpec, evaluate: Callable[[], np.ndarray],
@@ -223,9 +253,9 @@ def _on_lattice(spec: RMatrixSpec, evaluate: Callable[[], np.ndarray],
     try:
         return evaluate()
     except PoleError as exc:
-        bad = False
+        bad = np.zeros((), dtype=bool)
         for arg in root_args:
-            bad = bad | (spec.lattice.lattice_distance(arg) < POLE_TOL)
+            bad = bad | (_pole_distance(spec, arg) < POLE_TOL)
         _root_guard(spec, bad, f"elliptic coefficient ({exc})")
         raise
 
@@ -233,11 +263,9 @@ def _on_lattice(spec: RMatrixSpec, evaluate: Callable[[], np.ndarray],
 def _trig_shift_cot(spec: RMatrixSpec, u: np.ndarray):
     """(b, cot u) of the root coefficient c = e^{b z} g(z), after the span
     pole guard: b = u/3 + trig_shift; cot u on the span of Pi', 0 off it."""
-    span = spec.span_mask
-    _root_guard(spec, span & (np.abs(np.sin(u)) < _ZTOL),
-                "trigonometric coefficient: pole of cot (alpha, q)")
+    _pole_guard(spec, u, "trigonometric coefficient: pole of cot (alpha, q)")
     cu = np.divide(1.0, np.tan(u), out=np.zeros(u.shape, dtype=complex),
-                   where=span)
+                   where=spec.span_mask)
     return u / 3.0 + spec.trig_shift, cu
 
 
@@ -314,11 +342,9 @@ def _ladder(spec: RMatrixSpec, u, z, kmax: int, du: int = 0):
     f = [(-1) ** k * math.factorial(k) * z ** (-(k + 1)) for k in range(kmax)]
     if u is None:
         return f, None
-    dp = spec.dp_mask
-    _root_guard(spec, dp & (np.abs(u) < _ZTOL),
-                "rational root coefficient: (alpha, q) = 0")
+    _pole_guard(spec, u, "rational root coefficient: (alpha, q) = 0")
     zeros = np.zeros(np.broadcast(u, z).shape, dtype=complex)
-    inv = np.divide(1.0, u, out=zeros.copy(), where=dp)
+    inv = np.divide(1.0, u, out=zeros.copy(), where=spec.dp_mask)
     c = [f[k] + (inv if k == 0 else zeros) for k in range(kmax)]
     return f, [c, [-inv * inv] + [zeros] * (kmax - 1)][:1 + du]
 
@@ -330,11 +356,9 @@ def root_coeff_reg0(spec: RMatrixSpec, u) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     fam = spec.family
     if fam == "rational":
-        dp = spec.dp_mask
-        _root_guard(spec, dp & (np.abs(u) < _ZTOL),
-                    "rational regular part: (alpha, q) = 0")
+        _pole_guard(spec, u, "rational regular part: (alpha, q) = 0")
         return np.divide(1.0, u, out=np.zeros(u.shape, dtype=complex),
-                         where=dp)
+                         where=spec.dp_mask)
     if fam == "trigonometric":
         b, cu = _trig_shift_cot(spec, u)
         return b + cu
@@ -352,8 +376,7 @@ def positive_pair_weight(spec: RMatrixSpec, up) -> tuple[np.ndarray,
     fam = spec.family
     if fam == "rational":
         dp = spec.dp_mask[:rs.n_pos]
-        _root_guard(spec, dp & (np.abs(up) < _ZTOL),
-                    "rational pair weight: (alpha, q) = 0")
+        _pole_guard(spec, up, "rational pair weight: (alpha, q) = 0")
         w = np.divide(1.0, up * up, out=np.zeros(up.shape, dtype=complex),
                       where=dp)
         w_du = np.divide(-2.0, up ** 3, out=np.zeros(up.shape, dtype=complex),
@@ -361,8 +384,8 @@ def positive_pair_weight(spec: RMatrixSpec, up) -> tuple[np.ndarray,
     elif fam == "trigonometric":
         span = spec.span_mask[:rs.n_pos]
         s = np.sin(up)
-        _root_guard(spec, span & (np.abs(s) < _ZTOL),
-                    "trigonometric pair weight: sin (alpha, q) = 0")
+        _pole_guard(spec, up, "trigonometric pair weight: sin (alpha, q) = 0",
+                    s)
         w = np.where(span, np.divide(1.0, s * s, out=np.zeros(
             up.shape, dtype=complex), where=span) - 1.0 / 3.0, 5.0 / 3.0)
         w_du = np.divide(-2.0 * np.cos(up), s ** 3,

@@ -5,9 +5,9 @@ Basis conventions used everywhere in this package:
 * The invariant form is the trace form (X, Y) = tr(XY) of the defining
   representation.  With root vectors e_alpha -> E_ij this gives
   (e_alpha, e_-alpha) = 1 and (alpha, alpha) = 2 for every root.
-* The Cartan subalgebra carries an orthonormal basis h_1..h_n obtained by
-  exact Gram-Schmidt over the coroots (floats are taken only once, at the
-  end), so Cartan coordinates are plain Euclidean coordinates.
+* The Cartan subalgebra carries an orthonormal basis h_1..h_n, the
+  Gram-Schmidt basis of the coroots in closed form, so Cartan coordinates
+  are plain Euclidean coordinates.
 * Roots are stored as integer coefficient tuples over the simple roots.
 * Elements are coordinate vectors over [h_1..h_n, e_alpha...]; arithmetic
   runs on their (n+1) x (n+1) matrices, one matmul from coordinates and one
@@ -57,43 +57,6 @@ def parse_root_label(label: str, rank: int) -> Root:
         return tuple(int(p) for p in parts)
     except ValueError as exc:
         raise ValueError(f"root label {label!r} is not a tuple of integers") from exc
-
-
-def _exact_inverse(a: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Invert a small rational matrix by Gauss-Jordan elimination."""
-    n = len(a)
-    aug = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def _orthonormal_cartan(rank: int) -> np.ndarray:
-    """Orthonormal basis of the Cartan subalgebra as diagonal vectors.
-
-    Exact Gram-Schmidt over the coroot diagonals E_kk - E_{k+1,k+1}; the
-    single conversion to floating point happens in the final normalization.
-    """
-    basis: list[tuple[list[Fraction], Fraction]] = []
-    for k in range(rank):
-        d = [Fraction(0)] * (rank + 1)
-        d[k], d[k + 1] = Fraction(1), Fraction(-1)
-        for b, nb in basis:
-            c = sum(x * y for x, y in zip(d, b)) / nb
-            d = [x - c * y for x, y in zip(d, b)]
-        basis.append((d, sum(x * x for x in d)))
-    rows = []
-    for d, nb in basis:
-        scale = 1.0 / math.sqrt(float(nb))
-        rows.append([float(x) * scale for x in d])
-    return np.array(rows)
 
 
 class RootSystem:
@@ -153,18 +116,23 @@ class RootSystem:
         self.eps_pairs: tuple[tuple[int, int], ...] = tuple(pairs)
         self.root_entries = tuple(np.array(pairs).T)    # (rows, cols)
 
-        a_exact = [[Fraction(0)] * rank for _ in range(rank)]
-        for i in range(rank):
-            a_exact[i][i] = Fraction(2)
-            if i + 1 < rank:
-                a_exact[i][i + 1] = Fraction(-1)
-                a_exact[i + 1][i] = Fraction(-1)
+        # A is 2 on the diagonal and -1 beside it, and its exact inverse
+        # is C_ij = (min(i, j) + 1)(n - max(i, j))/(n + 1)
         self.cartan_matrix: tuple[tuple[int, ...], ...] = tuple(
-            tuple(int(x) for x in row) for row in a_exact)
+            tuple(2 if i == j else -1 if abs(i - j) == 1 else 0
+                  for j in range(rank)) for i in range(rank))
         self.cartan_inverse: tuple[tuple[Fraction, ...], ...] = tuple(
-            tuple(row) for row in _exact_inverse(a_exact))
+            tuple(Fraction((min(i, j) + 1) * (rank - max(i, j)), rank + 1)
+                  for j in range(rank)) for i in range(rank))
 
-        self.h_diag = _orthonormal_cartan(rank)           # (rank, rank+1)
+        # the orthonormal Cartan basis as diagonal vectors, (rank, rank+1):
+        # Gram-Schmidt over the coroot diagonals E_kk - E_{k+1,k+1} in closed
+        # form, h_k = (1/(k+1), .., 1/(k+1), -1, 0, ..) / sqrt((k+2)/(k+1))
+        self.h_diag = np.zeros((rank, rank + 1))
+        for k in range(rank):
+            scale = 1.0 / math.sqrt((k + 2) / (k + 1))
+            self.h_diag[k, :k + 1] = 1 / (k + 1) * scale
+            self.h_diag[k, k + 1] = -scale
 
         rows, cols = self.root_entries
         self.alpha_h = (self.h_diag[:, rows] - self.h_diag[:, cols]).T
@@ -369,9 +337,7 @@ def torus_adjoint(c_coords, x: AlgElement) -> AlgElement:
     c = np.asarray(c_coords, dtype=complex)
     if c.shape != (rs.rank,):
         raise StructuralError(f"expected {rs.rank} coroot coordinates, got {c.shape}")
-    a_np = np.array(rs.cartan_matrix, dtype=float)
-    m = np.array(rs.roots, dtype=float)
-    exponents = (m @ a_np) @ c          # alpha(log h) per root
+    exponents = rs.root_pairings[:, :rs.rank] @ c    # alpha(log h) per root
     vec = x.vec.copy()
     vec[..., rs.rank:] = vec[..., rs.rank:] * np.exp(exponents)
     return AlgElement(rs, vec)

@@ -17,9 +17,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from spincm.dynamics import (SystemSpec, Trajectory, _char_poly, _coords,
-                             _gradient, _power_sums, _reg0, _state_columns,
-                             lax_L, vector_field)
+from spincm.dynamics import (Trajectory, _char_poly, _coords, _gradient,
+                             _power_sums, _reg0, _state_columns, lax_L,
+                             vector_field)
 from spincm.elliptic import _value
 from spincm.errors import StructuralError, raise_on_fp_fault
 from spincm.phase import (PhasePoint, ReducedPoint, bracket_full, gauge_g,
@@ -122,13 +122,13 @@ def normalize_to_slice(x: PhasePoint) -> PhasePoint:
     return torus_action(-gauge_g(x.xi), x)
 
 
-def hamiltonian_gradient(sys: SystemSpec, x: PhasePoint) -> PhaseGradient:
+def hamiltonian_gradient(sys: RMatrixSpec, x: PhasePoint) -> PhaseGradient:
     """(dH/dq, dH/dp, dH/dxi) from the flow core's gradient."""
     dq, wxi = _gradient(sys, x.q, x.xi.vec)
     return PhaseGradient(dq, x.p.copy(), AlgElement(sys.rs, -wxi))
 
 
-def hamiltonian_function(sys: SystemSpec) -> PhaseFunction:
+def hamiltonian_function(sys: RMatrixSpec) -> PhaseFunction:
     """H as a bracket-ready function with its analytic gradient."""
     from spincm.dynamics import hamiltonian
     return PhaseFunction(lambda x: hamiltonian(sys, x),
@@ -176,12 +176,12 @@ def R_directional(spec: RMatrixSpec, q, v, xi: LaurentElement
                           _r_pairing(table[..., rs.dual_index], xi.principal))
 
 
-def lax_L_reg0(sys: SystemSpec, x: PhasePoint) -> AlgElement:
+def lax_L_reg0(sys: RMatrixSpec, x: PhasePoint) -> AlgElement:
     """Regular part of L at z = 0, i.e. lim_{z->0} (L(z) - I xi / z)."""
     return AlgElement(sys.rs, _reg0(sys, x.q, x.p, x.xi.vec))
 
 
-def lax_M(sys: SystemSpec, x: PhasePoint, nodes) -> LaurentElement:
+def lax_M(sys: RMatrixSpec, x: PhasePoint, nodes) -> LaurentElement:
     """M(z) = L(z)/z as a Laurent covector on ``nodes``, with principal
     coefficients the regular part of L at 0 and I xi."""
     nodes = np.asarray(nodes, dtype=complex)
@@ -193,7 +193,7 @@ def lax_M(sys: SystemSpec, x: PhasePoint, nodes) -> LaurentElement:
 # -- references ---------------------------------------------------------------
 
 
-def lax_time_derivative(sys: SystemSpec, x, z) -> AlgElement:
+def lax_time_derivative(sys: RMatrixSpec, x, z) -> AlgElement:
     """dL/dt along the flow at x by the chain rule, point by point: L at
     (q, p_dot, xi_dot) plus the q-derivative of the root coefficients
     along q_dot; for a ReducedPoint, dL_0/dt at the slice lift."""
@@ -207,13 +207,13 @@ def lax_time_derivative(sys: SystemSpec, x, z) -> AlgElement:
     else:
         v = vector_field(sys, x)
     vec = lax_L(sys, PhasePoint(x.q, v.p, v.xi), z).vec
-    c_du = root_coeff(sys.lax_rmatrix, rs.root_values(x.q),
+    c_du = root_coeff(sys, rs.root_values(x.q),
                       np.expand_dims(z, -1), du=1)
     vec[..., rs.rank:] += c_du * rs.root_values(v.q) * x.xi.vec[rs.rank:]
     return AlgElement(rs, vec)
 
 
-def spectral_curve(sys: SystemSpec, x, z_grid) -> np.ndarray:
+def spectral_curve(sys: RMatrixSpec, x, z_grid) -> np.ndarray:
     """Coefficients of det(w Id - rho(L(z))) in w, one row per grid z,
     highest power first (monic), as the package's Newton's identities give
     them; reduced points use L_0."""
@@ -221,7 +221,7 @@ def spectral_curve(sys: SystemSpec, x, z_grid) -> np.ndarray:
                                   sys.rs.matrix_size))[0]
 
 
-def hamiltonian_quadrature(sys: SystemSpec, x: PhasePoint, *,
+def hamiltonian_quadrature(sys: RMatrixSpec, x: PhasePoint, *,
                            radius: float = 0.5, nodes: int = 512) -> complex:
     """H recovered from the Lax operator: (1/2) (1/2 pi i) oint (L, L) dz/z,
     by the trapezoidal rule on |z| = radius."""
@@ -290,7 +290,7 @@ def format_complex(v) -> str:
     return f"{v.real:.17g}{v.imag:+.17g}j"
 
 
-def trajectory_csv_rows(sys: SystemSpec, traj: Trajectory,
+def trajectory_csv_rows(sys: RMatrixSpec, traj: Trajectory,
                         extra: dict[str, Sequence] | None = None
                         ) -> tuple[list[str], list[list[str]]]:
     """Header and data rows of the CSV export, point by point: t, q_i, p_i,
@@ -313,7 +313,7 @@ def trajectory_csv_rows(sys: SystemSpec, traj: Trajectory,
     return header, rows
 
 
-def reference_csv(sys: SystemSpec, traj: Trajectory,
+def reference_csv(sys: RMatrixSpec, traj: Trajectory,
                   extra: dict[str, Sequence] | None = None) -> str:
     """The CSV text of :func:`trajectory_csv_rows` through ``csv.writer``."""
     header, rows = trajectory_csv_rows(sys, traj, extra)

@@ -180,7 +180,7 @@ def test_01_r_matrix_axioms():
             sys_ = system(family, rank)
             rng = np.random.default_rng(100 + rank)
             samples = [(guarded_q(sys_, rng), ring_z(rng)) for _ in range(20)]
-            rep = verify_axioms(sys_.rmatrix, *zip(*samples))
+            rep = verify_axioms(sys_, *zip(*samples))
             worst = max(np.max(rep["zero_weight"]), np.max(rep["unitarity"]),
                         np.max(rep["residue"]))
             pairs.append((worst, tol))
@@ -197,7 +197,7 @@ def test_02_dynamical_yang_baxter():
         for _ in range(10):
             q = guarded_q(sys_, rng)
             z1, z2, z3 = ring_z_tuple(rng, 3)
-            worst = max(worst, verify_cdybe(sys_.rmatrix, q, z1, z2, z3))
+            worst = max(worst, verify_cdybe(sys_, q, z1, z2, z3))
         pairs.append((worst, tol))
     _gate(2, "dynamical Yang-Baxter equation", pairs)
 
@@ -214,7 +214,7 @@ def test_03_modified_dynamical_yang_baxter():
                 q = guarded_q(sys_, rng)
                 xi = random_laurent(sys_.rs, 1 + k % 2, rng)
                 eta = random_laurent(sys_.rs, 2, rng)
-                worst = max(worst, verify_mdybe(sys_.rmatrix, q, xi, eta))
+                worst = max(worst, verify_mdybe(sys_, q, xi, eta))
             pairs.append((worst, 1e-8))
     _gate(3, "modified dynamical Yang-Baxter equation", pairs)
 

@@ -292,7 +292,7 @@ def test_verify_witness_replays_max_residual(tmp_path, suite):
     check = json.loads((tmp_path / "report.json").read_text())["checks"][0]
     witness = check["witness"]
     assert 0 <= witness["sample"] < check["samples"]
-    spec = parse_config(data).system().rmatrix.with_fault(FAULT_SCALE)
+    spec = parse_config(data).system().with_fault(FAULT_SCALE)
     q, z = complex_array(witness["q"]), complex_array(witness["z"])
     if suite == "cdybe":
         replay = verify_cdybe(spec, q, *z)
@@ -410,7 +410,7 @@ def replay(config, suite, check):
     rs, w, name = system.rs, check["witness"], check["name"]
     q = complex_array(w["q"])
     if suite == "axioms":
-        return verify_axioms(system.rmatrix, [q],
+        return verify_axioms(system, [q],
                              [complex_array(w["z"])])[name][0]
     p = complex_array(w["p"])
     if "xi" in w:

@@ -37,9 +37,9 @@ from helpers import (PhaseFunction, PhaseGradient, ReducedGradient,
 from spincm.phase import (PhasePoint, ReducedPoint, gauge_g, lift_reduced,
                           momentum_J, project_pi, reduced_roots, spin_chain,
                           torus_action)
-from spincm.rootsys import (AlgElement, build_root_system, form, matrix_rep,
-                            negate, torus_adjoint)
-from spincm.dynamics import (SystemSpec, _lax_pair, _spectral_gradients,
+from spincm.rootsys import (AlgElement, form, matrix_rep, negate,
+                            torus_adjoint)
+from spincm.dynamics import (_lax_pair, _pack_point, _spectral_gradients,
                              collision_margin, conserved_spectrum,
                              Trajectory, default_z_samples, fpbr_residual,
                              hamiltonian, integrate, involution_residuals,
@@ -115,7 +115,7 @@ def test_trig_proper_subset_quadrature_offset():
     rng = np.random.default_rng(11)
     x = generic_point(sys, rng)
     rs = sys.rs
-    off = [k for k in range(rs.n_roots) if not sys.rmatrix.span_mask[k]]
+    off = [k for k in range(rs.n_roots) if not sys.span_mask[k]]
     s_off = sum(x.xi.coeff(rs.roots[k]) * x.xi.coeff(negate(rs.roots[k]))
                 for k in off)
     h = hamiltonian(sys, x)
@@ -364,16 +364,40 @@ def test_spectrum_constant_along_unreduced_flow():
 
 
 def test_fault_knob_does_not_reach_lax_coefficients():
-    from spincm.rmatrix import rational_r_matrix
-    rs = build_root_system("A", 2)
-    sys = SystemSpec(rational_r_matrix(rs).with_fault(3.0))
-    assert sys.lax_rmatrix.fault_scale == 1.0
-    clean = SystemSpec(rational_r_matrix(rs))
+    """The fault knob scales one root pair of the r-matrix and nothing
+    else: on every family the Hamiltonian, both flows, L, B, the Lax,
+    quasi-Lax and reduced Lax residuals, the involution residuals and the
+    spectrum drift of the faulted spec are bitwise the clean spec's, while
+    the faulted r-matrix breaks the bracket relation (negative control)."""
     rng = np.random.default_rng(31)
-    x = sigma_point(sys, rng)
-    assert abs(hamiltonian(sys, x) - hamiltonian(clean, x)) < 1e-14
-    # but the faulted r-matrix breaks the bracket relation (negative control)
-    assert fpbr_residual(sys, x, 0.31 + 0.12j, -0.22 + 0.4j) > 1e-3
+    zs = default_z_samples()
+    pairs = [((2, 0.41 + 0.22j), (3, -0.33 + 0.47j)),
+             ((1, 0.61 + 0.09j), (2, -0.52 - 0.18j))]
+    for family in ("rational", "trigonometric", "elliptic"):
+        clean = make_system(family, 2, lattice=WIDE)
+        faulted = clean.with_fault(4.0)
+        rs = clean.rs
+        x = sigma_point(clean, rng)
+        red = ReducedPoint(rs, x.q, x.p, rng.normal(size=rs.n_roots - rs.rank)
+                           + 1j * rng.normal(size=rs.n_roots - rs.rank))
+        off = PhasePoint(x.q, x.p, x.xi + AlgElement.cartan(
+            rs, rng.normal(size=rs.rank)))
+
+        def evaluate(sys):
+            b = lax_B(sys, x, zs)
+            values = [hamiltonian(sys, x), _pack_point(vector_field(sys, x)),
+                      _pack_point(vector_field(sys, red)),
+                      lax_L(sys, x, zs).vec, lax_residuals(sys, [x]),
+                      lax_residuals(sys, [red]),
+                      b.values.vec, b.principal,
+                      involution_residuals(sys, [red], pairs),
+                      spectrum_drift(sys, integrate(sys, x, 0.5, n_points=5))]
+            if family == "rational":
+                values.append(lax_residuals(sys, [off], anomaly=True))
+            return [np.asarray(v).tobytes() for v in values]
+
+        assert evaluate(faulted) == evaluate(clean), family
+        assert fpbr_residual(faulted, x, 0.31 + 0.12j, -0.22 + 0.4j) > 1e-3
 
 
 # -- spectral curves ---------------------------------------------------------

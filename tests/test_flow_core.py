@@ -42,7 +42,7 @@ def oracle_field(sys_, q, p, xi):
     """(dq, dp, dxi) of the unreduced flow from pair_weight and a dense
     einsum over the structure constants."""
     rs = sys_.rs
-    w, w_du = pair_weight(sys_.rmatrix, rs.root_values(q))
+    w, w_du = pair_weight(sys_, rs.root_values(q))
     roots = xi[rs.rank:]
     prod = roots * roots[rs.dual_index[rs.rank:] - rs.rank]
     grad_q = -0.5 * rs.alpha_h.T @ (w_du * prod)
@@ -377,7 +377,7 @@ def test_stacked_diagnostics_match_per_point_loops(family, rank, reduced):
     sys_, x0 = pin_start(family, rank, reduced)
     traj = integrate(sys_, x0, 0.3, 1e-9, n_points=7)
     z = [0.41 + 0.22j, -0.33 + 0.47j, 0.29 - 0.44j]
-    kmax = sys_.kmax
+    kmax = sys_.rs.matrix_size
     tables = [loop_table(sys_, pt, z, kmax) for pt in traj.points]
     for pt, table in zip(traj.points, tables):
         assert rel_err(conserved_spectrum(sys_, pt, z), table) < 1e-13

@@ -20,7 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_reference import dense_structure
-from spincm.dynamics import SystemSpec, fpbr_residual, lax_L
+from spincm.dynamics import (collision_margin, fpbr_residual, lax_L,
+                             vector_field)
 from spincm.elliptic import Lattice, l_kernel
 from spincm.phase import PhasePoint, momentum_J
 from spincm.errors import PoleError, StructuralError
@@ -28,7 +29,7 @@ from spincm.rootsys import (AlgElement, bracket, build_root_system, form,
                             negate, root_label)
 from helpers import (R_directional, cartan_coeff, casimir_tensor,
                      equivariance_residual, pair_weight, r_tensor, root_coeff)
-from spincm.rmatrix import (LaurentElement, R_apply, _r_table,
+from spincm.rmatrix import (LaurentElement, R_apply, RMatrixSpec, _r_table,
                             default_mdybe_samples, elliptic_r_matrix,
                             rational_r_matrix, root_coeff_reg0,
                             ring_coefficients, ring_nodes,
@@ -139,6 +140,17 @@ def test_trigonometric_subset_validation():
     with pytest.raises(StructuralError):
         trigonometric_r_matrix(rs, "full", delta_plus=[(1, 0), (-1, 0),
                                                        (0, 1), (1, 1)])
+    # the spec derives the span of Pi' (the roots supported on Pi') and, by
+    # default, the canonical polarization: built directly, it is the
+    # constructor's
+    rs = build_root_system("A", 3)
+    for chosen in ([], [1], [0, 2], [0, 1, 2]):
+        want = trigonometric_r_matrix(rs, chosen)
+        got = RMatrixSpec(rs, "trigonometric", pi_prime=frozenset(chosen))
+        assert np.array_equal(got.span_mask, [
+            set(np.flatnonzero(r)) <= set(chosen) for r in rs.roots])
+        for name in ("span_mask", "plus_mask", "trig_shift"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 def test_elliptic_constructor_needs_lattice():
@@ -324,11 +336,22 @@ U_POLES = {"rational": 0.0, "trigonometric": math.pi, "elliptic": 4.0}
 def test_pole_guard_names_the_root(family, k):
     """One positive root of A_2 within 5e-14 of its pole (its negative with
     it, every other root value at distance >= 0.7): every table refuses and
-    names that root; at distance 1e-6 every table is finite."""
+    names that root; at distance 1e-6 every table is finite.  At
+    (alpha, q) = 0 (to rounding), a pole of every family, the collision
+    margin is 0 and the vector field and L refuse and name that root."""
     spec = all_specs(2)[family]
     rs = spec.rs
     other = (k + 1) % rs.n_pos
     z = 0.35 + 0.15j
+    q = np.linalg.solve(rs.alpha_h[[k, other]], [0.0, 0.7])
+    # (alpha_k, q) = 0 up to the rounding of the solve
+    assert collision_margin(spec, q) < 1e-16
+    x = PhasePoint(q + 0j, np.array([0.3, -0.2j]),
+                   AlgElement(rs, np.linspace(0.5, 1.5, rs.dim) + 0.25j))
+    for table in (lambda: vector_field(spec, x), lambda: lax_L(spec, x, z)):
+        with pytest.raises(PoleError,
+                           match=re.escape(root_label(rs.roots[k]))):
+            table()
     for offset in (5e-14, 1e-6):
         q = np.linalg.solve(rs.alpha_h[[k, other]],
                             [U_POLES[family] + offset, 0.7])
@@ -649,7 +672,7 @@ def dense_mdybe(spec, q, xi, eta, quad_radius=0.35, quad_nodes=256):
 
 def dense_fpbr(sys, x, z, w):
     rs = sys.rs
-    spec_l = sys.lax_rmatrix
+    spec_l = sys.with_fault(1.0)
     q = x.q
     f = dense_structure(rs)
     rz, rw = r_tensor(spec_l, q, [z, w])
@@ -663,10 +686,10 @@ def dense_fpbr(sys, x, z, w):
     lhs[:, :rs.rank] -= dq_z
     lhs[:rs.rank, :] += dq_w.T
     lhs += np.einsum("ac,bd,cde,e->ab", rz, rw, f, rs.gram @ x.xi.vec)
-    r12 = r_tensor(sys.rmatrix, q, z - w)
+    r12 = r_tensor(sys, q, z - w)
     com = np.einsum("cb,f,cfa->ab", r12, lz, f)
     com += np.einsum("ad,f,dfb->ab", r12, lw, f)
-    xterm = r_tensor(sys.rmatrix, q, z - w, direction=momentum_J(x))
+    xterm = r_tensor(sys, q, z - w, direction=momentum_J(x))
     return float(np.max(np.abs(lhs + com + xterm)))
 
 
@@ -735,7 +758,7 @@ def test_r_operator_matches_dense_reference(family, rank, fault):
 
 @pytest.mark.parametrize("family,rank,fault", DENSE_CASES)
 def test_fpbr_matches_dense_reference(family, rank, fault):
-    sys = SystemSpec(faulted_spec(family, rank, fault))
+    sys = faulted_spec(family, rank, fault)
     rs = sys.rs
     rng = np.random.default_rng(730 + rank)
     q = rng.uniform(0.6, 1.1, size=rank) * rng.choice([-1, 1], size=rank)

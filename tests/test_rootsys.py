@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -55,6 +56,32 @@ def test_cartan_basis_is_orthonormal_traceless(rank):
         for j in range(rank):
             tr = float(rs.h_diag[i] @ rs.h_diag[j])
             assert abs(tr - (i == j)) < 1e-13
+
+
+@pytest.mark.parametrize("rank", RANKS)
+def test_closed_form_root_data_matches_exact_references(rank):
+    """h_diag and alpha_h bit for bit against exact Gram-Schmidt over the
+    coroot diagonals E_kk - E_{k+1,k+1}, floats taken once at the end, and
+    the Cartan inverse against the Gram matrix of the fundamental weights
+    omega_i = e_1 + .. + e_{i+1} - (i+1)/(n+1) (e_1 + .. + e_{n+1})."""
+    rs = build_root_system("A", rank)
+    size = rank + 1
+    basis = []
+    for k in range(rank):
+        d = [Fraction(int(i == k) - int(i == k + 1)) for i in range(size)]
+        for b, nb in basis:
+            c = sum(x * y for x, y in zip(d, b)) / nb
+            d = [x - c * y for x, y in zip(d, b)]
+        basis.append((d, sum(x * x for x in d)))
+    h = np.array([[float(x) * (1.0 / math.sqrt(float(nb))) for x in d]
+                  for d, nb in basis])
+    assert h.tobytes() == rs.h_diag.tobytes()
+    rows, cols = rs.root_entries
+    assert (h[:, rows] - h[:, cols]).T.tobytes() == rs.alpha_h.tobytes()
+    omega = [[Fraction(int(j <= i)) - Fraction(i + 1, size)
+              for j in range(size)] for i in range(rank)]
+    assert rs.cartan_inverse == tuple(
+        tuple(sum(x * y for x, y in zip(a, b)) for b in omega) for a in omega)
 
 
 @pytest.mark.parametrize("rank", RANKS)

@@ -482,9 +482,10 @@ def _suite_mdybe(system, config, rng) -> list[dict]:
                 "xi": _random_principal(system.rs, rng, 2),
                 "eta": _random_principal(system.rs, rng, 2)}
                for _ in range(10)]
-    return [_worst("mdybe", [verify_mdybe(system, s["q"], s["xi"], s["eta"],
-                                          z_samples=s["z"])
-                             for s in samples], samples)]
+    q, z, xi, eta = (np.array([s[key] for s in samples])
+                     for key in ("q", "z", "xi", "eta"))
+    return [_worst("mdybe", verify_mdybe(system, q, xi, eta, z_samples=z),
+                   samples)]
 
 
 def _lax_check(name: str, system, points: list, **kwargs) -> dict:

@@ -432,16 +432,19 @@ def ring_nodes(radius: float, n: int) -> np.ndarray:
     return radius * np.exp(1j * angles)
 
 
-def ring_coefficients(values: np.ndarray, nodes: np.ndarray,
-                      order: int) -> np.ndarray:
-    """Principal-part coefficients (of z^-1..z^-order) at 0 of a function
-    analytic on 0 < |z| <= radius, from its ``values`` at the equispaced
-    ``nodes`` on |z| = radius (nodes on the first axis).  The z^-j
-    coefficient is mean(values * z^j), the trapezoidal rule for the contour
-    integral, which converges exponentially (Trefethen & Weideman, SIAM
-    Rev. 56, 2014).  Shape (order,) + values.shape[1:]."""
-    powers = np.power.outer(nodes, np.arange(1, order + 1))
-    return np.tensordot(powers, values, axes=(0, 0)) / len(nodes)
+def _ring_means(nodes: np.ndarray, values: np.ndarray,
+                order: int) -> np.ndarray:
+    """Principal-part coefficients (of z^-1..z^-order) at 0 of a stack of
+    functions analytic on 0 < |z| <= radius, from their ``values`` at the
+    equispaced ``nodes`` on |z| = radius (samples on axis 0, nodes on axis
+    1).  The z^-j coefficient is mean(values * z^j), the trapezoidal rule
+    for the contour integral, which converges exponentially (Trefethen &
+    Weideman, SIAM Rev. 56, 2014); one product per sample.  Shape
+    (order,) + values.shape[:1] + values.shape[2:]."""
+    powers = np.power.outer(nodes, np.arange(1, order + 1)).T
+    means = (powers @ values.reshape(values.shape[:2] + (-1,))) / len(nodes)
+    return np.moveaxis(means, 1, 0).reshape(
+        (order,) + values.shape[:1] + values.shape[2:])
 
 
 # ---------------------------------------------------------------------------
@@ -623,8 +626,24 @@ def default_mdybe_samples() -> list[complex]:
            [0.85 * cmath.exp(2j * math.pi * (k + 0.5) / 5) for k in range(5)]
 
 
+def _stack_principal(rs: RootSystem, v, stack: int) -> np.ndarray:
+    """Principal coefficients of ``stack`` pole-only Laurent covectors,
+    shape (stack, T, dim): the rows zero in every sample are trimmed from
+    the top, as LaurentElement trims them, so T is the stack's pole
+    order."""
+    v = np.asarray(v, dtype=complex).reshape(stack, -1, rs.dim)
+    rows = np.flatnonzero(v.any(axis=(0, 2)))
+    return v[:, :rows[-1] + 1 if rows.size else 0]
+
+
+def _sample_major(rs: RootSystem, table) -> np.ndarray:
+    """An _r_table (orders, nodes, samples, dim) as coefficient matrices
+    C, shape (orders, samples, nodes, n+1, n+1)."""
+    return table.swapaxes(-2, -3)[..., _entry_slots(rs)]
+
+
 def verify_mdybe(spec: RMatrixSpec, q, xi, eta, *,
-                 z_samples: Sequence[complex] | None = None) -> float:
+                 z_samples: Sequence[complex] | None = None):
     """Residual of the modified dynamical Yang-Baxter equation with
     c = -1/4 for the operator R = R_q:
 
@@ -638,36 +657,53 @@ def verify_mdybe(spec: RMatrixSpec, q, xi, eta, *,
     the inner covector and the residue pairing Res_z <eta(z), (R xi)(z)>
     whose q-derivatives form the Cartan vector d<R xi, eta> (j* takes the
     Cartan block of the residue coefficient), and every term at
-    ``z_samples``, over which the residual is the max.  Every term is a (node, n+1, n+1)
-    matrix; only the residual goes back to coordinates, for its max."""
+    ``z_samples``, over which the residual is the max.
+
+    A leading axis stacks samples: q of shape (S, rank), xi and eta of
+    shape (S, T, dim) and z_samples of shape (m,) or (S, m).  One kernel
+    pass for the stack, and one residual per sample (a float for a single
+    one); each sample keeps the arithmetic it has on its own.  xi and eta
+    are valued directly as (sample, node, n+1, n+1) matrices, as is every
+    term; only the residual goes back to coordinates, for its max."""
     rs, n = spec.rs, QUAD_NODES
-    ring = ring_nodes(MDYBE_QUAD_RADIUS, n)
+    qs = np.asarray(q, dtype=complex).reshape(-1, rs.rank)
+    stack = len(qs)
     samples = np.asarray(default_mdybe_samples() if z_samples is None
                          else z_samples, dtype=complex)
-    xi, eta = (LaurentElement(rs, x, np.concatenate([ring, samples]))
-               for x in (xi, eta))
-    (x, px), (e, pe) = ((rs.to_matrix(v.values.vec), rs.to_matrix(v.principal))
-                        for v in (xi, eta))
-    slots = _entry_slots(rs)
-    r0, r1 = _r_table(spec, q, -xi.nodes,
-                      range(max(len(px), len(pe))), du=1)[..., slots]
+    samples = np.broadcast_to(samples, (stack, samples.shape[-1]))
+    ring = ring_nodes(MDYBE_QUAD_RADIUS, n)
+    nodes = np.concatenate([np.broadcast_to(ring, (stack, n)), samples], -1)
+    cx, ce = (_stack_principal(rs, v, stack) for v in (xi, eta))
+    # values (sample, node, ...) and principal parts (T, sample, 1, ...),
+    # the order axis leading as _r_pairing takes it
+    (x, px), (e, pe) = (
+        (rs.to_matrix(np.power.outer(nodes, -np.arange(1, c.shape[1] + 1))
+                      @ c), np.moveaxis(rs.to_matrix(c), 1, 0)[:, :, None])
+        for c in (cx, ce))
+    r0, r1 = _sample_major(rs, _r_table(spec, qs, -nodes.T,
+                                        range(max(len(px), len(pe))), du=1))
     r_x, r_e = 0.5 * x + _r_pairing(r0, px), 0.5 * e + _r_pairing(r0, pe)
     # the inner covector [R xi, eta] + [xi, R eta] and R of it at the samples
     w = commutator(r_x, e) + commutator(x, r_e)
-    inner = ring_coefficients(w[:n], ring, len(px) + len(pe))
-    r0_s = np.concatenate([r0[:, n:], _r_table(
-        spec, q, -samples, range(len(r0), len(inner)))[0][..., slots]])
-    res = (commutator(r_x[n:], r_e[n:]) + 0.25 * commutator(x[n:], e[n:])
-           - 0.5 * w[n:] - _r_pairing(r0_s, inner))
+    inner = _ring_means(ring, w[:, :n], len(px) + len(pe))
+    r0_s = np.concatenate([r0[:, :, n:], _sample_major(rs, _r_table(
+        spec, qs, -samples.T, range(len(r0), len(inner)))[0])])
+    res = (commutator(r_x[:, n:], r_e[:, n:])
+           + 0.25 * commutator(x[:, n:], e[:, n:])
+           - 0.5 * w[:, n:] - _r_pairing(r0_s, inner[:, :, None]))
     # X_{j* xi}(R eta) - X_{j* eta}(R xi): the du = 1 pairing of eta with
     # C[i, j] scaled by (e_j - e_i)(j* xi), and the other way round; d is
     # the diagonal of the Cartan element j* xi
-    for v, p, sign in ((xi, pe, 1.0), (eta, px, -1.0)):
-        d = v.principal_coeff(1).cartan_coords @ rs.h_diag
-        res += _r_pairing(sign * r1[:, n:] * (d - d[:, None]), p)
+    for c, p, sign in ((cx, pe, 1.0), (ce, px, -1.0)):
+        d = (c[:, :1, :rs.rank] if c.shape[1] else
+             np.zeros((stack, 1, rs.rank), dtype=complex)) @ rs.h_diag
+        res += _r_pairing(sign * r1[:, :, n:]
+                          * (d - d.swapaxes(-1, -2))[:, None], p)
     # d<R xi, eta>: q-derivatives of the residue pairing for every Cartan
     # direction at once, sum_alpha eta_alpha p_{-alpha} h_alpha with p the
     # du = 1 pairing of xi; h_alpha = E_ii - E_jj for alpha = e_i - e_j
-    g = e[:n] * _r_pairing(r1[:, :n], px).swapaxes(-1, -2)
-    res += np.diag(ring_coefficients(g.sum(-1) - g.sum(-2), ring, 1)[0])
-    return float(np.max(np.abs(rs.to_coords(res))))
+    g = e[:, :n] * _r_pairing(r1[:, :, :n], px).swapaxes(-1, -2)
+    res += _ring_means(ring, g.sum(-1) - g.sum(-2), 1)[0, :, None, :, None] \
+        * np.eye(rs.matrix_size)
+    worst = np.max(np.abs(rs.to_coords(res)), axis=(-2, -1))
+    return float(worst[0]) if np.ndim(q) < 2 else worst

@@ -221,6 +221,16 @@ def spectral_curve(sys: RMatrixSpec, x, z_grid) -> np.ndarray:
                                   sys.rs.matrix_size))[0]
 
 
+def ring_coefficients(values: np.ndarray, nodes: np.ndarray,
+                      order: int) -> np.ndarray:
+    """Principal-part coefficients (of z^-1..z^-order) at 0 of a function
+    analytic on 0 < |z| <= radius, from its ``values`` at the equispaced
+    ``nodes`` on |z| = radius (nodes on the first axis): the z^-j
+    coefficient is mean(values * z^j).  Shape (order,) + values.shape[1:]."""
+    powers = np.power.outer(nodes, np.arange(1, order + 1))
+    return np.tensordot(powers, values, axes=(0, 0)) / len(nodes)
+
+
 def hamiltonian_quadrature(sys: RMatrixSpec, x: PhasePoint, *,
                            radius: float = 0.5, nodes: int = 512) -> complex:
     """H recovered from the Lax operator: (1/2) (1/2 pi i) oint (L, L) dz/z,

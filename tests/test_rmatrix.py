@@ -28,11 +28,11 @@ from spincm.errors import PoleError, StructuralError
 from spincm.rootsys import (AlgElement, bracket, build_root_system, form,
                             negate, root_label)
 from helpers import (R_directional, cartan_coeff, casimir_tensor,
-                     equivariance_residual, pair_weight, r_tensor, root_coeff)
+                     equivariance_residual, pair_weight, r_tensor,
+                     ring_coefficients, root_coeff)
 from spincm.rmatrix import (LaurentElement, R_apply, RMatrixSpec, _r_table,
                             default_mdybe_samples, elliptic_r_matrix,
-                            rational_r_matrix, root_coeff_reg0,
-                            ring_coefficients, ring_nodes,
+                            rational_r_matrix, root_coeff_reg0, ring_nodes,
                             trigonometric_r_matrix, verify_axioms,
                             verify_cdybe, verify_mdybe)
 

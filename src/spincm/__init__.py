@@ -17,7 +17,7 @@ from .errors import (ConfigError, ConstraintError, GaugeDomainError,
 from .rootsys import (AlgElement, RootSystem, bracket, build_root_system,
                       form, matrix_rep, negate, parse_root_label, root_label,
                       root_system_summary, torus_adjoint)
-from .rmatrix import (LaurentElement, RMatrixSpec, R_apply, elliptic_r_matrix,
+from .rmatrix import (LaurentElement, RMatrixSpec, elliptic_r_matrix,
                       rational_r_matrix, trigonometric_r_matrix,
                       verify_axioms, verify_cdybe, verify_mdybe)
 from .phase import (PhasePoint, ReducedPoint, bracket_full, lift_reduced,
@@ -41,7 +41,6 @@ __all__ = [
     "PhasePoint",
     "PoleError",
     "RMatrixSpec",
-    "R_apply",
     "ReducedPoint",
     "RootSystem",
     "SpincmError",

@@ -35,7 +35,9 @@ r = sum_a c_a e_a (x) e_{dual(a)}.  R_q is an entrywise product: with c
 itself on coordinates, and on (n+1) x (n+1) matrices with the coefficient
 matrix C[i, j] = c_{e_j - e_i} (f on the diagonal), where the MDYBE check
 brackets by commutators.  A Laurent covector (:class:`LaurentElement`) is
-data: its principal coefficients and its values on fixed nodes.
+data: its principal coefficients and its values on fixed nodes.  The
+residue checks integrate on rings whose node counts come from their error
+bound (:func:`quad_ring`).
 """
 
 from __future__ import annotations
@@ -102,6 +104,10 @@ class RMatrixSpec:
     fault_scale: complex = 1.0
 
     def __post_init__(self):
+        if not {"rational": self.dp_mask is not None, "trigonometric": True,
+                "elliptic": isinstance(self.lattice, Lattice)}.get(self.family):
+            raise StructuralError(f"{self.family!r} r-matrix without its "
+                                  f"family data (dp_mask, or a Lattice)")
         if self.family == "trigonometric":
             if self.plus_mask is None:      # the canonical positive system
                 self.plus_mask = np.arange(self.rs.n_roots) < self.rs.n_pos
@@ -206,8 +212,6 @@ def trigonometric_r_matrix(rs: RootSystem, pi_prime="full",
 
 def elliptic_r_matrix(rs: RootSystem, lattice: Lattice) -> RMatrixSpec:
     """Elliptic family over a period lattice."""
-    if not isinstance(lattice, Lattice):
-        raise StructuralError("elliptic family needs a Lattice instance")
     return RMatrixSpec(rs, "elliptic", lattice=lattice)
 
 
@@ -238,6 +242,16 @@ def _pole_distance(spec: RMatrixSpec, u, sin_u=None) -> np.ndarray:
         mask = spec.span_mask
         dist = np.abs(np.sin(u) if sin_u is None else sin_u)
     return np.where(mask[:np.shape(u)[-1]], dist, np.inf)
+
+
+def _pole_radius(spec: RMatrixSpec) -> float:
+    """Distance from z = 0 to the next pole of r(q, z) in z: inf (rational;
+    the ring integrands are Laurent polynomials), pi (trigonometric), the
+    shortest nonzero near lattice point (elliptic)."""
+    if spec.family == "elliptic":
+        near = np.abs(spec.lattice._near)
+        return float(near[near > 0].min())
+    return math.inf if spec.family == "rational" else math.pi
 
 
 def _pole_guard(spec: RMatrixSpec, u, what: str, sin_u=None) -> None:
@@ -426,21 +440,31 @@ def _r_table(spec: RMatrixSpec, q, z, kzs: range, du: int = 0):
 # contour quadrature
 
 
-def ring_nodes(radius: float, n: int) -> np.ndarray:
-    """n equispaced nodes on the circle |z| = radius."""
-    angles = 2.0 * math.pi * np.arange(n) / n
-    return radius * np.exp(1j * angles)
+# The ring radii of the axiom and MDYBE checks.  The trapezoidal rule's
+# error on |z| = rho falls like (rho / R)^N, R = _pole_radius (Trefethen &
+# Weideman, SIAM Rev. 56, 2014), with a prefactor of about 1e4 on the
+# faulted MDYBE residual: a ring has the fewest nodes, and at least 32,
+# with (rho / R)^N <= 1e-20.
+AXIOM_QUAD_RADIUS = 0.1
+MDYBE_QUAD_RADIUS = 0.35
+
+
+def quad_ring(spec: RMatrixSpec, radius: float) -> np.ndarray:
+    """The equispaced quadrature ring |z| = radius of ``spec``'s checks;
+    PoleError if it reaches a pole other than z = 0."""
+    ratio = radius / _pole_radius(spec)
+    if ratio >= 1.0:
+        raise PoleError(f"the quadrature ring |z| = {radius:g} reaches a "
+                        f"pole of r at distance {radius / ratio:g} from 0")
+    n = max(32, math.ceil(-20.0 / math.log10(ratio)) if ratio else 0)
+    return radius * np.exp(2j * math.pi * np.arange(n) / n)
 
 
 def _ring_means(nodes: np.ndarray, values: np.ndarray,
                 order: int) -> np.ndarray:
-    """Principal-part coefficients (of z^-1..z^-order) at 0 of a stack of
-    functions analytic on 0 < |z| <= radius, from their ``values`` at the
-    equispaced ``nodes`` on |z| = radius (samples on axis 0, nodes on axis
-    1).  The z^-j coefficient is mean(values * z^j), the trapezoidal rule
-    for the contour integral, which converges exponentially (Trefethen &
-    Weideman, SIAM Rev. 56, 2014); one product per sample.  Shape
-    (order,) + values.shape[:1] + values.shape[2:]."""
+    """The z^-1..z^-order coefficients at 0 of a stack of functions, from
+    their ``values`` (samples, nodes, ...) on a ring: mean(values * z^j),
+    one product per sample.  Shape (order, samples, ...)."""
     powers = np.power.outer(nodes, np.arange(1, order + 1)).T
     means = (powers @ values.reshape(values.shape[:2] + (-1,))) / len(nodes)
     return np.moveaxis(means, 1, 0).reshape(
@@ -451,41 +475,24 @@ def _ring_means(nodes: np.ndarray, values: np.ndarray,
 # axiom verification
 
 
-# Samples per kernel pass of verify_axioms: a pass holds (nodes, samples,
-# roots) temporaries; one pass for 20 raised a job's peak memory tenfold.
-_AXIOM_STACK = 5
-# The residue quadrature rings |z| = radius of the axiom and MDYBE checks,
-# each of QUAD_NODES nodes.
-AXIOM_QUAD_RADIUS = 0.1
-MDYBE_QUAD_RADIUS = 0.35
-QUAD_NODES = 256
-
-
 def verify_axioms(spec: RMatrixSpec, q, z) -> dict:
     """Zero-weight, unitarity and residue residuals at every (q, z) sample
     (q of shape (samples, rank)), one array each; thresholds are the
     caller's business.  On the coefficient vector c: the weights of slots
     a and dual(a) cancel on c_a, c(z)[a] + c(-z)[dual(a)] = 0, and the
     residue at z = 0 (contour quadrature on |z| = AXIOM_QUAD_RADIUS) is
-    the Casimir tensor, c = 1."""
+    the Casimir tensor, c = 1.  One kernel pass for all samples."""
     rs = spec.rs
     weights = np.concatenate([np.zeros((rs.rank, rs.rank)), rs.alpha_h])
     slot_weight = weights + weights[rs.dual_index]
-    ring = ring_nodes(AXIOM_QUAD_RADIUS, QUAD_NODES)
-    z, parts = np.asarray(z, dtype=complex), []
-    for at in range(0, max(len(z), 1), _AXIOM_STACK):
-        zs = z[at:at + _AXIOM_STACK]
-        c = _r_table(spec, q[at:at + _AXIOM_STACK], np.concatenate(
-            [[zs, -zs], np.broadcast_to(ring[:, None], (QUAD_NODES, len(zs)))]),
-            range(1))[0, 0]
-        # the z^-1 coefficient of ring_coefficients, one product per sample
-        res = (ring @ np.ascontiguousarray(np.moveaxis(c[2:], 1, 0))) \
-            / QUAD_NODES
-        parts.append((np.max(np.abs(slot_weight * c[0, ..., None]), (-2, -1)),
-                      np.max(np.abs(c[0] + c[1][..., rs.dual_index]), -1),
-                      np.max(np.abs(res - 1.0), -1)))
-    return dict(zip(("zero_weight", "unitarity", "residue"),
-                    map(np.concatenate, zip(*parts))))
+    ring, z = quad_ring(spec, AXIOM_QUAD_RADIUS), np.asarray(z, dtype=complex)
+    c = _r_table(spec, q, np.concatenate([[z, -z], np.broadcast_to(
+        ring[:, None], (len(ring), len(z)))]), range(1))[0, 0]
+    res = _ring_means(ring, np.moveaxis(c[2:], 1, 0), 1)[0]
+    return {"zero_weight": np.max(np.abs(slot_weight * c[0, ..., None]),
+                                  (-2, -1)),
+            "unitarity": np.max(np.abs(c[0] + c[1][..., rs.dual_index]), -1),
+            "residue": np.max(np.abs(res - 1.0), -1)}
 
 
 @lru_cache(maxsize=None)
@@ -539,6 +546,13 @@ def verify_cdybe(spec: RMatrixSpec, q, z1, z2, z3):
 # Laurent elements and the operator R
 
 
+def _trim_principal(rs: RootSystem, v, stack: int) -> np.ndarray:
+    """Principal coefficients (stack, T, dim) with the rows zero in every
+    sample trimmed from the top, so that T is the pole order."""
+    v = np.asarray(v, dtype=complex).reshape(stack, -1, rs.dim)
+    return v[:, :1 + np.flatnonzero(v.any(axis=(0, 2))).max(initial=-1)]
+
+
 class LaurentElement:
     """g-valued (or, via I, g*-valued) function of z with a finite pole at 0,
     sum_{j=1..T} X_{-j} z^{-j} + (a part analytic near 0), held as data:
@@ -556,10 +570,7 @@ class LaurentElement:
 
     def __init__(self, rs: RootSystem, principal, nodes, values=None):
         self.rs = rs
-        coeffs = np.asarray(principal, dtype=complex).reshape(-1, rs.dim)
-        while len(coeffs) and not coeffs[-1].any():
-            coeffs = coeffs[:-1]
-        self.principal = coeffs
+        self.principal = coeffs = _trim_principal(rs, principal, 1)[0]
         self.nodes = np.asarray(nodes, dtype=complex)
         if values is None:
             values = np.power.outer(self.nodes,
@@ -574,12 +585,6 @@ class LaurentElement:
     def pole_order(self) -> int:
         return len(self.principal)
 
-    def principal_coeff(self, j: int) -> AlgElement:
-        """Coefficient X_{-j}; zero above the pole order."""
-        if 1 <= j <= self.pole_order:
-            return AlgElement(self.rs, self.principal[j - 1])
-        return AlgElement.zero(self.rs)
-
 
 def _r_pairing(table, principal) -> np.ndarray:
     """sum_{k < T} (1/k!) < r_k, X_{-(k+1)} (x) 1 > for the T rows X of
@@ -588,31 +593,6 @@ def _r_pairing(table, principal) -> np.ndarray:
     t = len(principal)
     inv_fact = [1.0 / math.factorial(k) for k in range(t)]
     return np.einsum("k...,k...,k->...", table[:t], principal, inv_fact)
-
-
-@lru_cache(maxsize=None)
-def _entry_slots(rs: RootSystem) -> np.ndarray:
-    """Slots of c giving the coefficient matrix C = c[..., slots]: the dual
-    of E_ij's slot off the diagonal, Cartan slot 0 (f) on it."""
-    slots = np.zeros((rs.matrix_size,) * 2, dtype=int)
-    slots[rs.root_entries] = rs.dual_index[rs.rank:]
-    return slots
-
-
-def R_apply(spec: RMatrixSpec, q, xi: LaurentElement) -> LaurentElement:
-    """The operator R_q applied to a Laurent covector:
-
-        (R_q xi)(z) = (1/2)(I xi)(z)
-                      + sum_{k >= 0} (1/k!) < d^k r / d z^k (q, -z),
-                                              xi_{-(k+1)} (x) 1 >
-
-    The sum is finite (k below the pole order).  The result lives on the
-    nodes of xi.  Its principal part is exactly -(1/2) of xi's, because
-    r - Omega/z is analytic at z = 0 in every family; its values are the
-    closed form above evaluated at all nodes at once."""
-    table = _r_table(spec, q, -xi.nodes, range(xi.pole_order))[0]
-    values = _R_values(spec.rs, table, xi.values.vec, xi.principal)
-    return LaurentElement(spec.rs, -0.5 * xi.principal, xi.nodes, values)
 
 
 def _R_values(rs: RootSystem, table, values, principal) -> np.ndarray:
@@ -624,22 +604,6 @@ def _R_values(rs: RootSystem, table, values, principal) -> np.ndarray:
 def default_mdybe_samples() -> list[complex]:
     return [0.6 * cmath.exp(2j * math.pi * k / 7) for k in range(7)] + \
            [0.85 * cmath.exp(2j * math.pi * (k + 0.5) / 5) for k in range(5)]
-
-
-def _stack_principal(rs: RootSystem, v, stack: int) -> np.ndarray:
-    """Principal coefficients of ``stack`` pole-only Laurent covectors,
-    shape (stack, T, dim): the rows zero in every sample are trimmed from
-    the top, as LaurentElement trims them, so T is the stack's pole
-    order."""
-    v = np.asarray(v, dtype=complex).reshape(stack, -1, rs.dim)
-    rows = np.flatnonzero(v.any(axis=(0, 2)))
-    return v[:, :rows[-1] + 1 if rows.size else 0]
-
-
-def _sample_major(rs: RootSystem, table) -> np.ndarray:
-    """An _r_table (orders, nodes, samples, dim) as coefficient matrices
-    C, shape (orders, samples, nodes, n+1, n+1)."""
-    return table.swapaxes(-2, -3)[..., _entry_slots(rs)]
 
 
 def verify_mdybe(spec: RMatrixSpec, q, xi, eta, *,
@@ -659,46 +623,48 @@ def verify_mdybe(spec: RMatrixSpec, q, xi, eta, *,
     Cartan block of the residue coefficient), and every term at
     ``z_samples``, over which the residual is the max.
 
-    A leading axis stacks samples: q of shape (S, rank), xi and eta of
-    shape (S, T, dim) and z_samples of shape (m,) or (S, m).  One kernel
-    pass for the stack, and one residual per sample (a float for a single
-    one); each sample keeps the arithmetic it has on its own.  xi and eta
-    are valued directly as (sample, node, n+1, n+1) matrices, as is every
-    term; only the residual goes back to coordinates, for its max."""
-    rs, n = spec.rs, QUAD_NODES
-    qs = np.asarray(q, dtype=complex).reshape(-1, rs.rank)
-    stack = len(qs)
+    A leading axis stacks samples (q (S, rank), xi and eta (S, T, dim),
+    z_samples (m,) or (S, m)), with one kernel pass for all and one
+    residual per sample (a float for a single one); each sample keeps its
+    own arithmetic.  xi, eta and every term are (sample, node, n+1, n+1)
+    matrices; only the residual goes back to coordinates, for its max."""
+    rs, ring = spec.rs, quad_ring(spec, MDYBE_QUAD_RADIUS)
+    n, qs = len(ring), np.asarray(q, dtype=complex).reshape(-1, rs.rank)
     samples = np.asarray(default_mdybe_samples() if z_samples is None
                          else z_samples, dtype=complex)
-    samples = np.broadcast_to(samples, (stack, samples.shape[-1]))
-    ring = ring_nodes(MDYBE_QUAD_RADIUS, n)
-    nodes = np.concatenate([np.broadcast_to(ring, (stack, n)), samples], -1)
-    cx, ce = (_stack_principal(rs, v, stack) for v in (xi, eta))
-    # values (sample, node, ...) and principal parts (T, sample, 1, ...),
-    # the order axis leading as _r_pairing takes it
+    samples = np.broadcast_to(samples, (len(qs), samples.shape[-1]))
+    nodes = np.concatenate([np.broadcast_to(ring, (len(qs), n)), samples], -1)
+    # values (S, node, ...) and principal parts (T, S, 1, ...), the order
+    # axis leading as _r_pairing takes it
+    cx, ce = (_trim_principal(rs, v, len(qs)) for v in (xi, eta))
     (x, px), (e, pe) = (
         (rs.to_matrix(np.power.outer(nodes, -np.arange(1, c.shape[1] + 1))
                       @ c), np.moveaxis(rs.to_matrix(c), 1, 0)[:, :, None])
         for c in (cx, ce))
-    r0, r1 = _sample_major(rs, _r_table(spec, qs, -nodes.T,
-                                        range(max(len(px), len(pe))), du=1))
+    # r tables (order, node, S, dim) as matrices C (order, S, node, ...):
+    # C = c[..., slots], the dual of E_ij's slot off the diagonal, f on it
+    slots = np.zeros((rs.matrix_size,) * 2, dtype=int)
+    slots[rs.root_entries] = rs.dual_index[rs.rank:]
+    r0, r1 = _r_table(spec, qs, -nodes.T, range(max(len(px), len(pe))),
+                      du=1).swapaxes(2, 3)[..., slots]
     r_x, r_e = 0.5 * x + _r_pairing(r0, px), 0.5 * e + _r_pairing(r0, pe)
     # the inner covector [R xi, eta] + [xi, R eta] and R of it at the samples
     w = commutator(r_x, e) + commutator(x, r_e)
     inner = _ring_means(ring, w[:, :n], len(px) + len(pe))
-    r0_s = np.concatenate([r0[:, :, n:], _sample_major(rs, _r_table(
-        spec, qs, -samples.T, range(len(r0), len(inner)))[0])])
+    r0_s = np.concatenate([r0[:, :, n:], _r_table(
+        spec, qs, -samples.T, range(len(r0), len(inner)))[0].swapaxes(1, 2)[
+            ..., slots]])
     res = (commutator(r_x[:, n:], r_e[:, n:])
            + 0.25 * commutator(x[:, n:], e[:, n:])
            - 0.5 * w[:, n:] - _r_pairing(r0_s, inner[:, :, None]))
     # X_{j* xi}(R eta) - X_{j* eta}(R xi): the du = 1 pairing of eta with
     # C[i, j] scaled by (e_j - e_i)(j* xi), and the other way round; d is
-    # the diagonal of the Cartan element j* xi
+    # the diagonal of the Cartan element j* xi (none without a pole)
     for c, p, sign in ((cx, pe, 1.0), (ce, px, -1.0)):
-        d = (c[:, :1, :rs.rank] if c.shape[1] else
-             np.zeros((stack, 1, rs.rank), dtype=complex)) @ rs.h_diag
-        res += _r_pairing(sign * r1[:, :, n:]
-                          * (d - d.swapaxes(-1, -2))[:, None], p)
+        if c.shape[1]:
+            d = c[:, :1, :rs.rank] @ rs.h_diag
+            res += _r_pairing(sign * r1[:, :, n:]
+                              * (d - d.swapaxes(-1, -2))[:, None], p)
     # d<R xi, eta>: q-derivatives of the residue pairing for every Cartan
     # direction at once, sum_alpha eta_alpha p_{-alpha} h_alpha with p the
     # du = 1 pairing of xi; h_alpha = E_ii - E_jj for alpha = e_i - e_j

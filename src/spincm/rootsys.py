@@ -276,10 +276,6 @@ class AlgElement:
     def coeff(self, root: Root) -> complex:
         return complex(self.vec[self.rs.basis_index(root)])
 
-    @property
-    def cartan_coords(self) -> np.ndarray:
-        return self.vec[..., : self.rs.rank]
-
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.vec))) if self.vec.size else 0.0
 

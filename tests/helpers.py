@@ -18,15 +18,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from spincm.dynamics import (Trajectory, _char_poly, _coords, _gradient,
-                             _power_sums, _reg0, _state_columns, lax_L,
+                             _power_sums, _state_columns, lax_L,
                              vector_field)
 from spincm.elliptic import _value
 from spincm.errors import StructuralError, raise_on_fp_fault
 from spincm.phase import (PhasePoint, ReducedPoint, bracket_full, gauge_g,
                           lift_reduced, reduced_brackets, torus_action)
-from spincm.rmatrix import (LaurentElement, R_apply, RMatrixSpec, _ladder,
-                            _r_pairing, _r_table, positive_pair_weight,
-                            ring_nodes)
+from spincm.rmatrix import (LaurentElement, RMatrixSpec, _ladder, _R_values,
+                            _r_pairing, _r_table, positive_pair_weight)
 from spincm.rootsys import (AlgElement, Root, RootSystem, bracket, form,
                             negate, torus_adjoint)
 
@@ -165,6 +164,24 @@ def pair_weight(spec: RMatrixSpec, u) -> tuple[np.ndarray, np.ndarray]:
             np.concatenate([w_du, -w_du], axis=-1))
 
 
+def R_apply(spec: RMatrixSpec, q, xi: LaurentElement) -> LaurentElement:
+    """The operator R_q applied to a Laurent covector:
+
+        (R_q xi)(z) = (1/2)(I xi)(z)
+                      + sum_{k >= 0} (1/k!) < d^k r / d z^k (q, -z),
+                                              xi_{-(k+1)} (x) 1 >
+
+    The sum is finite (k below the pole order).  The result lives on the
+    nodes of xi.  Its principal part is exactly -(1/2) of xi's, because
+    r - Omega/z is analytic at z = 0 in every family; its values are the
+    closed form above evaluated at all nodes at once.  The package applies
+    R_q on arrays (``rmatrix._R_values`` in ``lax_B``, matrices in
+    ``verify_mdybe``)."""
+    table = _r_table(spec, q, -xi.nodes, range(xi.pole_order))[0]
+    values = _R_values(spec.rs, table, xi.values.vec, xi.principal)
+    return LaurentElement(spec.rs, -0.5 * xi.principal, xi.nodes, values)
+
+
 def R_directional(spec: RMatrixSpec, q, v, xi: LaurentElement
                   ) -> LaurentElement:
     """The q-directional derivative (X_v R_q)(xi) on the nodes of xi: the
@@ -174,20 +191,6 @@ def R_directional(spec: RMatrixSpec, q, v, xi: LaurentElement
     table[..., rs.rank:] *= rs.root_values(v)
     return LaurentElement(rs, [], xi.nodes,
                           _r_pairing(table[..., rs.dual_index], xi.principal))
-
-
-def lax_L_reg0(sys: RMatrixSpec, x: PhasePoint) -> AlgElement:
-    """Regular part of L at z = 0, i.e. lim_{z->0} (L(z) - I xi / z)."""
-    return AlgElement(sys.rs, _reg0(sys, x.q, x.p, x.xi.vec))
-
-
-def lax_M(sys: RMatrixSpec, x: PhasePoint, nodes) -> LaurentElement:
-    """M(z) = L(z)/z as a Laurent covector on ``nodes``, with principal
-    coefficients the regular part of L at 0 and I xi."""
-    nodes = np.asarray(nodes, dtype=complex)
-    values = lax_L(sys, x, nodes).vec / nodes[:, None]
-    return LaurentElement(sys.rs, [lax_L_reg0(sys, x).vec, x.xi.vec], nodes,
-                          values)
 
 
 # -- references ---------------------------------------------------------------
@@ -219,6 +222,11 @@ def spectral_curve(sys: RMatrixSpec, x, z_grid) -> np.ndarray:
     them; reduced points use L_0."""
     return _char_poly(_power_sums(sys, _coords([x]), z_grid,
                                   sys.rs.matrix_size))[0]
+
+
+def ring_nodes(radius: float, n: int) -> np.ndarray:
+    """n equispaced nodes on the circle |z| = radius."""
+    return radius * np.exp(2j * np.pi * np.arange(n) / n)
 
 
 def ring_coefficients(values: np.ndarray, nodes: np.ndarray,

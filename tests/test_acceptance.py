@@ -30,8 +30,8 @@ from spincm.rootsys import AlgElement, build_root_system, torus_adjoint
 from spincm.phase import (PhasePoint, ReducedPoint, gauge_g, project_pi,
                           torus_action)
 from spincm.rmatrix import verify_axioms, verify_cdybe, verify_mdybe
-from spincm.dynamics import (Trajectory, collision_margin, fpbr_residual,
-                             hamiltonian, integrate, involution_residuals,
+from spincm.dynamics import (collision_margin, fpbr_residual, hamiltonian,
+                             integrate, involution_residuals,
                              lax_pair_reduced, lax_residuals, make_system,
                              spectrum_drift, spinless_state)
 

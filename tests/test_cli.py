@@ -13,7 +13,7 @@ import pytest
 from spincm import cli, dynamics, rmatrix
 from spincm.cli import (EXIT_CONFIG, EXIT_PASS, EXIT_RESIDUAL,
                         EXIT_SINGULARITY, FAULT_SCALE, SUITES,
-                        _INVOLUTION_BATTERY, RunConfig, _build_parser,
+                        _INVOLUTION_BATTERY, _build_parser,
                         build_initial, default_thresholds, load_config, main,
                         parse_config)
 from spincm.dynamics import (integrate, involution_residuals,
@@ -331,7 +331,9 @@ def test_fault_injected_residuals_are_pinned(tmp_path, case, suite):
 
 # max_residual of every verify check, (family, rank, seed) -> {check: value},
 # as the suites gave them with one sample per call before they were stacked
-# (config t_final 0.1).  Roundoff-level values: the suites keep each
+# (config t_final 0.1); residue and mdybe as they are on the quadrature
+# rings sized from radius / R (rmatrix.quad_ring), each within a factor 6
+# of its value on the former 256-node rings.  Roundoff-level values: the suites keep each
 # sample's arithmetic, so they repeat to 1e-10, but they rest on numpy's
 # loops for this CPU and may need re-recording on another one.  The
 # involution check and the isospectral drift sum in another order since,
@@ -339,8 +341,8 @@ def test_fault_injected_residuals_are_pinned(tmp_path, case, suite):
 PINNED_RESIDUALS = {
     ("trigonometric", 3, 1): {
         "zero_weight": 0.0, "unitarity": 0.0,
-        "residue": 1.3322676308321562e-15, "cdybe": 3.340498546986209e-14,
-        "mdybe": 1.779685776996327e-13,
+        "residue": 2.231488320663207e-16, "cdybe": 3.340498546986209e-14,
+        "mdybe": 2.8173776878414745e-13,
         "lax_on_sigma": 1.6572562045795678e-13,
         "lax_reduced_pointwise": 1.227101338881947e-13,
         "involution": 2.892458810919007e-12,
@@ -349,8 +351,8 @@ PINNED_RESIDUALS = {
     },
     ("trigonometric", 3, 8): {
         "zero_weight": 0.0, "unitarity": 0.0,
-        "residue": 8.881786932710875e-16, "cdybe": 1.1374233532693354e-14,
-        "mdybe": 2.3561349626499125e-13,
+        "residue": 3.337441275985492e-16, "cdybe": 1.1374233532693354e-14,
+        "mdybe": 3.5035233244890697e-13,
         "lax_on_sigma": 4.856703836433968e-13,
         "lax_reduced_pointwise": 2.034684749684793e-13,
         "involution": 8.2929073982254e-12,
@@ -358,8 +360,8 @@ PINNED_RESIDUALS = {
         "isospectral_drift": 2.339073007005384e-08,
     },
     ("rational", 2, 3): {
-        "zero_weight": 0.0, "unitarity": 0.0, "residue": 4.44146857288414e-16,
-        "cdybe": 7.160723346098895e-15, "mdybe": 1.5748648288877372e-13,
+        "zero_weight": 0.0, "unitarity": 0.0, "residue": 2.227212004505268e-16,
+        "cdybe": 7.160723346098895e-15, "mdybe": 1.194777947737219e-13,
         "lax_on_sigma": 2.3832327871173822e-14,
         "quasi_lax_off_sigma": 1.214175959108492e-13,
         "lax_reduced_pointwise": 1.7495085916501026e-14,
@@ -368,8 +370,8 @@ PINNED_RESIDUALS = {
         "isospectral_drift": 2.822529650407306e-09,
     },
     ("elliptic", 2, 3): {
-        "zero_weight": 0.0, "unitarity": 0.0, "residue": 6.66368198731669e-16,
-        "cdybe": 2.1610313646285627e-14, "mdybe": 1.999941388239327e-13,
+        "zero_weight": 0.0, "unitarity": 0.0, "residue": 8.884223316973178e-16,
+        "cdybe": 2.1610313646285627e-14, "mdybe": 2.998625041926913e-13,
         "lax_on_sigma": 3.202372833989377e-14,
         "lax_reduced_pointwise": 2.5644683284337483e-14,
         "involution": 4.259109565124876e-13,
@@ -480,9 +482,10 @@ def test_spin_labels_are_parsed_once_per_job(tmp_path, monkeypatch):
 
 
 def test_verify_jobs_make_one_kernel_pass_per_stack(tmp_path, monkeypatch):
-    """The family kernel runs once per stacked table: once per stack of 5
-    axioms samples, once per involution job and twice per group of Lax
-    points (20, 108 and 40 passes with one sample per call), and the
+    """The family kernel runs once per stacked table: once per axioms and
+    involution job, twice per mdybe job (the ring and sample table, then
+    the higher orders at the samples) and twice per group of Lax points
+    (20, 108, 20 and 40 passes with one sample per call), and the
     spectral suite makes one pass, its trace table, and solves no
     eigenvalue problem."""
     calls = []
@@ -500,7 +503,8 @@ def test_verify_jobs_make_one_kernel_pass_per_stack(tmp_path, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
     for family, suite, passes in (
-            ("trigonometric", "axioms", 4), ("trigonometric", "involution", 1),
+            ("trigonometric", "axioms", 1), ("trigonometric", "involution", 1),
+            ("trigonometric", "mdybe", 2), ("elliptic", "mdybe", 2),
             ("trigonometric", "lax", 4), ("rational", "lax", 6),
             ("trigonometric", "spectral", 1)):
         calls.clear()

@@ -15,7 +15,6 @@ Frozen values used below were computed by hand:
 
 from __future__ import annotations
 
-import cmath
 import csv
 import io
 import math
@@ -31,14 +30,12 @@ from helpers import (PhaseFunction, PhaseGradient, ReducedGradient,
                      format_complex,
                      hamiltonian_function, hamiltonian_gradient,
                      hamiltonian_quadrature, lax_time_derivative,
-                     lax_M, linear_spin_function, poisson_full,
+                     linear_spin_function, poisson_full,
                      spectral_curve,
                      spin_invariant_gradient)
 from spincm.phase import (PhasePoint, ReducedPoint, gauge_g, lift_reduced,
-                          momentum_J, project_pi, reduced_roots, spin_chain,
-                          torus_action)
-from spincm.rootsys import (AlgElement, form, matrix_rep, negate,
-                            torus_adjoint)
+                          project_pi, reduced_roots, spin_chain)
+from spincm.rootsys import AlgElement, form, negate, torus_adjoint
 from spincm.dynamics import (_lax_pair, _pack_point, _spectral_gradients,
                              collision_margin, conserved_spectrum,
                              Trajectory, default_z_samples, fpbr_residual,

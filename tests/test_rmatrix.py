@@ -27,12 +27,12 @@ from spincm.phase import PhasePoint, momentum_J
 from spincm.errors import PoleError, StructuralError
 from spincm.rootsys import (AlgElement, bracket, build_root_system, form,
                             negate, root_label)
-from helpers import (R_directional, cartan_coeff, casimir_tensor,
+from helpers import (R_apply, R_directional, cartan_coeff, casimir_tensor,
                      equivariance_residual, pair_weight, r_tensor,
-                     ring_coefficients, root_coeff)
-from spincm.rmatrix import (LaurentElement, R_apply, RMatrixSpec, _r_table,
+                     ring_coefficients, ring_nodes, root_coeff)
+from spincm.rmatrix import (LaurentElement, RMatrixSpec, _r_table,
                             default_mdybe_samples, elliptic_r_matrix,
-                            rational_r_matrix, root_coeff_reg0, ring_nodes,
+                            quad_ring, rational_r_matrix, root_coeff_reg0,
                             trigonometric_r_matrix, verify_axioms,
                             verify_cdybe, verify_mdybe)
 
@@ -153,10 +153,17 @@ def test_trigonometric_subset_validation():
             assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
-def test_elliptic_constructor_needs_lattice():
-    rs = build_root_system("A", 1)
-    with pytest.raises(StructuralError):
-        elliptic_r_matrix(rs, None)
+def test_spec_needs_its_family_data():
+    # built directly or through a constructor, a spec without its family
+    # data fails at construction, not later in a kernel
+    rs = build_root_system("A", 2)
+    for build in (lambda: elliptic_r_matrix(rs, None),
+                  lambda: RMatrixSpec(rs, "rational"),
+                  lambda: RMatrixSpec(rs, "elliptic"),
+                  lambda: RMatrixSpec(rs, "elliptic", lattice=(2.0, 2.2j)),
+                  lambda: RMatrixSpec(rs, "hyperbolic")):
+        with pytest.raises(StructuralError):
+            build()
 
 
 # -- coefficient functions and frozen values --------------------------------
@@ -459,9 +466,7 @@ def test_r_apply_halves_the_principal_part():
                         default_mdybe_samples())
     out = R_apply(spec, np.array([0.6, -0.45]), xi)
     assert out.pole_order == 2
-    for j in (1, 2):
-        diff = out.principal_coeff(j) + 0.5 * xi.principal_coeff(j)
-        assert diff.max_abs() < 1e-14
+    assert np.max(np.abs(out.principal + 0.5 * xi.principal)) < 1e-14
 
 
 def test_r_apply_frozen_rank_one():
@@ -511,8 +516,7 @@ def test_contour_coefficients_recover_principal_part():
     zs = ring_nodes(0.4, 256)
     xi = LaurentElement(rs, random_laurent(rs, 3, rng), zs)
     got = ring_coefficients(xi.values.vec, zs, 3)
-    for j, x in enumerate(got, start=1):
-        assert (AlgElement(rs, x) - xi.principal_coeff(j)).max_abs() < 1e-12
+    assert np.max(np.abs(got - xi.principal)) < 1e-12
 
 
 def test_laurent_trimming_and_eval():
@@ -768,3 +772,111 @@ def test_fpbr_matches_dense_reference(family, rank, fault):
     z, w = 0.31 + 0.12j, -0.22 + 0.4j
     assert_matches_dense(fpbr_residual(sys, x, z, w),
                          dense_fpbr(sys, x, z, w), fault)
+
+
+
+# -- quadrature rings sized from their error bound ---------------------------
+#
+# A ring |z| = rho takes the fewest nodes N, at least 32, with
+# (rho / R)^N <= 1e-20, R the family's z-pole radius.  Under a fault the
+# residuals are real quantities (1e3-1e7), so the comparison with 512-node
+# references measures the ring error itself.
+
+SIZED_CASES = [("rational", 2, None), ("trigonometric", 3, None),
+               ("elliptic", 2, (2.0, 2.2j)), ("elliptic", 2, (1.0, 1.1j)),
+               ("elliptic", 2, (0.5, 0.55j))]
+
+
+def sized_spec(family, rank, periods):
+    lattice = Lattice(*periods) if periods else WIDE
+    return all_specs(rank, lattice)[family]
+
+
+def sized_samples(spec, count, seed):
+    """(q, xi, eta, z) stacks with q at least 0.2 from the singular set."""
+    rng = np.random.default_rng(seed)
+    qs = []
+    while len(qs) < count:
+        q = rng.uniform(0.3, 1.1, size=spec.rs.rank) \
+            * rng.choice([-1, 1], size=spec.rs.rank)
+        if collision_margin(spec, q) >= 0.2:
+            qs.append(q)
+    xi, eta = (np.array([random_laurent(spec.rs, 2, rng)
+                         for _ in range(count)]) for _ in range(2))
+    z = np.array([complex(rng.uniform(0.2, 0.5), rng.uniform(-0.3, 0.3))
+                  for _ in range(count)])
+    return np.array(qs), xi, eta, z
+
+
+@pytest.mark.parametrize("family,rank,periods", SIZED_CASES)
+def test_ring_node_counts(family, rank, periods):
+    spec = sized_spec(family, rank, periods)
+    assert len(quad_ring(spec, 0.1)) == 32
+    want = 44 if periods == (0.5, 0.55j) else 32
+    assert len(quad_ring(spec, 0.35)) == want
+    ring = quad_ring(spec, 0.35)
+    assert np.allclose(np.abs(ring), 0.35)
+    assert np.allclose(ring ** want, 0.35 ** want)
+
+
+def test_ring_reaching_a_pole_raises():
+    # the MDYBE ring |z| = 0.35 encloses the lattice points at 0.2
+    spec = elliptic_r_matrix(build_root_system("A", 1), Lattice(0.1, 0.11j))
+    assert len(quad_ring(spec, 0.1)) == 67
+    with pytest.raises(PoleError):
+        quad_ring(spec, 0.35)
+
+
+@pytest.mark.parametrize("family,rank,periods", SIZED_CASES)
+def test_sized_rings_match_512_nodes(family, rank, periods):
+    spec = sized_spec(family, rank, periods).with_fault(4.0)
+    q, xi, eta, z = sized_samples(spec, 3, 900 + rank)
+    got = verify_mdybe(spec, q, xi, eta)
+    for k in range(3):
+        want = dense_mdybe(spec, q[k], xi[k], eta[k], quad_nodes=512)
+        assert want > 1e2
+        assert abs(got[k] - want) <= 1e-12 * want
+    got = verify_axioms(spec, q, z)["residue"]
+    want = dense_axioms(spec, list(zip(q, z)), quad_nodes=512)["residue"]
+    assert want > 1.0
+    assert abs(np.max(got) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("family,rank,periods", SIZED_CASES)
+def test_mdybe_stack_equals_single_calls(family, rank, periods):
+    spec = sized_spec(family, rank, periods).with_fault(4.0)
+    q, xi, eta, _ = sized_samples(spec, 10, 950 + rank)
+    zs = np.array(default_mdybe_samples())
+    stacked = verify_mdybe(spec, q, xi, eta, z_samples=np.tile(zs, (10, 1)))
+    assert stacked.shape == (10,)
+    for k in range(10):
+        single = verify_mdybe(spec, q[k], xi[k], eta[k], z_samples=zs)
+        assert isinstance(single, float) and single > 1e2
+        assert abs(stacked[k] - single) <= 1e-12 * single
+
+
+def test_mdybe_on_a_small_lattice_passes():
+    # rho / R = 0.35 here: at a fixed 32 nodes the residual read 5e-5 to
+    # 1.2e-4 against the suite threshold of 1e-8.  The samples are the
+    # inner default circle |z| = 0.6; the outer one, |z| = 0.85, passes
+    # within 0.15 of the lattice point 1, where round-off alone reaches
+    # 1e-8 at any node count.
+    spec = sized_spec("elliptic", 2, (0.5, 0.55j))
+    q, xi, eta, _ = sized_samples(spec, 5, 980)
+    inner = default_mdybe_samples()[:7]
+    assert np.max(verify_mdybe(spec, q, xi, eta, z_samples=inner)) < 1e-9
+
+
+def test_mdybe_stack_trims_its_pole_order():
+    # a stack whose top principal row is zero everywhere gives what the
+    # trimmed stack gives; a sample with no pole at all leaves no X term
+    spec = all_specs(2)["trigonometric"]
+    rng = np.random.default_rng(990)
+    q = rng.uniform(0.4, 0.8, size=(2, 2))
+    xi, eta = (np.array([random_laurent(spec.rs, 2, rng) for _ in range(2)])
+               for _ in range(2))
+    padded = np.concatenate([xi, np.zeros_like(xi[:, :1])], 1)
+    assert np.array_equal(verify_mdybe(spec, q, padded, eta),
+                          verify_mdybe(spec, q, xi, eta))
+    assert verify_mdybe(spec, q[0], np.zeros((2, spec.rs.dim)), eta[0]) \
+        < 1e-10

@@ -138,10 +138,11 @@ def test_bracket_is_the_commutator_of_matrix_reps(rank, shape):
 @pytest.mark.parametrize("rank", RANKS)
 @pytest.mark.parametrize("shape", [(), (3, 7), (1,), (12,), (268,), (2, 3)])
 def test_sparse_bracket_matches_dense_einsum(rank, shape):
-    # single elements, batches (268 is the node count of verify_mdybe), and
-    # a single element against a batch, against the structure constants
-    # built from the matrix units; the name predates the matrix bracket and
-    # is kept so that the test ids stay
+    # single elements, batches (268 was the node count of verify_mdybe on
+    # its former fixed 256-node ring; the id stays), and a single element
+    # against a batch, against the structure constants built from the
+    # matrix units; the name predates the matrix bracket and is kept so
+    # that the test ids stay
     rs = build_root_system("A", rank)
     rng = np.random.default_rng(40 + rank)
     x, y = (rng.normal(size=shape + (rs.dim,))
@@ -176,7 +177,7 @@ def test_coroot_bracket(rank):
         h = bracket(e_plus, e_minus)
         assert np.max(np.abs(h.vec[rank:])) < 1e-14
         expected = rs.alpha_h[rs.root_index[root]]
-        assert np.max(np.abs(h.cartan_coords - expected)) < 1e-13
+        assert np.max(np.abs(h.vec[:rs.rank] - expected)) < 1e-13
 
 
 @pytest.mark.parametrize("rank", RANKS)

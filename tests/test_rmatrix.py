@@ -153,12 +153,17 @@ def test_trigonometric_subset_validation():
             assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
+def test_elliptic_constructor_needs_lattice():
+    rs = build_root_system("A", 1)
+    with pytest.raises(StructuralError):
+        elliptic_r_matrix(rs, None)
+
+
 def test_spec_needs_its_family_data():
-    # built directly or through a constructor, a spec without its family
-    # data fails at construction, not later in a kernel
+    # built directly, a spec without its family data fails at
+    # construction, not later in a kernel
     rs = build_root_system("A", 2)
-    for build in (lambda: elliptic_r_matrix(rs, None),
-                  lambda: RMatrixSpec(rs, "rational"),
+    for build in (lambda: RMatrixSpec(rs, "rational"),
                   lambda: RMatrixSpec(rs, "elliptic"),
                   lambda: RMatrixSpec(rs, "elliptic", lattice=(2.0, 2.2j)),
                   lambda: RMatrixSpec(rs, "hyperbolic")):

@@ -43,9 +43,9 @@ from .phase import (PhasePoint, ReducedPoint, gauge_g, lift_reduced,
                     momentum_J, project_pi, reduced_brackets, reduced_roots,
                     slice_lift, spin_chain)
 from .rmatrix import (LaurentElement, RMatrixSpec, _ladder, _pole_distance,
-                      _R_values, _r_pairing, _r_table, elliptic_r_matrix,
-                      positive_pair_weight, rational_r_matrix,
-                      root_coeff_reg0, trigonometric_r_matrix)
+                      _R_values, _r_pairing, _r_table, positive_pair_weight,
+                      rational_r_matrix, root_coeff_reg0,
+                      trigonometric_r_matrix)
 from .rootsys import (AlgElement, RootSystem, bracket, build_root_system,
                       root_label, torus_adjoint)
 
@@ -69,17 +69,11 @@ def make_system(family: str, rank: int, *, delta_prime="full",
     a matrix of L is needed (conserved traces, spectral curves)."""
     rs = build_root_system("A", rank)
     if family == "rational":
-        spec = rational_r_matrix(rs, delta_prime)
-    elif family == "trigonometric":
-        spec = trigonometric_r_matrix(rs, pi_prime, delta_plus)
-    elif family == "elliptic":
-        if lattice is None:
-            raise StructuralError("elliptic family needs a lattice")
-        spec = elliptic_r_matrix(rs, lattice)
-    else:
-        raise StructuralError(f"unknown family {family!r}; expected one of "
-                              "rational, trigonometric, elliptic")
-    return spec
+        return rational_r_matrix(rs, delta_prime)
+    if family == "trigonometric":
+        return trigonometric_r_matrix(rs, pi_prime, delta_plus)
+    # the elliptic family, or an unknown one, which the spec rejects
+    return RMatrixSpec(rs, family, lattice=lattice)
 
 
 def spinless_state(rs: RootSystem, q, p, m: complex) -> PhasePoint:
@@ -267,11 +261,12 @@ def integrate(sys: RMatrixSpec, x0, t_final: float, tol: float = 1e-10, *,
     only for steps that hold such a point and fills all of them in one
     call.  t_final may be negative (backward flow).  A non-finite t_final,
     tol or initial state raises StructuralError, and so does an initial
-    state whose energy overflows.  Close approaches to the singular set,
-    poles and floating-point faults (also in the first evaluation, the
-    dense output and the energy of a later grid point) truncate the
-    trajectory instead of raising, and so does a run past MAX_STEPS
-    accepted steps.  The energy and momentum columns are
+    state whose energy overflows, or one past the range of the elliptic
+    argument reduction.  Close approaches to the singular set, poles,
+    floating-point faults (also in the first evaluation, the dense output
+    and the energy of a later grid point) and a step past that range
+    truncate the trajectory instead of raising, and so does a run past
+    MAX_STEPS accepted steps.  The energy and momentum columns are
     evaluated once over all grid points.
     """
     if not math.isfinite(t_final) or t_final == 0.0:
@@ -313,8 +308,8 @@ def integrate(sys: RMatrixSpec, x0, t_final: float, tol: float = 1e-10, *,
                 (t_grid[filled:] - solver.t) * solver.direction <= slack)
             states[filled:end] = solver.dense(t_grid[filled:end])
             filled = end
-        except (PoleError, ZeroDivisionError, FloatingPointError,
-                OverflowError) as exc:
+        except (PoleError, StructuralError, ZeroDivisionError,
+                FloatingPointError, OverflowError) as exc:
             reason = f"integration aborted at t = {solver.t:.6g}: {exc}"
             break
 

@@ -8,13 +8,13 @@ quasi-periodicity factors are exact closed forms.  g2 and g3 come from the
 branch points wp(omega1), wp(omega1 + omega2), wp(omega2), not lattice sums.
 
 Every evaluation takes a scalar or a numpy array of arguments and runs the
-same array code either way (a scalar in gives a Python scalar out).  theta_1
-and its first three derivatives are one fixed-length sum: a dot product of
-[sin | cos]((2n+1) v) with a term table built once per lattice, whose
-length is the fewest terms that keep the dropped tail below _REL_CUTOFF
-anywhere in the centred cell.  A pole guard runs once per call on the whole
-argument array, and numpy floating-point faults raise FloatingPointError
-instead of returning inf or nan.
+same array code either way (a scalar in gives a Python scalar out).  Each
+reads one pass per argument: the reduction (StructuralError past 2^52
+periods), the pole guard if asked, and theta_1 with three derivatives, a
+dot product of [sin | cos]((2n+1) v) with a term table whose length keeps
+the dropped tail below _REL_CUTOFF in the centred cell.  sigma, zeta, wp,
+l and the r-matrix ladder (``Lattice.coefficient_ladder``) share passes;
+numpy floating-point faults raise FloatingPointError, not inf or nan.
 
 Conventions: half-periods omega1, omega2 with Im(omega2/omega1) > 0; the
 lattice is 2*omega1*Z + 2*omega2*Z.
@@ -32,6 +32,8 @@ from .errors import PoleError, StructuralError, raise_on_fp_fault
 POLE_TOL = 1e-12
 _MAX_TERMS = 64
 _REL_CUTOFF = 1e-18
+# past 2^52 periods a reduced argument has no correct digit
+_RANGE = 2.0 ** 52
 
 
 def _value(a, kind=complex):
@@ -49,8 +51,7 @@ class Lattice:
     """
 
     def __init__(self, omega1: complex, omega2: complex):
-        omega1 = complex(omega1)
-        omega2 = complex(omega2)
+        omega1, omega2 = complex(omega1), complex(omega2)
         if omega1 == 0:
             raise StructuralError("omega1 must be nonzero")
         tau = omega2 / omega1
@@ -101,6 +102,12 @@ class Lattice:
         # the lattice points at the corners and edges of the centred cell
         self._near = np.array([2 * dm * omega1 + 2 * dn * omega2
                                for dm in (-1, 0, 1) for dn in (-1, 0, 1)])
+        # the shortest nonzero period, from the Lagrange (Gauss) reduction
+        # of the basis (2 omega1, 2 omega2)
+        a, b = 2 * omega1, 2 * omega2
+        while abs(r := b - round((b / a).real) * a) < abs(a):
+            a, b = r, a
+        self.shortest_period = abs(a)
 
         # e1, e2, e3 = wp at the half-periods omega1, omega1 + omega2, omega2
         self.branch_points = tuple(complex(e) for e in self.wp(
@@ -109,7 +116,7 @@ class Lattice:
         self.g2 = 2.0 * (e1 ** 2 + e2 ** 2 + e3 ** 2)
         self.g3 = 4.0 * e1 * e2 * e3
 
-    # -- internals ------------------------------------------------------
+    # -- the one pass -----------------------------------------------------
 
     def _theta1(self, z0: np.ndarray) -> tuple[np.ndarray, ...]:
         """theta_1 and its first three derivatives at v = pi z0 / (2 omega1)."""
@@ -120,23 +127,64 @@ class Lattice:
 
     def _cell(self, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Elementwise z = z0 + 2m*omega1 + 2n*omega2 with z0 in the centred
-        cell; m and n come back as float arrays of integers."""
+        cell; m and n come back as float arrays of integers.  More than
+        2^52 periods out z keeps no fractional digit: StructuralError."""
         z = np.asarray(z, dtype=complex)
         flat = z.reshape(-1)
         mn = np.rint(flat.view(float).reshape(-1, 2) @ self._period_inv_t)
+        if np.abs(mn).max(initial=0.0) > _RANGE:
+            far = flat[np.abs(mn).max(axis=1).argmax()]
+            raise StructuralError(
+                f"elliptic argument {complex(far):g} lies more than 2^52 "
+                f"periods out: its reduced value keeps no digit")
         z0 = flat - mn @ self._periods
         return (z0.reshape(z.shape), mn[:, 0].reshape(z.shape),
                 mn[:, 1].reshape(z.shape))
 
-    def _regular(self, z, what: str):
-        """_cell, raising PoleError if any entry is within POLE_TOL of the
-        lattice: 0 is the only lattice point in the closed centred cell and
-        POLE_TOL is far below half a period, so that is when |z0| is."""
+    def _pass(self, z, what: str | None = None) -> tuple[np.ndarray, ...]:
+        """The one pass every evaluation reads: (z0, m, n) of _cell, then
+        theta_1 and its first three derivatives at z0.  With ``what``,
+        PoleError if any |z0| < POLE_TOL, as 0 is the only lattice point in
+        the closed centred cell (POLE_TOL is far below half a period)."""
         z0, m, n = self._cell(z)
-        if np.any(np.abs(z0) < POLE_TOL):
+        if what and np.any(np.abs(z0) < POLE_TOL):
             raise PoleError(
                 f"{what} evaluated within {POLE_TOL:g} of a lattice point")
-        return z0, m, n
+        return (z0, m, n) + self._theta1(z0)
+
+    def _sigma(self, p) -> np.ndarray:
+        z0, m, n, th = p[:4]
+        base = (2.0 * self.omega1 / math.pi) * np.exp(
+            self.eta1 * z0 * z0 / (2.0 * self.omega1)) * th / self._theta1p0
+        # quasi-periodicity factor, exactly 1 inside the centred cell
+        sign = 1.0 - 2.0 * ((m + n + m * n) % 2)
+        eta = 2 * m * self.eta1 + 2 * n * self.eta2
+        half = m * self.omega1 + n * self.omega2
+        return sign * base * np.exp(eta * (z0 + half))
+
+    def _wp_from_theta(self, th, d1, d2, d3) -> tuple:
+        """(wp, wp') from theta_1 and its first three derivatives."""
+        r1, r2 = d1 / th, d2 / th
+        scale = math.pi / (2.0 * self.omega1)
+        wp = -self.eta1 / self.omega1 - scale ** 2 * (r2 - r1 ** 2)
+        wp_prime = -(scale ** 3) * (d3 / th - 3.0 * r2 * r1 + 2.0 * r1 ** 3)
+        return wp, wp_prime
+
+    def _zetas(self, p, kmax: int) -> list:
+        """zeta and its z-derivatives of orders below kmax (kmax <= 5),
+        analytic: zeta' = -wp, wp'' = 6 wp^2 - g2/2, wp''' = 12 wp wp'."""
+        if kmax > 5:
+            raise ValueError(f"zeta_ladder supports kmax <= 5, got {kmax}")
+        z0, m, n, th, d1 = p[:5]
+        val = self.eta1 * z0 / self.omega1 \
+            + (math.pi / (2.0 * self.omega1)) * d1 / th
+        out = [val + 2 * m * self.eta1 + 2 * n * self.eta2]
+        if kmax > 1:
+            wp, dp = self._wp_from_theta(*p[3:])
+            out += [-wp, -dp]
+        if kmax > 3:
+            out += [-(6.0 * wp * wp - 0.5 * self.g2), -12.0 * wp * dp]
+        return out[:kmax]
 
     # -- public evaluations ----------------------------------------------
 
@@ -155,33 +203,15 @@ class Lattice:
 
     @raise_on_fp_fault
     def sigma(self, z):
-        z0, m, n = self._cell(z)
-        th = self._theta1(z0)[0]
-        base = (2.0 * self.omega1 / math.pi) * np.exp(
-            self.eta1 * z0 * z0 / (2.0 * self.omega1)) * th / self._theta1p0
-        # quasi-periodicity factor, exactly 1 inside the centred cell
-        sign = 1.0 - 2.0 * ((m + n + m * n) % 2)
-        eta = 2 * m * self.eta1 + 2 * n * self.eta2
-        half = m * self.omega1 + n * self.omega2
-        return _value(sign * base * np.exp(eta * (z0 + half)))
+        return _value(self._sigma(self._pass(z)))
 
     def zeta(self, z):
         return self.zeta_ladder(z, 1)[0]
 
-    def _wp_from_theta(self, th, d1, d2, d3) -> tuple:
-        """(wp, wp') from theta_1 and its first three derivatives."""
-        r1 = d1 / th
-        r2 = d2 / th
-        scale = math.pi / (2.0 * self.omega1)
-        wp = -self.eta1 / self.omega1 - scale ** 2 * (r2 - r1 ** 2)
-        wp_prime = -(scale ** 3) * (d3 / th - 3.0 * r2 * r1 + 2.0 * r1 ** 3)
-        return wp, wp_prime
-
     def wp_pair_kernel(self, z):
-        """(wp(z), wp'(z)) from one theta_1 evaluation, for callers that
-        hold a fault guard; ``wp_pair`` is it under raise_on_fp_fault."""
-        wp, wp_prime = self._wp_from_theta(
-            *self._theta1(self._regular(z, "wp")[0]))
+        """(wp(z), wp'(z)) from one pass, for callers that hold a fault
+        guard; ``wp_pair`` is it under raise_on_fp_fault."""
+        wp, wp_prime = self._wp_from_theta(*self._pass(z, "wp")[3:])
         return _value(wp), _value(wp_prime)
 
     wp_pair = raise_on_fp_fault(wp_pair_kernel)
@@ -194,27 +224,33 @@ class Lattice:
 
     @raise_on_fp_fault
     def zeta_ladder(self, z, kmax: int) -> list:
-        """The z-derivatives of zeta of orders 0 .. kmax - 1 (kmax <= 5)
-        from one argument reduction and one theta_1 pass.
+        """zeta and its z-derivatives of orders below kmax (kmax <= 5)."""
+        return [_value(v) for v in self._zetas(self._pass(z, "zeta"), kmax)]
 
-        Uses zeta' = -wp and the Weierstrass differential equation for the
-        higher orders (wp'' = 6 wp^2 - g2/2, wp''' = 12 wp wp'), so every
-        order is analytic, no finite differences.
-        """
-        if kmax > 5:
-            raise ValueError(f"zeta_ladder supports kmax <= 5, got {kmax}")
-        z0, m, n = self._regular(z, "zeta")
-        parts = self._theta1(z0)
-        th, d1 = parts[:2]
-        val = self.eta1 * z0 / self.omega1 \
-            + (math.pi / (2.0 * self.omega1)) * d1 / th
-        out = [val + 2 * m * self.eta1 + 2 * n * self.eta2]
-        if kmax > 1:
-            p, dp = self._wp_from_theta(*parts)
-            out += [-p, -dp]
-        if kmax > 3:
-            out += [-(6.0 * p * p - 0.5 * self.g2), -12.0 * p * dp]
-        return [_value(v) for v in out[:kmax]]
+    def coefficient_ladder(self, u, z, kmax: int, du: int = 0):
+        """``rmatrix._ladder`` for f = zeta(z) and c = -l(u, z) from one pass
+        each of z, u and u + z: Leibniz ladders of l' = l (zeta(u+z) -
+        zeta(z)) and d_u l = l (zeta(u+z) - zeta(u)).  Runs under the
+        caller's fault guard."""
+        pz = self._pass(z, "zeta")
+        zeta_z = self._zetas(pz, kmax)
+        if u is None:
+            return zeta_z, None
+        nuz = kmax - 1 + du
+        pu = self._pass(u, "l_kernel")
+        puz = self._pass(u + z, "zeta" if nuz else None)
+        kernel = -self._sigma(puz) / (self._sigma(pu) * self._sigma(pz))
+        c = [-kernel]
+        zeta_uz = self._zetas(puz, nuz) if nuz else []
+        d = [zeta_uz[m] - zeta_z[m] for m in range(kmax - 1)]
+        for k in range(kmax - 1):
+            c.append(sum(math.comb(k, j) * c[j] * d[k - j]
+                         for j in range(k + 1)))
+        if not du:
+            return zeta_z, [c]
+        e = [zeta_uz[0] - self._zetas(pu, 1)[0]] + zeta_uz[1:]
+        return zeta_z, [c, [sum(math.comb(k, j) * c[j] * e[k - j]
+                                for j in range(k + 1)) for k in range(kmax)]]
 
     def __repr__(self) -> str:
         return f"Lattice(omega1={self.omega1:g}, omega2={self.omega2:g})"
@@ -223,16 +259,15 @@ class Lattice:
 @raise_on_fp_fault
 def l_kernel(lattice: Lattice, w, z):
     """Two-variable kernel l(w, z) = -sigma(w+z) / (sigma(w) sigma(z)),
-    elementwise over the broadcast of w and z (the pole guards and sigma(w),
-    sigma(z) run on the arguments as given, unbroadcast).
+    elementwise over the broadcast of w and z (the passes of w and z, with
+    their pole guards, run on the arguments as given, unbroadcast).
 
     Symmetric in its arguments, with a simple pole of residue -1 in z at the
     lattice.  Poles occur where sigma(w) or sigma(z) vanish, and only there;
     w + z on the lattice gives a regular zero, so it is not guarded.
     """
     w, z = np.asarray(w, dtype=complex), np.asarray(z, dtype=complex)
-    for arg, val in (("first", w), ("second", z)):
-        if np.any(lattice.lattice_distance(val) < POLE_TOL):
-            raise PoleError(f"l_kernel: {arg} argument within pole tolerance "
-                            "of the lattice")
-    return _value(-lattice.sigma(w + z) / (lattice.sigma(w) * lattice.sigma(z)))
+    sw, sz, swz = (_value(lattice._sigma(p)) for p in (
+        lattice._pass(w, "l_kernel"), lattice._pass(z, "l_kernel"),
+        lattice._pass(w + z)))
+    return _value(-swz / (sw * sz))

@@ -14,11 +14,11 @@ root coefficient c_alpha(u, z) with u = (alpha, q):
 * elliptic:        f = zeta(z),        c = -l(u, z) with the sigma-function
                    kernel l(w, z) = -sigma(w+z)/(sigma(w) sigma(z))
 
-All z- and q-derivatives needed anywhere in the package are produced here by
-closed-form recursions (polynomial ladders in cot, Leibniz ladders for the
-elliptic kernel), never by finite differences.  The same coefficient
-functions feed the Lax operators in :mod:`spincm.dynamics`, which is what
-ties the r-matrix to the mechanics.
+All z- and q-derivatives needed anywhere in the package come from closed
+forms (ladders in cot here, the elliptic Leibniz ladders from one pass per
+argument in :meth:`Lattice.coefficient_ladder`), never finite differences.
+The same coefficient functions feed the Lax operators in
+:mod:`spincm.dynamics`, which is what ties the r-matrix to the mechanics.
 
 Each family has one array kernel (:func:`_ladder`): from the root values
 u = rs.root_values(q) (roots on the last axis, z broadcasting against it)
@@ -51,7 +51,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .elliptic import POLE_TOL, Lattice, l_kernel
+from .elliptic import POLE_TOL, Lattice
 from .errors import PoleError, StructuralError, raise_on_fp_fault
 from .rootsys import AlgElement, RootSystem, bracket, commutator, root_label
 
@@ -104,10 +104,13 @@ class RMatrixSpec:
     fault_scale: complex = 1.0
 
     def __post_init__(self):
-        if not {"rational": self.dp_mask is not None, "trigonometric": True,
-                "elliptic": isinstance(self.lattice, Lattice)}.get(self.family):
-            raise StructuralError(f"{self.family!r} r-matrix without its "
-                                  f"family data (dp_mask, or a Lattice)")
+        if self.family not in FAMILIES:
+            raise StructuralError(f"unknown family {self.family!r}; expected "
+                                  f"one of {', '.join(FAMILIES)}")
+        if self.family == "rational" and self.dp_mask is None:
+            raise StructuralError("rational family needs a dp_mask")
+        if self.family == "elliptic" and not isinstance(self.lattice, Lattice):
+            raise StructuralError("elliptic family needs a lattice")
         if self.family == "trigonometric":
             if self.plus_mask is None:      # the canonical positive system
                 self.plus_mask = np.arange(self.rs.n_roots) < self.rs.n_pos
@@ -247,10 +250,9 @@ def _pole_distance(spec: RMatrixSpec, u, sin_u=None) -> np.ndarray:
 def _pole_radius(spec: RMatrixSpec) -> float:
     """Distance from z = 0 to the next pole of r(q, z) in z: inf (rational;
     the ring integrands are Laurent polynomials), pi (trigonometric), the
-    shortest nonzero near lattice point (elliptic)."""
+    shortest nonzero period (elliptic)."""
     if spec.family == "elliptic":
-        near = np.abs(spec.lattice._near)
-        return float(near[near > 0].min())
+        return spec.lattice.shortest_period
     return math.inf if spec.family == "rational" else math.pi
 
 
@@ -317,25 +319,6 @@ def _trig_ladder(spec: RMatrixSpec, u, z, kmax: int, du: int):
                    + bp[k] * dg for k in range(kmax)]]
 
 
-def _elliptic_ladder(spec: RMatrixSpec, u, z, kmax: int, du: int):
-    # f = zeta(z); c = -l(u, z) with the z-ladder from l' = l (zeta(u+z) -
-    # zeta(z)) and the mixed derivative from d_u l = l (zeta(u+z) - zeta(u))
-    lat = spec.lattice
-    zeta_z = lat.zeta_ladder(z, kmax)
-    if u is None:
-        return zeta_z, None
-    c = [-l_kernel(lat, u, z)]
-    zeta_uz = lat.zeta_ladder(u + z, kmax - 1 + du) if kmax - 1 + du else []
-    d = [zeta_uz[m] - zeta_z[m] for m in range(kmax - 1)]
-    for k in range(kmax - 1):
-        c.append(sum(math.comb(k, j) * c[j] * d[k - j] for j in range(k + 1)))
-    if not du:
-        return zeta_z, [c]
-    e = [zeta_uz[0] - lat.zeta(u)] + zeta_uz[1:]
-    return zeta_z, [c, [sum(math.comb(k, j) * c[j] * e[k - j]
-                            for j in range(k + 1)) for k in range(kmax)]]
-
-
 def _ladder(spec: RMatrixSpec, u, z, kmax: int, du: int = 0):
     """The family kernel in one pass: (f, c), f[k] the k-th z-derivative of
     the Cartan coefficient and c[d][k] that of the root coefficients (d =
@@ -349,8 +332,8 @@ def _ladder(spec: RMatrixSpec, u, z, kmax: int, du: int = 0):
     if fam == "elliptic":
         args = (() if u is None else (u,) if kmax == 1 and not du
                 else (u, u + z))
-        return _on_lattice(
-            spec, lambda: _elliptic_ladder(spec, u, z, kmax, du), *args)
+        return _on_lattice(spec, lambda: spec.lattice.coefficient_ladder(
+            u, z, kmax, du), *args)
     if (np.abs(z) < _ZTOL).any():
         raise PoleError("rational r-matrix evaluated at the z = 0 pole")
     f = [(-1) ** k * math.factorial(k) * z ** (-(k + 1)) for k in range(kmax)]

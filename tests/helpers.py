@@ -20,7 +20,7 @@ import numpy as np
 from spincm.dynamics import (Trajectory, _char_poly, _coords, _gradient,
                              _power_sums, _state_columns, lax_L,
                              vector_field)
-from spincm.elliptic import _value
+from spincm.elliptic import Lattice, _value
 from spincm.errors import StructuralError, raise_on_fp_fault
 from spincm.phase import (PhasePoint, ReducedPoint, bracket_full, gauge_g,
                           lift_reduced, reduced_brackets, torus_action)
@@ -28,6 +28,21 @@ from spincm.rmatrix import (LaurentElement, RMatrixSpec, _ladder, _R_values,
                             _r_pairing, _r_table, positive_pair_weight)
 from spincm.rootsys import (AlgElement, Root, RootSystem, bracket, form,
                             negate, torus_adjoint)
+
+# -- call counts --------------------------------------------------------------
+
+
+def count_passes(monkeypatch) -> dict:
+    """Counts of the theta_1 passes, argument reductions and near-point
+    searches of Lattice from here on."""
+    counts = dict.fromkeys(("_theta1", "_cell", "lattice_distance"), 0)
+    for name in counts:
+        def counted(self, *args, _name=name, _fn=getattr(Lattice, name)):
+            counts[_name] += 1
+            return _fn(self, *args)
+        monkeypatch.setattr(Lattice, name, counted)
+    return counts
+
 
 # -- functions with analytic gradients ----------------------------------------
 

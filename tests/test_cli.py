@@ -199,6 +199,20 @@ def test_simulate_spectrum_drift_fault_is_a_config_error(
     assert err.startswith("spincm: spectrum_drift ")
 
 
+def test_simulate_past_the_elliptic_range_is_a_config_error(tmp_path,
+                                                            capsys):
+    """q = 1e200 lies far more than 2^52 periods out, where the reduced
+    argument keeps no digit: exit 2 naming the range, not a pole."""
+    data = {"family": "elliptic", "rank": 1, "lattice": WIDE_LATTICE,
+            "initial": {"preset": "spinless(0.4j)", "q": [1e200], "p": [0.1]},
+            "integration": {"t_final": 0.1}}
+    cfg = write_config(tmp_path, "far.json", data)
+    code = main(["simulate", "--config", cfg, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("spincm: ") and "2^52 periods" in err
+
+
 def test_simulate_free_preset_straight_line(tmp_path):
     cfg = write_config(tmp_path, "free.json", {
         "family": "rational", "rank": 1,

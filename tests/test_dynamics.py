@@ -251,6 +251,19 @@ def test_collision_guard_truncates():
     assert traj.n_points >= 1
 
 
+def test_integrate_truncates_past_the_elliptic_range():
+    """A run whose root value crosses 2^52 periods ends truncated with the
+    range as its reason, as at a pole; past the range at t = 0 it raises."""
+    sys = make_system("elliptic", 1, lattice=Lattice(2.0, 2.2j))
+    x0 = spinless_state(sys.rs, [1.1e16 + 0.3j], [1e15], 0.4j)
+    traj = integrate(sys, x0, 4.0, n_points=11)
+    assert not traj.completed and traj.n_points > 1
+    assert "2^52 periods" in traj.abort_reason
+    assert not traj.abort_reason.startswith("integration aborted at t = 0:")
+    with pytest.raises(StructuralError, match=r"2\^52 periods"):
+        integrate(sys, spinless_state(sys.rs, [1e200], [0.1], 0.4j), 0.1)
+
+
 def test_integrate_input_validation():
     sys = make_system("rational", 1)
     x0 = spinless_state(sys.rs, [1.0], [0.0], 1.0)

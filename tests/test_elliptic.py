@@ -21,6 +21,7 @@ import pytest
 
 from spincm.elliptic import Lattice, l_kernel
 from spincm.errors import PoleError, StructuralError
+from helpers import count_passes
 
 SQUARE = Lattice(1.0, 1j)
 RECT = Lattice(1.3, 0.9j)
@@ -247,8 +248,53 @@ def test_pole_guards():
         SQUARE.wp(2.0)           # 2 omega1 is a lattice point
     with pytest.raises(PoleError):
         l_kernel(SQUARE, 0.0, 0.3)
-    with pytest.raises(PoleError):
+    with pytest.raises(PoleError, match="l_kernel evaluated within 1e-12"):
         l_kernel(SQUARE, 0.3, 2j)
+
+
+def test_reduction_range():
+    """An argument more than 2^52 periods out keeps no digit when reduced:
+    every evaluation raises StructuralError naming the range, while 2^52
+    periods still reduce."""
+    edge = 2.0 * 2 ** 52          # 2^52 periods 2 omega1 = 2 of SQUARE
+    assert SQUARE.reduce(edge + 0.5j)[1:] == (2 ** 52, 0)
+    for z in (2.0 * 2 ** 53 + 0.5j, 0.3 + 2.0 ** 54 * 1j, 1e200):
+        for fn in (SQUARE.reduce, SQUARE.lattice_distance, SQUARE.sigma,
+                   SQUARE.zeta, SQUARE.wp, lambda v: l_kernel(SQUARE, 0.3, v),
+                   lambda v: SQUARE.zeta_ladder(np.array([0.3, v]), 3)):
+            with pytest.raises(StructuralError, match=r"2\^52 periods"):
+                fn(z)
+
+
+def test_l_kernel_is_three_passes(monkeypatch):
+    """One pass each of w, z and w + z, no near-point search, and the
+    ratio of the three sigmas bit for bit, on arrays and on scalars."""
+    lat = Lattice(2.0, 2.2j)
+    w = np.array([0.4 - 0.2j, 1.1 + 0.3j, -5.3 + 2.9j])
+    z = np.array([[0.31 + 0.17j], [-2.6 + 0.5j]])
+    want = -lat.sigma(w + z) / (lat.sigma(w) * lat.sigma(z))
+    one = -lat.sigma(w[0] + z[1, 0]) / (lat.sigma(w[0]) * lat.sigma(z[1, 0]))
+    counts = count_passes(monkeypatch)
+    assert np.array_equal(l_kernel(lat, w, z), want)
+    assert counts == {"_theta1": 3, "_cell": 3, "lattice_distance": 0}
+    assert l_kernel(lat, complex(w[0]), complex(z[1, 0])) == one
+
+
+def test_shortest_period_from_the_reduced_basis():
+    """The Gauss-reduced basis gives the shortest nonzero period, also on
+    skewed bases, against a search over small lattice vectors."""
+    assert Lattice(1.0, 3 + 0.5j).shortest_period == 1.0
+    assert Lattice(2.0, 2.2j).shortest_period == 4.0
+    assert Lattice(2.0, 2 + 2.2j).shortest_period == 4.0
+    rng = np.random.default_rng(8)
+    m, n = np.meshgrid(np.arange(-40, 41), np.arange(-40, 41))
+    for _ in range(50):
+        omega1 = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        tau = complex(rng.uniform(-6, 6), rng.uniform(0.05, 3))
+        lat = Lattice(omega1, omega1 * tau)
+        vecs = np.abs(2 * m * lat.omega1 + 2 * n * lat.omega2)
+        assert math.isclose(lat.shortest_period, vecs[vecs > 0].min(),
+                            rel_tol=1e-12)
 
 
 def test_degenerate_lattice_is_rejected():

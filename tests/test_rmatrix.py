@@ -21,20 +21,20 @@ from hypothesis import strategies as st
 
 from dense_reference import dense_structure
 from spincm.dynamics import (collision_margin, fpbr_residual, lax_L,
-                             vector_field)
+                             make_system, vector_field)
 from spincm.elliptic import Lattice, l_kernel
 from spincm.phase import PhasePoint, momentum_J
 from spincm.errors import PoleError, StructuralError
 from spincm.rootsys import (AlgElement, bracket, build_root_system, form,
                             negate, root_label)
 from helpers import (R_apply, R_directional, cartan_coeff, casimir_tensor,
-                     equivariance_residual, pair_weight, r_tensor,
-                     ring_coefficients, ring_nodes, root_coeff)
-from spincm.rmatrix import (LaurentElement, RMatrixSpec, _r_table,
-                            default_mdybe_samples, elliptic_r_matrix,
-                            quad_ring, rational_r_matrix, root_coeff_reg0,
-                            trigonometric_r_matrix, verify_axioms,
-                            verify_cdybe, verify_mdybe)
+                     count_passes, equivariance_residual, pair_weight,
+                     r_tensor, ring_coefficients, ring_nodes, root_coeff)
+from spincm.rmatrix import (MDYBE_QUAD_RADIUS, LaurentElement, RMatrixSpec,
+                            _pole_radius, _r_table, default_mdybe_samples,
+                            elliptic_r_matrix, quad_ring, rational_r_matrix,
+                            root_coeff_reg0, trigonometric_r_matrix,
+                            verify_axioms, verify_cdybe, verify_mdybe)
 
 WIDE = Lattice(2.0, 2.2j)
 UNIT = Lattice(1.0, 1j)
@@ -171,6 +171,15 @@ def test_spec_needs_its_family_data():
             build()
 
 
+def test_family_data_messages():
+    with pytest.raises(StructuralError, match="elliptic family needs a "
+                                              "lattice"):
+        make_system("elliptic", 2)
+    with pytest.raises(StructuralError, match="'hyperbolic'; expected one "
+                       "of rational, trigonometric, elliptic"):
+        make_system("hyperbolic", 2)
+
+
 # -- coefficient functions and frozen values --------------------------------
 
 
@@ -286,6 +295,30 @@ def test_one_pass_r_table_matches_per_kz_coefficients(family):
                           <= 1e-14 * np.abs(want[du])), (family, kz, du)
     assert np.array_equal(_r_table(spec, q, z, range(2, 4), du=1),
                           table[:, 2:])
+
+
+def test_elliptic_r_table_is_three_passes(monkeypatch):
+    """One elliptic r table reads one pass each of z, u and u + z: three
+    theta_1 passes, three argument reductions and no near-point search."""
+    spec = all_specs(3)["elliptic"]
+    q = np.array([[0.7, -0.45, 0.9], [0.2, 0.8, -0.6]])
+    z = np.broadcast_to(-np.array(default_mdybe_samples())[:, None], (12, 2))
+    counts = count_passes(monkeypatch)
+    _r_table(spec, q, z, range(2), du=1)
+    assert counts == {"_theta1": 3, "_cell": 3, "lattice_distance": 0}
+
+
+def test_sheared_basis_gives_the_same_r_table():
+    """The basis (omega1, omega2 + omega1) spans the same lattice, so r and
+    its mixed derivatives agree with the reference basis to rounding."""
+    rs = build_root_system("A", 3)
+    ref, sheared = (elliptic_r_matrix(rs, Lattice(*periods))
+                    for periods in [(2.0, 2.2j), (2.0, 2 + 2.2j)])
+    q = np.array([[0.7, -0.45, 0.9], [0.2, 0.8, -0.6]])
+    z = np.broadcast_to(-np.array(default_mdybe_samples())[:, None], (12, 2))
+    want = _r_table(ref, q, z, range(3), du=1)
+    got = _r_table(sheared, q, z, range(3), du=1)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("family", ["rational", "trigonometric", "elliptic"])
@@ -822,6 +855,20 @@ def test_ring_node_counts(family, rank, periods):
     ring = quad_ring(spec, 0.35)
     assert np.allclose(np.abs(ring), 0.35)
     assert np.allclose(ring ** want, 0.35 ** want)
+
+
+def test_ring_on_a_skewed_basis():
+    """R is the shortest period of the reduced basis, not of the basis as
+    given: on (1, 3 + 0.5i) the period 2 omega2 - 6 omega1 = i has length
+    1, so the MDYBE ring |z| = 0.35 needs 44 nodes; the reference lattice
+    and its sheared basis keep R = 4 and 32 nodes."""
+    rs = build_root_system("A", 2)
+    for periods, radius, nodes in [((1.0, 3 + 0.5j), 1.0, 44),
+                                   ((2.0, 2.2j), 4.0, 32),
+                                   ((2.0, 2 + 2.2j), 4.0, 32)]:
+        spec = elliptic_r_matrix(rs, Lattice(*periods))
+        assert _pole_radius(spec) == radius
+        assert len(quad_ring(spec, MDYBE_QUAD_RADIUS)) == nodes
 
 
 def test_ring_reaching_a_pole_raises():

@@ -344,8 +344,11 @@ def cmd_simulate(config: RunConfig, out_dir: Path) -> int:
     try:
         drift = spectrum_drift(system, traj, _z_grid(config), kmax)
     except FloatingPointError as exc:
-        raise StructuralError(f"spectrum_drift is out of floating-point "
-                              f"range: {exc}") from exc
+        # a truncated run keeps its abort reason and reports no drift
+        if traj.completed:
+            raise StructuralError(f"spectrum_drift is out of floating-point "
+                                  f"range: {exc}") from exc
+        drift = None
     diagnostics = {
         "system": system.describe(),
         "reduced": traj.reduced,

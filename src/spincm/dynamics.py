@@ -46,8 +46,8 @@ from .rmatrix import (LaurentElement, RMatrixSpec, _ladder, _pole_distance,
                       _R_values, _r_pairing, _r_table, positive_pair_weight,
                       rational_r_matrix, root_coeff_reg0,
                       trigonometric_r_matrix)
-from .rootsys import (AlgElement, RootSystem, bracket, build_root_system,
-                      root_label, torus_adjoint)
+from .rootsys import (AlgElement, RootSystem, build_root_system, root_label,
+                      torus_adjoint)
 
 
 # Largest sigma_residual at which lax_B accepts a point as on Sigma.
@@ -646,9 +646,8 @@ def fpbr_residual(sys: RMatrixSpec, x: PhasePoint, z: complex,
     dq_z, dq_w = d_zw[:, roots, None] * (x.xi.vec[roots, None] * rs.alpha_h)
     lz, lw = lax_L(sys, x, [z, w]).vec
     # ad[j][b] = [e_{dual(b)}, y_j] for y = xi, L(z), L(w)
-    basis = AlgElement(rs, np.eye(rs.dim)[d, None, :])
-    ad_xi, ad_z, ad_w = np.moveaxis(bracket(basis, AlgElement(
-        rs, np.stack([x.xi.vec, lz, lw]))).vec, 1, 0)
+    ad_xi, ad_z, ad_w = np.moveaxis(rs.bracket_coords(
+        np.eye(rs.dim)[d, None, :], np.stack([x.xi.vec, lz, lw])), 1, 0)
 
     lhs = np.zeros((rs.dim, rs.dim), dtype=complex)
     # canonical part with the bracket_full orientation {p_i, q_j} = +delta:

@@ -1,11 +1,11 @@
 """Weierstrass elliptic functions sigma, zeta, wp and the two-variable kernel
 l(w, z) = -sigma(w+z) / (sigma(w) sigma(z)).
 
-Everything is computed from the Jacobi theta function theta_1 with argument
-reduction to the fundamental cell, so evaluations stay accurate for any
-argument: theta series converge superexponentially there and the
-quasi-periodicity factors are exact closed forms.  g2 and g3 come from the
-branch points wp(omega1), wp(omega1 + omega2), wp(omega2), not lattice sums.
+Everything is computed from the Jacobi theta function theta_1 on the
+Gauss-reduced basis w1, w2 of the lattice (DLMF 23.18) with argument
+reduction to its centred cell: Im(w2/w1) >= sqrt(3)/2 takes at most 5 theta
+terms and the quasi-periodicity factors are exact closed forms, for any
+basis and argument.  g2 and g3 come from the branch points, not sums.
 
 Every evaluation takes a scalar or a numpy array of arguments and runs the
 same array code either way (a scalar in gives a Python scalar out).  Each
@@ -17,7 +17,8 @@ l and the r-matrix ladder (``Lattice.coefficient_ladder``) share passes;
 numpy floating-point faults raise FloatingPointError, not inf or nan.
 
 Conventions: half-periods omega1, omega2 with Im(omega2/omega1) > 0; the
-lattice is 2*omega1*Z + 2*omega2*Z.
+lattice is 2*omega1*Z + 2*omega2*Z.  omega1, omega2, eta1, eta2, the branch
+points and the m, n of ``Lattice.reduce`` refer to this basis as given.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import numpy as np
 from .errors import PoleError, StructuralError, raise_on_fp_fault
 
 POLE_TOL = 1e-12
-_MAX_TERMS = 64
 _REL_CUTOFF = 1e-18
 # past 2^52 periods a reduced argument has no correct digit
 _RANGE = 2.0 ** 52
@@ -58,22 +58,30 @@ class Lattice:
         if tau.imag <= 0:
             raise StructuralError(
                 f"Im(omega2/omega1) = {tau.imag:g} must be positive")
-        self.omega1 = omega1
-        self.omega2 = omega2
-        self.tau = tau
-        self.nome = cmath.exp(1j * math.pi * tau)
+        self.omega1, self.omega2 = omega1, omega2
+
+        # Lagrange (Gauss) reduction by SL(2,Z) steps (DLMF 23.18): then
+        # |w1| <= |w2| and |Re(w2/w1)| <= 1/2, so Im(tau) >= sqrt(3)/2.
+        # Everything below reads w1, w2; public values are mapped back.
+        x, y = omega1, omega2
+        while abs(r := y - round((y / x).real) * x) < abs(x):
+            x, y = r, -x
+        w1, w2 = self._w1, self._w2 = x, r
+        self.shortest_period = 2 * abs(w1)
+        tau = w2 / w1
+        nome = cmath.exp(1j * math.pi * tau)
 
         # theta_1(v) = sum_n t_n sin((2n+1) v), t_n = 2(-1)^n nome^((n+1/2)^2).
         # On the centred cell |Im v| <= pi Im(tau) / 2, so term n of theta_1
         # and of its first three derivatives is at most
         # 2 (2n+1)^3 exp(-pi Im(tau) (n^2 - 1/4)); keep the fewest terms
-        # whose dropped tail of these bounds is below _REL_CUTOFF.
-        k = np.arange(1, _MAX_TERMS)
+        # whose dropped tail of these bounds is below _REL_CUTOFF (at most
+        # 5, as Im(tau) >= sqrt(3)/2).
+        k = np.arange(1, 6)
         bound = 2.0 * (2.0 * k + 1.0) ** 3 * np.exp(
             -math.pi * tau.imag * (k * k - 0.25))
-        converged = np.flatnonzero(np.cumsum(bound[::-1])[::-1] < _REL_CUTOFF)
-        n_terms = int(k[converged[0]]) if converged.size else _MAX_TERMS
-        terms = np.array([2.0 * (-1) ** n * self.nome ** ((n + 0.5) ** 2)
+        n_terms = int(k[np.cumsum(bound[::-1])[::-1] < _REL_CUTOFF][0])
+        terms = np.array([2.0 * (-1) ** n * nome ** ((n + 0.5) ** 2)
                           for n in range(n_terms)])
         odd = 2.0 * np.arange(n_terms) + 1.0
         zero = np.zeros(n_terms)
@@ -86,49 +94,49 @@ class Lattice:
         self._theta1p0 = complex(terms @ odd)
         if self._theta1p0 == 0:
             raise StructuralError(
-                f"Im(omega2/omega1) = {tau.imag:g} is too large: the nome "
-                f"exp(i pi tau) underflows and theta_1'(0) vanishes")
+                f"the reduced period ratio Im(tau) = {tau.imag:g} is too "
+                f"large: the nome underflows and theta_1'(0) vanishes")
         tppp0 = -complex(terms @ odd ** 3)
-        self.eta1 = -(math.pi ** 2) * tppp0 / (12.0 * omega1 * self._theta1p0)
-        # Legendre relation eta1*omega2 - eta2*omega1 = i pi / 2
-        self.eta2 = (self.eta1 * omega2 - 0.5j * math.pi) / omega1
+        eta1 = -(math.pi ** 2) * tppp0 / (12.0 * w1 * self._theta1p0)
+        # Legendre relation eta1*w2 - eta2*w1 = i pi / 2
+        eta2 = (eta1 * w2 - 0.5j * math.pi) / w1
+        self._eta1, self._eta2 = eta1, eta2
+        # the integer change of basis (w1, w2) = (omega1, omega2) @ _basis,
+        # of determinant 1; eta is linear on the lattice
+        reduced = np.array([[w1.real, w2.real], [w1.imag, w2.imag]])
+        (a, b), (c, d) = self._basis = np.rint(np.linalg.solve(
+            [[omega1.real, omega2.real], [omega1.imag, omega2.imag]],
+            reduced)).astype(int).tolist()
+        self.eta1, self.eta2 = d * eta1 - c * eta2, a * eta2 - b * eta1
 
-        # real 2x2 system for argument reduction
-        period_matrix = np.array(
-            [[2 * omega1.real, 2 * omega2.real],
-             [2 * omega1.imag, 2 * omega2.imag]])
-        self._period_inv_t = np.linalg.inv(period_matrix).T
-        self._periods = np.array([2 * omega1, 2 * omega2])
+        self._period_inv_t = np.linalg.inv(2 * reduced).T   # for _cell
+        self._periods = np.array([2 * w1, 2 * w2])
         # the lattice points at the corners and edges of the centred cell
-        self._near = np.array([2 * dm * omega1 + 2 * dn * omega2
+        self._near = np.array([2 * dm * w1 + 2 * dn * w2
                                for dm in (-1, 0, 1) for dn in (-1, 0, 1)])
-        # the shortest nonzero period, from the Lagrange (Gauss) reduction
-        # of the basis (2 omega1, 2 omega2)
-        a, b = 2 * omega1, 2 * omega2
-        while abs(r := b - round((b / a).real) * a) < abs(a):
-            a, b = r, a
-        self.shortest_period = abs(a)
 
-        # e1, e2, e3 = wp at the half-periods omega1, omega1 + omega2, omega2
-        self.branch_points = tuple(complex(e) for e in self.wp(
-            np.array([omega1, omega1 + omega2, omega2])))
-        e1, e2, e3 = self.branch_points
+        # e1, e2, e3 = wp at the half-periods w1, w1 + w2, w2
+        e1, e2, e3 = (complex(e) for e in self.wp(np.array([w1, w1 + w2, w2])))
         self.g2 = 2.0 * (e1 ** 2 + e2 ** 2 + e3 ** 2)
         self.g3 = 4.0 * e1 * e2 * e3
+        # wp at omega1, omega1 + omega2, omega2, by their classes mod 2 in w
+        at = {(1, 0): e1, (1, 1): e2, (0, 1): e3}
+        self.branch_points = tuple(at[i % 2, j % 2] for i, j in (
+            (d, c), (d + b, c + a), (b, a)))
 
     # -- the one pass -----------------------------------------------------
 
     def _theta1(self, z0: np.ndarray) -> tuple[np.ndarray, ...]:
-        """theta_1 and its first three derivatives at v = pi z0 / (2 omega1)."""
-        v = math.pi * z0 / (2.0 * self.omega1)
+        """theta_1 and its first three derivatives at v = pi z0 / (2 w1)."""
+        v = math.pi * z0 / (2.0 * self._w1)
         arg = np.multiply.outer(v, self._odd)
         parts = np.concatenate([np.sin(arg), np.cos(arg)], -1) @ self._table
         return parts[..., 0], parts[..., 1], parts[..., 2], parts[..., 3]
 
     def _cell(self, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Elementwise z = z0 + 2m*omega1 + 2n*omega2 with z0 in the centred
-        cell; m and n come back as float arrays of integers.  More than
-        2^52 periods out z keeps no fractional digit: StructuralError."""
+        """Elementwise z = z0 + 2m*w1 + 2n*w2, z0 in the reduced centred cell;
+        m and n come back as float arrays of integers.  More than 2^52
+        periods out z keeps no fractional digit: StructuralError."""
         z = np.asarray(z, dtype=complex)
         flat = z.reshape(-1)
         mn = np.rint(flat.view(float).reshape(-1, 2) @ self._period_inv_t)
@@ -154,19 +162,19 @@ class Lattice:
 
     def _sigma(self, p) -> np.ndarray:
         z0, m, n, th = p[:4]
-        base = (2.0 * self.omega1 / math.pi) * np.exp(
-            self.eta1 * z0 * z0 / (2.0 * self.omega1)) * th / self._theta1p0
+        base = (2.0 * self._w1 / math.pi) * np.exp(
+            self._eta1 * z0 * z0 / (2.0 * self._w1)) * th / self._theta1p0
         # quasi-periodicity factor, exactly 1 inside the centred cell
         sign = 1.0 - 2.0 * ((m + n + m * n) % 2)
-        eta = 2 * m * self.eta1 + 2 * n * self.eta2
-        half = m * self.omega1 + n * self.omega2
+        eta = 2 * m * self._eta1 + 2 * n * self._eta2
+        half = m * self._w1 + n * self._w2
         return sign * base * np.exp(eta * (z0 + half))
 
     def _wp_from_theta(self, th, d1, d2, d3) -> tuple:
         """(wp, wp') from theta_1 and its first three derivatives."""
         r1, r2 = d1 / th, d2 / th
-        scale = math.pi / (2.0 * self.omega1)
-        wp = -self.eta1 / self.omega1 - scale ** 2 * (r2 - r1 ** 2)
+        scale = math.pi / (2.0 * self._w1)
+        wp = -self._eta1 / self._w1 - scale ** 2 * (r2 - r1 ** 2)
         wp_prime = -(scale ** 3) * (d3 / th - 3.0 * r2 * r1 + 2.0 * r1 ** 3)
         return wp, wp_prime
 
@@ -176,9 +184,9 @@ class Lattice:
         if kmax > 5:
             raise ValueError(f"zeta_ladder supports kmax <= 5, got {kmax}")
         z0, m, n, th, d1 = p[:5]
-        val = self.eta1 * z0 / self.omega1 \
-            + (math.pi / (2.0 * self.omega1)) * d1 / th
-        out = [val + 2 * m * self.eta1 + 2 * n * self.eta2]
+        val = self._eta1 * z0 / self._w1 \
+            + (math.pi / (2.0 * self._w1)) * d1 / th
+        out = [val + 2 * m * self._eta1 + 2 * n * self._eta2]
         if kmax > 1:
             wp, dp = self._wp_from_theta(*p[3:])
             out += [-wp, -dp]
@@ -190,8 +198,10 @@ class Lattice:
 
     @raise_on_fp_fault
     def reduce(self, z):
-        """Write z = z0 + 2m*omega1 + 2n*omega2 with z0 in the centered cell."""
-        z0, m, n = self._cell(z)
+        """Write z = z0 + 2m*omega1 + 2n*omega2 with z0 in the centred cell
+        of the reduced basis."""
+        z0, *mn = self._cell(z)
+        m, n = np.tensordot(self._basis, mn, 1)
         return _value(z0), _value(m, int), _value(n, int)
 
     @raise_on_fp_fault

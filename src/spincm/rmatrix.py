@@ -53,7 +53,7 @@ from numpy.polynomial import polynomial as P
 
 from .elliptic import POLE_TOL, Lattice
 from .errors import PoleError, StructuralError, raise_on_fp_fault
-from .rootsys import AlgElement, RootSystem, bracket, commutator, root_label
+from .rootsys import AlgElement, RootSystem, commutator, root_label
 
 _ZTOL = 1e-13
 
@@ -484,7 +484,7 @@ def _structure_nz(rs: RootSystem) -> tuple[np.ndarray, ...]:
     constants, [e_a, e_b] = sum_c f[a, b, c] e_c (276 on A_4), from the
     brackets of all basis pairs."""
     eye = np.eye(rs.dim)
-    f = bracket(AlgElement(rs, eye[:, None]), AlgElement(rs, eye)).vec.real
+    f = rs.bracket_coords(eye[:, None], eye).real
     a, b, c = np.nonzero(f)
     return a, b, c, f[a, b, c]
 

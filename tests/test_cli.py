@@ -199,6 +199,25 @@ def test_simulate_spectrum_drift_fault_is_a_config_error(
     assert err.startswith("spincm: spectrum_drift ")
 
 
+def test_truncated_run_keeps_its_reason_when_spectrum_drift_overflows(
+        tmp_path, capsys):
+    """The run crosses the 2^52-period range and ends truncated; the
+    post-run spectrum_drift then overflows on the huge root values.  The
+    run still writes its diagnostics, with a null drift, and exits 3 with
+    its abort reason."""
+    data = {"family": "elliptic", "rank": 1, "lattice": WIDE_LATTICE,
+            "initial": {"q": [[1.1e16, 0.3]], "p": [1e15]},
+            "integration": {"t_final": 4.0}}
+    cfg = write_config(tmp_path, "far.json", data)
+    code = main(["simulate", "--config", cfg, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_SINGULARITY
+    assert err.startswith("simulate: ") and "2^52 periods" in err
+    diag = json.loads((tmp_path / "diagnostics.json").read_text())
+    assert not diag["completed"] and "2^52 periods" in diag["abort_reason"]
+    assert diag["spectrum_drift"] is None
+
+
 def test_simulate_past_the_elliptic_range_is_a_config_error(tmp_path,
                                                             capsys):
     """q = 1e200 lies far more than 2^52 periods out, where the reduced

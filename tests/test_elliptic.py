@@ -18,6 +18,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spincm.elliptic import Lattice, l_kernel
 from spincm.errors import PoleError, StructuralError
@@ -308,6 +310,95 @@ def test_degenerate_lattice_is_rejected():
             Lattice(omega1, omega2)
 
 
+# -- one reduced basis --------------------------------------------------------
+
+
+@pytest.mark.parametrize("tau", [0.5j, 5j, 0.3 + 0.01j, 0.02j, 3 + 0.5j],
+                         ids=str)
+def test_differential_equation_of_wp_on_any_basis(tau):
+    """wp'^2 = 4 wp^3 - g2 wp - g3 to 1e-12 relative to its largest term on
+    Lattice(1, tau), whatever the shape of the basis as given: thin (0.02i
+    read 2.6 when the theta series ran on the given basis), skewed
+    (3 + 0.5i) or both (0.3 + 0.01i).  The real offsets shrink with |tau|,
+    so that on the thin lattice the points sit near its lines of poles,
+    where wp varies."""
+    lat = Lattice(1.0, tau)
+    z = (np.array([0.3, 0.11, -0.45, 0.7, 1.6]) * min(1.0, abs(tau))
+         + np.array([0.37, 0.61, 0.23, -0.8, 1.3]) * tau)
+    p, dp = lat.wp_pair(z)
+    res = dp * dp - (4.0 * p ** 3 - lat.g2 * p - lat.g3)
+    scale = np.maximum(np.abs(dp) ** 2, 4.0 * np.abs(p) ** 3)
+    assert np.max(np.abs(res) / scale) <= 1e-12
+
+
+def test_thin_lattice_past_the_nome_underflow_is_rejected():
+    """(1, 0.002i) reduces to Im(tau) = 500, where the nome underflows."""
+    with pytest.raises(StructuralError,
+                       match=r"reduced period ratio Im\(tau\) = 500 "):
+        Lattice(1.0, 0.002j)
+
+
+def test_lattice_distance_on_a_skewed_basis():
+    """On (1, 3 + 0.5i) the distance to the lattice matches a brute-force
+    search over |m|, |n| <= 30 at 20000 points of [-5, 5]^2 (the near
+    points of the basis as given read up to 18% too far)."""
+    lat = Lattice(1.0, 3 + 0.5j)
+    rng = np.random.default_rng(10)
+    z = rng.uniform(-5, 5, 20000) + 1j * rng.uniform(-5, 5, 20000)
+    m, n = np.meshgrid(np.arange(-30, 31), np.arange(-30, 31))
+    points = (2 * m * lat.omega1 + 2 * n * lat.omega2).ravel()
+    brute = np.concatenate([np.abs(chunk[:, None] - points).min(axis=1)
+                            for chunk in np.split(z, 40)])
+    assert np.allclose(lat.lattice_distance(z), brute, rtol=1e-12,
+                       atol=1e-14)
+    assert abs(lat.lattice_distance(3.133 + 3.444j) - 0.974) < 5e-4
+
+
+REFERENCE = Lattice(2.0, 2.2j)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(-2, 2), min_size=1, max_size=2))
+def test_values_do_not_depend_on_the_basis(word):
+    """A basis of the reference lattice (2, 2.2i) made by the SL(2,Z) word
+    prod T^k S, tau -> k - 1/tau, gives sigma, zeta, wp, the r-matrix
+    ladder and g2, g3 of the reference basis to 1e-13 relative; eta1,
+    eta2 and the branch points belong to the periods as given, and
+    reduce() writes z over them with z0 in the reduced centred cell.
+    Longer words give bases whose rounding alone moves the lattice past
+    that tolerance, and the ladder's mixed orders du = 1, k >= 1 cancel
+    (ROADMAP item 2), so the u-derivative is checked at k = 0."""
+    omega1, omega2 = 2.0, 2.2j
+    for k in word:
+        omega1, omega2 = omega2, k * omega2 - omega1
+    lat = Lattice(omega1, omega2)
+    z = np.array([0.31 + 0.17j, -0.45 + 0.52j, 1.8 - 1.3j, -2.1 + 1.6j])
+    u = np.array([[0.4 - 0.2j], [-1.3 + 0.9j]])
+
+    def close(got, want, tol=1e-13):
+        got, want = np.asarray(got), np.asarray(want)
+        return np.all(np.abs(got - want) <= tol * np.abs(want))
+    for name in ("sigma", "zeta", "wp"):
+        assert close(getattr(lat, name)(z), getattr(REFERENCE, name)(z))
+    for kmax, du in ((4, 0), (1, 1)):
+        got = lat.coefficient_ladder(u, z, kmax, du)
+        want = REFERENCE.coefficient_ladder(u, z, kmax, du)
+        for a, b in zip(got[0] + sum(got[1], []), want[0] + sum(want[1], [])):
+            assert close(a, b)
+    assert close([lat.g2, lat.g3], [REFERENCE.g2, REFERENCE.g3])
+    assert close(lat.branch_points,
+                 lat.wp(np.array([omega1, omega1 + omega2, omega2])), 1e-12)
+    for period, eta in ((2 * omega1, lat.eta1), (2 * omega2, lat.eta2)):
+        jump = lat.zeta(z + period) - lat.zeta(z)
+        assert np.all(np.abs(jump - 2 * eta) <= 1e-12 * abs(period))
+    z0, m, n = lat.reduce(z)
+    assert np.all(m == np.rint(m)) and np.all(n == np.rint(n))
+    span = np.abs(2 * m * omega1) + np.abs(2 * n * omega2) + np.abs(z)
+    assert np.all(np.abs(z0 + 2 * m * omega1 + 2 * n * omega2 - z)
+                  <= 1e-14 * span)
+    assert np.allclose(z0, REFERENCE.reduce(z)[0], rtol=0, atol=1e-12)
+
+
 # -- mpmath oracle ------------------------------------------------------------
 
 
@@ -389,3 +480,20 @@ def test_array_and_scalar_inputs_share_one_path():
         assert close(l_kernel(lat, w, z), [
             [l_kernel(lat, complex(a), complex(b)) for a, b in zip(w, row)]
             for row in z])
+
+
+def test_wp_on_a_thin_lattice_against_mpmath():
+    """Lattice(1, 0.02i) evaluates on its reduced basis, Im(tau) = 50; wp
+    and wp' match 30-digit mpmath values on the basis as given (nome
+    exp(-0.02 pi)) to 1e-12 relative (theta series on the basis as given
+    read 1.9 and 3.0), near the lines of poles Re z = 2m, where wp varies,
+    across the thin period 0.04i and in other cells."""
+    lat = Lattice(1.0, 0.02j)
+    oracle = mp_weierstrass(1.0, 0.02j)
+    z = np.array([x + t * 0.04j for x in (0.007, -0.013, 0.019, 2.011, -3.995)
+                  for t in (0.1, 0.3, 0.45, 0.7, -2.6)])
+    for name in ("wp", "wp_prime"):
+        got = getattr(lat, name)(z)
+        want = np.array([complex(oracle[name](complex(zz))) for zz in z])
+        rel = np.abs(got - want) / np.abs(want)
+        assert np.max(rel) < 1e-12, (name, z[np.argmax(rel)], np.max(rel))

@@ -17,9 +17,9 @@ from .errors import (ConfigError, ConstraintError, GaugeDomainError,
 from .rootsys import (AlgElement, RootSystem, bracket, build_root_system,
                       form, matrix_rep, negate, parse_root_label, root_label,
                       root_system_summary, torus_adjoint)
-from .rmatrix import (LaurentElement, RMatrixSpec, elliptic_r_matrix,
-                      rational_r_matrix, trigonometric_r_matrix,
-                      verify_axioms, verify_cdybe, verify_mdybe)
+from .rmatrix import (RMatrixSpec, elliptic_r_matrix, rational_r_matrix,
+                      trigonometric_r_matrix, verify_axioms, verify_cdybe,
+                      verify_mdybe)
 from .phase import (PhasePoint, ReducedPoint, bracket_full, lift_reduced,
                     momentum_J, project_pi, torus_action)
 from .dynamics import (Trajectory, conserved_spectrum,
@@ -37,7 +37,6 @@ __all__ = [
     "ConstraintError",
     "GaugeDomainError",
     "Lattice",
-    "LaurentElement",
     "PhasePoint",
     "PoleError",
     "RMatrixSpec",

@@ -559,7 +559,6 @@ FAULT_SCALE = 4.0
 
 
 def cmd_verify(config: RunConfig, suite: str, out_dir: Path, *,
-               threshold_scale: float = 1.0,
                inject_fault: bool = False) -> int:
     if suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}; expected one of "
@@ -569,7 +568,7 @@ def cmd_verify(config: RunConfig, suite: str, out_dir: Path, *,
         system = system.with_fault(FAULT_SCALE)
     rng = np.random.default_rng(config.seed)
     checks = _SUITE_RUNNERS[suite](system, config, rng)
-    threshold = float(config.thresholds[suite]) * threshold_scale
+    threshold = float(config.thresholds[suite])
     for check in checks:
         check["family"] = config.family
         check["threshold"] = threshold
@@ -579,7 +578,6 @@ def cmd_verify(config: RunConfig, suite: str, out_dir: Path, *,
         "family": config.family,
         "rank": config.rank,
         "seed": config.seed,
-        "threshold_scale": threshold_scale,
         "fault_injected": inject_fault,
         "checks": checks,
         "pass": all(c["pass"] for c in checks),
@@ -682,9 +680,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run a verification suite")
     common(p_ver)
     p_ver.add_argument("--suite", required=True, choices=SUITES)
-    p_ver.add_argument("--threshold-scale", default=1.0,
-                       type=_flag(float, _POSITIVE),
-                       help="multiply every suite threshold by this factor")
     p_ver.add_argument("--inject-fault", action="store_true",
                        help="corrupt one root pair of the r-matrix "
                             "(negative control: the axioms, cdybe and "
@@ -715,11 +710,12 @@ def main(argv=None) -> int:
             return cmd_simulate(config, out_dir)
         if args.command == "verify":
             return cmd_verify(config, args.suite, out_dir,
-                              threshold_scale=args.threshold_scale,
                               inject_fault=args.inject_fault)
         return cmd_reduce(config, args.trajectory, out_dir)
-    except (SpincmError, OSError) as exc:
-        print(f"spincm: {exc}", file=sys.stderr)
+    except (SpincmError, OSError, ArithmeticError, MemoryError) as exc:
+        note = ("" if isinstance(exc, (SpincmError, OSError))
+                else "out of range: ")
+        print(f"spincm: {note}{exc}", file=sys.stderr)
         singular = (PoleError, GaugeDomainError, ConstraintError)
         return EXIT_SINGULARITY if isinstance(exc, singular) else EXIT_CONFIG
 

@@ -42,10 +42,9 @@ from .ode import DormandPrince
 from .phase import (PhasePoint, ReducedPoint, gauge_g, lift_reduced,
                     momentum_J, project_pi, reduced_brackets, reduced_roots,
                     slice_lift, spin_chain)
-from .rmatrix import (LaurentElement, RMatrixSpec, _ladder, _pole_distance,
-                      _R_values, _r_pairing, _r_table, positive_pair_weight,
-                      rational_r_matrix, root_coeff_reg0,
-                      trigonometric_r_matrix)
+from .rmatrix import (RMatrixSpec, _ladder, _pole_distance, _r_pairing,
+                      _r_table, positive_pair_weight, rational_r_matrix,
+                      root_coeff_reg0, trigonometric_r_matrix)
 from .rootsys import (AlgElement, RootSystem, build_root_system, root_label,
                       torus_adjoint)
 
@@ -383,14 +382,14 @@ def sigma_residual(sys: RMatrixSpec, x: PhasePoint) -> float:
 def _lax_pair(sys: RMatrixSpec, points: list, z, anomaly: bool = False):
     """The Lax pair at the points (all PhasePoints, or all ReducedPoints
     for L_0 and B_0), stacked: max_z ||dL/dt - [B, L]|| per point (plus
-    (X_J R)(L/z) with ``anomaly``), B = -R_q(L/z) on z and the principal
-    coefficients of L/z.  dL/dt is L at the velocity (p_dot, xi_dot) plus
-    the q-derivative of the root coefficients along q_dot.  A reduced
-    point moves at its slice lift, and B_0 is B less the compensator of the
-    gauge drift.  Velocities come point by point from the flow core; the
-    kernel runs twice: L at each point's own root values (the row products
-    of a single lax_L call), then r at -z and dc/du at z in one table, from
-    the spec without its fault."""
+    (X_J R)(L/z) with ``anomaly``) and B = -R_q(L/z) on z.  dL/dt is L at
+    the velocity (p_dot, xi_dot) plus the q-derivative of the root
+    coefficients along q_dot.  A reduced point moves at its slice lift,
+    and B_0 is B less the compensator of the gauge drift.  Velocities come
+    point by point from the flow core; the kernel runs twice: L at each
+    point's own root values (the row products of a single lax_L call),
+    then r at -z and dc/du at z in one table, from the spec without its
+    fault."""
     rs, n = sys.rs, sys.rs.rank
     z = np.asarray(z, dtype=complex)
     reduced = isinstance(points[0], ReducedPoint)
@@ -410,7 +409,9 @@ def _lax_pair(sys: RMatrixSpec, points: list, z, anomaly: bool = False):
     dlax[..., n:] += dr[0, :, :m, n:] * rs.root_values(vel[:, :n])[:, None] \
         * xi[:, None, n:]
     principal = np.stack([_reg0(sys, q, p, xi), xi])
-    b = -_R_values(rs, r[:, :, m:], lax / z[:, None], principal[:, :, None])
+    # R_q(L/z) = (1/2) L/z + sum_k (1/k!) <r_k(-z), (L/z)_{-(k+1)} (x) 1>
+    b = -(0.5 * (lax / z[:, None]) + _r_pairing(
+        r[:, :, m:][..., rs.dual_index], principal[:, :, None]))
     if reduced:
         # less the Cartan compensator D of the gauge drift, alpha_j(D) =
         # d/dt xi_{alpha_j} along the unreduced flow at the slice lift
@@ -424,15 +425,16 @@ def _lax_pair(sys: RMatrixSpec, points: list, z, anomaly: bool = False):
         dr = dr[:, :, m:].copy()
         dr[..., n:] *= rs.root_values(xi[:, :n])[:, None]
         res = res + _r_pairing(dr[..., rs.dual_index], principal[:, :, None])
-    return np.max(np.abs(res), axis=(-2, -1)), b, principal
+    return np.max(np.abs(res), axis=(-2, -1)), b
 
 
-def lax_B(sys: RMatrixSpec, x, nodes) -> LaurentElement:
-    """B = -R_q(L/z) on ``nodes``, defined on the constraint set Sigma where
-    the flow is of Lax form; off Sigma (beyond SIGMA_TOL) a constraint
-    error carries the residual.  At a ReducedPoint, B_0 through the gauge
-    identity: B at the slice lift, which carries J = 0 and so lies on
-    Sigma, minus the Cartan compensator of the gauge drift."""
+def lax_B(sys: RMatrixSpec, x, nodes) -> AlgElement:
+    """B = -R_q(L/z) on ``nodes``, one element per node, defined on the
+    constraint set Sigma where the flow is of Lax form; off Sigma (beyond
+    SIGMA_TOL) a constraint error carries the residual.  Its principal part
+    is 1/2 of L/z's: the regular part of L at 0 over z, I xi over z^2.  At
+    a ReducedPoint, B_0 through the gauge identity: B at the slice lift
+    (J = 0, so on Sigma) minus the Cartan compensator of the gauge drift."""
     if not isinstance(x, ReducedPoint):
         res = sigma_residual(sys, x)
         if res > SIGMA_TOL:
@@ -441,8 +443,7 @@ def lax_B(sys: RMatrixSpec, x, nodes) -> LaurentElement:
                 f"exceeds {SIGMA_TOL:.1e}", residual=res)
     # The flow satisfies dL/dt = -[R_q(L/z), L]; shipping B = -R_q(L/z)
     # keeps the residual functions in the plain dL/dt - [B, L] form.
-    _, b, principal = _lax_pair(sys, [x], nodes)
-    return LaurentElement(sys.rs, 0.5 * principal[:, 0], nodes, b[0])
+    return AlgElement(sys.rs, _lax_pair(sys, [x], nodes)[1][0])
 
 
 def default_z_samples(n: int = 8) -> list[complex]:
@@ -530,6 +531,7 @@ def spectrum_drift(sys: RMatrixSpec, traj: Trajectory,
 # reduced Lax pair
 
 
+@raise_on_fp_fault
 def gauge_residual(sys: RMatrixSpec, x: PhasePoint) -> float:
     """max_z ||L_0(pi(x))(z) - Ad_{g(xi)^{-1}} L(x)(z)|| over the ring
     default_z_samples(4), the consistency of the reduced Lax operator with

@@ -218,13 +218,11 @@ class Lattice:
     def zeta(self, z):
         return self.zeta_ladder(z, 1)[0]
 
-    def wp_pair_kernel(self, z):
-        """(wp(z), wp'(z)) from one pass, for callers that hold a fault
-        guard; ``wp_pair`` is it under raise_on_fp_fault."""
+    @raise_on_fp_fault
+    def wp_pair(self, z):
+        """(wp(z), wp'(z)) from one pass."""
         wp, wp_prime = self._wp_from_theta(*self._pass(z, "wp")[3:])
         return _value(wp), _value(wp_prime)
-
-    wp_pair = raise_on_fp_fault(wp_pair_kernel)
 
     def wp(self, z):
         return self.wp_pair(z)[0]
@@ -244,8 +242,6 @@ class Lattice:
         caller's fault guard."""
         pz = self._pass(z, "zeta")
         zeta_z = self._zetas(pz, kmax)
-        if u is None:
-            return zeta_z, None
         nuz = kmax - 1 + du
         pu = self._pass(u, "l_kernel")
         puz = self._pass(u + z, "zeta" if nuz else None)
@@ -276,8 +272,10 @@ def l_kernel(lattice: Lattice, w, z):
     lattice.  Poles occur where sigma(w) or sigma(z) vanish, and only there;
     w + z on the lattice gives a regular zero, so it is not guarded.
     """
-    w, z = np.asarray(w, dtype=complex), np.asarray(z, dtype=complex)
-    sw, sz, swz = (_value(lattice._sigma(p)) for p in (
+    shape = np.broadcast_shapes(np.shape(w), np.shape(z))
+    # scalars run as 1-element arrays: numpy's 0-d arithmetic rounds apart
+    w, z = (np.atleast_1d(np.asarray(a, dtype=complex)) for a in (w, z))
+    sw, sz, swz = (lattice._sigma(p) for p in (
         lattice._pass(w, "l_kernel"), lattice._pass(z, "l_kernel"),
         lattice._pass(w + z)))
-    return _value(-swz / (sw * sz))
+    return _value((-swz / (sw * sz)).reshape(shape))

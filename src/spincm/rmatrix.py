@@ -34,10 +34,10 @@ Every r(q, z) is held as its coefficient vector c on arrays of z, with
 r = sum_a c_a e_a (x) e_{dual(a)}.  R_q is an entrywise product: with c
 itself on coordinates, and on (n+1) x (n+1) matrices with the coefficient
 matrix C[i, j] = c_{e_j - e_i} (f on the diagonal), where the MDYBE check
-brackets by commutators.  A Laurent covector (:class:`LaurentElement`) is
-data: its principal coefficients and its values on fixed nodes.  The
-residue checks integrate on rings whose node counts come from their error
-bound (:func:`quad_ring`).
+brackets by commutators.  A Laurent covector is held as arrays, its
+principal coefficients and its values on the nodes where they are needed.
+The residue checks integrate on rings whose node counts come from their
+error bound (:func:`quad_ring`).
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from numpy.polynomial import polynomial as P
 
 from .elliptic import POLE_TOL, Lattice
 from .errors import PoleError, StructuralError, raise_on_fp_fault
-from .rootsys import AlgElement, RootSystem, commutator, root_label
+from .rootsys import RootSystem, commutator, root_label
 
 _ZTOL = 1e-13
 
@@ -230,20 +230,18 @@ def _root_guard(spec: RMatrixSpec, bad: np.ndarray, what: str) -> None:
         raise PoleError(f"{what} at the root {root_label(spec.rs.roots[k])}")
 
 
-def _pole_distance(spec: RMatrixSpec, u, sin_u=None) -> np.ndarray:
+def _pole_distance(spec: RMatrixSpec, u) -> np.ndarray:
     """The family's singular set: the distance of each root value in ``u``
     (the roots, or a prefix of them such as the positive roots, on the last
     axis) to the poles of that root's coefficients, inf for a root whose
     coefficients have none.  |u| on Delta' (rational), |sin u| on the span
-    of Pi' (trigonometric; ``sin_u`` is sin u if the caller has it) and
-    the lattice distance (elliptic)."""
+    of Pi' (trigonometric) and the lattice distance (elliptic)."""
     if spec.family == "elliptic":
         return spec.lattice.lattice_distance(u)
     if spec.family == "rational":
         mask, dist = spec.dp_mask, np.abs(u)
     else:
-        mask = spec.span_mask
-        dist = np.abs(np.sin(u) if sin_u is None else sin_u)
+        mask, dist = spec.span_mask, np.abs(np.sin(u))
     return np.where(mask[:np.shape(u)[-1]], dist, np.inf)
 
 
@@ -256,9 +254,9 @@ def _pole_radius(spec: RMatrixSpec) -> float:
     return math.inf if spec.family == "rational" else math.pi
 
 
-def _pole_guard(spec: RMatrixSpec, u, what: str, sin_u=None) -> None:
+def _pole_guard(spec: RMatrixSpec, u, what: str) -> None:
     """PoleError naming the first root of ``u`` within _ZTOL of a pole."""
-    _root_guard(spec, _pole_distance(spec, u, sin_u) < _ZTOL, what)
+    _root_guard(spec, _pole_distance(spec, u) < _ZTOL, what)
 
 
 def _on_lattice(spec: RMatrixSpec, evaluate: Callable[[], np.ndarray],
@@ -298,8 +296,6 @@ def _trig_ladder(spec: RMatrixSpec, u, z, kmax: int, du: int):
     cot = [P.polyval(cz, p) for p in cot_polys]
     f = [cot[k] + (z / 3.0 if k == 0 else (1.0 / 3.0 if k == 1 else 0.0))
          for k in range(kmax)]
-    if u is None:
-        return f, None
     b, cu = _trig_shift_cot(spec, u)
     span = spec.span_mask
     csc = 1.0 / np.sin(z)
@@ -323,22 +319,19 @@ def _ladder(spec: RMatrixSpec, u, z, kmax: int, du: int = 0):
     """The family kernel in one pass: (f, c), f[k] the k-th z-derivative of
     the Cartan coefficient and c[d][k] that of the root coefficients (d =
     0) and of their u-derivatives (d = 1 if du), for k < kmax <= 4; u holds
-    the roots on its last axis, z broadcasts against it, and u None gives f
-    alone.  exp(bz), cot z, csc z, the zeta ladder and the pole guards are
-    shared by every k.  Runs under the caller's fault guard."""
+    the roots on its last axis and z broadcasts against it.  exp(bz),
+    cot z, csc z, the zeta ladder and the pole guards are shared by every
+    k.  Runs under the caller's fault guard."""
     fam = spec.family
     if fam == "trigonometric":
         return _trig_ladder(spec, u, z, kmax, du)
     if fam == "elliptic":
-        args = (() if u is None else (u,) if kmax == 1 and not du
-                else (u, u + z))
+        args = (u,) if kmax == 1 and not du else (u, u + z)
         return _on_lattice(spec, lambda: spec.lattice.coefficient_ladder(
             u, z, kmax, du), *args)
     if (np.abs(z) < _ZTOL).any():
         raise PoleError("rational r-matrix evaluated at the z = 0 pole")
     f = [(-1) ** k * math.factorial(k) * z ** (-(k + 1)) for k in range(kmax)]
-    if u is None:
-        return f, None
     _pole_guard(spec, u, "rational root coefficient: (alpha, q) = 0")
     zeros = np.zeros(np.broadcast(u, z).shape, dtype=complex)
     inv = np.divide(1.0, u, out=zeros.copy(), where=spec.dp_mask)
@@ -380,16 +373,14 @@ def positive_pair_weight(spec: RMatrixSpec, up) -> tuple[np.ndarray,
                          where=dp)
     elif fam == "trigonometric":
         span = spec.span_mask[:rs.n_pos]
+        _pole_guard(spec, up, "trigonometric pair weight: sin (alpha, q) = 0")
         s = np.sin(up)
-        _pole_guard(spec, up, "trigonometric pair weight: sin (alpha, q) = 0",
-                    s)
         w = np.where(span, np.divide(1.0, s * s, out=np.zeros(
             up.shape, dtype=complex), where=span) - 1.0 / 3.0, 5.0 / 3.0)
         w_du = np.divide(-2.0 * np.cos(up), s ** 3,
                          out=np.zeros(up.shape, dtype=complex), where=span)
     else:
-        w, w_du = _on_lattice(spec, lambda: spec.lattice.wp_pair_kernel(up),
-                              up)
+        w, w_du = _on_lattice(spec, lambda: spec.lattice.wp_pair(up), up)
     return w, w_du
 
 
@@ -526,7 +517,7 @@ def verify_cdybe(spec: RMatrixSpec, q, z1, z2, z3):
 
 
 # ---------------------------------------------------------------------------
-# Laurent elements and the operator R
+# Laurent covectors and the operator R
 
 
 def _trim_principal(rs: RootSystem, v, stack: int) -> np.ndarray:
@@ -536,39 +527,6 @@ def _trim_principal(rs: RootSystem, v, stack: int) -> np.ndarray:
     return v[:, :1 + np.flatnonzero(v.any(axis=(0, 2))).max(initial=-1)]
 
 
-class LaurentElement:
-    """g-valued (or, via I, g*-valued) function of z with a finite pole at 0,
-    sum_{j=1..T} X_{-j} z^{-j} + (a part analytic near 0), held as data:
-
-    * ``principal``, shape (T, dim): X_{-j} in row j - 1, with zero top
-      coefficients trimmed, so T is the pole order;
-    * ``nodes``, the z array fixed when the element is built (any nonzero
-      points; only quadrature needs them on a ring);
-    * ``values``, the function at the nodes as an AlgElement of shape
-      (N, dim).  Omitted, they are the values of the principal part alone.
-
-    There are no values off the nodes: a caller builds each element on the
-    z where it needs values.
-    """
-
-    def __init__(self, rs: RootSystem, principal, nodes, values=None):
-        self.rs = rs
-        self.principal = coeffs = _trim_principal(rs, principal, 1)[0]
-        self.nodes = np.asarray(nodes, dtype=complex)
-        if values is None:
-            values = np.power.outer(self.nodes,
-                                    -np.arange(1, len(coeffs) + 1)) @ coeffs
-        self.values = AlgElement(rs, np.asarray(values, dtype=complex))
-        if self.values.vec.shape != self.nodes.shape + (rs.dim,):
-            raise StructuralError(
-                f"values of shape {self.values.vec.shape} do not match "
-                f"{self.nodes.shape} nodes of dim {rs.dim}")
-
-    @property
-    def pole_order(self) -> int:
-        return len(self.principal)
-
-
 def _r_pairing(table, principal) -> np.ndarray:
     """sum_{k < T} (1/k!) < r_k, X_{-(k+1)} (x) 1 > for the T rows X of
     ``principal``: an entrywise product, table[k] holding r_k's coefficient
@@ -576,12 +534,6 @@ def _r_pairing(table, principal) -> np.ndarray:
     t = len(principal)
     inv_fact = [1.0 / math.factorial(k) for k in range(t)]
     return np.einsum("k...,k...,k->...", table[:t], principal, inv_fact)
-
-
-def _R_values(rs: RootSystem, table, values, principal) -> np.ndarray:
-    """(R_q xi)(z) = (1/2) xi + sum_k (1/k!) <r_k, xi_{-(k+1)} (x) 1> from
-    the r table at -z, xi's values and principal coefficients."""
-    return 0.5 * values + _r_pairing(table[..., rs.dual_index], principal)
 
 
 def default_mdybe_samples() -> list[complex]:

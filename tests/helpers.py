@@ -24,8 +24,8 @@ from spincm.elliptic import Lattice, _value
 from spincm.errors import StructuralError, raise_on_fp_fault
 from spincm.phase import (PhasePoint, ReducedPoint, bracket_full, gauge_g,
                           lift_reduced, reduced_brackets, torus_action)
-from spincm.rmatrix import (LaurentElement, RMatrixSpec, _ladder, _R_values,
-                            _r_pairing, _r_table, positive_pair_weight)
+from spincm.rmatrix import (RMatrixSpec, _ladder, _r_pairing, _r_table,
+                            _trim_principal, positive_pair_weight)
 from spincm.rootsys import (AlgElement, Root, RootSystem, bracket, form,
                             negate, torus_adjoint)
 
@@ -154,8 +154,11 @@ def hamiltonian_function(sys: RMatrixSpec) -> PhaseFunction:
 
 @raise_on_fp_fault
 def cartan_coeff(spec: RMatrixSpec, z, kz: int = 0):
-    """k-th z-derivative of the Cartan coefficient f(z)."""
-    return _value(_ladder(spec, None, z, kz + 1)[0][kz])
+    """k-th z-derivative of the Cartan coefficient f(z), read from the
+    kernel at a root value away from every pole (f does not depend on it)."""
+    z = np.asarray(z, dtype=complex)[..., None]
+    u = np.full(spec.rs.n_roots, 0.37 + 0.21j)
+    return _value(_ladder(spec, u, z, kz + 1)[0][kz][..., 0])
 
 
 @raise_on_fp_fault
@@ -179,6 +182,39 @@ def pair_weight(spec: RMatrixSpec, u) -> tuple[np.ndarray, np.ndarray]:
             np.concatenate([w_du, -w_du], axis=-1))
 
 
+class LaurentElement:
+    """g-valued (or, via I, g*-valued) function of z with a finite pole at 0,
+    sum_{j=1..T} X_{-j} z^{-j} + (a part analytic near 0), held as data:
+
+    * ``principal``, shape (T, dim): X_{-j} in row j - 1, with zero top
+      coefficients trimmed, so T is the pole order;
+    * ``nodes``, the z array fixed when the element is built (any nonzero
+      points; only quadrature needs them on a ring);
+    * ``values``, the function at the nodes as an AlgElement of shape
+      (N, dim).  Omitted, they are the values of the principal part alone.
+
+    There are no values off the nodes: a caller builds each element on the
+    z where it needs values.  The package holds these as bare arrays.
+    """
+
+    def __init__(self, rs: RootSystem, principal, nodes, values=None):
+        self.rs = rs
+        self.principal = coeffs = _trim_principal(rs, principal, 1)[0]
+        self.nodes = np.asarray(nodes, dtype=complex)
+        if values is None:
+            values = np.power.outer(self.nodes,
+                                    -np.arange(1, len(coeffs) + 1)) @ coeffs
+        self.values = AlgElement(rs, np.asarray(values, dtype=complex))
+        if self.values.vec.shape != self.nodes.shape + (rs.dim,):
+            raise StructuralError(
+                f"values of shape {self.values.vec.shape} do not match "
+                f"{self.nodes.shape} nodes of dim {rs.dim}")
+
+    @property
+    def pole_order(self) -> int:
+        return len(self.principal)
+
+
 def R_apply(spec: RMatrixSpec, q, xi: LaurentElement) -> LaurentElement:
     """The operator R_q applied to a Laurent covector:
 
@@ -190,11 +226,13 @@ def R_apply(spec: RMatrixSpec, q, xi: LaurentElement) -> LaurentElement:
     nodes of xi.  Its principal part is exactly -(1/2) of xi's, because
     r - Omega/z is analytic at z = 0 in every family; its values are the
     closed form above evaluated at all nodes at once.  The package applies
-    R_q on arrays (``rmatrix._R_values`` in ``lax_B``, matrices in
+    R_q on arrays (``dynamics._lax_pair`` for B, matrices in
     ``verify_mdybe``)."""
+    rs = spec.rs
     table = _r_table(spec, q, -xi.nodes, range(xi.pole_order))[0]
-    values = _R_values(spec.rs, table, xi.values.vec, xi.principal)
-    return LaurentElement(spec.rs, -0.5 * xi.principal, xi.nodes, values)
+    values = 0.5 * xi.values.vec + _r_pairing(table[..., rs.dual_index],
+                                              xi.principal)
+    return LaurentElement(rs, -0.5 * xi.principal, xi.nodes, values)
 
 
 def R_directional(spec: RMatrixSpec, q, v, xi: LaurentElement

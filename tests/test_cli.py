@@ -232,6 +232,56 @@ def test_simulate_past_the_elliptic_range_is_a_config_error(tmp_path,
     assert err.startswith("spincm: ") and "2^52 periods" in err
 
 
+def _one_spincm_line(err):
+    return len(err.splitlines()) == 1 and err.startswith("spincm: ")
+
+
+def test_numeric_fault_in_verify_exits_2(tmp_path, capsys):
+    """sin of a spectral sample 800i out overflows: exit 2 with one
+    spincm: line, not exit 1 (a residual over its threshold) with a
+    traceback."""
+    cfg = write_config(tmp_path, "far.json", {
+        "family": "trigonometric", "rank": 2,
+        "outputs": {"z_samples": [[0, 800]]},
+        "integration": {"t_final": 0.1}})
+    code = main(["verify", "--config", cfg, "--suite", "spectral",
+                 "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG and _one_spincm_line(err)
+    assert "overflow encountered in sin" in err
+
+
+def test_numeric_fault_in_reduce_exits_2(tmp_path, capsys):
+    """Spin cells of 1e200 overflow the torus action of the gauge
+    residual: exit 2 with one spincm: line, not an inf in the CSV."""
+    path = tmp_path / "traj.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "q1", "p1", "xi[1]", "xi[-1]",
+                         "energy", "J_residual"])
+        writer.writerow(["0", "0.9+0j", "0.1+0j", "1e200+0j", "1e200+0j",
+                         "0+0j", "0"])
+    cfg = write_config(tmp_path, "red.json",
+                       {"family": "rational", "rank": 1})
+    code = main(["reduce", str(path), "--config", cfg,
+                 "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG and _one_spincm_line(err)
+
+
+def test_failed_allocation_exits_2(tmp_path, capsys):
+    """10^15 output points need petabytes, past the 2^47-byte address
+    space, so the request fails at once and allocates nothing."""
+    cfg = write_config(tmp_path, "big.json", {
+        "family": "rational", "rank": 1,
+        "initial": {"preset": "spinless(0.4j)", "q": [0.7], "p": [0.3]},
+        "integration": {"t_final": 0.1, "n_points": 10 ** 15}})
+    code = main(["simulate", "--config", cfg, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG and _one_spincm_line(err)
+    assert "Unable to allocate" in err
+
+
 def test_simulate_free_preset_straight_line(tmp_path):
     cfg = write_config(tmp_path, "free.json", {
         "family": "rational", "rank": 1,
@@ -545,12 +595,20 @@ def test_verify_jobs_make_one_kernel_pass_per_stack(tmp_path, monkeypatch):
         assert len(calls) == passes, (family, suite)
 
 
-def test_verify_threshold_scale(tmp_path):
-    cfg = write_config(tmp_path, "ver.json",
-                       {"family": "rational", "rank": 1, "seed": 4})
-    assert main(["verify", "--config", cfg, "--suite", "axioms",
-                 "--threshold-scale", "1e-20",
-                 "--out", str(tmp_path)]) == EXIT_RESIDUAL
+def test_verify_threshold_from_config(tmp_path):
+    """thresholds.<suite> sets the one threshold a verify run reads: the
+    same axioms run passes at the default and fails at 1e-20 of it."""
+    data = {"family": "rational", "rank": 1, "seed": 4}
+    default = default_thresholds("rational")["axioms"]
+    for scale, code in ((1.0, EXIT_PASS), (1e-20, EXIT_RESIDUAL)):
+        cfg = write_config(tmp_path, "ver.json", {
+            **data, "thresholds": {"axioms": default * scale}})
+        assert main(["verify", "--config", cfg, "--suite", "axioms",
+                     "--out", str(tmp_path)]) == code
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert "threshold_scale" not in report
+        assert {c["threshold"] for c in report["checks"]} \
+            == {default * scale}
 
 
 def test_verify_deterministic_given_seed(tmp_path):
@@ -579,8 +637,6 @@ def test_verify_seed_flag_overrides(tmp_path):
 
 @pytest.mark.parametrize("flags", [
     ["--seed", "-1"], ["--seed", "1.5"], ["--seed", "true"],
-    ["--threshold-scale", "nan"], ["--threshold-scale", "inf"],
-    ["--threshold-scale", "0"], ["--threshold-scale", "-2"],
 ], ids=" ".join)
 def test_bad_flag_values_are_usage_errors(tmp_path, capsys, flags):
     cfg = write_config(tmp_path, "ver.json",
@@ -590,6 +646,17 @@ def test_bad_flag_values_are_usage_errors(tmp_path, capsys, flags):
               "--out", str(tmp_path)] + flags)
     assert err.value.code == EXIT_CONFIG
     assert f"argument {flags[0]}" in capsys.readouterr().err
+
+
+def test_threshold_scale_flag_is_an_unrecognized_argument(tmp_path, capsys):
+    cfg = write_config(tmp_path, "ver.json",
+                       {"family": "rational", "rank": 1})
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--config", cfg, "--suite", "cdybe",
+              "--out", str(tmp_path), "--threshold-scale", "2"])
+    assert err.value.code == EXIT_CONFIG
+    assert "unrecognized arguments: --threshold-scale 2" \
+        in capsys.readouterr().err
 
 
 def test_verify_unknown_suite_is_usage_error(tmp_path):

@@ -31,7 +31,7 @@ from helpers import (PhaseFunction, PhaseGradient, ReducedGradient,
                      hamiltonian_function, hamiltonian_gradient,
                      hamiltonian_quadrature, lax_time_derivative,
                      linear_spin_function, poisson_full,
-                     spectral_curve,
+                     ring_coefficients, spectral_curve,
                      spin_invariant_gradient)
 from spincm.phase import (PhasePoint, ReducedPoint, gauge_g, lift_reduced,
                           project_pi, reduced_roots, spin_chain)
@@ -213,6 +213,41 @@ def test_zero_spin_flow_is_free_motion():
         assert abs(pt.p[0] - 0.4) < 1e-10
 
 
+@pytest.mark.parametrize("rank,t_final", [(1, 1.0), (2, 0.7), (3, 1.5),
+                                          (4, 2.0)])
+def test_rational_flow_against_the_projection_method(rank, t_final):
+    """Closed form of the rational flow on Sigma (Gibbons-Hermsen): with
+    d = q @ h_diag and X = rho(I xi), the particles at time t are the
+    eigenvalues of diag(d0) + t L0, where L0 has p0 @ h_diag on its
+    diagonal and X_ij / (d_i - d_j) off it.  The spins are on the real form
+    X = i H, H Hermitian with zero diagonal (so J = 0), where L0 is
+    Hermitian and the particles stay real and apart.  The unreduced flow
+    and the reduced flow from project_pi(x0) both end within 20 tol of it,
+    relative to the largest position."""
+    sys = make_system("rational", rank)
+    rs = sys.rs
+    rng = np.random.default_rng(70 + rank)
+    n = rs.matrix_size
+    h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    h = h + h.conj().T
+    np.fill_diagonal(h, 0.0)
+    d0 = np.sort(rng.uniform(-1.5, 1.5, size=n))
+    q0 = np.linalg.lstsq(rs.h_diag.T, d0 - d0.mean(), rcond=None)[0]
+    x0 = PhasePoint(q0.astype(complex), rng.normal(size=rank) + 0j,
+                    AlgElement(rs, rs.to_coords(0.5j * h)))
+    d = q0 @ rs.h_diag
+    gaps = d[:, None] - d + np.eye(n)
+    l0 = rs.to_matrix(x0.xi.vec) / gaps + np.diag(x0.p.real @ rs.h_diag)
+    want = np.sort(np.linalg.eigvalsh(np.diag(d) + t_final * l0))
+    for tol in (1e-8, 1e-10):
+        for x in (x0, project_pi(x0)):
+            traj = integrate(sys, x, t_final, tol, n_points=2)
+            assert traj.completed
+            got = np.sort_complex(traj.states[-1, :rank] @ rs.h_diag)
+            err = np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want)))
+            assert err <= 20 * tol, (type(x).__name__, tol, err)
+
+
 def test_momentum_and_energy_conserved():
     sys = make_system("rational", 2)
     rng = np.random.default_rng(21)
@@ -338,6 +373,26 @@ def test_lax_B_off_sigma_raises():
     assert err.value.residual > 0.1
 
 
+@pytest.mark.parametrize("family", ["rational", "trigonometric", "elliptic"])
+def test_lax_B_is_the_lax_pair_core_with_half_the_principal_part(family):
+    """lax_B on the nodes is the B of the Lax pair core bit for bit, at a
+    PhasePoint on Sigma and at a ReducedPoint; B = -R_q(L/z) has 1/2 of
+    the principal part of L/z (the regular part of L at 0 over z and
+    I xi over z^2), read off a quadrature ring."""
+    sys = make_system(family, 2, lattice=WIDE if family == "elliptic"
+                      else None)
+    rng = np.random.default_rng(61)
+    ring = 0.3 * np.exp(2j * np.pi * np.arange(256) / 256)
+    for x in (sigma_point(sys, rng), random_reduced(sys, rng)):
+        b = lax_B(sys, x, ring)
+        assert isinstance(b, AlgElement) and b.vec.shape == (256, sys.rs.dim)
+        assert np.array_equal(b.vec, _lax_pair(sys, [x], ring)[1][0])
+        want = 0.5 * ring_coefficients(lax_L(sys, x, ring).vec
+                                       / ring[:, None], ring, 2)
+        got = ring_coefficients(b.vec, ring, 2)
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
 def test_quasi_lax_off_sigma_rational():
     # off Sigma the plain Lax equation fails but the momentum anomaly
     # restores it exactly
@@ -394,12 +449,12 @@ def test_fault_knob_does_not_reach_lax_coefficients():
             rs, rng.normal(size=rs.rank)))
 
         def evaluate(sys):
-            b = lax_B(sys, x, zs)
+            b = lax_B(sys, x, zs).vec
             values = [hamiltonian(sys, x), _pack_point(vector_field(sys, x)),
                       _pack_point(vector_field(sys, red)),
                       lax_L(sys, x, zs).vec, lax_residuals(sys, [x]),
                       lax_residuals(sys, [red]),
-                      b.values.vec, b.principal,
+                      b,
                       involution_residuals(sys, [red], pairs),
                       spectrum_drift(sys, integrate(sys, x, 0.5, n_points=5))]
             if family == "rational":
@@ -460,15 +515,12 @@ def test_reduced_points_are_evaluated_at_their_slice_lift(family):
         pushed = spin_chain(rs, red.s) @ up.xi.vec[rs.dual_index]
         assert np.max(np.abs(v.s - pushed)) \
             < 1e-13 * max(1.0, np.max(np.abs(pushed)))
-        b0 = lax_B(sys, red, zs)
-        _, b, principal = _lax_pair(sys, [red], zs)
-        assert np.array_equal(b0.values.vec, b[0])
-        assert np.array_equal(b0.principal, 0.5 * principal[:, 0])
+        b0 = lax_B(sys, red, zs).vec
+        assert np.array_equal(b0, _lax_pair(sys, [red], zs)[1][0])
         # B_0 is B at the lift less the Cartan compensator: the roots agree
-        b_lift = lax_B(sys, lift, zs).values.vec
-        assert np.array_equal(b0.values.vec[:, rs.rank:],
-                              b_lift[:, rs.rank:])
-        assert np.max(np.abs(b0.values.vec - b_lift)) > 1e-6
+        b_lift = lax_B(sys, lift, zs).vec
+        assert np.array_equal(b0[:, rs.rank:], b_lift[:, rs.rank:])
+        assert np.max(np.abs(b0 - b_lift)) > 1e-6
 
 
 def test_gauge_consistency_of_reduced_lax():

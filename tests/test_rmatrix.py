@@ -27,10 +27,11 @@ from spincm.phase import PhasePoint, momentum_J
 from spincm.errors import PoleError, StructuralError
 from spincm.rootsys import (AlgElement, bracket, build_root_system, form,
                             negate, root_label)
-from helpers import (R_apply, R_directional, cartan_coeff, casimir_tensor,
-                     count_passes, equivariance_residual, pair_weight,
-                     r_tensor, ring_coefficients, ring_nodes, root_coeff)
-from spincm.rmatrix import (MDYBE_QUAD_RADIUS, LaurentElement, RMatrixSpec,
+from helpers import (LaurentElement, R_apply, R_directional, cartan_coeff,
+                     casimir_tensor, count_passes, equivariance_residual,
+                     pair_weight, r_tensor, ring_coefficients, ring_nodes,
+                     root_coeff)
+from spincm.rmatrix import (MDYBE_QUAD_RADIUS, RMatrixSpec,
                             _pole_radius, _r_table, default_mdybe_samples,
                             elliptic_r_matrix, quad_ring, rational_r_matrix,
                             root_coeff_reg0, trigonometric_r_matrix,

@@ -196,7 +196,6 @@ SCHEMA = (
     ("outputs.z_samples", ("a non-empty list of complex numbers",
                            lambda v, rank: isinstance(v, list) and v != []
                            and all(map(_complex, v))), None),
-    ("outputs.kmax", _integer(1), None),
     ("thresholds", _OBJECT, {}),
     *((f"thresholds.{suite}", _POSITIVE, _BY_FAMILY) for suite in SUITES),
 )
@@ -340,9 +339,8 @@ def cmd_simulate(config: RunConfig, out_dir: Path) -> int:
     traj = integrate(system, x0, **config.integration)
     csv_path = out_dir / config.outputs["trajectory_csv"]
     write_trajectory_csv(csv_path, system, traj)
-    kmax = config.outputs["kmax"] or system.rs.matrix_size
     try:
-        drift = spectrum_drift(system, traj, _z_grid(config), kmax)
+        drift = spectrum_drift(system, traj, _z_grid(config))
     except FloatingPointError as exc:
         # a truncated run keeps its abort reason and reports no drift
         if traj.completed:
@@ -462,33 +460,33 @@ def _point(x) -> dict:
     return {"q": x.q, "p": x.p, "xi": x.xi.vec}
 
 
-def _suite_axioms(system, config, rng) -> list[dict]:
+def _suite_axioms(system, config, rng) -> dict:
     samples = [{"q": _random_q(rng, system), "z": _random_z(rng)}
                for _ in range(20)]
     per_sample = verify_axioms(system,
                                np.array([s["q"] for s in samples]),
                                [s["z"] for s in samples])
-    return [_worst(name, per_sample[name], samples)
-            for name in ("zero_weight", "unitarity", "residue")]
+    return {"checks": [_worst(name, per_sample[name], samples)
+                       for name in ("zero_weight", "unitarity", "residue")]}
 
 
-def _suite_cdybe(system, config, rng) -> list[dict]:
+def _suite_cdybe(system, config, rng) -> dict:
     samples = [{"q": _random_q(rng, system), "z": _random_z_triple(rng)}
                for _ in range(10)]
     z = np.array([s["z"] for s in samples]).T
-    return [_worst("cdybe", verify_cdybe(
-        system, np.array([s["q"] for s in samples]), *z), samples)]
+    return {"checks": [_worst("cdybe", verify_cdybe(
+        system, np.array([s["q"] for s in samples]), *z), samples)]}
 
 
-def _suite_mdybe(system, config, rng) -> list[dict]:
+def _suite_mdybe(system, config, rng) -> dict:
     samples = [{"q": _random_q(rng, system), "z": default_mdybe_samples(),
                 "xi": _random_principal(system.rs, rng, 2),
                 "eta": _random_principal(system.rs, rng, 2)}
                for _ in range(10)]
     q, z, xi, eta = (np.array([s[key] for s in samples])
                      for key in ("q", "z", "xi", "eta"))
-    return [_worst("mdybe", verify_mdybe(system, q, xi, eta, z_samples=z),
-                   samples)]
+    return {"checks": [_worst("mdybe", verify_mdybe(
+        system, q, xi, eta, z_samples=z), samples)]}
 
 
 def _lax_check(name: str, system, points: list, **kwargs) -> dict:
@@ -496,7 +494,7 @@ def _lax_check(name: str, system, points: list, **kwargs) -> dict:
                   [_point(x) for x in points])
 
 
-def _suite_lax(system, config, rng) -> list[dict]:
+def _suite_lax(system, config, rng) -> dict:
     rs = system.rs
     checks = [_lax_check("lax_on_sigma", system, [
         _random_sigma_point(system, rng) for _ in range(5)])]
@@ -512,18 +510,18 @@ def _suite_lax(system, config, rng) -> list[dict]:
                                  anomaly=True))
     checks.append(_lax_check("lax_reduced_pointwise", system, [
         _random_reduced_point(system, rng) for _ in range(3)]))
-    return checks
+    return {"checks": checks}
 
 
-def _suite_involution(system, config, rng) -> list[dict]:
+def _suite_involution(system, config, rng) -> dict:
     points = [_random_reduced_point(system, rng) for _ in range(3)]
     samples = [{**_point(x), "k": [k1, k2], "z": [z1, z2]} for x in points
                for (k1, z1), (k2, z2) in _INVOLUTION_BATTERY]
-    return [_worst("involution", involution_residuals(
-        system, points, _INVOLUTION_BATTERY).ravel(), samples)]
+    return {"checks": [_worst("involution", involution_residuals(
+        system, points, _INVOLUTION_BATTERY).ravel(), samples)]}
 
 
-def _suite_spectral(system, config, rng) -> list[dict]:
+def _suite_spectral(system, config, rng) -> dict:
     if config.initial is not None and config.initial["s"] is not None:
         x0 = build_initial(config, system)
     else:
@@ -535,15 +533,16 @@ def _suite_spectral(system, config, rng) -> list[dict]:
         raise PoleError(f"spectral suite trajectory aborted: "
                         f"{traj.abort_reason}")
     z_grid = _z_grid(config)
-    report = lax_pair_reduced(system, traj, z_grid,
-                              kmax=config.outputs["kmax"])
+    report = lax_pair_reduced(system, traj, z_grid)
     # the witness: the trajectory point and z of the worst entry, and the
-    # initial point to integrate from
-    return [{"name": name, "samples": traj.n_points,
-             "max_residual": report[name], "witness": _witness({
-                 "sample": report["worst"][name][0],
-                 "z": z_grid[report["worst"][name][1]], **_point(x0)})}
-            for name in ("spectrum_drift", "isospectral_drift")]
+    # initial point to integrate from; "solver" the integration's counts
+    return {"checks": [{"name": name, "samples": traj.n_points,
+                        "max_residual": report[name], "witness": _witness({
+                            "sample": report["worst"][name][0],
+                            "z": z_grid[report["worst"][name][1]],
+                            **_point(x0)})}
+                       for name in ("spectrum_drift", "isospectral_drift")],
+            "solver": traj.stats}
 
 
 _SUITE_RUNNERS = {
@@ -567,7 +566,8 @@ def cmd_verify(config: RunConfig, suite: str, out_dir: Path, *,
     if inject_fault:
         system = system.with_fault(FAULT_SCALE)
     rng = np.random.default_rng(config.seed)
-    checks = _SUITE_RUNNERS[suite](system, config, rng)
+    result = _SUITE_RUNNERS[suite](system, config, rng)
+    checks = result["checks"]
     threshold = float(config.thresholds[suite])
     for check in checks:
         check["family"] = config.family
@@ -579,7 +579,7 @@ def cmd_verify(config: RunConfig, suite: str, out_dir: Path, *,
         "rank": config.rank,
         "seed": config.seed,
         "fault_injected": inject_fault,
-        "checks": checks,
+        **result,
         "pass": all(c["pass"] for c in checks),
     }
     _emit(report, out_dir / config.outputs["report_json"])

@@ -467,13 +467,14 @@ def lax_residuals(sys: RMatrixSpec, points: list,
 # conserved quantities and spectral curves
 
 
-def _power_sums(sys: RMatrixSpec, coords: tuple, z, kmax: int) -> np.ndarray:
+def _power_sums(sys: RMatrixSpec, coords: tuple, z) -> np.ndarray:
     """tr(rho(L(z))^k) at the stacked coordinates (q, p, xi) of the points
-    (a reduced one at its slice lift: L_0), for every z and k = 1..kmax, of
-    shape (points, len(z), kmax): one stacked evaluation."""
+    (a reduced one at its slice lift: L_0), for every z and k = 1..n (n the
+    matrix size: by Cayley-Hamilton, higher powers add no invariant), of
+    shape (points, len(z), n): one stacked evaluation."""
     mat = _lax(sys, *coords, z, matrix=True)
     acc, out = mat, [np.trace(mat, axis1=-2, axis2=-1)]
-    for _ in range(kmax - 1):
+    for _ in range(sys.rs.matrix_size - 1):
         acc = acc @ mat
         out.append(np.trace(acc, axis1=-2, axis2=-1))
     return np.stack(out, axis=-1)
@@ -502,29 +503,35 @@ def _char_poly(power_sums: np.ndarray) -> np.ndarray:
     return np.stack(coeffs, axis=-1)
 
 
-def conserved_spectrum(sys: RMatrixSpec, x, z_samples: Sequence[complex],
-                       kmax: int | None = None) -> np.ndarray:
-    """Table h_k(z) = tr(rho(L(z))^k)/k, shape (len(z_samples), kmax).
+def _spectral_drifts(sys: RMatrixSpec, traj: Trajectory,
+                     z_samples: Sequence[complex] | None) -> dict:
+    """The worst (value, point, z) along the trajectory of the two spectral
+    drifts, from one power-sum table over the points and z, each relative
+    per entry (:func:`_relative_drift`): ``spectrum_drift`` of h_k = p_k/k,
+    ``isospectral_drift`` of the characteristic-polynomial coefficients."""
+    if z_samples is None:
+        z_samples = default_z_samples()
+    sums = _power_sums(sys, _split(traj.rs, traj.states, traj.reduced),
+                       z_samples)
+    return {"spectrum_drift": _worst(_relative_drift(
+                sums / np.arange(1, sums.shape[-1] + 1))),
+            "isospectral_drift": _worst(_relative_drift(_char_poly(sums)))}
 
-    Accepts PhasePoints (L) and ReducedPoints (L_0).
-    """
-    kmax = kmax or sys.rs.matrix_size
-    return _power_sums(sys, _coords([x]), z_samples, kmax)[0] \
-        / np.arange(1, kmax + 1)
+
+def conserved_spectrum(sys: RMatrixSpec, x,
+                       z_samples: Sequence[complex]) -> np.ndarray:
+    """Table h_k(z) = tr(rho(L(z))^k)/k, shape (len(z_samples), n) for the
+    matrix size n.  Accepts PhasePoints (L) and ReducedPoints (L_0)."""
+    sums = _power_sums(sys, _coords([x]), z_samples)[0]
+    return sums / np.arange(1, sums.shape[-1] + 1)
 
 
 def spectrum_drift(sys: RMatrixSpec, traj: Trajectory,
-                   z_samples: Sequence[complex] | None = None,
-                   kmax: int | None = None) -> float:
+                   z_samples: Sequence[complex] | None = None) -> float:
     """Largest relative drift of any h_k(z) along the trajectory, with the
     per-entry denominator max(1, |h_k(z)(0)|); all points in one stacked
     evaluation over the trajectory's states."""
-    if z_samples is None:
-        z_samples = default_z_samples()
-    kmax = kmax or sys.rs.matrix_size
-    sums = _power_sums(sys, _split(traj.rs, traj.states, traj.reduced),
-                       z_samples, kmax)
-    return _worst(_relative_drift(sums / np.arange(1, kmax + 1)))[0]
+    return _spectral_drifts(sys, traj, z_samples)["spectrum_drift"][0]
 
 
 # ---------------------------------------------------------------------------
@@ -543,35 +550,19 @@ def gauge_residual(sys: RMatrixSpec, x: PhasePoint) -> float:
 
 
 def lax_pair_reduced(sys: RMatrixSpec, traj: Trajectory,
-                     z_samples: Sequence[complex] | None = None, *,
-                     kmax: int | None = None) -> dict:
+                     z_samples: Sequence[complex] | None = None) -> dict:
     """Verify the isospectrality of the reduced Lax pair along a reduced
-    trajectory.
-
-    One table of tr(rho(L_0(z))^k) over the points and z gives the
-    isospectral drift (of the char-poly coefficients) and the spectrum
-    drift (as :func:`spectrum_drift` with ``kmax``), with the [point, z]
-    of each worst entry under ``worst``.  The pointwise Lax equation is
+    trajectory: the isospectral drift (of the char-poly coefficients) and
+    the spectrum drift of :func:`_spectral_drifts`, with the [point, z] of
+    each worst entry under ``worst``.  The pointwise Lax equation is
     :func:`lax_residuals` at the trajectory's points.
     """
     if not traj.n_points or not traj.reduced:
         raise StructuralError("lax_pair_reduced expects a reduced trajectory")
-    if z_samples is None:
-        z_samples = default_z_samples()
-    size, kmax = sys.rs.matrix_size, kmax or sys.rs.matrix_size
-    sums = _power_sums(sys, _split(sys.rs, traj.states, True), z_samples,
-                       max(kmax, size))
-    drift = _worst(_relative_drift(sums[..., :kmax]
-                                   / np.arange(1, kmax + 1)))
-    curves = _char_poly(sums[..., :size])
-    iso = _worst(np.abs(curves - curves[0]))
-    return {
-        "isospectral_drift": iso[0],
-        "spectrum_drift": drift[0],
-        "worst": {"isospectral_drift": list(iso[1:]),
-                  "spectrum_drift": list(drift[1:])},
-        "n_points": traj.n_points,
-    }
+    drifts = _spectral_drifts(sys, traj, z_samples)
+    return {**{name: worst[0] for name, worst in drifts.items()},
+            "worst": {name: list(worst[1:]) for name, worst in drifts.items()},
+            "n_points": traj.n_points}
 
 
 # ---------------------------------------------------------------------------

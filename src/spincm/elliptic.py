@@ -7,8 +7,10 @@ reduction to its centred cell: Im(w2/w1) >= sqrt(3)/2 takes at most 5 theta
 terms and the quasi-periodicity factors are exact closed forms, for any
 basis and argument.  g2 and g3 come from the branch points, not sums.
 
-Every evaluation takes a scalar or a numpy array of arguments and runs the
-same array code either way (a scalar in gives a Python scalar out).  Each
+Every evaluation takes a scalar or a numpy array of arguments, of any
+strides, and runs the same array code either way: the argument enters as
+a contiguous array of at least one dimension, so a scalar call is its
+array element bit for bit, and a scalar in gives a Python scalar out.  Each
 reads one pass per argument: the reduction (StructuralError past 2^52
 periods), the pole guard if asked, and theta_1 with three derivatives, a
 dot product of [sin | cos]((2n+1) v) with a term table whose length keeps
@@ -36,9 +38,11 @@ _REL_CUTOFF = 1e-18
 _RANGE = 2.0 ** 52
 
 
-def _value(a, kind=complex):
-    """A 0-d result as a Python scalar, any other result as the array."""
-    return kind(a) if np.ndim(a) == 0 else a
+def _value(a, z, kind=complex):
+    """A result in the shape of the argument z: a Python scalar for a
+    scalar z, else the array."""
+    a = np.reshape(a, np.shape(z))
+    return kind(a) if a.ndim == 0 else a
 
 
 class Lattice:
@@ -136,8 +140,11 @@ class Lattice:
     def _cell(self, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Elementwise z = z0 + 2m*w1 + 2n*w2, z0 in the reduced centred cell;
         m and n come back as float arrays of integers.  More than 2^52
-        periods out z keeps no fractional digit: StructuralError."""
-        z = np.asarray(z, dtype=complex)
+        periods out z keeps no fractional digit: StructuralError.  z runs
+        as a contiguous array of at least one dimension: the float view
+        needs the first, and numpy's 0-d arithmetic rounds apart from the
+        same point inside an array."""
+        z = np.ascontiguousarray(z, dtype=complex)
         flat = z.reshape(-1)
         mn = np.rint(flat.view(float).reshape(-1, 2) @ self._period_inv_t)
         if np.abs(mn).max(initial=0.0) > _RANGE:
@@ -202,18 +209,18 @@ class Lattice:
         of the reduced basis."""
         z0, *mn = self._cell(z)
         m, n = np.tensordot(self._basis, mn, 1)
-        return _value(z0), _value(m, int), _value(n, int)
+        return _value(z0, z), _value(m, z, int), _value(n, z, int)
 
     @raise_on_fp_fault
     def lattice_distance(self, z):
         """Absolute distance from z to the nearest lattice point."""
         z0 = self._cell(z)[0]
         return _value(np.abs(np.subtract.outer(z0, self._near)).min(axis=-1),
-                      float)
+                      z, float)
 
     @raise_on_fp_fault
     def sigma(self, z):
-        return _value(self._sigma(self._pass(z)))
+        return _value(self._sigma(self._pass(z)), z)
 
     def zeta(self, z):
         return self.zeta_ladder(z, 1)[0]
@@ -222,7 +229,7 @@ class Lattice:
     def wp_pair(self, z):
         """(wp(z), wp'(z)) from one pass."""
         wp, wp_prime = self._wp_from_theta(*self._pass(z, "wp")[3:])
-        return _value(wp), _value(wp_prime)
+        return _value(wp, z), _value(wp_prime, z)
 
     def wp(self, z):
         return self.wp_pair(z)[0]
@@ -233,7 +240,8 @@ class Lattice:
     @raise_on_fp_fault
     def zeta_ladder(self, z, kmax: int) -> list:
         """zeta and its z-derivatives of orders below kmax (kmax <= 5)."""
-        return [_value(v) for v in self._zetas(self._pass(z, "zeta"), kmax)]
+        return [_value(v, z)
+                for v in self._zetas(self._pass(z, "zeta"), kmax)]
 
     def coefficient_ladder(self, u, z, kmax: int, du: int = 0):
         """``rmatrix._ladder`` for f = zeta(z) and c = -l(u, z) from one pass
@@ -272,10 +280,8 @@ def l_kernel(lattice: Lattice, w, z):
     lattice.  Poles occur where sigma(w) or sigma(z) vanish, and only there;
     w + z on the lattice gives a regular zero, so it is not guarded.
     """
-    shape = np.broadcast_shapes(np.shape(w), np.shape(z))
-    # scalars run as 1-element arrays: numpy's 0-d arithmetic rounds apart
-    w, z = (np.atleast_1d(np.asarray(a, dtype=complex)) for a in (w, z))
+    wz = np.add(w, z)
     sw, sz, swz = (lattice._sigma(p) for p in (
         lattice._pass(w, "l_kernel"), lattice._pass(z, "l_kernel"),
-        lattice._pass(w + z)))
-    return _value((-swz / (sw * sz)).reshape(shape))
+        lattice._pass(wz)))
+    return _value(-swz / (sw * sz), wz)

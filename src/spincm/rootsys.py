@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import StructuralError, UnsupportedAlgebraError
+from .errors import StructuralError, UnsupportedAlgebraError, raise_on_fp_fault
 
 Root = tuple[int, ...]
 
@@ -320,6 +320,7 @@ def matrix_rep(x: AlgElement) -> np.ndarray:
     return x.rs.to_matrix(x.vec)
 
 
+@raise_on_fp_fault
 def torus_adjoint(c_coords, x: AlgElement) -> AlgElement:
     """Adjoint action of the torus element h = exp(sum_i c_i h_{alpha_i}).
 
@@ -327,7 +328,8 @@ def torus_adjoint(c_coords, x: AlgElement) -> AlgElement:
     coefficients are fixed; the e_alpha coefficient is scaled by
     exp(alpha(log h)).  Because I intertwines Ad*_{h^{-1}} on covectors with
     Ad_h on their images, the same function implements the coadjoint torus
-    action in the covector representation.
+    action in the covector representation.  An overflow raises
+    FloatingPointError.
     """
     rs = x.rs
     c = np.asarray(c_coords, dtype=complex)

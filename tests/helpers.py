@@ -156,9 +156,9 @@ def hamiltonian_function(sys: RMatrixSpec) -> PhaseFunction:
 def cartan_coeff(spec: RMatrixSpec, z, kz: int = 0):
     """k-th z-derivative of the Cartan coefficient f(z), read from the
     kernel at a root value away from every pole (f does not depend on it)."""
-    z = np.asarray(z, dtype=complex)[..., None]
+    z = np.asarray(z, dtype=complex)
     u = np.full(spec.rs.n_roots, 0.37 + 0.21j)
-    return _value(_ladder(spec, u, z, kz + 1)[0][kz][..., 0])
+    return _value(_ladder(spec, u, z[..., None], kz + 1)[0][kz][..., 0], z)
 
 
 @raise_on_fp_fault
@@ -273,8 +273,7 @@ def spectral_curve(sys: RMatrixSpec, x, z_grid) -> np.ndarray:
     """Coefficients of det(w Id - rho(L(z))) in w, one row per grid z,
     highest power first (monic), as the package's Newton's identities give
     them; reduced points use L_0."""
-    return _char_poly(_power_sums(sys, _coords([x]), z_grid,
-                                  sys.rs.matrix_size))[0]
+    return _char_poly(_power_sums(sys, _coords([x]), z_grid))[0]
 
 
 def ring_nodes(radius: float, n: int) -> np.ndarray:

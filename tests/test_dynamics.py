@@ -248,6 +248,48 @@ def test_rational_flow_against_the_projection_method(rank, t_final):
             assert err <= 20 * tol, (type(x).__name__, tol, err)
 
 
+def trigonometric_projection(rs, x0, t_final):
+    """e^{2i d} at t_final for the trigonometric flow from x0 on the real
+    form X = i H (Kazhdan-Kostant-Sternberg, Olshanetsky-Perelomov): with
+    d = q @ h_diag and L0 = diag(p0 @ h_diag) + X_ij / sin(d_i - d_j), the
+    eigenvalues of diag(e^{2i d0}) expm(2i t L0).  L0 is Hermitian, so the
+    exponential comes from its eigenvectors."""
+    d = x0.q.real @ rs.h_diag
+    gaps = np.sin(d[:, None] - d) + np.eye(len(d))
+    l0 = rs.to_matrix(x0.xi.vec) / gaps + np.diag(x0.p.real @ rs.h_diag)
+    lam, vecs = np.linalg.eigh(l0)
+    flow = (vecs * np.exp(2j * t_final * lam)) @ vecs.conj().T
+    return np.linalg.eigvals(np.exp(2j * d)[:, None] * flow)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_trigonometric_flow_against_the_projection_method(rank):
+    """The unreduced flow and the reduced flow from project_pi(x0) both end
+    within 20 tol of the closed form, in the particle positions (half the
+    distance of e^{2i d} on the unit circle); spins on the real form as in
+    the rational test, positions within one period of each other."""
+    sys = make_system("trigonometric", rank)
+    rs = sys.rs
+    rng = np.random.default_rng(80 + rank)
+    n = rs.matrix_size
+    h = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    h = h + h.conj().T
+    np.fill_diagonal(h, 0.0)
+    d0 = np.sort(rng.uniform(-1.2, 1.2, size=n))
+    q0 = np.linalg.lstsq(rs.h_diag.T, d0 - d0.mean(), rcond=None)[0]
+    x0 = PhasePoint(q0.astype(complex), rng.normal(size=rank) + 0j,
+                    AlgElement(rs, rs.to_coords(0.5j * h)))
+    for t_final in (0.8, 2.0):
+        want = trigonometric_projection(rs, x0, t_final)
+        for tol in (1e-8, 1e-10):
+            for x in (x0, project_pi(x0)):
+                traj = integrate(sys, x, t_final, tol, n_points=2)
+                assert traj.completed
+                got = np.exp(2j * (traj.states[-1, :rank] @ rs.h_diag))
+                err = max(np.min(np.abs(g - want)) for g in got) / 2
+                assert err <= 20 * tol, (type(x).__name__, t_final, tol, err)
+
+
 def test_momentum_and_energy_conserved():
     sys = make_system("rational", 2)
     rng = np.random.default_rng(21)
@@ -671,7 +713,7 @@ def test_spectral_function_gradient():
 
     def h3(t):
         shifted = ReducedPoint(rs, x.q + t * dq, x.p + t * dp, x.s + t * ds)
-        return conserved_spectrum(sys, shifted, [z], 3)[0, 2]
+        return conserved_spectrum(sys, shifted, [z])[0, 2]
 
     fd = (h3(eps) - h3(-eps)) / (2 * eps)
     analytic = g @ np.concatenate([dq, dp, ds])

@@ -301,6 +301,31 @@ def test_l_kernel_scalar_calls_are_the_array_elements():
             l_kernel(thin, *args)
 
 
+def test_strided_and_scalar_arguments_are_the_contiguous_array_elements():
+    """A strided view (a step, a reversal, a column) gives the values of its
+    contiguous copy, and 2000 scalar calls equal the elements of one array
+    call, bit for bit, for every public evaluation (before, strided views
+    raised ValueError from the float view, and scalar sigma, wp and wp'
+    differed in the last bit on 519, 68 and 703 of these points)."""
+    lat = Lattice(2.0, 2.2j)
+    rng = np.random.default_rng(13)
+    z = rng.uniform(-3, 3, (2000, 2)) @ [1, 1j]
+    pairs = z.reshape(-1, 2)
+    evaluations = {
+        "sigma": lat.sigma, "zeta": lat.zeta, "wp": lat.wp,
+        "wp_prime": lat.wp_prime, "lattice_distance": lat.lattice_distance,
+        "wp_pair": lat.wp_pair, "reduce": lat.reduce,
+        "zeta_ladder": lambda v: lat.zeta_ladder(v, 2),
+        "l_kernel": lambda v: l_kernel(lat, v, 0.3 + 0.2j)}
+    for name, fn in evaluations.items():
+        for view in (z[::2], z[::-1], pairs[:, 0]):
+            got, want = fn(view), fn(view.copy())
+            assert np.array_equal(got, want), name
+        arr = np.asarray(fn(z))
+        scalars = [fn(complex(v)) for v in z]
+        assert np.array_equal(np.moveaxis(scalars, 0, -1), arr), name
+
+
 def test_shortest_period_from_the_reduced_basis():
     """The Gauss-reduced basis gives the shortest nonzero period, also on
     skewed bases, against a search over small lattice vectors."""

@@ -194,6 +194,13 @@ def test_torus_action_identity_and_weights():
                - math.exp(-2 * t) * pt.xi.coeff(neg)) < 1e-12
 
 
+def test_overflowing_torus_action_raises():
+    """exp(2 * 800) overflows: FloatingPointError, not an inf+nanj spin."""
+    pt = random_point(RS1, np.random.default_rng(5))
+    with pytest.raises(FloatingPointError, match="overflow"):
+        torus_action([800.0], pt)
+
+
 def test_momentum_generates_the_action():
     rng = np.random.default_rng(6)
     rs = RS2

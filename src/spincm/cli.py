@@ -187,8 +187,6 @@ SCHEMA = (
                              lambda v, rank: _num(v) and v != 0), 10.0),
     ("integration.tol", _POSITIVE, 1e-10),
     ("integration.n_points", _integer(2), 201),
-    ("integration.collision_tol", ("a finite number >= 0",
-                                   lambda v, rank: _num(v) and v >= 0), 1e-6),
     ("outputs", _OBJECT, {}),
     ("outputs.trajectory_csv", _FILE_NAME, "trajectory.csv"),
     ("outputs.diagnostics_json", _FILE_NAME, "diagnostics.json"),

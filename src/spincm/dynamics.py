@@ -53,6 +53,8 @@ from .rootsys import (AlgElement, RootSystem, build_root_system, root_label,
 SIGMA_TOL = 1e-8
 # Accepted steps after which integrate stops with a truncated trajectory.
 MAX_STEPS = 200_000
+# Singular-set distance (collision_margin) below which integrate stops.
+COLLISION_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -186,19 +188,16 @@ def _energy_column(sys: RMatrixSpec, q, p, xi):
 @raise_on_fp_fault
 def _flow(sys: RMatrixSpec, y: np.ndarray, reduced: bool) -> np.ndarray:
     """The vector field at the state y: (dq, dp) = (p, -dH/dq) and the
-    coadjoint spin leg d(I xi) = [w xi, I xi]; on a reduced state s_dot =
-    -P dH_0/ds with P = C F C^T (C = :func:`spincm.phase.spin_chain`)
-    applied vector-first, F v = I [v, I xi].  One fault guard covers it
-    all."""
+    coadjoint spin leg d(I xi) = [w xi, I xi]; a reduced state moves by the
+    pushforward of that field at its slice lift, s_dot = C xi_dot with the
+    differentials C of s (:func:`spincm.phase.spin_chain`).  One fault
+    guard covers it all."""
     rs = sys.rs
     q, p, xi = _split(rs, y, reduced)
     dq, wxi = _gradient(sys, q, xi)
+    dspin = rs.bracket_coords(wxi, xi)
     if reduced:
-        chain = spin_chain(rs, y[2 * rs.rank:])
-        v = wxi[rs.dual_index[2 * rs.rank:]] @ chain
-        dspin = chain @ rs.bracket_coords(v, xi)[rs.dual_index]
-    else:
-        dspin = rs.bracket_coords(wxi, xi)
+        dspin = spin_chain(rs, y[2 * rs.rank:]) @ dspin[rs.dual_index]
     return np.concatenate([p, -dq, dspin])
 
 
@@ -222,8 +221,8 @@ def vector_field(sys: RMatrixSpec, x):
     The spin leg is the plain-dual coadjoint action, I(ad*_X xi) =
     -[X, I xi]; this is the orientation under which the spectral
     invariants of the Lax operator are conserved.  At a ReducedPoint it is
-    the reduced flow, a ReducedPoint (dq, dp, ds) with ds = -P dH_0/ds and
-    P the reduced spin tensor.
+    the reduced flow, a ReducedPoint (dq, dp, ds) with ds = d s(xi_dot),
+    the pushforward of the field at the slice lift.
     """
     reduced = isinstance(x, ReducedPoint)
     return _unpack_point(sys.rs, _flow(sys, _pack_point(x), reduced), reduced)
@@ -249,8 +248,7 @@ def _coords(points: list) -> tuple:
 
 
 def integrate(sys: RMatrixSpec, x0, t_final: float, tol: float = 1e-10, *,
-              n_points: int = 201, collision_tol: float = 1e-6
-              ) -> Trajectory:
+              n_points: int = 201) -> Trajectory:
     """Integrate the (reduced or unreduced) flow from t = 0 to t_final.
 
     Adaptive Dormand-Prince 8(5,3) (:class:`spincm.ode.DormandPrince`) on
@@ -288,9 +286,9 @@ def integrate(sys: RMatrixSpec, x0, t_final: float, tol: float = 1e-10, *,
     filled = 1
     while True:
         margin = collision_margin(sys, solver.y[:n])
-        if margin < collision_tol:
+        if margin < COLLISION_TOL:
             reason = (f"collision guard at t = {solver.t:.6g}: singular-set "
-                      f"distance {margin:.3e} below {collision_tol:.1e}")
+                      f"distance {margin:.3e} below {COLLISION_TOL:.1e}")
             break
         if solver.finished:
             break
@@ -345,7 +343,9 @@ def _lax(sys: RMatrixSpec, q, p, xi, z, matrix: bool = False,
     cartan = p + f[0] * xi[..., :rs.rank]
     roots = c[0][0] * xi[..., rs.rank:]
     if matrix:
-        out = (cartan @ rs.h_diag)[..., None] * np.eye(rs.matrix_size)
+        # the diagonal entry by entry, so that each is its single-point value
+        out = (cartan[..., None] * rs.h_diag).sum(-2)[..., None] \
+            * np.eye(rs.matrix_size)
         out[(...,) + rs.root_entries] = roots
     else:
         out = np.concatenate([cartan, roots], -1)
@@ -382,30 +382,32 @@ def sigma_residual(sys: RMatrixSpec, x: PhasePoint) -> float:
 def _lax_pair(sys: RMatrixSpec, points: list, z, anomaly: bool = False):
     """The Lax pair at the points (all PhasePoints, or all ReducedPoints
     for L_0 and B_0), stacked: max_z ||dL/dt - [B, L]|| per point (plus
-    (X_J R)(L/z) with ``anomaly``) and B = -R_q(L/z) on z.  dL/dt is L at
-    the velocity (p_dot, xi_dot) plus the q-derivative of the root
-    coefficients along q_dot.  A reduced point moves at its slice lift,
-    and B_0 is B less the compensator of the gauge drift.  Velocities come
-    point by point from the flow core; the kernel runs twice: L at each
-    point's own root values (the row products of a single lax_L call),
-    then r at -z and dc/du at z in one table, from the spec without its
-    fault."""
+    (X_J R)(L/z) with ``anomaly``) and B = -R_q(L/z) on z.  One unreduced
+    flow call per point, a reduced one at its slice lift, gives the
+    velocity (q_dot, p_dot, xi_dot); a lift moves by its pushforward
+    (:func:`_flow`), and B_0 is B less the torus drift D that the slice
+    leaves out, alpha_j(D) = xi_dot_{alpha_j}.  The kernel runs once: r
+    and dc/du at +-z in one table, from the spec without its fault, whose
+    +z half gives L = p + r(z) xi and dL/dt (L at the velocity plus the
+    q-derivative of the root coefficients along q_dot), the -z half B."""
     rs, n = sys.rs, sys.rs.rank
     z = np.asarray(z, dtype=complex)
     reduced = isinstance(points[0], ReducedPoint)
-    ys = np.array([_pack_point(x) for x in points])
-    q, p, xi = _split(rs, ys, reduced)
-    vel = np.array([_flow(sys, y, reduced) for y in ys])
+    q, p, xi = _coords(points)
+    vel = np.array([_flow(sys, y, False)
+                    for y in np.concatenate([q, p, xi], -1)])
     dxi = vel[:, 2 * n:]
     if reduced:
-        # only the reduced roots of the lift move
-        dxi = np.concatenate([np.zeros((len(ys), 2 * n)), dxi], -1)
-    lax, dlax = np.moveaxis(_lax(sys, q[:, None], np.stack(
-        [p, vel[:, n:2 * n]], 1), np.stack([xi, dxi], 1), z), 1, 0)
+        # only the reduced roots of the lift move, by d s(xi_dot)
+        ds = spin_chain(rs, xi[:, 2 * n:]) @ dxi[:, rs.dual_index, None]
+        dxi = np.concatenate([np.zeros((len(q), 2 * n)), ds[..., 0]], -1)
     m = len(z)
-    nodes = np.broadcast_to(z[:, None], (m, len(ys)))
+    nodes = np.broadcast_to(z[:, None], (m, len(q)))
     r, dr = np.moveaxis(_r_table(sys.with_fault(1.0), q, np.concatenate(
         [nodes, -nodes]), range(2), du=1), 2, 3)
+    lax, dlax = (r[0, :, :m] * spin[:, None]
+                 + np.pad(cartan, ((0, 0), (0, rs.dim - n)))[:, None]
+                 for cartan, spin in ((p, xi), (vel[:, n:2 * n], dxi)))
     dlax[..., n:] += dr[0, :, :m, n:] * rs.root_values(vel[:, :n])[:, None] \
         * xi[:, None, n:]
     principal = np.stack([_reg0(sys, q, p, xi), xi])
@@ -413,12 +415,9 @@ def _lax_pair(sys: RMatrixSpec, points: list, z, anomaly: bool = False):
     b = -(0.5 * (lax / z[:, None]) + _r_pairing(
         r[:, :, m:][..., rs.dual_index], principal[:, :, None]))
     if reduced:
-        # less the Cartan compensator D of the gauge drift, alpha_j(D) =
-        # d/dt xi_{alpha_j} along the unreduced flow at the slice lift
-        c_inv = np.array(rs.cartan_inverse, dtype=float)
-        for k, y in enumerate(np.concatenate([q, p, xi], -1)):
-            b[k, :, :n] -= (c_inv @ _flow(sys, y, False)[3 * n:4 * n]) \
-                @ rs.alpha_h[:n]
+        # less the torus drift D: alpha_j(D) = xi_dot on the simple roots
+        b[..., :n] -= np.linalg.solve(rs.alpha_h[:n],
+                                      vel[:, 3 * n:4 * n, None])[:, None, :, 0]
     res = dlax - rs.bracket_coords(b, lax)
     if anomaly:
         # (X_J R)(L/z): the du = 1 table at -z, scaled by alpha(J)
@@ -637,7 +636,7 @@ def fpbr_residual(sys: RMatrixSpec, x: PhasePoint, z: complex,
     (cz, cw), d_zw = _r_table(sys.with_fault(1.0), q, [z, w], range(1),
                               du=1)[:, 0]
     dq_z, dq_w = d_zw[:, roots, None] * (x.xi.vec[roots, None] * rs.alpha_h)
-    lz, lw = lax_L(sys, x, [z, w]).vec
+    lz, lw = np.stack([cz, cw]) * x.xi.vec + np.pad(x.p, (0, len(roots)))
     # ad[j][b] = [e_{dual(b)}, y_j] for y = xi, L(z), L(w)
     ad_xi, ad_z, ad_w = np.moveaxis(rs.bracket_coords(
         np.eye(rs.dim)[d, None, :], np.stack([x.xi.vec, lz, lw])), 1, 0)

@@ -74,6 +74,11 @@ def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unknown key 'kmax' in outputs"):
         parse_config({"family": "rational", "rank": 2,
                       "outputs": {"kmax": 3}})
+    # the collision guard reads the constant COLLISION_TOL: no knob
+    with pytest.raises(ConfigError, match="unknown key 'collision_tol' in "
+                                          "integration"):
+        parse_config({"family": "rational", "rank": 2,
+                      "integration": {"collision_tol": 1e-6}})
     with pytest.raises(ConfigError, match="extra"):
         parse_config({"family": "rational", "rank": 2,
                       "initial": {"q": [1.0], "p": [0.0], "extra": 1}})
@@ -426,45 +431,49 @@ def test_fault_injected_residuals_are_pinned(tmp_path, case, suite):
 # involution check and the isospectral drift sum in another order since,
 # and keep only their order of magnitude; the isospectral drift is relative
 # per characteristic-polynomial coefficient, as the spectrum drift is.
+# The Lax, involution and spectral values are those of the reduced flow as
+# the pushforward of the unreduced one, L from the Lax check's r table and
+# the diagonal of rho(L) summed entry by entry (within 0.77-1.29 of the
+# values before).
 PINNED_RESIDUALS = {
     ("trigonometric", 3, 1): {
         "zero_weight": 0.0, "unitarity": 0.0,
         "residue": 2.231488320663207e-16, "cdybe": 3.340498546986209e-14,
         "mdybe": 2.8173776878414745e-13,
-        "lax_on_sigma": 1.6572562045795678e-13,
-        "lax_reduced_pointwise": 1.227101338881947e-13,
-        "involution": 2.892458810919007e-12,
-        "spectrum_drift": 2.2893951537573348e-10,
-        "isospectral_drift": 2.2555296406411432e-10,
+        "lax_on_sigma": 1.530555893832145e-13,
+        "lax_reduced_pointwise": 1.4281732235759946e-13,
+        "involution": 2.5036928884157126e-12,
+        "spectrum_drift": 2.2892207470786435e-10,
+        "isospectral_drift": 2.255434430616738e-10,
     },
     ("trigonometric", 3, 8): {
         "zero_weight": 0.0, "unitarity": 0.0,
         "residue": 3.337441275985492e-16, "cdybe": 1.1374233532693354e-14,
         "mdybe": 3.5035233244890697e-13,
         "lax_on_sigma": 4.856703836433968e-13,
-        "lax_reduced_pointwise": 2.034684749684793e-13,
-        "involution": 8.2929073982254e-12,
-        "spectrum_drift": 6.189745479689656e-10,
-        "isospectral_drift": 3.7507548462521704e-10,
+        "lax_reduced_pointwise": 2.6058615988080545e-13,
+        "involution": 8.55904100932035e-12,
+        "spectrum_drift": 6.189608213490757e-10,
+        "isospectral_drift": 3.7507810782616224e-10,
     },
     ("rational", 2, 3): {
         "zero_weight": 0.0, "unitarity": 0.0, "residue": 2.227212004505268e-16,
         "cdybe": 7.160723346098895e-15, "mdybe": 1.194777947737219e-13,
         "lax_on_sigma": 2.3832327871173822e-14,
         "quasi_lax_off_sigma": 1.214175959108492e-13,
-        "lax_reduced_pointwise": 1.7495085916501026e-14,
-        "involution": 1.191086668529821e-13,
-        "spectrum_drift": 1.3698500041704835e-10,
-        "isospectral_drift": 1.3698500041704835e-10,
+        "lax_reduced_pointwise": 1.4210854715202004e-14,
+        "involution": 1.0845964142784047e-13,
+        "spectrum_drift": 1.3698463444794033e-10,
+        "isospectral_drift": 1.3698463444794033e-10,
     },
     ("elliptic", 2, 3): {
         "zero_weight": 0.0, "unitarity": 0.0, "residue": 8.884223316973178e-16,
         "cdybe": 2.1610313646285627e-14, "mdybe": 2.998625041926913e-13,
-        "lax_on_sigma": 3.202372833989377e-14,
-        "lax_reduced_pointwise": 2.5644683284337483e-14,
-        "involution": 4.259109565124876e-13,
-        "spectrum_drift": 1.222362651069173e-10,
-        "isospectral_drift": 1.222362651069173e-10,
+        "lax_on_sigma": 3.212518138867684e-14,
+        "lax_reduced_pointwise": 1.9922549256833715e-14,
+        "involution": 4.963638160851638e-13,
+        "spectrum_drift": 1.2223556389424796e-10,
+        "isospectral_drift": 1.2223556389424796e-10,
     },
 }
 ORDER_OF_MAGNITUDE_ONLY = {"involution", "isospectral_drift"}
@@ -525,12 +534,12 @@ def replay(config, suite, check):
     assert report["worst"][name] == [w["sample"],
                                      z_grid.index(complex_array(w["z"]))]
     # and that entry alone, at the first and the witness point, gives the
-    # same drift up to the rounding of the O(1) table entries
+    # same drift: each table entry is its single-point value
     pair = replace(traj, states=traj.states[[0, w["sample"]]])
     z = [complex_array(w["z"])]
     alone = spectrum_drift(system, pair, z) if name == "spectrum_drift" \
         else lax_pair_reduced(system, pair, z)[name]
-    assert alone == pytest.approx(report[name], rel=0, abs=1e-13)
+    assert alone == report[name]
     return report[name]
 
 
@@ -572,32 +581,41 @@ def test_spin_labels_are_parsed_once_per_job(tmp_path, monkeypatch):
 def test_verify_jobs_make_one_kernel_pass_per_stack(tmp_path, monkeypatch):
     """The family kernel runs once per stacked table: once per axioms and
     involution job, twice per mdybe job (the ring and sample table, then
-    the higher orders at the samples) and twice per group of Lax points
-    (20, 108, 20 and 40 passes with one sample per call), and the
-    spectral suite makes one pass, its trace table, and solves no
-    eigenvalue problem."""
-    calls = []
-    ladder = rmatrix._ladder
+    the higher orders at the samples) and once per group of Lax points,
+    and the spectral suite makes one pass, its trace table, and solves no
+    eigenvalue problem.  A Lax job makes one flow call per point, reduced
+    points included."""
+    calls, flows = [], []
+    ladder, flow = rmatrix._ladder, dynamics._flow
 
     def counted(*args, **kwargs):
         calls.append(1)
         return ladder(*args, **kwargs)
 
+    def counted_flow(*args, **kwargs):
+        flows.append(1)
+        return flow(*args, **kwargs)
+
     monkeypatch.setattr(rmatrix, "_ladder", counted)
     monkeypatch.setattr(dynamics, "_ladder", counted)
+    monkeypatch.setattr(dynamics, "_flow", counted_flow)
 
     def no_eigvals(*args):
         raise AssertionError("eigvals called")
 
     monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
-    for family, suite, passes in (
-            ("trigonometric", "axioms", 1), ("trigonometric", "involution", 1),
-            ("trigonometric", "mdybe", 2), ("elliptic", "mdybe", 2),
-            ("trigonometric", "lax", 4), ("rational", "lax", 6),
-            ("trigonometric", "spectral", 1)):
+    for family, suite, passes, n_flows in (
+            ("trigonometric", "axioms", 1, 0),
+            ("trigonometric", "involution", 1, 0),
+            ("trigonometric", "mdybe", 2, 0), ("elliptic", "mdybe", 2, 0),
+            ("trigonometric", "lax", 2, 8), ("rational", "lax", 3, 13),
+            ("trigonometric", "spectral", 1, None)):
         calls.clear()
+        flows.clear()
         verify_report(tmp_path, family, 3, 1, suite)
         assert len(calls) == passes, (family, suite)
+        if n_flows is not None:
+            assert len(flows) == n_flows, (family, suite)
 
 
 def test_verify_threshold_from_config(tmp_path):

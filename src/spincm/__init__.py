@@ -20,8 +20,8 @@ from .rootsys import (AlgElement, RootSystem, bracket, build_root_system,
 from .rmatrix import (RMatrixSpec, elliptic_r_matrix, rational_r_matrix,
                       trigonometric_r_matrix, verify_axioms, verify_cdybe,
                       verify_mdybe)
-from .phase import (PhasePoint, ReducedPoint, bracket_full, lift_reduced,
-                    momentum_J, project_pi, torus_action)
+from .phase import (PhasePoint, ReducedPoint, bracket_full, gauge_g,
+                    lift_reduced, momentum_J, project_pi, torus_action)
 from .dynamics import (Trajectory, conserved_spectrum,
                        fpbr_residual, hamiltonian, integrate,
                        involution_residuals, lax_B, lax_L, lax_pair_reduced,
@@ -53,6 +53,7 @@ __all__ = [
     "elliptic_r_matrix",
     "form",
     "fpbr_residual",
+    "gauge_g",
     "hamiltonian",
     "integrate",
     "involution_residuals",

@@ -7,8 +7,9 @@ simulate   integrate the configured flow, write a CSV trajectory and a
            JSON diagnostics file
 verify     run one verification suite (axioms, cdybe, mdybe, lax,
            involution, spectral) and write a JSON residual report
-reduce     apply the reduction projection pointwise to an unreduced
-           trajectory CSV, adding a gauge-consistency residual column
+reduce     apply the reduction projection to every row of an unreduced
+           trajectory CSV in one pass, adding a gauge-consistency residual
+           column
 info       print the configured system and root data as JSON
 
 Configuration is a JSON file (``--config``) checked against ``SCHEMA``:
@@ -38,16 +39,17 @@ import numpy as np
 from .elliptic import Lattice
 from .errors import (ConfigError, ConstraintError, GaugeDomainError,
                      PoleError, SpincmError, StructuralError)
-from .phase import PhasePoint, ReducedPoint, project_pi, reduced_roots
+from .phase import (PhasePoint, ReducedPoint, reduced_roots, reduction,
+                    slice_lift)
 from .rmatrix import (FAMILIES, RMatrixSpec, default_mdybe_samples,
                       verify_axioms, verify_cdybe, verify_mdybe)
 from .rootsys import (AlgElement, build_root_system, parse_root_label,
                       root_system_summary)
-from .dynamics import (_pack_point, collision_margin, default_z_samples,
-                       gauge_residual, hamiltonian, integrate,
-                       involution_residuals, lax_pair_reduced, lax_residuals,
-                       make_system, read_trajectory_csv, spectrum_drift,
-                       spinless_state, Trajectory, write_trajectory_csv)
+from .dynamics import (_energy, collision_margin, default_z_samples,
+                       gauge_residual, integrate, involution_residuals,
+                       lax_pair_reduced, lax_residuals, make_system,
+                       read_trajectory_csv, spectrum_drift, spinless_state,
+                       Trajectory, write_trajectory_csv)
 from . import __version__
 
 EXIT_PASS = 0
@@ -590,31 +592,26 @@ def cmd_verify(config: RunConfig, suite: str, out_dir: Path, *,
 
 def cmd_reduce(config: RunConfig, traj_path, out_dir: Path) -> int:
     system = config.system()
-    rs = system.rs
-    times, points = read_trajectory_csv(traj_path, rs)
-    reduced_points, residuals = [], []
-    for idx, x in enumerate(points):
-        try:
-            reduced_points.append(project_pi(x))
-            residuals.append(gauge_residual(system, x))
-        except GaugeDomainError as exc:
-            print(f"reduce: step {idx}: {exc}", file=sys.stderr)
-            return EXIT_SINGULARITY
-    energy = np.array([hamiltonian(system, pt)
-                       for pt in reduced_points])
-    states = np.array([_pack_point(x) for x in reduced_points]).reshape(
-        len(times), rs.rank + rs.n_roots)
-    traj = Trajectory(times, states, rs, True, energy, np.zeros(len(times)),
-                      True)
+    rs, n = system.rs, system.rs.rank
+    times, states = read_trajectory_csv(traj_path, rs)
+    q, p = states[:, :n], states[:, n:2 * n]
+    try:
+        s = reduction(rs, states[:, 2 * n:])[0]
+    except GaugeDomainError as exc:
+        print(f"reduce: step {exc.index}: {exc}", file=sys.stderr)
+        return EXIT_SINGULARITY
+    residuals = gauge_residual(system, states)
+    # one row per point, so each energy is its single-point value bit for bit
+    energy = _energy(system, q[:, None], p[:, None],
+                     slice_lift(rs, s)[:, None])[:, 0]
+    traj = Trajectory(times, np.concatenate([q, p, s], -1), rs, True,
+                      energy, np.zeros(len(times)), True)
     out_path = out_dir / config.outputs["trajectory_csv"]
     write_trajectory_csv(out_path, system, traj,
                          extra={"gauge_residual": residuals})
-    summary = {
-        "n_points": len(reduced_points),
-        "max_gauge_residual": float(max(residuals)) if residuals else 0.0,
-        "trajectory_csv": str(out_path),
-    }
-    _emit(summary)
+    _emit({"n_points": len(times),
+           "max_gauge_residual": float(np.max(residuals, initial=0.0)),
+           "trajectory_csv": str(out_path)})
     return EXIT_PASS
 
 

@@ -16,7 +16,8 @@ The Lax operator reuses the r-matrix coefficient functions,
 and the operator B of the Lax pair is R_q applied to the covector L(z)/z.
 The flow preserves H, the momentum J, the constraint set Sigma, and the full
 spectrum of rho(L(z)); the checks in this module verify all of that
-numerically, each over a stack of points in one array evaluation.
+numerically, each over a stack of points in one array evaluation, and so
+does :func:`gauge_residual`, L_0 at pi(x) against Ad_{g(xi)^{-1}} L(x).
 
 Sign conventions (plus Lie-Poisson with the plain-dual coadjoint spin flow
 d(I xi)/dt = -[dH_xi, I xi], and B = -R_q(L/z) so that dL/dt = [B, L] on
@@ -39,9 +40,8 @@ from .elliptic import Lattice
 from .errors import (ConfigError, ConstraintError, PoleError, StructuralError,
                      raise_on_fp_fault)
 from .ode import DormandPrince
-from .phase import (PhasePoint, ReducedPoint, gauge_g, lift_reduced,
-                    momentum_J, project_pi, reduced_brackets, reduced_roots,
-                    slice_lift, spin_chain)
+from .phase import (PhasePoint, ReducedPoint, momentum_J, reduced_brackets,
+                    reduced_roots, reduction, slice_lift, spin_chain)
 from .rmatrix import (RMatrixSpec, _ladder, _pole_distance, _r_pairing,
                       _r_table, positive_pair_weight, rational_r_matrix,
                       root_coeff_reg0, trigonometric_r_matrix)
@@ -203,9 +203,7 @@ def _flow(sys: RMatrixSpec, y: np.ndarray, reduced: bool) -> np.ndarray:
 
 def _point_coords(x) -> tuple:
     """(q, p, xi) of one point, a ReducedPoint at its slice lift."""
-    if isinstance(x, ReducedPoint):
-        x = lift_reduced(x)
-    return x.q, x.p, x.xi.vec
+    return _split(x.rs, _pack_point(x), isinstance(x, ReducedPoint))
 
 
 def hamiltonian(sys: RMatrixSpec, x) -> complex:
@@ -402,9 +400,8 @@ def _lax_pair(sys: RMatrixSpec, points: list, z, anomaly: bool = False):
         ds = spin_chain(rs, xi[:, 2 * n:]) @ dxi[:, rs.dual_index, None]
         dxi = np.concatenate([np.zeros((len(q), 2 * n)), ds[..., 0]], -1)
     m = len(z)
-    nodes = np.broadcast_to(z[:, None], (m, len(q)))
     r, dr = np.moveaxis(_r_table(sys.with_fault(1.0), q, np.concatenate(
-        [nodes, -nodes]), range(2), du=1), 2, 3)
+        [z, -z])[:, None], range(2), du=1), 2, 3)
     lax, dlax = (r[0, :, :m] * spin[:, None]
                  + np.pad(cartan, ((0, 0), (0, rs.dim - n)))[:, None]
                  for cartan, spin in ((p, xi), (vel[:, n:2 * n], dxi)))
@@ -538,14 +535,17 @@ def spectrum_drift(sys: RMatrixSpec, traj: Trajectory,
 
 
 @raise_on_fp_fault
-def gauge_residual(sys: RMatrixSpec, x: PhasePoint) -> float:
+def gauge_residual(sys: RMatrixSpec, states) -> np.ndarray:
     """max_z ||L_0(pi(x))(z) - Ad_{g(xi)^{-1}} L(x)(z)|| over the ring
-    default_z_samples(4), the consistency of the reduced Lax operator with
-    the gauge normalization."""
-    z_samples = default_z_samples(4)
-    diff = lax_L(sys, project_pi(x), z_samples) - torus_adjoint(
-        -gauge_g(x.xi), lax_L(sys, x, z_samples))
-    return diff.max_abs()
+    default_z_samples(4) at each unreduced state x = q | p | xi (leading
+    axes stack states): the consistency of the reduced Lax operator with
+    the gauge normalization, from one stacked L at the lifts and the x."""
+    rs, z = sys.rs, default_z_samples(4)
+    q, p, xi = _split(rs, np.asarray(states, dtype=complex), False)
+    s, g = reduction(rs, xi)
+    diff = _lax(sys, q, p, slice_lift(rs, s), z) - torus_adjoint(
+        -g[..., None, :], AlgElement(rs, _lax(sys, q, p, xi, z))).vec
+    return np.max(np.abs(diff), axis=(-2, -1))
 
 
 def lax_pair_reduced(sys: RMatrixSpec, traj: Trajectory,
@@ -701,8 +701,8 @@ def write_trajectory_csv(path, sys: RMatrixSpec, traj: Trajectory,
 
 
 def read_trajectory_csv(path, rs: RootSystem
-                        ) -> tuple[np.ndarray, list[PhasePoint]]:
-    """Times and points of an unreduced trajectory CSV, as
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Times and states q | p | xi of an unreduced trajectory CSV, as
     :func:`write_trajectory_csv` writes it; the Cartan spin block is not
     exported and is taken as zero (J = 0).  A file that cannot be read, or
     a missing column, short row or non-finite or malformed value, raises
@@ -721,17 +721,15 @@ def read_trajectory_csv(path, rs: RootSystem
         raise ConfigError(f"trajectory {path} is missing column "
                           f"{missing[0]!r}")
     cols = [header.index(name) for name in names]
-    times, points = [], []
+    times, values = [], []
     for line, row in enumerate(rows[1:], start=2):
         try:
-            t = float(row[cols[0]])
-            vals = np.array([complex(row[c]) for c in cols[1:]])
+            times.append(float(row[cols[0]]))
+            values.append([complex(row[c]) for c in cols[1:]])
         except (IndexError, ValueError) as exc:
             raise ConfigError(f"trajectory {path} line {line}: {exc}") from exc
-        if not (math.isfinite(t) and np.all(np.isfinite(vals))):
+        if not np.all(np.isfinite([times[-1]] + values[-1])):
             raise ConfigError(f"trajectory {path} line {line}: a value is "
                               "not finite")
-        times.append(t)
-        points.append(_unpack_point(rs, np.insert(
-            vals, 2 * rs.rank, np.zeros(rs.rank)), False))
-    return np.array(times), points
+    states = np.array(values, dtype=complex).reshape(len(times), len(cols) - 1)
+    return np.array(times), np.insert(states, [2 * rs.rank] * rs.rank, 0, 1)

@@ -26,7 +26,12 @@ class PoleError(SpincmError, ArithmeticError):
 
 class GaugeDomainError(SpincmError, ValueError):
     """Point lies outside the open set where the gauge map g(xi) is defined
-    (some simple-root spin coordinate vanishes)."""
+    (some simple-root spin coordinate vanishes); ``index`` is the position
+    of the first such point in a stack, None for a single point."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class ConstraintError(SpincmError, ValueError):

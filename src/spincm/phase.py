@@ -26,18 +26,20 @@ invariant monomials
     s_alpha = xi_alpha prod_i xi_{alpha_i}^{-m_alpha^i},
 
 where m_alpha are the integer simple-root coordinates of alpha.  The
-exponents are integers, so no branch choices enter the projection.
+exponents are integers, so no branch choices enter the projection.  One
+array core, :func:`reduction`, holds the guard of U, s and the gauge g(xi)
+for points stacked on leading axes; :func:`project_pi` and :func:`gauge_g`
+read it at one point.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import GaugeDomainError, StructuralError
+from .errors import GaugeDomainError, StructuralError, raise_on_fp_fault
 from .rootsys import AlgElement, Root, RootSystem, root_label, torus_adjoint
 
 OUTSIDE_U_TOL = 1e-13
@@ -115,7 +117,7 @@ class ReducedPoint:
 
 
 # ---------------------------------------------------------------------------
-# torus action, momentum, gauge
+# torus action and momentum
 
 
 def momentum_J(x: PhasePoint) -> np.ndarray:
@@ -129,57 +131,49 @@ def torus_action(c_coords, x: PhasePoint) -> PhasePoint:
     return PhasePoint(x.q, x.p, torus_adjoint(c_coords, x.xi))
 
 
-def _simple_components(xi: AlgElement) -> np.ndarray:
-    rs = xi.rs
-    vals = np.array([xi.coeff(r) for r in rs.simple_roots])
-    bad = [root_label(rs.simple_roots[j]) for j in range(rs.rank)
-           if abs(vals[j]) < OUTSIDE_U_TOL]
-    if bad:
+# ---------------------------------------------------------------------------
+# reduction and gauge
+
+
+@raise_on_fp_fault
+def reduction(rs: RootSystem, xi) -> tuple[np.ndarray, np.ndarray]:
+    """(s, g) at the spin coordinates xi (leading axes stack points): s
+    ordered like :func:`reduced_roots`, g = C^T log xi_{alpha_j} (principal
+    log).  Off U (a simple component below OUTSIDE_U_TOL) GaugeDomainError
+    names the roots and the flat index of the first such point; an s past
+    the float range raises FloatingPointError."""
+    xi = np.asarray(xi, dtype=complex)
+    simple = xi[..., rs.rank:2 * rs.rank]  # the simple roots are roots[:rank]
+    outside = np.abs(simple).reshape(-1, rs.rank) < OUTSIDE_U_TOL
+    if outside.any():
+        k = int(np.argmax(outside.any(-1)))
         raise GaugeDomainError(
             "point is outside the gauge domain: vanishing simple spin "
-            "component(s) " + ", ".join(bad))
-    return vals
+            "component(s) " + ", ".join(root_label(r) for r, bad in zip(
+                rs.simple_roots, outside[k]) if bad),
+            index=k if simple.ndim > 1 else None)
+    factors = simple[..., None, :] ** -np.array(reduced_roots(rs))
+    s = np.prod(np.concatenate([xi[..., 2 * rs.rank:, None], factors], -1), -1)
+    # g a row product per point, so a point's g does not depend on its stack
+    g = np.log(simple)[..., None, :] @ np.array(rs.cartan_inverse, dtype=float)
+    return s, g[..., 0, :]
 
 
 def gauge_g(xi: AlgElement) -> np.ndarray:
-    """Log-coordinates (over the coroot basis) of the gauge torus element
-    g(xi) = exp(sum_i c_i h_{alpha_i}) with c = C^T log(xi_{alpha_j});
-    principal branch of log.  The action of g(xi)^{-1} moves xi onto the
-    slice xi_{alpha_i} = 1."""
-    rs = xi.rs
-    vals = _simple_components(xi)
-    logs = np.array([cmath.log(v) for v in vals])
-    c_inv = np.array([[float(x) for x in row] for row in rs.cartan_inverse])
-    return c_inv.T @ logs
-
-
-# ---------------------------------------------------------------------------
-# reduction
-
-
-def spin_invariant(xi: AlgElement, root: Root) -> complex:
-    """The H-invariant monomial s_alpha(xi) of Eq. given in the module
-    docstring; integer powers only."""
-    rs = xi.rs
-    out = xi.coeff(root)
-    for j, simple in enumerate(rs.simple_roots):
-        power = -root[j]
-        if power:
-            out *= xi.coeff(simple) ** power
-    return out
+    """Log-coordinates c = C^T log(xi_{alpha_j}) (:func:`reduction`) of the
+    gauge torus element g(xi) = exp(sum_i c_i h_{alpha_i}) over the coroot
+    basis; g(xi)^{-1} moves xi onto the slice xi_{alpha_i} = 1."""
+    return reduction(xi.rs, xi.vec)[1]
 
 
 def project_pi(x: PhasePoint) -> ReducedPoint:
     """Reduction projection (q, p, xi) -> (q, p, s); constant on torus orbits.
 
-    Defined on U = {xi_{alpha_i} != 0}.  The Cartan block of xi is the
-    conserved momentum and does not enter s; the dynamically meaningful case
-    is J = 0, which the caller enforces where it matters.
+    Defined on U = {xi_{alpha_i} != 0} (:func:`reduction`).  The Cartan
+    block of xi is the conserved momentum and does not enter s; the
+    dynamically meaningful case is J = 0, which the caller enforces.
     """
-    rs = x.rs
-    _simple_components(x.xi)       # outside-U guard
-    s = np.array([spin_invariant(x.xi, root) for root in reduced_roots(rs)])
-    return ReducedPoint(rs, x.q, x.p, s)
+    return ReducedPoint(x.rs, x.q, x.p, reduction(x.rs, x.xi.vec)[0])
 
 
 def slice_lift(rs: RootSystem, s: np.ndarray) -> np.ndarray:

@@ -391,16 +391,18 @@ def positive_pair_weight(spec: RMatrixSpec, up) -> tuple[np.ndarray,
 @raise_on_fp_fault
 def _r_table(spec: RMatrixSpec, q, z, kzs: range, du: int = 0):
     """Coefficient vectors of the kz-th z-derivatives of r(q, z) for every
-    kz in ``kzs``, from one kernel pass: shape (1 + du, len(kzs)) + z.shape
-    + (dim,), the Cartan coefficient in the first ``rank`` slots, then
-    c_alpha.  Leading axes of q stack samples, and z broadcasts against
-    them from the left, its nodes first (z of shape nodes + samples): each
-    sample then meets the same loops as a single q.  Row 1 (du = 1) holds
-    the mixed u,z-derivatives, with the (q-independent) Cartan slots 0.
-    The one place where ``fault_scale`` is applied."""
+    kz in ``kzs``, from one kernel pass: shape (1 + du, len(kzs)) + B +
+    (dim,), B the broadcast of z against the stack axes of q, the Cartan
+    coefficient in the first ``rank`` slots, then c_alpha.  Leading axes of
+    q stack samples, and z broadcasts against them from the left, its nodes
+    first (z of shape nodes + samples, or nodes + (1,) for shared nodes):
+    each sample then meets the same loops as a single q.  Row 1 (du = 1)
+    holds the mixed u,z-derivatives, with the (q-independent) Cartan slots
+    0.  The one place where ``fault_scale`` is applied."""
     rs = spec.rs
     z = np.asarray(z, dtype=complex)
-    table = np.zeros((1 + du, len(kzs)) + z.shape + (rs.dim,), dtype=complex)
+    table = np.zeros((1 + du, len(kzs)) + np.broadcast_shapes(
+        z.shape, np.shape(q)[:-1]) + (rs.dim,), dtype=complex)
     if not table.size:
         return table
     f, c = _ladder(spec, rs.root_values(q), z[..., None], kzs.stop, du)
@@ -565,10 +567,10 @@ def verify_mdybe(spec: RMatrixSpec, q, xi, eta, *,
     matrices; only the residual goes back to coordinates, for its max."""
     rs, ring = spec.rs, quad_ring(spec, MDYBE_QUAD_RADIUS)
     n, qs = len(ring), np.asarray(q, dtype=complex).reshape(-1, rs.rank)
-    samples = np.asarray(default_mdybe_samples() if z_samples is None
-                         else z_samples, dtype=complex)
-    samples = np.broadcast_to(samples, (len(qs), samples.shape[-1]))
-    nodes = np.concatenate([np.broadcast_to(ring, (len(qs), n)), samples], -1)
+    samples = np.atleast_2d(default_mdybe_samples() if z_samples is None
+                            else np.asarray(z_samples, dtype=complex))
+    nodes = np.concatenate([np.broadcast_to(ring, (len(samples), n)),
+                            samples], -1)
     # values (S, node, ...) and principal parts (T, S, 1, ...), the order
     # axis leading as _r_pairing takes it
     cx, ce = (_trim_principal(rs, v, len(qs)) for v in (xi, eta))

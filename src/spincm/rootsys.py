@@ -324,8 +324,9 @@ def matrix_rep(x: AlgElement) -> np.ndarray:
 def torus_adjoint(c_coords, x: AlgElement) -> AlgElement:
     """Adjoint action of the torus element h = exp(sum_i c_i h_{alpha_i}).
 
-    ``c_coords`` are Cartan coordinates over the *coroot* basis.  Cartan
-    coefficients are fixed; the e_alpha coefficient is scaled by
+    ``c_coords`` are Cartan coordinates over the *coroot* basis, on the
+    last axis; their leading axes broadcast against the batch axes of x.
+    Cartan coefficients are fixed; the e_alpha coefficient is scaled by
     exp(alpha(log h)).  Because I intertwines Ad*_{h^{-1}} on covectors with
     Ad_h on their images, the same function implements the coadjoint torus
     action in the covector representation.  An overflow raises
@@ -333,11 +334,12 @@ def torus_adjoint(c_coords, x: AlgElement) -> AlgElement:
     """
     rs = x.rs
     c = np.asarray(c_coords, dtype=complex)
-    if c.shape != (rs.rank,):
+    if c.shape[-1:] != (rs.rank,):
         raise StructuralError(f"expected {rs.rank} coroot coordinates, got {c.shape}")
-    exponents = rs.root_pairings[:, :rs.rank] @ c    # alpha(log h) per root
-    vec = x.vec.copy()
-    vec[..., rs.rank:] = vec[..., rs.rank:] * np.exp(exponents)
+    alpha_log_h = (rs.root_pairings[:, :rs.rank] @ c[..., None])[..., 0]
+    vec = np.array(np.broadcast_to(x.vec, np.broadcast_shapes(
+        x.vec.shape[:-1], c.shape[:-1]) + (rs.dim,)))
+    vec[..., rs.rank:] *= np.exp(alpha_log_h)
     return AlgElement(rs, vec)
 
 

@@ -4,6 +4,7 @@ trip."""
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 
@@ -12,12 +13,13 @@ import pytest
 
 from helpers import reference_csv
 from spincm.cli import EXIT_PASS, main
-from spincm.dynamics import (Trajectory, _pack_point, gauge_residual,
-                             hamiltonian, integrate, make_system,
-                             read_trajectory_csv, spinless_state,
+from spincm.dynamics import (Trajectory, _pack_point, _unpack_point,
+                             gauge_residual, hamiltonian, integrate,
+                             make_system, read_trajectory_csv, spinless_state,
                              trajectory_csv, write_trajectory_csv)
 from spincm.elliptic import Lattice
-from spincm.phase import project_pi
+from spincm.phase import PhasePoint, ReducedPoint, project_pi, reduced_roots
+from spincm.rootsys import AlgElement
 
 
 def a2_system(family):
@@ -44,11 +46,11 @@ def test_csv_matches_point_by_point_writer(tmp_path, family, reduced):
     write_trajectory_csv(tmp_path / "t.csv", sys_, traj)
     assert written(tmp_path / "t.csv") == text
     if not reduced:
-        times, points = read_trajectory_csv(tmp_path / "t.csv", sys_.rs)
+        times, states = read_trajectory_csv(tmp_path / "t.csv", sys_.rs)
         assert np.array_equal(times, traj.times)
-        back = np.array([_pack_point(x) for x in points])
-        keep = np.r_[0:2 * 2, 3 * 2:back.shape[1]]   # all but the Cartan xi
-        assert np.array_equal(back[:, keep], traj.states[:, keep])
+        keep = np.r_[0:2 * 2, 3 * 2:states.shape[1]]  # all but the Cartan xi
+        assert np.array_equal(states[:, keep], traj.states[:, keep])
+        assert not states[:, 2 * 2:3 * 2].any()
 
 
 def test_csv_of_a_truncated_trajectory():
@@ -91,7 +93,8 @@ def test_csv_of_awkward_values():
 
 def test_reduce_csv_matches_point_by_point_writer(tmp_path):
     """`spincm reduce` writes the reduced rows and the gauge_residual
-    column as the reference writes the same trajectory."""
+    column as the reference writes the same trajectory: s and the energy
+    of each point projected on its own."""
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({
         "family": "trigonometric", "rank": 2,
@@ -106,15 +109,69 @@ def test_reduce_csv_matches_point_by_point_writer(tmp_path):
     assert main(["reduce", str(sim / "trajectory.csv"), "--config",
                  str(cfg), "--out", str(red)]) == EXIT_PASS
     sys_ = make_system("trigonometric", 2)
-    times, points = read_trajectory_csv(sim / "trajectory.csv", sys_.rs)
-    reduced = [project_pi(x) for x in points]
+    times, states = read_trajectory_csv(sim / "trajectory.csv", sys_.rs)
+    reduced = [project_pi(_unpack_point(sys_.rs, y, False)) for y in states]
     traj = Trajectory(times, np.array([_pack_point(x) for x in reduced]),
                       sys_.rs, True,
                       np.array([hamiltonian(sys_, x)
                                 for x in reduced]),
                       np.zeros(len(times)), True)
-    extra = {"gauge_residual": [gauge_residual(sys_, x) for x in points]}
+    extra = {"gauge_residual": gauge_residual(sys_, states)}
     assert written(red / "trajectory.csv") == reference_csv(sys_, traj, extra)
+
+
+def monomials(rs, xi) -> list[complex]:
+    """The oracle of s: s_alpha = xi_alpha prod_i xi_{alpha_i}^(-m_alpha^i)
+    in Python complex arithmetic, root by root."""
+    out = []
+    for root in reduced_roots(rs):
+        s = complex(xi[rs.basis_index(root)])
+        for m, simple in zip(root, rs.simple_roots):
+            if m:
+                s *= complex(xi[rs.basis_index(simple)]) ** -m
+        out.append(s)
+    return out
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+@pytest.mark.parametrize("family", ["rational", "trigonometric", "elliptic"])
+def test_reduce_against_a_per_point_oracle(tmp_path, family, rank):
+    """`spincm reduce` of a generic unreduced trajectory: the t, q and p
+    fields as read, s and the energy within 1e-15 relative of the Python
+    monomials and the per-point hamiltonian, the gauge residual below
+    1e-12."""
+    lattice = {"omega1": [2.0, 0.0], "omega2": [0.0, 2.2]}
+    sys_ = make_system(family, rank, lattice=Lattice(2.0, 2.2j)
+                       if family == "elliptic" else None)
+    rs, n = sys_.rs, rank
+    rng = np.random.default_rng(40 + rank)
+    xi = rng.uniform(0.4, 1.3, rs.dim) * np.exp(1j * rng.uniform(-1, 1,
+                                                                 rs.dim))
+    xi[:n] = 0.0
+    x0 = PhasePoint(np.linalg.solve(rs.alpha_h[:n], rng.uniform(0.6, 0.9, n))
+                    + 0j, rng.uniform(-0.3, 0.3, n) + 0j, AlgElement(rs, xi))
+    traj = integrate(sys_, x0, 0.5, 1e-9, n_points=21)
+    assert traj.completed
+    write_trajectory_csv(tmp_path / "t.csv", sys_, traj)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"family": family, "rank": rank, **(
+        {"lattice": lattice} if family == "elliptic" else {})}))
+    assert main(["reduce", str(tmp_path / "t.csv"), "--config", str(cfg),
+                 "--out", str(tmp_path / "red")]) == EXIT_PASS
+    rows_in = list(csv.reader(open(tmp_path / "t.csv", newline="")))[1:]
+    rows = list(csv.reader(open(tmp_path / "red" / "trajectory.csv",
+                                newline="")))[1:]
+    assert len(rows) == 21
+    _, states = read_trajectory_csv(tmp_path / "t.csv", rs)
+    n_s = rs.n_roots - n
+    for row_in, row, y in zip(rows_in, rows, states):
+        assert row[:1 + 2 * n] == row_in[:1 + 2 * n]
+        s = np.array(monomials(rs, y[2 * n:]))
+        energy = hamiltonian(sys_, ReducedPoint(rs, y[:n], y[n:2 * n], s))
+        got = np.array([complex(v) for v in row[1 + 2 * n:]])
+        assert np.all(np.abs(got[:n_s] - s) <= 1e-15 * np.abs(s))
+        assert abs(got[n_s] - energy) <= 1e-15 * abs(energy)
+        assert got[-1].real < 1e-12
 
 
 def test_reduce_of_a_header_only_csv(tmp_path):

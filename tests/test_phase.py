@@ -3,18 +3,23 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spincm.errors import GaugeDomainError, StructuralError
+from spincm.dynamics import gauge_residual, make_system
+from spincm.elliptic import Lattice
+from spincm.errors import GaugeDomainError, SpincmError, StructuralError
 from helpers import (PhaseFunction, PhaseGradient, ReducedFunction,
                      ReducedGradient, linear_spin_function,
                      normalize_to_slice, poisson_full, poisson_reduced,
                      spin_coordinate_function, spin_invariant_gradient)
 from spincm.phase import (PhasePoint, ReducedPoint, gauge_g, lift_reduced,
                           momentum_J, project_pi, reduced_brackets,
-                          reduced_roots, spin_invariant, torus_action)
+                          reduced_roots, reduction, torus_action)
 from spincm.rootsys import AlgElement, build_root_system, bracket, form
 
 RS2 = build_root_system("A", 2)
@@ -320,6 +325,85 @@ def test_project_equals_slice_normalization():
         assert abs(red.s[k] - on_slice.xi.coeff(r)) < 1e-12
 
 
+def test_project_past_the_float_range_raises():
+    """s_[-1,-1] = xi_[-1,-1] xi_[1,0] xi_[0,1] overflows at simple spins of
+    1e200: FloatingPointError, not an inf spin."""
+    comps = {r: 0.5 for r in RS2.roots}
+    comps.update({r: 1e200 for r in RS2.simple_roots})
+    pt = PhasePoint.make(RS2, [0.1, 0.2], [0.0, 0.0], xi_components=comps)
+    with pytest.raises(FloatingPointError, match="overflow"):
+        project_pi(pt)
+
+
+def test_reduction_names_the_first_point_outside_u():
+    rng = np.random.default_rng(13)
+    xi = rng.uniform(0.5, 1.5, (2, 3, RS2.dim)) + 0j
+    xi[1, 1, 3] = xi[1, 2, 2] = 0.0     # simple roots [0,1] and then [1,0]
+    with pytest.raises(GaugeDomainError, match=r"\[0,1\]$") as info:
+        reduction(RS2, xi)
+    assert info.value.index == 4
+    with pytest.raises(GaugeDomainError) as info:
+        gauge_g(AlgElement(RS2, xi[1, 1]))
+    assert info.value.index is None
+
+
+def test_stacked_reduction_is_the_single_point_one():
+    rng = np.random.default_rng(14)
+    for rs in (RS1, RS2, build_root_system("A", 4)):
+        xi = rng.normal(size=(7, rs.dim)) + 1j * rng.normal(size=(7, rs.dim))
+        s, g = reduction(rs, xi)
+        for k in range(7):
+            x = PhasePoint(np.zeros(rs.rank), np.zeros(rs.rank),
+                           AlgElement(rs, xi[k]))
+            assert np.array_equal(project_pi(x).s, s[k])
+            assert np.array_equal(gauge_g(x.xi), g[k])
+
+
+# spins of every magnitude class: huge, subnormal, and ordinary ones to mix
+MAGNITUDES = [sign * m for m in (1e15, 1e200, 1e300, 5e-324, 1e-310, 0.7)
+              for sign in (1.0, -1.0)]
+MAGNITUDE_SYSTEMS = [make_system("rational", 2),
+                     make_system("trigonometric", 2),
+                     make_system("elliptic", 2, lattice=Lattice(2.0, 2.2j))]
+
+
+def finite_or_typed(call) -> None:
+    """call() returns finite values only, or raises a SpincmError or a
+    FloatingPointError; any warning fails."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            out = call()
+        except (SpincmError, FloatingPointError):
+            return
+    if isinstance(out, ReducedPoint):
+        out = out.s
+    elif isinstance(out, PhasePoint):
+        out = out.xi.vec
+    assert np.all(np.isfinite(out))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sys_=st.sampled_from(MAGNITUDE_SYSTEMS),
+       re=st.lists(st.sampled_from(MAGNITUDES), min_size=8, max_size=8),
+       im=st.lists(st.sampled_from(MAGNITUDES), min_size=8, max_size=8),
+       c=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2))
+def test_reduction_api_on_every_magnitude(sys_, re, im, c):
+    rs = sys_.rs
+    xi = np.array(re) + 1j * np.array(im)
+    xi[:rs.rank] = 0.0                          # J = 0
+    q = np.linalg.solve(rs.alpha_h[:2], [0.8, 0.7]) + 0j
+    p = np.array([0.3, -0.2], dtype=complex)
+    pt = PhasePoint(q, p, AlgElement(rs, xi))
+    finite_or_typed(lambda: project_pi(pt))
+    finite_or_typed(lambda: gauge_g(pt.xi))
+    finite_or_typed(lambda: lift_reduced(
+        ReducedPoint(rs, q, p, xi[2 * rs.rank:])))
+    finite_or_typed(lambda: torus_action(c, pt))
+    finite_or_typed(lambda: gauge_residual(
+        sys_, np.concatenate([q, p, xi])[None]))
+
+
 def test_lift_is_a_section():
     rng = np.random.default_rng(11)
     rs = RS2
@@ -336,16 +420,16 @@ def test_spin_invariant_gradient_matches_finite_differences():
     xi = AlgElement(rs, rng.uniform(0.5, 1.5, size=rs.dim)
                     + 1j * rng.uniform(-0.3, 0.3, size=rs.dim))
     h = 1e-6
-    for root in reduced_roots(rs):
+    # s at xi +- h e_a for every coordinate a, one stacked reduction each
+    bumps = h * np.eye(rs.dim)
+    fd = (reduction(rs, xi.vec + bumps)[0]
+          - reduction(rs, xi.vec - bumps)[0]) / (2 * h)
+    for k, root in enumerate(reduced_roots(rs)):
         grad = spin_invariant_gradient(xi, root)
         for a in range(rs.dim):
-            bump = np.zeros(rs.dim)
-            bump[a] = h
-            fd = (spin_invariant(AlgElement(rs, xi.vec + bump), root)
-                  - spin_invariant(AlgElement(rs, xi.vec - bump), root)) / (2 * h)
             # <d xi_a, grad> with d xi_a the dual basis covector direction
             analytic = grad.vec[rs.dual_index[a]]
-            assert abs(fd - analytic) < 1e-7
+            assert abs(fd[a, k] - analytic) < 1e-7
 
 
 # -- reduced bracket -----------------------------------------------------------

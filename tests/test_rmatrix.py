@@ -933,3 +933,17 @@ def test_mdybe_stack_trims_its_pole_order():
                           verify_mdybe(spec, q, xi, eta))
     assert verify_mdybe(spec, q[0], np.zeros((2, spec.rs.dim)), eta[0]) \
         < 1e-10
+
+
+@pytest.mark.parametrize("family", ["rational", "trigonometric", "elliptic"])
+def test_r_table_broadcasts_shared_nodes_against_stacked_q(family):
+    # z of shape (nodes, 1) against 5 stacked q gives the table of the
+    # explicit (nodes, 5) broadcast, bit for bit
+    spec = all_specs(3)[family]
+    rng = np.random.default_rng(1010)
+    q = np.linalg.solve(spec.rs.alpha_h[:3], rng.uniform(0.5, 0.9, (3, 5))).T
+    z = 0.4 * np.exp(2j * np.pi * (np.arange(6) + 0.3) / 6)[:, None]
+    shared = _r_table(spec, q, z, range(3), du=1)
+    assert shared.shape == (2, 3, 6, 5, spec.rs.dim)
+    assert shared.tobytes() == _r_table(
+        spec, q, np.broadcast_to(z, (6, 5)), range(3), du=1).tobytes()

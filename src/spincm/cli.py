@@ -7,9 +7,8 @@ simulate   integrate the configured flow, write a CSV trajectory and a
            JSON diagnostics file
 verify     run one verification suite (axioms, cdybe, mdybe, lax,
            involution, spectral) and write a JSON residual report
-reduce     apply the reduction projection to every row of an unreduced
-           trajectory CSV in one pass, adding a gauge-consistency residual
-           column
+reduce     project every row of an unreduced trajectory CSV in one pass,
+           adding a gauge-consistency residual column
 info       print the configured system and root data as JSON
 
 Configuration is a JSON file (``--config``) checked against ``SCHEMA``:

@@ -40,8 +40,9 @@ from .elliptic import Lattice
 from .errors import (ConfigError, ConstraintError, PoleError, StructuralError,
                      raise_on_fp_fault)
 from .ode import DormandPrince
-from .phase import (PhasePoint, ReducedPoint, momentum_J, reduced_brackets,
-                    reduced_roots, reduction, slice_lift, spin_chain)
+from .phase import (PhasePoint, ReducedPoint, lift_reduced, momentum_J,
+                    reduced_brackets, reduced_roots, reduction, slice_lift,
+                    spin_chain)
 from .rmatrix import (RMatrixSpec, _ladder, _pole_distance, _r_pairing,
                       _r_table, positive_pair_weight, rational_r_matrix,
                       root_coeff_reg0, trigonometric_r_matrix)
@@ -203,7 +204,9 @@ def _flow(sys: RMatrixSpec, y: np.ndarray, reduced: bool) -> np.ndarray:
 
 def _point_coords(x) -> tuple:
     """(q, p, xi) of one point, a ReducedPoint at its slice lift."""
-    return _split(x.rs, _pack_point(x), isinstance(x, ReducedPoint))
+    if isinstance(x, ReducedPoint):
+        x = lift_reduced(x)
+    return x.q, x.p, x.xi.vec
 
 
 def hamiltonian(sys: RMatrixSpec, x) -> complex:
@@ -543,9 +546,11 @@ def gauge_residual(sys: RMatrixSpec, states) -> np.ndarray:
     rs, z = sys.rs, default_z_samples(4)
     q, p, xi = _split(rs, np.asarray(states, dtype=complex), False)
     s, g = reduction(rs, xi)
-    diff = _lax(sys, q, p, slice_lift(rs, s), z) - torus_adjoint(
-        -g[..., None, :], AlgElement(rs, _lax(sys, q, p, xi, z))).vec
-    return np.max(np.abs(diff), axis=(-2, -1))
+    # one row per point, so a point's value does not depend on its stack
+    q, p, xi, lift = (a[..., None, :] for a in (q, p, xi, slice_lift(rs, s)))
+    diff = _lax(sys, q, p, lift, z) - torus_adjoint(
+        -g[..., None, None, :], AlgElement(rs, _lax(sys, q, p, xi, z))).vec
+    return np.max(np.abs(diff), axis=(-3, -2, -1))
 
 
 def lax_pair_reduced(sys: RMatrixSpec, traj: Trajectory,

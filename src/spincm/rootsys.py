@@ -233,9 +233,7 @@ class AlgElement:
 
     @staticmethod
     def cartan(rs: RootSystem, coords) -> "AlgElement":
-        vec = np.zeros(rs.dim, dtype=complex)
-        vec[: rs.rank] = np.asarray(coords, dtype=complex)
-        return AlgElement(rs, vec)
+        return AlgElement.from_root_dict(rs, {}, cartan=coords)
 
     @staticmethod
     def from_root_dict(rs: RootSystem, components: dict[Root, complex],
@@ -249,9 +247,7 @@ class AlgElement:
 
     @staticmethod
     def basis(rs: RootSystem, index: int) -> "AlgElement":
-        vec = np.zeros(rs.dim, dtype=complex)
-        vec[index] = 1.0
-        return AlgElement(rs, vec)
+        return AlgElement(rs, np.eye(rs.dim, dtype=complex)[index])
 
     def _check(self, other: "AlgElement") -> None:
         if self.rs is not other.rs and self.rs != other.rs:

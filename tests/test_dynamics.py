@@ -40,7 +40,7 @@ from spincm.rootsys import AlgElement, form, negate, torus_adjoint
 from spincm.dynamics import (_lax_pair, _pack_point, _spectral_gradients,
                              collision_margin, conserved_spectrum,
                              Trajectory, default_z_samples, fpbr_residual,
-                             hamiltonian, integrate, involution_residuals,
+                             gauge_residual, hamiltonian, integrate, involution_residuals,
                              lax_B, lax_L, lax_pair_reduced, lax_residuals,
                              make_system, sigma_residual, spectrum_drift,
                              spinless_state, trajectory_csv, vector_field)
@@ -643,6 +643,22 @@ def test_gauge_consistency_of_reduced_lax():
             rhs = torus_adjoint(-c, lax_L(sys, x, z))
             worst = max(worst, (lhs - rhs).max_abs())
         assert worst < 1e-10, sys.family
+
+
+@pytest.mark.parametrize("family", ["rational", "trigonometric", "elliptic"])
+@pytest.mark.parametrize("rank", [2, 3])
+def test_gauge_residual_of_a_stack_is_its_per_point_values(family, rank):
+    # a state's residual does not depend on the stack it sits in
+    sys = make_system(family, rank, lattice=WIDE if family == "elliptic"
+                      else None)
+    rng = np.random.default_rng(53)
+    states = np.array([_pack_point(sigma_point(sys, rng))
+                       for _ in range(25)])
+    stacked = gauge_residual(sys, states)
+    assert stacked.shape == (25,)
+    assert stacked.tobytes() == np.array(
+        [gauge_residual(sys, y) for y in states]).tobytes()
+    assert np.max(stacked) < 1e-12
 
 
 def test_reduced_time_derivative_is_directional_derivative():

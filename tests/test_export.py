@@ -93,8 +93,8 @@ def test_csv_of_awkward_values():
 
 def test_reduce_csv_matches_point_by_point_writer(tmp_path):
     """`spincm reduce` writes the reduced rows and the gauge_residual
-    column as the reference writes the same trajectory: s and the energy
-    of each point projected on its own."""
+    column as the reference writes the same trajectory: s, the energy and
+    the gauge residual of each point computed on its own."""
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({
         "family": "trigonometric", "rank": 2,
@@ -116,7 +116,8 @@ def test_reduce_csv_matches_point_by_point_writer(tmp_path):
                       np.array([hamiltonian(sys_, x)
                                 for x in reduced]),
                       np.zeros(len(times)), True)
-    extra = {"gauge_residual": gauge_residual(sys_, states)}
+    extra = {"gauge_residual": [gauge_residual(sys_, y[None])[0]
+                                for y in states]}
     assert written(red / "trajectory.csv") == reference_csv(sys_, traj, extra)
 
 

@@ -600,9 +600,7 @@ def cmd_reduce(config: RunConfig, traj_path, out_dir: Path) -> int:
         print(f"reduce: step {exc.index}: {exc}", file=sys.stderr)
         return EXIT_SINGULARITY
     residuals = gauge_residual(system, states)
-    # one row per point, so each energy is its single-point value bit for bit
-    energy = _energy(system, q[:, None], p[:, None],
-                     slice_lift(rs, s)[:, None])[:, 0]
+    energy = _energy(system, q, p, slice_lift(rs, s))
     traj = Trajectory(times, np.concatenate([q, p, s], -1), rs, True,
                       energy, np.zeros(len(times)), True)
     out_path = out_dir / config.outputs["trajectory_csv"]

@@ -40,9 +40,8 @@ from .elliptic import Lattice
 from .errors import (ConfigError, ConstraintError, PoleError, StructuralError,
                      raise_on_fp_fault)
 from .ode import DormandPrince
-from .phase import (PhasePoint, ReducedPoint, lift_reduced, momentum_J,
-                    reduced_brackets, reduced_roots, reduction, slice_lift,
-                    spin_chain)
+from .phase import (PhasePoint, ReducedPoint, momentum_J, reduced_brackets,
+                    reduced_roots, reduction, slice_lift, spin_chain)
 from .rmatrix import (RMatrixSpec, _ladder, _pole_distance, _r_pairing,
                       _r_table, positive_pair_weight, rational_r_matrix,
                       root_coeff_reg0, trigonometric_r_matrix)
@@ -147,12 +146,18 @@ def _split(rs: RootSystem, y: np.ndarray, reduced: bool) -> tuple:
             slice_lift(rs, spin) if reduced else spin)
 
 
+def _coords(points: list) -> tuple:
+    """(q, p, xi) stacked over points, reduced ones at their slice lift."""
+    return _split(points[0].rs, np.array([_pack_point(x) for x in points]),
+                  isinstance(points[0], ReducedPoint))
+
+
 def _gradient(sys: RMatrixSpec, q, xi) -> tuple[np.ndarray, np.ndarray]:
     """dH/dq and w xi = -dH/dxi (w_alpha xi_alpha on the roots, 0 on the
     Cartan block) at the coordinates q, xi (leading axes kept).  w is even,
     so one weight call on the positive roots serves every root."""
     rs = sys.rs
-    w, w_du = positive_pair_weight(sys, q @ rs.alpha_h[:rs.n_pos].T)
+    w, w_du = positive_pair_weight(sys, rs.positive_root_values(q))
     roots = xi[..., rs.rank:]
     prod = roots[..., :rs.n_pos] * roots[..., rs.n_pos:]
     weights = np.concatenate([np.zeros(w.shape[:-1] + (rs.rank,)), w, w], -1)
@@ -202,17 +207,10 @@ def _flow(sys: RMatrixSpec, y: np.ndarray, reduced: bool) -> np.ndarray:
     return np.concatenate([p, -dq, dspin])
 
 
-def _point_coords(x) -> tuple:
-    """(q, p, xi) of one point, a ReducedPoint at its slice lift."""
-    if isinstance(x, ReducedPoint):
-        x = lift_reduced(x)
-    return x.q, x.p, x.xi.vec
-
-
 def hamiltonian(sys: RMatrixSpec, x) -> complex:
     """H = (1/2)|p|^2 - (1/2) sum_alpha w_alpha xi_alpha xi_{-alpha}; at a
     ReducedPoint, H_0: H at its slice lift (s_{alpha_i} = 1)."""
-    return complex(_energy(sys, *_point_coords(x)))
+    return complex(_energy(sys, *_coords([x]))[0])
 
 
 def vector_field(sys: RMatrixSpec, x):
@@ -238,14 +236,7 @@ def collision_margin(sys: RMatrixSpec, q) -> float:
     (:func:`spincm.rmatrix._pole_distance`), inf when the case has no
     singular roots.  The positive roots suffice: the distance is even in
     u."""
-    return float(np.min(_pole_distance(sys, sys.rs.alpha_h[:sys.rs.n_pos]
-                                       @ q)))
-
-
-def _coords(points: list) -> tuple:
-    """(q, p, xi) stacked over points, reduced ones at their slice lift."""
-    return _split(points[0].rs, np.array([_pack_point(x) for x in points]),
-                  isinstance(points[0], ReducedPoint))
+    return float(np.min(_pole_distance(sys, sys.rs.positive_root_values(q))))
 
 
 def integrate(sys: RMatrixSpec, x0, t_final: float, tol: float = 1e-10, *,
@@ -339,7 +330,7 @@ def _lax(sys: RMatrixSpec, q, p, xi, z, matrix: bool = False,
     rs = sys.rs
     z = np.asarray(z, dtype=complex)
     u, p, xi = (np.expand_dims(a, tuple(range(a.ndim - 1, a.ndim - 1 + z.ndim)))
-                for a in (q @ rs.alpha_h.T, p, xi))
+                for a in (rs.root_values(q), p, xi))
     f, c = _ladder(sys, u, z[..., None], 1, int(coeffs))
     cartan = p + f[0] * xi[..., :rs.rank]
     roots = c[0][0] * xi[..., rs.rank:]
@@ -357,7 +348,7 @@ def lax_L(sys: RMatrixSpec, x, z) -> AlgElement:
     """L(q,p,xi)(z) = p + f(z) (I xi)_h + sum c_alpha((alpha,q), z) xi_alpha
     e_alpha; an array of z gives one element per z (batch axes first).  At
     a ReducedPoint, L_0: L at its slice lift."""
-    return AlgElement(sys.rs, _lax(sys, *_point_coords(x), z))
+    return AlgElement(sys.rs, _lax(sys, *_coords([x]), z)[0])
 
 
 def _reg0(sys: RMatrixSpec, q, p, xi) -> np.ndarray:
@@ -546,11 +537,9 @@ def gauge_residual(sys: RMatrixSpec, states) -> np.ndarray:
     rs, z = sys.rs, default_z_samples(4)
     q, p, xi = _split(rs, np.asarray(states, dtype=complex), False)
     s, g = reduction(rs, xi)
-    # one row per point, so a point's value does not depend on its stack
-    q, p, xi, lift = (a[..., None, :] for a in (q, p, xi, slice_lift(rs, s)))
-    diff = _lax(sys, q, p, lift, z) - torus_adjoint(
-        -g[..., None, None, :], AlgElement(rs, _lax(sys, q, p, xi, z))).vec
-    return np.max(np.abs(diff), axis=(-3, -2, -1))
+    diff = _lax(sys, q, p, slice_lift(rs, s), z) - torus_adjoint(
+        -g[..., None, :], AlgElement(rs, _lax(sys, q, p, xi, z))).vec
+    return np.max(np.abs(diff), axis=(-2, -1))
 
 
 def lax_pair_reduced(sys: RMatrixSpec, traj: Trajectory,
@@ -583,12 +572,9 @@ def _spectral_gradients(sys: RMatrixSpec, points: list,
     ks = np.array([k for k, _ in specs])
     if (ks < 1).any():
         raise StructuralError("trace power k must be >= 1")
-    # q[:, None]: each point's root values a row product of its own, so a
-    # point's gradients do not depend on the stack it comes in
-    q, p, xi = (a[:, None] for a in _coords(points))
-    mat, c, c_du = (a[:, 0] for a in _lax(
-        sys, q, p, xi, [z for _, z in specs], matrix=True, coeffs=True))
-    xi = xi[:, 0]
+    q, p, xi = _coords(points)
+    mat, c, c_du = _lax(sys, q, p, xi, [z for _, z in specs], matrix=True,
+                        coeffs=True)
     # L^(k - 1) for the k of each spec
     acc = np.broadcast_to(np.eye(rs.matrix_size, dtype=complex), mat.shape)
     power = np.empty_like(mat)

@@ -9,6 +9,10 @@ Basis conventions used everywhere in this package:
   Gram-Schmidt basis of the coroots in closed form, so Cartan coordinates
   are plain Euclidean coordinates.
 * Roots are stored as integer coefficient tuples over the simple roots.
+* The root values (alpha, q) come from one row product per point,
+  :meth:`RootSystem.positive_root_values`, mirrored for the negative roots;
+  every (alpha, q) in the package reads it, so a stacked evaluation gives
+  each point its single-point values bit for bit.
 * Elements are coordinate vectors over [h_1..h_n, e_alpha...]; arithmetic
   runs on their (n+1) x (n+1) matrices, one matmul from coordinates and one
   back, so a bracket is a commutator and no structure tensor is kept.
@@ -136,6 +140,8 @@ class RootSystem:
 
         rows, cols = self.root_entries
         self.alpha_h = (self.h_diag[:, rows] - self.h_diag[:, cols]).T
+        self._positive_h = np.ascontiguousarray(self.alpha_h[:self.n_pos].T,
+                                                dtype=complex)
 
         # (alpha, beta) over the simple-coefficient tuples: m_a^T A m_b
         a_np = np.array(self.cartan_matrix, dtype=np.int64)
@@ -185,11 +191,18 @@ class RootSystem:
         except KeyError:
             raise StructuralError(f"{root} is not a root of A_{self.rank}") from None
 
+    def positive_root_values(self, q) -> np.ndarray:
+        """(alpha, q) for the positive roots (leading axes of q kept): the
+        package's one root-value product, a row product per point, so a
+        stacked q gives each point its single-point values bit for bit."""
+        q = np.asarray(q, dtype=complex)
+        return (q[..., None, :] @ self._positive_h)[..., 0, :]
+
     def root_values(self, q) -> np.ndarray:
-        """(alpha, q) for every root, in root order (leading axes of q
-        kept); a stacked q gives each point the values of its own matrix-
-        vector product, bit for bit."""
-        return (self.alpha_h @ np.asarray(q, dtype=complex)[..., None])[..., 0]
+        """(alpha, q) for every root, in root order: the positive values
+        and their exact negatives."""
+        u = self.positive_root_values(q)
+        return np.concatenate([u, -u], -1)
 
     def __repr__(self) -> str:
         return f"RootSystem(A_{self.rank}, {self.n_roots} roots, dim {self.dim})"

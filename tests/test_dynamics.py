@@ -220,11 +220,15 @@ def test_rational_flow_against_the_projection_method(rank, t_final):
     """Closed form of the rational flow on Sigma (Gibbons-Hermsen): with
     d = q @ h_diag and X = rho(I xi), the particles at time t are the
     eigenvalues of diag(d0) + t L0, where L0 has p0 @ h_diag on its
-    diagonal and X_ij / (d_i - d_j) off it.  The spins are on the real form
-    X = i H, H Hermitian with zero diagonal (so J = 0), where L0 is
-    Hermitian and the particles stay real and apart.  The unreduced flow
-    and the reduced flow from project_pi(x0) both end within 20 tol of it,
-    relative to the largest position."""
+    diagonal and X_ij / (d_i - d_j) off it.  With U the unitary that
+    diagonalises that matrix, L(t) = U^H L0 U, whose diagonal is p(t), and
+    X(t) = U^H X0 U up to the torus gauge, so the products X_ij X_ji are
+    gauge invariant.  The spins are on the real form X = i H, H Hermitian
+    with zero diagonal (so J = 0), where L0 is Hermitian and the particles
+    stay real and apart.  The unreduced flow and the reduced flow from
+    project_pi(x0), its particles ordered by position, both end within 20
+    tol of it in the positions, p and the products, each relative to
+    max(1, its largest entry)."""
     sys = make_system("rational", rank)
     rs = sys.rs
     rng = np.random.default_rng(70 + rank)
@@ -238,15 +242,27 @@ def test_rational_flow_against_the_projection_method(rank, t_final):
                     AlgElement(rs, rs.to_coords(0.5j * h)))
     d = q0 @ rs.h_diag
     gaps = d[:, None] - d + np.eye(n)
-    l0 = rs.to_matrix(x0.xi.vec) / gaps + np.diag(x0.p.real @ rs.h_diag)
-    want = np.sort(np.linalg.eigvalsh(np.diag(d) + t_final * l0))
+    x_mat = rs.to_matrix(x0.xi.vec)
+    l0 = x_mat / gaps + np.diag(x0.p.real @ rs.h_diag)
+    want_d, u = np.linalg.eigh(np.diag(d) + t_final * l0)
+    x_t = u.conj().T @ x_mat @ u
+    want = {"q": want_d, "p": np.diag(u.conj().T @ l0 @ u),
+            "XX": x_t * x_t.T}
     for tol in (1e-8, 1e-10):
         for x in (x0, project_pi(x0)):
             traj = integrate(sys, x, t_final, tol, n_points=2)
             assert traj.completed
-            got = np.sort_complex(traj.states[-1, :rank] @ rs.h_diag)
-            err = np.max(np.abs(got - want)) / max(1.0, np.max(np.abs(want)))
-            assert err <= 20 * tol, (type(x).__name__, tol, err)
+            end = traj.points[-1]
+            end = lift_reduced(end) if isinstance(end, ReducedPoint) else end
+            got_d = end.q @ rs.h_diag
+            order = np.argsort(got_d.real)
+            x_t = rs.to_matrix(end.xi.vec)[np.ix_(order, order)]
+            got = {"q": got_d[order], "p": (end.p @ rs.h_diag)[order],
+                   "XX": x_t * x_t.T}
+            for key, value in want.items():
+                err = np.max(np.abs(got[key] - value)) \
+                    / max(1.0, np.max(np.abs(value)))
+                assert err <= 20 * tol, (type(x).__name__, tol, key, err)
 
 
 def trigonometric_projection(rs, x0, t_final):

@@ -371,23 +371,31 @@ def mp_char_poly(mp, mat):
     return coeffs
 
 
-@pytest.mark.parametrize("family,rank,reduced", [
-    ("elliptic", 3, False), ("rational", 4, True), ("trigonometric", 2, True)])
+@pytest.mark.parametrize("reduced", [False, True])
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+@pytest.mark.parametrize("family", FAMILIES)
 def test_stacked_diagnostics_match_per_point_loops(family, rank, reduced):
+    """The stacked tables along a trajectory against per-point loops; the
+    energy column and each row of the power-sum table are their
+    single-point values bit for bit."""
     sys_, x0 = pin_start(family, rank, reduced)
     traj = integrate(sys_, x0, 0.3, 1e-9, n_points=7)
     z = [0.41 + 0.22j, -0.33 + 0.47j, 0.29 - 0.44j]
     kmax = sys_.rs.matrix_size
     tables = [loop_table(sys_, pt, z, kmax) for pt in traj.points]
-    for pt, table in zip(traj.points, tables):
-        assert rel_err(conserved_spectrum(sys_, pt, z), table) < 1e-13
+    sums = dynamics._power_sums(sys_, dynamics._split(
+        sys_.rs, traj.states, reduced), z) / np.arange(1, kmax + 1)
+    for pt, table, row in zip(traj.points, tables, sums):
+        spectrum = conserved_spectrum(sys_, pt, z)
+        assert rel_err(spectrum, table) < 1e-13
+        assert np.array_equal(spectrum, row)
     denom = np.maximum(1.0, np.abs(tables[0]))
     drift = max(np.max(np.abs(t - tables[0]) / denom) for t in tables[1:])
     # the drift is already relative to the per-entry denominator (>= 1)
     assert abs(spectrum_drift(sys_, traj, z) - drift) < 1e-13
     lifts = [lift_reduced(pt) if reduced else pt for pt in traj.points]
-    energy = np.array([hamiltonian(sys_, x) for x in lifts])
-    assert rel_err(traj.energy, energy) < 1e-13
+    energy = np.array([hamiltonian(sys_, x) for x in traj.points])
+    assert np.array_equal(traj.energy, energy)
     j0 = momentum_J(lifts[0])
     constraint = [np.max(np.abs(momentum_J(x) - j0)) for x in lifts]
     assert np.max(np.abs(traj.constraint - constraint)) < 1e-13

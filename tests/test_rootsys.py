@@ -193,6 +193,26 @@ def test_cartan_acts_by_root_value(rank):
         assert (lhs - alpha_of_h * e).max_abs() < 1e-13
 
 
+@pytest.mark.parametrize("rank", RANKS)
+def test_root_values_are_one_row_product(rank):
+    """The positive half of root_values is the flow's product q @ alpha_h^T
+    over the positive roots, a stack gives each point its own values, and
+    the negative half is the exact negative of the positive one, bit for
+    bit."""
+    rs = build_root_system("A", rank)
+    rng = np.random.default_rng(60 + rank)
+    q = rng.normal(size=(200, rank)) + 1j * rng.normal(size=(200, rank))
+    stacked = rs.root_values(q)
+    assert stacked.shape == (200, rs.n_roots)
+    for point, row in zip(q, stacked):
+        u = rs.root_values(point)
+        assert np.array_equal(u[:rs.n_pos], point @ rs.alpha_h[:rs.n_pos].T)
+        assert np.array_equal(u, row)
+        assert np.array_equal(u[rs.n_pos:], -u[:rs.n_pos])
+    assert np.array_equal(rs.root_values(q[:3].reshape(3, 1, rank))[:, 0],
+                          stacked[:3])
+
+
 def test_pairing_with_cartan_matches_matrix_picture():
     rs = build_root_system("A", 3)
     rng = np.random.default_rng(5)

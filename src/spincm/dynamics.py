@@ -153,15 +153,15 @@ def _coords(points: list) -> tuple:
 
 
 def _gradient(sys: RMatrixSpec, q, xi) -> tuple[np.ndarray, np.ndarray]:
-    """dH/dq and w xi = -dH/dxi (w_alpha xi_alpha on the roots, 0 on the
-    Cartan block) at the coordinates q, xi (leading axes kept).  w is even,
-    so one weight call on the positive roots serves every root."""
+    """The force -dH/dq and w xi = -dH/dxi (w_alpha xi_alpha on the roots,
+    0 on the Cartan block) at the coordinates q, xi (leading axes kept).  w
+    is even, so one weight call on the positive roots serves every root."""
     rs = sys.rs
     w, w_du = positive_pair_weight(sys, rs.positive_root_values(q))
     roots = xi[..., rs.rank:]
     prod = roots[..., :rs.n_pos] * roots[..., rs.n_pos:]
     weights = np.concatenate([np.zeros(w.shape[:-1] + (rs.rank,)), w, w], -1)
-    return -((w_du * prod) @ rs.alpha_h[:rs.n_pos]), weights * xi
+    return (w_du * prod) @ rs.alpha_h[:rs.n_pos], weights * xi
 
 
 @raise_on_fp_fault
@@ -198,13 +198,14 @@ def _flow(sys: RMatrixSpec, y: np.ndarray, reduced: bool) -> np.ndarray:
     pushforward of that field at its slice lift, s_dot = C xi_dot with the
     differentials C of s (:func:`spincm.phase.spin_chain`).  One fault
     guard covers it all."""
-    rs = sys.rs
-    q, p, xi = _split(rs, y, reduced)
-    dq, wxi = _gradient(sys, q, xi)
+    rs, n = sys.rs, sys.rs.rank
+    q, p, spin = y[:n], y[n:2 * n], y[2 * n:]
+    xi = slice_lift(rs, spin) if reduced else spin
+    force, wxi = _gradient(sys, q, xi)
     dspin = rs.bracket_coords(wxi, xi)
     if reduced:
-        dspin = spin_chain(rs, y[2 * rs.rank:]) @ dspin[rs.dual_index]
-    return np.concatenate([p, -dq, dspin])
+        dspin = spin_chain(rs, spin) @ dspin[rs.dual_index]
+    return np.concatenate([p, force, dspin])
 
 
 def hamiltonian(sys: RMatrixSpec, x) -> complex:
@@ -493,19 +494,17 @@ def _char_poly(power_sums: np.ndarray) -> np.ndarray:
     return np.stack(coeffs, axis=-1)
 
 
-def _spectral_drifts(sys: RMatrixSpec, traj: Trajectory,
-                     z_samples: Sequence[complex] | None) -> dict:
-    """The worst (value, point, z) along the trajectory of the two spectral
-    drifts, from one power-sum table over the points and z, each relative
-    per entry (:func:`_relative_drift`): ``spectrum_drift`` of h_k = p_k/k,
-    ``isospectral_drift`` of the characteristic-polynomial coefficients."""
+def _spectrum_worst(sys: RMatrixSpec, traj: Trajectory,
+                    z_samples: Sequence[complex] | None) -> tuple:
+    """The power-sum table over the points and z of the trajectory, and the
+    worst (value, point, z) along it of the relative drift
+    (:func:`_relative_drift`) of h_k = p_k/k: the spectrum drift."""
     if z_samples is None:
         z_samples = default_z_samples()
     sums = _power_sums(sys, _split(traj.rs, traj.states, traj.reduced),
                        z_samples)
-    return {"spectrum_drift": _worst(_relative_drift(
-                sums / np.arange(1, sums.shape[-1] + 1))),
-            "isospectral_drift": _worst(_relative_drift(_char_poly(sums)))}
+    return sums, _worst(_relative_drift(
+        sums / np.arange(1, sums.shape[-1] + 1)))
 
 
 def conserved_spectrum(sys: RMatrixSpec, x,
@@ -521,7 +520,7 @@ def spectrum_drift(sys: RMatrixSpec, traj: Trajectory,
     """Largest relative drift of any h_k(z) along the trajectory, with the
     per-entry denominator max(1, |h_k(z)(0)|); all points in one stacked
     evaluation over the trajectory's states."""
-    return _spectral_drifts(sys, traj, z_samples)["spectrum_drift"][0]
+    return _spectrum_worst(sys, traj, z_samples)[1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -545,14 +544,16 @@ def gauge_residual(sys: RMatrixSpec, states) -> np.ndarray:
 def lax_pair_reduced(sys: RMatrixSpec, traj: Trajectory,
                      z_samples: Sequence[complex] | None = None) -> dict:
     """Verify the isospectrality of the reduced Lax pair along a reduced
-    trajectory: the isospectral drift (of the char-poly coefficients) and
-    the spectrum drift of :func:`_spectral_drifts`, with the [point, z] of
-    each worst entry under ``worst``.  The pointwise Lax equation is
-    :func:`lax_residuals` at the trajectory's points.
+    trajectory: the spectrum drift of :func:`_spectrum_worst` and, from its
+    power-sum table, the isospectral drift (of the char-poly coefficients),
+    with the [point, z] of each worst entry under ``worst``.  The pointwise
+    Lax equation is :func:`lax_residuals` at the trajectory's points.
     """
     if not traj.n_points or not traj.reduced:
         raise StructuralError("lax_pair_reduced expects a reduced trajectory")
-    drifts = _spectral_drifts(sys, traj, z_samples)
+    sums, worst = _spectrum_worst(sys, traj, z_samples)
+    drifts = {"spectrum_drift": worst,
+              "isospectral_drift": _worst(_relative_drift(_char_poly(sums)))}
     return {**{name: worst[0] for name, worst in drifts.items()},
             "worst": {name: list(worst[1:]) for name, worst in drifts.items()},
             "n_points": traj.n_points}

@@ -91,7 +91,7 @@ class Lattice:
         zero = np.zeros(n_terms)
         # rows: the sin terms, then the cos terms; columns: theta_1 and its
         # first, second and third v-derivatives
-        self._odd = odd
+        self._odd = odd.astype(complex)  # the type of v, cast once
         self._table = np.concatenate([
             np.stack([terms, zero, -terms * odd ** 2, zero], axis=1),
             np.stack([zero, terms * odd, zero, -terms * odd ** 3], axis=1)])
@@ -130,45 +130,54 @@ class Lattice:
 
     # -- the one pass -----------------------------------------------------
 
-    def _theta1(self, z0: np.ndarray) -> tuple[np.ndarray, ...]:
-        """theta_1 and its first three derivatives at v = pi z0 / (2 w1)."""
+    def _theta1(self, z0: np.ndarray) -> np.ndarray:
+        """theta_1 and its derivatives 1-3 at v = pi z0 / (2 w1), last axis."""
         v = math.pi * z0 / (2.0 * self._w1)
-        arg = np.multiply.outer(v, self._odd)
-        parts = np.concatenate([np.sin(arg), np.cos(arg)], -1) @ self._table
-        return parts[..., 0], parts[..., 1], parts[..., 2], parts[..., 3]
+        arg = v[..., None] * self._odd
+        return np.concatenate([np.sin(arg), np.cos(arg)], -1) @ self._table
 
-    def _cell(self, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Elementwise z = z0 + 2m*w1 + 2n*w2, z0 in the reduced centred cell;
-        m and n come back as float arrays of integers.  More than 2^52
-        periods out z keeps no fractional digit: StructuralError.  z runs
-        as a contiguous array of at least one dimension: the float view
-        needs the first, and numpy's 0-d arithmetic rounds apart from the
-        same point inside an array."""
+    def _cell(self, z, what: str | None = None) -> tuple[np.ndarray, ...]:
+        """Elementwise z = z0 + 2m*w1 + 2n*w2 (_flat_cell), m and n as float
+        arrays of integers.  z runs as a contiguous array of at least one
+        dimension: the float view needs the first, and numpy's 0-d arithmetic
+        rounds apart from the same point inside an array."""
         z = np.ascontiguousarray(z, dtype=complex)
-        flat = z.reshape(-1)
-        mn = np.rint(flat.view(float).reshape(-1, 2) @ self._period_inv_t)
-        if np.abs(mn).max(initial=0.0) > _RANGE:
-            far = flat[np.abs(mn).max(axis=1).argmax()]
-            raise StructuralError(
-                f"elliptic argument {complex(far):g} lies more than 2^52 "
-                f"periods out: its reduced value keeps no digit")
-        z0 = flat - mn @ self._periods
+        z0, mn = self._flat_cell(z.reshape(-1), what)
         return (z0.reshape(z.shape), mn[:, 0].reshape(z.shape),
                 mn[:, 1].reshape(z.shape))
 
-    def _pass(self, z, what: str | None = None) -> tuple[np.ndarray, ...]:
-        """The one pass every evaluation reads: (z0, m, n) of _cell, then
-        theta_1 and its first three derivatives at z0.  With ``what``,
-        PoleError if any |z0| < POLE_TOL, as 0 is the only lattice point in
-        the closed centred cell (POLE_TOL is far below half a period)."""
-        z0, m, n = self._cell(z)
-        if what and np.any(np.abs(z0) < POLE_TOL):
+    def _flat_cell(self, z: np.ndarray, what: str | None = None) -> tuple:
+        """(z0, mn) of _cell for the 1-D contiguous complex array z, one
+        (m, n) row per point.  More than 2^52 periods out z keeps no
+        fractional digit: StructuralError.  With ``what``, PoleError if any
+        |z0| < POLE_TOL, as 0 is the only lattice point in the closed
+        centred cell (POLE_TOL is far below half a period)."""
+        mn = np.rint(z.view(float).reshape(-1, 2) @ self._period_inv_t)
+        if np.maximum.reduce(np.abs(mn), None, initial=0.0) > _RANGE:
+            far = z[np.abs(mn).max(axis=1).argmax()]
+            raise StructuralError(
+                f"elliptic argument {complex(far):g} lies more than 2^52 "
+                f"periods out: its reduced value keeps no digit")
+        z0 = z - mn @ self._periods
+        if what and np.fmin.reduce(np.abs(z0), initial=np.inf) < POLE_TOL:
             raise PoleError(
                 f"{what} evaluated within {POLE_TOL:g} of a lattice point")
-        return (z0, m, n) + self._theta1(z0)
+        return z0, mn
+
+    def _pass(self, z, what: str | None = None) -> tuple[np.ndarray, ...]:
+        """The pass every evaluation but wp reads: (z0, m, n) of _cell, with
+        its pole guard if ``what`` is given, and _theta1 at z0."""
+        z0, m, n = self._cell(z, what)
+        return z0, m, n, self._theta1(z0)
+
+    def _wp_flat(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(wp, wp') at the complex array z, flattened: _flat_cell with its
+        pole guard and _theta1 in one pass, under the caller's fault guard."""
+        z0 = self._flat_cell(z.ravel(), "wp")[0]
+        return self._wp_from_theta(self._theta1(z0))
 
     def _sigma(self, p) -> np.ndarray:
-        z0, m, n, th = p[:4]
+        z0, m, n, th = p[0], p[1], p[2], p[3][..., 0]
         base = (2.0 * self._w1 / math.pi) * np.exp(
             self._eta1 * z0 * z0 / (2.0 * self._w1)) * th / self._theta1p0
         # quasi-periodicity factor, exactly 1 inside the centred cell
@@ -177,12 +186,14 @@ class Lattice:
         half = m * self._w1 + n * self._w2
         return sign * base * np.exp(eta * (z0 + half))
 
-    def _wp_from_theta(self, th, d1, d2, d3) -> tuple:
-        """(wp, wp') from theta_1 and its first three derivatives."""
-        r1, r2 = d1 / th, d2 / th
+    def _wp_from_theta(self, theta: np.ndarray) -> tuple:
+        """(wp, wp') from theta_1 and its first three derivatives (last
+        axis), through one division by theta_1."""
+        ratio = theta[..., 1:] / theta[..., :1]
+        r1, r2, r3 = ratio[..., 0], ratio[..., 1], ratio[..., 2]
         scale = math.pi / (2.0 * self._w1)
         wp = -self._eta1 / self._w1 - scale ** 2 * (r2 - r1 ** 2)
-        wp_prime = -(scale ** 3) * (d3 / th - 3.0 * r2 * r1 + 2.0 * r1 ** 3)
+        wp_prime = -(scale ** 3) * (r3 - 3.0 * r2 * r1 + 2.0 * r1 ** 3)
         return wp, wp_prime
 
     def _zetas(self, p, kmax: int) -> list:
@@ -190,12 +201,12 @@ class Lattice:
         analytic: zeta' = -wp, wp'' = 6 wp^2 - g2/2, wp''' = 12 wp wp'."""
         if kmax > 5:
             raise ValueError(f"zeta_ladder supports kmax <= 5, got {kmax}")
-        z0, m, n, th, d1 = p[:5]
+        z0, m, n, theta = p
         val = self._eta1 * z0 / self._w1 \
-            + (math.pi / (2.0 * self._w1)) * d1 / th
+            + (math.pi / (2.0 * self._w1)) * theta[..., 1] / theta[..., 0]
         out = [val + 2 * m * self._eta1 + 2 * n * self._eta2]
         if kmax > 1:
-            wp, dp = self._wp_from_theta(*p[3:])
+            wp, dp = self._wp_from_theta(theta)
             out += [-wp, -dp]
         if kmax > 3:
             out += [-(6.0 * wp * wp - 0.5 * self.g2), -12.0 * wp * dp]
@@ -227,8 +238,8 @@ class Lattice:
 
     @raise_on_fp_fault
     def wp_pair(self, z):
-        """(wp(z), wp'(z)) from one pass."""
-        wp, wp_prime = self._wp_from_theta(*self._pass(z, "wp")[3:])
+        """(wp(z), wp'(z)) from one pass (_wp_flat)."""
+        wp, wp_prime = self._wp_flat(np.asarray(z, dtype=complex))
         return _value(wp, z), _value(wp_prime, z)
 
     def wp(self, z):

@@ -197,6 +197,10 @@ E3 = np.append(B, 0.0)
 E3[[0, 8, 11]] -= [0.244094488188976377952755905512,
                    0.733846688281611857341361741547,
                    0.220588235294117647058823529412e-1]
+# The stage rows (row N_STAGES: B) cast once to the state's complex type, as
+# np.dot would at every stage, and the nodes as Python floats.
+_ROWS = [A[s, :s].astype(complex) for s in range(N_EXTENDED)]
+_NODES = C.tolist()
 
 
 def _rms(x: np.ndarray) -> float:
@@ -274,9 +278,9 @@ class DormandPrince:
         t, y, K = self.t, self.y, self.K
         K[0] = self.f
         for s in range(1, N_STAGES):
-            dy = np.dot(K[:s].T, A[s, :s]) * h
-            K[s] = self._eval(t + C[s] * h, y + dy)
-        y_new = y + h * np.dot(K[:N_STAGES].T, B)
+            dy = np.dot(K[:s].T, _ROWS[s]) * h
+            K[s] = self._eval(t + _NODES[s] * h, y + dy)
+        y_new = y + h * np.dot(K[:N_STAGES].T, _ROWS[N_STAGES])
         K[N_STAGES] = self._eval(t + h, y_new)
         return y_new
 
@@ -335,8 +339,8 @@ class DormandPrince:
         three extra stages go into K[N_STAGES + 1:]."""
         K, h = self.K, self.t - self.t_old
         for s in range(N_STAGES + 1, N_EXTENDED):
-            dy = np.dot(K[:s].T, A[s, :s]) * h
-            K[s] = self._eval(self.t_old + C[s] * h, self.y_old + dy)
+            dy = np.dot(K[:s].T, _ROWS[s]) * h
+            K[s] = self._eval(self.t_old + _NODES[s] * h, self.y_old + dy)
         self.dense_steps += 1
         F = np.empty((7, self.y.size), dtype=complex)
         delta_y = self.y - self.y_old

@@ -25,7 +25,8 @@ u = rs.root_values(q) (roots on the last axis, z broadcasting against it)
 it returns every z-derivative up to the order asked for, and the mixed
 u-derivatives, in one pass.  Its pole guards read the family's singular
 set from one place (:func:`_pole_distance`, which also gives
-:func:`spincm.dynamics.collision_margin`) and name the first offending
+:func:`spincm.dynamics.collision_margin`; the trigonometric pair weight
+reads its |sin u| off the sine it keeps) and name the first offending
 root; a numpy floating-point fault raises FloatingPointError, so no table
 holds inf or nan.  The pair weights are even in u, so they are evaluated
 on the positive roots and mirrored.
@@ -373,14 +374,16 @@ def positive_pair_weight(spec: RMatrixSpec, up) -> tuple[np.ndarray,
                          where=dp)
     elif fam == "trigonometric":
         span = spec.span_mask[:rs.n_pos]
-        _pole_guard(spec, up, "trigonometric pair weight: sin (alpha, q) = 0")
         s = np.sin(up)
+        _root_guard(spec, span & (np.abs(s) < _ZTOL),
+                    "trigonometric pair weight: sin (alpha, q) = 0")
         w = np.where(span, np.divide(1.0, s * s, out=np.zeros(
             up.shape, dtype=complex), where=span) - 1.0 / 3.0, 5.0 / 3.0)
         w_du = np.divide(-2.0 * np.cos(up), s ** 3,
                          out=np.zeros(up.shape, dtype=complex), where=span)
     else:
-        w, w_du = _on_lattice(spec, lambda: spec.lattice.wp_pair(up), up)
+        w, w_du = _on_lattice(spec, lambda: spec.lattice._wp_flat(up), up)
+        w, w_du = w.reshape(up.shape), w_du.reshape(up.shape)
     return w, w_du
 
 

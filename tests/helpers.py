@@ -138,8 +138,8 @@ def normalize_to_slice(x: PhasePoint) -> PhasePoint:
 
 def hamiltonian_gradient(sys: RMatrixSpec, x: PhasePoint) -> PhaseGradient:
     """(dH/dq, dH/dp, dH/dxi) from the flow core's gradient."""
-    dq, wxi = _gradient(sys, x.q, x.xi.vec)
-    return PhaseGradient(dq, x.p.copy(), AlgElement(sys.rs, -wxi))
+    force, wxi = _gradient(sys, x.q, x.xi.vec)
+    return PhaseGradient(-force, x.p.copy(), AlgElement(sys.rs, -wxi))
 
 
 def hamiltonian_function(sys: RMatrixSpec) -> PhaseFunction:

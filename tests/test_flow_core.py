@@ -25,9 +25,10 @@ from spincm.dynamics import (_pack_point, conserved_spectrum, hamiltonian,
                              integrate, lax_L, lax_pair_reduced, make_system,
                              spectrum_drift, spinless_state, vector_field)
 from spincm.elliptic import Lattice
-from spincm.errors import PoleError, StructuralError
+from spincm.errors import PoleError, StructuralError, raise_on_fp_fault
 from spincm.phase import (PhasePoint, ReducedPoint, lift_reduced, momentum_J,
-                          reduced_roots)
+                          reduced_roots, slice_lift, spin_chain)
+from spincm.rmatrix import positive_pair_weight
 from spincm.rootsys import AlgElement, matrix_rep
 
 FAMILIES = ("rational", "trigonometric", "elliptic")
@@ -342,6 +343,75 @@ def test_core_on_a_wall_names_the_root(family, reduced):
     y = np.concatenate([q, p, spin])
     with pytest.raises(PoleError, match=r"at the root \[1,1,0\]"):
         dynamics._flow(sys_, y, reduced)
+
+
+# -- the flat core against its composition ------------------------------------
+
+
+@raise_on_fp_fault
+def composed_flow(sys_, ys, reduced):
+    """The flow at the stacked states ys, composed from public pieces: the
+    root values and pair weights of all states in one 2-D stack
+    (Lattice.wp_pair for the elliptic family), then state by state dH/dq,
+    the bracket of w xi with xi and, reduced, the chain of s."""
+    rs, n = sys_.rs, sys_.rs.rank
+    q, p, spin = ys[:, :n], ys[:, n:2 * n], ys[:, 2 * n:]
+    xi = slice_lift(rs, spin) if reduced else spin
+    up = rs.positive_root_values(q)
+    w, w_du = sys_.lattice.wp_pair(up) if sys_.family == "elliptic" \
+        else positive_pair_weight(sys_, up)
+    out = []
+    for k in range(len(ys)):
+        roots = xi[k, n:]
+        prod = roots[:rs.n_pos] * roots[rs.n_pos:]
+        dq = -((w_du[k] * prod) @ rs.alpha_h[:rs.n_pos])
+        weights = np.concatenate([np.zeros(n), w[k], w[k]])
+        dspin = rs.bracket_coords(weights * xi[k], xi[k])
+        if reduced:
+            dspin = spin_chain(rs, spin[k]) @ dspin[rs.dual_index]
+        out.append(np.concatenate([p[k], -dq, dspin]))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("reduced", [False, True])
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_flow_is_its_composition_bit_for_bit(family, rank, reduced):
+    """_flow at 200 random states (complex q clear of every wall, random p
+    and spins) equals composed_flow bit for bit: the flat elliptic pass
+    gives each state its values in a 2-D stack of wp_pair."""
+    sys_ = system(family, rank)
+    rs = sys_.rs
+    rng = np.random.default_rng([rank, reduced, len(family)])
+    simple = rng.uniform(0.25, 0.6, (200, rank)) \
+        + 1j * rng.uniform(-0.25, 0.25, (200, rank))
+    q = np.linalg.solve(rs.alpha_h[:rank], simple.T).T
+    n_spin = rs.dim - 2 * rank if reduced else rs.dim
+    spin = rng.normal(size=(200, n_spin)) + 1j * rng.normal(size=(200, n_spin))
+    ys = np.concatenate([q, rng.normal(size=(200, rank)) + 0j, spin], 1)
+    got = np.array([dynamics._flow(sys_, y, reduced) for y in ys])
+    assert np.array_equal(got, composed_flow(sys_, ys, reduced))
+
+
+def test_flat_elliptic_pass_is_wp_pair_element_by_element():
+    """The flow's elliptic pass (Lattice._wp_flat, which flattens) equals
+    wp_pair on scalar, 1-D, strided and 3-D arguments, each element equals
+    its scalar wp_pair call, and the 3-D values equal -zeta' and -zeta''
+    of the shaped pass of zeta_ladder, all bit for bit."""
+    lat = Lattice(2.0, 2.2j)
+    rng = np.random.default_rng(25)
+    z = rng.uniform(-5, 5, (3, 4, 10)) + 1j * rng.uniform(-5, 5, (3, 4, 10))
+    flat_pass = raise_on_fp_fault(lat._wp_flat)
+    for arg in (z[0, 0, 0], z[1, 2], z[:, ::2, ::-3], z):
+        flat = flat_pass(np.asarray(arg))
+        scalars = np.array([lat.wp_pair(complex(v)) for v in np.ravel(arg)])
+        for k, want in enumerate(lat.wp_pair(arg)):
+            assert flat[k].shape == (np.size(arg),)
+            assert np.array_equal(flat[k], np.ravel(want))
+            assert np.array_equal(flat[k], scalars[:, k])
+    ladder = lat.zeta_ladder(z, 3)
+    assert np.array_equal(flat[0], -ladder[1].ravel())
+    assert np.array_equal(flat[1], -ladder[2].ravel())
 
 
 # -- stacked diagnostics -------------------------------------------------------

@@ -40,8 +40,8 @@ from .elliptic import Lattice
 from .errors import (ConfigError, ConstraintError, PoleError, StructuralError,
                      raise_on_fp_fault)
 from .ode import DormandPrince
-from .phase import (PhasePoint, ReducedPoint, momentum_J, reduced_brackets,
-                    reduced_roots, reduction, slice_lift, spin_chain)
+from .phase import (PhasePoint, ReducedPoint, momentum_J, pushforward,
+                    reduced_brackets, reduced_roots, reduction, slice_lift)
 from .rmatrix import (RMatrixSpec, _ladder, _pole_distance, _r_pairing,
                       _r_table, positive_pair_weight, rational_r_matrix,
                       root_coeff_reg0, trigonometric_r_matrix)
@@ -154,14 +154,16 @@ def _coords(points: list) -> tuple:
 
 def _gradient(sys: RMatrixSpec, q, xi) -> tuple[np.ndarray, np.ndarray]:
     """The force -dH/dq and w xi = -dH/dxi (w_alpha xi_alpha on the roots,
-    0 on the Cartan block) at the coordinates q, xi (leading axes kept).  w
-    is even, so one weight call on the positive roots serves every root."""
+    0 on the Cartan block) at the coordinates q, xi (leading axes kept, the
+    force a row product per point).  w is even, so one weight call on the
+    positive roots serves every root."""
     rs = sys.rs
     w, w_du = positive_pair_weight(sys, rs.positive_root_values(q))
     roots = xi[..., rs.rank:]
     prod = roots[..., :rs.n_pos] * roots[..., rs.n_pos:]
     weights = np.concatenate([np.zeros(w.shape[:-1] + (rs.rank,)), w, w], -1)
-    return (w_du * prod) @ rs.alpha_h[:rs.n_pos], weights * xi
+    force = (w_du * prod)[..., None, :] @ rs.alpha_h[:rs.n_pos]
+    return force[..., 0, :], weights * xi
 
 
 @raise_on_fp_fault
@@ -193,19 +195,19 @@ def _energy_column(sys: RMatrixSpec, q, p, xi):
 
 @raise_on_fp_fault
 def _flow(sys: RMatrixSpec, y: np.ndarray, reduced: bool) -> np.ndarray:
-    """The vector field at the state y: (dq, dp) = (p, -dH/dq) and the
-    coadjoint spin leg d(I xi) = [w xi, I xi]; a reduced state moves by the
-    pushforward of that field at its slice lift, s_dot = C xi_dot with the
-    differentials C of s (:func:`spincm.phase.spin_chain`).  One fault
-    guard covers it all."""
+    """The vector field at the states y (leading axes stack states, each
+    a row of every product, so each row is its single-state field bit for
+    bit): (dq, dp) = (p, -dH/dq) and the coadjoint spin leg d(I xi) =
+    [w xi, I xi]; a reduced state moves by its pushforward at the slice
+    lift (:func:`spincm.phase.pushforward`).  One fault guard covers it."""
     rs, n = sys.rs, sys.rs.rank
-    q, p, spin = y[:n], y[n:2 * n], y[2 * n:]
+    q, p, spin = y[..., :n], y[..., n:2 * n], y[..., 2 * n:]
     xi = slice_lift(rs, spin) if reduced else spin
     force, wxi = _gradient(sys, q, xi)
-    dspin = rs.bracket_coords(wxi, xi)
+    dspin = rs.bracket_coords(wxi[..., None, :], xi[..., None, :])[..., 0, :]
     if reduced:
-        dspin = spin_chain(rs, spin) @ dspin[rs.dual_index]
-    return np.concatenate([p, force, dspin])
+        dspin = pushforward(rs, spin, dspin)
+    return np.concatenate([p, force, dspin], -1)
 
 
 def hamiltonian(sys: RMatrixSpec, x) -> complex:
@@ -352,13 +354,6 @@ def lax_L(sys: RMatrixSpec, x, z) -> AlgElement:
     return AlgElement(sys.rs, _lax(sys, *_coords([x]), z)[0])
 
 
-def _reg0(sys: RMatrixSpec, q, p, xi) -> np.ndarray:
-    """lim_{z->0} (L(z) - I xi / z) at the coordinates (points stacked)."""
-    u = sys.rs.root_values(q)
-    return np.concatenate([p, root_coeff_reg0(sys, u)
-                           * xi[..., sys.rs.rank:]], -1)
-
-
 def sigma_residual(sys: RMatrixSpec, x: PhasePoint) -> float:
     """Distance of x from the constraint set Sigma: ||J||_inf for the
     trigonometric and elliptic families, max_{alpha in Delta'} |(alpha, J)|
@@ -376,24 +371,23 @@ def _lax_pair(sys: RMatrixSpec, points: list, z, anomaly: bool = False):
     """The Lax pair at the points (all PhasePoints, or all ReducedPoints
     for L_0 and B_0), stacked: max_z ||dL/dt - [B, L]|| per point (plus
     (X_J R)(L/z) with ``anomaly``) and B = -R_q(L/z) on z.  One unreduced
-    flow call per point, a reduced one at its slice lift, gives the
-    velocity (q_dot, p_dot, xi_dot); a lift moves by its pushforward
-    (:func:`_flow`), and B_0 is B less the torus drift D that the slice
-    leaves out, alpha_j(D) = xi_dot_{alpha_j}.  The kernel runs once: r
-    and dc/du at +-z in one table, from the spec without its fault, whose
-    +z half gives L = p + r(z) xi and dL/dt (L at the velocity plus the
-    q-derivative of the root coefficients along q_dot), the -z half B."""
+    flow call on the stack, reduced points at their slice lift, gives the
+    velocity (q_dot, p_dot, xi_dot); a lift moves by its pushforward, and
+    B_0 is B less the torus drift D that the slice leaves out, alpha_j(D) =
+    xi_dot_{alpha_j}.  The kernel runs once: r and dc/du at +-z in one
+    table, from the spec without its fault, whose +z half gives L = p +
+    r(z) xi and dL/dt (L at the velocity plus the q-derivative of the root
+    coefficients along q_dot), the -z half B."""
     rs, n = sys.rs, sys.rs.rank
     z = np.asarray(z, dtype=complex)
-    reduced = isinstance(points[0], ReducedPoint)
     q, p, xi = _coords(points)
-    vel = np.array([_flow(sys, y, False)
-                    for y in np.concatenate([q, p, xi], -1)])
+    vel = _flow(sys, np.concatenate([q, p, xi], -1), False)
     dxi = vel[:, 2 * n:]
+    reduced = isinstance(points[0], ReducedPoint)
     if reduced:
         # only the reduced roots of the lift move, by d s(xi_dot)
-        ds = spin_chain(rs, xi[:, 2 * n:]) @ dxi[:, rs.dual_index, None]
-        dxi = np.concatenate([np.zeros((len(q), 2 * n)), ds[..., 0]], -1)
+        dxi = np.concatenate([np.zeros((len(q), 2 * n)),
+                              pushforward(rs, xi[:, 2 * n:], dxi)], -1)
     m = len(z)
     r, dr = np.moveaxis(_r_table(sys.with_fault(1.0), q, np.concatenate(
         [z, -z])[:, None], range(2), du=1), 2, 3)
@@ -402,7 +396,9 @@ def _lax_pair(sys: RMatrixSpec, points: list, z, anomaly: bool = False):
                  for cartan, spin in ((p, xi), (vel[:, n:2 * n], dxi)))
     dlax[..., n:] += dr[0, :, :m, n:] * rs.root_values(vel[:, :n])[:, None] \
         * xi[:, None, n:]
-    principal = np.stack([_reg0(sys, q, p, xi), xi])
+    # the principal part of L at 0: lim (L(z) - I xi / z), then I xi
+    principal = np.stack([np.concatenate([p, root_coeff_reg0(
+        sys, rs.root_values(q)) * xi[:, n:]], -1), xi])
     # R_q(L/z) = (1/2) L/z + sum_k (1/k!) <r_k(-z), (L/z)_{-(k+1)} (x) 1>
     b = -(0.5 * (lax / z[:, None]) + _r_pairing(
         r[:, :, m:][..., rs.dual_index], principal[:, :, None]))

@@ -29,7 +29,8 @@ where m_alpha are the integer simple-root coordinates of alpha.  The
 exponents are integers, so no branch choices enter the projection.  One
 array core, :func:`reduction`, holds the guard of U, s and the gauge g(xi)
 for points stacked on leading axes; :func:`project_pi` and :func:`gauge_g`
-read it at one point.
+read it at one point.  The differential of s at the slice lift is
+written once, on the table of the m_alpha^i: :func:`pushforward`.
 """
 
 from __future__ import annotations
@@ -152,7 +153,7 @@ def reduction(rs: RootSystem, xi) -> tuple[np.ndarray, np.ndarray]:
             "component(s) " + ", ".join(root_label(r) for r, bad in zip(
                 rs.simple_roots, outside[k]) if bad),
             index=k if simple.ndim > 1 else None)
-    factors = simple[..., None, :] ** -np.array(reduced_roots(rs))
+    factors = simple[..., None, :] ** -_simple_coords(rs).T
     s = np.prod(np.concatenate([xi[..., 2 * rs.rank:, None], factors], -1), -1)
     # g a row product per point, so a point's g does not depend on its stack
     g = np.log(simple)[..., None, :] @ np.array(rs.cartan_inverse, dtype=float)
@@ -194,20 +195,17 @@ def lift_reduced(x_red: ReducedPoint) -> PhasePoint:
 
 
 @lru_cache(maxsize=None)
-def _chain_data(rs: RootSystem) -> tuple[np.ndarray, np.ndarray]:
-    """E0 and M of :func:`spin_chain`, built on first use per root system:
-    one row per reduced root gamma holding e_{-gamma} and sum_j m_gamma^j
-    e_{-alpha_j} over the basis."""
-    m = np.zeros((rs.n_roots - rs.rank, rs.dim))
-    m[:, rs.dual_index[rs.rank:2 * rs.rank]] = reduced_roots(rs)
-    return np.eye(rs.dim)[rs.dual_index[2 * rs.rank:]], m
+def _simple_coords(rs: RootSystem) -> np.ndarray:
+    """The (rank, n_s) table of the m_gamma^j, complex, built once."""
+    return np.array(reduced_roots(rs), dtype=complex).T.copy()
 
 
-def spin_chain(rs: RootSystem, s: np.ndarray) -> np.ndarray:
-    """C = E0 - s M: row gamma is the differential d s_gamma = e_{-gamma}
-    - s_gamma sum_j m_gamma^j e_{-alpha_j} at the slice lift of s."""
-    e0, m = _chain_data(rs)
-    return e0 - s[..., None] * m
+def pushforward(rs: RootSystem, s: np.ndarray, dxi: np.ndarray) -> np.ndarray:
+    """ds_gamma = dxi_gamma - s_gamma sum_j m_gamma^j dxi_{alpha_j} at the
+    slice lift of s (leading axes stack points, one row product each)."""
+    n = rs.rank
+    return dxi[..., 2 * n:] - s * (
+        dxi[..., None, n:2 * n] @ _simple_coords(rs))[..., 0, :]
 
 
 def lie_poisson(rs: RootSystem, xi: np.ndarray) -> np.ndarray:
@@ -252,12 +250,13 @@ def bracket_full(x: PhasePoint, df, dg):
 def reduced_brackets(rs: RootSystem, s: np.ndarray, df, dg):
     """Reduced brackets of the differential rows at the points with spin
     coordinates s (leading axes stack points), from the Poisson tensor Pi
-    = canonical block + C F C^T (:func:`spin_chain`, :func:`lie_poisson`
-    at the slice lift) factor by factor: ds meets C first, then F; summing
-    the entries of P = C F C^T first loses about 0.1 digit more to
-    cancellation in the involution check."""
-    chain, lp = spin_chain(rs, s), lie_poisson(rs, slice_lift(rs, s))
-    return _brackets(df, dg, rs.rank,
-                     lambda a, b: (a @ chain) @ lp @ (chain.swapaxes(-1, -2)
-                                                      @ b))
-
+    = canonical block + C F C^T (C^T the :func:`pushforward` of the basis
+    velocities in dual order, F :func:`lie_poisson` at the slice lift)
+    factor by factor: the rows meet C first, then F; summing the entries
+    of P = C F C^T first loses about 0.1 digit more to cancellation in the
+    involution check."""
+    s, lp = np.asarray(s), lie_poisson(rs, slice_lift(rs, s))
+    chain = pushforward(rs, s[..., None, :], np.eye(rs.dim))[
+        ..., rs.dual_index, :].swapaxes(-1, -2).copy()
+    return _brackets(df, dg, rs.rank, lambda a, b: (a @ chain) @ lp @ (
+        chain.swapaxes(-1, -2) @ b))

@@ -437,15 +437,18 @@ def test_fault_injected_residuals_are_pinned(tmp_path, case, suite):
 # values before).  The cdybe, mdybe, lax_reduced_pointwise and spectral
 # values are those of the one root-value product
 # (RootSystem.positive_root_values; within 0.55-1.33 of the values before).
+# The lax_reduced_pointwise and spectrum_drift values are those of the
+# reduced velocity by the gather of phase.pushforward, with one flow call
+# per stack of Lax points (within 0.99994-1.0062 of the values before).
 PINNED_RESIDUALS = {
     ("trigonometric", 3, 1): {
         "zero_weight": 0.0, "unitarity": 0.0,
         "residue": 2.231488320663207e-16, "cdybe": 3.340498546986209e-14,
         "mdybe": 3.0685246886277446e-13,
         "lax_on_sigma": 1.530555893832145e-13,
-        "lax_reduced_pointwise": 1.4281732235759946e-13,
+        "lax_reduced_pointwise": 1.4369837526939964e-13,
         "involution": 2.5036928884157126e-12,
-        "spectrum_drift": 2.2892240587947376e-10,
+        "spectrum_drift": 2.2892652083929202e-10,
         "isospectral_drift": 2.2554197987866631e-10,
     },
     ("trigonometric", 3, 8): {
@@ -455,7 +458,7 @@ PINNED_RESIDUALS = {
         "lax_on_sigma": 4.856703836433968e-13,
         "lax_reduced_pointwise": 1.4228607195221903e-13,
         "involution": 8.55904100932035e-12,
-        "spectrum_drift": 6.189592959867639e-10,
+        "spectrum_drift": 6.18922808495423e-10,
         "isospectral_drift": 3.750784779174455e-10,
     },
     ("rational", 2, 3): {
@@ -465,7 +468,7 @@ PINNED_RESIDUALS = {
         "quasi_lax_off_sigma": 1.214175959108492e-13,
         "lax_reduced_pointwise": 1.4210854715202004e-14,
         "involution": 1.0845964142784047e-13,
-        "spectrum_drift": 1.3698422698419244e-10,
+        "spectrum_drift": 1.3698448504611627e-10,
         "isospectral_drift": 1.3698422698419244e-10,
     },
     ("elliptic", 2, 3): {
@@ -474,7 +477,7 @@ PINNED_RESIDUALS = {
         "lax_on_sigma": 3.212518138867684e-14,
         "lax_reduced_pointwise": 1.9922549256833715e-14,
         "involution": 4.963638160851638e-13,
-        "spectrum_drift": 1.2223630175879386e-10,
+        "spectrum_drift": 1.2223618337432602e-10,
         "isospectral_drift": 1.2223630175879386e-10,
     },
 }
@@ -585,8 +588,8 @@ def test_verify_jobs_make_one_kernel_pass_per_stack(tmp_path, monkeypatch):
     involution job, twice per mdybe job (the ring and sample table, then
     the higher orders at the samples) and once per group of Lax points,
     and the spectral suite makes one pass, its trace table, and solves no
-    eigenvalue problem.  A Lax job makes one flow call per point, reduced
-    points included."""
+    eigenvalue problem.  A Lax job makes one flow call per group of Lax
+    points, reduced points included."""
     calls, flows = [], []
     ladder, flow = rmatrix._ladder, dynamics._flow
 
@@ -610,7 +613,7 @@ def test_verify_jobs_make_one_kernel_pass_per_stack(tmp_path, monkeypatch):
             ("trigonometric", "axioms", 1, 0),
             ("trigonometric", "involution", 1, 0),
             ("trigonometric", "mdybe", 2, 0), ("elliptic", "mdybe", 2, 0),
-            ("trigonometric", "lax", 2, 8), ("rational", "lax", 3, 13),
+            ("trigonometric", "lax", 2, 2), ("rational", "lax", 3, 3),
             ("trigonometric", "spectral", 1, None)):
         calls.clear()
         flows.clear()

@@ -24,6 +24,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dense_reference import dense_chain
 from spincm.elliptic import Lattice
 from spincm.errors import ConstraintError, StructuralError
 from helpers import (PhaseFunction, PhaseGradient, ReducedGradient,
@@ -34,7 +35,7 @@ from helpers import (PhaseFunction, PhaseGradient, ReducedGradient,
                      ring_coefficients, spectral_curve,
                      spin_invariant_gradient)
 from spincm.phase import (PhasePoint, ReducedPoint, gauge_g, lift_reduced,
-                          project_pi, reduced_roots, spin_chain)
+                          project_pi, reduced_roots)
 from spincm.rmatrix import _r_table, positive_pair_weight, root_coeff_reg0
 from spincm.rootsys import AlgElement, form, negate, torus_adjoint
 from spincm.dynamics import (_lax_pair, _pack_point, _spectral_gradients,
@@ -634,7 +635,7 @@ def test_reduced_points_are_evaluated_at_their_slice_lift(family):
         assert isinstance(v, ReducedPoint)
         assert np.array_equal(v.q, up.q) and np.array_equal(v.p, up.p)
         # s_dot is the unreduced spin velocity through d s_gamma
-        pushed = spin_chain(rs, red.s) @ up.xi.vec[rs.dual_index]
+        pushed = dense_chain(rs, red.s) @ up.xi.vec[rs.dual_index]
         assert np.max(np.abs(v.s - pushed)) \
             < 1e-13 * max(1.0, np.max(np.abs(pushed)))
         b0 = lax_B(sys, red, zs).vec
@@ -675,6 +676,25 @@ def test_gauge_residual_of_a_stack_is_its_per_point_values(family, rank):
     assert stacked.tobytes() == np.array(
         [gauge_residual(sys, y) for y in states]).tobytes()
     assert np.max(stacked) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["sigma", "anomaly", "reduced"])
+@pytest.mark.parametrize("family", ["rational", "trigonometric", "elliptic"])
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_lax_residuals_of_a_stack_are_its_per_point_values(family, rank,
+                                                           kind):
+    # one flow call on the stack gives each point its one-point residual
+    sys = make_system(family, rank, lattice=WIDE if family == "elliptic"
+                      else None)
+    rng = np.random.default_rng(71)
+    make = {"sigma": sigma_point, "anomaly": generic_point,
+            "reduced": random_reduced}[kind]
+    points = [make(sys, rng) for _ in range(5)]
+    anomaly = kind == "anomaly"
+    stacked = lax_residuals(sys, points, anomaly=anomaly)
+    assert stacked.shape == (5,)
+    assert stacked.tobytes() == np.concatenate(
+        [lax_residuals(sys, [x], anomaly=anomaly) for x in points]).tobytes()
 
 
 def test_reduced_time_derivative_is_directional_derivative():

@@ -1,8 +1,9 @@
-"""The flat flow core behind `vector_field` (at both point kinds) and
-`integrate`: an independent oracle for the field, pinned trajectories
-(checked also against their values from the 5(4) pair before the core was
-flattened), its fault paths, and the stacked diagnostics against
-per-point loops.
+"""The flat flow core behind `vector_field` (at both point kinds),
+`integrate` and the Lax check: an independent oracle for the field, pinned
+trajectories (checked also against their values from the 5(4) pair before
+the core was flattened), its fault paths, the core against its composition
+from public pieces and a stacked call against its single-state calls (bit
+for bit), and the stacked diagnostics against per-point loops.
 
 The oracle builds the field from `pair_weight` and the dense structure
 tensor of the matrix units (`dense_reference`); the reduced field is the
@@ -27,7 +28,7 @@ from spincm.dynamics import (_pack_point, conserved_spectrum, hamiltonian,
 from spincm.elliptic import Lattice
 from spincm.errors import PoleError, StructuralError, raise_on_fp_fault
 from spincm.phase import (PhasePoint, ReducedPoint, lift_reduced, momentum_J,
-                          reduced_roots, slice_lift, spin_chain)
+                          reduced_roots, slice_lift)
 from spincm.rmatrix import positive_pair_weight
 from spincm.rootsys import AlgElement, matrix_rep
 
@@ -353,13 +354,16 @@ def composed_flow(sys_, ys, reduced):
     """The flow at the stacked states ys, composed from public pieces: the
     root values and pair weights of all states in one 2-D stack
     (Lattice.wp_pair for the elliptic family), then state by state dH/dq,
-    the bracket of w xi with xi and, reduced, the chain of s."""
+    the bracket of w xi with xi and, reduced, its pushforward ds_gamma =
+    dxi_gamma - s_gamma sum_j m_gamma^j dxi_{alpha_j} from the simple-root
+    coordinates m of the reduced roots."""
     rs, n = sys_.rs, sys_.rs.rank
     q, p, spin = ys[:, :n], ys[:, n:2 * n], ys[:, 2 * n:]
     xi = slice_lift(rs, spin) if reduced else spin
     up = rs.positive_root_values(q)
     w, w_du = sys_.lattice.wp_pair(up) if sys_.family == "elliptic" \
         else positive_pair_weight(sys_, up)
+    m = np.ascontiguousarray(np.array(reduced_roots(rs), dtype=complex).T)
     out = []
     for k in range(len(ys)):
         roots = xi[k, n:]
@@ -368,29 +372,52 @@ def composed_flow(sys_, ys, reduced):
         weights = np.concatenate([np.zeros(n), w[k], w[k]])
         dspin = rs.bracket_coords(weights * xi[k], xi[k])
         if reduced:
-            dspin = spin_chain(rs, spin[k]) @ dspin[rs.dual_index]
+            dspin = dspin[2 * n:] - spin[k] * (dspin[n:2 * n] @ m)
         out.append(np.concatenate([p[k], -dq, dspin]))
     return np.array(out)
+
+
+def random_states(sys_, reduced, seed, count):
+    """``count`` flat states: complex q clear of every wall, random p and
+    spins."""
+    rs, rank = sys_.rs, sys_.rs.rank
+    rng = np.random.default_rng(seed)
+    simple = rng.uniform(0.25, 0.6, (count, rank)) \
+        + 1j * rng.uniform(-0.25, 0.25, (count, rank))
+    q = np.linalg.solve(rs.alpha_h[:rank], simple.T).T
+    n_spin = rs.dim - 2 * rank if reduced else rs.dim
+    spin = rng.normal(size=(count, n_spin)) \
+        + 1j * rng.normal(size=(count, n_spin))
+    return np.concatenate([q, rng.normal(size=(count, rank)) + 0j, spin], 1)
 
 
 @pytest.mark.parametrize("reduced", [False, True])
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
 @pytest.mark.parametrize("family", FAMILIES)
 def test_flow_is_its_composition_bit_for_bit(family, rank, reduced):
-    """_flow at 200 random states (complex q clear of every wall, random p
-    and spins) equals composed_flow bit for bit: the flat elliptic pass
-    gives each state its values in a 2-D stack of wp_pair."""
+    """_flow at 200 random states equals composed_flow bit for bit: the
+    flat elliptic pass gives each state its values in a 2-D stack of
+    wp_pair."""
     sys_ = system(family, rank)
-    rs = sys_.rs
-    rng = np.random.default_rng([rank, reduced, len(family)])
-    simple = rng.uniform(0.25, 0.6, (200, rank)) \
-        + 1j * rng.uniform(-0.25, 0.25, (200, rank))
-    q = np.linalg.solve(rs.alpha_h[:rank], simple.T).T
-    n_spin = rs.dim - 2 * rank if reduced else rs.dim
-    spin = rng.normal(size=(200, n_spin)) + 1j * rng.normal(size=(200, n_spin))
-    ys = np.concatenate([q, rng.normal(size=(200, rank)) + 0j, spin], 1)
+    ys = random_states(sys_, reduced, [rank, reduced, len(family)], 200)
     got = np.array([dynamics._flow(sys_, y, reduced) for y in ys])
     assert np.array_equal(got, composed_flow(sys_, ys, reduced))
+
+
+@pytest.mark.parametrize("reduced", [False, True])
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_stacked_flow_is_its_single_state_calls_bit_for_bit(family, rank,
+                                                             reduced):
+    """One _flow call on 60 stacked states, as a (60,) and a (5, 12) stack,
+    gives each row its single-state field bit for bit."""
+    sys_ = system(family, rank)
+    ys = random_states(sys_, reduced, [rank, reduced, len(family), 26], 60)
+    single = np.array([dynamics._flow(sys_, y, reduced) for y in ys])
+    assert np.array_equal(dynamics._flow(sys_, ys, reduced), single)
+    assert np.array_equal(
+        dynamics._flow(sys_, ys.reshape(5, 12, -1), reduced),
+        single.reshape(5, 12, -1))
 
 
 def test_flat_elliptic_pass_is_wp_pair_element_by_element():

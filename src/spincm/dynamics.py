@@ -40,8 +40,8 @@ from .elliptic import Lattice
 from .errors import (ConfigError, ConstraintError, PoleError, StructuralError,
                      raise_on_fp_fault)
 from .ode import DormandPrince
-from .phase import (PhasePoint, ReducedPoint, momentum_J, pushforward,
-                    reduced_brackets, reduced_roots, reduction, slice_lift)
+from .phase import (PhasePoint, ReducedPoint, pushforward, reduced_brackets,
+                    reduced_roots, reduction, slice_lift)
 from .rmatrix import (RMatrixSpec, _ladder, _pole_distance, _r_pairing,
                       _r_table, positive_pair_weight, rational_r_matrix,
                       root_coeff_reg0, trigonometric_r_matrix)
@@ -126,7 +126,14 @@ class Trajectory:
 # slice lift; the point classes are wrapped around it only at the edges.
 
 
-def _pack_point(x) -> np.ndarray:
+def _pack_point(rs: RootSystem, x, kind=(PhasePoint, ReducedPoint)):
+    """The state q | p | spin of x; StructuralError, naming the mismatch,
+    unless x is a point of one of the classes ``kind`` over rs."""
+    if not (isinstance(x, kind) and x.rs == rs):
+        raise StructuralError(
+            f"objects built over mismatched root systems: a {type(x).__name__}"
+            f" over {getattr(x, 'rs', None)} where a "
+            f"{' or '.join(k.__name__ for k in kind)} over {rs} is expected")
     spin = x.s if isinstance(x, ReducedPoint) else x.xi.vec
     return np.concatenate([x.q, x.p, spin]).astype(complex)
 
@@ -146,10 +153,15 @@ def _split(rs: RootSystem, y: np.ndarray, reduced: bool) -> tuple:
             slice_lift(rs, spin) if reduced else spin)
 
 
-def _coords(points: list) -> tuple:
-    """(q, p, xi) stacked over points, reduced ones at their slice lift."""
-    return _split(points[0].rs, np.array([_pack_point(x) for x in points]),
-                  isinstance(points[0], ReducedPoint))
+def _coords(rs: RootSystem, points: Sequence,
+            kind=(PhasePoint, ReducedPoint)) -> tuple:
+    """(q, p, xi) stacked over a nonempty list of points of one class
+    (:func:`_pack_point`), reduced ones at their slice lift."""
+    if not len(points):
+        raise StructuralError("expected at least one point, got none")
+    kind = (type(points[0]),) if isinstance(points[0], kind) else kind
+    return _split(rs, np.array([_pack_point(rs, x, kind) for x in points]),
+                  kind == (ReducedPoint,))
 
 
 def _gradient(sys: RMatrixSpec, q, xi) -> tuple[np.ndarray, np.ndarray]:
@@ -213,7 +225,7 @@ def _flow(sys: RMatrixSpec, y: np.ndarray, reduced: bool) -> np.ndarray:
 def hamiltonian(sys: RMatrixSpec, x) -> complex:
     """H = (1/2)|p|^2 - (1/2) sum_alpha w_alpha xi_alpha xi_{-alpha}; at a
     ReducedPoint, H_0: H at its slice lift (s_{alpha_i} = 1)."""
-    return complex(_energy(sys, *_coords([x]))[0])
+    return complex(_energy(sys, *_coords(sys.rs, [x]))[0])
 
 
 def vector_field(sys: RMatrixSpec, x):
@@ -227,7 +239,8 @@ def vector_field(sys: RMatrixSpec, x):
     the pushforward of the field at the slice lift.
     """
     reduced = isinstance(x, ReducedPoint)
-    return _unpack_point(sys.rs, _flow(sys, _pack_point(x), reduced), reduced)
+    return _unpack_point(sys.rs, _flow(sys, _pack_point(sys.rs, x), reduced),
+                         reduced)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +281,7 @@ def integrate(sys: RMatrixSpec, x0, t_final: float, tol: float = 1e-10, *,
         raise StructuralError(f"tol must be finite and positive, got {tol}")
     n = sys.rs.rank
     reduced = isinstance(x0, ReducedPoint)
-    y0 = _pack_point(x0)
+    y0 = _pack_point(sys.rs, x0)
     if not np.all(np.isfinite(y0)):
         raise StructuralError("the initial state (q, p and spin) must be "
                               "finite")
@@ -351,19 +364,18 @@ def lax_L(sys: RMatrixSpec, x, z) -> AlgElement:
     """L(q,p,xi)(z) = p + f(z) (I xi)_h + sum c_alpha((alpha,q), z) xi_alpha
     e_alpha; an array of z gives one element per z (batch axes first).  At
     a ReducedPoint, L_0: L at its slice lift."""
-    return AlgElement(sys.rs, _lax(sys, *_coords([x]), z)[0])
+    return AlgElement(sys.rs, _lax(sys, *_coords(sys.rs, [x]), z)[0])
 
 
 def sigma_residual(sys: RMatrixSpec, x: PhasePoint) -> float:
     """Distance of x from the constraint set Sigma: ||J||_inf for the
     trigonometric and elliptic families, max_{alpha in Delta'} |(alpha, J)|
     for the rational one."""
-    j = momentum_J(x)
+    n = sys.rs.rank
+    j = _pack_point(sys.rs, x, (PhasePoint,))[2 * n:3 * n]
     if sys.family == "rational":
-        mask = sys.dp_mask
-        vals = np.abs(sys.rs.root_values(j))[mask]
-        return float(vals.max()) if vals.size else 0.0
-    return float(np.max(np.abs(j)))
+        j = sys.rs.root_values(j)[sys.dp_mask]
+    return float(np.max(np.abs(j), initial=0.0))
 
 
 @raise_on_fp_fault
@@ -380,7 +392,7 @@ def _lax_pair(sys: RMatrixSpec, points: list, z, anomaly: bool = False):
     coefficients along q_dot), the -z half B."""
     rs, n = sys.rs, sys.rs.rank
     z = np.asarray(z, dtype=complex)
-    q, p, xi = _coords(points)
+    q, p, xi = _coords(rs, points)
     vel = _flow(sys, np.concatenate([q, p, xi], -1), False)
     dxi = vel[:, 2 * n:]
     reduced = isinstance(points[0], ReducedPoint)
@@ -507,7 +519,7 @@ def conserved_spectrum(sys: RMatrixSpec, x,
                        z_samples: Sequence[complex]) -> np.ndarray:
     """Table h_k(z) = tr(rho(L(z))^k)/k, shape (len(z_samples), n) for the
     matrix size n.  Accepts PhasePoints (L) and ReducedPoints (L_0)."""
-    sums = _power_sums(sys, _coords([x]), z_samples)[0]
+    sums = _power_sums(sys, _coords(sys.rs, [x]), z_samples)[0]
     return sums / np.arange(1, sums.shape[-1] + 1)
 
 
@@ -569,7 +581,7 @@ def _spectral_gradients(sys: RMatrixSpec, points: list,
     ks = np.array([k for k, _ in specs])
     if (ks < 1).any():
         raise StructuralError("trace power k must be >= 1")
-    q, p, xi = _coords(points)
+    q, p, xi = _coords(rs, points, (ReducedPoint,))
     mat, c, c_du = _lax(sys, q, p, xi, [z for _, z in specs], matrix=True,
                         coeffs=True)
     # L^(k - 1) for the k of each spec
@@ -618,16 +630,17 @@ def fpbr_residual(sys: RMatrixSpec, x: PhasePoint, z: complex,
     negative control as well), each r as its coefficient vector.
     """
     rs = sys.rs
-    q, d, roots = x.q, rs.dual_index, np.arange(rs.rank, rs.dim)
+    q, p, xi = _split(rs, _pack_point(rs, x, (PhasePoint,)), False)
+    d, roots = rs.dual_index, np.arange(rs.rank, rs.dim)
     # component differentials of L with respect to xi coincide with the
     # unfaulted r-matrix pattern: L_a(z) = p_a + c_a(q, z) xi_a
     (cz, cw), d_zw = _r_table(sys.with_fault(1.0), q, [z, w], range(1),
                               du=1)[:, 0]
-    dq_z, dq_w = d_zw[:, roots, None] * (x.xi.vec[roots, None] * rs.alpha_h)
-    lz, lw = np.stack([cz, cw]) * x.xi.vec + np.pad(x.p, (0, len(roots)))
+    dq_z, dq_w = d_zw[:, roots, None] * (xi[roots, None] * rs.alpha_h)
+    lz, lw = np.stack([cz, cw]) * xi + np.pad(p, (0, len(roots)))
     # ad[j][b] = [e_{dual(b)}, y_j] for y = xi, L(z), L(w)
     ad_xi, ad_z, ad_w = np.moveaxis(rs.bracket_coords(
-        np.eye(rs.dim)[d, None, :], np.stack([x.xi.vec, lz, lw])), 1, 0)
+        np.eye(rs.dim)[d, None, :], np.stack([xi, lz, lw])), 1, 0)
 
     lhs = np.zeros((rs.dim, rs.dim), dtype=complex)
     # canonical part with the bracket_full orientation {p_i, q_j} = +delta:
@@ -639,7 +652,7 @@ def fpbr_residual(sys: RMatrixSpec, x: PhasePoint, z: complex,
 
     c12, d12 = _r_table(sys, q, z - w, range(1), du=1)[:, 0]
     com = c12[d] * ad_z.T + c12[:, None] * ad_w
-    com[roots, d[roots]] += d12[roots] * rs.root_values(momentum_J(x))
+    com[roots, d[roots]] += d12[roots] * rs.root_values(xi[:rs.rank])
     return float(np.max(np.abs(lhs + com)))
 
 

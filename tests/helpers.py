@@ -273,7 +273,7 @@ def spectral_curve(sys: RMatrixSpec, x, z_grid) -> np.ndarray:
     """Coefficients of det(w Id - rho(L(z))) in w, one row per grid z,
     highest power first (monic), as the package's Newton's identities give
     them; reduced points use L_0."""
-    return _char_poly(_power_sums(sys, _coords([x]), z_grid))[0]
+    return _char_poly(_power_sums(sys, _coords(sys.rs, [x]), z_grid))[0]
 
 
 def ring_nodes(radius: float, n: int) -> np.ndarray:

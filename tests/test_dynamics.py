@@ -573,8 +573,8 @@ def test_fault_knob_does_not_reach_lax_coefficients():
 
         def evaluate(sys):
             b = lax_B(sys, x, zs).vec
-            values = [hamiltonian(sys, x), _pack_point(vector_field(sys, x)),
-                      _pack_point(vector_field(sys, red)),
+            values = [hamiltonian(sys, x), _pack_point(rs, vector_field(sys, x)),
+                      _pack_point(rs, vector_field(sys, red)),
                       lax_L(sys, x, zs).vec, lax_residuals(sys, [x]),
                       lax_residuals(sys, [red]),
                       b,
@@ -669,7 +669,7 @@ def test_gauge_residual_of_a_stack_is_its_per_point_values(family, rank):
     sys = make_system(family, rank, lattice=WIDE if family == "elliptic"
                       else None)
     rng = np.random.default_rng(53)
-    states = np.array([_pack_point(sigma_point(sys, rng))
+    states = np.array([_pack_point(sys.rs, sigma_point(sys, rng))
                        for _ in range(25)])
     stacked = gauge_residual(sys, states)
     assert stacked.shape == (25,)
@@ -868,6 +868,57 @@ def test_fpbr_rational():
         x = generic_point(sys, rng)
         for z, w in ((0.31 + 0.12j, -0.22 + 0.4j), (0.5 - 0.27j, 0.18 + 0.3j)):
             assert fpbr_residual(sys, x, z, w) < 1e-11, rank
+
+
+# -- typed errors at the point boundary -----------------------------------------
+
+
+def _mismatch_cases():
+    """(call, message) pairs that hand an entry point objects built over
+    another root system, the other kind of point, or no point at all."""
+    sys3, sys2 = make_system("rational", 3), make_system("rational", 2)
+    rng = np.random.default_rng(73)
+    x2, red2 = sigma_point(sys2, rng), random_reduced(sys2, rng)
+    x3, red3 = sigma_point(sys3, rng), random_reduced(sys3, rng)
+    zs, pairs = default_z_samples(), INVOLUTION_PAIRS[:1]
+    a2 = r"a PhasePoint over RootSystem\(A_2.* where a .*over RootSystem\(A_3"
+    return {
+        "hamiltonian": (lambda: hamiltonian(sys3, x2), a2),
+        "vector_field": (lambda: vector_field(sys3, x2), a2),
+        "lax_L": (lambda: lax_L(sys3, x2, zs), a2),
+        "lax_B": (lambda: lax_B(sys3, x2, zs), a2),
+        "lax_residuals": (lambda: lax_residuals(sys3, [x2]), a2),
+        "conserved_spectrum": (lambda: conserved_spectrum(sys3, x2, zs), a2),
+        "sigma_residual": (lambda: sigma_residual(sys3, x2), a2),
+        "fpbr_residual": (lambda: fpbr_residual(sys3, x2, 0.3, -0.2j), a2),
+        "integrate": (lambda: integrate(sys3, x2, 0.1), a2),
+        "lax_residuals_mixed": (lambda: lax_residuals(sys3, [x3, red3]),
+                                r"a ReducedPoint over RootSystem\(A_3.* where a PhasePoint over"),
+        "lax_residuals_empty": (lambda: lax_residuals(sys3, []),
+                                "at least one point"),
+        "involution_phase_point": (
+            lambda: involution_residuals(sys3, [x3], pairs),
+            r"a PhasePoint over RootSystem\(A_3.* where a ReducedPoint over"),
+        "involution_empty": (lambda: involution_residuals(sys3, [], pairs),
+                             "at least one point"),
+        "involution_other_rank": (
+            lambda: involution_residuals(sys3, [red2], pairs),
+            r"a ReducedPoint over RootSystem\(A_2.* where a ReducedPoint over "
+            r"RootSystem\(A_3"),
+        "sigma_residual_reduced": (
+            lambda: sigma_residual(sys3, red3),
+            r"a ReducedPoint over RootSystem\(A_3.* where a PhasePoint over"),
+        "fpbr_residual_reduced": (
+            lambda: fpbr_residual(sys3, red3, 0.3, -0.2j),
+            r"a ReducedPoint over RootSystem\(A_3.* where a PhasePoint over"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_mismatch_cases()))
+def test_mismatched_points_raise_a_structural_error(case):
+    call, message = _mismatch_cases()[case]
+    with pytest.raises(StructuralError, match=message):
+        call()
 
 
 # -- export -------------------------------------------------------------------

@@ -111,7 +111,8 @@ def test_reduce_csv_matches_point_by_point_writer(tmp_path):
     sys_ = make_system("trigonometric", 2)
     times, states = read_trajectory_csv(sim / "trajectory.csv", sys_.rs)
     reduced = [project_pi(_unpack_point(sys_.rs, y, False)) for y in states]
-    traj = Trajectory(times, np.array([_pack_point(x) for x in reduced]),
+    traj = Trajectory(times, np.array([_pack_point(sys_.rs, x)
+                                          for x in reduced]),
                       sys_.rs, True,
                       np.array([hamiltonian(sys_, x)
                                 for x in reduced]),

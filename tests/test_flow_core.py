@@ -280,7 +280,7 @@ def test_trajectories_match_the_pinned_runs(key):
     assert traj.completed
     assert (traj.stats["nfev"], traj.stats["accepted"],
             traj.stats["rejected"], traj.stats["dense"]) == counts
-    got = _pack_point(traj.points[-1])
+    got = _pack_point(sys_.rs, traj.points[-1])
     assert rel_err(got, np.array(final)) < 1e-12
     assert rel_err(got, np.array(DP5_FINALS[key])) < 1e-7
 
@@ -303,7 +303,7 @@ def test_overflow_in_the_field_aborts_with_finite_points():
     assert not traj.completed
     assert traj.abort_reason.startswith("integration aborted at t = 0: ")
     assert "overflow" in traj.abort_reason
-    assert all(np.all(np.isfinite(_pack_point(pt))) for pt in traj.points)
+    assert all(np.all(np.isfinite(_pack_point(rs, pt))) for pt in traj.points)
     assert np.all(np.isfinite(traj.energy))
 
 

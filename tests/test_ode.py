@@ -42,13 +42,14 @@ def scipy_reference(sys_, x0, t_final, tol, n_points):
     reduced = isinstance(x0, ReducedPoint)
 
     def rhs(t, y):
-        return _pack_point(vector_field(sys_, _unpack_point(rs, y, reduced)))
+        return _pack_point(rs, vector_field(sys_, _unpack_point(rs, y,
+                                                                   reduced)))
 
-    solver = DOP853(rhs, 0.0, _pack_point(x0), t_final, rtol=tol,
+    solver = DOP853(rhs, 0.0, _pack_point(rs, x0), t_final, rtol=tol,
                     atol=tol * 1e-2)
     grid = np.linspace(0.0, t_final, n_points)
     direction = 1.0 if t_final > 0 else -1.0
-    values = [_pack_point(x0)]
+    values = [_pack_point(rs, x0)]
     steps = 0
     while solver.status == "running":
         solver.step()
@@ -79,7 +80,7 @@ def test_matches_scipy_rk45(family, reduced, t_final):
     traj = integrate(sys_, x0, t_final, 1e-9, n_points=7)
     expected, steps, nfev = scipy_reference(sys_, x0, t_final, 1e-9, 7)
     assert traj.completed
-    got = np.array([_pack_point(pt) for pt in traj.points])
+    got = np.array([_pack_point(sys_.rs, pt) for pt in traj.points])
     assert got.shape == expected.shape
     assert np.max(np.abs(got - expected)
                   / np.maximum(1.0, np.abs(expected))) < 1e-12
@@ -212,7 +213,7 @@ def test_dense_array_equals_scalar_calls_bit_for_bit(t_final):
     forwards and backwards."""
     sys_, x0 = oracle_point("trigonometric")
     solver = DormandPrince(lambda t, y: dynamics._flow(sys_, y, False), 0.0,
-                           _pack_point(x0), t_final, 1e-9, 1e-11)
+                           _pack_point(sys_.rs, x0), t_final, 1e-9, 1e-11)
     steps = 0
     while not solver.finished:
         assert solver.step()
@@ -242,7 +243,7 @@ def test_dense_array_matches_scipy_dense_output(family, t_final):
     pytest.importorskip("scipy")
     from scipy.integrate import DOP853
     sys_, x0 = oracle_point(family)
-    y0 = _pack_point(x0)
+    y0 = _pack_point(sys_.rs, x0)
 
     def rhs(t, y):
         return dynamics._flow(sys_, y, False)

@@ -60,6 +60,9 @@ class PhasePoint:
             raise StructuralError(
                 f"q and p must have {rank} coordinates each, got "
                 f"{self.q.shape} and {self.p.shape}")
+        if self.xi.vec.shape != (self.rs.dim,):
+            raise StructuralError(f"expected {self.rs.dim} spin coordinates, "
+                                  f"got {self.xi.vec.shape}")
 
     @property
     def rs(self) -> RootSystem:
@@ -255,8 +258,8 @@ def reduced_brackets(rs: RootSystem, s: np.ndarray, df, dg):
     factor by factor: the rows meet C first, then F; summing the entries
     of P = C F C^T first loses about 0.1 digit more to cancellation in the
     involution check."""
-    s, lp = np.asarray(s), lie_poisson(rs, slice_lift(rs, s))
-    chain = pushforward(rs, s[..., None, :], np.eye(rs.dim))[
-        ..., rs.dual_index, :].swapaxes(-1, -2).copy()
-    return _brackets(df, dg, rs.rank, lambda a, b: (a @ chain) @ lp @ (
-        chain.swapaxes(-1, -2) @ b))
+    lp = lie_poisson(rs, slice_lift(rs, s))
+    chain_t = pushforward(rs, s[..., None, :], np.eye(rs.dim))[
+        ..., rs.dual_index, :]
+    return _brackets(df, dg, rs.rank, lambda a, b: (
+        a @ chain_t.swapaxes(-1, -2)) @ lp @ (chain_t @ b))

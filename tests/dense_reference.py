@@ -37,9 +37,10 @@ def dense_structure(rs) -> np.ndarray:
 
 
 def dense_chain(rs, s) -> np.ndarray:
-    """C = E0 - s M at the slice lift of s: row gamma is the differential
-    d s_gamma = e_{-gamma} - s_gamma sum_j m_gamma^j e_{-alpha_j} over the
-    basis, so C @ xi_dot[rs.dual_index] is the pushed velocity."""
+    """C = E0 - s M at the slice lift of s, E0 with the rows e_{-gamma} and
+    M with the rows sum_j m_gamma^j e_{-alpha_j} over the basis: row gamma
+    is the differential d s_gamma, so C @ xi_dot[rs.dual_index] is the
+    pushed velocity."""
     n = rs.rank
     m = np.zeros((rs.n_roots - n, rs.dim))
     m[:, rs.dual_index[n:2 * n]] = rs.roots[n:]

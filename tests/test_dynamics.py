@@ -875,7 +875,8 @@ def test_fpbr_rational():
 
 def _mismatch_cases():
     """(call, message) pairs that hand an entry point objects built over
-    another root system, the other kind of point, or no point at all."""
+    another root system, the other kind of point, a point with a stack of
+    spins, or no point at all."""
     sys3, sys2 = make_system("rational", 3), make_system("rational", 2)
     rng = np.random.default_rng(73)
     x2, red2 = sigma_point(sys2, rng), random_reduced(sys2, rng)
@@ -908,6 +909,10 @@ def _mismatch_cases():
         "sigma_residual_reduced": (
             lambda: sigma_residual(sys3, red3),
             r"a ReducedPoint over RootSystem\(A_3.* where a PhasePoint over"),
+        "phase_point_with_stacked_spin": (
+            lambda: hamiltonian(sys3, PhasePoint(x3.q, x3.p, AlgElement(
+                sys3.rs, np.ones((2, sys3.rs.dim))))),
+            r"expected 15 spin coordinates, got \(2, 15\)"),
         "fpbr_residual_reduced": (
             lambda: fpbr_residual(sys3, red3, 0.3, -0.2j),
             r"a ReducedPoint over RootSystem\(A_3.* where a PhasePoint over"),

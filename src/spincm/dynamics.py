@@ -8,7 +8,7 @@ The Hamiltonian of every family has the shape
                                                   xi_alpha xi_{-alpha},
 
 with the pair weight w_alpha from :func:`spincm.rmatrix.positive_pair_weight`.
-The Lax operator reuses the r-matrix coefficient functions,
+The Lax operator L = p + r(q, z) xi reads the kernel only through :func:`_lax`,
 
     L(q, p, xi)(z) = p + f(z) (I xi)_h + sum_alpha c_alpha((alpha, q), z)
                                               xi_alpha e_alpha,
@@ -40,10 +40,10 @@ from .elliptic import Lattice
 from .errors import (ConfigError, ConstraintError, PoleError, StructuralError,
                      raise_on_fp_fault)
 from .ode import DormandPrince
-from .phase import (PhasePoint, ReducedPoint, pushforward, reduced_brackets,
-                    reduced_roots, reduction, slice_lift)
-from .rmatrix import (RMatrixSpec, _ladder, _pole_distance, _r_pairing,
-                      _r_table, positive_pair_weight, rational_r_matrix,
+from .phase import (PhasePoint, ReducedPoint, bracket_full, pushforward,
+                    reduced_brackets, reduced_roots, reduction, slice_lift)
+from .rmatrix import (RMatrixSpec, _pole_distance, _r_pairing, _r_table,
+                      positive_pair_weight, rational_r_matrix,
                       root_coeff_reg0, trigonometric_r_matrix)
 from .rootsys import (AlgElement, RootSystem, build_root_system, root_label,
                       torus_adjoint)
@@ -334,37 +334,44 @@ def integrate(sys: RMatrixSpec, x0, t_final: float, tol: float = 1e-10, *,
 # Lax operators
 
 
-@raise_on_fp_fault
-def _lax(sys: RMatrixSpec, q, p, xi, z, matrix: bool = False,
-         coeffs: bool = False):
-    """L(z) at the coordinates q, p, xi, whose leading axes stack points:
-    one value per point and z, of batch shape points + z.shape; with
-    ``matrix`` the defining matrices rho(L(z)) built entrywise, c_alpha
-    xi_alpha at the entry of e_alpha and p + f (I xi)_h on the diagonal.
-    ``coeffs`` adds the root coefficients c and dc/du of the same kernel
-    pass: (L, c, dc/du)."""
-    rs = sys.rs
+def _lax(sys: RMatrixSpec, q, z, kzs: range = range(1), du: int = 0):
+    """The Lax side's one read of the kernel, the r table (:func:`_r_table`)
+    of the spec without its fault at the stacked q and every z: shape (1 +
+    du, len(kzs)) + points + z.shape + (dim,), the points leading, as q
+    takes a unit axis per z axis and z one per point axis."""
     z = np.asarray(z, dtype=complex)
-    u, p, xi = (np.expand_dims(a, tuple(range(a.ndim - 1, a.ndim - 1 + z.ndim)))
-                for a in (rs.root_values(q), p, xi))
-    f, c = _ladder(sys, u, z[..., None], 1, int(coeffs))
-    cartan = p + f[0] * xi[..., :rs.rank]
-    roots = c[0][0] * xi[..., rs.rank:]
-    if matrix:
-        # the diagonal entry by entry, so that each is its single-point value
-        out = (cartan[..., None] * rs.h_diag).sum(-2)[..., None] \
-            * np.eye(rs.matrix_size)
-        out[(...,) + rs.root_entries] = roots
-    else:
-        out = np.concatenate([cartan, roots], -1)
-    return (out, c[0][0], c[1][0]) if coeffs else out
+    return _r_table(sys.with_fault(1.0), np.expand_dims(q, tuple(range(
+        -1 - z.ndim, -1))), z.reshape((1,) * (np.ndim(q) - 1) + z.shape),
+        kzs, du)
+
+
+@raise_on_fp_fault
+def _lax_value(r, p, xi) -> np.ndarray:
+    """L = p + r xi from an r table of :func:`_lax` (points + z axes) at
+    the stacked p, xi: r xi entry by entry, p on the Cartan slots."""
+    z_axes = tuple(range(xi.ndim - 1, r.ndim - 1))
+    lax = r * np.expand_dims(xi, z_axes)
+    lax[..., :p.shape[-1]] += np.expand_dims(p, z_axes)
+    return lax
+
+
+@raise_on_fp_fault
+def _lax_matrix(rs: RootSystem, lax) -> np.ndarray:
+    """The defining matrices rho(L) of the Lax values ``lax``, entry by
+    entry: L_alpha at the entry of e_alpha, and each diagonal entry its
+    single-point value."""
+    out = (lax[..., :rs.rank, None] * rs.h_diag).sum(-2)[..., None] \
+        * np.eye(rs.matrix_size)
+    out[(...,) + rs.root_entries] = lax[..., rs.rank:]
+    return out
 
 
 def lax_L(sys: RMatrixSpec, x, z) -> AlgElement:
     """L(q,p,xi)(z) = p + f(z) (I xi)_h + sum c_alpha((alpha,q), z) xi_alpha
     e_alpha; an array of z gives one element per z (batch axes first).  At
     a ReducedPoint, L_0: L at its slice lift."""
-    return AlgElement(sys.rs, _lax(sys, *_coords(sys.rs, [x]), z)[0])
+    q, p, xi = _coords(sys.rs, [x])
+    return AlgElement(sys.rs, _lax_value(_lax(sys, q, z)[0, 0], p, xi)[0])
 
 
 def sigma_residual(sys: RMatrixSpec, x: PhasePoint) -> float:
@@ -386,10 +393,9 @@ def _lax_pair(sys: RMatrixSpec, points: list, z, anomaly: bool = False):
     flow call on the stack, reduced points at their slice lift, gives the
     velocity (q_dot, p_dot, xi_dot); a lift moves by its pushforward, and
     B_0 is B less the torus drift D that the slice leaves out, alpha_j(D) =
-    xi_dot_{alpha_j}.  The kernel runs once: r and dc/du at +-z in one
-    table, from the spec without its fault, whose +z half gives L = p +
-    r(z) xi and dL/dt (L at the velocity plus the q-derivative of the root
-    coefficients along q_dot), the -z half B."""
+    xi_dot_{alpha_j}.  One table of :func:`_lax`, r and dc/du at +-z,
+    gives L and dL/dt (L at the velocity plus the q-derivative of the root
+    coefficients along q_dot) from its +z half, B from its -z half."""
     rs, n = sys.rs, sys.rs.rank
     z = np.asarray(z, dtype=complex)
     q, p, xi = _coords(rs, points)
@@ -401,10 +407,8 @@ def _lax_pair(sys: RMatrixSpec, points: list, z, anomaly: bool = False):
         dxi = np.concatenate([np.zeros((len(q), 2 * n)),
                               pushforward(rs, xi[:, 2 * n:], dxi)], -1)
     m = len(z)
-    r, dr = np.moveaxis(_r_table(sys.with_fault(1.0), q, np.concatenate(
-        [z, -z])[:, None], range(2), du=1), 2, 3)
-    lax, dlax = (r[0, :, :m] * spin[:, None]
-                 + np.pad(cartan, ((0, 0), (0, rs.dim - n)))[:, None]
+    r, dr = _lax(sys, q, np.concatenate([z, -z]), range(2), du=1)
+    lax, dlax = (_lax_value(r[0, :, :m], cartan, spin)
                  for cartan, spin in ((p, xi), (vel[:, n:2 * n], dxi)))
     dlax[..., n:] += dr[0, :, :m, n:] * rs.root_values(vel[:, :n])[:, None] \
         * xi[:, None, n:]
@@ -424,7 +428,7 @@ def _lax_pair(sys: RMatrixSpec, points: list, z, anomaly: bool = False):
         dr = dr[:, :, m:].copy()
         dr[..., n:] *= rs.root_values(xi[:, :n])[:, None]
         res = res + _r_pairing(dr[..., rs.dual_index], principal[:, :, None])
-    return np.max(np.abs(res), axis=(-2, -1)), b
+    return np.max(np.abs(res), axis=(-2, -1), initial=0.0), b
 
 
 def lax_B(sys: RMatrixSpec, x, nodes) -> AlgElement:
@@ -471,7 +475,8 @@ def _power_sums(sys: RMatrixSpec, coords: tuple, z) -> np.ndarray:
     (a reduced one at its slice lift: L_0), for every z and k = 1..n (n the
     matrix size: by Cayley-Hamilton, higher powers add no invariant), of
     shape (points, len(z), n): one stacked evaluation."""
-    mat = _lax(sys, *coords, z, matrix=True)
+    q, p, xi = coords
+    mat = _lax_matrix(sys.rs, _lax_value(_lax(sys, q, z)[0, 0], p, xi))
     acc, out = mat, [np.trace(mat, axis1=-2, axis2=-1)]
     for _ in range(sys.rs.matrix_size - 1):
         acc = acc @ mat
@@ -540,12 +545,13 @@ def gauge_residual(sys: RMatrixSpec, states) -> np.ndarray:
     """max_z ||L_0(pi(x))(z) - Ad_{g(xi)^{-1}} L(x)(z)|| over the ring
     default_z_samples(4) at each unreduced state x = q | p | xi (leading
     axes stack states): the consistency of the reduced Lax operator with
-    the gauge normalization, from one stacked L at the lifts and the x."""
-    rs, z = sys.rs, default_z_samples(4)
+    the gauge normalization, both L from one r table at the states' q."""
+    rs = sys.rs
     q, p, xi = _split(rs, np.asarray(states, dtype=complex), False)
     s, g = reduction(rs, xi)
-    diff = _lax(sys, q, p, slice_lift(rs, s), z) - torus_adjoint(
-        -g[..., None, :], AlgElement(rs, _lax(sys, q, p, xi, z))).vec
+    r = _lax(sys, q, default_z_samples(4))[0, 0]
+    diff = _lax_value(r, p, slice_lift(rs, s)) - torus_adjoint(
+        -g[..., None, :], AlgElement(rs, _lax_value(r, p, xi))).vec
     return np.max(np.abs(diff), axis=(-2, -1))
 
 
@@ -578,21 +584,21 @@ def _spectral_gradients(sys: RMatrixSpec, points: list,
     n_s), by the chain rule through the L_0 coefficients from one stacked
     Lax pass; tr(L^{k-1} rho_a) is a Frobenius product."""
     rs, n = sys.rs, sys.rs.rank
-    ks = np.array([k for k, _ in specs])
+    ks = np.array([k for k, _ in specs], dtype=int)
     if (ks < 1).any():
         raise StructuralError("trace power k must be >= 1")
     q, p, xi = _coords(rs, points, (ReducedPoint,))
-    mat, c, c_du = _lax(sys, q, p, xi, [z for _, z in specs], matrix=True,
-                        coeffs=True)
+    r, dr = _lax(sys, q, [z for _, z in specs], du=1)[:, 0]
+    mat = _lax_matrix(rs, _lax_value(r, p, xi))
     # L^(k - 1) for the k of each spec
     acc = np.broadcast_to(np.eye(rs.matrix_size, dtype=complex), mat.shape)
     power = np.empty_like(mat)
-    for m in range(ks.max()):
+    for m in range(ks.max(initial=0)):
         power[:, ks == m + 1] = acc[:, ks == m + 1]
         acc = acc @ mat
     traces = rs.to_coords(power.swapaxes(-1, -2))
-    dq = (c_du * xi[:, None, n:] * traces[..., n:]) @ rs.alpha_h
-    return np.concatenate([dq, traces[..., :n], c[..., n:]
+    dq = (dr[..., n:] * xi[:, None, n:] * traces[..., n:]) @ rs.alpha_h
+    return np.concatenate([dq, traces[..., :n], r[..., 2 * n:]
                            * traces[..., 2 * n:]], -1)
 
 
@@ -624,36 +630,29 @@ def fpbr_residual(sys: RMatrixSpec, x: PhasePoint, z: complex,
         {L(z) (x), L(w)} = -[r^{12}(q, z-w), L^1(z) + L^2(w)]
                            - (X_J r)(q, z-w),
 
-    as the max-abs entry of LHS + RHS-terms.  The left side is assembled from
-    the analytic component differentials of L; the right side uses the
-    r-matrix itself (including any injected fault, which makes this a
-    negative control as well), each r as its coefficient vector.
+    as the max-abs entry of LHS + RHS-terms.  The left side is
+    :func:`spincm.phase.bracket_full` of the component differential rows
+    (dL_a/dq | dL_a/dp | dL_a/dxi), L_a = p_a + c_a(q, z) xi_a from
+    :func:`_lax`; the right side uses the r-matrix itself (including any
+    injected fault, which makes this a negative control as well), each r
+    as its coefficient vector.
     """
-    rs = sys.rs
+    rs, n = sys.rs, sys.rs.rank
     q, p, xi = _split(rs, _pack_point(rs, x, (PhasePoint,)), False)
-    d, roots = rs.dual_index, np.arange(rs.rank, rs.dim)
-    # component differentials of L with respect to xi coincide with the
-    # unfaulted r-matrix pattern: L_a(z) = p_a + c_a(q, z) xi_a
-    (cz, cw), d_zw = _r_table(sys.with_fault(1.0), q, [z, w], range(1),
-                              du=1)[:, 0]
-    dq_z, dq_w = d_zw[:, roots, None] * (xi[roots, None] * rs.alpha_h)
-    lz, lw = np.stack([cz, cw]) * xi + np.pad(p, (0, len(roots)))
-    # ad[j][b] = [e_{dual(b)}, y_j] for y = xi, L(z), L(w)
-    ad_xi, ad_z, ad_w = np.moveaxis(rs.bracket_coords(
-        np.eye(rs.dim)[d, None, :], np.stack([xi, lz, lw])), 1, 0)
-
-    lhs = np.zeros((rs.dim, rs.dim), dtype=complex)
-    # canonical part with the bracket_full orientation {p_i, q_j} = +delta:
-    # {L_a(z), L_b(w)} picks -dL_a/dq_i dL_b/dp_i + dL_a/dp_i dL_b/dq_i
-    lhs[roots, :rs.rank] -= dq_z
-    lhs[:rs.rank, roots] += dq_w.T
-    # <xi, [e_{dual a}, e_{dual b}]> = [e_{dual b}, xi]_a by invariance
-    lhs += cz[:, None] * cw * ad_xi.T
-
+    d, roots = rs.dual_index, np.arange(n, rs.dim)
+    r, dr = _lax(sys, q, [z, w], du=1)[:, 0]
+    rows = np.zeros((2, rs.dim, 2 * n + rs.dim), dtype=complex)
+    rows[:, n:, :n] = dr[:, n:, None] * (xi[n:, None] * rs.alpha_h)
+    rows[:, :n, n:2 * n] = np.eye(n)
+    # dL_a/dxi = c_a e_{dual(a)}, as xi_a = <xi, e_{dual(a)}>
+    rows[:, np.arange(rs.dim), 2 * n + d] = r
+    # ad[j][b] = [e_{dual(b)}, L_j] for L(z), L(w)
+    ad_z, ad_w = np.moveaxis(rs.bracket_coords(
+        np.eye(rs.dim)[d, None, :], _lax_value(r, p, xi)), 1, 0)
     c12, d12 = _r_table(sys, q, z - w, range(1), du=1)[:, 0]
     com = c12[d] * ad_z.T + c12[:, None] * ad_w
-    com[roots, d[roots]] += d12[roots] * rs.root_values(xi[:rs.rank])
-    return float(np.max(np.abs(lhs + com)))
+    com[roots, d[roots]] += d12[roots] * rs.root_values(xi[:n])
+    return float(np.max(np.abs(bracket_full(x, *rows) + com)))
 
 
 # ---------------------------------------------------------------------------

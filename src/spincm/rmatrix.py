@@ -17,8 +17,8 @@ root coefficient c_alpha(u, z) with u = (alpha, q):
 All z- and q-derivatives needed anywhere in the package come from closed
 forms (ladders in cot here, the elliptic Leibniz ladders from one pass per
 argument in :meth:`Lattice.coefficient_ladder`), never finite differences.
-The same coefficient functions feed the Lax operators in
-:mod:`spincm.dynamics`, which is what ties the r-matrix to the mechanics.
+The Lax operators in :mod:`spincm.dynamics` read this kernel only through
+:func:`_r_table`, which is what ties the r-matrix to the mechanics.
 
 Each family has one array kernel (:func:`_ladder`): from the root values
 u = rs.root_values(q) (roots on the last axis, z broadcasting against it)

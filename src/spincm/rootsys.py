@@ -176,7 +176,8 @@ class RootSystem:
     def to_coords(self, mat: np.ndarray) -> np.ndarray:
         """Coordinates of traceless matrices (last two axes) over the basis:
         the diagonal against h_diag, the root entries read off; one matmul."""
-        return mat.reshape(mat.shape[:-2] + (-1,)) @ self._from_flat
+        return mat.reshape(mat.shape[:-2] + (self.matrix_size ** 2,)) \
+            @ self._from_flat
 
     def bracket_coords(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """[x, y] of coordinate arrays (batch axes broadcast): the

@@ -602,7 +602,6 @@ def test_verify_jobs_make_one_kernel_pass_per_stack(tmp_path, monkeypatch):
         return flow(*args, **kwargs)
 
     monkeypatch.setattr(rmatrix, "_ladder", counted)
-    monkeypatch.setattr(dynamics, "_ladder", counted)
     monkeypatch.setattr(dynamics, "_flow", counted_flow)
 
     def no_eigvals(*args):

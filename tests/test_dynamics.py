@@ -25,6 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dense_reference import dense_chain
+from spincm import dynamics, rmatrix
 from spincm.elliptic import Lattice
 from spincm.errors import ConstraintError, StructuralError
 from helpers import (PhaseFunction, PhaseGradient, ReducedGradient,
@@ -92,6 +93,22 @@ def test_hamiltonian_frozen_rank_one():
     x = PhasePoint.make(sys.rs, [1.0 / math.sqrt(2.0)], [0.0],
                         xi_components={(1,): 1.0, (-1,): 1.0})
     assert abs(hamiltonian(sys, x) - (-1.0)) < 1e-14
+
+
+def test_trigonometric_hamiltonian_at_a_huge_root_value():
+    """A trigonometric value at a huge real root value is the function at
+    that double, with no guard: spinless(1) on A_2 at q = (1e200, 0.3)
+    gives H = -sum_alpha>0 (1/sin^2 u_alpha - 1/3) at the double root
+    values u, as 300-digit mpmath reads them."""
+    mp = pytest.importorskip("mpmath")
+    sys = make_system("trigonometric", 2)
+    x = spinless_state(sys.rs, [1e200, 0.3], [0.0, 0.0], 1.0)
+    h = hamiltonian(sys, x)
+    assert h == -4.201382977995008
+    with mp.workdps(300):
+        want = -sum(1 / mp.sin(mp.mpf(u.real)) ** 2 - mp.mpf(1) / 3
+                    for u in sys.rs.positive_root_values(x.q))
+        assert abs(h - complex(want)) <= 1e-14 * abs(complex(want))
 
 
 def test_hamiltonian_matches_quadrature():
@@ -501,7 +518,8 @@ def test_lax_B_is_the_lax_pair_core_with_half_the_principal_part(family):
     """lax_B on the nodes is the B of the Lax pair core bit for bit, at a
     PhasePoint on Sigma and at a ReducedPoint; B = -R_q(L/z) has 1/2 of
     the principal part of L/z (the regular part of L at 0 over z and
-    I xi over z^2), read off a quadrature ring."""
+    I xi over z^2), read off a quadrature ring.  No nodes give an empty
+    B and a zero Lax residual."""
     sys = make_system(family, 2, lattice=WIDE if family == "elliptic"
                       else None)
     rng = np.random.default_rng(61)
@@ -514,6 +532,8 @@ def test_lax_B_is_the_lax_pair_core_with_half_the_principal_part(family):
                                        / ring[:, None], ring, 2)
         got = ring_coefficients(b.vec, ring, 2)
         assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+        assert lax_B(sys, x, []).vec.shape == (0, sys.rs.dim)
+        assert lax_residuals(sys, [x, x], []).tolist() == [0.0, 0.0]
 
 
 def test_quasi_lax_off_sigma_rational():
@@ -556,7 +576,8 @@ def test_fault_knob_does_not_reach_lax_coefficients():
     else: on every family the Hamiltonian, both flows, L, B, the Lax,
     quasi-Lax and reduced Lax residuals, the involution residuals and the
     spectrum drift of the faulted spec are bitwise the clean spec's, while
-    the faulted r-matrix breaks the bracket relation (negative control)."""
+    the faulted r-matrix breaks the bracket relation (negative control).
+    The gauge residual and the conserved spectrum read no fault either."""
     rng = np.random.default_rng(31)
     zs = default_z_samples()
     pairs = [((2, 0.41 + 0.22j), (3, -0.33 + 0.47j)),
@@ -579,7 +600,10 @@ def test_fault_knob_does_not_reach_lax_coefficients():
                       lax_residuals(sys, [red]),
                       b,
                       involution_residuals(sys, [red], pairs),
-                      spectrum_drift(sys, integrate(sys, x, 0.5, n_points=5))]
+                      spectrum_drift(sys, integrate(sys, x, 0.5, n_points=5)),
+                      gauge_residual(sys, _pack_point(rs, x)[None]),
+                      conserved_spectrum(sys, x, zs),
+                      conserved_spectrum(sys, red, zs)]
             if family == "rational":
                 values.append(lax_residuals(sys, [off], anomaly=True))
             return [np.asarray(v).tobytes() for v in values]
@@ -856,9 +880,40 @@ def test_involution_of_spectral_invariants():
         x = random_reduced(sys, rng)
         assert np.max(involution_residuals(sys, [x], INVOLUTION_PAIRS)) < tol, \
             sys.family
+        # no pairs: an empty table per point
+        assert involution_residuals(sys, [x, x], []).shape == (2, 0)
 
 
 # -- bracket relation of Lax components ---------------------------------------
+
+
+@pytest.mark.parametrize("family", ["rational", "trigonometric", "elliptic"])
+def test_lax_entries_make_one_kernel_pass_per_table(family, monkeypatch):
+    """The Lax side reads the kernel through one r table per call: one
+    pass for lax_L, conserved_spectrum and gauge_residual on a stack (L at
+    the states and at their lifts), two for fpbr_residual (L(z) and L(w),
+    then the r-matrix at z - w)."""
+    assert not hasattr(dynamics, "_ladder")
+    calls, ladder = [], rmatrix._ladder
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return ladder(*args, **kwargs)
+
+    monkeypatch.setattr(rmatrix, "_ladder", counted)
+    sys = make_system(family, 3, lattice=WIDE)
+    rng = np.random.default_rng(83)
+    x, zs = sigma_point(sys, rng), default_z_samples()
+    states = np.array([_pack_point(sys.rs, sigma_point(sys, rng))
+                       for _ in range(4)])
+    for call, passes in ((lambda: lax_L(sys, x, zs), 1),
+                         (lambda: conserved_spectrum(sys, x, zs), 1),
+                         (lambda: gauge_residual(sys, states), 1),
+                         (lambda: fpbr_residual(sys, x, 0.31 + 0.12j,
+                                                -0.22 + 0.4j), 2)):
+        calls.clear()
+        call()
+        assert len(calls) == passes
 
 
 def test_fpbr_rational():

@@ -15,7 +15,7 @@ reads one pass per argument: the reduction (StructuralError past 2^52
 periods), the pole guard if asked, and theta_1 with three derivatives, a
 dot product of [sin | cos]((2n+1) v) with a term table whose length keeps
 the dropped tail below _REL_CUTOFF in the centred cell.  sigma, zeta, wp,
-l and the r-matrix ladder (``Lattice.coefficient_ladder``) share passes;
+l and the r-matrix ladder (``Lattice._coefficient_ladder``) share passes;
 numpy floating-point faults raise FloatingPointError, not inf or nan.
 
 Conventions: half-periods omega1, omega2 with Im(omega2/omega1) > 0; the
@@ -136,22 +136,15 @@ class Lattice:
         arg = v[..., None] * self._odd
         return np.concatenate([np.sin(arg), np.cos(arg)], -1) @ self._table
 
-    def _cell(self, z, what: str | None = None) -> tuple[np.ndarray, ...]:
-        """Elementwise z = z0 + 2m*w1 + 2n*w2 (_flat_cell), m and n as float
-        arrays of integers.  z runs as a contiguous array of at least one
-        dimension: the float view needs the first, and numpy's 0-d arithmetic
-        rounds apart from the same point inside an array."""
-        z = np.ascontiguousarray(z, dtype=complex)
-        z0, mn = self._flat_cell(z.reshape(-1), what)
-        return (z0.reshape(z.shape), mn[:, 0].reshape(z.shape),
-                mn[:, 1].reshape(z.shape))
-
-    def _flat_cell(self, z: np.ndarray, what: str | None = None) -> tuple:
-        """(z0, mn) of _cell for the 1-D contiguous complex array z, one
-        (m, n) row per point.  More than 2^52 periods out z keeps no
-        fractional digit: StructuralError.  With ``what``, PoleError if any
-        |z0| < POLE_TOL, as 0 is the only lattice point in the closed
-        centred cell (POLE_TOL is far below half a period)."""
+    def _cell(self, z, what: str | None = None) -> tuple:
+        """The one argument reduction, z = z0 + 2m*w1 + 2n*w2 on z flattened
+        to a contiguous 1-D array (the float view needs it; numpy's 0-d
+        arithmetic rounds apart from an array element): (z0, mn), one (m, n)
+        row of integer floats per point.  StructuralError past 2^52 periods,
+        where z keeps no fractional digit; with ``what``, PoleError if any
+        |z0| < POLE_TOL (0 is the only lattice point in the closed centred
+        cell, and POLE_TOL is far below half a period)."""
+        z = np.ascontiguousarray(z, dtype=complex).reshape(-1)
         mn = np.rint(z.view(float).reshape(-1, 2) @ self._period_inv_t)
         if np.maximum.reduce(np.abs(mn), None, initial=0.0) > _RANGE:
             far = z[np.abs(mn).max(axis=1).argmax()]
@@ -165,16 +158,17 @@ class Lattice:
         return z0, mn
 
     def _pass(self, z, what: str | None = None) -> tuple[np.ndarray, ...]:
-        """The pass every evaluation but wp reads: (z0, m, n) of _cell, with
-        its pole guard if ``what`` is given, and _theta1 at z0."""
-        z0, m, n = self._cell(z, what)
+        """The pass every evaluation but wp reads: z0, m and n of _cell in
+        the shape of z (a scalar as one element), and _theta1 at z0."""
+        shape = np.shape(z) or (1,)
+        z0, mn = self._cell(z, what)
+        z0, m, n = (a.reshape(shape) for a in (z0, mn[:, 0], mn[:, 1]))
         return z0, m, n, self._theta1(z0)
 
-    def _wp_flat(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(wp, wp') at the complex array z, flattened: _flat_cell with its
-        pole guard and _theta1 in one pass, under the caller's fault guard."""
-        z0 = self._flat_cell(z.ravel(), "wp")[0]
-        return self._wp_from_theta(self._theta1(z0))
+    def _wp_flat(self, z) -> tuple[np.ndarray, np.ndarray]:
+        """(wp, wp') at z, flattened: _cell with its pole guard and _theta1
+        in one pass, under the caller's fault guard."""
+        return self._wp_from_theta(self._theta1(self._cell(z, "wp")[0]))
 
     def _sigma(self, p) -> np.ndarray:
         z0, m, n, th = p[0], p[1], p[2], p[3][..., 0]
@@ -197,19 +191,22 @@ class Lattice:
         return wp, wp_prime
 
     def _zetas(self, p, kmax: int) -> list:
-        """zeta and its z-derivatives of orders below kmax (kmax <= 5),
-        analytic: zeta' = -wp, wp'' = 6 wp^2 - g2/2, wp''' = 12 wp wp'."""
-        if kmax > 5:
-            raise ValueError(f"zeta_ladder supports kmax <= 5, got {kmax}")
+        """zeta and its z-derivatives of orders below kmax, analytic:
+        zeta' = -wp, wp'' = 6 wp^2 - g2/2 and wp''' = 12 wp wp', and past
+        them the derivatives of wp'' = 6 wp^2 - g2/2 by Leibniz,
+        wp^(k+2) = 6 sum_j C(k, j) wp^(j) wp^(k-j)."""
         z0, m, n, theta = p
         val = self._eta1 * z0 / self._w1 \
             + (math.pi / (2.0 * self._w1)) * theta[..., 1] / theta[..., 0]
         out = [val + 2 * m * self._eta1 + 2 * n * self._eta2]
         if kmax > 1:
-            wp, dp = self._wp_from_theta(theta)
-            out += [-wp, -dp]
-        if kmax > 3:
-            out += [-(6.0 * wp * wp - 0.5 * self.g2), -12.0 * wp * dp]
+            w = list(self._wp_from_theta(theta))
+            if kmax > 3:
+                w += [6.0 * w[0] * w[0] - 0.5 * self.g2, 12.0 * w[0] * w[1]]
+            for k in range(2, kmax - 3):
+                w.append(6.0 * sum(math.comb(k, j) * w[j] * w[k - j]
+                                   for j in range(k + 1)))
+            out += [-v for v in w]
         return out[:kmax]
 
     # -- public evaluations ----------------------------------------------
@@ -218,8 +215,8 @@ class Lattice:
     def reduce(self, z):
         """Write z = z0 + 2m*omega1 + 2n*omega2 with z0 in the centred cell
         of the reduced basis."""
-        z0, *mn = self._cell(z)
-        m, n = np.tensordot(self._basis, mn, 1)
+        z0, mn = self._cell(z)
+        m, n = self._basis @ mn.T
         return _value(z0, z), _value(m, z, int), _value(n, z, int)
 
     @raise_on_fp_fault
@@ -239,7 +236,7 @@ class Lattice:
     @raise_on_fp_fault
     def wp_pair(self, z):
         """(wp(z), wp'(z)) from one pass (_wp_flat)."""
-        wp, wp_prime = self._wp_flat(np.asarray(z, dtype=complex))
+        wp, wp_prime = self._wp_flat(z)
         return _value(wp, z), _value(wp_prime, z)
 
     def wp(self, z):
@@ -250,20 +247,20 @@ class Lattice:
 
     @raise_on_fp_fault
     def zeta_ladder(self, z, kmax: int) -> list:
-        """zeta and its z-derivatives of orders below kmax (kmax <= 5)."""
+        """zeta and its z-derivatives of orders below kmax."""
         return [_value(v, z)
                 for v in self._zetas(self._pass(z, "zeta"), kmax)]
 
-    def coefficient_ladder(self, u, z, kmax: int, du: int = 0):
+    def _coefficient_ladder(self, u, z, kmax: int, du: int = 0):
         """``rmatrix._ladder`` for f = zeta(z) and c = -l(u, z) from one pass
-        each of z, u and u + z: Leibniz ladders of l' = l (zeta(u+z) -
-        zeta(z)) and d_u l = l (zeta(u+z) - zeta(u)).  Runs under the
-        caller's fault guard."""
-        pz = self._pass(z, "zeta")
+        each of z, u and u + z: the one sigma ratio l, and Leibniz ladders
+        of l' = l (zeta(u+z) - zeta(z)) and d_u l = l (zeta(u+z) -
+        zeta(u)).  Runs under the caller's fault guard."""
+        pz = self._pass(z, "l_kernel")
         zeta_z = self._zetas(pz, kmax)
         nuz = kmax - 1 + du
         pu = self._pass(u, "l_kernel")
-        puz = self._pass(u + z, "zeta" if nuz else None)
+        puz = self._pass(np.add(u, z), "zeta" if nuz else None)
         kernel = -self._sigma(puz) / (self._sigma(pu) * self._sigma(pz))
         c = [-kernel]
         zeta_uz = self._zetas(puz, nuz) if nuz else []
@@ -284,15 +281,13 @@ class Lattice:
 @raise_on_fp_fault
 def l_kernel(lattice: Lattice, w, z):
     """Two-variable kernel l(w, z) = -sigma(w+z) / (sigma(w) sigma(z)),
-    elementwise over the broadcast of w and z (the passes of w and z, with
-    their pole guards, run on the arguments as given, unbroadcast).
+    elementwise over the broadcast of w and z: -c[0] of the r-matrix ladder
+    (the passes of w and z, with their pole guards, run on the arguments as
+    given, unbroadcast).
 
     Symmetric in its arguments, with a simple pole of residue -1 in z at the
     lattice.  Poles occur where sigma(w) or sigma(z) vanish, and only there;
     w + z on the lattice gives a regular zero, so it is not guarded.
     """
-    wz = np.add(w, z)
-    sw, sz, swz = (lattice._sigma(p) for p in (
-        lattice._pass(w, "l_kernel"), lattice._pass(z, "l_kernel"),
-        lattice._pass(wz)))
-    return _value(-swz / (sw * sz), wz)
+    c = lattice._coefficient_ladder(w, z, 1)[1][0][0]
+    return _value(-c, np.add(w, z))

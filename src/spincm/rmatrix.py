@@ -16,7 +16,7 @@ root coefficient c_alpha(u, z) with u = (alpha, q):
 
 All z- and q-derivatives needed anywhere in the package come from closed
 forms (ladders in cot here, the elliptic Leibniz ladders from one pass per
-argument in :meth:`Lattice.coefficient_ladder`), never finite differences.
+argument in :meth:`Lattice._coefficient_ladder`), never finite differences.
 The Lax operators in :mod:`spincm.dynamics` read this kernel only through
 :func:`_r_table`, which is what ties the r-matrix to the mechanics.
 
@@ -319,7 +319,7 @@ def _trig_ladder(spec: RMatrixSpec, u, z, kmax: int, du: int):
 def _ladder(spec: RMatrixSpec, u, z, kmax: int, du: int = 0):
     """The family kernel in one pass: (f, c), f[k] the k-th z-derivative of
     the Cartan coefficient and c[d][k] that of the root coefficients (d =
-    0) and of their u-derivatives (d = 1 if du), for k < kmax <= 4; u holds
+    0) and of their u-derivatives (d = 1 if du), for k < kmax; u holds
     the roots on its last axis and z broadcasts against it.  exp(bz),
     cot z, csc z, the zeta ladder and the pole guards are shared by every
     k.  Runs under the caller's fault guard."""
@@ -328,7 +328,7 @@ def _ladder(spec: RMatrixSpec, u, z, kmax: int, du: int = 0):
         return _trig_ladder(spec, u, z, kmax, du)
     if fam == "elliptic":
         args = (u,) if kmax == 1 and not du else (u, u + z)
-        return _on_lattice(spec, lambda: spec.lattice.coefficient_ladder(
+        return _on_lattice(spec, lambda: spec.lattice._coefficient_ladder(
             u, z, kmax, du), *args)
     if (np.abs(z) < _ZTOL).any():
         raise PoleError("rational r-matrix evaluated at the z = 0 pole")

@@ -165,7 +165,6 @@ class RootSystem:
         # the form pairs h_i with h_i and e_alpha with e_{-alpha}
         neg = [self.root_index[negate(r)] for r in self.roots]
         self.dual_index = np.r_[np.arange(self.rank), self.rank + np.array(neg)]
-        self.gram = np.eye(self.dim)[self.dual_index]
 
     def to_matrix(self, vec: np.ndarray) -> np.ndarray:
         """Defining matrices, shape (..., n+1, n+1), of the coordinate
@@ -267,10 +266,12 @@ class AlgElement:
         if self.rs is not other.rs and self.rs != other.rs:
             raise StructuralError("elements belong to different root systems")
 
+    @raise_on_fp_fault
     def __add__(self, other: "AlgElement") -> "AlgElement":
         self._check(other)
         return AlgElement(self.rs, self.vec + other.vec)
 
+    @raise_on_fp_fault
     def __sub__(self, other: "AlgElement") -> "AlgElement":
         self._check(other)
         return AlgElement(self.rs, self.vec - other.vec)
@@ -278,6 +279,7 @@ class AlgElement:
     def __neg__(self) -> "AlgElement":
         return AlgElement(self.rs, -self.vec)
 
+    @raise_on_fp_fault
     def __mul__(self, scalar) -> "AlgElement":
         return AlgElement(self.rs, self.vec * scalar)
 
@@ -310,18 +312,20 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+@raise_on_fp_fault
 def bracket(x: AlgElement, y: AlgElement) -> AlgElement:
     """Lie bracket [x, y] (:meth:`RootSystem.bracket_coords`)."""
     x._check(y)
     return AlgElement(x.rs, x.rs.bracket_coords(x.vec, y.vec))
 
 
+@raise_on_fp_fault
 def form(x: AlgElement, y: AlgElement):
     """Invariant bilinear form (x, y); also the g*-g pairing <xi, y> when x
     stores a covector.  A complex for single elements, an array over the
-    batch axes otherwise."""
+    batch axes otherwise; np.sum, not einsum, so that an overflow raises."""
     x._check(y)
-    val = np.einsum("...a,...a->...", x.vec, y.vec @ x.rs.gram)
+    val = np.sum(x.vec * y.vec[..., x.rs.dual_index], -1)
     return complex(val) if val.ndim == 0 else val
 
 

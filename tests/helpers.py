@@ -302,7 +302,7 @@ def hamiltonian_quadrature(sys: RMatrixSpec, x: PhasePoint, *,
 def casimir_tensor(rs: RootSystem) -> np.ndarray:
     """The invariant element Omega = sum_i h_i (x) h_i + sum_alpha e_alpha
     (x) e_{-alpha} in coordinates over the product basis: the Gram matrix."""
-    return rs.gram.astype(complex)
+    return np.eye(rs.dim, dtype=complex)[rs.dual_index]
 
 
 def r_tensor(spec: RMatrixSpec, q, z, kz: int = 0,

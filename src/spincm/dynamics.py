@@ -128,14 +128,19 @@ class Trajectory:
 
 def _pack_point(rs: RootSystem, x, kind=(PhasePoint, ReducedPoint)):
     """The state q | p | spin of x; StructuralError, naming the mismatch,
-    unless x is a point of one of the classes ``kind`` over rs."""
+    unless x is a point of one of the classes ``kind`` over rs with finite
+    coordinates.  Every point enters the array core here."""
     if not (isinstance(x, kind) and x.rs == rs):
         raise StructuralError(
             f"objects built over mismatched root systems: a {type(x).__name__}"
             f" over {getattr(x, 'rs', None)} where a "
             f"{' or '.join(k.__name__ for k in kind)} over {rs} is expected")
     spin = x.s if isinstance(x, ReducedPoint) else x.xi.vec
-    return np.concatenate([x.q, x.p, spin]).astype(complex)
+    y = np.concatenate([x.q, x.p, spin]).astype(complex)
+    if not np.isfinite(y).all():
+        raise StructuralError(f"the coordinates of a {type(x).__name__} "
+                              f"(q, p and spin) must be finite")
+    return y
 
 
 def _unpack_point(rs: RootSystem, y: np.ndarray, reduced: bool):
@@ -282,9 +287,6 @@ def integrate(sys: RMatrixSpec, x0, t_final: float, tol: float = 1e-10, *,
     n = sys.rs.rank
     reduced = isinstance(x0, ReducedPoint)
     y0 = _pack_point(sys.rs, x0)
-    if not np.all(np.isfinite(y0)):
-        raise StructuralError("the initial state (q, p and spin) must be "
-                              "finite")
     reason = None
     solver = DormandPrince(lambda t, y: _flow(sys, y, reduced), 0.0, y0,
                            t_final, tol, tol * 1e-2)

@@ -38,6 +38,12 @@ _REL_CUTOFF = 1e-18
 _RANGE = 2.0 ** 52
 
 
+def _leibniz(a, b, k: int):
+    """The k-th derivative of a product from the ladders of its factors,
+    sum_j C(k, j) a[j] b[k - j]."""
+    return sum(math.comb(k, j) * a[j] * b[k - j] for j in range(k + 1))
+
+
 def _value(a, z, kind=complex):
     """A result in the shape of the argument z: a Python scalar for a
     scalar z, else the array."""
@@ -56,6 +62,9 @@ class Lattice:
 
     def __init__(self, omega1: complex, omega2: complex):
         omega1, omega2 = complex(omega1), complex(omega2)
+        if not (cmath.isfinite(omega1) and cmath.isfinite(omega2)):
+            raise StructuralError(f"half-periods must be finite, got "
+                                  f"omega1 = {omega1}, omega2 = {omega2}")
         if omega1 == 0:
             raise StructuralError("omega1 must be nonzero")
         tau = omega2 / omega1
@@ -194,7 +203,7 @@ class Lattice:
         """zeta and its z-derivatives of orders below kmax, analytic:
         zeta' = -wp, wp'' = 6 wp^2 - g2/2 and wp''' = 12 wp wp', and past
         them the derivatives of wp'' = 6 wp^2 - g2/2 by Leibniz,
-        wp^(k+2) = 6 sum_j C(k, j) wp^(j) wp^(k-j)."""
+        wp^(k+2) = 6 _leibniz(wp, wp, k)."""
         z0, m, n, theta = p
         val = self._eta1 * z0 / self._w1 \
             + (math.pi / (2.0 * self._w1)) * theta[..., 1] / theta[..., 0]
@@ -204,8 +213,7 @@ class Lattice:
             if kmax > 3:
                 w += [6.0 * w[0] * w[0] - 0.5 * self.g2, 12.0 * w[0] * w[1]]
             for k in range(2, kmax - 3):
-                w.append(6.0 * sum(math.comb(k, j) * w[j] * w[k - j]
-                                   for j in range(k + 1)))
+                w.append(6.0 * _leibniz(w, w, k))
             out += [-v for v in w]
         return out[:kmax]
 
@@ -266,13 +274,11 @@ class Lattice:
         zeta_uz = self._zetas(puz, nuz) if nuz else []
         d = [zeta_uz[m] - zeta_z[m] for m in range(kmax - 1)]
         for k in range(kmax - 1):
-            c.append(sum(math.comb(k, j) * c[j] * d[k - j]
-                         for j in range(k + 1)))
+            c.append(_leibniz(c, d, k))
         if not du:
             return zeta_z, [c]
         e = [zeta_uz[0] - self._zetas(pu, 1)[0]] + zeta_uz[1:]
-        return zeta_z, [c, [sum(math.comb(k, j) * c[j] * e[k - j]
-                                for j in range(k + 1)) for k in range(kmax)]]
+        return zeta_z, [c, [_leibniz(c, e, k) for k in range(kmax)]]
 
     def __repr__(self) -> str:
         return f"Lattice(omega1={self.omega1:g}, omega2={self.omega2:g})"

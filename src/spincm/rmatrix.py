@@ -15,8 +15,10 @@ root coefficient c_alpha(u, z) with u = (alpha, q):
                    kernel l(w, z) = -sigma(w+z)/(sigma(w) sigma(z))
 
 All z- and q-derivatives needed anywhere in the package come from closed
-forms (ladders in cot here, the elliptic Leibniz ladders from one pass per
-argument in :meth:`Lattice._coefficient_ladder`), never finite differences.
+forms, never finite differences: every ladder is the one Leibniz rule
+(:func:`spincm.elliptic._leibniz`) over its function's ODE, that of cot
+and csc here and of wp and the sigma ratio in
+:meth:`Lattice._coefficient_ladder`, from one pass per argument.
 The Lax operators in :mod:`spincm.dynamics` read this kernel only through
 :func:`_r_table`, which is what ties the r-matrix to the mechanics.
 
@@ -50,29 +52,14 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
-from .elliptic import POLE_TOL, Lattice
+from .elliptic import POLE_TOL, Lattice, _leibniz
 from .errors import PoleError, StructuralError, raise_on_fp_fault
 from .rootsys import RootSystem, commutator, root_label
 
 _ZTOL = 1e-13
 
 FAMILIES = ("rational", "trigonometric", "elliptic")
-
-
-@lru_cache(maxsize=None)
-def _trig_polys(kmax: int) -> tuple[list, list]:
-    """Coefficients (low to high) of P_k and Q_k for k < kmax, with
-    d^k cot z = P_k(cot z) and d^k csc z = csc z Q_k(cot z): P_0 = c,
-    Q_0 = 1 and, as d(cot z)/dz = -1 - c^2, P_{k+1} = P_k'(c)(-1 - c^2)
-    and Q_{k+1} = Q_k'(c)(-1 - c^2) - c Q_k."""
-    cots, cscs, dc = [(0, 1)], [(1,)], (-1, 0, -1)
-    for _ in range(kmax - 1):
-        cots.append(P.polymul(P.polyder(cots[-1]), dc))
-        cscs.append(P.polysub(P.polymul(P.polyder(cscs[-1]), dc),
-                              P.polymul((0, 1), cscs[-1])))
-    return cots, cscs
 
 
 # ---------------------------------------------------------------------------
@@ -286,29 +273,31 @@ def _trig_shift_cot(spec: RMatrixSpec, u: np.ndarray):
 
 def _trig_ladder(spec: RMatrixSpec, u, z, kmax: int, du: int):
     # f = cot z + z/3, and c = e^{b z} g(z) with g = cot z + cot u on the
-    # span of Pi' and g = csc z off it.  Leibniz over the cot / csc ladders
-    # gives c_k = e^{b z} sum_j C(k, j) b^(k-j) g_j, and since db/du = 1/3
-    # and d(cot u)/du = -1 - cot^2 u, d_u c_k = (z/3) c_k + (k/3) c_{k-1}
-    # + e^{b z} b^k d_u g
+    # span of Pi' and g = csc z off it.  The ladders of cot and csc follow
+    # from their ODEs cot' = -1 - cot^2 and csc' = -csc cot by Leibniz,
+    # cot^(k+1) = -_leibniz(cot, cot, k) and csc^(k+1) = -_leibniz(csc,
+    # cot, k) for k >= 1; c_k = e^{b z} _leibniz(b^j, g, k), and since
+    # db/du = 1/3 and d(cot u)/du = -1 - cot^2 u, the du row is d_u c_k =
+    # (z/3) c_k + (k/3) c_{k-1} + e^{b z} b^k d_u g
     if (np.abs(np.sin(z)) < _ZTOL).any():
         raise PoleError("trigonometric r-matrix evaluated at a pole of cot z")
-    cz = 1.0 / np.tan(z)
-    cot_polys, csc_polys = _trig_polys(kmax)
-    cot = [P.polyval(cz, p) for p in cot_polys]
+    cz, sz = 1.0 / np.tan(z), 1.0 / np.sin(z)
+    cot, csc = [cz, -1.0 - cz * cz], [sz, -sz * cz]
+    for k in range(1, kmax - 1):
+        cot.append(-_leibniz(cot, cot, k))
+        csc.append(-_leibniz(csc, cot, k))
     f = [cot[k] + (z / 3.0 if k == 0 else (1.0 / 3.0 if k == 1 else 0.0))
          for k in range(kmax)]
     b, cu = _trig_shift_cot(spec, u)
     span = spec.span_mask
-    csc = 1.0 / np.sin(z)
-    g = [np.where(span, cot[j] + (cu if j == 0 else 0.0),
-                  csc * P.polyval(cz, csc_polys[j])) for j in range(kmax)]
+    g = [np.where(span, cot[j] + (cu if j == 0 else 0.0), csc[j])
+         for j in range(kmax)]
     bp = [1.0] + [b ** m for m in range(1, kmax)]
     growth = np.exp(b * z)
     # np.multiply, not *: numpy would run * in place on a large temporary
     # (a stacked table), whose complex loop rounds differently, and a
     # stacked table would no longer equal its per-sample ones bit for bit
-    c = [np.multiply(growth, sum(math.comb(k, j) * bp[k - j] * g[j]
-                                 for j in range(k + 1))) for k in range(kmax)]
+    c = [np.multiply(growth, _leibniz(bp, g, k)) for k in range(kmax)]
     if not du:
         return f, [c]
     dg = growth * np.where(span, -1.0 - cu * cu, 0.0)

@@ -981,6 +981,57 @@ def test_mismatched_points_raise_a_structural_error(case):
         call()
 
 
+def _non_finite_cases():
+    """(entry, slot) -> call(sys, point): every entry point that takes a
+    point, with each slot its kind of point has, q, p, the Cartan block
+    or a root of a PhasePoint's spin, or s of a ReducedPoint."""
+    zs, pairs = default_z_samples(), INVOLUTION_PAIRS[:1]
+    phase = ("q", "p", "cartan", "root")
+    both = phase + ("s",)
+    entries = {
+        "hamiltonian": (lambda sys, x: hamiltonian(sys, x), both),
+        "vector_field": (lambda sys, x: vector_field(sys, x), both),
+        "lax_L": (lambda sys, x: lax_L(sys, x, zs), both),
+        "lax_B": (lambda sys, x: lax_B(sys, x, zs), both),
+        "lax_residuals": (lambda sys, x: lax_residuals(sys, [x]), both),
+        "conserved_spectrum": (
+            lambda sys, x: conserved_spectrum(sys, x, zs), both),
+        "sigma_residual": (lambda sys, x: sigma_residual(sys, x), phase),
+        "fpbr_residual": (
+            lambda sys, x: fpbr_residual(sys, x, 0.3, -0.2j), phase),
+        "involution_residuals": (
+            lambda sys, x: involution_residuals(sys, [x], pairs), ("s",)),
+    }
+    return {(name, slot): call for name, (call, slots) in entries.items()
+            for slot in slots}
+
+
+def _point_with(rs, slot, bad):
+    """A point over A_2 whose coordinate ``slot`` holds the value bad."""
+    q, p = np.array([0.7, 0.2 + 1.3j]), np.array([0.1, -0.2j])
+    if slot == "s":
+        s = np.full(rs.n_roots - rs.rank, 0.5 + 0.2j)
+        s[-1] = bad
+        return ReducedPoint(rs, q, p, s)
+    xi = np.full(rs.dim, 0.5 + 0.0j)
+    xi[:rs.rank] = 0.0
+    {"q": q, "p": p, "cartan": xi, "root": xi[rs.rank:]}[slot][-1] = bad
+    return PhasePoint(q, p, AlgElement(rs, xi))
+
+
+@pytest.mark.parametrize("case", sorted(_non_finite_cases()), ids="-".join)
+def test_non_finite_points_raise_a_structural_error(case):
+    """A NaN or inf coordinate raises at the one gate into the array core
+    (_pack_point), on rational and trigonometric A_2, where these entries
+    returned NaN."""
+    call = _non_finite_cases()[case]
+    for family in ("rational", "trigonometric"):
+        sys = make_system(family, 2)
+        for bad in (math.nan, complex(0.0, math.inf)):
+            with pytest.raises(StructuralError, match="must be finite"):
+                call(sys, _point_with(sys.rs, case[1], bad))
+
+
 # -- export -------------------------------------------------------------------
 
 

@@ -358,6 +358,13 @@ def test_degenerate_lattice_is_rejected():
         Lattice(1.0, 2.0)        # collinear periods
     with pytest.raises(StructuralError):
         Lattice(0.0, 1j)
+    # a non-finite half-period, named (was a raw ValueError from the
+    # reduction loop)
+    for omega1, omega2 in [(math.nan, 1j), (1.0, complex(0.0, math.inf)),
+                           (1.0, complex(math.nan, 1.0))]:
+        with pytest.raises(StructuralError, match="half-periods must be "
+                                                  "finite"):
+            Lattice(omega1, omega2)
     # the nome exp(i pi tau) underflows to 0, so theta_1'(0) would be 0
     for omega1, omega2 in [(1e-300, 1j), (1.0, 300j)]:
         with pytest.raises(StructuralError, match="nome"):

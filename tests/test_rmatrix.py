@@ -31,7 +31,7 @@ from helpers import (LaurentElement, R_apply, R_directional, cartan_coeff,
                      casimir_tensor, count_passes, equivariance_residual,
                      pair_weight, r_tensor, ring_coefficients, ring_nodes,
                      root_coeff)
-from spincm.rmatrix import (MDYBE_QUAD_RADIUS, RMatrixSpec,
+from spincm.rmatrix import (MDYBE_QUAD_RADIUS, RMatrixSpec, _ladder,
                             _pole_radius, _r_table, default_mdybe_samples,
                             elliptic_r_matrix, quad_ring, rational_r_matrix,
                             root_coeff_reg0, trigonometric_r_matrix,
@@ -250,6 +250,43 @@ def test_z_derivative_ladders_against_finite_differences(family):
             fdc = (cartan_coeff(spec, z + h, k - 1)
                    - cartan_coeff(spec, z - h, k - 1)) / (2 * h)
             assert abs(cartan_coeff(spec, z, k) - fdc) / max(1.0, abs(fdc)) < 1e-7
+
+
+@pytest.mark.parametrize("pi_prime", ["full", [0]], ids=str)
+def test_trigonometric_ladder_against_mpmath(pi_prime):
+    """The trigonometric kernel at du = 0, kz = 0..5, matches 40-digit
+    mpmath derivatives of its closed forms to 1e-13 relative: the Cartan
+    coefficient cot z + z/3, and e^{uz/3} (cot z + cot u) on the span of
+    Pi', e^{uz/3} e^{-iz} / sin z (Delta_+) and e^{uz/3} e^{iz} / sin z
+    (Delta_-) off it.  On A_2 with Pi' = {alpha_1} the roots +-alpha_1
+    lie on the span and the other four off it, two in each half of the
+    polarization; with Pi' full all six lie on it."""
+    mp = pytest.importorskip("mpmath")
+    rs = build_root_system("A", 2)
+    spec = trigonometric_r_matrix(rs, pi_prime)
+    q = np.array([[0.41 + 0.07j, 1.13 - 0.05j], [0.77, 1.52 + 0.11j]])
+    z = np.array([0.37 + 0.21j, -0.52 + 0.33j, 0.18 - 0.61j])
+    u = rs.root_values(q)
+    f, (c,) = _ladder(spec, u[:, None], z[:, None], 6)
+    off = [i for i in range(rs.rank) if i not in spec.pi_prime]
+    rel = 0.0
+    with mp.workdps(40):
+        for j, zj in enumerate(z):
+            want = mp.diffs(lambda t: mp.cot(t) + t / 3, mp.mpc(zj), 5)
+            rel = max(rel, *(abs(f[k][j, 0] - complex(w)) / abs(w)
+                             for k, w in enumerate(want)))
+            for (i, a), ua in np.ndenumerate(u):
+                ua = mp.mpc(ua)
+                if not any(rs.roots[a][m] for m in off):
+                    g = lambda t: mp.cot(t) + mp.cot(ua)
+                else:
+                    s = -1j if a < rs.n_pos else 1j
+                    g = lambda t: mp.exp(s * t) / mp.sin(t)
+                want = mp.diffs(lambda t: mp.exp(ua * t / 3) * g(t),
+                                mp.mpc(zj), 5)
+                rel = max(rel, *(abs(c[k][i, j, a] - complex(w)) / abs(w)
+                                 for k, w in enumerate(want)))
+    assert rel < 1e-13, rel
 
 
 @pytest.mark.parametrize("family", ["rational", "trigonometric", "elliptic"])

@@ -373,58 +373,73 @@ def cmd_simulate(config: RunConfig, out_dir: Path) -> int:
 _Q_MARGIN = 0.2
 
 
-def _random_q(rng, system: RMatrixSpec) -> np.ndarray:
-    """Random Cartan configuration kept clear of the singular set: close
-    root hyperplanes amplify the Lax coefficients past the suite
-    thresholds without saying anything about the structure."""
-    rank = system.rs.rank
-    for _ in range(200):
-        signs = rng.choice([-1.0, 1.0], size=rank)
-        q = (rng.uniform(0.55, 1.15, size=rank) * signs).astype(complex)
-        if collision_margin(system, q) >= _Q_MARGIN:
-            return q
-    raise StructuralError("could not sample a configuration away from the "
-                          "singular set")
+def _first_rows(count: int, draw, ok, what: str) -> np.ndarray:
+    """The first ``count`` rows, in draw order, of blocks ``draw(n)`` of n
+    candidate rows that pass ``ok`` (a mask over a block): rejection
+    sampling, 8 count candidates per block and 200 per sample at most,
+    then StructuralError."""
+    blocks = []
+    for _ in range(200 // 8):
+        block = draw(8 * count)
+        blocks.append(block[ok(block)])
+        if sum(map(len, blocks)) >= count:
+            return np.concatenate(blocks)[:count]
+    raise StructuralError(f"could not sample {what}")
 
 
-def _random_z(rng) -> complex:
-    return complex(rng.uniform(0.25, 0.8)
-                   * np.exp(2j * np.pi * rng.uniform()))
+def _random_q(rng, system: RMatrixSpec, count: int) -> np.ndarray:
+    """``count`` random Cartan configurations (count, rank), |q_i| uniform
+    in [0.55, 1.15] with the sign of a uniform u_i in [-0.6, 0.6] (q_i =
+    u_i +- 0.55), kept clear of the singular set: close root hyperplanes
+    amplify the Lax coefficients past the suite thresholds without saying
+    anything about the structure."""
+    def draw(m: int) -> np.ndarray:
+        u = rng.uniform(-0.6, 0.6, (m, system.rs.rank))
+        return (u + np.copysign(0.55, u)).astype(complex)
+    return _first_rows(count, draw, lambda q: collision_margin(system, q)
+                       >= _Q_MARGIN, "a configuration away from the "
+                       "singular set")
 
 
-def _random_z_triple(rng) -> tuple[complex, complex, complex]:
-    """Spectral-parameter triple with pairwise differences bounded away
-    from the poles of r."""
-    for _ in range(200):
-        zs = (_random_z(rng), _random_z(rng), _random_z(rng))
-        diffs = (zs[0] - zs[1], zs[0] - zs[2], zs[1] - zs[2])
-        if min(abs(d) for d in diffs) >= 0.1:
-            return zs
-    raise StructuralError("could not sample a z-triple away from the poles")
+def _random_z(rng, shape) -> np.ndarray:
+    return rng.uniform(0.25, 0.8, shape) \
+        * np.exp(2j * np.pi * rng.uniform(size=shape))
 
 
-def _random_principal(rs, rng, order: int) -> np.ndarray:
-    """Principal coefficients (order, dim) of a random pole-only Laurent
-    covector."""
-    return np.array([rng.normal(size=rs.dim) + 1j * rng.normal(size=rs.dim)
-                     for _ in range(order)])
+def _random_z_triples(rng, count: int) -> np.ndarray:
+    """``count`` spectral-parameter triples (count, 3) with pairwise
+    differences bounded away from the poles of r."""
+    return _first_rows(count, lambda m: _random_z(rng, (m, 3)), lambda z: (
+        np.abs(z[:, [0, 0, 1]] - z[:, [1, 2, 2]]).min(-1) >= 0.1),
+        "a z-triple away from the poles")
 
 
-def _random_sigma_point(system: RMatrixSpec, rng) -> PhasePoint:
+def _normal(rng, shape) -> np.ndarray:
+    """Complex standard normal entries: real and imaginary parts N(0, 1)."""
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _random_points(system: RMatrixSpec, rng, count: int,
+                   reduced: bool = False) -> dict:
+    """``count`` random points as stacked arrays: q of _random_q, real
+    normal p, and complex normal reduced spins s or spins xi on Sigma
+    (Cartan block 0)."""
     rs = system.rs
-    vec = rng.normal(size=rs.dim) + 1j * rng.normal(size=rs.dim)
-    vec[:rs.rank] = 0.0
-    return PhasePoint(_random_q(rng, system),
-                      rng.normal(size=rs.rank).astype(complex),
-                      AlgElement(rs, vec))
+    q = _random_q(rng, system, count)
+    p = rng.normal(size=(count, rs.rank)).astype(complex)
+    spin = _normal(rng, (count, rs.n_roots - rs.rank if reduced else rs.dim))
+    if not reduced:
+        spin[:, :rs.rank] = 0.0
+    return {"q": q, "p": p, "s" if reduced else "xi": spin}
 
 
-def _random_reduced_point(system: RMatrixSpec, rng) -> ReducedPoint:
-    rs = system.rs
-    n_s = rs.n_roots - rs.rank
-    return ReducedPoint(rs, _random_q(rng, system),
-                        rng.normal(size=rs.rank).astype(complex),
-                        rng.normal(size=n_s) + 1j * rng.normal(size=n_s))
+def _points(rs, x: dict) -> list:
+    """The rows of stacked point arrays as ReducedPoints (key "s") or
+    PhasePoints."""
+    if "s" in x:
+        return [ReducedPoint(rs, *row) for row in zip(x["q"], x["p"], x["s"])]
+    return [PhasePoint(q, p, AlgElement(rs, xi))
+            for q, p, xi in zip(x["q"], x["p"], x["xi"])]
 
 
 _INVOLUTION_BATTERY = [
@@ -444,87 +459,76 @@ def _witness(sample: dict) -> dict:
             for key, v in sample.items()}
 
 
-def _worst(name: str, residuals, samples: list[dict]) -> dict:
-    """The check of the largest residual, with the sample that gave it as a
-    replayable ``witness``."""
+def _worst(name: str, residuals, samples: dict) -> dict:
+    """The check of the largest residual, with the sample that gave it, row
+    k of every stacked array in ``samples``, as a replayable ``witness``."""
     k = int(np.argmax(residuals))
-    return {"name": name, "samples": len(samples),
-            "max_residual": float(residuals[k]),
-            "witness": _witness({"sample": k, **samples[k]})}
-
-
-def _point(x) -> dict:
-    if isinstance(x, ReducedPoint):
-        return {"q": x.q, "p": x.p, "s": x.s}
-    return {"q": x.q, "p": x.p, "xi": x.xi.vec}
+    return {"name": name, "samples": len(residuals),
+            "max_residual": float(residuals[k]), "witness": _witness(
+                {"sample": k, **{key: v[k] for key, v in samples.items()}})}
 
 
 def _suite_axioms(system, config, rng) -> dict:
-    samples = [{"q": _random_q(rng, system), "z": _random_z(rng)}
-               for _ in range(20)]
-    per_sample = verify_axioms(system,
-                               np.array([s["q"] for s in samples]),
-                               [s["z"] for s in samples])
+    samples = {"q": _random_q(rng, system, 20), "z": _random_z(rng, 20)}
+    per_sample = verify_axioms(system, samples["q"], samples["z"])
     return {"checks": [_worst(name, per_sample[name], samples)
                        for name in ("zero_weight", "unitarity", "residue")]}
 
 
 def _suite_cdybe(system, config, rng) -> dict:
-    samples = [{"q": _random_q(rng, system), "z": _random_z_triple(rng)}
-               for _ in range(10)]
-    z = np.array([s["z"] for s in samples]).T
+    samples = {"q": _random_q(rng, system, 10),
+               "z": _random_z_triples(rng, 10)}
     return {"checks": [_worst("cdybe", verify_cdybe(
-        system, np.array([s["q"] for s in samples]), *z), samples)]}
+        system, samples["q"], *samples["z"].T), samples)]}
 
 
 def _suite_mdybe(system, config, rng) -> dict:
-    samples = [{"q": _random_q(rng, system), "z": default_mdybe_samples(),
-                "xi": _random_principal(system.rs, rng, 2),
-                "eta": _random_principal(system.rs, rng, 2)}
-               for _ in range(10)]
-    q, z, xi, eta = (np.array([s[key] for s in samples])
-                     for key in ("q", "z", "xi", "eta"))
+    q = _random_q(rng, system, 10)
+    # the order-2 principal parts of pole-only Laurent covectors
+    xi, eta = _normal(rng, (2, 10, 2, system.rs.dim))
+    z = np.tile(default_mdybe_samples(), (10, 1))
     return {"checks": [_worst("mdybe", verify_mdybe(
-        system, q, xi, eta, z_samples=z), samples)]}
+        system, q, xi, eta, z_samples=z),
+        {"q": q, "z": z, "xi": xi, "eta": eta})]}
 
 
-def _lax_check(name: str, system, points: list, **kwargs) -> dict:
-    return _worst(name, lax_residuals(system, points, **kwargs),
-                  [_point(x) for x in points])
+def _lax_check(name: str, system, x: dict, **kwargs) -> dict:
+    return _worst(name, lax_residuals(system, _points(system.rs, x),
+                                      **kwargs), x)
 
 
 def _suite_lax(system, config, rng) -> dict:
-    rs = system.rs
-    checks = [_lax_check("lax_on_sigma", system, [
-        _random_sigma_point(system, rng) for _ in range(5)])]
+    rank = system.rs.rank
+    checks = [_lax_check("lax_on_sigma", system,
+                         _random_points(system, rng, 5))]
     if system.family == "rational":
-        off = []
-        for _ in range(5):
-            x = _random_sigma_point(system, rng)
-            vec = x.xi.vec.copy()
-            vec[:rs.rank] = rng.normal(size=rs.rank) \
-                + 1j * rng.normal(size=rs.rank)
-            off.append(PhasePoint(x.q, x.p, AlgElement(rs, vec)))
+        off = _random_points(system, rng, 5)
+        off["xi"][:, :rank] = _normal(rng, (5, rank))
         checks.append(_lax_check("quasi_lax_off_sigma", system, off,
                                  anomaly=True))
-    checks.append(_lax_check("lax_reduced_pointwise", system, [
-        _random_reduced_point(system, rng) for _ in range(3)]))
+    checks.append(_lax_check("lax_reduced_pointwise", system,
+                             _random_points(system, rng, 3, reduced=True)))
     return {"checks": checks}
 
 
 def _suite_involution(system, config, rng) -> dict:
-    points = [_random_reduced_point(system, rng) for _ in range(3)]
-    samples = [{**_point(x), "k": [k1, k2], "z": [z1, z2]} for x in points
-               for (k1, z1), (k2, z2) in _INVOLUTION_BATTERY]
+    x = _random_points(system, rng, 3, reduced=True)
+    # one sample per (point, pair), point-major like the residual table
+    battery = np.array(_INVOLUTION_BATTERY)   # (pair, side, [k, z])
+    samples = {**{key: np.repeat(v, len(battery), 0) for key, v in x.items()},
+               "k": np.tile(battery[..., 0].real.astype(int), (3, 1)),
+               "z": np.tile(battery[..., 1], (3, 1))}
     return {"checks": [_worst("involution", involution_residuals(
-        system, points, _INVOLUTION_BATTERY).ravel(), samples)]}
+        system, _points(system.rs, x), _INVOLUTION_BATTERY).ravel(),
+        samples)]}
 
 
 def _suite_spectral(system, config, rng) -> dict:
     if config.initial is not None and config.initial["s"] is not None:
         x0 = build_initial(config, system)
     else:
-        x0 = _random_reduced_point(system, rng)
+        x0 = _points(system.rs,
+                     _random_points(system, rng, 1, reduced=True))[0]
     opts = config.integration
     traj = integrate(system, x0, **{**opts,
                                     "n_points": min(opts["n_points"], 101)})
@@ -539,7 +543,7 @@ def _suite_spectral(system, config, rng) -> dict:
                         "max_residual": report[name], "witness": _witness({
                             "sample": report["worst"][name][0],
                             "z": z_grid[report["worst"][name][1]],
-                            **_point(x0)})}
+                            "q": x0.q, "p": x0.p, "s": x0.s})}
                        for name in ("spectrum_drift", "isospectral_drift")],
             "solver": traj.stats}
 

@@ -252,12 +252,14 @@ def vector_field(sys: RMatrixSpec, x):
 # integration
 
 
-def collision_margin(sys: RMatrixSpec, q) -> float:
+def collision_margin(sys: RMatrixSpec, q) -> float | np.ndarray:
     """Distance of the Cartan coordinates q to the family's singular set
     (:func:`spincm.rmatrix._pole_distance`), inf when the case has no
-    singular roots.  The positive roots suffice: the distance is even in
-    u."""
-    return float(np.min(_pole_distance(sys, sys.rs.positive_root_values(q))))
+    singular roots: a float for one q, an array over the leading axes of
+    stacked q, each its single-point value.  The positive roots suffice:
+    the distance is even in u."""
+    margin = _pole_distance(sys, sys.rs.positive_root_values(q)).min(-1)
+    return float(margin) if margin.ndim == 0 else margin
 
 
 def integrate(sys: RMatrixSpec, x0, t_final: float, tol: float = 1e-10, *,

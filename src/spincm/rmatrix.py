@@ -398,9 +398,13 @@ def _r_table(spec: RMatrixSpec, q, z, kzs: range, du: int = 0):
     if not table.size:
         return table
     f, c = _ladder(spec, rs.root_values(q), z[..., None], kzs.stop, du)
-    table[0, ..., :rs.rank] = f[kzs.start:]
-    table[..., rs.rank:] = [row[kzs.start:] for row in c]
-    table[..., rs.rank + np.array(spec.fault_root_indices)] *= spec.fault_scale
+    for i, k in enumerate(kzs):
+        table[0, i, ..., :rs.rank] = f[k]
+        for d, row in enumerate(c):
+            table[d, i, ..., rs.rank:] = row[k]
+    if spec.fault_scale != 1.0:
+        table[..., rs.rank + np.array(spec.fault_root_indices)] \
+            *= spec.fault_scale
     return table
 
 

@@ -396,12 +396,16 @@ def test_verify_witness_replays_max_residual(tmp_path, suite):
 
 
 # max_residual of the fault-injected cdybe and mdybe suites, (family, rank,
-# seed) -> (cdybe, mdybe), as the coordinate implementation (brackets over
-# the structure constants, one kernel call per kz) gave them
+# seed) -> (cdybe, mdybe), on the samples that each suite draws as one
+# stacked block; the samples drawn one at a time before gave, old -> new
+# (new/old): trigonometric A_3 seed 1 cdybe 504.77 -> 427.60 (0.847),
+# mdybe 1600.77 -> 1609.33 (1.005); seed 8 cdybe 293.05 -> 346.11 (1.181),
+# mdybe 1445.93 -> 2459.97 (1.701); elliptic A_2 seed 3 cdybe 336.30 ->
+# 363.14 (1.080), mdybe 1188.81 -> 1642.90 (1.382)
 PINNED_FAULT_RESIDUALS = {
-    ("trigonometric", 3, 1): (504.77257496302195, 1600.7699977934815),
-    ("trigonometric", 3, 8): (293.04820261810323, 1445.9349511691294),
-    ("elliptic", 2, 3): (336.29558708607806, 1188.8107035343785),
+    ("trigonometric", 3, 1): (427.6032709206519, 1609.3339187687563),
+    ("trigonometric", 3, 8): (346.10574648653323, 2459.9691870154684),
+    ("elliptic", 2, 3): (363.13855222294717, 1642.90142218299),
 }
 
 
@@ -421,67 +425,83 @@ def test_fault_injected_residuals_are_pinned(tmp_path, case, suite):
     assert abs(got - want) <= 1e-10 * want
 
 
-# max_residual of every verify check, (family, rank, seed) -> {check: value},
-# as the suites gave them with one sample per call before they were stacked
-# (config t_final 0.1); residue and mdybe as they are on the quadrature
-# rings sized from radius / R (rmatrix.quad_ring), each within a factor 6
-# of its value on the former 256-node rings.  Roundoff-level values: the suites keep each
+# max_residual of every verify check, (family, rank, seed) -> {check: value}
+# (config t_final 0.1).  Roundoff-level values: the suites keep each
 # sample's arithmetic, so they repeat to 1e-10, but they rest on numpy's
 # loops for this CPU and may need re-recording on another one.  The
-# involution check and the isospectral drift sum in another order since,
-# and keep only their order of magnitude; the isospectral drift is relative
-# per characteristic-polynomial coefficient, as the spectrum drift is.
-# The Lax, involution and spectral values are those of the reduced flow as
-# the pushforward of the unreduced one, L from the Lax check's r table and
-# the diagonal of rho(L) summed entry by entry (within 0.77-1.29 of the
-# values before).  The cdybe, mdybe, lax_reduced_pointwise and spectral
-# values are those of the one root-value product
-# (RootSystem.positive_root_values; within 0.55-1.33 of the values before).
-# The lax_reduced_pointwise and spectrum_drift values are those of the
-# reduced velocity by the gather of phase.pushforward, with one flow call
-# per stack of Lax points (within 0.99994-1.0062 of the values before).
-# The trigonometric mdybe values are those of the cot and csc ladders by
-# the Leibniz rule over their ODEs: 3.0685e-13 -> 2.9978e-13 (seed 1) and
-# 3.3922e-13 -> 3.2910e-13 (seed 8).
+# involution check and the isospectral drift sum in another order than a
+# single sample would, and keep only their order of magnitude; the
+# isospectral drift is relative per characteristic-polynomial coefficient,
+# as the spectrum drift is.  The values are those of the samples that each
+# suite draws as one stacked block (another RNG stream, so other samples
+# for a seed).  The samples drawn one at a time before gave, old -> new
+# (new/old), every check not named unchanged:
+# - trigonometric A_3 seed 1: residue 2.2315e-16 -> 4.4409e-16 (1.99),
+#   cdybe 3.3405e-14 -> 3.0354e-14 (0.909), mdybe 2.9978e-13 ->
+#   3.1422e-13 (1.05), lax_on_sigma 1.5306e-13 -> 4.8567e-13 (3.17),
+#   lax_reduced_pointwise 1.4370e-13 -> 8.0389e-14 (0.559), involution
+#   2.5037e-12 -> 2.0150e-12 (0.805), spectrum_drift 2.2893e-10 ->
+#   6.1519e-10 (2.69), isospectral_drift 2.2554e-10 -> 2.2565e-10 (1.00)
+# - trigonometric A_3 seed 8: residue 3.3374e-16 -> 3.3313e-16 (0.998),
+#   cdybe 1.5125e-14 -> 2.5619e-14 (1.69), mdybe 3.2910e-13 -> 2.7672e-13
+#   (0.841), lax_on_sigma 4.8567e-13 -> 1.1911e-13 (0.245),
+#   lax_reduced_pointwise 1.4229e-13 -> 1.7975e-13 (1.26), involution
+#   8.5590e-12 -> 2.5243e-12 (0.295), spectrum_drift 6.1892e-10 ->
+#   2.5399e-10 (0.410), isospectral_drift 3.7508e-10 -> 2.0665e-10 (0.551)
+# - rational A_2 seed 3: residue 2.2272e-16 -> 2.2474e-16 (1.01), cdybe
+#   7.1607e-15 -> 7.7557e-15 (1.08), mdybe 1.1948e-13 -> 1.0995e-13
+#   (0.920), lax_on_sigma 2.3832e-14 -> 8.5561e-14 (3.59),
+#   quasi_lax_off_sigma 1.2142e-13 -> 5.1269e-14 (0.422),
+#   lax_reduced_pointwise 1.4211e-14 -> 1.1391e-13 (8.02), involution
+#   1.0846e-13 -> 5.5185e-13 (5.09), spectrum_drift 1.3698e-10 ->
+#   8.8074e-11 (0.643), isospectral_drift 1.3698e-10 -> 8.8074e-11 (0.643)
+# - elliptic A_2 seed 3: residue 8.8842e-16 -> 6.6622e-16 (0.750), cdybe
+#   2.1610e-14 -> 4.6185e-14 (2.14), mdybe 2.9986e-13 -> 6.5897e-13 (2.20),
+#   lax_on_sigma 3.2125e-14 -> 1.7975e-13 (5.60), lax_reduced_pointwise
+#   1.9923e-14 -> 2.0097e-13 (10.1), involution 4.9636e-13 -> 5.7127e-13
+#   (1.15), spectrum_drift 1.2224e-10 -> 9.0676e-11 (0.742),
+#   isospectral_drift 1.2224e-10 -> 9.0676e-11 (0.742)
 PINNED_RESIDUALS = {
     ("trigonometric", 3, 1): {
         "zero_weight": 0.0, "unitarity": 0.0,
-        "residue": 2.231488320663207e-16, "cdybe": 3.340498546986209e-14,
-        "mdybe": 2.9977830862618737e-13,
-        "lax_on_sigma": 1.530555893832145e-13,
-        "lax_reduced_pointwise": 1.4369837526939964e-13,
-        "involution": 2.5036928884157126e-12,
-        "spectrum_drift": 2.2892652083929202e-10,
-        "isospectral_drift": 2.2554197987866631e-10,
+        "residue": 4.440900568822021e-16, "cdybe": 3.03543989777123e-14,
+        "mdybe": 3.142244987980557e-13,
+        "lax_on_sigma": 4.856703836433968e-13,
+        "lax_reduced_pointwise": 8.038873388460929e-14,
+        "involution": 2.0149869517850286e-12,
+        "spectrum_drift": 6.151885764094294e-10,
+        "isospectral_drift": 2.256460815495422e-10,
     },
     ("trigonometric", 3, 8): {
         "zero_weight": 0.0, "unitarity": 0.0,
-        "residue": 3.337441275985492e-16, "cdybe": 1.512513347095137e-14,
-        "mdybe": 3.291009675513338e-13,
-        "lax_on_sigma": 4.856703836433968e-13,
-        "lax_reduced_pointwise": 1.4228607195221903e-13,
-        "involution": 8.55904100932035e-12,
-        "spectrum_drift": 6.18922808495423e-10,
-        "isospectral_drift": 3.750784779174455e-10,
+        "residue": 3.3313473370327265e-16, "cdybe": 2.5618982671915017e-14,
+        "mdybe": 2.7672159114056936e-13,
+        "lax_on_sigma": 1.191086668529821e-13,
+        "lax_reduced_pointwise": 1.797546735911271e-13,
+        "involution": 2.5242574464726334e-12,
+        "spectrum_drift": 2.53986450880949e-10,
+        "isospectral_drift": 2.066474919130203e-10,
     },
     ("rational", 2, 3): {
-        "zero_weight": 0.0, "unitarity": 0.0, "residue": 2.227212004505268e-16,
-        "cdybe": 7.160723346098895e-15, "mdybe": 1.194777947737219e-13,
-        "lax_on_sigma": 2.3832327871173822e-14,
-        "quasi_lax_off_sigma": 1.214175959108492e-13,
-        "lax_reduced_pointwise": 1.4210854715202004e-14,
-        "involution": 1.0845964142784047e-13,
-        "spectrum_drift": 1.3698448504611627e-10,
-        "isospectral_drift": 1.3698422698419244e-10,
+        "zero_weight": 0.0, "unitarity": 0.0,
+        "residue": 2.2473876566261383e-16, "cdybe": 7.755684626330685e-15,
+        "mdybe": 1.0994779141737423e-13,
+        "lax_on_sigma": 8.556067554929068e-14,
+        "quasi_lax_off_sigma": 5.126874814344906e-14,
+        "lax_reduced_pointwise": 1.139086659085919e-13,
+        "involution": 5.518497755175417e-13,
+        "spectrum_drift": 8.807391161428556e-11,
+        "isospectral_drift": 8.80738705845081e-11,
     },
     ("elliptic", 2, 3): {
-        "zero_weight": 0.0, "unitarity": 0.0, "residue": 8.884223316973178e-16,
-        "cdybe": 2.1610313646285627e-14, "mdybe": 2.998625041926913e-13,
-        "lax_on_sigma": 3.212518138867684e-14,
-        "lax_reduced_pointwise": 1.9922549256833715e-14,
-        "involution": 4.963638160851638e-13,
-        "spectrum_drift": 1.2223618337432602e-10,
-        "isospectral_drift": 1.2223630175879386e-10,
+        "zero_weight": 0.0, "unitarity": 0.0,
+        "residue": 6.662151249755523e-16, "cdybe": 4.618527782440651e-14,
+        "mdybe": 6.589688950558208e-13,
+        "lax_on_sigma": 1.797546735911271e-13,
+        "lax_reduced_pointwise": 2.0097183471152322e-13,
+        "involution": 5.712692894303979e-13,
+        "spectrum_drift": 9.067573424322341e-11,
+        "isospectral_drift": 9.067573424322341e-11,
     },
 }
 ORDER_OF_MAGNITUDE_ONLY = {"involution", "isospectral_drift"}
@@ -549,6 +569,67 @@ def replay(config, suite, check):
         else lax_pair_reduced(system, pair, z)[name]
     assert alone == report[name]
     return report[name]
+
+
+def draw_samples(system, seed):
+    """Every sampler of the verify suites once, from one seeded stream."""
+    rng = np.random.default_rng(seed)
+    return {"q": cli._random_q(rng, system, 20), "z": cli._random_z(rng, 20),
+            "triples": cli._random_z_triples(rng, 10),
+            **{f"sigma_{key}": v for key, v in
+               cli._random_points(system, rng, 5).items()},
+            **{f"reduced_{key}": v for key, v in
+               cli._random_points(system, rng, 3, reduced=True).items()}}
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+@pytest.mark.parametrize("family", ["rational", "trigonometric", "elliptic"])
+def test_samplers_keep_their_law(family, rank):
+    """Each sampler returns its count of rows, the same arrays for the same
+    seed, q in +-[0.55, 1.15] at a collision margin of at least 0.2, |z| in
+    [0.25, 0.8], z triples separated by at least 0.1, spins on Sigma with a
+    zero Cartan block."""
+    data = {"family": family, "rank": rank}
+    if family == "elliptic":
+        data["lattice"] = WIDE_LATTICE
+    system = parse_config(data).system()
+    rs = system.rs
+    for seed in (1, 2, 3):
+        x = draw_samples(system, seed)
+        again = draw_samples(system, seed)
+        assert all(np.array_equal(x[key], again[key]) for key in x)
+        shapes = {"q": (20, rank), "z": (20,), "triples": (10, 3),
+                  "sigma_q": (5, rank), "sigma_p": (5, rank),
+                  "sigma_xi": (5, rs.dim), "reduced_q": (3, rank),
+                  "reduced_p": (3, rank),
+                  "reduced_s": (3, rs.n_roots - rank)}
+        assert {key: v.shape for key, v in x.items()} == shapes
+        for q in (x["q"], x["sigma_q"], x["reduced_q"]):
+            assert not q.imag.any()
+            assert ((0.55 <= abs(q)) & (abs(q) <= 1.15)).all()
+            assert (dynamics.collision_margin(system, q) >= 0.2).all()
+        for z in (x["z"], x["triples"]):
+            assert ((0.25 <= abs(z)) & (abs(z) <= 0.8)).all()
+        triples = x["triples"]
+        assert abs(triples[:, [0, 0, 1]] - triples[:, [1, 2, 2]]).min() >= 0.1
+        assert not x["sigma_xi"][:, :rank].any()
+        assert not x["sigma_p"].imag.any() and not x["reduced_p"].imag.any()
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_verify_without_a_clear_configuration_exits_2(tmp_path, capsys,
+                                                      suite):
+    """On the small lattice (0.3, 0.33i) no q of the sampling range keeps
+    the margin at rank 2: every suite gives up after its bounded candidate
+    count, exit 2 with a "could not sample" line."""
+    cfg = write_config(tmp_path, "small.json", {
+        "family": "elliptic", "rank": 2,
+        "lattice": {"omega1": 0.3, "omega2": [0.0, 0.33]}})
+    assert main(["verify", "--config", cfg, "--suite", suite,
+                 "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "spincm: could not sample a configuration away from the singular "
+        "set\n")
 
 
 @pytest.mark.parametrize("family", ["rational", "trigonometric"])

@@ -420,6 +420,23 @@ def test_stacked_flow_is_its_single_state_calls_bit_for_bit(family, rank,
         single.reshape(5, 12, -1))
 
 
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_stacked_collision_margin_is_its_single_point_calls_bit_for_bit(
+        family, rank):
+    """collision_margin on 60 stacked q, as a (60,) and a (5, 12) stack,
+    gives each q its single-point float bit for bit."""
+    sys_ = system(family, rank)
+    rng = np.random.default_rng([rank, len(family), 31])
+    q = rng.uniform(-3, 3, (60, rank)) + 1j * rng.uniform(-0.3, 0.3,
+                                                         (60, rank))
+    single = [dynamics.collision_margin(sys_, x) for x in q]
+    assert all(type(margin) is float for margin in single)
+    assert np.array_equal(dynamics.collision_margin(sys_, q), single)
+    assert np.array_equal(dynamics.collision_margin(sys_, q.reshape(
+        5, 12, rank)), np.reshape(single, (5, 12)))
+
+
 def test_flat_elliptic_pass_is_wp_pair_element_by_element():
     """The flow's elliptic pass (Lattice._wp_flat, which flattens) equals
     wp_pair on scalar, 1-D, strided and 3-D arguments, each element equals

@@ -320,8 +320,14 @@ def build_initial(config: RunConfig, system: RMatrixSpec):
 
 
 def _emit(report: dict, path: Path | None = None) -> None:
-    """Print a report as JSON, and write the same text to ``path``."""
-    text = json.dumps(report, indent=2) + "\n"
+    """Print a report as JSON, and write the same text to ``path``; a
+    non-finite value, which JSON cannot hold, raises StructuralError
+    before anything is written."""
+    try:
+        text = json.dumps(report, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise StructuralError(f"the report holds a non-finite value: "
+                              f"{exc}") from exc
     if path is not None:
         path.write_text(text, encoding="utf-8")
     print(text, end="")

@@ -474,11 +474,14 @@ def lax_residuals(sys: RMatrixSpec, points: list,
 # conserved quantities and spectral curves
 
 
+@raise_on_fp_fault
 def _power_sums(sys: RMatrixSpec, coords: tuple, z) -> np.ndarray:
     """tr(rho(L(z))^k) at the stacked coordinates (q, p, xi) of the points
     (a reduced one at its slice lift: L_0), for every z and k = 1..n (n the
     matrix size: by Cayley-Hamilton, higher powers add no invariant), of
-    shape (points, len(z), n): one stacked evaluation."""
+    shape (points, len(z), n): one stacked evaluation, under one fault
+    guard, so an overflowing power raises FloatingPointError instead of
+    leaving inf or nan in the table."""
     q, p, xi = coords
     mat = _lax_matrix(sys.rs, _lax_value(_lax(sys, q, z)[0, 0], p, xi))
     acc, out = mat, [np.trace(mat, axis1=-2, axis2=-1)]

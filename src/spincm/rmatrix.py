@@ -16,8 +16,8 @@ root coefficient c_alpha(u, z) with u = (alpha, q):
 
 All z- and q-derivatives needed anywhere in the package come from closed
 forms, never finite differences: every ladder is the one Leibniz rule
-(:func:`spincm.elliptic._leibniz`) over its function's ODE, that of cot
-and csc here and of wp and the sigma ratio in
+(:func:`spincm.elliptic._leibniz`) over its function's ODE or product,
+that of cot and csc here and of wp and the theta product of c in
 :meth:`Lattice._coefficient_ladder`, from one pass per argument.
 The Lax operators in :mod:`spincm.dynamics` read this kernel only through
 :func:`_r_table`, which is what ties the r-matrix to the mechanics.
@@ -316,9 +316,8 @@ def _ladder(spec: RMatrixSpec, u, z, kmax: int, du: int = 0):
     if fam == "trigonometric":
         return _trig_ladder(spec, u, z, kmax, du)
     if fam == "elliptic":
-        args = (u,) if kmax == 1 and not du else (u, u + z)
         return _on_lattice(spec, lambda: spec.lattice._coefficient_ladder(
-            u, z, kmax, du), *args)
+            u, z, kmax, du), u)
     if (np.abs(z) < _ZTOL).any():
         raise PoleError("rational r-matrix evaluated at the z = 0 pole")
     f = [(-1) ** k * math.factorial(k) * z ** (-(k + 1)) for k in range(kmax)]

@@ -18,7 +18,7 @@ from spincm.cli import (EXIT_CONFIG, EXIT_PASS, EXIT_RESIDUAL,
                         parse_config)
 from spincm.dynamics import (integrate, involution_residuals,
                              lax_pair_reduced, lax_residuals, spectrum_drift)
-from spincm.errors import ConfigError
+from spincm.errors import ConfigError, StructuralError
 from spincm.phase import PhasePoint, ReducedPoint, reduced_roots
 from spincm.rmatrix import verify_axioms, verify_cdybe, verify_mdybe
 from spincm.rootsys import AlgElement, build_root_system, root_label
@@ -225,6 +225,39 @@ def test_truncated_run_keeps_its_reason_when_spectrum_drift_overflows(
     diag = json.loads((tmp_path / "diagnostics.json").read_text())
     assert not diag["completed"] and "2^52 periods" in diag["abort_reason"]
     assert diag["spectrum_drift"] is None
+
+
+def test_truncated_run_with_overflowing_power_sums_writes_null(tmp_path,
+                                                              capsys):
+    """Reduced spins of 1e120i overflow the first RHS, so the run ends
+    truncated at t = 0, and the power sums of its one point overflow too:
+    one fault guard turns that into a null spectrum_drift next to the
+    abort reason, where the unguarded matrix powers wrote NaN, which is
+    not JSON, with two RuntimeWarnings (errors here)."""
+    rs = build_root_system("A", 2)
+    data = {"family": "rational", "rank": 2,
+            "initial": {"q": [0.5, 1.2], "p": [0.1, 0.2],
+                        "s": {root_label(r): [0, 1e120]
+                              for r in reduced_roots(rs)}},
+            "integration": {"t_final": 1e-200}}
+    cfg = write_config(tmp_path, "huge.json", data)
+    code = main(["simulate", "--config", cfg, "--out", str(tmp_path)])
+    assert code == EXIT_SINGULARITY
+    assert capsys.readouterr().err.startswith("simulate: ")
+    text = (tmp_path / "diagnostics.json").read_text()
+    diag = json.loads(text, parse_constant=lambda name: pytest.fail(name))
+    assert not diag["completed"] and "overflow" in diag["abort_reason"]
+    assert diag["spectrum_drift"] is None
+
+
+def test_a_non_finite_report_value_is_a_typed_error(tmp_path, capsys):
+    """A report that would hold NaN or Infinity raises StructuralError
+    (exit 2 from main) and writes nothing."""
+    path = tmp_path / "report.json"
+    for value in (math.nan, math.inf):
+        with pytest.raises(StructuralError, match="non-finite"):
+            cli._emit({"drift": value}, path)
+    assert not path.exists() and capsys.readouterr().out == ""
 
 
 def test_simulate_past_the_elliptic_range_is_a_config_error(tmp_path,
@@ -461,6 +494,14 @@ def test_fault_injected_residuals_are_pinned(tmp_path, case, suite):
 #   1.9923e-14 -> 2.0097e-13 (10.1), involution 4.9636e-13 -> 5.7127e-13
 #   (1.15), spectrum_drift 1.2224e-10 -> 9.0676e-11 (0.742),
 #   isospectral_drift 1.2224e-10 -> 9.0676e-11 (0.742)
+# The elliptic kernel as theta products (no sigma ratio, no zeta
+# differences) then moved elliptic A_2 seed 3, old -> new (new/old): residue
+# 6.6622e-16 -> 4.5316e-16 (0.680), cdybe 4.6185e-14 -> 4.1754e-14 (0.904),
+# mdybe 6.5897e-13 -> 1.9153e-13 (0.291), lax_on_sigma 1.7975e-13 ->
+# 2.0347e-13 (1.13), lax_reduced_pointwise 2.0097e-13 -> 1.7288e-13
+# (0.860), involution 5.7127e-13 -> 6.3430e-13 (1.11), spectrum_drift
+# 9.0675734e-11 -> 9.0675993e-11 (1.000003), isospectral_drift 9.0675734e-11
+# -> 9.0676034e-11 (1.000003)
 PINNED_RESIDUALS = {
     ("trigonometric", 3, 1): {
         "zero_weight": 0.0, "unitarity": 0.0,
@@ -495,13 +536,13 @@ PINNED_RESIDUALS = {
     },
     ("elliptic", 2, 3): {
         "zero_weight": 0.0, "unitarity": 0.0,
-        "residue": 6.662151249755523e-16, "cdybe": 4.618527782440651e-14,
-        "mdybe": 6.589688950558208e-13,
-        "lax_on_sigma": 1.797546735911271e-13,
-        "lax_reduced_pointwise": 2.0097183471152322e-13,
-        "involution": 5.712692894303979e-13,
-        "spectrum_drift": 9.067573424322341e-11,
-        "isospectral_drift": 9.067573424322341e-11,
+        "residue": 4.531581184534698e-16, "cdybe": 4.175383336339834e-14,
+        "mdybe": 1.9152875681719822e-13,
+        "lax_on_sigma": 2.034684749684793e-13,
+        "lax_reduced_pointwise": 1.7288250917028502e-13,
+        "involution": 6.342962111168563e-13,
+        "spectrum_drift": 9.067599319780158e-11,
+        "isospectral_drift": 9.06760338524083e-11,
     },
 }
 ORDER_OF_MAGNITUDE_ONLY = {"involution", "isospectral_drift"}

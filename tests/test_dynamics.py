@@ -378,12 +378,11 @@ def test_elliptic_degenerates_to_trigonometric():
     assert np.max(np.abs(got.states - want.states)) < 1e-11
 
 
-@pytest.mark.xfail(strict=True, reason="the elliptic du = 1 Leibniz ladder "
-                   "cancels: 5.9e-14, 9.3e-13 and 4.1e-11 at kz = 1, 2, 3")
 def test_elliptic_mixed_derivatives_degenerate_to_trigonometric():
     """The mixed derivatives du = 1 at kz = 1..3 meet the trigonometric
-    closed form to 1e-13 relative on DEGENERATE (the bound of the
-    ratio-first elliptic kernel, which they miss today)."""
+    closed form to 1e-13 relative on DEGENERATE: the elliptic row is the
+    Kronecker series of the theta ratio, with no pole of c to cancel (the
+    zeta-difference ladder read 5.9e-14, 9.3e-13 and 4.1e-11 here)."""
     _, _, _, (te, tt) = degeneration_tables()
     assert max(relative(te[1, kz], tt[1, kz]) for kz in (1, 2, 3)) < 1e-13
 

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spincm.elliptic import Lattice, l_kernel
-from spincm.errors import PoleError, StructuralError
+from spincm.errors import PoleError, StructuralError, raise_on_fp_fault
 from helpers import count_passes
 
 SQUARE = Lattice(1.0, 1j)
@@ -263,19 +263,20 @@ def test_reduction_range():
                 fn(z)
 
 
-def test_l_kernel_is_three_passes(monkeypatch):
-    """One pass each of w, z and w + z, no near-point search, and the
-    ratio of the three sigmas bit for bit on arrays: -c[0] of the r-matrix
-    ladder, which holds the package's one sigma ratio; a scalar call runs
-    the same array code, so it is the array's element bit for bit."""
+def test_l_kernel_is_two_passes(monkeypatch):
+    """One pass each of w and z (no w + z pass, no theta_1 pass: the
+    theta product reads exponential tables), no near-point search, the
+    ratio of the three sigmas to rounding, and -c[0] of the r-matrix
+    ladder bit for bit; a scalar call runs the same array code, so it is
+    the array's element bit for bit."""
     lat = Lattice(2.0, 2.2j)
     w = np.array([0.4 - 0.2j, 1.1 + 0.3j, -5.3 + 2.9j])
     z = np.array([[0.31 + 0.17j], [-2.6 + 0.5j]])
     want = -lat.sigma(w + z) / (lat.sigma(w) * lat.sigma(z))
     counts = count_passes(monkeypatch)
     got = l_kernel(lat, w, z)
-    assert np.array_equal(got, want)
-    assert counts == {"_theta1": 3, "_cell": 3, "lattice_distance": 0}
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-14
+    assert counts == {"_theta1": 0, "_cell": 2, "lattice_distance": 0}
     assert np.array_equal(got, -lat._coefficient_ladder(w, z, 1)[1][0][0])
     one = l_kernel(lat, complex(w[0]), complex(z[1, 0]))
     assert type(one) is complex and one == got[1, 0]
@@ -298,17 +299,20 @@ def test_reduce_and_lattice_distance_are_one_reduction(monkeypatch):
 def test_l_kernel_scalar_calls_are_the_array_elements():
     """2000 scalar calls equal the elements of one array call bit for bit
     (with numpy's 0-d arithmetic, 1514 of them differed in the last bit);
-    where the sigmas underflow, both forms raise the same
-    FloatingPointError."""
+    on the thin lattice (1, 0.02i), where the sigmas of the old sigma
+    ratio underflowed to a FloatingPointError, both forms give the
+    40-digit mpmath value -1.0282244126095775e-38 (from theta_1 on the
+    reduced basis (0.02i, -1): on the basis as given the nome is 0.94) to
+    1e-13."""
     lat = Lattice(2.0, 2.2j)
     rng = np.random.default_rng(12)
     w, z = rng.uniform(-3, 3, (2, 2000, 2)) @ [1, 1j]
     arr = l_kernel(lat, w, z)
     assert np.array_equal([l_kernel(lat, a, b) for a, b in zip(w, z)], arr)
     thin = Lattice(1.0, 0.02j)
-    for args in ((0.9, 0.05), (np.array([0.9]), np.array([0.05]))):
-        with pytest.raises(FloatingPointError, match="invalid value"):
-            l_kernel(thin, *args)
+    one = l_kernel(thin, 0.9, 0.05)
+    assert abs(one + 1.0282244126095775e-38) < 1e-13 * 1.03e-38
+    assert one == l_kernel(thin, np.array([0.9]), np.array([0.05]))[0]
 
 
 def test_strided_and_scalar_arguments_are_the_contiguous_array_elements():
@@ -561,6 +565,86 @@ def test_zeta_ladder_of_any_order_against_mpmath(omega):
                          for zz in z])
         rel = np.abs(got[k] - want) / np.abs(want)
         assert np.max(rel) < 1e-13, (k, np.max(rel))
+
+
+def mp_kronecker(omega1: complex, omega2: complex):
+    """c(u, z) = sigma(u + z) / (sigma(u) sigma(z)) at 40 digits from
+    mpmath's theta_1 at the unreduced arguments (DLMF 23.6.9), as a
+    function of mpmath complex u and z for mp.diff."""
+    mp = pytest.importorskip("mpmath")
+    w1 = mp.mpc(omega1)
+    q = mp.exp(1j * mp.pi * mp.mpc(omega2) / w1)
+    scale = mp.pi / (2 * w1)
+    t1p = mp.jtheta(1, 0, q, 1)
+    eta1 = -mp.pi ** 2 * mp.jtheta(1, 0, q, 3) / (12 * w1 * t1p)
+
+    def sigma(z):
+        return mp.exp(eta1 * z * z / (2 * w1)) * mp.jtheta(1, scale * z, q) \
+            / (scale * t1p)
+    return lambda u, z: sigma(u + z) / (sigma(u) * sigma(z))
+
+
+@pytest.mark.parametrize("omega", [(2.0, 2.2j), (2.0, 2 + 2.2j),
+                                   (1.0, 0.3 + 0.8j)], ids=str)
+def test_coefficient_ladder_against_mpmath(omega):
+    """The r-matrix ladder of c = -l(u, z), kz = 0-3 with du = 0 and 1, at
+    |u + z| = 1e-2, 1e-4 and 1e-6 near the lattice points 0 and 2 omega1 -
+    2 omega2, matches 40-digit mpmath derivatives of the sigma ratio to
+    1e-13 (du = 0) and 1e-11 (du = 1) relative to max(1, |value|).  The
+    zeta-difference ladder it replaces was off by up to 8.3e-6 at kz = 3,
+    |u + z| = 1e-6 on (2, 2.2i)."""
+    mp = pytest.importorskip("mpmath")
+    lat = Lattice(*omega)
+    z = 0.37 + 0.21j
+    u = np.array([point - z + d * cmath.exp(1j * angle)
+                  for point, angle in ((0, 0.7), (2 * lat.omega1
+                                                  - 2 * lat.omega2, 2.1))
+                  for d in (1e-2, 1e-4, 1e-6)])
+    _, rows = raise_on_fp_fault(lat._coefficient_ladder)(u, z, 4, 1)
+    oracle = mp_kronecker(*omega)
+    with mp.workdps(40):
+        for du, bound in ((0, 1e-13), (1, 1e-11)):
+            for k in range(4):
+                want = np.array([complex(mp.diff(
+                    oracle, (mp.mpc(a), mp.mpc(z)), (du, k))) for a in u])
+                err = np.abs(rows[du][k] - want) / np.maximum(1.0,
+                                                              np.abs(want))
+                assert np.max(err) < bound, (du, k, np.max(err))
+
+
+def test_mixed_row_with_z_along_the_roots_is_the_unit_axis_row():
+    """The mixed row with z varying along the roots' axis (summed term by
+    term) equals, to rounding, the rows of z on a unit axis (one matrix
+    product per z), root by root."""
+    lat = Lattice(2.0, 2.2j)
+    u = np.array([[0.4 - 0.2j, 1.1 + 0.3j, -0.7 + 0.5j]])
+    z = np.array([[0.31 + 0.17j, -0.2 + 0.4j, 0.5 - 0.1j]])
+    ladder = raise_on_fp_fault(lat._coefficient_ladder)
+    _, (_, along) = ladder(u, z, 3, 1)
+    for r in range(3):
+        _, (_, unit) = ladder(u[:, r:r + 1], z[:, r:r + 1], 3, 1)
+        for k in range(3):
+            assert abs(along[k][0, r] - unit[k][0, 0]) \
+                < 1e-14 * max(1.0, abs(unit[k][0, 0]))
+
+
+def test_coefficient_ladder_where_imaginary_parts_are_large_and_opposite():
+    """On (pi/2, 12i), at u = 0.3 + 11i and z = 0.4 - 10.9i, the theta
+    product of e^{+-i(2n+1)(v_u + v_z)} as products of the u and z tables
+    keeps its digits: every row matches 40-digit mpmath to 1e-13 relative,
+    where the sin/cos addition theorem for sin((2n+1)(v_u + v_z)) is off by
+    1e12 at n = 1, and K = cot a + cot b + ... would cancel nine digits."""
+    mp = pytest.importorskip("mpmath")
+    lat = Lattice(math.pi / 2, 12j)
+    u, z = np.array([0.3 + 11j]), 0.4 - 10.9j
+    _, rows = raise_on_fp_fault(lat._coefficient_ladder)(u, z, 4, 1)
+    oracle = mp_kronecker(math.pi / 2, 12j)
+    with mp.workdps(40):
+        for du in (0, 1):
+            for k in range(4):
+                want = complex(mp.diff(oracle, (mp.mpc(u[0]), mp.mpc(z)),
+                                       (du, k)))
+                assert abs(rows[du][k][0] - want) < 1e-13 * abs(want), (du, k)
 
 
 def test_wp_on_a_thin_lattice_against_mpmath():

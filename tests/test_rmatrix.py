@@ -335,15 +335,17 @@ def test_one_pass_r_table_matches_per_kz_coefficients(family):
                           table[:, 2:])
 
 
-def test_elliptic_r_table_is_three_passes(monkeypatch):
-    """One elliptic r table reads one pass each of z, u and u + z: three
-    theta_1 passes, three argument reductions and no near-point search."""
+def test_elliptic_r_table_is_two_passes(monkeypatch):
+    """One elliptic r table reads one pass each of z and u: two argument
+    reductions with their exponential tables, no theta_1 pass (u + z is
+    never reduced: its theta_1 comes from products of the u and z tables)
+    and no near-point search."""
     spec = all_specs(3)["elliptic"]
     q = np.array([[0.7, -0.45, 0.9], [0.2, 0.8, -0.6]])
     z = np.broadcast_to(-np.array(default_mdybe_samples())[:, None], (12, 2))
     counts = count_passes(monkeypatch)
     _r_table(spec, q, z, range(2), du=1)
-    assert counts == {"_theta1": 3, "_cell": 3, "lattice_distance": 0}
+    assert counts == {"_theta1": 0, "_cell": 2, "lattice_distance": 0}
 
 
 def test_sheared_basis_gives_the_same_r_table():
@@ -454,13 +456,20 @@ def test_pole_guard_names_the_root(family, k):
 
 
 def test_overflowing_coefficients_raise():
-    """A coefficient that overflows raises instead of coming back inf/nan."""
+    """A coefficient that overflows raises instead of coming back inf/nan.
+    The elliptic coefficient at q = (3000, 0), z = 1 has the 40-digit
+    mpmath value 2.0909e+369 at the root value 4243, past double range; at
+    q = (300, 0), z = 0.3, where the sigmas of the old sigma ratio
+    overflowed, it is finite (8.68408871519e+11 at the root value 424) and
+    comes back to 1e-12."""
     specs = all_specs(2)
     trig, ell = specs["trigonometric"], specs["elliptic"]
     with pytest.raises(FloatingPointError):
         pair_weight(trig, trig.rs.root_values(np.array([800j, 0.0])))
     with pytest.raises(FloatingPointError):
-        root_coeff(ell, ell.rs.root_values(np.array([300.0, 0.0])), 0.3)
+        root_coeff(ell, ell.rs.root_values(np.array([3000.0, 0.0])), 1.0)
+    got = root_coeff(ell, ell.rs.root_values(np.array([300.0, 0.0])), 0.3)
+    assert abs(got[0] / 8.6840887151899e11 - 1) < 1e-12
 
 
 # -- axioms ------------------------------------------------------------------
@@ -617,18 +626,18 @@ def test_laurent_values_must_match_nodes():
                                          (1, "elliptic"), (2, "elliptic"),
                                          (3, "elliptic")])
 def test_mdybe(rank, family):
-    """Pole orders 2 and, at ranks 1 and 2, 3, where the r table reaches
-    kz = 5 and the elliptic ladder zeta orders past the closed forms;
-    order 3 fails once a root pair is scaled.  Elliptic A_3 reads 8.2e-9 at
-    order 3 here: a root value lies 0.087 from -z at a sample z, where the
-    z-ladder of l = -sigma(u+z)/(sigma(u) sigma(z)) cancels."""
+    """Pole orders 2 and 3, where the r table reaches kz = 5 and the
+    elliptic ladder zeta orders past the closed forms; order 3 fails once a
+    root pair is scaled.  Elliptic A_3 at order 3 reads 2.7e-12 here (the
+    zeta-difference ladder read 8.2e-9: a root value lies 0.087 from -z at
+    a sample z, where its z-ladder cancelled)."""
     spec = all_specs(rank)[family]
     rng = np.random.default_rng(300 + rank)
     q = rng.uniform(0.4, 0.8, size=rank)
     xi = random_laurent(spec.rs, 2, rng)
     eta = random_laurent(spec.rs, 2, rng)
     assert verify_mdybe(spec, q, xi, eta) < 1e-8
-    if rank <= 2:
+    if rank <= 2 or family == "elliptic":
         xi, eta = (random_laurent(spec.rs, 3, rng) for _ in range(2))
         assert verify_mdybe(spec, q, xi, eta) < 1e-8
         assert verify_mdybe(spec.with_fault(4.0), q, xi, eta) > 1.0

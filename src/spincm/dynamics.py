@@ -210,13 +210,13 @@ def _energy_column(sys: RMatrixSpec, q, p, xi):
             return _energy(sys, q[:k], p[:k], xi[:k]), exc
 
 
-@raise_on_fp_fault
 def _flow(sys: RMatrixSpec, y: np.ndarray, reduced: bool) -> np.ndarray:
     """The vector field at the states y (leading axes stack states, each
     a row of every product, so each row is its single-state field bit for
     bit): (dq, dp) = (p, -dH/dq) and the coadjoint spin leg d(I xi) =
     [w xi, I xi]; a reduced state moves by its pushforward at the slice
-    lift (:func:`spincm.phase.pushforward`).  One fault guard covers it."""
+    lift (:func:`spincm.phase.pushforward`).  Its callers hold the guard:
+    the solver's step and dense output, _lax_pair and vector_field."""
     rs, n = sys.rs, sys.rs.rank
     q, p, spin = y[..., :n], y[..., n:2 * n], y[..., 2 * n:]
     xi = slice_lift(rs, spin) if reduced else spin
@@ -233,6 +233,7 @@ def hamiltonian(sys: RMatrixSpec, x) -> complex:
     return complex(_energy(sys, *_coords(sys.rs, [x]))[0])
 
 
+@raise_on_fp_fault
 def vector_field(sys: RMatrixSpec, x):
     """Hamiltonian vector field of H, returned in point coordinates:
     (dq, dp, d(I xi)) = (dH/dp, -dH/dq, I(ad*_{dH_xi} xi)).
@@ -359,17 +360,6 @@ def _lax_value(r, p, xi) -> np.ndarray:
     return lax
 
 
-@raise_on_fp_fault
-def _lax_matrix(rs: RootSystem, lax) -> np.ndarray:
-    """The defining matrices rho(L) of the Lax values ``lax``, entry by
-    entry: L_alpha at the entry of e_alpha, and each diagonal entry its
-    single-point value."""
-    out = (lax[..., :rs.rank, None] * rs.h_diag).sum(-2)[..., None] \
-        * np.eye(rs.matrix_size)
-    out[(...,) + rs.root_entries] = lax[..., rs.rank:]
-    return out
-
-
 def lax_L(sys: RMatrixSpec, x, z) -> AlgElement:
     """L(q,p,xi)(z) = p + f(z) (I xi)_h + sum c_alpha((alpha,q), z) xi_alpha
     e_alpha; an array of z gives one element per z (batch axes first).  At
@@ -474,21 +464,30 @@ def lax_residuals(sys: RMatrixSpec, points: list,
 # conserved quantities and spectral curves
 
 
+def _lax_powers(rs: RootSystem, lax, m: int) -> list:
+    """rho(L)^0 .. rho(L)^m of the stacked Lax values ``lax``, rho(L) from
+    :meth:`RootSystem.to_matrix` as every bracket takes it: one stacked @
+    per power, so each point's powers are its single-point ones."""
+    mat = rs.to_matrix(lax)
+    powers = [np.broadcast_to(np.eye(rs.matrix_size, dtype=complex),
+                              mat.shape), mat]
+    for _ in range(m - 1):
+        powers.append(powers[-1] @ mat)
+    return powers[:m + 1]
+
+
 @raise_on_fp_fault
 def _power_sums(sys: RMatrixSpec, coords: tuple, z) -> np.ndarray:
     """tr(rho(L(z))^k) at the stacked coordinates (q, p, xi) of the points
     (a reduced one at its slice lift: L_0), for every z and k = 1..n (n the
     matrix size: by Cayley-Hamilton, higher powers add no invariant), of
     shape (points, len(z), n): one stacked evaluation, under one fault
-    guard, so an overflowing power raises FloatingPointError instead of
-    leaving inf or nan in the table."""
+    guard, so an overflowing power or trace (np.trace, as einsum sets no
+    flag) raises FloatingPointError instead of leaving inf or nan."""
     q, p, xi = coords
-    mat = _lax_matrix(sys.rs, _lax_value(_lax(sys, q, z)[0, 0], p, xi))
-    acc, out = mat, [np.trace(mat, axis1=-2, axis2=-1)]
-    for _ in range(sys.rs.matrix_size - 1):
-        acc = acc @ mat
-        out.append(np.trace(acc, axis1=-2, axis2=-1))
-    return np.stack(out, axis=-1)
+    powers = _lax_powers(sys.rs, _lax_value(_lax(sys, q, z)[0, 0], p, xi),
+                         sys.rs.matrix_size)[1:]
+    return np.stack([np.trace(a, axis1=-2, axis2=-1) for a in powers], -1)
 
 
 def _worst(drift: np.ndarray) -> tuple[float, int, int]:
@@ -596,19 +595,16 @@ def _spectral_gradients(sys: RMatrixSpec, points: list,
         raise StructuralError("trace power k must be >= 1")
     q, p, xi = _coords(rs, points, (ReducedPoint,))
     r, dr = _lax(sys, q, [z for _, z in specs], du=1)[:, 0]
-    mat = _lax_matrix(rs, _lax_value(r, p, xi))
-    # L^(k - 1) for the k of each spec
-    acc = np.broadcast_to(np.eye(rs.matrix_size, dtype=complex), mat.shape)
-    power = np.empty_like(mat)
-    for m in range(ks.max(initial=0)):
-        power[:, ks == m + 1] = acc[:, ks == m + 1]
-        acc = acc @ mat
+    # L^(k - 1) for the k of each spec, read off one power ladder
+    powers = _lax_powers(rs, _lax_value(r, p, xi), ks.max(initial=1) - 1)
+    power = np.stack(powers, 2)[:, np.arange(len(ks)), ks - 1]
     traces = rs.to_coords(power.swapaxes(-1, -2))
     dq = (dr[..., n:] * xi[:, None, n:] * traces[..., n:]) @ rs.alpha_h
     return np.concatenate([dq, traces[..., :n], r[..., 2 * n:]
                            * traces[..., 2 * n:]], -1)
 
 
+@raise_on_fp_fault
 def involution_residuals(sys: RMatrixSpec, points: list,
                          pairs: Sequence[tuple[tuple[int, complex],
                                                tuple[int, complex]]]
@@ -616,7 +612,7 @@ def involution_residuals(sys: RMatrixSpec, points: list,
     """|{h_{k1}(z1), h_{k2}(z2)}_red| at each reduced point for each pair
     of (k, z) specs, (points, pairs): the gradients of the distinct specs
     in one stacked evaluation, every pair read from the reduced Poisson
-    tensor (:func:`spincm.phase.reduced_brackets`)."""
+    tensor (:func:`spincm.phase.reduced_brackets`), under one fault guard."""
     specs = list(dict.fromkeys(spec for pair in pairs for spec in pair))
     grads = _spectral_gradients(sys, points, specs)
     table = reduced_brackets(sys.rs, np.array([x.s for x in points]), grads,

@@ -53,6 +53,17 @@ def _leibniz(a, b, k: int):
     return sum(math.comb(k, j) * a[j] * b[k - j] for j in range(k + 1))
 
 
+def _cot_csc_ladder(x, kmax: int) -> tuple[list, list]:
+    """cot x, csc x and their derivatives of orders below max(kmax, 2), by
+    Leibniz over their ODEs cot' = -1 - cot^2 and csc' = -csc cot."""
+    cot, csc = 1.0 / np.tan(x), 1.0 / np.sin(x)
+    cot, csc = [cot, -1.0 - cot * cot], [csc, -csc * cot]
+    for k in range(1, kmax - 1):
+        cot.append(-_leibniz(cot, cot, k))
+        csc.append(-_leibniz(csc, cot, k))
+    return cot, csc
+
+
 def _theta_sums(plus, minus, freq, orders: int) -> list:
     """theta_1 = sum_n (plus_n - minus_n) and its derivatives of orders
     below ``orders`` from its exponential tables (terms on the leading
@@ -98,8 +109,7 @@ def _vcscv_ladder(v, kmax: int) -> list:
     """v csc v and its v-derivatives of orders below kmax, regular at v =
     0: v / sin v, and for k >= 1 the Taylor series where |v| < 1/2 (16
     terms keep its tail below 1e-18 through order 5), else v csc^(k) v + k
-    csc^(k-1) v from the ladders of csc' = -csc cot and cot' = -1 - cot^2,
-    which cancels as |v|^-k."""
+    csc^(k-1) v from :func:`_cot_csc_ladder`, which cancels as |v|^-k."""
     out = [v / np.sin(v)]
     if kmax == 1:
         return out
@@ -108,11 +118,7 @@ def _vcscv_ladder(v, kmax: int) -> list:
     powers = (w * w)[..., None] ** np.arange(16)
     coef = _vcscv_series(kmax)
     v = np.where(small, 1.0, v)
-    cot, csc = 1.0 / np.tan(v), 1.0 / np.sin(v)
-    cot, csc = [cot, -1.0 - cot * cot], [csc, -csc * cot]
-    for k in range(1, kmax - 1):
-        cot.append(-_leibniz(cot, cot, k))
-        csc.append(-_leibniz(csc, cot, k))
+    csc = _cot_csc_ladder(v, kmax)[1]
     series = [np.multiply(powers, coef[k]).sum(-1) for k in range(kmax)]
     return out + [np.where(small, w * series[k] if k % 2 else series[k],
                            v * csc[k] + k * csc[k - 1])

@@ -235,6 +235,7 @@ def _brackets(df, dg, n: int, spin) -> np.ndarray | complex:
     return complex(out[0, 0]) if df.ndim == dg.ndim == 1 else out
 
 
+@raise_on_fp_fault
 def bracket_full(x: PhasePoint, df, dg):
     """Poisson bracket {F, G}(x) on T*h* x g* of the differentials df, dg:
     the canonical part plus the Lie-Poisson term dF_xi F dG_xi^T.
@@ -244,7 +245,8 @@ def bracket_full(x: PhasePoint, df, dg):
     this normalization the bracket relation between Lax components and
     the involution of spectral invariants hold with the signs used
     throughout the dynamics module; the Hamiltonian flow is F |-> {H, F},
-    which reads dq/dt = +dH/dp in mechanical terms.
+    which reads dq/dt = +dH/dp in mechanical terms.  An overflow raises
+    FloatingPointError.
     """
     lp = lie_poisson(x.rs, x.xi.vec)
     return _brackets(df, dg, x.rs.rank, lambda a, b: a @ lp @ b)

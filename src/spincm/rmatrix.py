@@ -17,8 +17,9 @@ root coefficient c_alpha(u, z) with u = (alpha, q):
 All z- and q-derivatives needed anywhere in the package come from closed
 forms, never finite differences: every ladder is the one Leibniz rule
 (:func:`spincm.elliptic._leibniz`) over its function's ODE or product,
-that of cot and csc here and of wp and the theta product of c in
-:meth:`Lattice._coefficient_ladder`, from one pass per argument.
+that of cot and csc in :func:`spincm.elliptic._cot_csc_ladder` and of wp
+and the theta product of c in :meth:`Lattice._coefficient_ladder`, from
+one pass per argument.
 The Lax operators in :mod:`spincm.dynamics` read this kernel only through
 :func:`_r_table`, which is what ties the r-matrix to the mechanics.
 
@@ -53,7 +54,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .elliptic import POLE_TOL, Lattice, _leibniz
+from .elliptic import POLE_TOL, Lattice, _cot_csc_ladder, _leibniz
 from .errors import PoleError, StructuralError, raise_on_fp_fault
 from .rootsys import RootSystem, commutator, root_label
 
@@ -273,19 +274,13 @@ def _trig_shift_cot(spec: RMatrixSpec, u: np.ndarray):
 
 def _trig_ladder(spec: RMatrixSpec, u, z, kmax: int, du: int):
     # f = cot z + z/3, and c = e^{b z} g(z) with g = cot z + cot u on the
-    # span of Pi' and g = csc z off it.  The ladders of cot and csc follow
-    # from their ODEs cot' = -1 - cot^2 and csc' = -csc cot by Leibniz,
-    # cot^(k+1) = -_leibniz(cot, cot, k) and csc^(k+1) = -_leibniz(csc,
-    # cot, k) for k >= 1; c_k = e^{b z} _leibniz(b^j, g, k), and since
-    # db/du = 1/3 and d(cot u)/du = -1 - cot^2 u, the du row is d_u c_k =
-    # (z/3) c_k + (k/3) c_{k-1} + e^{b z} b^k d_u g
+    # span of Pi' and g = csc z off it, the ladders of cot z and csc z from
+    # _cot_csc_ladder; c_k = e^{b z} _leibniz(b^j, g, k), and since db/du =
+    # 1/3 and d(cot u)/du = -1 - cot^2 u, the du row is d_u c_k = (z/3) c_k
+    # + (k/3) c_{k-1} + e^{b z} b^k d_u g
     if (np.abs(np.sin(z)) < _ZTOL).any():
         raise PoleError("trigonometric r-matrix evaluated at a pole of cot z")
-    cz, sz = 1.0 / np.tan(z), 1.0 / np.sin(z)
-    cot, csc = [cz, -1.0 - cz * cz], [sz, -sz * cz]
-    for k in range(1, kmax - 1):
-        cot.append(-_leibniz(cot, cot, k))
-        csc.append(-_leibniz(csc, cot, k))
+    cot, csc = _cot_csc_ladder(z, kmax)
     f = [cot[k] + (z / 3.0 if k == 0 else (1.0 / 3.0 if k == 1 else 0.0))
          for k in range(kmax)]
     b, cu = _trig_shift_cot(spec, u)

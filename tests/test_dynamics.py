@@ -883,6 +883,20 @@ def test_involution_of_spectral_invariants():
         assert involution_residuals(sys, [x, x], []).shape == (2, 0)
 
 
+@pytest.mark.parametrize("family", ["rational", "trigonometric", "elliptic"])
+def test_involution_past_the_float_range_raises(family):
+    """Spins of 1e155 put L^2 past the float range: the one fault guard of
+    involution_residuals raises FloatingPointError where the table held
+    nan (a RuntimeWarning fails the suite)."""
+    sys = make_system(family, 2, lattice=WIDE)
+    rs = sys.rs
+    x = ReducedPoint(rs, np.array([0.7, 1.3], dtype=complex),
+                     np.array([0.1, -0.2], dtype=complex),
+                     np.full(rs.n_roots - rs.rank, 1e155, dtype=complex))
+    with pytest.raises(FloatingPointError, match="overflow"):
+        involution_residuals(sys, [x], INVOLUTION_PAIRS[:1])
+
+
 # -- bracket relation of Lax components ---------------------------------------
 
 

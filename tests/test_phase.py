@@ -17,9 +17,10 @@ from helpers import (PhaseFunction, PhaseGradient, ReducedFunction,
                      ReducedGradient, linear_spin_function,
                      normalize_to_slice, poisson_full, poisson_reduced,
                      spin_coordinate_function, spin_invariant_gradient)
-from spincm.phase import (PhasePoint, ReducedPoint, gauge_g, lift_reduced,
-                          momentum_J, project_pi, reduced_brackets,
-                          reduced_roots, reduction, torus_action)
+from spincm.phase import (PhasePoint, ReducedPoint, bracket_full, gauge_g,
+                          lift_reduced, momentum_J, project_pi,
+                          reduced_brackets, reduced_roots, reduction,
+                          torus_action)
 from spincm.rootsys import AlgElement, build_root_system, bracket, form
 
 RS2 = build_root_system("A", 2)
@@ -204,6 +205,18 @@ def test_overflowing_torus_action_raises():
     pt = random_point(RS1, np.random.default_rng(5))
     with pytest.raises(FloatingPointError, match="overflow"):
         torus_action([800.0], pt)
+
+
+def test_bracket_full_past_the_float_range_raises():
+    """Differential rows of 1e200 at unit spins on A_2: the Lie-Poisson
+    term overflows, so one row pair and a stack of rows each raise
+    FloatingPointError instead of giving a nan bracket."""
+    pt = PhasePoint.make(RS2, [0.7, 1.3], [0.1, -0.2],
+                         xi_components={r: 1.0 for r in RS2.roots})
+    row = np.full(2 * RS2.rank + RS2.dim, 1e200, dtype=complex)
+    for rows in (row, np.stack([row, 1e-200 * row])):
+        with pytest.raises(FloatingPointError, match="overflow"):
+            bracket_full(pt, rows, rows)
 
 
 def test_momentum_generates_the_action():

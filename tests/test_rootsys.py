@@ -136,6 +136,23 @@ def test_bracket_is_the_commutator_of_matrix_reps(rank, shape):
 
 
 @pytest.mark.parametrize("rank", RANKS)
+@pytest.mark.parametrize("shape", [(11, 8), (101, 8), (3, 5), (1,), ()])
+def test_stacked_to_matrix_is_its_row_calls_bit_for_bit(rank, shape):
+    """One to_matrix call on a stack gives each coordinate row its own
+    call's matrix bit for bit, so a stacked power-sum table holds each
+    point's single-point values; a root entry is its coordinate exactly."""
+    rs = build_root_system("A", rank)
+    rng = np.random.default_rng([rank, len(shape), sum(shape)])
+    vec = rng.normal(size=shape + (rs.dim,)) \
+        + 1j * rng.normal(size=shape + (rs.dim,))
+    got = rs.to_matrix(vec)
+    assert got.shape == shape + (rs.matrix_size,) * 2
+    for idx in np.ndindex(shape):
+        assert np.array_equal(got[idx], rs.to_matrix(vec[idx]))
+    assert np.array_equal(got[(...,) + rs.root_entries], vec[..., rank:])
+
+
+@pytest.mark.parametrize("rank", RANKS)
 @pytest.mark.parametrize("shape", [(), (3, 7), (1,), (12,), (268,), (2, 3)])
 def test_sparse_bracket_matches_dense_einsum(rank, shape):
     # single elements, batches (268 was the node count of verify_mdybe on

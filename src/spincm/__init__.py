@@ -24,10 +24,9 @@ from .phase import (PhasePoint, ReducedPoint, bracket_full, gauge_g,
                     lift_reduced, momentum_J, project_pi, torus_action)
 from .dynamics import (Trajectory, conserved_spectrum,
                        fpbr_residual, hamiltonian, integrate,
-                       involution_residuals, lax_B, lax_L, lax_pair_reduced,
-                       lax_residuals, make_system, sigma_residual,
-                       spectrum_drift, spinless_state, vector_field,
-                       write_trajectory_csv)
+                       involution_residuals, lax_B, lax_L, lax_residuals,
+                       make_system, sigma_residual, spectral_drifts,
+                       spinless_state, vector_field, write_trajectory_csv)
 
 __version__ = "0.1.0"
 
@@ -60,7 +59,6 @@ __all__ = [
     "l_kernel",
     "lax_B",
     "lax_L",
-    "lax_pair_reduced",
     "lax_residuals",
     "lift_reduced",
     "make_system",
@@ -73,7 +71,7 @@ __all__ = [
     "root_label",
     "root_system_summary",
     "sigma_residual",
-    "spectrum_drift",
+    "spectral_drifts",
     "spinless_state",
     "torus_action",
     "torus_adjoint",

@@ -46,9 +46,9 @@ from .rootsys import (AlgElement, build_root_system, parse_root_label,
                       root_system_summary)
 from .dynamics import (_energy, collision_margin, default_z_samples,
                        gauge_residual, integrate, involution_residuals,
-                       lax_pair_reduced, lax_residuals, make_system,
-                       read_trajectory_csv, spectrum_drift, spinless_state,
-                       Trajectory, write_trajectory_csv)
+                       lax_residuals, make_system, read_trajectory_csv,
+                       spectral_drifts, spinless_state, Trajectory,
+                       write_trajectory_csv)
 from . import __version__
 
 EXIT_PASS = 0
@@ -344,14 +344,16 @@ def cmd_simulate(config: RunConfig, out_dir: Path) -> int:
     traj = integrate(system, x0, **config.integration)
     csv_path = out_dir / config.outputs["trajectory_csv"]
     write_trajectory_csv(csv_path, system, traj)
+    z_grid = _z_grid(config)
     try:
-        drift = spectrum_drift(system, traj, _z_grid(config))
+        drifts = spectral_drifts(system, traj, z_grid)
     except FloatingPointError as exc:
         # a truncated run keeps its abort reason and reports no drift
         if traj.completed:
             raise StructuralError(f"spectrum_drift is out of floating-point "
                                   f"range: {exc}") from exc
-        drift = None
+        drifts = {"worst": {}}
+    energy = np.abs(traj.energy - traj.energy[0])
     diagnostics = {
         "system": system.describe(),
         "reduced": traj.reduced,
@@ -359,9 +361,15 @@ def cmd_simulate(config: RunConfig, out_dir: Path) -> int:
         "abort_reason": traj.abort_reason,
         "n_points": traj.n_points,
         "t_final": float(config.integration["t_final"]),
-        "energy_drift": float(np.max(np.abs(traj.energy - traj.energy[0]))),
+        "energy_drift": float(np.max(energy)),
         "momentum_drift": float(np.max(traj.constraint)),
-        "spectrum_drift": drift,
+        "spectrum_drift": drifts.get("spectrum_drift"),
+        "isospectral_drift": drifts.get("isospectral_drift"),
+        # where each drift peaks: its grid time, and its z if spectral
+        "worst": {"energy_drift": _witness(
+                      {"t": traj.times[np.argmax(energy)]}),
+                  **{name: _witness({"t": traj.times[k], "z": z_grid[j]})
+                     for name, (k, j) in drifts["worst"].items()}},
         "solver": traj.stats,
         "trajectory_csv": str(csv_path),
     }
@@ -542,7 +550,7 @@ def _suite_spectral(system, config, rng) -> dict:
         raise PoleError(f"spectral suite trajectory aborted: "
                         f"{traj.abort_reason}")
     z_grid = _z_grid(config)
-    report = lax_pair_reduced(system, traj, z_grid)
+    report = spectral_drifts(system, traj, z_grid)
     # the witness: the trajectory point and z of the worst entry, and the
     # initial point to integrate from; "solver" the integration's counts
     return {"checks": [{"name": name, "samples": traj.n_points,
@@ -550,7 +558,7 @@ def _suite_spectral(system, config, rng) -> dict:
                             "sample": report["worst"][name][0],
                             "z": z_grid[report["worst"][name][1]],
                             "q": x0.q, "p": x0.p, "s": x0.s})}
-                       for name in ("spectrum_drift", "isospectral_drift")],
+                       for name in report["worst"]],
             "solver": traj.stats}
 
 

@@ -513,19 +513,6 @@ def _char_poly(power_sums: np.ndarray) -> np.ndarray:
     return np.stack(coeffs, axis=-1)
 
 
-def _spectrum_worst(sys: RMatrixSpec, traj: Trajectory,
-                    z_samples: Sequence[complex] | None) -> tuple:
-    """The power-sum table over the points and z of the trajectory, and the
-    worst (value, point, z) along it of the relative drift
-    (:func:`_relative_drift`) of h_k = p_k/k: the spectrum drift."""
-    if z_samples is None:
-        z_samples = default_z_samples()
-    sums = _power_sums(sys, _split(traj.rs, traj.states, traj.reduced),
-                       z_samples)
-    return sums, _worst(_relative_drift(
-        sums / np.arange(1, sums.shape[-1] + 1)))
-
-
 def conserved_spectrum(sys: RMatrixSpec, x,
                        z_samples: Sequence[complex]) -> np.ndarray:
     """Table h_k(z) = tr(rho(L(z))^k)/k, shape (len(z_samples), n) for the
@@ -534,12 +521,27 @@ def conserved_spectrum(sys: RMatrixSpec, x,
     return sums / np.arange(1, sums.shape[-1] + 1)
 
 
-def spectrum_drift(sys: RMatrixSpec, traj: Trajectory,
-                   z_samples: Sequence[complex] | None = None) -> float:
-    """Largest relative drift of any h_k(z) along the trajectory, with the
-    per-entry denominator max(1, |h_k(z)(0)|); all points in one stacked
-    evaluation over the trajectory's states."""
-    return _spectrum_worst(sys, traj, z_samples)[1][0]
+@raise_on_fp_fault
+def spectral_drifts(sys: RMatrixSpec, traj: Trajectory,
+                    z_samples: Sequence[complex] | None = None) -> dict:
+    """Drifts of the spectrum of L(z) (L_0 if reduced) along a trajectory
+    of either kind, from one power-sum table over its points and z, under
+    one fault guard: the largest relative drift (:func:`_relative_drift`)
+    of any h_k(z) = p_k/k, ``spectrum_drift``, and of any char-poly
+    coefficient, ``isospectral_drift``, with the [point, z] of each worst
+    entry under ``worst``.  The pointwise Lax equation is
+    :func:`lax_residuals` at the trajectory's points."""
+    if not traj.n_points:
+        raise StructuralError("spectral_drifts expects a nonempty trajectory")
+    if z_samples is None:
+        z_samples = default_z_samples()
+    sums = _power_sums(sys, _split(traj.rs, traj.states, traj.reduced),
+                       z_samples)
+    drifts = {"spectrum_drift": _worst(_relative_drift(
+                  sums / np.arange(1, sums.shape[-1] + 1))),
+              "isospectral_drift": _worst(_relative_drift(_char_poly(sums)))}
+    return {**{name: worst[0] for name, worst in drifts.items()},
+            "worst": {name: list(worst[1:]) for name, worst in drifts.items()}}
 
 
 # ---------------------------------------------------------------------------
@@ -559,24 +561,6 @@ def gauge_residual(sys: RMatrixSpec, states) -> np.ndarray:
     diff = _lax_value(r, p, slice_lift(rs, s)) - torus_adjoint(
         -g[..., None, :], AlgElement(rs, _lax_value(r, p, xi))).vec
     return np.max(np.abs(diff), axis=(-2, -1))
-
-
-def lax_pair_reduced(sys: RMatrixSpec, traj: Trajectory,
-                     z_samples: Sequence[complex] | None = None) -> dict:
-    """Verify the isospectrality of the reduced Lax pair along a reduced
-    trajectory: the spectrum drift of :func:`_spectrum_worst` and, from its
-    power-sum table, the isospectral drift (of the char-poly coefficients),
-    with the [point, z] of each worst entry under ``worst``.  The pointwise
-    Lax equation is :func:`lax_residuals` at the trajectory's points.
-    """
-    if not traj.n_points or not traj.reduced:
-        raise StructuralError("lax_pair_reduced expects a reduced trajectory")
-    sums, worst = _spectrum_worst(sys, traj, z_samples)
-    drifts = {"spectrum_drift": worst,
-              "isospectral_drift": _worst(_relative_drift(_char_poly(sums)))}
-    return {**{name: worst[0] for name, worst in drifts.items()},
-            "worst": {name: list(worst[1:]) for name, worst in drifts.items()},
-            "n_points": traj.n_points}
 
 
 # ---------------------------------------------------------------------------

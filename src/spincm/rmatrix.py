@@ -441,6 +441,7 @@ def _ring_means(nodes: np.ndarray, values: np.ndarray,
 # axiom verification
 
 
+@raise_on_fp_fault
 def verify_axioms(spec: RMatrixSpec, q, z) -> dict:
     """Zero-weight, unitarity and residue residuals at every (q, z) sample
     (q of shape (samples, rank)), one array each; thresholds are the
@@ -472,6 +473,7 @@ def _structure_nz(rs: RootSystem) -> tuple[np.ndarray, ...]:
     return a, b, c, f[a, b, c]
 
 
+@raise_on_fp_fault
 def verify_cdybe(spec: RMatrixSpec, q, z1, z2, z3):
     """Residual of the classical dynamical Yang-Baxter equation at (q, z1,
     z2, z3), as the max-abs coefficient of the g (x) g (x) g tensor
@@ -522,10 +524,16 @@ def _trim_principal(rs: RootSystem, v, stack: int) -> np.ndarray:
 def _r_pairing(table, principal) -> np.ndarray:
     """sum_{k < T} (1/k!) < r_k, X_{-(k+1)} (x) 1 > for the T rows X of
     ``principal``: an entrywise product, table[k] holding r_k's coefficient
-    on each entry of X (c[dual] in coordinates, C in matrices)."""
+    on each entry of X (c[dual] in coordinates, C in matrices).  The einsum
+    sets no floating-point flag, so a non-finite result raises
+    FloatingPointError here."""
     t = len(principal)
     inv_fact = [1.0 / math.factorial(k) for k in range(t)]
-    return np.einsum("k...,k...,k->...", table[:t], principal, inv_fact)
+    out = np.einsum("k...,k...,k->...", table[:t], principal, inv_fact)
+    if not np.isfinite(out).all():
+        raise FloatingPointError("the r-matrix pairing is out of "
+                                 "floating-point range")
+    return out
 
 
 def default_mdybe_samples() -> list[complex]:
@@ -533,6 +541,7 @@ def default_mdybe_samples() -> list[complex]:
            [0.85 * cmath.exp(2j * math.pi * (k + 0.5) / 5) for k in range(5)]
 
 
+@raise_on_fp_fault
 def verify_mdybe(spec: RMatrixSpec, q, xi, eta, *,
                  z_samples: Sequence[complex] | None = None):
     """Residual of the modified dynamical Yang-Baxter equation with

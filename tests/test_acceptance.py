@@ -31,9 +31,8 @@ from spincm.phase import (PhasePoint, ReducedPoint, gauge_g, project_pi,
                           torus_action)
 from spincm.rmatrix import verify_axioms, verify_cdybe, verify_mdybe
 from spincm.dynamics import (collision_margin, fpbr_residual, hamiltonian,
-                             integrate, involution_residuals,
-                             lax_pair_reduced, lax_residuals, make_system,
-                             spectrum_drift, spinless_state)
+                             integrate, involution_residuals, lax_residuals,
+                             make_system, spectral_drifts, spinless_state)
 
 from helpers import poisson_reduced, spin_coordinate_function
 from test_phase import SL3_ROOTS, SL3_TABLE
@@ -248,7 +247,7 @@ def test_05_conserved_quantities_along_flow():
             e = traj.energy
             e_drift = float(np.max(np.abs(e - e[0])) / max(1.0, abs(e[0])))
             pairs.append((e_drift, 1e-6))
-            pairs.append((spectrum_drift(sys_, traj), 1e-6))
+            pairs.append((spectral_drifts(sys_, traj)["spectrum_drift"], 1e-6))
     _gate(5, "conserved quantities along the reduced flow", pairs)
 
 
@@ -267,7 +266,7 @@ def test_06_lax_pair():
     for family in FAMILIES:
         sys_ = system(family, 2)
         traj = conserved_trajectory(family, 2)
-        rep = lax_pair_reduced(sys_, traj)
+        rep = spectral_drifts(sys_, traj)
         pairs.append((rep["isospectral_drift"], 1e-5))
         at = np.linspace(0, traj.n_points - 1, 9).astype(int)
         pairs.append((np.max(lax_residuals(

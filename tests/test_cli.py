@@ -16,8 +16,8 @@ from spincm.cli import (EXIT_CONFIG, EXIT_PASS, EXIT_RESIDUAL,
                         _INVOLUTION_BATTERY, _build_parser,
                         build_initial, default_thresholds, load_config, main,
                         parse_config)
-from spincm.dynamics import (integrate, involution_residuals,
-                             lax_pair_reduced, lax_residuals, spectrum_drift)
+from spincm.dynamics import (integrate, involution_residuals, lax_residuals,
+                             spectral_drifts)
 from spincm.errors import ConfigError, StructuralError
 from spincm.phase import PhasePoint, ReducedPoint, reduced_roots
 from spincm.rmatrix import verify_axioms, verify_cdybe, verify_mdybe
@@ -248,6 +248,8 @@ def test_truncated_run_with_overflowing_power_sums_writes_null(tmp_path,
     diag = json.loads(text, parse_constant=lambda name: pytest.fail(name))
     assert not diag["completed"] and "overflow" in diag["abort_reason"]
     assert diag["spectrum_drift"] is None
+    assert diag["isospectral_drift"] is None
+    assert set(diag["worst"]) == {"energy_drift"}
 
 
 def test_a_non_finite_report_value_is_a_typed_error(tmp_path, capsys):
@@ -372,6 +374,44 @@ def test_simulate_reduced_initial(tmp_path):
     header, rows = read_csv(tmp_path / "trajectory.csv")
     assert "s[-1]" in header
     assert "xi[1]" not in header
+
+
+@pytest.mark.parametrize("family", ["rational", "trigonometric", "elliptic"])
+def test_simulate_witnesses_replay_from_the_csv(tmp_path, family):
+    """diagnostics.json names where each drift peaks: the energy drift's
+    grid time is that of the CSV's energy column, and each spectral drift,
+    recomputed from rows 0 and t of trajectory.csv at its witness's z, is
+    the reported value.  The run is reduced, so its CSV holds its whole
+    state (an unreduced CSV leaves the Cartan spin block out)."""
+    rs = build_root_system("A", 2)
+    data = {"family": family, "rank": 2,
+            "initial": {"q": [0.5, 1.2], "p": [0.1, 0.2],
+                        "s": {root_label(r): [0, 0.7]
+                              for r in reduced_roots(rs)}},
+            "integration": {"t_final": 0.5, "n_points": 11}}
+    if family == "elliptic":
+        data["lattice"] = WIDE_LATTICE
+    cfg = write_config(tmp_path, "red.json", data)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) \
+        == EXIT_PASS
+    diag = json.loads((tmp_path / "diagnostics.json").read_text())
+    header, rows = read_csv(tmp_path / "trajectory.csv")
+    times = np.array(column(header, rows, "t")).real
+    states = np.array([column(header, rows, name) for name in
+                       dynamics._state_columns(rs, True)[1:]]).T
+    energy = np.array(column(header, rows, "energy"))
+    assert set(diag["worst"]) == {"energy_drift", "spectrum_drift",
+                                  "isospectral_drift"}
+    assert diag["worst"]["energy_drift"] == {
+        "t": times[np.argmax(np.abs(energy - energy[0]))]}
+    system = load_config(cfg).system()
+    for name in ("spectrum_drift", "isospectral_drift"):
+        k = list(times).index(diag["worst"][name]["t"])
+        pair = dynamics.Trajectory(times[[0, k]], states[[0, k]], rs, True,
+                                   energy[[0, k]], np.zeros(2), True)
+        got = spectral_drifts(system, pair,
+                              [complex(*diag["worst"][name]["z"])])[name]
+        assert abs(got - diag[name]) <= 1e-12 * diag[name]
 
 
 # -- verify -------------------------------------------------------------------
@@ -604,16 +644,14 @@ def replay(config, suite, check):
     traj = integrate(system, x, **{**opts,
                                    "n_points": min(opts["n_points"], 101)})
     z_grid = dynamics.default_z_samples()
-    report = lax_pair_reduced(system, traj, z_grid)
+    report = spectral_drifts(system, traj, z_grid)
     assert report["worst"][name] == [w["sample"],
                                      z_grid.index(complex_array(w["z"]))]
     # and that entry alone, at the first and the witness point, gives the
     # same drift: each table entry is its single-point value
     pair = replace(traj, states=traj.states[[0, w["sample"]]])
     z = [complex_array(w["z"])]
-    alone = spectrum_drift(system, pair, z) if name == "spectrum_drift" \
-        else lax_pair_reduced(system, pair, z)[name]
-    assert alone == report[name]
+    assert spectral_drifts(system, pair, z)[name] == report[name]
     return report[name]
 
 

@@ -23,8 +23,8 @@ from dense_reference import dense_structure
 from helpers import pair_weight
 from spincm import dynamics
 from spincm.dynamics import (_pack_point, conserved_spectrum, hamiltonian,
-                             integrate, lax_L, lax_pair_reduced, make_system,
-                             spectrum_drift, spinless_state, vector_field)
+                             integrate, lax_L, make_system, spectral_drifts,
+                             spinless_state, vector_field)
 from spincm.elliptic import Lattice
 from spincm.errors import PoleError, StructuralError, raise_on_fp_fault
 from spincm.phase import (PhasePoint, ReducedPoint, lift_reduced, momentum_J,
@@ -491,7 +491,8 @@ def mp_char_poly(mp, mat):
 def test_stacked_diagnostics_match_per_point_loops(family, rank, reduced):
     """The stacked tables along a trajectory against per-point loops; the
     energy column and each row of the power-sum table are their
-    single-point values bit for bit."""
+    single-point values bit for bit, and both spectral drifts hold on
+    either trajectory kind."""
     sys_, x0 = pin_start(family, rank, reduced)
     traj = integrate(sys_, x0, 0.3, 1e-9, n_points=7)
     z = [0.41 + 0.22j, -0.33 + 0.47j, 0.29 - 0.44j]
@@ -506,22 +507,21 @@ def test_stacked_diagnostics_match_per_point_loops(family, rank, reduced):
     denom = np.maximum(1.0, np.abs(tables[0]))
     drift = max(np.max(np.abs(t - tables[0]) / denom) for t in tables[1:])
     # the drift is already relative to the per-entry denominator (>= 1)
-    assert abs(spectrum_drift(sys_, traj, z) - drift) < 1e-13
+    got = spectral_drifts(sys_, traj, z)
+    assert abs(got["spectrum_drift"] - drift) < 1e-13
     lifts = [lift_reduced(pt) if reduced else pt for pt in traj.points]
     energy = np.array([hamiltonian(sys_, x) for x in traj.points])
     assert np.array_equal(traj.energy, energy)
     j0 = momentum_J(lifts[0])
     constraint = [np.max(np.abs(momentum_J(x) - j0)) for x in lifts]
     assert np.max(np.abs(traj.constraint - constraint)) < 1e-13
-    if reduced:
-        # the isospectral drift against a 40-digit characteristic
-        # polynomial of the same float matrices, relative per coefficient
-        mp = pytest.importorskip("mpmath")
-        with mp.workdps(40):
-            curves = [[mp_char_poly(mp, matrix_rep(lax_L(sys_, x, zi)))
-                       for zi in z] for x in lifts]
-            iso = float(max(abs(a - b) / max(1, abs(b)) for c in curves
-                            for row, row0 in zip(c, curves[0])
-                            for a, b in zip(row, row0)))
-        got = lax_pair_reduced(sys_, traj, z)
-        assert abs(got["isospectral_drift"] - iso) < 1e-13
+    # the isospectral drift against a 40-digit characteristic polynomial
+    # of the same float matrices, relative per coefficient
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        curves = [[mp_char_poly(mp, matrix_rep(lax_L(sys_, x, zi)))
+                   for zi in z] for x in lifts]
+        iso = float(max(abs(a - b) / max(1, abs(b)) for c in curves
+                        for row, row0 in zip(c, curves[0])
+                        for a, b in zip(row, row0)))
+    assert abs(got["isospectral_drift"] - iso) < 1e-13

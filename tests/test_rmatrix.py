@@ -651,6 +651,20 @@ def test_mdybe_diagonal_case_vanishes():
     assert verify_mdybe(spec, np.array([0.7]), xi, xi) < 1e-10
 
 
+def test_mdybe_past_the_float_range_raises():
+    """At the root value 1300 (trigonometric) or 2200 (elliptic on (2,
+    2.2i)) the r-matrix pairing overflows: FloatingPointError, where the
+    residual came back nan without a warning; the rational residual there
+    stays finite."""
+    specs = all_specs(2)
+    xi, eta = np.full((2, 8), 0.3), np.full((2, 8), 0.2)
+    for family, u in (("trigonometric", 1300.0), ("elliptic", 2200.0)):
+        with pytest.raises(FloatingPointError):
+            verify_mdybe(specs[family], np.array([u, 0.3]), xi, eta)
+    assert verify_mdybe(specs["rational"], np.array([2200.0, 0.3]), xi,
+                        eta) < 1e-12
+
+
 @pytest.mark.parametrize("family", ["rational", "trigonometric", "elliptic"])
 def test_equivariance(family):
     spec = all_specs(2)[family]

@@ -343,7 +343,7 @@ def cmd_simulate(config: RunConfig, out_dir: Path) -> int:
     x0 = build_initial(config, system)
     traj = integrate(system, x0, **config.integration)
     csv_path = out_dir / config.outputs["trajectory_csv"]
-    write_trajectory_csv(csv_path, system, traj)
+    write_trajectory_csv(csv_path, traj)
     z_grid = _z_grid(config)
     try:
         drifts = spectral_drifts(system, traj, z_grid)
@@ -610,21 +610,22 @@ def cmd_verify(config: RunConfig, suite: str, out_dir: Path, *,
 def cmd_reduce(config: RunConfig, traj_path, out_dir: Path) -> int:
     system = config.system()
     rs, n = system.rs, system.rs.rank
-    times, states = read_trajectory_csv(traj_path, rs)
-    q, p = states[:, :n], states[:, n:2 * n]
+    traj = read_trajectory_csv(traj_path, rs)
+    if traj.reduced:
+        raise ConfigError(f"trajectory {traj_path} is already reduced")
+    q, p = traj.states[:, :n], traj.states[:, n:2 * n]
     try:
-        s = reduction(rs, states[:, 2 * n:])[0]
+        s = reduction(rs, traj.states[:, 2 * n:])[0]
     except GaugeDomainError as exc:
         print(f"reduce: step {exc.index}: {exc}", file=sys.stderr)
         return EXIT_SINGULARITY
-    residuals = gauge_residual(system, states)
+    residuals = gauge_residual(system, traj.states)
     energy = _energy(system, q, p, slice_lift(rs, s))
-    traj = Trajectory(times, np.concatenate([q, p, s], -1), rs, True,
-                      energy, np.zeros(len(times)), True)
     out_path = out_dir / config.outputs["trajectory_csv"]
-    write_trajectory_csv(out_path, system, traj,
-                         extra={"gauge_residual": residuals})
-    _emit({"n_points": len(times),
+    write_trajectory_csv(out_path, Trajectory(
+        traj.times, np.concatenate([q, p, s], -1), rs, True, energy,
+        np.zeros(traj.n_points), True), extra={"gauge_residual": residuals})
+    _emit({"n_points": traj.n_points,
            "max_gauge_residual": float(np.max(residuals, initial=0.0)),
            "trajectory_csv": str(out_path)})
     return EXIT_PASS

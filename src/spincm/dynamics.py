@@ -449,15 +449,20 @@ def default_z_samples(n: int = 8) -> list[complex]:
     return [0.55 * np.exp(2j * math.pi * (k + 0.37) / n) for k in range(n)]
 
 
+def _z_list(z_samples: Sequence[complex] | None) -> Sequence[complex]:
+    """z_samples, default_z_samples() if None; StructuralError if empty."""
+    if z_samples is not None and not len(z_samples):
+        raise StructuralError("expected at least one z sample, got none")
+    return default_z_samples() if z_samples is None else z_samples
+
+
 def lax_residuals(sys: RMatrixSpec, points: list,
                   z_samples: Sequence[complex] | None = None, *,
                   anomaly: bool = False) -> np.ndarray:
     """max_z ||dL/dt - [B, L]|| at each of the points (L_0 and B_0 for
     ReducedPoints) in one stacked evaluation; ``anomaly`` adds (X_J R)(L/z),
     the Lax equation off Sigma (rational family).  Sigma is not checked."""
-    if z_samples is None:
-        z_samples = default_z_samples()
-    return _lax_pair(sys, points, z_samples, anomaly)[0]
+    return _lax_pair(sys, points, _z_list(z_samples), anomaly)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -533,10 +538,11 @@ def spectral_drifts(sys: RMatrixSpec, traj: Trajectory,
     :func:`lax_residuals` at the trajectory's points."""
     if not traj.n_points:
         raise StructuralError("spectral_drifts expects a nonempty trajectory")
-    if z_samples is None:
-        z_samples = default_z_samples()
+    if traj.rs != sys.rs:
+        raise StructuralError("objects built over mismatched root systems: a "
+                              f"Trajectory over {traj.rs} for {sys.rs}")
     sums = _power_sums(sys, _split(traj.rs, traj.states, traj.reduced),
-                       z_samples)
+                       _z_list(z_samples))
     drifts = {"spectrum_drift": _worst(_relative_drift(
                   sums / np.arange(1, sums.shape[-1] + 1))),
               "isospectral_drift": _worst(_relative_drift(_char_poly(sums)))}
@@ -650,30 +656,28 @@ _COMPLEX_FORMAT = "%.17g%+.17gj"     # a complex CSV field, re+imj
 
 
 def _state_columns(rs: RootSystem, reduced: bool) -> list[str]:
-    """t, q_i, p_i and the spins by root label: the columns of a trajectory
-    CSV that hold its points."""
+    """t and the state q | p | spin column by column: q_i, p_i, then the
+    Cartan spins xi_h_i and the spins by root label, or the s by label."""
+    blocks = ("q", "p") if reduced else ("q", "p", "xi_h")
     spin = [f"s{root_label(r)}" for r in reduced_roots(rs)] if reduced \
         else [f"xi{root_label(r)}" for r in rs.roots]
-    return (["t"] + [f"q{i + 1}" for i in range(rs.rank)]
-            + [f"p{i + 1}" for i in range(rs.rank)] + spin)
+    return (["t"] + [f"{b}{i + 1}" for b in blocks for i in range(rs.rank)]
+            + spin)
 
 
-def trajectory_csv(sys: RMatrixSpec, traj: Trajectory,
+def trajectory_csv(traj: Trajectory,
                    extra: dict[str, Sequence] | None = None) -> str:
-    """The CSV text: a header of t, q_i, p_i, the root spins by label,
-    energy, J_residual and the ``extra`` columns, then one row per point
-    (complex values as re+imj) formatted from one table of ``traj.states``
-    in one pass."""
-    n, extra = sys.rs.rank, extra or {}
+    """The CSV text: the state columns of ``traj``'s kind, energy,
+    J_residual and the ``extra`` columns, then one row per point, states
+    whole (complex values as re+imj), from one table in one pass."""
+    extra = extra or {}
     header = io.StringIO()
-    csv.writer(header).writerow(_state_columns(sys.rs, traj.reduced)
+    csv.writer(header).writerow(_state_columns(traj.rs, traj.reduced)
                                 + ["energy", "J_residual"] + list(extra))
-    # one complex table, t | q, p, spins | energy | J_residual | extra; "%.0s"
+    # one complex table, t | states | energy | J_residual | extra; "%.0s"
     # drops the zero imaginary part of the two real columns
-    table = np.column_stack([
-        traj.times, traj.states[:, :2 * n],
-        traj.states[:, (2 if traj.reduced else 3) * n:], traj.energy,
-        traj.constraint, *extra.values()]).astype(complex)
+    table = np.column_stack([traj.times, traj.states, traj.energy,
+                             traj.constraint, *extra.values()]).astype(complex)
     real, n_extra = "%.17g%.0s", len(extra)
     row = ",".join([real] + [_COMPLEX_FORMAT] * (table.shape[1] - 2 - n_extra)
                    + [real] + [_COMPLEX_FORMAT] * n_extra) + "\r\n"
@@ -681,42 +685,43 @@ def trajectory_csv(sys: RMatrixSpec, traj: Trajectory,
         table.view(float).ravel().tolist())
 
 
-def write_trajectory_csv(path, sys: RMatrixSpec, traj: Trajectory,
+def write_trajectory_csv(path, traj: Trajectory,
                          extra: dict[str, Sequence] | None = None) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(trajectory_csv(sys, traj, extra))
+        fh.write(trajectory_csv(traj, extra))
 
 
-def read_trajectory_csv(path, rs: RootSystem
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Times and states q | p | xi of an unreduced trajectory CSV, as
-    :func:`write_trajectory_csv` writes it; the Cartan spin block is not
-    exported and is taken as zero (J = 0).  A file that cannot be read, or
-    a missing column, short row or non-finite or malformed value, raises
-    ConfigError naming the file and line."""
+def read_trajectory_csv(path, rs: RootSystem) -> Trajectory:
+    """The trajectory over rs, of either kind (reduced if the header has s
+    columns), that :func:`write_trajectory_csv` wrote: J_residual as
+    ``constraint``, ``completed``, no abort reason or solver stats (they
+    are in ``diagnostics.json``).  A file that cannot be read, or a missing
+    column, short row or non-finite or malformed value, raises ConfigError
+    naming the file and line."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise ConfigError(f"cannot read trajectory {path}: {exc}") from exc
     header = rows[0] if rows else []
-    if any(col.startswith("s[") for col in header):
-        raise ConfigError(f"trajectory {path} is already reduced")
-    names = _state_columns(rs, False)
+    reduced = any(col.startswith("s[") for col in header)
+    names = _state_columns(rs, reduced) + ["energy", "J_residual"]
     missing = [name for name in names if name not in header]
     if missing:
         raise ConfigError(f"trajectory {path} is missing column "
                           f"{missing[0]!r}")
+    # t and J_residual are real, every other column complex
+    parse = [float] + [complex] * (len(names) - 2) + [float]
     cols = [header.index(name) for name in names]
-    times, values = [], []
+    values = []
     for line, row in enumerate(rows[1:], start=2):
         try:
-            times.append(float(row[cols[0]]))
-            values.append([complex(row[c]) for c in cols[1:]])
+            values.append([f(row[c]) for f, c in zip(parse, cols)])
         except (IndexError, ValueError) as exc:
             raise ConfigError(f"trajectory {path} line {line}: {exc}") from exc
-        if not np.all(np.isfinite([times[-1]] + values[-1])):
+        if not np.all(np.isfinite(values[-1])):
             raise ConfigError(f"trajectory {path} line {line}: a value is "
                               "not finite")
-    states = np.array(values, dtype=complex).reshape(len(times), len(cols) - 1)
-    return np.array(times), np.insert(states, [2 * rs.rank] * rs.rank, 0, 1)
+    table = np.array(values, dtype=complex).reshape(-1, len(cols))
+    return Trajectory(table[:, 0].real, table[:, 1:-2], rs, reduced,
+                      table[:, -2], table[:, -1].real, True)

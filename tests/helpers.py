@@ -360,20 +360,20 @@ def format_complex(v) -> str:
     return f"{v.real:.17g}{v.imag:+.17g}j"
 
 
-def trajectory_csv_rows(sys: RMatrixSpec, traj: Trajectory,
+def trajectory_csv_rows(traj: Trajectory,
                         extra: dict[str, Sequence] | None = None
                         ) -> tuple[list[str], list[list[str]]]:
     """Header and data rows of the CSV export, point by point: t, q_i, p_i,
-    spins by root label, then diagnostics; the reference for
-    :func:`spincm.dynamics.trajectory_csv`."""
-    rank = sys.rs.rank
+    the whole spin of each point (the Cartan spins xi_h_i and the root
+    spins by label, or the reduced s by label), then diagnostics; the
+    reference for :func:`spincm.dynamics.trajectory_csv`."""
     reduced = traj.reduced
     extra = extra or {}
-    header = (_state_columns(sys.rs, reduced) + ["energy", "J_residual"]
+    header = (_state_columns(traj.rs, reduced) + ["energy", "J_residual"]
               + list(extra.keys()))
     rows = []
     for idx, pt in enumerate(traj.points):
-        spins = pt.s if reduced else pt.xi.vec[rank:]
+        spins = pt.s if reduced else pt.xi.vec
         row = [f"{traj.times[idx]:.17g}"]
         row += [format_complex(v) for v in np.concatenate([pt.q, pt.p, spins])]
         row += [format_complex(traj.energy[idx]),
@@ -383,10 +383,10 @@ def trajectory_csv_rows(sys: RMatrixSpec, traj: Trajectory,
     return header, rows
 
 
-def reference_csv(sys: RMatrixSpec, traj: Trajectory,
+def reference_csv(traj: Trajectory,
                   extra: dict[str, Sequence] | None = None) -> str:
     """The CSV text of :func:`trajectory_csv_rows` through ``csv.writer``."""
-    header, rows = trajectory_csv_rows(sys, traj, extra)
+    header, rows = trajectory_csv_rows(traj, extra)
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(header)

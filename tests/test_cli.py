@@ -17,7 +17,7 @@ from spincm.cli import (EXIT_CONFIG, EXIT_PASS, EXIT_RESIDUAL,
                         build_initial, default_thresholds, load_config, main,
                         parse_config)
 from spincm.dynamics import (integrate, involution_residuals, lax_residuals,
-                             spectral_drifts)
+                             read_trajectory_csv, spectral_drifts)
 from spincm.errors import ConfigError, StructuralError
 from spincm.phase import PhasePoint, ReducedPoint, reduced_roots
 from spincm.rmatrix import verify_axioms, verify_cdybe, verify_mdybe
@@ -378,40 +378,53 @@ def test_simulate_reduced_initial(tmp_path):
 
 @pytest.mark.parametrize("family", ["rational", "trigonometric", "elliptic"])
 def test_simulate_witnesses_replay_from_the_csv(tmp_path, family):
-    """diagnostics.json names where each drift peaks: the energy drift's
-    grid time is that of the CSV's energy column, and each spectral drift,
-    recomputed from rows 0 and t of trajectory.csv at its witness's z, is
-    the reported value.  The run is reduced, so its CSV holds its whole
-    state (an unreduced CSV leaves the Cartan spin block out)."""
+    """diagnostics.json names where each drift peaks, and trajectory.csv,
+    read back by read_trajectory_csv, holds the whole state of a reduced
+    or unreduced run (the Cartan spin block too, nonzero with
+    ``xi_cartan``): its spectral drifts are the reported values exactly,
+    the energy drift's grid time is that of its energy column, and each
+    spectral drift, recomputed from rows 0 and t at its witness's z, is
+    the reported value."""
     rs = build_root_system("A", 2)
-    data = {"family": family, "rank": 2,
-            "initial": {"q": [0.5, 1.2], "p": [0.1, 0.2],
-                        "s": {root_label(r): [0, 0.7]
-                              for r in reduced_roots(rs)}},
-            "integration": {"t_final": 0.5, "n_points": 11}}
-    if family == "elliptic":
-        data["lattice"] = WIDE_LATTICE
-    cfg = write_config(tmp_path, "red.json", data)
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) \
-        == EXIT_PASS
-    diag = json.loads((tmp_path / "diagnostics.json").read_text())
-    header, rows = read_csv(tmp_path / "trajectory.csv")
-    times = np.array(column(header, rows, "t")).real
-    states = np.array([column(header, rows, name) for name in
-                       dynamics._state_columns(rs, True)[1:]]).T
-    energy = np.array(column(header, rows, "energy"))
-    assert set(diag["worst"]) == {"energy_drift", "spectrum_drift",
-                                  "isospectral_drift"}
-    assert diag["worst"]["energy_drift"] == {
-        "t": times[np.argmax(np.abs(energy - energy[0]))]}
-    system = load_config(cfg).system()
-    for name in ("spectrum_drift", "isospectral_drift"):
-        k = list(times).index(diag["worst"][name]["t"])
-        pair = dynamics.Trajectory(times[[0, k]], states[[0, k]], rs, True,
-                                   energy[[0, k]], np.zeros(2), True)
-        got = spectral_drifts(system, pair,
-                              [complex(*diag["worst"][name]["z"])])[name]
-        assert abs(got - diag[name]) <= 1e-12 * diag[name]
+    for kind in ("reduced", "unreduced", "xi_cartan"):
+        initial = {"q": [0.5, 1.2], "p": [0.1, 0.2]}
+        if kind == "reduced":
+            initial["s"] = {root_label(r): [0, 0.7]
+                            for r in reduced_roots(rs)}
+        else:
+            initial["xi"] = {root_label(r): [0, 0.7] for r in rs.roots}
+        if kind == "xi_cartan":
+            initial["xi_cartan"] = [0.3, -0.2]
+        data = {"family": family, "rank": 2, "initial": initial,
+                "integration": {"t_final": 0.5, "n_points": 11}}
+        if family == "elliptic":
+            data["lattice"] = WIDE_LATTICE
+        cfg = write_config(tmp_path, f"{kind}.json", data)
+        out = tmp_path / kind
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) \
+            == EXIT_PASS
+        diag = json.loads((out / "diagnostics.json").read_text())
+        traj = read_trajectory_csv(out / "trajectory.csv", rs)
+        assert traj.reduced == (kind == "reduced")
+        if not traj.reduced:
+            cartan = [0.3, -0.2] if kind == "xi_cartan" else [0, 0]
+            assert np.array_equal(traj.states[0, 4:6], cartan)
+        system = load_config(cfg).system()
+        drifts = spectral_drifts(system, traj)
+        assert set(diag["worst"]) == {"energy_drift", "spectrum_drift",
+                                      "isospectral_drift"}
+        assert diag["worst"]["energy_drift"] == {
+            "t": traj.times[np.argmax(np.abs(traj.energy - traj.energy[0]))]}
+        for name in ("spectrum_drift", "isospectral_drift"):
+            assert drifts[name] == diag[name]
+            k = list(traj.times).index(diag["worst"][name]["t"])
+            pair = replace(traj, times=traj.times[[0, k]],
+                           states=traj.states[[0, k]],
+                           energy=traj.energy[[0, k]],
+                           constraint=traj.constraint[[0, k]])
+            got = spectral_drifts(system, pair,
+                                  [complex(*diag["worst"][name]["z"])])[name]
+            assert abs(got - diag[name]) <= 1e-12 * diag[name]
 
 
 # -- verify -------------------------------------------------------------------
@@ -973,12 +986,12 @@ def test_reduce_outside_u_names_step(tmp_path, capsys):
     path = tmp_path / "bad_traj.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["t", "q1", "p1", "xi[1]", "xi[-1]",
+        writer.writerow(["t", "q1", "p1", "xi_h1", "xi[1]", "xi[-1]",
                          "energy", "J_residual"])
-        writer.writerow(["0", "0.9+0j", "0.1+0j", "1+0j", "0.5+0j",
+        writer.writerow(["0", "0.9+0j", "0.1+0j", "0+0j", "1+0j", "0.5+0j",
                          "0+0j", "0"])
-        writer.writerow(["0.1", "0.9+0j", "0.1+0j", "0+0j", "0.5+0j",
-                         "0+0j", "0"])
+        writer.writerow(["0.1", "0.9+0j", "0.1+0j", "0+0j", "0+0j",
+                         "0.5+0j", "0+0j", "0"])
     cfg = write_config(tmp_path, "red.json",
                        {"family": "rational", "rank": 1})
     assert main(["reduce", str(path), "--config", cfg,
@@ -987,18 +1000,18 @@ def test_reduce_outside_u_names_step(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("row,line", [
-    (["0", "0.9+0j", "0.1+0j", "1+0j"], 3),
-    (["0", "0.9+0j", "abc", "1+0j", "0.5+0j", "0+0j", "0"], 3),
-    (["0", "0.9+0j", "0.1+0j", "nan+0j", "0.5+0j", "0+0j", "0"], 3),
-    (["inf", "0.9+0j", "0.1+0j", "1+0j", "0.5+0j", "0+0j", "0"], 3),
+    (["0", "0.9+0j", "0.1+0j", "0+0j", "1+0j"], 3),
+    (["0", "0.9+0j", "abc", "0+0j", "1+0j", "0.5+0j", "0+0j", "0"], 3),
+    (["0", "0.9+0j", "0.1+0j", "0+0j", "nan+0j", "0.5+0j", "0+0j", "0"], 3),
+    (["inf", "0.9+0j", "0.1+0j", "0+0j", "1+0j", "0.5+0j", "0+0j", "0"], 3),
 ])
 def test_reduce_malformed_row_names_its_line(tmp_path, capsys, row, line):
     path = tmp_path / "traj.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["t", "q1", "p1", "xi[1]", "xi[-1]",
+        writer.writerow(["t", "q1", "p1", "xi_h1", "xi[1]", "xi[-1]",
                          "energy", "J_residual"])
-        writer.writerow(["0", "0.9+0j", "0.1+0j", "1+0j", "0.5+0j",
+        writer.writerow(["0", "0.9+0j", "0.1+0j", "0+0j", "1+0j", "0.5+0j",
                          "0+0j", "0"])
         writer.writerow(row)
     cfg = write_config(tmp_path, "red.json",

@@ -551,7 +551,7 @@ def test_lax_B_is_the_lax_pair_core_with_half_the_principal_part(family):
     PhasePoint on Sigma and at a ReducedPoint; B = -R_q(L/z) has 1/2 of
     the principal part of L/z (the regular part of L at 0 over z and
     I xi over z^2), read off a quadrature ring.  No nodes give an empty
-    B and a zero Lax residual."""
+    B; a Lax residual over no z raises, as it would check nothing."""
     sys = make_system(family, 2, lattice=WIDE if family == "elliptic"
                       else None)
     rng = np.random.default_rng(61)
@@ -565,7 +565,8 @@ def test_lax_B_is_the_lax_pair_core_with_half_the_principal_part(family):
         got = ring_coefficients(b.vec, ring, 2)
         assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
         assert lax_B(sys, x, []).vec.shape == (0, sys.rs.dim)
-        assert lax_residuals(sys, [x, x], []).tolist() == [0.0, 0.0]
+        with pytest.raises(StructuralError, match="at least one z sample"):
+            lax_residuals(sys, [x, x], [])
 
 
 def test_quasi_lax_off_sigma_rational():
@@ -611,6 +612,31 @@ def test_spectral_drifts_of_an_empty_trajectory_raise():
     traj = integrate(sys, x0, 0.1, n_points=3)
     with pytest.raises(StructuralError, match="nonempty"):
         spectral_drifts(sys, replace(traj, states=traj.states[:0]))
+
+
+def test_spectral_drifts_over_no_z_raise():
+    sys = make_system("rational", 2)
+    x0 = sigma_point(sys, np.random.default_rng(29), scale=0.4)
+    traj = integrate(sys, x0, 0.1, n_points=3)
+    with pytest.raises(StructuralError, match="at least one z sample"):
+        spectral_drifts(sys, traj, [])
+
+
+def test_spectral_drifts_over_another_root_system_raise():
+    """An A_3 trajectory read with an A_2 system is a typed error naming
+    the mismatch, not a matmul shape error."""
+    sys3 = make_system("rational", 3)
+    x0 = sigma_point(sys3, np.random.default_rng(29), scale=0.4)
+    traj = integrate(sys3, x0, 0.1, n_points=3)
+    with pytest.raises(StructuralError, match="mismatched root systems"):
+        spectral_drifts(make_system("rational", 2), traj)
+
+
+def test_lax_residuals_over_no_z_raise():
+    sys = make_system("rational", 2)
+    x = sigma_point(sys, np.random.default_rng(29), scale=0.4)
+    with pytest.raises(StructuralError, match="at least one z sample"):
+        lax_residuals(sys, [x], [])
 
 
 def test_fault_knob_does_not_reach_lax_coefficients():
@@ -1098,8 +1124,8 @@ def test_format_complex_frozen():
     sys = make_system("rational", 1)
     traj = Trajectory(np.zeros(1), np.array([[1.5 - 2.0j, 0, 0, 0, 0]]),
                       sys.rs, False, np.zeros(1), np.zeros(1), True)
-    assert trajectory_csv(sys, traj).splitlines()[1] == \
-        "0,1.5-2j,0+0j,0+0j,0+0j,0+0j,0"
+    assert trajectory_csv(traj).splitlines()[1] == \
+        "0,1.5-2j,0+0j,0+0j,0+0j,0+0j,0+0j,0"
 
 
 def test_trajectory_csv_layout():
@@ -1107,14 +1133,14 @@ def test_trajectory_csv_layout():
     x0 = spinless_state(sys.rs, [1.0, 0.6], [0.5, -0.45], 1j)
     traj = integrate(sys, x0, 0.5, tol=1e-10, n_points=5)
     assert traj.completed
-    header, *rows = csv.reader(io.StringIO(trajectory_csv(sys, traj)))
+    header, *rows = csv.reader(io.StringIO(trajectory_csv(traj)))
     assert header[:5] == ["t", "q1", "q2", "p1", "p2"]
-    assert header[5:11] == ["xi[1,0]", "xi[0,1]", "xi[1,1]",
-                            "xi[-1,0]", "xi[0,-1]", "xi[-1,-1]"]
-    assert header[11:] == ["energy", "J_residual"]
+    assert header[5:13] == ["xi_h1", "xi_h2", "xi[1,0]", "xi[0,1]",
+                            "xi[1,1]", "xi[-1,0]", "xi[0,-1]", "xi[-1,-1]"]
+    assert header[13:] == ["energy", "J_residual"]
     assert len(rows) == traj.n_points
     assert all(len(row) == len(header) for row in rows)
     # reduced layout drops the pinned simple components
     red = integrate(sys, project_pi(x0), 0.5, tol=1e-10, n_points=5)
-    header_r = next(csv.reader(io.StringIO(trajectory_csv(sys, red))))
+    header_r = next(csv.reader(io.StringIO(trajectory_csv(red))))
     assert header_r[5:9] == ["s[1,1]", "s[-1,0]", "s[0,-1]", "s[-1,-1]"]

@@ -15,8 +15,9 @@ from helpers import reference_csv
 from spincm.cli import EXIT_PASS, main
 from spincm.dynamics import (Trajectory, _pack_point, _unpack_point,
                              gauge_residual, hamiltonian, integrate,
-                             make_system, read_trajectory_csv, spinless_state,
-                             trajectory_csv, write_trajectory_csv)
+                             make_system, read_trajectory_csv, spectral_drifts,
+                             spinless_state, trajectory_csv,
+                             write_trajectory_csv)
 from spincm.elliptic import Lattice
 from spincm.phase import PhasePoint, ReducedPoint, project_pi, reduced_roots
 from spincm.rootsys import AlgElement
@@ -41,16 +42,46 @@ def test_csv_matches_point_by_point_writer(tmp_path, family, reduced):
         x0 = project_pi(x0)
     traj = integrate(sys_, x0, 0.3, 1e-9, n_points=9)
     assert traj.completed and traj.n_points == 9
-    text = trajectory_csv(sys_, traj)
-    assert text == reference_csv(sys_, traj)
-    write_trajectory_csv(tmp_path / "t.csv", sys_, traj)
+    text = trajectory_csv(traj)
+    assert text == reference_csv(traj)
+    write_trajectory_csv(tmp_path / "t.csv", traj)
     assert written(tmp_path / "t.csv") == text
+    back = read_trajectory_csv(tmp_path / "t.csv", sys_.rs)
+    assert back.reduced == reduced
+    assert np.array_equal(back.times, traj.times)
+    assert np.array_equal(back.states, traj.states)
+
+
+@pytest.mark.parametrize("reduced", [False, True])
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+@pytest.mark.parametrize("family", ["rational", "trigonometric", "elliptic"])
+def test_csv_round_trip_is_the_trajectory(tmp_path, family, rank, reduced):
+    """read_trajectory_csv gives back the trajectory write_trajectory_csv
+    wrote, of either kind and with a nonzero Cartan spin block: times,
+    states, energy and constraint bit for bit, so its spectral drifts are
+    those of the trajectory in memory exactly."""
+    sys_ = make_system(family, rank, lattice=Lattice(2.0, 2.2j)
+                       if family == "elliptic" else None)
+    rs = sys_.rs
+    rng = np.random.default_rng(70 + rank)
+    xi = rng.uniform(0.4, 1.3, rs.dim) * np.exp(1j * rng.uniform(-1, 1,
+                                                                 rs.dim))
+    xi[:rank] = rng.uniform(0.1, 0.3, rank) * rng.choice([-1, 1], rank)
+    x0 = PhasePoint(np.linalg.solve(rs.alpha_h[:rank],
+                                    rng.uniform(0.6, 0.9, rank)) + 0j,
+                    rng.uniform(-0.3, 0.3, rank) + 0j, AlgElement(rs, xi))
+    traj = integrate(sys_, project_pi(x0) if reduced else x0, 0.3, 1e-9,
+                     n_points=6)
+    assert traj.completed and traj.n_points == 6
     if not reduced:
-        times, states = read_trajectory_csv(tmp_path / "t.csv", sys_.rs)
-        assert np.array_equal(times, traj.times)
-        keep = np.r_[0:2 * 2, 3 * 2:states.shape[1]]  # all but the Cartan xi
-        assert np.array_equal(states[:, keep], traj.states[:, keep])
-        assert not states[:, 2 * 2:3 * 2].any()
+        assert np.all(traj.states[:, 2 * rank:3 * rank] != 0)
+    write_trajectory_csv(tmp_path / "t.csv", traj)
+    back = read_trajectory_csv(tmp_path / "t.csv", rs)
+    assert (back.rs, back.reduced, back.completed) == (rs, reduced, True)
+    assert back.abort_reason is None and back.stats is None
+    for name in ("times", "states", "energy", "constraint"):
+        assert np.array_equal(getattr(back, name), getattr(traj, name)), name
+    assert spectral_drifts(sys_, back) == spectral_drifts(sys_, traj)
 
 
 def test_csv_of_a_truncated_trajectory():
@@ -61,7 +92,7 @@ def test_csv_of_a_truncated_trajectory():
     traj = integrate(sys_, x0, 5.0, 1e-10, n_points=41)
     assert not traj.completed and "collision guard" in traj.abort_reason
     assert 1 < traj.n_points < 41
-    assert trajectory_csv(sys_, traj) == reference_csv(sys_, traj)
+    assert trajectory_csv(traj) == reference_csv(traj)
 
 
 def test_csv_of_awkward_values():
@@ -83,12 +114,11 @@ def test_csv_of_awkward_values():
     traj = Trajectory(rng.choice(special[:8], n), states, sys_.rs, False,
                       draw(n), rng.choice(special, n), True)
     extra = {"a": list(rng.choice(special, n)), "b": draw(n)}
-    assert trajectory_csv(sys_, traj, extra) == reference_csv(sys_, traj,
-                                                              extra)
+    assert trajectory_csv(traj, extra) == reference_csv(traj, extra)
     empty = Trajectory(np.zeros(0), states[:0], sys_.rs, False, np.zeros(0),
                        np.zeros(0), True)
-    assert trajectory_csv(sys_, empty, {"a": []}) == \
-        reference_csv(sys_, empty, {"a": []})
+    assert trajectory_csv(empty, {"a": []}) == reference_csv(empty,
+                                                             {"a": []})
 
 
 def test_reduce_csv_matches_point_by_point_writer(tmp_path):
@@ -109,7 +139,8 @@ def test_reduce_csv_matches_point_by_point_writer(tmp_path):
     assert main(["reduce", str(sim / "trajectory.csv"), "--config",
                  str(cfg), "--out", str(red)]) == EXIT_PASS
     sys_ = make_system("trigonometric", 2)
-    times, states = read_trajectory_csv(sim / "trajectory.csv", sys_.rs)
+    read = read_trajectory_csv(sim / "trajectory.csv", sys_.rs)
+    times, states = read.times, read.states
     reduced = [project_pi(_unpack_point(sys_.rs, y, False)) for y in states]
     traj = Trajectory(times, np.array([_pack_point(sys_.rs, x)
                                           for x in reduced]),
@@ -119,7 +150,7 @@ def test_reduce_csv_matches_point_by_point_writer(tmp_path):
                       np.zeros(len(times)), True)
     extra = {"gauge_residual": [gauge_residual(sys_, y[None])[0]
                                 for y in states]}
-    assert written(red / "trajectory.csv") == reference_csv(sys_, traj, extra)
+    assert written(red / "trajectory.csv") == reference_csv(traj, extra)
 
 
 def monomials(rs, xi) -> list[complex]:
@@ -154,7 +185,7 @@ def test_reduce_against_a_per_point_oracle(tmp_path, family, rank):
                     + 0j, rng.uniform(-0.3, 0.3, n) + 0j, AlgElement(rs, xi))
     traj = integrate(sys_, x0, 0.5, 1e-9, n_points=21)
     assert traj.completed
-    write_trajectory_csv(tmp_path / "t.csv", sys_, traj)
+    write_trajectory_csv(tmp_path / "t.csv", traj)
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"family": family, "rank": rank, **(
         {"lattice": lattice} if family == "elliptic" else {})}))
@@ -164,7 +195,7 @@ def test_reduce_against_a_per_point_oracle(tmp_path, family, rank):
     rows = list(csv.reader(open(tmp_path / "red" / "trajectory.csv",
                                 newline="")))[1:]
     assert len(rows) == 21
-    _, states = read_trajectory_csv(tmp_path / "t.csv", rs)
+    states = read_trajectory_csv(tmp_path / "t.csv", rs).states
     n_s = rs.n_roots - n
     for row_in, row, y in zip(rows_in, rows, states):
         assert row[:1 + 2 * n] == row_in[:1 + 2 * n]
@@ -182,7 +213,7 @@ def test_reduce_of_a_header_only_csv(tmp_path):
     cfg.write_text(json.dumps({"family": "rational", "rank": 1}),
                    encoding="utf-8")
     src = tmp_path / "empty.csv"
-    src.write_text("t,q1,p1,xi[1],xi[-1],energy,J_residual\r\n",
+    src.write_text("t,q1,p1,xi_h1,xi[1],xi[-1],energy,J_residual\r\n",
                    encoding="utf-8")
     assert main(["reduce", str(src), "--config", str(cfg), "--out",
                  str(tmp_path / "red")]) == EXIT_PASS

@@ -44,7 +44,7 @@ from .rmatrix import (FAMILIES, RMatrixSpec, default_mdybe_samples,
                       verify_axioms, verify_cdybe, verify_mdybe)
 from .rootsys import (AlgElement, build_root_system, parse_root_label,
                       root_system_summary)
-from .dynamics import (_energy, collision_margin, default_z_samples,
+from .dynamics import (_energy, _split, collision_margin, default_z_samples,
                        gauge_residual, integrate, involution_residuals,
                        lax_residuals, make_system, read_trajectory_csv,
                        spectral_drifts, spinless_state, Trajectory,
@@ -609,13 +609,13 @@ def cmd_verify(config: RunConfig, suite: str, out_dir: Path, *,
 
 def cmd_reduce(config: RunConfig, traj_path, out_dir: Path) -> int:
     system = config.system()
-    rs, n = system.rs, system.rs.rank
+    rs = system.rs
     traj = read_trajectory_csv(traj_path, rs)
     if traj.reduced:
         raise ConfigError(f"trajectory {traj_path} is already reduced")
-    q, p = traj.states[:, :n], traj.states[:, n:2 * n]
+    q, p, xi = _split(rs, traj.states, False)
     try:
-        s = reduction(rs, traj.states[:, 2 * n:])[0]
+        s = reduction(rs, xi)[0]
     except GaugeDomainError as exc:
         print(f"reduce: step {exc.index}: {exc}", file=sys.stderr)
         return EXIT_SINGULARITY

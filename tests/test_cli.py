@@ -301,16 +301,17 @@ def test_numeric_fault_in_reduce_exits_2(tmp_path, capsys):
     path = tmp_path / "traj.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["t", "q1", "p1", "xi[1]", "xi[-1]",
+        writer.writerow(["t", "q1", "p1", "xi_h1", "xi[1]", "xi[-1]",
                          "energy", "J_residual"])
-        writer.writerow(["0", "0.9+0j", "0.1+0j", "1e200+0j", "1e200+0j",
-                         "0+0j", "0"])
+        writer.writerow(["0", "0.9+0j", "0.1+0j", "0+0j", "1e200+0j",
+                         "1e200+0j", "0+0j", "0"])
     cfg = write_config(tmp_path, "red.json",
                        {"family": "rational", "rank": 1})
     code = main(["reduce", str(path), "--config", cfg,
                  "--out", str(tmp_path)])
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG and _one_spincm_line(err)
+    assert "overflow encountered" in err
 
 
 def test_failed_allocation_exits_2(tmp_path, capsys):

@@ -37,7 +37,8 @@ import numpy as np
 
 from .elliptic import Lattice
 from .errors import (ConfigError, ConstraintError, GaugeDomainError,
-                     PoleError, SpincmError, StructuralError)
+                     PoleError, SpincmError, StructuralError,
+                     raise_on_fp_fault)
 from .phase import (PhasePoint, ReducedPoint, reduced_roots, reduction,
                     slice_lift)
 from .rmatrix import (FAMILIES, RMatrixSpec, default_mdybe_samples,
@@ -707,6 +708,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@raise_on_fp_fault
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:

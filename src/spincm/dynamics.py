@@ -38,7 +38,7 @@ import numpy as np
 
 from .elliptic import Lattice
 from .errors import (ConfigError, ConstraintError, PoleError, StructuralError,
-                     raise_on_fp_fault)
+                     finite, raise_on_fp_fault)
 from .ode import DormandPrince
 from .phase import (PhasePoint, ReducedPoint, bracket_full, pushforward,
                     reduced_brackets, reduced_roots, reduction, slice_lift)
@@ -183,7 +183,6 @@ def _gradient(sys: RMatrixSpec, q, xi) -> tuple[np.ndarray, np.ndarray]:
     return force[..., 0, :], weights * xi
 
 
-@raise_on_fp_fault
 def _energy(sys: RMatrixSpec, q, p, xi) -> np.ndarray:
     """H = (1/2)|p|^2 - (1/2) <w xi, xi> at the coordinates q, p, xi;
     leading axes stack points."""
@@ -215,8 +214,7 @@ def _flow(sys: RMatrixSpec, y: np.ndarray, reduced: bool) -> np.ndarray:
     a row of every product, so each row is its single-state field bit for
     bit): (dq, dp) = (p, -dH/dq) and the coadjoint spin leg d(I xi) =
     [w xi, I xi]; a reduced state moves by its pushforward at the slice
-    lift (:func:`spincm.phase.pushforward`).  Its callers hold the guard:
-    the solver's step and dense output, _lax_pair and vector_field."""
+    lift (:func:`spincm.phase.pushforward`)."""
     rs, n = sys.rs, sys.rs.rank
     q, p, spin = y[..., :n], y[..., n:2 * n], y[..., 2 * n:]
     xi = slice_lift(rs, spin) if reduced else spin
@@ -227,6 +225,7 @@ def _flow(sys: RMatrixSpec, y: np.ndarray, reduced: bool) -> np.ndarray:
     return np.concatenate([p, force, dspin], -1)
 
 
+@raise_on_fp_fault
 def hamiltonian(sys: RMatrixSpec, x) -> complex:
     """H = (1/2)|p|^2 - (1/2) sum_alpha w_alpha xi_alpha xi_{-alpha}; at a
     ReducedPoint, H_0: H at its slice lift (s_{alpha_i} = 1)."""
@@ -263,6 +262,7 @@ def collision_margin(sys: RMatrixSpec, q) -> float | np.ndarray:
     return float(margin) if margin.ndim == 0 else margin
 
 
+@raise_on_fp_fault
 def integrate(sys: RMatrixSpec, x0, t_final: float, tol: float = 1e-10, *,
               n_points: int = 201) -> Trajectory:
     """Integrate the (reduced or unreduced) flow from t = 0 to t_final.
@@ -276,10 +276,10 @@ def integrate(sys: RMatrixSpec, x0, t_final: float, tol: float = 1e-10, *,
     tol or initial state raises StructuralError, and so does an initial
     state whose energy overflows, or one past the range of the elliptic
     argument reduction.  Close approaches to the singular set, poles,
-    floating-point faults (also in the first evaluation, the dense output
-    and the energy of a later grid point) and a step past that range
-    truncate the trajectory instead of raising, and so does a run past
-    MAX_STEPS accepted steps.  The energy and momentum columns are
+    floating-point faults (also in the first evaluation, a collision check,
+    the dense output and the energy of a later grid point) and a step past
+    that range truncate the trajectory instead of raising, and so does a
+    run past MAX_STEPS accepted steps.  The energy and momentum columns are
     evaluated once over all grid points.
     """
     if not math.isfinite(t_final) or t_final == 0.0:
@@ -298,17 +298,19 @@ def integrate(sys: RMatrixSpec, x0, t_final: float, tol: float = 1e-10, *,
     states[0] = y0
     filled = 1
     while True:
-        margin = collision_margin(sys, solver.y[:n])
-        if margin < COLLISION_TOL:
-            reason = (f"collision guard at t = {solver.t:.6g}: singular-set "
-                      f"distance {margin:.3e} below {COLLISION_TOL:.1e}")
-            break
-        if solver.finished:
-            break
-        if solver.accepted >= MAX_STEPS:
-            reason = f"step budget {MAX_STEPS} exhausted at t = {solver.t:.6g}"
-            break
         try:
+            margin = collision_margin(sys, solver.y[:n])
+            if margin < COLLISION_TOL:
+                reason = (f"collision guard at t = {solver.t:.6g}: singular-"
+                          f"set distance {margin:.3e} below "
+                          f"{COLLISION_TOL:.1e}")
+                break
+            if solver.finished:
+                break
+            if solver.accepted >= MAX_STEPS:
+                reason = (f"step budget {MAX_STEPS} exhausted at t = "
+                          f"{solver.t:.6g}")
+                break
             if not solver.step():
                 reason = f"step-size control failed at t = {solver.t:.6g}"
                 break
@@ -350,7 +352,6 @@ def _lax(sys: RMatrixSpec, q, z, kzs: range = range(1), du: int = 0):
         kzs, du)
 
 
-@raise_on_fp_fault
 def _lax_value(r, p, xi) -> np.ndarray:
     """L = p + r xi from an r table of :func:`_lax` (points + z axes) at
     the stacked p, xi: r xi entry by entry, p on the Cartan slots."""
@@ -360,6 +361,7 @@ def _lax_value(r, p, xi) -> np.ndarray:
     return lax
 
 
+@raise_on_fp_fault
 def lax_L(sys: RMatrixSpec, x, z) -> AlgElement:
     """L(q,p,xi)(z) = p + f(z) (I xi)_h + sum c_alpha((alpha,q), z) xi_alpha
     e_alpha; an array of z gives one element per z (batch axes first).  At
@@ -368,18 +370,20 @@ def lax_L(sys: RMatrixSpec, x, z) -> AlgElement:
     return AlgElement(sys.rs, _lax_value(_lax(sys, q, z)[0, 0], p, xi)[0])
 
 
+@raise_on_fp_fault
 def sigma_residual(sys: RMatrixSpec, x: PhasePoint) -> float:
     """Distance of x from the constraint set Sigma: ||J||_inf for the
     trigonometric and elliptic families, max_{alpha in Delta'} |(alpha, J)|
-    for the rational one."""
+    for the rational one.  A distance past the float range raises
+    FloatingPointError (np.abs of a complex sets no flag)."""
     n = sys.rs.rank
     j = _pack_point(sys.rs, x, (PhasePoint,))[2 * n:3 * n]
     if sys.family == "rational":
         j = sys.rs.root_values(j)[sys.dp_mask]
-    return float(np.max(np.abs(j), initial=0.0))
+    return finite(float(np.max(np.abs(j), initial=0.0)),
+                  "the distance from Sigma")
 
 
-@raise_on_fp_fault
 def _lax_pair(sys: RMatrixSpec, points: list, z, anomaly: bool = False):
     """The Lax pair at the points (all PhasePoints, or all ReducedPoints
     for L_0 and B_0), stacked: max_z ||dL/dt - [B, L]|| per point (plus
@@ -425,6 +429,7 @@ def _lax_pair(sys: RMatrixSpec, points: list, z, anomaly: bool = False):
     return np.max(np.abs(res), axis=(-2, -1), initial=0.0), b
 
 
+@raise_on_fp_fault
 def lax_B(sys: RMatrixSpec, x, nodes) -> AlgElement:
     """B = -R_q(L/z) on ``nodes``, one element per node, defined on the
     constraint set Sigma where the flow is of Lax form; off Sigma (beyond
@@ -456,6 +461,7 @@ def _z_list(z_samples: Sequence[complex] | None) -> Sequence[complex]:
     return default_z_samples() if z_samples is None else z_samples
 
 
+@raise_on_fp_fault
 def lax_residuals(sys: RMatrixSpec, points: list,
                   z_samples: Sequence[complex] | None = None, *,
                   anomaly: bool = False) -> np.ndarray:
@@ -481,14 +487,12 @@ def _lax_powers(rs: RootSystem, lax, m: int) -> list:
     return powers[:m + 1]
 
 
-@raise_on_fp_fault
 def _power_sums(sys: RMatrixSpec, coords: tuple, z) -> np.ndarray:
     """tr(rho(L(z))^k) at the stacked coordinates (q, p, xi) of the points
     (a reduced one at its slice lift: L_0), for every z and k = 1..n (n the
     matrix size: by Cayley-Hamilton, higher powers add no invariant), of
-    shape (points, len(z), n): one stacked evaluation, under one fault
-    guard, so an overflowing power or trace (np.trace, as einsum sets no
-    flag) raises FloatingPointError instead of leaving inf or nan."""
+    shape (points, len(z), n): one stacked evaluation.  The traces are
+    np.trace, not einsum, which sets no flag on an overflow."""
     q, p, xi = coords
     powers = _lax_powers(sys.rs, _lax_value(_lax(sys, q, z)[0, 0], p, xi),
                          sys.rs.matrix_size)[1:]
@@ -518,6 +522,7 @@ def _char_poly(power_sums: np.ndarray) -> np.ndarray:
     return np.stack(coeffs, axis=-1)
 
 
+@raise_on_fp_fault
 def conserved_spectrum(sys: RMatrixSpec, x,
                        z_samples: Sequence[complex]) -> np.ndarray:
     """Table h_k(z) = tr(rho(L(z))^k)/k, shape (len(z_samples), n) for the
@@ -554,7 +559,6 @@ def spectral_drifts(sys: RMatrixSpec, traj: Trajectory,
 # reduced Lax pair
 
 
-@raise_on_fp_fault
 def gauge_residual(sys: RMatrixSpec, states) -> np.ndarray:
     """max_z ||L_0(pi(x))(z) - Ad_{g(xi)^{-1}} L(x)(z)|| over the ring
     default_z_samples(4) at each unreduced state x = q | p | xi (leading
@@ -616,6 +620,7 @@ def involution_residuals(sys: RMatrixSpec, points: list,
 # fundamental Poisson bracket relation
 
 
+@raise_on_fp_fault
 def fpbr_residual(sys: RMatrixSpec, x: PhasePoint, z: complex,
                   w: complex) -> float:
     """Residual of the bracket relation

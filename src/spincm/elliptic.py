@@ -257,16 +257,19 @@ class Lattice:
         to a contiguous 1-D array (the float view needs it; numpy's 0-d
         arithmetic rounds apart from an array element): (z0, mn), one (m, n)
         row of integer floats per point.  StructuralError past 2^52 periods,
-        where z keeps no fractional digit; with ``what``, PoleError if any
+        where z keeps no fractional digit, and for a z that is not finite
+        (a nan fails the range test too); with ``what``, PoleError if any
         |z0| < POLE_TOL (0 is the only lattice point in the closed centred
         cell, and POLE_TOL is far below half a period)."""
         z = np.ascontiguousarray(z, dtype=complex).reshape(-1)
         mn = np.rint(z.view(float).reshape(-1, 2) @ self._period_inv_t)
-        if np.maximum.reduce(np.abs(mn), None, initial=0.0) > _RANGE:
-            far = z[np.abs(mn).max(axis=1).argmax()]
+        if not np.maximum.reduce(np.abs(mn), None, initial=0.0) <= _RANGE:
+            far = complex(z[np.argmin(np.abs(mn).max(axis=1) <= _RANGE)])
             raise StructuralError(
-                f"elliptic argument {complex(far):g} lies more than 2^52 "
-                f"periods out: its reduced value keeps no digit")
+                f"elliptic argument {far:g} is not finite"
+                if not cmath.isfinite(far) else
+                f"elliptic argument {far:g} lies more than 2^52 periods out: "
+                f"its reduced value keeps no digit")
         z0 = z - mn @ self._periods
         if what and np.fmin.reduce(np.abs(z0), initial=np.inf) < POLE_TOL:
             raise PoleError(
@@ -283,7 +286,7 @@ class Lattice:
 
     def _wp_flat(self, z) -> tuple[np.ndarray, np.ndarray]:
         """(wp, wp') at z, flattened: _cell with its pole guard and _theta1
-        in one pass, under the caller's fault guard."""
+        in one pass."""
         return self._wp_from_theta(self._theta1(self._cell(z, "wp")[0]))
 
     def _sigma(self, p) -> np.ndarray:
@@ -408,8 +411,7 @@ class Lattice:
         X_m, Y_m = q^{2m} e^{+-2ib} and L(X) = X / (1 - X), whose
         b-derivatives are (+-2i)^k Li_{-k}: there the pole of beta K in z0
         sits in the regular ladder of b csc b, so no pole of c cancels in
-        the row, as it would in c (beta - d_u log theta_1(a)) + ... .  Runs
-        under the caller's fault guard."""
+        the row, as it would in c (beta - d_u log theta_1(a)) + ... ."""
         scale = math.pi / (2.0 * self._w1)
         ndim = max(np.ndim(u), np.ndim(z), 1)
         half = self._half.reshape((-1,) + (1,) * ndim)

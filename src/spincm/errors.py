@@ -1,10 +1,23 @@
-"""Exception types shared across the package."""
+"""Exception types and the fault checks shared across the package."""
 
 import numpy as np
 
 # Decorator: a numpy divide-by-zero, overflow or invalid result inside the
 # call raises FloatingPointError instead of leaving an inf or nan behind.
+# Each entry of spincm.__all__ that does floating-point work holds it once
+# (the public methods of Lattice and AlgElement included), and so does
+# cli.main; no other function does, so every private core runs under the
+# guard of the entry that called it.
 raise_on_fp_fault = np.errstate(divide="raise", invalid="raise", over="raise")
+
+
+def finite(value, what: str):
+    """value, or FloatingPointError naming ``what`` if it holds an inf or a
+    nan: the check for results that set no numpy flag past the float range
+    (an einsum, np.abs of a complex)."""
+    if not np.isfinite(value).all():
+        raise FloatingPointError(f"{what} is out of floating-point range")
+    return value
 
 
 class SpincmError(Exception):

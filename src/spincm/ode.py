@@ -20,8 +20,6 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import raise_on_fp_fault
-
 EPS = float(np.finfo(float).eps)
 SAFETY = 0.9
 MIN_FACTOR = 0.2
@@ -213,9 +211,7 @@ class DormandPrince:
     Nothing is evaluated on construction: the first :meth:`step` evaluates
     fun(t0, y0) and the initial-step probe, so every fault of ``fun``
     surfaces from :meth:`step` (or from :meth:`dense`, which evaluates the
-    interpolant's extra stages).  The driver's own arithmetic runs under
-    the package's fault guard, so an overflow in it raises
-    FloatingPointError too.  rtol is floored at 100 eps.  ``nfev``,
+    interpolant's extra stages).  rtol is floored at 100 eps.  ``nfev``,
     ``accepted``, ``rejected``, ``dense_steps`` (the steps whose
     interpolant was built) and the accepted |h| range are counted as the
     steps are taken (:attr:`stats`).
@@ -294,7 +290,6 @@ class DormandPrince:
             return 0.0
         return abs(h) * err5 / np.sqrt((err5 + 0.01 * err3) * scale.size)
 
-    @raise_on_fp_fault
     def step(self) -> bool:
         """Take one accepted step, False (nothing moved) if the step size
         fell below 10 ulp of t."""
@@ -350,7 +345,6 @@ class DormandPrince:
         F[3:] = h * np.dot(D, K)
         return F
 
-    @raise_on_fp_fault
     def dense(self, t) -> np.ndarray:
         """The solution at t (a time, or an array of times, one row each) in
         the last accepted step: the step's own y at its end, elsewhere the

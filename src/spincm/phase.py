@@ -139,13 +139,11 @@ def torus_action(c_coords, x: PhasePoint) -> PhasePoint:
 # reduction and gauge
 
 
-@raise_on_fp_fault
 def reduction(rs: RootSystem, xi) -> tuple[np.ndarray, np.ndarray]:
     """(s, g) at the spin coordinates xi (leading axes stack points): s
     ordered like :func:`reduced_roots`, g = C^T log xi_{alpha_j} (principal
     log).  Off U (a simple component below OUTSIDE_U_TOL) GaugeDomainError
-    names the roots and the flat index of the first such point; an s past
-    the float range raises FloatingPointError."""
+    names the roots and the flat index of the first such point."""
     xi = np.asarray(xi, dtype=complex)
     simple = xi[..., rs.rank:2 * rs.rank]  # the simple roots are roots[:rank]
     outside = np.abs(simple).reshape(-1, rs.rank) < OUTSIDE_U_TOL
@@ -163,6 +161,7 @@ def reduction(rs: RootSystem, xi) -> tuple[np.ndarray, np.ndarray]:
     return s, g[..., 0, :]
 
 
+@raise_on_fp_fault
 def gauge_g(xi: AlgElement) -> np.ndarray:
     """Log-coordinates c = C^T log(xi_{alpha_j}) (:func:`reduction`) of the
     gauge torus element g(xi) = exp(sum_i c_i h_{alpha_i}) over the coroot
@@ -170,6 +169,7 @@ def gauge_g(xi: AlgElement) -> np.ndarray:
     return reduction(xi.rs, xi.vec)[1]
 
 
+@raise_on_fp_fault
 def project_pi(x: PhasePoint) -> ReducedPoint:
     """Reduction projection (q, p, xi) -> (q, p, s); constant on torus orbits.
 

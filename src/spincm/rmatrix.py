@@ -55,7 +55,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .elliptic import POLE_TOL, Lattice, _cot_csc_ladder, _leibniz
-from .errors import PoleError, StructuralError, raise_on_fp_fault
+from .errors import PoleError, StructuralError, finite, raise_on_fp_fault
 from .rootsys import RootSystem, commutator, root_label
 
 _ZTOL = 1e-13
@@ -306,7 +306,7 @@ def _ladder(spec: RMatrixSpec, u, z, kmax: int, du: int = 0):
     0) and of their u-derivatives (d = 1 if du), for k < kmax; u holds
     the roots on its last axis and z broadcasts against it.  exp(bz),
     cot z, csc z, the zeta ladder and the pole guards are shared by every
-    k.  Runs under the caller's fault guard."""
+    k."""
     fam = spec.family
     if fam == "trigonometric":
         return _trig_ladder(spec, u, z, kmax, du)
@@ -323,7 +323,6 @@ def _ladder(spec: RMatrixSpec, u, z, kmax: int, du: int = 0):
     return f, [c, [-inv * inv] + [zeros] * (kmax - 1)][:1 + du]
 
 
-@raise_on_fp_fault
 def root_coeff_reg0(spec: RMatrixSpec, u) -> np.ndarray:
     """lim_{z->0} (c_alpha(u_alpha, z) - 1/z) for every root, the regular
     part at the pole."""
@@ -344,7 +343,7 @@ def positive_pair_weight(spec: RMatrixSpec, up) -> tuple[np.ndarray,
     """(w, w') on the positive roots, whose values ``up`` holds on its last
     axis: w_alpha weighs xi_alpha xi_{-alpha} in H = |p|^2/2 - (1/2)
     sum_alpha w_alpha xi_alpha xi_{-alpha}, w' is its u-derivative.  The
-    family's one weight kernel; it runs under the caller's fault guard."""
+    family's one weight kernel."""
     rs = spec.rs
     up = np.asarray(up, dtype=complex)
     fam = spec.family
@@ -374,7 +373,6 @@ def positive_pair_weight(spec: RMatrixSpec, up) -> tuple[np.ndarray,
 # coefficient tables
 
 
-@raise_on_fp_fault
 def _r_table(spec: RMatrixSpec, q, z, kzs: range, du: int = 0):
     """Coefficient vectors of the kz-th z-derivatives of r(q, z) for every
     kz in ``kzs``, from one kernel pass: shape (1 + du, len(kzs)) + B +
@@ -529,11 +527,8 @@ def _r_pairing(table, principal) -> np.ndarray:
     FloatingPointError here."""
     t = len(principal)
     inv_fact = [1.0 / math.factorial(k) for k in range(t)]
-    out = np.einsum("k...,k...,k->...", table[:t], principal, inv_fact)
-    if not np.isfinite(out).all():
-        raise FloatingPointError("the r-matrix pairing is out of "
-                                 "floating-point range")
-    return out
+    return finite(np.einsum("k...,k...,k->...", table[:t], principal,
+                            inv_fact), "the r-matrix pairing")
 
 
 def default_mdybe_samples() -> list[complex]:

@@ -33,7 +33,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import StructuralError, UnsupportedAlgebraError, raise_on_fp_fault
+from .errors import (StructuralError, UnsupportedAlgebraError, finite,
+                     raise_on_fp_fault)
 
 Root = tuple[int, ...]
 
@@ -289,7 +290,10 @@ class AlgElement:
         return complex(self.vec[self.rs.basis_index(root)])
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.vec))) if self.vec.size else 0.0
+        """The largest coordinate modulus; FloatingPointError past the float
+        range (np.abs of a complex sets no flag)."""
+        return finite(float(np.max(np.abs(self.vec))) if self.vec.size
+                      else 0.0, "the largest coordinate modulus")
 
     def __repr__(self) -> str:
         if self.vec.ndim > 1:
@@ -329,6 +333,7 @@ def form(x: AlgElement, y: AlgElement):
     return complex(val) if val.ndim == 0 else val
 
 
+@raise_on_fp_fault
 def matrix_rep(x: AlgElement) -> np.ndarray:
     """Defining (n+1)-dimensional representation of x."""
     return x.rs.to_matrix(x.vec)

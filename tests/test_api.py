@@ -1,14 +1,20 @@
 """The package's public surface: each top-level function and class of
 ``src/spincm`` is read by package code or exported in ``spincm.__all__``,
 and each exported name resolves.  Each name a test module imports is read
-in that module."""
+in that module.  The fault contract: each exported entry that does
+floating-point work holds one ``raise_on_fp_fault``, and no other function
+does."""
 
 from __future__ import annotations
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import spincm
+from spincm import cli
+from spincm.errors import raise_on_fp_fault
 
 PACKAGE = Path(spincm.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
@@ -49,3 +55,115 @@ def test_every_test_import_is_read():
         unused += [f"{path.stem}.{name}" for name in imported
                    if name not in read]
     assert unused == []
+
+
+# The exported entries that hold no fault guard, each with the reason.
+NO_GUARD = {
+    "build_root_system": "root data of a rank 1..4; no argument reaches "
+                         "its arithmetic",
+    "elliptic_r_matrix": "stores the lattice in a spec",
+    "lift_reduced": "copies s into the slice lift",
+    "make_system": "picks a family's spec from root labels",
+    "momentum_J": "copies the Cartan block",
+    "negate": "integer root labels",
+    "parse_root_label": "integer root labels",
+    "rational_r_matrix": "an integer closure test over root labels",
+    "root_label": "integer root labels",
+    "root_system_summary": "lists the root data as JSON",
+    "spinless_state": "stores one spin value on every root",
+    "torus_action": "torus_adjoint does its arithmetic, under its guard",
+    "trigonometric_r_matrix": "integer masks over root labels",
+    "Lattice.wp": "one value of wp_pair, under its guard",
+    "Lattice.wp_prime": "one value of wp_pair, under its guard",
+    "Lattice.zeta": "one row of zeta_ladder, under its guard",
+    "AlgElement.basis": "a row of the identity",
+    "AlgElement.cartan": "stores the Cartan coordinates",
+    "AlgElement.coeff": "reads one coordinate",
+    "AlgElement.from_root_dict": "stores the coordinates",
+    "AlgElement.max_abs": "np.abs of a complex sets no flag, so it checks "
+                          "its result itself",
+    "AlgElement.__neg__": "a sign flip, which cannot fault",
+    "AlgElement.zero": "a zero vector",
+}
+OPERATORS = ("__add__", "__sub__", "__mul__", "__rmul__", "__neg__")
+
+
+def guards(fn) -> int:
+    """The fault guards around fn: the wrappers down its ``__wrapped__``
+    chain whose closure holds raise_on_fp_fault."""
+    count = 0
+    while fn is not None:
+        cells = getattr(fn, "__closure__", None) or ()
+        count += any(cell.cell_contents is raise_on_fp_fault for cell in cells)
+        fn = getattr(fn, "__wrapped__", None)
+    return count
+
+
+def exported_entries() -> dict:
+    """name -> function: the functions of ``spincm.__all__``, the public
+    methods and arithmetic operators of the exported Lattice and
+    AlgElement, and the CLI's ``main``."""
+    entries = {name: getattr(spincm, name) for name in spincm.__all__
+               if callable(getattr(spincm, name))
+               and not inspect.isclass(getattr(spincm, name))}
+    for cls in (spincm.Lattice, spincm.AlgElement):
+        for name, attr in vars(cls).items():
+            fn = getattr(attr, "__func__", attr)
+            if inspect.isfunction(fn) and (not name.startswith("_")
+                                           or name in OPERATORS):
+                entries[f"{cls.__name__}.{name}"] = fn
+    entries["cli.main"] = cli.main
+    return entries
+
+
+def every_function() -> dict:
+    """qualified name -> function, for every function and method defined
+    in ``src/spincm``, whatever wraps it."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"spincm.{path.stem}"
+                                         if path.stem != "__init__"
+                                         else "spincm")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isclass(obj):
+                for attr_name, attr in vars(obj).items():
+                    fn = getattr(attr, "fget", None) or getattr(
+                        attr, "__func__", attr)
+                    if callable(fn):
+                        found[f"{module.__name__}.{name}.{attr_name}"] = fn
+            elif callable(obj):
+                found[f"{module.__name__}.{name}"] = obj
+    return found
+
+
+def test_each_computing_entry_holds_one_fault_guard():
+    entries = exported_entries()
+    assert set(NO_GUARD) <= set(entries)
+    assert {name: guards(fn) for name, fn in entries.items()} == {
+        name: 0 if name in NO_GUARD else 1 for name in entries}
+
+
+def test_no_other_function_holds_a_fault_guard():
+    entry_ids = {id(inspect.unwrap(fn)) for fn in exported_entries().values()}
+    others = [name for name, fn in every_function().items()
+              if guards(fn) and id(inspect.unwrap(fn)) not in entry_ids]
+    assert others == []
+
+
+def test_the_fault_guard_is_only_ever_a_decorator():
+    """No ``with raise_on_fp_fault:`` block or wrapped call: each use of the
+    name in ``src/spincm`` decorates a function (22 exported functions, 5
+    Lattice evaluations, 3 AlgElement operators and cli.main)."""
+    uses = decorators = 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        uses += sum(node.id == "raise_on_fp_fault" for node in ast.walk(tree)
+                    if isinstance(node, ast.Name)
+                    and isinstance(node.ctx, ast.Load))
+        decorators += sum(
+            isinstance(d, ast.Name) and d.id == "raise_on_fp_fault"
+            for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+            for d in node.decorator_list)
+    assert uses == decorators == 31

@@ -314,6 +314,48 @@ def test_numeric_fault_in_reduce_exits_2(tmp_path, capsys):
     assert "overflow encountered" in err
 
 
+def test_numeric_fault_in_the_first_collision_check_exits_2(tmp_path,
+                                                           capsys):
+    """sin of a root value 800i out overflows in integrate's first
+    collision check, which ran outside every guard (a RuntimeWarning, an
+    error here); under integrate's guard it truncates the run at t = 0,
+    and the initial energy's overflow exits 2 with one spincm: line."""
+    cfg = write_config(tmp_path, "far-q.json", {
+        "family": "trigonometric", "rank": 2,
+        "initial": {"preset": "spinless(0.7j)", "q": [[0.3, 800], 0.9],
+                    "p": [0.1, 0.2]},
+        "integration": {"t_final": 0.5}})
+    code = main(["simulate", "--config", cfg, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG and _one_spincm_line(err)
+    assert "overflow encountered in sin" in err
+
+
+def test_numeric_fault_in_a_mid_run_collision_check_truncates(
+        tmp_path, capsys, monkeypatch):
+    """An overflow in the third collision check (two steps in) truncates
+    the run the way a step fault does: exit 3, the abort reason naming it,
+    and the points reached before it in the CSV."""
+    margin, calls = dynamics.collision_margin, []
+
+    def overflowing(system, q):
+        calls.append(q)
+        if len(calls) == 3:
+            np.exp(np.array(1000.0))
+        return margin(system, q)
+
+    monkeypatch.setattr(dynamics, "collision_margin", overflowing)
+    cfg = spinless_sl2_config(tmp_path)
+    code = main(["simulate", "--config", cfg, "--out", str(tmp_path)])
+    assert code == EXIT_SINGULARITY
+    assert capsys.readouterr().err.startswith("simulate: integration "
+                                              "aborted at t = ")
+    diag = json.loads((tmp_path / "diagnostics.json").read_text())
+    assert not diag["completed"]
+    assert "overflow encountered in exp" in diag["abort_reason"]
+    assert diag["n_points"] == len(read_csv(tmp_path / "trajectory.csv")[1])
+
+
 def test_failed_allocation_exits_2(tmp_path, capsys):
     """10^15 output points need petabytes, past the 2^47-byte address
     space, so the request fails at once and allocates nothing."""

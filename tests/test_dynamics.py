@@ -535,6 +535,18 @@ def test_lax_equation_on_sigma():
             assert res < 1e-9, (sys.family, sys.rs.rank, res)
 
 
+@pytest.mark.parametrize("cartan", [[1e308 + 1e308j, 0], [1.5e308, 0]])
+def test_sigma_residual_past_the_float_range_raises(cartan):
+    """A rational Cartan block whose root values leave the float range
+    raises FloatingPointError: at 1e308 + 1e308i the modulus gave inf with
+    no flag (np.abs of a complex sets none), at 1.5e308 the root values a
+    raw RuntimeWarning (an error in the suite)."""
+    sys = make_system("rational", 2)
+    x = PhasePoint.make(sys.rs, [0.3, 0.9], [0.1, 0.2], xi_cartan=cartan)
+    with pytest.raises(FloatingPointError):
+        sigma_residual(sys, x)
+
+
 def test_lax_B_off_sigma_raises():
     sys = make_system("trigonometric", 2)
     rng = np.random.default_rng(17)

@@ -263,6 +263,25 @@ def test_reduction_range():
                 fn(z)
 
 
+@pytest.mark.parametrize("z", [math.nan, complex(math.nan), math.inf,
+                               complex(0.3, math.nan)])
+def test_non_finite_arguments_never_give_a_value(z):
+    """A nan argument fails the range test of the one reduction, so every
+    evaluation raises StructuralError naming it (sigma and lattice_distance
+    gave nan, reduce a raw ValueError); an inf raises StructuralError or
+    FloatingPointError.  None returns a value, alone or in an array."""
+    for fn in (OBLIQUE.reduce, OBLIQUE.lattice_distance, OBLIQUE.sigma,
+               OBLIQUE.zeta, OBLIQUE.wp, OBLIQUE.wp_prime, OBLIQUE.wp_pair,
+               lambda v: OBLIQUE.zeta_ladder(np.array([0.3, v]), 3),
+               lambda v: l_kernel(OBLIQUE, 0.3, v),
+               lambda v: l_kernel(OBLIQUE, v, 0.3)):
+        with pytest.raises((StructuralError, FloatingPointError)) as err:
+            fn(z)
+        if cmath.isnan(z):
+            assert err.type is StructuralError
+            assert "is not finite" in str(err.value)
+
+
 def test_l_kernel_is_two_passes(monkeypatch):
     """One pass each of w and z (no w + z pass, no theta_1 pass: the
     theta product reads exponential tables), no near-point search, the

@@ -185,15 +185,19 @@ def test_form_is_trace_form_and_invariant(rank):
 
 def test_arithmetic_past_the_float_range_raises():
     """Entries of 1e200 on A_2: the form, the bracket and a scaling
-    overflow, and so does a sum or difference at 1e308; each raises
+    overflow, and so does a sum or difference at 1e308, the defining matrix
+    and the largest modulus at 1.7e308 (1.7e308 + 1.7e308i); each raises
     FloatingPointError instead of returning inf or nan (einsum, the form's
-    former sum, sets no floating-point flag)."""
+    former sum, sets no floating-point flag, nor does np.abs of a complex,
+    and the matrix gave a RuntimeWarning)."""
     rs = build_root_system("A", 2)
     x = AlgElement(rs, np.full(rs.dim, 1e200, dtype=complex))
     big = AlgElement(rs, np.full(rs.dim, 1e308, dtype=complex))
+    edge = AlgElement(rs, np.full(rs.dim, 1.7e308, dtype=complex))
     for op in (lambda: form(x, x), lambda: bracket(x, 2j * x),
                lambda: x * 1e200, lambda: 1e200 * x, lambda: big + big,
-               lambda: big - -big):
+               lambda: big - -big, lambda: matrix_rep(edge),
+               lambda: AlgElement(rs, edge.vec * (1 + 1j)).max_abs()):
         with pytest.raises(FloatingPointError):
             op()
     assert form(x, x * 1e-300) == pytest.approx(1e100 * rs.dim)

@@ -12,7 +12,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from spincm.cli import (EXIT_CONFIG, EXIT_PASS, SCHEMA, _BY_FAMILY,
@@ -56,9 +56,10 @@ def test_readme_json_examples_parse_and_build():
 
 # -- mutation fuzz -----------------------------------------------------------
 #
-# A cheap, valid elliptic A_1 config with every section present.  Each run
-# replaces one key path by a hostile value, deletes it, or adds an unknown
-# key next to it, and runs one subcommand through main.
+# A cheap, valid A_1 config with every section present, for each family (the
+# lattice is read by the elliptic one only).  Each run replaces one key path
+# by a hostile value, deletes it, or adds an unknown key next to it, and runs
+# one subcommand through main.
 
 BASE = {"family": "elliptic", "rank": 1, "seed": 3,
         "lattice": {"omega1": 2.0, "omega2": [0.0, 2.2]},
@@ -70,8 +71,14 @@ NAN, INF = float("nan"), float("inf")
 # No key accepts any of these: the run must end in a config error.
 MUST_REJECT = [True, False, NAN, INF, -INF, [NAN], [True], {"bogus": 1},
                EXTRA]
+# Huge and subnormal finite numbers, alone and as a rank-1 coordinate list:
+# valid wherever a finite number is, so they reach the arithmetic.
+MAGNITUDES = [sign * m for m in (1e15, 1e200, 1e300) for sign in (1, -1)] \
+    + [5e-324]
 HOSTILE = MUST_REJECT + [None, DELETE, "x", 5, 0, -1, [], [5], [[1, 2, 3]],
-                         "spinless(nan)", "../x"]
+                         "spinless(nan)", "../x"] + MAGNITUDES \
+    + [[m] for m in MAGNITUDES]
+FAMILIES = ("rational", "trigonometric", "elliptic")
 COMMANDS = ("info", "simulate", "verify", "reduce")
 
 
@@ -119,23 +126,40 @@ def run(command: str, data: dict, trajectory: str) -> tuple[int, str]:
 
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(path=st.sampled_from([path for path, _, _ in SCHEMA]),
+@given(family=st.sampled_from(FAMILIES),
+       path=st.sampled_from([path for path, _, _ in SCHEMA]),
        action=st.sampled_from(HOSTILE), command=st.sampled_from(COMMANDS))
-@example(path="seed", action=-1, command="verify")
-@example(path="initial.preset", action=5, command="simulate")
-@example(path="outputs.trajectory_csv", action=5, command="simulate")
-@example(path="initial.q", action=[NAN], command="simulate")
-@example(path="outputs.z_samples", action=[NAN], command="simulate")
-@example(path="outputs.z_samples", action=[], command="simulate")
-@example(path="lattice.omega1", action=NAN, command="info")
-@example(path="lattice.omega2", action=NAN, command="verify")
-@example(path="rank", action=True, command="info")
-@example(path="seed", action=True, command="verify")
-@example(path="initial.q", action=[True], command="simulate")
-@example(path="initial.preset", action="spinless(nan)", command="simulate")
-def test_mutated_config_never_ends_in_a_traceback(unreduced_csv, path,
-                                                   action, command):
-    data = mutated(parse_config(BASE).serialize(), path, action)
+@example(family="elliptic", path="seed", action=-1, command="verify")
+@example(family="elliptic", path="initial.preset", action=5,
+         command="simulate")
+@example(family="elliptic", path="outputs.trajectory_csv", action=5,
+         command="simulate")
+@example(family="elliptic", path="initial.q", action=[NAN], command="simulate")
+@example(family="elliptic", path="outputs.z_samples", action=[NAN],
+         command="simulate")
+@example(family="elliptic", path="outputs.z_samples", action=[],
+         command="simulate")
+@example(family="elliptic", path="lattice.omega1", action=NAN, command="info")
+@example(family="elliptic", path="lattice.omega2", action=NAN,
+         command="verify")
+@example(family="elliptic", path="rank", action=True, command="info")
+@example(family="elliptic", path="seed", action=True, command="verify")
+@example(family="elliptic", path="initial.q", action=[True],
+         command="simulate")
+@example(family="elliptic", path="initial.preset", action="spinless(nan)",
+         command="simulate")
+@example(family="elliptic", path="lattice.omega1", action=5e-324,
+         command="info")
+@example(family="trigonometric", path="initial.q", action=[1e15],
+         command="simulate")
+@example(family="rational", path="integration.tol", action=1e300,
+         command="simulate")
+def test_mutated_config_never_ends_in_a_traceback(unreduced_csv, family,
+                                                   path, action, command):
+    # a run to |t_final| = 1e15 makes MAX_STEPS steps: minutes per example
+    assume(not (path == "integration.t_final" and action in MAGNITUDES))
+    data = mutated(parse_config({**BASE, "family": family}).serialize(),
+                   path, action)
     try:
         config = parse_config(data)
     except ConfigError:

@@ -334,9 +334,10 @@ def _emit(report: dict, path: Path | None = None) -> None:
     print(text, end="")
 
 
-def _z_grid(config: RunConfig) -> list[complex]:
+def _z_grid(config: RunConfig, length: float = 1.0) -> list[complex]:
     z_conf = config.outputs["z_samples"]
-    return default_z_samples() if z_conf is None else list(_complexes(z_conf))
+    return [length * z for z in default_z_samples()] if z_conf is None \
+        else list(_complexes(z_conf))
 
 
 def cmd_simulate(config: RunConfig, out_dir: Path) -> int:
@@ -403,30 +404,31 @@ def _first_rows(count: int, draw, ok, what: str) -> np.ndarray:
 
 
 def _random_q(rng, system: RMatrixSpec, count: int) -> np.ndarray:
-    """``count`` random Cartan configurations (count, rank), |q_i| uniform
-    in [0.55, 1.15] with the sign of a uniform u_i in [-0.6, 0.6] (q_i =
-    u_i +- 0.55), kept clear of the singular set: close root hyperplanes
-    amplify the Lax coefficients past the suite thresholds without saying
-    anything about the structure."""
+    """``count`` random Cartan configurations (count, rank), in the spec's
+    length: |q_i| uniform in [0.55, 1.15] with the sign of a uniform u_i in
+    [-0.6, 0.6] (q_i = u_i +- 0.55), kept clear of the singular set: close
+    root hyperplanes amplify the Lax coefficients past the suite
+    thresholds without saying anything about the structure."""
     def draw(m: int) -> np.ndarray:
         u = rng.uniform(-0.6, 0.6, (m, system.rs.rank))
-        return (u + np.copysign(0.55, u)).astype(complex)
+        return ((u + np.copysign(0.55, u)) * system.length).astype(complex)
     return _first_rows(count, draw, lambda q: collision_margin(system, q)
-                       >= _Q_MARGIN, "a configuration away from the "
-                       "singular set")
+                       >= _Q_MARGIN * system.length, "a configuration away "
+                       "from the singular set")
 
 
-def _random_z(rng, shape) -> np.ndarray:
-    return rng.uniform(0.25, 0.8, shape) \
+def _random_z(rng, system: RMatrixSpec, shape) -> np.ndarray:
+    return rng.uniform(0.25, 0.8, shape) * system.length \
         * np.exp(2j * np.pi * rng.uniform(size=shape))
 
 
-def _random_z_triples(rng, count: int) -> np.ndarray:
+def _random_z_triples(rng, system: RMatrixSpec, count: int) -> np.ndarray:
     """``count`` spectral-parameter triples (count, 3) with pairwise
     differences bounded away from the poles of r."""
-    return _first_rows(count, lambda m: _random_z(rng, (m, 3)), lambda z: (
-        np.abs(z[:, [0, 0, 1]] - z[:, [1, 2, 2]]).min(-1) >= 0.1),
-        "a z-triple away from the poles")
+    return _first_rows(count, lambda m: _random_z(rng, system, (m, 3)),
+                       lambda z: np.abs(z[:, [0, 0, 1]] - z[:, [1, 2, 2]])
+                       .min(-1) >= 0.1 * system.length,
+                       "a z-triple away from the poles")
 
 
 def _normal(rng, shape) -> np.ndarray:
@@ -484,7 +486,8 @@ def _worst(name: str, residuals, samples: dict) -> dict:
 
 
 def _suite_axioms(system, config, rng) -> dict:
-    samples = {"q": _random_q(rng, system, 20), "z": _random_z(rng, 20)}
+    samples = {"q": _random_q(rng, system, 20),
+               "z": _random_z(rng, system, 20)}
     per_sample = verify_axioms(system, samples["q"], samples["z"])
     return {"checks": [_worst(name, per_sample[name], samples)
                        for name in ("zero_weight", "unitarity", "residue")]}
@@ -492,7 +495,7 @@ def _suite_axioms(system, config, rng) -> dict:
 
 def _suite_cdybe(system, config, rng) -> dict:
     samples = {"q": _random_q(rng, system, 10),
-               "z": _random_z_triples(rng, 10)}
+               "z": _random_z_triples(rng, system, 10)}
     return {"checks": [_worst("cdybe", verify_cdybe(
         system, samples["q"], *samples["z"].T), samples)]}
 
@@ -501,15 +504,15 @@ def _suite_mdybe(system, config, rng) -> dict:
     q = _random_q(rng, system, 10)
     # the order-2 principal parts of pole-only Laurent covectors
     xi, eta = _normal(rng, (2, 10, 2, system.rs.dim))
-    z = np.tile(default_mdybe_samples(), (10, 1))
+    z = np.tile(default_mdybe_samples(system.length), (10, 1))
     return {"checks": [_worst("mdybe", verify_mdybe(
         system, q, xi, eta, z_samples=z),
         {"q": q, "z": z, "xi": xi, "eta": eta})]}
 
 
 def _lax_check(name: str, system, x: dict, **kwargs) -> dict:
-    return _worst(name, lax_residuals(system, _points(system.rs, x),
-                                      **kwargs), x)
+    return _worst(name, lax_residuals(system, _points(system.rs, x), [
+        system.length * z for z in default_z_samples()], **kwargs), x)
 
 
 def _suite_lax(system, config, rng) -> dict:
@@ -528,14 +531,15 @@ def _suite_lax(system, config, rng) -> dict:
 
 def _suite_involution(system, config, rng) -> dict:
     x = _random_points(system, rng, 3, reduced=True)
+    pairs = [((k1, system.length * z1), (k2, system.length * z2))
+             for (k1, z1), (k2, z2) in _INVOLUTION_BATTERY]
     # one sample per (point, pair), point-major like the residual table
-    battery = np.array(_INVOLUTION_BATTERY)   # (pair, side, [k, z])
+    battery = np.array(pairs)   # (pair, side, [k, z])
     samples = {**{key: np.repeat(v, len(battery), 0) for key, v in x.items()},
                "k": np.tile(battery[..., 0].real.astype(int), (3, 1)),
                "z": np.tile(battery[..., 1], (3, 1))}
     return {"checks": [_worst("involution", involution_residuals(
-        system, _points(system.rs, x), _INVOLUTION_BATTERY).ravel(),
-        samples)]}
+        system, _points(system.rs, x), pairs).ravel(), samples)]}
 
 
 def _suite_spectral(system, config, rng) -> dict:
@@ -550,7 +554,7 @@ def _suite_spectral(system, config, rng) -> dict:
     if not traj.completed:
         raise PoleError(f"spectral suite trajectory aborted: "
                         f"{traj.abort_reason}")
-    z_grid = _z_grid(config)
+    z_grid = _z_grid(config, system.length)
     report = spectral_drifts(system, traj, z_grid)
     # the witness: the trajectory point and z of the worst entry, and the
     # initial point to integrate from; "solver" the integration's counts

@@ -527,7 +527,7 @@ def conserved_spectrum(sys: RMatrixSpec, x,
                        z_samples: Sequence[complex]) -> np.ndarray:
     """Table h_k(z) = tr(rho(L(z))^k)/k, shape (len(z_samples), n) for the
     matrix size n.  Accepts PhasePoints (L) and ReducedPoints (L_0)."""
-    sums = _power_sums(sys, _coords(sys.rs, [x]), z_samples)[0]
+    sums = _power_sums(sys, _coords(sys.rs, [x]), _z_list(z_samples))[0]
     return sums / np.arange(1, sums.shape[-1] + 1)
 
 

@@ -178,6 +178,17 @@ class Lattice:
         terms = np.array([2.0 * (-1) ** n * nome ** ((n + 0.5) ** 2)
                           for n in range(n_terms)])
         odd = 2.0 * np.arange(n_terms) + 1.0
+        self._theta1p0 = complex(terms @ odd)
+        if self._theta1p0 == 0:
+            raise StructuralError(
+                f"the reduced period ratio Im(tau) = {tau.imag:g} is too "
+                f"large: the nome underflows and theta_1'(0) vanishes")
+        if abs(w1) < POLE_TOL:
+            # wp at the half-period w1 would be within the pole guard, and
+            # the tables below leave the float range first
+            raise StructuralError(
+                f"the shortest period {self.shortest_period:g} is within "
+                f"the pole tolerance {POLE_TOL:g}: the lattice is too small")
         zero = np.zeros(n_terms)
         # rows: the sin terms, then the cos terms; columns: theta_1 and its
         # first, second and third v-derivatives
@@ -211,11 +222,6 @@ class Lattice:
         # q^{2m}, the u-frequency 2 i m pi / (2 w1) of e^{2ima}, and 4m
         self._lambert = (nome ** (2.0 * m), 2j * m * (math.pi / (2.0 * w1)),
                          4.0 * m)
-        self._theta1p0 = complex(terms @ odd)
-        if self._theta1p0 == 0:
-            raise StructuralError(
-                f"the reduced period ratio Im(tau) = {tau.imag:g} is too "
-                f"large: the nome underflows and theta_1'(0) vanishes")
         tppp0 = -complex(terms @ odd ** 3)
         eta1 = -(math.pi ** 2) * tppp0 / (12.0 * w1 * self._theta1p0)
         # Legendre relation eta1*w2 - eta2*w1 = i pi / 2

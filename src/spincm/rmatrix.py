@@ -40,8 +40,8 @@ itself on coordinates, and on (n+1) x (n+1) matrices with the coefficient
 matrix C[i, j] = c_{e_j - e_i} (f on the diagonal), where the MDYBE check
 brackets by commutators.  A Laurent covector is held as arrays, its
 principal coefficients and its values on the nodes where they are needed.
-The residue checks integrate on rings whose node counts come from their
-error bound (:func:`quad_ring`).
+The residue checks integrate on 32-node rings in the spec's ``length``
+(:func:`quad_ring`).
 """
 
 from __future__ import annotations
@@ -81,6 +81,10 @@ class RMatrixSpec:
     axioms but breaks the residue normalization and the CDYBE.  The Lax
     and pair-weight kernels never read it, and the Lax-side tables of
     ``dynamics`` are taken from ``with_fault(1.0)``.
+
+    ``length``, the unit of every verify sample and ring, is 1, or min(1,
+    shortest_period / 4) on a lattice: the elliptic kernel is homogeneous,
+    so a smaller lattice is checked at its own scale.
     """
 
     rs: RootSystem
@@ -110,6 +114,8 @@ class RMatrixSpec:
             # 0 on the span of Pi', -i (Delta_+) or +i (Delta_-) off it
             self.trig_shift = np.where(self.span_mask, 0j,
                                        np.where(self.plus_mask, -1j, 1j))
+        self.length = min(1.0, self.lattice.shortest_period / 4) \
+            if self.family == "elliptic" else 1.0
         self.fault_scale = complex(self.fault_scale)
         self.fault_root_indices = (0, self.rs.n_pos)    # a +/- root pair
 
@@ -232,15 +238,6 @@ def _pole_distance(spec: RMatrixSpec, u) -> np.ndarray:
     else:
         mask, dist = spec.span_mask, np.abs(np.sin(u))
     return np.where(mask[:np.shape(u)[-1]], dist, np.inf)
-
-
-def _pole_radius(spec: RMatrixSpec) -> float:
-    """Distance from z = 0 to the next pole of r(q, z) in z: inf (rational;
-    the ring integrands are Laurent polynomials), pi (trigonometric), the
-    shortest nonzero period (elliptic)."""
-    if spec.family == "elliptic":
-        return spec.lattice.shortest_period
-    return math.inf if spec.family == "rational" else math.pi
 
 
 def _pole_guard(spec: RMatrixSpec, u, what: str) -> None:
@@ -404,24 +401,19 @@ def _r_table(spec: RMatrixSpec, q, z, kzs: range, du: int = 0):
 # contour quadrature
 
 
-# The ring radii of the axiom and MDYBE checks.  The trapezoidal rule's
-# error on |z| = rho falls like (rho / R)^N, R = _pole_radius (Trefethen &
-# Weideman, SIAM Rev. 56, 2014), with a prefactor of about 1e4 on the
-# faulted MDYBE residual: a ring has the fewest nodes, and at least 32,
-# with (rho / R)^N <= 1e-20.
+# The ring radii of the axiom and MDYBE checks, in the spec's length.  The
+# trapezoidal rule's error on |z| = rho falls like (rho / R)^N, R the
+# distance from 0 to the next pole of r in z (Trefethen & Weideman, SIAM
+# Rev. 56, 2014), with a prefactor of about 1e4 on the faulted MDYBE
+# residual; rho / R <= 0.35 / pi (R >= 4 length on a lattice), so 32 nodes
+# give (rho / R)^N <= 1e-20 on every family.
 AXIOM_QUAD_RADIUS = 0.1
 MDYBE_QUAD_RADIUS = 0.35
 
 
 def quad_ring(spec: RMatrixSpec, radius: float) -> np.ndarray:
-    """The equispaced quadrature ring |z| = radius of ``spec``'s checks;
-    PoleError if it reaches a pole other than z = 0."""
-    ratio = radius / _pole_radius(spec)
-    if ratio >= 1.0:
-        raise PoleError(f"the quadrature ring |z| = {radius:g} reaches a "
-                        f"pole of r at distance {radius / ratio:g} from 0")
-    n = max(32, math.ceil(-20.0 / math.log10(ratio)) if ratio else 0)
-    return radius * np.exp(2j * math.pi * np.arange(n) / n)
+    """The 32-node quadrature ring |z| = radius * spec.length."""
+    return spec.length * radius * np.exp(2j * math.pi * np.arange(32) / 32)
 
 
 def _ring_means(nodes: np.ndarray, values: np.ndarray,
@@ -439,18 +431,26 @@ def _ring_means(nodes: np.ndarray, values: np.ndarray,
 # axiom verification
 
 
+def _require_samples(*counts: int) -> None:
+    """StructuralError unless every count of samples is positive."""
+    if not all(counts):
+        raise StructuralError("expected at least one sample, got none")
+
+
 @raise_on_fp_fault
 def verify_axioms(spec: RMatrixSpec, q, z) -> dict:
     """Zero-weight, unitarity and residue residuals at every (q, z) sample
     (q of shape (samples, rank)), one array each; thresholds are the
     caller's business.  On the coefficient vector c: the weights of slots
     a and dual(a) cancel on c_a, c(z)[a] + c(-z)[dual(a)] = 0, and the
-    residue at z = 0 (contour quadrature on |z| = AXIOM_QUAD_RADIUS) is
-    the Casimir tensor, c = 1.  One kernel pass for all samples."""
+    residue at z = 0 (on the ring AXIOM_QUAD_RADIUS) is the Casimir
+    tensor, c = 1.  One kernel pass for all samples (StructuralError if
+    none)."""
     rs = spec.rs
     weights = np.concatenate([np.zeros((rs.rank, rs.rank)), rs.alpha_h])
     slot_weight = weights + weights[rs.dual_index]
     ring, z = quad_ring(spec, AXIOM_QUAD_RADIUS), np.asarray(z, dtype=complex)
+    _require_samples(np.size(q), z.size)
     c = _r_table(spec, q, np.concatenate([[z, -z], np.broadcast_to(
         ring[:, None], (len(ring), len(z)))]), range(1))[0, 0]
     res = _ring_means(ring, np.moveaxis(c[2:], 1, 0), 1)[0]
@@ -481,10 +481,12 @@ def verify_cdybe(spec: RMatrixSpec, q, z1, z2, z3):
 
     with z_ij = z_i - z_j and all q-derivatives analytic.  Leading axes of
     q stack samples, with one z triple per sample: one kernel pass for
-    all, and one residual per sample (a float for a single one)."""
+    all, and one residual per sample (a float for one; StructuralError
+    for none)."""
     rs = spec.rs
     (a, b, c, f), d = _structure_nz(rs), rs.dual_index
     q = np.asarray(q, dtype=complex)
+    _require_samples(q.size)
     z1, z2, z3 = np.broadcast_arrays(*(np.asarray(v, dtype=complex)
                                        for v in (z1, z2, z3)))
     z12, z13, z23 = z1 - z2, z1 - z3, z2 - z3
@@ -531,9 +533,10 @@ def _r_pairing(table, principal) -> np.ndarray:
                             inv_fact), "the r-matrix pairing")
 
 
-def default_mdybe_samples() -> list[complex]:
-    return [0.6 * cmath.exp(2j * math.pi * k / 7) for k in range(7)] + \
-           [0.85 * cmath.exp(2j * math.pi * (k + 0.5) / 5) for k in range(5)]
+def default_mdybe_samples(length: float = 1.0) -> list[complex]:
+    """The MDYBE samples, on |z| = 0.6 and 0.85 times ``length``."""
+    return [length * r * cmath.exp(2j * math.pi * (k + shift) / n)
+            for r, n, shift in ((0.6, 7, 0), (0.85, 5, 0.5)) for k in range(n)]
 
 
 @raise_on_fp_fault
@@ -548,11 +551,12 @@ def verify_mdybe(spec: RMatrixSpec, q, xi, eta, *,
 
     ``xi`` and ``eta`` are pole-only Laurent covectors given by their
     principal coefficients, shape (T, dim).  R xi and R eta are evaluated
-    on the ring |z| = MDYBE_QUAD_RADIUS, which gives the principal part of
-    the inner covector and the residue pairing Res_z <eta(z), (R xi)(z)>
-    whose q-derivatives form the Cartan vector d<R xi, eta> (j* takes the
-    Cartan block of the residue coefficient), and every term at
-    ``z_samples``, over which the residual is the max.
+    on the ring MDYBE_QUAD_RADIUS, which gives the principal part of the
+    inner covector and the residue pairing Res_z <eta(z), (R xi)(z)> whose
+    q-derivatives form the Cartan vector d<R xi, eta> (j* takes the Cartan
+    block of the residue coefficient), and every term at ``z_samples`` (by
+    default those of the spec's length), over which the residual is the
+    max; StructuralError if there is no q or no z.
 
     A leading axis stacks samples (q (S, rank), xi and eta (S, T, dim),
     z_samples (m,) or (S, m)), with one kernel pass for all and one
@@ -561,8 +565,9 @@ def verify_mdybe(spec: RMatrixSpec, q, xi, eta, *,
     matrices; only the residual goes back to coordinates, for its max."""
     rs, ring = spec.rs, quad_ring(spec, MDYBE_QUAD_RADIUS)
     n, qs = len(ring), np.asarray(q, dtype=complex).reshape(-1, rs.rank)
-    samples = np.atleast_2d(default_mdybe_samples() if z_samples is None
-                            else np.asarray(z_samples, dtype=complex))
+    samples = np.atleast_2d(default_mdybe_samples(spec.length) if z_samples
+                            is None else np.asarray(z_samples, dtype=complex))
+    _require_samples(qs.size, samples.size)
     nodes = np.concatenate([np.broadcast_to(ring, (len(samples), n)),
                             samples], -1)
     # values (S, node, ...) and principal parts (T, S, 1, ...), the order

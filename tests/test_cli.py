@@ -714,8 +714,9 @@ def replay(config, suite, check):
 def draw_samples(system, seed):
     """Every sampler of the verify suites once, from one seeded stream."""
     rng = np.random.default_rng(seed)
-    return {"q": cli._random_q(rng, system, 20), "z": cli._random_z(rng, 20),
-            "triples": cli._random_z_triples(rng, 10),
+    return {"q": cli._random_q(rng, system, 20),
+            "z": cli._random_z(rng, system, 20),
+            "triples": cli._random_z_triples(rng, system, 10),
             **{f"sigma_{key}": v for key, v in
                cli._random_points(system, rng, 5).items()},
             **{f"reduced_{key}": v for key, v in
@@ -756,20 +757,61 @@ def test_samplers_keep_their_law(family, rank):
         assert not x["sigma_p"].imag.any() and not x["reduced_p"].imag.any()
 
 
+def test_samplers_scale_with_the_spec_length():
+    """On 1/4 of the reference lattice (length 1/4) every q and z sample
+    is 1/4 of the reference lattice's, bit for bit, from the same seed, and
+    the normal p and spins are the same: the margin, the z range and the
+    triple separation all scale with the length."""
+    systems = [parse_config({"family": "elliptic", "rank": 3, "lattice": {
+        "omega1": [scale * 2.0, 0.0], "omega2": [0.0, scale * 2.2]}}
+        ).system() for scale in (1.0, 0.25)]
+    assert [system.length for system in systems] == [1.0, 0.25]
+    for seed in (1, 2, 3):
+        wide, small = (draw_samples(system, seed) for system in systems)
+        for key in wide:
+            scale = 0.25 if key in ("q", "z", "triples", "sigma_q",
+                                    "reduced_q") else 1.0
+            assert np.array_equal(small[key], scale * wide[key]), key
+
+
 @pytest.mark.parametrize("suite", SUITES)
 def test_verify_without_a_clear_configuration_exits_2(tmp_path, capsys,
-                                                      suite):
-    """On the small lattice (0.3, 0.33i) no q of the sampling range keeps
-    the margin at rank 2: every suite gives up after its bounded candidate
-    count, exit 2 with a "could not sample" line."""
-    cfg = write_config(tmp_path, "small.json", {
-        "family": "elliptic", "rank": 2,
-        "lattice": {"omega1": 0.3, "omega2": [0.0, 0.33]}})
+                                                      monkeypatch, suite):
+    """With a wall margin that no q of the sampling range keeps, every
+    suite gives up after its bounded candidate count: exit 2 with a "could
+    not sample" line."""
+    monkeypatch.setattr(cli, "_Q_MARGIN", 10.0)
+    cfg = write_config(tmp_path, "wide.json", {
+        "family": "elliptic", "rank": 2, "lattice": WIDE_LATTICE})
     assert main(["verify", "--config", cfg, "--suite", suite,
                  "--out", str(tmp_path)]) == EXIT_CONFIG
     assert capsys.readouterr().err == (
         "spincm: could not sample a configuration away from the singular "
         "set\n")
+
+
+SMALL_LATTICES = [({"omega1": 0.5, "omega2": [0.0, 0.55]}, 3),
+                  ({"omega1": 0.5, "omega2": [0.5, 0.55]}, 3),
+                  ({"omega1": 0.3, "omega2": [0.0, 0.33]}, 2)]
+
+
+@pytest.mark.parametrize("lattice,rank", SMALL_LATTICES,
+                         ids=["quarter-a3", "quarter-sheared-a3",
+                              "small-a2"])
+def test_verify_on_a_small_lattice_passes(tmp_path, lattice, rank):
+    """On 1/4 of the reference lattice, its sheared basis and (0.3, 0.33i)
+    (which gave "could not sample" in absolute units) every suite passes,
+    and under --inject-fault the r-matrix suites fail."""
+    cfg = write_config(tmp_path, "small.json", {
+        "family": "elliptic", "rank": rank, "lattice": lattice,
+        "integration": {"t_final": 1.0}})
+    for suite in SUITES:
+        assert main(["verify", "--config", cfg, "--suite", suite, "--seed",
+                     "1", "--out", str(tmp_path)]) == EXIT_PASS, suite
+    for suite in ("axioms", "cdybe", "mdybe"):
+        assert main(["verify", "--config", cfg, "--suite", suite,
+                     "--inject-fault", "--out",
+                     str(tmp_path)]) == EXIT_RESIDUAL, suite
 
 
 @pytest.mark.parametrize("family", ["rational", "trigonometric"])
@@ -1063,6 +1105,39 @@ def test_reduce_malformed_row_names_its_line(tmp_path, capsys, row, line):
                  "--out", str(tmp_path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("spincm: ") and f"line {line}" in err
+
+
+def test_reduce_of_the_earlier_csv_layout_exits_2(tmp_path, capsys):
+    """An unreduced CSV of the layout before the Cartan spin columns (no
+    xi_h*) names the first missing column: ConfigError from the reader,
+    exit 2 from reduce."""
+    path = tmp_path / "old.csv"
+    path.write_text("t,q1,p1,xi[1],xi[-1],energy,J_residual\r\n"
+                    "0,0.9+0j,0.1+0j,1+0j,0.5+0j,0+0j,0\r\n",
+                    encoding="utf-8")
+    with pytest.raises(ConfigError, match="missing column 'xi_h1'"):
+        read_trajectory_csv(path, build_root_system("A", 1))
+    cfg = write_config(tmp_path, "red.json",
+                       {"family": "rational", "rank": 1})
+    assert main(["reduce", str(path), "--config", cfg,
+                 "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "missing column 'xi_h1'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [None, b"t,q1\xff\r\n"],
+                         ids=["missing", "not-utf8"])
+def test_reduce_of_an_unreadable_csv_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "traj.csv"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(ConfigError, match="cannot read trajectory"):
+        read_trajectory_csv(path, build_root_system("A", 1))
+    cfg = write_config(tmp_path, "red.json",
+                       {"family": "rational", "rank": 1})
+    assert main(["reduce", str(path), "--config", cfg,
+                 "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        f"spincm: cannot read trajectory {path}")
 
 
 def test_reduce_rejects_reduced_input(tmp_path):

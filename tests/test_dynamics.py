@@ -471,6 +471,47 @@ def test_integrate_truncates_past_the_elliptic_range():
         integrate(sys, spinless_state(sys.rs, [1e200], [0.1], 0.4j), 0.1)
 
 
+def cut_and_full_runs(monkeypatch, patch):
+    """A rational A_1 run of 201 grid points, and the same run after
+    ``patch`` (applied with monkeypatch) cuts it short."""
+    sys = make_system("rational", 1)
+    x0 = spinless_state(sys.rs, [1.2], [0.4], 0.5j)
+    full = integrate(sys, x0, 10.0)
+    assert full.completed and full.stats["accepted"] > 5
+    patch(monkeypatch)
+    return full, integrate(sys, x0, 10.0)
+
+
+def assert_cut_at_a_step(full, cut, reason):
+    """``cut`` is truncated with ``reason``, after 3 accepted steps, and
+    its grid is the prefix of ``full``'s up to the last accepted step,
+    state for state."""
+    assert not cut.completed
+    assert cut.abort_reason.startswith(reason)
+    assert cut.stats["accepted"] == 3
+    t_end = float(cut.abort_reason.rpartition("t = ")[2])
+    assert 1 < cut.n_points < full.n_points
+    assert cut.times[-1] <= t_end * (1 + 1e-5) < full.times[cut.n_points]
+    assert np.array_equal(cut.times, full.times[:cut.n_points])
+    assert np.array_equal(cut.states, full.states[:cut.n_points])
+
+
+def test_integrate_stops_at_the_step_budget(monkeypatch):
+    full, cut = cut_and_full_runs(monkeypatch, lambda mp: mp.setattr(
+        dynamics, "MAX_STEPS", 3))
+    assert_cut_at_a_step(full, cut, "step budget 3 exhausted at t = ")
+
+
+def test_integrate_stops_when_step_size_control_fails(monkeypatch):
+    step = dynamics.DormandPrince.step
+
+    def failing(mp):
+        mp.setattr(dynamics.DormandPrince, "step",
+                   lambda self: self.accepted < 3 and step(self))
+    full, cut = cut_and_full_runs(monkeypatch, failing)
+    assert_cut_at_a_step(full, cut, "step-size control failed at t = ")
+
+
 def test_integrate_input_validation():
     sys = make_system("rational", 1)
     x0 = spinless_state(sys.rs, [1.0], [0.0], 1.0)
@@ -649,6 +690,30 @@ def test_lax_residuals_over_no_z_raise():
     x = sigma_point(sys, np.random.default_rng(29), scale=0.4)
     with pytest.raises(StructuralError, match="at least one z sample"):
         lax_residuals(sys, [x], [])
+
+
+@pytest.mark.parametrize("case", ["axioms-no-z", "axioms-no-q",
+                                  "mdybe-no-z", "mdybe-no-q", "cdybe-no-q",
+                                  "spectrum-no-z"])
+def test_empty_sample_sets_raise(case):
+    """Each check over no samples is a typed error, not a reshape or
+    reduction ValueError or an empty table."""
+    sys = make_system("rational", 2)
+    q, no_q = np.array([[0.7, 0.4]]), np.zeros((0, 2))
+    xi = np.ones((1, 1, sys.rs.dim))
+    call = {
+        "axioms-no-z": lambda: rmatrix.verify_axioms(sys, q, []),
+        "axioms-no-q": lambda: rmatrix.verify_axioms(sys, no_q, [0.5]),
+        "mdybe-no-z": lambda: rmatrix.verify_mdybe(sys, q, xi, xi,
+                                                   z_samples=[]),
+        "mdybe-no-q": lambda: rmatrix.verify_mdybe(sys, no_q, xi[:0],
+                                                   xi[:0]),
+        "cdybe-no-q": lambda: rmatrix.verify_cdybe(sys, no_q, [], [], []),
+        "spectrum-no-z": lambda: conserved_spectrum(sys, sigma_point(
+            sys, np.random.default_rng(29)), []),
+    }[case]
+    with pytest.raises(StructuralError, match="at least one"):
+        call()
 
 
 def test_fault_knob_does_not_reach_lax_coefficients():

@@ -394,6 +394,17 @@ def test_degenerate_lattice_is_rejected():
             Lattice(omega1, omega2)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_lattice_within_the_pole_tolerance_is_rejected():
+    """A shortest period below the pole tolerance is a typed error before
+    any table is built: on (5e-324, 5e-324i) the theta frequencies pi / (2
+    w1) overflowed and leaked "invalid value encountered in multiply"."""
+    for omega1, omega2 in [(5e-324, 5e-324j), (1e-308, 1.1e-308j),
+                           (1e-13, 1.1e-13j)]:
+        with pytest.raises(StructuralError, match="the lattice is too small"):
+            Lattice(omega1, omega2)
+
+
 # -- one reduced basis --------------------------------------------------------
 
 

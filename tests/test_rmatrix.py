@@ -32,7 +32,7 @@ from helpers import (LaurentElement, R_apply, R_directional, cartan_coeff,
                      pair_weight, r_tensor, ring_coefficients, ring_nodes,
                      root_coeff)
 from spincm.rmatrix import (MDYBE_QUAD_RADIUS, RMatrixSpec, _ladder,
-                            _pole_radius, _r_table, default_mdybe_samples,
+                            _r_table, default_mdybe_samples,
                             elliptic_r_matrix, quad_ring, rational_r_matrix,
                             root_coeff_reg0, trigonometric_r_matrix,
                             verify_axioms, verify_cdybe, verify_mdybe)
@@ -703,11 +703,12 @@ def assert_matches_dense(got, want, fault):
 
 
 def dense_axioms(spec, samples, quad_radius=0.1, quad_nodes=256):
-    """Zero-weight, unitarity and residue residuals of the dense tensors."""
+    """Zero-weight, unitarity and residue residuals of the dense tensors;
+    the ring radius in units of spec.length, as the package's."""
     rs = spec.rs
     f = dense_structure(rs)
     omega = casimir_tensor(rs)
-    ring = ring_nodes(quad_radius, quad_nodes)
+    ring = ring_nodes(quad_radius * spec.length, quad_nodes)
     zero_weight = unitarity = residue = 0.0
     for q, z in samples:
         r, rminus = r_tensor(spec, q, [z, -z])
@@ -758,9 +759,11 @@ def dense_cdybe(spec, q, z1, z2, z3):
 
 
 def dense_mdybe(spec, q, xi, eta, quad_radius=0.35, quad_nodes=256):
+    """The dense MDYBE residual at the default samples, the ring radius and
+    the samples in units of spec.length, as the package's."""
     rs = spec.rs
-    ring = ring_nodes(quad_radius, quad_nodes)
-    nodes = np.concatenate([ring, default_mdybe_samples()])
+    ring = ring_nodes(quad_radius * spec.length, quad_nodes)
+    nodes = np.concatenate([ring, default_mdybe_samples(spec.length)])
     xi = LaurentElement(rs, xi, nodes)
     eta = LaurentElement(rs, eta, nodes)
     r_xi = AlgElement(rs, dense_R_apply(spec, q, xi))
@@ -900,14 +903,15 @@ def sized_spec(family, rank, periods):
     return all_specs(rank, lattice)[family]
 
 
-def sized_samples(spec, count, seed):
-    """(q, xi, eta, z) stacks with q at least 0.2 from the singular set."""
+def sized_samples(spec, count, seed, length=1.0):
+    """(q, xi, eta, z) stacks with q at least 0.2 from the singular set, q
+    in units of ``length``."""
     rng = np.random.default_rng(seed)
     qs = []
     while len(qs) < count:
         q = rng.uniform(0.3, 1.1, size=spec.rs.rank) \
-            * rng.choice([-1, 1], size=spec.rs.rank)
-        if collision_margin(spec, q) >= 0.2:
+            * rng.choice([-1, 1], size=spec.rs.rank) * length
+        if collision_margin(spec, q) >= 0.2 * length:
             qs.append(q)
     xi, eta = (np.array([random_laurent(spec.rs, 2, rng)
                          for _ in range(count)]) for _ in range(2))
@@ -918,35 +922,57 @@ def sized_samples(spec, count, seed):
 
 @pytest.mark.parametrize("family,rank,periods", SIZED_CASES)
 def test_ring_node_counts(family, rank, periods):
+    """Every ring has 32 nodes, on the radius in units of the spec's
+    length: 1 off the elliptic family and on (2, 2.2i), then 1/2 and 1/4
+    (the shortest period over 4)."""
     spec = sized_spec(family, rank, periods)
-    assert len(quad_ring(spec, 0.1)) == 32
-    want = 44 if periods == (0.5, 0.55j) else 32
-    assert len(quad_ring(spec, 0.35)) == want
-    ring = quad_ring(spec, 0.35)
-    assert np.allclose(np.abs(ring), 0.35)
-    assert np.allclose(ring ** want, 0.35 ** want)
+    length = {None: 1.0, (2.0, 2.2j): 1.0, (1.0, 1.1j): 0.5,
+              (0.5, 0.55j): 0.25}[periods]
+    assert spec.length == length
+    for radius in (0.1, 0.35):
+        ring = quad_ring(spec, radius)
+        assert len(ring) == 32
+        assert np.allclose(np.abs(ring), radius * length)
+        assert np.allclose(ring ** 32, (radius * length) ** 32)
 
 
 def test_ring_on_a_skewed_basis():
-    """R is the shortest period of the reduced basis, not of the basis as
-    given: on (1, 3 + 0.5i) the period 2 omega2 - 6 omega1 = i has length
-    1, so the MDYBE ring |z| = 0.35 needs 44 nodes; the reference lattice
-    and its sheared basis keep R = 4 and 32 nodes."""
+    """The length reads the shortest period of the reduced basis, not of
+    the basis as given: on (1, 3 + 0.5i) the period 2 omega2 - 6 omega1 = i
+    has length 1, so the spec's length is 1/4; the reference lattice and
+    its sheared and swapped bases keep length 1 exactly."""
     rs = build_root_system("A", 2)
-    for periods, radius, nodes in [((1.0, 3 + 0.5j), 1.0, 44),
-                                   ((2.0, 2.2j), 4.0, 32),
-                                   ((2.0, 2 + 2.2j), 4.0, 32)]:
+    for periods, length in [((1.0, 3 + 0.5j), 0.25), ((2.0, 2.2j), 1.0),
+                            ((2.0, 2 + 2.2j), 1.0), ((2.2j, -2.0), 1.0)]:
         spec = elliptic_r_matrix(rs, Lattice(*periods))
-        assert _pole_radius(spec) == radius
-        assert len(quad_ring(spec, MDYBE_QUAD_RADIUS)) == nodes
+        assert spec.length == length
+        ring = quad_ring(spec, MDYBE_QUAD_RADIUS)
+        assert len(ring) == 32
+        assert np.allclose(np.abs(ring), MDYBE_QUAD_RADIUS * length)
 
 
-def test_ring_reaching_a_pole_raises():
-    # the MDYBE ring |z| = 0.35 encloses the lattice points at 0.2
+def test_ring_on_a_tiny_lattice_stays_off_the_poles():
+    """On (0.1, 0.11i), whose lattice points at 0.2 lay inside the absolute
+    MDYBE ring |z| = 0.35, both rings shrink with the length 0.05 and
+    keep 0.0875 of the distance to the next pole.  The residue reads 1 to
+    round-off, and the MDYBE residual is round-off of the faulted one: its
+    terms grow like a power of 1/length (the faulted residual reads about
+    1e8 here), so the absolute suite threshold does not apply at this
+    scale."""
     spec = elliptic_r_matrix(build_root_system("A", 1), Lattice(0.1, 0.11j))
-    assert len(quad_ring(spec, 0.1)) == 67
-    with pytest.raises(PoleError):
-        quad_ring(spec, 0.35)
+    assert spec.length == pytest.approx(0.05, rel=1e-15)
+    for radius in (0.1, 0.35):
+        ring = quad_ring(spec, radius)
+        assert len(ring) == 32
+        assert np.max(np.abs(ring)) / spec.lattice.shortest_period \
+            <= radius / 4 + 1e-15
+    q, xi, eta, _ = sized_samples(spec, 3, 910, spec.length)
+    z = 0.4 * spec.length * np.exp(1j * np.arange(3))
+    faulted = spec.with_fault(4.0)
+    assert np.all(verify_mdybe(spec, q, xi, eta)
+                  < 1e-12 * verify_mdybe(faulted, q, xi, eta))
+    assert np.max(verify_axioms(spec, q, z)["residue"]) < 1e-12
+    assert np.min(verify_axioms(faulted, q, z)["residue"]) > 1.0
 
 
 @pytest.mark.parametrize("family,rank,periods", SIZED_CASES)

@@ -36,9 +36,8 @@ from pathlib import Path
 import numpy as np
 
 from .elliptic import Lattice
-from .errors import (ConfigError, ConstraintError, GaugeDomainError,
-                     PoleError, SpincmError, StructuralError,
-                     raise_on_fp_fault)
+from .errors import (ConfigError, GaugeDomainError, PoleError, SpincmError,
+                     StructuralError, raise_on_fp_fault)
 from .phase import (PhasePoint, ReducedPoint, reduced_roots, reduction,
                     slice_lift)
 from .rmatrix import (FAMILIES, RMatrixSpec, default_mdybe_samples,
@@ -510,9 +509,9 @@ def _suite_mdybe(system, config, rng) -> dict:
         {"q": q, "z": z, "xi": xi, "eta": eta})]}
 
 
-def _lax_check(name: str, system, x: dict, **kwargs) -> dict:
+def _lax_check(name: str, system, x: dict) -> dict:
     return _worst(name, lax_residuals(system, _points(system.rs, x), [
-        system.length * z for z in default_z_samples()], **kwargs), x)
+        system.length * z for z in default_z_samples()]), x)
 
 
 def _suite_lax(system, config, rng) -> dict:
@@ -522,8 +521,7 @@ def _suite_lax(system, config, rng) -> dict:
     if system.family == "rational":
         off = _random_points(system, rng, 5)
         off["xi"][:, :rank] = _normal(rng, (5, rank))
-        checks.append(_lax_check("quasi_lax_off_sigma", system, off,
-                                 anomaly=True))
+        checks.append(_lax_check("quasi_lax_off_sigma", system, off))
     checks.append(_lax_check("lax_reduced_pointwise", system,
                              _random_points(system, rng, 3, reduced=True)))
     return {"checks": checks}
@@ -581,9 +579,6 @@ FAULT_SCALE = 4.0
 
 def cmd_verify(config: RunConfig, suite: str, out_dir: Path, *,
                inject_fault: bool = False) -> int:
-    if suite not in SUITES:
-        raise ConfigError(f"unknown suite {suite!r}; expected one of "
-                          + ", ".join(SUITES))
     system = config.system()
     if inject_fault:
         system = system.with_fault(FAULT_SCALE)
@@ -733,7 +728,7 @@ def main(argv=None) -> int:
         note = ("" if isinstance(exc, (SpincmError, OSError))
                 else "out of range: ")
         print(f"spincm: {note}{exc}", file=sys.stderr)
-        singular = (PoleError, GaugeDomainError, ConstraintError)
+        singular = (PoleError, GaugeDomainError)
         return EXIT_SINGULARITY if isinstance(exc, singular) else EXIT_CONFIG
 
 

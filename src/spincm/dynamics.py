@@ -20,9 +20,9 @@ numerically, each over a stack of points in one array evaluation, and so
 does :func:`gauge_residual`, L_0 at pi(x) against Ad_{g(xi)^{-1}} L(x).
 
 Sign conventions (plus Lie-Poisson with the plain-dual coadjoint spin flow
-d(I xi)/dt = -[dH_xi, I xi], and B = -R_q(L/z) so that dL/dt = [B, L] on
-Sigma) are validated empirically by the residual checks in the test-suite
-rather than asserted twice.
+d(I xi)/dt = -[dH_xi, I xi], and B = -R_q(L/z) so that dL/dt = [B, L] -
+(X_J R)(L/z), the Lax equation on Sigma) are validated empirically by the
+residual checks in the test-suite rather than asserted twice.
 """
 
 from __future__ import annotations
@@ -384,10 +384,10 @@ def sigma_residual(sys: RMatrixSpec, x: PhasePoint) -> float:
                   "the distance from Sigma")
 
 
-def _lax_pair(sys: RMatrixSpec, points: list, z, anomaly: bool = False):
+def _lax_pair(sys: RMatrixSpec, points: list, z):
     """The Lax pair at the points (all PhasePoints, or all ReducedPoints
-    for L_0 and B_0), stacked: max_z ||dL/dt - [B, L]|| per point (plus
-    (X_J R)(L/z) with ``anomaly``) and B = -R_q(L/z) on z.  One unreduced
+    for L_0 and B_0), stacked: the quasi-Lax residual max_z ||dL/dt -
+    [B, L] + (X_J R)(L/z)|| per point and B = -R_q(L/z) on z.  One unreduced
     flow call on the stack, reduced points at their slice lift, gives the
     velocity (q_dot, p_dot, xi_dot); a lift moves by its pushforward, and
     B_0 is B less the torus drift D that the slice leaves out, alpha_j(D) =
@@ -420,12 +420,11 @@ def _lax_pair(sys: RMatrixSpec, points: list, z, anomaly: bool = False):
         # less the torus drift D: alpha_j(D) = xi_dot on the simple roots
         b[..., :n] -= np.linalg.solve(rs.alpha_h[:n],
                                       vel[:, 3 * n:4 * n, None])[:, None, :, 0]
-    res = dlax - rs.bracket_coords(b, lax)
-    if anomaly:
-        # (X_J R)(L/z): the du = 1 table at -z, scaled by alpha(J)
-        dr = dr[:, :, m:].copy()
-        dr[..., n:] *= rs.root_values(xi[:, :n])[:, None]
-        res = res + _r_pairing(dr[..., rs.dual_index], principal[:, :, None])
+    # (X_J R)(L/z), 0 where J = 0: the du = 1 table at -z scaled by alpha(J)
+    dr = dr[:, :, m:].copy()
+    dr[..., n:] *= rs.root_values(xi[:, :n])[:, None]
+    res = dlax - rs.bracket_coords(b, lax) + _r_pairing(
+        dr[..., rs.dual_index], principal[:, :, None])
     return np.max(np.abs(res), axis=(-2, -1), initial=0.0), b
 
 
@@ -443,8 +442,8 @@ def lax_B(sys: RMatrixSpec, x, nodes) -> AlgElement:
             raise ConstraintError(
                 f"point is off the constraint set Sigma: residual {res:.3e} "
                 f"exceeds {SIGMA_TOL:.1e}", residual=res)
-    # The flow satisfies dL/dt = -[R_q(L/z), L]; shipping B = -R_q(L/z)
-    # keeps the residual functions in the plain dL/dt - [B, L] form.
+    # On Sigma the flow satisfies dL/dt = -[R_q(L/z), L]; shipping B =
+    # -R_q(L/z) makes it the plain dL/dt = [B, L].
     return AlgElement(sys.rs, _lax_pair(sys, [x], nodes)[1][0])
 
 
@@ -463,12 +462,11 @@ def _z_list(z_samples: Sequence[complex] | None) -> Sequence[complex]:
 
 @raise_on_fp_fault
 def lax_residuals(sys: RMatrixSpec, points: list,
-                  z_samples: Sequence[complex] | None = None, *,
-                  anomaly: bool = False) -> np.ndarray:
-    """max_z ||dL/dt - [B, L]|| at each of the points (L_0 and B_0 for
-    ReducedPoints) in one stacked evaluation; ``anomaly`` adds (X_J R)(L/z),
-    the Lax equation off Sigma (rational family).  Sigma is not checked."""
-    return _lax_pair(sys, points, _z_list(z_samples), anomaly)[0]
+                  z_samples: Sequence[complex] | None = None) -> np.ndarray:
+    """The quasi-Lax residual max_z ||dL/dt - [B, L] + (X_J R)(L/z)|| at
+    each of the points (L_0 and B_0 for ReducedPoints) in one stacked
+    evaluation: the Lax equation where J = 0 (on Sigma, at a slice lift)."""
+    return _lax_pair(sys, points, _z_list(z_samples))[0]
 
 
 # ---------------------------------------------------------------------------

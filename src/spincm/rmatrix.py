@@ -431,26 +431,41 @@ def _ring_means(nodes: np.ndarray, values: np.ndarray,
 # axiom verification
 
 
-def _require_samples(*counts: int) -> None:
-    """StructuralError unless every count of samples is positive."""
-    if not all(counts):
+def _check_shape(name: str, v, *want) -> np.ndarray:
+    """v as a complex array; StructuralError naming the shape ``want`` (a
+    str entry stands for any length) unless v has it."""
+    v = np.asarray(v, dtype=complex)
+    if v.ndim != len(want) or any(
+            n != w for n, w in zip(v.shape, want) if not isinstance(w, str)):
+        shape = str(want).replace("'", "")
+        raise StructuralError(f"expected {name} of shape {shape}, got "
+                              f"{v.shape}")
+    return v
+
+
+def _stacked_q(rs: RootSystem, q, *others) -> np.ndarray:
+    """q of shape (S, rank) or (rank,) as a complex array; StructuralError
+    if it or any of ``others`` holds no sample."""
+    if not all(np.size(v) for v in (q, *others)):
         raise StructuralError("expected at least one sample, got none")
+    return _check_shape("q", q, *("S",) * (np.ndim(q) > 1), rs.rank)
 
 
 @raise_on_fp_fault
 def verify_axioms(spec: RMatrixSpec, q, z) -> dict:
     """Zero-weight, unitarity and residue residuals at every (q, z) sample
-    (q of shape (samples, rank)), one array each; thresholds are the
-    caller's business.  On the coefficient vector c: the weights of slots
-    a and dual(a) cancel on c_a, c(z)[a] + c(-z)[dual(a)] = 0, and the
-    residue at z = 0 (on the ring AXIOM_QUAD_RADIUS) is the Casimir
-    tensor, c = 1.  One kernel pass for all samples (StructuralError if
-    none)."""
+    (q of shape (S, rank) and z (S,), or q (rank,) and a scalar z), one
+    array each; thresholds are the caller's business.  On the coefficient
+    vector c: the weights of slots a and dual(a) cancel on c_a, c(z)[a] +
+    c(-z)[dual(a)] = 0, and the residue at z = 0 (on the ring
+    AXIOM_QUAD_RADIUS) is the Casimir tensor, c = 1.  One kernel pass for
+    all samples (StructuralError if none, or on another shape)."""
     rs = spec.rs
     weights = np.concatenate([np.zeros((rs.rank, rs.rank)), rs.alpha_h])
     slot_weight = weights + weights[rs.dual_index]
-    ring, z = quad_ring(spec, AXIOM_QUAD_RADIUS), np.asarray(z, dtype=complex)
-    _require_samples(np.size(q), z.size)
+    q = _stacked_q(rs, q, z)
+    z = np.atleast_1d(_check_shape("z", z, *q.shape[:-1]))
+    q, ring = np.atleast_2d(q), quad_ring(spec, AXIOM_QUAD_RADIUS)
     c = _r_table(spec, q, np.concatenate([[z, -z], np.broadcast_to(
         ring[:, None], (len(ring), len(z)))]), range(1))[0, 0]
     res = _ring_means(ring, np.moveaxis(c[2:], 1, 0), 1)[0]
@@ -479,16 +494,16 @@ def verify_cdybe(spec: RMatrixSpec, q, z1, z2, z3):
         Alt(d_h r) + [r12(z12), r13(z13)] + [r12(z12), r23(z23)]
                    + [r13(z13), r23(z23)]
 
-    with z_ij = z_i - z_j and all q-derivatives analytic.  Leading axes of
-    q stack samples, with one z triple per sample: one kernel pass for
-    all, and one residual per sample (a float for one; StructuralError
-    for none)."""
+    with z_ij = z_i - z_j and all q-derivatives analytic.  A leading axis
+    of q stacks samples (q (S, rank), each z (S,); or q (rank,) and scalar
+    z), with one z triple per sample: one kernel pass for all, and one
+    residual per sample (a float for one; StructuralError for none, or on
+    another shape)."""
     rs = spec.rs
     (a, b, c, f), d = _structure_nz(rs), rs.dual_index
-    q = np.asarray(q, dtype=complex)
-    _require_samples(q.size)
-    z1, z2, z3 = np.broadcast_arrays(*(np.asarray(v, dtype=complex)
-                                       for v in (z1, z2, z3)))
+    q = _stacked_q(rs, q)
+    z1, z2, z3 = (_check_shape(f"z{k}", v, *q.shape[:-1])
+                  for k, v in enumerate((z1, z2, z3), 1))
     z12, z13, z23 = z1 - z2, z1 - z3, z2 - z3
     # one kernel pass: r at z12, z13, z23 and dr/dq at z23, z31, z12
     r, dr = _r_table(spec, q, [z12, z13, z23, -z13], range(1), du=1)[:, 0]
@@ -559,15 +574,21 @@ def verify_mdybe(spec: RMatrixSpec, q, xi, eta, *,
     max; StructuralError if there is no q or no z.
 
     A leading axis stacks samples (q (S, rank), xi and eta (S, T, dim),
-    z_samples (m,) or (S, m)), with one kernel pass for all and one
-    residual per sample (a float for a single one); each sample keeps its
-    own arithmetic.  xi, eta and every term are (sample, node, n+1, n+1)
-    matrices; only the residual goes back to coordinates, for its max."""
+    z_samples (m,) or (S, m); StructuralError on another shape), with one
+    kernel pass for all and one residual per sample (a float for a single
+    one); each sample keeps its own arithmetic.  xi, eta and every term
+    are (sample, node, n+1, n+1) matrices; only the residual goes back to
+    coordinates, for its max."""
     rs, ring = spec.rs, quad_ring(spec, MDYBE_QUAD_RADIUS)
-    n, qs = len(ring), np.asarray(q, dtype=complex).reshape(-1, rs.rank)
-    samples = np.atleast_2d(default_mdybe_samples(spec.length) if z_samples
-                            is None else np.asarray(z_samples, dtype=complex))
-    _require_samples(qs.size, samples.size)
+    samples = np.asarray(default_mdybe_samples(spec.length) if z_samples
+                         is None else z_samples, dtype=complex)
+    q = _stacked_q(rs, q, samples)
+    lead = q.shape[:-1]
+    xi, eta = (_check_shape(name, v, *lead, "T", rs.dim)
+               for name, v in (("xi", xi), ("eta", eta)))
+    samples = np.atleast_2d(_check_shape(
+        "z_samples", samples, *(lead if samples.ndim > 1 else ()), "m"))
+    n, qs = len(ring), q.reshape(-1, rs.rank)
     nodes = np.concatenate([np.broadcast_to(ring, (len(samples), n)),
                             samples], -1)
     # values (S, node, ...) and principal parts (T, S, 1, ...), the order
@@ -608,4 +629,4 @@ def verify_mdybe(spec: RMatrixSpec, q, xi, eta, *,
     res += _ring_means(ring, g.sum(-1) - g.sum(-2), 1)[0, :, None, :, None] \
         * np.eye(rs.matrix_size)
     worst = np.max(np.abs(rs.to_coords(res)), axis=(-2, -1))
-    return float(worst[0]) if np.ndim(q) < 2 else worst
+    return float(worst[0]) if q.ndim < 2 else worst

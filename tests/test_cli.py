@@ -684,8 +684,7 @@ def replay(config, suite, check):
     p = complex_array(w["p"])
     if "xi" in w:
         x = PhasePoint(q, p, AlgElement(rs, complex_array(w["xi"])))
-        return lax_residuals(system, [x],
-                             anomaly=name == "quasi_lax_off_sigma")[0]
+        return lax_residuals(system, [x])[0]
     x = ReducedPoint(rs, q, p, complex_array(w["s"]))
     if suite == "lax":
         return lax_residuals(system, [x])[0]
@@ -823,6 +822,47 @@ def test_verify_witnesses_replay_max_residual(tmp_path, family, suite):
         assert 0 <= check["witness"]["sample"] < check["samples"]
         assert replay(config, suite, check) == pytest.approx(
             check["max_residual"], rel=1e-12, abs=1e-300), check["name"]
+
+
+@pytest.mark.parametrize("family", ["rational", "trigonometric", "elliptic"])
+def test_verify_spectral_from_initial_s_replays(tmp_path, family):
+    """The spectral suite of a config with initial.s, the job shape of the
+    verify benchmark at rank 3: it integrates from the config's reduced
+    point, which its witness carries as q, p and s, and integrating from
+    them gives max_residual again."""
+    labels = [root_label(r) for r in reduced_roots(build_root_system("A", 3))]
+    data = {"family": family, "rank": 3, "seed": 1,
+            "initial": {"q": [0.4, -0.7, 1.1], "p": [0.2, -0.1, 0.15],
+                        "s": {label: [math.cos(k), math.sin(k)]
+                              for k, label in enumerate(labels)}},
+            "integration": {"t_final": 0.1}}
+    if family == "elliptic":
+        data["lattice"] = WIDE_LATTICE
+    cfg = write_config(tmp_path, "ver.json", data)
+    assert main(["verify", "--config", cfg, "--suite", "spectral",
+                 "--out", str(tmp_path)]) == EXIT_PASS
+    config = parse_config(data)
+    initial = build_initial(config, config.system())
+    for check in json.loads((tmp_path / "report.json").read_text())["checks"]:
+        w = check["witness"]
+        for key in ("q", "p", "s"):
+            assert np.array_equal(complex_array(w[key]),
+                                  getattr(initial, key)), key
+        assert replay(config, "spectral", check) == check["max_residual"]
+
+
+def test_verify_spectral_abort_exits_3(tmp_path, capsys):
+    """A config whose initial.s flow reaches the collision guard (rational
+    A_1 at q = 0.0537 moving into the wall): exit 3, naming the abort."""
+    cfg = write_config(tmp_path, "ver.json", {
+        "family": "rational", "rank": 1,
+        "initial": {"q": [0.0537], "p": [-1.0], "s": {"[-1]": [1.0, 0.0]}},
+        "integration": {"t_final": 0.1}})
+    assert main(["verify", "--config", cfg, "--suite", "spectral",
+                 "--out", str(tmp_path)]) == EXIT_SINGULARITY
+    err = capsys.readouterr().err
+    assert err.startswith("spincm: spectral suite trajectory aborted: "
+                          "collision guard at t = ")
 
 
 def test_spin_labels_are_parsed_once_per_job(tmp_path, monkeypatch):

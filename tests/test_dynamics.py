@@ -40,7 +40,7 @@ from test_elliptic import mp_weierstrass
 from spincm.phase import (PhasePoint, ReducedPoint, gauge_g, lift_reduced,
                           project_pi, reduced_roots)
 from spincm.rmatrix import _r_table, positive_pair_weight, root_coeff_reg0
-from spincm.rootsys import AlgElement, form, negate, torus_adjoint
+from spincm.rootsys import AlgElement, bracket, form, negate, torus_adjoint
 from spincm.dynamics import (_lax_pair, _pack_point, _spectral_gradients,
                              collision_margin, conserved_spectrum,
                              Trajectory, default_z_samples, fpbr_residual,
@@ -629,7 +629,7 @@ def test_quasi_lax_off_sigma_rational():
     rng = np.random.default_rng(19)
     x = generic_point(sys, rng)
     assert sigma_residual(sys, x) > 0.1
-    assert lax_residuals(sys, [x], anomaly=True)[0] < 1e-10
+    assert lax_residuals(sys, [x])[0] < 1e-10
     zs = default_z_samples()
     b = _lax_pair(sys, [x], zs)[1][0]
     plain = 0.0
@@ -645,7 +645,25 @@ def test_quasi_lax_reduces_to_lax_on_sigma():
     sys = make_system("rational", 2)
     rng = np.random.default_rng(23)
     x = sigma_point(sys, rng)
-    assert lax_residuals(sys, [x], anomaly=True)[0] < 1e-10
+    assert lax_residuals(sys, [x])[0] < 1e-10
+
+
+@pytest.mark.parametrize("family", ["rational", "trigonometric", "elliptic"])
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_quasi_lax_holds_off_sigma_in_every_family(family, rank):
+    # one Lax identity on the whole phase space: off Sigma the momentum
+    # anomaly (X_J R)(L/z) restores dL/dt = [B, L] in every family, where
+    # the plain residual fails
+    sys = make_system(family, rank, lattice=WIDE if family == "elliptic"
+                      else None)
+    rng = np.random.default_rng(100 + rank)
+    points = [generic_point(sys, rng) for _ in range(3)]
+    assert np.max(lax_residuals(sys, points)) < 1e-8
+    zs = default_z_samples()
+    for x, b in zip(points, _lax_pair(sys, points, zs)[1]):
+        plain = lax_time_derivative(sys, x, zs) - bracket(
+            AlgElement(sys.rs, b), lax_L(sys, x, zs))
+        assert sigma_residual(sys, x) > 0.1 and plain.max_abs() > 1e-3
 
 
 def test_spectrum_constant_along_unreduced_flow():
@@ -751,7 +769,7 @@ def test_fault_knob_does_not_reach_lax_coefficients():
                       conserved_spectrum(sys, x, zs),
                       conserved_spectrum(sys, red, zs)]
             if family == "rational":
-                values.append(lax_residuals(sys, [off], anomaly=True))
+                values.append(lax_residuals(sys, [off]))
             return [np.asarray(v).tobytes() for v in values]
 
         assert evaluate(faulted) == evaluate(clean), family
@@ -860,11 +878,10 @@ def test_lax_residuals_of_a_stack_are_its_per_point_values(family, rank,
     make = {"sigma": sigma_point, "anomaly": generic_point,
             "reduced": random_reduced}[kind]
     points = [make(sys, rng) for _ in range(5)]
-    anomaly = kind == "anomaly"
-    stacked = lax_residuals(sys, points, anomaly=anomaly)
+    stacked = lax_residuals(sys, points)
     assert stacked.shape == (5,)
     assert stacked.tobytes() == np.concatenate(
-        [lax_residuals(sys, [x], anomaly=anomaly) for x in points]).tobytes()
+        [lax_residuals(sys, [x]) for x in points]).tobytes()
 
 
 def test_reduced_time_derivative_is_directional_derivative():

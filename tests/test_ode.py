@@ -164,6 +164,22 @@ def test_negative_t_final_lands_exactly():
     assert solver.stats["dense"] == 0
 
 
+def test_step_size_control_fails_at_a_blow_up():
+    """y' = y^2, y(0) = 2 blows up at t = 1/2: the steps shrink there until
+    they fall below 10 ulp of t, and step returns False with nothing moved,
+    again on every later call."""
+    solver = DormandPrince(lambda t, y: y * y, 0.0, np.array([2.0]), 1.0,
+                           1e-10, 1e-12)
+    while solver.step():
+        pass
+    t, y, stats = solver.t, solver.y.copy(), solver.stats
+    assert not solver.finished and abs(t - 0.5) < 1e-9
+    assert abs(y[0]) > 1e12 and stats["h_min"] < 1e-14
+    assert not solver.step()
+    assert solver.t == t and np.array_equal(solver.y, y)
+    assert solver.stats["accepted"] == stats["accepted"]
+
+
 def test_no_scipy_on_the_import_path(tmp_path):
     cfg = tmp_path / "sim.json"
     cfg.write_text(json.dumps({

@@ -1030,6 +1030,43 @@ def test_mdybe_stack_trims_its_pole_order():
         < 1e-10
 
 
+# (family, rank, call) -> the name of the mis-shaped argument
+_MISSHAPED = {
+    "mdybe-xi-count": ("trigonometric", 2, lambda s, q, x: verify_mdybe(
+        s, q[:2], x[:3], x[:3]), "xi"),
+    "mdybe-q-rank": ("rational", 3, lambda s, q, x: verify_mdybe(
+        s, q[:3, :2], x[:3], x[:3]), "q"),
+    "mdybe-z-count": ("rational", 2, lambda s, q, x: verify_mdybe(
+        s, q, x, x, z_samples=np.full((3, 2), 0.5)), "z_samples"),
+    "mdybe-xi-dim": ("rational", 2, lambda s, q, x: verify_mdybe(
+        s, q, x[..., 1:], x), "xi"),
+    "axioms-q-rank": ("rational", 2, lambda s, q, x: verify_axioms(
+        s, q[:, :1], [0.5] * 4), "q"),
+    "axioms-z-count": ("rational", 2, lambda s, q, x: verify_axioms(
+        s, q, [0.5] * 3), "z"),
+    "cdybe-q-rank": ("trigonometric", 2, lambda s, q, x: verify_cdybe(
+        s, np.ones((4, 3)), *[[0.3] * 4, [0.1] * 4, [-0.2] * 4]), "q"),
+    "cdybe-z-count": ("trigonometric", 2, lambda s, q, x: verify_cdybe(
+        s, q, [0.3] * 3, [0.1] * 3, [-0.2] * 3), "z1"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MISSHAPED))
+def test_verifiers_reject_misshaped_stacks(case):
+    """q is (S, rank) or (rank,), xi and eta (S, T, dim) or (T, dim), z
+    one per sample and z_samples (m,) or (S, m): any other shape is a
+    StructuralError naming the expected one, where mdybe regrouped the
+    stack into another sample count and the others raised a raw
+    ValueError."""
+    family, rank, call, name = _MISSHAPED[case]
+    spec = all_specs(rank)[family]
+    rng = np.random.default_rng(1040)
+    q = rng.uniform(0.4, 0.8, size=(4, rank))
+    xi = np.array([random_laurent(spec.rs, 2, rng) for _ in range(4)])
+    with pytest.raises(StructuralError, match=f"expected {name} of shape"):
+        call(spec, q, xi)
+
+
 @pytest.mark.parametrize("family", ["rational", "trigonometric", "elliptic"])
 def test_r_table_broadcasts_shared_nodes_against_stacked_q(family):
     # z of shape (nodes, 1) against 5 stacked q gives the table of the

@@ -12,6 +12,7 @@ import pytest
 from dense_reference import dense_structure
 from spincm.errors import StructuralError, UnsupportedAlgebraError
 from helpers import coadjoint_action, element_from_matrix
+from spincm.phase import PhasePoint, ReducedPoint
 from spincm.rootsys import (AlgElement, bracket, build_root_system, form,
                             matrix_rep, negate, parse_root_label, root_label,
                             root_system_summary, torus_adjoint)
@@ -343,3 +344,30 @@ def test_summary_is_json_serializable():
     assert data["rank"] == 2
     assert len(data["roots"]) == 6
     assert data["cartan_matrix"] == [[2, -1], [-1, 2]]
+
+
+_A2, _A3 = build_root_system("A", 2), build_root_system("A", 3)
+_ONE = np.ones(2, dtype=complex)
+
+
+@pytest.mark.parametrize("build,error,match", [
+    (lambda: PhasePoint(np.ones(3, dtype=complex), _ONE,
+                        AlgElement.zero(_A2)),
+     StructuralError, "q and p must have 2 coordinates each"),
+    (lambda: ReducedPoint(_A2, _ONE, np.ones((1, 2)), np.ones(4)),
+     StructuralError, "q and p must have 2 coordinates each"),
+    (lambda: ReducedPoint(_A2, _ONE, _ONE, np.ones(5)),
+     StructuralError, "expected 4 reduced spin coordinates"),
+    (lambda: AlgElement(_A2, np.ones(9)),
+     StructuralError, r"expected \(\.\.\., 8\)"),
+    (lambda: AlgElement.zero(_A2) + AlgElement.zero(_A3),
+     StructuralError, "different root systems"),
+    (lambda: torus_adjoint(np.ones(3), AlgElement.zero(_A2)),
+     StructuralError, "expected 2 coroot coordinates"),
+    (lambda: parse_root_label("[1,x]", 2),
+     ValueError, "is not a tuple of integers"),
+], ids=["phase-q", "reduced-p", "reduced-s", "element-shape",
+        "mixed-systems", "coroot-shape", "label-not-integer"])
+def test_construction_errors_are_typed(build, error, match):
+    with pytest.raises(error, match=match):
+        build()

@@ -55,6 +55,9 @@ SIGMA_TOL = 1e-8
 MAX_STEPS = 200_000
 # Singular-set distance (collision_margin) below which integrate stops.
 COLLISION_TOL = 1e-6
+# Errors that truncate a trajectory (in a step or a later energy), not raise.
+_TRUNCATING = (PoleError, StructuralError, ZeroDivisionError,
+               FloatingPointError, OverflowError)
 
 
 # ---------------------------------------------------------------------------
@@ -193,20 +196,23 @@ def _energy(sys: RMatrixSpec, q, p, xi) -> np.ndarray:
 
 def _energy_column(sys: RMatrixSpec, q, p, xi):
     """(energy, fault): :func:`_energy` over the stacked points, cut before
-    the first one whose energy faults, and that FloatingPointError (None if
-    none does).  A fault at the first point raises StructuralError."""
+    the first one whose energy raises one of _TRUNCATING, and that error
+    (None if none does).  At the first point a pole raises as it is and a
+    floating-point fault raises StructuralError."""
     try:
         return _energy(sys, q, p, xi), None
-    except FloatingPointError:
+    except _TRUNCATING:
         pass
     for k in range(len(q)):
         try:
             _energy(sys, q[k], p[k], xi[k])
-        except FloatingPointError as exc:
-            if k == 0:
+        except _TRUNCATING as exc:
+            if k:
+                return _energy(sys, q[:k], p[:k], xi[:k]), exc
+            if isinstance(exc, FloatingPointError):
                 raise StructuralError(f"the energy of the initial state is "
                                       f"out of floating-point range: {exc}")
-            return _energy(sys, q[:k], p[:k], xi[:k]), exc
+            raise
 
 
 def _flow(sys: RMatrixSpec, y: np.ndarray, reduced: bool) -> np.ndarray:
@@ -275,7 +281,7 @@ def integrate(sys: RMatrixSpec, x0, t_final: float, tol: float = 1e-10, *,
     call.  t_final may be negative (backward flow).  A non-finite t_final,
     tol or initial state raises StructuralError, and so does an initial
     state whose energy overflows, or one past the range of the elliptic
-    argument reduction.  Close approaches to the singular set, poles,
+    argument reduction.  Close approaches to the singular set, poles and
     floating-point faults (also in the first evaluation, a collision check,
     the dense output and the energy of a later grid point) and a step past
     that range truncate the trajectory instead of raising, and so does a
@@ -320,8 +326,7 @@ def integrate(sys: RMatrixSpec, x0, t_final: float, tol: float = 1e-10, *,
                 (t_grid[filled:] - solver.t) * solver.direction <= slack)
             states[filled:end] = solver.dense(t_grid[filled:end])
             filled = end
-        except (PoleError, StructuralError, ZeroDivisionError,
-                FloatingPointError, OverflowError) as exc:
+        except _TRUNCATING as exc:
             reason = f"integration aborted at t = {solver.t:.6g}: {exc}"
             break
 
@@ -341,15 +346,15 @@ def integrate(sys: RMatrixSpec, x0, t_final: float, tol: float = 1e-10, *,
 # Lax operators
 
 
-def _lax(sys: RMatrixSpec, q, z, kzs: range = range(1), du: int = 0):
+def _lax(sys: RMatrixSpec, q, z, kmax: int = 1, du: int = 0):
     """The Lax side's one read of the kernel, the r table (:func:`_r_table`)
     of the spec without its fault at the stacked q and every z: shape (1 +
-    du, len(kzs)) + points + z.shape + (dim,), the points leading, as q
+    du, kmax) + points + z.shape + (dim,), the points leading, as q
     takes a unit axis per z axis and z one per point axis."""
     z = np.asarray(z, dtype=complex)
     return _r_table(sys.with_fault(1.0), np.expand_dims(q, tuple(range(
         -1 - z.ndim, -1))), z.reshape((1,) * (np.ndim(q) - 1) + z.shape),
-        kzs, du)
+        kmax, du)
 
 
 def _lax_value(r, p, xi) -> np.ndarray:
@@ -405,7 +410,7 @@ def _lax_pair(sys: RMatrixSpec, points: list, z):
         dxi = np.concatenate([np.zeros((len(q), 2 * n)),
                               pushforward(rs, xi[:, 2 * n:], dxi)], -1)
     m = len(z)
-    r, dr = _lax(sys, q, np.concatenate([z, -z]), range(2), du=1)
+    r, dr = _lax(sys, q, np.concatenate([z, -z]), 2, du=1)
     lax, dlax = (_lax_value(r[0, :, :m], cartan, spin)
                  for cartan, spin in ((p, xi), (vel[:, n:2 * n], dxi)))
     dlax[..., n:] += dr[0, :, :m, n:] * rs.root_values(vel[:, :n])[:, None] \
@@ -645,7 +650,7 @@ def fpbr_residual(sys: RMatrixSpec, x: PhasePoint, z: complex,
     # ad[j][b] = [e_{dual(b)}, L_j] for L(z), L(w)
     ad_z, ad_w = np.moveaxis(rs.bracket_coords(
         np.eye(rs.dim)[d, None, :], _lax_value(r, p, xi)), 1, 0)
-    c12, d12 = _r_table(sys, q, z - w, range(1), du=1)[:, 0]
+    c12, d12 = _r_table(sys, q, z - w, 1, du=1)[:, 0]
     com = c12[d] * ad_z.T + c12[:, None] * ad_w
     com[roots, d[roots]] += d12[roots] * rs.root_values(xi[:n])
     return float(np.max(np.abs(bracket_full(x, *rows) + com)))

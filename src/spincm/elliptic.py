@@ -12,17 +12,19 @@ strides, and runs the same array code either way: the argument enters as
 a contiguous array of at least one dimension, so a scalar call is its
 array element bit for bit, and a scalar in gives a Python scalar out.  Each
 reads one pass per argument: the reduction (StructuralError past 2^52
-periods) and the pole guard if asked.  sigma, zeta and wp then take
-theta_1 with three derivatives, a dot product of [sin | cos]((2n+1) v)
-with a term table whose length keeps the dropped tail below _REL_CUTOFF in
-the centred cell.  The r-matrix ladder (``Lattice._coefficient_ladder``)
-and l take the tables of e^{+-i(2n+1) v} instead, and read l as a theta
-product (DLMF 23.6.9 with 20.2.1), (pi / 2 w1) theta_1'(0) E theta_1(v_w +
-v_z) / (theta_1(v_w) theta_1(v_z)) with one exponential E: the terms of
-theta_1(v_w + v_z) are products of the w and z tables, so there is no
-w + z pass, no sigma and no zeta difference, and w + z on the lattice is a
-regular zero.  numpy floating-point faults raise FloatingPointError, not inf
-or nan.
+periods) and the pole guard if asked.  sigma, zeta and wp then read one
+sin/cos pass on the flat argument (``Lattice._pass``), theta_1 with three
+derivatives: a dot product of [sin | cos]((2n+1) v) with a term table
+whose length keeps the dropped tail below _REL_CUTOFF in the centred cell;
+results take the argument's shape last.  The r-matrix ladder
+(``Lattice._coefficient_ladder``) and l take the tables of e^{+-i(2n+1) v}
+instead, and read l as a theta product (DLMF 23.6.9 with 20.2.1), (pi / 2
+w1) theta_1'(0) E theta_1(v_w + v_z) / (theta_1(v_w) theta_1(v_z)) with one
+exponential E: the terms of theta_1(v_w + v_z) are products of the w and z
+tables, so there is no w + z pass, no sigma and no zeta difference, and w +
+z on the lattice is a regular zero.  Its mixed row is one matrix product
+per z and sample.  numpy floating-point faults raise FloatingPointError,
+not inf or nan.
 
 Conventions: half-periods omega1, omega2 with Im(omega2/omega1) > 0; the
 lattice is 2*omega1*Z + 2*omega2*Z.  omega1, omega2, eta1, eta2, the branch
@@ -283,17 +285,10 @@ class Lattice:
         return z0, mn
 
     def _pass(self, z, what: str | None = None) -> tuple[np.ndarray, ...]:
-        """The pass every evaluation but wp reads: z0, m and n of _cell in
-        the shape of z (a scalar as one element), and _theta1 at z0."""
-        shape = np.shape(z) or (1,)
+        """The one sin/cos pass, on z flattened: z0 of _cell, m and n as
+        column views of its mn, and _theta1 at z0."""
         z0, mn = self._cell(z, what)
-        z0, m, n = (a.reshape(shape) for a in (z0, mn[:, 0], mn[:, 1]))
-        return z0, m, n, self._theta1(z0)
-
-    def _wp_flat(self, z) -> tuple[np.ndarray, np.ndarray]:
-        """(wp, wp') at z, flattened: _cell with its pole guard and _theta1
-        in one pass."""
-        return self._wp_from_theta(self._theta1(self._cell(z, "wp")[0]))
+        return z0, mn[:, 0], mn[:, 1], self._theta1(z0)
 
     def _sigma(self, p) -> np.ndarray:
         z0, m, n, th = p[0], p[1], p[2], p[3][..., 0]
@@ -359,8 +354,8 @@ class Lattice:
 
     @raise_on_fp_fault
     def wp_pair(self, z):
-        """(wp(z), wp'(z)) from one pass (_wp_flat)."""
-        wp, wp_prime = self._wp_flat(z)
+        """(wp(z), wp'(z)) from one pass."""
+        wp, wp_prime = self._wp_from_theta(self._pass(z, "wp")[3])
         return _value(wp, z), _value(wp_prime, z)
 
     def wp(self, z):
@@ -375,15 +370,15 @@ class Lattice:
         return [_value(v, z)
                 for v in self._zetas(self._pass(z, "zeta"), kmax)]
 
-    def _exp_pass(self, z, what: str, ndim: int) -> tuple[np.ndarray, ...]:
+    def _exp_pass(self, z, ndim: int) -> tuple[np.ndarray, ...]:
         """The ladder's pass of one argument: z0, m and n of _cell, with its
-        pole guard, in the shape of z (a scalar as one element), and
+        l_kernel pole guard, in the shape of z (a scalar as one element), and
         e^{i (2n+1) v}, e^{-i (2n+1) v} at v = pi z0 / (2 w1) over the
         doubled-cell terms, on a leading axis before that shape, padded
         with unit axes to ``ndim`` axes (the term axis first keeps the
         elementwise products on long inner loops)."""
         shape = np.shape(z) or (1,)
-        z0, mn = self._cell(z, what)
+        z0, mn = self._cell(z, "l_kernel")
         arg = np.multiply.outer(self._ifreq, z0).reshape(
             (-1,) + (1,) * (ndim - len(shape)) + shape)
         z0, m, n = (a.reshape(shape) for a in (z0, mn[:, 0], mn[:, 1]))
@@ -417,11 +412,13 @@ class Lattice:
         X_m, Y_m = q^{2m} e^{+-2ib} and L(X) = X / (1 - X), whose
         b-derivatives are (+-2i)^k Li_{-k}: there the pole of beta K in z0
         sits in the regular ladder of b csc b, so no pole of c cancels in
-        the row, as it would in c (beta - d_u log theta_1(a)) + ... ."""
+        the row, as it would in c (beta - d_u log theta_1(a)) + ... .  The
+        du row takes z on a unit roots' axis (the r tables' z[..., None]):
+        one (orders x terms) @ (terms x roots) product per z and sample."""
         scale = math.pi / (2.0 * self._w1)
         ndim = max(np.ndim(u), np.ndim(z), 1)
         half = self._half.reshape((-1,) + (1,) * ndim)
-        z0, mz, nz, zp, zm = self._exp_pass(z, "l_kernel", ndim)
+        z0, mz, nz, zp, zm = self._exp_pass(z, ndim)
         # theta_1 and its v-derivatives at b: the zeta ladder, and the
         # ladder f of theta_1(b) in z with its reciprocal g
         theta = np.stack(_theta_sums(zp * half, zm * half, self._iodd,
@@ -432,7 +429,7 @@ class Lattice:
         for k in range(1, kmax):
             g.append(-g[0] * sum(math.comb(k, j) * f[j] * g[k - j]
                                  for j in range(1, k + 1)))
-        u0, mu, nu, eu, eu_inv = self._exp_pass(u, "l_kernel", ndim)
+        u0, mu, nu, eu, eu_inv = self._exp_pass(u, ndim)
         up, um = eu * half, eu_inv * half
         big = _theta_sums(np.multiply(up, zp), np.multiply(um, zm),
                           self._ifreq, kmax)
@@ -468,16 +465,10 @@ class Lattice:
             half_sum = np.stack([w ** j * li[j] * base + (
                 j * spin * w ** (j - 1) * li[j - 1] if j else 0.0)
                 for j in range(kmax)], -2)
-            if half_sum.shape[-3] == 1:
-                # z is constant along the roots (the r tables' z[..., None]):
-                # one (orders x terms) @ (terms x roots) product per z and
-                # sample, whose shapes do not depend on the stack, so a
-                # stacked row is its single rows bit for bit
-                half_sum = np.swapaxes(np.matmul(
-                    half_sum[..., 0, :, :], np.swapaxes(ul, -1, -2)), -1, -2)
-            else:
-                half_sum = np.multiply(ul[..., None, :], half_sum).sum(-1)
-            lam = np.add(lam, half_sum)
+            # squeeze raises unless z has the unit roots' axis; the shapes
+            # do not depend on the stack, so stacking keeps every bit
+            lam = np.add(lam, np.swapaxes(np.matmul(
+                half_sum.squeeze(-3), np.swapaxes(ul, -1, -2)), -1, -2))
         # (eta1 / w1) z0 sin(a + b) / (sin a sin b) as (eta1 / w1) (pi / 2
         # w1)^-1 (sin(a + b) / sin a) (b csc b), and -(pi / 2 w1) csc^2 a
         sin_a = (eu[0] - eu_inv[0]) / 2j

@@ -246,17 +246,16 @@ def _pole_guard(spec: RMatrixSpec, u, what: str) -> None:
 
 
 def _on_lattice(spec: RMatrixSpec, evaluate: Callable[[], np.ndarray],
-                *root_args: np.ndarray) -> np.ndarray:
-    """evaluate(), whose Lattice calls carry the elliptic pole guards; when
-    one fires, name the first root with an argument in ``root_args`` on the
-    lattice (a pole in z alone names no root)."""
+                u: np.ndarray) -> np.ndarray:
+    """evaluate(), whose Lattice passes (the flat sin/cos pass of wp and
+    zeta, the ladder's exponential passes) carry the elliptic pole guards;
+    when one fires, name the first root whose value in ``u`` (roots on the
+    last axis) is on the lattice (a pole in z alone names no root)."""
     try:
         return evaluate()
     except PoleError as exc:
-        bad = np.zeros((), dtype=bool)
-        for arg in root_args:
-            bad = bad | (_pole_distance(spec, arg) < POLE_TOL)
-        _root_guard(spec, bad, f"elliptic coefficient ({exc})")
+        _root_guard(spec, _pole_distance(spec, u) < POLE_TOL,
+                    f"elliptic coefficient ({exc})")
         raise
 
 
@@ -361,7 +360,8 @@ def positive_pair_weight(spec: RMatrixSpec, up) -> tuple[np.ndarray,
         w_du = np.divide(-2.0 * np.cos(up), s ** 3,
                          out=np.zeros(up.shape, dtype=complex), where=span)
     else:
-        w, w_du = _on_lattice(spec, lambda: spec.lattice._wp_flat(up), up)
+        w, w_du = _on_lattice(spec, lambda: spec.lattice._wp_from_theta(
+            spec.lattice._pass(up, "wp")[3]), up)
         w, w_du = w.reshape(up.shape), w_du.reshape(up.shape)
     return w, w_du
 
@@ -370,27 +370,29 @@ def positive_pair_weight(spec: RMatrixSpec, up) -> tuple[np.ndarray,
 # coefficient tables
 
 
-def _r_table(spec: RMatrixSpec, q, z, kzs: range, du: int = 0):
+def _r_table(spec: RMatrixSpec, q, z, kmax: int, du: int = 0):
     """Coefficient vectors of the kz-th z-derivatives of r(q, z) for every
-    kz in ``kzs``, from one kernel pass: shape (1 + du, len(kzs)) + B +
+    order kz < kmax, from one kernel pass: shape (1 + du, kmax) + B +
     (dim,), B the broadcast of z against the stack axes of q, the Cartan
     coefficient in the first ``rank`` slots, then c_alpha.  Leading axes of
     q stack samples, and z broadcasts against them from the left, its nodes
     first (z of shape nodes + samples, or nodes + (1,) for shared nodes):
     each sample then meets the same loops as a single q.  Row 1 (du = 1)
     holds the mixed u,z-derivatives, with the (q-independent) Cartan slots
-    0.  The one place where ``fault_scale`` is applied."""
+    0; z enters the kernel on a unit roots' axis (z[..., None]), so the
+    elliptic row is one matrix product per z and sample.  The one place
+    where ``fault_scale`` is applied."""
     rs = spec.rs
     z = np.asarray(z, dtype=complex)
-    table = np.zeros((1 + du, len(kzs)) + np.broadcast_shapes(
+    table = np.zeros((1 + du, kmax) + np.broadcast_shapes(
         z.shape, np.shape(q)[:-1]) + (rs.dim,), dtype=complex)
     if not table.size:
         return table
-    f, c = _ladder(spec, rs.root_values(q), z[..., None], kzs.stop, du)
-    for i, k in enumerate(kzs):
-        table[0, i, ..., :rs.rank] = f[k]
+    f, c = _ladder(spec, rs.root_values(q), z[..., None], kmax, du)
+    for k in range(kmax):
+        table[0, k, ..., :rs.rank] = f[k]
         for d, row in enumerate(c):
-            table[d, i, ..., rs.rank:] = row[k]
+            table[d, k, ..., rs.rank:] = row[k]
     if spec.fault_scale != 1.0:
         table[..., rs.rank + np.array(spec.fault_root_indices)] \
             *= spec.fault_scale
@@ -455,24 +457,26 @@ def _stacked_q(rs: RootSystem, q, *others) -> np.ndarray:
 def verify_axioms(spec: RMatrixSpec, q, z) -> dict:
     """Zero-weight, unitarity and residue residuals at every (q, z) sample
     (q of shape (S, rank) and z (S,), or q (rank,) and a scalar z), one
-    array each; thresholds are the caller's business.  On the coefficient
-    vector c: the weights of slots a and dual(a) cancel on c_a, c(z)[a] +
-    c(-z)[dual(a)] = 0, and the residue at z = 0 (on the ring
-    AXIOM_QUAD_RADIUS) is the Casimir tensor, c = 1.  One kernel pass for
-    all samples (StructuralError if none, or on another shape)."""
+    array each (a float for a single sample); thresholds are the caller's
+    business.  On the coefficient vector c: the weights of slots a and
+    dual(a) cancel on c_a, c(z)[a] + c(-z)[dual(a)] = 0, and the residue at
+    z = 0 (on the ring AXIOM_QUAD_RADIUS) is the Casimir tensor, c = 1.  One
+    kernel pass for all samples (StructuralError if none, or on another
+    shape)."""
     rs = spec.rs
     weights = np.concatenate([np.zeros((rs.rank, rs.rank)), rs.alpha_h])
     slot_weight = weights + weights[rs.dual_index]
-    q = _stacked_q(rs, q, z)
+    q, ring = _stacked_q(rs, q, z), quad_ring(spec, AXIOM_QUAD_RADIUS)
     z = np.atleast_1d(_check_shape("z", z, *q.shape[:-1]))
-    q, ring = np.atleast_2d(q), quad_ring(spec, AXIOM_QUAD_RADIUS)
-    c = _r_table(spec, q, np.concatenate([[z, -z], np.broadcast_to(
-        ring[:, None], (len(ring), len(z)))]), range(1))[0, 0]
+    nodes = np.broadcast_to(ring[:, None], (len(ring), len(z)))
+    c = _r_table(spec, np.atleast_2d(q), np.concatenate([[z, -z], nodes]),
+                 1)[0, 0]
     res = _ring_means(ring, np.moveaxis(c[2:], 1, 0), 1)[0]
-    return {"zero_weight": np.max(np.abs(slot_weight * c[0, ..., None]),
-                                  (-2, -1)),
-            "unitarity": np.max(np.abs(c[0] + c[1][..., rs.dual_index]), -1),
-            "residue": np.max(np.abs(res - 1.0), -1)}
+    out = {"zero_weight": np.max(np.abs(slot_weight * c[0, ..., None]),
+                                 (-2, -1)),
+           "unitarity": np.max(np.abs(c[0] + c[1][..., rs.dual_index]), -1),
+           "residue": np.max(np.abs(res - 1.0), -1)}
+    return out if q.ndim > 1 else {k: float(v[0]) for k, v in out.items()}
 
 
 @lru_cache(maxsize=None)
@@ -506,7 +510,7 @@ def verify_cdybe(spec: RMatrixSpec, q, z1, z2, z3):
                   for k, v in enumerate((z1, z2, z3), 1))
     z12, z13, z23 = z1 - z2, z1 - z3, z2 - z3
     # one kernel pass: r at z12, z13, z23 and dr/dq at z23, z31, z12
-    r, dr = _r_table(spec, q, [z12, z13, z23, -z13], range(1), du=1)[:, 0]
+    r, dr = _r_table(spec, q, [z12, z13, z23, -z13], 1, du=1)[:, 0]
     c12, c13, c23 = r[:3]
     d23, d31, d12 = dr[[2, 3, 0], ..., rs.rank:, None] * rs.alpha_h
 
@@ -602,15 +606,14 @@ def verify_mdybe(spec: RMatrixSpec, q, xi, eta, *,
     # C = c[..., slots], the dual of E_ij's slot off the diagonal, f on it
     slots = np.zeros((rs.matrix_size,) * 2, dtype=int)
     slots[rs.root_entries] = rs.dual_index[rs.rank:]
-    r0, r1 = _r_table(spec, qs, -nodes.T, range(max(len(px), len(pe))),
+    r0, r1 = _r_table(spec, qs, -nodes.T, max(len(px), len(pe)),
                       du=1).swapaxes(2, 3)[..., slots]
     r_x, r_e = 0.5 * x + _r_pairing(r0, px), 0.5 * e + _r_pairing(r0, pe)
     # the inner covector [R xi, eta] + [xi, R eta] and R of it at the samples
     w = commutator(r_x, e) + commutator(x, r_e)
     inner = _ring_means(ring, w[:, :n], len(px) + len(pe))
-    r0_s = np.concatenate([r0[:, :, n:], _r_table(
-        spec, qs, -samples.T, range(len(r0), len(inner)))[0].swapaxes(1, 2)[
-            ..., slots]])
+    r0_s = _r_table(spec, qs, -samples.T, len(inner))[0].swapaxes(1, 2)[
+        ..., slots]
     res = (commutator(r_x[:, n:], r_e[:, n:])
            + 0.25 * commutator(x[:, n:], e[:, n:])
            - 0.5 * w[:, n:] - _r_pairing(r0_s, inner[:, :, None]))

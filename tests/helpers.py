@@ -229,7 +229,7 @@ def R_apply(spec: RMatrixSpec, q, xi: LaurentElement) -> LaurentElement:
     R_q on arrays (``dynamics._lax_pair`` for B, matrices in
     ``verify_mdybe``)."""
     rs = spec.rs
-    table = _r_table(spec, q, -xi.nodes, range(xi.pole_order))[0]
+    table = _r_table(spec, q, -xi.nodes, xi.pole_order)[0]
     values = 0.5 * xi.values.vec + _r_pairing(table[..., rs.dual_index],
                                               xi.principal)
     return LaurentElement(rs, -0.5 * xi.principal, xi.nodes, values)
@@ -240,7 +240,7 @@ def R_directional(spec: RMatrixSpec, q, v, xi: LaurentElement
     """The q-directional derivative (X_v R_q)(xi) on the nodes of xi: the
     mixed (du = 1) table paired like R_apply, no principal part."""
     rs = spec.rs
-    table = _r_table(spec, q, -xi.nodes, range(xi.pole_order), du=1)[1]
+    table = _r_table(spec, q, -xi.nodes, xi.pole_order, du=1)[1]
     table[..., rs.rank:] *= rs.root_values(v)
     return LaurentElement(rs, [], xi.nodes,
                           _r_pairing(table[..., rs.dual_index], xi.principal))
@@ -313,7 +313,7 @@ def r_tensor(spec: RMatrixSpec, q, z, kz: int = 0,
     q-derivative sum_i v_i d/dq_i of that tensor instead."""
     rs = spec.rs
     du = int(direction is not None)
-    c = _r_table(spec, q, z, range(kz, kz + 1), du)[du, 0]
+    c = _r_table(spec, q, z, kz + 1, du)[du, kz]
     if du:
         c[..., rs.rank:] *= rs.root_values(direction)
     mat = np.zeros(c.shape + (rs.dim,), dtype=complex)

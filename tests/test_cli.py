@@ -865,6 +865,29 @@ def test_verify_spectral_abort_exits_3(tmp_path, capsys):
                           "collision guard at t = ")
 
 
+def test_a_pole_on_a_grid_point_truncates_the_run(tmp_path, capsys):
+    """Rational A_1 from initial.s {"[-1]": 0} at q = 0.02, p = -1: the
+    grid time t = 0.02 lands on q = 0, the pole of the pair weight.
+    simulate exits 3 with its trajectory up to there and diagnostics
+    naming the abort, and the spectral suite exits 3 naming it too."""
+    cfg = write_config(tmp_path, "pole.json", {
+        "family": "rational", "rank": 1,
+        "initial": {"q": [0.02], "p": [-1.0], "s": {"[-1]": 0}},
+        "integration": {"t_final": 0.1}})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) \
+        == EXIT_SINGULARITY
+    diag = json.loads((tmp_path / "diagnostics.json").read_text())
+    reason = ("energy evaluation failed at t = 0.02: rational pair weight: "
+              "(alpha, q) = 0 at the root [1]")
+    assert diag["completed"] is False and diag["abort_reason"] == reason
+    assert diag["n_points"] == len(read_csv(tmp_path / "trajectory.csv")[1])
+    capsys.readouterr()
+    assert main(["verify", "--config", cfg, "--suite", "spectral",
+                 "--out", str(tmp_path)]) == EXIT_SINGULARITY
+    assert capsys.readouterr().err == (
+        f"spincm: spectral suite trajectory aborted: {reason}\n")
+
+
 def test_spin_labels_are_parsed_once_per_job(tmp_path, monkeypatch):
     """The schema check and build_initial share one parse per label: the
     16 labels of a reduced rational A_4 config cost 16 parse_root_label

@@ -380,7 +380,7 @@ def degeneration_tables():
             q.append(c)
     z = rng.uniform(0.2, 0.8, 6) * np.exp(2j * math.pi * rng.uniform(0, 1, 6))
     z, q = np.broadcast_to(z[:, None], (6, 5)), np.array(q)
-    return ell, trig, q, [_r_table(spec, q, z, range(4), du=1)
+    return ell, trig, q, [_r_table(spec, q, z, 4, du=1)
                           for spec in (ell, trig)]
 
 

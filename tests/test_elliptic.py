@@ -149,7 +149,7 @@ def test_zeta_ladder_is_one_theta_pass(monkeypatch):
         assert len(got) == kmax
         for k in range(kmax):
             assert np.array_equal(got[k], want[k]), (kmax, k)
-    assert passes == [z.shape] * 5
+    assert passes == [(z.size,)] * 5
     assert all(type(v) is complex for v in lat.zeta_ladder(0.3 + 0.1j, 5))
 
 
@@ -476,8 +476,9 @@ def test_values_do_not_depend_on_the_basis(word):
     for name in ("sigma", "zeta", "wp"):
         assert close(getattr(lat, name)(z), getattr(REFERENCE, name)(z))
     for kmax, du in ((4, 0), (1, 1)):
-        got = lat._coefficient_ladder(u, z, kmax, du)
-        want = REFERENCE._coefficient_ladder(u, z, kmax, du)
+        # z on a unit roots' axis, as the r tables pass it
+        got = lat._coefficient_ladder(u, z[:, None, None], kmax, du)
+        want = REFERENCE._coefficient_ladder(u, z[:, None, None], kmax, du)
         for a, b in zip(got[0] + sum(got[1], []), want[0] + sum(want[1], [])):
             assert close(a, b)
     assert close([lat.g2, lat.g3], [REFERENCE.g2, REFERENCE.g3])
@@ -642,20 +643,19 @@ def test_coefficient_ladder_against_mpmath(omega):
                 assert np.max(err) < bound, (du, k, np.max(err))
 
 
-def test_mixed_row_with_z_along_the_roots_is_the_unit_axis_row():
-    """The mixed row with z varying along the roots' axis (summed term by
-    term) equals, to rounding, the rows of z on a unit axis (one matrix
-    product per z), root by root."""
+def test_mixed_row_takes_z_on_a_unit_roots_axis():
+    """The mixed row sums its Lambert terms as one matrix product per z and
+    sample, so z takes a unit roots' axis (the r tables' z[..., None]): a z
+    that varies along the roots raises instead of giving a row at one z,
+    and the du = 0 rows still broadcast elementwise."""
     lat = Lattice(2.0, 2.2j)
     u = np.array([[0.4 - 0.2j, 1.1 + 0.3j, -0.7 + 0.5j]])
     z = np.array([[0.31 + 0.17j, -0.2 + 0.4j, 0.5 - 0.1j]])
     ladder = raise_on_fp_fault(lat._coefficient_ladder)
-    _, (_, along) = ladder(u, z, 3, 1)
-    for r in range(3):
-        _, (_, unit) = ladder(u[:, r:r + 1], z[:, r:r + 1], 3, 1)
-        for k in range(3):
-            assert abs(along[k][0, r] - unit[k][0, 0]) \
-                < 1e-14 * max(1.0, abs(unit[k][0, 0]))
+    assert ladder(u, z[:, :1], 3, 1)[1][1][2].shape == (1, 3)
+    with pytest.raises(ValueError):
+        ladder(u, z, 3, 1)
+    assert ladder(u, z, 3)[1][0][2].shape == (1, 3)
 
 
 def test_coefficient_ladder_where_imaginary_parts_are_large_and_opposite():

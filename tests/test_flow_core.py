@@ -331,6 +331,26 @@ def test_energy_fault_cuts_the_trajectory(monkeypatch):
         integrate(sys_, x0, 1.0, 1e-9, n_points=5)
 
 
+def test_a_pole_on_a_grid_point_cuts_the_energy_column():
+    """Rational A_1 from s = 0 at q = 0.02, p = -1 moves freely, so the
+    grid time t = 0.02 lands on q = 0, the pole of the pair weight: the
+    energy column stops before it as at a fault, naming the root.  A pole
+    at the initial point raises as it is."""
+    sys_ = system("rational", 1)
+    rs = sys_.rs
+
+    def at(q):
+        return ReducedPoint(rs, np.array([q]), np.array([-1.0 + 0j]),
+                            np.zeros(1, dtype=complex))
+    traj = integrate(sys_, at(0.02 + 0j), 0.1, n_points=11)
+    assert not traj.completed and traj.n_points == 2
+    assert traj.abort_reason == (
+        "energy evaluation failed at t = 0.02: rational pair weight: "
+        "(alpha, q) = 0 at the root [1]")
+    with pytest.raises(PoleError, match=r"at the root \[1\]"):
+        integrate(sys_, at(0j), 0.1, n_points=11)
+
+
 @pytest.mark.parametrize("reduced", [False, True])
 @pytest.mark.parametrize("family", FAMILIES)
 def test_core_on_a_wall_names_the_root(family, reduced):
@@ -438,14 +458,15 @@ def test_stacked_collision_margin_is_its_single_point_calls_bit_for_bit(
 
 
 def test_flat_elliptic_pass_is_wp_pair_element_by_element():
-    """The flow's elliptic pass (Lattice._wp_flat, which flattens) equals
-    wp_pair on scalar, 1-D, strided and 3-D arguments, each element equals
-    its scalar wp_pair call, and the 3-D values equal -zeta' and -zeta''
-    of the shaped pass of zeta_ladder, all bit for bit."""
+    """The flow's elliptic pass (wp and wp' of the flat Lattice._pass)
+    equals wp_pair on scalar, 1-D, strided and 3-D arguments, each element
+    equals its scalar wp_pair call, and the 3-D values equal -zeta' and
+    -zeta'' of zeta_ladder, all bit for bit."""
     lat = Lattice(2.0, 2.2j)
     rng = np.random.default_rng(25)
     z = rng.uniform(-5, 5, (3, 4, 10)) + 1j * rng.uniform(-5, 5, (3, 4, 10))
-    flat_pass = raise_on_fp_fault(lat._wp_flat)
+    flat_pass = raise_on_fp_fault(
+        lambda z: lat._wp_from_theta(lat._pass(z, "wp")[3]))
     for arg in (z[0, 0, 0], z[1, 2], z[:, ::2, ::-3], z):
         flat = flat_pass(np.asarray(arg))
         scalars = np.array([lat.wp_pair(complex(v)) for v in np.ravel(arg)])

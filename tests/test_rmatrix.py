@@ -311,14 +311,14 @@ def test_u_derivatives_against_finite_differences(family):
 
 @pytest.mark.parametrize("family", ["rational", "trigonometric", "elliptic"])
 def test_one_pass_r_table_matches_per_kz_coefficients(family):
-    """_r_table evaluates the kernel once for kz in range(4) and du 0, 1;
+    """_r_table evaluates the kernel once for kz < 4 and du 0, 1;
     every slot matches a per-kz cartan_coeff / root_coeff loop to 1e-14
-    relative, and a table starting at kz = 2 is the tail of the full one."""
+    relative, and the table of orders below 2 is the head of the full one."""
     spec = all_specs(3)[family]
     rs = spec.rs
     q = np.array([0.7, -0.45, 0.9])
     z = -np.concatenate([ring_nodes(0.35, 16), default_mdybe_samples()])
-    table = _r_table(spec, q, z, range(4), du=1)
+    table = _r_table(spec, q, z, 4, du=1)
     assert table.shape == (2, 4, len(z), rs.dim)
     u = rs.root_values(q)
     for kz in range(4):
@@ -331,8 +331,7 @@ def test_one_pass_r_table_matches_per_kz_coefficients(family):
         for du in (0, 1):
             assert np.all(np.abs(table[du, kz] - want[du])
                           <= 1e-14 * np.abs(want[du])), (family, kz, du)
-    assert np.array_equal(_r_table(spec, q, z, range(2, 4), du=1),
-                          table[:, 2:])
+    assert np.array_equal(_r_table(spec, q, z, 2, du=1), table[:, :2])
 
 
 def test_elliptic_r_table_is_two_passes(monkeypatch):
@@ -344,7 +343,7 @@ def test_elliptic_r_table_is_two_passes(monkeypatch):
     q = np.array([[0.7, -0.45, 0.9], [0.2, 0.8, -0.6]])
     z = np.broadcast_to(-np.array(default_mdybe_samples())[:, None], (12, 2))
     counts = count_passes(monkeypatch)
-    _r_table(spec, q, z, range(2), du=1)
+    _r_table(spec, q, z, 2, du=1)
     assert counts == {"_theta1": 0, "_cell": 2, "lattice_distance": 0}
 
 
@@ -356,8 +355,8 @@ def test_sheared_basis_gives_the_same_r_table():
                     for periods in [(2.0, 2.2j), (2.0, 2 + 2.2j)])
     q = np.array([[0.7, -0.45, 0.9], [0.2, 0.8, -0.6]])
     z = np.broadcast_to(-np.array(default_mdybe_samples())[:, None], (12, 2))
-    want = _r_table(ref, q, z, range(3), du=1)
-    got = _r_table(sheared, q, z, range(3), du=1)
+    want = _r_table(ref, q, z, 3, du=1)
+    got = _r_table(sheared, q, z, 3, du=1)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
@@ -975,6 +974,39 @@ def test_ring_on_a_tiny_lattice_stays_off_the_poles():
     assert np.min(verify_axioms(faulted, q, z)["residue"]) > 1.0
 
 
+EXACT_CASES = [("rational", None), ("trigonometric", None)] + [
+    ("elliptic", (2.0 * lam, 2.2j * lam)) for lam in (0.25, 0.5, 1.0, 2.0)] \
+    + [("elliptic", (2.0, 2.0 + 2.2j))]
+
+
+@pytest.mark.parametrize("family,periods", EXACT_CASES, ids=str)
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_zero_weight_and_unitarity_are_exactly_zero(family, periods, rank):
+    """Two axioms hold by construction: the weights of slots a and dual(a)
+    cancel exactly, and the tables at -z are those at z swapped bit for bit
+    (the elliptic tables take e^{-x} as its own exp), so zero_weight and
+    unitarity read exactly 0 on 50 stacked samples, also under a fault,
+    which scales a +/- pair alike; the residue is the check it moves."""
+    spec = sized_spec(family, rank, periods)
+    q, _, _, z = sized_samples(spec, 50, 1200 + rank, spec.length)
+    for s in (spec, spec.with_fault(4.0)):
+        res = verify_axioms(s, q, z * spec.length)
+        assert np.all(res["zero_weight"] == 0.0)
+        assert np.all(res["unitarity"] == 0.0)
+    assert np.min(res["residue"]) > 1.0
+
+
+@pytest.mark.parametrize("family", ["rational", "trigonometric", "elliptic"])
+def test_verify_axioms_of_one_sample_gives_floats(family):
+    """q of shape (rank,) and a scalar z give a float per check, as
+    verify_cdybe and verify_mdybe do: the value of the one-sample stack."""
+    spec = all_specs(2)[family]
+    q, z = np.array([0.7, -0.45]), 0.3 + 0.2j
+    one, stacked = verify_axioms(spec, q, z), verify_axioms(spec, [q], [z])
+    for name, value in one.items():
+        assert type(value) is float and value == stacked[name][0]
+
+
 @pytest.mark.parametrize("family,rank,periods", SIZED_CASES)
 def test_sized_rings_match_512_nodes(family, rank, periods):
     spec = sized_spec(family, rank, periods).with_fault(4.0)
@@ -1075,7 +1107,7 @@ def test_r_table_broadcasts_shared_nodes_against_stacked_q(family):
     rng = np.random.default_rng(1010)
     q = np.linalg.solve(spec.rs.alpha_h[:3], rng.uniform(0.5, 0.9, (3, 5))).T
     z = 0.4 * np.exp(2j * np.pi * (np.arange(6) + 0.3) / 6)[:, None]
-    shared = _r_table(spec, q, z, range(3), du=1)
+    shared = _r_table(spec, q, z, 3, du=1)
     assert shared.shape == (2, 3, 6, 5, spec.rs.dim)
     assert shared.tobytes() == _r_table(
-        spec, q, np.broadcast_to(z, (6, 5)), range(3), du=1).tobytes()
+        spec, q, np.broadcast_to(z, (6, 5)), 3, du=1).tobytes()

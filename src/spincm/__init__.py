@@ -20,8 +20,8 @@ from .rootsys import (AlgElement, RootSystem, bracket, build_root_system,
 from .rmatrix import (RMatrixSpec, elliptic_r_matrix, rational_r_matrix,
                       trigonometric_r_matrix, verify_axioms, verify_cdybe,
                       verify_mdybe)
-from .phase import (PhasePoint, ReducedPoint, bracket_full, gauge_g,
-                    lift_reduced, momentum_J, project_pi, torus_action)
+from .phase import (PhasePoint, bracket_full, gauge_g, lift_reduced,
+                    momentum_J, project_pi, torus_action)
 from .dynamics import (Trajectory, conserved_spectrum,
                        fpbr_residual, hamiltonian, integrate,
                        involution_residuals, lax_B, lax_L, lax_residuals,
@@ -39,7 +39,6 @@ __all__ = [
     "PhasePoint",
     "PoleError",
     "RMatrixSpec",
-    "ReducedPoint",
     "RootSystem",
     "SpincmError",
     "StructuralError",

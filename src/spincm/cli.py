@@ -38,14 +38,12 @@ import numpy as np
 from .elliptic import Lattice
 from .errors import (ConfigError, GaugeDomainError, PoleError, SpincmError,
                      StructuralError, raise_on_fp_fault)
-from .phase import (PhasePoint, ReducedPoint, reduced_roots, reduction,
-                    slice_lift)
+from .phase import PhasePoint, project_pi, reduced_roots
 from .rmatrix import (FAMILIES, RMatrixSpec, default_mdybe_samples,
                       verify_axioms, verify_cdybe, verify_mdybe)
-from .rootsys import (AlgElement, build_root_system, parse_root_label,
-                      root_system_summary)
-from .dynamics import (_energy, _split, collision_margin, default_z_samples,
-                       gauge_residual, integrate, involution_residuals,
+from .rootsys import build_root_system, parse_root_label, root_system_summary
+from .dynamics import (collision_margin, default_z_samples, gauge_residual,
+                       hamiltonian, integrate, involution_residuals,
                        lax_residuals, make_system, read_trajectory_csv,
                        spectral_drifts, spinless_state, Trajectory,
                        write_trajectory_csv)
@@ -309,7 +307,8 @@ def build_initial(config: RunConfig, system: RMatrixSpec):
         m = complex(_PRESET_RE.fullmatch(init["preset"]).group(1))
         return spinless_state(rs, q, p, m)
     if init["s"] is not None:
-        return ReducedPoint.make(rs, q, p, _spin_values(init["s"], rs.rank))
+        return PhasePoint.make_reduced(rs, q, p,
+                                       _spin_values(init["s"], rs.rank))
     cartan = init["xi_cartan"] and _complexes(init["xi_cartan"])
     return PhasePoint.make(rs, q, p, xi_cartan=cartan, xi_components=
                            _spin_values(init["xi"] or {}, rs.rank))
@@ -357,7 +356,7 @@ def cmd_simulate(config: RunConfig, out_dir: Path) -> int:
     energy = np.abs(traj.energy - traj.energy[0])
     diagnostics = {
         "system": system.describe(),
-        "reduced": traj.reduced,
+        "reduced": traj.points.reduced,
         "completed": traj.completed,
         "abort_reason": traj.abort_reason,
         "n_points": traj.n_points,
@@ -435,27 +434,24 @@ def _normal(rng, shape) -> np.ndarray:
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
-def _random_points(system: RMatrixSpec, rng, count: int,
-                   reduced: bool = False) -> dict:
-    """``count`` random points as stacked arrays: q of _random_q, real
-    normal p, and complex normal reduced spins s or spins xi on Sigma
-    (Cartan block 0)."""
+def _random_points(system: RMatrixSpec, rng, count: int, reduced=False,
+                   off_sigma=False) -> PhasePoint:
+    """``count`` stacked points: q of _random_q, real normal p, complex
+    normal spins s or xi, xi on Sigma unless ``off_sigma`` (then a complex
+    normal Cartan block, drawn last)."""
     rs = system.rs
     q = _random_q(rng, system, count)
     p = rng.normal(size=(count, rs.rank)).astype(complex)
     spin = _normal(rng, (count, rs.n_roots - rs.rank if reduced else rs.dim))
     if not reduced:
-        spin[:, :rs.rank] = 0.0
-    return {"q": q, "p": p, "s" if reduced else "xi": spin}
+        spin[:, :rs.rank] = _normal(rng, (count, rs.rank)) if off_sigma \
+            else 0.0
+    return PhasePoint(rs, np.concatenate([q, p, spin], -1), reduced)
 
 
-def _points(rs, x: dict) -> list:
-    """The rows of stacked point arrays as ReducedPoints (key "s") or
-    PhasePoints."""
-    if "s" in x:
-        return [ReducedPoint(rs, *row) for row in zip(x["q"], x["p"], x["s"])]
-    return [PhasePoint(q, p, AlgElement(rs, xi))
-            for q, p, xi in zip(x["q"], x["p"], x["xi"])]
+def _blocks(x: PhasePoint) -> dict:
+    """The witness columns of the points x: q, p, then xi or s."""
+    return {"q": x.q, "p": x.p, "s" if x.reduced else "xi": x.spin}
 
 
 _INVOLUTION_BATTERY = [
@@ -509,19 +505,17 @@ def _suite_mdybe(system, config, rng) -> dict:
         {"q": q, "z": z, "xi": xi, "eta": eta})]}
 
 
-def _lax_check(name: str, system, x: dict) -> dict:
-    return _worst(name, lax_residuals(system, _points(system.rs, x), [
-        system.length * z for z in default_z_samples()]), x)
+def _lax_check(name: str, system, x: PhasePoint) -> dict:
+    return _worst(name, lax_residuals(system, x, [
+        system.length * z for z in default_z_samples()]), _blocks(x))
 
 
 def _suite_lax(system, config, rng) -> dict:
-    rank = system.rs.rank
     checks = [_lax_check("lax_on_sigma", system,
                          _random_points(system, rng, 5))]
     if system.family == "rational":
-        off = _random_points(system, rng, 5)
-        off["xi"][:, :rank] = _normal(rng, (5, rank))
-        checks.append(_lax_check("quasi_lax_off_sigma", system, off))
+        checks.append(_lax_check("quasi_lax_off_sigma", system, _random_points(
+            system, rng, 5, off_sigma=True)))
     checks.append(_lax_check("lax_reduced_pointwise", system,
                              _random_points(system, rng, 3, reduced=True)))
     return {"checks": checks}
@@ -533,19 +527,18 @@ def _suite_involution(system, config, rng) -> dict:
              for (k1, z1), (k2, z2) in _INVOLUTION_BATTERY]
     # one sample per (point, pair), point-major like the residual table
     battery = np.array(pairs)   # (pair, side, [k, z])
-    samples = {**{key: np.repeat(v, len(battery), 0) for key, v in x.items()},
+    samples = {**_blocks(x[np.repeat(np.arange(3), len(battery))]),
                "k": np.tile(battery[..., 0].real.astype(int), (3, 1)),
                "z": np.tile(battery[..., 1], (3, 1))}
     return {"checks": [_worst("involution", involution_residuals(
-        system, _points(system.rs, x), pairs).ravel(), samples)]}
+        system, x, pairs).ravel(), samples)]}
 
 
 def _suite_spectral(system, config, rng) -> dict:
     if config.initial is not None and config.initial["s"] is not None:
         x0 = build_initial(config, system)
     else:
-        x0 = _points(system.rs,
-                     _random_points(system, rng, 1, reduced=True))[0]
+        x0 = _random_points(system, rng, 1, reduced=True)[0]
     opts = config.integration
     traj = integrate(system, x0, **{**opts,
                                     "n_points": min(opts["n_points"], 101)})
@@ -560,7 +553,7 @@ def _suite_spectral(system, config, rng) -> dict:
                         "max_residual": report[name], "witness": _witness({
                             "sample": report["worst"][name][0],
                             "z": z_grid[report["worst"][name][1]],
-                            "q": x0.q, "p": x0.p, "s": x0.s})}
+                            **_blocks(x0)})}
                        for name in report["worst"]],
             "solver": traj.stats}
 
@@ -609,22 +602,19 @@ def cmd_verify(config: RunConfig, suite: str, out_dir: Path, *,
 
 def cmd_reduce(config: RunConfig, traj_path, out_dir: Path) -> int:
     system = config.system()
-    rs = system.rs
-    traj = read_trajectory_csv(traj_path, rs)
-    if traj.reduced:
+    traj = read_trajectory_csv(traj_path, system.rs)
+    if traj.points.reduced:
         raise ConfigError(f"trajectory {traj_path} is already reduced")
-    q, p, xi = _split(rs, traj.states, False)
     try:
-        s = reduction(rs, xi)[0]
+        red = project_pi(traj.points)
     except GaugeDomainError as exc:
         print(f"reduce: step {exc.index}: {exc}", file=sys.stderr)
         return EXIT_SINGULARITY
-    residuals = gauge_residual(system, traj.states)
-    energy = _energy(system, q, p, slice_lift(rs, s))
+    residuals = gauge_residual(system, traj.points)
     out_path = out_dir / config.outputs["trajectory_csv"]
     write_trajectory_csv(out_path, Trajectory(
-        traj.times, np.concatenate([q, p, s], -1), rs, True, energy,
-        np.zeros(traj.n_points), True), extra={"gauge_residual": residuals})
+        traj.times, red, hamiltonian(system, red), np.zeros(traj.n_points),
+        True), extra={"gauge_residual": residuals})
     _emit({"n_points": traj.n_points,
            "max_gauge_residual": float(np.max(residuals, initial=0.0)),
            "trajectory_csv": str(out_path)})

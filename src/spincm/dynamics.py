@@ -31,7 +31,6 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -40,8 +39,8 @@ from .elliptic import Lattice
 from .errors import (ConfigError, ConstraintError, PoleError, StructuralError,
                      finite, raise_on_fp_fault)
 from .ode import DormandPrince
-from .phase import (PhasePoint, ReducedPoint, bracket_full, pushforward,
-                    reduced_brackets, reduced_roots, reduction, slice_lift)
+from .phase import (PhasePoint, _bracket, _checked, pushforward,
+                    reduced_roots, reduction, slice_lift)
 from .rmatrix import (RMatrixSpec, _pole_distance, _r_pairing, _r_table,
                       positive_pair_weight, rational_r_matrix,
                       root_coeff_reg0, trigonometric_r_matrix)
@@ -90,22 +89,18 @@ def spinless_state(rs: RootSystem, q, p, m: complex) -> PhasePoint:
 class Trajectory:
     """Output of :func:`integrate`.
 
-    ``states`` holds the flat state q | p | spin (xi, or s if ``reduced``)
-    at each point of the strictly monotone grid ``times``: the solver's own
-    state where a step ends on a grid point, its 7th-order dense output
-    inside a step.  The diagnostics and the CSV export read these rows;
-    ``points`` wraps them as point objects on first access.  ``energy`` and
-    ``constraint`` (the momentum drift max|J(t) - J(0)|, 0 when reduced)
-    are per-point diagnostics.  A run stopped by the collision guard or a
-    pole is returned truncated with ``completed`` False and a reason.
-    ``stats`` holds the solver's counts (``DormandPrince.stats``), None
-    when no solver ran.
+    ``points`` stacks the point (reduced or not) at each time of the
+    strictly monotone grid ``times``: the solver's own state where a step
+    ends on a grid point, its 7th-order dense output inside a step.
+    ``energy`` and ``constraint`` (the momentum drift max|J(t) - J(0)|, 0
+    when reduced) are per-point diagnostics.  A run stopped by the
+    collision guard or a pole is returned truncated with ``completed``
+    False and a reason.  ``stats`` holds the solver's counts
+    (``DormandPrince.stats``), None when no solver ran.
     """
 
     times: np.ndarray
-    states: np.ndarray
-    rs: RootSystem
-    reduced: bool
+    points: PhasePoint
     energy: np.ndarray
     constraint: np.ndarray
     completed: bool
@@ -114,62 +109,28 @@ class Trajectory:
 
     @property
     def n_points(self) -> int:
-        return len(self.states)
-
-    @cached_property
-    def points(self) -> list:
-        return [_unpack_point(self.rs, y, self.reduced) for y in self.states]
+        return len(self.points.y)
 
 
 # ---------------------------------------------------------------------------
 # Hamiltonians and vector fields
 #
-# One flat core serves both flows.  A state is one coordinate array,
-# q | p | xi, or q | p | s for the reduced flow, whose spin is taken at the
-# slice lift; the point classes are wrapped around it only at the edges.
+# One flat core serves both flows, on the state rows of a PhasePoint (a
+# reduced spin at its slice lift), stacked on one leading axis.
 
 
-def _pack_point(rs: RootSystem, x, kind=(PhasePoint, ReducedPoint)):
-    """The state q | p | spin of x; StructuralError, naming the mismatch,
-    unless x is a point of one of the classes ``kind`` over rs with finite
-    coordinates.  Every point enters the array core here."""
-    if not (isinstance(x, kind) and x.rs == rs):
-        raise StructuralError(
-            f"objects built over mismatched root systems: a {type(x).__name__}"
-            f" over {getattr(x, 'rs', None)} where a "
-            f"{' or '.join(k.__name__ for k in kind)} over {rs} is expected")
-    spin = x.s if isinstance(x, ReducedPoint) else x.xi.vec
-    y = np.concatenate([x.q, x.p, spin]).astype(complex)
-    if not np.isfinite(y).all():
-        raise StructuralError(f"the coordinates of a {type(x).__name__} "
-                              f"(q, p and spin) must be finite")
-    return y
-
-
-def _unpack_point(rs: RootSystem, y: np.ndarray, reduced: bool):
-    q, p, spin = (a.copy() for a in _split(rs, y, False))
-    return ReducedPoint(rs, q, p, spin) if reduced else \
-        PhasePoint(q, p, AlgElement(rs, spin))
-
-
-def _split(rs: RootSystem, y: np.ndarray, reduced: bool) -> tuple:
-    """(q, p, xi) of the states y (leading axes stack states); a reduced
-    state's spin is taken at its slice lift."""
-    n = rs.rank
-    spin = y[..., 2 * n:]
-    return (y[..., :n], y[..., n:2 * n],
-            slice_lift(rs, spin) if reduced else spin)
-
-
-def _coords(rs: RootSystem, points: Sequence,
-            kind=(PhasePoint, ReducedPoint)) -> tuple:
-    """(q, p, xi) stacked over a nonempty list of points of one class
-    (:func:`_pack_point`), reduced ones at their slice lift."""
-    if not len(points):
+def _stack(x: PhasePoint, nonempty: bool = False) -> PhasePoint:
+    """x on one axis of rows; StructuralError if ``nonempty`` and empty."""
+    x = PhasePoint(x.rs, x.y.reshape(-1, x.y.shape[-1]), x.reduced)
+    if nonempty and not len(x.y):
         raise StructuralError("expected at least one point, got none")
-    kind = (type(points[0]),) if isinstance(points[0], kind) else kind
-    return _split(rs, np.array([_pack_point(rs, x, kind) for x in points]),
-                  kind == (ReducedPoint,))
+    return x
+
+
+def _per_point(x: PhasePoint, values: np.ndarray):
+    """values per row of _stack(x) on the leading axes of x (or a scalar)."""
+    values = values.reshape(x.y.shape[:-1] + values.shape[1:])
+    return values.item() if values.ndim == 0 else values
 
 
 def _gradient(sys: RMatrixSpec, q, xi) -> tuple[np.ndarray, np.ndarray]:
@@ -232,26 +193,26 @@ def _flow(sys: RMatrixSpec, y: np.ndarray, reduced: bool) -> np.ndarray:
 
 
 @raise_on_fp_fault
-def hamiltonian(sys: RMatrixSpec, x) -> complex:
+def hamiltonian(sys: RMatrixSpec, x: PhasePoint):
     """H = (1/2)|p|^2 - (1/2) sum_alpha w_alpha xi_alpha xi_{-alpha}; at a
-    ReducedPoint, H_0: H at its slice lift (s_{alpha_i} = 1)."""
-    return complex(_energy(sys, *_coords(sys.rs, [x]))[0])
+    reduced point, H_0: H at its slice lift (s_{alpha_i} = 1)."""
+    xs = _stack(_checked(x, rs=sys.rs))
+    return _per_point(x, _energy(sys, xs.q, xs.p, xs.xi))
 
 
 @raise_on_fp_fault
-def vector_field(sys: RMatrixSpec, x):
+def vector_field(sys: RMatrixSpec, x: PhasePoint) -> PhasePoint:
     """Hamiltonian vector field of H, returned in point coordinates:
     (dq, dp, d(I xi)) = (dH/dp, -dH/dq, I(ad*_{dH_xi} xi)).
 
     The spin leg is the plain-dual coadjoint action, I(ad*_X xi) =
     -[X, I xi]; this is the orientation under which the spectral
-    invariants of the Lax operator are conserved.  At a ReducedPoint it is
-    the reduced flow, a ReducedPoint (dq, dp, ds) with ds = d s(xi_dot),
-    the pushforward of the field at the slice lift.
+    invariants of the Lax operator are conserved.  At a reduced point it
+    is the reduced flow, a reduced point (dq, dp, ds) with ds = d
+    s(xi_dot), the pushforward of the field at the slice lift.
     """
-    reduced = isinstance(x, ReducedPoint)
-    return _unpack_point(sys.rs, _flow(sys, _pack_point(sys.rs, x), reduced),
-                         reduced)
+    x = _checked(x, rs=sys.rs)
+    return PhasePoint(sys.rs, _flow(sys, x.y, x.reduced), x.reduced)
 
 
 # ---------------------------------------------------------------------------
@@ -279,23 +240,22 @@ def integrate(sys: RMatrixSpec, x0, t_final: float, tol: float = 1e-10, *,
     state, one inside a step the 7th-order dense output, which is built
     only for steps that hold such a point and fills all of them in one
     call.  t_final may be negative (backward flow).  A non-finite t_final,
-    tol or initial state raises StructuralError, and so does an initial
-    state whose energy overflows, or one past the range of the elliptic
-    argument reduction.  Close approaches to the singular set, poles and
-    floating-point faults (also in the first evaluation, a collision check,
-    the dense output and the energy of a later grid point) and a step past
-    that range truncate the trajectory instead of raising, and so does a
-    run past MAX_STEPS accepted steps.  The energy and momentum columns are
-    evaluated once over all grid points.
+    tol or initial state, or a stack of points, raises StructuralError, and
+    so does an initial state whose energy overflows, or one past the range
+    of the elliptic argument reduction.  Close approaches to the singular
+    set, poles and floating-point faults (also in the first evaluation, a
+    collision check, the dense output and the energy of a later grid
+    point) and a step past that range truncate the trajectory instead of
+    raising, and so does a run past MAX_STEPS accepted steps.  The energy
+    and momentum columns are evaluated once over all grid points.
     """
     if not math.isfinite(t_final) or t_final == 0.0:
         raise StructuralError(f"t_final must be finite and nonzero, got "
                               f"{t_final}")
     if not (math.isfinite(tol) and tol > 0.0):
         raise StructuralError(f"tol must be finite and positive, got {tol}")
-    n = sys.rs.rank
-    reduced = isinstance(x0, ReducedPoint)
-    y0 = _pack_point(sys.rs, x0)
+    x0 = _checked(x0, rs=sys.rs, single=True)
+    n, reduced, y0 = sys.rs.rank, x0.reduced, x0.y
     reason = None
     solver = DormandPrince(lambda t, y: _flow(sys, y, reduced), 0.0, y0,
                            t_final, tol, tol * 1e-2)
@@ -330,14 +290,14 @@ def integrate(sys: RMatrixSpec, x0, t_final: float, tol: float = 1e-10, *,
             reason = f"integration aborted at t = {solver.t:.6g}: {exc}"
             break
 
-    states = states[:filled]
-    q, p, xi = _split(sys.rs, states, reduced)
-    energy, fault = _energy_column(sys, q, p, xi)
+    points = PhasePoint(sys.rs, states[:filled], reduced)
+    xi = points.xi
+    energy, fault = _energy_column(sys, points.q, points.p, xi)
     if fault is not None:
         k = len(energy)
-        states, xi = states[:k], xi[:k]
+        points, xi = points[:k], xi[:k]
         reason = f"energy evaluation failed at t = {t_grid[k]:.6g}: {fault}"
-    return Trajectory(t_grid[:len(states)], states, sys.rs, reduced, energy,
+    return Trajectory(t_grid[:len(xi)], points, energy,
                       np.max(np.abs(xi[:, :n] - xi[0, :n]), axis=-1),
                       reason is None, reason, solver.stats)
 
@@ -367,48 +327,47 @@ def _lax_value(r, p, xi) -> np.ndarray:
 
 
 @raise_on_fp_fault
-def lax_L(sys: RMatrixSpec, x, z) -> AlgElement:
+def lax_L(sys: RMatrixSpec, x: PhasePoint, z) -> AlgElement:
     """L(q,p,xi)(z) = p + f(z) (I xi)_h + sum c_alpha((alpha,q), z) xi_alpha
-    e_alpha; an array of z gives one element per z (batch axes first).  At
-    a ReducedPoint, L_0: L at its slice lift."""
-    q, p, xi = _coords(sys.rs, [x])
-    return AlgElement(sys.rs, _lax_value(_lax(sys, q, z)[0, 0], p, xi)[0])
+    e_alpha; an array of z gives one element per z (after the stacked
+    points).  At a reduced point, L_0: L at its slice lift."""
+    xs = _stack(_checked(x, rs=sys.rs))
+    return AlgElement(sys.rs, _per_point(x, _lax_value(
+        _lax(sys, xs.q, z)[0, 0], xs.p, xs.xi)))
 
 
 @raise_on_fp_fault
-def sigma_residual(sys: RMatrixSpec, x: PhasePoint) -> float:
-    """Distance of x from the constraint set Sigma: ||J||_inf for the
-    trigonometric and elliptic families, max_{alpha in Delta'} |(alpha, J)|
-    for the rational one.  A distance past the float range raises
+def sigma_residual(sys: RMatrixSpec, x: PhasePoint):
+    """Distance of x from Sigma: ||J||_inf, or max_{alpha in Delta'}
+    |(alpha, J)| for the rational family.  One past the float range raises
     FloatingPointError (np.abs of a complex sets no flag)."""
-    n = sys.rs.rank
-    j = _pack_point(sys.rs, x, (PhasePoint,))[2 * n:3 * n]
+    xs = _stack(_checked(x, False, sys.rs))
+    j = xs.xi[:, :sys.rs.rank]
     if sys.family == "rational":
-        j = sys.rs.root_values(j)[sys.dp_mask]
-    return finite(float(np.max(np.abs(j), initial=0.0)),
-                  "the distance from Sigma")
+        j = sys.rs.root_values(j)[:, sys.dp_mask]
+    return _per_point(x, finite(np.max(np.abs(j), axis=-1, initial=0.0),
+                                "the distance from Sigma"))
 
 
-def _lax_pair(sys: RMatrixSpec, points: list, z):
-    """The Lax pair at the points (all PhasePoints, or all ReducedPoints
-    for L_0 and B_0), stacked: the quasi-Lax residual max_z ||dL/dt -
-    [B, L] + (X_J R)(L/z)|| per point and B = -R_q(L/z) on z.  One unreduced
-    flow call on the stack, reduced points at their slice lift, gives the
-    velocity (q_dot, p_dot, xi_dot); a lift moves by its pushforward, and
-    B_0 is B less the torus drift D that the slice leaves out, alpha_j(D) =
-    xi_dot_{alpha_j}.  One table of :func:`_lax`, r and dc/du at +-z,
-    gives L and dL/dt (L at the velocity plus the q-derivative of the root
-    coefficients along q_dot) from its +z half, B from its -z half."""
+def _lax_pair(sys: RMatrixSpec, x: PhasePoint, z):
+    """The Lax pair at the stacked points x (L_0 and B_0 if reduced): the
+    quasi-Lax residual max_z ||dL/dt - [B, L] + (X_J R)(L/z)|| per point
+    and B = -R_q(L/z) on z.  One unreduced flow call on the stack, reduced
+    points at their slice lift, gives the velocity (q_dot, p_dot, xi_dot);
+    a lift moves by its pushforward, and B_0 is B less the torus drift D
+    that the slice leaves out, alpha_j(D) = xi_dot_{alpha_j}.  One table of
+    :func:`_lax`, r and dc/du at +-z, gives L and dL/dt (L at the velocity
+    plus the q-derivative of the root coefficients along q_dot) from its +z
+    half, B from its -z half."""
     rs, n = sys.rs, sys.rs.rank
     z = np.asarray(z, dtype=complex)
-    q, p, xi = _coords(rs, points)
+    q, p, xi = x.q, x.p, x.xi
     vel = _flow(sys, np.concatenate([q, p, xi], -1), False)
     dxi = vel[:, 2 * n:]
-    reduced = isinstance(points[0], ReducedPoint)
-    if reduced:
+    if x.reduced:
         # only the reduced roots of the lift move, by d s(xi_dot)
         dxi = np.concatenate([np.zeros((len(q), 2 * n)),
-                              pushforward(rs, xi[:, 2 * n:], dxi)], -1)
+                              pushforward(rs, x.spin, dxi)], -1)
     m = len(z)
     r, dr = _lax(sys, q, np.concatenate([z, -z]), 2, du=1)
     lax, dlax = (_lax_value(r[0, :, :m], cartan, spin)
@@ -421,7 +380,7 @@ def _lax_pair(sys: RMatrixSpec, points: list, z):
     # R_q(L/z) = (1/2) L/z + sum_k (1/k!) <r_k(-z), (L/z)_{-(k+1)} (x) 1>
     b = -(0.5 * (lax / z[:, None]) + _r_pairing(
         r[:, :, m:][..., rs.dual_index], principal[:, :, None]))
-    if reduced:
+    if x.reduced:
         # less the torus drift D: alpha_j(D) = xi_dot on the simple roots
         b[..., :n] -= np.linalg.solve(rs.alpha_h[:n],
                                       vel[:, 3 * n:4 * n, None])[:, None, :, 0]
@@ -434,22 +393,23 @@ def _lax_pair(sys: RMatrixSpec, points: list, z):
 
 
 @raise_on_fp_fault
-def lax_B(sys: RMatrixSpec, x, nodes) -> AlgElement:
-    """B = -R_q(L/z) on ``nodes``, one element per node, defined on the
-    constraint set Sigma where the flow is of Lax form; off Sigma (beyond
-    SIGMA_TOL) a constraint error carries the residual.  Its principal part
-    is 1/2 of L/z's: the regular part of L at 0 over z, I xi over z^2.  At
-    a ReducedPoint, B_0 through the gauge identity: B at the slice lift
-    (J = 0, so on Sigma) minus the Cartan compensator of the gauge drift."""
-    if not isinstance(x, ReducedPoint):
-        res = sigma_residual(sys, x)
-        if res > SIGMA_TOL:
-            raise ConstraintError(
-                f"point is off the constraint set Sigma: residual {res:.3e} "
-                f"exceeds {SIGMA_TOL:.1e}", residual=res)
+def lax_B(sys: RMatrixSpec, x: PhasePoint, nodes) -> AlgElement:
+    """B = -R_q(L/z) on ``nodes``, one element per node, defined on Sigma
+    where the flow is of Lax form; off Sigma (beyond SIGMA_TOL) a
+    constraint error carries the largest residual.  Its principal part is
+    1/2 of L/z's: the regular part of L at 0 over z, I xi over z^2.  At a
+    reduced point, B_0 through the gauge identity: B at the slice lift
+    minus the Cartan compensator of the gauge drift."""
+    xs = _stack(_checked(x, rs=sys.rs), nonempty=True)
+    res = 0.0 if xs.reduced else float(np.max(sigma_residual(sys, xs)))
+    if res > SIGMA_TOL:
+        raise ConstraintError(
+            f"point is off the constraint set Sigma: residual {res:.3e} "
+            f"exceeds {SIGMA_TOL:.1e}", residual=res)
     # On Sigma the flow satisfies dL/dt = -[R_q(L/z), L]; shipping B =
     # -R_q(L/z) makes it the plain dL/dt = [B, L].
-    return AlgElement(sys.rs, _lax_pair(sys, [x], nodes)[1][0])
+    return AlgElement(sys.rs, _per_point(x, _lax_pair(
+        sys, xs, _z_list(nodes, nonempty=False))[1]))
 
 
 def default_z_samples(n: int = 8) -> list[complex]:
@@ -458,20 +418,25 @@ def default_z_samples(n: int = 8) -> list[complex]:
     return [0.55 * np.exp(2j * math.pi * (k + 0.37) / n) for k in range(n)]
 
 
-def _z_list(z_samples: Sequence[complex] | None) -> Sequence[complex]:
-    """z_samples, default_z_samples() if None; StructuralError if empty."""
-    if z_samples is not None and not len(z_samples):
-        raise StructuralError("expected at least one z sample, got none")
-    return default_z_samples() if z_samples is None else z_samples
+def _z_list(z_samples, nonempty: bool = True) -> np.ndarray:
+    """z_samples (default_z_samples() if None) as a complex array;
+    StructuralError unless it is 1-D (and not empty, if ``nonempty``)."""
+    z = np.asarray(default_z_samples() if z_samples is None else z_samples,
+                   dtype=complex)
+    if z.ndim != 1 or nonempty and not len(z):
+        need = "at least one z sample" if nonempty else "z samples"
+        raise StructuralError(f"expected {need} in 1-D, got shape {z.shape}")
+    return z
 
 
 @raise_on_fp_fault
-def lax_residuals(sys: RMatrixSpec, points: list,
-                  z_samples: Sequence[complex] | None = None) -> np.ndarray:
+def lax_residuals(sys: RMatrixSpec, x: PhasePoint,
+                  z_samples: Sequence[complex] | None = None):
     """The quasi-Lax residual max_z ||dL/dt - [B, L] + (X_J R)(L/z)|| at
-    each of the points (L_0 and B_0 for ReducedPoints) in one stacked
-    evaluation: the Lax equation where J = 0 (on Sigma, at a slice lift)."""
-    return _lax_pair(sys, points, _z_list(z_samples))[0]
+    each stacked point (L_0 and B_0 if reduced) in one evaluation: the Lax
+    equation where J = 0 (on Sigma, at a slice lift)."""
+    xs = _stack(_checked(x, rs=sys.rs), nonempty=True)
+    return _per_point(x, _lax_pair(sys, xs, _z_list(z_samples))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -490,15 +455,14 @@ def _lax_powers(rs: RootSystem, lax, m: int) -> list:
     return powers[:m + 1]
 
 
-def _power_sums(sys: RMatrixSpec, coords: tuple, z) -> np.ndarray:
-    """tr(rho(L(z))^k) at the stacked coordinates (q, p, xi) of the points
-    (a reduced one at its slice lift: L_0), for every z and k = 1..n (n the
-    matrix size: by Cayley-Hamilton, higher powers add no invariant), of
-    shape (points, len(z), n): one stacked evaluation.  The traces are
-    np.trace, not einsum, which sets no flag on an overflow."""
-    q, p, xi = coords
-    powers = _lax_powers(sys.rs, _lax_value(_lax(sys, q, z)[0, 0], p, xi),
-                         sys.rs.matrix_size)[1:]
+def _power_sums(sys: RMatrixSpec, x: PhasePoint, z) -> np.ndarray:
+    """tr(rho(L(z))^k) at the stacked points x (reduced ones at their slice
+    lift: L_0), for every z and k = 1..n (n the matrix size: by
+    Cayley-Hamilton, higher powers add no invariant), of shape (points,
+    len(z), n): one stacked evaluation.  The traces are np.trace, not
+    einsum, which sets no flag on an overflow."""
+    powers = _lax_powers(sys.rs, _lax_value(_lax(sys, x.q, z)[0, 0], x.p,
+                                            x.xi), sys.rs.matrix_size)[1:]
     return np.stack([np.trace(a, axis1=-2, axis2=-1) for a in powers], -1)
 
 
@@ -526,12 +490,13 @@ def _char_poly(power_sums: np.ndarray) -> np.ndarray:
 
 
 @raise_on_fp_fault
-def conserved_spectrum(sys: RMatrixSpec, x,
+def conserved_spectrum(sys: RMatrixSpec, x: PhasePoint,
                        z_samples: Sequence[complex]) -> np.ndarray:
     """Table h_k(z) = tr(rho(L(z))^k)/k, shape (len(z_samples), n) for the
-    matrix size n.  Accepts PhasePoints (L) and ReducedPoints (L_0)."""
-    sums = _power_sums(sys, _coords(sys.rs, [x]), _z_list(z_samples))[0]
-    return sums / np.arange(1, sums.shape[-1] + 1)
+    matrix size n, per stacked point; L_0 at a reduced point."""
+    xs = _stack(_checked(x, rs=sys.rs))
+    sums = _power_sums(sys, xs, _z_list(z_samples))
+    return _per_point(x, sums / np.arange(1, sums.shape[-1] + 1))
 
 
 @raise_on_fp_fault
@@ -546,10 +511,7 @@ def spectral_drifts(sys: RMatrixSpec, traj: Trajectory,
     :func:`lax_residuals` at the trajectory's points."""
     if not traj.n_points:
         raise StructuralError("spectral_drifts expects a nonempty trajectory")
-    if traj.rs != sys.rs:
-        raise StructuralError("objects built over mismatched root systems: a "
-                              f"Trajectory over {traj.rs} for {sys.rs}")
-    sums = _power_sums(sys, _split(traj.rs, traj.states, traj.reduced),
+    sums = _power_sums(sys, _checked(traj.points, rs=sys.rs),
                        _z_list(z_samples))
     drifts = {"spectrum_drift": _worst(_relative_drift(
                   sums / np.arange(1, sums.shape[-1] + 1))),
@@ -562,25 +524,24 @@ def spectral_drifts(sys: RMatrixSpec, traj: Trajectory,
 # reduced Lax pair
 
 
-def gauge_residual(sys: RMatrixSpec, states) -> np.ndarray:
+def gauge_residual(sys: RMatrixSpec, x: PhasePoint):
     """max_z ||L_0(pi(x))(z) - Ad_{g(xi)^{-1}} L(x)(z)|| over the ring
-    default_z_samples(4) at each unreduced state x = q | p | xi (leading
-    axes stack states): the consistency of the reduced Lax operator with
-    the gauge normalization, both L from one r table at the states' q."""
-    rs = sys.rs
-    q, p, xi = _split(rs, np.asarray(states, dtype=complex), False)
-    s, g = reduction(rs, xi)
-    r = _lax(sys, q, default_z_samples(4))[0, 0]
-    diff = _lax_value(r, p, slice_lift(rs, s)) - torus_adjoint(
-        -g[..., None, :], AlgElement(rs, _lax_value(r, p, xi))).vec
-    return np.max(np.abs(diff), axis=(-2, -1))
+    default_z_samples(4) at each stacked unreduced point x: the consistency
+    of the reduced Lax operator with the gauge normalization, both L from
+    one r table at the points' q."""
+    rs, xs = sys.rs, _stack(_checked(x, False, sys.rs))
+    s, g = reduction(rs, xs.xi)
+    r = _lax(sys, xs.q, default_z_samples(4))[0, 0]
+    diff = _lax_value(r, xs.p, slice_lift(rs, s)) - torus_adjoint(
+        -g[..., None, :], AlgElement(rs, _lax_value(r, xs.p, xs.xi))).vec
+    return _per_point(x, np.max(np.abs(diff), axis=(-2, -1)))
 
 
 # ---------------------------------------------------------------------------
 # involution of the spectral invariants
 
 
-def _spectral_gradients(sys: RMatrixSpec, points: list,
+def _spectral_gradients(sys: RMatrixSpec, x: PhasePoint,
                         specs: Sequence[tuple[int, complex]]) -> np.ndarray:
     """Differentials (dq | dp | ds) of h_k(z) = tr(rho(L_0(z))^k)/k at each
     reduced point for every (k, z) in ``specs``, (points, specs, 2 rank +
@@ -590,7 +551,7 @@ def _spectral_gradients(sys: RMatrixSpec, points: list,
     ks = np.array([k for k, _ in specs], dtype=int)
     if (ks < 1).any():
         raise StructuralError("trace power k must be >= 1")
-    q, p, xi = _coords(rs, points, (ReducedPoint,))
+    q, p, xi = x.q, x.p, x.xi
     r, dr = _lax(sys, q, [z for _, z in specs], du=1)[:, 0]
     # L^(k - 1) for the k of each spec, read off one power ladder
     powers = _lax_powers(rs, _lax_value(r, p, xi), ks.max(initial=1) - 1)
@@ -602,21 +563,20 @@ def _spectral_gradients(sys: RMatrixSpec, points: list,
 
 
 @raise_on_fp_fault
-def involution_residuals(sys: RMatrixSpec, points: list,
+def involution_residuals(sys: RMatrixSpec, x: PhasePoint,
                          pairs: Sequence[tuple[tuple[int, complex],
                                                tuple[int, complex]]]
                          ) -> np.ndarray:
-    """|{h_{k1}(z1), h_{k2}(z2)}_red| at each reduced point for each pair
-    of (k, z) specs, (points, pairs): the gradients of the distinct specs
-    in one stacked evaluation, every pair read from the reduced Poisson
-    tensor (:func:`spincm.phase.reduced_brackets`), under one fault guard."""
+    """|{h_{k1}(z1), h_{k2}(z2)}_red| at each stacked reduced point for each
+    pair of (k, z) specs: the gradients of the distinct specs in one
+    evaluation, every pair read from the reduced Poisson tensor."""
+    xs = _stack(_checked(x, True, sys.rs), nonempty=True)
     specs = list(dict.fromkeys(spec for pair in pairs for spec in pair))
-    grads = _spectral_gradients(sys, points, specs)
-    table = reduced_brackets(sys.rs, np.array([x.s for x in points]), grads,
-                             grads)
+    grads = _spectral_gradients(sys, xs, specs)
+    table = _bracket(xs, grads, grads)
     first, second = ([specs.index(pair[side]) for pair in pairs]
                      for side in (0, 1))
-    return np.abs(table[:, first, second])
+    return _per_point(x, np.abs(table[:, first, second]))
 
 
 # ---------------------------------------------------------------------------
@@ -636,10 +596,11 @@ def fpbr_residual(sys: RMatrixSpec, x: PhasePoint, z: complex,
     (dL_a/dq | dL_a/dp | dL_a/dxi), L_a = p_a + c_a(q, z) xi_a from
     :func:`_lax`; the right side uses the r-matrix itself (including any
     injected fault, which makes this a negative control as well), each r
-    as its coefficient vector.
+    as its coefficient vector.  A stack of points raises StructuralError.
     """
     rs, n = sys.rs, sys.rs.rank
-    q, p, xi = _split(rs, _pack_point(rs, x, (PhasePoint,)), False)
+    x = _checked(x, False, rs, single=True)
+    q, p, xi = x.q, x.p, x.xi
     d, roots = rs.dual_index, np.arange(n, rs.dim)
     r, dr = _lax(sys, q, [z, w], du=1)[:, 0]
     rows = np.zeros((2, rs.dim, 2 * n + rs.dim), dtype=complex)
@@ -653,7 +614,7 @@ def fpbr_residual(sys: RMatrixSpec, x: PhasePoint, z: complex,
     c12, d12 = _r_table(sys, q, z - w, 1, du=1)[:, 0]
     com = c12[d] * ad_z.T + c12[:, None] * ad_w
     com[roots, d[roots]] += d12[roots] * rs.root_values(xi[:n])
-    return float(np.max(np.abs(bracket_full(x, *rows) + com)))
+    return float(np.max(np.abs(_bracket(x, *rows) + com)))
 
 
 # ---------------------------------------------------------------------------
@@ -680,11 +641,12 @@ def trajectory_csv(traj: Trajectory,
     whole (complex values as re+imj), from one table in one pass."""
     extra = extra or {}
     header = io.StringIO()
-    csv.writer(header).writerow(_state_columns(traj.rs, traj.reduced)
+    csv.writer(header).writerow(_state_columns(traj.points.rs,
+                                               traj.points.reduced)
                                 + ["energy", "J_residual"] + list(extra))
     # one complex table, t | states | energy | J_residual | extra; "%.0s"
     # drops the zero imaginary part of the two real columns
-    table = np.column_stack([traj.times, traj.states, traj.energy,
+    table = np.column_stack([traj.times, traj.points.y, traj.energy,
                              traj.constraint, *extra.values()]).astype(complex)
     real, n_extra = "%.17g%.0s", len(extra)
     row = ",".join([real] + [_COMPLEX_FORMAT] * (table.shape[1] - 2 - n_extra)
@@ -731,5 +693,6 @@ def read_trajectory_csv(path, rs: RootSystem) -> Trajectory:
             raise ConfigError(f"trajectory {path} line {line}: a value is "
                               "not finite")
     table = np.array(values, dtype=complex).reshape(-1, len(cols))
-    return Trajectory(table[:, 0].real, table[:, 1:-2], rs, reduced,
-                      table[:, -2], table[:, -1].real, True)
+    points = PhasePoint(rs, table[:, 1:-2], reduced)
+    return Trajectory(table[:, 0].real, points, table[:, -2],
+                      table[:, -1].real, True)

@@ -14,7 +14,7 @@ Covectors are stored as algebra elements through the form isomorphism (see
 :mod:`spincm.rootsys`), so the Lie-Poisson term is dF_xi F dG_xi^T with
 F[a, b] = <xi, [e_a, e_b]> (:func:`lie_poisson`).  A bracket reads its
 pairs from the Poisson tensor, whose reduced form is Pi = canonical block
-+ C F C^T (:func:`reduced_brackets`).
++ C F C^T (:func:`bracket_full` at a reduced point).
 
 The Cartan torus acts by (q, p, xi) -> (q, p, Ad*_{h^-1} xi), which scales
 each spin component: xi_alpha -> exp(alpha(log h)) xi_alpha.  Its momentum
@@ -28,9 +28,13 @@ invariant monomials
 where m_alpha are the integer simple-root coordinates of alpha.  The
 exponents are integers, so no branch choices enter the projection.  One
 array core, :func:`reduction`, holds the guard of U, s and the gauge g(xi)
-for points stacked on leading axes; :func:`project_pi` and :func:`gauge_g`
-read it at one point.  The differential of s at the slice lift is
-written once, on the table of the m_alpha^i: :func:`pushforward`.
+for points stacked on leading axes, which :func:`project_pi` and
+:func:`gauge_g` read.  The differential of s at the slice lift is written
+once, on the table of the m_alpha^i: :func:`pushforward`.
+
+A point of either space is one :class:`PhasePoint`, the state row q | p |
+spin that the flows and the CSV work on: (q, p, s) is (q, p, xi) with xi
+on the slice.  Every export that takes a point checks it once.
 """
 
 from __future__ import annotations
@@ -48,32 +52,80 @@ OUTSIDE_U_TOL = 1e-13
 
 @dataclass(frozen=True)
 class PhasePoint:
-    """Point (q, p, xi) of T*h* x g*."""
+    """Point (q, p, xi) of T*h* x g*, or (q, p, s) of the reduced space (s
+    ordered like :func:`reduced_roots`), as its state row y = q | p | spin.
+    Leading axes of y stack points, indexed by ``x[k]``.  q, p and the spin
+    are views of y; ``xi`` is the spin, at :func:`slice_lift` if reduced."""
 
-    q: np.ndarray
-    p: np.ndarray
-    xi: AlgElement
+    rs: RootSystem
+    y: np.ndarray
+    reduced: bool = False
 
     def __post_init__(self):
-        rank = self.rs.rank
-        if self.q.shape != (rank,) or self.p.shape != (rank,):
-            raise StructuralError(
-                f"q and p must have {rank} coordinates each, got "
-                f"{self.q.shape} and {self.p.shape}")
-        if self.xi.vec.shape != (self.rs.dim,):
-            raise StructuralError(f"expected {self.rs.dim} spin coordinates, "
-                                  f"got {self.xi.vec.shape}")
+        if not isinstance(self.rs, RootSystem):
+            raise StructuralError(f"expected a RootSystem, got {self.rs!r}")
+        n = self.rs.rank
+        width = 2 * n + (self.rs.n_roots - n if self.reduced else self.rs.dim)
+        object.__setattr__(self, "y", np.asarray(self.y, dtype=complex))
+        if self.y.shape[-1:] != (width,):
+            raise StructuralError(f"expected state rows of {width} "
+                                  f"coordinates, got shape {self.y.shape}")
+
+    q = property(lambda self: self.y[..., :self.rs.rank])
+    p = property(lambda self: self.y[..., self.rs.rank:2 * self.rs.rank])
+    spin = property(lambda self: self.y[..., 2 * self.rs.rank:])
 
     @property
-    def rs(self) -> RootSystem:
-        return self.xi.rs
+    def xi(self) -> np.ndarray:
+        return slice_lift(self.rs, self.spin) if self.reduced else self.spin
+
+    def __getitem__(self, k) -> "PhasePoint":
+        return PhasePoint(self.rs, self.y[k], self.reduced)
 
     @staticmethod
     def make(rs: RootSystem, q, p, xi_cartan=None,
              xi_components: dict[Root, complex] | None = None) -> "PhasePoint":
+        q, p = np.asarray(q, dtype=complex), np.asarray(p, dtype=complex)
+        if q.shape != (rs.rank,) or p.shape != (rs.rank,):
+            raise StructuralError(f"q and p must have {rs.rank} coordinates "
+                                  f"each, got {q.shape} and {p.shape}")
         xi = AlgElement.from_root_dict(rs, xi_components or {}, cartan=xi_cartan)
-        return PhasePoint(np.asarray(q, dtype=complex),
-                          np.asarray(p, dtype=complex), xi)
+        return PhasePoint(rs, np.concatenate([q, p, xi.vec]))
+
+    @staticmethod
+    def make_reduced(rs: RootSystem, q, p,
+                     s_components: dict[Root, complex]) -> "PhasePoint":
+        s = np.zeros(rs.n_roots - rs.rank, dtype=complex)
+        for root, c in s_components.items():
+            if rs.root_index.get(root, 0) < rs.rank:
+                raise StructuralError(
+                    f"{root} does not carry a reduced spin coordinate")
+            s[rs.root_index[root] - rs.rank] = c
+        x = PhasePoint.make(rs, q, p)
+        return PhasePoint(rs, np.concatenate([x.q, x.p, s]), True)
+
+
+def _checked(x, reduced: bool | None = None, rs: RootSystem | None = None,
+             single: bool = False) -> PhasePoint:
+    """x, after the entry check of every export that takes a point: a finite
+    PhasePoint over rs, of the kind ``reduced``, and one point if single."""
+    rs = getattr(x, "rs", None) if rs is None else rs
+    if not (isinstance(x, PhasePoint) and x.rs == rs):
+        raise StructuralError(
+            f"objects built over mismatched root systems: a {type(x).__name__}"
+            f" over {getattr(x, 'rs', None)} where a PhasePoint over {rs} is "
+            f"expected")
+    if reduced is not None and x.reduced != reduced:
+        kind = {False: "an unreduced", True: "a reduced"}
+        raise StructuralError(f"{kind[x.reduced]} PhasePoint where "
+                              f"{kind[reduced]} one is expected")
+    if not np.isfinite(x.y).all():
+        raise StructuralError("the coordinates of a PhasePoint (q, p and "
+                              "spin) must be finite")
+    if single and x.y.ndim != 1:
+        raise StructuralError(f"expected one point, got a stack of shape "
+                              f"{x.y.shape[:-1]}")
+    return x
 
 
 def reduced_roots(rs: RootSystem) -> tuple[Root, ...]:
@@ -82,57 +134,24 @@ def reduced_roots(rs: RootSystem) -> tuple[Root, ...]:
     return rs.roots[rs.rank:]
 
 
-@dataclass(frozen=True)
-class ReducedPoint:
-    """Point (q, p, s) of the reduced phase space.
-
-    ``s`` is ordered like :func:`reduced_roots`; the simple-root components
-    are implicitly 1 and are not stored.
-    """
-
-    rs: RootSystem
-    q: np.ndarray
-    p: np.ndarray
-    s: np.ndarray
-
-    def __post_init__(self):
-        rank = self.rs.rank
-        n_s = self.rs.n_roots - rank
-        if self.q.shape != (rank,) or self.p.shape != (rank,):
-            raise StructuralError(
-                f"q and p must have {rank} coordinates each, got "
-                f"{self.q.shape} and {self.p.shape}")
-        if self.s.shape != (n_s,):
-            raise StructuralError(
-                f"expected {n_s} reduced spin coordinates, got {self.s.shape}")
-
-    @staticmethod
-    def make(rs: RootSystem, q, p,
-             s_components: dict[Root, complex]) -> "ReducedPoint":
-        s = np.zeros(rs.n_roots - rs.rank, dtype=complex)
-        for root, c in s_components.items():
-            k = rs.root_index.get(root)
-            if k is None or k < rs.rank:
-                raise StructuralError(
-                    f"{root} does not carry a reduced spin coordinate")
-            s[k - rs.rank] = c
-        return ReducedPoint(rs, np.asarray(q, dtype=complex),
-                            np.asarray(p, dtype=complex), s)
-
-
 # ---------------------------------------------------------------------------
 # torus action and momentum
 
 
 def momentum_J(x: PhasePoint) -> np.ndarray:
     """Momentum map of the torus action: the Cartan block of xi."""
-    return x.xi.vec[: x.rs.rank].copy()
+    return _checked(x, False).xi[..., :x.rs.rank].copy()
 
 
 def torus_action(c_coords, x: PhasePoint) -> PhasePoint:
     """Action of the torus element with log-coordinates ``c_coords`` over the
-    coroot basis: fixes (q, p), scales xi_alpha by exp(alpha(log h))."""
-    return PhasePoint(x.q, x.p, torus_adjoint(c_coords, x.xi))
+    coroot basis (broadcast against the stack of x): fixes (q, p), scales
+    xi_alpha by exp(alpha(log h))."""
+    x = _checked(x, False)
+    xi = torus_adjoint(c_coords, AlgElement(x.rs, x.xi)).vec
+    y = np.array(np.broadcast_to(x.y, xi.shape[:-1] + x.y.shape[-1:]))
+    y[..., 2 * x.rs.rank:] = xi
+    return PhasePoint(x.rs, y)
 
 
 # ---------------------------------------------------------------------------
@@ -162,22 +181,25 @@ def reduction(rs: RootSystem, xi) -> tuple[np.ndarray, np.ndarray]:
 
 
 @raise_on_fp_fault
-def gauge_g(xi: AlgElement) -> np.ndarray:
+def gauge_g(x: PhasePoint) -> np.ndarray:
     """Log-coordinates c = C^T log(xi_{alpha_j}) (:func:`reduction`) of the
     gauge torus element g(xi) = exp(sum_i c_i h_{alpha_i}) over the coroot
-    basis; g(xi)^{-1} moves xi onto the slice xi_{alpha_i} = 1."""
-    return reduction(xi.rs, xi.vec)[1]
+    basis at x; g(xi)^{-1} moves xi onto the slice xi_{alpha_i} = 1."""
+    x = _checked(x, False)
+    return reduction(x.rs, x.xi)[1]
 
 
 @raise_on_fp_fault
-def project_pi(x: PhasePoint) -> ReducedPoint:
+def project_pi(x: PhasePoint) -> PhasePoint:
     """Reduction projection (q, p, xi) -> (q, p, s); constant on torus orbits.
 
     Defined on U = {xi_{alpha_i} != 0} (:func:`reduction`).  The Cartan
     block of xi is the conserved momentum and does not enter s; the
     dynamically meaningful case is J = 0, which the caller enforces.
     """
-    return ReducedPoint(x.rs, x.q, x.p, reduction(x.rs, x.xi.vec)[0])
+    x = _checked(x, False)
+    s = reduction(x.rs, x.xi)[0]
+    return PhasePoint(x.rs, np.concatenate([x.q, x.p, s], -1), True)
 
 
 def slice_lift(rs: RootSystem, s: np.ndarray) -> np.ndarray:
@@ -190,11 +212,11 @@ def slice_lift(rs: RootSystem, s: np.ndarray) -> np.ndarray:
     return vec
 
 
-def lift_reduced(x_red: ReducedPoint) -> PhasePoint:
-    """The point of the canonical section (:func:`slice_lift`) over x_red."""
-    return PhasePoint(np.asarray(x_red.q, dtype=complex),
-                      np.asarray(x_red.p, dtype=complex),
-                      AlgElement(x_red.rs, slice_lift(x_red.rs, x_red.s)))
+def lift_reduced(x: PhasePoint) -> PhasePoint:
+    """The point of the canonical section (:func:`slice_lift`) over the
+    reduced point x."""
+    x = _checked(x, True)
+    return PhasePoint(x.rs, np.concatenate([x.q, x.p, x.xi], -1))
 
 
 @lru_cache(maxsize=None)
@@ -219,49 +241,42 @@ def lie_poisson(rs: RootSystem, xi: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Poisson brackets of differential rows: (dF/dq | dF/dp | dF/dxi) on T*h* x
-# g*, dF/dxi in g, or (dF/dq | dF/dp | dF/ds) on the reduced space.  Rows
-# stacked on the second-to-last axis give the matrix of all pairs; two
-# single rows give a complex.
+# Poisson brackets of differential rows (dF/dq | dF/dp | dF/dspin)
 
 
-def _brackets(df, dg, n: int, spin) -> np.ndarray | complex:
-    """The canonical part, {p_i, q_j} = +delta_ij, plus spin(the spin
-    blocks of df, dg)."""
-    df, dg = np.asarray(df, dtype=complex), np.asarray(dg, dtype=complex)
+def _bracket(x: PhasePoint, df, dg):
+    """{p_i, q_j} = +delta_ij plus dF_xi F dG_xi^T (dF_xi in g), or at a
+    reduced point C F C^T (C^T the :func:`pushforward` of the basis
+    velocities in dual order) factor by factor, as summing it first loses
+    0.1 digit; rows stacked on the second-to-last axis give all pairs."""
+    rs, n = x.rs, x.rs.rank
     a, b = np.atleast_2d(df), np.atleast_2d(dg).swapaxes(-1, -2)
+    lp = lie_poisson(rs, x.xi)
+    spin_a, spin_b = a[..., 2 * n:], b[..., 2 * n:, :]
+    if x.reduced:
+        chain_t = pushforward(rs, x.spin[..., None, :], np.eye(rs.dim))[
+            ..., rs.dual_index, :]
+        spin_a, spin_b = spin_a @ chain_t.swapaxes(-1, -2), chain_t @ spin_b
     out = (a[..., n:2 * n] @ b[..., :n, :] - a[..., :n] @ b[..., n:2 * n, :]
-           + spin(a[..., 2 * n:], b[..., 2 * n:, :]))
-    return complex(out[0, 0]) if df.ndim == dg.ndim == 1 else out
+           + spin_a @ lp @ spin_b)
+    if np.ndim(df) == np.ndim(dg) == 1:
+        out = out[..., 0, 0]
+    return complex(out) if out.ndim == 0 else out
 
 
 @raise_on_fp_fault
 def bracket_full(x: PhasePoint, df, dg):
-    """Poisson bracket {F, G}(x) on T*h* x g* of the differentials df, dg:
-    the canonical part plus the Lie-Poisson term dF_xi F dG_xi^T.
-
-    The canonical part carries the dual-bundle orientation, {p_i, q_j} =
-    +delta_ij, and the spin part is the plus Lie-Poisson bracket.  With
-    this normalization the bracket relation between Lax components and
-    the involution of spectral invariants hold with the signs used
-    throughout the dynamics module; the Hamiltonian flow is F |-> {H, F},
-    which reads dq/dt = +dH/dp in mechanical terms.  An overflow raises
-    FloatingPointError.
-    """
-    lp = lie_poisson(x.rs, x.xi.vec)
-    return _brackets(df, dg, x.rs.rank, lambda a, b: a @ lp @ b)
-
-
-def reduced_brackets(rs: RootSystem, s: np.ndarray, df, dg):
-    """Reduced brackets of the differential rows at the points with spin
-    coordinates s (leading axes stack points), from the Poisson tensor Pi
-    = canonical block + C F C^T (C^T the :func:`pushforward` of the basis
-    velocities in dual order, F :func:`lie_poisson` at the slice lift)
-    factor by factor: the rows meet C first, then F; summing the entries
-    of P = C F C^T first loses about 0.1 digit more to cancellation in the
-    involution check."""
-    lp = lie_poisson(rs, slice_lift(rs, s))
-    chain_t = pushforward(rs, s[..., None, :], np.eye(rs.dim))[
-        ..., rs.dual_index, :]
-    return _brackets(df, dg, rs.rank, lambda a, b: (
-        a @ chain_t.swapaxes(-1, -2)) @ lp @ (chain_t @ b))
+    """Poisson bracket {F, G}(x) of the differential rows df, dg at the
+    points x (:func:`_bracket`), two single rows one value per point; rows
+    of another width raise StructuralError.  With {p_i, q_j} = +delta_ij
+    and the plus Lie-Poisson bracket, the Lax bracket relation and the
+    involution hold with the signs of the dynamics module.  An overflow
+    raises FloatingPointError."""
+    x = _checked(x)
+    df, dg = np.asarray(df, dtype=complex), np.asarray(dg, dtype=complex)
+    width = x.y.shape[-1]
+    if df.shape[-1:] != (width,) or dg.shape[-1:] != (width,):
+        raise StructuralError(f"expected differential rows of {width} "
+                              f"coordinates, got shapes {df.shape} and "
+                              f"{dg.shape}")
+    return _bracket(x, df, dg)

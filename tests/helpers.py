@@ -2,7 +2,7 @@
 reference evaluations that the package itself no longer needs.
 
 The package brackets differential rows (:func:`spincm.phase.bracket_full`,
-:func:`spincm.phase.reduced_brackets`) and checks its identities as stacked
+at a point of either kind) and checks its identities as stacked
 array evaluations.  The tests also want functions as objects (a value and a
 gradient) to state the Poisson axioms, Leibniz and Jacobi rules, and a few
 dense or chain-rule references; they live here.
@@ -17,17 +17,31 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from spincm.dynamics import (Trajectory, _char_poly, _coords, _gradient,
+from spincm.dynamics import (Trajectory, _char_poly, _gradient,
                              _power_sums, _state_columns, lax_L,
                              vector_field)
 from spincm.elliptic import Lattice, _value
 from spincm.errors import StructuralError, raise_on_fp_fault
-from spincm.phase import (PhasePoint, ReducedPoint, bracket_full, gauge_g,
-                          lift_reduced, reduced_brackets, torus_action)
+from spincm.phase import (PhasePoint, bracket_full, gauge_g, lift_reduced,
+                          torus_action)
 from spincm.rmatrix import (RMatrixSpec, _ladder, _r_pairing, _r_table,
                             _trim_principal, positive_pair_weight)
 from spincm.rootsys import (AlgElement, Root, RootSystem, bracket, form,
                             negate, torus_adjoint)
+
+# -- points -------------------------------------------------------------------
+
+
+def point(rs: RootSystem, q, p, spin, reduced: bool = False) -> PhasePoint:
+    """The point with the state row q | p | spin (s if ``reduced``)."""
+    return PhasePoint(rs, np.concatenate([q, p, spin]), reduced)
+
+
+def stack(points: Sequence[PhasePoint]) -> PhasePoint:
+    """Points of one kind stacked on one leading axis."""
+    return PhasePoint(points[0].rs, np.array([x.y for x in points]),
+                      points[0].reduced)
+
 
 # -- call counts --------------------------------------------------------------
 
@@ -77,8 +91,8 @@ class ReducedGradient:
 
 @dataclass
 class ReducedFunction:
-    value: Callable[[ReducedPoint], complex]
-    gradient: Callable[[ReducedPoint], ReducedGradient]
+    value: Callable[[PhasePoint], complex]
+    gradient: Callable[[PhasePoint], ReducedGradient]
 
 
 def poisson_full(f: PhaseFunction, g: PhaseFunction, x: PhasePoint) -> complex:
@@ -87,16 +101,16 @@ def poisson_full(f: PhaseFunction, g: PhaseFunction, x: PhasePoint) -> complex:
 
 
 def poisson_reduced(f: ReducedFunction, g: ReducedFunction,
-                    x: ReducedPoint) -> complex:
-    """{F, G}_red(x) through :func:`spincm.phase.reduced_brackets`."""
-    return reduced_brackets(x.rs, x.s, f.gradient(x).row(),
-                            g.gradient(x).row())
+                    x: PhasePoint) -> complex:
+    """{F, G}_red(x) through :func:`spincm.phase.bracket_full` at the
+    reduced point x."""
+    return bracket_full(x, f.gradient(x).row(), g.gradient(x).row())
 
 
 def linear_spin_function(rs: RootSystem, y: AlgElement) -> PhaseFunction:
     """The linear function xi -> <xi, Y> on g*, constant in (q, p)."""
     zero = np.zeros(rs.rank)
-    return PhaseFunction(lambda x: form(x.xi, y),
+    return PhaseFunction(lambda x: form(AlgElement(rs, x.xi), y),
                          lambda x: PhaseGradient(zero, zero, y))
 
 
@@ -109,12 +123,12 @@ def spin_coordinate_function(rs: RootSystem, root: Root) -> ReducedFunction:
     idx = k - rs.rank
     zero = np.zeros(rs.rank)
 
-    def grad(x: ReducedPoint) -> ReducedGradient:
+    def grad(x: PhasePoint) -> ReducedGradient:
         ds = np.zeros(rs.n_roots - rs.rank, dtype=complex)
         ds[idx] = 1.0
         return ReducedGradient(zero, zero, ds)
 
-    return ReducedFunction(lambda x: complex(x.s[idx]), grad)
+    return ReducedFunction(lambda x: complex(x.spin[idx]), grad)
 
 
 def spin_invariant_gradient(xi: AlgElement, root: Root) -> AlgElement:
@@ -133,12 +147,12 @@ def spin_invariant_gradient(xi: AlgElement, root: Root) -> AlgElement:
 
 def normalize_to_slice(x: PhasePoint) -> PhasePoint:
     """Move x along its torus orbit onto the slice xi_{alpha_i} = 1."""
-    return torus_action(-gauge_g(x.xi), x)
+    return torus_action(-gauge_g(x), x)
 
 
 def hamiltonian_gradient(sys: RMatrixSpec, x: PhasePoint) -> PhaseGradient:
     """(dH/dq, dH/dp, dH/dxi) from the flow core's gradient."""
-    force, wxi = _gradient(sys, x.q, x.xi.vec)
+    force, wxi = _gradient(sys, x.q, x.xi)
     return PhaseGradient(-force, x.p.copy(), AlgElement(sys.rs, -wxi))
 
 
@@ -252,20 +266,19 @@ def R_directional(spec: RMatrixSpec, q, v, xi: LaurentElement
 def lax_time_derivative(sys: RMatrixSpec, x, z) -> AlgElement:
     """dL/dt along the flow at x by the chain rule, point by point: L at
     (q, p_dot, xi_dot) plus the q-derivative of the root coefficients
-    along q_dot; for a ReducedPoint, dL_0/dt at the slice lift."""
+    along q_dot; for a reduced point, dL_0/dt at the slice lift."""
     rs = sys.rs
-    if isinstance(x, ReducedPoint):
+    if x.reduced:
         v_red = vector_field(sys, x)
         xi_dot = np.zeros(rs.dim, dtype=complex)
-        xi_dot[2 * rs.rank:] = v_red.s
-        x, v = lift_reduced(x), PhasePoint(v_red.q, v_red.p,
-                                           AlgElement(rs, xi_dot))
+        xi_dot[2 * rs.rank:] = v_red.spin
+        x, v = lift_reduced(x), point(rs, v_red.q, v_red.p, xi_dot)
     else:
         v = vector_field(sys, x)
-    vec = lax_L(sys, PhasePoint(x.q, v.p, v.xi), z).vec
+    vec = lax_L(sys, point(rs, x.q, v.p, v.xi), z).vec
     c_du = root_coeff(sys, rs.root_values(x.q),
                       np.expand_dims(z, -1), du=1)
-    vec[..., rs.rank:] += c_du * rs.root_values(v.q) * x.xi.vec[rs.rank:]
+    vec[..., rs.rank:] += c_du * rs.root_values(v.q) * x.xi[rs.rank:]
     return AlgElement(rs, vec)
 
 
@@ -273,7 +286,7 @@ def spectral_curve(sys: RMatrixSpec, x, z_grid) -> np.ndarray:
     """Coefficients of det(w Id - rho(L(z))) in w, one row per grid z,
     highest power first (monic), as the package's Newton's identities give
     them; reduced points use L_0."""
-    return _char_poly(_power_sums(sys, _coords(sys.rs, [x]), z_grid))[0]
+    return _char_poly(_power_sums(sys, x[None], z_grid))[0]
 
 
 def ring_nodes(radius: float, n: int) -> np.ndarray:
@@ -367,15 +380,14 @@ def trajectory_csv_rows(traj: Trajectory,
     the whole spin of each point (the Cartan spins xi_h_i and the root
     spins by label, or the reduced s by label), then diagnostics; the
     reference for :func:`spincm.dynamics.trajectory_csv`."""
-    reduced = traj.reduced
     extra = extra or {}
-    header = (_state_columns(traj.rs, reduced) + ["energy", "J_residual"]
-              + list(extra.keys()))
+    header = (_state_columns(traj.points.rs, traj.points.reduced)
+              + ["energy", "J_residual"] + list(extra.keys()))
     rows = []
     for idx, pt in enumerate(traj.points):
-        spins = pt.s if reduced else pt.xi.vec
         row = [f"{traj.times[idx]:.17g}"]
-        row += [format_complex(v) for v in np.concatenate([pt.q, pt.p, spins])]
+        row += [format_complex(v) for v in np.concatenate([pt.q, pt.p,
+                                                           pt.spin])]
         row += [format_complex(traj.energy[idx]),
                 f"{traj.constraint[idx]:.17g}"]
         row += [format_complex(col[idx]) for col in extra.values()]

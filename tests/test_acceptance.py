@@ -27,14 +27,13 @@ import numpy as np
 
 from spincm.elliptic import Lattice, l_kernel
 from spincm.rootsys import AlgElement, build_root_system, torus_adjoint
-from spincm.phase import (PhasePoint, ReducedPoint, gauge_g, project_pi,
-                          torus_action)
+from spincm.phase import PhasePoint, gauge_g, project_pi, torus_action
 from spincm.rmatrix import verify_axioms, verify_cdybe, verify_mdybe
 from spincm.dynamics import (collision_margin, fpbr_residual, hamiltonian,
                              integrate, involution_residuals, lax_residuals,
                              make_system, spectral_drifts, spinless_state)
 
-from helpers import poisson_reduced, spin_coordinate_function
+from helpers import point, poisson_reduced, spin_coordinate_function, stack
 from test_phase import SL3_ROOTS, SL3_TABLE
 
 WIDE = Lattice(2.0, 2.2j)
@@ -84,16 +83,16 @@ def sigma_point(sys_, rng, scale=0.8):
     vec[:rs.rank] = 0.0
     q = guarded_q(sys_, rng)
     p = scale * rng.normal(size=rs.rank)
-    return PhasePoint(q.astype(complex), p.astype(complex), AlgElement(rs, vec))
+    return point(rs, q.astype(complex), p.astype(complex), vec)
 
 
 def generic_point(sys_, rng):
     """Like sigma_point but with a nonzero Cartan spin block (J != 0)."""
     x = sigma_point(sys_, rng)
-    vec = x.xi.vec.copy()
+    vec = x.xi.copy()
     vec[:sys_.rs.rank] = rng.normal(size=sys_.rs.rank) \
         + 1j * rng.normal(size=sys_.rs.rank)
-    return PhasePoint(x.q, x.p, AlgElement(sys_.rs, vec))
+    return point(sys_.rs, x.q, x.p, vec)
 
 
 def reduced_point(sys_, rng):
@@ -101,7 +100,7 @@ def reduced_point(sys_, rng):
     n_s = rs.n_roots - rs.rank
     s = rng.normal(size=n_s) + 1j * rng.normal(size=n_s)
     q = guarded_q(sys_, rng).astype(complex)
-    return ReducedPoint(rs, q, rng.normal(size=rs.rank).astype(complex), s)
+    return point(rs, q, rng.normal(size=rs.rank).astype(complex), s, True)
 
 
 def ring_z(rng, lo=0.25, hi=0.8):
@@ -226,8 +225,9 @@ def test_04_reduced_bracket_table():
     for _ in range(100):
         vals = {name: complex(rng.normal(), rng.normal() * 0.5)
                 for name in SL3_ROOTS}
-        red = ReducedPoint.make(rs, rng.normal(size=2), rng.normal(size=2),
-                                {SL3_ROOTS[n]: v for n, v in vals.items()})
+        red = PhasePoint.make_reduced(
+            rs, rng.normal(size=2), rng.normal(size=2),
+            {SL3_ROOTS[n]: v for n, v in vals.items()})
         for (na, nb), formula in SL3_TABLE.items():
             fa = spin_coordinate_function(rs, SL3_ROOTS[na])
             fb = spin_coordinate_function(rs, SL3_ROOTS[nb])
@@ -259,7 +259,7 @@ def test_06_lax_pair():
             sys_ = system(family, rank)
             rng = np.random.default_rng(600 + rank)
             worst = np.max(lax_residuals(
-                sys_, [sigma_point(sys_, rng) for _ in range(3)]))
+                sys_, stack([sigma_point(sys_, rng) for _ in range(3)])))
             pairs.append((worst, 1e-6))
     # reduced form along the shared trajectories: isospectrality of
     # rho(L_0(z)) and the pointwise dL_0/dt = [B_0, L_0] residual
@@ -269,15 +269,14 @@ def test_06_lax_pair():
         rep = spectral_drifts(sys_, traj)
         pairs.append((rep["isospectral_drift"], 1e-5))
         at = np.linspace(0, traj.n_points - 1, 9).astype(int)
-        pairs.append((np.max(lax_residuals(
-            sys_, [traj.points[k] for k in at])), 1e-5))
+        pairs.append((np.max(lax_residuals(sys_, traj.points[at])), 1e-5))
     # off the constraint surface the rational flow satisfies the quasi-Lax
     # equation with the momentum anomaly
     for rank in (1, 2):
         sys_ = system("rational", rank)
         rng = np.random.default_rng(660 + rank)
         worst = np.max(lax_residuals(
-            sys_, [generic_point(sys_, rng) for _ in range(5)]))
+            sys_, stack([generic_point(sys_, rng) for _ in range(5)])))
         pairs.append((worst, 1e-6))
     _gate(6, "Lax pair", pairs)
 
@@ -297,7 +296,8 @@ def test_07_involution_of_spectral_invariants():
         sys_ = system(family, 2)
         rng = np.random.default_rng(700)
         worst = np.max(involution_residuals(
-            sys_, [reduced_point(sys_, rng) for _ in range(2)], battery))
+            sys_, stack([reduced_point(sys_, rng) for _ in range(2)]),
+            battery))
         pairs.append((worst, tol))
     _gate(7, "involution of spectral invariants", pairs)
 
@@ -339,7 +339,8 @@ def test_08_spinless_limit():
                                      rng.normal(size=2), 1j))
     traj = integrate(sys2, red0, 2.0, 1e-11, n_points=41)
     assert traj.completed, traj.abort_reason
-    s_drift = max(float(np.max(np.abs(pt.s - red0.s))) for pt in traj.points)
+    s_drift = max(float(np.max(np.abs(pt.spin - red0.spin)))
+                  for pt in traj.points)
     pairs.append((s_drift, 1e-10))
     _gate(8, "spinless limit", pairs)
 
@@ -354,7 +355,7 @@ def test_09_gauge_map():
     for _ in range(50):
         while True:
             x = sigma_point(sys_, rng)
-            vals = np.array([x.xi.vec[rs.basis_index(rs.roots[i])]
+            vals = np.array([x.xi[rs.basis_index(rs.roots[i])]
                              for i in range(rs.rank)])
             # keep the simple components away from the log branch cut
             if np.all(np.abs(vals) > 0.3) \
@@ -362,11 +363,13 @@ def test_09_gauge_map():
                 break
         c = rng.uniform(-0.1, 0.1, size=rs.rank) \
             + 1j * rng.uniform(-0.1, 0.1, size=rs.rank)
-        shifted = gauge_g(torus_adjoint(c, x.xi))
+        shifted = gauge_g(point(rs, x.q, x.p, torus_adjoint(
+            c, AlgElement(rs, x.xi)).vec))
         worst_eq = max(worst_eq, float(np.max(np.abs(
-            shifted - (gauge_g(x.xi) + c)))))
+            shifted - (gauge_g(x) + c)))))
         ra, rb = project_pi(x), project_pi(torus_action(c, x))
-        worst_proj = max(worst_proj, float(np.max(np.abs(ra.s - rb.s))))
+        worst_proj = max(worst_proj, float(np.max(np.abs(ra.spin
+                                                         - rb.spin))))
     _gate(9, "gauge map", [(worst_eq, 1e-10), (worst_proj, 1e-10)])
 
 

@@ -19,9 +19,9 @@ from spincm.cli import (EXIT_CONFIG, EXIT_PASS, EXIT_RESIDUAL,
 from spincm.dynamics import (integrate, involution_residuals, lax_residuals,
                              read_trajectory_csv, spectral_drifts)
 from spincm.errors import ConfigError, StructuralError
-from spincm.phase import PhasePoint, ReducedPoint, reduced_roots
+from spincm.phase import PhasePoint, reduced_roots
 from spincm.rmatrix import verify_axioms, verify_cdybe, verify_mdybe
-from spincm.rootsys import AlgElement, build_root_system, root_label
+from spincm.rootsys import build_root_system, root_label
 
 
 def write_config(tmp_path, name, data):
@@ -448,10 +448,10 @@ def test_simulate_witnesses_replay_from_the_csv(tmp_path, family):
             == EXIT_PASS
         diag = json.loads((out / "diagnostics.json").read_text())
         traj = read_trajectory_csv(out / "trajectory.csv", rs)
-        assert traj.reduced == (kind == "reduced")
-        if not traj.reduced:
+        assert traj.points.reduced == (kind == "reduced")
+        if not traj.points.reduced:
             cartan = [0.3, -0.2] if kind == "xi_cartan" else [0, 0]
-            assert np.array_equal(traj.states[0, 4:6], cartan)
+            assert np.array_equal(traj.points.y[0, 4:6], cartan)
         system = load_config(cfg).system()
         drifts = spectral_drifts(system, traj)
         assert set(diag["worst"]) == {"energy_drift", "spectrum_drift",
@@ -462,7 +462,7 @@ def test_simulate_witnesses_replay_from_the_csv(tmp_path, family):
             assert drifts[name] == diag[name]
             k = list(traj.times).index(diag["worst"][name]["t"])
             pair = replace(traj, times=traj.times[[0, k]],
-                           states=traj.states[[0, k]],
+                           points=traj.points[[0, k]],
                            energy=traj.energy[[0, k]],
                            constraint=traj.constraint[[0, k]])
             got = spectral_drifts(system, pair,
@@ -683,16 +683,16 @@ def replay(config, suite, check):
                              [complex_array(w["z"])])[name][0]
     p = complex_array(w["p"])
     if "xi" in w:
-        x = PhasePoint(q, p, AlgElement(rs, complex_array(w["xi"])))
-        return lax_residuals(system, [x])[0]
-    x = ReducedPoint(rs, q, p, complex_array(w["s"]))
+        x = PhasePoint(rs, np.concatenate([q, p, complex_array(w["xi"])]))
+        return lax_residuals(system, x)
+    x = PhasePoint(rs, np.concatenate([q, p, complex_array(w["s"])]), True)
     if suite == "lax":
-        return lax_residuals(system, [x])[0]
+        return lax_residuals(system, x)
     if suite == "involution":
         # the worst pair of the battery at the witness point is its own
         pair = tuple(zip(w["k"], complex_array(w["z"])))
-        assert involution_residuals(system, [x], [pair])[0, 0] > 0.0
-        return np.max(involution_residuals(system, [x], _INVOLUTION_BATTERY))
+        assert involution_residuals(system, x, [pair])[0] > 0.0
+        return np.max(involution_residuals(system, x, _INVOLUTION_BATTERY))
     # spectral: integrate from the witness's initial point; its worst entry
     # lies at the witness's trajectory point and z
     opts = config.integration
@@ -704,7 +704,7 @@ def replay(config, suite, check):
                                      z_grid.index(complex_array(w["z"]))]
     # and that entry alone, at the first and the witness point, gives the
     # same drift: each table entry is its single-point value
-    pair = replace(traj, states=traj.states[[0, w["sample"]]])
+    pair = replace(traj, points=traj.points[[0, w["sample"]]])
     z = [complex_array(w["z"])]
     assert spectral_drifts(system, pair, z)[name] == report[name]
     return report[name]
@@ -717,9 +717,9 @@ def draw_samples(system, seed):
             "z": cli._random_z(rng, system, 20),
             "triples": cli._random_z_triples(rng, system, 10),
             **{f"sigma_{key}": v for key, v in
-               cli._random_points(system, rng, 5).items()},
-            **{f"reduced_{key}": v for key, v in
-               cli._random_points(system, rng, 3, reduced=True).items()}}
+               cli._blocks(cli._random_points(system, rng, 5)).items()},
+            **{f"reduced_{key}": v for key, v in cli._blocks(
+                cli._random_points(system, rng, 3, reduced=True)).items()}}
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
@@ -847,7 +847,7 @@ def test_verify_spectral_from_initial_s_replays(tmp_path, family):
         w = check["witness"]
         for key in ("q", "p", "s"):
             assert np.array_equal(complex_array(w[key]),
-                                  getattr(initial, key)), key
+                                  cli._blocks(initial)[key]), key
         assert replay(config, "spectral", check) == check["max_residual"]
 
 
@@ -908,8 +908,8 @@ def test_spin_labels_are_parsed_once_per_job(tmp_path, monkeypatch):
     cli._root.cache_clear()
     config = load_config(cfg)
     x0 = build_initial(config, config.system())
-    assert len(labels) == 16 == len(x0.s)
-    assert x0.s.tolist() == [0.6 + 0.8j] * 16
+    assert len(labels) == 16 == len(x0.spin)
+    assert x0.spin.tolist() == [0.6 + 0.8j] * 16
 
 
 def test_verify_jobs_make_one_kernel_pass_per_stack(tmp_path, monkeypatch):

@@ -33,15 +33,16 @@ from helpers import (PhaseFunction, PhaseGradient, ReducedGradient,
                      format_complex,
                      hamiltonian_function, hamiltonian_gradient,
                      hamiltonian_quadrature, lax_time_derivative,
-                     linear_spin_function, poisson_full,
+                     linear_spin_function, point, poisson_full,
                      ring_coefficients, spectral_curve,
-                     spin_invariant_gradient)
+                     spin_invariant_gradient, stack)
 from test_elliptic import mp_weierstrass
-from spincm.phase import (PhasePoint, ReducedPoint, gauge_g, lift_reduced,
-                          project_pi, reduced_roots)
+from spincm.phase import (PhasePoint, bracket_full, gauge_g, lift_reduced,
+                          momentum_J, project_pi, reduced_roots,
+                          torus_action)
 from spincm.rmatrix import _r_table, positive_pair_weight, root_coeff_reg0
 from spincm.rootsys import AlgElement, bracket, form, negate, torus_adjoint
-from spincm.dynamics import (_lax_pair, _pack_point, _spectral_gradients,
+from spincm.dynamics import (_lax_pair, _spectral_gradients,
                              collision_margin, conserved_spectrum,
                              Trajectory, default_z_samples, fpbr_residual,
                              gauge_residual, hamiltonian, integrate, involution_residuals,
@@ -59,17 +60,16 @@ def sigma_point(sys, rng, scale=0.8):
     vec[:rs.rank] = 0.0
     q = rng.uniform(0.6, 1.1, size=rs.rank) * np.sign(rng.normal(size=rs.rank))
     p = scale * rng.normal(size=rs.rank)
-    return PhasePoint(q.astype(complex), p.astype(complex),
-                      AlgElement(rs, vec))
+    return point(rs, q.astype(complex), p.astype(complex), vec)
 
 
 def generic_point(sys, rng):
     """Random point with a nonzero Cartan spin block (off Sigma)."""
     x = sigma_point(sys, rng)
-    vec = x.xi.vec.copy()
+    vec = x.xi.copy()
     vec[:sys.rs.rank] = rng.normal(size=sys.rs.rank) \
         + 1j * rng.normal(size=sys.rs.rank)
-    return PhasePoint(x.q, x.p, AlgElement(sys.rs, vec))
+    return point(sys.rs, x.q, x.p, vec)
 
 
 def random_reduced(sys, rng):
@@ -77,8 +77,8 @@ def random_reduced(sys, rng):
     n_s = rs.n_roots - rs.rank
     s = rng.normal(size=n_s) + 1j * rng.normal(size=n_s)
     q = rng.uniform(0.6, 1.1, size=rs.rank) * np.sign(rng.normal(size=rs.rank))
-    return ReducedPoint(rs, q.astype(complex),
-                        rng.normal(size=rs.rank).astype(complex), s)
+    return point(rs, q.astype(complex),
+                 rng.normal(size=rs.rank).astype(complex), s, True)
 
 
 def central_difference(f, h):
@@ -134,7 +134,8 @@ def test_trig_proper_subset_quadrature_offset():
     x = generic_point(sys, rng)
     rs = sys.rs
     off = [k for k in range(rs.n_roots) if not sys.span_mask[k]]
-    s_off = sum(x.xi.coeff(rs.roots[k]) * x.xi.coeff(negate(rs.roots[k]))
+    xi = AlgElement(rs, x.xi)
+    s_off = sum(xi.coeff(rs.roots[k]) * xi.coeff(negate(rs.roots[k]))
                 for k in off)
     h = hamiltonian(sys, x)
     hq = hamiltonian_quadrature(sys, x, radius=0.4)
@@ -161,8 +162,7 @@ def test_hamiltonian_gradient_is_derivative(seed):
     eps = 1e-3 * min(1.0, collision_margin(sys, x.q))
 
     def shifted(t):
-        return PhasePoint(x.q + t * dq, x.p + t * dp,
-                          AlgElement(rs, x.xi.vec + t * dxi))
+        return point(rs, x.q + t * dq, x.p + t * dp, x.xi + t * dxi)
 
     fd = central_difference(lambda t: hamiltonian(sys, shifted(t)), eps)
     # dxi pairs with the gradient through the form: <delta xi, dH_xi>
@@ -176,7 +176,7 @@ def test_hamiltonian_gradient_is_derivative(seed):
     ds = rng.normal(size=n_s) + 1j * rng.normal(size=n_s)
     for red_sys in (sys, make_system("trigonometric", 2),
                     make_system("elliptic", 2, lattice=WIDE)):
-        x_red = ReducedPoint(rs, x.q, x.p, s)
+        x_red = point(rs, x.q, x.p, s, True)
         g_lift = hamiltonian_gradient(red_sys, lift_reduced(x_red))
         # a unit change of xi_gamma at the lift pairs with the e_{-gamma}
         # coefficient of dxi, so ds_gamma is that coefficient
@@ -185,8 +185,8 @@ def test_hamiltonian_gradient_is_derivative(seed):
         eps = 1e-3 * min(1.0, collision_margin(red_sys, x_red.q))
 
         def shifted_red(t):
-            return ReducedPoint(rs, x_red.q + t * dq, x_red.p + t * dp,
-                                x_red.s + t * ds)
+            return point(rs, x_red.q + t * dq, x_red.p + t * dp,
+                         x_red.spin + t * ds, True)
 
         fd = central_difference(
             lambda t: hamiltonian(red_sys, shifted_red(t)), eps)
@@ -221,7 +221,8 @@ def test_flow_is_bracket_with_hamiltonian():
     for trial in range(4):
         y = AlgElement(rs, rng.normal(size=rs.dim) + 1j * rng.normal(size=rs.dim))
         f_spin = linear_spin_function(rs, y)
-        assert abs(poisson_full(h, f_spin, x) - form(v.xi, y)) < 1e-11
+        assert abs(poisson_full(h, f_spin, x)
+                   - form(AlgElement(rs, v.xi), y)) < 1e-11
 
 
 def test_zero_spin_flow_is_free_motion():
@@ -258,11 +259,11 @@ def test_rational_flow_against_the_projection_method(rank, t_final):
     np.fill_diagonal(h, 0.0)
     d0 = np.sort(rng.uniform(-1.5, 1.5, size=n))
     q0 = np.linalg.lstsq(rs.h_diag.T, d0 - d0.mean(), rcond=None)[0]
-    x0 = PhasePoint(q0.astype(complex), rng.normal(size=rank) + 0j,
-                    AlgElement(rs, rs.to_coords(0.5j * h)))
+    x0 = point(rs, q0.astype(complex), rng.normal(size=rank) + 0j,
+               rs.to_coords(0.5j * h))
     d = q0 @ rs.h_diag
     gaps = d[:, None] - d + np.eye(n)
-    x_mat = rs.to_matrix(x0.xi.vec)
+    x_mat = rs.to_matrix(x0.xi)
     l0 = x_mat / gaps + np.diag(x0.p.real @ rs.h_diag)
     want_d, u = np.linalg.eigh(np.diag(d) + t_final * l0)
     x_t = u.conj().T @ x_mat @ u
@@ -273,10 +274,10 @@ def test_rational_flow_against_the_projection_method(rank, t_final):
             traj = integrate(sys, x, t_final, tol, n_points=2)
             assert traj.completed
             end = traj.points[-1]
-            end = lift_reduced(end) if isinstance(end, ReducedPoint) else end
+            end = lift_reduced(end) if end.reduced else end
             got_d = end.q @ rs.h_diag
             order = np.argsort(got_d.real)
-            x_t = rs.to_matrix(end.xi.vec)[np.ix_(order, order)]
+            x_t = rs.to_matrix(end.xi)[np.ix_(order, order)]
             got = {"q": got_d[order], "p": (end.p @ rs.h_diag)[order],
                    "XX": x_t * x_t.T}
             for key, value in want.items():
@@ -293,7 +294,7 @@ def trigonometric_projection(rs, x0, t_final):
     exponential comes from its eigenvectors."""
     d = x0.q.real @ rs.h_diag
     gaps = np.sin(d[:, None] - d) + np.eye(len(d))
-    l0 = rs.to_matrix(x0.xi.vec) / gaps + np.diag(x0.p.real @ rs.h_diag)
+    l0 = rs.to_matrix(x0.xi) / gaps + np.diag(x0.p.real @ rs.h_diag)
     lam, vecs = np.linalg.eigh(l0)
     flow = (vecs * np.exp(2j * t_final * lam)) @ vecs.conj().T
     return np.linalg.eigvals(np.exp(2j * d)[:, None] * flow)
@@ -314,15 +315,15 @@ def test_trigonometric_flow_against_the_projection_method(rank):
     np.fill_diagonal(h, 0.0)
     d0 = np.sort(rng.uniform(-1.2, 1.2, size=n))
     q0 = np.linalg.lstsq(rs.h_diag.T, d0 - d0.mean(), rcond=None)[0]
-    x0 = PhasePoint(q0.astype(complex), rng.normal(size=rank) + 0j,
-                    AlgElement(rs, rs.to_coords(0.5j * h)))
+    x0 = point(rs, q0.astype(complex), rng.normal(size=rank) + 0j,
+               rs.to_coords(0.5j * h))
     for t_final in (0.8, 2.0):
         want = trigonometric_projection(rs, x0, t_final)
         for tol in (1e-8, 1e-10):
             for x in (x0, project_pi(x0)):
                 traj = integrate(sys, x, t_final, tol, n_points=2)
                 assert traj.completed
-                got = np.exp(2j * (traj.states[-1, :rank] @ rs.h_diag))
+                got = np.exp(2j * (traj.points.y[-1, :rank] @ rs.h_diag))
                 err = max(np.min(np.abs(g - want)) for g in got) / 2
                 assert err <= 20 * tol, (type(x).__name__, t_final, tol, err)
 
@@ -330,32 +331,40 @@ def test_trigonometric_flow_against_the_projection_method(rank):
 def test_elliptic_rank_one_flow_against_the_time_quadrature():
     """On A_1 the Cartan spin and g = xi_alpha xi_-alpha are conserved, so
     the motion has one degree of freedom, H = p^2/2 - g wp(sqrt(2) q), and
-    the time to reach q is T = int dq / p with p = sqrt(2 (E + g wp)).  On
-    (2, 2.2i) from the root value 2, p0 = 1 and spinless(1j) (g = -1), the
+    the time to reach q is T = int dq / p with p = sqrt(2 (E + g wp)).  The
     30-digit quadrature along the grid, one segment at a time with the
     branch of p nearest the flow's, and wp and E from mpmath
-    (mp_weierstrass), gives each grid time within tol 1e-10: 2.3e-11 at
-    worst, 1.2e-11 at T = 0.6, where a pair weight off by 1e-6 relative
-    reads 9.0e-8."""
+    (mp_weierstrass on (2, 2.2i)), gives each grid time within tol 1e-10:
+    * on (2, 2.2i) from the root value 2, p0 = 1 and spinless(1j) (g =
+      -1): 2.3e-11 at worst, 1.2e-11 at T = 0.6, where a pair weight off
+      by 1e-6 relative reads 9.0e-8;
+    * on the sheared basis (2, 2 + 2.2i) of that lattice, with the complex
+      coupling of spinless(0.6 + 0.8i), from the root value 2.5 and
+      p0 = 0.9 to T = 0.4: 1.59e-11 at worst, where a pair weight off by
+      1e-6 relative reads 1.01e-7."""
     mp = pytest.importorskip("mpmath")
     wp = mp_weierstrass(2.0, 2.2j)["wp"]
-    sys = make_system("elliptic", 1, lattice=WIDE)
-    traj = integrate(sys, spinless_state(sys.rs, [math.sqrt(2)], [1.0], 1j),
-                     0.6, tol=1e-10, n_points=21)
-    assert traj.completed
-    q, p = ([mp.mpc(v) for v in col] for col in traj.states[:, :2].T)
-    g = mp.mpc(1j) ** 2
-    energy = p[0] ** 2 / 2 - g * wp(mp.sqrt(2) * q[0])
+    for lattice, q0, p0, m, t_final, n_points in (
+            (WIDE, math.sqrt(2), 1.0, 1j, 0.6, 21),
+            (Lattice(2.0, 2.0 + 2.2j), 2.5 / math.sqrt(2), 0.9, 0.6 + 0.8j,
+             0.4, 11)):
+        sys = make_system("elliptic", 1, lattice=lattice)
+        traj = integrate(sys, spinless_state(sys.rs, [q0], [p0], m),
+                         t_final, tol=1e-10, n_points=n_points)
+        assert traj.completed
+        q, p = ([mp.mpc(v) for v in col] for col in traj.points.y[:, :2].T)
+        g = mp.mpc(m) ** 2
+        energy = p[0] ** 2 / 2 - g * wp(mp.sqrt(2) * q[0])
 
-    def speed(x):
-        return mp.sqrt(2 * (energy + g * wp(mp.sqrt(2) * x)))
+        def speed(x):
+            return mp.sqrt(2 * (energy + g * wp(mp.sqrt(2) * x)))
 
-    elapsed = mp.mpf(0)
-    for k in range(1, traj.n_points):
-        v = speed(q[k - 1])
-        sign = 1 if abs(v - p[k - 1]) < abs(v + p[k - 1]) else -1
-        elapsed += mp.quad(lambda x: sign / speed(x), [q[k - 1], q[k]])
-        assert abs(complex(elapsed) - traj.times[k]) < 1e-10, k
+        elapsed = mp.mpf(0)
+        for k in range(1, traj.n_points):
+            v = speed(q[k - 1])
+            sign = 1 if abs(v - p[k - 1]) < abs(v + p[k - 1]) else -1
+            elapsed += mp.quad(lambda x: sign / speed(x), [q[k - 1], q[k]])
+            assert abs(complex(elapsed) - traj.times[k]) < 1e-10, (m, k)
 
 
 # On (pi/2, 12i) the nome is e^{-24}: the elliptic family is the
@@ -408,7 +417,7 @@ def test_elliptic_degenerates_to_trigonometric():
     got, want = (integrate(spec, x0, 2.0, n_points=21) for spec in (ell, trig))
     assert got.completed and want.completed
     assert got.stats["nfev"] == want.stats["nfev"]
-    assert np.max(np.abs(got.states - want.states)) < 1e-11
+    assert np.max(np.abs(got.points.y - want.points.y)) < 1e-11
 
 
 def test_elliptic_mixed_derivatives_degenerate_to_trigonometric():
@@ -444,7 +453,7 @@ def test_time_reversal():
     assert back.completed
     xf = back.points[-1]
     err = max(np.max(np.abs(xf.q - x0.q)), np.max(np.abs(xf.p - x0.p)),
-              np.max(np.abs(xf.xi.vec - x0.xi.vec)))
+              np.max(np.abs(xf.xi - x0.xi)))
     assert err < 1e-7
 
 
@@ -493,7 +502,7 @@ def assert_cut_at_a_step(full, cut, reason):
     assert 1 < cut.n_points < full.n_points
     assert cut.times[-1] <= t_end * (1 + 1e-5) < full.times[cut.n_points]
     assert np.array_equal(cut.times, full.times[:cut.n_points])
-    assert np.array_equal(cut.states, full.states[:cut.n_points])
+    assert np.array_equal(cut.points.y, full.points.y[:cut.n_points])
 
 
 def test_integrate_stops_at_the_step_budget(monkeypatch):
@@ -534,7 +543,7 @@ def test_integrate_rejects_non_finite_inputs(t_final, tol, q, p, m):
     with pytest.raises(StructuralError):
         integrate(sys, x0, t_final, tol)
     with pytest.raises(StructuralError):
-        integrate(sys, ReducedPoint.make(sys.rs, [q], [p], {(-1,): m}),
+        integrate(sys, PhasePoint.make_reduced(sys.rs, [q], [p], {(-1,): m}),
                   t_final, tol)
 
 
@@ -554,8 +563,8 @@ def test_lax_time_derivative_is_directional_derivative():
         eps = 1e-6
 
         def shifted(t):
-            return PhasePoint(x.q + t * v.q, x.p + t * v.p,
-                              AlgElement(sys.rs, x.xi.vec + t * v.xi.vec))
+            return point(sys.rs, x.q + t * v.q, x.p + t * v.p,
+                         x.xi + t * v.xi)
 
         fd = (1.0 / (2 * eps)) * (lax_L(sys, shifted(eps), z)
                                   - lax_L(sys, shifted(-eps), z))
@@ -572,7 +581,7 @@ def test_lax_equation_on_sigma():
         for trial in range(2):
             x = sigma_point(sys, rng)
             assert sigma_residual(sys, x) < 1e-12
-            res = lax_residuals(sys, [x])[0]
+            res = lax_residuals(sys, x)
             assert res < 1e-9, (sys.family, sys.rs.rank, res)
 
 
@@ -601,7 +610,7 @@ def test_lax_B_off_sigma_raises():
 @pytest.mark.parametrize("family", ["rational", "trigonometric", "elliptic"])
 def test_lax_B_is_the_lax_pair_core_with_half_the_principal_part(family):
     """lax_B on the nodes is the B of the Lax pair core bit for bit, at a
-    PhasePoint on Sigma and at a ReducedPoint; B = -R_q(L/z) has 1/2 of
+    point on Sigma and at a reduced point; B = -R_q(L/z) has 1/2 of
     the principal part of L/z (the regular part of L at 0 over z and
     I xi over z^2), read off a quadrature ring.  No nodes give an empty
     B; a Lax residual over no z raises, as it would check nothing."""
@@ -612,14 +621,14 @@ def test_lax_B_is_the_lax_pair_core_with_half_the_principal_part(family):
     for x in (sigma_point(sys, rng), random_reduced(sys, rng)):
         b = lax_B(sys, x, ring)
         assert isinstance(b, AlgElement) and b.vec.shape == (256, sys.rs.dim)
-        assert np.array_equal(b.vec, _lax_pair(sys, [x], ring)[1][0])
+        assert np.array_equal(b.vec, _lax_pair(sys, x[None], ring)[1][0])
         want = 0.5 * ring_coefficients(lax_L(sys, x, ring).vec
                                        / ring[:, None], ring, 2)
         got = ring_coefficients(b.vec, ring, 2)
         assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
         assert lax_B(sys, x, []).vec.shape == (0, sys.rs.dim)
         with pytest.raises(StructuralError, match="at least one z sample"):
-            lax_residuals(sys, [x, x], [])
+            lax_residuals(sys, stack([x, x]), [])
 
 
 def test_quasi_lax_off_sigma_rational():
@@ -629,9 +638,9 @@ def test_quasi_lax_off_sigma_rational():
     rng = np.random.default_rng(19)
     x = generic_point(sys, rng)
     assert sigma_residual(sys, x) > 0.1
-    assert lax_residuals(sys, [x])[0] < 1e-10
+    assert lax_residuals(sys, x) < 1e-10
     zs = default_z_samples()
-    b = _lax_pair(sys, [x], zs)[1][0]
+    b = _lax_pair(sys, x[None], zs)[1][0]
     plain = 0.0
     from spincm.rootsys import bracket
     for k, z in enumerate(zs):
@@ -645,7 +654,7 @@ def test_quasi_lax_reduces_to_lax_on_sigma():
     sys = make_system("rational", 2)
     rng = np.random.default_rng(23)
     x = sigma_point(sys, rng)
-    assert lax_residuals(sys, [x])[0] < 1e-10
+    assert lax_residuals(sys, x) < 1e-10
 
 
 @pytest.mark.parametrize("family", ["rational", "trigonometric", "elliptic"])
@@ -658,9 +667,9 @@ def test_quasi_lax_holds_off_sigma_in_every_family(family, rank):
                       else None)
     rng = np.random.default_rng(100 + rank)
     points = [generic_point(sys, rng) for _ in range(3)]
-    assert np.max(lax_residuals(sys, points)) < 1e-8
+    assert np.max(lax_residuals(sys, stack(points))) < 1e-8
     zs = default_z_samples()
-    for x, b in zip(points, _lax_pair(sys, points, zs)[1]):
+    for x, b in zip(points, _lax_pair(sys, stack(points), zs)[1]):
         plain = lax_time_derivative(sys, x, zs) - bracket(
             AlgElement(sys.rs, b), lax_L(sys, x, zs))
         assert sigma_residual(sys, x) > 0.1 and plain.max_abs() > 1e-3
@@ -682,7 +691,7 @@ def test_spectral_drifts_of_an_empty_trajectory_raise():
     x0 = sigma_point(sys, np.random.default_rng(29), scale=0.4)
     traj = integrate(sys, x0, 0.1, n_points=3)
     with pytest.raises(StructuralError, match="nonempty"):
-        spectral_drifts(sys, replace(traj, states=traj.states[:0]))
+        spectral_drifts(sys, replace(traj, points=traj.points[:0]))
 
 
 def test_spectral_drifts_over_no_z_raise():
@@ -707,7 +716,7 @@ def test_lax_residuals_over_no_z_raise():
     sys = make_system("rational", 2)
     x = sigma_point(sys, np.random.default_rng(29), scale=0.4)
     with pytest.raises(StructuralError, match="at least one z sample"):
-        lax_residuals(sys, [x], [])
+        lax_residuals(sys, x, [])
 
 
 @pytest.mark.parametrize("case", ["axioms-no-z", "axioms-no-q",
@@ -750,26 +759,26 @@ def test_fault_knob_does_not_reach_lax_coefficients():
         faulted = clean.with_fault(4.0)
         rs = clean.rs
         x = sigma_point(clean, rng)
-        red = ReducedPoint(rs, x.q, x.p, rng.normal(size=rs.n_roots - rs.rank)
-                           + 1j * rng.normal(size=rs.n_roots - rs.rank))
-        off = PhasePoint(x.q, x.p, x.xi + AlgElement.cartan(
-            rs, rng.normal(size=rs.rank)))
+        red = point(rs, x.q, x.p, rng.normal(size=rs.n_roots - rs.rank)
+                    + 1j * rng.normal(size=rs.n_roots - rs.rank), True)
+        off = point(rs, x.q, x.p, x.xi + AlgElement.cartan(
+            rs, rng.normal(size=rs.rank)).vec)
 
         def evaluate(sys):
             b = lax_B(sys, x, zs).vec
-            values = [hamiltonian(sys, x), _pack_point(rs, vector_field(sys, x)),
-                      _pack_point(rs, vector_field(sys, red)),
-                      lax_L(sys, x, zs).vec, lax_residuals(sys, [x]),
-                      lax_residuals(sys, [red]),
+            values = [hamiltonian(sys, x), vector_field(sys, x).y,
+                      vector_field(sys, red).y,
+                      lax_L(sys, x, zs).vec, lax_residuals(sys, x),
+                      lax_residuals(sys, red),
                       b,
-                      involution_residuals(sys, [red], pairs),
+                      involution_residuals(sys, red, pairs),
                       spectral_drifts(sys, integrate(
                           sys, x, 0.5, n_points=5))["spectrum_drift"],
-                      gauge_residual(sys, _pack_point(rs, x)[None]),
+                      gauge_residual(sys, x[None]),
                       conserved_spectrum(sys, x, zs),
                       conserved_spectrum(sys, red, zs)]
             if family == "rational":
-                values.append(lax_residuals(sys, [off]))
+                values.append(lax_residuals(sys, off))
             return [np.asarray(v).tobytes() for v in values]
 
         assert evaluate(faulted) == evaluate(clean), family
@@ -820,14 +829,14 @@ def test_reduced_points_are_evaluated_at_their_slice_lift(family):
         assert np.array_equal(lax_L(sys, red, zs).vec,
                               lax_L(sys, lift, zs).vec)
         v, up = vector_field(sys, red), vector_field(sys, lift)
-        assert isinstance(v, ReducedPoint)
+        assert isinstance(v, PhasePoint) and v.reduced
         assert np.array_equal(v.q, up.q) and np.array_equal(v.p, up.p)
         # s_dot is the unreduced spin velocity through d s_gamma
-        pushed = dense_chain(rs, red.s) @ up.xi.vec[rs.dual_index]
-        assert np.max(np.abs(v.s - pushed)) \
+        pushed = dense_chain(rs, red.spin) @ up.xi[rs.dual_index]
+        assert np.max(np.abs(v.spin - pushed)) \
             < 1e-13 * max(1.0, np.max(np.abs(pushed)))
         b0 = lax_B(sys, red, zs).vec
-        assert np.array_equal(b0, _lax_pair(sys, [red], zs)[1][0])
+        assert np.array_equal(b0, _lax_pair(sys, red[None], zs)[1][0])
         # B_0 is B at the lift less the Cartan compensator: the roots agree
         b_lift = lax_B(sys, lift, zs).vec
         assert np.array_equal(b0[:, rs.rank:], b_lift[:, rs.rank:])
@@ -841,7 +850,7 @@ def test_gauge_consistency_of_reduced_lax():
                 make_system("trigonometric", 2)):
         x = sigma_point(sys, rng)
         x_red = project_pi(x)
-        c = gauge_g(x.xi)
+        c = gauge_g(x)
         worst = 0.0
         for z in default_z_samples(4):
             lhs = lax_L(sys, x_red, z)
@@ -857,8 +866,7 @@ def test_gauge_residual_of_a_stack_is_its_per_point_values(family, rank):
     sys = make_system(family, rank, lattice=WIDE if family == "elliptic"
                       else None)
     rng = np.random.default_rng(53)
-    states = np.array([_pack_point(sys.rs, sigma_point(sys, rng))
-                       for _ in range(25)])
+    states = stack([sigma_point(sys, rng) for _ in range(25)])
     stacked = gauge_residual(sys, states)
     assert stacked.shape == (25,)
     assert stacked.tobytes() == np.array(
@@ -878,10 +886,10 @@ def test_lax_residuals_of_a_stack_are_its_per_point_values(family, rank,
     make = {"sigma": sigma_point, "anomaly": generic_point,
             "reduced": random_reduced}[kind]
     points = [make(sys, rng) for _ in range(5)]
-    stacked = lax_residuals(sys, points)
+    stacked = lax_residuals(sys, stack(points))
     assert stacked.shape == (5,)
-    assert stacked.tobytes() == np.concatenate(
-        [lax_residuals(sys, [x]) for x in points]).tobytes()
+    assert stacked.tobytes() == np.array(
+        [lax_residuals(sys, x) for x in points]).tobytes()
 
 
 def test_reduced_time_derivative_is_directional_derivative():
@@ -893,8 +901,8 @@ def test_reduced_time_derivative_is_directional_derivative():
     eps = 1e-6
 
     def shifted(t):
-        return ReducedPoint(sys.rs, x.q + t * v.q, x.p + t * v.p,
-                            x.s + t * v.s)
+        return point(sys.rs, x.q + t * v.q, x.p + t * v.p,
+                     x.spin + t * v.spin, True)
 
     fd = (1.0 / (2 * eps)) * (lax_L(sys, shifted(eps), z)
                               - lax_L(sys, shifted(-eps), z))
@@ -909,7 +917,7 @@ def test_reduced_lax_identity_pointwise():
                 make_system("elliptic", 2, lattice=WIDE)):
         for trial in range(2):
             x = random_reduced(sys, rng)
-            assert lax_residuals(sys, [x])[0] < 1e-9, sys.family
+            assert lax_residuals(sys, x) < 1e-9, sys.family
 
 
 def test_reduced_flow_matches_projected_unreduced_flow():
@@ -927,7 +935,7 @@ def test_reduced_flow_matches_projected_unreduced_flow():
         proj = project_pi(pt_u)
         assert np.max(np.abs(proj.q - pt_d.q)) < 1e-8
         assert np.max(np.abs(proj.p - pt_d.p)) < 1e-8
-        assert np.max(np.abs(proj.s - pt_d.s)) < 1e-7
+        assert np.max(np.abs(proj.spin - pt_d.spin)) < 1e-7
 
 
 @pytest.mark.parametrize("family", ["rational", "trigonometric", "elliptic"])
@@ -940,18 +948,18 @@ def test_reduced_field_is_pushforward_of_unreduced_field(family):
     rng = np.random.default_rng(71)
     n_s = rs.n_roots - rs.rank
     for _ in range(3):
-        x = ReducedPoint(rs, np.zeros(4, dtype=complex),
-                         0.3 * rng.normal(size=4) + 0j,
-                         np.exp(2j * np.pi * rng.uniform(size=n_s)))
+        x = point(rs, np.zeros(4, dtype=complex),
+                  0.3 * rng.normal(size=4) + 0j,
+                  np.exp(2j * np.pi * rng.uniform(size=n_s)), True)
         while collision_margin(sys, x.q) < 0.5:
-            x = ReducedPoint(rs, rng.uniform(-2, 2, size=4) + 0j, x.p, x.s)
+            x = point(rs, rng.uniform(-2, 2, size=4) + 0j, x.p, x.spin, True)
         lift = lift_reduced(x)
         up = vector_field(sys, lift)
         down = vector_field(sys, x)
-        pushed = np.array([form(up.xi, spin_invariant_gradient(lift.xi, g))
-                           for g in reduced_roots(rs)])
+        pushed = np.array([form(AlgElement(rs, up.xi), spin_invariant_gradient(
+            AlgElement(rs, lift.xi), g)) for g in reduced_roots(rs)])
         scale = np.max(np.abs(pushed))
-        assert np.max(np.abs(down.s - pushed)) < 1e-13 * scale
+        assert np.max(np.abs(down.spin - pushed)) < 1e-13 * scale
         assert np.max(np.abs(down.q - up.q)) < 1e-14
         assert np.max(np.abs(down.p - up.p)) < 1e-14
 
@@ -959,15 +967,15 @@ def test_reduced_field_is_pushforward_of_unreduced_field(family):
 def test_lax_pair_reduced_along_trajectory():
     sys = make_system("rational", 2)
     # repulsive products keep the motion clear of the root hyperplanes
-    x0 = ReducedPoint.make(sys.rs, [0.9, 0.55], [0.25, -0.3],
-                           {(1, 1): 0.4, (-1, 0): -0.8, (0, -1): -0.7,
-                            (-1, -1): -0.5})
+    x0 = PhasePoint.make_reduced(sys.rs, [0.9, 0.55], [0.25, -0.3],
+                                 {(1, 1): 0.4, (-1, 0): -0.8, (0, -1): -0.7,
+                                  (-1, -1): -0.5})
     traj = integrate(sys, x0, 2.0, tol=1e-12, n_points=21)
     assert traj.completed and traj.n_points == 21
     report = spectral_drifts(sys, traj)
     assert report["isospectral_drift"] < 1e-7
     at = np.linspace(0, traj.n_points - 1, 5).astype(int)
-    assert np.max(lax_residuals(sys, [traj.points[k] for k in at])) < 1e-9
+    assert np.max(lax_residuals(sys, traj.points[at])) < 1e-9
 
 
 def test_spinless_reduction_is_single_point():
@@ -976,11 +984,11 @@ def test_spinless_reduction_is_single_point():
     # trajectory stays clear of the hyperplanes
     sys = make_system("rational", 2)
     x0 = spinless_state(sys.rs, [1.0, 0.6], [0.5, -0.45], 1j)
-    s0 = project_pi(x0).s
+    s0 = project_pi(x0).spin
     traj = integrate(sys, project_pi(x0), 1.0, tol=1e-11, n_points=11)
     assert traj.completed
     for pt in traj.points:
-        assert np.max(np.abs(pt.s - s0)) < 1e-9
+        assert np.max(np.abs(pt.spin - s0)) < 1e-9
 
 
 def test_energy_conserved_reduced_all_families():
@@ -1005,7 +1013,7 @@ def test_spectral_function_gradient():
     rng = np.random.default_rng(59)
     x = random_reduced(sys, rng)
     z = 0.44 + 0.18j
-    g = _spectral_gradients(sys, [x], [(1, z), (3, z)])[0, 1]
+    g = _spectral_gradients(sys, x[None], [(1, z), (3, z)])[0, 1]
     rs = sys.rs
     n_s = rs.n_roots - rs.rank
     dq = rng.normal(size=rs.rank)
@@ -1014,14 +1022,15 @@ def test_spectral_function_gradient():
     eps = 1e-6
 
     def h3(t):
-        shifted = ReducedPoint(rs, x.q + t * dq, x.p + t * dp, x.s + t * ds)
+        shifted = point(rs, x.q + t * dq, x.p + t * dp, x.spin + t * ds,
+                        True)
         return conserved_spectrum(sys, shifted, [z])[0, 2]
 
     fd = (h3(eps) - h3(-eps)) / (2 * eps)
     analytic = g @ np.concatenate([dq, dp, ds])
     assert abs(fd - analytic) < 1e-7 * max(1.0, abs(analytic))
     with pytest.raises(StructuralError, match="trace power"):
-        _spectral_gradients(sys, [x], [(0, z)])
+        _spectral_gradients(sys, x[None], [(0, z)])
 
 
 INVOLUTION_PAIRS = [
@@ -1040,10 +1049,10 @@ def test_involution_of_spectral_invariants():
                      (make_system("trigonometric", 2), 1e-10),
                      (make_system("elliptic", 2, lattice=WIDE), 1e-8)):
         x = random_reduced(sys, rng)
-        assert np.max(involution_residuals(sys, [x], INVOLUTION_PAIRS)) < tol, \
+        assert np.max(involution_residuals(sys, x, INVOLUTION_PAIRS)) < tol, \
             sys.family
         # no pairs: an empty table per point
-        assert involution_residuals(sys, [x, x], []).shape == (2, 0)
+        assert involution_residuals(sys, stack([x, x]), []).shape == (2, 0)
 
 
 @pytest.mark.parametrize("family", ["rational", "trigonometric", "elliptic"])
@@ -1053,11 +1062,11 @@ def test_involution_past_the_float_range_raises(family):
     nan (a RuntimeWarning fails the suite)."""
     sys = make_system(family, 2, lattice=WIDE)
     rs = sys.rs
-    x = ReducedPoint(rs, np.array([0.7, 1.3], dtype=complex),
-                     np.array([0.1, -0.2], dtype=complex),
-                     np.full(rs.n_roots - rs.rank, 1e155, dtype=complex))
+    x = point(rs, np.array([0.7, 1.3], dtype=complex),
+              np.array([0.1, -0.2], dtype=complex),
+              np.full(rs.n_roots - rs.rank, 1e155, dtype=complex), True)
     with pytest.raises(FloatingPointError, match="overflow"):
-        involution_residuals(sys, [x], INVOLUTION_PAIRS[:1])
+        involution_residuals(sys, x, INVOLUTION_PAIRS[:1])
 
 
 # -- bracket relation of Lax components ---------------------------------------
@@ -1080,8 +1089,7 @@ def test_lax_entries_make_one_kernel_pass_per_table(family, monkeypatch):
     sys = make_system(family, 3, lattice=WIDE)
     rng = np.random.default_rng(83)
     x, zs = sigma_point(sys, rng), default_z_samples()
-    states = np.array([_pack_point(sys.rs, sigma_point(sys, rng))
-                       for _ in range(4)])
+    states = stack([sigma_point(sys, rng) for _ in range(4)])
     for call, passes in ((lambda: lax_L(sys, x, zs), 1),
                          (lambda: conserved_spectrum(sys, x, zs), 1),
                          (lambda: gauge_residual(sys, states), 1),
@@ -1106,8 +1114,7 @@ def test_fpbr_rational():
 
 def _mismatch_cases():
     """(call, message) pairs that hand an entry point objects built over
-    another root system, the other kind of point, a point with a stack of
-    spins, or no point at all."""
+    another root system, the other kind of point, or an empty stack."""
     sys3, sys2 = make_system("rational", 3), make_system("rational", 2)
     rng = np.random.default_rng(73)
     x2, red2 = sigma_point(sys2, rng), random_reduced(sys2, rng)
@@ -1119,34 +1126,29 @@ def _mismatch_cases():
         "vector_field": (lambda: vector_field(sys3, x2), a2),
         "lax_L": (lambda: lax_L(sys3, x2, zs), a2),
         "lax_B": (lambda: lax_B(sys3, x2, zs), a2),
-        "lax_residuals": (lambda: lax_residuals(sys3, [x2]), a2),
+        "lax_residuals": (lambda: lax_residuals(sys3, x2), a2),
         "conserved_spectrum": (lambda: conserved_spectrum(sys3, x2, zs), a2),
         "sigma_residual": (lambda: sigma_residual(sys3, x2), a2),
         "fpbr_residual": (lambda: fpbr_residual(sys3, x2, 0.3, -0.2j), a2),
         "integrate": (lambda: integrate(sys3, x2, 0.1), a2),
-        "lax_residuals_mixed": (lambda: lax_residuals(sys3, [x3, red3]),
-                                r"a ReducedPoint over RootSystem\(A_3.* where a PhasePoint over"),
-        "lax_residuals_empty": (lambda: lax_residuals(sys3, []),
+        "lax_residuals_empty": (lambda: lax_residuals(sys3, stack([x3])[:0]),
                                 "at least one point"),
         "involution_phase_point": (
-            lambda: involution_residuals(sys3, [x3], pairs),
-            r"a PhasePoint over RootSystem\(A_3.* where a ReducedPoint over"),
-        "involution_empty": (lambda: involution_residuals(sys3, [], pairs),
-                             "at least one point"),
+            lambda: involution_residuals(sys3, x3, pairs),
+            r"an unreduced PhasePoint where a reduced one"),
+        "involution_empty": (
+            lambda: involution_residuals(sys3, stack([red3])[:0], pairs),
+            "at least one point"),
         "involution_other_rank": (
-            lambda: involution_residuals(sys3, [red2], pairs),
-            r"a ReducedPoint over RootSystem\(A_2.* where a ReducedPoint over "
+            lambda: involution_residuals(sys3, red2, pairs),
+            r"a PhasePoint over RootSystem\(A_2.* where a PhasePoint over "
             r"RootSystem\(A_3"),
         "sigma_residual_reduced": (
             lambda: sigma_residual(sys3, red3),
-            r"a ReducedPoint over RootSystem\(A_3.* where a PhasePoint over"),
-        "phase_point_with_stacked_spin": (
-            lambda: hamiltonian(sys3, PhasePoint(x3.q, x3.p, AlgElement(
-                sys3.rs, np.ones((2, sys3.rs.dim))))),
-            r"expected 15 spin coordinates, got \(2, 15\)"),
+            r"a reduced PhasePoint where an unreduced one"),
         "fpbr_residual_reduced": (
             lambda: fpbr_residual(sys3, red3, 0.3, -0.2j),
-            r"a ReducedPoint over RootSystem\(A_3.* where a PhasePoint over"),
+            r"a reduced PhasePoint where an unreduced one"),
     }
 
 
@@ -1160,7 +1162,7 @@ def test_mismatched_points_raise_a_structural_error(case):
 def _non_finite_cases():
     """(entry, slot) -> call(sys, point): every entry point that takes a
     point, with each slot its kind of point has, q, p, the Cartan block
-    or a root of a PhasePoint's spin, or s of a ReducedPoint."""
+    or a root of an unreduced point's spin, or s of a reduced one."""
     zs, pairs = default_z_samples(), INVOLUTION_PAIRS[:1]
     phase = ("q", "p", "cartan", "root")
     both = phase + ("s",)
@@ -1169,14 +1171,14 @@ def _non_finite_cases():
         "vector_field": (lambda sys, x: vector_field(sys, x), both),
         "lax_L": (lambda sys, x: lax_L(sys, x, zs), both),
         "lax_B": (lambda sys, x: lax_B(sys, x, zs), both),
-        "lax_residuals": (lambda sys, x: lax_residuals(sys, [x]), both),
+        "lax_residuals": (lambda sys, x: lax_residuals(sys, x), both),
         "conserved_spectrum": (
             lambda sys, x: conserved_spectrum(sys, x, zs), both),
         "sigma_residual": (lambda sys, x: sigma_residual(sys, x), phase),
         "fpbr_residual": (
             lambda sys, x: fpbr_residual(sys, x, 0.3, -0.2j), phase),
         "involution_residuals": (
-            lambda sys, x: involution_residuals(sys, [x], pairs), ("s",)),
+            lambda sys, x: involution_residuals(sys, x, pairs), ("s",)),
     }
     return {(name, slot): call for name, (call, slots) in entries.items()
             for slot in slots}
@@ -1188,17 +1190,17 @@ def _point_with(rs, slot, bad):
     if slot == "s":
         s = np.full(rs.n_roots - rs.rank, 0.5 + 0.2j)
         s[-1] = bad
-        return ReducedPoint(rs, q, p, s)
+        return point(rs, q, p, s, True)
     xi = np.full(rs.dim, 0.5 + 0.0j)
     xi[:rs.rank] = 0.0
     {"q": q, "p": p, "cartan": xi, "root": xi[rs.rank:]}[slot][-1] = bad
-    return PhasePoint(q, p, AlgElement(rs, xi))
+    return point(rs, q, p, xi)
 
 
 @pytest.mark.parametrize("case", sorted(_non_finite_cases()), ids="-".join)
 def test_non_finite_points_raise_a_structural_error(case):
-    """A NaN or inf coordinate raises at the one gate into the array core
-    (_pack_point), on rational and trigonometric A_2, where these entries
+    """A NaN or inf coordinate raises at the one entry check of the point
+    (spincm.phase._checked), on rational and trigonometric A_2, where these entries
     returned NaN."""
     call = _non_finite_cases()[case]
     for family in ("rational", "trigonometric"):
@@ -1206,6 +1208,80 @@ def test_non_finite_points_raise_a_structural_error(case):
         for bad in (math.nan, complex(0.0, math.inf)):
             with pytest.raises(StructuralError, match="must be finite"):
                 call(sys, _point_with(sys.rs, case[1], bad))
+
+
+@pytest.mark.parametrize("entry", ["lax_B", "lax_residuals",
+                                   "conserved_spectrum", "spectral_drifts"])
+@pytest.mark.parametrize("z,shape", [(0.5 + 0.1j, r"\(\)"),
+                                     ([[0.5, 0.3j]], r"\(1, 2\)")],
+                         ids=["scalar", "2d"])
+def test_z_of_the_wrong_rank_is_a_structural_error(entry, z, shape):
+    """A scalar z or a 2-D array of z is a StructuralError naming the shape
+    (it raised TypeError, or numpy's ValueError in lax_B and lax_residuals);
+    lax_L keeps taking any z shape, and lax_B no nodes."""
+    sys = make_system("rational", 2)
+    x = sigma_point(sys, np.random.default_rng(29), scale=0.4)
+    call = {"lax_B": lambda: lax_B(sys, x, z),
+            "lax_residuals": lambda: lax_residuals(sys, x, z),
+            "conserved_spectrum": lambda: conserved_spectrum(sys, x, z),
+            "spectral_drifts": lambda: spectral_drifts(
+                sys, integrate(sys, x, 0.1, n_points=3), z)}[entry]
+    with pytest.raises(StructuralError, match=f"got shape {shape}"):
+        call()
+    assert lax_L(sys, x, np.full((2, 3), 0.5)).vec.shape == (2, 3, sys.rs.dim)
+    assert lax_B(sys, x, []).vec.shape == (0, sys.rs.dim)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+@pytest.mark.parametrize("family", ["rational", "trigonometric", "elliptic"])
+def test_stacked_calls_are_their_per_point_calls_bit_for_bit(family, rank):
+    """Every entry that takes a point gives a stack of points, here on two
+    leading axes, one value per point: the value of the call at that point
+    alone, bit for bit, reduced or not."""
+    sys = make_system(family, rank, lattice=WIDE)
+    rs, rng, zs = sys.rs, np.random.default_rng(90 + rank), default_z_samples()
+    x = PhasePoint(rs, np.reshape([sigma_point(sys, rng).y
+                                   for _ in range(6)], (2, 3, -1)))
+    red = PhasePoint(rs, np.reshape([random_reduced(sys, rng).y
+                                     for _ in range(6)], (2, 3, -1)), True)
+    off = PhasePoint(rs, np.reshape([generic_point(sys, rng).y
+                                     for _ in range(6)], (2, 3, -1)))
+    c = rng.normal(size=rank)
+    rows = [rng.normal(size=(2, p.y.shape[-1])) + 0j for p in (x, red)]
+    pairs = INVOLUTION_PAIRS[:3]
+    calls = {
+        "hamiltonian": lambda p: hamiltonian(sys, p),
+        "vector_field": lambda p: vector_field(sys, p).y,
+        "lax_L": lambda p: lax_L(sys, p, zs).vec,
+        "lax_B": lambda p: lax_B(sys, p, zs).vec,
+        "lax_residuals": lambda p: lax_residuals(sys, p, zs),
+        "conserved_spectrum": lambda p: conserved_spectrum(sys, p, zs),
+        "bracket_full": lambda p: bracket_full(
+            p, *rows[p.reduced]),
+    }
+    unreduced = {
+        "sigma_residual": lambda p: sigma_residual(sys, p),
+        "gauge_residual": lambda p: gauge_residual(sys, p),
+        "momentum_J": momentum_J,
+        "torus_action": lambda p: torus_action(c, p).y,
+        "project_pi": lambda p: project_pi(p).y,
+        "gauge_g": gauge_g,
+    }
+    reduced = {
+        "involution_residuals": lambda p: involution_residuals(sys, p, pairs),
+        "lift_reduced": lambda p: lift_reduced(p).y,
+    }
+    cases = [(name, call, p) for name, call in calls.items()
+             for p in (x, red)] + [(name, call, x) for name, call in
+                                   unreduced.items()] + [
+        (name, call, red) for name, call in reduced.items()] + [
+        ("lax_residuals", calls["lax_residuals"], off)]
+    for name, call, p in cases:
+        stacked = np.asarray(call(p))
+        assert stacked.shape[:2] == (2, 3), name
+        for i, j in np.ndindex(2, 3):
+            assert np.asarray(call(p[i][j])).tobytes() \
+                == stacked[i, j].tobytes(), (name, p.reduced, i, j)
 
 
 # -- export -------------------------------------------------------------------
@@ -1216,8 +1292,8 @@ def test_format_complex_frozen():
     assert format_complex(0.0) == "0+0j"
     # the CSV writer renders its fields the same way
     sys = make_system("rational", 1)
-    traj = Trajectory(np.zeros(1), np.array([[1.5 - 2.0j, 0, 0, 0, 0]]),
-                      sys.rs, False, np.zeros(1), np.zeros(1), True)
+    traj = Trajectory(np.zeros(1), PhasePoint(sys.rs, np.array(
+        [[1.5 - 2.0j, 0, 0, 0, 0]])), np.zeros(1), np.zeros(1), True)
     assert trajectory_csv(traj).splitlines()[1] == \
         "0,1.5-2j,0+0j,0+0j,0+0j,0+0j,0+0j,0"
 

@@ -11,16 +11,15 @@ import math
 import numpy as np
 import pytest
 
-from helpers import reference_csv
+from helpers import point, reference_csv, stack
 from spincm.cli import EXIT_PASS, main
-from spincm.dynamics import (Trajectory, _pack_point, _unpack_point,
-                             gauge_residual, hamiltonian, integrate,
+from spincm.dynamics import (Trajectory, gauge_residual, hamiltonian,
+                             integrate,
                              make_system, read_trajectory_csv, spectral_drifts,
                              spinless_state, trajectory_csv,
                              write_trajectory_csv)
 from spincm.elliptic import Lattice
-from spincm.phase import PhasePoint, ReducedPoint, project_pi, reduced_roots
-from spincm.rootsys import AlgElement
+from spincm.phase import PhasePoint, project_pi, reduced_roots
 
 
 def a2_system(family):
@@ -47,9 +46,9 @@ def test_csv_matches_point_by_point_writer(tmp_path, family, reduced):
     write_trajectory_csv(tmp_path / "t.csv", traj)
     assert written(tmp_path / "t.csv") == text
     back = read_trajectory_csv(tmp_path / "t.csv", sys_.rs)
-    assert back.reduced == reduced
+    assert back.points.reduced == reduced
     assert np.array_equal(back.times, traj.times)
-    assert np.array_equal(back.states, traj.states)
+    assert np.array_equal(back.points.y, traj.points.y)
 
 
 @pytest.mark.parametrize("reduced", [False, True])
@@ -67,19 +66,21 @@ def test_csv_round_trip_is_the_trajectory(tmp_path, family, rank, reduced):
     xi = rng.uniform(0.4, 1.3, rs.dim) * np.exp(1j * rng.uniform(-1, 1,
                                                                  rs.dim))
     xi[:rank] = rng.uniform(0.1, 0.3, rank) * rng.choice([-1, 1], rank)
-    x0 = PhasePoint(np.linalg.solve(rs.alpha_h[:rank],
-                                    rng.uniform(0.6, 0.9, rank)) + 0j,
-                    rng.uniform(-0.3, 0.3, rank) + 0j, AlgElement(rs, xi))
+    x0 = point(rs, np.linalg.solve(rs.alpha_h[:rank],
+                                   rng.uniform(0.6, 0.9, rank)) + 0j,
+               rng.uniform(-0.3, 0.3, rank) + 0j, xi)
     traj = integrate(sys_, project_pi(x0) if reduced else x0, 0.3, 1e-9,
                      n_points=6)
     assert traj.completed and traj.n_points == 6
     if not reduced:
-        assert np.all(traj.states[:, 2 * rank:3 * rank] != 0)
+        assert np.all(traj.points.y[:, 2 * rank:3 * rank] != 0)
     write_trajectory_csv(tmp_path / "t.csv", traj)
     back = read_trajectory_csv(tmp_path / "t.csv", rs)
-    assert (back.rs, back.reduced, back.completed) == (rs, reduced, True)
+    assert (back.points.rs, back.points.reduced, back.completed) == (
+        rs, reduced, True)
     assert back.abort_reason is None and back.stats is None
-    for name in ("times", "states", "energy", "constraint"):
+    assert np.array_equal(back.points.y, traj.points.y)
+    for name in ("times", "energy", "constraint"):
         assert np.array_equal(getattr(back, name), getattr(traj, name)), name
     assert spectral_drifts(sys_, back) == spectral_drifts(sys_, traj)
 
@@ -111,12 +112,12 @@ def test_csv_of_awkward_values():
         return out
 
     states = draw(n, width)
-    traj = Trajectory(rng.choice(special[:8], n), states, sys_.rs, False,
+    traj = Trajectory(rng.choice(special[:8], n), PhasePoint(sys_.rs, states),
                       draw(n), rng.choice(special, n), True)
     extra = {"a": list(rng.choice(special, n)), "b": draw(n)}
     assert trajectory_csv(traj, extra) == reference_csv(traj, extra)
-    empty = Trajectory(np.zeros(0), states[:0], sys_.rs, False, np.zeros(0),
-                       np.zeros(0), True)
+    empty = Trajectory(np.zeros(0), PhasePoint(sys_.rs, states[:0]),
+                       np.zeros(0), np.zeros(0), True)
     assert trajectory_csv(empty, {"a": []}) == reference_csv(empty,
                                                              {"a": []})
 
@@ -140,11 +141,9 @@ def test_reduce_csv_matches_point_by_point_writer(tmp_path):
                  str(cfg), "--out", str(red)]) == EXIT_PASS
     sys_ = make_system("trigonometric", 2)
     read = read_trajectory_csv(sim / "trajectory.csv", sys_.rs)
-    times, states = read.times, read.states
-    reduced = [project_pi(_unpack_point(sys_.rs, y, False)) for y in states]
-    traj = Trajectory(times, np.array([_pack_point(sys_.rs, x)
-                                          for x in reduced]),
-                      sys_.rs, True,
+    times, states = read.times, read.points
+    reduced = [project_pi(y) for y in states]
+    traj = Trajectory(times, stack(reduced),
                       np.array([hamiltonian(sys_, x)
                                 for x in reduced]),
                       np.zeros(len(times)), True)
@@ -181,8 +180,8 @@ def test_reduce_against_a_per_point_oracle(tmp_path, family, rank):
     xi = rng.uniform(0.4, 1.3, rs.dim) * np.exp(1j * rng.uniform(-1, 1,
                                                                  rs.dim))
     xi[:n] = 0.0
-    x0 = PhasePoint(np.linalg.solve(rs.alpha_h[:n], rng.uniform(0.6, 0.9, n))
-                    + 0j, rng.uniform(-0.3, 0.3, n) + 0j, AlgElement(rs, xi))
+    x0 = point(rs, np.linalg.solve(rs.alpha_h[:n], rng.uniform(0.6, 0.9, n))
+               + 0j, rng.uniform(-0.3, 0.3, n) + 0j, xi)
     traj = integrate(sys_, x0, 0.5, 1e-9, n_points=21)
     assert traj.completed
     write_trajectory_csv(tmp_path / "t.csv", traj)
@@ -195,12 +194,12 @@ def test_reduce_against_a_per_point_oracle(tmp_path, family, rank):
     rows = list(csv.reader(open(tmp_path / "red" / "trajectory.csv",
                                 newline="")))[1:]
     assert len(rows) == 21
-    states = read_trajectory_csv(tmp_path / "t.csv", rs).states
+    states = read_trajectory_csv(tmp_path / "t.csv", rs).points.y
     n_s = rs.n_roots - n
     for row_in, row, y in zip(rows_in, rows, states):
         assert row[:1 + 2 * n] == row_in[:1 + 2 * n]
         s = np.array(monomials(rs, y[2 * n:]))
-        energy = hamiltonian(sys_, ReducedPoint(rs, y[:n], y[n:2 * n], s))
+        energy = hamiltonian(sys_, point(rs, y[:n], y[n:2 * n], s, True))
         got = np.array([complex(v) for v in row[1 + 2 * n:]])
         assert np.all(np.abs(got[:n_s] - s) <= 1e-15 * np.abs(s))
         assert abs(got[n_s] - energy) <= 1e-15 * abs(energy)

@@ -20,17 +20,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_reference import dense_structure
-from helpers import pair_weight
+from helpers import pair_weight, point
 from spincm import dynamics
-from spincm.dynamics import (_pack_point, conserved_spectrum, hamiltonian,
+from spincm.dynamics import (conserved_spectrum, hamiltonian,
                              integrate, lax_L, make_system, spectral_drifts,
                              spinless_state, vector_field)
 from spincm.elliptic import Lattice
 from spincm.errors import PoleError, StructuralError, raise_on_fp_fault
-from spincm.phase import (PhasePoint, ReducedPoint, lift_reduced, momentum_J,
+from spincm.phase import (PhasePoint, lift_reduced, momentum_J,
                           reduced_roots, slice_lift)
 from spincm.rmatrix import positive_pair_weight
-from spincm.rootsys import AlgElement, matrix_rep
+from spincm.rootsys import matrix_rep
 
 FAMILIES = ("rational", "trigonometric", "elliptic")
 
@@ -55,10 +55,10 @@ def oracle_field(sys_, q, p, xi):
 
 def oracle_reduced(sys_, x_red):
     rs = sys_.rs
-    xi = lift_reduced(x_red).xi.vec
+    xi = lift_reduced(x_red).xi
     dq, dp, dxi = oracle_field(sys_, x_red.q, x_red.p, xi)
     ds = []
-    for root, s in zip(reduced_roots(rs), x_red.s):
+    for root, s in zip(reduced_roots(rs), x_red.spin):
         chain = sum(m * dxi[rs.basis_index(simple)]
                     for m, simple in zip(root, rs.simple_roots))
         ds.append(dxi[rs.basis_index(root)] - s * chain)
@@ -88,13 +88,14 @@ def test_fields_match_the_dense_oracle(family, rank, seed):
     sys_ = system(family, rank)
     rs = sys_.rs
     q, p, xi = random_state(sys_, seed)
-    v = vector_field(sys_, PhasePoint(q, p, AlgElement(rs, xi)))
+    v = vector_field(sys_, point(rs, q, p, xi))
     want = np.concatenate(oracle_field(sys_, q, p, xi))
-    assert rel_err(np.concatenate([v.q, v.p, v.xi.vec]), want) < 1e-13
-    x_red = ReducedPoint(rs, q, p, xi[2 * rs.rank:])
+    assert rel_err(np.concatenate([v.q, v.p, v.xi]), want) < 1e-13
+    x_red = point(rs, q, p, xi[2 * rs.rank:], True)
     v_red = vector_field(sys_, x_red)
     want = np.concatenate(oracle_reduced(sys_, x_red))
-    assert rel_err(np.concatenate([v_red.q, v_red.p, v_red.s]), want) < 1e-13
+    assert rel_err(np.concatenate([v_red.q, v_red.p, v_red.spin]),
+                   want) < 1e-13
 
 
 # Final points and solver counts (nfev, accepted, rejected, dense) of three
@@ -268,7 +269,7 @@ def pin_start(family, rank, reduced):
         return sys_, spinless_state(rs, q, p, 0.4j)
     k = np.arange(rs.n_roots - rank)
     s = (0.3 + 0.05 * k) * np.exp(0.7j * k)
-    return sys_, ReducedPoint(rs, q.astype(complex), p.astype(complex), s)
+    return sys_, point(rs, q.astype(complex), p.astype(complex), s, True)
 
 
 @pytest.mark.parametrize("key", list(PINNED), ids=lambda key: "-".join(
@@ -280,7 +281,7 @@ def test_trajectories_match_the_pinned_runs(key):
     assert traj.completed
     assert (traj.stats["nfev"], traj.stats["accepted"],
             traj.stats["rejected"], traj.stats["dense"]) == counts
-    got = _pack_point(sys_.rs, traj.points[-1])
+    got = traj.points[-1].y
     assert rel_err(got, np.array(final)) < 1e-12
     assert rel_err(got, np.array(DP5_FINALS[key])) < 1e-7
 
@@ -298,12 +299,12 @@ def test_overflow_in_the_field_aborts_with_finite_points():
     xi = np.zeros(rs.dim, dtype=complex)
     xi[rs.rank:rs.rank + rs.n_pos] = 1e160
     xi[rs.rank + rs.n_pos:] = 1e-160
-    x0 = PhasePoint(q, p, AlgElement(rs, xi))
+    x0 = point(rs, q, p, xi)
     traj = integrate(sys_, x0, 0.5, 1e-9, n_points=5)
     assert not traj.completed
     assert traj.abort_reason.startswith("integration aborted at t = 0: ")
     assert "overflow" in traj.abort_reason
-    assert all(np.all(np.isfinite(_pack_point(rs, pt))) for pt in traj.points)
+    assert all(np.all(np.isfinite(pt.y)) for pt in traj.points)
     assert np.all(np.isfinite(traj.energy))
 
 
@@ -340,8 +341,8 @@ def test_a_pole_on_a_grid_point_cuts_the_energy_column():
     rs = sys_.rs
 
     def at(q):
-        return ReducedPoint(rs, np.array([q]), np.array([-1.0 + 0j]),
-                            np.zeros(1, dtype=complex))
+        return point(rs, np.array([q]), np.array([-1.0 + 0j]),
+                     np.zeros(1, dtype=complex), True)
     traj = integrate(sys_, at(0.02 + 0j), 0.1, n_points=11)
     assert not traj.completed and traj.n_points == 2
     assert traj.abort_reason == (
@@ -484,7 +485,7 @@ def test_flat_elliptic_pass_is_wp_pair_element_by_element():
 
 def loop_table(sys_, pt, z, kmax):
     """h_k(z) at one point from matrix powers, z by z."""
-    x = lift_reduced(pt) if isinstance(pt, ReducedPoint) else pt
+    x = lift_reduced(pt) if pt.reduced else pt
     table = np.zeros((len(z), kmax), dtype=complex)
     for i, zi in enumerate(z):
         mat = matrix_rep(lax_L(sys_, x, zi))
@@ -519,8 +520,8 @@ def test_stacked_diagnostics_match_per_point_loops(family, rank, reduced):
     z = [0.41 + 0.22j, -0.33 + 0.47j, 0.29 - 0.44j]
     kmax = sys_.rs.matrix_size
     tables = [loop_table(sys_, pt, z, kmax) for pt in traj.points]
-    sums = dynamics._power_sums(sys_, dynamics._split(
-        sys_.rs, traj.states, reduced), z) / np.arange(1, kmax + 1)
+    sums = dynamics._power_sums(sys_, traj.points, z) / np.arange(1,
+                                                                  kmax + 1)
     for pt, table, row in zip(traj.points, tables, sums):
         spectrum = conserved_spectrum(sys_, pt, z)
         assert rel_err(spectrum, table) < 1e-13

@@ -16,12 +16,12 @@ import pytest
 
 import spincm
 from spincm import dynamics
-from spincm.dynamics import (_pack_point, _unpack_point, integrate,
-                             make_system, spinless_state, vector_field)
+from spincm.dynamics import (integrate, make_system, spinless_state,
+                             vector_field)
 from spincm.elliptic import Lattice
 from spincm.errors import PoleError
 from spincm.ode import EPS, DormandPrince
-from spincm.phase import ReducedPoint, project_pi
+from spincm.phase import PhasePoint, project_pi
 
 
 def oracle_point(family):
@@ -39,17 +39,16 @@ def scipy_reference(sys_, x0, t_final, tol, n_points):
     more RHS calls) is built only for steps with a grid point inside."""
     from scipy.integrate import DOP853
     rs = sys_.rs
-    reduced = isinstance(x0, ReducedPoint)
+    reduced = x0.reduced
 
     def rhs(t, y):
-        return _pack_point(rs, vector_field(sys_, _unpack_point(rs, y,
-                                                                   reduced)))
+        return vector_field(sys_, PhasePoint(rs, y, reduced)).y
 
-    solver = DOP853(rhs, 0.0, _pack_point(rs, x0), t_final, rtol=tol,
+    solver = DOP853(rhs, 0.0, x0.y, t_final, rtol=tol,
                     atol=tol * 1e-2)
     grid = np.linspace(0.0, t_final, n_points)
     direction = 1.0 if t_final > 0 else -1.0
-    values = [_pack_point(rs, x0)]
+    values = [x0.y]
     steps = 0
     while solver.status == "running":
         solver.step()
@@ -80,7 +79,7 @@ def test_matches_scipy_rk45(family, reduced, t_final):
     traj = integrate(sys_, x0, t_final, 1e-9, n_points=7)
     expected, steps, nfev = scipy_reference(sys_, x0, t_final, 1e-9, 7)
     assert traj.completed
-    got = np.array([_pack_point(sys_.rs, pt) for pt in traj.points])
+    got = traj.points.y
     assert got.shape == expected.shape
     assert np.max(np.abs(got - expected)
                   / np.maximum(1.0, np.abs(expected))) < 1e-12
@@ -229,7 +228,7 @@ def test_dense_array_equals_scalar_calls_bit_for_bit(t_final):
     forwards and backwards."""
     sys_, x0 = oracle_point("trigonometric")
     solver = DormandPrince(lambda t, y: dynamics._flow(sys_, y, False), 0.0,
-                           _pack_point(sys_.rs, x0), t_final, 1e-9, 1e-11)
+                           x0.y, t_final, 1e-9, 1e-11)
     steps = 0
     while not solver.finished:
         assert solver.step()
@@ -259,7 +258,7 @@ def test_dense_array_matches_scipy_dense_output(family, t_final):
     pytest.importorskip("scipy")
     from scipy.integrate import DOP853
     sys_, x0 = oracle_point(family)
-    y0 = _pack_point(sys_.rs, x0)
+    y0 = x0.y
 
     def rhs(t, y):
         return dynamics._flow(sys_, y, False)

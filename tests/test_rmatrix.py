@@ -430,8 +430,8 @@ def test_pole_guard_names_the_root(family, k):
     q = np.linalg.solve(rs.alpha_h[[k, other]], [0.0, 0.7])
     # (alpha_k, q) = 0 up to the rounding of the solve
     assert collision_margin(spec, q) < 1e-16
-    x = PhasePoint(q + 0j, np.array([0.3, -0.2j]),
-                   AlgElement(rs, np.linspace(0.5, 1.5, rs.dim) + 0.25j))
+    x = PhasePoint(rs, np.concatenate([q + 0j, [0.3, -0.2j], np.linspace(
+        0.5, 1.5, rs.dim) + 0.25j]))
     for table in (lambda: vector_field(spec, x), lambda: lax_L(spec, x, z)):
         with pytest.raises(PoleError,
                            match=re.escape(root_label(rs.roots[k]))):
@@ -794,12 +794,12 @@ def dense_fpbr(sys, x, z, w):
     dq_z, dq_w = np.moveaxis(np.array([
         np.einsum("...ab,b->...a",
                   r_tensor(spec_l, q, [z, w], direction=e_i),
-                  casimir_tensor(rs) @ x.xi.vec)
+                  casimir_tensor(rs) @ x.xi)
         for e_i in np.eye(rs.rank)]), 0, -1)
     lhs = np.zeros((rs.dim, rs.dim), dtype=complex)
     lhs[:, :rs.rank] -= dq_z
     lhs[:rs.rank, :] += dq_w.T
-    lhs += np.einsum("ac,bd,cde,e->ab", rz, rw, f, casimir_tensor(rs) @ x.xi.vec)
+    lhs += np.einsum("ac,bd,cde,e->ab", rz, rw, f, casimir_tensor(rs) @ x.xi)
     r12 = r_tensor(sys, q, z - w)
     com = np.einsum("cb,f,cfa->ab", r12, lz, f)
     com += np.einsum("ad,f,dfb->ab", r12, lw, f)
@@ -876,9 +876,9 @@ def test_fpbr_matches_dense_reference(family, rank, fault):
     rs = sys.rs
     rng = np.random.default_rng(730 + rank)
     q = rng.uniform(0.6, 1.1, size=rank) * rng.choice([-1, 1], size=rank)
-    x = PhasePoint(q.astype(complex), rng.normal(size=rank) + 0j,
-                   AlgElement(rs, rng.normal(size=rs.dim)
-                              + 1j * rng.normal(size=rs.dim)))
+    x = PhasePoint(rs, np.concatenate([
+        q.astype(complex), rng.normal(size=rank) + 0j,
+        rng.normal(size=rs.dim) + 1j * rng.normal(size=rs.dim)]))
     z, w = 0.31 + 0.12j, -0.22 + 0.4j
     assert_matches_dense(fpbr_residual(sys, x, z, w),
                          dense_fpbr(sys, x, z, w), fault)

@@ -12,7 +12,7 @@ import pytest
 from dense_reference import dense_structure
 from spincm.errors import StructuralError, UnsupportedAlgebraError
 from helpers import coadjoint_action, element_from_matrix
-from spincm.phase import PhasePoint, ReducedPoint
+from spincm.phase import PhasePoint
 from spincm.rootsys import (AlgElement, bracket, build_root_system, form,
                             matrix_rep, negate, parse_root_label, root_label,
                             root_system_summary, torus_adjoint)
@@ -351,13 +351,13 @@ _ONE = np.ones(2, dtype=complex)
 
 
 @pytest.mark.parametrize("build,error,match", [
-    (lambda: PhasePoint(np.ones(3, dtype=complex), _ONE,
-                        AlgElement.zero(_A2)),
+    (lambda: PhasePoint.make(_A2, np.ones(3, dtype=complex), _ONE),
      StructuralError, "q and p must have 2 coordinates each"),
-    (lambda: ReducedPoint(_A2, _ONE, np.ones((1, 2)), np.ones(4)),
+    (lambda: PhasePoint.make_reduced(_A2, _ONE, np.ones((1, 2)), {}),
      StructuralError, "q and p must have 2 coordinates each"),
-    (lambda: ReducedPoint(_A2, _ONE, _ONE, np.ones(5)),
-     StructuralError, "expected 4 reduced spin coordinates"),
+    (lambda: PhasePoint(_A2, np.concatenate([_ONE, _ONE, np.ones(5)]), True),
+     StructuralError, r"expected state rows of 8 coordinates, got shape "
+                      r"\(9,\)"),
     (lambda: AlgElement(_A2, np.ones(9)),
      StructuralError, r"expected \(\.\.\., 8\)"),
     (lambda: AlgElement.zero(_A2) + AlgElement.zero(_A3),

@@ -38,7 +38,7 @@ import numpy as np
 from .elliptic import Lattice
 from .errors import (ConfigError, ConstraintError, PoleError, StructuralError,
                      finite, raise_on_fp_fault)
-from .ode import DormandPrince
+from .ode import DormandPrince, interpolate
 from .phase import (PhasePoint, _bracket, _checked, pushforward,
                     reduced_roots, reduction, slice_lift)
 from .rmatrix import (RMatrixSpec, _pole_distance, _r_pairing, _r_table,
@@ -237,17 +237,17 @@ def integrate(sys: RMatrixSpec, x0, t_final: float, tol: float = 1e-10, *,
     Adaptive Dormand-Prince 8(5,3) (:class:`spincm.ode.DormandPrince`) on
     the complex state vector; the returned grid is uniform with
     ``n_points`` entries.  A grid point at a step end takes that step's
-    state, one inside a step the 7th-order dense output, which is built
-    only for steps that hold such a point and fills all of them in one
-    call.  t_final may be negative (backward flow).  A non-finite t_final,
-    tol or initial state, or a stack of points, raises StructuralError, and
-    so does an initial state whose energy overflows, or one past the range
-    of the elliptic argument reduction.  Close approaches to the singular
-    set, poles and floating-point faults (also in the first evaluation, a
-    collision check, the dense output and the energy of a later grid
-    point) and a step past that range truncate the trajectory instead of
-    raising, and so does a run past MAX_STEPS accepted steps.  The energy
-    and momentum columns are evaluated once over all grid points.
+    state, one inside a step the 7th-order dense output, whose stages run
+    stacked over all such steps after the last one.  t_final may be
+    negative (backward flow).  A non-finite t_final, tol or initial state,
+    or a stack of points, raises StructuralError, and so does an initial
+    state whose energy overflows, or one past the range of the elliptic
+    argument reduction.  Close approaches to the singular set, poles and
+    floating-point faults (also in the first evaluation, a collision check,
+    the dense output and the energy of a later grid point) and a step past
+    that range truncate the trajectory instead of raising, and so does a
+    run past MAX_STEPS accepted steps.  The energy and momentum columns are
+    evaluated once over all grid points.
     """
     if not math.isfinite(t_final) or t_final == 0.0:
         raise StructuralError(f"t_final must be finite and nonzero, got "
@@ -262,7 +262,7 @@ def integrate(sys: RMatrixSpec, x0, t_final: float, tol: float = 1e-10, *,
     t_grid = np.linspace(0.0, t_final, n_points)
     states = np.empty((n_points, y0.size), dtype=complex)
     states[0] = y0
-    filled = 1
+    filled, pending = 1, []
     while True:
         try:
             margin = collision_margin(sys, solver.y[:n])
@@ -284,11 +284,30 @@ def integrate(sys: RMatrixSpec, x0, t_final: float, tol: float = 1e-10, *,
             slack = 1e-12 * max(1.0, abs(solver.t))
             end = filled + np.count_nonzero(
                 (t_grid[filled:] - solver.t) * solver.direction <= slack)
-            states[filled:end] = solver.dense(t_grid[filled:end])
+            if (t_grid[filled:end] != solver.t).any():
+                pending.append((solver.last_step, filled, end))
+            states[filled:end] = solver.y
             filled = end
         except _TRUNCATING as exc:
             reason = f"integration aborted at t = {solver.t:.6g}: {exc}"
             break
+
+    def dense(batch):
+        for (step, lo, hi), f in zip(batch, solver.interpolants(
+                [step for step, _, _ in batch])):
+            states[lo:hi] = interpolate(step, f, t_grid[lo:hi])
+
+    try:
+        if pending:
+            dense(pending)
+    except _TRUNCATING:  # step by step: the run stops at the faulting one
+        for k, (step, lo, _) in enumerate(pending):
+            try:
+                dense(pending[k:k + 1])
+            except _TRUNCATING as exc:
+                filled = lo
+                reason = f"integration aborted at t = {step.t:.6g}: {exc}"
+                break
 
     points = PhasePoint(sys.rs, states[:filled], reduced)
     xi = points.xi
@@ -459,11 +478,16 @@ def _power_sums(sys: RMatrixSpec, x: PhasePoint, z) -> np.ndarray:
     """tr(rho(L(z))^k) at the stacked points x (reduced ones at their slice
     lift: L_0), for every z and k = 1..n (n the matrix size: by
     Cayley-Hamilton, higher powers add no invariant), of shape (points,
-    len(z), n): one stacked evaluation.  The traces are np.trace, not
-    einsum, which sets no flag on an overflow."""
+    len(z), n): one stacked evaluation.  With h = ceil(n/2), the powers up
+    to L^h give the traces for k <= h, and tr L^(h+a) is the Frobenius
+    pairing sum_ij (L^h)_ij (L^a)_ji.  Both are einsums, which set no flag
+    on an overflow, so the table is checked whole."""
+    n = sys.rs.matrix_size
     powers = _lax_powers(sys.rs, _lax_value(_lax(sys, x.q, z)[0, 0], x.p,
-                                            x.xi), sys.rs.matrix_size)[1:]
-    return np.stack([np.trace(a, axis1=-2, axis2=-1) for a in powers], -1)
+                                            x.xi), (n + 1) // 2)
+    sums = [np.einsum("...ii", a) for a in powers[1:]] + [
+        np.einsum("...ij,...ji", powers[-1], a) for a in powers[1:n // 2 + 1]]
+    return finite(np.stack(sums, -1), "the power sums")
 
 
 def _worst(drift: np.ndarray) -> tuple[float, int, int]:

@@ -10,12 +10,14 @@ safety factor 0.9, step factors clipped to [0.2, 10], no growth right after
 a rejected step, and the initial-step rule for an order-7 estimator.  The
 tableau is the data of scipy's ``dop853_coefficients`` (BSD licence) and
 the arithmetic follows scipy's ``DOP853`` operation for operation, so the
-accepted steps and the dense output agree with it.
+accepted steps and the dense output agree with it.  A dense output reads
+only its own step, so the extra stages of many steps stack, one call each.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from typing import Callable
 
 import numpy as np
@@ -201,6 +203,11 @@ _ROWS = [A[s, :s].astype(complex) for s in range(N_EXTENDED)]
 _NODES = C.tolist()
 
 
+# An accepted step from (t_old, y_old) to (t, y) with its stages K[0] ..
+# K[N_STAGES] (the last one f(t, y)): all that its dense output reads.
+Step = namedtuple("Step", "t_old y_old t y K")
+
+
 def _rms(x: np.ndarray) -> float:
     return np.linalg.norm(x) / x.size ** 0.5
 
@@ -210,12 +217,11 @@ class DormandPrince:
 
     Nothing is evaluated on construction: the first :meth:`step` evaluates
     fun(t0, y0) and the initial-step probe, so every fault of ``fun``
-    surfaces from :meth:`step` (or from :meth:`dense`, which evaluates the
-    interpolant's extra stages).  rtol is floored at 100 eps.  ``nfev``,
-    ``accepted``, ``rejected``, ``dense_steps`` (the steps whose
-    interpolant was built) and the accepted |h| range are counted as the
-    steps are taken (:attr:`stats`).
-    """
+    surfaces from :meth:`step` (or from :meth:`interpolants`, whose fun
+    calls take stacked rows).  rtol is floored at 100 eps.  ``nfev`` (the
+    evaluated states), ``accepted``, ``rejected``, ``dense_steps`` (the
+    steps whose interpolant was built) and the accepted |h| range are
+    counted as the work is done (:attr:`stats`)."""
 
     def __init__(self, fun: Callable[[float, np.ndarray], np.ndarray],
                  t0: float, y0: np.ndarray, t_final: float, rtol: float,
@@ -329,39 +335,58 @@ class DormandPrince:
         self._F = None
         return True
 
-    def _interpolant(self) -> np.ndarray:
-        """The seven coefficient rows of the last step's interpolant; the
-        three extra stages go into K[N_STAGES + 1:]."""
-        K, h = self.K, self.t - self.t_old
+    @property
+    def last_step(self) -> Step:
+        """The last accepted step, its stages copied."""
+        return Step(self.t_old, self.y_old, self.t, self.y,
+                    self.K[:N_STAGES + 1].copy())
+
+    def interpolants(self, steps: list[Step]) -> np.ndarray:
+        """The seven coefficient rows of each step's interpolant, (steps, 7,
+        n): its three extra stages in three calls of fun, on one state row
+        per step, formed with that step's own operations."""
+        K = np.empty((len(steps), N_EXTENDED, self.y.size), dtype=complex)
+        K[:, :N_STAGES + 1] = [step.K for step in steps]
+        h = [step.t - step.t_old for step in steps]
         for s in range(N_STAGES + 1, N_EXTENDED):
-            dy = np.dot(K[:s].T, _ROWS[s]) * h
-            K[s] = self._eval(self.t_old + _NODES[s] * h, self.y_old + dy)
-        self.dense_steps += 1
-        F = np.empty((7, self.y.size), dtype=complex)
-        delta_y = self.y - self.y_old
-        F[0] = delta_y
-        F[1] = h * K[0] - delta_y
-        F[2] = 2 * delta_y - h * (self.f + K[0])
-        F[3:] = h * np.dot(D, K)
+            t = [step.t_old + _NODES[s] * hk for step, hk in zip(steps, h)]
+            y = [step.y_old + np.dot(k[:s].T, _ROWS[s]) * hk
+                 for step, k, hk in zip(steps, K, h)]
+            self.nfev += len(steps)
+            K[:, s] = self.fun(np.array(t), np.array(y))
+        self.dense_steps += len(steps)
+        F = np.empty((len(steps), 7, self.y.size), dtype=complex)
+        for step, k, hk, f in zip(steps, K, h, F):
+            delta_y = step.y - step.y_old
+            f[0] = delta_y
+            f[1] = hk * k[0] - delta_y
+            f[2] = 2 * delta_y - hk * (k[N_STAGES] + k[0])
+            f[3:] = hk * np.dot(D, k)
         return F
 
     def dense(self, t) -> np.ndarray:
-        """The solution at t (a time, or an array of times, one row each) in
-        the last accepted step: the step's own y at its end, elsewhere the
-        7th-order interpolant, whose three extra stages are evaluated on the
-        first such call after each step.  One Horner pass serves all times,
-        each with the operations of a call of its own: the same bits."""
-        t = np.asarray(t, dtype=float)
-        at_end = t == self.t
-        if at_end.all():
-            return np.broadcast_to(self.y, t.shape + self.y.shape).copy()
-        if self._F is None:
-            self._F = self._interpolant()
-        x = ((t - self.t_old) / (self.t - self.t_old))[..., None]
-        y = np.zeros(t.shape + self.y.shape, dtype=complex)
-        for i, f in enumerate(reversed(self._F)):
-            y += f
-            y *= x if i % 2 == 0 else 1 - x
-        y += self.y_old
-        y[at_end] = self.y
-        return y
+        """:func:`interpolate` in the last accepted step (its interpolant
+        built on the first call with a time inside it)."""
+        step, t = self.last_step, np.asarray(t, dtype=float)
+        if self._F is None and (t != step.t).any():
+            self._F = self.interpolants([step])[0]
+        return interpolate(step, self._F, t)
+
+
+def interpolate(step: Step, F: np.ndarray | None, t) -> np.ndarray:
+    """The solution at t (a time, or an array of times, one row each) in
+    ``step``: its own y at its end, elsewhere the 7th-order interpolant of
+    the rows F (None if every t is the end).  One Horner pass serves all
+    times, each with the operations of a call of its own: the same bits."""
+    t = np.asarray(t, dtype=float)
+    at_end = t == step.t
+    if at_end.all():
+        return np.broadcast_to(step.y, t.shape + step.y.shape).copy()
+    x = ((t - step.t_old) / (step.t - step.t_old))[..., None]
+    y = np.zeros(t.shape + step.y.shape, dtype=complex)
+    for i, f in enumerate(reversed(F)):
+        y += f
+        y *= x if i % 2 == 0 else 1 - x
+    y += step.y_old
+    y[at_end] = step.y
+    return y

@@ -50,12 +50,13 @@ from .rootsys import AlgElement, Root, RootSystem, root_label, torus_adjoint
 OUTSIDE_U_TOL = 1e-13
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhasePoint:
     """Point (q, p, xi) of T*h* x g*, or (q, p, s) of the reduced space (s
     ordered like :func:`reduced_roots`), as its state row y = q | p | spin.
     Leading axes of y stack points, indexed by ``x[k]``.  q, p and the spin
-    are views of y; ``xi`` is the spin, at :func:`slice_lift` if reduced."""
+    are views of y; ``xi`` is the spin, at :func:`slice_lift` if reduced.
+    Equality and hash are by identity, as for any holder of an array."""
 
     rs: RootSystem
     y: np.ndarray
@@ -66,7 +67,11 @@ class PhasePoint:
             raise StructuralError(f"expected a RootSystem, got {self.rs!r}")
         n = self.rs.rank
         width = 2 * n + (self.rs.n_roots - n if self.reduced else self.rs.dim)
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=complex))
+        try:
+            object.__setattr__(self, "y", np.asarray(self.y, dtype=complex))
+        except (TypeError, ValueError) as exc:
+            raise StructuralError(f"expected complex state rows of {width} "
+                                  f"coordinates: {exc}") from None
         if self.y.shape[-1:] != (width,):
             raise StructuralError(f"expected state rows of {width} "
                                   f"coordinates, got shape {self.y.shape}")

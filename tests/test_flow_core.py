@@ -547,3 +547,27 @@ def test_stacked_diagnostics_match_per_point_loops(family, rank, reduced):
                         for row, row0 in zip(c, curves[0])
                         for a, b in zip(row, row0)))
     assert abs(got["isospectral_drift"] - iso) < 1e-13
+
+
+@pytest.mark.parametrize("reduced", [False, True])
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_power_sums_are_the_eigenvalue_power_sums(family, rank, reduced):
+    """tr rho(L(z))^k from half the powers and Frobenius pairings equals
+    sum lambda^k over the eigenvalues of rho(L(z)) to 1e-12 relative to
+    max(1, |p_k|), for k = 1..n; a stacked table is its per-point tables
+    bit for bit."""
+    sys_ = system(family, rank)
+    x = PhasePoint(sys_.rs, random_states(sys_, reduced, [rank, reduced, 7],
+                                          6), reduced)
+    z = dynamics.default_z_samples()
+    power_sums = raise_on_fp_fault(dynamics._power_sums)
+    sums = power_sums(sys_, x, z)
+    for k in range(len(x.y)):
+        assert np.array_equal(power_sums(sys_, x[k:k + 1], z), sums[k:k + 1])
+    lax = dynamics._lax_value(dynamics._lax(sys_, x.q, z)[0, 0], x.p, x.xi)
+    eigs = np.linalg.eigvals(sys_.rs.to_matrix(lax))
+    want = np.stack([np.sum(eigs ** k, -1) for k in
+                     range(1, sys_.rs.matrix_size + 1)], -1)
+    assert sums.shape == want.shape
+    assert np.max(np.abs(sums - want) / np.maximum(1.0, np.abs(want))) < 1e-12

@@ -16,8 +16,8 @@ import pytest
 
 import spincm
 from spincm import dynamics
-from spincm.dynamics import (integrate, make_system, spinless_state,
-                             vector_field)
+from spincm.dynamics import (hamiltonian, integrate, make_system,
+                             spinless_state, vector_field)
 from spincm.elliptic import Lattice
 from spincm.errors import PoleError
 from spincm.ode import EPS, DormandPrince
@@ -274,3 +274,104 @@ def test_dense_array_matches_scipy_dense_output(family, t_final):
         got = ours.dense(times)
         assert np.max(np.abs(got - expected)
                       / np.maximum(1.0, np.abs(expected))) < 1e-13
+
+
+def sequential_run(sys_, x0, t_final, n_points, tol=1e-9):
+    """The grid of `integrate` as its step loop filled it with one dense
+    call per step (the loop before the dense stages were stacked): the
+    states, the solver, and the reason of a pole in a step or a dense
+    stage (None if none)."""
+    reduced = x0.reduced
+    solver = DormandPrince(lambda t, y: dynamics._flow(sys_, y, reduced),
+                           0.0, x0.y, t_final, tol, tol * 1e-2)
+    t_grid = np.linspace(0.0, t_final, n_points)
+    states, reason = [x0.y], None
+    while not solver.finished:
+        try:
+            assert solver.step()
+            slack = 1e-12 * max(1.0, abs(solver.t))
+            end = len(states) + np.count_nonzero(
+                (t_grid[len(states):] - solver.t) * solver.direction <= slack)
+            states.extend(solver.dense(t_grid[len(states):end]))
+        except PoleError as exc:
+            reason = f"integration aborted at t = {solver.t:.6g}: {exc}"
+            break
+    return np.array(states), solver, reason
+
+
+@pytest.mark.parametrize("n_points", [2, 101])
+@pytest.mark.parametrize("t_final", [0.4, -0.3])
+@pytest.mark.parametrize("reduced", [False, True])
+@pytest.mark.parametrize("family", ["rational", "trigonometric", "elliptic"])
+def test_stacked_dense_pass_is_the_sequential_loop_bit_for_bit(
+        family, reduced, t_final, n_points):
+    """The grid states, the energy column and the solver counts of
+    `integrate`, whose dense stages run stacked after the last step, equal
+    those of one dense call per step, bit for bit: at 101 points every
+    step is dense, at 2 none is."""
+    sys_, x0 = oracle_point(family)
+    if reduced:
+        x0 = project_pi(x0)
+    traj = integrate(sys_, x0, t_final, 1e-9, n_points=n_points)
+    states, solver, reason = sequential_run(sys_, x0, t_final, n_points)
+    assert traj.completed and reason is None
+    assert np.array_equal(_bits(traj.points.y), _bits(states))
+    energy = hamiltonian(sys_, PhasePoint(sys_.rs, states, reduced))
+    assert np.array_equal(_bits(traj.energy), _bits(energy))
+    assert traj.stats == solver.stats
+    dense = traj.stats["dense"]
+    assert dense == (0 if n_points == 2 else traj.stats["accepted"])
+
+
+@pytest.mark.parametrize("n_points", [2, 1001])
+@pytest.mark.parametrize("reduced", [False, True])
+def test_nfev_counts_every_evaluated_state(reduced, n_points):
+    """f(t0), the initial-step probe, 12 stages per attempted step and 3
+    stacked rows per dense step, with no grid point inside a step and
+    with one in every step."""
+    sys_, x0 = oracle_point("elliptic")
+    if reduced:
+        x0 = project_pi(x0)
+    stats = integrate(sys_, x0, 0.4, 1e-9, n_points=n_points).stats
+    assert stats["nfev"] == 2 + 12 * (stats["accepted"] + stats["rejected"]) \
+        + 3 * stats["dense"]
+    assert stats["dense"] == (0 if n_points == 2 else stats["accepted"])
+
+
+def test_a_pole_in_one_dense_row_truncates_where_the_sequential_run_does(
+        monkeypatch):
+    """A pole in the stage-13 row of the fourth dense step, inside the
+    stacked call: the run keeps the grid points before that step's and
+    stops with the reason of the sequential loop, which met the same pole
+    in that step's own dense call."""
+    sys_, x0 = oracle_point("trigonometric")
+    flow, stacked = dynamics._flow, []
+
+    def spy(system, y, reduced):
+        if y.ndim == 2:
+            stacked.append(y.copy())
+        return flow(system, y, reduced)
+
+    monkeypatch.setattr(dynamics, "_flow", spy)
+    clean = integrate(sys_, x0, 0.4, 1e-9, n_points=101)
+    assert len(stacked) == 3 and len(stacked[0]) == clean.stats["dense"] > 4
+    target = stacked[0][3]
+
+    def field(system, y, reduced):
+        if (y.reshape(-1, y.shape[-1]) == target).all(-1).any():
+            raise PoleError("pole planted in a dense stage")
+        return flow(system, y, reduced)
+
+    monkeypatch.setattr(dynamics, "_flow", field)
+    traj = integrate(sys_, x0, 0.4, 1e-9, n_points=101)
+    states, solver, reason = sequential_run(sys_, x0, 0.4, 101)
+    assert reason.startswith("integration aborted at t = ") and \
+        reason.endswith(": pole planted in a dense stage")
+    assert not traj.completed and traj.abort_reason == reason
+    assert 1 < traj.n_points < clean.n_points
+    assert np.array_equal(_bits(traj.points.y), _bits(states))
+    assert np.array_equal(_bits(traj.points.y), _bits(clean.points.y[
+        :traj.n_points]))
+    # the loop went on past that step: only the counts tell
+    assert traj.stats["accepted"] == clean.stats["accepted"] > \
+        solver.stats["accepted"]

@@ -601,6 +601,9 @@ def _wrong_point_cases():
         "point-list-coordinates": lambda: PhasePoint([0.1, 0.2], [0.3, 0.4],
                                                      x.xi),
         "point-wrong-width": lambda: PhasePoint(rs, np.ones((3, 7))),
+        "point-string-row": lambda: PhasePoint(RS1, "abc"),
+        "point-row-holding-a-string": lambda: PhasePoint(
+            RS1, [0.3, 0.1, 0.0, "abc", 1.0]),
     }
 
 
@@ -611,6 +614,19 @@ def test_wrong_points_and_rows_are_structural_errors(case):
     a point of lists AttributeError; each is a StructuralError."""
     with pytest.raises(StructuralError):
         _wrong_point_cases()[case]()
+
+
+def test_points_compare_and_hash_by_identity():
+    """A point holds an array, so == and hash are those of the object: a
+    bool and an int, where the field-wise ones raised numpy's ValueError
+    and TypeError."""
+    x = PhasePoint.make(RS1, [0.3], [0.1], xi_components={r: 1.0
+                                                           for r in RS1.roots})
+    twin = PhasePoint(RS1, x.y.copy())
+    assert (x == twin) is False and (x == x) is True
+    assert (x != twin) is True
+    assert isinstance(hash(x), int) and hash(x) == hash(x)
+    assert len({x, twin, x}) == 2
 
 
 def test_make_rejects_pinned_coordinates():

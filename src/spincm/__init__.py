@@ -11,15 +11,13 @@ the spectral invariants) numerically.
 from __future__ import annotations
 
 from .elliptic import Lattice, l_kernel
-from .errors import (ConfigError, ConstraintError, GaugeDomainError,
-                     PoleError, SpincmError, StructuralError,
-                     UnsupportedAlgebraError)
+from .errors import (ConfigError, GaugeDomainError, PoleError, SpincmError,
+                     StructuralError, UnsupportedAlgebraError)
 from .rootsys import (AlgElement, RootSystem, bracket, build_root_system,
                       form, matrix_rep, negate, parse_root_label, root_label,
                       root_system_summary, torus_adjoint)
-from .rmatrix import (RMatrixSpec, elliptic_r_matrix, rational_r_matrix,
-                      trigonometric_r_matrix, verify_axioms, verify_cdybe,
-                      verify_mdybe)
+from .rmatrix import (RMatrixSpec, rational_r_matrix, trigonometric_r_matrix,
+                      verify_axioms, verify_cdybe, verify_mdybe)
 from .phase import (PhasePoint, bracket_full, gauge_g, lift_reduced,
                     momentum_J, project_pi, torus_action)
 from .dynamics import (Trajectory, conserved_spectrum,
@@ -33,7 +31,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgElement",
     "ConfigError",
-    "ConstraintError",
     "GaugeDomainError",
     "Lattice",
     "PhasePoint",
@@ -48,7 +45,6 @@ __all__ = [
     "bracket_full",
     "build_root_system",
     "conserved_spectrum",
-    "elliptic_r_matrix",
     "form",
     "fpbr_residual",
     "gauge_g",

@@ -29,7 +29,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -205,7 +205,7 @@ for _entry in SCHEMA:
 @dataclass
 class RunConfig:
     """A validated config document: every key of ``SCHEMA``, defaults
-    filled in.  ``parse_config(config.serialize()) == config``."""
+    filled in.  ``parse_config(dataclasses.asdict(config)) == config``."""
 
     family: str
     rank: int
@@ -229,9 +229,6 @@ class RunConfig:
                                delta_plus=self.delta_plus, lattice=lattice)
         except StructuralError as exc:
             raise ConfigError(str(exc)) from exc
-
-    def serialize(self) -> dict:
-        return asdict(self)
 
 
 def _complexes(values) -> np.ndarray:

@@ -30,14 +30,15 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .elliptic import Lattice
-from .errors import (ConfigError, ConstraintError, PoleError, StructuralError,
-                     finite, raise_on_fp_fault)
+from .errors import (ConfigError, PoleError, StructuralError, finite,
+                     raise_on_fp_fault)
 from .ode import DormandPrince, interpolate
 from .phase import (PhasePoint, _bracket, _checked, pushforward,
                     reduced_roots, reduction, slice_lift)
@@ -48,8 +49,6 @@ from .rootsys import (AlgElement, RootSystem, build_root_system, root_label,
                       torus_adjoint)
 
 
-# Largest sigma_residual at which lax_B accepts a point as on Sigma.
-SIGMA_TOL = 1e-8
 # Accepted steps after which integrate stops with a truncated trajectory.
 MAX_STEPS = 200_000
 # Singular-set distance (collision_margin) below which integrate stops.
@@ -240,9 +239,10 @@ def integrate(sys: RMatrixSpec, x0, t_final: float, tol: float = 1e-10, *,
     state, one inside a step the 7th-order dense output, whose stages run
     stacked over all such steps after the last one.  t_final may be
     negative (backward flow).  A non-finite t_final, tol or initial state,
-    or a stack of points, raises StructuralError, and so does an initial
-    state whose energy overflows, or one past the range of the elliptic
-    argument reduction.  Close approaches to the singular set, poles and
+    a stack of points, an n_points that is not an integer >= 2 (a numpy
+    integer is one, a bool is not), an initial state whose energy
+    overflows, or one past the range of the elliptic argument reduction,
+    raises StructuralError.  Close approaches to the singular set, poles and
     floating-point faults (also in the first evaluation, a collision check,
     the dense output and the energy of a later grid point) and a step past
     that range truncate the trajectory instead of raising, and so does a
@@ -254,6 +254,10 @@ def integrate(sys: RMatrixSpec, x0, t_final: float, tol: float = 1e-10, *,
                               f"{t_final}")
     if not (math.isfinite(tol) and tol > 0.0):
         raise StructuralError(f"tol must be finite and positive, got {tol}")
+    if isinstance(n_points, bool) or not isinstance(
+            n_points, numbers.Integral) or n_points < 2:
+        raise StructuralError(f"n_points must be an integer >= 2, got "
+                              f"{n_points!r}")
     x0 = _checked(x0, rs=sys.rs, single=True)
     n, reduced, y0 = sys.rs.rank, x0.reduced, x0.y
     reason = None
@@ -413,20 +417,14 @@ def _lax_pair(sys: RMatrixSpec, x: PhasePoint, z):
 
 @raise_on_fp_fault
 def lax_B(sys: RMatrixSpec, x: PhasePoint, nodes) -> AlgElement:
-    """B = -R_q(L/z) on ``nodes``, one element per node, defined on Sigma
-    where the flow is of Lax form; off Sigma (beyond SIGMA_TOL) a
-    constraint error carries the largest residual.  Its principal part is
-    1/2 of L/z's: the regular part of L at 0 over z, I xi over z^2.  At a
-    reduced point, B_0 through the gauge identity: B at the slice lift
-    minus the Cartan compensator of the gauge drift."""
+    """B = -R_q(L/z) on ``nodes``, one element per node: the B of the
+    quasi-Lax equation dL/dt = [B, L] - (X_J R)(L/z) of
+    :func:`lax_residuals`, on the whole phase space (on Sigma, J = 0 and
+    it is the plain dL/dt = [B, L]).  Its principal part is 1/2 of L/z's:
+    the regular part of L at 0 over z, I xi over z^2.  At a reduced point,
+    B_0 through the gauge identity: B at the slice lift minus the Cartan
+    compensator of the gauge drift."""
     xs = _stack(_checked(x, rs=sys.rs), nonempty=True)
-    res = 0.0 if xs.reduced else float(np.max(sigma_residual(sys, xs)))
-    if res > SIGMA_TOL:
-        raise ConstraintError(
-            f"point is off the constraint set Sigma: residual {res:.3e} "
-            f"exceeds {SIGMA_TOL:.1e}", residual=res)
-    # On Sigma the flow satisfies dL/dt = -[R_q(L/z), L]; shipping B =
-    # -R_q(L/z) makes it the plain dL/dt = [B, L].
     return AlgElement(sys.rs, _per_point(x, _lax_pair(
         sys, xs, _z_list(nodes, nonempty=False))[1]))
 

@@ -27,8 +27,8 @@ per z and sample.  numpy floating-point faults raise FloatingPointError,
 not inf or nan.
 
 Conventions: half-periods omega1, omega2 with Im(omega2/omega1) > 0; the
-lattice is 2*omega1*Z + 2*omega2*Z.  omega1, omega2, eta1, eta2, the branch
-points and the m, n of ``Lattice.reduce`` refer to this basis as given.
+lattice is 2*omega1*Z + 2*omega2*Z.  omega1, omega2, eta1 and eta2 refer to
+this basis as given.
 """
 
 from __future__ import annotations
@@ -229,10 +229,10 @@ class Lattice:
         # Legendre relation eta1*w2 - eta2*w1 = i pi / 2
         eta2 = (eta1 * w2 - 0.5j * math.pi) / w1
         self._eta1, self._eta2 = eta1, eta2
-        # the integer change of basis (w1, w2) = (omega1, omega2) @ _basis,
-        # of determinant 1; eta is linear on the lattice
+        # the integer change of basis (w1, w2) = (omega1, omega2) @ [[a, b],
+        # [c, d]], of determinant 1; eta is linear on the lattice
         reduced = np.array([[w1.real, w2.real], [w1.imag, w2.imag]])
-        (a, b), (c, d) = self._basis = np.rint(np.linalg.solve(
+        (a, b), (c, d) = np.rint(np.linalg.solve(
             [[omega1.real, omega2.real], [omega1.imag, omega2.imag]],
             reduced)).astype(int).tolist()
         self.eta1, self.eta2 = d * eta1 - c * eta2, a * eta2 - b * eta1
@@ -247,10 +247,6 @@ class Lattice:
         e1, e2, e3 = (complex(e) for e in self.wp(np.array([w1, w1 + w2, w2])))
         self.g2 = 2.0 * (e1 ** 2 + e2 ** 2 + e3 ** 2)
         self.g3 = 4.0 * e1 * e2 * e3
-        # wp at omega1, omega1 + omega2, omega2, by their classes mod 2 in w
-        at = {(1, 0): e1, (1, 1): e2, (0, 1): e3}
-        self.branch_points = tuple(at[i % 2, j % 2] for i, j in (
-            (d, c), (d + b, c + a), (b, a)))
 
     # -- the one pass -----------------------------------------------------
 
@@ -331,14 +327,6 @@ class Lattice:
     # -- public evaluations ----------------------------------------------
 
     @raise_on_fp_fault
-    def reduce(self, z):
-        """Write z = z0 + 2m*omega1 + 2n*omega2 with z0 in the centred cell
-        of the reduced basis."""
-        z0, mn = self._cell(z)
-        m, n = self._basis @ mn.T
-        return _value(z0, z), _value(m, z, int), _value(n, z, int)
-
-    @raise_on_fp_fault
     def lattice_distance(self, z):
         """Absolute distance from z to the nearest lattice point."""
         z0 = self._cell(z)[0]
@@ -360,9 +348,6 @@ class Lattice:
 
     def wp(self, z):
         return self.wp_pair(z)[0]
-
-    def wp_prime(self, z):
-        return self.wp_pair(z)[1]
 
     @raise_on_fp_fault
     def zeta_ladder(self, z, kmax: int) -> list:

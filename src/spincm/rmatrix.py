@@ -71,9 +71,10 @@ FAMILIES = ("rational", "trigonometric", "elliptic")
 class RMatrixSpec:
     """A dynamical r-matrix family bound to a root system.
 
-    Use the :func:`rational_r_matrix`, :func:`trigonometric_r_matrix`,
-    :func:`elliptic_r_matrix` constructors; they validate the family data
-    (closure of Delta', the polarization, the lattice orientation).
+    Use the :func:`rational_r_matrix` and :func:`trigonometric_r_matrix`
+    constructors, which validate the family data (closure of Delta', the
+    polarization), or ``RMatrixSpec(rs, "elliptic", lattice=lattice)``,
+    whose ``Lattice`` checked its orientation; ``make_system`` picks one.
 
     ``fault_scale`` is a negative-control knob used by the verification CLI:
     it multiplies the coefficient of one +/- root pair of the r-matrix's
@@ -206,11 +207,6 @@ def trigonometric_r_matrix(rs: RootSystem, pi_prime="full",
                 f"delta_plus is not a polarization: {rs.roots[k]} and "
                 f"{rs.roots[neg[k]]} are on the same side")
     return RMatrixSpec(rs, "trigonometric", pi_prime=chosen, plus_mask=plus)
-
-
-def elliptic_r_matrix(rs: RootSystem, lattice: Lattice) -> RMatrixSpec:
-    """Elliptic family over a period lattice."""
-    return RMatrixSpec(rs, "elliptic", lattice=lattice)
 
 
 # ---------------------------------------------------------------------------

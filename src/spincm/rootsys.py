@@ -19,9 +19,10 @@ Basis conventions used everywhere in this package:
 * Covectors xi in g* are represented by their image I(xi) in g under the
   isomorphism induced by the form.  With the classical component convention
   xi_alpha = <xi, e_{-alpha}> and xi_i = <xi, h_i>, the stored element is
-  I(xi) = sum_i xi_i h_i + sum_alpha xi_alpha e_alpha, so ``coeff(alpha)``
-  on a covector returns the spin component xi_alpha with no index gymnastics
-  and the g*-g pairing is just :func:`form`.
+  I(xi) = sum_i xi_i h_i + sum_alpha xi_alpha e_alpha, so the coordinate
+  ``vec[rs.basis_index(alpha)]`` of a covector is the spin component
+  xi_alpha with no index gymnastics, and the g*-g pairing is just
+  :func:`form`.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (StructuralError, UnsupportedAlgebraError, finite,
-                     raise_on_fp_fault)
+from .errors import StructuralError, UnsupportedAlgebraError, raise_on_fp_fault
 
 Root = tuple[int, ...]
 
@@ -242,14 +242,6 @@ class AlgElement:
                 f"(..., {self.rs.dim})")
 
     @staticmethod
-    def zero(rs: RootSystem) -> "AlgElement":
-        return AlgElement(rs, np.zeros(rs.dim, dtype=complex))
-
-    @staticmethod
-    def cartan(rs: RootSystem, coords) -> "AlgElement":
-        return AlgElement.from_root_dict(rs, {}, cartan=coords)
-
-    @staticmethod
     def from_root_dict(rs: RootSystem, components: dict[Root, complex],
                        cartan=None) -> "AlgElement":
         vec = np.zeros(rs.dim, dtype=complex)
@@ -258,10 +250,6 @@ class AlgElement:
         for root, c in components.items():
             vec[rs.basis_index(root)] = c
         return AlgElement(rs, vec)
-
-    @staticmethod
-    def basis(rs: RootSystem, index: int) -> "AlgElement":
-        return AlgElement(rs, np.eye(rs.dim, dtype=complex)[index])
 
     def _check(self, other: "AlgElement") -> None:
         if self.rs is not other.rs and self.rs != other.rs:
@@ -285,15 +273,6 @@ class AlgElement:
         return AlgElement(self.rs, self.vec * scalar)
 
     __rmul__ = __mul__
-
-    def coeff(self, root: Root) -> complex:
-        return complex(self.vec[self.rs.basis_index(root)])
-
-    def max_abs(self) -> float:
-        """The largest coordinate modulus; FloatingPointError past the float
-        range (np.abs of a complex sets no flag)."""
-        return finite(float(np.max(np.abs(self.vec))) if self.vec.size
-                      else 0.0, "the largest coordinate modulus")
 
     def __repr__(self) -> str:
         if self.vec.ndim > 1:

@@ -134,14 +134,15 @@ def spin_coordinate_function(rs: RootSystem, root: Root) -> ReducedFunction:
 def spin_invariant_gradient(xi: AlgElement, root: Root) -> AlgElement:
     """Differential of s_alpha at a general point of U, as an element of g."""
     rs = xi.rs
-    simple = np.array([xi.coeff(r) for r in rs.simple_roots])
+    simple = np.array([xi.vec[rs.basis_index(r)] for r in rs.simple_roots])
     mono = np.prod([simple[j] ** (-root[j]) for j in range(rs.rank)])
-    out = mono * AlgElement.basis(rs, rs.basis_index(negate(root)))
+    unit = np.eye(rs.dim, dtype=complex)
+    out = mono * AlgElement(rs, unit[rs.basis_index(negate(root))])
     for j, alpha in enumerate(rs.simple_roots):
         if root[j]:
-            coeff = -root[j] * xi.coeff(root) * mono / simple[j]
-            out = out + coeff * AlgElement.basis(rs, rs.basis_index(
-                negate(alpha)))
+            coeff = -root[j] * xi.vec[rs.basis_index(root)] * mono / simple[j]
+            out = out + coeff * AlgElement(
+                rs, unit[rs.basis_index(negate(alpha))])
     return out
 
 
@@ -344,7 +345,7 @@ def equivariance_residual(spec: RMatrixSpec, q, xi, c_coords,
     moved = torus_adjoint(c_coords, AlgElement(rs, xi)).vec
     lhs = R_apply(spec, q, LaurentElement(rs, moved, z_samples))
     rhs = R_apply(spec, q, LaurentElement(rs, xi, z_samples))
-    return (lhs.values - torus_adjoint(c_coords, rhs.values)).max_abs()
+    return np.abs((lhs.values - torus_adjoint(c_coords, rhs.values)).vec).max()
 
 
 def element_from_matrix(rs: RootSystem, mat: np.ndarray) -> AlgElement:

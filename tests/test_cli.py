@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -58,7 +58,7 @@ def test_config_round_trip():
     ]
     for data in fixtures:
         config = parse_config(data)
-        assert parse_config(config.serialize()) == config
+        assert parse_config(asdict(config)) == config
 
 
 def test_config_rejects_unknown_keys():

@@ -119,7 +119,7 @@ def test_wp_prime_and_higher_zeta_derivatives():
         for _ in range(10):
             z = complex(rng.uniform(0.2, 0.7), rng.uniform(0.15, 0.6))
             fd1 = (lat.wp(z + h) - lat.wp(z - h)) / (2 * h)
-            assert abs(lat.wp_prime(z) - fd1) / max(1.0, abs(fd1)) < 1e-7
+            assert abs(lat.wp_pair(z)[1] - fd1) / max(1.0, abs(fd1)) < 1e-7
             for k in (2, 3, 4):
                 fd = (lat.zeta_ladder(z + h, k)[k - 1]
                       - lat.zeta_ladder(z - h, k)[k - 1]) / (2 * h)
@@ -134,7 +134,7 @@ def test_zeta_ladder_is_one_theta_pass(monkeypatch):
     lat = Lattice(2.0, 2.2j)
     rng = np.random.default_rng(3)
     z = rng.uniform(-4, 4, (268, 10)) + 1j * rng.uniform(-4, 4, (268, 10))
-    p, dp = lat.wp(z), lat.wp_prime(z)
+    p, dp = lat.wp_pair(z)
     want = [lat.zeta_ladder(z, 1)[0], -p, -dp,
             -(6.0 * p * p - 0.5 * lat.g2), -12.0 * p * dp]
     passes = []
@@ -158,7 +158,7 @@ def test_differential_equation_of_wp():
     for lat in LATTICES:
         for _ in range(15):
             z = complex(rng.uniform(0.1, 0.8), rng.uniform(0.1, 0.7))
-            p, dp = lat.wp(z), lat.wp_prime(z)
+            p, dp = lat.wp_pair(z)
             res = dp * dp - (4.0 * p ** 3 - lat.g2 * p - lat.g3)
             assert abs(res) / max(1.0, abs(p) ** 3) < 1e-9
 
@@ -197,7 +197,8 @@ def test_branch_point_identity():
     # theta constants satisfy Jacobi's quartic identity, and the branch
     # points must sum to zero
     for lat in LATTICES:
-        e1, e2, e3 = lat.branch_points
+        e1, e2, e3 = lat.wp(np.array([lat.omega1, lat.omega1 + lat.omega2,
+                                      lat.omega2]))
         assert abs(e1 + e2 + e3) < 1e-12
         assert abs(lat.wp(lat.omega1) - e1) < 1e-9
 
@@ -209,7 +210,8 @@ def test_addition_formula_for_zeta():
             a = complex(rng.uniform(0.1, 0.5), rng.uniform(0.05, 0.4))
             b = complex(rng.uniform(0.1, 0.5), -rng.uniform(0.05, 0.4))
             lhs = lat.zeta(a + b) - lat.zeta(a) - lat.zeta(b)
-            rhs = 0.5 * (lat.wp_prime(a) - lat.wp_prime(b)) / (lat.wp(a) - lat.wp(b))
+            (pa, dpa), (pb, dpb) = lat.wp_pair(a), lat.wp_pair(b)
+            rhs = 0.5 * (dpa - dpb) / (pa - pb)
             assert abs(lhs - rhs) < 1e-8
 
 
@@ -254,9 +256,9 @@ def test_reduction_range():
     every evaluation raises StructuralError naming the range, while 2^52
     periods still reduce."""
     edge = 2.0 * 2 ** 52          # 2^52 periods 2 omega1 = 2 of SQUARE
-    assert SQUARE.reduce(edge + 0.5j)[1:] == (2 ** 52, 0)
+    assert SQUARE._cell(edge + 0.5j)[1].tolist() == [[2.0 ** 52, 0.0]]
     for z in (2.0 * 2 ** 53 + 0.5j, 0.3 + 2.0 ** 54 * 1j, 1e200):
-        for fn in (SQUARE.reduce, SQUARE.lattice_distance, SQUARE.sigma,
+        for fn in (SQUARE._cell, SQUARE.lattice_distance, SQUARE.sigma,
                    SQUARE.zeta, SQUARE.wp, lambda v: l_kernel(SQUARE, 0.3, v),
                    lambda v: SQUARE.zeta_ladder(np.array([0.3, v]), 3)):
             with pytest.raises(StructuralError, match=r"2\^52 periods"):
@@ -270,8 +272,8 @@ def test_non_finite_arguments_never_give_a_value(z):
     evaluation raises StructuralError naming it (sigma and lattice_distance
     gave nan, reduce a raw ValueError); an inf raises StructuralError or
     FloatingPointError.  None returns a value, alone or in an array."""
-    for fn in (OBLIQUE.reduce, OBLIQUE.lattice_distance, OBLIQUE.sigma,
-               OBLIQUE.zeta, OBLIQUE.wp, OBLIQUE.wp_prime, OBLIQUE.wp_pair,
+    for fn in (raise_on_fp_fault(OBLIQUE._cell), OBLIQUE.lattice_distance,
+               OBLIQUE.sigma, OBLIQUE.zeta, OBLIQUE.wp, OBLIQUE.wp_pair,
                lambda v: OBLIQUE.zeta_ladder(np.array([0.3, v]), 3),
                lambda v: l_kernel(OBLIQUE, 0.3, v),
                lambda v: l_kernel(OBLIQUE, v, 0.3)):
@@ -303,16 +305,13 @@ def test_l_kernel_is_two_passes(monkeypatch):
 
 
 def test_reduce_and_lattice_distance_are_one_reduction(monkeypatch):
-    """reduce and lattice_distance read the one argument reduction once,
-    with no theta_1 pass, and give the argument's shape."""
+    """lattice_distance reads the one argument reduction once, with no
+    theta_1 pass, and gives the argument's shape."""
     lat = Lattice(2.0, 2.2j)
     z = np.array([[0.31 + 0.17j, -5.3 + 2.9j], [1.4 - 3.1j, 7.9 + 0.2j]])
     counts = count_passes(monkeypatch)
-    z0, m, n = lat.reduce(z)
-    assert counts == {"_theta1": 0, "_cell": 1, "lattice_distance": 0}
-    assert z0.shape == m.shape == n.shape == z.shape
     assert lat.lattice_distance(z).shape == z.shape
-    assert counts == {"_theta1": 0, "_cell": 2, "lattice_distance": 1}
+    assert counts == {"_theta1": 0, "_cell": 1, "lattice_distance": 1}
 
 
 def test_l_kernel_scalar_calls_are_the_array_elements():
@@ -346,8 +345,7 @@ def test_strided_and_scalar_arguments_are_the_contiguous_array_elements():
     pairs = z.reshape(-1, 2)
     evaluations = {
         "sigma": lat.sigma, "zeta": lat.zeta, "wp": lat.wp,
-        "wp_prime": lat.wp_prime, "lattice_distance": lat.lattice_distance,
-        "wp_pair": lat.wp_pair, "reduce": lat.reduce,
+        "lattice_distance": lat.lattice_distance, "wp_pair": lat.wp_pair,
         "zeta_ladder": lambda v: lat.zeta_ladder(v, 2),
         "l_kernel": lambda v: l_kernel(lat, v, 0.3 + 0.2j)}
     for name, fn in evaluations.items():
@@ -457,9 +455,9 @@ REFERENCE = Lattice(2.0, 2.2j)
 def test_values_do_not_depend_on_the_basis(word):
     """A basis of the reference lattice (2, 2.2i) made by the SL(2,Z) word
     prod T^k S, tau -> k - 1/tau, gives sigma, zeta, wp, the r-matrix
-    ladder and g2, g3 of the reference basis to 1e-13 relative; eta1,
-    eta2 and the branch points belong to the periods as given, and
-    reduce() writes z over them with z0 in the reduced centred cell.
+    ladder and g2, g3 of the reference basis to 1e-13 relative; eta1 and
+    eta2 belong to the periods as given, and the one reduction puts z0 in
+    the reduced centred cell of the reference basis.
     Longer words give bases whose rounding alone moves the lattice past
     that tolerance, and the ladder's mixed orders du = 1, k >= 1 cancel
     (ROADMAP item 2), so the u-derivative is checked at k = 0."""
@@ -482,17 +480,11 @@ def test_values_do_not_depend_on_the_basis(word):
         for a, b in zip(got[0] + sum(got[1], []), want[0] + sum(want[1], [])):
             assert close(a, b)
     assert close([lat.g2, lat.g3], [REFERENCE.g2, REFERENCE.g3])
-    assert close(lat.branch_points,
-                 lat.wp(np.array([omega1, omega1 + omega2, omega2])), 1e-12)
     for period, eta in ((2 * omega1, lat.eta1), (2 * omega2, lat.eta2)):
         jump = lat.zeta(z + period) - lat.zeta(z)
         assert np.all(np.abs(jump - 2 * eta) <= 1e-12 * abs(period))
-    z0, m, n = lat.reduce(z)
-    assert np.all(m == np.rint(m)) and np.all(n == np.rint(n))
-    span = np.abs(2 * m * omega1) + np.abs(2 * n * omega2) + np.abs(z)
-    assert np.all(np.abs(z0 + 2 * m * omega1 + 2 * n * omega2 - z)
-                  <= 1e-14 * span)
-    assert np.allclose(z0, REFERENCE.reduce(z)[0], rtol=0, atol=1e-12)
+    assert np.allclose(lat._cell(z)[0], REFERENCE._cell(z)[0], rtol=0,
+                       atol=1e-12)
 
 
 # -- mpmath oracle ------------------------------------------------------------
@@ -541,8 +533,10 @@ def test_against_mpmath_theta_functions(omega):
     cells = [(0, 0), (1, 0), (0, 1), (-1, 2), (2, -1), (-2, -1)]
     z = np.array([b + 2 * m * lat.omega1 + 2 * n * lat.omega2
                   for m, n in cells for b in base])
-    for name in ("sigma", "zeta", "wp", "wp_prime"):
-        got = getattr(lat, name)(z)
+    evaluations = {"sigma": lat.sigma, "zeta": lat.zeta, "wp": lat.wp,
+                   "wp_prime": lambda v: lat.wp_pair(v)[1]}
+    for name, fn in evaluations.items():
+        got = fn(z)
         assert got.shape == z.shape
         want = np.array([complex(oracle[name](complex(zz))) for zz in z])
         rel = np.abs(got - want) / np.abs(want)
@@ -558,8 +552,9 @@ def test_array_and_scalar_inputs_share_one_path():
     w = np.array([0.4 - 0.2j, 1.1 + 0.3j])
     close = lambda a, b: np.allclose(a, b, rtol=1e-14, atol=0.0)
     for lat in LATTICES:
-        for name in ("sigma", "zeta", "wp", "wp_prime", "lattice_distance"):
-            fn = getattr(lat, name)
+        for name, fn in {"sigma": lat.sigma, "zeta": lat.zeta, "wp": lat.wp,
+                         "wp_prime": lambda v: lat.wp_pair(v)[1],
+                         "lattice_distance": lat.lattice_distance}.items():
             arr = fn(z)
             assert arr.shape == z.shape
             for idx in np.ndindex(z.shape):
@@ -570,9 +565,10 @@ def test_array_and_scalar_inputs_share_one_path():
         rows = [[lat.zeta_ladder(complex(v), 5) for v in row] for row in z]
         for k, arr in enumerate(lat.zeta_ladder(z, 5)):
             assert close(arr, [[vals[k] for vals in row] for row in rows])
-        z0, m, n = lat.reduce(z)
-        for idx in np.ndindex(z.shape):
-            assert lat.reduce(complex(z[idx])) == (z0[idx], m[idx], n[idx])
+        cells = [lat._cell(complex(v)) for v in z.ravel()]
+        for k in (0, 1):
+            assert np.array_equal(np.concatenate([c[k] for c in cells]),
+                                  lat._cell(z)[k])
         assert close(l_kernel(lat, w, z), [
             [l_kernel(lat, complex(a), complex(b)) for a, b in zip(w, row)]
             for row in z])
@@ -687,8 +683,7 @@ def test_wp_on_a_thin_lattice_against_mpmath():
     oracle = mp_weierstrass(1.0, 0.02j)
     z = np.array([x + t * 0.04j for x in (0.007, -0.013, 0.019, 2.011, -3.995)
                   for t in (0.1, 0.3, 0.45, 0.7, -2.6)])
-    for name in ("wp", "wp_prime"):
-        got = getattr(lat, name)(z)
+    for name, got in zip(("wp", "wp_prime"), lat.wp_pair(z)):
         want = np.array([complex(oracle[name](complex(zz))) for zz in z])
         rel = np.abs(got - want) / np.abs(want)
         assert np.max(rel) < 1e-12, (name, z[np.argmax(rel)], np.max(rel))

@@ -9,6 +9,7 @@ import io
 import json
 import re
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -158,14 +159,14 @@ def test_mutated_config_never_ends_in_a_traceback(unreduced_csv, family,
                                                    path, action, command):
     # a run to |t_final| = 1e15 makes MAX_STEPS steps: minutes per example
     assume(not (path == "integration.t_final" and action in MAGNITUDES))
-    data = mutated(parse_config({**BASE, "family": family}).serialize(),
-                   path, action)
+    data = mutated(asdict(parse_config({**BASE, "family": family})), path,
+                   action)
     try:
         config = parse_config(data)
     except ConfigError:
         pass
     else:
-        assert parse_config(config.serialize()) == config
+        assert parse_config(asdict(config)) == config
     code, err = run(command, data, unreduced_csv)
     if code == EXIT_CONFIG:
         assert err.startswith("spincm: ")

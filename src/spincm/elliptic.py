@@ -3,9 +3,10 @@ l(w, z) = -sigma(w+z) / (sigma(w) sigma(z)).
 
 Everything is computed from the Jacobi theta function theta_1 on the
 Gauss-reduced basis w1, w2 of the lattice (DLMF 23.18) with argument
-reduction to its centred cell: Im(w2/w1) >= sqrt(3)/2 takes at most 5 theta
-terms and the quasi-periodicity factors are exact closed forms, for any
-basis and argument.  g2 and g3 come from the branch points, not sums.
+reduction to its centred cell: Im(w2/w1) >= sqrt(3)/2 takes at most 6 theta
+terms, one term set per lattice, and the quasi-periodicity factors are exact
+closed forms, for any basis and argument.  g2 and g3 come from the branch
+points, not sums.
 
 Every evaluation takes a scalar or a numpy array of arguments, of any
 strides, and runs the same array code either way: the argument enters as
@@ -14,17 +15,16 @@ array element bit for bit, and a scalar in gives a Python scalar out.  Each
 reads one pass per argument: the reduction (StructuralError past 2^52
 periods) and the pole guard if asked.  sigma, zeta and wp then read one
 sin/cos pass on the flat argument (``Lattice._pass``), theta_1 with three
-derivatives: a dot product of [sin | cos]((2n+1) v) with a term table
-whose length keeps the dropped tail below _REL_CUTOFF in the centred cell;
-results take the argument's shape last.  The r-matrix ladder
-(``Lattice._coefficient_ladder``) and l take the tables of e^{+-i(2n+1) v}
-instead, and read l as a theta product (DLMF 23.6.9 with 20.2.1), (pi / 2
-w1) theta_1'(0) E theta_1(v_w + v_z) / (theta_1(v_w) theta_1(v_z)) with one
-exponential E: the terms of theta_1(v_w + v_z) are products of the w and z
-tables, so there is no w + z pass, no sigma and no zeta difference, and w +
-z on the lattice is a regular zero.  Its mixed row is one matrix product
-per z and sample.  numpy floating-point faults raise FloatingPointError,
-not inf or nan.
+z-derivatives: a dot product of [sin | cos](f_n z) at the frequencies f_n =
+(2n+1) pi / (2 w1) with a term table; results take the argument's shape
+last.  The r-matrix ladder (``Lattice._coefficient_ladder``) and l take the
+tables of e^{+-i f_n z} instead, and read l as a theta product (DLMF 23.6.9
+with 20.2.1), theta_1'(0) E theta_1(v_w + v_z) / (theta_1(v_w)
+theta_1(v_z)) with one exponential E and theta_1'(0) in z: the terms of
+theta_1(v_w + v_z) are products of the w and z tables, so there is no w + z
+pass, no sigma and no zeta difference, and w + z on the lattice is a regular
+zero.  Its mixed row is one matrix product per z and sample.  numpy
+floating-point faults raise FloatingPointError, not inf or nan.
 
 Conventions: half-periods omega1, omega2 with Im(omega2/omega1) > 0; the
 lattice is 2*omega1*Z + 2*omega2*Z.  omega1, omega2, eta1 and eta2 refer to
@@ -167,21 +167,20 @@ class Lattice:
         tau = w2 / w1
         nome = cmath.exp(1j * math.pi * tau)
 
-        # theta_1(v) = sum_n t_n sin((2n+1) v), t_n = 2(-1)^n nome^((n+1/2)^2).
-        # On the centred cell |Im v| <= pi Im(tau) / 2, so term n of theta_1
-        # and of its first three derivatives is at most
-        # 2 (2n+1)^3 exp(-pi Im(tau) (n^2 - 1/4)); keep the fewest terms
-        # whose dropped tail of these bounds is below _REL_CUTOFF (at most
-        # 5, as Im(tau) >= sqrt(3)/2).
-        k = np.arange(1, 6)
-        bound = 2.0 * (2.0 * k + 1.0) ** 3 * np.exp(
-            -math.pi * tau.imag * (k * k - 0.25))
+        # theta_1(v) = sum_n t_n sin((2n+1) v), t_n = 2(-1)^n nome^((n+1/2)^2)
+        # at v = pi z / (2 w1), the z-frequencies f_n = (2n+1) pi / (2 w1).
+        # The ladder's theta_1(v_u + v_z) runs on the doubled cell |Im v| <=
+        # pi Im(tau), where term n of the k-th v-derivative is at most
+        # (2n+1)^k exp(-pi Im(tau) (n^2 - n)) times the leading one: keep the
+        # fewest terms whose dropped tail of these bounds, through order
+        # _ORDERS, is below _REL_CUTOFF (at most 6), for the centred cell too
+        k = np.arange(12)
+        bound = (2.0 * k + 1.0) ** _ORDERS * np.exp(
+            -math.pi * tau.imag * (k * k - k))
         n_terms = int(k[np.cumsum(bound[::-1])[::-1] < _REL_CUTOFF][0])
         terms = np.array([2.0 * (-1) ** n * nome ** ((n + 0.5) ** 2)
                           for n in range(n_terms)])
-        odd = 2.0 * np.arange(n_terms) + 1.0
-        self._theta1p0 = complex(terms @ odd)
-        if self._theta1p0 == 0:
+        if terms[0] == 0:
             raise StructuralError(
                 f"the reduced period ratio Im(tau) = {tau.imag:g} is too "
                 f"large: the nome underflows and theta_1'(0) vanishes")
@@ -191,29 +190,21 @@ class Lattice:
             raise StructuralError(
                 f"the shortest period {self.shortest_period:g} is within "
                 f"the pole tolerance {POLE_TOL:g}: the lattice is too small")
-        zero = np.zeros(n_terms)
+        scale = math.pi / (2.0 * w1)
+        odd = 2.0 * np.arange(n_terms) + 1.0
+        self._freq = freq = odd * scale
         # rows: the sin terms, then the cos terms; columns: theta_1 and its
-        # first, second and third v-derivatives
-        self._odd = odd.astype(complex)  # the type of v, cast once
+        # first, second and third z-derivatives, the powers of f as products
+        # so that w1 -> -w1 flips f^3 and the odd columns exactly
+        zero, cube = np.zeros(n_terms), freq * freq * freq
         self._table = np.concatenate([
-            np.stack([terms, zero, -terms * odd ** 2, zero], axis=1),
-            np.stack([zero, terms * odd, zero, -terms * odd ** 3], axis=1)])
-        # the coefficient ladder's theta_1(v_u + v_z) runs on the doubled
-        # cell |Im v| <= pi Im(tau), where term n of the k-th derivative is at
-        # most (2n+1)^k exp(-pi Im(tau) (n^2 - n)) times the leading one: its
-        # tables keep the fewest terms whose dropped tail of these bounds,
-        # through order _ORDERS, is below _REL_CUTOFF (at most 6)
-        k = np.arange(12)
-        bound = (2.0 * k + 1.0) ** _ORDERS * np.exp(
-            -math.pi * tau.imag * (k * k - k))
-        n_wide = int(k[np.cumsum(bound[::-1])[::-1] < _REL_CUTOFF][0])
-        wide = 2.0 * np.arange(n_wide) + 1.0
+            np.stack([terms, zero, -terms * freq * freq, zero], axis=1),
+            np.stack([zero, terms * freq, zero, -terms * cube], axis=1)])
+        self._theta1p0 = complex(terms @ freq)
         # sin x = (e^{ix} - e^{-ix}) / 2i: the theta_1 coefficients over 2i,
-        # and the z-frequencies i (2n+1) pi / (2 w1) of e^{i (2n+1) v}
-        self._half = np.array([2.0 * (-1) ** n * nome ** ((n + 0.5) ** 2)
-                               for n in range(n_wide)]) / 2j
-        self._iodd = 1j * wide
-        self._ifreq = self._iodd * (math.pi / (2.0 * w1))
+        # and the frequencies i f_n of e^{i f_n z}
+        self._half = terms / 2j
+        self._ifreq = 1j * freq
         # the mixed row's Lambert series (_coefficient_ladder): term m is at
         # most m exp(-pi Im(tau) (m - 1)) / (1 - exp(-pi Im(tau))) on the
         # centred cell; keep the fewest whose dropped tail is below
@@ -222,10 +213,11 @@ class Lattice:
         bound = k * np.exp(-math.pi * tau.imag * (k - 1.0))
         m = np.arange(1.0, k[np.cumsum(bound[::-1])[::-1] < _REL_CUTOFF][0])
         # q^{2m}, the u-frequency 2 i m pi / (2 w1) of e^{2ima}, and 4m
-        self._lambert = (nome ** (2.0 * m), 2j * m * (math.pi / (2.0 * w1)),
-                         4.0 * m)
-        tppp0 = -complex(terms @ odd ** 3)
-        eta1 = -(math.pi ** 2) * tppp0 / (12.0 * w1 * self._theta1p0)
+        self._lambert = (nome ** (2.0 * m), 2j * m * scale, 4.0 * m)
+        # eta1 = zeta(w1) = -w1 theta_1'''(0) / (3 theta_1'(0)), with (pi / 2
+        # w1)^2 out of the ratio: f^3 underflows past |w1| = 1e103
+        eta1 = w1 * scale * scale * complex(terms @ odd ** 3) / (
+            3.0 * complex(terms @ odd))
         # Legendre relation eta1*w2 - eta2*w1 = i pi / 2
         eta2 = (eta1 * w2 - 0.5j * math.pi) / w1
         self._eta1, self._eta2 = eta1, eta2
@@ -251,9 +243,8 @@ class Lattice:
     # -- the one pass -----------------------------------------------------
 
     def _theta1(self, z0: np.ndarray) -> np.ndarray:
-        """theta_1 and its derivatives 1-3 at v = pi z0 / (2 w1), last axis."""
-        v = math.pi * z0 / (2.0 * self._w1)
-        arg = v[..., None] * self._odd
+        """theta_1 and its z-derivatives 1-3 at z0, last axis."""
+        arg = np.multiply.outer(z0, self._freq)
         return np.concatenate([np.sin(arg), np.cos(arg)], -1) @ self._table
 
     def _cell(self, z, what: str | None = None) -> tuple:
@@ -288,8 +279,8 @@ class Lattice:
 
     def _sigma(self, p) -> np.ndarray:
         z0, m, n, th = p[0], p[1], p[2], p[3][..., 0]
-        base = (2.0 * self._w1 / math.pi) * np.exp(
-            self._eta1 * z0 * z0 / (2.0 * self._w1)) * th / self._theta1p0
+        base = np.exp(self._eta1 * z0 * z0 / (2.0 * self._w1)) \
+            * th / self._theta1p0
         # quasi-periodicity factor, exactly 1 inside the centred cell
         sign = 1.0 - 2.0 * ((m + n + m * n) % 2)
         eta = 2 * m * self._eta1 + 2 * n * self._eta2
@@ -297,13 +288,12 @@ class Lattice:
         return sign * base * np.exp(eta * (z0 + half))
 
     def _wp_from_theta(self, theta: np.ndarray) -> tuple:
-        """(wp, wp') from theta_1 and its first three derivatives (last
+        """(wp, wp') from theta_1 and its first three z-derivatives (last
         axis), through one division by theta_1."""
         ratio = theta[..., 1:] / theta[..., :1]
         r1, r2, r3 = ratio[..., 0], ratio[..., 1], ratio[..., 2]
-        scale = math.pi / (2.0 * self._w1)
-        wp = -self._eta1 / self._w1 - scale ** 2 * (r2 - r1 ** 2)
-        wp_prime = -(scale ** 3) * (r3 - 3.0 * r2 * r1 + 2.0 * r1 ** 3)
+        wp = -self._eta1 / self._w1 - (r2 - r1 ** 2)
+        wp_prime = -(r3 - 3.0 * r2 * r1 + 2.0 * r1 ** 3)
         return wp, wp_prime
 
     def _zetas(self, p, kmax: int) -> list:
@@ -312,8 +302,7 @@ class Lattice:
         them the derivatives of wp'' = 6 wp^2 - g2/2 by Leibniz,
         wp^(k+2) = 6 _leibniz(wp, wp, k)."""
         z0, m, n, theta = p
-        val = self._eta1 * z0 / self._w1 \
-            + (math.pi / (2.0 * self._w1)) * theta[..., 1] / theta[..., 0]
+        val = self._eta1 * z0 / self._w1 + theta[..., 1] / theta[..., 0]
         out = [val + 2 * m * self._eta1 + 2 * n * self._eta2]
         if kmax > 1:
             w = list(self._wp_from_theta(theta))
@@ -358,8 +347,8 @@ class Lattice:
     def _exp_pass(self, z, ndim: int) -> tuple[np.ndarray, ...]:
         """The ladder's pass of one argument: z0, m and n of _cell, with its
         l_kernel pole guard, in the shape of z (a scalar as one element), and
-        e^{i (2n+1) v}, e^{-i (2n+1) v} at v = pi z0 / (2 w1) over the
-        doubled-cell terms, on a leading axis before that shape, padded
+        e^{i f_n z0}, e^{-i f_n z0} over the theta terms, f_n = (2n+1) pi /
+        (2 w1), on a leading axis before that shape, padded
         with unit axes to ``ndim`` axes (the term axis first keeps the
         elementwise products on long inner loops)."""
         shape = np.shape(z) or (1,)
@@ -374,11 +363,10 @@ class Lattice:
     def _coefficient_ladder(self, u, z, kmax: int, du: int = 0):
         """``rmatrix._ladder`` for f = zeta(z) and c = -l(u, z) from one pass
         each of z and u (_exp_pass): with a, b = v_u, v_z of the reduced
-        u0, z0 and eta_u = m eta1 + n eta2 of the reduced u (likewise z),
-        DLMF 23.6.9 gives
+        u0, z0, eta_u = m eta1 + n eta2 of the reduced u (likewise z) and
+        every theta_1 derivative in z, DLMF 23.6.9 gives
 
-            c = (pi / 2 w1) E K,  E = exp(eta1 u0 z0 / w1 + 2 eta_u z
-                                          + 2 eta_z u0),
+            c = E K,  E = exp(eta1 u0 z0 / w1 + 2 eta_u z + 2 eta_z u0),
             K = theta_1'(0) theta_1(a + b) / (theta_1(a) theta_1(b)).
 
         The z-ladder is the Leibniz product of E, of theta_1(a + b), whose
@@ -386,13 +374,13 @@ class Lattice:
         (never an addition theorem, which cancels where Im a and Im b are
         large and opposite), and of the reciprocal ladder of theta_1(b).  No
         zeta difference and no Gaussian factor: u + z on the lattice is a
-        regular zero.  The du row is (pi / 2 w1) E (beta K + d_u K), beta =
-        (eta1 / w1) z0 + 2 eta_z the u-rate of the exponent of E, with K
-        from Kronecker's double series, summed over one index as a Lambert
+        regular zero.  The du row is E (beta K + d_u K), beta = (eta1 / w1)
+        z0 + 2 eta_z the u-rate of the exponent of E, with K from
+        Kronecker's double series, summed over one index as a Lambert
         series,
 
-            K = sin(a + b) / (sin a sin b)
-                + (2/i) sum_m (e^{2ima} L(X_m) - e^{-2ima} L(Y_m)),
+            K = (pi / 2 w1) (sin(a + b) / (sin a sin b)
+                + (2/i) sum_m (e^{2ima} L(X_m) - e^{-2ima} L(Y_m))),
 
         X_m, Y_m = q^{2m} e^{+-2ib} and L(X) = X / (1 - X), whose
         b-derivatives are (+-2i)^k Li_{-k}: there the pole of beta K in z0
@@ -400,19 +388,17 @@ class Lattice:
         the row, as it would in c (beta - d_u log theta_1(a)) + ... .  The
         du row takes z on a unit roots' axis (the r tables' z[..., None]):
         one (orders x terms) @ (terms x roots) product per z and sample."""
-        scale = math.pi / (2.0 * self._w1)
         ndim = max(np.ndim(u), np.ndim(z), 1)
         half = self._half.reshape((-1,) + (1,) * ndim)
         z0, mz, nz, zp, zm = self._exp_pass(z, ndim)
-        # theta_1 and its v-derivatives at b: the zeta ladder, and the
-        # ladder f of theta_1(b) in z with its reciprocal g
-        theta = np.stack(_theta_sums(zp * half, zm * half, self._iodd,
+        # theta_1 and its z-derivatives at b: the zeta ladder, and the
+        # reciprocal ladder g of theta_1(b)
+        theta = np.stack(_theta_sums(zp * half, zm * half, self._ifreq,
                                      max(kmax, 2 if kmax == 1 else 4)), -1)
         zeta_z = self._zetas((z0, mz, nz, theta[..., :4]), kmax)
-        f = [theta[..., j] * scale ** j for j in range(kmax)]
-        g = [1.0 / f[0]]
+        g = [1.0 / theta[..., 0]]
         for k in range(1, kmax):
-            g.append(-g[0] * sum(math.comb(k, j) * f[j] * g[k - j]
+            g.append(-g[0] * sum(math.comb(k, j) * theta[..., j] * g[k - j]
                                  for j in range(1, k + 1)))
         u0, mu, nu, eu, eu_inv = self._exp_pass(u, ndim)
         up, um = eu * half, eu_inv * half
@@ -425,8 +411,7 @@ class Lattice:
         # the z-rate of the exponent of E, and its powers: the ladder of E / E
         zrate = [1.0, rate * u0 + eta_u]
         zrate += [zrate[1] ** j for j in range(2, kmax)]
-        growth = np.multiply(scale, np.exp(np.add(np.multiply(u0, beta),
-                                                  np.multiply(eta_u, z))))
+        growth = np.exp(np.add(np.multiply(u0, beta), np.multiply(eta_u, z)))
         coeff = np.multiply(self._theta1p0 / functools.reduce(
             np.add, np.subtract(up, um)), growth)
         h = [_leibniz(big, g, k) for k in range(kmax)]
@@ -435,18 +420,20 @@ class Lattice:
             return zeta_z, [c]
         # the Lambert terms, the + and - halves apart: e^{+-2ima} on the u
         # side, and on the z side the factors of (eta1 / w1) (z0 Lambda)^(j)
-        # + (pi / 2 w1) d_a Lambda^(j) for Lambda = K - sin(a + b) / (sin a
-        # sin b), every order j on the axis before the terms.  Each half
-        # sums its terms in order and the halves are added last, so the
-        # basis (-w1, -w2), which swaps them, gives the same bits.
+        # + (pi / 2 w1) d_a Lambda^(j) for Lambda = K - (pi / 2 w1) sin(a +
+        # b) / (sin a sin b), every order j on the axis before the terms.
+        # Each half sums its terms in order and the halves are added last,
+        # so the basis (-w1, -w2), which swaps them, gives the same bits.
         q2m, freq, weight = self._lambert
+        scale = math.pi / (2.0 * self._w1)
         arg = np.multiply.outer(u0, freq)
         lam = 0.0
         for sign, t, ul in ((1.0, zp, np.exp(arg)), (-1.0, zm, np.exp(-arg))):
             li = np.multiply.outer(t[0] * t[0], q2m)
             li = [_li_neg(li, j) for j in range(kmax)]
-            spin, w = sign * rate * (-2j), sign * 2j * scale
-            base = np.add(np.multiply(z0[..., None], spin), scale * weight)
+            spin, w = sign * rate * (-2j) * scale, sign * 2j * scale
+            base = np.add(np.multiply(z0[..., None], spin),
+                          scale * scale * weight)
             half_sum = np.stack([w ** j * li[j] * base + (
                 j * spin * w ** (j - 1) * li[j - 1] if j else 0.0)
                 for j in range(kmax)], -2)
@@ -454,8 +441,8 @@ class Lattice:
             # do not depend on the stack, so stacking keeps every bit
             lam = np.add(lam, np.swapaxes(np.matmul(
                 half_sum.squeeze(-3), np.swapaxes(ul, -1, -2)), -1, -2))
-        # (eta1 / w1) z0 sin(a + b) / (sin a sin b) as (eta1 / w1) (pi / 2
-        # w1)^-1 (sin(a + b) / sin a) (b csc b), and -(pi / 2 w1) csc^2 a
+        # (eta1 / w1) z0 (pi / 2 w1) sin(a + b) / (sin a sin b) as (eta1 /
+        # w1) (sin(a + b) / sin a) (b csc b), and -(pi / 2 w1)^2 csc^2 a
         sin_a = (eu[0] - eu_inv[0]) / 2j
         plus, minus = np.multiply(eu[0], zp[0]), np.multiply(eu_inv[0], zm[0])
         trig = [np.subtract(plus, minus) / (2j * sin_a)]
@@ -466,10 +453,10 @@ class Lattice:
         csc = _vcscv_ladder(scale * z0, kmax)
         d = []
         for j in range(kmax):
-            pole = np.multiply(rate / scale, _leibniz(
+            pole = np.multiply(rate, _leibniz(
                 trig, [scale ** i * csc[i] for i in range(j + 1)], j))
             if j == 0:
-                pole = np.subtract(pole, scale / (sin_a * sin_a))
+                pole = np.subtract(pole, scale * scale / (sin_a * sin_a))
             d.append(np.add(lam[..., j], pole))
         return zeta_z, [c, [np.add(np.multiply(growth, _leibniz(zrate, d, k)),
                                    np.multiply(eta_z, c[k]))

@@ -21,8 +21,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spincm.dynamics import _flow, make_system
 from spincm.elliptic import Lattice, l_kernel
 from spincm.errors import PoleError, StructuralError, raise_on_fp_fault
+from spincm.rmatrix import _r_table
 from helpers import count_passes
 
 SQUARE = Lattice(1.0, 1j)
@@ -487,6 +489,58 @@ def test_values_do_not_depend_on_the_basis(word):
                        atol=1e-12)
 
 
+def test_sheared_and_swapped_bases_give_the_same_bits():
+    """The reference basis (2, 2.2i), its sheared basis (2, 2 + 2.2i) and
+    its swapped basis (2.2i, -2), which reduces to (-2, -2.2i): w1 -> -w1
+    flips the theta frequencies and the odd columns of the term table
+    exactly, so wp_pair, sigma, zeta and zeta_ladder at 200 z, the
+    unreduced flow on 50 stacked states and the r table with its mixed row
+    (ranks 2 and 4) agree bit for bit."""
+    rng = np.random.default_rng(46)
+    z = rng.uniform(-5, 5, 200) + 1j * rng.uniform(-5, 5, 200)
+    runs = []
+    for omega in ((2.0, 2.2j), (2.0, 2 + 2.2j), (2.2j, -2.0)):
+        lat = Lattice(*omega)
+        out = [*lat.wp_pair(z), lat.sigma(z), lat.zeta(z),
+               *lat.zeta_ladder(z, 5)]
+        for rank in (2, 4):
+            sys_ = make_system("elliptic", rank, lattice=lat)
+            rs, draw = sys_.rs, np.random.default_rng(rank)
+            simple = draw.uniform(0.25, 0.6, (50, rank)) \
+                + 1j * draw.uniform(-0.25, 0.25, (50, rank))
+            q = np.linalg.solve(rs.alpha_h[:rank], simple.T).T
+            spin = draw.normal(size=(50, rs.dim)) \
+                + 1j * draw.normal(size=(50, rs.dim))
+            ys = np.concatenate([q, draw.normal(size=(50, rank)) + 0j,
+                                 spin], 1)
+            nodes = 0.7 * np.exp(2j * np.pi * draw.uniform(0, 1, (3, 50)))
+            out += [_flow(sys_, ys, False), _r_table(sys_, q, nodes, 3, du=1)]
+        runs.append(out)
+    for run in runs[1:]:
+        for got, want in zip(run, runs[0]):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("lam", [1e-10, 1e110, 1e200], ids=str)
+def test_values_scale_with_the_lattice(lam):
+    """On the reference lattice scaled by lam, eta1 and eta2 scale as 1 /
+    lam, zeta as 1 / lam and wp, where it stays in the float range, as 1 /
+    lam^2, to 1e-13 relative, in and out of the centred cell.  The cubes of
+    the theta z-frequencies underflow past |w1| = 1e103, so eta1 is not
+    read from them: an eta1 of 0 moves wp by 2.6% and zeta in the cell m =
+    1 by 25% at lam = 1e110."""
+    lat = Lattice(2.0 * lam, 2.2j * lam)
+    z = np.array([0.3 + 0.2j, 4.3 + 0.2j, 0.1 - 0.05j, -3.7 + 4.6j])
+
+    def close(got, want):
+        return np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+    assert close(np.array([lat.eta1, lat.eta2]) * lam,
+                 np.array([REFERENCE.eta1, REFERENCE.eta2]))
+    assert close(lat.zeta(lam * z) * lam, REFERENCE.zeta(z))
+    if lam < 1e150:
+        assert close(lat.wp(lam * z) * lam ** 2, REFERENCE.wp(z))
+
+
 # -- mpmath oracle ------------------------------------------------------------
 
 
@@ -674,16 +728,23 @@ def test_coefficient_ladder_where_imaginary_parts_are_large_and_opposite():
 
 
 def test_wp_on_a_thin_lattice_against_mpmath():
-    """Lattice(1, 0.02i) evaluates on its reduced basis, Im(tau) = 50; wp
-    and wp' match 30-digit mpmath values on the basis as given (nome
-    exp(-0.02 pi)) to 1e-12 relative (theta series on the basis as given
-    read 1.9 and 3.0), near the lines of poles Re z = 2m, where wp varies,
-    across the thin period 0.04i and in other cells."""
+    """Lattice(1, 0.02i) evaluates on its reduced basis, Im(tau) = 50, with
+    two theta terms; wp, wp', zeta and sigma match 30-digit mpmath values on
+    the basis as given (nome exp(-0.02 pi)) to 1e-12 relative (theta series
+    on the basis as given read 1.9 and 3.0 for wp and wp'), near the lines
+    of poles Re z = 2m, where wp varies, across the thin period 0.04i and in
+    other cells.  sigma underflows to 0 in the cells of Re z = 2 and -4
+    (eta1 = -1978 on the reduced basis), so it is checked on the points of
+    Re z in (-1, 1)."""
     lat = Lattice(1.0, 0.02j)
+    assert lat._half.size == 2
     oracle = mp_weierstrass(1.0, 0.02j)
     z = np.array([x + t * 0.04j for x in (0.007, -0.013, 0.019, 2.011, -3.995)
                   for t in (0.1, 0.3, 0.45, 0.7, -2.6)])
-    for name, got in zip(("wp", "wp_prime"), lat.wp_pair(z)):
-        want = np.array([complex(oracle[name](complex(zz))) for zz in z])
+    p, dp = lat.wp_pair(z)
+    for name, got, at in (("wp", p, z), ("wp_prime", dp, z),
+                          ("zeta", lat.zeta(z), z),
+                          ("sigma", lat.sigma(z[:15]), z[:15])):
+        want = np.array([complex(oracle[name](complex(zz))) for zz in at])
         rel = np.abs(got - want) / np.abs(want)
-        assert np.max(rel) < 1e-12, (name, z[np.argmax(rel)], np.max(rel))
+        assert np.max(rel) < 1e-12, (name, at[np.argmax(rel)], np.max(rel))

@@ -13,8 +13,8 @@ from __future__ import annotations
 from .elliptic import Lattice, l_kernel
 from .errors import (ConfigError, GaugeDomainError, PoleError, SpincmError,
                      StructuralError, UnsupportedAlgebraError)
-from .rootsys import (AlgElement, RootSystem, bracket, build_root_system,
-                      form, matrix_rep, negate, parse_root_label, root_label,
+from .rootsys import (RootSystem, bracket, build_root_system, form,
+                      matrix_rep, negate, parse_root_label, root_label,
                       root_system_summary, torus_adjoint)
 from .rmatrix import (RMatrixSpec, rational_r_matrix, trigonometric_r_matrix,
                       verify_axioms, verify_cdybe, verify_mdybe)
@@ -29,7 +29,6 @@ from .dynamics import (Trajectory, conserved_spectrum,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgElement",
     "ConfigError",
     "GaugeDomainError",
     "Lattice",

@@ -45,8 +45,7 @@ from .phase import (PhasePoint, _bracket, _checked, pushforward,
 from .rmatrix import (RMatrixSpec, _pole_distance, _r_pairing, _r_table,
                       positive_pair_weight, rational_r_matrix,
                       root_coeff_reg0, trigonometric_r_matrix)
-from .rootsys import (AlgElement, RootSystem, build_root_system, root_label,
-                      torus_adjoint)
+from .rootsys import RootSystem, build_root_system, root_label, torus_adjoint
 
 
 # Accepted steps after which integrate stops with a truncated trajectory.
@@ -350,13 +349,13 @@ def _lax_value(r, p, xi) -> np.ndarray:
 
 
 @raise_on_fp_fault
-def lax_L(sys: RMatrixSpec, x: PhasePoint, z) -> AlgElement:
+def lax_L(sys: RMatrixSpec, x: PhasePoint, z) -> np.ndarray:
     """L(q,p,xi)(z) = p + f(z) (I xi)_h + sum c_alpha((alpha,q), z) xi_alpha
-    e_alpha; an array of z gives one element per z (after the stacked
-    points).  At a reduced point, L_0: L at its slice lift."""
+    e_alpha, as coordinate rows: a (dim,) row at one point and one z, with
+    the stacked points, then the axes of z, in front.  At a reduced point,
+    L_0: L at its slice lift."""
     xs = _stack(_checked(x, rs=sys.rs))
-    return AlgElement(sys.rs, _per_point(x, _lax_value(
-        _lax(sys, xs.q, z)[0, 0], xs.p, xs.xi)))
+    return _per_point(x, _lax_value(_lax(sys, xs.q, z)[0, 0], xs.p, xs.xi))
 
 
 @raise_on_fp_fault
@@ -416,17 +415,17 @@ def _lax_pair(sys: RMatrixSpec, x: PhasePoint, z):
 
 
 @raise_on_fp_fault
-def lax_B(sys: RMatrixSpec, x: PhasePoint, nodes) -> AlgElement:
-    """B = -R_q(L/z) on ``nodes``, one element per node: the B of the
-    quasi-Lax equation dL/dt = [B, L] - (X_J R)(L/z) of
-    :func:`lax_residuals`, on the whole phase space (on Sigma, J = 0 and
-    it is the plain dL/dt = [B, L]).  Its principal part is 1/2 of L/z's:
-    the regular part of L at 0 over z, I xi over z^2.  At a reduced point,
-    B_0 through the gauge identity: B at the slice lift minus the Cartan
-    compensator of the gauge drift."""
+def lax_B(sys: RMatrixSpec, x: PhasePoint, nodes) -> np.ndarray:
+    """B = -R_q(L/z) on ``nodes``, one coordinate row per node (after the
+    stacked points): the B of the quasi-Lax equation dL/dt = [B, L] -
+    (X_J R)(L/z) of :func:`lax_residuals`, on the whole phase space (on
+    Sigma, J = 0 and it is the plain dL/dt = [B, L]).  Its principal part
+    is 1/2 of L/z's: the regular part of L at 0 over z, I xi over z^2.  At
+    a reduced point, B_0 through the gauge identity: B at the slice lift
+    minus the Cartan compensator of the gauge drift."""
     xs = _stack(_checked(x, rs=sys.rs), nonempty=True)
-    return AlgElement(sys.rs, _per_point(x, _lax_pair(
-        sys, xs, _z_list(nodes, nonempty=False))[1]))
+    return _per_point(x, _lax_pair(sys, xs, _z_list(
+        nodes, nonempty=False))[1])
 
 
 def default_z_samples(n: int = 8) -> list[complex]:
@@ -555,7 +554,7 @@ def gauge_residual(sys: RMatrixSpec, x: PhasePoint):
     s, g = reduction(rs, xs.xi)
     r = _lax(sys, xs.q, default_z_samples(4))[0, 0]
     diff = _lax_value(r, xs.p, slice_lift(rs, s)) - torus_adjoint(
-        -g[..., None, :], AlgElement(rs, _lax_value(r, xs.p, xs.xi))).vec
+        rs, -g[..., None, :], _lax_value(r, xs.p, xs.xi))
     return _per_point(x, np.max(np.abs(diff), axis=(-2, -1)))
 
 

@@ -5,9 +5,9 @@ import numpy as np
 # Decorator: a numpy divide-by-zero, overflow or invalid result inside the
 # call raises FloatingPointError instead of leaving an inf or nan behind.
 # Each entry of spincm.__all__ that does floating-point work holds it once
-# (the public evaluations of Lattice and the arithmetic operators of
-# AlgElement included), and so does cli.main; no other function does, so
-# every private core runs under the guard of the entry that called it.
+# (the public evaluations of Lattice included), and so does cli.main; no
+# other function does, so every private core runs under the guard of the
+# entry that called it.
 raise_on_fp_fault = np.errstate(divide="raise", invalid="raise", over="raise")
 
 

@@ -45,7 +45,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import GaugeDomainError, StructuralError, raise_on_fp_fault
-from .rootsys import AlgElement, Root, RootSystem, root_label, torus_adjoint
+from .rootsys import Root, RootSystem, root_label, torus_adjoint
 
 OUTSIDE_U_TOL = 1e-13
 
@@ -90,12 +90,17 @@ class PhasePoint:
     @staticmethod
     def make(rs: RootSystem, q, p, xi_cartan=None,
              xi_components: dict[Root, complex] | None = None) -> "PhasePoint":
-        q, p = np.asarray(q, dtype=complex), np.asarray(p, dtype=complex)
-        if q.shape != (rs.rank,) or p.shape != (rs.rank,):
-            raise StructuralError(f"q and p must have {rs.rank} coordinates "
-                                  f"each, got {q.shape} and {p.shape}")
-        xi = AlgElement.from_root_dict(rs, xi_components or {}, cartan=xi_cartan)
-        return PhasePoint(rs, np.concatenate([q, p, xi.vec]))
+        q, p, cartan = (np.asarray(v, dtype=complex) for v in (
+            q, p, np.zeros(rs.rank) if xi_cartan is None else xi_cartan))
+        if {q.shape, p.shape, cartan.shape} != {(rs.rank,)}:
+            raise StructuralError(
+                f"q and p must have {rs.rank} coordinates each, and so must "
+                f"xi_cartan; got {q.shape}, {p.shape} and {cartan.shape}")
+        xi = np.zeros(rs.dim, dtype=complex)
+        xi[:rs.rank] = cartan
+        for root, c in (xi_components or {}).items():
+            xi[rs.basis_index(root)] = c
+        return PhasePoint(rs, np.concatenate([q, p, xi]))
 
     @staticmethod
     def make_reduced(rs: RootSystem, q, p,
@@ -153,7 +158,7 @@ def torus_action(c_coords, x: PhasePoint) -> PhasePoint:
     coroot basis (broadcast against the stack of x): fixes (q, p), scales
     xi_alpha by exp(alpha(log h))."""
     x = _checked(x, False)
-    xi = torus_adjoint(c_coords, AlgElement(x.rs, x.xi)).vec
+    xi = torus_adjoint(x.rs, c_coords, x.xi)
     y = np.array(np.broadcast_to(x.y, xi.shape[:-1] + x.y.shape[-1:]))
     y[..., 2 * x.rs.rank:] = xi
     return PhasePoint(x.rs, y)

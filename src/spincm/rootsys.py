@@ -13,14 +13,17 @@ Basis conventions used everywhere in this package:
   :meth:`RootSystem.positive_root_values`, mirrored for the negative roots;
   every (alpha, q) in the package reads it, so a stacked evaluation gives
   each point its single-point values bit for bit.
-* Elements are coordinate vectors over [h_1..h_n, e_alpha...]; arithmetic
-  runs on their (n+1) x (n+1) matrices, one matmul from coordinates and one
-  back, so a bracket is a commutator and no structure tensor is kept.
+* An element, or a stack of elements, is its coordinate row: a complex
+  array whose last axis holds the ``rs.dim`` coordinates over
+  [h_1..h_n, e_alpha...].  The algebra exports take the root system first,
+  then rows; arithmetic runs on their (n+1) x (n+1) matrices, one matmul
+  from coordinates and one back, so a bracket is a commutator and no
+  structure tensor is kept.
 * Covectors xi in g* are represented by their image I(xi) in g under the
   isomorphism induced by the form.  With the classical component convention
   xi_alpha = <xi, e_{-alpha}> and xi_i = <xi, h_i>, the stored element is
   I(xi) = sum_i xi_i h_i + sum_alpha xi_alpha e_alpha, so the coordinate
-  ``vec[rs.basis_index(alpha)]`` of a covector is the spin component
+  ``xi[rs.basis_index(alpha)]`` of a covector is the spin component
   xi_alpha with no index gymnastics, and the g*-g pairing is just
   :func:`form`.
 """
@@ -28,7 +31,6 @@ Basis conventions used everywhere in this package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -222,72 +224,6 @@ def build_root_system(family: str, rank: int) -> RootSystem:
     return RootSystem(family, int(rank))
 
 
-@dataclass(frozen=True)
-class AlgElement:
-    """Element of sl(n+1) in coordinates over [h_1..h_n, e_alpha...].
-
-    Also used for covectors via the form isomorphism; see the module
-    docstring for the convention.  ``vec`` may carry leading batch axes
-    (one element per z node, say); the coordinates are the last axis and
-    every operation below acts on it.
-    """
-
-    rs: RootSystem
-    vec: np.ndarray
-
-    def __post_init__(self):
-        if self.vec.shape[-1:] != (self.rs.dim,):
-            raise StructuralError(
-                f"coefficient vector has shape {self.vec.shape}, expected "
-                f"(..., {self.rs.dim})")
-
-    @staticmethod
-    def from_root_dict(rs: RootSystem, components: dict[Root, complex],
-                       cartan=None) -> "AlgElement":
-        vec = np.zeros(rs.dim, dtype=complex)
-        if cartan is not None:
-            vec[: rs.rank] = np.asarray(cartan, dtype=complex)
-        for root, c in components.items():
-            vec[rs.basis_index(root)] = c
-        return AlgElement(rs, vec)
-
-    def _check(self, other: "AlgElement") -> None:
-        if self.rs is not other.rs and self.rs != other.rs:
-            raise StructuralError("elements belong to different root systems")
-
-    @raise_on_fp_fault
-    def __add__(self, other: "AlgElement") -> "AlgElement":
-        self._check(other)
-        return AlgElement(self.rs, self.vec + other.vec)
-
-    @raise_on_fp_fault
-    def __sub__(self, other: "AlgElement") -> "AlgElement":
-        self._check(other)
-        return AlgElement(self.rs, self.vec - other.vec)
-
-    def __neg__(self) -> "AlgElement":
-        return AlgElement(self.rs, -self.vec)
-
-    @raise_on_fp_fault
-    def __mul__(self, scalar) -> "AlgElement":
-        return AlgElement(self.rs, self.vec * scalar)
-
-    __rmul__ = __mul__
-
-    def __repr__(self) -> str:
-        if self.vec.ndim > 1:
-            return f"AlgElement(batch of shape {self.vec.shape[:-1]})"
-        terms = []
-        for i in range(self.rs.rank):
-            if abs(self.vec[i]) > 1e-14:
-                terms.append(f"{self.vec[i]:.4g}*h{i + 1}")
-        for k, root in enumerate(self.rs.roots):
-            c = self.vec[self.rs.rank + k]
-            if abs(c) > 1e-14:
-                terms.append(f"{c:.4g}*e{root_label(root)}")
-        return "AlgElement(" + (" + ".join(terms) if terms else "0") + ")"
-
-
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """ab - ba of matrices on the last two axes (batch axes broadcast)."""
     out = a @ b
@@ -295,31 +231,41 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _rows(rs: RootSystem, *rows) -> list[np.ndarray]:
+    """The coordinate rows as complex arrays; StructuralError naming the
+    shape of one whose last axis does not hold rs.dim coordinates."""
+    rows = [np.asarray(x, dtype=complex) for x in rows]
+    for x in rows:
+        if x.shape[-1:] != (rs.dim,):
+            raise StructuralError(f"coefficient vector has shape {x.shape}, "
+                                  f"expected (..., {rs.dim})")
+    return rows
+
+
 @raise_on_fp_fault
-def bracket(x: AlgElement, y: AlgElement) -> AlgElement:
+def bracket(rs: RootSystem, x, y) -> np.ndarray:
     """Lie bracket [x, y] (:meth:`RootSystem.bracket_coords`)."""
-    x._check(y)
-    return AlgElement(x.rs, x.rs.bracket_coords(x.vec, y.vec))
+    return rs.bracket_coords(*_rows(rs, x, y))
 
 
 @raise_on_fp_fault
-def form(x: AlgElement, y: AlgElement):
+def form(rs: RootSystem, x, y):
     """Invariant bilinear form (x, y); also the g*-g pairing <xi, y> when x
     stores a covector.  A complex for single elements, an array over the
     batch axes otherwise; np.sum, not einsum, so that an overflow raises."""
-    x._check(y)
-    val = np.sum(x.vec * y.vec[..., x.rs.dual_index], -1)
+    x, y = _rows(rs, x, y)
+    val = np.sum(x * y[..., rs.dual_index], -1)
     return complex(val) if val.ndim == 0 else val
 
 
 @raise_on_fp_fault
-def matrix_rep(x: AlgElement) -> np.ndarray:
+def matrix_rep(rs: RootSystem, x) -> np.ndarray:
     """Defining (n+1)-dimensional representation of x."""
-    return x.rs.to_matrix(x.vec)
+    return rs.to_matrix(*_rows(rs, x))
 
 
 @raise_on_fp_fault
-def torus_adjoint(c_coords, x: AlgElement) -> AlgElement:
+def torus_adjoint(rs: RootSystem, c_coords, x) -> np.ndarray:
     """Adjoint action of the torus element h = exp(sum_i c_i h_{alpha_i}).
 
     ``c_coords`` are Cartan coordinates over the *coroot* basis, on the
@@ -330,15 +276,15 @@ def torus_adjoint(c_coords, x: AlgElement) -> AlgElement:
     action in the covector representation.  An overflow raises
     FloatingPointError.
     """
-    rs = x.rs
+    x, = _rows(rs, x)
     c = np.asarray(c_coords, dtype=complex)
     if c.shape[-1:] != (rs.rank,):
         raise StructuralError(f"expected {rs.rank} coroot coordinates, got {c.shape}")
     alpha_log_h = (rs.root_pairings[:, :rs.rank] @ c[..., None])[..., 0]
-    vec = np.array(np.broadcast_to(x.vec, np.broadcast_shapes(
-        x.vec.shape[:-1], c.shape[:-1]) + (rs.dim,)))
+    vec = np.array(np.broadcast_to(x, np.broadcast_shapes(
+        x.shape[:-1], c.shape[:-1]) + (rs.dim,)))
     vec[..., rs.rank:] *= np.exp(alpha_log_h)
-    return AlgElement(rs, vec)
+    return vec
 
 
 def root_system_summary(rs: RootSystem) -> dict:

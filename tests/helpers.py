@@ -26,8 +26,8 @@ from spincm.phase import (PhasePoint, bracket_full, gauge_g, lift_reduced,
                           torus_action)
 from spincm.rmatrix import (RMatrixSpec, _ladder, _r_pairing, _r_table,
                             _trim_principal, positive_pair_weight)
-from spincm.rootsys import (AlgElement, Root, RootSystem, bracket, form,
-                            negate, torus_adjoint)
+from spincm.rootsys import (Root, RootSystem, bracket, form, negate,
+                            torus_adjoint)
 
 # -- points -------------------------------------------------------------------
 
@@ -65,10 +65,10 @@ def count_passes(monkeypatch) -> dict:
 class PhaseGradient:
     dq: np.ndarray
     dp: np.ndarray
-    dxi: AlgElement        # element of g: the differential along g*
+    dxi: np.ndarray        # element of g: the differential along g*
 
     def row(self) -> np.ndarray:
-        return np.concatenate([self.dq, self.dp, self.dxi.vec]).astype(complex)
+        return np.concatenate([self.dq, self.dp, self.dxi]).astype(complex)
 
 
 @dataclass
@@ -107,10 +107,10 @@ def poisson_reduced(f: ReducedFunction, g: ReducedFunction,
     return bracket_full(x, f.gradient(x).row(), g.gradient(x).row())
 
 
-def linear_spin_function(rs: RootSystem, y: AlgElement) -> PhaseFunction:
+def linear_spin_function(rs: RootSystem, y: np.ndarray) -> PhaseFunction:
     """The linear function xi -> <xi, Y> on g*, constant in (q, p)."""
     zero = np.zeros(rs.rank)
-    return PhaseFunction(lambda x: form(AlgElement(rs, x.xi), y),
+    return PhaseFunction(lambda x: form(rs, x.xi, y),
                          lambda x: PhaseGradient(zero, zero, y))
 
 
@@ -131,18 +131,18 @@ def spin_coordinate_function(rs: RootSystem, root: Root) -> ReducedFunction:
     return ReducedFunction(lambda x: complex(x.spin[idx]), grad)
 
 
-def spin_invariant_gradient(xi: AlgElement, root: Root) -> AlgElement:
-    """Differential of s_alpha at a general point of U, as an element of g."""
-    rs = xi.rs
-    simple = np.array([xi.vec[rs.basis_index(r)] for r in rs.simple_roots])
+def spin_invariant_gradient(rs: RootSystem, xi: np.ndarray,
+                            root: Root) -> np.ndarray:
+    """Differential of s_alpha at a general point xi of U, as an element
+    of g."""
+    simple = np.array([xi[rs.basis_index(r)] for r in rs.simple_roots])
     mono = np.prod([simple[j] ** (-root[j]) for j in range(rs.rank)])
     unit = np.eye(rs.dim, dtype=complex)
-    out = mono * AlgElement(rs, unit[rs.basis_index(negate(root))])
+    out = mono * unit[rs.basis_index(negate(root))]
     for j, alpha in enumerate(rs.simple_roots):
         if root[j]:
-            coeff = -root[j] * xi.vec[rs.basis_index(root)] * mono / simple[j]
-            out = out + coeff * AlgElement(
-                rs, unit[rs.basis_index(negate(alpha))])
+            coeff = -root[j] * xi[rs.basis_index(root)] * mono / simple[j]
+            out = out + coeff * unit[rs.basis_index(negate(alpha))]
     return out
 
 
@@ -154,7 +154,7 @@ def normalize_to_slice(x: PhasePoint) -> PhasePoint:
 def hamiltonian_gradient(sys: RMatrixSpec, x: PhasePoint) -> PhaseGradient:
     """(dH/dq, dH/dp, dH/dxi) from the flow core's gradient."""
     force, wxi = _gradient(sys, x.q, x.xi)
-    return PhaseGradient(-force, x.p.copy(), AlgElement(sys.rs, -wxi))
+    return PhaseGradient(-force, x.p.copy(), -wxi)
 
 
 def hamiltonian_function(sys: RMatrixSpec) -> PhaseFunction:
@@ -205,7 +205,7 @@ class LaurentElement:
       coefficients trimmed, so T is the pole order;
     * ``nodes``, the z array fixed when the element is built (any nonzero
       points; only quadrature needs them on a ring);
-    * ``values``, the function at the nodes as an AlgElement of shape
+    * ``values``, the function at the nodes as coordinate rows of shape
       (N, dim).  Omitted, they are the values of the principal part alone.
 
     There are no values off the nodes: a caller builds each element on the
@@ -219,10 +219,10 @@ class LaurentElement:
         if values is None:
             values = np.power.outer(self.nodes,
                                     -np.arange(1, len(coeffs) + 1)) @ coeffs
-        self.values = AlgElement(rs, np.asarray(values, dtype=complex))
-        if self.values.vec.shape != self.nodes.shape + (rs.dim,):
+        self.values = np.asarray(values, dtype=complex)
+        if self.values.shape != self.nodes.shape + (rs.dim,):
             raise StructuralError(
-                f"values of shape {self.values.vec.shape} do not match "
+                f"values of shape {self.values.shape} do not match "
                 f"{self.nodes.shape} nodes of dim {rs.dim}")
 
     @property
@@ -245,8 +245,8 @@ def R_apply(spec: RMatrixSpec, q, xi: LaurentElement) -> LaurentElement:
     ``verify_mdybe``)."""
     rs = spec.rs
     table = _r_table(spec, q, -xi.nodes, xi.pole_order)[0]
-    values = 0.5 * xi.values.vec + _r_pairing(table[..., rs.dual_index],
-                                              xi.principal)
+    values = 0.5 * xi.values + _r_pairing(table[..., rs.dual_index],
+                                          xi.principal)
     return LaurentElement(rs, -0.5 * xi.principal, xi.nodes, values)
 
 
@@ -264,7 +264,7 @@ def R_directional(spec: RMatrixSpec, q, v, xi: LaurentElement
 # -- references ---------------------------------------------------------------
 
 
-def lax_time_derivative(sys: RMatrixSpec, x, z) -> AlgElement:
+def lax_time_derivative(sys: RMatrixSpec, x, z) -> np.ndarray:
     """dL/dt along the flow at x by the chain rule, point by point: L at
     (q, p_dot, xi_dot) plus the q-derivative of the root coefficients
     along q_dot; for a reduced point, dL_0/dt at the slice lift."""
@@ -276,11 +276,11 @@ def lax_time_derivative(sys: RMatrixSpec, x, z) -> AlgElement:
         x, v = lift_reduced(x), point(rs, v_red.q, v_red.p, xi_dot)
     else:
         v = vector_field(sys, x)
-    vec = lax_L(sys, point(rs, x.q, v.p, v.xi), z).vec
+    vec = lax_L(sys, point(rs, x.q, v.p, v.xi), z)
     c_du = root_coeff(sys, rs.root_values(x.q),
                       np.expand_dims(z, -1), du=1)
     vec[..., rs.rank:] += c_du * rs.root_values(v.q) * x.xi[rs.rank:]
-    return AlgElement(rs, vec)
+    return vec
 
 
 def spectral_curve(sys: RMatrixSpec, x, z_grid) -> np.ndarray:
@@ -310,7 +310,7 @@ def hamiltonian_quadrature(sys: RMatrixSpec, x: PhasePoint, *,
     """H recovered from the Lax operator: (1/2) (1/2 pi i) oint (L, L) dz/z,
     by the trapezoidal rule on |z| = radius."""
     val = lax_L(sys, x, ring_nodes(radius, nodes))
-    return 0.5 * complex(np.mean(form(val, val)))
+    return 0.5 * complex(np.mean(form(sys.rs, val, val)))
 
 
 def casimir_tensor(rs: RootSystem) -> np.ndarray:
@@ -342,13 +342,13 @@ def equivariance_residual(spec: RMatrixSpec, q, xi, c_coords,
     the principal coefficients of a pole-only Laurent covector."""
     rs = spec.rs
     xi = np.asarray(xi, dtype=complex)
-    moved = torus_adjoint(c_coords, AlgElement(rs, xi)).vec
+    moved = torus_adjoint(rs, c_coords, xi)
     lhs = R_apply(spec, q, LaurentElement(rs, moved, z_samples))
     rhs = R_apply(spec, q, LaurentElement(rs, xi, z_samples))
-    return np.abs((lhs.values - torus_adjoint(c_coords, rhs.values)).vec).max()
+    return np.abs(lhs.values - torus_adjoint(rs, c_coords, rhs.values)).max()
 
 
-def element_from_matrix(rs: RootSystem, mat: np.ndarray) -> AlgElement:
+def element_from_matrix(rs: RootSystem, mat: np.ndarray) -> np.ndarray:
     """Inverse of matrix_rep on traceless matrices."""
     mat = np.asarray(mat, dtype=complex)
     if mat.shape != (rs.matrix_size, rs.matrix_size):
@@ -356,12 +356,13 @@ def element_from_matrix(rs: RootSystem, mat: np.ndarray) -> AlgElement:
             f"matrix shape {mat.shape} does not fit sl({rs.matrix_size})")
     if abs(np.trace(mat)) > 1e-10 * max(1.0, float(np.abs(mat).max())):
         raise StructuralError("matrix has a nonzero trace")
-    return AlgElement(rs, rs.to_coords(mat))
+    return rs.to_coords(mat)
 
 
-def coadjoint_action(x: AlgElement, xi: AlgElement) -> AlgElement:
+def coadjoint_action(rs: RootSystem, x: np.ndarray,
+                     xi: np.ndarray) -> np.ndarray:
     """I-image of ad*_X xi, i.e. -[X, I xi]."""
-    return -bracket(x, xi)
+    return -bracket(rs, x, xi)
 
 
 # -- trajectory export ----------------------------------------------------------

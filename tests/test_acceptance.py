@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from spincm.elliptic import Lattice, l_kernel
-from spincm.rootsys import AlgElement, build_root_system, torus_adjoint
+from spincm.rootsys import build_root_system, torus_adjoint
 from spincm.phase import PhasePoint, gauge_g, project_pi, torus_action
 from spincm.rmatrix import verify_axioms, verify_cdybe, verify_mdybe
 from spincm.dynamics import (collision_margin, fpbr_residual, hamiltonian,
@@ -363,8 +363,7 @@ def test_09_gauge_map():
                 break
         c = rng.uniform(-0.1, 0.1, size=rs.rank) \
             + 1j * rng.uniform(-0.1, 0.1, size=rs.rank)
-        shifted = gauge_g(point(rs, x.q, x.p, torus_adjoint(
-            c, AlgElement(rs, x.xi)).vec))
+        shifted = gauge_g(point(rs, x.q, x.p, torus_adjoint(rs, c, x.xi)))
         worst_eq = max(worst_eq, float(np.max(np.abs(
             shifted - (gauge_g(x) + c)))))
         ra, rb = project_pi(x), project_pi(torus_action(c, x))

@@ -120,10 +120,7 @@ NO_GUARD = {
     "trigonometric_r_matrix": "integer masks over root labels",
     "Lattice.wp": "one value of wp_pair, under its guard",
     "Lattice.zeta": "one row of zeta_ladder, under its guard",
-    "AlgElement.from_root_dict": "stores the coordinates",
-    "AlgElement.__neg__": "a sign flip, which cannot fault",
 }
-OPERATORS = ("__add__", "__sub__", "__mul__", "__rmul__", "__neg__")
 
 
 def guards(fn) -> int:
@@ -139,17 +136,14 @@ def guards(fn) -> int:
 
 def exported_entries() -> dict:
     """name -> function: the functions of ``spincm.__all__``, the public
-    methods and arithmetic operators of the exported Lattice and
-    AlgElement, and the CLI's ``main``."""
+    methods of the exported Lattice, and the CLI's ``main``."""
     entries = {name: getattr(spincm, name) for name in spincm.__all__
                if callable(getattr(spincm, name))
                and not inspect.isclass(getattr(spincm, name))}
-    for cls in (spincm.Lattice, spincm.AlgElement):
-        for name, attr in vars(cls).items():
-            fn = getattr(attr, "__func__", attr)
-            if inspect.isfunction(fn) and (not name.startswith("_")
-                                           or name in OPERATORS):
-                entries[f"{cls.__name__}.{name}"] = fn
+    for name, attr in vars(spincm.Lattice).items():
+        fn = getattr(attr, "__func__", attr)
+        if inspect.isfunction(fn) and not name.startswith("_"):
+            entries[f"Lattice.{name}"] = fn
     entries["cli.main"] = cli.main
     return entries
 
@@ -193,7 +187,7 @@ def test_no_other_function_holds_a_fault_guard():
 def test_the_fault_guard_is_only_ever_a_decorator():
     """No ``with raise_on_fp_fault:`` block or wrapped call: each use of the
     name in ``src/spincm`` decorates a function (22 exported functions, 4
-    Lattice evaluations, 3 AlgElement operators and cli.main)."""
+    Lattice evaluations and cli.main)."""
     uses = decorators = 0
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -204,4 +198,4 @@ def test_the_fault_guard_is_only_ever_a_decorator():
             isinstance(d, ast.Name) and d.id == "raise_on_fp_fault"
             for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
             for d in node.decorator_list)
-    assert uses == decorators == 30
+    assert uses == decorators == 27

@@ -488,7 +488,7 @@ def loop_table(sys_, pt, z, kmax):
     x = lift_reduced(pt) if pt.reduced else pt
     table = np.zeros((len(z), kmax), dtype=complex)
     for i, zi in enumerate(z):
-        mat = matrix_rep(lax_L(sys_, x, zi))
+        mat = matrix_rep(sys_.rs, lax_L(sys_, x, zi))
         for k in range(1, kmax + 1):
             table[i, k - 1] = np.trace(np.linalg.matrix_power(mat, k)) / k
     return table
@@ -541,7 +541,7 @@ def test_stacked_diagnostics_match_per_point_loops(family, rank, reduced):
     # of the same float matrices, relative per coefficient
     mp = pytest.importorskip("mpmath")
     with mp.workdps(40):
-        curves = [[mp_char_poly(mp, matrix_rep(lax_L(sys_, x, zi)))
+        curves = [[mp_char_poly(mp, matrix_rep(sys_.rs, lax_L(sys_, x, zi)))
                    for zi in z] for x in lifts]
         iso = float(max(abs(a - b) / max(1, abs(b)) for c in curves
                         for row, row0 in zip(c, curves[0])

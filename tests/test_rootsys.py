@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -13,15 +14,15 @@ from dense_reference import dense_structure
 from spincm.errors import StructuralError, UnsupportedAlgebraError
 from helpers import coadjoint_action, element_from_matrix
 from spincm.phase import PhasePoint
-from spincm.rootsys import (AlgElement, bracket, build_root_system, form,
-                            matrix_rep, negate, parse_root_label, root_label,
+from spincm.rootsys import (bracket, build_root_system, form, matrix_rep,
+                            negate, parse_root_label, root_label,
                             root_system_summary, torus_adjoint)
 
 RANKS = [1, 2, 3, 4]
 
 
 def random_element(rs, rng):
-    return AlgElement(rs, rng.normal(size=rs.dim) + 1j * rng.normal(size=rs.dim))
+    return rng.normal(size=rs.dim) + 1j * rng.normal(size=rs.dim)
 
 
 @pytest.mark.parametrize("rank", RANKS)
@@ -100,9 +101,10 @@ def test_jacobi_identity(rank):
     rng = np.random.default_rng(10 + rank)
     for _ in range(200 // rank):
         x, y, z = (random_element(rs, rng) for _ in range(3))
-        res = (bracket(x, bracket(y, z)) + bracket(y, bracket(z, x))
-               + bracket(z, bracket(x, y)))
-        assert np.abs(res.vec).max() < 1e-12
+        res = (bracket(rs, x, bracket(rs, y, z))
+               + bracket(rs, y, bracket(rs, z, x))
+               + bracket(rs, z, bracket(rs, x, y)))
+        assert np.abs(res).max() < 1e-12
 
 
 @pytest.mark.parametrize("rank", RANKS)
@@ -111,8 +113,8 @@ def test_bracket_matches_matrix_commutator(rank):
     rng = np.random.default_rng(20 + rank)
     for _ in range(20):
         x, y = random_element(rs, rng), random_element(rs, rng)
-        lhs = matrix_rep(bracket(x, y))
-        mx, my = matrix_rep(x), matrix_rep(y)
+        lhs = matrix_rep(rs, bracket(rs, x, y))
+        mx, my = matrix_rep(rs, x), matrix_rep(rs, y)
         assert np.max(np.abs(lhs - (mx @ my - my @ mx))) < 1e-12
 
 
@@ -122,17 +124,16 @@ def test_bracket_is_the_commutator_of_matrix_reps(rank, shape):
     # single elements and batches, also a single element against a batch
     rs = build_root_system("A", rank)
     rng = np.random.default_rng(30 + rank)
-    x, y = (AlgElement(rs, rng.normal(size=shape + (rs.dim,))
-                       + 1j * rng.normal(size=shape + (rs.dim,)))
-            for _ in range(2))
-    single = AlgElement(rs, x.vec[(0,) * len(shape)])
+    x, y = (rng.normal(size=shape + (rs.dim,))
+            + 1j * rng.normal(size=shape + (rs.dim,)) for _ in range(2))
+    single = x[(0,) * len(shape)]
     for a, b in ((x, y), (single, y), (y, single)):
-        got = bracket(a, b).vec
+        got = bracket(rs, a, b)
         assert got.shape == shape + (rs.dim,)
-        ma, mb = np.broadcast_arrays(matrix_rep(a), matrix_rep(b))
+        ma, mb = np.broadcast_arrays(matrix_rep(rs, a), matrix_rep(rs, b))
         for idx in np.ndindex(shape):
             comm = ma[idx] @ mb[idx] - mb[idx] @ ma[idx]
-            want = element_from_matrix(rs, comm).vec
+            want = element_from_matrix(rs, comm)
             assert np.max(np.abs(got[idx] - want)) < 1e-13
 
 
@@ -167,7 +168,7 @@ def test_sparse_bracket_matches_dense_einsum(rank, shape):
             + 1j * rng.normal(size=shape + (rs.dim,)) for _ in range(2))
     for a, b in ((x, y), (x[(0,) * len(shape)], y)):
         want = np.einsum("...a,...b,abc->...c", a, b, dense_structure(rs))
-        got = bracket(AlgElement(rs, a), AlgElement(rs, b)).vec
+        got = bracket(rs, a, b)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want), initial=0.0) <= 1e-14 * max(
             1.0, np.max(np.abs(want)))
@@ -179,27 +180,25 @@ def test_form_is_trace_form_and_invariant(rank):
     rng = np.random.default_rng(30 + rank)
     for _ in range(20):
         x, y, z = (random_element(rs, rng) for _ in range(3))
-        assert abs(form(x, y) - np.trace(matrix_rep(x) @ matrix_rep(y))) < 1e-12
-        inv = form(bracket(x, y), z) + form(y, bracket(x, z))
+        assert abs(form(rs, x, y)
+                   - np.trace(matrix_rep(rs, x) @ matrix_rep(rs, y))) < 1e-12
+        inv = form(rs, bracket(rs, x, y), z) + form(rs, y, bracket(rs, x, z))
         assert abs(inv) < 1e-11
 
 
 def test_arithmetic_past_the_float_range_raises():
-    """Entries of 1e200 on A_2: the form, the bracket and a scaling
-    overflow, and so does a sum or difference at 1e308 and the defining
-    matrix at 1.7e308; each raises FloatingPointError instead of returning
-    inf or nan (einsum, the form's former sum, sets no floating-point flag,
-    and the matrix gave a RuntimeWarning)."""
+    """Entries of 1e200 on A_2: the form and the bracket overflow, and so
+    does the defining matrix at 1.7e308; each raises FloatingPointError
+    instead of returning inf or nan (einsum, the form's former sum, sets no
+    floating-point flag, and the matrix gave a RuntimeWarning)."""
     rs = build_root_system("A", 2)
-    x = AlgElement(rs, np.full(rs.dim, 1e200, dtype=complex))
-    big = AlgElement(rs, np.full(rs.dim, 1e308, dtype=complex))
-    edge = AlgElement(rs, np.full(rs.dim, 1.7e308, dtype=complex))
-    for op in (lambda: form(x, x), lambda: bracket(x, 2j * x),
-               lambda: x * 1e200, lambda: 1e200 * x, lambda: big + big,
-               lambda: big - -big, lambda: matrix_rep(edge)):
+    x = np.full(rs.dim, 1e200, dtype=complex)
+    edge = np.full(rs.dim, 1.7e308, dtype=complex)
+    for op in (lambda: form(rs, x, x), lambda: bracket(rs, x, 2j * x),
+               lambda: matrix_rep(rs, edge)):
         with pytest.raises(FloatingPointError):
             op()
-    assert form(x, x * 1e-300) == pytest.approx(1e100 * rs.dim)
+    assert form(rs, x, x * 1e-300) == pytest.approx(1e100 * rs.dim)
 
 
 @pytest.mark.parametrize("rank", RANKS)
@@ -209,12 +208,12 @@ def test_coroot_bracket(rank):
     rs = build_root_system("A", rank)
     for root in rs.roots:
         unit = np.eye(rs.dim, dtype=complex)
-        e_plus = AlgElement(rs, unit[rs.basis_index(root)])
-        e_minus = AlgElement(rs, unit[rs.basis_index(negate(root))])
-        h = bracket(e_plus, e_minus)
-        assert np.max(np.abs(h.vec[rank:])) < 1e-14
+        e_plus = unit[rs.basis_index(root)]
+        e_minus = unit[rs.basis_index(negate(root))]
+        h = bracket(rs, e_plus, e_minus)
+        assert np.max(np.abs(h[rank:])) < 1e-14
         expected = rs.alpha_h[rs.root_index[root]]
-        assert np.max(np.abs(h.vec[:rs.rank] - expected)) < 1e-13
+        assert np.max(np.abs(h[:rs.rank] - expected)) < 1e-13
 
 
 @pytest.mark.parametrize("rank", RANKS)
@@ -222,12 +221,13 @@ def test_cartan_acts_by_root_value(rank):
     rs = build_root_system("A", rank)
     rng = np.random.default_rng(40 + rank)
     coords = rng.normal(size=rank)
-    h = AlgElement.from_root_dict(rs, {}, cartan=coords)
+    h = np.zeros(rs.dim, dtype=complex)
+    h[:rank] = coords
     for k, root in enumerate(rs.roots):
-        e = AlgElement(rs, np.eye(rs.dim, dtype=complex)[rank + k])
-        lhs = bracket(h, e)
+        e = np.eye(rs.dim, dtype=complex)[rank + k]
+        lhs = bracket(rs, h, e)
         alpha_of_h = rs.alpha_h[k] @ coords
-        assert np.abs((lhs - alpha_of_h * e).vec).max() < 1e-13
+        assert np.abs(lhs - alpha_of_h * e).max() < 1e-13
 
 
 @pytest.mark.parametrize("rank", RANKS)
@@ -264,8 +264,8 @@ def test_element_from_matrix_round_trip():
     rs = build_root_system("A", 2)
     rng = np.random.default_rng(6)
     x = random_element(rs, rng)
-    back = element_from_matrix(rs, matrix_rep(x))
-    assert np.abs((back - x).vec).max() < 1e-13
+    back = element_from_matrix(rs, matrix_rep(rs, x))
+    assert np.abs(back - x).max() < 1e-13
     with pytest.raises(StructuralError):
         element_from_matrix(rs, np.eye(3))
 
@@ -299,9 +299,9 @@ def test_torus_adjoint_is_a_lie_automorphism(rank):
     rng = np.random.default_rng(50 + rank)
     c = 0.3 * rng.normal(size=rank)
     x, y = random_element(rs, rng), random_element(rs, rng)
-    lhs = torus_adjoint(c, bracket(x, y))
-    rhs = bracket(torus_adjoint(c, x), torus_adjoint(c, y))
-    assert np.abs((lhs - rhs).vec).max() < 1e-10
+    lhs = torus_adjoint(rs, c, bracket(rs, x, y))
+    rhs = bracket(rs, torus_adjoint(rs, c, x), torus_adjoint(rs, c, y))
+    assert np.abs(lhs - rhs).max() < 1e-10
 
 
 def test_torus_adjoint_rank_one_scaling():
@@ -311,10 +311,10 @@ def test_torus_adjoint_rank_one_scaling():
     k, neg = rs.basis_index(alpha), rs.basis_index(negate(alpha))
     unit = np.eye(rs.dim, dtype=complex)
     t = 0.5
-    out = torus_adjoint([t], AlgElement(rs, unit[k]))
-    assert abs(out.vec[k] - np.exp(1.0)) < 1e-13
-    out_neg = torus_adjoint([t], AlgElement(rs, unit[neg]))
-    assert abs(out_neg.vec[neg] - np.exp(-1.0)) < 1e-13
+    out = torus_adjoint(rs, [t], unit[k])
+    assert abs(out[k] - np.exp(1.0)) < 1e-13
+    out_neg = torus_adjoint(rs, [t], unit[neg])
+    assert abs(out_neg[neg] - np.exp(-1.0)) < 1e-13
 
 
 def test_torus_adjoint_preserves_form():
@@ -322,7 +322,8 @@ def test_torus_adjoint_preserves_form():
     rng = np.random.default_rng(7)
     c = rng.normal(size=2) * 0.4
     x, y = random_element(rs, rng), random_element(rs, rng)
-    assert abs(form(torus_adjoint(c, x), torus_adjoint(c, y)) - form(x, y)) < 1e-10
+    assert abs(form(rs, torus_adjoint(rs, c, x), torus_adjoint(rs, c, y))
+               - form(rs, x, y)) < 1e-10
 
 
 def test_coadjoint_action_is_minus_bracket():
@@ -332,8 +333,8 @@ def test_coadjoint_action_is_minus_bracket():
     # ad* is the dual of ad here: <ad*_X xi, Y> = <xi, [X, Y]> for all Y,
     # which the form isomorphism turns into -[X, I xi]
     y = random_element(rs, rng)
-    lhs = form(coadjoint_action(x, xi), y)
-    rhs = form(xi, bracket(x, y))
+    lhs = form(rs, coadjoint_action(rs, x, xi), y)
+    rhs = form(rs, xi, bracket(rs, x, y))
     assert abs(lhs - rhs) < 1e-11
 
 
@@ -346,28 +347,64 @@ def test_summary_is_json_serializable():
     assert data["cartan_matrix"] == [[2, -1], [-1, 2]]
 
 
-_A2, _A3 = build_root_system("A", 2), build_root_system("A", 3)
+_A2 = build_root_system("A", 2)
 _ONE = np.ones(2, dtype=complex)
 
 
 @pytest.mark.parametrize("build,error,match", [
     (lambda: PhasePoint.make(_A2, np.ones(3, dtype=complex), _ONE),
      StructuralError, "q and p must have 2 coordinates each"),
+    (lambda: PhasePoint.make(_A2, _ONE, _ONE, xi_cartan=[1]),
+     StructuralError, r"so must xi_cartan; got \(2,\), \(2,\) and \(1,\)"),
+    (lambda: PhasePoint.make(_A2, _ONE, _ONE, xi_cartan=[1, 2, 3]),
+     StructuralError, r"so must xi_cartan; got \(2,\), \(2,\) and \(3,\)"),
     (lambda: PhasePoint.make_reduced(_A2, _ONE, np.ones((1, 2)), {}),
      StructuralError, "q and p must have 2 coordinates each"),
     (lambda: PhasePoint(_A2, np.concatenate([_ONE, _ONE, np.ones(5)]), True),
      StructuralError, r"expected state rows of 8 coordinates, got shape "
                       r"\(9,\)"),
-    (lambda: AlgElement(_A2, np.ones(9)),
+    (lambda: matrix_rep(_A2, np.ones(9)),
      StructuralError, r"expected \(\.\.\., 8\)"),
-    (lambda: AlgElement(_A2, np.zeros(8)) + AlgElement(_A3, np.zeros(15)),
-     StructuralError, "different root systems"),
-    (lambda: torus_adjoint(np.ones(3), AlgElement(_A2, np.zeros(8))),
+    (lambda: torus_adjoint(_A2, np.ones(3), np.zeros(8)),
      StructuralError, "expected 2 coroot coordinates"),
     (lambda: parse_root_label("[1,x]", 2),
      ValueError, "is not a tuple of integers"),
-], ids=["phase-q", "reduced-p", "reduced-s", "element-shape",
-        "mixed-systems", "coroot-shape", "label-not-integer"])
+], ids=["phase-q", "phase-cartan-short", "phase-cartan-long",
+        "reduced-p", "reduced-s", "element-shape",
+        "coroot-shape", "label-not-integer"])
 def test_construction_errors_are_typed(build, error, match):
     with pytest.raises(error, match=match):
         build()
+
+
+@pytest.mark.parametrize("call", [
+    lambda rs, x: bracket(rs, x, np.zeros(rs.dim)),
+    lambda rs, x: bracket(rs, np.zeros(rs.dim), x),
+    lambda rs, x: form(rs, x, np.zeros(rs.dim)),
+    lambda rs, x: form(rs, np.zeros(rs.dim), x),
+    lambda rs, x: matrix_rep(rs, x),
+    lambda rs, x: torus_adjoint(rs, np.zeros(rs.rank), x),
+], ids=["bracket-x", "bracket-y", "form-x", "form-y", "matrix_rep",
+        "torus_adjoint"])
+@pytest.mark.parametrize("shape", [(9,), (7,), (3, 15), ()])
+def test_rows_of_another_width_raise(call, shape):
+    """A row without rs.dim coordinates on its last axis, or a scalar,
+    raises StructuralError naming its shape in each algebra export."""
+    with pytest.raises(StructuralError, match=re.escape(
+            f"coefficient vector has shape {shape}, expected (..., 8)")):
+        call(_A2, np.ones(shape))
+
+
+@pytest.mark.parametrize("rank", RANKS)
+@pytest.mark.parametrize("shape", [(), (4,), (2, 3)])
+def test_torus_adjoint_of_real_rows_is_that_of_their_complex_copy(rank,
+                                                                  shape):
+    """Real coordinates and real log-coordinates act as their complex
+    copies, bit for bit (a float row raised numpy's UFuncTypeError from the
+    in-place scaling)."""
+    rs = build_root_system("A", rank)
+    rng = np.random.default_rng([70, rank, len(shape)])
+    x, c = rng.normal(size=shape + (rs.dim,)), rng.normal(size=rank)
+    got = torus_adjoint(rs, c, x)
+    assert got.dtype == complex
+    assert np.array_equal(got, torus_adjoint(rs, c + 0j, x + 0j))

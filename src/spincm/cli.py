@@ -329,9 +329,9 @@ def _emit(report: dict, path: Path | None = None) -> None:
     print(text, end="")
 
 
-def _z_grid(config: RunConfig, length: float = 1.0) -> list[complex]:
+def _z_grid(config: RunConfig, system: RMatrixSpec) -> list[complex]:
     z_conf = config.outputs["z_samples"]
-    return [length * z for z in default_z_samples()] if z_conf is None \
+    return default_z_samples(system) if z_conf is None \
         else list(_complexes(z_conf))
 
 
@@ -341,7 +341,7 @@ def cmd_simulate(config: RunConfig, out_dir: Path) -> int:
     traj = integrate(system, x0, **config.integration)
     csv_path = out_dir / config.outputs["trajectory_csv"]
     write_trajectory_csv(csv_path, traj)
-    z_grid = _z_grid(config)
+    z_grid = _z_grid(config, system)
     try:
         drifts = spectral_drifts(system, traj, z_grid)
     except FloatingPointError as exc:
@@ -503,8 +503,7 @@ def _suite_mdybe(system, config, rng) -> dict:
 
 
 def _lax_check(name: str, system, x: PhasePoint) -> dict:
-    return _worst(name, lax_residuals(system, x, [
-        system.length * z for z in default_z_samples()]), _blocks(x))
+    return _worst(name, lax_residuals(system, x), _blocks(x))
 
 
 def _suite_lax(system, config, rng) -> dict:
@@ -542,7 +541,7 @@ def _suite_spectral(system, config, rng) -> dict:
     if not traj.completed:
         raise PoleError(f"spectral suite trajectory aborted: "
                         f"{traj.abort_reason}")
-    z_grid = _z_grid(config, system.length)
+    z_grid = _z_grid(config, system)
     report = spectral_drifts(system, traj, z_grid)
     # the witness: the trajectory point and z of the worst entry, and the
     # initial point to integrate from; "solver" the integration's counts

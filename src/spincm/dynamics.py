@@ -37,8 +37,8 @@ from typing import Sequence
 import numpy as np
 
 from .elliptic import Lattice
-from .errors import (ConfigError, PoleError, StructuralError, finite,
-                     raise_on_fp_fault)
+from .errors import (ConfigError, PoleError, StructuralError, coords, finite,
+                     raise_on_fp_fault, scalar)
 from .ode import DormandPrince, interpolate
 from .phase import (PhasePoint, _bracket, _checked, pushforward,
                     reduced_roots, reduction, slice_lift)
@@ -79,8 +79,8 @@ def make_system(family: str, rank: int, *, delta_prime="full",
 
 def spinless_state(rs: RootSystem, q, p, m: complex) -> PhasePoint:
     """The classical datum: every spin component equal to m, Cartan block 0."""
-    components = {root: complex(m) for root in rs.roots}
-    return PhasePoint.make(rs, q, p, xi_components=components)
+    return PhasePoint.make(rs, q, p, xi_components=dict.fromkeys(
+        rs.roots, coords(m, "m")))
 
 
 @dataclass
@@ -127,8 +127,7 @@ def _stack(x: PhasePoint, nonempty: bool = False) -> PhasePoint:
 
 def _per_point(x: PhasePoint, values: np.ndarray):
     """values per row of _stack(x) on the leading axes of x (or a scalar)."""
-    values = values.reshape(x.y.shape[:-1] + values.shape[1:])
-    return values.item() if values.ndim == 0 else values
+    return scalar(values.reshape(x.y.shape[:-1] + values.shape[1:]))
 
 
 def _gradient(sys: RMatrixSpec, q, xi) -> tuple[np.ndarray, np.ndarray]:
@@ -153,25 +152,21 @@ def _energy(sys: RMatrixSpec, q, p, xi) -> np.ndarray:
                   - np.sum(wxi * xi[..., sys.rs.dual_index], axis=-1))
 
 
-def _energy_column(sys: RMatrixSpec, q, p, xi):
-    """(energy, fault): :func:`_energy` over the stacked points, cut before
-    the first one whose energy raises one of _TRUNCATING, and that error
-    (None if none does).  At the first point a pole raises as it is and a
-    floating-point fault raises StructuralError."""
+def _first_fault(evaluate, n: int):
+    """(evaluate(slice(None)), n, None) for an evaluation of n stacked rows
+    that raises none of _TRUNCATING; else, redone row by row, (None, k,
+    error) for the first row k whose own evaluate(slice(k, k + 1)) raises
+    one.  The stacked error is raised again if no row raises alone: a
+    stacked evaluation is its rows' bit for bit, so that is a defect."""
     try:
-        return _energy(sys, q, p, xi), None
-    except _TRUNCATING:
-        pass
-    for k in range(len(q)):
-        try:
-            _energy(sys, q[k], p[k], xi[k])
-        except _TRUNCATING as exc:
-            if k:
-                return _energy(sys, q[:k], p[:k], xi[:k]), exc
-            if isinstance(exc, FloatingPointError):
-                raise StructuralError(f"the energy of the initial state is "
-                                      f"out of floating-point range: {exc}")
-            raise
+        return evaluate(slice(None)), n, None
+    except _TRUNCATING as stacked:
+        for k in range(n):
+            try:
+                evaluate(slice(k, k + 1))
+            except _TRUNCATING as exc:
+                return None, k, exc
+        raise stacked
 
 
 def _flow(sys: RMatrixSpec, y: np.ndarray, reduced: bool) -> np.ndarray:
@@ -223,8 +218,7 @@ def collision_margin(sys: RMatrixSpec, q) -> float | np.ndarray:
     singular roots: a float for one q, an array over the leading axes of
     stacked q, each its single-point value.  The positive roots suffice:
     the distance is even in u."""
-    margin = _pole_distance(sys, sys.rs.positive_root_values(q)).min(-1)
-    return float(margin) if margin.ndim == 0 else margin
+    return scalar(_pole_distance(sys, sys.rs.positive_root_values(q)).min(-1))
 
 
 @raise_on_fp_fault
@@ -248,11 +242,14 @@ def integrate(sys: RMatrixSpec, x0, t_final: float, tol: float = 1e-10, *,
     run past MAX_STEPS accepted steps.  The energy and momentum columns are
     evaluated once over all grid points.
     """
-    if not math.isfinite(t_final) or t_final == 0.0:
-        raise StructuralError(f"t_final must be finite and nonzero, got "
-                              f"{t_final}")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise StructuralError(f"tol must be finite and positive, got {tol}")
+    t, rtol = coords(t_final, "t_final"), coords(tol, "tol")
+    if t.imag or not np.isfinite(t) or t == 0.0:
+        raise StructuralError(f"t_final must be real, finite and nonzero, "
+                              f"got {t_final}")
+    if rtol.imag or not (np.isfinite(rtol) and rtol.real > 0.0):
+        raise StructuralError(f"tol must be real, finite and positive, got "
+                              f"{tol}")
+    t_final, tol = t.real.item(), rtol.real.item()
     if isinstance(n_points, bool) or not isinstance(
             n_points, numbers.Integral) or n_points < 2:
         raise StructuralError(f"n_points must be an integer >= 2, got "
@@ -295,29 +292,31 @@ def integrate(sys: RMatrixSpec, x0, t_final: float, tol: float = 1e-10, *,
             reason = f"integration aborted at t = {solver.t:.6g}: {exc}"
             break
 
-    def dense(batch):
+    def dense(rows):
+        batch = pending[rows]
         for (step, lo, hi), f in zip(batch, solver.interpolants(
                 [step for step, _, _ in batch])):
             states[lo:hi] = interpolate(step, f, t_grid[lo:hi])
 
-    try:
-        if pending:
-            dense(pending)
-    except _TRUNCATING:  # step by step: the run stops at the faulting one
-        for k, (step, lo, _) in enumerate(pending):
-            try:
-                dense(pending[k:k + 1])
-            except _TRUNCATING as exc:
-                filled = lo
-                reason = f"integration aborted at t = {step.t:.6g}: {exc}"
-                break
-
+    # the run ends at the grid points of the first dense step that faults,
+    # and its energy column before the first point whose energy faults
+    if pending:
+        _, k, fault = _first_fault(dense, len(pending))
+        if fault is not None:
+            step, filled = pending[k][:2]
+            reason = f"integration aborted at t = {step.t:.6g}: {fault}"
     points = PhasePoint(sys.rs, states[:filled], reduced)
     xi = points.xi
-    energy, fault = _energy_column(sys, points.q, points.p, xi)
+    energy, k, fault = _first_fault(lambda rows: _energy(
+        sys, points.q[rows], points.p[rows], xi[rows]), filled)
     if fault is not None:
-        k = len(energy)
+        if not k:
+            if isinstance(fault, FloatingPointError):
+                raise StructuralError(f"the energy of the initial state is "
+                                      f"out of floating-point range: {fault}")
+            raise fault
         points, xi = points[:k], xi[:k]
+        energy = _energy(sys, points.q, points.p, xi)
         reason = f"energy evaluation failed at t = {t_grid[k]:.6g}: {fault}"
     return Trajectory(t_grid[:len(xi)], points, energy,
                       np.max(np.abs(xi[:, :n] - xi[0, :n]), axis=-1),
@@ -354,7 +353,7 @@ def lax_L(sys: RMatrixSpec, x: PhasePoint, z) -> np.ndarray:
     e_alpha, as coordinate rows: a (dim,) row at one point and one z, with
     the stacked points, then the axes of z, in front.  At a reduced point,
     L_0: L at its slice lift."""
-    xs = _stack(_checked(x, rs=sys.rs))
+    xs, z = _stack(_checked(x, rs=sys.rs)), coords(z, "z", ...)
     return _per_point(x, _lax_value(_lax(sys, xs.q, z)[0, 0], xs.p, xs.xi))
 
 
@@ -425,24 +424,22 @@ def lax_B(sys: RMatrixSpec, x: PhasePoint, nodes) -> np.ndarray:
     minus the Cartan compensator of the gauge drift."""
     xs = _stack(_checked(x, rs=sys.rs), nonempty=True)
     return _per_point(x, _lax_pair(sys, xs, _z_list(
-        nodes, nonempty=False))[1])
+        sys, nodes, nonempty=False))[1])
 
 
-def default_z_samples(n: int = 8) -> list[complex]:
-    """Sample ring |z| = 0.55 for spectral checks; offset angles avoid the
-    real and imaginary axes where trigonometric coefficients degenerate."""
-    return [0.55 * np.exp(2j * math.pi * (k + 0.37) / n) for k in range(n)]
+def default_z_samples(sys: RMatrixSpec, n: int = 8) -> list[complex]:
+    """Sample ring |z| = 0.55 in the spec's length for spectral checks;
+    offset angles avoid the real and imaginary axes where trigonometric
+    coefficients degenerate."""
+    return [sys.length * (0.55 * np.exp(2j * math.pi * (k + 0.37) / n))
+            for k in range(n)]
 
 
-def _z_list(z_samples, nonempty: bool = True) -> np.ndarray:
-    """z_samples (default_z_samples() if None) as a complex array;
-    StructuralError unless it is 1-D (and not empty, if ``nonempty``)."""
-    z = np.asarray(default_z_samples() if z_samples is None else z_samples,
-                   dtype=complex)
-    if z.ndim != 1 or nonempty and not len(z):
-        need = "at least one z sample" if nonempty else "z samples"
-        raise StructuralError(f"expected {need} in 1-D, got shape {z.shape}")
-    return z
+def _z_list(sys: RMatrixSpec, z_samples, nonempty: bool = True) -> np.ndarray:
+    """z_samples (default_z_samples(sys) if None) as a 1-D complex array,
+    not empty if ``nonempty``."""
+    return coords(default_z_samples(sys) if z_samples is None else z_samples,
+                  "z", "m", nonempty=nonempty)
 
 
 @raise_on_fp_fault
@@ -452,7 +449,7 @@ def lax_residuals(sys: RMatrixSpec, x: PhasePoint,
     each stacked point (L_0 and B_0 if reduced) in one evaluation: the Lax
     equation where J = 0 (on Sigma, at a slice lift)."""
     xs = _stack(_checked(x, rs=sys.rs), nonempty=True)
-    return _per_point(x, _lax_pair(sys, xs, _z_list(z_samples))[0])
+    return _per_point(x, _lax_pair(sys, xs, _z_list(sys, z_samples))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +513,7 @@ def conserved_spectrum(sys: RMatrixSpec, x: PhasePoint,
     """Table h_k(z) = tr(rho(L(z))^k)/k, shape (len(z_samples), n) for the
     matrix size n, per stacked point; L_0 at a reduced point."""
     xs = _stack(_checked(x, rs=sys.rs))
-    sums = _power_sums(sys, xs, _z_list(z_samples))
+    sums = _power_sums(sys, xs, _z_list(sys, z_samples))
     return _per_point(x, sums / np.arange(1, sums.shape[-1] + 1))
 
 
@@ -533,7 +530,7 @@ def spectral_drifts(sys: RMatrixSpec, traj: Trajectory,
     if not traj.n_points:
         raise StructuralError("spectral_drifts expects a nonempty trajectory")
     sums = _power_sums(sys, _checked(traj.points, rs=sys.rs),
-                       _z_list(z_samples))
+                       _z_list(sys, z_samples))
     drifts = {"spectrum_drift": _worst(_relative_drift(
                   sums / np.arange(1, sums.shape[-1] + 1))),
               "isospectral_drift": _worst(_relative_drift(_char_poly(sums)))}
@@ -547,12 +544,12 @@ def spectral_drifts(sys: RMatrixSpec, traj: Trajectory,
 
 def gauge_residual(sys: RMatrixSpec, x: PhasePoint):
     """max_z ||L_0(pi(x))(z) - Ad_{g(xi)^{-1}} L(x)(z)|| over the ring
-    default_z_samples(4) at each stacked unreduced point x: the consistency
-    of the reduced Lax operator with the gauge normalization, both L from
-    one r table at the points' q."""
+    default_z_samples(sys, 4) at each stacked unreduced point x: the
+    consistency of the reduced Lax operator with the gauge normalization,
+    both L from one r table at the points' q."""
     rs, xs = sys.rs, _stack(_checked(x, False, sys.rs))
     s, g = reduction(rs, xs.xi)
-    r = _lax(sys, xs.q, default_z_samples(4))[0, 0]
+    r = _lax(sys, xs.q, default_z_samples(sys, 4))[0, 0]
     diff = _lax_value(r, xs.p, slice_lift(rs, s)) - torus_adjoint(
         rs, -g[..., None, :], _lax_value(r, xs.p, xs.xi))
     return _per_point(x, np.max(np.abs(diff), axis=(-2, -1)))
@@ -569,9 +566,11 @@ def _spectral_gradients(sys: RMatrixSpec, x: PhasePoint,
     n_s), by the chain rule through the L_0 coefficients from one stacked
     Lax pass; tr(L^{k-1} rho_a) is a Frobenius product."""
     rs, n = sys.rs, sys.rs.rank
-    ks = np.array([k for k, _ in specs], dtype=int)
-    if (ks < 1).any():
-        raise StructuralError("trace power k must be >= 1")
+    ks = coords([k for k, _ in specs], "trace powers k", "N")
+    whole = np.isfinite(ks) & (ks == np.floor(ks.real)) & (ks.real >= 1)
+    if not whole.all():
+        raise StructuralError("trace power k must be an integer >= 1")
+    ks = ks.real.astype(int)
     q, p, xi = x.q, x.p, x.xi
     r, dr = _lax(sys, q, [z for _, z in specs], du=1)[:, 0]
     # L^(k - 1) for the k of each spec, read off one power ladder
@@ -592,12 +591,15 @@ def involution_residuals(sys: RMatrixSpec, x: PhasePoint,
     pair of (k, z) specs: the gradients of the distinct specs in one
     evaluation, every pair read from the reduced Poisson tensor."""
     xs = _stack(_checked(x, True, sys.rs), nonempty=True)
-    specs = list(dict.fromkeys(spec for pair in pairs for spec in pair))
+    # the (k, z) of each side of each pair, pair-major (no pairs: a (0, 2,
+    # 2) table)
+    table = coords(list(pairs) or np.zeros((0, 2, 2)), "pairs", "P", 2, 2)
+    sides = [tuple(spec) for spec in table.reshape(-1, 2).tolist()]
+    specs = list(dict.fromkeys(sides))
     grads = _spectral_gradients(sys, xs, specs)
-    table = _bracket(xs, grads, grads)
-    first, second = ([specs.index(pair[side]) for pair in pairs]
-                     for side in (0, 1))
-    return _per_point(x, np.abs(table[:, first, second]))
+    index = [specs.index(spec) for spec in sides]
+    return _per_point(x, np.abs(_bracket(xs, grads, grads)[
+        :, index[0::2], index[1::2]]))
 
 
 # ---------------------------------------------------------------------------
@@ -622,6 +624,7 @@ def fpbr_residual(sys: RMatrixSpec, x: PhasePoint, z: complex,
     rs, n = sys.rs, sys.rs.rank
     x = _checked(x, False, rs, single=True)
     q, p, xi = x.q, x.p, x.xi
+    z, w = coords(z, "z"), coords(w, "w")
     d, roots = rs.dual_index, np.arange(n, rs.dim)
     r, dr = _lax(sys, q, [z, w], du=1)[:, 0]
     rows = np.zeros((2, rs.dim, 2 * n + rs.dim), dtype=complex)

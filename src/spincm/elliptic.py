@@ -39,7 +39,8 @@ import math
 
 import numpy as np
 
-from .errors import PoleError, StructuralError, raise_on_fp_fault
+from .errors import (PoleError, StructuralError, coords, raise_on_fp_fault,
+                     scalar)
 
 POLE_TOL = 1e-12
 _REL_CUTOFF = 1e-18
@@ -127,11 +128,10 @@ def _vcscv_ladder(v, kmax: int) -> list:
                   for k in range(1, kmax)]
 
 
-def _value(a, z, kind=complex):
+def _value(a, z):
     """A result in the shape of the argument z: a Python scalar for a
     scalar z, else the array."""
-    a = np.reshape(a, np.shape(z))
-    return kind(a) if a.ndim == 0 else a
+    return scalar(np.reshape(a, np.shape(z)))
 
 
 class Lattice:
@@ -144,7 +144,8 @@ class Lattice:
     """
 
     def __init__(self, omega1: complex, omega2: complex):
-        omega1, omega2 = complex(omega1), complex(omega2)
+        omega1, omega2 = (coords(w, what).item() for w, what in (
+            (omega1, "omega1"), (omega2, "omega2")))
         if not (cmath.isfinite(omega1) and cmath.isfinite(omega2)):
             raise StructuralError(f"half-periods must be finite, got "
                                   f"omega1 = {omega1}, omega2 = {omega2}")
@@ -318,12 +319,14 @@ class Lattice:
     @raise_on_fp_fault
     def lattice_distance(self, z):
         """Absolute distance from z to the nearest lattice point."""
+        z = coords(z, "z", ...)
         z0 = self._cell(z)[0]
         return _value(np.abs(np.subtract.outer(z0, self._near)).min(axis=-1),
-                      z, float)
+                      z)
 
     @raise_on_fp_fault
     def sigma(self, z):
+        z = coords(z, "z", ...)
         return _value(self._sigma(self._pass(z)), z)
 
     def zeta(self, z):
@@ -332,6 +335,7 @@ class Lattice:
     @raise_on_fp_fault
     def wp_pair(self, z):
         """(wp(z), wp'(z)) from one pass."""
+        z = coords(z, "z", ...)
         wp, wp_prime = self._wp_from_theta(self._pass(z, "wp")[3])
         return _value(wp, z), _value(wp_prime, z)
 
@@ -341,6 +345,7 @@ class Lattice:
     @raise_on_fp_fault
     def zeta_ladder(self, z, kmax: int) -> list:
         """zeta and its z-derivatives of orders below kmax."""
+        z = coords(z, "z", ...)
         return [_value(v, z)
                 for v in self._zetas(self._pass(z, "zeta"), kmax)]
 
@@ -477,5 +482,6 @@ def l_kernel(lattice: Lattice, w, z):
     lattice.  Poles occur where sigma(w) or sigma(z) vanish, and only there;
     w + z on the lattice gives a regular zero, so it is not guarded.
     """
+    w, z = coords(w, "w", ...), coords(z, "z", ...)
     c = lattice._coefficient_ladder(w, z, 1)[1][0][0]
     return _value(-c, np.add(w, z))

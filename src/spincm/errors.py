@@ -20,6 +20,37 @@ def finite(value, what: str):
     return value
 
 
+def coords(value, what: str, *shape, nonempty: bool = False) -> np.ndarray:
+    """value as a complex array of the given shape, the one cast of every
+    entry: an int fixes an axis, a str allows any length, and a leading
+    ``...`` allows any leading axes.  A value numpy cannot read as complex,
+    one of another shape, or one with no entry where ``nonempty`` asks for
+    one raises StructuralError naming ``what`` and the expected shape."""
+    want = str(shape).replace("Ellipsis", "...").replace("'", "")
+    try:
+        v = np.asarray(value, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise StructuralError(f"expected {what} of shape {want} as complex "
+                              f"numbers: {exc}") from None
+    if nonempty and not v.size:
+        raise StructuralError(f"expected at least one sample of {what}, got "
+                              f"none")
+    lead = shape[:1] == (...,)
+    fixed = shape[lead:]
+    if v.ndim < len(fixed) or v.ndim > len(fixed) and not lead or any(
+            n != w for n, w in zip(v.shape[v.ndim - len(fixed):], fixed)
+            if not isinstance(w, str)):
+        raise StructuralError(f"expected {what} of shape {want}, got "
+                              f"{v.shape}")
+    return v
+
+
+def scalar(values):
+    """The Python float or complex of a 0-d array, else the array: the one
+    way an entry returns a single value."""
+    return values.item() if values.ndim == 0 else values
+
+
 class SpincmError(Exception):
     """Base class for all package-specific errors."""
 

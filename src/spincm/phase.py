@@ -44,7 +44,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import GaugeDomainError, StructuralError, raise_on_fp_fault
+from .errors import (GaugeDomainError, StructuralError, coords,
+                     raise_on_fp_fault, scalar)
 from .rootsys import Root, RootSystem, root_label, torus_adjoint
 
 OUTSIDE_U_TOL = 1e-13
@@ -67,14 +68,7 @@ class PhasePoint:
             raise StructuralError(f"expected a RootSystem, got {self.rs!r}")
         n = self.rs.rank
         width = 2 * n + (self.rs.n_roots - n if self.reduced else self.rs.dim)
-        try:
-            object.__setattr__(self, "y", np.asarray(self.y, dtype=complex))
-        except (TypeError, ValueError) as exc:
-            raise StructuralError(f"expected complex state rows of {width} "
-                                  f"coordinates: {exc}") from None
-        if self.y.shape[-1:] != (width,):
-            raise StructuralError(f"expected state rows of {width} "
-                                  f"coordinates, got shape {self.y.shape}")
+        object.__setattr__(self, "y", coords(self.y, "state rows", ..., width))
 
     q = property(lambda self: self.y[..., :self.rs.rank])
     p = property(lambda self: self.y[..., self.rs.rank:2 * self.rs.rank])
@@ -90,16 +84,13 @@ class PhasePoint:
     @staticmethod
     def make(rs: RootSystem, q, p, xi_cartan=None,
              xi_components: dict[Root, complex] | None = None) -> "PhasePoint":
-        q, p, cartan = (np.asarray(v, dtype=complex) for v in (
-            q, p, np.zeros(rs.rank) if xi_cartan is None else xi_cartan))
-        if {q.shape, p.shape, cartan.shape} != {(rs.rank,)}:
-            raise StructuralError(
-                f"q and p must have {rs.rank} coordinates each, and so must "
-                f"xi_cartan; got {q.shape}, {p.shape} and {cartan.shape}")
+        q, p, cartan = (coords(v, what, rs.rank) for v, what in (
+            (q, "q"), (p, "p"), (np.zeros(rs.rank) if xi_cartan is None
+                                 else xi_cartan, "xi_cartan")))
         xi = np.zeros(rs.dim, dtype=complex)
         xi[:rs.rank] = cartan
         for root, c in (xi_components or {}).items():
-            xi[rs.basis_index(root)] = c
+            xi[rs.basis_index(root)] = coords(c, f"xi_components[{root}]")
         return PhasePoint(rs, np.concatenate([q, p, xi]))
 
     @staticmethod
@@ -110,7 +101,8 @@ class PhasePoint:
             if rs.root_index.get(root, 0) < rs.rank:
                 raise StructuralError(
                     f"{root} does not carry a reduced spin coordinate")
-            s[rs.root_index[root] - rs.rank] = c
+            s[rs.root_index[root] - rs.rank] = coords(
+                c, f"s_components[{root}]")
         x = PhasePoint.make(rs, q, p)
         return PhasePoint(rs, np.concatenate([x.q, x.p, s]), True)
 
@@ -269,9 +261,7 @@ def _bracket(x: PhasePoint, df, dg):
         spin_a, spin_b = spin_a @ chain_t.swapaxes(-1, -2), chain_t @ spin_b
     out = (a[..., n:2 * n] @ b[..., :n, :] - a[..., :n] @ b[..., n:2 * n, :]
            + spin_a @ lp @ spin_b)
-    if np.ndim(df) == np.ndim(dg) == 1:
-        out = out[..., 0, 0]
-    return complex(out) if out.ndim == 0 else out
+    return scalar(out[..., 0, 0] if np.ndim(df) == np.ndim(dg) == 1 else out)
 
 
 @raise_on_fp_fault
@@ -283,10 +273,5 @@ def bracket_full(x: PhasePoint, df, dg):
     involution hold with the signs of the dynamics module.  An overflow
     raises FloatingPointError."""
     x = _checked(x)
-    df, dg = np.asarray(df, dtype=complex), np.asarray(dg, dtype=complex)
-    width = x.y.shape[-1]
-    if df.shape[-1:] != (width,) or dg.shape[-1:] != (width,):
-        raise StructuralError(f"expected differential rows of {width} "
-                              f"coordinates, got shapes {df.shape} and "
-                              f"{dg.shape}")
-    return _bracket(x, df, dg)
+    return _bracket(x, *(coords(v, "differential rows", ..., x.y.shape[-1])
+                         for v in (df, dg)))

@@ -55,7 +55,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .elliptic import POLE_TOL, Lattice, _cot_csc_ladder, _leibniz
-from .errors import PoleError, StructuralError, finite, raise_on_fp_fault
+from .errors import (PoleError, StructuralError, coords, finite,
+                     raise_on_fp_fault, scalar)
 from .rootsys import RootSystem, commutator, root_label
 
 _ZTOL = 1e-13
@@ -429,50 +430,31 @@ def _ring_means(nodes: np.ndarray, values: np.ndarray,
 # axiom verification
 
 
-def _check_shape(name: str, v, *want) -> np.ndarray:
-    """v as a complex array; StructuralError naming the shape ``want`` (a
-    str entry stands for any length) unless v has it."""
-    v = np.asarray(v, dtype=complex)
-    if v.ndim != len(want) or any(
-            n != w for n, w in zip(v.shape, want) if not isinstance(w, str)):
-        shape = str(want).replace("'", "")
-        raise StructuralError(f"expected {name} of shape {shape}, got "
-                              f"{v.shape}")
-    return v
-
-
-def _stacked_q(rs: RootSystem, q, *others) -> np.ndarray:
-    """q of shape (S, rank) or (rank,) as a complex array; StructuralError
-    if it or any of ``others`` holds no sample."""
-    if not all(np.size(v) for v in (q, *others)):
-        raise StructuralError("expected at least one sample, got none")
-    return _check_shape("q", q, *("S",) * (np.ndim(q) > 1), rs.rank)
-
-
 @raise_on_fp_fault
 def verify_axioms(spec: RMatrixSpec, q, z) -> dict:
     """Zero-weight, unitarity and residue residuals at every (q, z) sample
-    (q of shape (S, rank) and z (S,), or q (rank,) and a scalar z), one
-    array each (a float for a single sample); thresholds are the caller's
-    business.  On the coefficient vector c: the weights of slots a and
-    dual(a) cancel on c_a, c(z)[a] + c(-z)[dual(a)] = 0, and the residue at
-    z = 0 (on the ring AXIOM_QUAD_RADIUS) is the Casimir tensor, c = 1.  One
-    kernel pass for all samples (StructuralError if none, or on another
-    shape)."""
+    (q of shape (..., rank), its leading axes stacking samples, and z of
+    their shape), one array each (a float for q of shape (rank,));
+    thresholds are the caller's business.  On the coefficient vector c:
+    the weights of slots a and dual(a) cancel on c_a, c(z)[a] + c(-z)[dual(a)]
+    = 0, and the residue at z = 0 (on the ring AXIOM_QUAD_RADIUS) is the
+    Casimir tensor, c = 1.  One kernel pass for all samples (StructuralError
+    if none, or on another shape)."""
     rs = spec.rs
     weights = np.concatenate([np.zeros((rs.rank, rs.rank)), rs.alpha_h])
     slot_weight = weights + weights[rs.dual_index]
-    q, ring = _stacked_q(rs, q, z), quad_ring(spec, AXIOM_QUAD_RADIUS)
-    z = np.atleast_1d(_check_shape("z", z, *q.shape[:-1]))
+    q = coords(q, "q", ..., rs.rank, nonempty=True)
+    lead, ring = q.shape[:-1], quad_ring(spec, AXIOM_QUAD_RADIUS)
+    z = coords(z, "z", *lead, nonempty=True).reshape(-1)
     nodes = np.broadcast_to(ring[:, None], (len(ring), len(z)))
-    c = _r_table(spec, np.atleast_2d(q), np.concatenate([[z, -z], nodes]),
-                 1)[0, 0]
+    c = _r_table(spec, q.reshape(-1, rs.rank),
+                 np.concatenate([[z, -z], nodes]), 1)[0, 0]
     res = _ring_means(ring, np.moveaxis(c[2:], 1, 0), 1)[0]
     out = {"zero_weight": np.max(np.abs(slot_weight * c[0, ..., None]),
                                  (-2, -1)),
            "unitarity": np.max(np.abs(c[0] + c[1][..., rs.dual_index]), -1),
            "residue": np.max(np.abs(res - 1.0), -1)}
-    return out if q.ndim > 1 else {k: float(v[0]) for k, v in out.items()}
+    return {k: scalar(v.reshape(lead)) for k, v in out.items()}
 
 
 @lru_cache(maxsize=None)
@@ -494,15 +476,15 @@ def verify_cdybe(spec: RMatrixSpec, q, z1, z2, z3):
         Alt(d_h r) + [r12(z12), r13(z13)] + [r12(z12), r23(z23)]
                    + [r13(z13), r23(z23)]
 
-    with z_ij = z_i - z_j and all q-derivatives analytic.  A leading axis
-    of q stacks samples (q (S, rank), each z (S,); or q (rank,) and scalar
-    z), with one z triple per sample: one kernel pass for all, and one
-    residual per sample (a float for one; StructuralError for none, or on
-    another shape)."""
+    with z_ij = z_i - z_j and all q-derivatives analytic.  Leading axes of
+    q stack samples (q (..., rank), each z of their shape; or q (rank,) and
+    scalar z), with one z triple per sample: one kernel pass for all, and
+    one residual per sample (a float for one; StructuralError for none, or
+    on another shape)."""
     rs = spec.rs
     (a, b, c, f), d = _structure_nz(rs), rs.dual_index
-    q = _stacked_q(rs, q)
-    z1, z2, z3 = (_check_shape(f"z{k}", v, *q.shape[:-1])
+    q = coords(q, "q", ..., rs.rank, nonempty=True)
+    z1, z2, z3 = (coords(v, f"z{k}", *q.shape[:-1])
                   for k, v in enumerate((z1, z2, z3), 1))
     z12, z13, z23 = z1 - z2, z1 - z3, z2 - z3
     # one kernel pass: r at z12, z13, z23 and dr/dq at z23, z31, z12
@@ -521,8 +503,7 @@ def verify_cdybe(spec: RMatrixSpec, q, z1, z2, z3):
     cube[..., c, d[a], d[b]] += f * c12[..., a] * c13[..., b]
     cube[..., d[a], c, d[b]] += f * c12[..., d[a]] * c23[..., b]
     cube[..., d[a], d[b], c] += f * c13[..., d[a]] * c23[..., d[b]]
-    worst = np.max(np.abs(cube), axis=(-3, -2, -1))
-    return float(worst) if worst.ndim == 0 else worst
+    return scalar(np.max(np.abs(cube), axis=(-3, -2, -1)))
 
 
 # ---------------------------------------------------------------------------
@@ -573,21 +554,22 @@ def verify_mdybe(spec: RMatrixSpec, q, xi, eta, *,
     default those of the spec's length), over which the residual is the
     max; StructuralError if there is no q or no z.
 
-    A leading axis stacks samples (q (S, rank), xi and eta (S, T, dim),
-    z_samples (m,) or (S, m); StructuralError on another shape), with one
+    Leading axes stack samples (q (..., rank), xi and eta (..., T, dim),
+    z_samples (m,) or (..., m); StructuralError on another shape), with one
     kernel pass for all and one residual per sample (a float for a single
     one); each sample keeps its own arithmetic.  xi, eta and every term
     are (sample, node, n+1, n+1) matrices; only the residual goes back to
     coordinates, for its max."""
     rs, ring = spec.rs, quad_ring(spec, MDYBE_QUAD_RADIUS)
-    samples = np.asarray(default_mdybe_samples(spec.length) if z_samples
-                         is None else z_samples, dtype=complex)
-    q = _stacked_q(rs, q, samples)
+    q = coords(q, "q", ..., rs.rank, nonempty=True)
     lead = q.shape[:-1]
-    xi, eta = (_check_shape(name, v, *lead, "T", rs.dim)
+    xi, eta = (coords(v, name, *lead, "T", rs.dim)
                for name, v in (("xi", xi), ("eta", eta)))
-    samples = np.atleast_2d(_check_shape(
-        "z_samples", samples, *(lead if samples.ndim > 1 else ()), "m"))
+    samples = coords(default_mdybe_samples(spec.length) if z_samples is None
+                     else z_samples, "z_samples", ..., "m", nonempty=True)
+    # shared by every sample, or one row of z_samples per sample
+    samples = coords(samples, "z_samples", *(lead if samples.ndim > 1 else ()),
+                     "m").reshape(-1, samples.shape[-1])
     n, qs = len(ring), q.reshape(-1, rs.rank)
     nodes = np.concatenate([np.broadcast_to(ring, (len(samples), n)),
                             samples], -1)
@@ -627,5 +609,5 @@ def verify_mdybe(spec: RMatrixSpec, q, xi, eta, *,
     g = e[:, :n] * _r_pairing(r1[:, :, :n], px).swapaxes(-1, -2)
     res += _ring_means(ring, g.sum(-1) - g.sum(-2), 1)[0, :, None, :, None] \
         * np.eye(rs.matrix_size)
-    worst = np.max(np.abs(rs.to_coords(res)), axis=(-2, -1))
-    return float(worst[0]) if q.ndim < 2 else worst
+    return scalar(np.max(np.abs(rs.to_coords(res)), axis=(-2, -1)).reshape(
+        lead))

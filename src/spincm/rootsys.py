@@ -36,7 +36,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import StructuralError, UnsupportedAlgebraError, raise_on_fp_fault
+from .errors import (StructuralError, UnsupportedAlgebraError, coords,
+                     raise_on_fp_fault, scalar)
 
 Root = tuple[int, ...]
 
@@ -231,21 +232,11 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rows(rs: RootSystem, *rows) -> list[np.ndarray]:
-    """The coordinate rows as complex arrays; StructuralError naming the
-    shape of one whose last axis does not hold rs.dim coordinates."""
-    rows = [np.asarray(x, dtype=complex) for x in rows]
-    for x in rows:
-        if x.shape[-1:] != (rs.dim,):
-            raise StructuralError(f"coefficient vector has shape {x.shape}, "
-                                  f"expected (..., {rs.dim})")
-    return rows
-
-
 @raise_on_fp_fault
 def bracket(rs: RootSystem, x, y) -> np.ndarray:
     """Lie bracket [x, y] (:meth:`RootSystem.bracket_coords`)."""
-    return rs.bracket_coords(*_rows(rs, x, y))
+    return rs.bracket_coords(*(coords(v, "coordinate rows", ..., rs.dim)
+                               for v in (x, y)))
 
 
 @raise_on_fp_fault
@@ -253,15 +244,14 @@ def form(rs: RootSystem, x, y):
     """Invariant bilinear form (x, y); also the g*-g pairing <xi, y> when x
     stores a covector.  A complex for single elements, an array over the
     batch axes otherwise; np.sum, not einsum, so that an overflow raises."""
-    x, y = _rows(rs, x, y)
-    val = np.sum(x * y[..., rs.dual_index], -1)
-    return complex(val) if val.ndim == 0 else val
+    x, y = (coords(v, "coordinate rows", ..., rs.dim) for v in (x, y))
+    return scalar(np.sum(x * y[..., rs.dual_index], -1))
 
 
 @raise_on_fp_fault
 def matrix_rep(rs: RootSystem, x) -> np.ndarray:
     """Defining (n+1)-dimensional representation of x."""
-    return rs.to_matrix(*_rows(rs, x))
+    return rs.to_matrix(coords(x, "coordinate rows", ..., rs.dim))
 
 
 @raise_on_fp_fault
@@ -276,10 +266,8 @@ def torus_adjoint(rs: RootSystem, c_coords, x) -> np.ndarray:
     action in the covector representation.  An overflow raises
     FloatingPointError.
     """
-    x, = _rows(rs, x)
-    c = np.asarray(c_coords, dtype=complex)
-    if c.shape[-1:] != (rs.rank,):
-        raise StructuralError(f"expected {rs.rank} coroot coordinates, got {c.shape}")
+    x = coords(x, "coordinate rows", ..., rs.dim)
+    c = coords(c_coords, "coroot coordinates", ..., rs.rank)
     alpha_log_h = (rs.root_pairings[:, :rs.rank] @ c[..., None])[..., 0]
     vec = np.array(np.broadcast_to(x, np.broadcast_shapes(
         x.shape[:-1], c.shape[:-1]) + (rs.dim,)))

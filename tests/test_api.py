@@ -10,14 +10,18 @@ does."""
 from __future__ import annotations
 
 import ast
+import functools
 import importlib
 import inspect
 import re
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import spincm
 from spincm import cli
-from spincm.errors import raise_on_fp_fault
+from spincm.errors import StructuralError, raise_on_fp_fault
 
 PACKAGE = Path(spincm.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
@@ -199,3 +203,158 @@ def test_the_fault_guard_is_only_ever_a_decorator():
             for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
             for d in node.decorator_list)
     assert uses == decorators == 27
+
+
+# -- the entry contract: one checked cast in, one single value out ----------
+
+
+@functools.lru_cache(maxsize=None)
+def contract_fixtures() -> dict:
+    """A_2 objects the contract calls share: root system, rational system,
+    an unreduced and a reduced point, a short trajectory, a lattice."""
+    rs = spincm.build_root_system("A", 2)
+    sys_ = spincm.make_system("rational", 2)
+    x = spincm.spinless_state(rs, [0.9, -0.4], [0.1, 0.2], 1j)
+    return {"rs": rs, "sys": sys_, "x": x, "red": spincm.project_pi(x),
+            "traj": spincm.integrate(sys_, x, 0.1, n_points=3),
+            "lat": spincm.Lattice(2, 2.2j)}
+
+
+# Each export that takes coordinates, called with one argument replaced by
+# bad(shape): a value standing where an array of that shape belongs.
+CASTS = {
+    "Lattice": lambda f, bad: spincm.Lattice(bad(()), 2.2j),
+    "Lattice.lattice_distance": lambda f, bad: f["lat"].lattice_distance(
+        bad((3,))),
+    "Lattice.sigma": lambda f, bad: f["lat"].sigma(bad((3,))),
+    "Lattice.wp": lambda f, bad: f["lat"].wp(bad(())),
+    "Lattice.wp_pair": lambda f, bad: f["lat"].wp_pair(bad(())),
+    "Lattice.zeta": lambda f, bad: f["lat"].zeta(bad(())),
+    "Lattice.zeta_ladder": lambda f, bad: f["lat"].zeta_ladder(bad(()), 2),
+    "PhasePoint": lambda f, bad: spincm.PhasePoint(f["rs"], bad((12,))),
+    "PhasePoint.make": lambda f, bad: spincm.PhasePoint.make(
+        f["rs"], bad((2,)), [0, 0]),
+    "PhasePoint.make_reduced": lambda f, bad: spincm.PhasePoint.make_reduced(
+        f["rs"], [0.9, 0.1], [0, 0], {(1, 1): bad(())}),
+    "bracket": lambda f, bad: spincm.bracket(f["rs"], bad((8,)), [0] * 8),
+    "bracket_full": lambda f, bad: spincm.bracket_full(
+        f["x"], bad((12,)), [0] * 12),
+    "conserved_spectrum": lambda f, bad: spincm.conserved_spectrum(
+        f["sys"], f["x"], bad((3,))),
+    "form": lambda f, bad: spincm.form(f["rs"], [0] * 8, bad((8,))),
+    "fpbr_residual": lambda f, bad: spincm.fpbr_residual(
+        f["sys"], f["x"], bad(()), 0.2),
+    "integrate": lambda f, bad: spincm.integrate(f["sys"], f["x"], bad(())),
+    "involution_residuals": lambda f, bad: spincm.involution_residuals(
+        f["sys"], f["red"], [((1, bad(())), (2, 0.3))]),
+    "l_kernel": lambda f, bad: spincm.l_kernel(f["lat"], bad(()), 0.3),
+    "lax_B": lambda f, bad: spincm.lax_B(f["sys"], f["x"], bad((3,))),
+    "lax_L": lambda f, bad: spincm.lax_L(f["sys"], f["x"], bad((3,))),
+    "lax_residuals": lambda f, bad: spincm.lax_residuals(
+        f["sys"], f["x"], bad((3,))),
+    "matrix_rep": lambda f, bad: spincm.matrix_rep(f["rs"], bad((8,))),
+    "spectral_drifts": lambda f, bad: spincm.spectral_drifts(
+        f["sys"], f["traj"], bad((3,))),
+    "spinless_state": lambda f, bad: spincm.spinless_state(
+        f["rs"], bad((2,)), [0, 0], 1j),
+    "torus_action": lambda f, bad: spincm.torus_action(bad((2,)), f["x"]),
+    "torus_adjoint": lambda f, bad: spincm.torus_adjoint(
+        f["rs"], bad((2,)), [0] * 8),
+    "verify_axioms": lambda f, bad: spincm.verify_axioms(
+        f["sys"], bad((2,)), 0.5),
+    "verify_cdybe": lambda f, bad: spincm.verify_cdybe(
+        f["sys"], [0.5, 0.3], bad(()), 0.1, 0.2),
+    "verify_mdybe": lambda f, bad: spincm.verify_mdybe(
+        f["sys"], [0.5, 0.3], bad((1, 8)), np.ones((1, 8))),
+}
+
+# The exports that take no coordinates, each with the reason.
+NO_COORDINATES = {
+    "RMatrixSpec": "its masks come from rational_r_matrix and "
+                   "trigonometric_r_matrix",
+    "RootSystem": "a family name and a rank",
+    "Trajectory": "a record that integrate and read_trajectory_csv fill",
+    "build_root_system": "a family name and a rank",
+    "gauge_g": "a PhasePoint, whose row its constructor cast",
+    "hamiltonian": "a PhasePoint, whose row its constructor cast",
+    "lift_reduced": "a PhasePoint, whose row its constructor cast",
+    "make_system": "root labels and a Lattice",
+    "momentum_J": "a PhasePoint, whose row its constructor cast",
+    "negate": "an integer root label",
+    "parse_root_label": "a text root label",
+    "project_pi": "a PhasePoint, whose row its constructor cast",
+    "rational_r_matrix": "root labels",
+    "root_label": "an integer root label",
+    "root_system_summary": "a RootSystem",
+    "sigma_residual": "a PhasePoint, whose row its constructor cast",
+    "trigonometric_r_matrix": "simple-root indices and root labels",
+    "vector_field": "a PhasePoint, whose row its constructor cast",
+}
+
+
+def test_the_contract_covers_every_export():
+    """Every export but the errors, the public methods of Lattice and the
+    PhasePoint constructors either reads its coordinates through the
+    cast (CASTS) or takes none (NO_COORDINATES)."""
+    exports = {name for name in spincm.__all__ if not (
+        inspect.isclass(getattr(spincm, name))
+        and issubclass(getattr(spincm, name), Exception))}
+    exports |= {name for name in exported_entries()
+                if name.startswith("Lattice.")}
+    exports |= {"PhasePoint.make", "PhasePoint.make_reduced"}
+    assert set(CASTS).isdisjoint(NO_COORDINATES)
+    assert sorted(set(CASTS) | set(NO_COORDINATES)) == sorted(exports)
+
+
+def _not_numeric(shape):
+    return np.full(shape, "a").tolist()
+
+
+def _ragged(shape):
+    return [np.zeros(shape).tolist(), []]
+
+
+@pytest.mark.parametrize("bad", [_not_numeric, _ragged],
+                         ids=["not-numeric", "ragged"])
+@pytest.mark.parametrize("name", sorted(CASTS))
+def test_coordinates_numpy_cannot_read_are_a_structural_error(name, bad):
+    """A coordinate numpy cannot read as complex, or a ragged list, is a
+    StructuralError naming the argument (numpy's raw ValueError or
+    TypeError escaped most of these)."""
+    with pytest.raises(StructuralError, match=r"^expected .* as complex "
+                                              r"numbers: "):
+        CASTS[name](contract_fixtures(), bad)
+
+
+# Each export that returns one value for a single input.
+SINGLE = {
+    "Lattice.lattice_distance": lambda f: f["lat"].lattice_distance(0.3),
+    "Lattice.sigma": lambda f: f["lat"].sigma(0.3),
+    "Lattice.wp": lambda f: f["lat"].wp(0.3),
+    "Lattice.wp_pair": lambda f: f["lat"].wp_pair(0.3),
+    "Lattice.zeta": lambda f: f["lat"].zeta(0.3),
+    "Lattice.zeta_ladder": lambda f: f["lat"].zeta_ladder(0.3, 3),
+    "bracket_full": lambda f: spincm.bracket_full(
+        f["x"], np.ones(12), np.arange(12.0)),
+    "form": lambda f: spincm.form(f["rs"], np.ones(8), np.arange(8.0)),
+    "fpbr_residual": lambda f: spincm.fpbr_residual(
+        f["sys"], f["x"], 0.3, -0.2j),
+    "hamiltonian": lambda f: spincm.hamiltonian(f["sys"], f["x"]),
+    "l_kernel": lambda f: spincm.l_kernel(f["lat"], 0.3, 0.2),
+    "lax_residuals": lambda f: spincm.lax_residuals(f["sys"], f["x"]),
+    "sigma_residual": lambda f: spincm.sigma_residual(f["sys"], f["x"]),
+    "verify_axioms": lambda f: spincm.verify_axioms(
+        f["sys"], [0.5, 0.3], 0.5),
+    "verify_cdybe": lambda f: spincm.verify_cdybe(
+        f["sys"], [0.5, 0.3], 0.3, 0.1, -0.2),
+    "verify_mdybe": lambda f: spincm.verify_mdybe(
+        f["sys"], [0.5, 0.3], np.ones((1, 8)), np.ones((1, 8))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SINGLE))
+def test_a_single_input_gives_a_python_float_or_complex(name):
+    value = SINGLE[name](contract_fixtures())
+    values = value.values() if isinstance(value, dict) else (
+        value if isinstance(value, (tuple, list)) else [value])
+    assert [type(v) for v in values if type(v) not in (float, complex)] == []

@@ -712,7 +712,7 @@ def replay(config, suite, check):
     opts = config.integration
     traj = integrate(system, x, **{**opts,
                                    "n_points": min(opts["n_points"], 101)})
-    z_grid = dynamics.default_z_samples()
+    z_grid = dynamics.default_z_samples(system)
     report = spectral_drifts(system, traj, z_grid)
     assert report["worst"][name] == [w["sample"],
                                      z_grid.index(complex_array(w["z"]))]
@@ -825,6 +825,45 @@ def test_verify_on_a_small_lattice_passes(tmp_path, lattice, rank):
         assert main(["verify", "--config", cfg, "--suite", suite,
                      "--inject-fault", "--out",
                      str(tmp_path)]) == EXIT_RESIDUAL, suite
+
+
+def ring_lattice_config(rank: int, n: int) -> dict:
+    """Elliptic A_rank whose period 2 omega1 is the first point of the
+    unscaled n-point default ring |z| = 0.55, omega2 = 1.1i omega1 (its
+    spec's length is 0.1375), from spinless(1j) near q = 0."""
+    omega1 = 0.55 * np.exp(2j * np.pi * 0.37 / n) / 2
+    omega2 = 1.1j * omega1
+    return {"family": "elliptic", "rank": rank,
+            "lattice": {"omega1": [omega1.real, omega1.imag],
+                        "omega2": [omega2.real, omega2.imag]},
+            "initial": {"preset": "spinless(1j)",
+                        "q": [0.07] if rank == 1 else [0.05, 0.12],
+                        "p": [0.0] * rank},
+            "integration": {"t_final": 0.001, "n_points": 3}}
+
+
+def test_simulate_reads_the_default_ring_in_the_spec_length(tmp_path):
+    """On the lattice with a period on the unscaled 8-point ring, simulate's
+    spectral drifts exited 3 ("l_kernel evaluated within 1e-12 of a
+    lattice point") with no diagnostics.json, where verify --suite spectral
+    scaled the ring by the spec's length and passed."""
+    cfg = write_config(tmp_path, "ring.json", ring_lattice_config(1, 8))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) \
+        == EXIT_PASS
+    assert (tmp_path / "diagnostics.json").is_file()
+    assert main(["verify", "--config", cfg, "--suite", "spectral", "--out",
+                 str(tmp_path)]) == EXIT_PASS
+
+
+def test_reduce_reads_the_default_ring_in_the_spec_length(tmp_path):
+    """On the A_2 lattice with a period on the unscaled 4-point ring of the
+    gauge residual, simulate exited 0 and reduce then exited 3."""
+    cfg = write_config(tmp_path, "ring.json", ring_lattice_config(2, 4))
+    assert main(["simulate", "--config", cfg, "--out",
+                 str(tmp_path / "sim")]) == EXIT_PASS
+    assert main(["reduce", str(tmp_path / "sim" / "trajectory.csv"),
+                 "--config", cfg, "--out", str(tmp_path / "red")]) \
+        == EXIT_PASS
 
 
 @pytest.mark.parametrize("family", ["rational", "trigonometric"])

@@ -352,6 +352,23 @@ def test_a_pole_on_a_grid_point_cuts_the_energy_column():
         integrate(sys_, at(0j), 0.1, n_points=11)
 
 
+def test_a_stacked_fault_no_row_repeats_is_raised(monkeypatch):
+    """An energy column that faults stacked while every row alone passes
+    raises the stacked error (it was a TypeError from unpacking None)."""
+    sys_ = system("rational", 1)
+    energy = dynamics._energy
+
+    def stacked_only(system_, q, p, xi):
+        if len(q) > 1:
+            raise FloatingPointError("overflow planted in the stack")
+        return energy(system_, q, p, xi)
+
+    monkeypatch.setattr(dynamics, "_energy", stacked_only)
+    with pytest.raises(FloatingPointError, match="planted in the stack"):
+        integrate(sys_, PhasePoint.make(sys_.rs, [0.7], [0.3]), 0.5,
+                  n_points=3)
+
+
 @pytest.mark.parametrize("reduced", [False, True])
 @pytest.mark.parametrize("family", FAMILIES)
 def test_core_on_a_wall_names_the_root(family, reduced):
@@ -560,7 +577,7 @@ def test_power_sums_are_the_eigenvalue_power_sums(family, rank, reduced):
     sys_ = system(family, rank)
     x = PhasePoint(sys_.rs, random_states(sys_, reduced, [rank, reduced, 7],
                                           6), reduced)
-    z = dynamics.default_z_samples()
+    z = dynamics.default_z_samples(sys_)
     power_sums = raise_on_fp_fault(dynamics._power_sums)
     sums = power_sums(sys_, x, z)
     for k in range(len(x.y)):

@@ -1100,6 +1100,30 @@ def test_verifiers_reject_misshaped_stacks(case):
 
 
 @pytest.mark.parametrize("family", ["rational", "trigonometric", "elliptic"])
+def test_verifiers_stack_samples_on_every_leading_axis(family):
+    """q of shape (2, 3, rank), with z, xi, eta and z_samples stacked the
+    same way, gives a (2, 3) table of each residual: the residuals of the
+    six samples on one axis, bit for bit (more than one leading axis was a
+    StructuralError)."""
+    spec = all_specs(2)[family]
+    rng = np.random.default_rng(1090)
+    q = rng.uniform(0.4, 0.8, (6, 2))
+    z = rng.uniform(0.3, 0.6, (3, 6)) * np.exp(1j * rng.uniform(0, 6, (3, 6)))
+    xi, eta = rng.normal(size=(2, 6, 2, spec.rs.dim))
+    samples = 0.5 * np.exp(1j * rng.uniform(0, 6, (6, 4)))
+    flat = [verify_axioms(spec, q, z[0]), verify_cdybe(spec, q, *z),
+            verify_mdybe(spec, q, xi, eta, z_samples=samples)]
+    stacked = [verify_axioms(spec, q.reshape(2, 3, 2), z[0].reshape(2, 3)),
+               verify_cdybe(spec, q.reshape(2, 3, 2), *z.reshape(3, 2, 3)),
+               verify_mdybe(spec, q.reshape(2, 3, 2), *(
+                   v.reshape(2, 3, 2, -1) for v in (xi, eta)),
+                   z_samples=samples.reshape(2, 3, 4))]
+    for got, want in zip([*stacked[0].values(), *stacked[1:]],
+                         [*flat[0].values(), *flat[1:]]):
+        assert got.shape == (2, 3) and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("family", ["rational", "trigonometric", "elliptic"])
 def test_r_table_broadcasts_shared_nodes_against_stacked_q(family):
     # z of shape (nodes, 1) against 5 stacked q gives the table of the
     # explicit (nodes, 5) broadcast, bit for bit

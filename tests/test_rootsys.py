@@ -353,20 +353,20 @@ _ONE = np.ones(2, dtype=complex)
 
 @pytest.mark.parametrize("build,error,match", [
     (lambda: PhasePoint.make(_A2, np.ones(3, dtype=complex), _ONE),
-     StructuralError, "q and p must have 2 coordinates each"),
+     StructuralError, r"expected q of shape \(2,\), got \(3,\)"),
     (lambda: PhasePoint.make(_A2, _ONE, _ONE, xi_cartan=[1]),
-     StructuralError, r"so must xi_cartan; got \(2,\), \(2,\) and \(1,\)"),
+     StructuralError, r"expected xi_cartan of shape \(2,\), got \(1,\)"),
     (lambda: PhasePoint.make(_A2, _ONE, _ONE, xi_cartan=[1, 2, 3]),
-     StructuralError, r"so must xi_cartan; got \(2,\), \(2,\) and \(3,\)"),
+     StructuralError, r"expected xi_cartan of shape \(2,\), got \(3,\)"),
     (lambda: PhasePoint.make_reduced(_A2, _ONE, np.ones((1, 2)), {}),
-     StructuralError, "q and p must have 2 coordinates each"),
+     StructuralError, r"expected p of shape \(2,\), got \(1, 2\)"),
     (lambda: PhasePoint(_A2, np.concatenate([_ONE, _ONE, np.ones(5)]), True),
-     StructuralError, r"expected state rows of 8 coordinates, got shape "
+     StructuralError, r"expected state rows of shape \(\.\.\., 8\), got "
                       r"\(9,\)"),
     (lambda: matrix_rep(_A2, np.ones(9)),
-     StructuralError, r"expected \(\.\.\., 8\)"),
+     StructuralError, r"expected coordinate rows of shape \(\.\.\., 8\)"),
     (lambda: torus_adjoint(_A2, np.ones(3), np.zeros(8)),
-     StructuralError, "expected 2 coroot coordinates"),
+     StructuralError, r"expected coroot coordinates of shape \(\.\.\., 2\)"),
     (lambda: parse_root_label("[1,x]", 2),
      ValueError, "is not a tuple of integers"),
 ], ids=["phase-q", "phase-cartan-short", "phase-cartan-long",
@@ -391,7 +391,7 @@ def test_rows_of_another_width_raise(call, shape):
     """A row without rs.dim coordinates on its last axis, or a scalar,
     raises StructuralError naming its shape in each algebra export."""
     with pytest.raises(StructuralError, match=re.escape(
-            f"coefficient vector has shape {shape}, expected (..., 8)")):
+            f"expected coordinate rows of shape (..., 8), got {shape}")):
         call(_A2, np.ones(shape))
 
 

@@ -443,7 +443,7 @@ def _random_points(system: RMatrixSpec, rng, count: int, reduced=False,
     if not reduced:
         spin[:, :rs.rank] = _normal(rng, (count, rs.rank)) if off_sigma \
             else 0.0
-    return PhasePoint(rs, np.concatenate([q, p, spin], -1), reduced)
+    return PhasePoint(rs, np.concatenate([q, p, spin], -1))
 
 
 def _blocks(x: PhasePoint) -> dict:

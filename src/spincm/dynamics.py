@@ -113,21 +113,8 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 # Hamiltonians and vector fields
 #
-# One flat core serves both flows, on the state rows of a PhasePoint (a
-# reduced spin at its slice lift), stacked on one leading axis.
-
-
-def _stack(x: PhasePoint, nonempty: bool = False) -> PhasePoint:
-    """x on one axis of rows; StructuralError if ``nonempty`` and empty."""
-    x = PhasePoint(x.rs, x.y.reshape(-1, x.y.shape[-1]), x.reduced)
-    if nonempty and not len(x.y):
-        raise StructuralError("expected at least one point, got none")
-    return x
-
-
-def _per_point(x: PhasePoint, values: np.ndarray):
-    """values per row of _stack(x) on the leading axes of x (or a scalar)."""
-    return scalar(values.reshape(x.y.shape[:-1] + values.shape[1:]))
+# One core serves both flows, on the state rows of a PhasePoint (a reduced
+# spin at its slice lift); every core takes points stacked on leading axes.
 
 
 def _gradient(sys: RMatrixSpec, q, xi) -> tuple[np.ndarray, np.ndarray]:
@@ -169,14 +156,15 @@ def _first_fault(evaluate, n: int):
         raise stacked
 
 
-def _flow(sys: RMatrixSpec, y: np.ndarray, reduced: bool) -> np.ndarray:
+def _flow(sys: RMatrixSpec, y: np.ndarray) -> np.ndarray:
     """The vector field at the states y (leading axes stack states, each
     a row of every product, so each row is its single-state field bit for
     bit): (dq, dp) = (p, -dH/dq) and the coadjoint spin leg d(I xi) =
-    [w xi, I xi]; a reduced state moves by its pushforward at the slice
-    lift (:func:`spincm.phase.pushforward`)."""
+    [w xi, I xi]; a reduced state, a row narrower than 2 rank + dim, moves
+    by its pushforward at the slice lift (:func:`spincm.phase.pushforward`)."""
     rs, n = sys.rs, sys.rs.rank
     q, p, spin = y[..., :n], y[..., n:2 * n], y[..., 2 * n:]
+    reduced = y.shape[-1] != 2 * n + rs.dim
     xi = slice_lift(rs, spin) if reduced else spin
     force, wxi = _gradient(sys, q, xi)
     dspin = rs.bracket_coords(wxi[..., None, :], xi[..., None, :])[..., 0, :]
@@ -189,8 +177,8 @@ def _flow(sys: RMatrixSpec, y: np.ndarray, reduced: bool) -> np.ndarray:
 def hamiltonian(sys: RMatrixSpec, x: PhasePoint):
     """H = (1/2)|p|^2 - (1/2) sum_alpha w_alpha xi_alpha xi_{-alpha}; at a
     reduced point, H_0: H at its slice lift (s_{alpha_i} = 1)."""
-    xs = _stack(_checked(x, rs=sys.rs))
-    return _per_point(x, _energy(sys, xs.q, xs.p, xs.xi))
+    x = _checked(x, rs=sys.rs)
+    return scalar(_energy(sys, x.q, x.p, x.xi))
 
 
 @raise_on_fp_fault
@@ -205,7 +193,7 @@ def vector_field(sys: RMatrixSpec, x: PhasePoint) -> PhasePoint:
     s(xi_dot), the pushforward of the field at the slice lift.
     """
     x = _checked(x, rs=sys.rs)
-    return PhasePoint(sys.rs, _flow(sys, x.y, x.reduced), x.reduced)
+    return PhasePoint(sys.rs, _flow(sys, x.y))
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +243,9 @@ def integrate(sys: RMatrixSpec, x0, t_final: float, tol: float = 1e-10, *,
         raise StructuralError(f"n_points must be an integer >= 2, got "
                               f"{n_points!r}")
     x0 = _checked(x0, rs=sys.rs, single=True)
-    n, reduced, y0 = sys.rs.rank, x0.reduced, x0.y
+    n, y0 = sys.rs.rank, x0.y
     reason = None
-    solver = DormandPrince(lambda t, y: _flow(sys, y, reduced), 0.0, y0,
+    solver = DormandPrince(lambda t, y: _flow(sys, y), 0.0, y0,
                            t_final, tol, tol * 1e-2)
     t_grid = np.linspace(0.0, t_final, n_points)
     states = np.empty((n_points, y0.size), dtype=complex)
@@ -305,7 +293,7 @@ def integrate(sys: RMatrixSpec, x0, t_final: float, tol: float = 1e-10, *,
         if fault is not None:
             step, filled = pending[k][:2]
             reason = f"integration aborted at t = {step.t:.6g}: {fault}"
-    points = PhasePoint(sys.rs, states[:filled], reduced)
+    points = PhasePoint(sys.rs, states[:filled])
     xi = points.xi
     energy, k, fault = _first_fault(lambda rows: _energy(
         sys, points.q[rows], points.p[rows], xi[rows]), filled)
@@ -353,8 +341,8 @@ def lax_L(sys: RMatrixSpec, x: PhasePoint, z) -> np.ndarray:
     e_alpha, as coordinate rows: a (dim,) row at one point and one z, with
     the stacked points, then the axes of z, in front.  At a reduced point,
     L_0: L at its slice lift."""
-    xs, z = _stack(_checked(x, rs=sys.rs)), coords(z, "z", ...)
-    return _per_point(x, _lax_value(_lax(sys, xs.q, z)[0, 0], xs.p, xs.xi))
+    x, z = _checked(x, rs=sys.rs), coords(z, "z", ...)
+    return scalar(_lax_value(_lax(sys, x.q, z)[0, 0], x.p, x.xi))
 
 
 @raise_on_fp_fault
@@ -362,12 +350,11 @@ def sigma_residual(sys: RMatrixSpec, x: PhasePoint):
     """Distance of x from Sigma: ||J||_inf, or max_{alpha in Delta'}
     |(alpha, J)| for the rational family.  One past the float range raises
     FloatingPointError (np.abs of a complex sets no flag)."""
-    xs = _stack(_checked(x, False, sys.rs))
-    j = xs.xi[:, :sys.rs.rank]
+    j = _checked(x, False, sys.rs).xi[..., :sys.rs.rank]
     if sys.family == "rational":
-        j = sys.rs.root_values(j)[:, sys.dp_mask]
-    return _per_point(x, finite(np.max(np.abs(j), axis=-1, initial=0.0),
-                                "the distance from Sigma"))
+        j = sys.rs.root_values(j)[..., sys.dp_mask]
+    return scalar(finite(np.max(np.abs(j), axis=-1, initial=0.0),
+                         "the distance from Sigma"))
 
 
 def _lax_pair(sys: RMatrixSpec, x: PhasePoint, z):
@@ -383,33 +370,33 @@ def _lax_pair(sys: RMatrixSpec, x: PhasePoint, z):
     rs, n = sys.rs, sys.rs.rank
     z = np.asarray(z, dtype=complex)
     q, p, xi = x.q, x.p, x.xi
-    vel = _flow(sys, np.concatenate([q, p, xi], -1), False)
-    dxi = vel[:, 2 * n:]
+    vel = _flow(sys, np.concatenate([q, p, xi], -1))
+    dxi = vel[..., 2 * n:]
     if x.reduced:
         # only the reduced roots of the lift move, by d s(xi_dot)
-        dxi = np.concatenate([np.zeros((len(q), 2 * n)),
+        dxi = np.concatenate([np.zeros(q.shape[:-1] + (2 * n,)),
                               pushforward(rs, x.spin, dxi)], -1)
     m = len(z)
     r, dr = _lax(sys, q, np.concatenate([z, -z]), 2, du=1)
-    lax, dlax = (_lax_value(r[0, :, :m], cartan, spin)
-                 for cartan, spin in ((p, xi), (vel[:, n:2 * n], dxi)))
-    dlax[..., n:] += dr[0, :, :m, n:] * rs.root_values(vel[:, :n])[:, None] \
-        * xi[:, None, n:]
+    lax, dlax = (_lax_value(r[0, ..., :m, :], cartan, spin)
+                 for cartan, spin in ((p, xi), (vel[..., n:2 * n], dxi)))
+    dlax[..., n:] += dr[0, ..., :m, n:] * rs.root_values(
+        vel[..., :n])[..., None, :] * xi[..., None, n:]
     # the principal part of L at 0: lim (L(z) - I xi / z), then I xi
     principal = np.stack([np.concatenate([p, root_coeff_reg0(
-        sys, rs.root_values(q)) * xi[:, n:]], -1), xi])
+        sys, rs.root_values(q)) * xi[..., n:]], -1), xi])
     # R_q(L/z) = (1/2) L/z + sum_k (1/k!) <r_k(-z), (L/z)_{-(k+1)} (x) 1>
     b = -(0.5 * (lax / z[:, None]) + _r_pairing(
-        r[:, :, m:][..., rs.dual_index], principal[:, :, None]))
+        r[..., m:, rs.dual_index], principal[..., None, :]))
     if x.reduced:
         # less the torus drift D: alpha_j(D) = xi_dot on the simple roots
-        b[..., :n] -= np.linalg.solve(rs.alpha_h[:n],
-                                      vel[:, 3 * n:4 * n, None])[:, None, :, 0]
+        b[..., :n] -= np.linalg.solve(rs.alpha_h[:n], vel[
+            ..., 3 * n:4 * n, None])[..., None, :, 0]
     # (X_J R)(L/z), 0 where J = 0: the du = 1 table at -z scaled by alpha(J)
-    dr = dr[:, :, m:].copy()
-    dr[..., n:] *= rs.root_values(xi[:, :n])[:, None]
+    dr = dr[..., m:, :].copy()
+    dr[..., n:] *= rs.root_values(xi[..., :n])[..., None, :]
     res = dlax - rs.bracket_coords(b, lax) + _r_pairing(
-        dr[..., rs.dual_index], principal[:, :, None])
+        dr[..., rs.dual_index], principal[..., None, :])
     return np.max(np.abs(res), axis=(-2, -1), initial=0.0), b
 
 
@@ -422,9 +409,8 @@ def lax_B(sys: RMatrixSpec, x: PhasePoint, nodes) -> np.ndarray:
     is 1/2 of L/z's: the regular part of L at 0 over z, I xi over z^2.  At
     a reduced point, B_0 through the gauge identity: B at the slice lift
     minus the Cartan compensator of the gauge drift."""
-    xs = _stack(_checked(x, rs=sys.rs), nonempty=True)
-    return _per_point(x, _lax_pair(sys, xs, _z_list(
-        sys, nodes, nonempty=False))[1])
+    x = _checked(x, rs=sys.rs, nonempty=True)
+    return scalar(_lax_pair(sys, x, _z_list(sys, nodes, nonempty=False))[1])
 
 
 def default_z_samples(sys: RMatrixSpec, n: int = 8) -> list[complex]:
@@ -448,8 +434,8 @@ def lax_residuals(sys: RMatrixSpec, x: PhasePoint,
     """The quasi-Lax residual max_z ||dL/dt - [B, L] + (X_J R)(L/z)|| at
     each stacked point (L_0 and B_0 if reduced) in one evaluation: the Lax
     equation where J = 0 (on Sigma, at a slice lift)."""
-    xs = _stack(_checked(x, rs=sys.rs), nonempty=True)
-    return _per_point(x, _lax_pair(sys, xs, _z_list(sys, z_samples))[0])
+    x = _checked(x, rs=sys.rs, nonempty=True)
+    return scalar(_lax_pair(sys, x, _z_list(sys, z_samples))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -512,9 +498,8 @@ def conserved_spectrum(sys: RMatrixSpec, x: PhasePoint,
                        z_samples: Sequence[complex]) -> np.ndarray:
     """Table h_k(z) = tr(rho(L(z))^k)/k, shape (len(z_samples), n) for the
     matrix size n, per stacked point; L_0 at a reduced point."""
-    xs = _stack(_checked(x, rs=sys.rs))
-    sums = _power_sums(sys, xs, _z_list(sys, z_samples))
-    return _per_point(x, sums / np.arange(1, sums.shape[-1] + 1))
+    sums = _power_sums(sys, _checked(x, rs=sys.rs), _z_list(sys, z_samples))
+    return scalar(sums / np.arange(1, sums.shape[-1] + 1))
 
 
 @raise_on_fp_fault
@@ -547,12 +532,12 @@ def gauge_residual(sys: RMatrixSpec, x: PhasePoint):
     default_z_samples(sys, 4) at each stacked unreduced point x: the
     consistency of the reduced Lax operator with the gauge normalization,
     both L from one r table at the points' q."""
-    rs, xs = sys.rs, _stack(_checked(x, False, sys.rs))
-    s, g = reduction(rs, xs.xi)
-    r = _lax(sys, xs.q, default_z_samples(sys, 4))[0, 0]
-    diff = _lax_value(r, xs.p, slice_lift(rs, s)) - torus_adjoint(
-        rs, -g[..., None, :], _lax_value(r, xs.p, xs.xi))
-    return _per_point(x, np.max(np.abs(diff), axis=(-2, -1)))
+    rs, x = sys.rs, _checked(x, False, sys.rs)
+    s, g = reduction(rs, x.xi)
+    r = _lax(sys, x.q, default_z_samples(sys, 4))[0, 0]
+    diff = _lax_value(r, x.p, slice_lift(rs, s)) - torus_adjoint(
+        rs, -g[..., None, :], _lax_value(r, x.p, x.xi))
+    return scalar(np.max(np.abs(diff), axis=(-2, -1)))
 
 
 # ---------------------------------------------------------------------------
@@ -562,9 +547,9 @@ def gauge_residual(sys: RMatrixSpec, x: PhasePoint):
 def _spectral_gradients(sys: RMatrixSpec, x: PhasePoint,
                         specs: Sequence[tuple[int, complex]]) -> np.ndarray:
     """Differentials (dq | dp | ds) of h_k(z) = tr(rho(L_0(z))^k)/k at each
-    reduced point for every (k, z) in ``specs``, (points, specs, 2 rank +
-    n_s), by the chain rule through the L_0 coefficients from one stacked
-    Lax pass; tr(L^{k-1} rho_a) is a Frobenius product."""
+    reduced point for every (k, z) in ``specs``, the stack axes of x then
+    (specs, 2 rank + n_s), by the chain rule through the L_0 coefficients
+    from one stacked Lax pass; tr(L^{k-1} rho_a) is a Frobenius product."""
     rs, n = sys.rs, sys.rs.rank
     ks = coords([k for k, _ in specs], "trace powers k", "N")
     whole = np.isfinite(ks) & (ks == np.floor(ks.real)) & (ks.real >= 1)
@@ -575,9 +560,9 @@ def _spectral_gradients(sys: RMatrixSpec, x: PhasePoint,
     r, dr = _lax(sys, q, [z for _, z in specs], du=1)[:, 0]
     # L^(k - 1) for the k of each spec, read off one power ladder
     powers = _lax_powers(rs, _lax_value(r, p, xi), ks.max(initial=1) - 1)
-    power = np.stack(powers, 2)[:, np.arange(len(ks)), ks - 1]
+    power = np.stack(powers, -3)[..., np.arange(len(ks)), ks - 1, :, :]
     traces = rs.to_coords(power.swapaxes(-1, -2))
-    dq = (dr[..., n:] * xi[:, None, n:] * traces[..., n:]) @ rs.alpha_h
+    dq = (dr[..., n:] * xi[..., None, n:] * traces[..., n:]) @ rs.alpha_h
     return np.concatenate([dq, traces[..., :n], r[..., 2 * n:]
                            * traces[..., 2 * n:]], -1)
 
@@ -590,16 +575,15 @@ def involution_residuals(sys: RMatrixSpec, x: PhasePoint,
     """|{h_{k1}(z1), h_{k2}(z2)}_red| at each stacked reduced point for each
     pair of (k, z) specs: the gradients of the distinct specs in one
     evaluation, every pair read from the reduced Poisson tensor."""
-    xs = _stack(_checked(x, True, sys.rs), nonempty=True)
+    x = _checked(x, True, sys.rs, nonempty=True)
     # the (k, z) of each side of each pair, pair-major (no pairs: a (0, 2,
     # 2) table)
     table = coords(list(pairs) or np.zeros((0, 2, 2)), "pairs", "P", 2, 2)
     sides = [tuple(spec) for spec in table.reshape(-1, 2).tolist()]
     specs = list(dict.fromkeys(sides))
-    grads = _spectral_gradients(sys, xs, specs)
+    grads = _spectral_gradients(sys, x, specs)
     index = [specs.index(spec) for spec in sides]
-    return _per_point(x, np.abs(_bracket(xs, grads, grads)[
-        :, index[0::2], index[1::2]]))
+    return np.abs(_bracket(x, grads, grads)[..., index[0::2], index[1::2]])
 
 
 # ---------------------------------------------------------------------------
@@ -607,38 +591,39 @@ def involution_residuals(sys: RMatrixSpec, x: PhasePoint,
 
 
 @raise_on_fp_fault
-def fpbr_residual(sys: RMatrixSpec, x: PhasePoint, z: complex,
-                  w: complex) -> float:
+def fpbr_residual(sys: RMatrixSpec, x: PhasePoint, z: complex, w: complex):
     """Residual of the bracket relation
 
         {L(z) (x), L(w)} = -[r^{12}(q, z-w), L^1(z) + L^2(w)]
                            - (X_J r)(q, z-w),
 
-    as the max-abs entry of LHS + RHS-terms.  The left side is
+    as the max-abs entry of LHS + RHS-terms at each stacked point, from one
+    :func:`_lax` table and one r table for all points.  The left side is
     :func:`spincm.phase.bracket_full` of the component differential rows
-    (dL_a/dq | dL_a/dp | dL_a/dxi), L_a = p_a + c_a(q, z) xi_a from
-    :func:`_lax`; the right side uses the r-matrix itself (including any
-    injected fault, which makes this a negative control as well), each r
-    as its coefficient vector.  A stack of points raises StructuralError.
-    """
+    (dL_a/dq | dL_a/dp | dL_a/dxi), L_a = p_a + c_a(q, z) xi_a; the right
+    side uses the r-matrix itself (including any injected fault, which
+    makes this a negative control as well), each r as its coefficient
+    vector."""
     rs, n = sys.rs, sys.rs.rank
-    x = _checked(x, False, rs, single=True)
+    x = _checked(x, False, rs)
     q, p, xi = x.q, x.p, x.xi
     z, w = coords(z, "z"), coords(w, "w")
     d, roots = rs.dual_index, np.arange(n, rs.dim)
     r, dr = _lax(sys, q, [z, w], du=1)[:, 0]
-    rows = np.zeros((2, rs.dim, 2 * n + rs.dim), dtype=complex)
-    rows[:, n:, :n] = dr[:, n:, None] * (xi[n:, None] * rs.alpha_h)
-    rows[:, :n, n:2 * n] = np.eye(n)
+    rows = np.zeros(r.shape + (2 * n + rs.dim,), dtype=complex)
+    rows[..., n:, :n] = dr[..., n:, None] * (xi[..., None, n:, None]
+                                             * rs.alpha_h)
+    rows[..., :n, n:2 * n] = np.eye(n)
     # dL_a/dxi = c_a e_{dual(a)}, as xi_a = <xi, e_{dual(a)}>
-    rows[:, np.arange(rs.dim), 2 * n + d] = r
-    # ad[j][b] = [e_{dual(b)}, L_j] for L(z), L(w)
-    ad_z, ad_w = np.moveaxis(rs.bracket_coords(
-        np.eye(rs.dim)[d, None, :], _lax_value(r, p, xi)), 1, 0)
+    rows[..., np.arange(rs.dim), 2 * n + d] = r
+    # ad_j[..., b, :] = [e_{dual(b)}, L(j)] for j = z, w
+    ad_z, ad_w = np.moveaxis(rs.bracket_coords(np.eye(rs.dim)[d, None, :],
+                             _lax_value(r, p, xi)[..., None, :, :]), -2, 0)
     c12, d12 = _r_table(sys, q, z - w, 1, du=1)[:, 0]
-    com = c12[d] * ad_z.T + c12[:, None] * ad_w
-    com[roots, d[roots]] += d12[roots] * rs.root_values(xi[:n])
-    return float(np.max(np.abs(_bracket(x, *rows) + com)))
+    com = c12[..., None, d] * ad_z.swapaxes(-1, -2) + c12[..., None] * ad_w
+    com[..., roots, d[roots]] += d12[..., roots] * rs.root_values(xi[..., :n])
+    return scalar(np.max(np.abs(_bracket(x, rows[..., 0, :, :], rows[
+        ..., 1, :, :]) + com), axis=(-2, -1)))
 
 
 # ---------------------------------------------------------------------------
@@ -662,8 +647,10 @@ def trajectory_csv(traj: Trajectory,
                    extra: dict[str, Sequence] | None = None) -> str:
     """The CSV text: the state columns of ``traj``'s kind, energy,
     J_residual and the ``extra`` columns, then one row per point, states
-    whole (complex values as re+imj), from one table in one pass."""
-    extra = extra or {}
+    whole (complex values as re+imj), from one table in one pass.  An
+    extra column that is not one number per point raises StructuralError."""
+    extra = {name: coords(values, f"extra column {name!r}", traj.n_points)
+             for name, values in (extra or {}).items()}
     header = io.StringIO()
     csv.writer(header).writerow(_state_columns(traj.points.rs,
                                                traj.points.reduced)
@@ -681,8 +668,9 @@ def trajectory_csv(traj: Trajectory,
 
 def write_trajectory_csv(path, traj: Trajectory,
                          extra: dict[str, Sequence] | None = None) -> None:
+    text = trajectory_csv(traj, extra)  # built whole before the file opens
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(trajectory_csv(traj, extra))
+        fh.write(text)
 
 
 def read_trajectory_csv(path, rs: RootSystem) -> Trajectory:
@@ -717,6 +705,6 @@ def read_trajectory_csv(path, rs: RootSystem) -> Trajectory:
             raise ConfigError(f"trajectory {path} line {line}: a value is "
                               "not finite")
     table = np.array(values, dtype=complex).reshape(-1, len(cols))
-    points = PhasePoint(rs, table[:, 1:-2], reduced)
+    points = PhasePoint(rs, table[:, 1:-2])
     return Trajectory(table[:, 0].real, points, table[:, -2],
                       table[:, -1].real, True)

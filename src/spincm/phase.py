@@ -54,32 +54,37 @@ OUTSIDE_U_TOL = 1e-13
 @dataclass(frozen=True, eq=False)
 class PhasePoint:
     """Point (q, p, xi) of T*h* x g*, or (q, p, s) of the reduced space (s
-    ordered like :func:`reduced_roots`), as its state row y = q | p | spin.
+    ordered like :func:`reduced_roots`), as its state row y = q | p | spin,
+    whose width says which: 2 rank + dim, or 2 rank + n_s if ``reduced``.
     Leading axes of y stack points, indexed by ``x[k]``.  q, p and the spin
     are views of y; ``xi`` is the spin, at :func:`slice_lift` if reduced.
     Equality and hash are by identity, as for any holder of an array."""
 
     rs: RootSystem
     y: np.ndarray
-    reduced: bool = False
 
     def __post_init__(self):
         if not isinstance(self.rs, RootSystem):
             raise StructuralError(f"expected a RootSystem, got {self.rs!r}")
-        n = self.rs.rank
-        width = 2 * n + (self.rs.n_roots - n if self.reduced else self.rs.dim)
-        object.__setattr__(self, "y", coords(self.y, "state rows", ..., width))
+        y, n = coords(self.y, "state rows", ..., "width"), self.rs.rank
+        widths = 2 * n + self.rs.dim, n + self.rs.n_roots
+        if y.shape[-1] not in widths:
+            want = " or ".join(f"(..., {w})" for w in widths)
+            raise StructuralError(f"expected state rows of shape {want}, "
+                                  f"got {y.shape}")
+        object.__setattr__(self, "y", y)
 
     q = property(lambda self: self.y[..., :self.rs.rank])
     p = property(lambda self: self.y[..., self.rs.rank:2 * self.rs.rank])
     spin = property(lambda self: self.y[..., 2 * self.rs.rank:])
+    reduced = property(lambda x: x.y.shape[-1] != 2 * x.rs.rank + x.rs.dim)
 
     @property
     def xi(self) -> np.ndarray:
         return slice_lift(self.rs, self.spin) if self.reduced else self.spin
 
     def __getitem__(self, k) -> "PhasePoint":
-        return PhasePoint(self.rs, self.y[k], self.reduced)
+        return PhasePoint(self.rs, self.y[k])
 
     @staticmethod
     def make(rs: RootSystem, q, p, xi_cartan=None,
@@ -104,13 +109,14 @@ class PhasePoint:
             s[rs.root_index[root] - rs.rank] = coords(
                 c, f"s_components[{root}]")
         x = PhasePoint.make(rs, q, p)
-        return PhasePoint(rs, np.concatenate([x.q, x.p, s]), True)
+        return PhasePoint(rs, np.concatenate([x.q, x.p, s]))
 
 
 def _checked(x, reduced: bool | None = None, rs: RootSystem | None = None,
-             single: bool = False) -> PhasePoint:
+             single: bool = False, nonempty: bool = False) -> PhasePoint:
     """x, after the entry check of every export that takes a point: a finite
-    PhasePoint over rs, of the kind ``reduced``, and one point if single."""
+    PhasePoint over rs, of the kind ``reduced``, one point if single, and
+    at least one if nonempty."""
     rs = getattr(x, "rs", None) if rs is None else rs
     if not (isinstance(x, PhasePoint) and x.rs == rs):
         raise StructuralError(
@@ -127,6 +133,8 @@ def _checked(x, reduced: bool | None = None, rs: RootSystem | None = None,
     if single and x.y.ndim != 1:
         raise StructuralError(f"expected one point, got a stack of shape "
                               f"{x.y.shape[:-1]}")
+    if nonempty and not x.y.size:
+        raise StructuralError("expected at least one point, got none")
     return x
 
 
@@ -201,7 +209,7 @@ def project_pi(x: PhasePoint) -> PhasePoint:
     """
     x = _checked(x, False)
     s = reduction(x.rs, x.xi)[0]
-    return PhasePoint(x.rs, np.concatenate([x.q, x.p, s], -1), True)
+    return PhasePoint(x.rs, np.concatenate([x.q, x.p, s], -1))
 
 
 def slice_lift(rs: RootSystem, s: np.ndarray) -> np.ndarray:

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import KW_ONLY, dataclass, replace
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -147,10 +148,26 @@ class RMatrixSpec:
         return f"RMatrixSpec({self.family}, A_{self.rs.rank})"
 
 
+def _integers(values, what: str) -> tuple[int, ...]:
+    """The entries of values as ints; one that is not an integer (a numpy
+    integer is one, a bool, a str or 0.5 is not) raises StructuralError
+    naming it, as do values that are not a sequence."""
+    if not np.iterable(values):
+        raise StructuralError(f"{what} must be a sequence of integers, got "
+                              f"{values!r}")
+    entries = list(values)
+    for v in entries:
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise StructuralError(f"{what} must be a sequence of integers, "
+                                  f"got {v!r} in {values!r}")
+    return tuple(int(v) for v in entries)
+
+
 def _resolve_root_subset(rs: RootSystem, spec_arg) -> np.ndarray:
-    mask = np.full(rs.n_roots, spec_arg == "full")
-    for item in () if spec_arg in ("full", "empty") else spec_arg:
-        root = tuple(int(c) for c in item)
+    named = spec_arg if isinstance(spec_arg, str) else None
+    mask = np.full(rs.n_roots, named == "full")
+    for item in () if named in ("full", "empty") else spec_arg:
+        root = _integers(item, "a root")
         if root not in rs.root_index:
             raise StructuralError(f"{root} is not a root of A_{rs.rank}")
         mask[rs.root_index[root]] = True
@@ -190,12 +207,10 @@ def trigonometric_r_matrix(rs: RootSystem, pi_prime="full",
     polarization necessarily satisfies Delta_- = -Delta_+, so the
     configurable freedom is exactly the choice of representatives.
     """
-    if pi_prime == "full":
-        chosen = frozenset(range(rs.rank))
-    elif pi_prime == "empty":
-        chosen = frozenset()
+    if isinstance(pi_prime, str) and pi_prime in ("full", "empty"):
+        chosen = frozenset(range(rs.rank) if pi_prime == "full" else ())
     else:
-        chosen = frozenset(int(i) for i in pi_prime)
+        chosen = frozenset(_integers(pi_prime, "pi_prime"))
         if not all(0 <= i < rs.rank for i in chosen):
             raise StructuralError(
                 f"pi_prime indices must lie in 0..{rs.rank - 1}, got {sorted(chosen)}")

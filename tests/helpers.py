@@ -32,15 +32,14 @@ from spincm.rootsys import (Root, RootSystem, bracket, form, negate,
 # -- points -------------------------------------------------------------------
 
 
-def point(rs: RootSystem, q, p, spin, reduced: bool = False) -> PhasePoint:
-    """The point with the state row q | p | spin (s if ``reduced``)."""
-    return PhasePoint(rs, np.concatenate([q, p, spin]), reduced)
+def point(rs: RootSystem, q, p, spin) -> PhasePoint:
+    """The point with the state row q | p | spin (xi or s, by its width)."""
+    return PhasePoint(rs, np.concatenate([q, p, spin]))
 
 
 def stack(points: Sequence[PhasePoint]) -> PhasePoint:
     """Points of one kind stacked on one leading axis."""
-    return PhasePoint(points[0].rs, np.array([x.y for x in points]),
-                      points[0].reduced)
+    return PhasePoint(points[0].rs, np.array([x.y for x in points]))
 
 
 # -- call counts --------------------------------------------------------------

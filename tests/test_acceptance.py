@@ -100,7 +100,7 @@ def reduced_point(sys_, rng):
     n_s = rs.n_roots - rs.rank
     s = rng.normal(size=n_s) + 1j * rng.normal(size=n_s)
     q = guarded_q(sys_, rng).astype(complex)
-    return point(rs, q, rng.normal(size=rs.rank).astype(complex), s, True)
+    return point(rs, q, rng.normal(size=rs.rank).astype(complex), s)
 
 
 def ring_z(rng, lo=0.25, hi=0.8):

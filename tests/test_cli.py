@@ -699,7 +699,7 @@ def replay(config, suite, check):
     if "xi" in w:
         x = PhasePoint(rs, np.concatenate([q, p, complex_array(w["xi"])]))
         return lax_residuals(system, x)
-    x = PhasePoint(rs, np.concatenate([q, p, complex_array(w["s"])]), True)
+    x = PhasePoint(rs, np.concatenate([q, p, complex_array(w["s"])]))
     if suite == "lax":
         return lax_residuals(system, x)
     if suite == "involution":

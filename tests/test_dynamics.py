@@ -79,7 +79,7 @@ def random_reduced(sys, rng):
     s = rng.normal(size=n_s) + 1j * rng.normal(size=n_s)
     q = rng.uniform(0.6, 1.1, size=rs.rank) * np.sign(rng.normal(size=rs.rank))
     return point(rs, q.astype(complex),
-                 rng.normal(size=rs.rank).astype(complex), s, True)
+                 rng.normal(size=rs.rank).astype(complex), s)
 
 
 def central_difference(f, h):
@@ -176,7 +176,7 @@ def test_hamiltonian_gradient_is_derivative(seed):
     ds = rng.normal(size=n_s) + 1j * rng.normal(size=n_s)
     for red_sys in (sys, make_system("trigonometric", 2),
                     make_system("elliptic", 2, lattice=WIDE)):
-        x_red = point(rs, x.q, x.p, s, True)
+        x_red = point(rs, x.q, x.p, s)
         g_lift = hamiltonian_gradient(red_sys, lift_reduced(x_red))
         # a unit change of xi_gamma at the lift pairs with the e_{-gamma}
         # coefficient of dxi, so ds_gamma is that coefficient
@@ -186,7 +186,7 @@ def test_hamiltonian_gradient_is_derivative(seed):
 
         def shifted_red(t):
             return point(rs, x_red.q + t * dq, x_red.p + t * dp,
-                         x_red.spin + t * ds, True)
+                         x_red.spin + t * ds)
 
         fd = central_difference(
             lambda t: hamiltonian(red_sys, shifted_red(t)), eps)
@@ -767,7 +767,7 @@ def test_fault_knob_does_not_reach_lax_coefficients():
         rs = clean.rs
         x = sigma_point(clean, rng)
         red = point(rs, x.q, x.p, rng.normal(size=rs.n_roots - rs.rank)
-                    + 1j * rng.normal(size=rs.n_roots - rs.rank), True)
+                    + 1j * rng.normal(size=rs.n_roots - rs.rank))
         off = point(rs, x.q, x.p, x.xi + np.r_[
             rng.normal(size=rs.rank), np.zeros(rs.n_roots)])
 
@@ -908,7 +908,7 @@ def test_reduced_time_derivative_is_directional_derivative():
 
     def shifted(t):
         return point(sys.rs, x.q + t * v.q, x.p + t * v.p,
-                     x.spin + t * v.spin, True)
+                     x.spin + t * v.spin)
 
     fd = (1.0 / (2 * eps)) * (lax_L(sys, shifted(eps), z)
                               - lax_L(sys, shifted(-eps), z))
@@ -956,9 +956,9 @@ def test_reduced_field_is_pushforward_of_unreduced_field(family):
     for _ in range(3):
         x = point(rs, np.zeros(4, dtype=complex),
                   0.3 * rng.normal(size=4) + 0j,
-                  np.exp(2j * np.pi * rng.uniform(size=n_s)), True)
+                  np.exp(2j * np.pi * rng.uniform(size=n_s)))
         while collision_margin(sys, x.q) < 0.5:
-            x = point(rs, rng.uniform(-2, 2, size=4) + 0j, x.p, x.spin, True)
+            x = point(rs, rng.uniform(-2, 2, size=4) + 0j, x.p, x.spin)
         lift = lift_reduced(x)
         up = vector_field(sys, lift)
         down = vector_field(sys, x)
@@ -1028,8 +1028,7 @@ def test_spectral_function_gradient():
     eps = 1e-6
 
     def h3(t):
-        shifted = point(rs, x.q + t * dq, x.p + t * dp, x.spin + t * ds,
-                        True)
+        shifted = point(rs, x.q + t * dq, x.p + t * dp, x.spin + t * ds)
         return conserved_spectrum(sys, shifted, [z])[0, 2]
 
     fd = (h3(eps) - h3(-eps)) / (2 * eps)
@@ -1070,7 +1069,7 @@ def test_involution_past_the_float_range_raises(family):
     rs = sys.rs
     x = point(rs, np.array([0.7, 1.3], dtype=complex),
               np.array([0.1, -0.2], dtype=complex),
-              np.full(rs.n_roots - rs.rank, 1e155, dtype=complex), True)
+              np.full(rs.n_roots - rs.rank, 1e155, dtype=complex))
     with pytest.raises(FloatingPointError, match="overflow"):
         involution_residuals(sys, x, INVOLUTION_PAIRS[:1])
 
@@ -1197,7 +1196,7 @@ def _point_with(rs, slot, bad):
     if slot == "s":
         s = np.full(rs.n_roots - rs.rank, 0.5 + 0.2j)
         s[-1] = bad
-        return point(rs, q, p, s, True)
+        return point(rs, q, p, s)
     xi = np.full(rs.dim, 0.5 + 0.0j)
     xi[:rs.rank] = 0.0
     {"q": q, "p": p, "cartan": xi, "root": xi[rs.rank:]}[slot][-1] = bad
@@ -1252,7 +1251,7 @@ def test_stacked_calls_are_their_per_point_calls_bit_for_bit(family, rank):
     x = PhasePoint(rs, np.reshape([sigma_point(sys, rng).y
                                    for _ in range(6)], (2, 3, -1)))
     red = PhasePoint(rs, np.reshape([random_reduced(sys, rng).y
-                                     for _ in range(6)], (2, 3, -1)), True)
+                                     for _ in range(6)], (2, 3, -1)))
     off = PhasePoint(rs, np.reshape([generic_point(sys, rng).y
                                      for _ in range(6)], (2, 3, -1)))
     c = rng.normal(size=rank)
@@ -1271,6 +1270,8 @@ def test_stacked_calls_are_their_per_point_calls_bit_for_bit(family, rank):
     unreduced = {
         "sigma_residual": lambda p: sigma_residual(sys, p),
         "gauge_residual": lambda p: gauge_residual(sys, p),
+        "fpbr_residual": lambda p: fpbr_residual(
+            sys, p, 0.41 + 0.22j, -0.33 + 0.47j),
         "momentum_J": momentum_J,
         "torus_action": lambda p: torus_action(c, p).y,
         "project_pi": lambda p: project_pi(p).y,

@@ -514,7 +514,7 @@ def test_sheared_and_swapped_bases_give_the_same_bits():
             ys = np.concatenate([q, draw.normal(size=(50, rank)) + 0j,
                                  spin], 1)
             nodes = 0.7 * np.exp(2j * np.pi * draw.uniform(0, 1, (3, 50)))
-            out += [_flow(sys_, ys, False), _r_table(sys_, q, nodes, 3, du=1)]
+            out += [_flow(sys_, ys), _r_table(sys_, q, nodes, 3, du=1)]
         runs.append(out)
     for run in runs[1:]:
         for got, want in zip(run, runs[0]):

@@ -19,6 +19,7 @@ from spincm.dynamics import (Trajectory, gauge_residual, hamiltonian,
                              spinless_state, trajectory_csv,
                              write_trajectory_csv)
 from spincm.elliptic import Lattice
+from spincm.errors import StructuralError
 from spincm.phase import PhasePoint, project_pi, reduced_roots
 
 
@@ -49,6 +50,23 @@ def test_csv_matches_point_by_point_writer(tmp_path, family, reduced):
     assert back.points.reduced == reduced
     assert np.array_equal(back.times, traj.times)
     assert np.array_equal(back.points.y, traj.points.y)
+
+
+@pytest.mark.parametrize("extra", [{"tag": ["a", "b", "c"]},
+                                   {"short": [1.0, 2.0]}],
+                         ids=["strings", "short"])
+def test_a_bad_extra_column_leaves_the_file_as_it_was(tmp_path, extra):
+    """An extra column that is not one number per point raises
+    StructuralError naming it before the file is opened: a column of
+    strings raised numpy's raw ValueError after the file was truncated."""
+    sys_, x0 = a2_system("rational")
+    traj = integrate(sys_, x0, 0.3, 1e-9, n_points=3)
+    path = tmp_path / "t.csv"
+    path.write_text("keep me", encoding="utf-8")
+    with pytest.raises(StructuralError,
+                       match=f"extra column '{next(iter(extra))}'"):
+        write_trajectory_csv(path, traj, extra)
+    assert written(path) == "keep me"
 
 
 @pytest.mark.parametrize("reduced", [False, True])
@@ -199,7 +217,7 @@ def test_reduce_against_a_per_point_oracle(tmp_path, family, rank):
     for row_in, row, y in zip(rows_in, rows, states):
         assert row[:1 + 2 * n] == row_in[:1 + 2 * n]
         s = np.array(monomials(rs, y[2 * n:]))
-        energy = hamiltonian(sys_, point(rs, y[:n], y[n:2 * n], s, True))
+        energy = hamiltonian(sys_, point(rs, y[:n], y[n:2 * n], s))
         got = np.array([complex(v) for v in row[1 + 2 * n:]])
         assert np.all(np.abs(got[:n_s] - s) <= 1e-15 * np.abs(s))
         assert abs(got[n_s] - energy) <= 1e-15 * abs(energy)

@@ -91,7 +91,7 @@ def test_fields_match_the_dense_oracle(family, rank, seed):
     v = vector_field(sys_, point(rs, q, p, xi))
     want = np.concatenate(oracle_field(sys_, q, p, xi))
     assert rel_err(np.concatenate([v.q, v.p, v.xi]), want) < 1e-13
-    x_red = point(rs, q, p, xi[2 * rs.rank:], True)
+    x_red = point(rs, q, p, xi[2 * rs.rank:])
     v_red = vector_field(sys_, x_red)
     want = np.concatenate(oracle_reduced(sys_, x_red))
     assert rel_err(np.concatenate([v_red.q, v_red.p, v_red.spin]),
@@ -269,7 +269,7 @@ def pin_start(family, rank, reduced):
         return sys_, spinless_state(rs, q, p, 0.4j)
     k = np.arange(rs.n_roots - rank)
     s = (0.3 + 0.05 * k) * np.exp(0.7j * k)
-    return sys_, point(rs, q.astype(complex), p.astype(complex), s, True)
+    return sys_, point(rs, q.astype(complex), p.astype(complex), s)
 
 
 @pytest.mark.parametrize("key", list(PINNED), ids=lambda key: "-".join(
@@ -342,7 +342,7 @@ def test_a_pole_on_a_grid_point_cuts_the_energy_column():
 
     def at(q):
         return point(rs, np.array([q]), np.array([-1.0 + 0j]),
-                     np.zeros(1, dtype=complex), True)
+                     np.zeros(1, dtype=complex))
     traj = integrate(sys_, at(0.02 + 0j), 0.1, n_points=11)
     assert not traj.completed and traj.n_points == 2
     assert traj.abort_reason == (
@@ -381,7 +381,7 @@ def test_core_on_a_wall_names_the_root(family, reduced):
     spin = xi[2 * rs.rank:] if reduced else xi
     y = np.concatenate([q, p, spin])
     with pytest.raises(PoleError, match=r"at the root \[1,1,0\]"):
-        dynamics._flow(sys_, y, reduced)
+        dynamics._flow(sys_, y)
 
 
 # -- the flat core against its composition ------------------------------------
@@ -438,7 +438,7 @@ def test_flow_is_its_composition_bit_for_bit(family, rank, reduced):
     wp_pair."""
     sys_ = system(family, rank)
     ys = random_states(sys_, reduced, [rank, reduced, len(family)], 200)
-    got = np.array([dynamics._flow(sys_, y, reduced) for y in ys])
+    got = np.array([dynamics._flow(sys_, y) for y in ys])
     assert np.array_equal(got, composed_flow(sys_, ys, reduced))
 
 
@@ -451,10 +451,10 @@ def test_stacked_flow_is_its_single_state_calls_bit_for_bit(family, rank,
     gives each row its single-state field bit for bit."""
     sys_ = system(family, rank)
     ys = random_states(sys_, reduced, [rank, reduced, len(family), 26], 60)
-    single = np.array([dynamics._flow(sys_, y, reduced) for y in ys])
-    assert np.array_equal(dynamics._flow(sys_, ys, reduced), single)
+    single = np.array([dynamics._flow(sys_, y) for y in ys])
+    assert np.array_equal(dynamics._flow(sys_, ys), single)
     assert np.array_equal(
-        dynamics._flow(sys_, ys.reshape(5, 12, -1), reduced),
+        dynamics._flow(sys_, ys.reshape(5, 12, -1)),
         single.reshape(5, 12, -1))
 
 
@@ -576,7 +576,7 @@ def test_power_sums_are_the_eigenvalue_power_sums(family, rank, reduced):
     bit for bit."""
     sys_ = system(family, rank)
     x = PhasePoint(sys_.rs, random_states(sys_, reduced, [rank, reduced, 7],
-                                          6), reduced)
+                                          6))
     z = dynamics.default_z_samples(sys_)
     power_sums = raise_on_fp_fault(dynamics._power_sums)
     sums = power_sums(sys_, x, z)

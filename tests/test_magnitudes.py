@@ -271,11 +271,11 @@ def test_torus_and_reduction_exports_at_any_magnitude(case):
     check_project_pi(x)
     # the spins past the simple roots read as the s of a reduced point
     check_lift_reduced(PhasePoint(rs, np.concatenate(
-        [x.q, x.p, x.xi[2 * rs.rank:]]), True))
+        [x.q, x.p, x.xi[2 * rs.rank:]])))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.booleans().flatmap(lambda reduced: point_cases(reduced, 2)))
 def test_bracket_full_at_any_magnitude(case):
     rs, y, _, a, b = case
-    check_bracket_full(PhasePoint(rs, y, len(y) < 2 * rs.rank + rs.dim), a, b)
+    check_bracket_full(PhasePoint(rs, y), a, b)

@@ -39,10 +39,9 @@ def scipy_reference(sys_, x0, t_final, tol, n_points):
     more RHS calls) is built only for steps with a grid point inside."""
     from scipy.integrate import DOP853
     rs = sys_.rs
-    reduced = x0.reduced
 
     def rhs(t, y):
-        return vector_field(sys_, PhasePoint(rs, y, reduced)).y
+        return vector_field(sys_, PhasePoint(rs, y)).y
 
     solver = DOP853(rhs, 0.0, x0.y, t_final, rtol=tol,
                     atol=tol * 1e-2)
@@ -133,11 +132,11 @@ def test_pole_in_the_first_rhs_or_probe_truncates(monkeypatch, fault_at):
     calls = []
     flow = dynamics._flow
 
-    def field(system, y, reduced):
+    def field(system, y):
         calls.append(y)
         if len(calls) == fault_at:
             raise PoleError("pole planted in the vector field")
-        return flow(system, y, reduced)
+        return flow(system, y)
 
     monkeypatch.setattr(dynamics, "_flow", field)
     traj = integrate(sys_, x0, 0.4, 1e-9, n_points=7)
@@ -227,7 +226,7 @@ def test_dense_array_equals_scalar_calls_bit_for_bit(t_final):
     just past the step end (the grid slack) and the step end itself,
     forwards and backwards."""
     sys_, x0 = oracle_point("trigonometric")
-    solver = DormandPrince(lambda t, y: dynamics._flow(sys_, y, False), 0.0,
+    solver = DormandPrince(lambda t, y: dynamics._flow(sys_, y), 0.0,
                            x0.y, t_final, 1e-9, 1e-11)
     steps = 0
     while not solver.finished:
@@ -261,7 +260,7 @@ def test_dense_array_matches_scipy_dense_output(family, t_final):
     y0 = x0.y
 
     def rhs(t, y):
-        return dynamics._flow(sys_, y, False)
+        return dynamics._flow(sys_, y)
 
     ours = DormandPrince(rhs, 0.0, y0, t_final, 1e-9, 1e-11)
     ref = DOP853(rhs, 0.0, y0, t_final, rtol=1e-9, atol=1e-11)
@@ -281,8 +280,7 @@ def sequential_run(sys_, x0, t_final, n_points, tol=1e-9):
     call per step (the loop before the dense stages were stacked): the
     states, the solver, and the reason of a pole in a step or a dense
     stage (None if none)."""
-    reduced = x0.reduced
-    solver = DormandPrince(lambda t, y: dynamics._flow(sys_, y, reduced),
+    solver = DormandPrince(lambda t, y: dynamics._flow(sys_, y),
                            0.0, x0.y, t_final, tol, tol * 1e-2)
     t_grid = np.linspace(0.0, t_final, n_points)
     states, reason = [x0.y], None
@@ -316,7 +314,7 @@ def test_stacked_dense_pass_is_the_sequential_loop_bit_for_bit(
     states, solver, reason = sequential_run(sys_, x0, t_final, n_points)
     assert traj.completed and reason is None
     assert np.array_equal(_bits(traj.points.y), _bits(states))
-    energy = hamiltonian(sys_, PhasePoint(sys_.rs, states, reduced))
+    energy = hamiltonian(sys_, PhasePoint(sys_.rs, states))
     assert np.array_equal(_bits(traj.energy), _bits(energy))
     assert traj.stats == solver.stats
     dense = traj.stats["dense"]
@@ -347,20 +345,20 @@ def test_a_pole_in_one_dense_row_truncates_where_the_sequential_run_does(
     sys_, x0 = oracle_point("trigonometric")
     flow, stacked = dynamics._flow, []
 
-    def spy(system, y, reduced):
+    def spy(system, y):
         if y.ndim == 2:
             stacked.append(y.copy())
-        return flow(system, y, reduced)
+        return flow(system, y)
 
     monkeypatch.setattr(dynamics, "_flow", spy)
     clean = integrate(sys_, x0, 0.4, 1e-9, n_points=101)
     assert len(stacked) == 3 and len(stacked[0]) == clean.stats["dense"] > 4
     target = stacked[0][3]
 
-    def field(system, y, reduced):
+    def field(system, y):
         if (y.reshape(-1, y.shape[-1]) == target).all(-1).any():
             raise PoleError("pole planted in a dense stage")
-        return flow(system, y, reduced)
+        return flow(system, y)
 
     monkeypatch.setattr(dynamics, "_flow", field)
     traj = integrate(sys_, x0, 0.4, 1e-9, n_points=101)

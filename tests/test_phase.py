@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spincm.dynamics import gauge_residual, make_system
+from spincm.dynamics import (gauge_residual, involution_residuals, lax_B,
+                             lax_residuals, make_system)
 from spincm.elliptic import Lattice
 from spincm.errors import (GaugeDomainError, SpincmError, StructuralError,
                            raise_on_fp_fault)
@@ -356,9 +358,11 @@ def test_reduction_names_the_first_point_outside_u():
     with pytest.raises(GaugeDomainError, match=r"\[0,1\]$") as info:
         reduction(RS2, xi)
     assert info.value.index == 4
-    with pytest.raises(GaugeDomainError) as info:
-        gauge_g(point(RS2, [0, 0], [0, 0], xi[1, 1]))
-    assert info.value.index is None
+    for entry in (gauge_g, lambda x: gauge_residual(make_system(
+            "rational", 2), x)):
+        with pytest.raises(GaugeDomainError) as info:
+            entry(point(RS2, [0, 0], [0, 0], xi[1, 1]))
+        assert info.value.index is None
 
 
 def test_stacked_reduction_is_the_single_point_one():
@@ -409,7 +413,7 @@ def test_reduction_api_on_every_magnitude(sys_, re, im, c):
     finite_or_typed(lambda: project_pi(pt))
     finite_or_typed(lambda: gauge_g(pt))
     finite_or_typed(lambda: lift_reduced(
-        point(rs, q, p, xi[2 * rs.rank:], True)))
+        point(rs, q, p, xi[2 * rs.rank:])))
     finite_or_typed(lambda: torus_action(c, pt))
     # gauge_residual is not exported: its one caller, `spincm reduce`, runs
     # it under cli.main's guard, so the test holds that guard too
@@ -421,7 +425,7 @@ def test_lift_is_a_section():
     rng = np.random.default_rng(11)
     rs = RS2
     s = rng.normal(size=rs.n_roots - 2) + 1j * rng.normal(size=rs.n_roots - 2)
-    red = point(rs, rng.normal(size=2) + 0j, rng.normal(size=2) + 0j, s, True)
+    red = point(rs, rng.normal(size=2) + 0j, rng.normal(size=2) + 0j, s)
     back = project_pi(lift_reduced(red))
     assert np.max(np.abs(back.spin - red.spin)) < 1e-14
     assert np.max(np.abs(momentum_J(lift_reduced(red)))) == 0.0
@@ -487,7 +491,7 @@ def test_reduced_bracket_antisymmetry_and_q_s_commute():
     rng = np.random.default_rng(14)
     rs = RS2
     s = rng.normal(size=rs.n_roots - 2) + 0j
-    red = point(rs, rng.normal(size=2) + 0j, rng.normal(size=2) + 0j, s, True)
+    red = point(rs, rng.normal(size=2) + 0j, rng.normal(size=2) + 0j, s)
     roots = reduced_roots(rs)
     fa = spin_coordinate_function(rs, roots[0])
     fb = spin_coordinate_function(rs, roots[2])
@@ -515,7 +519,7 @@ def test_spin_tensor_matches_pairwise_brackets():
     rng = np.random.default_rng(15)
     rs = RS2
     s = rng.normal(size=rs.n_roots - 2) + 1j * rng.normal(size=rs.n_roots - 2)
-    red = point(rs, np.zeros(2), np.zeros(2), s, True)
+    red = point(rs, np.zeros(2), np.zeros(2), s)
     p = spin_tensor(red)
     roots = reduced_roots(rs)
     for a in range(len(roots)):
@@ -535,7 +539,7 @@ def test_spin_tensor_is_the_lie_poisson_bracket_of_the_invariants(rank):
     for _ in range(5):
         s = rng.normal(size=n_s) + 1j * rng.normal(size=n_s)
         red = point(rs, np.zeros(rank, dtype=complex),
-                    np.zeros(rank, dtype=complex), s, True)
+                    np.zeros(rank, dtype=complex), s)
         xi = lift_reduced(red).xi
         grads = [spin_invariant_gradient(rs, xi, root)
                  for root in reduced_roots(rs)]
@@ -551,7 +555,7 @@ def test_reduced_jacobi_identity_via_finite_differences():
     rng = np.random.default_rng(16)
     rs = RS2
     s = rng.normal(size=rs.n_roots - 2) + 0j
-    red = point(rs, rng.normal(size=2) + 0j, rng.normal(size=2) + 0j, s, True)
+    red = point(rs, rng.normal(size=2) + 0j, rng.normal(size=2) + 0j, s)
     roots = reduced_roots(rs)
     f, g, h = (spin_coordinate_function(rs, roots[k]) for k in (0, 1, 3))
 
@@ -561,8 +565,8 @@ def test_reduced_jacobi_identity_via_finite_differences():
         for k in range(n_s):
             bump = np.zeros(n_s)
             bump[k] = step
-            ds[k] = (func(point(rs, x.q, x.p, x.spin + bump, True))
-                     - func(point(rs, x.q, x.p, x.spin - bump, True))) / (2 * step)
+            ds[k] = (func(point(rs, x.q, x.p, x.spin + bump))
+                     - func(point(rs, x.q, x.p, x.spin - bump))) / (2 * step)
         return ReducedGradient(np.zeros(rs.rank), np.zeros(rs.rank), ds)
 
     def nested(a, b, c):
@@ -592,8 +596,7 @@ def _wrong_point_cases():
         "bracket_full-short-rows": lambda: bracket_full(x, row[:-1], row),
         "bracket_full-unreduced-rows": lambda: bracket_full(red, row, row),
         "bracket_full-not-a-point": lambda: bracket_full(x.y, row, row),
-        "point-list-coordinates": lambda: PhasePoint([0.1, 0.2], [0.3, 0.4],
-                                                     x.xi),
+        "point-list-coordinates": lambda: PhasePoint([0.1, 0.2], [0.3, 0.4]),
         "point-wrong-width": lambda: PhasePoint(rs, np.ones((3, 7))),
         "point-string-row": lambda: PhasePoint(RS1, "abc"),
         "point-row-holding-a-string": lambda: PhasePoint(
@@ -608,6 +611,37 @@ def test_wrong_points_and_rows_are_structural_errors(case):
     a point of lists AttributeError; each is a StructuralError."""
     with pytest.raises(StructuralError):
         _wrong_point_cases()[case]()
+
+
+def test_the_width_of_a_state_row_gives_its_kind():
+    """A point is its state array: rows of 2 rank + dim coordinates are
+    unreduced points and rows of 2 rank + n_s reduced ones, alone, stacked
+    or as an empty stack; any other width raises StructuralError naming
+    both, and lax_B, lax_residuals and involution_residuals still reject
+    an empty stack."""
+    assert [f.name for f in dataclasses.fields(PhasePoint)] == ["rs", "y"]
+    for rank in (1, 2, 3, 4):
+        rs = build_root_system("A", rank)
+        full, red = 2 * rank + rs.dim, rank + rs.n_roots
+        for width, reduced in ((full, False), (red, True)):
+            for shape in ((width,), (2, 3, width), (0, width)):
+                assert PhasePoint(rs, np.zeros(shape)).reduced is reduced
+        for width in (red - 1, red + 1, full - 1, full + 1):
+            with pytest.raises(StructuralError, match=(
+                    rf"expected state rows of shape \(\.\.\., {full}\) or "
+                    rf"\(\.\.\., {red}\), got \(2, {width}\)$")):
+                PhasePoint(rs, np.zeros((2, width)))
+    sys_ = make_system("rational", 2)
+    none, none_red = (PhasePoint(sys_.rs, np.zeros((0, w))) for w in (12, 8))
+    for call in (lambda: lax_B(sys_, none, [0.3j]),
+                 lambda: lax_B(sys_, none_red, [0.3j]),
+                 lambda: lax_residuals(sys_, none),
+                 lambda: lax_residuals(sys_, none_red),
+                 lambda: involution_residuals(sys_, none_red,
+                                              [((1, 0.3), (2, 0.4j))])):
+        with pytest.raises(StructuralError,
+                           match="expected at least one point, got none"):
+            call()
 
 
 def test_points_compare_and_hash_by_identity():

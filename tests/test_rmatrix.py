@@ -79,6 +79,28 @@ def test_rational_subset_validation():
     assert empty.dp_mask.sum() == 0
 
 
+@pytest.mark.parametrize("build,entry", [
+    (lambda rs: rational_r_matrix(rs, [["a", 0], [-1, 0]]), "'a'"),
+    (lambda rs: trigonometric_r_matrix(rs, ["a"]), "'a'"),
+    (lambda rs: trigonometric_r_matrix(rs, [0.7]), "0.7"),
+    (lambda rs: trigonometric_r_matrix(rs, [True]), "True"),
+    (lambda rs: make_system("rational", 2, delta_prime=[[1, 0.5], [-1, 0]]),
+     "0.5"),
+], ids=["rational-str", "trigonometric-str", "trigonometric-fraction",
+        "trigonometric-bool", "make_system-fraction"])
+def test_root_entries_that_are_not_integers_raise(build, entry):
+    """A root coordinate or simple-root index that is not an integer raises
+    StructuralError naming it: a str raised numpy's raw ValueError, and a
+    fraction was truncated (0.7 built Pi' = {0}, [1, 0.5] read (1, 0));
+    numpy integers are integers."""
+    rs = build_root_system("A", 2)
+    with pytest.raises(StructuralError, match=rf"got {entry} in "):
+        build(rs)
+    assert trigonometric_r_matrix(rs, [np.int64(1)]).pi_prime == {1}
+    assert rational_r_matrix(rs, np.array([[1, 0], [-1, 0]])).dp_mask.sum() \
+        == 2
+
+
 def loop_subset_error(rs, chosen):
     """The Delta' checks as a double loop over the chosen roots: the
     message of the first failure, None if there is none."""

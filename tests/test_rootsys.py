@@ -360,9 +360,9 @@ _ONE = np.ones(2, dtype=complex)
      StructuralError, r"expected xi_cartan of shape \(2,\), got \(3,\)"),
     (lambda: PhasePoint.make_reduced(_A2, _ONE, np.ones((1, 2)), {}),
      StructuralError, r"expected p of shape \(2,\), got \(1, 2\)"),
-    (lambda: PhasePoint(_A2, np.concatenate([_ONE, _ONE, np.ones(5)]), True),
-     StructuralError, r"expected state rows of shape \(\.\.\., 8\), got "
-                      r"\(9,\)"),
+    (lambda: PhasePoint(_A2, np.concatenate([_ONE, _ONE, np.ones(5)])),
+     StructuralError, r"expected state rows of shape \(\.\.\., 12\) or "
+                      r"\(\.\.\., 8\), got \(9,\)"),
     (lambda: matrix_rep(_A2, np.ones(9)),
      StructuralError, r"expected coordinate rows of shape \(\.\.\., 8\)"),
     (lambda: torus_adjoint(_A2, np.ones(3), np.zeros(8)),

@@ -39,7 +39,7 @@ import numpy as np
 from .elliptic import Lattice
 from .errors import (ConfigError, PoleError, StructuralError, coords, finite,
                      raise_on_fp_fault, scalar)
-from .ode import DormandPrince, interpolate
+from .ode import ChebyshevPicard
 from .phase import (PhasePoint, _bracket, _checked, pushforward,
                     reduced_roots, reduction, slice_lift)
 from .rmatrix import (RMatrixSpec, _pole_distance, _r_pairing, _r_table,
@@ -48,7 +48,7 @@ from .rmatrix import (RMatrixSpec, _pole_distance, _r_pairing, _r_table,
 from .rootsys import RootSystem, build_root_system, root_label, torus_adjoint
 
 
-# Accepted steps after which integrate stops with a truncated trajectory.
+# Accepted windows after which integrate stops with a truncated trajectory.
 MAX_STEPS = 200_000
 # Singular-set distance (collision_margin) below which integrate stops.
 COLLISION_TOL = 1e-6
@@ -88,13 +88,15 @@ class Trajectory:
     """Output of :func:`integrate`.
 
     ``points`` stacks the point (reduced or not) at each time of the
-    strictly monotone grid ``times``: the solver's own state where a step
-    ends on a grid point, its 7th-order dense output inside a step.
-    ``energy`` and ``constraint`` (the momentum drift max|J(t) - J(0)|, 0
-    when reduced) are per-point diagnostics.  A run stopped by the
-    collision guard or a pole is returned truncated with ``completed``
-    False and a reason.  ``stats`` holds the solver's counts
-    (``DormandPrince.stats``), None when no solver ran.
+    strictly monotone grid ``times``: a window's end node where the window
+    ends on a grid point, its polynomial inside it.  ``energy`` and
+    ``constraint`` (the momentum drift max|J(t) - J(0)|, 0 when reduced)
+    are per-point diagnostics.  A run stopped by the collision guard or a
+    pole is returned truncated with ``completed`` False and a reason.
+    ``stats`` holds the solver's counts (``ChebyshevPicard.stats``:
+    ``calls``, the sequential flow calls, apart from ``nfev``, the state
+    rows they evaluated; ``accepted`` and ``rejected`` windows; the accepted
+    window lengths ``h_min`` and ``h_max``), None when no solver ran.
     """
 
     times: np.ndarray
@@ -214,21 +216,23 @@ def integrate(sys: RMatrixSpec, x0, t_final: float, tol: float = 1e-10, *,
               n_points: int = 201) -> Trajectory:
     """Integrate the (reduced or unreduced) flow from t = 0 to t_final.
 
-    Adaptive Dormand-Prince 8(5,3) (:class:`spincm.ode.DormandPrince`) on
-    the complex state vector; the returned grid is uniform with
-    ``n_points`` entries.  A grid point at a step end takes that step's
-    state, one inside a step the 7th-order dense output, whose stages run
-    stacked over all such steps after the last one.  t_final may be
+    Adaptive Chebyshev-Picard windows (:class:`spincm.ode.ChebyshevPicard`)
+    on the complex state vector, each sweep one stacked flow call on the
+    window's 17 nodes, with ``tol`` the relative and ``tol * 1e-2`` the
+    absolute tolerance; the returned grid is uniform with ``n_points``
+    entries, each from the polynomial of the window it falls in (the end
+    node at a window's end).  Every node of an accepted window is checked
+    against the collision guard in one stacked call.  t_final may be
     negative (backward flow).  A non-finite t_final, tol or initial state,
     a stack of points, an n_points that is not an integer >= 2 (a numpy
     integer is one, a bool is not), an initial state whose energy
     overflows, or one past the range of the elliptic argument reduction,
     raises StructuralError.  Close approaches to the singular set, poles and
-    floating-point faults (also in the first evaluation, a collision check,
-    the dense output and the energy of a later grid point) and a step past
-    that range truncate the trajectory instead of raising, and so does a
-    run past MAX_STEPS accepted steps.  The energy and momentum columns are
-    evaluated once over all grid points.
+    floating-point faults (in the first evaluation, in every window down to
+    the minimum window, in a collision check and in the energy of a later
+    grid point) and a window past that range truncate the trajectory
+    instead of raising, and so does a run past MAX_STEPS accepted windows.
+    The energy and momentum columns are evaluated once over all grid points.
     """
     t, rtol = coords(t_final, "t_final"), coords(tol, "tol")
     if t.imag or not np.isfinite(t) or t == 0.0:
@@ -245,18 +249,28 @@ def integrate(sys: RMatrixSpec, x0, t_final: float, tol: float = 1e-10, *,
     x0 = _checked(x0, rs=sys.rs, single=True)
     n, y0 = sys.rs.rank, x0.y
     reason = None
-    solver = DormandPrince(lambda t, y: _flow(sys, y), 0.0, y0,
-                           t_final, tol, tol * 1e-2)
+    solver = ChebyshevPicard(lambda y: _flow(sys, y), y0, t_final, tol,
+                             tol * 1e-2, _TRUNCATING)
     t_grid = np.linspace(0.0, t_final, n_points)
     states = np.empty((n_points, y0.size), dtype=complex)
     states[0] = y0
-    filled, pending = 1, []
-    while True:
-        try:
-            margin = collision_margin(sys, solver.y[:n])
-            if margin < COLLISION_TOL:
-                reason = (f"collision guard at t = {solver.t:.6g}: singular-"
-                          f"set distance {margin:.3e} below "
+    filled = 1
+    try:
+        margins, times = collision_margin(sys, y0[None, :n]), np.zeros(1)
+        while True:
+            hit = np.flatnonzero(margins < COLLISION_TOL)
+            t_cut = times[hit[0]] if hit.size else solver.t
+            if solver.accepted:
+                # the grid points the window has reached (a prefix of the
+                # rest), from its polynomial
+                slack = 1e-12 * max(1.0, abs(t_cut))
+                end = filled + np.count_nonzero(
+                    (t_grid[filled:] - t_cut) * solver.direction <= slack)
+                states[filled:end] = solver.solution(t_grid[filled:end])
+                filled = end
+            if hit.size:
+                reason = (f"collision guard at t = {t_cut:.6g}: singular-"
+                          f"set distance {margins[hit[0]]:.3e} below "
                           f"{COLLISION_TOL:.1e}")
                 break
             if solver.finished:
@@ -268,31 +282,11 @@ def integrate(sys: RMatrixSpec, x0, t_final: float, tol: float = 1e-10, *,
             if not solver.step():
                 reason = f"step-size control failed at t = {solver.t:.6g}"
                 break
-            # the grid points the step has reached (a prefix of the rest)
-            slack = 1e-12 * max(1.0, abs(solver.t))
-            end = filled + np.count_nonzero(
-                (t_grid[filled:] - solver.t) * solver.direction <= slack)
-            if (t_grid[filled:end] != solver.t).any():
-                pending.append((solver.last_step, filled, end))
-            states[filled:end] = solver.y
-            filled = end
-        except _TRUNCATING as exc:
-            reason = f"integration aborted at t = {solver.t:.6g}: {exc}"
-            break
-
-    def dense(rows):
-        batch = pending[rows]
-        for (step, lo, hi), f in zip(batch, solver.interpolants(
-                [step for step, _, _ in batch])):
-            states[lo:hi] = interpolate(step, f, t_grid[lo:hi])
-
-    # the run ends at the grid points of the first dense step that faults,
-    # and its energy column before the first point whose energy faults
-    if pending:
-        _, k, fault = _first_fault(dense, len(pending))
-        if fault is not None:
-            step, filled = pending[k][:2]
-            reason = f"integration aborted at t = {step.t:.6g}: {fault}"
+            # every node of the window but its first, read before
+            margins = collision_margin(sys, solver.nodes[1:, :n])
+            times = solver.times[1:]
+    except _TRUNCATING as exc:
+        reason = f"integration aborted at t = {solver.t:.6g}: {exc}"
     points = PhasePoint(sys.rs, states[:filled])
     xi = points.xi
     energy, k, fault = _first_fault(lambda rows: _energy(

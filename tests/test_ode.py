@@ -1,6 +1,7 @@
-"""The Dormand-Prince 8(5,3) driver behind `integrate`: scipy's DOP853 as
-the oracle, the order of the method and of its dense output, edge cases of
-the step control, and no scipy on the import path."""
+"""The Chebyshev-Picard driver behind `integrate`: its true error against
+scipy's DOP853 at rtol 1e-13 and against closed forms, its counts, the
+stacked sweep against one call per node, edge cases of the window control,
+and no scipy on the import path."""
 
 from __future__ import annotations
 
@@ -16,101 +17,125 @@ import pytest
 
 import spincm
 from spincm import dynamics
-from spincm.dynamics import (hamiltonian, integrate, make_system,
-                             spinless_state, vector_field)
+from spincm.dynamics import hamiltonian, integrate, make_system, spinless_state
 from spincm.elliptic import Lattice
 from spincm.errors import PoleError
-from spincm.ode import EPS, DormandPrince
+from spincm.ode import EPS, N, ChebyshevPicard
 from spincm.phase import PhasePoint, project_pi
 
+# The bound on every grid state's error (relative to max(1, |y|)) at tol
+# 1e-9, against scipy's DOP853 at rtol 1e-13: a fifth of tol.  The worst
+# case measured is 5.4e-11 (trigonometric A_4, T = 0.4), where DOP853 at
+# tol 1e-9 is 1.2e-9 off.
+TRUE_ERROR = 2e-10
 
-def oracle_point(family):
-    """A_3 spinless point with simple-root values (0.8, 0.9, 0.7): collision
-    margin 0.64 or more in every family."""
+
+def oracle_point(family, rank=3):
+    """A spinless point with simple-root values (0.8, 0.9, 0.7, 0.3) (the
+    first ``rank``): collision margin 0.3 or more in every family."""
     lattice = Lattice(2, 2.2j) if family == "elliptic" else None
-    sys_ = make_system(family, 3, lattice=lattice)
-    q = np.linalg.solve(sys_.rs.alpha_h[:3], [0.8, 0.9, 0.7])
-    return sys_, spinless_state(sys_.rs, q, [0.3, -0.1, 0.2], 0.4j)
+    sys_ = make_system(family, rank, lattice=lattice)
+    q = np.linalg.solve(sys_.rs.alpha_h[:rank], [0.8, 0.9, 0.7, 0.3][:rank])
+    p = [0.3, -0.1, 0.2, 0.15][:rank]
+    return sys_, spinless_state(sys_.rs, q, p, 0.4j)
 
 
-def scipy_reference(sys_, x0, t_final, tol, n_points):
-    """The grid of `integrate` filled from scipy's DOP853, step by step: a
-    grid point at a step end takes the step's y, and the dense output (three
-    more RHS calls) is built only for steps with a grid point inside."""
-    from scipy.integrate import DOP853
-    rs = sys_.rs
-
-    def rhs(t, y):
-        return vector_field(sys_, PhasePoint(rs, y)).y
-
-    solver = DOP853(rhs, 0.0, x0.y, t_final, rtol=tol,
-                    atol=tol * 1e-2)
+def scipy_grid(sys_, x0, t_final, n_points, rtol=1e-13):
+    """The grid of `integrate` from scipy's DOP853 (dense output), atol
+    rtol * 1e-2."""
+    from scipy.integrate import solve_ivp
     grid = np.linspace(0.0, t_final, n_points)
-    direction = 1.0 if t_final > 0 else -1.0
-    values = [x0.y]
-    steps = 0
-    while solver.status == "running":
-        solver.step()
-        steps += 1
-        dense = None
-        slack = 1e-12 * max(1.0, abs(solver.t))
-        while len(values) < n_points and \
-                (grid[len(values)] - solver.t) * direction <= slack:
-            t = grid[len(values)]
-            if t == solver.t:
-                values.append(solver.y.copy())
-                continue
-            dense = dense or solver.dense_output()
-            values.append(dense(t))
-    return np.array(values), steps, solver.nfev
+    run = solve_ivp(lambda t, y: dynamics._flow(sys_, y), (0.0, t_final),
+                    x0.y, method="DOP853", t_eval=grid, rtol=rtol,
+                    atol=rtol * 1e-2)
+    return run.y.T
+
+
+def error(got, want):
+    return np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want)))
 
 
 @pytest.mark.parametrize("t_final", [0.4, -0.3])
 @pytest.mark.parametrize("reduced", [False, True])
 @pytest.mark.parametrize("family", ["rational", "trigonometric", "elliptic"])
 def test_matches_scipy_rk45(family, reduced, t_final):
-    """The oracle is scipy's DOP853; the test keeps the name it had when
-    the driver was the 5(4) pair checked against scipy's RK45."""
+    """Every grid state at ranks 1-4 within TRUE_ERROR of scipy's DOP853 at
+    rtol 1e-13, and no further from it than DOP853 at the same tol.  The
+    test keeps the name it had when the driver was the 5(4) pair checked
+    step for step against scipy's RK45."""
+    pytest.importorskip("scipy")
+    for rank in (1, 2, 3, 4):
+        sys_, x0 = oracle_point(family, rank)
+        if reduced:
+            x0 = project_pi(x0)
+        traj = integrate(sys_, x0, t_final, 1e-9, n_points=7)
+        assert traj.completed
+        reference = scipy_grid(sys_, x0, t_final, 7)
+        assert traj.points.y.shape == reference.shape
+        ours = error(traj.points.y, reference)
+        assert ours < TRUE_ERROR, rank
+        assert ours <= error(scipy_grid(sys_, x0, t_final, 7, 1e-9),
+                             reference), rank
+
+
+@pytest.mark.parametrize("t_final", [0.4, -0.3])
+@pytest.mark.parametrize("family", ["rational", "elliptic"])
+def test_dense_array_matches_scipy_dense_output(family, t_final):
+    """101 grid points, most of them inside a window (from its polynomial),
+    within TRUE_ERROR of scipy's DOP853 at rtol 1e-13."""
     pytest.importorskip("scipy")
     sys_, x0 = oracle_point(family)
-    if reduced:
-        x0 = project_pi(x0)
-    traj = integrate(sys_, x0, t_final, 1e-9, n_points=7)
-    expected, steps, nfev = scipy_reference(sys_, x0, t_final, 1e-9, 7)
-    assert traj.completed
-    got = traj.points.y
-    assert got.shape == expected.shape
-    assert np.max(np.abs(got - expected)
-                  / np.maximum(1.0, np.abs(expected))) < 1e-12
-    assert traj.stats["accepted"] == steps
-    assert traj.stats["nfev"] == nfev
+    traj = integrate(sys_, x0, t_final, 1e-9, n_points=101)
+    assert traj.completed and traj.stats["accepted"] < 50
+    assert error(traj.points.y, scipy_grid(sys_, x0, t_final, 101)) \
+        < TRUE_ERROR
 
 
-def test_step_and_dense_output_have_orders_8_and_7():
-    """On y' = iy, halving h divides the local error of a step by about 2^9
-    and that of the interpolant at the step's midpoint by about 2^8."""
-    end, mid = [], []
-    for h in (0.4, 0.2):
-        # the loose tolerance lets the first step cover [0, h] at once
-        solver = DormandPrince(lambda t, y: 1j * y, 0.0, np.ones(1), h,
-                               1.0, 1.0)
-        assert solver.step() and solver.t == h
-        end.append(abs(solver.y[0] - np.exp(1j * h)))
-        mid.append(abs(solver.dense(h / 2)[0] - np.exp(0.5j * h)))
-    assert 2 ** 8.5 < end[0] / end[1] < 2 ** 9.5
-    assert 2 ** 7.5 < mid[0] / mid[1] < 2 ** 8.5
+def test_iy_over_many_windows_is_exp_it():
+    """y' = iy over 40 time units: every window end, and the polynomial
+    inside the windows, on e^{it} to 1e-8."""
+    solver = ChebyshevPicard(lambda y: 1j * y, np.ones(2), 40.0, 1e-10,
+                             1e-12)
+    while not solver.finished:
+        assert solver.step()
+        assert abs(solver.y[0] - np.exp(1j * solver.t)) < 1e-8
+        t = solver.t - solver.h * np.array([0.1, 0.35, 0.5, 0.8])
+        assert np.max(np.abs(solver.solution(t)[:, 1] - np.exp(1j * t))) \
+            < 1e-8
+    assert solver.t == 40.0 and solver.accepted > 5
 
 
-def test_step_count_scales_like_tol_to_the_minus_one_eighth():
-    counts = []
-    for tol in (1e-6, 1e-12):
-        solver = DormandPrince(lambda t, y: 1j * y, 0.0, np.ones(1), 20.0,
-                               tol, tol)
-        while not solver.finished:
-            assert solver.step()
-        counts.append(solver.accepted)
-    # (1e6)^(1/8) = 5.6; a 5th-order pair would need (1e6)^(1/5) = 15.8
-    assert counts[1] / counts[0] < 1.3 * 1e6 ** (1 / 8)
+def test_negative_t_final_lands_exactly():
+    sys_, x0 = oracle_point("trigonometric")
+    traj = integrate(sys_, x0, -0.37, 1e-8, n_points=5)
+    assert traj.completed and traj.times[-1] == -0.37
+    solver = ChebyshevPicard(lambda y: 1j * y, np.ones(3), -0.37, 1e-8,
+                             1e-10)
+    while not solver.finished:
+        assert solver.step()
+    assert solver.t == -0.37 and solver.h < 0
+    assert np.allclose(solver.y, np.exp(-0.37j), rtol=1e-9, atol=0)
+    # f(y0) on one row, then the window's N + 1 nodes per call
+    assert solver.stats["nfev"] == 1 + (N + 1) * (solver.stats["calls"] - 1)
+
+
+def test_step_size_control_fails_at_a_blow_up():
+    """y' = y^2, y(0) = 2 blows up at t = 1/2: y = 1 / (1/2 - t) at the
+    window ends up to |y| = 1e4, then the windows shrink until they fall
+    below their minimum, and step returns False with nothing moved, again
+    on every later call."""
+    solver = ChebyshevPicard(lambda y: y * y, np.array([2.0]), 1.0, 1e-10,
+                             1e-12)
+    with np.errstate(all="ignore"):
+        while solver.step():
+            if abs(solver.y[0]) < 1e4:
+                assert abs(solver.y[0] * (0.5 - solver.t) - 1) < 1e-8
+        t, y, stats = solver.t, solver.y.copy(), solver.stats
+        assert not solver.finished and abs(t - 0.5) < 1e-9
+        assert abs(y[0]) > 1e12 and stats["h_min"] < 1e-12
+        assert not solver.step()
+    assert solver.t == t and np.array_equal(solver.y, y)
+    assert solver.stats["accepted"] == stats["accepted"]
 
 
 def test_tiny_tol_is_floored_without_warning():
@@ -119,22 +144,23 @@ def test_tiny_tol_is_floored_without_warning():
         warnings.simplefilter("error")
         traj = integrate(sys_, x0, 0.05, 1e-16, n_points=3)
     assert traj.completed
-    solver = DormandPrince(lambda t, y: -y, 0.0, np.ones(2), 1.0,
-                           1e-16, 1e-18)
+    solver = ChebyshevPicard(lambda y: -y, np.ones(2), 1.0, 1e-16, 1e-18)
     assert solver.rtol == 100 * EPS
 
 
 @pytest.mark.parametrize("fault_at", [1, 2])
 def test_pole_in_the_first_rhs_or_probe_truncates(monkeypatch, fault_at):
-    """A pole in f(t0, y0) (call 1) or in the initial-step probe (call 2)
-    comes back as a truncated trajectory, not as an exception."""
+    """A pole in f(y0) (call 1) truncates at once; one in every stacked
+    sweep (calls 2 on) rejects the window down to the minimum window,
+    where the pole truncates the run.  Either way the trajectory comes back
+    at t = 0, not as an exception."""
     sys_, x0 = oracle_point("rational")
     calls = []
     flow = dynamics._flow
 
     def field(system, y):
         calls.append(y)
-        if len(calls) == fault_at:
+        if len(calls) >= fault_at:
             raise PoleError("pole planted in the vector field")
         return flow(system, y)
 
@@ -144,38 +170,14 @@ def test_pole_in_the_first_rhs_or_probe_truncates(monkeypatch, fault_at):
     assert traj.abort_reason == ("integration aborted at t = 0: "
                                  "pole planted in the vector field")
     assert traj.n_points == 1
-    assert traj.stats["nfev"] == fault_at and traj.stats["accepted"] == 0
-
-
-def test_negative_t_final_lands_exactly():
-    sys_, x0 = oracle_point("trigonometric")
-    traj = integrate(sys_, x0, -0.37, 1e-8, n_points=5)
-    assert traj.completed and traj.times[-1] == -0.37
-    solver = DormandPrince(lambda t, y: 1j * y, 0.0, np.ones(3), -0.37,
-                           1e-8, 1e-10)
-    while not solver.finished:
-        assert solver.step()
-    assert solver.t == -0.37
-    assert np.allclose(solver.y, np.exp(-0.37j), rtol=1e-7)
-    assert solver.stats["nfev"] == 2 + 12 * (solver.stats["accepted"]
-                                             + solver.stats["rejected"])
-    assert solver.stats["dense"] == 0
-
-
-def test_step_size_control_fails_at_a_blow_up():
-    """y' = y^2, y(0) = 2 blows up at t = 1/2: the steps shrink there until
-    they fall below 10 ulp of t, and step returns False with nothing moved,
-    again on every later call."""
-    solver = DormandPrince(lambda t, y: y * y, 0.0, np.array([2.0]), 1.0,
-                           1e-10, 1e-12)
-    while solver.step():
-        pass
-    t, y, stats = solver.t, solver.y.copy(), solver.stats
-    assert not solver.finished and abs(t - 0.5) < 1e-9
-    assert abs(y[0]) > 1e12 and stats["h_min"] < 1e-14
-    assert not solver.step()
-    assert solver.t == t and np.array_equal(solver.y, y)
-    assert solver.stats["accepted"] == stats["accepted"]
+    stats = traj.stats
+    assert stats["accepted"] == 0 and stats["calls"] == len(calls)
+    if fault_at == 1:
+        assert stats["nfev"] == 1 and stats["rejected"] == 0
+    else:
+        # f(y0), one faulting call per rejected window, and the one at the
+        # minimum window that truncates
+        assert stats["calls"] == 2 + stats["rejected"] > 20
 
 
 def test_no_scipy_on_the_import_path(tmp_path):
@@ -207,169 +209,39 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
-def _horner_one(solver, t):
-    """The interpolant at one time, one vector at a time (the per-point
-    loop the array pass replaced)."""
-    x = (t - solver.t_old) / (solver.t - solver.t_old)
-    y = np.zeros_like(solver.y_old)
-    for i, f in enumerate(reversed(solver._F)):
-        y += f
-        y *= x if i % 2 == 0 else 1 - x
-    y += solver.y_old
-    return y
-
-
-@pytest.mark.parametrize("t_final", [0.4, -0.3])
-def test_dense_array_equals_scalar_calls_bit_for_bit(t_final):
-    """One Horner pass over an array of times gives, row by row, the bits of
-    one call per time and of the one-vector loop: interior points, a point
-    just past the step end (the grid slack) and the step end itself,
-    forwards and backwards."""
-    sys_, x0 = oracle_point("trigonometric")
-    solver = DormandPrince(lambda t, y: dynamics._flow(sys_, y), 0.0,
-                           x0.y, t_final, 1e-9, 1e-11)
-    steps = 0
-    while not solver.finished:
-        assert solver.step()
-        steps += 1
-        h = solver.t - solver.t_old
-        times = solver.t_old + h * np.array([0.05, 0.37, 0.5, 0.93, 1.0,
-                                             1.0 + 1e-13])
-        times[4] = solver.t
-        batch = solver.dense(times)
-        assert batch.shape == (len(times), solver.y.size)
-        for t, row in zip(times, batch):
-            assert np.array_equal(_bits(solver.dense(t)), _bits(row))
-        for t, row in zip(times[:4], batch):
-            assert np.array_equal(_bits(_horner_one(solver, t)), _bits(row))
-        assert np.array_equal(_bits(batch[4]), _bits(solver.y))
-        # the step end alone builds no interpolant
-        assert np.array_equal(_bits(solver.dense(np.array([solver.t]))[0]),
-                              _bits(solver.y))
-    assert steps > 2 and solver.dense_steps == steps
-
-
-@pytest.mark.parametrize("t_final", [0.4, -0.3])
-@pytest.mark.parametrize("family", ["rational", "elliptic"])
-def test_dense_array_matches_scipy_dense_output(family, t_final):
-    """Several points per step against scipy's DOP853 interpolant, step by
-    step on the same accepted steps."""
-    pytest.importorskip("scipy")
-    from scipy.integrate import DOP853
-    sys_, x0 = oracle_point(family)
-    y0 = x0.y
-
-    def rhs(t, y):
-        return dynamics._flow(sys_, y)
-
-    ours = DormandPrince(rhs, 0.0, y0, t_final, 1e-9, 1e-11)
-    ref = DOP853(rhs, 0.0, y0, t_final, rtol=1e-9, atol=1e-11)
-    while not ours.finished:
-        assert ours.step()
-        ref.step()
-        assert ours.t == ref.t
-        times = ours.t_old + (ours.t - ours.t_old) * np.linspace(0.1, 0.9, 5)
-        expected = ref.dense_output()(times).T
-        got = ours.dense(times)
-        assert np.max(np.abs(got - expected)
-                      / np.maximum(1.0, np.abs(expected))) < 1e-13
-
-
-def sequential_run(sys_, x0, t_final, n_points, tol=1e-9):
-    """The grid of `integrate` as its step loop filled it with one dense
-    call per step (the loop before the dense stages were stacked): the
-    states, the solver, and the reason of a pole in a step or a dense
-    stage (None if none)."""
-    solver = DormandPrince(lambda t, y: dynamics._flow(sys_, y),
-                           0.0, x0.y, t_final, tol, tol * 1e-2)
-    t_grid = np.linspace(0.0, t_final, n_points)
-    states, reason = [x0.y], None
-    while not solver.finished:
-        try:
-            assert solver.step()
-            slack = 1e-12 * max(1.0, abs(solver.t))
-            end = len(states) + np.count_nonzero(
-                (t_grid[len(states):] - solver.t) * solver.direction <= slack)
-            states.extend(solver.dense(t_grid[len(states):end]))
-        except PoleError as exc:
-            reason = f"integration aborted at t = {solver.t:.6g}: {exc}"
-            break
-    return np.array(states), solver, reason
-
-
 @pytest.mark.parametrize("n_points", [2, 101])
 @pytest.mark.parametrize("t_final", [0.4, -0.3])
 @pytest.mark.parametrize("reduced", [False, True])
 @pytest.mark.parametrize("family", ["rational", "trigonometric", "elliptic"])
 def test_stacked_dense_pass_is_the_sequential_loop_bit_for_bit(
-        family, reduced, t_final, n_points):
+        monkeypatch, family, reduced, t_final, n_points):
     """The grid states, the energy column and the solver counts of
-    `integrate`, whose dense stages run stacked after the last step, equal
-    those of one dense call per step, bit for bit: at 101 points every
-    step is dense, at 2 none is."""
+    `integrate`, whose sweeps evaluate a window's nodes in one stacked flow
+    call, equal those of one flow call per node, bit for bit."""
     sys_, x0 = oracle_point(family)
     if reduced:
         x0 = project_pi(x0)
     traj = integrate(sys_, x0, t_final, 1e-9, n_points=n_points)
-    states, solver, reason = sequential_run(sys_, x0, t_final, n_points)
-    assert traj.completed and reason is None
-    assert np.array_equal(_bits(traj.points.y), _bits(states))
-    energy = hamiltonian(sys_, PhasePoint(sys_.rs, states))
+    flow = dynamics._flow
+    monkeypatch.setattr(dynamics, "_flow", lambda system, y: np.array(
+        [flow(system, row) for row in y]))
+    rows = integrate(sys_, x0, t_final, 1e-9, n_points=n_points)
+    assert traj.completed and rows.completed
+    assert np.array_equal(_bits(traj.points.y), _bits(rows.points.y))
+    energy = hamiltonian(sys_, PhasePoint(sys_.rs, rows.points.y))
     assert np.array_equal(_bits(traj.energy), _bits(energy))
-    assert traj.stats == solver.stats
-    dense = traj.stats["dense"]
-    assert dense == (0 if n_points == 2 else traj.stats["accepted"])
+    assert traj.stats == rows.stats
 
 
 @pytest.mark.parametrize("n_points", [2, 1001])
 @pytest.mark.parametrize("reduced", [False, True])
 def test_nfev_counts_every_evaluated_state(reduced, n_points):
-    """f(t0), the initial-step probe, 12 stages per attempted step and 3
-    stacked rows per dense step, with no grid point inside a step and
-    with one in every step."""
+    """f(y0) on one row, then N + 1 rows per sweep; the grid, read off the
+    window polynomials, costs no evaluation, so 2 and 1001 grid points
+    give the same counts."""
     sys_, x0 = oracle_point("elliptic")
     if reduced:
         x0 = project_pi(x0)
     stats = integrate(sys_, x0, 0.4, 1e-9, n_points=n_points).stats
-    assert stats["nfev"] == 2 + 12 * (stats["accepted"] + stats["rejected"]) \
-        + 3 * stats["dense"]
-    assert stats["dense"] == (0 if n_points == 2 else stats["accepted"])
-
-
-def test_a_pole_in_one_dense_row_truncates_where_the_sequential_run_does(
-        monkeypatch):
-    """A pole in the stage-13 row of the fourth dense step, inside the
-    stacked call: the run keeps the grid points before that step's and
-    stops with the reason of the sequential loop, which met the same pole
-    in that step's own dense call."""
-    sys_, x0 = oracle_point("trigonometric")
-    flow, stacked = dynamics._flow, []
-
-    def spy(system, y):
-        if y.ndim == 2:
-            stacked.append(y.copy())
-        return flow(system, y)
-
-    monkeypatch.setattr(dynamics, "_flow", spy)
-    clean = integrate(sys_, x0, 0.4, 1e-9, n_points=101)
-    assert len(stacked) == 3 and len(stacked[0]) == clean.stats["dense"] > 4
-    target = stacked[0][3]
-
-    def field(system, y):
-        if (y.reshape(-1, y.shape[-1]) == target).all(-1).any():
-            raise PoleError("pole planted in a dense stage")
-        return flow(system, y)
-
-    monkeypatch.setattr(dynamics, "_flow", field)
-    traj = integrate(sys_, x0, 0.4, 1e-9, n_points=101)
-    states, solver, reason = sequential_run(sys_, x0, 0.4, 101)
-    assert reason.startswith("integration aborted at t = ") and \
-        reason.endswith(": pole planted in a dense stage")
-    assert not traj.completed and traj.abort_reason == reason
-    assert 1 < traj.n_points < clean.n_points
-    assert np.array_equal(_bits(traj.points.y), _bits(states))
-    assert np.array_equal(_bits(traj.points.y), _bits(clean.points.y[
-        :traj.n_points]))
-    # the loop went on past that step: only the counts tell
-    assert traj.stats["accepted"] == clean.stats["accepted"] > \
-        solver.stats["accepted"]
+    assert stats["nfev"] == 1 + (N + 1) * (stats["calls"] - 1)
+    assert stats == integrate(sys_, x0, 0.4, 1e-9, n_points=2).stats

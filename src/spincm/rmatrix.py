@@ -23,16 +23,17 @@ one pass per argument.
 The Lax operators in :mod:`spincm.dynamics` read this kernel only through
 :func:`_r_table`, which is what ties the r-matrix to the mechanics.
 
-Each family has one array kernel (:func:`_ladder`): from the root values
-u = rs.root_values(q) (roots on the last axis, z broadcasting against it)
-it returns every z-derivative up to the order asked for, and the mixed
-u-derivatives, in one pass.  Its pole guards read the family's singular
-set from one place (:func:`_pole_distance`, which also gives
-:func:`spincm.dynamics.collision_margin`; the trigonometric pair weight
-reads its |sin u| off the sine it keeps) and name the first offending
-root; a numpy floating-point fault raises FloatingPointError, so no table
-holds inf or nan.  The pair weights are even in u, so they are evaluated
-on the positive roots and mirrored.
+Each family has one array kernel of (u, z) (:func:`_ladder`): from the
+root values u = rs.root_values(q) (roots on the last axis, z broadcasting
+against it) it returns every z-derivative up to the order asked for, and
+the mixed u-derivatives, in one pass.  Its u side is one kernel of u
+(:func:`_regular_part`): the regular part g(u) of c at z = 0, which B
+reads, and the pair weight w = -g' of the Hamiltonian with w' = -g''.
+The pole guards read the family's singular set from one place
+(:func:`_singular`, which also gives :func:`spincm.dynamics.collision_margin`;
+the pair weight reads its |sin u| off the sine it keeps) and name the first
+offending root; a numpy floating-point fault raises FloatingPointError, so
+no table holds inf or nan.
 
 Every r(q, z) is held as its coefficient vector c on arrays of z, with
 r = sum_a c_a e_a (x) e_{dual(a)}.  R_q is an entrywise product: with c
@@ -81,8 +82,8 @@ class RMatrixSpec:
     ``fault_scale`` is a negative-control knob used by the verification CLI:
     it multiplies the coefficient of one +/- root pair of the r-matrix's
     coefficient vectors, which preserves the zero-weight and unitarity
-    axioms but breaks the residue normalization and the CDYBE.  The Lax
-    and pair-weight kernels never read it, and the Lax-side tables of
+    axioms but breaks the residue normalization and the CDYBE.  The
+    regular-part kernel never reads it, and the Lax-side tables of
     ``dynamics`` are taken from ``with_fault(1.0)``.
 
     ``length``, the unit of every verify sample and ring, is 1, or min(1,
@@ -237,6 +238,21 @@ def _root_guard(spec: RMatrixSpec, bad: np.ndarray, what: str) -> None:
         raise PoleError(f"{what} at the root {root_label(spec.rs.roots[k])}")
 
 
+def _singular(spec: RMatrixSpec, u, what: str | None = None):
+    """(on, s) of the rational or trigonometric family: s = u or sin u,
+    whose zeros on the roots marked by ``on`` (Delta', the span of Pi') are
+    the poles in u of the root coefficients; u holds the roots, or a prefix
+    of them such as the positive roots, on its last axis.  With ``what``,
+    the pole guard: PoleError naming the first root within _ZTOL of one."""
+    rational = spec.family == "rational"
+    on = (spec.dp_mask if rational else spec.span_mask)[:np.shape(u)[-1]]
+    s = u if rational else np.sin(u)
+    if what:
+        _root_guard(spec, on & (np.abs(s) < _ZTOL), f"{spec.family} {what}: "
+                    f"{'' if rational else 'sin '}(alpha, q) = 0")
+    return on, s
+
+
 def _pole_distance(spec: RMatrixSpec, u) -> np.ndarray:
     """The family's singular set: the distance of each root value in ``u``
     (the roots, or a prefix of them such as the positive roots, on the last
@@ -245,16 +261,8 @@ def _pole_distance(spec: RMatrixSpec, u) -> np.ndarray:
     of Pi' (trigonometric) and the lattice distance (elliptic)."""
     if spec.family == "elliptic":
         return spec.lattice.lattice_distance(u)
-    if spec.family == "rational":
-        mask, dist = spec.dp_mask, np.abs(u)
-    else:
-        mask, dist = spec.span_mask, np.abs(np.sin(u))
-    return np.where(mask[:np.shape(u)[-1]], dist, np.inf)
-
-
-def _pole_guard(spec: RMatrixSpec, u, what: str) -> None:
-    """PoleError naming the first root of ``u`` within _ZTOL of a pole."""
-    _root_guard(spec, _pole_distance(spec, u) < _ZTOL, what)
+    on, s = _singular(spec, u)
+    return np.where(on, np.abs(s), np.inf)
 
 
 def _on_lattice(spec: RMatrixSpec, evaluate: Callable[[], np.ndarray],
@@ -272,12 +280,41 @@ def _on_lattice(spec: RMatrixSpec, evaluate: Callable[[], np.ndarray],
 
 
 def _trig_shift_cot(spec: RMatrixSpec, u: np.ndarray):
-    """(b, cot u) of the root coefficient c = e^{b z} g(z), after the span
-    pole guard: b = u/3 + trig_shift; cot u on the span of Pi', 0 off it."""
-    _pole_guard(spec, u, "trigonometric coefficient: pole of cot (alpha, q)")
-    cu = np.divide(1.0, np.tan(u), out=np.zeros(u.shape, dtype=complex),
-                   where=spec.span_mask)
-    return u / 3.0 + spec.trig_shift, cu
+    """(b, cot u) of the root coefficient c = e^{b z} g(z), after the pole
+    guard: b = u/3 + trig_shift; cot u on the span of Pi', 0 off it."""
+    on = _singular(spec, u, "regular part")[0]
+    return u / 3.0 + spec.trig_shift[:u.shape[-1]], np.divide(
+        1.0, np.tan(u), out=np.zeros(u.shape, dtype=complex), where=on)
+
+
+def _regular_part(spec: RMatrixSpec, u, weight: bool = False):
+    """The family's one kernel of u, behind its one pole guard, at the root
+    values on the last axis of ``u`` (every root, or the positive ones):
+    g(u) = lim_{z->0} (c(u, z) - 1/z), the regular part of the root
+    coefficient that B and the rational r table read (1/u on Delta'; u/3 +
+    cot u on the span of Pi', u/3 - i on Delta_+ and u/3 + i on Delta_-
+    off it; zeta(u)), or with ``weight`` the pair weight of H and its
+    u-derivative, (w, w') = (-g', -g''), the signs written in."""
+    fam, what = spec.family, "pair weight" if weight else "regular part"
+    if fam == "elliptic":
+        lat = spec.lattice
+        p = _on_lattice(spec, lambda: lat._pass(u, "wp" if weight else
+                                                "zeta"), u)
+        if weight:
+            return tuple(v.reshape(u.shape) for v in lat._wp_from_theta(p[3]))
+        return lat._zetas(p, 1)[0].reshape(u.shape)
+    if fam == "trigonometric" and not weight:
+        b, cu = _trig_shift_cot(spec, u)
+        return b + cu
+    on, s = _singular(spec, u, what)
+
+    def over(num, den):
+        return np.divide(num, den, out=np.zeros(u.shape, dtype=complex),
+                         where=on)
+    if fam == "rational":
+        return (over(1.0, u * u), over(-2.0, u ** 3)) if weight \
+            else over(1.0, u)
+    return over(1.0, s * s) - 1.0 / 3.0, over(-2.0 * np.cos(u), s ** 3)
 
 
 def _trig_ladder(spec: RMatrixSpec, u, z, kmax: int, du: int):
@@ -324,58 +361,12 @@ def _ladder(spec: RMatrixSpec, u, z, kmax: int, du: int = 0):
     if (np.abs(z) < _ZTOL).any():
         raise PoleError("rational r-matrix evaluated at the z = 0 pole")
     f = [(-1) ** k * math.factorial(k) * z ** (-(k + 1)) for k in range(kmax)]
-    _pole_guard(spec, u, "rational root coefficient: (alpha, q) = 0")
+    # c = f(z) + g(u), and dc/du = g' = -g^2
+    g = _regular_part(spec, u)
     zeros = np.zeros(np.broadcast(u, z).shape, dtype=complex)
-    inv = np.divide(1.0, u, out=zeros.copy(), where=spec.dp_mask)
-    c = [f[k] + (inv if k == 0 else zeros) for k in range(kmax)]
-    return f, [c, [-inv * inv] + [zeros] * (kmax - 1)][:1 + du]
-
-
-def root_coeff_reg0(spec: RMatrixSpec, u) -> np.ndarray:
-    """lim_{z->0} (c_alpha(u_alpha, z) - 1/z) for every root, the regular
-    part at the pole."""
-    u = np.asarray(u, dtype=complex)
-    fam = spec.family
-    if fam == "rational":
-        _pole_guard(spec, u, "rational regular part: (alpha, q) = 0")
-        return np.divide(1.0, u, out=np.zeros(u.shape, dtype=complex),
-                         where=spec.dp_mask)
-    if fam == "trigonometric":
-        b, cu = _trig_shift_cot(spec, u)
-        return b + cu
-    return _on_lattice(spec, lambda: spec.lattice.zeta(u), u)
-
-
-def positive_pair_weight(spec: RMatrixSpec, up) -> tuple[np.ndarray,
-                                                          np.ndarray]:
-    """(w, w') on the positive roots, whose values ``up`` holds on its last
-    axis: w_alpha weighs xi_alpha xi_{-alpha} in H = |p|^2/2 - (1/2)
-    sum_alpha w_alpha xi_alpha xi_{-alpha}, w' is its u-derivative.  The
-    family's one weight kernel."""
-    rs = spec.rs
-    up = np.asarray(up, dtype=complex)
-    fam = spec.family
-    if fam == "rational":
-        dp = spec.dp_mask[:rs.n_pos]
-        _pole_guard(spec, up, "rational pair weight: (alpha, q) = 0")
-        w = np.divide(1.0, up * up, out=np.zeros(up.shape, dtype=complex),
-                      where=dp)
-        w_du = np.divide(-2.0, up ** 3, out=np.zeros(up.shape, dtype=complex),
-                         where=dp)
-    elif fam == "trigonometric":
-        span = spec.span_mask[:rs.n_pos]
-        s = np.sin(up)
-        _root_guard(spec, span & (np.abs(s) < _ZTOL),
-                    "trigonometric pair weight: sin (alpha, q) = 0")
-        w = np.where(span, np.divide(1.0, s * s, out=np.zeros(
-            up.shape, dtype=complex), where=span) - 1.0 / 3.0, 5.0 / 3.0)
-        w_du = np.divide(-2.0 * np.cos(up), s ** 3,
-                         out=np.zeros(up.shape, dtype=complex), where=span)
-    else:
-        w, w_du = _on_lattice(spec, lambda: spec.lattice._wp_from_theta(
-            spec.lattice._pass(up, "wp")[3]), up)
-        w, w_du = w.reshape(up.shape), w_du.reshape(up.shape)
-    return w, w_du
+    c = [f[k] + (g if k == 0 else zeros) for k in range(kmax)]
+    return f, [c, [np.broadcast_to(-g * g, zeros.shape)]
+               + [zeros] * (kmax - 1)][:1 + du]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from spincm.errors import StructuralError, raise_on_fp_fault
 from spincm.phase import (PhasePoint, bracket_full, gauge_g, lift_reduced,
                           torus_action)
 from spincm.rmatrix import (RMatrixSpec, _ladder, _r_pairing, _r_table,
-                            _trim_principal, positive_pair_weight)
+                            _regular_part, _trim_principal)
 from spincm.rootsys import (Root, RootSystem, bracket, form, negate,
                             torus_adjoint)
 
@@ -188,10 +188,10 @@ def root_coeff(spec: RMatrixSpec, u, z, kz: int = 0,
 
 @raise_on_fp_fault
 def pair_weight(spec: RMatrixSpec, u) -> tuple[np.ndarray, np.ndarray]:
-    """(w, w') of positive_pair_weight on every root: w is even, so
+    """(w, w') of the regular-part kernel on every root: w is even, so
     w_{-alpha} = w_alpha and w'_{-alpha} = -w'_alpha."""
-    w, w_du = positive_pair_weight(
-        spec, np.asarray(u, dtype=complex)[..., :spec.rs.n_pos])
+    w, w_du = _regular_part(
+        spec, np.asarray(u, dtype=complex)[..., :spec.rs.n_pos], weight=True)
     return (np.concatenate([w, w], axis=-1),
             np.concatenate([w_du, -w_du], axis=-1))
 

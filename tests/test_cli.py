@@ -1146,6 +1146,21 @@ def test_verify_spectral_trig_a3_seed_1252344730(tmp_path):
         == EXIT_PASS
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("pi_prime", [[0], [0, 2]])
+def test_lax_and_spectral_pass_off_the_span_of_pi_prime(tmp_path, pi_prime,
+                                                        seed):
+    """Trigonometric A_3 with a root off the span of Pi': the Lax suite and
+    the spectral suite (t_final 2) exit 0, as the pair weight off the span
+    is -g' = -1/3, g = u/3 -+ i the regular part there."""
+    cfg = write_config(tmp_path, "ver.json", {
+        "family": "trigonometric", "rank": 3, "pi_prime": pi_prime,
+        "integration": {"t_final": 2.0}})
+    for suite in ("lax", "spectral"):
+        assert main(["verify", "--config", cfg, "--suite", suite, "--seed",
+                     str(seed), "--out", str(tmp_path)]) == EXIT_PASS
+
+
 @pytest.mark.parametrize("family", ["rational", "trigonometric", "elliptic"])
 def test_spectral_fails_a_pair_weight_off_by_1e_6(tmp_path, monkeypatch,
                                                   family):
@@ -1153,9 +1168,10 @@ def test_spectral_fails_a_pair_weight_off_by_1e_6(tmp_path, monkeypatch,
     weight w and w' scaled by 1 + 1e-6 the default spectral run exits 1 at
     ranks 2 and 4 (drifts 5.9e-6 to 1.6e-4 at seed 0), and its report
     carries the integration's solver counts."""
-    weight = dynamics.positive_pair_weight
-    monkeypatch.setattr(dynamics, "positive_pair_weight", lambda spec, up:
-                        tuple((1 + 1e-6) * w for w in weight(spec, up)))
+    kernel = dynamics._regular_part
+    monkeypatch.setattr(dynamics, "_regular_part", lambda spec, u,
+                        weight=False: tuple((1 + 1e-6) * w for w in kernel(
+                            spec, u, True)) if weight else kernel(spec, u))
     for rank in (2, 4):
         data = {"family": family, "rank": rank}
         if family == "elliptic":

@@ -41,8 +41,8 @@ from test_elliptic import mp_weierstrass
 from spincm.phase import (PhasePoint, bracket_full, gauge_g, lift_reduced,
                           momentum_J, project_pi, reduced_roots,
                           torus_action)
-from spincm.rmatrix import _r_table, positive_pair_weight, root_coeff_reg0
-from spincm.rootsys import bracket, form, negate, torus_adjoint
+from spincm.rmatrix import _r_table, _regular_part
+from spincm.rootsys import bracket, form, torus_adjoint
 from spincm.dynamics import (_lax_pair, _spectral_gradients,
                              collision_margin, conserved_spectrum,
                              Trajectory, default_z_samples, fpbr_residual,
@@ -115,31 +115,20 @@ def test_trigonometric_hamiltonian_at_a_huge_root_value():
 
 
 def test_hamiltonian_matches_quadrature():
-    # H is the quadrature functional of its own Lax operator, for the
-    # rational and elliptic families and for trigonometric with Pi' = Pi.
+    # H is the quadrature functional of its own Lax operator in every
+    # family, and for trigonometric with Pi' = Pi, a proper Pi' ([0]) and
+    # Pi' empty at ranks 2 and 3: the pair weight is -g', g the regular part
+    # of the root coefficient at z = 0, also off the span of Pi'.
     rng = np.random.default_rng(7)
     for sys in (make_system("rational", 2),
                 make_system("trigonometric", 2),
-                make_system("elliptic", 2, lattice=WIDE)):
+                make_system("elliptic", 2, lattice=WIDE),
+                *(make_system("trigonometric", rank, pi_prime=pi_prime)
+                  for rank in (2, 3) for pi_prime in ([0], "empty"))):
         x = generic_point(sys, rng)
         h = hamiltonian(sys, x)
         hq = hamiltonian_quadrature(sys, x, radius=0.4)
-        assert abs(h - hq) < 1e-10, sys.family
-
-
-def test_trig_proper_subset_quadrature_offset():
-    # Pinned discrepancy: for a proper Pi' the displayed H and the
-    # quadrature functional differ by -sum_{alpha off span} xi_a xi_{-a}.
-    sys = make_system("trigonometric", 2, pi_prime=[0])
-    rng = np.random.default_rng(11)
-    x = generic_point(sys, rng)
-    rs = sys.rs
-    off = [k for k in range(rs.n_roots) if not sys.span_mask[k]]
-    s_off = sum(x.xi[rs.basis_index(rs.roots[k])]
-                * x.xi[rs.basis_index(negate(rs.roots[k]))] for k in off)
-    h = hamiltonian(sys, x)
-    hq = hamiltonian_quadrature(sys, x, radius=0.4)
-    assert abs((h - hq) - (-s_off)) < 1e-10
+        assert abs(h - hq) < 1e-10, sys.describe()
 
 
 @settings(max_examples=25, deadline=None)
@@ -427,11 +416,11 @@ def test_elliptic_degenerates_to_trigonometric():
     for du, kz in [(0, 0), (0, 1), (0, 2), (0, 3), (1, 0)]:
         assert relative(te[du, kz], tt[du, kz]) < 1e-12, (du, kz)
     up = rs.root_values(q)[:, :rs.n_pos]
-    for got, want in zip(positive_pair_weight(ell, up),
-                         positive_pair_weight(trig, up)):
+    for got, want in zip(_regular_part(ell, up, weight=True),
+                         _regular_part(trig, up, weight=True)):
         assert relative(got, want) < 1e-12
-    assert relative(root_coeff_reg0(ell, rs.root_values(q)),
-                    root_coeff_reg0(trig, rs.root_values(q))) < 1e-12
+    assert relative(_regular_part(ell, rs.root_values(q)),
+                    _regular_part(trig, rs.root_values(q))) < 1e-12
     x0 = spinless_state(rs, [0.9, 0.7, 0.8], [0.2, 0.1, -0.3], 0.7j)
     got, want = (integrate(spec, x0, 2.0, n_points=21) for spec in (ell, trig))
     assert got.completed and want.completed

@@ -29,7 +29,7 @@ from spincm.elliptic import Lattice
 from spincm.errors import PoleError, StructuralError, raise_on_fp_fault
 from spincm.phase import (PhasePoint, lift_reduced, momentum_J,
                           reduced_roots, slice_lift)
-from spincm.rmatrix import positive_pair_weight
+from spincm.rmatrix import _regular_part
 from spincm.rootsys import matrix_rep
 
 FAMILIES = ("rational", "trigonometric", "elliptic")
@@ -401,7 +401,7 @@ def composed_flow(sys_, ys, reduced):
     xi = slice_lift(rs, spin) if reduced else spin
     up = rs.positive_root_values(q)
     w, w_du = sys_.lattice.wp_pair(up) if sys_.family == "elliptic" \
-        else positive_pair_weight(sys_, up)
+        else _regular_part(sys_, up, weight=True)
     m = np.ascontiguousarray(np.array(reduced_roots(rs), dtype=complex).T)
     out = []
     for k in range(len(ys)):

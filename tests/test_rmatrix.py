@@ -27,14 +27,15 @@ from spincm.phase import PhasePoint, momentum_J
 from spincm.errors import PoleError, StructuralError
 from spincm.rootsys import (bracket, build_root_system, form, negate,
                             root_label)
+from test_elliptic import mp_weierstrass
 from helpers import (LaurentElement, R_apply, R_directional, cartan_coeff,
                      casimir_tensor, count_passes, equivariance_residual,
                      pair_weight, r_tensor, ring_coefficients, ring_nodes,
                      root_coeff)
 from spincm.rmatrix import (MDYBE_QUAD_RADIUS, RMatrixSpec, _ladder,
                             _r_table, default_mdybe_samples,
-                            quad_ring, rational_r_matrix,
-                            root_coeff_reg0, trigonometric_r_matrix,
+                            _regular_part, quad_ring, rational_r_matrix,
+                            trigonometric_r_matrix,
                             verify_axioms, verify_cdybe, verify_mdybe)
 
 WIDE = Lattice(2.0, 2.2j)
@@ -390,7 +391,49 @@ def test_regular_part_at_the_pole(family):
     for k in (0, 1, 4):       # simple root, another simple, one negative
         vals = values_at(spec.rs, k, u)
         lim = root_coeff(spec, vals, z)[k] - 1.0 / z
-        assert abs(root_coeff_reg0(spec, vals)[k] - lim) < 1e-4
+        assert abs(_regular_part(spec, vals)[k] - lim) < 1e-4
+
+
+@pytest.mark.parametrize("family, subset", [
+    ("rational", [[1, 0, 0], [-1, 0, 0]]), ("trigonometric", "full"),
+    ("trigonometric", [0]), ("elliptic", None)])
+def test_pair_weight_is_minus_the_derivative_of_the_regular_part(family,
+                                                                subset):
+    """The kernel's g and (w, w') at every root of A_3, at complex root
+    values, against closed forms of g that do not use the kernel, at 30
+    digits: g = 1/u on Delta' and 0 off it (rational, Delta' = +-[1,0,0]);
+    u/3 + cot u on the span of Pi' and u/3 - i (Delta_+) or u/3 + i
+    (Delta_-) off it (trigonometric, Pi' full and [0]), with w = -g' and
+    w' = -g'' by mpmath differentiation; mpmath's zeta, wp and wp' from
+    theta functions (elliptic on (2, 2.2i)).  All to 1e-12 relative."""
+    mp = pytest.importorskip("mpmath")
+    rs = build_root_system("A", 3)
+    spec = {"rational": lambda: rational_r_matrix(rs, subset),
+            "trigonometric": lambda: trigonometric_r_matrix(rs, subset),
+            "elliptic": lambda: RMatrixSpec(rs, "elliptic",
+                                            lattice=WIDE)}[family]()
+    u = rs.root_values(np.array([0.41 + 0.07j, 1.13 - 0.05j, 0.52 + 0.11j]))
+    got = [_regular_part(spec, u), *_regular_part(spec, u, weight=True)]
+    oracle = mp_weierstrass(2.0, 2.2j)
+    with mp.workdps(30):
+        for k, root in enumerate(rs.roots):
+            if family == "elliptic":
+                want = [oracle[name](mp.mpc(u[k]))
+                        for name in ("zeta", "wp", "wp_prime")]
+            else:
+                if family == "rational":
+                    g = (lambda t: 1 / t) if spec.dp_mask[k] \
+                        else (lambda t: mp.mpf(0))
+                elif spec.span_mask[k]:
+                    g = lambda t: t / 3 + mp.cot(t)
+                else:
+                    shift = -1j if k < rs.n_pos else 1j
+                    g = lambda t: t / 3 + shift
+                want = [(-1) ** min(j, 1) * v
+                        for j, v in enumerate(mp.diffs(g, mp.mpc(u[k]), 2))]
+            for j, w in enumerate(want):
+                assert abs(got[j][k] - complex(w)) \
+                    <= 1e-12 * max(1.0, abs(complex(w))), (root, j)
 
 
 def test_q_derivative_tensor_against_finite_differences():

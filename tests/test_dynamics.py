@@ -42,7 +42,7 @@ from spincm.phase import (PhasePoint, bracket_full, gauge_g, lift_reduced,
                           momentum_J, project_pi, reduced_roots,
                           torus_action)
 from spincm.rmatrix import _r_table, _regular_part
-from spincm.rootsys import bracket, form, torus_adjoint
+from spincm.rootsys import bracket, form, negate, torus_adjoint
 from spincm.dynamics import (_lax_pair, _spectral_gradients,
                              collision_margin, conserved_spectrum,
                              Trajectory, default_z_samples, fpbr_residual,
@@ -129,6 +129,24 @@ def test_hamiltonian_matches_quadrature():
         h = hamiltonian(sys, x)
         hq = hamiltonian_quadrature(sys, x, radius=0.4)
         assert abs(h - hq) < 1e-10, sys.describe()
+
+
+def test_trig_proper_subset_quadrature_offset():
+    # For a proper Pi' the displayed H and the quadrature functional once
+    # differed by -sum_{alpha off span} xi_a xi_{-a}; with the pair weight
+    # -g' off the span of Pi' that offset is gone, at a point where it is
+    # far above the tolerance.
+    sys = make_system("trigonometric", 2, pi_prime=[0])
+    rng = np.random.default_rng(11)
+    x = generic_point(sys, rng)
+    rs = sys.rs
+    off = [k for k in range(rs.n_roots) if not sys.span_mask[k]]
+    s_off = sum(x.xi[rs.basis_index(rs.roots[k])]
+                * x.xi[rs.basis_index(negate(rs.roots[k]))] for k in off)
+    assert abs(s_off) > 1e-3
+    h = hamiltonian(sys, x)
+    hq = hamiltonian_quadrature(sys, x, radius=0.4)
+    assert abs(h - hq) < 1e-10
 
 
 @settings(max_examples=25, deadline=None)
